@@ -164,12 +164,14 @@ class KnownDefect:
     labels: str | None  # None: any labelling
     error_type: str | None  # the exception raised, or None for failed checks
     failed_checks: tuple = ()
+    fields: tuple | None = None  # input kinds (Template.field); None: any input
 
     def matches(self, call, t, labels, error_type, failed_checks):
         return (
             call in self.calls
             and self.p_min <= t.p <= self.p_max
             and self.labels in (None, labels)
+            and (self.fields is None or t.field in self.fields)
             and error_type == self.error_type
             and tuple(failed_checks) == self.failed_checks
         )
@@ -193,7 +195,7 @@ KNOWN_DEFECTS = (
         "high-p-exact-zero",
         "error_report of a discrete member at p >= 5: the local errors are roundoff "
         "near 2e-9 ||v|| (p=5), above the 1e-9 exact-zero threshold, and exceed E_glob",
-        ("error_report",), 5, 99, None, None, ("ordering",),
+        ("error_report",), 5, 99, None, None, ("ordering",), ("discrete",),
     ),
 )
 

@@ -30,12 +30,14 @@ SRC = ROOT / "src"
 OUT = ROOT / ".perfbench-out"
 WORKLOADS = ("project", "global", "high-p")
 SETUP_SAMPLES = 3  # fresh-process set-ups per run; the median is reported
+SETUP_REF_SAMPLES = 5  # reference-kernel timings between set-up steps
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # One caller solving small dense systems: a second BLAS thread on a shared
 # two-core machine made first calls up to 4x slower and warm calls no faster.
 BLAS_THREADS = 1
-# op figures in reference-kernel units (runner.py says why); the same
-# figures in seconds are printed and recorded beside them
+# op figures in reference-kernel units and set-up time in seconds of a
+# nominal host (reference.py says why); the same figures in wall seconds are
+# printed and recorded beside them
 END_TO_END_UNITS = {
     "setup_s": "s",
     "op_p50_ref": "ref",
@@ -54,7 +56,8 @@ def parse_args(argv):
     ap.add_argument(
         "--setup-only",
         action="store_true",
-        help="time one cold set-up in this process and print it (the extra set-up samples)",
+        help="time one cold set-up in this process and print it with the reference-kernel "
+        "time around it (the extra set-up samples)",
     )
     return ap.parse_args(argv)
 
@@ -86,12 +89,34 @@ def environment(threads):
 
 
 def timed_setup(name):
-    """Cold set-up: import hdivkit, build the meshes, warm every rtn_space."""
+    """Cold set-up: import hdivkit, build the meshes, warm every rtn_space.
+
+    The clock stops after each step (the import, each mesh, each rtn_space)
+    while the reference kernel is timed; a step's cost in ref is its wall
+    time over the median kernel time just before and just after it.
+    Returns the wall seconds, the cost in ref and the meshes.
+    """
+    from perfbench.reference import reference_kernel
+
+    walls, refs = [], []
+
+    def time_reference():
+        refs.append(statistics.median(reference_kernel() for _ in range(SETUP_REF_SAMPLES)))
+
+    def lap():
+        nonlocal t0
+        walls.append(time.perf_counter() - t0)
+        time_reference()
+        t0 = time.perf_counter()
+
+    time_reference()
     t0 = time.perf_counter()
     from perfbench import workloads
 
-    meshes = workloads.setup(name)
-    return time.perf_counter() - t0, meshes
+    lap()
+    meshes = workloads.setup(name, after_step=lap)
+    cost = sum(w / statistics.median(refs[i : i + 2]) for i, w in enumerate(walls))
+    return sum(walls), cost, meshes
 
 
 def fresh_setup_sample(name):
@@ -100,7 +125,8 @@ def fresh_setup_sample(name):
          "--setup-only"],
         capture_output=True, text=True, timeout=150, check=True,
     )
-    return json.loads(out.stdout.strip().splitlines()[-1])["setup_s"]
+    sample = json.loads(out.stdout.strip().splitlines()[-1])
+    return sample["wall_s"], sample["cost_ref"]
 
 
 def metric(value, unit):
@@ -111,15 +137,21 @@ def metric(value, unit):
 
 
 def untraced_run(args):
+    """Set-up, then timed cycles.  ``setup_s`` is the median set-up cost in
+    ref units, in seconds of a host where one ref takes NOMINAL_REF_S."""
+    from perfbench.reference import NOMINAL_REF_S
+
     samples = [fresh_setup_sample(args.workload) for _ in range(SETUP_SAMPLES - 1)]
-    setup_s, meshes = timed_setup(args.workload)
-    samples.append(setup_s)
+    wall, cost, meshes = timed_setup(args.workload)
+    samples.append((wall, cost))
     from perfbench import runner
 
     records = runner.run_timed(args.workload, meshes, args.seed, args.seconds)
     summary = runner.summarize(records)
-    summary["setup_samples_s"] = samples
-    summary["setup_s"] = statistics.median(samples)
+    summary["setup_samples"] = [{"wall_s": w, "cost_ref": c} for w, c in samples]
+    summary["setup_wall_s"] = statistics.median(w for w, _ in samples)
+    summary["setup_ref"] = statistics.median(c for _, c in samples)
+    summary["setup_s"] = summary["setup_ref"] * NOMINAL_REF_S
     summary["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     metrics = {k: metric(summary[k], u) for k, u in END_TO_END_UNITS.items()}
     return records, summary, metrics
@@ -127,7 +159,9 @@ def untraced_run(args):
 
 def traced_run(args):
     """Set-up and one cycle traced, after the same cycle untraced for the
-    overhead baseline.  A fixed amount of work, so counts repeat exactly."""
+    overhead baseline.  A fixed amount of work, so counts repeat exactly.
+    A first untraced pass of the cycle, not timed, pays the first-call costs
+    (quadrature caches, vertex patches) so neither timed pass carries them."""
     import numpy as np
 
     from perfbench import runner, tracing, workloads
@@ -136,13 +170,13 @@ def traced_run(args):
     with tracer.installed(), tracer.span("setup"):
         meshes = workloads.setup(args.workload)
     plan = runner.make_cycle_inputs(args.workload, meshes, np.random.default_rng(args.seed), tracer)
+    runner.run_cycle(args.workload, meshes, plan, 0)
     untraced = runner.run_cycle(args.workload, meshes, plan, 0)
     with tracer.installed():
         traced = runner.run_cycle(args.workload, meshes, plan, 1, tracer)
     OUT.mkdir(exist_ok=True)
     tracer.write(OUT / f"spans-{args.workload}-seed{args.seed}.json")
     summary = runner.summarize(untraced + traced)
-    # per-op ratios: the untraced cycle runs first and alone pays first-call costs
     ratios = [b.seconds / a.seconds for a, b in zip(untraced, traced) if a.seconds and b.seconds]
     metrics = tracer.per_layer()
     metrics["trace.untraced_ops_per_s"] = metric(runner.summarize(untraced)["ops_per_s"], "1/s")
@@ -179,7 +213,11 @@ def print_report(args, env, records, summary, metrics):
     print(f"fail_ratio {summary['fail_ratio']:.4f} ({summary['failed']} of {summary['attempted']} "
           f"ops; {summary['unexplained_failures']} outside the known defects)")
     if not args.trace:
-        print(f"setup_s samples {', '.join(f'{s:.4f}' for s in summary['setup_samples_s'])}")
+        print("set-up samples (wall s / ref): " + ", ".join(
+            f"{s['wall_s']:.4f} / {s['cost_ref']:.1f}" for s in summary["setup_samples"]))
+        print(f"set-up: {summary['setup_ref']:.6g} ref (setup_s counts 1 ref as "
+              f"{summary['setup_s'] / summary['setup_ref'] * 1e3:g} ms), "
+              f"{summary['setup_wall_s']:.6g} s wall")
         print(f"op tail: the p{summary['op_tail_percentile']:.1f} of each cycle "
               f"({summary['op_tail_beyond']} samples beyond it), median over "
               f"{summary['cycles']} cycle(s); {summary['op_samples']} samples in all")
@@ -222,9 +260,8 @@ def main(argv=None):
         print(f"perfbench: no hdivkit sources under {SRC}; run it from a checkout of the "
               "repository", file=sys.stderr)
         return 2
-    threads = min(BLAS_THREADS, len(os.sched_getaffinity(0)))
     for var in BLAS_VARS:  # before numpy loads BLAS; child processes inherit it
-        os.environ[var] = str(threads)
+        os.environ[var] = str(BLAS_THREADS)
     sys.path[:0] = [str(SRC), str(ROOT)]
     # numpy and scipy load before the set-up clock starts
     import numpy  # noqa: F401
@@ -233,11 +270,12 @@ def main(argv=None):
     import scipy.special  # noqa: F401
 
     if args.setup_only:
-        print(json.dumps({"setup_s": timed_setup(args.workload)[0]}))
+        wall, cost, _ = timed_setup(args.workload)
+        print(json.dumps({"wall_s": wall, "cost_ref": cost}))
         return 0
     if args.workload == "all":
         return run_all(args)
-    env = environment(threads)
+    env = environment(BLAS_THREADS)
     records, summary, metrics = (traced_run if args.trace else untraced_run)(args)
     result = {
         "correct": summary["unexplained_failures"] == 0,

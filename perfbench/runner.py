@@ -5,10 +5,9 @@ are made before and its checks run after the timed interval.  The loop runs
 whole cycles until the timed ops add up to the requested seconds, so every
 run of a workload holds the same multiset of ops.
 
-Right after each op a fixed reference kernel is timed a few times.  On a
-shared two-core Xeon VM the speed drifts by up to 2x within minutes and the
-kernel drifts with it, so an op's time divided by the kernel's time around
-it (the op's cost in ``ref`` units) stays put where the seconds do not.
+Right after each op the reference kernel (``reference.py``) is timed a few
+times; an op's time divided by the kernel's time around it is the op's cost
+in ``ref`` units, which does not drift with the host as the seconds do.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import oracle, workloads
+from .reference import reference_kernel
 
 
 @dataclass
@@ -52,27 +52,11 @@ class OpRecord:
 
 
 REF_SAMPLES = 3
-_REF_A = np.eye(12) * 12 + np.outer(np.arange(12.0), np.arange(12.0)) / 12
-_REF_B = np.linspace(-1.0, 1.0, 12)
-
-
-def reference_kernel():
-    """Seconds for a fixed mix of small LAPACK/BLAS calls and Python
-    arithmetic, the kind of work hdivkit's element and patch loops do
-    (about 2 ms on an idle two-core Xeon VM)."""
-    t0 = time.perf_counter()
-    s = 0.0
-    for _ in range(120):
-        x = np.linalg.solve(_REF_A, _REF_B)
-        y = _REF_A @ x
-        s += float(y[0]) * 0.5 + float(x.sum())
-    return time.perf_counter() - t0
 
 
 def cycle_plan(name, rng):
-    """The workload's templates, each ``repeats`` times, in a seeded order."""
-    wl = workloads.WORKLOADS[name]
-    templates = wl.templates * wl.repeats
+    """The workload's templates in a seeded order."""
+    templates = workloads.WORKLOADS[name].templates
     return [templates[i] for i in rng.permutation(len(templates))]
 
 

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -110,6 +111,29 @@ def test_known_defects_are_counted_not_hidden(monkeypatch):
     assert recs[0].error.startswith("CompatibilityError")
     assert recs[0].known_defect == "all-neumann-p0"
     assert runner.summarize(recs)["failed"] == 1
+
+
+def test_exact_zero_defect_covers_only_discrete_members(monkeypatch):
+    for field, expected in (("discrete", "high-p-exact-zero"), ("stream", None),
+                            ("singular", None)):
+        t = workloads.Template("error_report", "m", 5, field)
+        assert oracle.known_defect("error_report", t, "all-dirichlet", None, ["ordering"]) == expected
+
+    # a report of a stream field at p=5 whose E_glob^2 falls short of sum E_loc^2
+    mesh = hk.build_structured(2)
+    t = workloads.Template("error_report", "m", 5, "stream")
+    x = workloads.make_inputs(t, mesh, np.random.default_rng(5))
+    broken = SimpleNamespace(Eglob=0.5, sum_Eloc_sq=1.0, Eloc_constrained=None,
+                             metadata={"kkt_residual": 0.0})
+    monkeypatch.setattr(workloads, "call", lambda *args: broken)
+    monkeypatch.setitem(
+        workloads.WORKLOADS, "ordering",
+        workloads.Workload({"m": ("structured", 2, "all-dirichlet")}, (t,)),
+    )
+    recs = runner.run_cycle("ordering", {"m": mesh}, [(t, x)], 0)
+    assert [c.name for c in recs[0].checks if not c.passed] == ["ordering"]
+    assert recs[0].known_defect is None
+    assert runner.summarize(recs)["unexplained_failures"] == 1
 
 
 def test_without_sources_exits_nonzero_and_prints_no_result(tmp_path):

@@ -70,8 +70,7 @@ class Template:
 @dataclass(frozen=True)
 class Workload:
     meshes: dict  # key -> (kind, n, labels)
-    templates: tuple
-    repeats: int = 1  # times each template runs in one cycle
+    templates: tuple  # one cycle; a template listed twice runs twice
 
 
 def _t(*args, **kw):
@@ -90,7 +89,8 @@ WORKLOADS = {
             "l4/ln": ("lshape", 4, LN),
             "l4/an": ("lshape", 4, AN),
         },
-        templates=(
+        templates=2
+        * (
             _t("project_hdiv", "s8/ln", 1, "discrete"),
             _t("project_hdiv", "s8/an", 0, "discrete"),
             _t("project_hdiv", "s8/an", 2, "stream", "def52"),
@@ -105,24 +105,29 @@ WORKLOADS = {
             _t("projector_report", "l4/ln", 2, "discrete"),
             _t("projector_report", "l4/ad", 0, "stream"),
         ),
-        repeats=2,
     ),
     # element fits, global sparse assembly and SuperLU, no patches
     "global": Workload(
         meshes={"s32/ad": ("structured", 32, AD), "l16/ad": ("lshape", 16, AD)},
         # the solver chains run three times for each pair of error reports,
-        # which are ten times slower, so the median sits among many samples
-        templates=(
-            _t("error_report", "s32/ad", 1, "flux"),
-            _t("error_report", "l16/ad", 0, "stream", constrained=True),
-        )
-        + 3
+        # which are ten times slower, so the median sits among many samples.
+        # The whole set runs twice: the cost of the 2-3 s constrained report
+        # spreads by half between runs, and with one of it per run the run's
+        # ops_per_ref spread 0.10 over ten seeds
+        templates=2
         * (
-            _t("solve_mixed", "s32/ad", 1, "poisson"),
-            _t("solve_mixed", "s32/ad", 0, "poisson"),
-            _t("solve_mixed", "l16/ad", 2, "poisson"),
-            _t("solve_ls_mixed", "s32/ad", 0, "poisson"),
-            _t("solve_ls_mixed", "l16/ad", 1, "poisson"),
+            (
+                _t("error_report", "s32/ad", 1, "flux"),
+                _t("error_report", "l16/ad", 0, "stream", constrained=True),
+            )
+            + 3
+            * (
+                _t("solve_mixed", "s32/ad", 1, "poisson"),
+                _t("solve_mixed", "s32/ad", 0, "poisson"),
+                _t("solve_mixed", "l16/ad", 2, "poisson"),
+                _t("solve_ls_mixed", "s32/ad", 0, "poisson"),
+                _t("solve_ls_mixed", "l16/ad", 1, "poisson"),
+            )
         ),
     ),
     # the element and patch layers with few large high-degree elements
@@ -135,7 +140,8 @@ WORKLOADS = {
             "l2/ad": ("lshape", 2, AD),
             "l2/an": ("lshape", 2, AN),
         },
-        templates=(
+        templates=2
+        * (
             _t("project_hdiv", "s4/ad", 4, "stream"),
             _t("project_hdiv", "s4/ad", 5, "discrete"),
             _t("project_hdiv", "s4/ad", 6, "stream"),
@@ -171,7 +177,6 @@ WORKLOADS = {
             _t("error_report", "l2/an", 6, "stream"),
             _t("error_report", "l2/ad", 6, "discrete"),
         ),
-        repeats=2,
     ),
 }
 
@@ -183,17 +188,23 @@ def build_mesh(spec):
     return hk.build_lshape(n, labels=labels)
 
 
-def setup(name):
+def setup(name, after_step=None):
     """Build every mesh of the workload and warm rtn_space for every
-    (mesh, degree) pair its ops touch.  Returns the meshes by key."""
+    (mesh, degree) pair its ops touch.  Returns the meshes by key.
+    ``after_step``, if given, is called after each mesh and each rtn_space."""
     wl = WORKLOADS[name]
-    meshes = {key: build_mesh(spec) for key, spec in wl.meshes.items()}
+    after_step = after_step or (lambda: None)
+    meshes = {}
+    for key, spec in wl.meshes.items():
+        meshes[key] = build_mesh(spec)
+        after_step()
     degrees = {key: set() for key in meshes}
     for t in wl.templates:
         degrees[t.mesh] |= t.degrees(wl.meshes[t.mesh][2])
     for key, mesh in meshes.items():
         for d in sorted(degrees[key]):
             hk.rtn_space(mesh, d)
+            after_step()
     return meshes
 
 
