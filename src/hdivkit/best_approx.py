@@ -107,64 +107,28 @@ def global_best(v, p, mesh, *, policy=None, quad_degree=None):
     space = rtn_space(mesh, p)
     if policy is None:
         policy = QuadPolicy(p, field=v, degree=quad_degree)
-    n = space.ndof
-    sdim = space.elements[0].sdim
     nt = mesh.num_triangles
-    free = np.ones(n, dtype=bool)
-    free[space.neumann_edge_dofs()] = False
-    fidx = np.flatnonzero(free)
-    pos = -np.ones(n, dtype=int)
-    pos[fidx] = np.arange(len(fidx))
-    rowsM, colsM, valsM = [], [], []
-    rowsB, colsB, valsB = [], [], []
-    rhs = np.zeros(len(fidx))
+    sdim = space.elements[0].sdim
+    M, B, fidx = space.conforming_blocks()
+    rhs = np.zeros(space.ndof)
     g = np.zeros(nt * sdim)
     vvals_all = {}
-    dvvals_all = {}
-    for k in range(nt):
-        el = space.elements[k]
+    for k, el in enumerate(space.elements):
         tri, _, _ = policy.element_rules(el, key=("tri", k))
         pts = el.quad_points(tri)
         vvals = v.eval(pts, elem=k)
         dvvals = v.eval_div(pts, elem=k)
         vvals_all[k] = (vvals, dvvals, tri, pts)
-        dofmap = space.element_dof_map(k)
-        act = free[dofmap]
-        gm = pos[dofmap[act]]
-        Mk = el.M[np.ix_(act, act)]
-        rowsM.append(np.repeat(gm, len(gm)))
-        colsM.append(np.tile(gm, len(gm)))
-        valsM.append(Mk.ravel())
-        rhs[gm] += el.rtn_moments(vvals, tri)[act]
-        Bk = el.Bdiv[:, act]
-        rr = k * sdim + np.arange(sdim)
-        rowsB.append(np.repeat(rr, len(gm)))
-        colsB.append(np.tile(gm, sdim))
-        valsB.append(Bk.ravel())
-        g[rr] = el.scalar_moments(dvvals, tri)
-    nf = len(fidx)
-    M = sp.coo_matrix(
-        (np.concatenate(valsM), (np.concatenate(rowsM), np.concatenate(colsM))),
-        shape=(nf, nf),
-    ).tocsr()
-    B = sp.coo_matrix(
-        (np.concatenate(valsB), (np.concatenate(rowsB), np.concatenate(colsB))),
-        shape=(nt * sdim, nf),
-    ).tocsr()
-    pure_neumann = len(mesh.edges_with_label("dirichlet")) == 0
-    kernel = None
-    if pure_neumann:
+        rhs[space.element_dof_map(k)] += el.rtn_moments(vvals, tri)
+        g[k * sdim : (k + 1) * sdim] = el.scalar_moments(dvvals, tri)
+    rhs = rhs[fidx]
+    if mesh.edges_with_label("dirichlet"):
+        A = sp.bmat([[M, B.T], [B, None]], format="csc")
+        b = np.concatenate([rhs, g])
+    else:  # pure Neumann: pin the constant multiplier mode by a bordering column
         kernel = np.zeros(nt * sdim)
-        for k in range(nt):
-            kernel[k * sdim] = np.sqrt(space.elements[k].area)
+        kernel[::sdim] = np.sqrt([el.area for el in space.elements])
         g = g - kernel * (kernel @ g) / (kernel @ kernel)
-    size = nf + nt * sdim + (1 if kernel is not None else 0)
-    blocks = [
-        [M, B.T, None],
-        [B, None, None],
-        [None, None, None],
-    ]
-    if kernel is not None:
         kcol = sp.csr_matrix(
             (kernel, (np.arange(nt * sdim), np.zeros(nt * sdim, dtype=int))),
             shape=(nt * sdim, 1),
@@ -173,12 +137,9 @@ def global_best(v, p, mesh, *, policy=None, quad_degree=None):
             [[M, B.T, None], [B, None, kcol], [None, kcol.T, None]], format="csc"
         )
         b = np.concatenate([rhs, g, [0.0]])
-    else:
-        A = sp.bmat([[M, B.T], [B, None]], format="csc")
-        b = np.concatenate([rhs, g])
     sol = SparseFactor(A).solve(b)
     sigma = ConformingRTNField(mesh, p)
-    sigma.dofs[fidx] = sol[:nf]
+    sigma.dofs[fidx] = sol[: len(fidx)]
     res = np.linalg.norm(A @ sol - b) / max(np.linalg.norm(b), 1e-300)
     l2_sq = 0.0
     div_sq = 0.0
@@ -329,41 +290,14 @@ def optimality_check(v, p, mesh, sigma, *, n_directions=10, seed=0, quad_degree=
 def _divfree_projection(w: ConformingRTNField, mesh, p) -> ConformingRTNField:
     """Mass-orthogonal projection of a conforming field onto div-free members."""
     space = rtn_space(mesh, p)
-    nt = mesh.num_triangles
-    sdim = space.elements[0].sdim
-    free = np.ones(space.ndof, dtype=bool)
-    free[space.neumann_edge_dofs()] = False
-    fidx = np.flatnonzero(free)
-    pos = -np.ones(space.ndof, dtype=int)
-    pos[fidx] = np.arange(len(fidx))
-    rowsM, colsM, valsM = [], [], []
-    rowsB, colsB, valsB = [], [], []
-    rhs = np.zeros(len(fidx))
-    for k in range(nt):
-        el = space.elements[k]
+    M, B, fidx = space.conforming_blocks()
+    rhs = np.zeros(space.ndof)
+    for k, el in enumerate(space.elements):
         dofmap = space.element_dof_map(k)
-        act = free[dofmap]
-        gm = pos[dofmap[act]]
-        rowsM.append(np.repeat(gm, len(gm)))
-        colsM.append(np.tile(gm, len(gm)))
-        valsM.append(el.M[np.ix_(act, act)].ravel())
-        rhs[gm] += (el.M @ w.dofs[dofmap])[act]
-        rr = k * sdim + np.arange(sdim)
-        rowsB.append(np.repeat(rr, len(gm)))
-        colsB.append(np.tile(gm, sdim))
-        valsB.append(el.Bdiv[:, act].ravel())
-    nf = len(fidx)
-    M = sp.coo_matrix(
-        (np.concatenate(valsM), (np.concatenate(rowsM), np.concatenate(colsM))),
-        shape=(nf, nf),
-    ).tocsr()
-    B = sp.coo_matrix(
-        (np.concatenate(valsB), (np.concatenate(rowsB), np.concatenate(colsB))),
-        shape=(nt * sdim, nf),
-    ).tocsr()
+        rhs[dofmap] += el.M @ w.dofs[dofmap]
     A = sp.bmat([[M, B.T], [B, None]], format="csc")
-    b = np.concatenate([rhs, np.zeros(nt * sdim)])
+    b = np.concatenate([rhs[fidx], np.zeros(B.shape[0])])
     sol = SparseFactor(A).solve(b)
     out = ConformingRTNField(mesh, p)
-    out.dofs[fidx] = sol[:nf]
+    out.dofs[fidx] = sol[: len(fidx)]
     return out

@@ -36,7 +36,6 @@ def _add_common(p):
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def _degrees(arg):
@@ -167,7 +166,6 @@ def cmd_study(args):
             tol=args.tol,
             seed=args.seed,
             out_dir=args.out,
-            threads=args.threads,
         )
     summary = run_study(cfg)
     n_pass = sum(1 for c in summary["checks"] if c["passed"])
@@ -228,7 +226,11 @@ def main(argv=None):
     p_ver.set_defaults(func=cmd_verify)
 
     args = ap.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except fields_mod.FieldError as exc:
+        print(f"hdivkit: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

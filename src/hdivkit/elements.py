@@ -26,6 +26,7 @@ import numpy as np
 from numpy.polynomial.legendre import legval
 
 from . import polys
+from .linsolve import assemble_csr
 from .quadrature import TriangleRule, gauss01, quad_rule
 
 
@@ -474,6 +475,30 @@ class RTNSpace:
         for e in self.mesh.edges_with_label("neumann"):
             out.extend(range(e * (p + 1), (e + 1) * (p + 1)))
         return np.array(out, dtype=int)
+
+    def conforming_blocks(self):
+        """Conforming mass M and divergence B over the dofs off Neumann edges.
+
+        Returns (M, B, free): ``free`` holds the global indices of the kept
+        dofs, in the column order of M and B; B has one row per element
+        scalar moment (element k owns rows k*sdim..(k+1)*sdim-1).
+        """
+        free = np.ones(self.ndof, dtype=bool)
+        free[self.neumann_edge_dofs()] = False
+        fidx = np.flatnonzero(free)
+        pos = -np.ones(self.ndof, dtype=int)
+        pos[fidx] = np.arange(len(fidx))
+        dofs, Ms, Bs = [], [], []
+        for k, el in enumerate(self.elements):
+            dofmap = self.element_dof_map(k)
+            act = free[dofmap]
+            dofs.append(pos[dofmap[act]])
+            Ms.append(el.M[np.ix_(act, act)])
+            Bs.append(el.Bdiv[:, act])
+        nt, sdim, nf = len(self.elements), self.elements[0].sdim, len(fidx)
+        M = assemble_csr(dofs, dofs, Ms, (nf, nf))
+        B = assemble_csr(np.arange(nt * sdim).reshape(nt, sdim), dofs, Bs, (nt * sdim, nf))
+        return M, B, fidx
 
 
 def rtn_space(mesh, p: int) -> RTNSpace:

@@ -11,6 +11,7 @@ to radially weighted rules.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dfield
+from fractions import Fraction
 
 import numpy as np
 
@@ -121,17 +122,22 @@ def catalog(name: str, params: dict | None = None, mesh=None):
 
 
 def parse_field_spec(spec: str, mesh=None):
-    """Parse 'name' or 'name:key=val,key=val' into a catalog field."""
-    if ":" in spec:
-        name, rest = spec.split(":", 1)
-        params = {}
-        for item in rest.split(","):
-            if not item:
-                continue
-            k, v = item.split("=")
-            params[k] = float(v) if "." in v or "e" in v.lower() else int(v)
-    else:
-        name, params = spec, {}
+    """Parse 'name' or 'name:key=val,key=val' into a catalog field.
+
+    Values are integers (``seed=3``) or numbers that ``Fraction`` reads
+    (``alpha=0.5``, ``alpha=2/3``), the latter converted to float.
+    """
+    name, _, rest = spec.partition(":")
+    params = {}
+    for item in filter(None, rest.split(",")):
+        k, _, v = item.partition("=")
+        try:
+            value = int(v) if v.lstrip("+-").isdigit() else float(Fraction(v))
+        except (ValueError, ZeroDivisionError):
+            value = None
+        if not k or value is None:
+            raise FieldError(f"bad field parameter {item!r} in {spec!r}: expected key=number")
+        params[k] = value
     return catalog(name, params, mesh=mesh)
 
 

@@ -1,89 +1,49 @@
-"""Dense and sparse symmetric-indefinite solves used by every solver here.
+"""Dense and sparse symmetric-indefinite solves and the one sparse assembly.
 
-Dense systems go through Bunch-Kaufman LDL^T with one step of iterative
-refinement; sparse systems through a cached SuperLU factorization, also
-refined once.  Saddle problems [[M, B^T], [B, 0]] with a known constraint
-kernel are handled by a symmetric bordering row/column against the kernel
-vector, after projecting the constraint data onto the compatible subspace.
+Dense systems go through LAPACK Bunch-Kaufman: one ``sytrf`` factorization
+(blocked, with the workspace size LAPACK asks for) and two ``sytrs`` solves,
+the second one a step of iterative refinement; the symmetry of the matrix
+and the relative residual of the answer are checked.  Sparse systems go
+through SuperLU, also refined once.  Saddle problems [[M, B^T], [B, 0]]
+with a known constraint kernel are handled by a symmetric bordering
+row/column against the kernel vector, after projecting the constraint data
+onto the compatible subspace.  ``assemble_csr`` is the single place where
+element blocks are summed into a global sparse matrix.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import get_lapack_funcs
 
 
 class SingularSystemError(RuntimeError):
     pass
 
 
-def _ldl_block_solve(d, y):
-    """Solve d z = y for the block-diagonal (1x1 / 2x2) LDL pivot matrix."""
-    n = len(y)
-    z = np.empty_like(y)
-    i = 0
-    while i < n:
-        if i + 1 < n and d[i, i + 1] != 0.0:
-            blk = d[i : i + 2, i : i + 2]
-            det = blk[0, 0] * blk[1, 1] - blk[0, 1] * blk[1, 0]
-            if det == 0.0:
-                raise SingularSystemError(f"singular 2x2 pivot block at {i}")
-            z[i] = (blk[1, 1] * y[i] - blk[0, 1] * y[i + 1]) / det
-            z[i + 1] = (-blk[1, 0] * y[i] + blk[0, 0] * y[i + 1]) / det
-            i += 2
-        else:
-            if d[i, i] == 0.0:
-                raise SingularSystemError(f"zero pivot at index {i}")
-            z[i] = y[i] / d[i, i]
-            i += 1
-    return z
-
-
-class DenseFactor:
-    """Bunch-Kaufman factorization handle for a dense symmetric matrix."""
-
-    def __init__(self, A):
-        A = np.asarray(A, float)
-        if A.shape[0] != A.shape[1]:
-            raise ValueError("matrix must be square")
-        sym_defect = np.abs(A - A.T).max()
-        if sym_defect > 1e-10 * max(1.0, np.abs(A).max()):
-            raise ValueError(f"matrix is not symmetric (defect {sym_defect:.2e})")
-        self.A = A
-        lu, d, perm = sla.ldl(A, lower=True)
-        self.L = lu[perm]
-        self.d = d
-        self.perm = perm
-
-    def _solve_once(self, b):
-        y = sla.solve_triangular(self.L, b[self.perm], lower=True, unit_diagonal=True)
-        z = _ldl_block_solve(self.d, y)
-        w = sla.solve_triangular(self.L.T, z, lower=False, unit_diagonal=True)
-        x = np.empty_like(w)
-        x[self.perm] = w
-        return x
-
-    def solve(self, b, refine=1):
-        b = np.asarray(b, float)
-        x = self._solve_once(b)
-        for _ in range(refine):
-            r = b - self.A @ x
-            x = x + self._solve_once(r)
-        return x
-
-
-def dense_solve(A, b, *, check_residual=True):
+def dense_solve(A, b):
     """Solve a dense symmetric (indefinite) system with one refinement step."""
+    A = np.asarray(A, float)
     b = np.asarray(b, float)
-    fac = DenseFactor(A)
-    x = fac.solve(b)
-    if check_residual:
-        scale = max(np.linalg.norm(b), np.abs(fac.A).max() * np.linalg.norm(x), 1e-300)
-        res = np.linalg.norm(b - fac.A @ x) / scale
-        if res > 1e-8:
-            raise SingularSystemError(f"dense solve residual {res:.2e}")
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("matrix must be square")
+    sym_defect = np.abs(A - A.T).max()
+    if sym_defect > 1e-10 * max(1.0, np.abs(A).max()):
+        raise ValueError(f"matrix is not symmetric (defect {sym_defect:.2e})")
+    sytrf, sytrs, sytrf_lwork = get_lapack_funcs(("sytrf", "sytrs", "sytrf_lwork"), (A,))
+    lwork, _ = sytrf_lwork(A.shape[0], lower=1)
+    ldu, ipiv, info = sytrf(A, lower=1, lwork=int(lwork))
+    if info > 0:
+        raise SingularSystemError(f"zero pivot at index {info - 1}")
+    x, _ = sytrs(ldu, ipiv, b, lower=1)
+    dx, _ = sytrs(ldu, ipiv, b - A @ x, lower=1)
+    x = x + dx
+    scale = max(np.linalg.norm(b), np.abs(A).max() * np.linalg.norm(x), 1e-300)
+    res = np.linalg.norm(b - A @ x) / scale
+    if res > 1e-8:
+        raise SingularSystemError(f"dense solve residual {res:.2e}")
     return x
 
 
@@ -129,6 +89,19 @@ def saddle_solve_dense(M, B, rhs, g, kernel=None):
     return sol[:n], sol[n : n + B.shape[0]]
 
 
+def assemble_csr(rows, cols, blocks, shape):
+    """Sum dense element blocks into a CSR matrix.
+
+    Block k lands on global rows ``rows[k]`` and columns ``cols[k]``; entries
+    are summed in element order, row-major within a block, so the result is
+    the same to the bit for a fixed input order.
+    """
+    r = np.concatenate([np.repeat(i, len(j)) for i, j in zip(rows, cols)])
+    c = np.concatenate([np.tile(j, len(i)) for i, j in zip(rows, cols)])
+    v = np.concatenate([np.ravel(blk) for blk in blocks])
+    return sp.coo_matrix((v, (r, c)), shape=shape).tocsr()
+
+
 class SparseFactor:
     """SuperLU handle for a sparse matrix; deterministic for a fixed pattern."""
 
@@ -140,22 +113,8 @@ class SparseFactor:
         except RuntimeError as exc:
             raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
 
-    def solve(self, b, refine=1):
+    def solve(self, b):
+        """Solve with one step of iterative refinement."""
         b = np.asarray(b, float)
         x = self.lu.solve(b)
-        for _ in range(refine):
-            x = x + self.lu.solve(b - self.A @ x)
-        return x
-
-
-def sparse_factor(A) -> SparseFactor:
-    return SparseFactor(A)
-
-
-def sparse_solve(handle: SparseFactor, b):
-    x = handle.solve(b)
-    scale = max(np.linalg.norm(b), 1e-300)
-    res = np.linalg.norm(b - handle.A @ x) / scale
-    if res > 1e-8:
-        raise SingularSystemError(f"sparse solve residual {res:.2e}")
-    return x
+        return x + self.lu.solve(b - self.A @ x)

@@ -387,8 +387,6 @@ class VertexPatch:
     kind: str  # interior | dirichlet | neumann
     tris: np.ndarray
     local_index: dict  # triangle -> local index of the patch vertex
-    edges_at_vertex: list
-    fa_int: list  # edges containing the vertex, excluding Dirichlet boundary edges
     gamma_d_edges: list  # Dirichlet boundary edges containing the vertex
     active_edges: list  # edges whose dofs are free in the patch space
     boundary_edges: list = field(default_factory=list)  # edges of the patch boundary
@@ -437,7 +435,6 @@ def vertex_patches(mesh: Mesh):
         else:
             kind = NEUMANN
         gamma_d = [e for e in bdry if mesh.boundary_labels.get(e) == DIRICHLET]
-        fa_int = [e for e in edges_at[v] if e not in gamma_d]
         interior_at = [e for e in edges_at[v] if not mesh.is_boundary_edge(e)]
         active = sorted(interior_at + (gamma_d if kind == DIRICHLET else []))
         tris = np.array(sorted(tris_at[v]), dtype=int)
@@ -458,8 +455,6 @@ def vertex_patches(mesh: Mesh):
                 kind=kind,
                 tris=tris,
                 local_index=local,
-                edges_at_vertex=sorted(edges_at[v]),
-                fa_int=sorted(fa_int),
                 gamma_d_edges=sorted(gamma_d),
                 active_edges=active,
                 boundary_edges=boundary,

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from . import polys
 from .elements import rtn_space, scalar_basis
 from .fields import AnalyticField
-from .linsolve import SparseFactor
+from .linsolve import SparseFactor, assemble_csr
 from .projections import ScalarPWField
 from .projector import ConformingRTNField
 from .quadpolicy import QuadPolicy
@@ -119,35 +119,14 @@ def manufactured_bubble(mesh) -> PoissonProblem:
 
 def _flux_system(prob, p, policy):
     """Shared conforming-mass / divergence blocks and data moments."""
-    mesh = prob.mesh
-    space = rtn_space(mesh, p)
-    nt = mesh.num_triangles
+    space = rtn_space(prob.mesh, p)
     sdim = space.elements[0].sdim
-    n = space.ndof
-    rowsM, colsM, valsM = [], [], []
-    rowsB, colsB, valsB = [], [], []
-    fmom = np.zeros(nt * sdim)
-    for k in range(nt):
-        el = space.elements[k]
+    M, B, _ = space.conforming_blocks()  # all-Dirichlet: every dof is kept
+    fmom = np.zeros(B.shape[0])
+    for k, el in enumerate(space.elements):
         tri, _, _ = policy.element_rules(el, key=("tri", k))
-        pts = el.quad_points(tri)
-        gm = space.element_dof_map(k)
-        rowsM.append(np.repeat(gm, len(gm)))
-        colsM.append(np.tile(gm, len(gm)))
-        valsM.append(el.M.ravel())
-        rr = k * sdim + np.arange(sdim)
-        rowsB.append(np.repeat(rr, len(gm)))
-        colsB.append(np.tile(gm, sdim))
-        valsB.append(el.Bdiv.ravel())
-        fmom[rr] = el.scalar_moments(np.asarray(prob.f(pts), float), tri)
-    M = sp.coo_matrix(
-        (np.concatenate(valsM), (np.concatenate(rowsM), np.concatenate(colsM))),
-        shape=(n, n),
-    ).tocsr()
-    B = sp.coo_matrix(
-        (np.concatenate(valsB), (np.concatenate(rowsB), np.concatenate(colsB))),
-        shape=(nt * sdim, n),
-    ).tocsr()
+        f = np.asarray(prob.f(el.quad_points(tri)), float)
+        fmom[k * sdim : (k + 1) * sdim] = el.scalar_moments(f, tri)
     return space, M, B, fmom
 
 
@@ -310,27 +289,13 @@ class LagrangeSpace:
 
 
 def _lagrange_stiffness(ls: LagrangeSpace, rule):
-    mesh = ls.mesh
-    space = rtn_space(mesh, 0)
-    nn = ls.n_nodes
-    gx, gy = ls.basis_grads_ref(rule.points)
-    rows, cols, vals = [], [], []
-    rhs_template = np.zeros(nn)
-    for k in range(mesh.num_triangles):
-        el = space.elements[k]
-        grad_ref = np.stack([gx, gy], axis=2)
+    grad_ref = np.stack(ls.basis_grads_ref(rule.points), axis=2)
+    blocks = []
+    for el in rtn_space(ls.mesh, 0).elements:
         grad = np.einsum("dc,nqc->nqd", el.Binv.T, grad_ref)
         w = rule.weights * el.detB
-        Sk = np.einsum("q,nqd,mqd->nm", w, grad, grad)
-        ids = ls._elem_nodes[k]
-        rows.append(np.repeat(ids, len(ids)))
-        cols.append(np.tile(ids, len(ids)))
-        vals.append(Sk.ravel())
-    S = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nn, nn),
-    ).tocsr()
-    return S
+        blocks.append(np.einsum("q,nqd,mqd->nm", w, grad, grad))
+    return assemble_csr(ls._elem_nodes, ls._elem_nodes, blocks, (ls.n_nodes, ls.n_nodes))
 
 
 def solve_ls_mixed(prob: PoissonProblem, p: int, q: int):
@@ -341,30 +306,19 @@ def solve_ls_mixed(prob: PoissonProblem, p: int, q: int):
     space, M, B, fmom = _flux_system(prob, p, policy)
     ls = LagrangeSpace(mesh, q)
     l2 = prob.l_omega**2
-    nt = mesh.num_triangles
-    sdim = space.elements[0].sdim
     # D = B^T B is (div, div) on conforming dofs thanks to the orthonormal
     # scalar basis; G couples fluxes with potential gradients
     D = (B.T @ B).tocsr()
     rule = quad_rule(2 * (p + 1) + 2 * q)
-    gxr, gyr = ls.basis_grads_ref(rule.points)
-    rowsG, colsG, valsG = [], [], []
-    for k in range(nt):
-        el = space.elements[k]
-        grad_ref = np.stack([gxr, gyr], axis=2)
+    grad_ref = np.stack(ls.basis_grads_ref(rule.points), axis=2)
+    blocks = []
+    for el in space.elements:
         grad = np.einsum("dc,nqc->nqd", el.Binv.T, grad_ref)
         w = rule.weights * el.detB
         bv = el.basis_values_ref(rule.points)
-        Gk = np.einsum("q,nqd,kqd->nk", w, grad, bv)
-        ids = ls._elem_nodes[k]
-        gm = space.element_dof_map(k)
-        rowsG.append(np.repeat(ids, len(gm)))
-        colsG.append(np.tile(gm, len(ids)))
-        valsG.append(Gk.ravel())
-    G = sp.coo_matrix(
-        (np.concatenate(valsG), (np.concatenate(rowsG), np.concatenate(colsG))),
-        shape=(ls.n_nodes, space.ndof),
-    ).tocsr()
+        blocks.append(np.einsum("q,nqd,kqd->nk", w, grad, bv))
+    dofs = [space.element_dof_map(k) for k in range(mesh.num_triangles)]
+    G = assemble_csr(ls._elem_nodes, dofs, blocks, (ls.n_nodes, space.ndof))
     S = _lagrange_stiffness(ls, quad_rule(2 * q))
     fr = ls.free_index
     A = sp.bmat(

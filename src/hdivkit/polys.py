@@ -90,24 +90,6 @@ def eval_monomials_grad(deg: int, pts):
     return gx, gy
 
 
-def poly_mul(c1, d1: int, c2, d2: int):
-    """Coefficient product; returns (coeffs, d1 + d2)."""
-    d = d1 + d2
-    idx = _exp_index(d)
-    out = np.zeros(tri_dim(d))
-    e1, e2 = exponents(d1), exponents(d2)
-    for i, (a1, b1) in enumerate(e1):
-        v1 = c1[i]
-        if v1 == 0.0:
-            continue
-        for j, (a2, b2) in enumerate(e2):
-            v2 = c2[j]
-            if v2 == 0.0:
-                continue
-            out[idx[(a1 + a2, b1 + b2)]] += v1 * v2
-    return out, d
-
-
 def poly_dx(c, deg: int):
     """x-derivative; returns (coeffs, max(deg - 1, 0))."""
     d = max(deg - 1, 0)
@@ -127,15 +109,6 @@ def poly_dy(c, deg: int):
         if b > 0:
             out[idx[(a, b - 1)]] += b * c[i]
     return out, d
-
-
-def pad(c, deg_from: int, deg_to: int):
-    """Embed a coefficient vector into the larger graded monomial list."""
-    if deg_to < deg_from:
-        raise ValueError("cannot pad to lower degree")
-    out = np.zeros(tri_dim(deg_to))
-    out[: tri_dim(deg_from)] = c
-    return out
 
 
 def _ldl_fraction(G):

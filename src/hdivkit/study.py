@@ -53,14 +53,11 @@ class StudyConfig:
     tol: float = 1e-9
     seed: int = 0
     out_dir: str = "."
-    threads: int = 1
     run_projector: bool = True
 
     def validate(self):
         if self.refinements < 1:
             raise ValueError("refinement count must be >= 1")
-        if self.threads < 1:
-            raise ValueError("thread count must be >= 1")
         if self.variant not in ("def31", "def52"):
             raise ValueError(f"unknown variant {self.variant!r}")
 

@@ -1,10 +1,11 @@
 """Brute-force reference implementations, kept independent of the library's
-solve paths: exact monomial integrals, normal-equation least squares, and
-null-space constrained minimization."""
+solve paths: exact monomial integrals, normal-equation least squares,
+null-space constrained minimization, and per-site COO assembly loops."""
 
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import null_space
 
 from hdivkit import polys
@@ -29,6 +30,84 @@ def exact_l2_misfit_const(coeff_pairs):
         for c2, (a2, b2) in coeff_pairs:
             sq += Fraction(c1) * Fraction(c2) * exact_integral(a1 + a2, b1 + b2)
     return sq - area * mean * mean
+
+
+# -- sparse assembly, one hand-written COO loop per block -----------------------------
+
+
+def conforming_blocks_oracle(space):
+    """Conforming mass M and divergence B over the non-Neumann dofs, assembled
+    element by element into explicit COO triplets.  Returns (M, B, free)."""
+    n = space.ndof
+    sdim = space.elements[0].sdim
+    nt = len(space.elements)
+    free = np.ones(n, dtype=bool)
+    free[space.neumann_edge_dofs()] = False
+    fidx = np.flatnonzero(free)
+    pos = -np.ones(n, dtype=int)
+    pos[fidx] = np.arange(len(fidx))
+    rowsM, colsM, valsM = [], [], []
+    rowsB, colsB, valsB = [], [], []
+    for k in range(nt):
+        el = space.elements[k]
+        dofmap = space.element_dof_map(k)
+        act = free[dofmap]
+        gm = pos[dofmap[act]]
+        rowsM.append(np.repeat(gm, len(gm)))
+        colsM.append(np.tile(gm, len(gm)))
+        valsM.append(el.M[np.ix_(act, act)].ravel())
+        rr = k * sdim + np.arange(sdim)
+        rowsB.append(np.repeat(rr, len(gm)))
+        colsB.append(np.tile(gm, sdim))
+        valsB.append(el.Bdiv[:, act].ravel())
+    nf = len(fidx)
+    M = sp.coo_matrix(
+        (np.concatenate(valsM), (np.concatenate(rowsM), np.concatenate(colsM))),
+        shape=(nf, nf),
+    ).tocsr()
+    B = sp.coo_matrix(
+        (np.concatenate(valsB), (np.concatenate(rowsB), np.concatenate(colsB))),
+        shape=(nt * sdim, nf),
+    ).tocsr()
+    return M, B, fidx
+
+
+def ls_coupling_oracle(ls, space, p, q):
+    """Flux/potential-gradient coupling G and Lagrange stiffness S of the
+    least-squares method, assembled element by element into COO triplets."""
+    rule = quad_rule(2 * (p + 1) + 2 * q)
+    srule = quad_rule(2 * q)
+    gxr, gyr = ls.basis_grads_ref(rule.points)
+    sxr, syr = ls.basis_grads_ref(srule.points)
+    rowsG, colsG, valsG = [], [], []
+    rowsS, colsS, valsS = [], [], []
+    for k in range(len(space.elements)):
+        el = space.elements[k]
+        ids = ls._elem_nodes[k]
+        gm = space.element_dof_map(k)
+        grad = np.einsum("dc,nqc->nqd", el.Binv.T, np.stack([gxr, gyr], axis=2))
+        w = rule.weights * el.detB
+        bv = el.basis_values_ref(rule.points)
+        Gk = np.einsum("q,nqd,kqd->nk", w, grad, bv)
+        rowsG.append(np.repeat(ids, len(gm)))
+        colsG.append(np.tile(gm, len(ids)))
+        valsG.append(Gk.ravel())
+        grad = np.einsum("dc,nqc->nqd", el.Binv.T, np.stack([sxr, syr], axis=2))
+        w = srule.weights * el.detB
+        Sk = np.einsum("q,nqd,mqd->nm", w, grad, grad)
+        rowsS.append(np.repeat(ids, len(ids)))
+        colsS.append(np.tile(ids, len(ids)))
+        valsS.append(Sk.ravel())
+    nn = ls.n_nodes
+    G = sp.coo_matrix(
+        (np.concatenate(valsG), (np.concatenate(rowsG), np.concatenate(colsG))),
+        shape=(nn, space.ndof),
+    ).tocsr()
+    S = sp.coo_matrix(
+        (np.concatenate(valsS), (np.concatenate(rowsS), np.concatenate(colsS))),
+        shape=(nn, nn),
+    ).tocsr()
+    return G, S
 
 
 # -- dense constrained least squares via the null-space method --------------------------

@@ -79,3 +79,12 @@ def test_study_config_file(tmp_path, capsys):
     code = main(["study", "--config", str(cfg_path)])
     captured = capsys.readouterr()
     assert "study:" in captured.out
+
+
+def test_bad_field_spec_is_one_line_error(capsys):
+    code = main(["project", "--mesh", "lshape:1", "--field", "lshape_singular:alpha=x"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("hdivkit: error: ")

@@ -85,6 +85,17 @@ def test_parse_field_spec():
     assert v.name == "cubic"
 
 
+def test_parse_field_spec_fraction():
+    v = parse_field_spec("lshape_singular:alpha=2/3")
+    assert abs(v.params["alpha"] - 2 / 3) <= 1e-15
+
+
+@pytest.mark.parametrize("item", ["alpha", "alpha=x", "=0.5", "alpha=1/0"])
+def test_parse_field_spec_malformed(item):
+    with pytest.raises(FieldError, match="bad field parameter"):
+        parse_field_spec(f"lshape_singular:{item}")
+
+
 def test_bump_field_support_and_divergence():
     b = fields.bump_field((0.5, 0.5), 0.2)
     pts = np.array([[0.5, 0.5], [0.55, 0.5], [0.9, 0.9]])

@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import get_lapack_funcs
 
 from hdivkit.linsolve import (
-    DenseFactor,
     SingularSystemError,
+    SparseFactor,
     dense_solve,
     saddle_matrix,
     saddle_solve_dense,
-    sparse_factor,
-    sparse_solve,
 )
 
 RNG = np.random.default_rng(0)
@@ -64,9 +63,24 @@ def test_dense_factor_refinement_residual():
     assert np.linalg.norm(b - A @ x) / np.linalg.norm(b) < 1e-11
 
 
+def test_dense_two_by_two_pivots():
+    # a zero diagonal forces 2x2 Bunch-Kaufman pivot blocks
+    n = 8
+    Q = RNG.standard_normal((n, n))
+    A = Q + Q.T
+    A[:2, :2] = [[0.0, 1.0], [1.0, 0.0]]
+    A[np.diag_indices(n)] = 0.0
+    sytrf = get_lapack_funcs("sytrf", (A,))
+    assert (sytrf(A, lower=1)[1] < 0).any()
+    b = RNG.standard_normal(n)
+    x = dense_solve(A, b)
+    xd = np.linalg.solve(A, b)
+    assert np.abs(x - xd).max() < 1e-12 * max(1.0, np.abs(xd).max())
+
+
 def test_dense_requires_symmetry():
     with pytest.raises(ValueError):
-        DenseFactor(np.array([[1.0, 2.0], [0.0, 1.0]]))
+        dense_solve(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
 
 
 def test_singular_detected():
@@ -77,9 +91,8 @@ def test_singular_detected():
 
 def test_sparse_identity():
     A = sp.eye(10, format="csc")
-    h = sparse_factor(A)
     b = RNG.standard_normal(10)
-    assert np.abs(sparse_solve(h, b) - b).max() < 1e-14
+    assert np.abs(SparseFactor(A).solve(b) - b).max() < 1e-14
 
 
 def test_sparse_tridiagonal_vs_dense():
@@ -93,7 +106,7 @@ def test_sparse_tridiagonal_vs_dense():
     A[0, 0] = 1.0
     A = A.tocsc()
     b = RNG.standard_normal(n)
-    x = sparse_solve(sparse_factor(A), b)
+    x = SparseFactor(A).solve(b)
     xd = np.linalg.solve(A.toarray(), b)
     assert np.abs(x - xd).max() < 1e-12
 
@@ -103,8 +116,8 @@ def test_sparse_determinism():
     Q = sp.random(n, n, density=0.1, random_state=3)
     A = (Q + Q.T + 10 * sp.eye(n)).tocsc()
     b = RNG.standard_normal(n)
-    x1 = sparse_factor(A).solve(b)
-    x2 = sparse_factor(A.copy()).solve(b.copy())
+    x1 = SparseFactor(A).solve(b)
+    x2 = SparseFactor(A.copy()).solve(b.copy())
     assert np.array_equal(x1, x2)
 
 

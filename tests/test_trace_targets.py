@@ -1,0 +1,29 @@
+"""The traced benchmark run (``perfbench/run.py --trace 1``) wraps hdivkit
+functions and methods by name; every one of them must still exist."""
+
+import importlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+
+from perfbench import tracing  # noqa: E402
+
+
+def test_traced_functions_resolve():
+    for modname, attr, _ in tracing.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(modname), attr, None)), (modname, attr)
+
+
+def test_traced_methods_resolve():
+    for cls, attr, _ in tracing.METHODS:
+        assert callable(cls.__dict__.get(attr)), (cls.__name__, attr)
+
+
+def test_tracer_installs_and_restores():
+    import hdivkit.linsolve as linsolve
+
+    before = linsolve.dense_solve, linsolve.SparseFactor.__dict__["solve"]
+    with tracing.Tracer().installed():
+        assert linsolve.dense_solve is not before[0]
+    assert (linsolve.dense_solve, linsolve.SparseFactor.__dict__["solve"]) == before
