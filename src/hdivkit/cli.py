@@ -20,7 +20,7 @@ from .model_problems import (
     solve_mixed,
 )
 from .projector import project_hdiv
-from .study import StudyConfig, build_mesh, run_study, verify, verify_exit_code
+from .study import ConfigError, StudyConfig, build_mesh, run_study, verify, verify_exit_code
 
 
 def _add_common(p):
@@ -43,10 +43,7 @@ def _degrees(arg):
 
 
 def _get_mesh(args):
-    labels = args.labels
-    if labels == "file":
-        labels = "all-dirichlet"  # labels come from the file itself
-    return build_mesh(args.mesh, labels)
+    return build_mesh(args.mesh, args.labels)
 
 
 def cmd_mesh(args):
@@ -157,7 +154,7 @@ def cmd_study(args):
         cfg = StudyConfig(
             field=args.field,
             mesh=args.mesh,
-            labels=args.labels if args.labels != "file" else "all-dirichlet",
+            labels=args.labels,
             refinements=args.refinements,
             degrees=_degrees(args.p),
             q=args.q,
@@ -228,7 +225,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except fields_mod.FieldError as exc:
+    except (fields_mod.FieldError, mesh_mod.MeshError, ConfigError) as exc:
         print(f"hdivkit: error: {exc}", file=sys.stderr)
         return 2
 

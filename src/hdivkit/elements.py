@@ -19,11 +19,9 @@ continuous; no sign flips are needed during assembly.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import legval
 
 from . import polys
 from .linsolve import assemble_csr
@@ -71,37 +69,15 @@ def scalar_basis(degree: int) -> ScalarBasis:
 # -- reference RTN primal set --------------------------------------------------------
 
 
-def _rtn_raw_fractions(p: int):
-    """Raw generating set of RTN_p: P_p^2 plus x * (homogeneous degree p)."""
-    comp_deg = p + 1
-    n = polys.tri_dim(comp_deg)
-    idx = {ab: k for k, ab in enumerate(polys.exponents(comp_deg))}
-    members = []
-    for a, b in polys.exponents(p):
-        cx = [Fraction(0)] * n
-        cx[idx[(a, b)]] = Fraction(1)
-        members.append((cx, [Fraction(0)] * n))
-    for a, b in polys.exponents(p):
-        cy = [Fraction(0)] * n
-        cy[idx[(a, b)]] = Fraction(1)
-        members.append(([Fraction(0)] * n, cy))
-    for a in range(p, -1, -1):
-        b = p - a
-        cx = [Fraction(0)] * n
-        cy = [Fraction(0)] * n
-        cx[idx[(a + 1, b)]] = Fraction(1)
-        cy[idx[(a, b + 1)]] = Fraction(1)
-        members.append((cx, cy))
-    return members
-
-
 class RTNBasis:
-    """Orthonormalized generating set of RTN_p on the reference triangle.
+    """Orthonormal basis of RTN_p on the reference triangle.
 
-    ``prim_x`` / ``prim_y`` hold monomial coefficients (degree p+1) of the
-    components; ``div_rows`` expands each divergence in the orthonormal
-    scalar basis of degree p.  All combinations are produced by rational
-    Gram-Schmidt.
+    The generating set is P_p^2, built from the orthonormal scalar rows, plus
+    x * psi for the p+1 scalar basis functions psi of exact degree p (an index
+    shift); one floating-point Cholesky factorization of its Gram matrix
+    orthonormalizes it.  ``prim_x`` / ``prim_y`` hold monomial coefficients
+    (degree p+1) of the components; ``div_rows`` expands each divergence in
+    the orthonormal scalar basis of degree p.
     """
 
     def __init__(self, p: int):
@@ -109,40 +85,41 @@ class RTNBasis:
             raise ValueError("polynomial degree must be >= 0")
         self.degree = p
         self.dim = rtn_dim(p)
-        members = _rtn_raw_fractions(p)
         comp_deg = p + 1
-        gram = polys.gram_fraction(comp_deg, comp_deg)
-        n = len(members)
-        G = [
-            [
-                sum(
-                    (cx1[i] * cx2[j] + cy1[i] * cy2[j]) * gram[i][j]
-                    for i in range(len(cx1))
-                    for j in range(len(cx2))
-                    if (cx1[i] != 0 or cy1[i] != 0) and (cx2[j] != 0 or cy2[j] != 0)
-                )
-                for (cx2, cy2) in members
-            ]
-            for (cx1, cy1) in members
-        ]
-        R = polys.orthonormal_rows_from_gram(G)
-        raw_x = np.array([[float(v) for v in cx] for cx, _ in members])
-        raw_y = np.array([[float(v) for v in cy] for _, cy in members])
-        self.prim_x = R @ raw_x
-        self.prim_y = R @ raw_y
-        # divergence of each member, expanded in the orthonormal scalar basis
         sb = scalar_basis(p)
-        div_mono = np.zeros((n, polys.tri_dim(p)))
-        for k in range(n):
-            dx, _ = polys.poly_dx(self.prim_x[k], comp_deg)
-            dy, _ = polys.poly_dy(self.prim_y[k], comp_deg)
-            div_mono[k] = dx + dy
-        # coefficients alpha solve rows^T alpha = div (rows is lower triangular)
+        sdim = sb.dim
+        top = sb.rows[sdim - (p + 1) :]  # exact degree p
+        idx = {ab: k for k, ab in enumerate(polys.exponents(comp_deg))}
+        raw_x = np.zeros((self.dim, polys.tri_dim(comp_deg)))
+        raw_y = np.zeros_like(raw_x)
+        raw_x[:sdim, :sdim] = sb.rows
+        raw_y[sdim : 2 * sdim, :sdim] = sb.rows
+        raw_x[2 * sdim :, [idx[a + 1, b] for a, b in polys.exponents(p)]] = top
+        raw_y[2 * sdim :, [idx[a, b + 1] for a, b in polys.exponents(p)]] = top
+        # Gram matrices by a rule exact in degree 2p+2: a product through the
+        # monomial Gram matrix would put the square of the coefficient size
+        # into the roundoff (3e-7 at p = 6)
+        rule = quad_rule(2 * comp_deg)
+        mono = polys.eval_monomials(comp_deg, rule.points) * np.sqrt(rule.weights)
+
+        def gram(c1, c2):
+            return (c1 @ mono) @ (c2 @ mono).T
+
+        L = np.linalg.cholesky(gram(raw_x, raw_x) + gram(raw_y, raw_y))
+        self.prim_x = np.linalg.solve(L, raw_x)
+        self.prim_y = np.linalg.solve(L, raw_y)
+        # divergence of each member, expanded in the orthonormal scalar basis
+        div_mono = np.array(
+            [
+                polys.poly_dx(cx, comp_deg)[0] + polys.poly_dy(cy, comp_deg)[0]
+                for cx, cy in zip(self.prim_x, self.prim_y)
+            ]
+        )
+        # coefficients alpha solve rows^T alpha = div
         self.div_rows = np.linalg.solve(sb.rows.T, div_mono.T)  # (sdim, nprim)
-        G1 = polys.gram(comp_deg, comp_deg)
-        self.gram_xx = self.prim_x @ G1 @ self.prim_x.T
-        self.gram_xy = self.prim_x @ G1 @ self.prim_y.T
-        self.gram_yy = self.prim_y @ G1 @ self.prim_y.T
+        self.gram_xx = gram(self.prim_x, self.prim_x)
+        self.gram_xy = gram(self.prim_x, self.prim_y)
+        self.gram_yy = gram(self.prim_y, self.prim_y)
 
     def eval(self, pts):
         """Component values at reference points; shape (nprim, npts, 2)."""
@@ -162,15 +139,18 @@ def rtn_reference(p: int) -> RTNBasis:
 
 
 def edge_dof_values(p: int, t, length: float) -> np.ndarray:
-    """L2(edge)-orthonormal Legendre values q_i(t), i = 0..p; shape (p+1, nt)."""
-    t = np.asarray(t, float)
-    out = np.empty((p + 1, len(t)))
-    u = 2 * t - 1
-    for i in range(p + 1):
-        c = np.zeros(i + 1)
-        c[i] = 1.0
-        out[i] = np.sqrt((2 * i + 1) / length) * legval(u, c)
-    return out
+    """L2(edge)-orthonormal Legendre values q_i(t), i = 0..p; shape (p+1, nt).
+
+    Legendre's three-term recurrence in u = 2t - 1, the recurrence of the
+    scalar basis's Q_i at y = 0.
+    """
+    u = 2 * np.asarray(t, float) - 1
+    P = np.ones((p + 1, len(u)))
+    if p >= 1:
+        P[1] = u
+    for i in range(1, p):
+        P[i + 1] = ((2 * i + 1) * u * P[i] - i * P[i - 1]) / (i + 1)
+    return np.sqrt((2 * np.arange(p + 1) + 1) / length)[:, None] * P
 
 
 # -- physical element ---------------------------------------------------------------
@@ -369,7 +349,7 @@ class ElementRTN:
         else:
             pts, w = rule
             vals = self.basis_values_ref(self.map_to_ref(pts))
-        return np.einsum("q,kqd,qd->k", np.asarray(w, float), vals, values, optimize=True)
+        return np.einsum("kqd,qd->k", vals, np.asarray(w, float)[:, None] * values)
 
     def scalar_moments(self, values, rule):
         """(f, phi_m)_K against the orthonormal scalar P_p basis."""

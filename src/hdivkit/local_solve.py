@@ -321,14 +321,7 @@ def patch_stability_ratio(problem: PatchProblem, s, mesh, *, surrogate_degree=No
     space = rtn_space(mesh, p)
     coords, elem_nodes = _patch_lagrange(mesh, patch, q)
     nn = len(coords)
-    # reference P_q nodal basis via Vandermonde
-    ref_nodes = []
-    for i in range(q + 1):
-        for j in range(q + 1 - i):
-            ref_nodes.append((i / q, j / q))
-    ref_nodes = np.array(ref_nodes)
-    V = polys.eval_monomials(q, ref_nodes).T
-    nodal = np.linalg.solve(V, np.eye(len(ref_nodes)))  # columns: basis coeffs
+    nodal = polys.lagrange_nodal(q)
     rule = quad_rule(2 * q + 2 + 2 * (p + 1))
     gx_ref, gy_ref = polys.eval_monomials_grad(q, rule.points)
     vals_ref = polys.eval_monomials(q, rule.points)

@@ -178,11 +178,10 @@ class LagrangeSpace:
             + mesh.num_edges * self.n_edge
             + mesh.num_triangles * self.n_int
         )
-        ref_nodes = []
+        self.nodal = polys.lagrange_nodal(q)
         classify = []
         for i in range(q + 1):
             for j in range(q + 1 - i):
-                ref_nodes.append((i / q, j / q))
                 lam = (1 - (i + j) / q, i / q, j / q)
                 if max(lam) == 1.0:
                     classify.append(("v", int(np.argmax(lam))))
@@ -192,10 +191,7 @@ class LagrangeSpace:
                     classify.append(("e", z))
                 else:
                     classify.append(("i", None))
-        self.ref_nodes = np.array(ref_nodes)
         self.classify = classify
-        V = polys.eval_monomials(q, self.ref_nodes).T
-        self.nodal = np.linalg.solve(V, np.eye(len(ref_nodes)))  # cols: basis coeffs
         self._elem_nodes = [self._element_nodes(k) for k in range(mesh.num_triangles)]
         self.boundary_nodes = self._boundary_nodes()
         self.free = np.ones(self.n_nodes, dtype=bool)
@@ -419,10 +415,7 @@ def h1_best_local_sum(prob: PoissonProblem, q: int, *, quad_degree=None):
     mesh = prob.mesh
     rule = quad_rule(quad_degree or (2 * q + 10))
     space = rtn_space(mesh, 0)
-    sb = scalar_basis(q)
-    gx, gy = polys.eval_monomials_grad(q, rule.points)
-    gx = sb.rows @ gx
-    gy = sb.rows @ gy
+    gx, gy = scalar_basis(q).eval_grad(rule.points)
     total = 0.0
     for k in range(mesh.num_triangles):
         el = space.elements[k]

@@ -1,9 +1,10 @@
-"""Bivariate polynomials on the reference triangle, with exact-arithmetic helpers.
+"""Bivariate polynomials on the reference triangle.
 
 The reference triangle has vertices (0,0), (1,0), (0,1).  Polynomials are
 stored as coefficient vectors over the graded monomial list returned by
-``exponents(deg)``.  Orthonormalization runs in rational arithmetic so the
-resulting bases stay solid up to degree ~8.
+``exponents(deg)``.  The orthonormal scalar basis comes from the Dubiner
+three-term recurrences in floating point; ``mono_integral`` stays exact as
+the reference for quadrature checks.
 """
 
 from __future__ import annotations
@@ -38,20 +39,6 @@ def _exp_index(deg: int):
 def mono_integral(a: int, b: int) -> Fraction:
     """Exact integral of x^a y^b over the reference triangle: a! b! / (a+b+2)!."""
     return Fraction(factorial(a) * factorial(b), factorial(a + b + 2))
-
-
-@lru_cache(maxsize=None)
-def gram_fraction(d1: int, d2: int):
-    """Exact cross Gram matrix of monomials(d1) against monomials(d2)."""
-    e1, e2 = exponents(d1), exponents(d2)
-    return tuple(
-        tuple(mono_integral(a1 + a2, b1 + b2) for (a2, b2) in e2) for (a1, b1) in e1
-    )
-
-
-@lru_cache(maxsize=None)
-def gram(d1: int, d2: int) -> np.ndarray:
-    return np.array(gram_fraction(d1, d2), dtype=float)
 
 
 def eval_monomials(deg: int, pts) -> np.ndarray:
@@ -111,55 +98,61 @@ def poly_dy(c, deg: int):
     return out, d
 
 
-def _ldl_fraction(G):
-    """Exact LDL^T of a symmetric positive definite Fraction matrix.
-
-    Returns (T, D) with T = L^{-1} unit lower triangular and D the pivot list,
-    so the rows of T are the (unnormalized) Gram-Schmidt combinations.
-    """
-    n = len(G)
-    L = [[Fraction(0)] * n for _ in range(n)]
-    D = [Fraction(0)] * n
-    for j in range(n):
-        s = G[j][j] - sum(L[j][k] * L[j][k] * D[k] for k in range(j))
-        if s <= 0:
-            raise ArithmeticError("Gram matrix not positive definite")
-        D[j] = s
-        L[j][j] = Fraction(1)
-        for i in range(j + 1, n):
-            L[i][j] = (G[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))) / s
-    T = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        T[i][i] = Fraction(1)
-        for j in range(i - 1, -1, -1):
-            T[i][j] = -sum(T[i][k] * L[k][j] for k in range(j + 1, i + 1))
-    return T, D
+def _times_x(c):
+    """x * c on the (deg+1, deg+1) grid of x^a y^b coefficients."""
+    out = np.zeros_like(c)
+    out[1:] = c[:-1]
+    return out
 
 
-def orthonormal_rows_from_gram(G):
-    """Float rows of the orthonormal basis defined by an exact Gram matrix."""
-    T, D = _ldl_fraction(G)
-    n = len(G)
-    rows = np.zeros((n, n))
-    for i in range(n):
-        s = float(D[i]) ** -0.5
-        for j in range(i + 1):
-            rows[i, j] = float(T[i][j]) * s
-    return rows
+def _times_y(c):
+    out = np.zeros_like(c)
+    out[:, 1:] = c[:, :-1]
+    return out
 
 
 @lru_cache(maxsize=None)
 def scalar_orthonormal(deg: int) -> np.ndarray:
-    """Rows = L2-orthonormal basis of P_deg on the reference triangle.
+    """Rows = L2-orthonormal (Dubiner) basis of P_deg on the reference triangle.
 
-    Row m holds the monomial coefficients of the m-th basis function.  The
-    combination is computed by rational Gram-Schmidt, so the float Gram
-    matrix of the result is the identity to roundoff.
+    Row m holds the monomial coefficients of the m-th basis function.  With
+    the collapsed coordinate s = (2x + y - 1) / (1 - y), the (i, j) function is
+    sqrt(2 (2i+1) (i+j+1)) Q_i P_j^{(2i+1,0)}(2y - 1), where
+    Q_i = (1 - y)^i P_i(s) is a polynomial; both factors come from their
+    three-term recurrences, run on coefficient arrays in floating point.  Rows
+    are graded by total degree i + j (the constant sqrt(2) first), so the first
+    tri_dim(k) rows span P_k.
     """
-    n = tri_dim(deg)
-    exps = exponents(deg)
-    G = tuple(
-        tuple(mono_integral(a1 + a2, b1 + b2) for (a2, b2) in exps)
-        for (a1, b1) in exps
-    )
-    return orthonormal_rows_from_gram(G)
+    one = np.zeros((deg + 1, deg + 1))
+    one[0, 0] = 1.0
+
+    def lin_s(c):  # (2x + y - 1) c
+        return 2 * _times_x(c) + _times_y(c) - c
+
+    Q = [one, lin_s(one)]
+    for i in range(1, deg):  # Legendre: (i+1) P_{i+1} = (2i+1) s P_i - i P_{i-1}
+        sq = Q[i - 1] - 2 * _times_y(Q[i - 1]) + _times_y(_times_y(Q[i - 1]))
+        Q.append(((2 * i + 1) * lin_s(Q[i]) - i * sq) / (i + 1))  # sq = (1-y)^2 Q_{i-1}
+    psi = {}
+    for i in range(deg + 1):
+        a = 2 * i + 1  # Jacobi P_j^{(a,0)}(b), b = 2y - 1
+        prev, cur = np.zeros_like(one), Q[i]
+        for j in range(deg + 1 - i):
+            psi[i, j] = np.sqrt(2 * (2 * i + 1) * (i + j + 1)) * cur
+            n2 = 2 * j + a
+            b_cur = 2 * _times_y(cur) - cur
+            nxt = (n2 + 1) * ((n2 + 2) * n2 * b_cur + a * a * cur)
+            nxt -= 2 * j * (j + a) * (n2 + 2) * prev
+            prev, cur = cur, nxt / (2 * (j + 1) * (j + a + 1) * n2)
+    ea, eb = np.array(exponents(deg)).T
+    return np.array([psi[i, j][ea, eb] for i, j in exponents(deg)])
+
+
+@lru_cache(maxsize=None)
+def lagrange_nodal(q: int) -> np.ndarray:
+    """Monomial coefficients of the P_q nodal basis at the equispaced nodes
+    (i/q, j/q) of the reference triangle, i outer; column m: node m."""
+    nodes = np.array([(i / q, j / q) for i in range(q + 1) for j in range(q + 1 - i)])
+    nodal = np.linalg.solve(eval_monomials(q, nodes).T, np.eye(len(nodes)))
+    nodal.flags.writeable = False
+    return nodal

@@ -13,7 +13,7 @@ import io
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field as dfield
+from dataclasses import asdict, dataclass, field as dfield, fields as dfields
 
 import numpy as np
 
@@ -39,6 +39,10 @@ CSV_COLUMNS = [
 ]
 
 
+class ConfigError(ValueError):
+    """A study configuration that cannot be run."""
+
+
 @dataclass
 class StudyConfig:
     field: str = "sine_divfree"
@@ -57,14 +61,22 @@ class StudyConfig:
 
     def validate(self):
         if self.refinements < 1:
-            raise ValueError("refinement count must be >= 1")
+            raise ConfigError("refinement count must be >= 1")
         if self.variant not in ("def31", "def52"):
-            raise ValueError(f"unknown variant {self.variant!r}")
+            raise ConfigError(f"unknown variant {self.variant!r}")
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as f:
-            data = json.load(f)
+        try:
+            with open(path) as f:
+                data = json.load(f)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {path} must hold a JSON object")
+        unknown = sorted(set(data) - {f.name for f in dfields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown config key(s) in {path}: {', '.join(unknown)}")
         cfg = cls(**data)
         cfg.validate()
         return cfg
@@ -100,6 +112,10 @@ def fit_rate(errors, abscissae, mode="h_slope") -> RateFit:
 
 
 def build_mesh(spec: str, labels: str = "all-dirichlet"):
+    """Generated mesh labelled by a rule, or a mesh file with its own labels
+    (the rule is then ignored; ``labels="file"`` says so explicitly)."""
+    if labels == "file" and spec.startswith(("structured:", "lshape:")):
+        raise mesh_mod.MeshError(f"labels 'file' need a mesh file; {spec!r} is generated")
     if spec.startswith("structured:"):
         return mesh_mod.build_structured(int(spec.split(":")[1]), labels=labels)
     if spec.startswith("lshape:"):

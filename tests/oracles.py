@@ -1,6 +1,7 @@
 """Brute-force reference implementations, kept independent of the library's
-solve paths: exact monomial integrals, normal-equation least squares,
-null-space constrained minimization, and per-site COO assembly loops."""
+solve paths: exact monomial integrals, rational Gram-Schmidt reference bases,
+normal-equation least squares, null-space constrained minimization, and
+per-site COO assembly loops."""
 
 from fractions import Fraction
 
@@ -30,6 +31,93 @@ def exact_l2_misfit_const(coeff_pairs):
         for c2, (a2, b2) in coeff_pairs:
             sq += Fraction(c1) * Fraction(c2) * exact_integral(a1 + a2, b1 + b2)
     return sq - area * mean * mean
+
+
+# -- reference bases by rational Gram-Schmidt over graded monomials -----------------
+
+
+def _ldl_fraction(G):
+    """Exact LDL^T of a symmetric positive definite Fraction matrix.
+
+    Returns (T, D) with T = L^{-1} unit lower triangular and D the pivot list,
+    so the rows of T are the (unnormalized) Gram-Schmidt combinations.
+    """
+    n = len(G)
+    L = [[Fraction(0)] * n for _ in range(n)]
+    D = [Fraction(0)] * n
+    for j in range(n):
+        s = G[j][j] - sum(L[j][k] * L[j][k] * D[k] for k in range(j))
+        if s <= 0:
+            raise ArithmeticError("Gram matrix not positive definite")
+        D[j] = s
+        L[j][j] = Fraction(1)
+        for i in range(j + 1, n):
+            L[i][j] = (G[i][j] - sum(L[i][k] * L[j][k] * D[k] for k in range(j))) / s
+    T = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        T[i][i] = Fraction(1)
+        for j in range(i - 1, -1, -1):
+            T[i][j] = -sum(T[i][k] * L[k][j] for k in range(j + 1, i + 1))
+    return T, D
+
+
+def _orthonormal_rows_from_gram(G):
+    """Float rows of the orthonormal basis defined by an exact Gram matrix."""
+    T, D = _ldl_fraction(G)
+    n = len(G)
+    rows = np.zeros((n, n))
+    for i in range(n):
+        s = float(D[i]) ** -0.5
+        for j in range(i + 1):
+            rows[i, j] = float(T[i][j]) * s
+    return rows
+
+
+def _gram_fraction(deg):
+    exps = polys.exponents(deg)
+    return [[exact_integral(a1 + a2, b1 + b2) for a2, b2 in exps] for a1, b1 in exps]
+
+
+def scalar_orthonormal_oracle(deg):
+    """Monomial coefficient rows of the Gram-Schmidt orthonormalization of the
+    graded monomials of P_deg, in exact rational arithmetic."""
+    return _orthonormal_rows_from_gram(_gram_fraction(deg))
+
+
+def rtn_primal_oracle(p):
+    """(prim_x, prim_y) of an orthonormal basis of RTN_p: rational Gram-Schmidt
+    of P_p^2 (monomials) plus x * (homogeneous monomials of degree p)."""
+    comp_deg = p + 1
+    n = polys.tri_dim(comp_deg)
+    idx = {ab: k for k, ab in enumerate(polys.exponents(comp_deg))}
+    members = []
+    for comp in (0, 1):
+        for a, b in polys.exponents(p):
+            c = [[Fraction(0)] * n, [Fraction(0)] * n]
+            c[comp][idx[a, b]] = Fraction(1)
+            members.append(c)
+    for a in range(p, -1, -1):
+        c = [[Fraction(0)] * n, [Fraction(0)] * n]
+        c[0][idx[a + 1, p - a]] = Fraction(1)
+        c[1][idx[a, p - a + 1]] = Fraction(1)
+        members.append(c)
+    gram = _gram_fraction(comp_deg)
+    G = [
+        [
+            sum(
+                u[d][i] * v[d][j] * gram[i][j]
+                for d in (0, 1)
+                for i in range(n)
+                for j in range(n)
+                if u[d][i] and v[d][j]
+            )
+            for v in members
+        ]
+        for u in members
+    ]
+    R = _orthonormal_rows_from_gram(G)
+    raw = np.array([[[float(x) for x in comp] for comp in c] for c in members])
+    return R @ raw[:, 0], R @ raw[:, 1]
 
 
 # -- sparse assembly, one hand-written COO loop per block -----------------------------

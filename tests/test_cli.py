@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from hdivkit.cli import main
 
 
@@ -81,10 +83,36 @@ def test_study_config_file(tmp_path, capsys):
     assert "study:" in captured.out
 
 
-def test_bad_field_spec_is_one_line_error(capsys):
-    code = main(["project", "--mesh", "lshape:1", "--field", "lshape_singular:alpha=x"])
+def _assert_one_line_error(argv, capsys):
+    code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("hdivkit: error: ")
+
+
+def test_bad_field_spec_is_one_line_error(capsys):
+    _assert_one_line_error(
+        ["project", "--mesh", "lshape:1", "--field", "lshape_singular:alpha=x"], capsys
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ['{"threads": 2}', '{"refinements": 0}', "[1]", "{not json"],
+    ids=["unknown-key", "bad-value", "not-object", "not-json"],
+)
+def test_bad_study_config_is_one_line_error(tmp_path, capsys, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    _assert_one_line_error(["study", "--config", str(cfg_path)], capsys)
+
+
+@pytest.mark.parametrize(
+    "command", [["mesh", "inspect"], ["project"], ["study"]], ids=["mesh", "project", "study"]
+)
+@pytest.mark.parametrize("mesh", ["structured:2", "lshape:1"])
+def test_labels_file_on_generated_mesh_is_one_line_error(capsys, command, mesh):
+    argv = command + ["--mesh", mesh, "--labels", "file", "--refinements", "1"]
+    _assert_one_line_error(argv, capsys)

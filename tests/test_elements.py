@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import rtn_primal_oracle, scalar_orthonormal_oracle
 
 from hdivkit import polys
 from hdivkit.elements import (
@@ -9,6 +10,7 @@ from hdivkit.elements import (
     piola_map,
     rtn_basis,
     rtn_dim,
+    rtn_reference,
     rtn_space,
     scalar_basis,
 )
@@ -35,7 +37,7 @@ def test_dimensions():
     assert rtn_dim(2) == 15
 
 
-@pytest.mark.parametrize("p", range(7))
+@pytest.mark.parametrize("p", range(8))
 def test_unisolvence_reference(p):
     el = rtn_basis(p)
     # dofs of the dual basis must give the identity
@@ -216,13 +218,46 @@ def test_orientation_error():
         piola_map([[0, 0], [0, 1], [1, 0]], np.zeros((3, 2)))
 
 
-def test_scalar_basis_gram():
-    for p in range(7):
-        sb = scalar_basis(p)
-        rule = quad_rule(2 * p)
-        vals = sb.eval(rule.points)
-        G = (vals * rule.weights) @ vals.T
-        assert np.abs(G - np.eye(sb.dim)).max() < 1e-10
+@pytest.mark.parametrize("p", range(7))
+def test_scalar_basis_gram(p):
+    sb = scalar_basis(p)
+    rule = quad_rule(2 * p)
+    vals = sb.eval(rule.points)
+    G = (vals * rule.weights) @ vals.T
+    assert np.abs(G - np.eye(sb.dim)).max() <= 1e-12
+    assert np.array_equal(sb.rows[0], np.eye(sb.dim)[0] * np.sqrt(2))
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_scalar_basis_matches_rational_oracle(p):
+    # both bases are graded, so they differ by an orthogonal matrix that is
+    # block diagonal by degree
+    new, old = polys.scalar_orthonormal(p), scalar_orthonormal_oracle(p)
+    rule = quad_rule(2 * p)
+    mono = polys.eval_monomials(p, rule.points) * np.sqrt(rule.weights)
+    Q = (new @ mono) @ (old @ mono).T
+    blocks = np.zeros_like(Q, dtype=bool)
+    for d in range(p + 1):
+        sl = slice(polys.tri_dim(d - 1) if d else 0, polys.tri_dim(d))
+        blocks[sl, sl] = True
+    assert np.abs(Q[~blocks]).max(initial=0.0) <= 1e-12
+    Q[~blocks] = 0.0
+    assert np.abs(Q @ Q.T - np.eye(len(Q))).max() <= 1e-12
+    assert np.abs(new - Q @ old).max() <= 1e-12 * np.abs(old).max()
+
+
+@pytest.mark.parametrize("p", range(5))
+def test_rtn_primal_set_spans_rational_oracle(p):
+    ref = rtn_reference(p)
+    old_x, old_y = rtn_primal_oracle(p)
+    rule = quad_rule(2 * p + 2)
+    mono = polys.eval_monomials(p + 1, rule.points) * np.sqrt(rule.weights)
+    new = np.hstack([ref.prim_x @ mono, ref.prim_y @ mono])
+    old = np.hstack([old_x @ mono, old_y @ mono])
+    # the new set is orthonormal, so the projection onto its span is new^T new
+    assert np.abs(new @ new.T - np.eye(ref.dim)).max() <= 1e-12
+    resid = old - (old @ new.T) @ new
+    assert np.linalg.norm(resid, axis=1).max() <= 1e-12
 
 
 def test_shared_edge_dofs_conforming(unit_square_2):

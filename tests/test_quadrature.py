@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from hdivkit import polys
 from hdivkit.quadrature import (
     UnsupportedDegreeError,
     check_exactness,
@@ -77,12 +76,3 @@ def test_corner_rule_radial_integrands():
     )[0]
     got2 = np.sum(wr.weights * r**gamma * wr.points[:, 0] * wr.points[:, 1])
     assert abs(got2 - exact2) / abs(exact2) < 1e-12
-
-
-def test_scalar_orthonormal_gram():
-    for p in range(7):
-        rows = polys.scalar_orthonormal(p)
-        rule = quad_rule(2 * p)
-        vals = rows @ polys.eval_monomials(p, rule.points)
-        G = (vals * rule.weights) @ vals.T
-        assert np.abs(G - np.eye(len(G))).max() < 1e-10
