@@ -19,7 +19,7 @@ continuous; no sign flips are needed during assembly.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -403,6 +403,53 @@ def piola_map(coords, ref_values):
     return np.einsum("dc,...c->...d", B, vals) / detB
 
 
+def barycentric(refpts) -> np.ndarray:
+    """Barycentric coordinates (lambda_0, lambda_1, lambda_2) of reference
+    points; shape (3, npts).  lambda_i is the hat function of local vertex i."""
+    refpts = np.atleast_2d(refpts)
+    x, y = refpts[:, 0], refpts[:, 1]
+    return np.stack([1.0 - x - y, x, y])
+
+
+_BARY_GRAD = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+@lru_cache(maxsize=None)
+def hat_operators(q: int, p: int):
+    """Reference operators of multiplication by the hat functions.
+
+    For local vertex i and the reference basis Phi_j of RTN_q dual to the
+    canonically directed dofs (q = p, or q = p - 1 when p >= 1):
+      * ``H[i]`` (ndof_p, ndof_q) holds the RTN_p reference dofs of
+        lambda_i Phi_j (its interpolant when q = p; the field itself when
+        q = p - 1, where the product lies in RTN_p);
+      * ``G[i]`` (dim P_p, ndof_q) holds (grad lambda_i . Phi_j, phi_m) against
+        the orthonormal scalar P_p basis.
+    Both are polynomial integrals (degree <= 2p + 1 inside, 2p + 2 on the
+    edges), taken by the lowest exact rules, which are the points that define
+    the dual basis: so sum_i H[i] is the identity (q = p) or the embedding of
+    RTN_{p-1} (q = p - 1) to roundoff, as sum_i lambda_i = 1.  Through the
+    Piola map and the dof scaling T_k of ``RTNSpace`` they give the patch
+    data on any element: chi = T_k H[i] T_k^{-1} theta and
+    (grad psi_a . theta, phi_m)_K = G[i] T_k^{-1} theta / sqrt(det B_k).
+    """
+    if not (p - 1 <= q <= p and q >= 0):
+        raise ValueError(f"hat operators need q in {{p-1, p}}, q >= 0 (q={q}, p={p})")
+    ref_p, ref_q = rtn_basis(p), rtn_basis(q)
+    rule = quad_rule(2 * p + 1)
+
+    def times_hat(i):
+        return lambda pts: barycentric(pts)[i][None, :, None] * ref_q.basis_values_ref(pts)
+
+    H = np.stack([ref_p._dofs_of_refvals(times_hat(i), p + 2, rule) for i in range(3)])
+    phi = scalar_basis(p).eval(rule.points) * rule.weights
+    vals = ref_q.basis_values_ref(rule.points)  # (ndof_q, nq, 2)
+    G = np.stack([phi @ (vals @ _BARY_GRAD[i]).T for i in range(3)])
+    H.flags.writeable = False
+    G.flags.writeable = False
+    return H, G
+
+
 def element_matrices(coords, p: int, edge_dirs=None):
     """Mass, divergence-coupling and scalar mass matrices on a triangle.
 
@@ -434,6 +481,54 @@ class RTNSpace:
         self.ndof_edge = (p + 1) * mesh.num_edges
         self.n_int = p * (p + 1)
         self.ndof = self.ndof_edge + self.n_int * mesh.num_triangles
+
+    @cached_property
+    def _dof_scaling(self):
+        """T_k in factored form over all elements: element k's physical dofs
+        are T_k times the canonically directed reference dofs of the Piola
+        pull-back.  Edge slot j scales by sqrt(L_ref / L_e), times (-1)^(i+1)
+        on its i-th dof when the global direction runs against the local
+        index order; the interior block is kron(B_k, I) / sqrt(det B_k).
+        Returns (edge scale (nt, 3(p+1)), B_k / sqrt(det B_k), its inverse,
+        det B_k)."""
+        mesh, p = self.mesh, self.p
+        xs = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
+        B = np.stack([xs[:, 1] - xs[:, 0], xs[:, 2] - xs[:, 0]], axis=2)
+        detB = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
+        lo, hi = np.array([sorted(s) for s in _EDGE_SLOTS]).T
+        length = np.linalg.norm(xs[:, hi] - xs[:, lo], axis=2)  # (nt, 3)
+        ref_len = np.linalg.norm(_REF_VERTS[hi] - _REF_VERTS[lo], axis=1)
+        reversed_ = mesh.triangles[:, lo] > mesh.triangles[:, hi]
+        flip = (-1.0) ** (np.arange(p + 1) + 1)
+        sign = np.where(reversed_[:, :, None], flip, 1.0)  # (nt, 3, p+1)
+        edge = (sign * np.sqrt(ref_len / length)[:, :, None]).reshape(len(xs), -1)
+        root = np.sqrt(detB)[:, None, None]
+        return edge, B / root, np.linalg.inv(B) * root, detB
+
+    def _scale(self, coeffs, tris, to_phys):
+        edge, T, Tinv, _ = self._dof_scaling
+        tris = slice(None) if tris is None else np.asarray(tris, int)
+        c = np.asarray(coeffs, float)
+        ne = 3 * (self.p + 1)
+        out = np.empty_like(c)
+        out[:, :ne] = c[:, :ne] * edge[tris] if to_phys else c[:, :ne] / edge[tris]
+        comp = c[:, ne:].reshape(len(c), 2, -1)
+        A = (T if to_phys else Tinv)[tris]
+        out[:, ne:] = np.einsum("kcd,kdi->kci", A, comp).reshape(len(c), -1)
+        return out
+
+    def to_ref(self, coeffs, tris=None):
+        """Reference dofs T_k^{-1} c_k of element coefficient rows (n, ndof);
+        ``tris`` names the element of each row (default: every element)."""
+        return self._scale(coeffs, tris, False)
+
+    def to_phys(self, coeffs, tris=None):
+        """Physical dofs T_k c_k of reference dof rows; inverse of ``to_ref``."""
+        return self._scale(coeffs, tris, True)
+
+    def det_b(self, tris=None):
+        """det B_k of the affine element maps."""
+        return self._dof_scaling[3] if tris is None else self._dof_scaling[3][tris]
 
     def element_dof_map(self, k):
         """Global dof index of each local dof on element k."""

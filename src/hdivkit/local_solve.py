@@ -19,12 +19,12 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import polys
-from .elements import rtn_space
+from .elements import barycentric, hat_operators, rtn_space, scalar_basis
 from .linsolve import saddle_solve_dense
 from .mesh import INTERIOR, NEUMANN
-from .projections import BrokenRTNField, interp_product_with_hat
+from .projections import BrokenRTNField, hat_interpolants
 from .quadpolicy import QuadPolicy
-from .quadrature import quad_rule
+from .quadrature import TriangleRule, quad_rule
 
 
 class CompatibilityError(RuntimeError):
@@ -163,8 +163,65 @@ class PatchProblem:
     meta: dict = dfield(default_factory=dict)
 
 
+@dataclass
+class PatchData:
+    """Equilibration data of every (triangle, local vertex i) pair.
+
+    On triangle ``tris[r]`` with hat function lambda_i:
+    ``chi[r, i]`` = dofs of I_p(lambda_i theta) and
+    ``g[r, i]`` = Pi_p(lambda_i div v + grad lambda_i . theta), in the
+    orthonormal scalar basis.  Vertex patch a takes, on each of its
+    triangles, the row of its local vertex.
+    """
+
+    tris: np.ndarray  # ascending triangle indices
+    chi: np.ndarray  # (n, 3, ndof)
+    g: np.ndarray  # (n, 3, sdim)
+
+
+def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None, tris=None) -> PatchData:
+    """Patch equilibration data on ``tris`` (default: every triangle).
+
+    The target and the gradient term come from the exact reference operators
+    of ``hat_operators`` conjugated by the dof scaling; the divergence term
+    evaluates div v once per element on the policy's rule.
+    """
+    space = rtn_space(mesh, p)
+    tris = np.arange(mesh.num_triangles) if tris is None else np.asarray(tris, int)
+    if policy is None:
+        policy = QuadPolicy(p, field=v, degree=None)
+    chi = hat_interpolants(theta, p, tris)
+    _, G = hat_operators(theta.p, p)
+    ref = theta.space.to_ref(theta.coeffs[tris], tris)
+    grad = np.einsum("imb,kb->kim", G, ref) / np.sqrt(space.det_b(tris))[:, None, None]
+    return PatchData(tris, chi, _hat_div_moments(v, space, policy, tris) + grad)
+
+
+def _hat_div_moments(v, space, policy, tris):
+    """(lambda_i div v, phi_m)_K on the policy's element rules; (n, 3, sdim)."""
+    sb = scalar_basis(space.p)
+    out = np.empty((len(tris), 3, sb.dim))
+    on_ref = {}  # reference rules are shared objects: tabulate once per rule
+    for r, k in enumerate(tris):
+        k = int(k)
+        el = space.elements[k]
+        rule, _, _ = policy.element_rules(el, key=("tri", k))
+        if isinstance(rule, TriangleRule):
+            if id(rule) not in on_ref:
+                on_ref[id(rule)] = barycentric(rule.points), sb.eval(rule.points)
+            lam, phi = on_ref[id(rule)]
+            pts, w = el.map_to_phys(rule.points), rule.weights * el.detB
+        else:
+            pts, w = rule
+            ref = el.map_to_ref(pts)
+            lam, phi = barycentric(ref), sb.eval(ref)
+        dv = v.eval_div(pts, elem=k)
+        out[r] = (lam * (w * dv)) @ phi.T / np.sqrt(el.detB)
+    return out
+
+
 def build_patch_problem(
-    patch, theta: BrokenRTNField, v, p, mesh, *, variant="def31", policy=None
+    patch, theta: BrokenRTNField, v, p, mesh, *, variant="def31", policy=None, data=None
 ) -> PatchProblem:
     """Assemble the equilibration problem of one vertex patch.
 
@@ -172,26 +229,18 @@ def build_patch_problem(
     degree-p interpolant of psi_a theta.  def52: theta has degree p-1, the
     gradient term is already a degree-p polynomial and the target psi_a theta
     lies in broken RTN_p exactly; the same dof extraction realizes both.
+    ``data`` holds the element tables of ``patch_data``; without it they are
+    built for the patch's triangles.
     """
     space = rtn_space(mesh, p)
     pspace = PatchSpace.build(patch, space)
-    if policy is None:
-        policy = QuadPolicy(p, field=v, degree=None)
-    exact_rule = quad_rule(2 * p + 4)
-    g = {}
-    chi = interp_product_with_hat(theta, patch, mesh, p)
-    for k in patch.tris:
+    if data is None:
+        data = patch_data(theta, v, p, mesh, policy=policy, tris=patch.tris)
+    chi, g = {}, {}
+    for r, k in zip(np.searchsorted(data.tris, patch.tris), patch.tris):
         k = int(k)
-        el = space.elements[k]
-        tri, _, _ = policy.element_rules(el, key=("tri", k))
-        pts = el.quad_points(tri)
-        hat = patch.hat_values(mesh, k, pts)
-        gk = el.scalar_moments(hat * v.eval_div(pts, elem=k), tri)
-        grad = patch.hat_grad(mesh, k)
-        tpts = el.map_to_phys(exact_rule.points)
-        tvals = theta.eval(tpts, elem=k) @ grad
-        gk = gk + el.scalar_moments(tvals, exact_rule)
-        g[k] = gk
+        i = patch.local_index[k]
+        chi[k], g[k] = data.chi[r, i], data.g[r, i]
     # assemble quadratic form and constraint on active dofs
     nd = pspace.ndof
     M = np.zeros((nd, nd))
@@ -324,7 +373,8 @@ def patch_stability_ratio(problem: PatchProblem, s, mesh, *, surrogate_degree=No
     nodal = polys.lagrange_nodal(q)
     rule = quad_rule(2 * q + 2 + 2 * (p + 1))
     gx_ref, gy_ref = polys.eval_monomials_grad(q, rule.points)
-    vals_ref = polys.eval_monomials(q, rule.points)
+    grad_ref = np.stack([nodal.T @ gx_ref, nodal.T @ gy_ref], axis=2)  # (nloc, nq, 2)
+    vals = nodal.T @ polys.eval_monomials(q, rule.points)
     S = np.zeros((nn, nn))
     ell = np.zeros(nn)
     mass1 = np.zeros(nn)
@@ -332,13 +382,9 @@ def patch_stability_ratio(problem: PatchProblem, s, mesh, *, surrogate_degree=No
         k = int(k)
         el = space.elements[k]
         ids = np.array(elem_nodes[k])
-        gx = nodal.T @ gx_ref
-        gy = nodal.T @ gy_ref
-        grad_ref = np.stack([gx, gy], axis=2)  # (nloc, nq, 2)
         grad = np.einsum("dc,nqc->nqd", el.Binv.T, grad_ref)
         w = rule.weights * el.detB
         S[np.ix_(ids, ids)] += np.einsum("q,nqd,mqd->nm", w, grad, grad)
-        vals = nodal.T @ vals_ref
         mass1[ids] += vals @ w
         # functional: (g, w)_K + (chi, grad w)_K
         gvals = el.scalar_values(problem.g[k], el.map_to_phys(rule.points))

@@ -244,8 +244,13 @@ def save_mesh(mesh: Mesh, path):
 
 
 def load_mesh(path) -> Mesh:
-    with open(path) as f:
-        data = json.load(f)
+    try:
+        with open(path) as f:
+            data = json.load(f)
+    except OSError as exc:
+        raise MeshError(f"cannot read mesh file {str(path)!r}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise MeshError(f"mesh file {str(path)!r} is not valid JSON: {exc}") from exc
     return mesh_from_dict(data)
 
 
@@ -415,7 +420,14 @@ def vertex_patches(mesh: Mesh):
 
     A vertex touching any Dirichlet boundary edge is Dirichlet (the Dirichlet
     boundary is treated as a closed set, so this covers interface vertices).
+    Built once per mesh and cached on it; callers must not modify the list.
     """
+    if "vertex_patches" not in mesh._cache:
+        mesh._cache["vertex_patches"] = _build_vertex_patches(mesh)
+    return mesh._cache["vertex_patches"]
+
+
+def _build_vertex_patches(mesh: Mesh):
     nv = mesh.num_vertices
     tris_at = [[] for _ in range(nv)]
     for k, tri in enumerate(mesh.triangles):

@@ -5,9 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from . import polys
-from .elements import edge_dof_values, rtn_space
+from .elements import edge_dof_values, hat_operators, rtn_space
 from .quadpolicy import QuadPolicy
-from .quadrature import gauss01, quad_rule
+from .quadrature import gauss01
 
 
 class ScalarPWField:
@@ -168,29 +168,25 @@ def canonical_interp(v, p, mesh, *, policy=None, quad_degree=None) -> BrokenRTNF
     return out
 
 
-def interp_product_with_hat(theta: BrokenRTNField, patch, mesh, p_target):
-    """Degree-``p_target`` element dofs of psi_a * theta on the patch triangles.
-
-    The product is polynomial (component degree theta.p + 2), so exact-degree
-    quadrature makes the dof extraction exact.  When theta has degree
-    p_target this realizes the canonical interpolant of the product; when
-    theta has degree p_target - 1 the product already lies in broken
-    RTN_{p_target} and the dofs reproduce it exactly.  Returns a dict
-    triangle -> dof vector.
+def hat_interpolants(theta: BrokenRTNField, p_target, tris=None) -> np.ndarray:
+    """Degree-``p_target`` dofs of lambda_i * theta for the three local hat
+    functions of each triangle in ``tris`` (default: all); shape
+    (n, 3, ndof).  Exact reference operators conjugated by the dof scaling:
+    chi = T_k H[i] T_k^{-1} theta_k.  When theta has degree p_target this is
+    the canonical interpolant of the product; when theta has degree
+    p_target - 1 the product lies in broken RTN_{p_target} and is reproduced.
     """
-    space = rtn_space(mesh, p_target)
-    out = {}
-    deg = theta.p + p_target + 3
-    rule = quad_rule(deg)
-    n1d = (deg + 3) // 2
-    for k in patch.tris:
-        k = int(k)
-        el = space.elements[k]
+    mesh = theta.mesh
+    tris = np.arange(mesh.num_triangles) if tris is None else np.asarray(tris, int)
+    H, _ = hat_operators(theta.p, p_target)
+    ref = theta.space.to_ref(theta.coeffs[tris], tris)
+    chi = np.einsum("iab,kb->kia", H, ref).reshape(-1, H.shape[1])
+    chi = rtn_space(mesh, p_target).to_phys(chi, np.repeat(tris, 3))
+    return chi.reshape(len(tris), 3, -1)
 
-        def ev(pts, k=k):
-            vals = theta.eval(pts, elem=k)
-            hat = patch.hat_values(mesh, k, pts)
-            return vals * hat[:, None]
 
-        out[k] = el.dofs_of_field(ev, tri_rule=rule, n1d=n1d)
-    return out
+def interp_product_with_hat(theta: BrokenRTNField, patch, mesh, p_target):
+    """Degree-``p_target`` element dofs of psi_a * theta on the patch
+    triangles (see ``hat_interpolants``); a dict triangle -> dof vector."""
+    chi = hat_interpolants(theta, p_target, patch.tris)
+    return {int(k): chi[t, patch.local_index[int(k)]] for t, k in enumerate(patch.tris)}

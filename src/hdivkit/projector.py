@@ -18,6 +18,7 @@ from .elements import rtn_space
 from .fields import FieldError
 from .local_solve import (
     build_patch_problem,
+    patch_data,
     patch_equilibrate,
     patch_stability_ratio,
     theta_field,
@@ -204,8 +205,11 @@ def project_hdiv(
     info = ProjectorInfo(variant=variant, p=p)
     sigma = ConformingRTNField(mesh, p)
     space = sigma.space
+    data = patch_data(theta, v, p, mesh, policy=policy)
     for patch in vertex_patches(mesh):
-        problem = build_patch_problem(patch, theta, v, p, mesh, variant=variant, policy=policy)
+        problem = build_patch_problem(
+            patch, theta, v, p, mesh, variant=variant, policy=policy, data=data
+        )
         s, _ = patch_equilibrate(problem)
         info.compat_defects.append(problem.compat_defect)
         if measure_stability:

@@ -116,10 +116,15 @@ def build_mesh(spec: str, labels: str = "all-dirichlet"):
     (the rule is then ignored; ``labels="file"`` says so explicitly)."""
     if labels == "file" and spec.startswith(("structured:", "lshape:")):
         raise mesh_mod.MeshError(f"labels 'file' need a mesh file; {spec!r} is generated")
-    if spec.startswith("structured:"):
-        return mesh_mod.build_structured(int(spec.split(":")[1]), labels=labels)
-    if spec.startswith("lshape:"):
-        return mesh_mod.build_lshape(int(spec.split(":")[1]), labels=labels)
+    for kind, build in (("structured", mesh_mod.build_structured), ("lshape", mesh_mod.build_lshape)):
+        if spec.startswith(kind + ":"):
+            try:
+                n = int(spec[len(kind) + 1 :])
+            except ValueError:
+                raise mesh_mod.MeshError(
+                    f"mesh spec {spec!r}: expected {kind}:<n> with an integer n"
+                ) from None
+            return build(n, labels=labels)
     return mesh_mod.load_mesh(spec)
 
 

@@ -1,7 +1,8 @@
 """Brute-force reference implementations, kept independent of the library's
 solve paths: exact monomial integrals, rational Gram-Schmidt reference bases,
-normal-equation least squares, null-space constrained minimization, and
-per-site COO assembly loops."""
+normal-equation least squares, null-space constrained minimization,
+per-site COO assembly loops, and patch equilibration data taken by
+quadrature on every (patch, element) pair."""
 
 from fractions import Fraction
 
@@ -229,13 +230,9 @@ def element_kkt_oracle(mesh, k, p, v_eval, div_eval, quad_degree=30):
     return nullspace_constrained_min(M, b, el.Bdiv, g)
 
 
-def patch_oracle(mesh, patch, p, theta_coeffs, chi, g):
-    """Patch equilibration by the null-space method on the active dofs.
-
-    For interior/Neumann patches the incompatible component of g is removed
-    against the constant direction first (same data handling, different
-    solver algebra).
-    """
+def _assemble_patch(mesh, patch, p, chi, g):
+    """Patch mass, divergence block and right-hand sides on the active dofs,
+    one element at a time.  Returns (M, b, B, grhs, patch space)."""
     from hdivkit.local_solve import PatchSpace
 
     space = rtn_space(mesh, p)
@@ -256,12 +253,71 @@ def patch_oracle(mesh, patch, p, theta_coeffs, chi, g):
         b[ia] += el.M[act] @ chi[k]
         B[t_idx * sdim : (t_idx + 1) * sdim, ia] = el.Bdiv[:, act]
         grhs[t_idx * sdim : (t_idx + 1) * sdim] = g[k]
+    return M, b, B, grhs, ps
+
+
+def patch_oracle(mesh, patch, p, theta_coeffs, chi, g):
+    """Patch equilibration by the null-space method on the active dofs.
+
+    For interior/Neumann patches the incompatible component of g is removed
+    against the constant direction first (same data handling, different
+    solver algebra).
+    """
+    M, b, B, grhs, ps = _assemble_patch(mesh, patch, p, chi, g)
     if patch.kind in ("interior", "neumann"):
+        space = rtn_space(mesh, p)
+        sdim = space.elements[0].sdim
         kern = np.zeros(len(patch.tris) * sdim)
         for t_idx, k in enumerate(patch.tris):
             kern[t_idx * sdim] = np.sqrt(space.elements[int(k)].area)
         grhs = grhs - kern * (kern @ grhs) / (kern @ kern)
     return nullspace_constrained_min(M, b, B, grhs), ps
+
+
+# -- patch equilibration data by per-element quadrature -------------------------------
+
+
+def interp_product_with_hat_oracle(theta, patch, mesh, p_target):
+    """Degree-``p_target`` dofs of psi_a * theta on the patch triangles, by
+    physical quadrature exact in the product's degree; dict triangle -> dofs."""
+    space = rtn_space(mesh, p_target)
+    out = {}
+    deg = theta.p + p_target + 3
+    rule = quad_rule(deg)
+    n1d = (deg + 3) // 2
+    for k in patch.tris:
+        k = int(k)
+        el = space.elements[k]
+
+        def ev(pts, k=k):
+            vals = theta.eval(pts, elem=k)
+            hat = patch.hat_values(mesh, k, pts)
+            return vals * hat[:, None]
+
+        out[k] = el.dofs_of_field(ev, tri_rule=rule, n1d=n1d)
+    return out
+
+
+def patch_problem_oracle(patch, theta, v, p, mesh, policy):
+    """Patch data chi_a, g_a and the assembled problem (M, rhs, B, grhs), with
+    the data taken by quadrature on every (patch, element) pair: the hat
+    function by ``hat_values``, the gradient term by an exact rule."""
+    space = rtn_space(mesh, p)
+    exact_rule = quad_rule(2 * p + 4)
+    chi = interp_product_with_hat_oracle(theta, patch, mesh, p)
+    g = {}
+    for k in patch.tris:
+        k = int(k)
+        el = space.elements[k]
+        tri, _, _ = policy.element_rules(el, key=("tri", k))
+        pts = el.quad_points(tri)
+        hat = patch.hat_values(mesh, k, pts)
+        gk = el.scalar_moments(hat * v.eval_div(pts, elem=k), tri)
+        tpts = el.map_to_phys(exact_rule.points)
+        tvals = theta.eval(tpts, elem=k) @ patch.hat_grad(mesh, k)
+        g[k] = gk + el.scalar_moments(tvals, exact_rule)
+    M, rhs, B, grhs, _ = _assemble_patch(mesh, patch, p, chi, g)
+    return {"chi": chi, "g": g, "M": M, "rhs": rhs, "B": B, "grhs": grhs}
 
 
 def projector_oracle(v, p, mesh, quad_degree=None):

@@ -116,3 +116,17 @@ def test_bad_study_config_is_one_line_error(tmp_path, capsys, text):
 def test_labels_file_on_generated_mesh_is_one_line_error(capsys, command, mesh):
     argv = command + ["--mesh", mesh, "--labels", "file", "--refinements", "1"]
     _assert_one_line_error(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "mesh", ["structured:x", "lshape:", "nonexist.json"], ids=["bad-n", "no-n", "missing-file"]
+)
+def test_bad_mesh_spec_is_one_line_error(tmp_path, monkeypatch, capsys, mesh):
+    monkeypatch.chdir(tmp_path)
+    _assert_one_line_error(["project", "--mesh", mesh], capsys)
+
+
+def test_mesh_file_not_json_is_one_line_error(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text("{not json")
+    _assert_one_line_error(["mesh", "inspect", "--mesh", str(path)], capsys)

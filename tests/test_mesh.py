@@ -147,6 +147,19 @@ def test_patch_center_vertex_cardinality():
     assert len(patches[center].tris) == 6
 
 
+def test_vertex_patches_cached_per_mesh():
+    m = build_structured(2)
+    patches = vertex_patches(m)
+    assert vertex_patches(m) is patches
+    child = refine_uniform(m)
+    child_patches = vertex_patches(child)
+    assert child_patches is not patches
+    assert len(child_patches) == child.num_vertices
+    assert sum(len(p.tris) for p in child_patches) == 3 * child.num_triangles
+    assert vertex_patches(child) is child_patches
+    assert vertex_patches(m) is patches
+
+
 def test_patch_classification_and_multiplicity():
     m = build_structured(2)
     patches = vertex_patches(m)
