@@ -16,18 +16,30 @@ import numpy as np
 import scipy.sparse as sp
 
 from .elements import rtn_space
-from .linsolve import SparseFactor, dense_solve
+from .linsolve import SparseFactor, spd_solve_stacked
 from .local_solve import elem_constrained_min
 from .projector import ConformingRTNField, check_field_compatibility
 from .quadpolicy import QuadPolicy
 
 
-def _element_errors(el, vvals, dvvals, approx_vals, approx_div, tri, hscale):
-    diff = vvals - approx_vals
-    l2 = np.sqrt(el.norm_sq(diff, tri))
-    dv = dvvals - approx_div
-    div_part = hscale * np.sqrt(el.norm_sq(dv, tri))
-    return l2, div_part
+def _local_fits(v, p, mesh, policy, tris=None):
+    """Unconstrained local best approximations on the elements ``tris``
+    (default: all), batched over the policy's quadrature groups: stacked
+    solves of the element mass matrices.  Arrays in the order of ``tris``."""
+    space = rtn_space(mesh, p)
+    tris = np.arange(mesh.num_triangles) if tris is None else np.asarray(tris, int)
+    pos = np.empty(mesh.num_triangles, int)
+    pos[tris] = np.arange(len(tris))
+    l2 = np.empty(len(tris))
+    div = np.empty(len(tris))
+    coeffs = np.empty((len(tris), space.ref.dim))
+    for g, vvals, dvvals in policy.samples(v, mesh, tris):
+        c = spd_solve_stacked(space.M[g.tris], space.moments(g, vvals))
+        r = pos[g.tris]
+        coeffs[r] = c
+        l2[r] = np.sqrt(g.norm_sq(vvals - space.values(g, c)))
+        div[r] = mesh.h[g.tris] / (p + 1) * np.sqrt(space.oscillation_sq(g, dvvals))
+    return {"l2_part": l2, "div_part": div, "E_loc": np.sqrt(l2**2 + div**2), "coeffs": coeffs}
 
 
 def local_best(v, p, mesh, k, *, policy=None, quad_degree=None):
@@ -36,33 +48,10 @@ def local_best(v, p, mesh, k, *, policy=None, quad_degree=None):
     Returns dict with ``l2_part`` (distance to RTN_p(K)), ``div_part`` (the
     weighted divergence oscillation) and ``E_loc`` (their square sum root).
     """
-    space = rtn_space(mesh, p)
-    el = space.elements[k]
     if policy is None:
         policy = QuadPolicy(p, field=v, degree=quad_degree)
-    tri, _, _ = policy.element_rules(el, key=("tri", k))
-    pts = el.quad_points(tri)
-    vvals = v.eval(pts, elem=k)
-    dvvals = v.eval_div(pts, elem=k)
-    b = el.rtn_moments(vvals, tri)
-    c = dense_solve(el.M, b)
-    g = el.scalar_moments(dvvals, tri)
-    hscale = el.h / (p + 1)
-    l2, div_part = _element_errors(
-        el,
-        vvals,
-        dvvals,
-        el.eval_coeffs(c, pts),
-        el.scalar_values(g, pts),
-        tri,
-        hscale,
-    )
-    return {
-        "l2_part": l2,
-        "div_part": div_part,
-        "E_loc": np.sqrt(l2**2 + div_part**2),
-        "coeffs": c,
-    }
+    fit = _local_fits(v, p, mesh, policy, [k])
+    return {key: val[0] if key == "coeffs" else float(val[0]) for key, val in fit.items()}
 
 
 def local_best_constrained(v, p, mesh, k, *, policy=None, quad_degree=None):
@@ -76,17 +65,9 @@ def local_best_constrained(v, p, mesh, k, *, policy=None, quad_degree=None):
     pts = el.quad_points(tri)
     vvals = v.eval(pts, elem=k)
     dvvals = v.eval_div(pts, elem=k)
-    g = el.scalar_moments(dvvals, tri)
-    hscale = el.h / (p + 1)
-    l2, div_part = _element_errors(
-        el,
-        vvals,
-        dvvals,
-        el.eval_coeffs(theta, pts),
-        el.scalar_values(g, pts),
-        tri,
-        hscale,
-    )
+    l2 = np.sqrt(el.norm_sq(vvals - el.eval_coeffs(theta, pts), tri))
+    proj = el.scalar_values(el.scalar_moments(dvvals, tri), pts)
+    div_part = el.h / (p + 1) * np.sqrt(el.norm_sq(dvvals - proj, tri))
     return {
         "l2_part": l2,
         "div_part": div_part,
@@ -108,31 +89,25 @@ def global_best(v, p, mesh, *, policy=None, quad_degree=None):
     if policy is None:
         policy = QuadPolicy(p, field=v, degree=quad_degree)
     nt = mesh.num_triangles
-    sdim = space.elements[0].sdim
     M, B, fidx = space.conforming_blocks()
     rhs = np.zeros(space.ndof)
-    g = np.zeros(nt * sdim)
-    vvals_all = {}
-    for k, el in enumerate(space.elements):
-        tri, _, _ = policy.element_rules(el, key=("tri", k))
-        pts = el.quad_points(tri)
-        vvals = v.eval(pts, elem=k)
-        dvvals = v.eval_div(pts, elem=k)
-        vvals_all[k] = (vvals, dvvals, tri, pts)
-        rhs[space.element_dof_map(k)] += el.rtn_moments(vvals, tri)
-        g[k * sdim : (k + 1) * sdim] = el.scalar_moments(dvvals, tri)
+    g = np.zeros((nt, space.sdim))
+    for grp, vvals, dvvals in policy.samples(v, mesh):
+        rhs += np.bincount(
+            space.dof_map[grp.tris].ravel(), space.moments(grp, vvals).ravel(), space.ndof
+        )
+        g[grp.tris] = space.scalar_moments(grp, dvvals)
+    g = g.ravel()
     rhs = rhs[fidx]
     if mesh.edges_with_label("dirichlet"):
         A = sp.bmat([[M, B.T], [B, None]], format="csc")
         b = np.concatenate([rhs, g])
     else:  # pure Neumann: pin the constant multiplier mode by a bordering column
-        kernel = np.zeros(nt * sdim)
-        kernel[::sdim] = np.sqrt([el.area for el in space.elements])
+        kernel = np.zeros((nt, space.sdim))
+        kernel[:, 0] = np.sqrt(mesh.area)
+        kernel = kernel.ravel()
         g = g - kernel * (kernel @ g) / (kernel @ kernel)
-        kcol = sp.csr_matrix(
-            (kernel, (np.arange(nt * sdim), np.zeros(nt * sdim, dtype=int))),
-            shape=(nt * sdim, 1),
-        )
+        kcol = sp.csr_matrix(kernel[:, None])
         A = sp.bmat(
             [[M, B.T, None], [B, None, kcol], [None, kcol.T, None]], format="csc"
         )
@@ -143,14 +118,10 @@ def global_best(v, p, mesh, *, policy=None, quad_degree=None):
     res = np.linalg.norm(A @ sol - b) / max(np.linalg.norm(b), 1e-300)
     l2_sq = 0.0
     div_sq = 0.0
-    for k in range(nt):
-        el = space.elements[k]
-        vvals, dvvals, tri, pts = vvals_all[k]
-        diff = vvals - sigma.eval(pts, elem=k)
-        l2_sq += el.norm_sq(diff, tri)
-        proj = el.scalar_values(el.scalar_moments(dvvals, tri), pts)
-        dv = dvvals - proj
-        div_sq += (el.h / (p + 1)) ** 2 * el.norm_sq(dv, tri)
+    for grp, vvals, dvvals in policy.samples(v, mesh):
+        l2_sq += grp.norm_sq(vvals - grp.eval(sigma)).sum()
+        hscale = mesh.h[grp.tris] / (p + 1)
+        div_sq += np.sum(hscale**2 * space.oscillation_sq(grp, dvvals))
     return {
         "Eglob_l2": np.sqrt(l2_sq),
         "Eglob_div": np.sqrt(div_sq),
@@ -214,14 +185,8 @@ def error_report(
     policy = QuadPolicy(p, field=v, degree=quad_degree)
     nt = mesh.num_triangles
     rep = ErrorReport(p=p, field_name=field_name or getattr(v, "name", ""), mesh_id=mesh_id)
-    rep.Eloc_l2 = np.empty(nt)
-    rep.Eloc_div = np.empty(nt)
-    rep.Eloc = np.empty(nt)
-    for k in range(nt):
-        loc = local_best(v, p, mesh, k, policy=policy)
-        rep.Eloc_l2[k] = loc["l2_part"]
-        rep.Eloc_div[k] = loc["div_part"]
-        rep.Eloc[k] = loc["E_loc"]
+    loc = _local_fits(v, p, mesh, policy)
+    rep.Eloc_l2, rep.Eloc_div, rep.Eloc = loc["l2_part"], loc["div_part"], loc["E_loc"]
     glob = global_best(v, p, mesh, policy=policy)
     rep.Eglob_l2 = glob["Eglob_l2"]
     rep.Eglob_div = glob["Eglob_div"]
@@ -236,68 +201,7 @@ def error_report(
                 "E_loc_c"
             ]
     if include_pm1 and p >= 1:
+        # degree p-1 errors keep their own h/(p) divergence weight
         pol = QuadPolicy(p - 1, field=v, degree=quad_degree)
-        rep.Eloc_pm1 = np.empty(nt)
-        for k in range(nt):
-            loc = local_best(v, p - 1, mesh, k, policy=pol)
-            # degree p-1 errors keep their own h/(p) divergence weight
-            rep.Eloc_pm1[k] = loc["E_loc"]
+        rep.Eloc_pm1 = _local_fits(v, p - 1, mesh, pol)["E_loc"]
     return rep
-
-
-def optimality_check(v, p, mesh, sigma, *, n_directions=10, seed=0, quad_degree=None):
-    """First-order optimality of a global minimizer along feasible directions.
-
-    Draws random conforming fields, projects them onto the divergence-free
-    constraint manifold with the same mass matrix, and returns the largest
-    normalized inner product (v - sigma, direction); at the minimizer it
-    vanishes.
-    """
-    from .projector import random_conforming_field
-
-    policy = QuadPolicy(p, field=v, degree=quad_degree)
-    space = rtn_space(mesh, p)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    vnorm = np.sqrt(
-        sum(
-            space.elements[k].norm_sq(
-                v.eval(space.elements[k].quad_points(policy.element_rules(space.elements[k], key=("tri", k))[0]), elem=k),
-                policy.element_rules(space.elements[k], key=("tri", k))[0],
-            )
-            for k in range(mesh.num_triangles)
-        )
-    )
-    for i in range(n_directions):
-        w = random_conforming_field(mesh, p, seed=int(rng.integers(1 << 31)))
-        # project onto div-free subspace elementwise via the global saddle
-        wdir = _divfree_projection(w, mesh, p)
-        inner = 0.0
-        wnorm2 = 0.0
-        for k in range(mesh.num_triangles):
-            el = space.elements[k]
-            tri, _, _ = policy.element_rules(el, key=("tri", k))
-            pts = el.quad_points(tri)
-            diff = v.eval(pts, elem=k) - sigma.eval(pts, elem=k)
-            wv = wdir.eval(pts, elem=k)
-            w_q = tri.weights * el.detB if hasattr(tri, "weights") else tri[1]
-            inner += float(np.sum(w_q * np.einsum("qd,qd->q", diff, wv)))
-            wnorm2 += el.norm_sq(wv, tri)
-        worst = max(worst, abs(inner) / max(vnorm * np.sqrt(wnorm2), 1e-300))
-    return worst
-
-
-def _divfree_projection(w: ConformingRTNField, mesh, p) -> ConformingRTNField:
-    """Mass-orthogonal projection of a conforming field onto div-free members."""
-    space = rtn_space(mesh, p)
-    M, B, fidx = space.conforming_blocks()
-    rhs = np.zeros(space.ndof)
-    for k, el in enumerate(space.elements):
-        dofmap = space.element_dof_map(k)
-        rhs[dofmap] += el.M @ w.dofs[dofmap]
-    A = sp.bmat([[M, B.T], [B, None]], format="csc")
-    b = np.concatenate([rhs[fidx], np.zeros(B.shape[0])])
-    sol = SparseFactor(A).solve(b)
-    out = ConformingRTNField(mesh, p)
-    out.dofs[fidx] = sol[: len(fidx)]
-    return out

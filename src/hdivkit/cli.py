@@ -25,8 +25,9 @@ from .study import ConfigError, StudyConfig, build_mesh, run_study, verify, veri
 
 def _add_common(p):
     p.add_argument("--mesh", default="structured:2", help="structured:<n> | lshape:<n> | file")
-    p.add_argument("--labels", default="all-dirichlet",
-                   help="all-dirichlet | all-neumann | left-neumann | file")
+    p.add_argument("--labels", default=None,
+                   help="all-dirichlet | all-neumann | left-neumann | file (default: "
+                   "all-dirichlet for generated meshes, the file's own labels for a mesh file)")
     p.add_argument("--p", default="1", help="polynomial degree or comma list")
     p.add_argument("--q", type=int, default=1)
     p.add_argument("--field", default="sine_divfree", help="name[:k=v,...]")

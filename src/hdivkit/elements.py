@@ -19,12 +19,14 @@ continuous; no sign flips are needed during assembly.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from collections.abc import Sequence
+from functools import lru_cache
 
 import numpy as np
 
 from . import polys
 from .linsolve import assemble_csr
+from .mesh import affine_geometry
 from .quadrature import TriangleRule, gauss01, quad_rule
 
 
@@ -153,40 +155,222 @@ def edge_dof_values(p: int, t, length: float) -> np.ndarray:
     return np.sqrt((2 * np.arange(p + 1) + 1) / length)[:, None] * P
 
 
-# -- physical element ---------------------------------------------------------------
+# -- reference dual basis ----------------------------------------------------------
 
 _REF_VERTS = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 _EDGE_SLOTS = ((1, 2), (2, 0), (0, 1))  # edge slot j is opposite vertex j
+_CANONICAL_DIRS = tuple((min(a, b), max(a, b)) for a, b in _EDGE_SLOTS)
+
+
+def _reference_dofs(p, ref_evaluator, n1d, tri_rule):
+    """Canonically directed RTN_p dofs of reference functions, one column per
+    function; ``ref_evaluator(pts)`` returns values (n, npts, 2).  This is
+    the only quadrature-built dof matrix: the reference dual basis and
+    ``hat_operators`` come from it, every element from the dof scaling."""
+    t, wt = gauss01(n1d)
+    rows = []
+    for la, lb in _CANONICAL_DIRS:
+        a, vec = _REF_VERTS[la], _REF_VERTS[lb] - _REF_VERTS[la]
+        L = float(np.linalg.norm(vec))
+        vn = ref_evaluator(a[None, :] + np.outer(t, vec)) @ (np.array([vec[1], -vec[0]]) / L)
+        rows.append(np.einsum("g,ig,ng->in", wt * L, edge_dof_values(p, t, L), vn))
+    if p >= 1:
+        vals = ref_evaluator(tri_rule.points)
+        phi = scalar_basis(p - 1).eval(tri_rule.points)
+        rows += [np.einsum("g,ig,ng->in", tri_rule.weights, phi, vals[:, :, c]) for c in (0, 1)]
+    return np.vstack(rows)  # (ndof, n)
+
+
+@lru_cache(maxsize=None)
+def reference_dual(p: int) -> np.ndarray:
+    """C_ref: primal coefficients of the RTN_p basis dual to the canonically
+    directed reference dofs; element k's basis is C_ref T_k^{-1}."""
+    D = _reference_dofs(p, rtn_reference(p).eval, p + 2, quad_rule(max(2 * p, 1)))
+    try:
+        C = np.linalg.solve(D, np.eye(len(D)))
+    except np.linalg.LinAlgError as exc:
+        raise BasisConsistencyError("singular dof matrix") from exc
+    C.flags.writeable = False
+    return C
+
+
+# -- stacked element tables -------------------------------------------------------------
+
+
+def _dof_scaling(triangles, xs, B, detB, p):
+    """T_k in factored form over all elements: element k's physical dofs are
+    T_k times the canonically directed reference dofs of the Piola pull-back.
+    Edge slot j scales by sqrt(L_ref / L_e), times (-1)^(i+1) on its i-th dof
+    when the direction (lower -> higher index in ``triangles``) runs against
+    the local index order; the interior block is kron(B_k, I) / sqrt(det B_k).
+    Returns (edge scale (n, 3(p+1)), B_k / sqrt(det B_k), its inverse)."""
+    lo, hi = np.array(_CANONICAL_DIRS).T
+    length = np.linalg.norm(xs[:, hi] - xs[:, lo], axis=2)  # (n, 3)
+    ref_len = np.linalg.norm(_REF_VERTS[hi] - _REF_VERTS[lo], axis=1)
+    reversed_ = triangles[:, lo] > triangles[:, hi]
+    flip = (-1.0) ** (np.arange(p + 1) + 1)
+    sign = np.where(reversed_[:, :, None], flip, 1.0)  # (n, 3, p+1)
+    edge = (sign * np.sqrt(ref_len / length)[:, :, None]).reshape(len(xs), -1)
+    root = np.sqrt(detB)[:, None, None]
+    return edge, B / root, np.linalg.inv(B) * root
+
+
+class ElementTables:
+    """RTN_p element data stacked over triangles, from one reference element.
+
+    ``triangles`` (n, 3) orders each triangle's vertices (edge directions run
+    lower -> higher entry); ``geometry`` is ``mesh.affine_geometry`` of their
+    coordinates.  With S_k = B_k^T B_k and the reference primal Gram blocks:
+      C_k    = C_ref T_k^{-1}                              (n, nprim, ndof)
+      M_k    = C_k^T (S_00 G_xx + S_01 (G_xy + G_xy^T) + S_11 G_yy) C_k / det B_k
+      Bdiv_k = div_rows C_k / sqrt(det B_k)                (n, sdim, ndof)
+    No quadrature and no solve per element.  ``elements`` gives lazy
+    single-element views (``ElementRTN``) of these arrays.
+    """
+
+    def __init__(self, triangles, xs, geometry, p: int):
+        self.p = p
+        self.coords = xs
+        self.X0, self.B, self.detB, self.Binv, self.h = geometry
+        if np.any(self.detB <= 0):
+            raise ElementGeometryError(
+                f"triangle must be counterclockwise and nondegenerate (det={self.detB.min():g})"
+            )
+        self.triangles = np.asarray(triangles)
+        self.ref = rtn_reference(p)
+        self.sdim = polys.tri_dim(p)
+        self.idim = polys.tri_dim(p - 1) if p >= 1 else 0
+        self._edge, self._T, self._Tinv = _dof_scaling(self.triangles, xs, self.B, self.detB, p)
+        ne, C_ref = 3 * (p + 1), reference_dual(p)
+        C = np.empty((len(xs),) + C_ref.shape)
+        C[:, :, :ne] = C_ref[:, :ne] / self._edge[:, None, :]
+        interior = np.einsum("rci,kcd->krdi", C_ref[:, ne:].reshape(len(C_ref), 2, -1), self._Tinv)
+        C[:, :, ne:] = interior.reshape(len(xs), len(C_ref), -1)
+        self.C = C
+        S = np.swapaxes(self.B, 1, 2) @ self.B
+        ref = self.ref
+        gram = np.stack([ref.gram_xx, ref.gram_xy + ref.gram_xy.T, ref.gram_yy])
+        coef = np.stack([S[:, 0, 0], S[:, 0, 1], S[:, 1, 1]], axis=1) / self.detB[:, None]
+        Mtil = (coef @ gram.reshape(3, -1)).reshape(len(xs), *gram.shape[1:])
+        M = np.swapaxes(C, 1, 2) @ Mtil @ C
+        self.M = (M + np.swapaxes(M, 1, 2)) / 2
+        self.Bdiv = (ref.div_rows @ C) / np.sqrt(self.detB)[:, None, None]
+        self.elements = _ElementViews(self)
+
+    def __len__(self):
+        return len(self.detB)
+
+    def _scale(self, coeffs, tris, to_phys):
+        tris = slice(None) if tris is None else np.asarray(tris, int)
+        c = np.asarray(coeffs, float)
+        ne = 3 * (self.p + 1)
+        out = np.empty_like(c)
+        out[:, :ne] = c[:, :ne] * self._edge[tris] if to_phys else c[:, :ne] / self._edge[tris]
+        comp = c[:, ne:].reshape(len(c), 2, -1)
+        A = (self._T if to_phys else self._Tinv)[tris]
+        out[:, ne:] = np.einsum("kcd,kdi->kci", A, comp).reshape(len(c), -1)
+        return out
+
+    def to_ref(self, coeffs, tris=None):
+        """Reference dofs T_k^{-1} c_k of element coefficient rows (n, ndof);
+        ``tris`` names the element of each row (default: every element)."""
+        return self._scale(coeffs, tris, False)
+
+    def to_phys(self, coeffs, tris=None):
+        """Physical dofs T_k c_k of reference dof rows; inverse of ``to_ref``."""
+        return self._scale(coeffs, tris, True)
+
+    # -- batched quadrature: ``group`` is a ``quadpolicy.QuadGroup`` -------------------
+
+    def values(self, group, coeffs):
+        """Values of the coefficient rows (one per group element) at the
+        group's points; (n, nq, 2)."""
+        prim, _ = group.tables(self.p)
+        tris = group.tris
+        ref = group.combine((self.C[tris] @ coeffs[:, :, None])[:, :, 0], prim)
+        return ref @ np.swapaxes(self.B[tris], 1, 2) / self.detB[tris, None, None]
+
+    def div_values(self, group, coeffs):
+        return self.scalar_values(group, (self.Bdiv[group.tris] @ coeffs[:, :, None])[:, :, 0])
+
+    def scalar_values(self, group, scoeffs):
+        """Values of scalar rows in the orthonormal P_p(K) bases; (n, nq)."""
+        _, phi = group.tables(self.p)
+        return group.combine(scoeffs, phi) / np.sqrt(self.detB[group.tris])[:, None]
+
+    def moments(self, group, vals):
+        """(f, Phi_j)_K of field values (n, nq, 2) at the group's points; (n, ndof)."""
+        prim, _ = group.tables(self.p)
+        tris = group.tris
+        F = vals @ self.B[tris] * (group.w / self.detB[tris, None])[:, :, None]  # B_k^T f
+        return (group.contract(prim, F)[:, None, :] @ self.C[tris])[:, 0]
+
+    def scalar_moments(self, group, vals):
+        """(f, phi_m)_K against the orthonormal P_p(K) bases; (n, sdim)."""
+        _, phi = group.tables(self.p)
+        return group.contract(phi, vals * group.w) / np.sqrt(self.detB[group.tris])[:, None]
+
+    def oscillation_sq(self, group, vals):
+        """||f - Pi_p f||_K^2 of scalar values on the group's elements; (n,)."""
+        return group.norm_sq(vals - self.scalar_values(group, self.scalar_moments(group, vals)))
+
+
+class _ElementViews(Sequence):
+    """Memoized single-element views of stacked tables, built on access."""
+
+    def __init__(self, tables):
+        self._tables = tables
+        self._views = [None] * len(tables)
+
+    def __len__(self):
+        return len(self._views)
+
+    def __getitem__(self, k):
+        view = self._views[k]
+        if view is None:
+            view = self._views[k] = ElementRTN._view(self._tables, k % len(self))
+        return view
+
+
+# -- single element -----------------------------------------------------------------
 
 
 class ElementRTN:
     """RTN_p basis on one physical triangle, dual to the global dofs.
 
-    ``edge_dirs`` gives the directed local vertex pair of each edge slot
-    (meshes pass the lower -> higher global ordering; standalone triangles
-    default to local index order, which matches on the reference element).
+    A view of row k of ``ElementTables``; a standalone triangle owns a
+    one-row table.  ``edge_dirs`` gives the directed local vertex pair of
+    each edge slot (meshes use the lower -> higher global ordering;
+    standalone triangles default to local index order, which matches on
+    the reference element).
     """
 
     def __init__(self, coords, p: int, edge_dirs=None):
-        self.coords = np.asarray(coords, float).reshape(3, 2)
-        self.p = p
-        X0 = self.coords[0]
-        B = np.column_stack([self.coords[1] - X0, self.coords[2] - X0])
-        detB = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
-        if detB <= 0:
-            raise ElementGeometryError(
-                f"triangle must be counterclockwise and nondegenerate (det={detB:g})"
-            )
-        self.X0, self.B, self.detB = X0, B, detB
-        self.Binv = np.linalg.inv(B)
-        self.area = detB / 2
-        sides = [
-            np.linalg.norm(self.coords[(j + 1) % 3] - self.coords[j]) for j in range(3)
-        ]
-        self.h = max(sides)
-        if edge_dirs is None:
-            edge_dirs = [(min(a, b), max(a, b)) for a, b in _EDGE_SLOTS]
-        self.edge_dirs = list(edge_dirs)
+        coords = np.asarray(coords, float).reshape(1, 3, 2)
+        order = np.arange(3)
+        if edge_dirs is not None:  # a vertex ranking that orders every edge as given
+            order = np.zeros(3, int)
+            for la, lb in edge_dirs:
+                order[lb] += 1
+            if len(set(order)) < 3:
+                raise ValueError(f"edge directions {edge_dirs} come from no vertex ordering")
+        self._bind(ElementTables(order[None], coords, affine_geometry(coords), p), 0)
+
+    @classmethod
+    def _view(cls, tables, k):
+        el = cls.__new__(cls)
+        el._bind(tables, k)
+        return el
+
+    def _bind(self, tables, k):
+        self.p = tables.p
+        self.coords = tables.coords[k]
+        self.X0, self.B, self.Binv = tables.X0[k], tables.B[k], tables.Binv[k]
+        self.detB = float(tables.detB[k])
+        self.area = self.detB / 2
+        self.h = float(tables.h[k])
+        tri = tables.triangles[k]
+        self.edge_dirs = [(la, lb) if tri[la] < tri[lb] else (lb, la) for la, lb in _CANONICAL_DIRS]
         self.edge_len = []
         self.edge_normal = []
         for la, lb in self.edge_dirs:
@@ -194,12 +378,9 @@ class ElementRTN:
             L = np.linalg.norm(vec)
             self.edge_len.append(float(L))
             self.edge_normal.append(np.array([vec[1], -vec[0]]) / L)
-        self.ref = rtn_reference(p)
-        self.ndof = self.ref.dim
-        self.sdim = polys.tri_dim(p)
-        self.idim = polys.tri_dim(p - 1) if p >= 1 else 0
-        self._build_dual()
-        self._build_matrices()
+        self.ref = tables.ref
+        self.ndof, self.sdim, self.idim = tables.ref.dim, tables.sdim, tables.idim
+        self.C, self.M, self.Bdiv = tables.C[k], tables.M[k], tables.Bdiv[k]
 
     # dof layout: edge slot j gets dofs j*(p+1)..j*(p+1)+p, then interior
     # x-moments, then interior y-moments.
@@ -223,50 +404,6 @@ class ElementRTN:
         la, lb = self.edge_dirs[slot]
         a, b = _REF_VERTS[la], _REF_VERTS[lb]
         return a[None, :] + np.outer(t, b - a)
-
-    def _dofs_of_refvals(self, ref_evaluator, n1d, tri_rule):
-        """Dof vectors of Piola-mapped reference functions.
-
-        ``ref_evaluator(pts)`` returns reference values (n, npts, 2).
-        """
-        p = self.p
-        rows = []
-        t, wt = gauss01(n1d)
-        for slot in range(3):
-            refpts = self._edge_ref_points(slot, t)
-            vals = self.piola_values(ref_evaluator(refpts))
-            vn = vals @ self.edge_normal[slot]
-            q = edge_dof_values(p, t, self.edge_len[slot])
-            dof = np.einsum("g,ig,ng->in", wt * self.edge_len[slot], q, vn)
-            rows.append(dof)
-        if self.idim:
-            vals = self.piola_values(ref_evaluator(tri_rule.points))
-            phi = scalar_basis(p - 1).eval(tri_rule.points)
-            w = tri_rule.weights * np.sqrt(self.detB)
-            dofx = np.einsum("g,ig,ng->in", w, phi, vals[:, :, 0])
-            dofy = np.einsum("g,ig,ng->in", w, phi, vals[:, :, 1])
-            rows += [dofx, dofy]
-        return np.vstack(rows)  # (ndof, n)
-
-    def _build_dual(self):
-        p = self.p
-        rule = quad_rule(max(2 * p, 1))
-        D = self._dofs_of_refvals(self.ref.eval, p + 2, rule)
-        try:
-            self.C = np.linalg.solve(D, np.eye(self.ndof))
-        except np.linalg.LinAlgError as exc:
-            raise BasisConsistencyError("singular dof matrix") from exc
-
-    def _build_matrices(self):
-        S = self.B.T @ self.B
-        Mtil = (
-            S[0, 0] * self.ref.gram_xx
-            + S[0, 1] * (self.ref.gram_xy + self.ref.gram_xy.T)
-            + S[1, 1] * self.ref.gram_yy
-        ) / self.detB
-        self.M = self.C.T @ Mtil @ self.C
-        self.M = (self.M + self.M.T) / 2
-        self.Bdiv = (self.ref.div_rows @ self.C) / np.sqrt(self.detB)
 
     # -- evaluation -----------------------------------------------------------------
 
@@ -435,15 +572,17 @@ def hat_operators(q: int, p: int):
     """
     if not (p - 1 <= q <= p and q >= 0):
         raise ValueError(f"hat operators need q in {{p-1, p}}, q >= 0 (q={q}, p={p})")
-    ref_p, ref_q = rtn_basis(p), rtn_basis(q)
     rule = quad_rule(2 * p + 1)
 
-    def times_hat(i):
-        return lambda pts: barycentric(pts)[i][None, :, None] * ref_q.basis_values_ref(pts)
+    def basis_q(pts):  # the reference dual basis of RTN_q, (ndof_q, npts, 2)
+        return np.einsum("jk,jnd->knd", reference_dual(q), rtn_reference(q).eval(pts))
 
-    H = np.stack([ref_p._dofs_of_refvals(times_hat(i), p + 2, rule) for i in range(3)])
+    def times_hat(i):
+        return lambda pts: barycentric(pts)[i][None, :, None] * basis_q(pts)
+
+    H = np.stack([_reference_dofs(p, times_hat(i), p + 2, rule) for i in range(3)])
     phi = scalar_basis(p).eval(rule.points) * rule.weights
-    vals = ref_q.basis_values_ref(rule.points)  # (ndof_q, nq, 2)
+    vals = basis_q(rule.points)  # (ndof_q, nq, 2)
     G = np.stack([phi @ (vals @ _BARY_GRAD[i]).T for i in range(3)])
     H.flags.writeable = False
     G.flags.writeable = False
@@ -463,8 +602,8 @@ def element_matrices(coords, p: int, edge_dirs=None):
 # -- mesh-wide space -----------------------------------------------------------------
 
 
-class RTNSpace:
-    """Per-element RTN bases over a mesh plus the global dof layout.
+class RTNSpace(ElementTables):
+    """Stacked RTN_p element tables over a mesh plus the global dof layout.
 
     Global dofs: edge e owns slots e*(p+1)..e*(p+1)+p; element k owns
     ne*(p+1) + k*p*(p+1) + local interior slots.  Fields with continuous
@@ -472,84 +611,26 @@ class RTNSpace:
     """
 
     def __init__(self, mesh, p: int):
+        geometry = (mesh.X0, mesh.B, mesh.detB, mesh.Binv, mesh.h)
+        super().__init__(mesh.triangles, mesh.vertices[mesh.triangles], geometry, p)
         self.mesh = mesh
-        self.p = p
-        self.elements = [
-            ElementRTN(mesh.triangle_coords(k), p, mesh.tri_edge_dirs(k))
-            for k in range(mesh.num_triangles)
-        ]
         self.ndof_edge = (p + 1) * mesh.num_edges
         self.n_int = p * (p + 1)
         self.ndof = self.ndof_edge + self.n_int * mesh.num_triangles
-
-    @cached_property
-    def _dof_scaling(self):
-        """T_k in factored form over all elements: element k's physical dofs
-        are T_k times the canonically directed reference dofs of the Piola
-        pull-back.  Edge slot j scales by sqrt(L_ref / L_e), times (-1)^(i+1)
-        on its i-th dof when the global direction runs against the local
-        index order; the interior block is kron(B_k, I) / sqrt(det B_k).
-        Returns (edge scale (nt, 3(p+1)), B_k / sqrt(det B_k), its inverse,
-        det B_k)."""
-        mesh, p = self.mesh, self.p
-        xs = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
-        B = np.stack([xs[:, 1] - xs[:, 0], xs[:, 2] - xs[:, 0]], axis=2)
-        detB = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
-        lo, hi = np.array([sorted(s) for s in _EDGE_SLOTS]).T
-        length = np.linalg.norm(xs[:, hi] - xs[:, lo], axis=2)  # (nt, 3)
-        ref_len = np.linalg.norm(_REF_VERTS[hi] - _REF_VERTS[lo], axis=1)
-        reversed_ = mesh.triangles[:, lo] > mesh.triangles[:, hi]
-        flip = (-1.0) ** (np.arange(p + 1) + 1)
-        sign = np.where(reversed_[:, :, None], flip, 1.0)  # (nt, 3, p+1)
-        edge = (sign * np.sqrt(ref_len / length)[:, :, None]).reshape(len(xs), -1)
-        root = np.sqrt(detB)[:, None, None]
-        return edge, B / root, np.linalg.inv(B) * root, detB
-
-    def _scale(self, coeffs, tris, to_phys):
-        edge, T, Tinv, _ = self._dof_scaling
-        tris = slice(None) if tris is None else np.asarray(tris, int)
-        c = np.asarray(coeffs, float)
-        ne = 3 * (self.p + 1)
-        out = np.empty_like(c)
-        out[:, :ne] = c[:, :ne] * edge[tris] if to_phys else c[:, :ne] / edge[tris]
-        comp = c[:, ne:].reshape(len(c), 2, -1)
-        A = (T if to_phys else Tinv)[tris]
-        out[:, ne:] = np.einsum("kcd,kdi->kci", A, comp).reshape(len(c), -1)
-        return out
-
-    def to_ref(self, coeffs, tris=None):
-        """Reference dofs T_k^{-1} c_k of element coefficient rows (n, ndof);
-        ``tris`` names the element of each row (default: every element)."""
-        return self._scale(coeffs, tris, False)
-
-    def to_phys(self, coeffs, tris=None):
-        """Physical dofs T_k c_k of reference dof rows; inverse of ``to_ref``."""
-        return self._scale(coeffs, tris, True)
-
-    def det_b(self, tris=None):
-        """det B_k of the affine element maps."""
-        return self._dof_scaling[3] if tris is None else self._dof_scaling[3][tris]
+        edge_dofs = mesh.tri_edges[:, :, None] * (p + 1) + np.arange(p + 1)
+        interior = self.ndof_edge + np.arange(mesh.num_triangles * self.n_int)
+        self.dof_map = np.hstack(
+            [edge_dofs.reshape(len(edge_dofs), -1), interior.reshape(len(edge_dofs), -1)]
+        )
 
     def element_dof_map(self, k):
         """Global dof index of each local dof on element k."""
-        p = self.p
-        out = np.empty(self.elements[k].ndof, dtype=int)
-        for slot in range(3):
-            e = self.mesh.tri_edges[k, slot]
-            out[slot * (p + 1) : (slot + 1) * (p + 1)] = np.arange(
-                e * (p + 1), (e + 1) * (p + 1)
-            )
-        base = self.ndof_edge + k * self.n_int
-        out[3 * (p + 1) :] = np.arange(base, base + self.n_int)
-        return out
+        return self.dof_map[k]
 
     def neumann_edge_dofs(self):
         """Global dof indices pinned to zero by the no-flux boundary condition."""
-        p = self.p
-        out = []
-        for e in self.mesh.edges_with_label("neumann"):
-            out.extend(range(e * (p + 1), (e + 1) * (p + 1)))
-        return np.array(out, dtype=int)
+        e = np.array(self.mesh.edges_with_label("neumann"), dtype=int)
+        return (e[:, None] * (self.p + 1) + np.arange(self.p + 1)).ravel()
 
     def conforming_blocks(self):
         """Conforming mass M and divergence B over the dofs off Neumann edges.
@@ -563,16 +644,11 @@ class RTNSpace:
         fidx = np.flatnonzero(free)
         pos = -np.ones(self.ndof, dtype=int)
         pos[fidx] = np.arange(len(fidx))
-        dofs, Ms, Bs = [], [], []
-        for k, el in enumerate(self.elements):
-            dofmap = self.element_dof_map(k)
-            act = free[dofmap]
-            dofs.append(pos[dofmap[act]])
-            Ms.append(el.M[np.ix_(act, act)])
-            Bs.append(el.Bdiv[:, act])
-        nt, sdim, nf = len(self.elements), self.elements[0].sdim, len(fidx)
-        M = assemble_csr(dofs, dofs, Ms, (nf, nf))
-        B = assemble_csr(np.arange(nt * sdim).reshape(nt, sdim), dofs, Bs, (nt * sdim, nf))
+        dofs = pos[self.dof_map]  # -1 on Neumann dofs: dropped by the assembly
+        nt, nf = len(self), len(fidx)
+        M = assemble_csr(dofs, dofs, self.M, (nf, nf))
+        rows = np.arange(nt * self.sdim).reshape(nt, self.sdim)
+        B = assemble_csr(rows, dofs, self.Bdiv, (nt * self.sdim, nf))
         return M, B, fidx
 
 

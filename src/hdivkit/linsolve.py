@@ -47,6 +47,28 @@ def dense_solve(A, b):
     return x
 
 
+def spd_solve_stacked(A, b):
+    """Solve stacked symmetric positive definite systems A[k] x[k] = b[k]
+    with one refinement step and ``dense_solve``'s relative-residual check."""
+    A = np.asarray(A, float)
+    b = np.asarray(b, float)[..., None]
+    try:
+        x = np.linalg.solve(A, b)
+        x = x + np.linalg.solve(A, b - A @ x)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"stacked solve failed: {exc}") from exc
+    scale = np.maximum(
+        np.linalg.norm(b, axis=(1, 2)),
+        np.abs(A).max(axis=(1, 2)) * np.linalg.norm(x, axis=(1, 2)),
+    )
+    res = np.linalg.norm(b - A @ x, axis=(1, 2)) / np.maximum(scale, 1e-300)
+    if res.size and res.max() > 1e-8:
+        raise SingularSystemError(
+            f"dense solve residual {res.max():.2e} (system {int(res.argmax())})"
+        )
+    return x[..., 0]
+
+
 def saddle_matrix(M, B, kernel=None):
     """Dense KKT matrix [[M, B^T], [B, 0]], optionally bordered by a kernel row.
 
@@ -90,16 +112,18 @@ def saddle_solve_dense(M, B, rhs, g, kernel=None):
 
 
 def assemble_csr(rows, cols, blocks, shape):
-    """Sum dense element blocks into a CSR matrix.
+    """Sum stacked dense element blocks into a CSR matrix.
 
-    Block k lands on global rows ``rows[k]`` and columns ``cols[k]``; entries
-    are summed in element order, row-major within a block, so the result is
-    the same to the bit for a fixed input order.
+    Block k of ``blocks`` (n, r, c) lands on global rows ``rows[k]`` (n, r)
+    and columns ``cols[k]`` (n, c); entries with a negative row or column
+    index are dropped.  Entries are summed in element order, row-major
+    within a block, so the result is the same to the bit for a fixed input.
     """
-    r = np.concatenate([np.repeat(i, len(j)) for i, j in zip(rows, cols)])
-    c = np.concatenate([np.tile(j, len(i)) for i, j in zip(rows, cols)])
-    v = np.concatenate([np.ravel(blk) for blk in blocks])
-    return sp.coo_matrix((v, (r, c)), shape=shape).tocsr()
+    blocks = np.asarray(blocks, float)
+    r = np.broadcast_to(np.asarray(rows)[:, :, None], blocks.shape).ravel()
+    c = np.broadcast_to(np.asarray(cols)[:, None, :], blocks.shape).ravel()
+    keep = (r >= 0) & (c >= 0)
+    return sp.coo_matrix((blocks.ravel()[keep], (r[keep], c[keep])), shape=shape).tocsr()
 
 
 class SparseFactor:

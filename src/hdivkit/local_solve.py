@@ -177,6 +177,7 @@ class PatchData:
     tris: np.ndarray  # ascending triangle indices
     chi: np.ndarray  # (n, 3, ndof)
     g: np.ndarray  # (n, 3, sdim)
+    mass_scale: np.ndarray  # (n, 3): magnitudes of the two terms of (g, 1)_K, see patch_data
 
 
 def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None, tris=None) -> PatchData:
@@ -184,7 +185,12 @@ def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None, tris=None) -> 
 
     The target and the gradient term come from the exact reference operators
     of ``hat_operators`` conjugated by the dof scaling; the divergence term
-    evaluates div v once per element on the policy's rule.
+    evaluates div v once per element on the policy's rule.  ``mass_scale``
+    holds the magnitudes of the two terms of (g, 1)_K: (lambda_i |div v|, 1)_K,
+    and |G_i[0]| |T_k^{-1} theta| / sqrt(2), the Cauchy-Schwarz bound of
+    (grad lambda_i . theta, 1)_K, whose value is roundoff when theta's
+    components along G_i[0] vanish.  Their cancellation over a patch is
+    measured on this scale.
     """
     space = rtn_space(mesh, p)
     tris = np.arange(mesh.num_triangles) if tris is None else np.asarray(tris, int)
@@ -193,14 +199,19 @@ def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None, tris=None) -> 
     chi = hat_interpolants(theta, p, tris)
     _, G = hat_operators(theta.p, p)
     ref = theta.space.to_ref(theta.coeffs[tris], tris)
-    grad = np.einsum("imb,kb->kim", G, ref) / np.sqrt(space.det_b(tris))[:, None, None]
-    return PatchData(tris, chi, _hat_div_moments(v, space, policy, tris) + grad)
+    grad = np.einsum("imb,kb->kim", G, ref) / np.sqrt(space.detB[tris])[:, None, None]
+    div, div_scale = _hat_div_moments(v, space, policy, tris)
+    # (f, 1)_K = sqrt|K| f_0 = sqrt(det B_k / 2) f_0 in the orthonormal basis
+    grad_scale = np.sqrt(0.5) * np.outer(np.linalg.norm(ref, axis=1), np.linalg.norm(G[:, 0], axis=1))
+    return PatchData(tris, chi, div + grad, div_scale + grad_scale)
 
 
 def _hat_div_moments(v, space, policy, tris):
-    """(lambda_i div v, phi_m)_K on the policy's element rules; (n, 3, sdim)."""
+    """(lambda_i div v, phi_m)_K on the policy's element rules, (n, 3, sdim),
+    and (lambda_i |div v|, 1)_K, (n, 3)."""
     sb = scalar_basis(space.p)
     out = np.empty((len(tris), 3, sb.dim))
+    mag = np.empty((len(tris), 3))
     on_ref = {}  # reference rules are shared objects: tabulate once per rule
     for r, k in enumerate(tris):
         k = int(k)
@@ -217,7 +228,8 @@ def _hat_div_moments(v, space, policy, tris):
             lam, phi = barycentric(ref), sb.eval(ref)
         dv = v.eval_div(pts, elem=k)
         out[r] = (lam * (w * dv)) @ phi.T / np.sqrt(el.detB)
-    return out
+        mag[r] = lam @ (w * np.abs(dv))
+    return out, mag
 
 
 def build_patch_problem(
@@ -237,15 +249,17 @@ def build_patch_problem(
     if data is None:
         data = patch_data(theta, v, p, mesh, policy=policy, tris=patch.tris)
     chi, g = {}, {}
+    mass_scale = 0.0
     for r, k in zip(np.searchsorted(data.tris, patch.tris), patch.tris):
         k = int(k)
         i = patch.local_index[k]
         chi[k], g[k] = data.chi[r, i], data.g[r, i]
+        mass_scale += data.mass_scale[r, i]
     # assemble quadratic form and constraint on active dofs
     nd = pspace.ndof
     M = np.zeros((nd, nd))
     rhs = np.zeros(nd)
-    sdim = space.elements[0].sdim
+    sdim = space.sdim
     B = np.zeros((len(patch.tris) * sdim, nd))
     grhs = np.zeros(len(patch.tris) * sdim)
     for t_idx, k in enumerate(patch.tris):
@@ -264,17 +278,15 @@ def build_patch_problem(
     if patch.kind in (INTERIOR, NEUMANN):
         kernel = np.zeros(len(patch.tris) * sdim)
         for t_idx, k in enumerate(patch.tris):
-            kernel[t_idx * sdim] = np.sqrt(space.elements[int(k)].area)
-        mass = float(kernel @ grhs)  # = (g, 1) over the patch
-        gnorm = float(np.linalg.norm(grhs))
-        omega = float(np.linalg.norm(kernel))  # = |omega_a|^(1/2)
-        defect = abs(mass) / max(gnorm * omega, 1e-300)
-        scale = max(gnorm * omega, 1e-12 * omega)
-        if abs(mass) > 1e-9 * scale:
+            kernel[t_idx * sdim] = np.sqrt(space.mesh.area[int(k)])
+        # (g, 1) over the patch sums the terms (lambda_i div v, 1)_K and
+        # (grad lambda_i . theta, 1)_K, which cancel: measure it against their size
+        mass = float(kernel @ grhs)
+        defect = abs(mass) / max(mass_scale, 1e-300)
+        if defect > 1e-9:
             raise CompatibilityError(
                 f"patch of vertex {patch.vertex}: divergence data incompatible "
-                f"(defect {abs(mass) / scale:.2e}); the elementwise fit and the "
-                "patch data disagree"
+                f"(defect {defect:.2e}); the elementwise fit and the patch data disagree"
             )
     return PatchProblem(
         pspace=pspace,

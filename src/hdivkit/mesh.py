@@ -42,8 +42,21 @@ def _canonical_triangles(vertices, triangles):
     return out
 
 
+def affine_geometry(xs):
+    """Affine maps F_k(x) = X0_k + B_k x of triangles ``xs`` (n, 3, 2) from the
+    reference triangle: (X0, B, det B, B^{-1}, h = longest side)."""
+    xs = np.asarray(xs, float)
+    B = np.stack([xs[:, 1] - xs[:, 0], xs[:, 2] - xs[:, 0]], axis=2)
+    detB = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
+    Binv = np.stack([B[:, 1, 1], -B[:, 0, 1], -B[:, 1, 0], B[:, 0, 0]], axis=1)
+    Binv = Binv.reshape(-1, 2, 2) / np.where(detB == 0, 1.0, detB)[:, None, None]
+    h = np.linalg.norm(np.roll(xs, -1, axis=1) - xs, axis=2).max(axis=1)
+    return xs[:, 0], B, detB, Binv, h
+
+
 class Mesh:
-    """A validated conforming triangulation with labeled boundary."""
+    """A validated conforming triangulation with labeled boundary; ``X0``,
+    ``B``, ``detB``, ``Binv`` and ``h`` hold the affine element maps."""
 
     def __init__(self, vertices, triangles, boundary_labels, *, check_hanging=False):
         self.vertices = np.array(vertices, dtype=float)
@@ -111,20 +124,11 @@ class Mesh:
             self.boundary_labels[e] = label
 
     def _geometry(self):
-        nt = len(self.triangles)
-        self.h = np.empty(nt)
-        self.rho = np.empty(nt)
-        self.area = np.empty(nt)
-        for k in range(nt):
-            xs = self.vertices[self.triangles[k]]
-            sides = [np.linalg.norm(xs[(j + 1) % 3] - xs[j]) for j in range(3)]
-            area = 0.5 * abs(
-                (xs[1, 0] - xs[0, 0]) * (xs[2, 1] - xs[0, 1])
-                - (xs[1, 1] - xs[0, 1]) * (xs[2, 0] - xs[0, 0])
-            )
-            self.area[k] = area
-            self.h[k] = max(sides)
-            self.rho[k] = 4 * area / sum(sides)  # inscribed-circle diameter
+        xs = self.vertices[self.triangles]
+        self.X0, self.B, self.detB, self.Binv, self.h = affine_geometry(xs)
+        self.area = 0.5 * self.detB
+        perimeter = np.linalg.norm(np.roll(xs, -1, axis=1) - xs, axis=2).sum(axis=1)
+        self.rho = 4 * self.area / perimeter  # inscribed-circle diameter
         self.kappa = float(np.max(self.h / self.rho))
         self.h_max = float(np.max(self.h))
 
@@ -179,6 +183,10 @@ class Mesh:
     def num_triangles(self):
         return len(self.triangles)
 
+    def map_to_phys(self, refpts):
+        """Reference points (nq, 2) mapped into every triangle; (nt, nq, 2)."""
+        return np.asarray(refpts, float) @ np.swapaxes(self.B, 1, 2) + self.X0[:, None]
+
     def triangle_coords(self, k):
         return self.vertices[self.triangles[k]]
 
@@ -206,17 +214,6 @@ class Mesh:
 
     def edges_with_label(self, label):
         return sorted(e for e, lab in self.boundary_labels.items() if lab == label)
-
-    def tri_edge_dirs(self, k):
-        """Directed local vertex pairs (lo->hi by global index), per edge slot."""
-        tri = self.triangles[k]
-        out = []
-        for j, (la, lb) in enumerate(((1, 2), (2, 0), (0, 1))):
-            if tri[la] < tri[lb]:
-                out.append((la, lb))
-            else:
-                out.append((lb, la))
-        return out
 
     def diameter(self):
         lo = self.vertices.min(axis=0)
@@ -403,16 +400,6 @@ class VertexPatch:
         Binv_T = np.linalg.inv(B).T
         ghat = {0: (-1.0, -1.0), 1: (1.0, 0.0), 2: (0.0, 1.0)}[self.local_index[k]]
         return Binv_T @ np.asarray(ghat)
-
-    def hat_values(self, mesh: Mesh, k: int, pts) -> np.ndarray:
-        """Hat function evaluated at physical points inside triangle k."""
-        xs = mesh.triangle_coords(k)
-        B = np.column_stack([xs[1] - xs[0], xs[2] - xs[0]])
-        lam = np.linalg.solve(B, (np.atleast_2d(pts) - xs[0]).T)
-        la = self.local_index[k]
-        if la == 0:
-            return 1.0 - lam[0] - lam[1]
-        return lam[la - 1]
 
 
 def vertex_patches(mesh: Mesh):

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from . import polys
 from .elements import rtn_space, scalar_basis
 from .fields import AnalyticField
-from .linsolve import SparseFactor, assemble_csr
+from .linsolve import SparseFactor, assemble_csr, spd_solve_stacked
 from .projections import ScalarPWField
 from .projector import ConformingRTNField
 from .quadpolicy import QuadPolicy
@@ -120,14 +120,11 @@ def manufactured_bubble(mesh) -> PoissonProblem:
 def _flux_system(prob, p, policy):
     """Shared conforming-mass / divergence blocks and data moments."""
     space = rtn_space(prob.mesh, p)
-    sdim = space.elements[0].sdim
     M, B, _ = space.conforming_blocks()  # all-Dirichlet: every dof is kept
-    fmom = np.zeros(B.shape[0])
-    for k, el in enumerate(space.elements):
-        tri, _, _ = policy.element_rules(el, key=("tri", k))
-        f = np.asarray(prob.f(el.quad_points(tri)), float)
-        fmom[k * sdim : (k + 1) * sdim] = el.scalar_moments(f, tri)
-    return space, M, B, fmom
+    fmom = np.zeros((prob.mesh.num_triangles, space.sdim))
+    for g in policy.groups(prob.mesh):
+        fmom[g.tris] = space.scalar_moments(g, g.call(prob.f))
+    return space, M, B, fmom.ravel()
 
 
 def solve_mixed(prob: PoissonProblem, p: int):
@@ -138,8 +135,7 @@ def solve_mixed(prob: PoissonProblem, p: int):
     """
     policy = QuadPolicy(p, field=prob.sigma, degree=None)
     space, M, B, fmom = _flux_system(prob, p, policy)
-    nt = prob.mesh.num_triangles
-    sdim = space.elements[0].sdim
+    nt, sdim = prob.mesh.num_triangles, space.sdim
     A = sp.bmat([[M, -B.T], [-B, None]], format="csc")
     b = np.concatenate([np.zeros(space.ndof), -fmom])
     sol = SparseFactor(A).solve(b)
@@ -179,21 +175,13 @@ class LagrangeSpace:
             + mesh.num_triangles * self.n_int
         )
         self.nodal = polys.lagrange_nodal(q)
-        classify = []
-        for i in range(q + 1):
-            for j in range(q + 1 - i):
-                lam = (1 - (i + j) / q, i / q, j / q)
-                if max(lam) == 1.0:
-                    classify.append(("v", int(np.argmax(lam))))
-                elif min(lam) == 0.0:
-                    z = lam.index(0.0)
-                    # node on the edge opposite vertex z
-                    classify.append(("e", z))
-                else:
-                    classify.append(("i", None))
-        self.classify = classify
-        self._elem_nodes = [self._element_nodes(k) for k in range(mesh.num_triangles)]
-        self.boundary_nodes = self._boundary_nodes()
+        # integer barycentric coordinates (q - i - j, i, j) of the local nodes
+        self.bary = np.array([(q - i - j, i, j) for i in range(q + 1) for j in range(q + 1 - i)])
+        self._elem_nodes = self._element_nodes()
+        be = mesh.boundary_edges()
+        self.boundary_nodes = np.unique(
+            np.concatenate([mesh.edges[be].ravel(), self._edge_node_id(be[:, None], np.arange(1, q)).ravel()])
+        )
         self.free = np.ones(self.n_nodes, dtype=bool)
         self.free[self.boundary_nodes] = False
         self.free_index = np.flatnonzero(self.free)
@@ -203,65 +191,33 @@ class LagrangeSpace:
     def _edge_node_id(self, e, frac_num):
         return self.mesh.num_vertices + e * self.n_edge + (frac_num - 1)
 
-    def _element_nodes(self, k):
-        mesh = self.mesh
-        tri = mesh.triangles[k]
-        q = self.q
-        ids = []
+    def _element_nodes(self):
+        """Global node of each local node on every element; (nt, nloc)."""
+        mesh, q = self.mesh, self.q
+        tri = mesh.triangles
+        out = np.empty((mesh.num_triangles, len(self.bary)), dtype=int)
+        interior = mesh.num_vertices + mesh.num_edges * self.n_edge
+        interior += np.arange(mesh.num_triangles) * self.n_int
         i_int = 0
-        for (i, j), (kind, data) in zip(
-            [(i, j) for i in range(q + 1) for j in range(q + 1 - i)], self.classify
-        ):
-            lam = (1 - (i + j) / q, i / q, j / q)
-            if kind == "v":
-                ids.append(int(tri[data]))
-            elif kind == "e":
-                z = data
-                la, lb = [m for m in range(3) if m != z]
-                va, vb = int(tri[la]), int(tri[lb])
-                e = mesh.tri_edges[k, z]
-                # fraction along the global lower -> higher direction
-                num = round(lam[lb] * q) if va < vb else round(lam[la] * q)
-                ids.append(self._edge_node_id(e, num))
+        for m, lam in enumerate(self.bary):
+            if lam.max() == q:
+                out[:, m] = tri[:, np.argmax(lam)]
+            elif lam.min() == 0:  # node on the edge opposite vertex z
+                z = int(np.argmin(lam))
+                la, lb = [i for i in range(3) if i != z]
+                # position along the global lower -> higher direction
+                num = np.where(tri[:, la] < tri[:, lb], lam[lb], lam[la])
+                out[:, m] = self._edge_node_id(mesh.tri_edges[:, z], num)
             else:
-                base = (
-                    self.mesh.num_vertices
-                    + self.mesh.num_edges * self.n_edge
-                    + k * self.n_int
-                )
-                ids.append(base + i_int)
+                out[:, m] = interior + i_int
                 i_int += 1
-        return np.array(ids, dtype=int)
-
-    def _boundary_nodes(self):
-        mesh = self.mesh
-        out = set()
-        for e in mesh.boundary_edges():
-            a, b = mesh.edges[e]
-            out.add(int(a))
-            out.add(int(b))
-            for t in range(1, self.q):
-                out.add(self._edge_node_id(e, t))
-        return np.array(sorted(out), dtype=int)
+        return out
 
     def node_coords(self):
         mesh = self.mesh
         coords = np.zeros((self.n_nodes, 2))
-        coords[: mesh.num_vertices] = mesh.vertices
-        for e in range(mesh.num_edges):
-            a, b = mesh.edges[e]
-            for t in range(1, self.q):
-                coords[self._edge_node_id(e, t)] = mesh.vertices[a] + (
-                    t / self.q
-                ) * mesh.edge_vector(e)
-        for k in range(mesh.num_triangles):
-            ids = self._elem_nodes[k]
-            xs = mesh.triangle_coords(k)
-            for local, (i, j) in enumerate(
-                [(i, j) for i in range(self.q + 1) for j in range(self.q + 1 - i)]
-            ):
-                lam = np.array([1 - (i + j) / self.q, i / self.q, j / self.q])
-                coords[ids[local]] = lam @ xs
+        xs = mesh.vertices[mesh.triangles]
+        coords[self._elem_nodes] = np.einsum("mi,kid->kmd", self.bary / self.q, xs)
         return coords
 
     def basis_values(self, refpts):
@@ -278,19 +234,32 @@ class LagrangeSpace:
     def eval_grad_element(self, nodal_values, k, refpts):
         gx, gy = self.basis_grads_ref(refpts)
         el_vals = nodal_values[self._elem_nodes[k]]
-        space = rtn_space(self.mesh, 0)
-        Binv = space.elements[k].Binv
         gref = np.stack([el_vals @ gx, el_vals @ gy], axis=1)
-        return gref @ Binv
+        return gref @ self.mesh.Binv[k]
+
+
+def _stiffness_blocks(mesh, rule, gref):
+    """(grad phi_n, grad phi_m)_K on every element for reference gradients
+    gref (n, nq, 2) at the rule's points: det B_k sum_cd (B_k^{-1} B_k^{-T})_cd
+    A^cd with the reference tables A^cd = (d_c phi_n, d_d phi_m), exact when
+    the rule is exact for the products.  Shape (nt, n, n)."""
+    A = np.einsum("q,nqc,mqd->cdnm", rule.weights, gref, gref)
+    K = mesh.Binv @ np.swapaxes(mesh.Binv, 1, 2) * mesh.detB[:, None, None]
+    return (K.reshape(len(K), 4) @ A.reshape(4, -1)).reshape(len(K), *A.shape[2:])
+
+
+def _coupling_blocks(ls: LagrangeSpace, space):
+    """(grad phi_n, Phi_j)_K of the Lagrange and RTN_p bases; the Piola map
+    cancels the gradient's B_k^{-T}, so the blocks are one reference table
+    times C_k.  Shape (nt, nloc, ndof)."""
+    rule = quad_rule(ls.q + space.p)
+    g = np.stack(ls.basis_grads_ref(rule.points), axis=2)  # (nloc, nq, 2)
+    ref = np.einsum("q,nqd,iqd->ni", rule.weights, g, space.ref.eval(rule.points))
+    return ref @ space.C
 
 
 def _lagrange_stiffness(ls: LagrangeSpace, rule):
-    grad_ref = np.stack(ls.basis_grads_ref(rule.points), axis=2)
-    blocks = []
-    for el in rtn_space(ls.mesh, 0).elements:
-        grad = np.einsum("dc,nqc->nqd", el.Binv.T, grad_ref)
-        w = rule.weights * el.detB
-        blocks.append(np.einsum("q,nqd,mqd->nm", w, grad, grad))
+    blocks = _stiffness_blocks(ls.mesh, rule, np.stack(ls.basis_grads_ref(rule.points), axis=2))
     return assemble_csr(ls._elem_nodes, ls._elem_nodes, blocks, (ls.n_nodes, ls.n_nodes))
 
 
@@ -305,16 +274,9 @@ def solve_ls_mixed(prob: PoissonProblem, p: int, q: int):
     # D = B^T B is (div, div) on conforming dofs thanks to the orthonormal
     # scalar basis; G couples fluxes with potential gradients
     D = (B.T @ B).tocsr()
-    rule = quad_rule(2 * (p + 1) + 2 * q)
-    grad_ref = np.stack(ls.basis_grads_ref(rule.points), axis=2)
-    blocks = []
-    for el in space.elements:
-        grad = np.einsum("dc,nqc->nqd", el.Binv.T, grad_ref)
-        w = rule.weights * el.detB
-        bv = el.basis_values_ref(rule.points)
-        blocks.append(np.einsum("q,nqd,kqd->nk", w, grad, bv))
-    dofs = [space.element_dof_map(k) for k in range(mesh.num_triangles)]
-    G = assemble_csr(ls._elem_nodes, dofs, blocks, (ls.n_nodes, space.ndof))
+    G = assemble_csr(
+        ls._elem_nodes, space.dof_map, _coupling_blocks(ls, space), (ls.n_nodes, space.ndof)
+    )
     S = _lagrange_stiffness(ls, quad_rule(2 * q))
     fr = ls.free_index
     A = sp.bmat(
@@ -343,49 +305,42 @@ def solve_ls_mixed(prob: PoissonProblem, p: int, q: int):
 
 
 def flux_error(prob: PoissonProblem, sigma_h: ConformingRTNField, *, quad_degree=None):
-    """||sigma - sigma_h|| over the mesh by elementwise quadrature."""
-    mesh = prob.mesh
-    p = sigma_h.p
-    policy = QuadPolicy(p, field=prob.sigma, degree=quad_degree)
-    space = rtn_space(mesh, p)
-    total = 0.0
-    for k in range(mesh.num_triangles):
-        el = space.elements[k]
-        tri, _, _ = policy.element_rules(el, key=("tri", k))
-        pts = el.quad_points(tri)
-        diff = prob.sigma.eval(pts) - sigma_h.eval(pts, elem=k)
-        total += el.norm_sq(diff, tri)
-    return np.sqrt(total)
+    """||sigma - sigma_h|| over the mesh, batched over the quadrature groups."""
+    policy = QuadPolicy(sigma_h.p, field=prob.sigma, degree=quad_degree)
+    return np.sqrt(
+        sum(g.norm_sq(g.eval(prob.sigma) - g.eval(sigma_h)).sum() for g in policy.groups(prob.mesh))
+    )
 
 
 def flux_div_error(prob: PoissonProblem, sigma_h: ConformingRTNField, *, quad_degree=None):
     """||div(sigma - sigma_h)|| over the mesh."""
-    mesh = prob.mesh
-    p = sigma_h.p
-    policy = QuadPolicy(p, field=prob.sigma, degree=quad_degree)
-    space = rtn_space(mesh, p)
-    total = 0.0
-    for k in range(mesh.num_triangles):
-        el = space.elements[k]
-        tri, _, _ = policy.element_rules(el, key=("tri", k))
-        pts = el.quad_points(tri)
-        diff = prob.sigma.eval_div(pts) - sigma_h.eval_div(pts, elem=k)
-        total += el.norm_sq(diff, tri)
-    return np.sqrt(total)
+    policy = QuadPolicy(sigma_h.p, field=prob.sigma, degree=quad_degree)
+    return np.sqrt(
+        sum(
+            g.norm_sq(g.eval(prob.sigma, div=True) - g.eval(sigma_h, div=True)).sum()
+            for g in policy.groups(prob.mesh)
+        )
+    )
 
 
 def potential_h1_error(prob: PoissonProblem, ls: LagrangeSpace, u_h, *, quad_degree=None):
-    """||grad(u - u_h)|| by elementwise quadrature."""
+    """||grad(u - u_h)|| by quadrature on every element at once."""
     mesh = prob.mesh
     rule = quad_rule(quad_degree or (2 * ls.q + 10))
-    space = rtn_space(mesh, 0)
-    total = 0.0
-    for k in range(mesh.num_triangles):
-        el = space.elements[k]
-        pts = el.map_to_phys(rule.points)
-        diff = prob.grad_u(pts) - ls.eval_grad_element(u_h, k, rule.points)
-        total += el.norm_sq(diff, (pts, rule.weights * el.detB))
-    return np.sqrt(total)
+    pts = mesh.map_to_phys(rule.points)
+    gx, gy = ls.basis_grads_ref(rule.points)
+    vals = np.asarray(u_h, float)[ls._elem_nodes]  # (nt, nloc)
+    grad = np.stack([vals @ gx, vals @ gy], axis=2) @ mesh.Binv
+    diff = prob.grad_u(pts.reshape(-1, 2)).reshape(pts.shape) - grad
+    w = rule.weights * mesh.detB[:, None]
+    return np.sqrt(np.sum(w * np.sum(diff**2, axis=2)))
+
+
+def _grad_moments(mesh, gref, rule, gu):
+    """(grad phi_n, gu)_K for reference gradients gref (n, nq, 2) and values
+    gu (nt, nq, 2) at the rule's mapped points; (nt, n)."""
+    F = gu @ np.swapaxes(mesh.Binv, 1, 2) * mesh.detB[:, None, None]  # B_k^{-1} gu
+    return F.reshape(len(F), -1) @ (rule.weights[:, None] * gref).reshape(len(gref), -1).T
 
 
 def h1_best_global(prob: PoissonProblem, q: int):
@@ -394,16 +349,12 @@ def h1_best_global(prob: PoissonProblem, q: int):
     ls = LagrangeSpace(mesh, q)
     S = _lagrange_stiffness(ls, quad_rule(2 * q))
     rule = quad_rule(2 * q + 10)
-    space = rtn_space(mesh, 0)
-    rhs = np.zeros(ls.n_nodes)
-    gx, gy = ls.basis_grads_ref(rule.points)
-    for k in range(mesh.num_triangles):
-        el = space.elements[k]
-        grad_ref = np.stack([gx, gy], axis=2)
-        grad = np.einsum("dc,nqc->nqd", el.Binv.T, grad_ref)
-        w = rule.weights * el.detB
-        gu = prob.grad_u(el.map_to_phys(rule.points))
-        rhs[ls._elem_nodes[k]] += np.einsum("q,nqd,qd->n", w, grad, gu)
+    gref = np.stack(ls.basis_grads_ref(rule.points), axis=2)
+    pts = mesh.map_to_phys(rule.points)
+    gu = prob.grad_u(pts.reshape(-1, 2)).reshape(pts.shape)
+    rhs = np.bincount(
+        ls._elem_nodes.ravel(), _grad_moments(mesh, gref, rule, gu).ravel(), ls.n_nodes
+    )
     fr = ls.free_index
     uh = np.zeros(ls.n_nodes)
     uh[fr] = SparseFactor(S[fr][:, fr].tocsc()).solve(rhs[fr])
@@ -414,21 +365,13 @@ def h1_best_local_sum(prob: PoissonProblem, q: int, *, quad_degree=None):
     """Root sum of elementwise unconstrained H1-best errors min ||grad(u - w)||_K."""
     mesh = prob.mesh
     rule = quad_rule(quad_degree or (2 * q + 10))
-    space = rtn_space(mesh, 0)
-    gx, gy = scalar_basis(q).eval_grad(rule.points)
-    total = 0.0
-    for k in range(mesh.num_triangles):
-        el = space.elements[k]
-        grad_ref = np.stack([gx, gy], axis=2)[1:]  # drop the constant
-        grad = np.einsum("dc,nqc->nqd", el.Binv.T, grad_ref)
-        w = rule.weights * el.detB
-        gu = prob.grad_u(el.map_to_phys(rule.points))
-        Gm = np.einsum("q,nqd,mqd->nm", w, grad, grad)
-        r = np.einsum("q,nqd,qd->n", w, grad, gu)
-        c = np.linalg.lstsq(Gm, r, rcond=None)[0]
-        resid = gu - np.einsum("n,nqd->qd", c, grad)
-        total += el.norm_sq(resid, (None, w))
-    return np.sqrt(total)
+    gref = np.stack(scalar_basis(q).eval_grad(rule.points), axis=2)[1:]  # drop the constant
+    pts = mesh.map_to_phys(rule.points)
+    gu = prob.grad_u(pts.reshape(-1, 2)).reshape(pts.shape)
+    c = spd_solve_stacked(_stiffness_blocks(mesh, rule, gref), _grad_moments(mesh, gref, rule, gu))
+    fit = np.einsum("kn,nqc->kqc", c, gref) @ mesh.Binv  # B_k^{-T} sum_n c_n grad phi_n
+    w = rule.weights * mesh.detB[:, None]
+    return np.sqrt(np.sum(w * np.sum((gu - fit) ** 2, axis=2)))
 
 
 def ls_functional_value(res, pair_flux, pair_pot):
@@ -519,18 +462,14 @@ def apriori_checks(prob_builder, p: int, q: int, meshes, *, quad_degree=None):
 
 def _div_oscillation(prob, p, *, quad_degree=None):
     """||div sigma - Pi_p div sigma|| (unweighted) over the mesh."""
-    mesh = prob.mesh
     policy = QuadPolicy(p, field=prob.sigma, degree=quad_degree)
-    space = rtn_space(mesh, p)
-    total = 0.0
-    for k in range(mesh.num_triangles):
-        el = space.elements[k]
-        tri, _, _ = policy.element_rules(el, key=("tri", k))
-        pts = el.quad_points(tri)
-        dv = prob.sigma.eval_div(pts)
-        proj = el.scalar_values(el.scalar_moments(dv, tri), pts)
-        total += el.norm_sq(dv - proj, tri)
-    return np.sqrt(total)
+    space = rtn_space(prob.mesh, p)
+    return np.sqrt(
+        sum(
+            space.oscillation_sq(g, g.eval(prob.sigma, div=True)).sum()
+            for g in policy.groups(prob.mesh)
+        )
+    )
 
 
 def galerkin_orthogonality(prob, res, n_pairs=20, seed=0):

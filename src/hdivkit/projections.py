@@ -53,7 +53,7 @@ class BrokenRTNField:
         self.p = p
         self.space = rtn_space(mesh, p)
         if coeffs is None:
-            coeffs = np.zeros((mesh.num_triangles, self.space.elements[0].ndof))
+            coeffs = np.zeros((mesh.num_triangles, self.space.ref.dim))
         self.coeffs = np.asarray(coeffs, float)
         self.poly_degree = p + 1
         self.is_discrete = True
@@ -72,18 +72,15 @@ class BrokenRTNField:
 
     eval_element = eval
 
+    def element_coeffs(self, tris):
+        """Element coefficient rows of a triangle or an array of triangles."""
+        return self.coeffs[tris]
+
     def div(self) -> ScalarPWField:
-        out = ScalarPWField(self.mesh, self.p)
-        for k, el in enumerate(self.space.elements):
-            out.coeffs[k] = el.Bdiv @ self.coeffs[k]
-        return out
+        return ScalarPWField(self.mesh, self.p, (self.space.Bdiv @ self.coeffs[:, :, None])[:, :, 0])
 
     def norm(self):
-        total = 0.0
-        for k, el in enumerate(self.space.elements):
-            c = self.coeffs[k]
-            total += float(c @ el.M @ c)
-        return np.sqrt(total)
+        return float(np.sqrt(np.sum(self.coeffs * (self.space.M @ self.coeffs[:, :, None])[:, :, 0])))
 
 
 def random_broken_field(mesh, p, seed=0, scale=1.0) -> BrokenRTNField:

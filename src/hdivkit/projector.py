@@ -26,7 +26,7 @@ from .local_solve import (
 from .mesh import vertex_patches
 from .projections import BrokenRTNField, ScalarPWField, project_scalar
 from .quadpolicy import QuadPolicy
-from .quadrature import gauss01
+from .quadrature import gauss01, quad_rule
 
 
 class ConformingRTNField:
@@ -47,14 +47,12 @@ class ConformingRTNField:
         self.divergence_free = False
         self.info = {}
 
-    def element_coeffs(self, k):
-        return self.dofs[self.space.element_dof_map(k)]
+    def element_coeffs(self, tris):
+        """Element coefficient rows of a triangle or an array of triangles."""
+        return self.dofs[self.space.dof_map[tris]]
 
     def to_broken(self) -> BrokenRTNField:
-        out = BrokenRTNField(self.mesh, self.p)
-        for k in range(self.mesh.num_triangles):
-            out.coeffs[k] = self.element_coeffs(k)
-        return out
+        return BrokenRTNField(self.mesh, self.p, self.dofs[self.space.dof_map])
 
     def eval(self, pts, elem=None):
         if elem is None:
@@ -146,17 +144,12 @@ def check_field_compatibility(v, mesh, *, tol=1e-8):
             "it lies outside the constrained space for these boundary labels"
         )
     if not mesh.edges_with_label("dirichlet"):
-        from .quadrature import quad_rule
-
         rule = quad_rule(12)
-        total = 0.0
-        mass = 0.0
-        for k in range(mesh.num_triangles):
-            el = rtn_space(mesh, 0).elements[k]
-            pts = el.map_to_phys(rule.points)
-            dv = v.eval_div(pts, elem=k)
-            total += float(np.sum(rule.weights * el.detB * dv))
-            mass += float(np.sum(rule.weights * el.detB * np.abs(dv)))
+        pts = mesh.map_to_phys(rule.points)
+        dv = np.asarray(v.eval_div(pts.reshape(-1, 2)), float).reshape(len(pts), -1)
+        w = rule.weights * mesh.detB[:, None]
+        total = float(np.sum(w * dv))
+        mass = float(np.sum(w * np.abs(dv)))
         if abs(total) > tol * max(mass, 1e-300):
             raise FieldError(
                 "divergence has nonzero mean on an all-Neumann boundary; "
@@ -255,49 +248,42 @@ def projector_report(v, p, mesh, *, variant="def31", quad_degree=None):
     local-best errors over the vertex-patch neighborhood, their ratio (the
     measured equivalence constant), and the global stability quotients.
     """
-    from .best_approx import local_best
+    from .best_approx import _local_fits
 
     sigma = project_hdiv(
         v, p, mesh, variant=variant, quad_degree=quad_degree, measure_stability=True
     )
     policy = QuadPolicy(p, field=v, degree=quad_degree)
-    space = sigma.space
     patches = vertex_patches(mesh)
-    locs = [
-        local_best(v, p, mesh, k, policy=policy) for k in range(mesh.num_triangles)
-    ]
-    records = []
+    loc = _local_fits(v, p, mesh, policy)
+    E_loc, osc2 = loc["E_loc"], loc["div_part"] ** 2
     hscale = mesh.h / (p + 1)
-    osc2 = np.array([l["div_part"] ** 2 for l in locs])
-    vnorm2 = np.array(
-        [_vnorm2(v, space.elements[k], policy, k) for k in range(mesh.num_triangles)]
-    )
+    err2, derr2, pk2, vnorm2 = np.zeros((4, mesh.num_triangles))
+    for g, vvals, dvvals in policy.samples(v, mesh):
+        svals = g.eval(sigma)
+        err2[g.tris] = g.norm_sq(vvals - svals)
+        derr2[g.tris] = hscale[g.tris] ** 2 * g.norm_sq(dvvals - g.eval(sigma, div=True))
+        pk2[g.tris] = g.norm_sq(svals)
+        vnorm2[g.tris] = g.norm_sq(vvals)
+    records = []
     for k in range(mesh.num_triangles):
-        el = space.elements[k]
-        tri, _, _ = policy.element_rules(el, key=("tri", k))
-        pts = el.quad_points(tri)
-        diff = v.eval(pts, elem=k) - sigma.eval(pts, elem=k)
-        err2 = el.norm_sq(diff, tri)
-        dv = v.eval_div(pts, elem=k) - sigma.eval_div(pts, elem=k)
-        derr2 = (hscale[k] * np.sqrt(el.norm_sq(dv, tri))) ** 2
         neighborhood = sorted(
             {int(kk) for a in mesh.triangles[k] for kk in patches[a].tris}
         )
-        rhs2 = sum(locs[kk]["E_loc"] ** 2 for kk in neighborhood)
-        lhs2 = err2 + derr2
-        pk2 = float(el.norm_sq(sigma.eval(pts, elem=k), tri))
-        stab_rhs2 = sum(vnorm2[kk] + osc2[kk] for kk in neighborhood)
+        rhs2 = float(np.sum(E_loc[neighborhood] ** 2))
+        lhs2 = err2[k] + derr2[k]
+        stab_rhs2 = float(np.sum(vnorm2[neighborhood] + osc2[neighborhood]))
         records.append(
             {
                 "element": k,
-                "err_l2": np.sqrt(err2),
-                "err_div_weighted": np.sqrt(derr2),
+                "err_l2": np.sqrt(err2[k]),
+                "err_div_weighted": np.sqrt(derr2[k]),
                 "lhs_sq": lhs2,
                 "neighborhood_locbest_sq": rhs2,
                 "C_approx": lhs2 / rhs2 if rhs2 > 0 else (0.0 if lhs2 < 1e-24 else np.inf),
-                "stab_lhs_sq": pk2,
+                "stab_lhs_sq": pk2[k],
                 "stab_rhs_sq": stab_rhs2,
-                "C_stab": pk2 / stab_rhs2 if stab_rhs2 > 0 else 0.0,
+                "C_stab": pk2[k] / stab_rhs2 if stab_rhs2 > 0 else 0.0,
             }
         )
     info = sigma.info["projector"]
@@ -310,9 +296,3 @@ def projector_report(v, p, mesh, *, variant="def31", quad_degree=None):
         "commute_residual": info.commute_residual,
         "warnings": info.warnings,
     }
-
-
-def _vnorm2(v, el, policy, k):
-    tri, _, _ = policy.element_rules(el, key=("tri", k))
-    pts = el.quad_points(tri)
-    return el.norm_sq(v.eval(pts, elem=k), tri)

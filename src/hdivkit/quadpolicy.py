@@ -11,9 +11,81 @@ elements, which keeps moment errors near roundoff even for singular data.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field as dfield
+
 import numpy as np
 
-from .quadrature import TriangleRule, corner_rule, edge_npts, gauss01, jacobi01, quad_rule
+from .elements import rtn_reference, scalar_basis
+from .fields import AnalyticField
+from .quadrature import corner_rule, edge_npts, gauss01, jacobi01, quad_rule
+
+
+@dataclass
+class QuadGroup:
+    """Elements ``tris`` integrated on one point layout: a shared reference
+    rule (``ref`` of shape (nq, 2)) or corner wedges of equal size (``ref`` of
+    shape (n, nq, 2)); ``pts`` (n, nq, 2) and ``w`` (n, nq) are physical."""
+
+    tris: np.ndarray
+    ref: np.ndarray
+    pts: np.ndarray
+    w: np.ndarray
+    _tables: dict = dfield(default_factory=dict, repr=False)
+
+    @property
+    def shared(self):
+        return self.ref.ndim == 2
+
+    def tables(self, p):
+        """Reference RTN_p primal values (nprim, [n,] nq, 2) and orthonormal
+        P_p values (sdim, [n,] nq), the element axis only for wedges."""
+        if p not in self._tables:
+            ref = self.ref.reshape(-1, 2)
+            prim = rtn_reference(p).eval(ref).reshape((-1,) + self.ref.shape)
+            phi = scalar_basis(p).eval(ref).reshape((-1,) + self.ref.shape[:-1])
+            self._tables[p] = prim, phi
+        return self._tables[p]
+
+    def contract(self, table, F):
+        """sum over points (and components) of table[i] * F[k]; (n, len(table))."""
+        if self.shared:
+            return F.reshape(len(F), -1) @ table.reshape(len(table), -1).T
+        return np.einsum("ikx,kx->ki", table.reshape(len(table), len(F), -1), F.reshape(len(F), -1))
+
+    def combine(self, coeffs, table):
+        """sum_i coeffs[k, i] table[i] at the points; (n, nq[, 2])."""
+        shape = (len(coeffs),) + self.pts.shape[1:2] + table.shape[self.ref.ndim :]
+        if self.shared:
+            return (coeffs @ table.reshape(len(table), -1)).reshape(shape)
+        flat = table.reshape(len(table), len(coeffs), -1)
+        return np.einsum("ki,ikx->kx", coeffs, flat).reshape(shape)
+
+    def norm_sq(self, vals):
+        """Quadrature of |vals|^2 on each element; (n,)."""
+        sq = vals**2 if vals.ndim == 2 else np.sum(vals**2, axis=2)
+        return np.sum(self.w * sq, axis=1)
+
+    def eval(self, field, div=False):
+        """``field`` (or its divergence) at the points: one call for analytic
+        fields, the field's own element tables for discrete RTN fields, an
+        element loop for anything else."""
+        if hasattr(field, "element_coeffs"):
+            c = field.element_coeffs(self.tris)
+            return field.space.div_values(self, c) if div else field.space.values(self, c)
+        fn = field.eval_div if div else field.eval
+        if not isinstance(field, AnalyticField):
+            return np.stack([fn(x, elem=int(k)) for x, k in zip(self.pts, self.tris)])
+        return self.call(fn)
+
+    def call(self, fn):
+        """A plain evaluator pts -> values at every point, in one call."""
+        vals = np.asarray(fn(self.pts.reshape(-1, 2)), float)
+        return vals.reshape(self.pts.shape[:2] + vals.shape[1:])
+
+    def subset(self, keep):
+        tab = self._tables if self.shared else {}
+        ref = self.ref if self.shared else self.ref[keep]
+        return QuadGroup(self.tris[keep], ref, self.pts[keep], self.w[keep], tab)
 
 
 class QuadPolicy:
@@ -34,28 +106,33 @@ class QuadPolicy:
 
     # -- classification -------------------------------------------------------------
 
-    def _corner_vertex(self, el):
-        """Local index of the singular corner if it is a vertex of the element."""
+    def _corners(self, xs, h):
+        """Local index of the singular corner among each triangle's vertices
+        (xs (n, 3, 2), h (n,)), or -1."""
         if self.singularity is None:
-            return None
-        c = np.asarray(self.singularity.center, float)
-        d = np.linalg.norm(el.coords - c, axis=1)
-        j = int(np.argmin(d))
-        if d[j] <= 1e-12 * max(1.0, el.h):
-            return j
-        return None
+            return np.full(len(xs), -1)
+        d = np.linalg.norm(xs - np.asarray(self.singularity.center, float), axis=2)
+        j = np.argmin(d, axis=1)
+        hit = d[np.arange(len(xs)), j] <= 1e-12 * np.maximum(1.0, h)
+        return np.where(hit, j, -1)
 
-    def _escalated_degree(self, el):
+    def _degrees(self, xs, h):
+        """Base degree, escalated near the singular corner; (n,)."""
+        deg = np.full(len(xs), self.base_degree)
         if self.singularity is None:
-            return self.base_degree
+            return deg
         c = np.asarray(self.singularity.center, float)
-        dist = np.linalg.norm(el.coords.mean(axis=0) - c)
-        ratio = dist / el.h
-        if ratio < 3.0:
-            return max(self.base_degree, 40)
-        if ratio < 8.0:
-            return max(self.base_degree, 26)
-        return self.base_degree
+        ratio = np.linalg.norm(xs.mean(axis=1) - c, axis=1) / h
+        deg[ratio < 8.0] = max(self.base_degree, 26)
+        deg[ratio < 3.0] = max(self.base_degree, 40)
+        return deg
+
+    def _wedge(self, coords, corner, extra=(0, 0)):
+        gamma = self.singularity.gamma
+        n_th = max(20, self.base_degree // 2 + 10) + extra[0]
+        n_r = max(12, self.base_degree // 2 + 4) + extra[1]
+        wr = corner_rule(coords, corner, gamma, n_th, n_r)
+        return wr.points, wr.weights
 
     # -- rules ------------------------------------------------------------------------
 
@@ -69,15 +146,11 @@ class QuadPolicy:
         """
         if key is not None and key in self._cache:
             return self._cache[key]
-        corner = self._corner_vertex(el)
-        if corner is not None:
+        corner = int(self._corners(el.coords[None], np.array([el.h]))[0])
+        if corner >= 0:
             gamma = self.singularity.gamma
-            n_th = max(20, self.base_degree // 2 + 10)
-            n_r = max(12, self.base_degree // 2 + 4)
-            wr = corner_rule(el.coords, corner, gamma, n_th, n_r)
-            wr_chk = corner_rule(el.coords, corner, gamma, n_th + 8, n_r + 6)
-            tri = (wr.points, wr.weights)
-            chk = (wr_chk.points, wr_chk.weights)
+            tri = self._wedge(el.coords, corner)
+            chk = self._wedge(el.coords, corner, (8, 6))
             edges = []
             for slot in range(3):
                 la, lb = el.edge_dirs[slot]
@@ -90,7 +163,7 @@ class QuadPolicy:
                     edges.append(gauss01(edge_npts(max(self.base_degree, 30))))
             out = (tri, edges, chk)
         else:
-            deg = self._escalated_degree(el)
+            deg = int(self._degrees(el.coords[None], np.array([el.h]))[0])
             tri = quad_rule(deg + self.p)
             chk = quad_rule(2 * (deg + self.p)) if self.self_check else None
             n1 = edge_npts(deg + self.p)
@@ -102,3 +175,49 @@ class QuadPolicy:
 
     def n1d(self):
         return edge_npts(self.base_degree + self.p)
+
+    def groups(self, mesh, tris=None):
+        """The elements (all, or ``tris``) grouped by the rule ``element_rules``
+        gives them: one group per shared reference rule, one for the corner
+        wedges.  Built once per mesh."""
+        key = ("groups", id(mesh))
+        if key not in self._cache:
+            xs = mesh.vertices[mesh.triangles]
+            corner = self._corners(xs, mesh.h)
+            deg = self._degrees(xs, mesh.h)
+            out = []
+            for d in np.unique(deg[corner < 0]):
+                ks = np.flatnonzero((corner < 0) & (deg == d))
+                rule = quad_rule(int(d) + self.p)
+                pts = rule.points @ np.swapaxes(mesh.B[ks], 1, 2) + mesh.X0[ks, None]
+                out.append(QuadGroup(ks, rule.points, pts, rule.weights * mesh.detB[ks, None]))
+            ks = np.flatnonzero(corner >= 0)
+            if len(ks):
+                pts, w = map(np.stack, zip(*(self._wedge(xs[k], corner[k]) for k in ks)))
+                ref = (pts - mesh.X0[ks, None]) @ np.swapaxes(mesh.Binv[ks], 1, 2)
+                out.append(QuadGroup(ks, ref, pts, w))
+            self._cache[key] = out
+        if tris is None:
+            return self._cache[key]
+        sub = [g.subset(np.isin(g.tris, tris)) for g in self._cache[key]]
+        return [g for g in sub if len(g.tris)]
+
+    def samples(self, field, mesh, tris=None):
+        """(group, field values, divergence values) for the elements (all, or
+        ``tris``); the whole mesh is evaluated once per policy and field."""
+        held = self._cache.get(("samples", id(mesh)))
+        if held is None or held[0] is not field:
+            if tris is not None:
+                return [(g, g.eval(field), g.eval(field, div=True)) for g in self.groups(mesh, tris)]
+            held = self._cache[("samples", id(mesh))] = (
+                field,
+                [(g, g.eval(field), g.eval(field, div=True)) for g in self.groups(mesh)],
+            )
+        if tris is None:
+            return held[1]
+        out = []
+        for g, v, dv in held[1]:
+            keep = np.isin(g.tris, tris)
+            if keep.any():
+                out.append((g.subset(keep), v[keep], dv[keep]))
+        return out

@@ -48,7 +48,7 @@ class StudyConfig:
     field: str = "sine_divfree"
     field_params: dict = dfield(default_factory=dict)
     mesh: str = "structured:2"  # structured:<n> | lshape:<n> | path to a JSON file
-    labels: str = "all-dirichlet"
+    labels: str | None = None  # rule for generated meshes; a mesh file keeps its own by default
     refinements: int = 4
     degrees: list = dfield(default_factory=lambda: [0, 1, 2])
     q: int = 1
@@ -111,10 +111,12 @@ def fit_rate(errors, abscissae, mode="h_slope") -> RateFit:
     return RateFit(list(abscissae), list(errors), float(coef[0]), residual)
 
 
-def build_mesh(spec: str, labels: str = "all-dirichlet"):
-    """Generated mesh labelled by a rule, or a mesh file with its own labels
-    (the rule is then ignored; ``labels="file"`` says so explicitly)."""
-    if labels == "file" and spec.startswith(("structured:", "lshape:")):
+def build_mesh(spec: str, labels: str | None = None):
+    """Generated mesh labelled by a rule (default all-dirichlet), or a mesh
+    file that keeps its own labels unless a rule is given (``labels="file"``
+    keeps them explicitly)."""
+    generated = spec.startswith(("structured:", "lshape:"))
+    if labels == "file" and generated:
         raise mesh_mod.MeshError(f"labels 'file' need a mesh file; {spec!r} is generated")
     for kind, build in (("structured", mesh_mod.build_structured), ("lshape", mesh_mod.build_lshape)):
         if spec.startswith(kind + ":"):
@@ -124,8 +126,13 @@ def build_mesh(spec: str, labels: str = "all-dirichlet"):
                 raise mesh_mod.MeshError(
                     f"mesh spec {spec!r}: expected {kind}:<n> with an integer n"
                 ) from None
-            return build(n, labels=labels)
-    return mesh_mod.load_mesh(spec)
+            return build(n, labels=labels or "all-dirichlet")
+    m = mesh_mod.load_mesh(spec)
+    if labels in (None, "file"):
+        return m
+    return mesh_mod.Mesh(
+        m.vertices, m.triangles, mesh_mod._label_boundary(m.vertices, m.triangles, labels)
+    )
 
 
 def mesh_sequence(cfg: StudyConfig):
@@ -278,18 +285,10 @@ def run_study(cfg: StudyConfig):
 
 
 def _field_norm(field, m, p, quad_degree):
-    from .elements import rtn_space
     from .quadpolicy import QuadPolicy
 
     policy = QuadPolicy(p, field=field, degree=quad_degree)
-    space = rtn_space(m, p)
-    total = 0.0
-    for k in range(m.num_triangles):
-        el = space.elements[k]
-        tri, _, _ = policy.element_rules(el, key=("tri", k))
-        pts = el.quad_points(tri)
-        total += el.norm_sq(field.eval(pts, elem=k), tri)
-    return np.sqrt(total)
+    return np.sqrt(sum(g.norm_sq(g.eval(field)).sum() for g in policy.groups(m)))
 
 
 # -- verification battery ---------------------------------------------------------------
@@ -314,25 +313,21 @@ def verify(cfg: StudyConfig | None = None):
         out.append(CheckResult(name, bool(value <= tol), float(value), tol, note))
 
     # mesh invariants
-    from .mesh import build_structured, refine_uniform, vertex_patches
+    from .elements import barycentric
+    from .mesh import build_structured, vertex_patches
 
     for n in (2, 4):
         m = build_structured(n)
         patches = vertex_patches(m)
-        pts = rng.random((100, 2)) * 0.98 + 0.01
-        hat_sum = np.zeros(len(pts))
-        grad_sum = np.zeros((len(pts), 2))
-        for k in range(m.num_triangles):
-            xs = m.triangle_coords(k)
-            B = np.column_stack([xs[1] - xs[0], xs[2] - xs[0]])
-            lam = np.linalg.solve(B, (pts - xs[0]).T)
-            inside = (lam[0] > 1e-9) & (lam[1] > 1e-9) & (lam[0] + lam[1] < 1 - 1e-9)
-            for a_local, v in enumerate(m.triangles[k]):
-                patch = patches[v]
-                hat_sum[inside] += patch.hat_values(m, k, pts[inside]) / 1.0
-                grad_sum[inside] += patch.hat_grad(m, k)
-        check(f"partition of unity n={n}", np.abs(hat_sum - 1).max(), 1e-14)
-        check(f"hat gradient sum n={n}", np.abs(grad_sum).max(), 1e-12)
+        lam = barycentric(rng.random((100, 2)) * 0.49 + 0.01)  # inside the reference triangle
+        hat_defect = grad_defect = 0.0
+        for k, tri in enumerate(m.triangles):
+            hats = sum(lam[patches[v].local_index[k]] for v in tri)
+            grads = sum(patches[v].hat_grad(m, k) for v in tri)
+            hat_defect = max(hat_defect, np.abs(hats - 1).max())
+            grad_defect = max(grad_defect, np.abs(grads).max())
+        check(f"partition of unity n={n}", hat_defect, 1e-14)
+        check(f"hat gradient sum n={n}", grad_defect, 1e-12)
         signs_ok = 0.0
         for e in m.interior_edges():
             k0, k1 = m.edge_tris[e]

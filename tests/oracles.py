@@ -1,8 +1,9 @@
 """Brute-force reference implementations, kept independent of the library's
 solve paths: exact monomial integrals, rational Gram-Schmidt reference bases,
-normal-equation least squares, null-space constrained minimization,
-per-site COO assembly loops, and patch equilibration data taken by
-quadrature on every (patch, element) pair."""
+per-element dual bases by quadrature and a dense solve, per-element error
+and fit loops, normal-equation least squares, null-space constrained
+minimization, per-site COO assembly loops, and patch equilibration data
+taken by quadrature on every (patch, element) pair."""
 
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ import scipy.sparse as sp
 from scipy.linalg import null_space
 
 from hdivkit import polys
-from hdivkit.elements import rtn_space
+from hdivkit.elements import edge_dof_values, rtn_space, scalar_basis
+from hdivkit.quadpolicy import QuadPolicy
 from hdivkit.quadrature import gauss01, quad_rule
 
 # -- exact integrals on the reference triangle ---------------------------------------
@@ -121,6 +123,170 @@ def rtn_primal_oracle(p):
     return R @ raw[:, 0], R @ raw[:, 1]
 
 
+# -- per-element dual basis by quadrature and a dense solve ----------------------------
+
+
+def dofs_of_refvals(el, ref_evaluator, n1d, tri_rule):
+    """Dof vectors on element ``el`` of Piola-mapped reference functions
+    (``ref_evaluator(pts)`` returns reference values (n, npts, 2)), by edge
+    and interior quadrature; shape (ndof, n)."""
+    p = el.p
+    rows = []
+    t, wt = gauss01(n1d)
+    for slot in range(3):
+        vals = el.piola_values(ref_evaluator(el._edge_ref_points(slot, t)))
+        vn = vals @ el.edge_normal[slot]
+        q = edge_dof_values(p, t, el.edge_len[slot])
+        rows.append(np.einsum("g,ig,ng->in", wt * el.edge_len[slot], q, vn))
+    if el.idim:
+        vals = el.piola_values(ref_evaluator(tri_rule.points))
+        phi = scalar_basis(p - 1).eval(tri_rule.points)
+        w = tri_rule.weights * np.sqrt(el.detB)
+        rows += [np.einsum("g,ig,ng->in", w, phi, vals[:, :, c]) for c in (0, 1)]
+    return np.vstack(rows)
+
+
+def element_tables_oracle(el, extra=0):
+    """(C, M, Bdiv) of one element from its own dof matrix: quadrature of
+    the Piola-mapped primal basis, one dense solve, then the Gram blocks.
+    ``extra`` raises the (already exact) quadrature orders."""
+    p = el.p
+    D = dofs_of_refvals(el, el.ref.eval, p + 2 + extra, quad_rule(max(2 * p, 1) + 2 * extra))
+    C = np.linalg.solve(D, np.eye(el.ndof))
+    S = el.B.T @ el.B
+    ref = el.ref
+    Mtil = (
+        S[0, 0] * ref.gram_xx + S[0, 1] * (ref.gram_xy + ref.gram_xy.T) + S[1, 1] * ref.gram_yy
+    ) / el.detB
+    M = C.T @ Mtil @ C
+    return C, (M + M.T) / 2, (ref.div_rows @ C) / np.sqrt(el.detB)
+
+
+def hat_values(patch, mesh, k, pts):
+    """Hat function of the patch vertex at physical points inside triangle k."""
+    xs = mesh.triangle_coords(k)
+    B = np.column_stack([xs[1] - xs[0], xs[2] - xs[0]])
+    lam = np.linalg.solve(B, (np.atleast_2d(pts) - xs[0]).T)
+    la = patch.local_index[k]
+    return 1.0 - lam[0] - lam[1] if la == 0 else lam[la - 1]
+
+
+# -- per-element error and fit loops -------------------------------------------------
+
+
+def local_best_oracle(v, p, mesh, k, policy):
+    """Unconstrained local best on element k: per-element quadrature on the
+    policy's rule and a dense solve of the element mass matrix."""
+    el = rtn_space(mesh, p).elements[k]
+    tri, _, _ = policy.element_rules(el, key=("tri", k))
+    pts = el.quad_points(tri)
+    vvals, dvvals = v.eval(pts, elem=k), v.eval_div(pts, elem=k)
+    c = np.linalg.solve(el.M, el.rtn_moments(vvals, tri))
+    l2 = np.sqrt(el.norm_sq(vvals - el.eval_coeffs(c, pts), tri))
+    proj = el.scalar_values(el.scalar_moments(dvvals, tri), pts)
+    div = el.h / (p + 1) * np.sqrt(el.norm_sq(dvvals - proj, tri))
+    return {"l2_part": l2, "div_part": div, "E_loc": np.hypot(l2, div), "coeffs": c}
+
+
+def element_norm_sq_oracle(a, b, p, mesh, policy, div=False):
+    """Per-element ||a - b||^2 (or of the divergences) on the policy's rules;
+    ``b`` may be None."""
+    space = rtn_space(mesh, p)
+    out = np.empty(mesh.num_triangles)
+    for k in range(mesh.num_triangles):
+        el = space.elements[k]
+        tri, _, _ = policy.element_rules(el, key=("tri", k))
+        pts = el.quad_points(tri)
+        fa = (a.eval_div if div else a.eval)(pts, elem=k)
+        fb = 0.0 if b is None else (b.eval_div if div else b.eval)(pts, elem=k)
+        out[k] = el.norm_sq(fa - fb, tri)
+    return out
+
+
+def global_best_oracle(v, p, mesh, policy):
+    """Global best: element moments in a loop, a dense KKT solve, and the
+    error by per-element quadrature; returns (Eglob_l2, dofs)."""
+    space = rtn_space(mesh, p)
+    M, B, fidx = space.conforming_blocks()
+    rhs = np.zeros(space.ndof)
+    g = np.zeros((mesh.num_triangles, space.sdim))
+    for k, el in enumerate(space.elements):
+        tri, _, _ = policy.element_rules(el, key=("tri", k))
+        pts = el.quad_points(tri)
+        rhs[space.element_dof_map(k)] += el.rtn_moments(v.eval(pts, elem=k), tri)
+        g[k] = el.scalar_moments(v.eval_div(pts, elem=k), tri)
+    nf = len(fidx)
+    A = np.block([[M.toarray(), B.T.toarray()], [B.toarray(), np.zeros((B.shape[0],) * 2)]])
+    sol = np.linalg.lstsq(A, np.concatenate([rhs[fidx], g.ravel()]), rcond=None)[0]
+    from hdivkit.projector import ConformingRTNField
+
+    sigma = ConformingRTNField(mesh, p)
+    sigma.dofs[fidx] = sol[:nf]
+    return np.sqrt(element_norm_sq_oracle(v, sigma, p, mesh, policy).sum()), sigma.dofs
+
+
+def potential_h1_error_oracle(prob, ls, u_h, rule):
+    """||grad(u - u_h)|| by quadrature one element at a time."""
+    total = 0.0
+    for k, el in enumerate(rtn_space(prob.mesh, 0).elements):
+        pts = el.map_to_phys(rule.points)
+        diff = prob.grad_u(pts) - ls.eval_grad_element(u_h, k, rule.points)
+        total += el.norm_sq(diff, (pts, rule.weights * el.detB))
+    return np.sqrt(total)
+
+
+def optimality_check(v, p, mesh, sigma, *, n_directions=10, seed=0, quad_degree=None):
+    """First-order optimality of a global minimizer along feasible directions.
+
+    Draws random conforming fields, projects them onto the divergence-free
+    constraint manifold with the same mass matrix, and returns the largest
+    normalized inner product (v - sigma, direction); at the minimizer it
+    vanishes.
+    """
+    from hdivkit.projector import random_conforming_field
+
+    policy = QuadPolicy(p, field=v, degree=quad_degree)
+    space = rtn_space(mesh, p)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    vnorm = np.sqrt(element_norm_sq_oracle(v, None, p, mesh, policy).sum())
+    for _ in range(n_directions):
+        w = random_conforming_field(mesh, p, seed=int(rng.integers(1 << 31)))
+        wdir = _divfree_projection(w, mesh, p)
+        inner = 0.0
+        wnorm2 = 0.0
+        for k in range(mesh.num_triangles):
+            el = space.elements[k]
+            tri, _, _ = policy.element_rules(el, key=("tri", k))
+            pts = el.quad_points(tri)
+            diff = v.eval(pts, elem=k) - sigma.eval(pts, elem=k)
+            wv = wdir.eval(pts, elem=k)
+            w_q = tri.weights * el.detB if hasattr(tri, "weights") else tri[1]
+            inner += float(np.sum(w_q * np.einsum("qd,qd->q", diff, wv)))
+            wnorm2 += el.norm_sq(wv, tri)
+        worst = max(worst, abs(inner) / max(vnorm * np.sqrt(wnorm2), 1e-300))
+    return worst
+
+
+def _divfree_projection(w, mesh, p):
+    """Mass-orthogonal projection of a conforming field onto div-free members."""
+    from hdivkit.linsolve import SparseFactor
+    from hdivkit.projector import ConformingRTNField
+
+    space = rtn_space(mesh, p)
+    M, B, fidx = space.conforming_blocks()
+    rhs = np.zeros(space.ndof)
+    for k, el in enumerate(space.elements):
+        dofmap = space.element_dof_map(k)
+        rhs[dofmap] += el.M @ w.dofs[dofmap]
+    A = sp.bmat([[M, B.T], [B, None]], format="csc")
+    b = np.concatenate([rhs[fidx], np.zeros(B.shape[0])])
+    sol = SparseFactor(A).solve(b)
+    out = ConformingRTNField(mesh, p)
+    out.dofs[fidx] = sol[: len(fidx)]
+    return out
+
+
 # -- sparse assembly, one hand-written COO loop per block -----------------------------
 
 
@@ -159,6 +325,19 @@ def conforming_blocks_oracle(space):
         shape=(nt * sdim, nf),
     ).tocsr()
     return M, B, fidx
+
+
+def coo_oracle(rows, cols, blocks, shape):
+    """Element blocks summed into CSR through explicit per-element COO
+    triplets, in element order."""
+    r, c, v = [], [], []
+    for ids, jds, blk in zip(rows, cols, blocks):
+        r.append(np.repeat(ids, len(jds)))
+        c.append(np.tile(jds, len(ids)))
+        v.append(np.ravel(blk))
+    return sp.coo_matrix(
+        (np.concatenate(v), (np.concatenate(r), np.concatenate(c))), shape=shape
+    ).tocsr()
 
 
 def ls_coupling_oracle(ls, space, p, q):
@@ -291,7 +470,7 @@ def interp_product_with_hat_oracle(theta, patch, mesh, p_target):
 
         def ev(pts, k=k):
             vals = theta.eval(pts, elem=k)
-            hat = patch.hat_values(mesh, k, pts)
+            hat = hat_values(patch, mesh, k, pts)
             return vals * hat[:, None]
 
         out[k] = el.dofs_of_field(ev, tri_rule=rule, n1d=n1d)
@@ -311,7 +490,7 @@ def patch_problem_oracle(patch, theta, v, p, mesh, policy):
         el = space.elements[k]
         tri, _, _ = policy.element_rules(el, key=("tri", k))
         pts = el.quad_points(tri)
-        hat = patch.hat_values(mesh, k, pts)
+        hat = hat_values(patch, mesh, k, pts)
         gk = el.scalar_moments(hat * v.eval_div(pts, elem=k), tri)
         tpts = el.map_to_phys(exact_rule.points)
         tvals = theta.eval(tpts, elem=k) @ patch.hat_grad(mesh, k)

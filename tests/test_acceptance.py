@@ -287,7 +287,7 @@ def test_criterion_6_patch_orthogonality():
                 el = space.elements[k]
                 pts = el.map_to_phys(rule.points)
                 w = rule.weights * el.detB
-                hat = patch.hat_values(m, k, pts)
+                hat = oracles.hat_values(patch, m, k, pts)
                 grad = patch.hat_grad(m, k)
                 dv = v.eval_div(pts)
                 th = theta.eval(pts, elem=k)

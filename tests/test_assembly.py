@@ -1,14 +1,22 @@
 """The shared sparse assembly against the hand-written COO loops in
-``tests/oracles.py``: the matrices must agree to the bit."""
+``tests/oracles.py``: given the same element blocks the matrices must agree
+to the bit.  The least-squares blocks come from reference tables; they must
+match per-element quadrature to roundoff."""
 
 import numpy as np
 import pytest
 
 from hdivkit.elements import rtn_space
 from hdivkit.mesh import build_structured
-from hdivkit.model_problems import manufactured_sine, solve_ls_mixed
+from hdivkit.model_problems import (
+    _coupling_blocks,
+    _stiffness_blocks,
+    manufactured_sine,
+    solve_ls_mixed,
+)
+from hdivkit.quadrature import quad_rule
 
-from oracles import conforming_blocks_oracle, ls_coupling_oracle
+from oracles import conforming_blocks_oracle, coo_oracle, ls_coupling_oracle
 
 
 def _same(A, B):
@@ -31,6 +39,13 @@ def test_conforming_blocks_bit_identical(labels, p):
 @pytest.mark.parametrize("p,q", [(0, 1), (1, 2)])
 def test_ls_blocks_bit_identical(unit_square_4, p, q):
     res = solve_ls_mixed(manufactured_sine(unit_square_4), p, q)
-    Go, So = ls_coupling_oracle(res["space"], rtn_space(unit_square_4, p), p, q)
-    assert _same(res["blocks"]["G"], Go)
-    assert _same(res["blocks"]["S"], So)
+    ls, space = res["space"], rtn_space(unit_square_4, p)
+    nodes, shape = ls._elem_nodes, (ls.n_nodes, ls.n_nodes)
+    G = coo_oracle(nodes, space.dof_map, _coupling_blocks(ls, space), (ls.n_nodes, space.ndof))
+    assert _same(res["blocks"]["G"], G)
+    rule = quad_rule(2 * q)
+    S = _stiffness_blocks(ls.mesh, rule, np.stack(ls.basis_grads_ref(rule.points), axis=2))
+    assert _same(res["blocks"]["S"], coo_oracle(nodes, nodes, S, shape))
+    Go, So = ls_coupling_oracle(ls, space, p, q)
+    for got, want in ((res["blocks"]["G"], Go), (res["blocks"]["S"], So)):
+        assert np.abs((got - want).toarray()).max() <= 1e-13 * np.abs(want.toarray()).max()

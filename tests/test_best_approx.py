@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from conftest import x2_field, x3_field
+from oracles import optimality_check
 from hdivkit import fields
 from hdivkit.best_approx import (
     error_report,
     global_best,
     local_best,
     local_best_constrained,
-    optimality_check,
 )
 from hdivkit.elements import rtn_space
 from hdivkit.fields import FieldError

@@ -15,6 +15,21 @@ def test_mesh_gen_and_inspect(tmp_path, capsys):
     assert out["dirichlet_edges"] == 8
 
 
+@pytest.mark.parametrize(
+    "labels,dirichlet,neumann",
+    [(None, 8, 0), ("file", 8, 0), ("all-neumann", 0, 8), ("left-neumann", 6, 2)],
+)
+def test_label_rule_applies_to_mesh_file(tmp_path, capsys, labels, dirichlet, neumann):
+    # an explicit rule relabels a loaded mesh; no rule or "file" keeps its labels
+    path = tmp_path / "m.json"
+    assert main(["mesh", "gen", "--mesh", "structured:2", "--out", str(path)]) == 0
+    capsys.readouterr()
+    argv = ["mesh", "inspect", "--mesh", str(path)] + (["--labels", labels] if labels else [])
+    assert main(argv) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["dirichlet_edges"], out["neumann_edges"]) == (dirichlet, neumann)
+
+
 def test_mesh_refine(tmp_path, capsys):
     path = tmp_path / "r.json"
     assert main(["mesh", "refine", "--mesh", "structured:2", "--out", str(path)]) == 0

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import rtn_primal_oracle, scalar_orthonormal_oracle
+from oracles import dofs_of_refvals, rtn_primal_oracle, scalar_orthonormal_oracle
 
 from hdivkit import polys
 from hdivkit.elements import (
@@ -42,7 +42,7 @@ def test_unisolvence_reference(p):
     el = rtn_basis(p)
     # dofs of the dual basis must give the identity
     rule = quad_rule(max(2 * p, 1))
-    D = el._dofs_of_refvals(el.ref.eval, p + 2, rule) @ el.C
+    D = dofs_of_refvals(el, el.ref.eval, p + 2, rule) @ el.C
     assert np.abs(D - np.eye(el.ndof)).max() < 1e-10
 
 

