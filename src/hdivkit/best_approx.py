@@ -16,16 +16,17 @@ import numpy as np
 import scipy.sparse as sp
 
 from .elements import rtn_space
-from .linsolve import SparseFactor, spd_solve_stacked
-from .local_solve import elem_constrained_min
+from .linsolve import SparseFactor, solve_stacked
+from .local_solve import constrained_fit
 from .projector import ConformingRTNField, check_field_compatibility
 from .quadpolicy import QuadPolicy
 
 
-def _local_fits(v, p, mesh, policy, tris=None):
-    """Unconstrained local best approximations on the elements ``tris``
-    (default: all), batched over the policy's quadrature groups: stacked
-    solves of the element mass matrices.  Arrays in the order of ``tris``."""
+def _local_fits(v, p, mesh, policy, tris=None, constrained=False):
+    """Local best approximations on the elements ``tris`` (default: all),
+    batched over the policy's quadrature groups: stacked solves of the
+    element mass matrices, or of the element KKT systems with the
+    divergence constraint.  Arrays in the order of ``tris``."""
     space = rtn_space(mesh, p)
     tris = np.arange(mesh.num_triangles) if tris is None else np.asarray(tris, int)
     pos = np.empty(mesh.num_triangles, int)
@@ -34,7 +35,10 @@ def _local_fits(v, p, mesh, policy, tris=None):
     div = np.empty(len(tris))
     coeffs = np.empty((len(tris), space.ref.dim))
     for g, vvals, dvvals in policy.samples(v, mesh, tris):
-        c = spd_solve_stacked(space.M[g.tris], space.moments(g, vvals))
+        if constrained:
+            c = constrained_fit(space, g, vvals, dvvals)
+        else:
+            c = solve_stacked(space.M[g.tris], space.moments(g, vvals))
         r = pos[g.tris]
         coeffs[r] = c
         l2[r] = np.sqrt(g.norm_sq(vvals - space.values(g, c)))
@@ -55,24 +59,16 @@ def local_best(v, p, mesh, k, *, policy=None, quad_degree=None):
 
 
 def local_best_constrained(v, p, mesh, k, *, policy=None, quad_degree=None):
-    """Divergence-constrained local best approximation on element k."""
-    space = rtn_space(mesh, p)
-    el = space.elements[k]
+    """Divergence-constrained local best approximation on element k: the
+    one-element slice of the stacked constrained fits."""
     if policy is None:
         policy = QuadPolicy(p, field=v, degree=quad_degree)
-    theta = elem_constrained_min(v, p, mesh, k, policy=policy)
-    tri, _, _ = policy.element_rules(el, key=("tri", k))
-    pts = el.quad_points(tri)
-    vvals = v.eval(pts, elem=k)
-    dvvals = v.eval_div(pts, elem=k)
-    l2 = np.sqrt(el.norm_sq(vvals - el.eval_coeffs(theta, pts), tri))
-    proj = el.scalar_values(el.scalar_moments(dvvals, tri), pts)
-    div_part = el.h / (p + 1) * np.sqrt(el.norm_sq(dvvals - proj, tri))
+    fit = _local_fits(v, p, mesh, policy, [k], constrained=True)
     return {
-        "l2_part": l2,
-        "div_part": div_part,
-        "E_loc_c": np.sqrt(l2**2 + div_part**2),
-        "coeffs": theta,
+        "l2_part": float(fit["l2_part"][0]),
+        "div_part": float(fit["div_part"][0]),
+        "E_loc_c": float(fit["E_loc"][0]),
+        "coeffs": fit["coeffs"][0],
     }
 
 
@@ -183,7 +179,6 @@ def error_report(
 ) -> ErrorReport:
     """Full local/global error evaluation with one shared quadrature policy."""
     policy = QuadPolicy(p, field=v, degree=quad_degree)
-    nt = mesh.num_triangles
     rep = ErrorReport(p=p, field_name=field_name or getattr(v, "name", ""), mesh_id=mesh_id)
     loc = _local_fits(v, p, mesh, policy)
     rep.Eloc_l2, rep.Eloc_div, rep.Eloc = loc["l2_part"], loc["div_part"], loc["E_loc"]
@@ -195,11 +190,7 @@ def error_report(
     rep.metadata["minimizer"] = glob["minimizer"]
     rep.metadata["quad_degree"] = policy.base_degree
     if include_constrained:
-        rep.Eloc_constrained = np.empty(nt)
-        for k in range(nt):
-            rep.Eloc_constrained[k] = local_best_constrained(v, p, mesh, k, policy=policy)[
-                "E_loc_c"
-            ]
+        rep.Eloc_constrained = _local_fits(v, p, mesh, policy, constrained=True)["E_loc"]
     if include_pm1 and p >= 1:
         # degree p-1 errors keep their own h/(p) divergence weight
         pol = QuadPolicy(p - 1, field=v, degree=quad_degree)

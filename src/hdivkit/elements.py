@@ -285,7 +285,7 @@ class ElementTables:
     def values(self, group, coeffs):
         """Values of the coefficient rows (one per group element) at the
         group's points; (n, nq, 2)."""
-        prim, _ = group.tables(self.p)
+        prim = group.prim(self.p)
         tris = group.tris
         ref = group.combine((self.C[tris] @ coeffs[:, :, None])[:, :, 0], prim)
         return ref @ np.swapaxes(self.B[tris], 1, 2) / self.detB[tris, None, None]
@@ -295,19 +295,19 @@ class ElementTables:
 
     def scalar_values(self, group, scoeffs):
         """Values of scalar rows in the orthonormal P_p(K) bases; (n, nq)."""
-        _, phi = group.tables(self.p)
+        phi = group.phi(self.p)
         return group.combine(scoeffs, phi) / np.sqrt(self.detB[group.tris])[:, None]
 
     def moments(self, group, vals):
         """(f, Phi_j)_K of field values (n, nq, 2) at the group's points; (n, ndof)."""
-        prim, _ = group.tables(self.p)
+        prim = group.prim(self.p)
         tris = group.tris
         F = vals @ self.B[tris] * (group.w / self.detB[tris, None])[:, :, None]  # B_k^T f
         return (group.contract(prim, F)[:, None, :] @ self.C[tris])[:, 0]
 
     def scalar_moments(self, group, vals):
         """(f, phi_m)_K against the orthonormal P_p(K) bases; (n, sdim)."""
-        _, phi = group.tables(self.p)
+        phi = group.phi(self.p)
         return group.contract(phi, vals * group.w) / np.sqrt(self.detB[group.tris])[:, None]
 
     def oscillation_sq(self, group, vals):

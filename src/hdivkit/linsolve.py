@@ -1,14 +1,16 @@
-"""Dense and sparse symmetric-indefinite solves and the one sparse assembly.
+"""Dense and sparse solves and the one sparse assembly.
 
-Dense systems go through LAPACK Bunch-Kaufman: one ``sytrf`` factorization
-(blocked, with the workspace size LAPACK asks for) and two ``sytrs`` solves,
-the second one a step of iterative refinement; the symmetry of the matrix
-and the relative residual of the answer are checked.  Sparse systems go
-through SuperLU, also refined once.  Saddle problems [[M, B^T], [B, 0]]
-with a known constraint kernel are handled by a symmetric bordering
-row/column against the kernel vector, after projecting the constraint data
-onto the compatible subspace.  ``assemble_csr`` is the single place where
-element blocks are summed into a global sparse matrix.
+Small dense systems come in stacks (one per element or vertex patch):
+``solve_stacked`` factorizes each chunk of the stack with one
+``np.linalg.solve`` and checks every system's relative residual;
+``saddle_solve_stacked`` builds the KKT stacks [[M, B^T], [B, 0]] on top of
+it, with a known constraint kernel handled by a symmetric bordering
+row/column after projecting the constraint data onto the compatible
+subspace.  A lone dense system goes through LAPACK Bunch-Kaufman
+(``dense_solve``: ``sytrf`` and two ``sytrs``, the second one a step of
+iterative refinement).  Sparse systems go through SuperLU, also refined
+once.  ``assemble_csr`` is the single place where element blocks are
+summed into a global sparse matrix.
 """
 
 from __future__ import annotations
@@ -17,6 +19,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
+
+
+# bytes of one stacked chunk: KKT systems and quadrature groups alike are
+# processed in pieces of at most this size, which bounds their temporaries
+STACK_BYTES = 1 << 19
 
 
 class SingularSystemError(RuntimeError):
@@ -47,68 +54,64 @@ def dense_solve(A, b):
     return x
 
 
-def spd_solve_stacked(A, b):
-    """Solve stacked symmetric positive definite systems A[k] x[k] = b[k]
-    with one refinement step and ``dense_solve``'s relative-residual check."""
+def chunks(n, item_bytes):
+    """Slices of ``range(n)`` whose items, ``item_bytes`` each, fill at most
+    ``STACK_BYTES`` (at least one item per slice)."""
+    step = max(1, STACK_BYTES // max(int(item_bytes), 1))
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def solve_stacked(A, b):
+    """Solve stacked systems A[k] x[k] = b[k]: one LU-factorizing
+    ``np.linalg.solve`` per chunk of ``STACK_BYTES`` and ``dense_solve``'s
+    relative-residual check on every system."""
     A = np.asarray(A, float)
-    b = np.asarray(b, float)[..., None]
-    try:
-        x = np.linalg.solve(A, b)
-        x = x + np.linalg.solve(A, b - A @ x)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"stacked solve failed: {exc}") from exc
-    scale = np.maximum(
-        np.linalg.norm(b, axis=(1, 2)),
-        np.abs(A).max(axis=(1, 2)) * np.linalg.norm(x, axis=(1, 2)),
-    )
-    res = np.linalg.norm(b - A @ x, axis=(1, 2)) / np.maximum(scale, 1e-300)
-    if res.size and res.max() > 1e-8:
-        raise SingularSystemError(
-            f"dense solve residual {res.max():.2e} (system {int(res.argmax())})"
-        )
-    return x[..., 0]
+    b = np.asarray(b, float)
+    x = np.empty_like(b)
+    res = np.zeros(len(b))
+    for sl in chunks(len(A), A[0].nbytes if len(A) else 1):
+        try:
+            x[sl] = np.linalg.solve(A[sl], b[sl, :, None])[..., 0]
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"stacked solve failed: {exc}") from exc
+        r = b[sl] - (A[sl] @ x[sl, :, None])[..., 0]
+        size = np.maximum(A[sl].max(axis=(1, 2)), -A[sl].min(axis=(1, 2)))
+        scale = np.maximum(np.linalg.norm(b[sl], axis=1), size * np.linalg.norm(x[sl], axis=1))
+        res[sl] = np.linalg.norm(r, axis=1) / np.maximum(scale, 1e-300)
+    if res.size and not res.max() <= 1e-8:
+        worst = int(np.argmax(np.where(np.isnan(res), np.inf, res)))
+        raise SingularSystemError(f"dense solve residual {res[worst]:.2e} (system {worst})")
+    return x
 
 
-def saddle_matrix(M, B, kernel=None):
-    """Dense KKT matrix [[M, B^T], [B, 0]], optionally bordered by a kernel row.
+def saddle_solve_stacked(M, B, rhs, g, kernel=None):
+    """Minimize 1/2 x^T M[k] x - rhs[k]^T x subject to B[k] x = g[k] for every k.
 
-    ``kernel`` is a left null vector of B (constraint-space direction along
-    which the data must be compatible); the bordering pins the corresponding
-    multiplier component.
+    ``M`` (n, d, d), ``B`` (n, m, d); returns (x (n, d), multipliers (n, m)).
+    With ``kernel`` (n, m), a left null vector of each B[k], g[k] is first
+    projected onto the compatible subspace and the KKT matrix
+    [[M, B^T, 0], [B, 0, kernel], [0, kernel^T, 0]] pins the multiplier
+    along it.  The KKT stack is built and solved a chunk at a time.
     """
-    M = np.asarray(M, float)
-    B = np.atleast_2d(np.asarray(B, float))
-    n, m = M.shape[0], B.shape[0]
-    size = n + m + (1 if kernel is not None else 0)
-    A = np.zeros((size, size))
-    A[:n, :n] = M
-    A[n : n + m, :n] = B
-    A[:n, n : n + m] = B.T
+    M, B = np.asarray(M, float), np.asarray(B, float)
+    rhs, g = np.asarray(rhs, float), np.asarray(g, float)
+    n, m, d = B.shape
     if kernel is not None:
-        k = np.asarray(kernel, float)
-        A[n : n + m, -1] = k
-        A[-1, n : n + m] = k
-    return A
-
-
-def saddle_solve_dense(M, B, rhs, g, kernel=None):
-    """Minimize 1/2 x^T M x - rhs^T x subject to B x = g (dense path).
-
-    Returns (x, multiplier).  With a kernel, g is first projected onto the
-    compatible subspace; the projected-out component is the compatibility
-    defect, available to callers via the kernel inner product beforehand.
-    """
-    M = np.asarray(M, float)
-    B = np.atleast_2d(np.asarray(B, float))
-    g = np.asarray(g, float)
-    if kernel is not None:
-        k = np.asarray(kernel, float)
-        g = g - k * (k @ g) / (k @ k)
-    A = saddle_matrix(M, B, kernel)
-    b = np.concatenate([np.asarray(rhs, float), g, [0.0] * (1 if kernel is not None else 0)])
-    sol = dense_solve(A, b)
-    n = M.shape[0]
-    return sol[:n], sol[n : n + B.shape[0]]
+        kernel = np.asarray(kernel, float)
+        g = g - kernel * (np.sum(kernel * g, axis=1) / np.sum(kernel * kernel, axis=1))[:, None]
+    size = d + m + (kernel is not None)
+    sol = np.empty((n, size))
+    for sl in chunks(n, 8 * size * size):
+        K = np.zeros((len(M[sl]), size, size))
+        K[:, :d, :d] = M[sl]
+        K[:, d : d + m, :d] = B[sl]
+        K[:, :d, d : d + m] = np.swapaxes(B[sl], 1, 2)
+        b = np.zeros((len(K), size))
+        b[:, :d], b[:, d : d + m] = rhs[sl], g[sl]
+        if kernel is not None:
+            K[:, d : d + m, -1] = K[:, -1, d : d + m] = kernel[sl]
+        sol[sl] = solve_stacked(K, b)
+    return sol[:, :d], sol[:, d : d + m]
 
 
 def assemble_csr(rows, cols, blocks, shape):

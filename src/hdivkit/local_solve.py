@@ -10,6 +10,11 @@ on the patch boundary except on Dirichlet edges at Dirichlet vertices)
 subject to a prescribed elementwise divergence.  For interior and Neumann
 vertices the multiplier has a constant kernel; the data is projected onto the
 compatible subspace and the kernel mode pinned by a symmetric bordering row.
+
+Both steps are stacked dense solves: the element fits over the quadrature
+groups of a ``QuadPolicy``, the patch problems over the signature groups of
+the ``PatchLayout`` (patches with equal dof count, triangle count and
+kernel give KKT systems of one size).
 """
 
 from __future__ import annotations
@@ -19,26 +24,36 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import polys
-from .elements import barycentric, hat_operators, rtn_space, scalar_basis
-from .linsolve import saddle_solve_dense
-from .mesh import INTERIOR, NEUMANN
+from .elements import hat_operators, rtn_space
+from .linsolve import chunks, saddle_solve_stacked
+from .mesh import DIRICHLET, INTERIOR, NEUMANN, VertexPatch, vertex_patches
 from .projections import BrokenRTNField, hat_interpolants
 from .quadpolicy import QuadPolicy
-from .quadrature import TriangleRule, quad_rule
+from .quadrature import quad_rule
 
 
 class CompatibilityError(RuntimeError):
     pass
 
 
+def constrained_fit(space, group, vals, dvals):
+    """Divergence-constrained L2 fits in ``space`` on the elements of a
+    quadrature group, from field and divergence values at its points: one
+    stacked KKT solve; the divergence coefficients equal the projected data
+    to solver precision.  (n, ndof)."""
+    tris = group.tris
+    b, g = space.moments(group, vals), space.scalar_moments(group, dvals)
+    return saddle_solve_stacked(space.M[tris], space.Bdiv[tris], b, g)[0]
+
+
 def elem_constrained_min(
     v, p, mesh, k, *, degree_mode="standard", policy=None, quad_degree=None
 ):
-    """Divergence-constrained local L2 fit on one element.
+    """Divergence-constrained local L2 fit on one element: the one-element
+    slice of ``theta_field``.
 
     Returns the coefficient vector of the minimizer in RTN_p(K) (reduced
-    mode: RTN_{p-1}(K)).  The constraint is imposed through a multiplier, so
-    the divergence coefficients equal the projected data to solver precision.
+    mode: RTN_{p-1}(K)).
     """
     if degree_mode == "standard":
         q = p
@@ -48,41 +63,143 @@ def elem_constrained_min(
         q = p - 1
     else:
         raise ValueError(f"unknown degree_mode {degree_mode!r}")
-    space = rtn_space(mesh, q)
-    el = space.elements[k]
     if policy is None:
         policy = QuadPolicy(q, field=v, degree=quad_degree)
-    tri, _, _ = policy.element_rules(el, key=("tri", k))
-    pts = el.quad_points(tri)
-    b = el.rtn_moments(v.eval(pts, elem=k), tri)
-    g = el.scalar_moments(v.eval_div(pts, elem=k), tri)
-    theta, _ = saddle_solve_dense(el.M, el.Bdiv, b, g)
-    return theta
+    ((group, vals, dvals),) = policy.samples(v, mesh, [k])
+    return constrained_fit(rtn_space(mesh, q), group, vals, dvals)[0]
 
 
 def theta_field(v, p, mesh, *, variant="def31", policy=None, quad_degree=None):
-    """Elementwise constrained minimizer over the whole mesh.
+    """Elementwise constrained minimizer over the whole mesh, stacked over
+    the policy's quadrature groups.
 
     ``def31`` fits in RTN_p, ``def52`` in RTN_{p-1} (requires p >= 1).
     """
     if variant == "def31":
         q = p
-        mode = "standard"
     elif variant == "def52":
         if p < 1:
             raise ValueError("variant def52 needs p >= 1")
         q = p - 1
-        mode = "reduced"
     else:
         raise ValueError(f"unknown variant {variant!r}")
     if policy is None:
         policy = QuadPolicy(q, field=v, degree=quad_degree)
+    space = rtn_space(mesh, q)
     out = BrokenRTNField(mesh, q)
-    for k in range(mesh.num_triangles):
-        out.coeffs[k] = elem_constrained_min(
-            v, p, mesh, k, degree_mode=mode, policy=policy
-        )
+    for group, vals, dvals in policy.samples(v, mesh):
+        out.coeffs[group.tris] = constrained_fit(space, group, vals, dvals)
     return out
+
+
+# -- patch layout ------------------------------------------------------------------
+
+
+@dataclass
+class PatchGroup:
+    """Vertex patches of one signature (patch dofs, triangle count, kernel)
+    as arrays; row r is the patch of vertex ``verts[r]``.
+
+    ``tris[r]`` lists its triangles (ascending) and ``local[r]`` the local
+    index of the vertex in each; ``elem_map[r, t, j]`` is the patch dof of
+    local dof j of triangle t (-1 where pinned to zero); ``dofs[r]`` holds
+    the global dof of each patch dof: the dofs of the active edges in
+    ascending edge order, then the interior dofs of each triangle.
+    """
+
+    verts: np.ndarray  # (n,)
+    tris: np.ndarray  # (n, nt)
+    local: np.ndarray  # (n, nt)
+    elem_map: np.ndarray  # (n, nt, ndof)
+    dofs: np.ndarray  # (n, nd)
+    kernel: bool  # interior and Neumann vertices: constant multiplier kernel
+
+    def rows(self, sl):
+        return PatchGroup(
+            self.verts[sl], self.tris[sl], self.local[sl], self.elem_map[sl], self.dofs[sl], self.kernel
+        )
+
+
+@dataclass
+class PatchLayout:
+    """Every vertex patch of a mesh at degree p, in signature groups cut
+    into chunks whose KKT systems fill at most ``STACK_BYTES``."""
+
+    groups: list
+    where: np.ndarray  # (nv, 2): group index and row of each vertex
+
+    def group_of(self, vertex):
+        """The group of one row holding the patch of ``vertex``."""
+        gi, r = self.where[vertex]
+        return self.groups[gi].rows(slice(r, r + 1))
+
+
+def patch_layout(mesh, p) -> PatchLayout:
+    """The patch layout of ``mesh`` at degree p, built once and cached."""
+    key = ("patch_layout", p)
+    if key not in mesh._cache:
+        mesh._cache[key] = _build_patch_layout(mesh, p)
+    return mesh._cache[key]
+
+
+def _build_patch_layout(mesh, p):
+    space = rtn_space(mesh, p)
+    nt, nv, ne = mesh.num_triangles, mesh.num_vertices, mesh.num_edges
+    n_int = space.n_int
+    # triangle corners by vertex, then triangle
+    corner = np.argsort(mesh.triangles.ravel(), kind="stable")
+    c_vert, c_tri, c_loc = mesh.triangles.ravel()[corner], corner // 3, corner % 3
+    count = np.bincount(c_vert, minlength=nv)
+    start = np.cumsum(count) - count
+    # active edges: interior ones at the vertex and, at Dirichlet vertices,
+    # the Dirichlet edges (a vertex on a Dirichlet edge is a Dirichlet vertex)
+    dirichlet = np.zeros(ne, dtype=bool)
+    dirichlet[np.array(mesh.edges_with_label(DIRICHLET), dtype=int)] = True
+    kernel = np.bincount(mesh.edges[dirichlet].ravel(), minlength=nv) == 0
+    active = (mesh.edge_tris[:, 1] != -1) | dirichlet
+    a_vert, a_edge = mesh.edges[active].ravel(), np.repeat(np.flatnonzero(active), 2)
+    order = np.lexsort((a_edge, a_vert))
+    a_vert, a_edge = a_vert[order], a_edge[order]
+    n_act = np.bincount(a_vert, minlength=nv)
+    a_start = np.cumsum(n_act) - n_act
+    # patch dof of every local dof of every corner
+    keys = np.append(a_vert * ne + a_edge, nv * ne)  # ascending, with a sentinel
+    want = c_vert[:, None] * ne + mesh.tri_edges[c_tri]
+    pos = np.searchsorted(keys, want)
+    rank = np.where(keys[pos] == want, pos - a_start[c_vert][:, None], -1)
+    edge_map = np.where(rank[:, :, None] >= 0, rank[:, :, None] * (p + 1) + np.arange(p + 1), -1)
+    t_idx = np.arange(3 * nt) - start[c_vert]
+    int_map = (n_act[c_vert] * (p + 1) + t_idx * n_int)[:, None] + np.arange(n_int)
+    elem_map = np.hstack([edge_map.reshape(3 * nt, -1), int_map])
+    nd = n_act * (p + 1) + count * n_int
+    sig = np.stack([nd, count, kernel], axis=1)
+    groups, where = [], np.empty((nv, 2), dtype=int)
+    for s in np.unique(sig, axis=0):
+        vs = np.flatnonzero((sig == s).all(axis=1))
+        c = start[vs][:, None] + np.arange(s[1])
+        tris = c_tri[c]
+        edges = a_edge[a_start[vs][:, None] + np.arange(n_act[vs[0]])]
+        dofs = np.hstack([
+            (edges[:, :, None] * (p + 1) + np.arange(p + 1)).reshape(len(vs), -1),
+            (space.ndof_edge + tris[:, :, None] * n_int + np.arange(n_int)).reshape(len(vs), -1),
+        ])
+        group = PatchGroup(vs, tris, c_loc[c], elem_map[c], dofs, bool(s[2]))
+        size = s[0] + s[1] * space.sdim + s[2]
+        for sl in chunks(len(vs), 8 * size**2):
+            where[vs[sl], 0] = len(groups)
+            where[vs[sl], 1] = np.arange(len(vs[sl]))
+            groups.append(group.rows(sl))
+    return PatchLayout(groups, where)
+
+
+def sum_patch_fields(parts, ndof):
+    """Zero extensions of patch solutions, summed into one global dof vector
+    in ascending vertex order; ``parts`` holds (PatchGroup, solutions (n, nd))."""
+    verts = np.concatenate([np.repeat(g.verts, g.dofs.shape[1]) for g, _ in parts])
+    dofs = np.concatenate([g.dofs.ravel() for g, _ in parts])
+    vals = np.concatenate([np.ravel(s) for _, s in parts])
+    order = np.argsort(verts, kind="stable")
+    return np.bincount(dofs[order], vals[order], ndof)
 
 
 # -- patch space and problem -------------------------------------------------------
@@ -94,63 +211,16 @@ class PatchSpace:
 
     patch: object
     p: int
-    active_edges: list
     tris: np.ndarray
-    n_edge: int
-    n_int: int
     ndof: int
     elem_maps: dict  # triangle -> local dof -> patch dof (-1 = pinned to zero)
-
-    def global_dof_map(self, space):
-        """Global dof index of each patch dof (for zero-extension scatter)."""
-        p = self.p
-        out = np.empty(self.ndof, dtype=int)
-        for i, e in enumerate(self.active_edges):
-            out[i * (p + 1) : (i + 1) * (p + 1)] = np.arange(
-                e * (p + 1), (e + 1) * (p + 1)
-            )
-        for t_idx, k in enumerate(self.tris):
-            base = space.ndof_edge + int(k) * space.n_int
-            out[self.n_edge + t_idx * self.n_int : self.n_edge + (t_idx + 1) * self.n_int] = np.arange(
-                base, base + space.n_int
-            )
-        return out
-
-    @classmethod
-    def build(cls, patch, space):
-        p = space.p
-        active = list(patch.active_edges)
-        epos = {e: i for i, e in enumerate(active)}
-        n_edge = len(active) * (p + 1)
-        n_int = space.n_int
-        tris = patch.tris
-        maps = {}
-        for t_idx, k in enumerate(tris):
-            k = int(k)
-            el = space.elements[k]
-            m = -np.ones(el.ndof, dtype=int)
-            for slot in range(3):
-                e = space.mesh.tri_edges[k, slot]
-                if e in epos:
-                    m[slot * (p + 1) : (slot + 1) * (p + 1)] = np.arange(
-                        epos[e] * (p + 1), (epos[e] + 1) * (p + 1)
-                    )
-            m[3 * (p + 1) :] = n_edge + t_idx * n_int + np.arange(n_int)
-            maps[k] = m
-        return cls(
-            patch=patch,
-            p=p,
-            active_edges=active,
-            tris=tris,
-            n_edge=n_edge,
-            n_int=n_int,
-            ndof=n_edge + len(tris) * n_int,
-            elem_maps=maps,
-        )
+    dofs: np.ndarray  # patch dof -> global dof (for zero-extension scatter)
 
 
 @dataclass
 class PatchProblem:
+    """The equilibration problem of one vertex patch."""
+
     pspace: PatchSpace
     g: dict  # triangle -> divergence data coefficients (orthonormal scalar basis)
     chi: dict  # triangle -> target dof vector (broken RTN_p)
@@ -161,6 +231,51 @@ class PatchProblem:
     kernel: np.ndarray | None
     compat_defect: float = 0.0
     meta: dict = dfield(default_factory=dict)
+
+
+@dataclass
+class PatchGroupProblem:
+    """The equilibration problems of a ``PatchGroup``, stacked: ``chi``
+    (n, nt, ndof) and ``g`` (n, nt, sdim) per triangle, ``M`` (n, nd, nd),
+    ``B`` (n, nt sdim, nd), ``rhs``, ``grhs``, ``kernel`` (or None) and
+    ``compat_defect`` with one row per patch."""
+
+    group: PatchGroup
+    chi: np.ndarray
+    g: np.ndarray
+    M: np.ndarray
+    B: np.ndarray
+    rhs: np.ndarray
+    grhs: np.ndarray
+    kernel: np.ndarray | None
+    compat_defect: np.ndarray
+    meta: dict = dfield(default_factory=dict)
+
+    def patch(self, r, mesh, p) -> PatchProblem:
+        """Row r as the problem of one patch."""
+        grp = self.group
+        patch = vertex_patches(mesh)[int(grp.verts[r])]
+        tris = grp.tris[r]
+        pspace = PatchSpace(
+            patch=patch,
+            p=p,
+            tris=tris,
+            ndof=grp.dofs.shape[1],
+            elem_maps={int(k): grp.elem_map[r, t] for t, k in enumerate(tris)},
+            dofs=grp.dofs[r],
+        )
+        return PatchProblem(
+            pspace=pspace,
+            g={int(k): self.g[r, t] for t, k in enumerate(tris)},
+            chi={int(k): self.chi[r, t] for t, k in enumerate(tris)},
+            M=self.M[r],
+            B=self.B[r],
+            rhs=self.rhs[r],
+            grhs=self.grhs[r],
+            kernel=None if self.kernel is None else self.kernel[r],
+            compat_defect=float(self.compat_defect[r]),
+            meta=self.meta,
+        )
 
 
 @dataclass
@@ -185,15 +300,15 @@ def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None, tris=None) -> 
 
     The target and the gradient term come from the exact reference operators
     of ``hat_operators`` conjugated by the dof scaling; the divergence term
-    evaluates div v once per element on the policy's rule.  ``mass_scale``
-    holds the magnitudes of the two terms of (g, 1)_K: (lambda_i |div v|, 1)_K,
-    and |G_i[0]| |T_k^{-1} theta| / sqrt(2), the Cauchy-Schwarz bound of
-    (grad lambda_i . theta, 1)_K, whose value is roundoff when theta's
-    components along G_i[0] vanish.  Their cancellation over a patch is
-    measured on this scale.
+    contracts div v, sampled once per policy, over its quadrature groups.
+    ``mass_scale`` holds the magnitudes of the two terms of (g, 1)_K:
+    (lambda_i |div v|, 1)_K, and |G_i[0]| |T_k^{-1} theta| / sqrt(2), the
+    Cauchy-Schwarz bound of (grad lambda_i . theta, 1)_K, whose value is
+    roundoff when theta's components along G_i[0] vanish.  Their
+    cancellation over a patch is measured on this scale.
     """
     space = rtn_space(mesh, p)
-    tris = np.arange(mesh.num_triangles) if tris is None else np.asarray(tris, int)
+    tris = np.arange(mesh.num_triangles) if tris is None else np.unique(tris)
     if policy is None:
         policy = QuadPolicy(p, field=v, degree=None)
     chi = hat_interpolants(theta, p, tris)
@@ -207,107 +322,120 @@ def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None, tris=None) -> 
 
 
 def _hat_div_moments(v, space, policy, tris):
-    """(lambda_i div v, phi_m)_K on the policy's element rules, (n, 3, sdim),
-    and (lambda_i |div v|, 1)_K, (n, 3)."""
-    sb = scalar_basis(space.p)
-    out = np.empty((len(tris), 3, sb.dim))
+    """(lambda_i div v, phi_m)_K over the policy's quadrature groups,
+    (n, 3, sdim), and (lambda_i |div v|, 1)_K, (n, 3), for ascending ``tris``."""
+    out = np.empty((len(tris), 3, space.sdim))
     mag = np.empty((len(tris), 3))
-    on_ref = {}  # reference rules are shared objects: tabulate once per rule
-    for r, k in enumerate(tris):
-        k = int(k)
-        el = space.elements[k]
-        rule, _, _ = policy.element_rules(el, key=("tri", k))
-        if isinstance(rule, TriangleRule):
-            if id(rule) not in on_ref:
-                on_ref[id(rule)] = barycentric(rule.points), sb.eval(rule.points)
-            lam, phi = on_ref[id(rule)]
-            pts, w = el.map_to_phys(rule.points), rule.weights * el.detB
-        else:
-            pts, w = rule
-            ref = el.map_to_ref(pts)
-            lam, phi = barycentric(ref), sb.eval(ref)
-        dv = v.eval_div(pts, elem=k)
-        out[r] = (lam * (w * dv)) @ phi.T / np.sqrt(el.detB)
-        mag[r] = lam @ (w * np.abs(dv))
+    for g, _, dv in policy.samples(v, space.mesh, tris):
+        lam = g.barycentric()
+        r = np.searchsorted(tris, g.tris)
+        for i in range(3):
+            out[r, i] = space.scalar_moments(g, lam[i] * dv)
+        mag[r] = np.einsum("ikq,kq->ki", lam, g.w * np.abs(dv))
     return out, mag
+
+
+def _mass_defects(group, data, mesh):
+    """Relative patch mass |(g, 1)_omega| against the size of its
+    cancelling terms, per row of ``group`` (zero without a kernel)."""
+    if not group.kernel:
+        return np.zeros(len(group.verts))
+    r = np.searchsorted(data.tris, group.tris)
+    mass = np.sum(np.sqrt(mesh.area[group.tris]) * data.g[r, group.local, 0], axis=1)
+    scale = np.sum(data.mass_scale[r, group.local], axis=1)
+    return np.abs(mass) / np.maximum(scale, 1e-300)
+
+
+def patch_defects(layout, data, mesh):
+    """``_mass_defects`` of every vertex patch, in vertex order."""
+    out = np.zeros(len(layout.where))
+    for group in layout.groups:
+        out[group.verts] = _mass_defects(group, data, mesh)
+    return out
+
+
+def check_compatibility(verts, defects):
+    """Raise for the first of ``verts`` (ascending) whose patch data is
+    incompatible: a patch mass above 1e-9 of its terms' size."""
+    bad = np.flatnonzero(defects > 1e-9)
+    if len(bad):
+        raise CompatibilityError(
+            f"patch of vertex {int(verts[bad[0]])}: divergence data incompatible "
+            f"(defect {defects[bad[0]]:.2e}); the elementwise fit and the patch data disagree"
+        )
+
+
+def _sum_into(shape, idx, vals):
+    """``vals`` summed into zeros(shape) at flat indices ``idx`` in input
+    order; negative indices are dropped."""
+    keep = idx >= 0
+    return np.bincount(idx[keep], vals[keep], int(np.prod(shape))).reshape(shape)
 
 
 def build_patch_problem(
     patch, theta: BrokenRTNField, v, p, mesh, *, variant="def31", policy=None, data=None
-) -> PatchProblem:
-    """Assemble the equilibration problem of one vertex patch.
+):
+    """Assemble the equilibration problems of a ``PatchGroup`` as stacked
+    arrays (a ``PatchGroupProblem``), or of one ``VertexPatch`` (a
+    ``PatchProblem``, its group of one).
 
     def31: data = Pi_p(psi_a div v + grad psi_a . theta), target = the
     degree-p interpolant of psi_a theta.  def52: theta has degree p-1, the
     gradient term is already a degree-p polynomial and the target psi_a theta
     lies in broken RTN_p exactly; the same dof extraction realizes both.
     ``data`` holds the element tables of ``patch_data``; without it they are
-    built for the patch's triangles.
+    built for the patches' triangles.  Element blocks are summed in triangle
+    order.  Raises CompatibilityError for the lowest vertex whose patch data
+    has a nonzero mass against the constant multiplier kernel.
     """
+    single = isinstance(patch, VertexPatch)
+    group = patch_layout(mesh, p).group_of(patch.vertex) if single else patch
     space = rtn_space(mesh, p)
-    pspace = PatchSpace.build(patch, space)
     if data is None:
-        data = patch_data(theta, v, p, mesh, policy=policy, tris=patch.tris)
-    chi, g = {}, {}
-    mass_scale = 0.0
-    for r, k in zip(np.searchsorted(data.tris, patch.tris), patch.tris):
-        k = int(k)
-        i = patch.local_index[k]
-        chi[k], g[k] = data.chi[r, i], data.g[r, i]
-        mass_scale += data.mass_scale[r, i]
-    # assemble quadratic form and constraint on active dofs
-    nd = pspace.ndof
-    M = np.zeros((nd, nd))
-    rhs = np.zeros(nd)
-    sdim = space.sdim
-    B = np.zeros((len(patch.tris) * sdim, nd))
-    grhs = np.zeros(len(patch.tris) * sdim)
-    for t_idx, k in enumerate(patch.tris):
-        k = int(k)
-        el = space.elements[k]
-        m = pspace.elem_maps[k]
-        act = m >= 0
-        ia = m[act]
-        M[np.ix_(ia, ia)] += el.M[np.ix_(act, act)]
-        rhs[ia] += el.M[act] @ chi[k]
-        rows = slice(t_idx * sdim, (t_idx + 1) * sdim)
-        B[rows, ia] = el.Bdiv[:, act]
-        grhs[rows] = g[k]
+        data = patch_data(theta, v, p, mesh, policy=policy, tris=group.tris.ravel())
+    defect = _mass_defects(group, data, mesh)
+    check_compatibility(group.verts, defect)
+    r = np.searchsorted(data.tris, group.tris)
+    chi, g = data.chi[r, group.local], data.g[r, group.local]
+    (n, nt), nd, sdim = group.tris.shape, group.dofs.shape[1], space.sdim
+    m = group.elem_map
+    row = np.arange(n)[:, None, None]
+    Mk = space.M[group.tris]
+    pair = (m[..., :, None] >= 0) & (m[..., None, :] >= 0)
+    M = _sum_into((n, nd, nd), np.where(pair, ((row * nd + m)[..., None]) * nd + m[..., None, :], -1), Mk)
+    rhs = _sum_into((n, nd), np.where(m >= 0, row * nd + m, -1), (Mk @ chi[..., None])[..., 0])
+    brow = (row * nt + np.arange(nt)[:, None]) * sdim
+    bidx = (brow[..., None] + np.arange(sdim)[:, None]) * nd + m[:, :, None, :]
+    B = _sum_into((n, nt * sdim, nd), np.where(m[:, :, None, :] >= 0, bidx, -1), space.Bdiv[group.tris])
     kernel = None
-    defect = 0.0
-    if patch.kind in (INTERIOR, NEUMANN):
-        kernel = np.zeros(len(patch.tris) * sdim)
-        for t_idx, k in enumerate(patch.tris):
-            kernel[t_idx * sdim] = np.sqrt(space.mesh.area[int(k)])
-        # (g, 1) over the patch sums the terms (lambda_i div v, 1)_K and
-        # (grad lambda_i . theta, 1)_K, which cancel: measure it against their size
-        mass = float(kernel @ grhs)
-        defect = abs(mass) / max(mass_scale, 1e-300)
-        if defect > 1e-9:
-            raise CompatibilityError(
-                f"patch of vertex {patch.vertex}: divergence data incompatible "
-                f"(defect {defect:.2e}); the elementwise fit and the patch data disagree"
-            )
-    return PatchProblem(
-        pspace=pspace,
-        g=g,
+    if group.kernel:
+        kernel = np.zeros((n, nt, sdim))
+        kernel[:, :, 0] = np.sqrt(mesh.area[group.tris])
+        kernel = kernel.reshape(n, -1)
+    out = PatchGroupProblem(
+        group=group,
         chi=chi,
+        g=g,
         M=M,
         B=B,
         rhs=rhs,
-        grhs=grhs,
+        grhs=g.reshape(n, -1),
         kernel=kernel,
         compat_defect=defect,
         meta={"variant": variant},
     )
+    return out.patch(0, mesh, p) if single else out
 
 
-def patch_equilibrate(problem: PatchProblem):
-    """Solve the constrained patch minimization; returns active coefficients."""
-    s, lam = saddle_solve_dense(
-        problem.M, problem.B, problem.rhs, problem.grhs, kernel=problem.kernel
-    )
-    return s, lam
+def patch_equilibrate(problem):
+    """Solve the constrained patch minimizations of a stacked problem (or of
+    one patch); returns the active coefficients and the multipliers."""
+    single = np.ndim(problem.M) == 2
+    args = (problem.M, problem.B, problem.rhs, problem.grhs, problem.kernel)
+    if single:
+        args = [None if a is None else a[None] for a in args]
+    s, lam = saddle_solve_stacked(*args)
+    return (s[0], lam[0]) if single else (s, lam)
 
 
 def scatter_patch(problem: PatchProblem, s):

@@ -28,18 +28,24 @@ class MeshError(ValueError):
 
 
 def _canonical_triangles(vertices, triangles):
-    tris = np.array(triangles, dtype=int)
-    verts = np.asarray(vertices, dtype=float)
-    out = np.empty_like(tris)
-    for k, (a, b, c) in enumerate(tris):
-        xa, xb, xc = verts[a], verts[b], verts[c]
-        area2 = (xb[0] - xa[0]) * (xc[1] - xa[1]) - (xb[1] - xa[1]) * (xc[0] - xa[0])
-        if abs(area2) < 1e-14 * max(1.0, np.abs([xa, xb, xc]).max()) ** 2:
-            raise MeshError(f"triangle {k} {tuple((a, b, c))} is degenerate")
-        tri = [a, b, c] if area2 > 0 else [a, c, b]
-        r = int(np.argmin(tri))
-        out[k] = tri[r:] + tri[:r]
-    return out
+    tris = np.array(triangles, dtype=int).reshape(-1, 3)
+    xa, xb, xc = np.asarray(vertices, dtype=float)[tris].transpose(1, 0, 2)
+    area2 = (xb[:, 0] - xa[:, 0]) * (xc[:, 1] - xa[:, 1]) - (xb[:, 1] - xa[:, 1]) * (xc[:, 0] - xa[:, 0])
+    size = np.maximum(1.0, np.abs(np.stack([xa, xb, xc], axis=1)).max(axis=(1, 2)))
+    bad = np.flatnonzero(np.abs(area2) < 1e-14 * size**2)
+    if len(bad):
+        k = int(bad[0])
+        raise MeshError(f"triangle {k} {tuple(int(a) for a in tris[k])} is degenerate")
+    tris = np.where((area2 > 0)[:, None], tris, tris[:, [0, 2, 1]])
+    first = np.argmin(tris, axis=1)[:, None]
+    return np.take_along_axis(tris, (first + np.arange(3)) % 3, axis=1)
+
+
+def _pair_keys(pairs, nv):
+    """lower * nv + higher of each vertex pair (..., 2), flattened: sorting
+    the keys sorts the pairs lexicographically."""
+    pairs = pairs.reshape(-1, 2)
+    return pairs.min(axis=1) * nv + pairs.max(axis=1)
 
 
 def affine_geometry(xs):
@@ -76,35 +82,29 @@ class Mesh:
     # -- construction helpers -------------------------------------------------
 
     def _build_edges(self):
-        nt = len(self.triangles)
-        raw = {}
-        for k in range(nt):
-            a, b, c = self.triangles[k]
-            for pair in ((b, c), (c, a), (a, b)):
-                key = (min(pair), max(pair))
-                raw.setdefault(key, []).append(k)
-        self.edges = np.array(sorted(raw.keys()), dtype=int).reshape(-1, 2)
-        eidx = {tuple(e): i for i, e in enumerate(self.edges)}
-        self.edge_tris = -np.ones((len(self.edges), 2), dtype=int)
-        for key, ks in raw.items():
-            if len(ks) > 2:
-                raise MeshError(f"edge {key} belongs to {len(ks)} triangles")
-            i = eidx[key]
-            self.edge_tris[i, : len(ks)] = sorted(ks)
-        self.tri_edges = np.empty((nt, 3), dtype=int)
-        for k in range(nt):
-            a, b, c = self.triangles[k]
-            for j, pair in enumerate(((b, c), (c, a), (a, b))):
-                self.tri_edges[k, j] = eidx[(min(pair), max(pair))]
-        # orientation sign: +1 iff the global normal points out of the triangle
-        self.tri_edge_sign = np.empty((nt, 3), dtype=int)
-        for k in range(nt):
-            cen = self.vertices[self.triangles[k]].mean(axis=0)
-            for j in range(3):
-                e = self.tri_edges[k, j]
-                mid = self.vertices[self.edges[e]].mean(axis=0)
-                n = self.edge_normal(e)
-                self.tri_edge_sign[k, j] = 1 if np.dot(n, mid - cen) > 0 else -1
+        # slot j of triangle k is the edge opposite local vertex j, running
+        # (b, c), (c, a), (a, b) counterclockwise
+        local = self.triangles[:, [[1, 2], [2, 0], [0, 1]]]  # (nt, 3, 2)
+        nv = len(self.vertices)
+        keys, inv, count = np.unique(_pair_keys(local, nv), return_inverse=True, return_counts=True)
+        self.edges = np.stack([keys // nv, keys % nv], axis=1)
+        if len(count) and count.max() > 2:
+            first = np.full(len(count), len(inv))
+            np.minimum.at(first, inv, np.arange(len(inv)))
+            e = int(np.argmin(np.where(count > 2, first, len(inv))))
+            key = tuple(int(a) for a in self.edges[e])
+            raise MeshError(f"edge {key} belongs to {count[e]} triangles")
+        # the triangles of each edge, ascending; -1 on the boundary
+        order = np.argsort(inv, kind="stable")
+        start = np.cumsum(count) - count
+        self.edge_tris = -np.ones((len(count), 2), dtype=int)
+        self.edge_tris[:, 0] = order[start] // 3
+        two = count == 2
+        self.edge_tris[two, 1] = order[start[two] + 1] // 3
+        self.tri_edges = inv.reshape(-1, 3)
+        # orientation sign: +1 iff the global normal points out of the
+        # triangle, i.e. the counterclockwise slot runs lower -> higher
+        self.tri_edge_sign = np.where(local[:, :, 0] < local[:, :, 1], 1, -1)
 
     def _apply_labels(self, boundary_labels):
         self.boundary_labels = {}
@@ -279,20 +279,19 @@ def _rule_label(rule, mid, lo, hi):
 
 def _label_boundary(vertices, triangles, rule):
     """Labels for the 1-incident edges of a raw triangle list."""
-    raw = {}
-    for tri in triangles:
-        a, b, c = tri
-        for pair in ((b, c), (c, a), (a, b)):
-            key = (min(pair), max(pair))
-            raw[key] = raw.get(key, 0) + 1
+    tris = np.asarray(triangles, dtype=int).reshape(-1, 3)
     verts = np.asarray(vertices, float)
+    nv = len(verts)
+    keys, first, count = np.unique(
+        _pair_keys(tris[:, [[1, 2], [2, 0], [0, 1]]], nv), return_index=True, return_counts=True
+    )
     lo = verts.min(axis=0)
     hi = verts.max(axis=0)
     labels = []
-    for key, count in raw.items():
-        if count == 1:
-            mid = (verts[key[0]] + verts[key[1]]) / 2
-            labels.append((key, _rule_label(rule, mid, lo, hi)))
+    for i in np.flatnonzero(count == 1)[np.argsort(first[count == 1])]:
+        key = (int(keys[i] // nv), int(keys[i] % nv))
+        mid = (verts[key[0]] + verts[key[1]]) / 2
+        labels.append((key, _rule_label(rule, mid, lo, hi)))
     return labels
 
 

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 from . import polys
 from .elements import rtn_space, scalar_basis
 from .fields import AnalyticField
-from .linsolve import SparseFactor, assemble_csr, spd_solve_stacked
+from .linsolve import SparseFactor, assemble_csr, solve_stacked
 from .projections import ScalarPWField
 from .projector import ConformingRTNField
 from .quadpolicy import QuadPolicy
@@ -368,7 +368,7 @@ def h1_best_local_sum(prob: PoissonProblem, q: int, *, quad_degree=None):
     gref = np.stack(scalar_basis(q).eval_grad(rule.points), axis=2)[1:]  # drop the constant
     pts = mesh.map_to_phys(rule.points)
     gu = prob.grad_u(pts.reshape(-1, 2)).reshape(pts.shape)
-    c = spd_solve_stacked(_stiffness_blocks(mesh, rule, gref), _grad_moments(mesh, gref, rule, gu))
+    c = solve_stacked(_stiffness_blocks(mesh, rule, gref), _grad_moments(mesh, gref, rule, gu))
     fit = np.einsum("kn,nqc->kqc", c, gref) @ mesh.Binv  # B_k^{-T} sum_n c_n grad phi_n
     w = rule.weights * mesh.detB[:, None]
     return np.sqrt(np.sum(w * np.sum((gu - fit) ** 2, axis=2)))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import polys
@@ -91,20 +93,41 @@ def random_broken_field(mesh, p, seed=0, scale=1.0) -> BrokenRTNField:
     return out
 
 
-def _scalar_eval(f, mesh, k, pts):
+def _scalar_values(f, mesh, group):
+    """Values of a scalar field at a quadrature group's points: a ScalarPWField
+    from its element tables, an object with ``eval_element(k, pts)`` element by
+    element, a plain evaluator in one call; (n, nq)."""
     if isinstance(f, ScalarPWField):
-        return f.eval_element(k, pts)
+        return rtn_space(mesh, f.p).scalar_values(group, f.coeffs[group.tris])
     if hasattr(f, "eval_element"):
-        return f.eval_element(k, pts)
-    return np.asarray(f(np.atleast_2d(pts)), float)
+        return np.stack([f.eval_element(int(k), x) for x, k in zip(group.pts, group.tris)])
+    return group.call(f)
+
+
+def quadrature_self_check(coeffs, values_on, space, policy, warnings):
+    """Degree-doubling self-check of scalar moments ``coeffs`` (nt, sdim): the
+    same moments on the policy's check groups, from ``values_on(group)``;
+    every element whose moments move by more than 1e-9 relative gets a
+    warning, in element order."""
+    err = np.zeros(len(coeffs))
+    for g in policy.check_groups(space.mesh):
+        ref = space.scalar_moments(g, values_on(g))
+        scale = np.maximum(np.linalg.norm(ref, axis=1), 1e-300)
+        err[g.tris] = np.linalg.norm(coeffs[g.tris] - ref, axis=1) / scale
+    warnings += [
+        f"project_scalar element {k}: self-check defect {err[k]:.2e}" for k in np.flatnonzero(err > 1e-9)
+    ]
 
 
 def project_scalar(f, p, mesh, *, policy=None, quad_degree=None, warnings=None):
-    """Elementwise L2-orthogonal projection onto broken P_p.
+    """Elementwise L2-orthogonal projection onto broken P_p, contracted over
+    the policy's quadrature groups.
 
     ``f`` is a plain evaluator pts -> values, an object with
     ``eval_element(k, pts)``, or a ScalarPWField.  The returned coefficients
-    are the moments against the orthonormal element bases.
+    are the moments against the orthonormal element bases; with the
+    policy's self-check, elements whose moments move on the doubled rule are
+    listed in ``warnings``.
     """
     space = rtn_space(mesh, p)
     if policy is None:
@@ -115,19 +138,11 @@ def project_scalar(f, p, mesh, *, policy=None, quad_degree=None, warnings=None):
             policy.self_check = False
         policy.singularity = getattr(f, "singularity", None)
     out = ScalarPWField(mesh, p)
-    warn = warnings if warnings is not None else []
-    for k, el in enumerate(space.elements):
-        tri, _, chk = policy.element_rules(el, key=("tri", k))
-        pts = el.quad_points(tri)
-        vals = _scalar_eval(f, mesh, k, pts)
-        out.coeffs[k] = el.scalar_moments(vals, tri)
-        if chk is not None and policy.self_check:
-            pts2 = el.quad_points(chk)
-            ref = el.scalar_moments(_scalar_eval(f, mesh, k, pts2), chk)
-            scale = max(np.linalg.norm(ref), 1e-300)
-            err = np.linalg.norm(out.coeffs[k] - ref) / scale
-            if err > 1e-9:
-                warn.append(f"project_scalar element {k}: self-check defect {err:.2e}")
+    for g in policy.groups(mesh):
+        out.coeffs[g.tris] = space.scalar_moments(g, _scalar_values(f, mesh, g))
+    if policy.self_check:
+        values_on = partial(_scalar_values, f, mesh)
+        quadrature_self_check(out.coeffs, values_on, space, policy, [] if warnings is None else warnings)
     return out
 
 

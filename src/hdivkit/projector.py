@@ -18,13 +18,17 @@ from .elements import rtn_space
 from .fields import FieldError
 from .local_solve import (
     build_patch_problem,
+    check_compatibility,
     patch_data,
     patch_equilibrate,
+    patch_defects,
+    patch_layout,
     patch_stability_ratio,
+    sum_patch_fields,
     theta_field,
 )
 from .mesh import vertex_patches
-from .projections import BrokenRTNField, ScalarPWField, project_scalar
+from .projections import BrokenRTNField, ScalarPWField, quadrature_self_check
 from .quadpolicy import QuadPolicy
 from .quadrature import gauss01, quad_rule
 
@@ -128,16 +132,15 @@ def check_field_compatibility(v, mesh, *, tol=1e-8):
     neumann = mesh.edges_with_label("neumann")
     if not neumann:
         return
-    t, w = gauss01(8)
-    scale = 0.0
-    worst = 0.0
-    for e in neumann:
-        a, b = mesh.edges[e]
-        pts = mesh.vertices[a][None, :] + t[:, None] * mesh.edge_vector(e)[None, :]
-        n = mesh.edge_normal(e)
-        vals = v.eval(pts)
-        worst = max(worst, float(np.max(np.abs(vals @ n))))
-        scale = max(scale, float(np.max(np.abs(vals))))
+    e = np.array(neumann)
+    t, _ = gauss01(8)
+    a = mesh.vertices[mesh.edges[e, 0]]
+    tang = mesh.vertices[mesh.edges[e, 1]] - a
+    pts = a[:, None] + t[:, None] * tang[:, None]  # (n, 8, 2)
+    vals = np.asarray(v.eval(pts.reshape(-1, 2)), float).reshape(pts.shape)
+    normal = np.stack([tang[:, 1], -tang[:, 0]], axis=1) / np.linalg.norm(tang, axis=1)[:, None]
+    worst = float(np.max(np.abs(np.einsum("eqd,ed->eq", vals, normal))))
+    scale = float(np.max(np.abs(vals)))
     if worst > tol * max(scale, 1e-300):
         raise FieldError(
             f"field has nonzero normal trace on Neumann edges (|v.n| up to {worst:.2e}); "
@@ -198,25 +201,36 @@ def project_hdiv(
     info = ProjectorInfo(variant=variant, p=p)
     sigma = ConformingRTNField(mesh, p)
     space = sigma.space
+    layout = patch_layout(mesh, p)
     data = patch_data(theta, v, p, mesh, policy=policy)
-    for patch in vertex_patches(mesh):
+    defects = patch_defects(layout, data, mesh)
+    check_compatibility(np.arange(mesh.num_vertices), defects)
+    info.compat_defects = defects.tolist()
+    parts, ratios = [], []
+    for group in layout.groups:
         problem = build_patch_problem(
-            patch, theta, v, p, mesh, variant=variant, policy=policy, data=data
+            group, theta, v, p, mesh, variant=variant, policy=policy, data=data
         )
         s, _ = patch_equilibrate(problem)
-        info.compat_defects.append(problem.compat_defect)
+        parts.append((group, s))
         if measure_stability:
-            info.stability_ratios.append(patch_stability_ratio(problem, s, mesh))
-        sigma.dofs[problem.pspace.global_dof_map(space)] += s
-    # commuting residual against the broken projection of div v; for
-    # divergence-free data the relative denominator falls back to the
-    # dimensionally matching scale ||v|| (p+1) / h_max
-    div_sigma = sigma.div()
-    pi_div = project_scalar(
-        _DivEvaluator(v), p, mesh, policy=policy, warnings=info.warnings
-    )
-    num = np.linalg.norm(div_sigma.coeffs - pi_div.coeffs)
-    den = np.linalg.norm(pi_div.coeffs)
+            ratios += [
+                (a, patch_stability_ratio(problem.patch(r, mesh, p), s[r], mesh))
+                for r, a in enumerate(group.verts)
+            ]
+    sigma.dofs = sum_patch_fields(parts, space.ndof)
+    info.stability_ratios = [ratio for _, ratio in sorted(ratios)]
+    # commuting residual against the broken projection of div v, from the
+    # same samples of div v; for divergence-free data the relative
+    # denominator falls back to the dimensionally matching scale
+    # ||v|| (p+1) / h_max
+    pi_div = np.empty((mesh.num_triangles, space.sdim))
+    for g, _, dvals in policy.samples(v, mesh):
+        pi_div[g.tris] = space.scalar_moments(g, dvals)
+    if policy.self_check:
+        quadrature_self_check(pi_div, lambda g: g.eval(v, div=True), space, policy, info.warnings)
+    num = np.linalg.norm(sigma.div().coeffs - pi_div)
+    den = np.linalg.norm(pi_div)
     floor = theta.norm() * (p + 1) / mesh.h_max
     info.commute_abs = num
     info.commute_scale = max(den, floor, 1e-300)
@@ -224,21 +238,6 @@ def project_hdiv(
     sigma.info["projector"] = info
     sigma.info["theta"] = theta
     return sigma
-
-
-class _DivEvaluator:
-    """Adapter exposing div v through the scalar-projection interface."""
-
-    def __init__(self, v):
-        self.v = v
-        self.poly_degree = None
-        pd = getattr(v, "poly_degree", None)
-        if pd is not None:
-            self.poly_degree = max(pd - 1, 0)
-        self.singularity = getattr(v, "singularity", None)
-
-    def eval_element(self, k, pts):
-        return self.v.eval_div(pts, elem=k)
 
 
 def projector_report(v, p, mesh, *, variant="def31", quad_degree=None):

@@ -15,9 +15,15 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .elements import rtn_reference, scalar_basis
+from .elements import rtn_dim, rtn_reference, scalar_basis
 from .fields import AnalyticField
+from .linsolve import chunks
 from .quadrature import corner_rule, edge_npts, gauss01, jacobi01, quad_rule
+
+
+# bytes a stage holds per quadrature point of an element: points, weights,
+# field and divergence values and the products taken with them
+_POINT_BYTES = 8 * 8
 
 
 @dataclass
@@ -36,15 +42,26 @@ class QuadGroup:
     def shared(self):
         return self.ref.ndim == 2
 
-    def tables(self, p):
-        """Reference RTN_p primal values (nprim, [n,] nq, 2) and orthonormal
-        P_p values (sdim, [n,] nq), the element axis only for wedges."""
-        if p not in self._tables:
-            ref = self.ref.reshape(-1, 2)
-            prim = rtn_reference(p).eval(ref).reshape((-1,) + self.ref.shape)
-            phi = scalar_basis(p).eval(ref).reshape((-1,) + self.ref.shape[:-1])
-            self._tables[p] = prim, phi
-        return self._tables[p]
+    def prim(self, p):
+        """Reference RTN_p primal values (nprim, [n,] nq, 2), the element
+        axis only for wedges."""
+        if ("prim", p) not in self._tables:
+            vals = rtn_reference(p).eval(self.ref.reshape(-1, 2))
+            self._tables["prim", p] = vals.reshape((-1,) + self.ref.shape)
+        return self._tables["prim", p]
+
+    def phi(self, p):
+        """Orthonormal P_p values (sdim, [n,] nq)."""
+        if ("phi", p) not in self._tables:
+            vals = scalar_basis(p).eval(self.ref.reshape(-1, 2))
+            self._tables["phi", p] = vals.reshape((-1,) + self.ref.shape[:-1])
+        return self._tables["phi", p]
+
+    def barycentric(self):
+        """Hat functions of the three local vertices at the points (3, n, nq)."""
+        x, y = self.ref[..., 0], self.ref[..., 1]
+        lam = np.stack([1.0 - x - y, x, y])
+        return np.broadcast_to(lam[:, None] if self.shared else lam, (3,) + self.w.shape)
 
     def contract(self, table, F):
         """sum over points (and components) of table[i] * F[k]; (n, len(table))."""
@@ -179,28 +196,42 @@ class QuadPolicy:
     def groups(self, mesh, tris=None):
         """The elements (all, or ``tris``) grouped by the rule ``element_rules``
         gives them: one group per shared reference rule, one for the corner
-        wedges.  Built once per mesh."""
+        wedges, each cut into chunks of at most ``STACK_BYTES`` of per-point
+        data.  Built once per mesh."""
         key = ("groups", id(mesh))
         if key not in self._cache:
-            xs = mesh.vertices[mesh.triangles]
-            corner = self._corners(xs, mesh.h)
-            deg = self._degrees(xs, mesh.h)
-            out = []
-            for d in np.unique(deg[corner < 0]):
-                ks = np.flatnonzero((corner < 0) & (deg == d))
-                rule = quad_rule(int(d) + self.p)
-                pts = rule.points @ np.swapaxes(mesh.B[ks], 1, 2) + mesh.X0[ks, None]
-                out.append(QuadGroup(ks, rule.points, pts, rule.weights * mesh.detB[ks, None]))
-            ks = np.flatnonzero(corner >= 0)
-            if len(ks):
-                pts, w = map(np.stack, zip(*(self._wedge(xs[k], corner[k]) for k in ks)))
-                ref = (pts - mesh.X0[ks, None]) @ np.swapaxes(mesh.Binv[ks], 1, 2)
-                out.append(QuadGroup(ks, ref, pts, w))
-            self._cache[key] = out
+            self._cache[key] = list(self._grouped(mesh, check=False))
         if tris is None:
             return self._cache[key]
         sub = [g.subset(np.isin(g.tris, tris)) for g in self._cache[key]]
         return [g for g in sub if len(g.tris)]
+
+    def check_groups(self, mesh):
+        """The chunks of ``groups`` on the rules of the degree-doubling
+        self-check, built one at a time and not kept."""
+        return self._grouped(mesh, check=True)
+
+    def _grouped(self, mesh, check):
+        xs = mesh.vertices[mesh.triangles]
+        corner = self._corners(xs, mesh.h)
+        deg = self._degrees(xs, mesh.h)
+        for d in np.unique(deg[corner < 0]):
+            ks = np.flatnonzero((corner < 0) & (deg == d))
+            rule = quad_rule((2 if check else 1) * (int(d) + self.p))
+            tables = {}  # shared by the chunks of one reference rule
+            for sl in chunks(len(ks), _POINT_BYTES * len(rule.weights)):
+                k = ks[sl]
+                pts = rule.points @ np.swapaxes(mesh.B[k], 1, 2) + mesh.X0[k, None]
+                yield QuadGroup(k, rule.points, pts, rule.weights * mesh.detB[k, None], tables)
+        ks = np.flatnonzero(corner >= 0)
+        extra = (8, 6) if check else (0, 0)
+        # wedge tables carry an element axis: a chunk holds them at degree p
+        nq = len(self._wedge(xs[ks[0]], corner[ks[0]], extra)[1]) if len(ks) else 1
+        for sl in chunks(len(ks), _POINT_BYTES * nq * rtn_dim(self.p)):
+            k = ks[sl]
+            pts, w = map(np.stack, zip(*(self._wedge(xs[j], corner[j], extra) for j in k)))
+            ref = (pts - mesh.X0[k, None]) @ np.swapaxes(mesh.Binv[k], 1, 2)
+            yield QuadGroup(k, ref, pts, w)
 
     def samples(self, field, mesh, tris=None):
         """(group, field values, divergence values) for the elements (all, or

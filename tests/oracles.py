@@ -2,8 +2,10 @@
 solve paths: exact monomial integrals, rational Gram-Schmidt reference bases,
 per-element dual bases by quadrature and a dense solve, per-element error
 and fit loops, normal-equation least squares, null-space constrained
-minimization, per-site COO assembly loops, and patch equilibration data
-taken by quadrature on every (patch, element) pair."""
+minimization, per-site COO assembly loops, patch equilibration data taken
+by quadrature on every (patch, element) pair, the dense Bunch-Kaufman KKT
+solve, the element-by-element and patch-by-patch projector loop, and the
+mesh topology loops."""
 
 from fractions import Fraction
 
@@ -12,9 +14,10 @@ import scipy.sparse as sp
 from scipy.linalg import null_space
 
 from hdivkit import polys
-from hdivkit.elements import edge_dof_values, rtn_space, scalar_basis
+from hdivkit.elements import barycentric, edge_dof_values, hat_operators, rtn_space, scalar_basis
+from hdivkit.linsolve import dense_solve
 from hdivkit.quadpolicy import QuadPolicy
-from hdivkit.quadrature import gauss01, quad_rule
+from hdivkit.quadrature import TriangleRule, gauss01, quad_rule
 
 # -- exact integrals on the reference triangle ---------------------------------------
 
@@ -412,10 +415,8 @@ def element_kkt_oracle(mesh, k, p, v_eval, div_eval, quad_degree=30):
 def _assemble_patch(mesh, patch, p, chi, g):
     """Patch mass, divergence block and right-hand sides on the active dofs,
     one element at a time.  Returns (M, b, B, grhs, patch space)."""
-    from hdivkit.local_solve import PatchSpace
-
     space = rtn_space(mesh, p)
-    ps = PatchSpace.build(patch, space)
+    ps = patch_space_oracle(patch, space)
     nd = ps.ndof
     sdim = space.elements[0].sdim
     M = np.zeros((nd, nd))
@@ -525,7 +526,7 @@ def projector_oracle(v, p, mesh, quad_degree=None):
                 else 0.0
             ),
         )
-        sigma.dofs[prob.pspace.global_dof_map(space)] += s
+        sigma.dofs[prob.pspace.dofs] += s
     err2 = 0.0
     rule = quad_rule(qd)
     for k in range(mesh.num_triangles):
@@ -550,3 +551,320 @@ def edge_projection_oracle(mesh, e, g_eval, p):
     r = (V * w) @ np.asarray(g_eval(pts), float)
     c = np.linalg.solve(G, r)
     return c @ V  # projected values at the Gauss points
+
+
+# -- dense KKT solves one system at a time ----------------------------------------------
+
+
+def saddle_matrix(M, B, kernel=None):
+    """Dense KKT matrix [[M, B^T], [B, 0]], optionally bordered by a kernel row.
+
+    ``kernel`` is a left null vector of B (constraint-space direction along
+    which the data must be compatible); the bordering pins the corresponding
+    multiplier component.
+    """
+    M = np.asarray(M, float)
+    B = np.atleast_2d(np.asarray(B, float))
+    n, m = M.shape[0], B.shape[0]
+    size = n + m + (1 if kernel is not None else 0)
+    A = np.zeros((size, size))
+    A[:n, :n] = M
+    A[n : n + m, :n] = B
+    A[:n, n : n + m] = B.T
+    if kernel is not None:
+        k = np.asarray(kernel, float)
+        A[n : n + m, -1] = k
+        A[-1, n : n + m] = k
+    return A
+
+
+def saddle_solve_dense(M, B, rhs, g, kernel=None):
+    """Minimize 1/2 x^T M x - rhs^T x subject to B x = g by one Bunch-Kaufman
+    solve (``dense_solve``) of the KKT matrix; returns (x, multiplier).  With a
+    kernel, g is first projected onto the compatible subspace."""
+    M = np.asarray(M, float)
+    B = np.atleast_2d(np.asarray(B, float))
+    g = np.asarray(g, float)
+    if kernel is not None:
+        k = np.asarray(kernel, float)
+        g = g - k * (k @ g) / (k @ k)
+    A = saddle_matrix(M, B, kernel)
+    b = np.concatenate([np.asarray(rhs, float), g, [0.0] * (1 if kernel is not None else 0)])
+    sol = dense_solve(A, b)
+    n = M.shape[0]
+    return sol[:n], sol[n : n + B.shape[0]]
+
+
+# -- the projector element by element and patch by patch --------------------------------
+
+
+def elem_constrained_min_oracle(v, q, mesh, k, policy):
+    """Divergence-constrained fit in RTN_q on element k: the policy's rule for
+    the element, per-element moments and one dense KKT solve."""
+    el = rtn_space(mesh, q).elements[k]
+    tri, _, _ = policy.element_rules(el, key=("tri", k))
+    pts = el.quad_points(tri)
+    b = el.rtn_moments(v.eval(pts, elem=k), tri)
+    g = el.scalar_moments(v.eval_div(pts, elem=k), tri)
+    return saddle_solve_dense(el.M, el.Bdiv, b, g)[0]
+
+
+def local_best_constrained_oracle(v, p, mesh, k, policy):
+    """E_loc of the divergence-constrained fit on element k, by per-element
+    quadrature on the policy's rule."""
+    el = rtn_space(mesh, p).elements[k]
+    theta = elem_constrained_min_oracle(v, p, mesh, k, policy)
+    tri, _, _ = policy.element_rules(el, key=("tri", k))
+    pts = el.quad_points(tri)
+    vvals, dvvals = v.eval(pts, elem=k), v.eval_div(pts, elem=k)
+    l2 = np.sqrt(el.norm_sq(vvals - el.eval_coeffs(theta, pts), tri))
+    proj = el.scalar_values(el.scalar_moments(dvvals, tri), pts)
+    return np.hypot(l2, el.h / (p + 1) * np.sqrt(el.norm_sq(dvvals - proj, tri)))
+
+
+def _scalar_eval(f, k, pts):
+    if hasattr(f, "eval_element"):
+        return f.eval_element(k, pts)
+    return np.asarray(f(np.atleast_2d(pts)), float)
+
+
+def project_scalar_oracle(f, p, mesh, policy, warnings):
+    """Elementwise L2 projection onto broken P_p one element at a time, with
+    the degree-doubling self-check on each element's check rule."""
+    from hdivkit.projections import ScalarPWField
+
+    out = ScalarPWField(mesh, p)
+    for k, el in enumerate(rtn_space(mesh, p).elements):
+        tri, _, chk = policy.element_rules(el, key=("tri", k))
+        out.coeffs[k] = el.scalar_moments(_scalar_eval(f, k, el.quad_points(tri)), tri)
+        if chk is not None and policy.self_check:
+            ref = el.scalar_moments(_scalar_eval(f, k, el.quad_points(chk)), chk)
+            err = np.linalg.norm(out.coeffs[k] - ref) / max(np.linalg.norm(ref), 1e-300)
+            if err > 1e-9:
+                warnings.append(f"project_scalar element {k}: self-check defect {err:.2e}")
+    return out
+
+
+def hat_div_moments_oracle(v, space, policy, tris):
+    """(lambda_i div v, phi_m)_K and (lambda_i |div v|, 1)_K element by
+    element on the policy's rules."""
+    sb = scalar_basis(space.p)
+    out = np.empty((len(tris), 3, sb.dim))
+    mag = np.empty((len(tris), 3))
+    for r, k in enumerate(tris):
+        k = int(k)
+        el = space.elements[k]
+        rule, _, _ = policy.element_rules(el, key=("tri", k))
+        if isinstance(rule, TriangleRule):
+            pts, w, ref = el.map_to_phys(rule.points), rule.weights * el.detB, rule.points
+        else:
+            pts, w = rule
+            ref = el.map_to_ref(pts)
+        lam, phi = barycentric(ref), sb.eval(ref)
+        dv = v.eval_div(pts, elem=k)
+        out[r] = (lam * (w * dv)) @ phi.T / np.sqrt(el.detB)
+        mag[r] = lam @ (w * np.abs(dv))
+    return out, mag
+
+
+def patch_data_oracle(theta, v, p, mesh, policy):
+    """``patch_data`` on every triangle with the divergence term taken
+    element by element."""
+    from hdivkit.local_solve import PatchData
+    from hdivkit.projections import hat_interpolants
+
+    space = rtn_space(mesh, p)
+    tris = np.arange(mesh.num_triangles)
+    _, G = hat_operators(theta.p, p)
+    ref = theta.space.to_ref(theta.coeffs, tris)
+    grad = np.einsum("imb,kb->kim", G, ref) / np.sqrt(space.detB)[:, None, None]
+    div, div_scale = hat_div_moments_oracle(v, space, policy, tris)
+    grad_scale = np.sqrt(0.5) * np.outer(np.linalg.norm(ref, axis=1), np.linalg.norm(G[:, 0], axis=1))
+    return PatchData(tris, hat_interpolants(theta, p, tris), div + grad, div_scale + grad_scale)
+
+
+def patch_space_oracle(patch, space):
+    """Patch dof layout of one vertex patch by a loop over its triangles."""
+    from hdivkit.local_solve import PatchSpace
+
+    p = space.p
+    active = list(patch.active_edges)
+    epos = {e: i for i, e in enumerate(active)}
+    n_edge = len(active) * (p + 1)
+    n_int = space.n_int
+    maps = {}
+    dofs = [np.arange(e * (p + 1), (e + 1) * (p + 1)) for e in active]
+    for t_idx, k in enumerate(patch.tris):
+        k = int(k)
+        m = -np.ones(space.ref.dim, dtype=int)
+        for slot in range(3):
+            e = space.mesh.tri_edges[k, slot]
+            if e in epos:
+                m[slot * (p + 1) : (slot + 1) * (p + 1)] = np.arange(epos[e] * (p + 1), (epos[e] + 1) * (p + 1))
+        m[3 * (p + 1) :] = n_edge + t_idx * n_int + np.arange(n_int)
+        maps[k] = m
+        dofs.append(space.ndof_edge + k * n_int + np.arange(n_int))
+    return PatchSpace(
+        patch=patch, p=p, tris=patch.tris, ndof=n_edge + len(patch.tris) * n_int, elem_maps=maps,
+        dofs=np.concatenate(dofs).astype(int),
+    )
+
+
+def build_patch_problem_oracle(patch, p, mesh, data, variant="def31"):
+    """The equilibration problem of one vertex patch, assembled triangle by
+    triangle from ``patch_data`` tables; raises CompatibilityError as the
+    library does."""
+    from hdivkit.local_solve import CompatibilityError, PatchProblem
+
+    space = rtn_space(mesh, p)
+    pspace = patch_space_oracle(patch, space)
+    chi, g = {}, {}
+    mass_scale = 0.0
+    for r, k in zip(np.searchsorted(data.tris, patch.tris), patch.tris):
+        k = int(k)
+        i = patch.local_index[k]
+        chi[k], g[k] = data.chi[r, i], data.g[r, i]
+        mass_scale += data.mass_scale[r, i]
+    M, rhs, B, grhs, _ = _assemble_patch(mesh, patch, p, chi, g)
+    kernel = None
+    defect = 0.0
+    if patch.kind in ("interior", "neumann"):
+        kernel = np.zeros(len(grhs))
+        kernel[:: space.sdim] = np.sqrt(mesh.area[patch.tris])
+        defect = abs(float(kernel @ grhs)) / max(mass_scale, 1e-300)
+        if defect > 1e-9:
+            raise CompatibilityError(
+                f"patch of vertex {patch.vertex}: divergence data incompatible "
+                f"(defect {defect:.2e}); the elementwise fit and the patch data disagree"
+            )
+    return PatchProblem(pspace, g, chi, M, B, rhs, grhs, kernel, defect, {"variant": variant})
+
+
+def project_hdiv_oracle(v, p, mesh, *, variant="def31", measure_stability=False, extra=0, theta_hook=None):
+    """The projector one element and one patch at a time: per-element
+    constrained fits, per-patch assembly and dense Bunch-Kaufman KKT solves,
+    zero extensions summed in ascending vertex order, and the commuting
+    residual through the per-element scalar projection of div v.  ``extra``
+    raises the degree of every quadrature rule (exact rules stay exact, so
+    the change in the result is the oracle's own roundoff spread);
+    ``theta_hook`` may modify the element fits before the patch step.
+    Returns a dict with ``dofs``, ``theta``, ``compat_defects``,
+    ``stability_ratios`` with their ``stability_amplification``
+    (||chi_a|| / ||s_a - chi_a||, the factor by which roundoff in s_a
+    reaches the ratio), ``commute_abs``, ``commute_scale`` and
+    ``warnings``."""
+    from hdivkit.local_solve import patch_stability_ratio
+    from hdivkit.mesh import vertex_patches
+    from hdivkit.projector import check_field_compatibility
+    from hdivkit.projections import BrokenRTNField
+
+    check_field_compatibility(v, mesh)
+    q = p if variant == "def31" else p - 1
+    policy = QuadPolicy(p, field=v)
+    theta_policy = policy if q == p else QuadPolicy(q, field=v)
+    for pol in {id(policy): policy, id(theta_policy): theta_policy}.values():
+        pol.base_degree += extra
+    theta = BrokenRTNField(mesh, q)
+    for k in range(mesh.num_triangles):
+        theta.coeffs[k] = elem_constrained_min_oracle(v, q, mesh, k, theta_policy)
+    if theta_hook is not None:
+        theta_hook(theta)
+    data = patch_data_oracle(theta, v, p, mesh, policy)
+    space = rtn_space(mesh, p)
+    dofs = np.zeros(space.ndof)
+    out = {"theta": theta, "compat_defects": [], "stability_ratios": [], "warnings": [],
+           "stability_amplification": []}
+    for patch in vertex_patches(mesh):
+        prob = build_patch_problem_oracle(patch, p, mesh, data, variant)
+        s, _ = saddle_solve_dense(prob.M, prob.B, prob.rhs, prob.grhs, kernel=prob.kernel)
+        out["compat_defects"].append(prob.compat_defect)
+        if measure_stability:
+            out["stability_ratios"].append(patch_stability_ratio(prob, s, mesh))
+            chi_sq = diff_sq = 0.0
+            for k in patch.tris:
+                m = prob.pspace.elem_maps[int(k)]
+                c = np.zeros(len(m))
+                c[m >= 0] = s[m[m >= 0]]
+                chi, Mk = prob.chi[int(k)], space.M[int(k)]
+                chi_sq += chi @ Mk @ chi
+                diff_sq += (c - chi) @ Mk @ (c - chi)
+            out["stability_amplification"].append(np.sqrt(chi_sq / max(diff_sq, 1e-300)))
+        dofs[prob.pspace.dofs] += s
+    div_of_v = _DivOf(v)
+    pi_div = project_scalar_oracle(div_of_v, p, mesh, policy, out["warnings"]).coeffs
+    div_sigma = (space.Bdiv @ dofs[space.dof_map][:, :, None])[:, :, 0]
+    out["dofs"] = dofs
+    out["commute_abs"] = np.linalg.norm(div_sigma - pi_div)
+    out["commute_scale"] = max(np.linalg.norm(pi_div), theta.norm() * (p + 1) / mesh.h_max, 1e-300)
+    return out
+
+
+class _DivOf:
+    """div v through the per-element scalar-projection interface."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def eval_element(self, k, pts):
+        return self.v.eval_div(pts, elem=k)
+
+
+# -- mesh topology loops ------------------------------------------------------------------
+
+
+def mesh_topology_oracle(vertices, triangles):
+    """Canonical triangles (counterclockwise, smallest vertex first), then
+    edges, edge triangles, triangle edges and orientation signs by a dict of
+    vertex pairs and a loop over (triangle, slot); raises ValueError for an
+    edge of more than two triangles."""
+    verts = np.asarray(vertices, float)
+    tris = []
+    for a, b, c in np.asarray(triangles, int):
+        xa, xb, xc = verts[a], verts[b], verts[c]
+        area2 = (xb[0] - xa[0]) * (xc[1] - xa[1]) - (xb[1] - xa[1]) * (xc[0] - xa[0])
+        tri = [a, b, c] if area2 > 0 else [a, c, b]
+        r = int(np.argmin(tri))
+        tris.append(tri[r:] + tri[:r])
+    tris = np.array(tris, dtype=int)
+    tris = tris[np.lexsort((tris[:, 2], tris[:, 1], tris[:, 0]))]
+    raw = {}
+    for k, (a, b, c) in enumerate(tris):
+        for pair in ((b, c), (c, a), (a, b)):
+            raw.setdefault((min(pair), max(pair)), []).append(k)
+    edges = np.array(sorted(raw), dtype=int).reshape(-1, 2)
+    eidx = {tuple(e): i for i, e in enumerate(edges)}
+    edge_tris = -np.ones((len(edges), 2), dtype=int)
+    for key, ks in raw.items():
+        if len(ks) > 2:
+            raise ValueError(f"edge {key} belongs to {len(ks)} triangles")
+        edge_tris[eidx[key], : len(ks)] = sorted(ks)
+    tri_edges = np.empty((len(tris), 3), dtype=int)
+    sign = np.empty((len(tris), 3), dtype=int)
+    for k, (a, b, c) in enumerate(tris):
+        cen = verts[tris[k]].mean(axis=0)
+        for j, pair in enumerate(((b, c), (c, a), (a, b))):
+            e = eidx[(min(pair), max(pair))]
+            tri_edges[k, j] = e
+            tvec = verts[edges[e, 1]] - verts[edges[e, 0]]
+            n = np.array([tvec[1], -tvec[0]]) / np.linalg.norm(tvec)
+            sign[k, j] = 1 if np.dot(n, verts[edges[e]].mean(axis=0) - cen) > 0 else -1
+    return tris, edges, edge_tris, tri_edges, sign
+
+
+def label_boundary_oracle(vertices, triangles, rule):
+    """Labels of the 1-incident edges by a dict of vertex pairs, in the order
+    the edges first appear."""
+    from hdivkit.mesh import _rule_label
+
+    raw = {}
+    for a, b, c in np.asarray(triangles, int):
+        for pair in ((b, c), (c, a), (a, b)):
+            key = (int(min(pair)), int(max(pair)))
+            raw[key] = raw.get(key, 0) + 1
+    verts = np.asarray(vertices, float)
+    lo, hi = verts.min(axis=0), verts.max(axis=0)
+    return [
+        (key, _rule_label(rule, (verts[key[0]] + verts[key[1]]) / 2, lo, hi))
+        for key, count in raw.items()
+        if count == 1
+    ]

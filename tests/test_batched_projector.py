@@ -1,0 +1,327 @@
+"""The stacked projector against its element-by-element and patch-by-patch
+loop in ``tests/oracles.py``.
+
+``project_hdiv`` fits every element in stacked KKT solves over the
+quadrature groups, lays the vertex patches out once per (mesh, p) in
+signature groups and solves each group's KKT systems stacked; the oracle
+keeps the per-element fit, the per-patch assembly with a dense
+Bunch-Kaufman solve and the per-element scalar projection.  Up to p = 3 the
+two agree to 1e-13 relative; above, to twice the oracle's own spread
+between two exact rules (roundoff of the degree-p monomial evaluation,
+which grows with p).
+"""
+
+import re
+
+import numpy as np
+import pytest
+
+import oracles
+from hdivkit import fields
+from hdivkit.best_approx import error_report, local_best_constrained
+from hdivkit.elements import rtn_space
+from hdivkit.fields import FieldError
+from hdivkit.linsolve import STACK_BYTES
+from hdivkit.local_solve import (
+    CompatibilityError,
+    build_patch_problem,
+    elem_constrained_min,
+    patch_equilibrate,
+    patch_layout,
+    sum_patch_fields,
+    theta_field,
+)
+from hdivkit.mesh import build_lshape, build_structured, refine_uniform, vertex_patches
+from hdivkit.projections import ScalarPWField, project_scalar
+from hdivkit.projector import check_field_compatibility, project_hdiv, random_conforming_field
+from hdivkit.quadpolicy import QuadPolicy
+from hdivkit.quadrature import gauss01
+from test_element_layer import jitter
+
+LABELS = ("all-dirichlet", "left-neumann", "all-neumann")
+MESHES = {
+    "jittered-structured3": lambda labels: jitter(build_structured(3, labels=labels), 1),
+    "jittered-lshape2": lambda labels: jitter(build_lshape(2, labels=labels), 2),
+}
+CASES = [(p, "def31") for p in range(5)] + [(p, "def52") for p in range(1, 5)]
+
+
+@pytest.fixture(scope="module")
+def meshes():
+    return {(name, labels): make(labels) for name, make in MESHES.items() for labels in LABELS}
+
+
+def stream_field():
+    """curl of sin(pi x) sin(pi y): divergence-free, zero normal trace on the
+    boundaries of the unit square and of the L-shape."""
+
+    def v(pts):
+        x, y = pts[:, 0], pts[:, 1]
+        return np.pi * np.stack(
+            [np.sin(np.pi * x) * np.cos(np.pi * y), -np.cos(np.pi * x) * np.sin(np.pi * y)], axis=1
+        )
+
+    return fields.AnalyticField("stream", v, lambda pts: np.zeros(len(pts)), divergence_free=True)
+
+
+def oscillating_field():
+    """(sin 40x, cos 40y): its divergence outruns the default rules, so the
+    degree-doubling self-check flags elements (at p = 0, 1 the patch data
+    becomes incompatible on structured:3 instead)."""
+    return fields.AnalyticField(
+        "oscillating",
+        lambda pts: np.stack([np.sin(40 * pts[:, 0]), np.cos(40 * pts[:, 1])], axis=1),
+        lambda pts: 40 * np.cos(40 * pts[:, 0]) - 40 * np.sin(40 * pts[:, 1]),
+    )
+
+
+def _rel(got, want):
+    return np.linalg.norm(np.asarray(got) - want) / max(np.linalg.norm(want), 1e-300)
+
+
+def _vertex(message):
+    return int(re.search(r"patch of vertex (\d+)", message).group(1))
+
+
+@pytest.mark.parametrize("field", ["discrete", "stream"])
+@pytest.mark.parametrize("p,variant", CASES)
+@pytest.mark.parametrize("labels", LABELS)
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+def test_projector_matches_loop_oracle(meshes, mesh_name, labels, p, variant, field):
+    # the discrete field has degree p + 1 (a genuine fit) and zero Neumann
+    # dofs; the stream field runs the analytic path with the self-check
+    m = meshes[mesh_name, labels]
+    v = random_conforming_field(m, p + 1, seed=p).as_field() if field == "discrete" else stream_field()
+    stability = p <= 2  # the surrogate is one dense solve per patch at degree p + 2
+    sig = project_hdiv(v, p, m, variant=variant, measure_stability=stability)
+    info = sig.info["projector"]
+    want = oracles.project_hdiv_oracle(v, p, m, variant=variant, measure_stability=stability)
+    tol = 1e-13
+    if p > 3:
+        spread = oracles.project_hdiv_oracle(v, p, m, variant=variant, extra=4)
+        tol = max(tol, 2 * _rel(spread["dofs"], want["dofs"]), 2 * _rel(spread["theta"].coeffs, want["theta"].coeffs))
+    assert _rel(sig.info["theta"].coeffs, want["theta"].coeffs) <= tol
+    assert _rel(sig.dofs, want["dofs"]) <= tol
+    assert np.abs(np.array(info.compat_defects) - want["compat_defects"]).max() <= 1e-13
+    assert len(info.stability_ratios) == (m.num_vertices if stability else 0)
+    if stability:
+        # a ratio inherits the roundoff of s_a amplified by ||chi_a|| / ||s_a - chi_a||
+        got, ref = np.array(info.stability_ratios), np.array(want["stability_ratios"])
+        amp = np.array(want["stability_amplification"])
+        assert np.all(np.abs(got - ref) <= tol * amp * np.maximum(ref, 1e-300) + 1e-300)
+    assert info.commute_residual <= 1e-10
+    assert abs(info.commute_scale - want["commute_scale"]) <= 1e-13 * want["commute_scale"]
+    assert abs(info.commute_residual - want["commute_abs"] / want["commute_scale"]) <= 1e-13
+    assert info.warnings == want["warnings"]
+
+
+@pytest.mark.parametrize("p,variant", [(1, "def31"), (2, "def31"), (2, "def52"), (3, "def52")])
+def test_projector_matches_loop_oracle_on_corner_wedges(p, variant):
+    # lshape_singular takes radially weighted wedge rules at the corner
+    m = build_lshape(2)
+    v = fields.catalog("lshape_singular", {"alpha": 2 / 3})
+    sig = project_hdiv(v, p, m, variant=variant, measure_stability=True)
+    info = sig.info["projector"]
+    want = oracles.project_hdiv_oracle(v, p, m, variant=variant, measure_stability=True)
+    assert _rel(sig.info["theta"].coeffs, want["theta"].coeffs) <= 1e-13
+    assert _rel(sig.dofs, want["dofs"]) <= 1e-13
+    assert np.abs(np.array(info.compat_defects) - want["compat_defects"]).max() <= 1e-13
+    amp = np.array(want["stability_amplification"])
+    ref = np.array(want["stability_ratios"])
+    assert np.all(np.abs(np.array(info.stability_ratios) - ref) <= 1e-13 * amp * ref + 1e-300)
+    assert abs(info.commute_residual - want["commute_abs"] / want["commute_scale"]) <= 1e-13
+    assert info.warnings == want["warnings"]
+
+
+def test_self_check_warnings_match_loop():
+    m = build_structured(3)
+    v = oscillating_field()
+    for p in (2, 3):
+        info = project_hdiv(v, p, m).info["projector"]
+        want = oracles.project_hdiv_oracle(v, p, m)
+        assert info.warnings and info.warnings == want["warnings"]
+        got = []
+        project_scalar(v.div, p, m, policy=QuadPolicy(p, field=v), warnings=got)
+        ref = []
+        oracles.project_scalar_oracle(v.div, p, m, QuadPolicy(p, field=v), ref)
+        assert got == ref == info.warnings
+
+
+@pytest.mark.parametrize("p", [0, 1])
+@pytest.mark.parametrize("k", [3, 10])
+def test_perturbed_theta_names_the_loops_vertex(monkeypatch, p, k):
+    # perturbing theta on one element breaks the mass of the patches of its
+    # interior and Neumann vertices; both paths name the lowest of them
+    import hdivkit.projector as projector
+
+    m = build_structured(3, labels="all-neumann")
+    v = random_conforming_field(m, p + 1, seed=4).as_field()
+    dtheta = 1e-3 * np.random.default_rng(k).standard_normal(rtn_space(m, p).ref.dim)
+
+    def perturb(theta):
+        theta.coeffs[k] += dtheta
+
+    def perturbed_fit(*args, **kwargs):
+        theta = theta_field(*args, **kwargs)
+        perturb(theta)
+        return theta
+
+    with pytest.raises(CompatibilityError) as want:
+        oracles.project_hdiv_oracle(v, p, m, theta_hook=perturb)
+    monkeypatch.setattr(projector, "theta_field", perturbed_fit)
+    with pytest.raises(CompatibilityError) as got:
+        project_hdiv(v, p, m)
+    assert _vertex(str(got.value)) == _vertex(str(want.value)) == min(m.triangles[k])
+
+
+def test_sigma_sums_patches_in_vertex_order():
+    # the stacked path equals its own group solutions zero-extended and
+    # summed one vertex at a time in ascending order, to the bit
+    m = build_lshape(2, labels="left-neumann")
+    v = stream_field()
+    p = 2
+    sig = project_hdiv(v, p, m)
+    theta = sig.info["theta"]
+    layout = patch_layout(m, p)
+    per_vertex = {}
+    for group in layout.groups:
+        s, _ = patch_equilibrate(build_patch_problem(group, theta, v, p, m))
+        per_vertex.update({int(a): (dofs, sa) for a, dofs, sa in zip(group.verts, group.dofs, s)})
+    want = np.zeros(rtn_space(m, p).ndof)
+    for a in sorted(per_vertex):
+        dofs, sa = per_vertex[a]
+        want[dofs] += sa
+    assert np.array_equal(sig.dofs, want)
+    rng = np.random.default_rng(0)
+    parts = [(g, rng.standard_normal(g.dofs.shape)) for g in layout.groups]
+    rows = [(int(a), dofs, sa) for g, s in parts for a, dofs, sa in zip(g.verts, g.dofs, s)]
+    want = np.zeros_like(want)
+    for _, dofs, sa in sorted(rows, key=lambda row: row[0]):
+        want[dofs] += sa
+    assert np.array_equal(sum_patch_fields(parts, len(want)), want)
+
+
+@pytest.mark.parametrize("p", [0, 1, 3])
+@pytest.mark.parametrize("labels", LABELS)
+def test_patch_layout_matches_patch_loop(labels, p):
+    for m in (jitter(build_lshape(2, labels=labels), 2), refine_uniform(build_structured(2, labels=labels))):
+        space = rtn_space(m, p)
+        layout = patch_layout(m, p)
+        assert layout is patch_layout(m, p)
+        seen = []
+        for group in layout.groups:
+            n, nt = group.tris.shape
+            size = group.dofs.shape[1] + nt * space.sdim + group.kernel
+            assert n == 1 or n * 8 * size**2 <= STACK_BYTES
+            assert np.all(np.diff(group.verts) > 0)
+            for r, a in enumerate(group.verts):
+                patch = vertex_patches(m)[a]
+                want = oracles.patch_space_oracle(patch, space)
+                assert group.kernel == (patch.kind in ("interior", "neumann"))
+                assert np.array_equal(group.tris[r], patch.tris)
+                assert [patch.local_index[int(k)] for k in patch.tris] == list(group.local[r])
+                assert np.array_equal(group.dofs[r], want.dofs)
+                for t, k in enumerate(patch.tris):
+                    assert np.array_equal(group.elem_map[r, t], want.elem_maps[int(k)])
+                one = layout.group_of(a)
+                assert one.verts.tolist() == [a] and np.array_equal(one.dofs[0], want.dofs)
+            seen += group.verts.tolist()
+        assert sorted(seen) == list(range(m.num_vertices))
+
+
+def test_single_patch_problem_matches_loop_assembly():
+    # a VertexPatch is a group of one with the per-patch shapes
+    m = jitter(build_lshape(2, labels="left-neumann"), 2)
+    v = random_conforming_field(m, 3, seed=1).as_field()
+    p = 2
+    theta = theta_field(v, p, m)
+    data = oracles.patch_data_oracle(theta, v, p, m, QuadPolicy(p, field=v))
+    for patch in vertex_patches(m):
+        prob = build_patch_problem(patch, theta, v, p, m)
+        want = oracles.build_patch_problem_oracle(patch, p, m, data)
+        for key in ("M", "B", "rhs", "grhs"):
+            got, ref = getattr(prob, key), getattr(want, key)
+            assert got.shape == ref.shape
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), key
+        assert (prob.kernel is None) == (want.kernel is None)
+        assert sorted(prob.chi) == sorted(want.chi) and sorted(prob.g) == sorted(want.g)
+        s, _ = patch_equilibrate(prob)
+        s_ref, _ = oracles.saddle_solve_dense(want.M, want.B, want.rhs, want.grhs, kernel=want.kernel)
+        assert _rel(s, s_ref) <= 1e-13
+
+
+@pytest.mark.parametrize("mode", ["standard", "reduced"])
+def test_element_fit_is_a_slice_of_the_stacked_fit(mode):
+    m = jitter(build_structured(3, labels="left-neumann"), 1)
+    v = stream_field()
+    p = 2
+    q = p if mode == "standard" else p - 1
+    theta = theta_field(v, p, m, variant="def31" if mode == "standard" else "def52")
+    policy = QuadPolicy(q, field=v)
+    for k in range(m.num_triangles):
+        one = elem_constrained_min(v, p, m, k, degree_mode=mode)
+        assert _rel(one, theta.coeffs[k]) <= 1e-14
+        assert _rel(one, oracles.elem_constrained_min_oracle(v, q, m, k, policy)) <= 1e-13
+
+
+@pytest.mark.parametrize("p", [0, 1, 2])
+def test_constrained_local_errors_match_element_loop(p):
+    m = jitter(build_lshape(2, labels="left-neumann"), 2)
+    v = stream_field()
+    rep = error_report(v, p, m, include_constrained=True)
+    policy = QuadPolicy(p, field=v)
+    want = np.array([oracles.local_best_constrained_oracle(v, p, m, k, policy) for k in range(m.num_triangles)])
+    assert _rel(rep.Eloc_constrained, want) <= 1e-12
+    assert np.all(rep.Eloc_constrained >= rep.Eloc * (1 - 1e-12))
+    for k in (0, 7):
+        assert abs(local_best_constrained(v, p, m, k)["E_loc_c"] - want[k]) <= 1e-12 * want[k]
+
+
+class _CornerDiv:
+    """div of a field with the L-shape corner singularity, through the
+    per-element interface: wedge rules at the corner."""
+
+    singularity = fields.Singularity(center=(0.0, 0.0), gamma=-1 / 3)
+    poly_degree = None
+
+    def eval_element(self, k, pts):
+        r = np.hypot(pts[:, 0], pts[:, 1])
+        return r ** (-1 / 3) * (1 + pts[:, 0])
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_project_scalar_matches_element_loop(p):
+    m = jitter(build_lshape(2, labels="left-neumann"), 2)
+    f = lambda pts: np.exp(pts[:, 0]) * np.sin(3 * pts[:, 1])  # noqa: E731
+    pw = ScalarPWField(m, p + 1, np.random.default_rng(p).standard_normal((m.num_triangles, (p + 2) * (p + 3) // 2)))
+    for g in (f, pw, _CornerDiv()):
+        got_w, ref_w = [], []
+        got = project_scalar(g, p, m, warnings=got_w)
+        pd = pw.p if g is pw else None
+        policy = QuadPolicy(p, field=None)
+        if pd is not None:
+            policy.base_degree, policy.self_check = pd + p + 1, False
+        policy.singularity = getattr(g, "singularity", None)
+        want = oracles.project_scalar_oracle(g, p, m, policy, ref_w)
+        assert _rel(got.coeffs, want.coeffs) <= 1e-13
+        assert got_w == ref_w
+
+
+def test_neumann_trace_check_in_one_field_call(exp_field):
+    # same threshold and message as a loop over the Neumann edges
+    m = build_structured(3, labels="left-neumann")
+    neumann = m.edges_with_label("neumann")
+    worst = 0.0
+    for e in neumann:
+        pts = m.vertices[m.edges[e, 0]] + np.outer(gauss01(8)[0], m.edge_vector(e))
+        worst = max(worst, float(np.max(np.abs(exp_field.eval(pts) @ m.edge_normal(e)))))
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return exp_field.eval(pts)
+
+    with pytest.raises(FieldError, match=re.escape(f"|v.n| up to {worst:.2e}")):
+        check_field_compatibility(fields.AnalyticField("exp", counted, exp_field.div), m)
+    assert calls == [8 * len(neumann)]
+    check_field_compatibility(stream_field(), build_lshape(2, labels="all-neumann"))

@@ -7,9 +7,10 @@ from hdivkit.linsolve import (
     SingularSystemError,
     SparseFactor,
     dense_solve,
-    saddle_matrix,
-    saddle_solve_dense,
+    saddle_solve_stacked,
+    solve_stacked,
 )
+from oracles import saddle_matrix, saddle_solve_dense
 
 RNG = np.random.default_rng(0)
 
@@ -144,3 +145,51 @@ def test_global_mixed_sparse_vs_dense(unit_square_2):
     assert np.abs(sol[:n] - res["sigma"].dofs).max() < 1e-10 * max(
         1.0, np.abs(sol[:n]).max()
     )
+
+
+def _kkt_stack(n, d, m, rng, kernel=False):
+    Q = rng.standard_normal((n, d, d))
+    M = Q @ np.swapaxes(Q, 1, 2) + d * np.eye(d)
+    B = rng.standard_normal((n, m, d))
+    k = None
+    if kernel:
+        k = rng.standard_normal((n, m))
+        B = B - k[:, :, None] * (np.einsum("km,kmd->kd", k, B) / np.sum(k * k, axis=1)[:, None])[:, None]
+    return M, B, rng.standard_normal((n, d)), rng.standard_normal((n, m)), k
+
+
+@pytest.mark.parametrize("kernel", [False, True])
+def test_saddle_stack_matches_dense_solves(kernel):
+    rng = np.random.default_rng(1)
+    M, B, b, g, k = _kkt_stack(7, 9, 4, rng, kernel)
+    x, lam = saddle_solve_stacked(M, B, b, g, kernel=k)
+    for i in range(len(M)):
+        want, want_lam = saddle_solve_dense(M[i], B[i], b[i], g[i], kernel=None if k is None else k[i])
+        assert np.abs(x[i] - want).max() < 1e-12 * max(1.0, np.abs(want).max())
+        assert np.abs(lam[i] - want_lam).max() < 1e-11 * max(1.0, np.abs(want_lam).max())
+
+
+def test_stacks_are_solved_in_chunks(monkeypatch):
+    # one system per chunk gives the same answer to the bit as one chunk
+    import hdivkit.linsolve as linsolve
+
+    rng = np.random.default_rng(2)
+    M, B, b, g, k = _kkt_stack(11, 6, 3, rng, kernel=True)
+    whole = saddle_solve_stacked(M, B, b, g, kernel=k)
+    assert len(linsolve.chunks(11, 8 * 10 * 10)) == 1
+    monkeypatch.setattr(linsolve, "STACK_BYTES", 1)
+    assert len(linsolve.chunks(11, 8 * 10 * 10)) == 11
+    pieces = saddle_solve_stacked(M, B, b, g, kernel=k)
+    assert all(np.array_equal(a, c) for a, c in zip(whole, pieces))
+    A = M + 0.1 * np.eye(6)
+    assert np.array_equal(solve_stacked(A, b), np.linalg.solve(A, b[:, :, None])[..., 0])
+
+
+def test_stacked_residual_check_names_the_worst_system():
+    A = np.stack([np.eye(3)] * 4)
+    A[2, 1, 1] = np.nan  # LAPACK passes it through; the residual check must not
+    b = np.ones((4, 3))
+    with pytest.raises(SingularSystemError, match=r"\(system 2\)"):
+        solve_stacked(A, b)
+    with pytest.raises(SingularSystemError):
+        solve_stacked(np.zeros((2, 3, 3)), np.ones((2, 3)))

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from oracles import hat_values
+from oracles import hat_values, label_boundary_oracle, mesh_topology_oracle
 
 from hdivkit.mesh import (
     Mesh,
@@ -10,6 +10,7 @@ from hdivkit.mesh import (
     build_lshape,
     build_structured,
     load_mesh,
+    _label_boundary,
     mesh_from_dict,
     refine_uniform,
     save_mesh,
@@ -219,3 +220,61 @@ def test_interior_active_edges_contain_vertex():
         if patch.kind == "interior":
             for e in patch.active_edges:
                 assert patch.vertex in m.edges[e]
+
+
+def _shuffled(seed):
+    """Vertices, triangles and labels of a refined L-shape with the vertex
+    order, the triangle order and half of the orientations scrambled."""
+    m = refine_uniform(build_lshape(1, labels="left-neumann"))
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(m.num_vertices)
+    verts = np.empty_like(m.vertices)
+    verts[perm] = m.vertices
+    tris = perm[m.triangles][rng.permutation(m.num_triangles)]
+    tris[::2] = tris[::2, ::-1]
+    labels = [((int(perm[a]), int(perm[b])), lab) for (a, b), lab in
+              ((m.edges[e], lab) for e, lab in m.boundary_labels.items())]
+    return verts, tris, labels
+
+
+def _loaded(tmp):
+    save_mesh(Mesh(*_shuffled(1)), tmp / "m.json")
+    m = load_mesh(tmp / "m.json")
+    return m, m.vertices, json.loads((tmp / "m.json").read_text())["triangles"]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda tmp: build_structured(5, labels="left-neumann"),
+        lambda tmp: build_lshape(3),
+        lambda tmp: refine_uniform(build_lshape(1, labels="all-neumann")),
+        lambda tmp: (Mesh(*_shuffled(0)),) + _shuffled(0)[:2],
+        _loaded,
+    ],
+    ids=["structured", "lshape", "refined", "shuffled", "loaded"],
+)
+def test_topology_matches_the_edge_loop(tmp_path, make):
+    m = make(tmp_path)
+    m, verts, raw = m if isinstance(m, tuple) else (m, m.vertices, m.triangles)
+    tris, edges, edge_tris, tri_edges, sign = mesh_topology_oracle(verts, raw)
+    assert np.array_equal(m.triangles, tris)
+    assert np.array_equal(m.edges, edges)
+    assert np.array_equal(m.edge_tris, edge_tris)
+    assert np.array_equal(m.tri_edges, tri_edges)
+    assert np.array_equal(m.tri_edge_sign, sign)
+
+
+@pytest.mark.parametrize("rule", ["all-dirichlet", "left-neumann", "all-neumann"])
+def test_boundary_labels_match_the_pair_loop(rule):
+    verts, tris, _ = _shuffled(2)
+    assert _label_boundary(verts, tris, rule) == label_boundary_oracle(verts, tris, rule)
+
+
+def test_edge_of_three_triangles_rejected():
+    verts = [[0, 0], [1, 0], [0, 1], [1, 1], [-1, -1]]
+    tris = [[0, 1, 2], [1, 3, 2], [0, 2, 4], [1, 2, 4]]
+    with pytest.raises(MeshError, match=r"edge \(1, 2\) belongs to 3 triangles"):
+        Mesh(verts, tris, [])
+    with pytest.raises(ValueError, match="belongs to 3 triangles"):
+        mesh_topology_oracle(verts, tris)
