@@ -15,6 +15,10 @@ freedom, evaluated against globally oriented data:
 Because the edge data is global, coefficient vectors of fields on neighboring
 elements agree on the shared edge dofs exactly when the normal trace is
 continuous; no sign flips are needed during assembly.
+
+The continuous P_q numbering of a mesh (``lagrange_nodes``) and the stacked
+P_q stiffness and P_q/RTN_p coupling blocks serve both the least-squares
+solver and the patch stability surrogate.
 """
 
 from __future__ import annotations
@@ -657,3 +661,76 @@ def rtn_space(mesh, p: int) -> RTNSpace:
     if key not in mesh._cache:
         mesh._cache[key] = RTNSpace(mesh, p)
     return mesh._cache[key]
+
+
+# -- continuous Lagrange P_q ----------------------------------------------------------
+
+
+def lagrange_bary(q: int) -> np.ndarray:
+    """Integer barycentric coordinates (q - i - j, i, j) of the equispaced
+    local P_q nodes (i/q, j/q), i outer: the column order of
+    ``polys.lagrange_nodal(q)``.  Shape (nloc, 3)."""
+    return np.array([(q - i - j, i, j) for i in range(q + 1) for j in range(q + 1 - i)])
+
+
+def lagrange_grads_ref(q: int, refpts):
+    """Reference gradients of the P_q nodal basis; two arrays (nloc, npts)."""
+    nodal = polys.lagrange_nodal(q)
+    gx, gy = polys.eval_monomials_grad(q, refpts)
+    return nodal.T @ gx, nodal.T @ gy
+
+
+def lagrange_nodes(mesh, q: int) -> np.ndarray:
+    """The continuous P_q numbering of ``mesh``: global node of each local
+    node on every element, (nt, nloc).  Vertices come first, then q - 1
+    nodes per edge in lower -> higher vertex order, then the interior nodes
+    of each triangle.  Built once per (mesh, q) and cached."""
+    key = ("lagrange_nodes", q)
+    if key not in mesh._cache:
+        mesh._cache[key] = _build_lagrange_nodes(mesh, q)
+    return mesh._cache[key]
+
+
+def _build_lagrange_nodes(mesh, q):
+    tri, bary = mesh.triangles, lagrange_bary(q)
+    n_edge, n_int = q - 1, (q - 1) * (q - 2) // 2
+    out = np.empty((mesh.num_triangles, len(bary)), dtype=int)
+    interior = mesh.num_vertices + mesh.num_edges * n_edge
+    interior += np.arange(mesh.num_triangles) * n_int
+    i_int = 0
+    for m, lam in enumerate(bary):
+        if lam.max() == q:
+            out[:, m] = tri[:, np.argmax(lam)]
+        elif lam.min() == 0:  # node on the edge opposite vertex z
+            z = int(np.argmin(lam))
+            la, lb = [i for i in range(3) if i != z]
+            # position along the global lower -> higher direction
+            num = np.where(tri[:, la] < tri[:, lb], lam[lb], lam[la])
+            out[:, m] = mesh.num_vertices + mesh.tri_edges[:, z] * n_edge + (num - 1)
+        else:
+            out[:, m] = interior + i_int
+            i_int += 1
+    out.flags.writeable = False
+    return out
+
+
+def _stiffness_blocks(mesh, rule, gref, tris=slice(None)):
+    """(grad phi_n, grad phi_m)_K on the elements ``tris`` (any index shape)
+    for reference gradients gref (n, nq, 2) at the rule's points:
+    det B_k sum_cd (B_k^{-1} B_k^{-T})_cd A^cd with the reference tables
+    A^cd = (d_c phi_n, d_d phi_m), exact when the rule is exact for the
+    products.  Shape tris.shape + (n, n)."""
+    A = np.einsum("q,nqc,mqd->cdnm", rule.weights, gref, gref)
+    Binv = mesh.Binv[tris]
+    K = Binv @ np.swapaxes(Binv, -1, -2) * mesh.detB[tris][..., None, None]
+    return (K.reshape(*K.shape[:-2], 4) @ A.reshape(4, -1)).reshape(*K.shape[:-2], *A.shape[2:])
+
+
+def _coupling_blocks(q, space, tris=slice(None)):
+    """(grad phi_n, Phi_j)_K of the P_q nodal and RTN_p bases on the elements
+    ``tris``; the Piola map cancels the gradient's B_k^{-T}, so the blocks
+    are one reference table times C_k.  Shape tris.shape + (nloc, ndof)."""
+    rule = quad_rule(q + space.p)
+    g = np.stack(lagrange_grads_ref(q, rule.points), axis=2)  # (nloc, nq, 2)
+    ref = np.einsum("q,nqd,iqd->ni", rule.weights, g, space.ref.eval(rule.points))
+    return ref @ space.C[tris]

@@ -11,22 +11,38 @@ subject to a prescribed elementwise divergence.  For interior and Neumann
 vertices the multiplier has a constant kernel; the data is projected onto the
 compatible subspace and the kernel mode pinned by a symmetric bordering row.
 
-Both steps are stacked dense solves: the element fits over the quadrature
-groups of a ``QuadPolicy``, the patch problems over the signature groups of
-the ``PatchLayout`` (patches with equal dof count, triangle count and
-kernel give KKT systems of one size).
+Stability surrogate: the dual norm of each patch's data over
+patch-continuous P_{p+2} functions, against which the patch correction is
+measured (``patch_stability_ratio``).
+
+All three steps are stacked dense solves: the element fits over the
+quadrature groups of a ``QuadPolicy``, the patch problems and their
+surrogates over the signature groups of the ``PatchLayout`` (patches with
+equal dof count, triangle count and kernel give KKT systems of one size).
+The surrogate numbers its nodes by the mesh's continuous P_{p+2} numbering
+(``elements.lagrange_nodes``) and builds its element blocks from reference
+tables, so no step loops over elements or patches in Python.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dfield
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import polys
-from .elements import hat_operators, rtn_space
-from .linsolve import chunks, saddle_solve_stacked
-from .mesh import DIRICHLET, INTERIOR, NEUMANN, VertexPatch, vertex_patches
+from .elements import (
+    _coupling_blocks,
+    _stiffness_blocks,
+    hat_operators,
+    lagrange_bary,
+    lagrange_grads_ref,
+    lagrange_nodes,
+    rtn_space,
+    scalar_basis,
+)
+from .linsolve import chunks, saddle_solve_stacked, solve_stacked
+from .mesh import DIRICHLET, VertexPatch
 from .projections import BrokenRTNField, hat_interpolants
 from .quadpolicy import QuadPolicy
 from .quadrature import quad_rule
@@ -202,45 +218,18 @@ def sum_patch_fields(parts, ndof):
     return np.bincount(dofs[order], vals[order], ndof)
 
 
-# -- patch space and problem -------------------------------------------------------
-
-
-@dataclass
-class PatchSpace:
-    """Active dof layout of the patch space on one vertex patch."""
-
-    patch: object
-    p: int
-    tris: np.ndarray
-    ndof: int
-    elem_maps: dict  # triangle -> local dof -> patch dof (-1 = pinned to zero)
-    dofs: np.ndarray  # patch dof -> global dof (for zero-extension scatter)
-
-
-@dataclass
-class PatchProblem:
-    """The equilibration problem of one vertex patch."""
-
-    pspace: PatchSpace
-    g: dict  # triangle -> divergence data coefficients (orthonormal scalar basis)
-    chi: dict  # triangle -> target dof vector (broken RTN_p)
-    M: np.ndarray
-    B: np.ndarray
-    rhs: np.ndarray
-    grhs: np.ndarray
-    kernel: np.ndarray | None
-    compat_defect: float = 0.0
-    meta: dict = dfield(default_factory=dict)
+# -- patch problems ----------------------------------------------------------------
 
 
 @dataclass
 class PatchGroupProblem:
-    """The equilibration problems of a ``PatchGroup``, stacked: ``chi``
-    (n, nt, ndof) and ``g`` (n, nt, sdim) per triangle, ``M`` (n, nd, nd),
-    ``B`` (n, nt sdim, nd), ``rhs``, ``grhs``, ``kernel`` (or None) and
-    ``compat_defect`` with one row per patch."""
+    """The degree-p equilibration problems of a ``PatchGroup``, stacked:
+    ``chi`` (n, nt, ndof) and ``g`` (n, nt, sdim) per triangle, ``M``
+    (n, nd, nd), ``B`` (n, nt sdim, nd), ``rhs``, ``grhs``, ``kernel`` (or
+    None) and ``compat_defect`` with one row per patch."""
 
     group: PatchGroup
+    p: int
     chi: np.ndarray
     g: np.ndarray
     M: np.ndarray
@@ -249,33 +238,6 @@ class PatchGroupProblem:
     grhs: np.ndarray
     kernel: np.ndarray | None
     compat_defect: np.ndarray
-    meta: dict = dfield(default_factory=dict)
-
-    def patch(self, r, mesh, p) -> PatchProblem:
-        """Row r as the problem of one patch."""
-        grp = self.group
-        patch = vertex_patches(mesh)[int(grp.verts[r])]
-        tris = grp.tris[r]
-        pspace = PatchSpace(
-            patch=patch,
-            p=p,
-            tris=tris,
-            ndof=grp.dofs.shape[1],
-            elem_maps={int(k): grp.elem_map[r, t] for t, k in enumerate(tris)},
-            dofs=grp.dofs[r],
-        )
-        return PatchProblem(
-            pspace=pspace,
-            g={int(k): self.g[r, t] for t, k in enumerate(tris)},
-            chi={int(k): self.chi[r, t] for t, k in enumerate(tris)},
-            M=self.M[r],
-            B=self.B[r],
-            rhs=self.rhs[r],
-            grhs=self.grhs[r],
-            kernel=None if self.kernel is None else self.kernel[r],
-            compat_defect=float(self.compat_defect[r]),
-            meta=self.meta,
-        )
 
 
 @dataclass
@@ -372,12 +334,10 @@ def _sum_into(shape, idx, vals):
     return np.bincount(idx[keep], vals[keep], int(np.prod(shape))).reshape(shape)
 
 
-def build_patch_problem(
-    patch, theta: BrokenRTNField, v, p, mesh, *, variant="def31", policy=None, data=None
-):
+def build_patch_problem(patch, theta: BrokenRTNField, v, p, mesh, *, policy=None, data=None):
     """Assemble the equilibration problems of a ``PatchGroup`` as stacked
-    arrays (a ``PatchGroupProblem``), or of one ``VertexPatch`` (a
-    ``PatchProblem``, its group of one).
+    arrays (a ``PatchGroupProblem``); a ``VertexPatch`` gives the problem of
+    its group of one.
 
     def31: data = Pi_p(psi_a div v + grad psi_a . theta), target = the
     degree-p interpolant of psi_a theta.  def52: theta has degree p-1, the
@@ -388,8 +348,7 @@ def build_patch_problem(
     order.  Raises CompatibilityError for the lowest vertex whose patch data
     has a nonzero mass against the constant multiplier kernel.
     """
-    single = isinstance(patch, VertexPatch)
-    group = patch_layout(mesh, p).group_of(patch.vertex) if single else patch
+    group = patch_layout(mesh, p).group_of(patch.vertex) if isinstance(patch, VertexPatch) else patch
     space = rtn_space(mesh, p)
     if data is None:
         data = patch_data(theta, v, p, mesh, policy=policy, tris=group.tris.ravel())
@@ -412,163 +371,80 @@ def build_patch_problem(
         kernel = np.zeros((n, nt, sdim))
         kernel[:, :, 0] = np.sqrt(mesh.area[group.tris])
         kernel = kernel.reshape(n, -1)
-    out = PatchGroupProblem(
-        group=group,
-        chi=chi,
-        g=g,
-        M=M,
-        B=B,
-        rhs=rhs,
-        grhs=g.reshape(n, -1),
-        kernel=kernel,
-        compat_defect=defect,
-        meta={"variant": variant},
-    )
-    return out.patch(0, mesh, p) if single else out
+    return PatchGroupProblem(group, p, chi, g, M, B, rhs, g.reshape(n, -1), kernel, defect)
 
 
-def patch_equilibrate(problem):
-    """Solve the constrained patch minimizations of a stacked problem (or of
-    one patch); returns the active coefficients and the multipliers."""
-    single = np.ndim(problem.M) == 2
-    args = (problem.M, problem.B, problem.rhs, problem.grhs, problem.kernel)
-    if single:
-        args = [None if a is None else a[None] for a in args]
-    s, lam = saddle_solve_stacked(*args)
-    return (s[0], lam[0]) if single else (s, lam)
-
-
-def scatter_patch(problem: PatchProblem, s):
-    """Patch solution as per-element coefficient vectors (zero on pinned dofs)."""
-    out = {}
-    for k in problem.pspace.tris:
-        k = int(k)
-        m = problem.pspace.elem_maps[k]
-        c = np.zeros(len(m))
-        act = m >= 0
-        c[act] = s[m[act]]
-        out[k] = c
-    return out
+def patch_equilibrate(problem: PatchGroupProblem):
+    """Solve the constrained patch minimizations of a stacked problem;
+    returns the active coefficients (n, nd) and the multipliers."""
+    return saddle_solve_stacked(problem.M, problem.B, problem.rhs, problem.grhs, problem.kernel)
 
 
 # -- dual-norm surrogate for the patch stability constant ---------------------------
 
 
-def _patch_lagrange(mesh, patch, q):
-    """Continuous P_q nodes and element node maps on the patch triangles."""
-    nodes = {}
-    elem_nodes = {}
-    coords = []
-
-    def node_id(key, xy):
-        if key not in nodes:
-            nodes[key] = len(coords)
-            coords.append(xy)
-        return nodes[key]
-
-    for k in patch.tris:
-        k = int(k)
-        tri = mesh.triangles[k]
-        xs = mesh.triangle_coords(k)
-        ids = []
-        for i in range(q + 1):
-            for j in range(q + 1 - i):
-                lam = np.array([1 - (i + j) / q, i / q, j / q])
-                xy = lam @ xs
-                # key nodes by barycentric position on shared entities
-                if lam.max() == 1.0:
-                    key = ("v", int(tri[np.argmax(lam)]))
-                elif np.count_nonzero(lam > 1e-12) == 2:
-                    loc = np.flatnonzero(lam > 1e-12)
-                    va, vb = int(tri[loc[0]]), int(tri[loc[1]])
-                    frac = lam[loc[1]]
-                    if va > vb:
-                        va, vb = vb, va
-                        frac = 1 - frac
-                    key = ("e", va, vb, round(frac * q))
-                else:
-                    key = ("i", k, i, j)
-                ids.append(node_id(key, tuple(xy)))
-        elem_nodes[k] = ids
-    return np.array(coords), elem_nodes
-
-
-def patch_stability_ratio(problem: PatchProblem, s, mesh, *, surrogate_degree=None):
-    """Measured ratio ||s_a - chi_a|| over a discrete dual-norm surrogate.
+def patch_stability_ratio(problem: PatchGroupProblem, s, mesh):
+    """Measured ratios ||s_a - chi_a|| over a discrete dual-norm surrogate,
+    one per row of a stacked problem with solutions ``s`` (n, nd).
 
     The surrogate maximizes (g, w) + (chi, grad w) over patch-continuous
-    P_{p+1} functions with unit gradient norm, mean-zero for interior and
-    Neumann vertices, zero trace on the Dirichlet edges at the vertex for
-    Dirichlet ones.  Recorded, never asserted: the bound it witnesses is a
-    cited stability result.
+    P_{p+2} functions with unit gradient norm, mean-zero for interior and
+    Neumann vertices, zero on the Dirichlet edges at the vertex for
+    Dirichlet ones.  Its nodes are those of the mesh-wide numbering
+    ``lagrange_nodes``, renumbered per row; the element tables are
+    reference tables scaled by the affine maps.  Recorded, never asserted:
+    the bound it witnesses is a cited stability result.
     """
-    patch = problem.pspace.patch
-    p = problem.pspace.p
+    group, p = problem.group, problem.p
     # p + 2 keeps the surrogate space nontrivial even on one-triangle corner
     # patches with two clamped edges
-    q = surrogate_degree or (p + 2)
+    q = p + 2
     space = rtn_space(mesh, p)
-    coords, elem_nodes = _patch_lagrange(mesh, patch, q)
-    nn = len(coords)
-    nodal = polys.lagrange_nodal(q)
-    rule = quad_rule(2 * q + 2 + 2 * (p + 1))
-    gx_ref, gy_ref = polys.eval_monomials_grad(q, rule.points)
-    grad_ref = np.stack([nodal.T @ gx_ref, nodal.T @ gy_ref], axis=2)  # (nloc, nq, 2)
-    vals = nodal.T @ polys.eval_monomials(q, rule.points)
-    S = np.zeros((nn, nn))
-    ell = np.zeros(nn)
-    mass1 = np.zeros(nn)
-    for k in patch.tris:
-        k = int(k)
-        el = space.elements[k]
-        ids = np.array(elem_nodes[k])
-        grad = np.einsum("dc,nqc->nqd", el.Binv.T, grad_ref)
-        w = rule.weights * el.detB
-        S[np.ix_(ids, ids)] += np.einsum("q,nqd,mqd->nm", w, grad, grad)
-        mass1[ids] += vals @ w
-        # functional: (g, w)_K + (chi, grad w)_K
-        gvals = el.scalar_values(problem.g[k], el.map_to_phys(rule.points))
-        chivals = el.eval_coeffs(problem.chi[k], el.map_to_phys(rule.points))
-        ell[ids] += vals @ (w * gvals)
-        ell[ids] += np.einsum("q,nqd,qd->n", w, grad, chivals)
-    if patch.kind in (INTERIOR, NEUMANN):
-        A = np.zeros((nn + 1, nn + 1))
-        A[:nn, :nn] = S
-        A[:nn, nn] = mass1
-        A[nn, :nn] = mass1
-        b = np.concatenate([ell, [0.0]])
-        sol = np.linalg.lstsq(A, b, rcond=None)[0]
-        y = sol[:nn]
+    tris = group.tris
+    n = len(tris)
+    row = np.arange(n)[:, None, None]
+    # patch-local numbering: the global nodes of each row, in ascending order
+    nodes = lagrange_nodes(mesh, q)
+    stride = nodes.max() + 1
+    uniq, loc = np.unique(row * stride + nodes[tris], return_inverse=True)
+    start = np.searchsorted(uniq, np.arange(n + 1) * stride)
+    loc = loc.reshape(tris.shape + (-1,)) - start[:-1, None, None]
+    nn = int(np.diff(start).max())
+    # fixed nodes get an identity row: padding past a row's own node count
+    # and, at Dirichlet vertices, the nodes on the Dirichlet edges there
+    fixed = np.arange(nn) >= np.diff(start)[:, None]
+    if not group.kernel:
+        dirichlet = np.zeros(mesh.num_edges, dtype=bool)
+        dirichlet[np.array(mesh.edges_with_label(DIRICHLET), dtype=int)] = True
+        # edge z of a triangle lies opposite its local vertex z
+        clamped = dirichlet[mesh.tri_edges[tris]] & (np.arange(3) != group.local[..., None])
+        on_edge = lagrange_bary(q).T == 0  # (3, nloc)
+        at = np.any(clamped[..., :, None] & on_edge, axis=-2)
+        fixed[np.broadcast_to(row, at.shape)[at], loc[at]] = True
+    # element tables: (grad w, grad w)_K, (chi, grad w)_K + (g, w)_K, (1, w)_K,
+    # by reference rules exact in their degree (at most q + p)
+    rule = quad_rule(q + p)
+    vals = polys.lagrange_nodal(q).T @ polys.eval_monomials(q, rule.points) * rule.weights
+    detB = mesh.detB[tris][..., None]
+    stiff = _stiffness_blocks(mesh, rule, np.stack(lagrange_grads_ref(q, rule.points), axis=2), tris)
+    ell = (_coupling_blocks(q, space, tris) @ problem.chi[..., None])[..., 0]
+    ell += np.sqrt(detB) * (problem.g @ (vals @ scalar_basis(p).eval(rule.points).T).T)
+    flat = row * nn + loc
+    S = _sum_into((n, nn, nn), flat[..., :, None] * nn + loc[..., None, :], stiff)
+    ell = _sum_into((n, nn), flat, ell)
+    S[fixed[:, :, None] | fixed[:, None, :]] = 0.0
+    fr, fi = np.nonzero(fixed)
+    S[fr, fi, fi] = 1.0
+    ell[fixed] = 0.0
+    if group.kernel:
+        mean = _sum_into((n, nn), flat, detB * vals.sum(axis=1))
+        y = saddle_solve_stacked(S, mean[:, None, :], ell, np.zeros((n, 1)))[0]
     else:
-        drop = set()
-        for e in patch.gamma_d_edges:
-            a, b_ = mesh.edges[e]
-            pa, pb = mesh.vertices[a], mesh.vertices[b_]
-            d = pb - pa
-            L2 = d @ d
-            for i, xy in enumerate(coords):
-                rel = np.asarray(xy) - pa
-                t = (rel @ d) / L2
-                if -1e-10 <= t <= 1 + 1e-10 and abs(rel @ rel - t**2 * L2) < 1e-20:
-                    drop.add(i)
-        keep = np.array([i for i in range(nn) if i not in drop], dtype=int)
-        y = np.zeros(nn)
-        y[keep] = np.linalg.solve(S[np.ix_(keep, keep)], ell[keep])
-    dual = float(np.sqrt(max(ell @ y, 0.0)))
+        y = solve_stacked(S, ell)
+    dual = np.sqrt(np.maximum(np.sum(ell * y, axis=1), 0.0))
     # numerator: ||s_a - chi_a|| over the patch
-    num2 = 0.0
-    chi_norm2 = 0.0
-    for k in patch.tris:
-        k = int(k)
-        el = space.elements[k]
-        m = problem.pspace.elem_maps[k]
-        c = np.zeros(len(m))
-        act = m >= 0
-        c[act] = s[m[act]]
-        diff = c - problem.chi[k]
-        num2 += float(diff @ el.M @ diff)
-        chi_norm2 += float(problem.chi[k] @ el.M @ problem.chi[k])
-    num = np.sqrt(num2)
-    if num < 1e-12 * max(np.sqrt(chi_norm2), 1.0):
-        return 0.0
-    return num / max(dual, 1e-300)
+    diff = np.append(s, np.zeros((n, 1)), axis=1)[row, group.elem_map] - problem.chi  # -1: pinned
+    Mk = space.M[tris]
+    num = np.sqrt(np.sum(diff * (Mk @ diff[..., None])[..., 0], axis=(1, 2)))
+    chi_norm = np.sqrt(np.sum(problem.chi * (Mk @ problem.chi[..., None])[..., 0], axis=(1, 2)))
+    return np.where(num < 1e-12 * np.maximum(chi_norm, 1.0), 0.0, num / np.maximum(dual, 1e-300))

@@ -17,7 +17,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import polys
-from .elements import rtn_space, scalar_basis
+from .elements import (
+    _coupling_blocks,
+    _stiffness_blocks,
+    lagrange_bary,
+    lagrange_grads_ref,
+    lagrange_nodes,
+    rtn_space,
+    scalar_basis,
+)
 from .fields import AnalyticField
 from .linsolve import SparseFactor, assemble_csr, solve_stacked
 from .projections import ScalarPWField
@@ -175,43 +183,18 @@ class LagrangeSpace:
             + mesh.num_triangles * self.n_int
         )
         self.nodal = polys.lagrange_nodal(q)
-        # integer barycentric coordinates (q - i - j, i, j) of the local nodes
-        self.bary = np.array([(q - i - j, i, j) for i in range(q + 1) for j in range(q + 1 - i)])
-        self._elem_nodes = self._element_nodes()
-        be = mesh.boundary_edges()
+        self.bary = lagrange_bary(q)
+        self._elem_nodes = lagrange_nodes(mesh, q)
+        # the local nodes on an element's boundary edges (edge z lies opposite vertex z)
+        on_boundary = mesh.edge_tris[mesh.tri_edges, 1] == -1
         self.boundary_nodes = np.unique(
-            np.concatenate([mesh.edges[be].ravel(), self._edge_node_id(be[:, None], np.arange(1, q)).ravel()])
+            self._elem_nodes[np.any(on_boundary[:, :, None] & (self.bary.T == 0), axis=1)]
         )
         self.free = np.ones(self.n_nodes, dtype=bool)
         self.free[self.boundary_nodes] = False
         self.free_index = np.flatnonzero(self.free)
         self.pos = -np.ones(self.n_nodes, dtype=int)
         self.pos[self.free_index] = np.arange(len(self.free_index))
-
-    def _edge_node_id(self, e, frac_num):
-        return self.mesh.num_vertices + e * self.n_edge + (frac_num - 1)
-
-    def _element_nodes(self):
-        """Global node of each local node on every element; (nt, nloc)."""
-        mesh, q = self.mesh, self.q
-        tri = mesh.triangles
-        out = np.empty((mesh.num_triangles, len(self.bary)), dtype=int)
-        interior = mesh.num_vertices + mesh.num_edges * self.n_edge
-        interior += np.arange(mesh.num_triangles) * self.n_int
-        i_int = 0
-        for m, lam in enumerate(self.bary):
-            if lam.max() == q:
-                out[:, m] = tri[:, np.argmax(lam)]
-            elif lam.min() == 0:  # node on the edge opposite vertex z
-                z = int(np.argmin(lam))
-                la, lb = [i for i in range(3) if i != z]
-                # position along the global lower -> higher direction
-                num = np.where(tri[:, la] < tri[:, lb], lam[lb], lam[la])
-                out[:, m] = self._edge_node_id(mesh.tri_edges[:, z], num)
-            else:
-                out[:, m] = interior + i_int
-                i_int += 1
-        return out
 
     def node_coords(self):
         mesh = self.mesh
@@ -224,8 +207,7 @@ class LagrangeSpace:
         return self.nodal.T @ polys.eval_monomials(self.q, refpts)
 
     def basis_grads_ref(self, refpts):
-        gx, gy = polys.eval_monomials_grad(self.q, refpts)
-        return self.nodal.T @ gx, self.nodal.T @ gy
+        return lagrange_grads_ref(self.q, refpts)
 
     def eval_element(self, nodal_values, k, refpts):
         ids = self._elem_nodes[k]
@@ -236,26 +218,6 @@ class LagrangeSpace:
         el_vals = nodal_values[self._elem_nodes[k]]
         gref = np.stack([el_vals @ gx, el_vals @ gy], axis=1)
         return gref @ self.mesh.Binv[k]
-
-
-def _stiffness_blocks(mesh, rule, gref):
-    """(grad phi_n, grad phi_m)_K on every element for reference gradients
-    gref (n, nq, 2) at the rule's points: det B_k sum_cd (B_k^{-1} B_k^{-T})_cd
-    A^cd with the reference tables A^cd = (d_c phi_n, d_d phi_m), exact when
-    the rule is exact for the products.  Shape (nt, n, n)."""
-    A = np.einsum("q,nqc,mqd->cdnm", rule.weights, gref, gref)
-    K = mesh.Binv @ np.swapaxes(mesh.Binv, 1, 2) * mesh.detB[:, None, None]
-    return (K.reshape(len(K), 4) @ A.reshape(4, -1)).reshape(len(K), *A.shape[2:])
-
-
-def _coupling_blocks(ls: LagrangeSpace, space):
-    """(grad phi_n, Phi_j)_K of the Lagrange and RTN_p bases; the Piola map
-    cancels the gradient's B_k^{-T}, so the blocks are one reference table
-    times C_k.  Shape (nt, nloc, ndof)."""
-    rule = quad_rule(ls.q + space.p)
-    g = np.stack(ls.basis_grads_ref(rule.points), axis=2)  # (nloc, nq, 2)
-    ref = np.einsum("q,nqd,iqd->ni", rule.weights, g, space.ref.eval(rule.points))
-    return ref @ space.C
 
 
 def _lagrange_stiffness(ls: LagrangeSpace, rule):
@@ -275,7 +237,7 @@ def solve_ls_mixed(prob: PoissonProblem, p: int, q: int):
     # scalar basis; G couples fluxes with potential gradients
     D = (B.T @ B).tocsr()
     G = assemble_csr(
-        ls._elem_nodes, space.dof_map, _coupling_blocks(ls, space), (ls.n_nodes, space.ndof)
+        ls._elem_nodes, space.dof_map, _coupling_blocks(ls.q, space), (ls.n_nodes, space.ndof)
     )
     S = _lagrange_stiffness(ls, quad_rule(2 * q))
     fr = ls.free_index

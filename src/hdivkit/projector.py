@@ -208,16 +208,11 @@ def project_hdiv(
     info.compat_defects = defects.tolist()
     parts, ratios = [], []
     for group in layout.groups:
-        problem = build_patch_problem(
-            group, theta, v, p, mesh, variant=variant, policy=policy, data=data
-        )
+        problem = build_patch_problem(group, theta, v, p, mesh, policy=policy, data=data)
         s, _ = patch_equilibrate(problem)
         parts.append((group, s))
         if measure_stability:
-            ratios += [
-                (a, patch_stability_ratio(problem.patch(r, mesh, p), s[r], mesh))
-                for r, a in enumerate(group.verts)
-            ]
+            ratios += zip(group.verts, patch_stability_ratio(problem, s, mesh))
     sigma.dofs = sum_patch_fields(parts, space.ndof)
     info.stability_ratios = [ratio for _, ratio in sorted(ratios)]
     # commuting residual against the broken projection of div v, from the

@@ -4,9 +4,11 @@ per-element dual bases by quadrature and a dense solve, per-element error
 and fit loops, normal-equation least squares, null-space constrained
 minimization, per-site COO assembly loops, patch equilibration data taken
 by quadrature on every (patch, element) pair, the dense Bunch-Kaufman KKT
-solve, the element-by-element and patch-by-patch projector loop, and the
-mesh topology loops."""
+solve, the element-by-element and patch-by-patch projector loop with its
+per-patch stability surrogate on dict-numbered Lagrange nodes, and the mesh
+topology loops."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -437,13 +439,15 @@ def _assemble_patch(mesh, patch, p, chi, g):
 
 
 def patch_oracle(mesh, patch, p, theta_coeffs, chi, g):
-    """Patch equilibration by the null-space method on the active dofs.
+    """Patch equilibration by the null-space method on the active dofs;
+    ``chi`` and ``g`` hold the per-triangle data in ``patch.tris`` order.
 
     For interior/Neumann patches the incompatible component of g is removed
     against the constant direction first (same data handling, different
     solver algebra).
     """
-    M, b, B, grhs, ps = _assemble_patch(mesh, patch, p, chi, g)
+    tris = [int(k) for k in patch.tris]
+    M, b, B, grhs, ps = _assemble_patch(mesh, patch, p, dict(zip(tris, chi)), dict(zip(tris, g)))
     if patch.kind in ("interior", "neumann"):
         space = rtn_space(mesh, p)
         sdim = space.elements[0].sdim
@@ -515,18 +519,10 @@ def projector_oracle(v, p, mesh, quad_degree=None):
     sigma = ConformingRTNField(mesh, p)
     for patch in vertex_patches(mesh):
         prob = build_patch_problem(patch, theta, v, p, mesh, policy=policy)
-        s = nullspace_constrained_min(
-            prob.M,
-            prob.rhs,
-            prob.B,
-            prob.grhs
-            - (
-                prob.kernel * (prob.kernel @ prob.grhs) / (prob.kernel @ prob.kernel)
-                if prob.kernel is not None
-                else 0.0
-            ),
-        )
-        sigma.dofs[prob.pspace.dofs] += s
+        grhs, kern = prob.grhs[0], None if prob.kernel is None else prob.kernel[0]
+        if kern is not None:
+            grhs = grhs - kern * (kern @ grhs) / (kern @ kern)
+        sigma.dofs[prob.group.dofs[0]] += nullspace_constrained_min(prob.M[0], prob.rhs[0], prob.B[0], grhs)
     err2 = 0.0
     rule = quad_rule(qd)
     for k in range(mesh.num_triangles):
@@ -683,10 +679,35 @@ def patch_data_oracle(theta, v, p, mesh, policy):
     return PatchData(tris, hat_interpolants(theta, p, tris), div + grad, div_scale + grad_scale)
 
 
+@dataclass
+class PatchSpace:
+    """Active dof layout of the patch space on one vertex patch."""
+
+    patch: object
+    p: int
+    tris: np.ndarray
+    ndof: int
+    elem_maps: dict  # triangle -> local dof -> patch dof (-1 = pinned to zero)
+    dofs: np.ndarray  # patch dof -> global dof (for zero-extension scatter)
+
+
+@dataclass
+class PatchProblem:
+    """The equilibration problem of one vertex patch, keyed by triangle."""
+
+    pspace: PatchSpace
+    g: dict  # triangle -> divergence data coefficients (orthonormal scalar basis)
+    chi: dict  # triangle -> target dof vector (broken RTN_p)
+    M: np.ndarray
+    B: np.ndarray
+    rhs: np.ndarray
+    grhs: np.ndarray
+    kernel: np.ndarray | None
+    compat_defect: float = 0.0
+
+
 def patch_space_oracle(patch, space):
     """Patch dof layout of one vertex patch by a loop over its triangles."""
-    from hdivkit.local_solve import PatchSpace
-
     p = space.p
     active = list(patch.active_edges)
     epos = {e: i for i, e in enumerate(active)}
@@ -710,11 +731,11 @@ def patch_space_oracle(patch, space):
     )
 
 
-def build_patch_problem_oracle(patch, p, mesh, data, variant="def31"):
+def build_patch_problem_oracle(patch, p, mesh, data):
     """The equilibration problem of one vertex patch, assembled triangle by
     triangle from ``patch_data`` tables; raises CompatibilityError as the
     library does."""
-    from hdivkit.local_solve import CompatibilityError, PatchProblem
+    from hdivkit.local_solve import CompatibilityError
 
     space = rtn_space(mesh, p)
     pspace = patch_space_oracle(patch, space)
@@ -737,7 +758,123 @@ def build_patch_problem_oracle(patch, p, mesh, data, variant="def31"):
                 f"patch of vertex {patch.vertex}: divergence data incompatible "
                 f"(defect {defect:.2e}); the elementwise fit and the patch data disagree"
             )
-    return PatchProblem(pspace, g, chi, M, B, rhs, grhs, kernel, defect, {"variant": variant})
+    return PatchProblem(pspace, g, chi, M, B, rhs, grhs, kernel, defect)
+
+
+def _patch_lagrange(mesh, patch, q):
+    """Continuous P_q nodes and element node maps on the patch triangles."""
+    nodes = {}
+    elem_nodes = {}
+    coords = []
+
+    def node_id(key, xy):
+        if key not in nodes:
+            nodes[key] = len(coords)
+            coords.append(xy)
+        return nodes[key]
+
+    for k in patch.tris:
+        k = int(k)
+        tri = mesh.triangles[k]
+        xs = mesh.triangle_coords(k)
+        ids = []
+        for i in range(q + 1):
+            for j in range(q + 1 - i):
+                lam = np.array([1 - (i + j) / q, i / q, j / q])
+                xy = lam @ xs
+                # key nodes by barycentric position on shared entities
+                if lam.max() == 1.0:
+                    key = ("v", int(tri[np.argmax(lam)]))
+                elif np.count_nonzero(lam > 1e-12) == 2:
+                    loc = np.flatnonzero(lam > 1e-12)
+                    va, vb = int(tri[loc[0]]), int(tri[loc[1]])
+                    frac = lam[loc[1]]
+                    if va > vb:
+                        va, vb = vb, va
+                        frac = 1 - frac
+                    key = ("e", va, vb, round(frac * q))
+                else:
+                    key = ("i", k, i, j)
+                ids.append(node_id(key, tuple(xy)))
+        elem_nodes[k] = ids
+    return np.array(coords), elem_nodes
+
+
+def patch_stability_ratio_oracle(problem: PatchProblem, s, mesh):
+    """``patch_stability_ratio`` of one patch: per-element evaluation of
+    the bases at physical points, dict-keyed P_{p+2} nodes, a least-squares
+    solve of the mean-constrained system and, at Dirichlet vertices, the
+    nodes on the Dirichlet edges found by their position relative to the
+    edge length."""
+    patch = problem.pspace.patch
+    p = problem.pspace.p
+    q = p + 2
+    space = rtn_space(mesh, p)
+    coords, elem_nodes = _patch_lagrange(mesh, patch, q)
+    nn = len(coords)
+    nodal = polys.lagrange_nodal(q)
+    rule = quad_rule(2 * q + 2 + 2 * (p + 1))
+    gx_ref, gy_ref = polys.eval_monomials_grad(q, rule.points)
+    grad_ref = np.stack([nodal.T @ gx_ref, nodal.T @ gy_ref], axis=2)  # (nloc, nq, 2)
+    vals = nodal.T @ polys.eval_monomials(q, rule.points)
+    S = np.zeros((nn, nn))
+    ell = np.zeros(nn)
+    mass1 = np.zeros(nn)
+    for k in patch.tris:
+        k = int(k)
+        el = space.elements[k]
+        ids = np.array(elem_nodes[k])
+        grad = np.einsum("dc,nqc->nqd", el.Binv.T, grad_ref)
+        w = rule.weights * el.detB
+        S[np.ix_(ids, ids)] += np.einsum("q,nqd,mqd->nm", w, grad, grad)
+        mass1[ids] += vals @ w
+        # functional: (g, w)_K + (chi, grad w)_K
+        gvals = el.scalar_values(problem.g[k], el.map_to_phys(rule.points))
+        chivals = el.eval_coeffs(problem.chi[k], el.map_to_phys(rule.points))
+        ell[ids] += vals @ (w * gvals)
+        ell[ids] += np.einsum("q,nqd,qd->n", w, grad, chivals)
+    if patch.kind in ("interior", "neumann"):
+        A = np.zeros((nn + 1, nn + 1))
+        A[:nn, :nn] = S
+        A[:nn, nn] = mass1
+        A[nn, :nn] = mass1
+        b = np.concatenate([ell, [0.0]])
+        y = np.linalg.lstsq(A, b, rcond=None)[0][:nn]
+    else:
+        drop = set()
+        for e in patch.gamma_d_edges:
+            a, b_ = mesh.edges[e]
+            pa, pb = mesh.vertices[a], mesh.vertices[b_]
+            d = pb - pa
+            L2 = d @ d
+            for i, xy in enumerate(coords):
+                rel = np.asarray(xy) - pa
+                t = (rel @ d) / L2
+                # squared distance from the edge line against the squared edge
+                # length: an absolute threshold would depend on the mesh scale
+                if -1e-10 <= t <= 1 + 1e-10 and abs(rel @ rel - t**2 * L2) < 1e-12 * L2:
+                    drop.add(i)
+        keep = np.array([i for i in range(nn) if i not in drop], dtype=int)
+        y = np.zeros(nn)
+        y[keep] = np.linalg.solve(S[np.ix_(keep, keep)], ell[keep])
+    dual = float(np.sqrt(max(ell @ y, 0.0)))
+    # numerator: ||s_a - chi_a|| over the patch
+    num2 = 0.0
+    chi_norm2 = 0.0
+    for k in patch.tris:
+        k = int(k)
+        el = space.elements[k]
+        m = problem.pspace.elem_maps[k]
+        c = np.zeros(len(m))
+        act = m >= 0
+        c[act] = s[m[act]]
+        diff = c - problem.chi[k]
+        num2 += float(diff @ el.M @ diff)
+        chi_norm2 += float(problem.chi[k] @ el.M @ problem.chi[k])
+    num = np.sqrt(num2)
+    if num < 1e-12 * max(np.sqrt(chi_norm2), 1.0):
+        return 0.0
+    return num / max(dual, 1e-300)
 
 
 def project_hdiv_oracle(v, p, mesh, *, variant="def31", measure_stability=False, extra=0, theta_hook=None):
@@ -753,7 +890,6 @@ def project_hdiv_oracle(v, p, mesh, *, variant="def31", measure_stability=False,
     (||chi_a|| / ||s_a - chi_a||, the factor by which roundoff in s_a
     reaches the ratio), ``commute_abs``, ``commute_scale`` and
     ``warnings``."""
-    from hdivkit.local_solve import patch_stability_ratio
     from hdivkit.mesh import vertex_patches
     from hdivkit.projector import check_field_compatibility
     from hdivkit.projections import BrokenRTNField
@@ -775,11 +911,11 @@ def project_hdiv_oracle(v, p, mesh, *, variant="def31", measure_stability=False,
     out = {"theta": theta, "compat_defects": [], "stability_ratios": [], "warnings": [],
            "stability_amplification": []}
     for patch in vertex_patches(mesh):
-        prob = build_patch_problem_oracle(patch, p, mesh, data, variant)
+        prob = build_patch_problem_oracle(patch, p, mesh, data)
         s, _ = saddle_solve_dense(prob.M, prob.B, prob.rhs, prob.grhs, kernel=prob.kernel)
         out["compat_defects"].append(prob.compat_defect)
         if measure_stability:
-            out["stability_ratios"].append(patch_stability_ratio(prob, s, mesh))
+            out["stability_ratios"].append(patch_stability_ratio_oracle(prob, s, mesh))
             chi_sq = diff_sq = 0.0
             for k in patch.tris:
                 m = prob.pspace.elem_maps[int(k)]

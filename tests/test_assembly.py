@@ -6,14 +6,9 @@ match per-element quadrature to roundoff."""
 import numpy as np
 import pytest
 
-from hdivkit.elements import rtn_space
+from hdivkit.elements import _coupling_blocks, _stiffness_blocks, rtn_space
 from hdivkit.mesh import build_structured
-from hdivkit.model_problems import (
-    _coupling_blocks,
-    _stiffness_blocks,
-    manufactured_sine,
-    solve_ls_mixed,
-)
+from hdivkit.model_problems import manufactured_sine, solve_ls_mixed
 from hdivkit.quadrature import quad_rule
 
 from oracles import conforming_blocks_oracle, coo_oracle, ls_coupling_oracle
@@ -41,7 +36,7 @@ def test_ls_blocks_bit_identical(unit_square_4, p, q):
     res = solve_ls_mixed(manufactured_sine(unit_square_4), p, q)
     ls, space = res["space"], rtn_space(unit_square_4, p)
     nodes, shape = ls._elem_nodes, (ls.n_nodes, ls.n_nodes)
-    G = coo_oracle(nodes, space.dof_map, _coupling_blocks(ls, space), (ls.n_nodes, space.ndof))
+    G = coo_oracle(nodes, space.dof_map, _coupling_blocks(q, space), (ls.n_nodes, space.ndof))
     assert _same(res["blocks"]["G"], G)
     rule = quad_rule(2 * q)
     S = _stiffness_blocks(ls.mesh, rule, np.stack(ls.basis_grads_ref(rule.points), axis=2))

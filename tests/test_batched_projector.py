@@ -31,7 +31,7 @@ from hdivkit.local_solve import (
     sum_patch_fields,
     theta_field,
 )
-from hdivkit.mesh import build_lshape, build_structured, refine_uniform, vertex_patches
+from hdivkit.mesh import Mesh, build_lshape, build_structured, refine_uniform, vertex_patches
 from hdivkit.projections import ScalarPWField, project_scalar
 from hdivkit.projector import check_field_compatibility, project_hdiv, random_conforming_field
 from hdivkit.quadpolicy import QuadPolicy
@@ -92,7 +92,7 @@ def test_projector_matches_loop_oracle(meshes, mesh_name, labels, p, variant, fi
     # dofs; the stream field runs the analytic path with the self-check
     m = meshes[mesh_name, labels]
     v = random_conforming_field(m, p + 1, seed=p).as_field() if field == "discrete" else stream_field()
-    stability = p <= 2  # the surrogate is one dense solve per patch at degree p + 2
+    stability = p <= 2  # the per-patch oracle surrogate loops over P_{p+2} nodes in Python
     sig = project_hdiv(v, p, m, variant=variant, measure_stability=stability)
     info = sig.info["projector"]
     want = oracles.project_hdiv_oracle(v, p, m, variant=variant, measure_stability=stability)
@@ -131,6 +131,23 @@ def test_projector_matches_loop_oracle_on_corner_wedges(p, variant):
     assert np.all(np.abs(np.array(info.stability_ratios) - ref) <= 1e-13 * amp * ref + 1e-300)
     assert abs(info.commute_residual - want["commute_abs"] / want["commute_scale"]) <= 1e-13
     assert info.warnings == want["warnings"]
+
+
+@pytest.mark.parametrize("p", [0, 2])
+def test_stability_ratios_match_loop_oracle_at_a_bowtie_vertex(p):
+    # vertex 0 joins two triangles at a point; its patch shares a layout
+    # group with the two-triangle fans of vertices 1 and 2 but has more
+    # surrogate nodes, so the group's rows have different node counts
+    edges = [(0, 1), (1, 3), (3, 2), (2, 0), (0, 4), (4, 5)]
+    labels = [(e, "dirichlet") for e in edges] + [((0, 5), "neumann")]
+    m = Mesh([(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1)], [(0, 1, 2), (1, 3, 2), (0, 4, 5)], labels)
+    layout = patch_layout(m, p)
+    assert layout.groups[layout.where[0, 0]].verts.tolist() == [0, 1, 2]
+    v = random_conforming_field(m, p + 1, seed=p).as_field()
+    got = np.array(project_hdiv(v, p, m, measure_stability=True).info["projector"].stability_ratios)
+    want = oracles.project_hdiv_oracle(v, p, m, measure_stability=True)
+    ref, amp = np.array(want["stability_ratios"]), np.array(want["stability_amplification"])
+    assert np.all(np.abs(got - ref) <= 1e-13 * amp * ref)
 
 
 def test_self_check_warnings_match_loop():
@@ -230,7 +247,7 @@ def test_patch_layout_matches_patch_loop(labels, p):
 
 
 def test_single_patch_problem_matches_loop_assembly():
-    # a VertexPatch is a group of one with the per-patch shapes
+    # a VertexPatch gives the one-row problem of its group
     m = jitter(build_lshape(2, labels="left-neumann"), 2)
     v = random_conforming_field(m, 3, seed=1).as_field()
     p = 2
@@ -239,15 +256,17 @@ def test_single_patch_problem_matches_loop_assembly():
     for patch in vertex_patches(m):
         prob = build_patch_problem(patch, theta, v, p, m)
         want = oracles.build_patch_problem_oracle(patch, p, m, data)
-        for key in ("M", "B", "rhs", "grhs"):
-            got, ref = getattr(prob, key), getattr(want, key)
+        assert prob.group.verts.tolist() == [patch.vertex] and prob.p == p
+        for key in ("M", "B", "rhs", "grhs", "chi", "g"):
+            got, ref = getattr(prob, key)[0], getattr(want, key)
+            if key in ("chi", "g"):  # per triangle, in ascending triangle order
+                ref = np.array([ref[int(k)] for k in patch.tris])
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), key
         assert (prob.kernel is None) == (want.kernel is None)
-        assert sorted(prob.chi) == sorted(want.chi) and sorted(prob.g) == sorted(want.g)
         s, _ = patch_equilibrate(prob)
         s_ref, _ = oracles.saddle_solve_dense(want.M, want.B, want.rhs, want.grhs, kernel=want.kernel)
-        assert _rel(s, s_ref) <= 1e-13
+        assert _rel(s[0], s_ref) <= 1e-13
 
 
 @pytest.mark.parametrize("mode", ["standard", "reduced"])

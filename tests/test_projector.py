@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import oracles
 from hdivkit import fields
 from hdivkit.fields import FieldError
 from hdivkit.local_solve import CompatibilityError, build_patch_problem, theta_field
-from hdivkit.mesh import build_lshape, build_structured, refine_uniform, vertex_patches
+from hdivkit.mesh import Mesh, build_lshape, build_structured, refine_uniform, vertex_patches
 from hdivkit.projector import (
     check_field_compatibility,
     project_hdiv,
@@ -254,3 +256,27 @@ def test_report_constant_stable_across_meshes(sine_field):
         maxes.append(rep["max_C_approx"])
         m = refine_uniform(m)
     assert max(maxes) / min(maxes) <= 2.0
+
+
+@pytest.mark.parametrize("scale", [1e3, 1e-3])
+def test_stability_ratios_scale_invariant(scale):
+    # the ratio is dimensionless: on the mesh scaled by L with the field
+    # v(x / L) every patch gives the unit mesh's value; the Dirichlet edges
+    # clamp the surrogate by topology, whatever the edge length
+    m = build_structured(4)
+    v = fields.catalog("cubic")
+    labels = [(tuple(m.edges[e]), lab) for e, lab in m.boundary_labels.items()]
+    big = Mesh(scale * m.vertices, m.triangles, labels)
+    w = fields.AnalyticField("cubic", lambda x: v.eval(x / scale), lambda x: v.eval_div(x / scale) / scale)
+    want = np.array(projector_report(v, 1, m)["stability_ratios"])
+    got = np.array(projector_report(w, 1, big)["stability_ratios"])
+    assert np.all(np.abs(got - want) <= 1e-10 * want)
+
+
+def test_report_at_p3_emits_no_runtime_warning(sine_field):
+    # the surrogate runs at degree p + 2 = 5 on the shared Lagrange numbering
+    # without LagrangeSpace's warning for degrees above 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = projector_report(sine_field, 3, build_structured(2))
+    assert len(rep["stability_ratios"]) == 9

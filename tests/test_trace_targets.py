@@ -27,3 +27,17 @@ def test_tracer_installs_and_restores():
     with tracing.Tracer().installed():
         assert linsolve.dense_solve is not before[0]
     assert (linsolve.dense_solve, linsolve.SparseFactor.__dict__["solve"]) == before
+
+
+def test_projector_report_records_surrogate_spans():
+    # the surrogate runs once per layout group; its per-layer metric needs
+    # the spans of those calls
+    from hdivkit import fields, projector
+    from hdivkit.mesh import build_structured
+
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        projector.projector_report(fields.catalog("sine_divfree"), 1, build_structured(2))
+    names = [row[0] for row in tracer.spans]
+    assert names.count("local_solve.patch_stability_ratio") >= 1
+    assert tracer.per_layer()["local_solve.patch_stability_ratio.self_s"]["value"] > 0
