@@ -23,20 +23,25 @@ from .projector import project_hdiv
 from .study import ConfigError, StudyConfig, build_mesh, run_study, verify, verify_exit_code
 
 
-def _add_common(p):
-    p.add_argument("--mesh", default="structured:2", help="structured:<n> | lshape:<n> | file")
-    p.add_argument("--labels", default=None,
-                   help="all-dirichlet | all-neumann | left-neumann | file (default: "
-                   "all-dirichlet for generated meshes, the file's own labels for a mesh file)")
-    p.add_argument("--p", default="1", help="polynomial degree or comma list")
-    p.add_argument("--q", type=int, default=1)
-    p.add_argument("--field", default="sine_divfree", help="name[:k=v,...]")
-    p.add_argument("--refinements", type=int, default=4)
-    p.add_argument("--variant", default="def31", choices=["def31", "def52"])
-    p.add_argument("--quad-degree", type=int, default=None)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=".")
+# every argument once; each subcommand below names the ones its cmd_* reads
+_FLAGS = {
+    "action": dict(choices=["gen", "refine", "inspect"]),
+    "--mesh": dict(default="structured:2", help="structured:<n> | lshape:<n> | file"),
+    "--labels": dict(default=None, help="all-dirichlet | all-neumann | left-neumann | file "
+                     "(default: all-dirichlet for generated meshes, the file's own labels "
+                     "for a mesh file)"),
+    "--p": dict(default="1", help="polynomial degree or comma list"),
+    "--q": dict(type=int, default=1),
+    "--field": dict(default="sine_divfree", help="name[:k=v,...]"),
+    "--refinements": dict(type=int, default=4),
+    "--variant": dict(default="def31", choices=["def31", "def52"]),
+    "--quad-degree": dict(type=int, default=None),
+    "--tol": dict(type=float, default=1e-9),
+    "--seed": dict(type=int, default=0),
+    "--out": dict(default="."),
+    "--problem": dict(default="sine", choices=["sine", "bubble"]),
+    "--config": dict(default=None, help="JSON config mirroring the flags"),
+}
 
 
 def _degrees(arg):
@@ -158,11 +163,9 @@ def cmd_study(args):
             labels=args.labels,
             refinements=args.refinements,
             degrees=_degrees(args.p),
-            q=args.q,
             variant=args.variant,
             quad_degree=args.quad_degree,
             tol=args.tol,
-            seed=args.seed,
             out_dir=args.out,
         )
     summary = run_study(cfg)
@@ -187,43 +190,36 @@ def cmd_verify(args):
     return code
 
 
-def main(argv=None):
+def build_parser():
+    """The ``hdivkit`` argument parser."""
     ap = argparse.ArgumentParser(prog="hdivkit", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    for name, func, help_, flags in (
+        ("mesh", cmd_mesh, "generate / refine / inspect meshes",
+         ["action", "--mesh", "--labels", "--out"]),
+        ("project", cmd_project, "run the commuting projector",
+         ["--mesh", "--labels", "--p", "--field", "--variant", "--quad-degree"]),
+        ("best-approx", cmd_best_approx, "local/global best approximation errors",
+         ["--mesh", "--labels", "--p", "--field", "--quad-degree"]),
+        ("solve-mixed", cmd_solve_mixed, "mixed discretization of a model problem",
+         ["--mesh", "--labels", "--p", "--problem"]),
+        ("solve-ls", cmd_solve_ls, "least-squares mixed discretization",
+         ["--mesh", "--labels", "--p", "--q", "--problem"]),
+        ("study", cmd_study, "convergence / equivalence study",
+         ["--mesh", "--labels", "--p", "--field", "--refinements", "--variant",
+          "--quad-degree", "--tol", "--out", "--config"]),
+        ("verify", cmd_verify, "run the invariant battery", ["--seed", "--variant"]),
+    ):
+        # no prefix matching: a dropped --q must not turn into --quad-degree
+        p = sub.add_parser(name, help=help_, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
+    return ap
 
-    p_mesh = sub.add_parser("mesh", help="generate / refine / inspect meshes")
-    p_mesh.add_argument("action", choices=["gen", "refine", "inspect"])
-    _add_common(p_mesh)
-    p_mesh.set_defaults(func=cmd_mesh)
 
-    p_proj = sub.add_parser("project", help="run the commuting projector")
-    _add_common(p_proj)
-    p_proj.set_defaults(func=cmd_project)
-
-    p_best = sub.add_parser("best-approx", help="local/global best approximation errors")
-    _add_common(p_best)
-    p_best.set_defaults(func=cmd_best_approx)
-
-    p_mix = sub.add_parser("solve-mixed", help="mixed discretization of a model problem")
-    _add_common(p_mix)
-    p_mix.add_argument("--problem", default="sine", choices=["sine", "bubble"])
-    p_mix.set_defaults(func=cmd_solve_mixed)
-
-    p_ls = sub.add_parser("solve-ls", help="least-squares mixed discretization")
-    _add_common(p_ls)
-    p_ls.add_argument("--problem", default="sine", choices=["sine", "bubble"])
-    p_ls.set_defaults(func=cmd_solve_ls)
-
-    p_study = sub.add_parser("study", help="convergence / equivalence study")
-    _add_common(p_study)
-    p_study.add_argument("--config", default=None, help="JSON config mirroring the flags")
-    p_study.set_defaults(func=cmd_study)
-
-    p_ver = sub.add_parser("verify", help="run the invariant battery")
-    _add_common(p_ver)
-    p_ver.set_defaults(func=cmd_verify)
-
-    args = ap.parse_args(argv)
+def main(argv=None):
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (fields_mod.FieldError, mesh_mod.MeshError, ConfigError) as exc:

@@ -39,7 +39,6 @@ from .elements import (
     lagrange_grads_ref,
     lagrange_nodes,
     rtn_space,
-    scalar_basis,
 )
 from .linsolve import chunks, saddle_solve_stacked, solve_stacked
 from .mesh import DIRICHLET, VertexPatch
@@ -390,7 +389,10 @@ def patch_stability_ratio(problem: PatchGroupProblem, s, mesh):
     The surrogate maximizes (g, w) + (chi, grad w) over patch-continuous
     P_{p+2} functions with unit gradient norm, mean-zero for interior and
     Neumann vertices, zero on the Dirichlet edges at the vertex for
-    Dirichlet ones.  Its nodes are those of the mesh-wide numbering
+    Dirichlet ones.  The functional is evaluated as -(s_a - chi_a, grad w):
+    equal, since div s_a = g up to the kernel constant and s_a.n = 0 on the
+    patch boundary wherever w is free, but free of the cancellation of two
+    terms of size ||chi_a||.  The nodes are those of the mesh-wide numbering
     ``lagrange_nodes``, renumbered per row; the element tables are
     reference tables scaled by the affine maps.  Recorded, never asserted:
     the bound it witnesses is a cited stability result.
@@ -421,14 +423,15 @@ def patch_stability_ratio(problem: PatchGroupProblem, s, mesh):
         on_edge = lagrange_bary(q).T == 0  # (3, nloc)
         at = np.any(clamped[..., :, None] & on_edge, axis=-2)
         fixed[np.broadcast_to(row, at.shape)[at], loc[at]] = True
-    # element tables: (grad w, grad w)_K, (chi, grad w)_K + (g, w)_K, (1, w)_K,
+    # s_a - chi_a per triangle; -1 in elem_map is a pinned dof
+    diff = np.append(s, np.zeros((n, 1)), axis=1)[row, group.elem_map] - problem.chi
+    # element tables: (grad w, grad w)_K, -(s_a - chi_a, grad w)_K, (1, w)_K,
     # by reference rules exact in their degree (at most q + p)
     rule = quad_rule(q + p)
     vals = polys.lagrange_nodal(q).T @ polys.eval_monomials(q, rule.points) * rule.weights
     detB = mesh.detB[tris][..., None]
     stiff = _stiffness_blocks(mesh, rule, np.stack(lagrange_grads_ref(q, rule.points), axis=2), tris)
-    ell = (_coupling_blocks(q, space, tris) @ problem.chi[..., None])[..., 0]
-    ell += np.sqrt(detB) * (problem.g @ (vals @ scalar_basis(p).eval(rule.points).T).T)
+    ell = -(_coupling_blocks(q, space, tris) @ diff[..., None])[..., 0]
     flat = row * nn + loc
     S = _sum_into((n, nn, nn), flat[..., :, None] * nn + loc[..., None, :], stiff)
     ell = _sum_into((n, nn), flat, ell)
@@ -443,8 +446,7 @@ def patch_stability_ratio(problem: PatchGroupProblem, s, mesh):
         y = solve_stacked(S, ell)
     dual = np.sqrt(np.maximum(np.sum(ell * y, axis=1), 0.0))
     # numerator: ||s_a - chi_a|| over the patch
-    diff = np.append(s, np.zeros((n, 1)), axis=1)[row, group.elem_map] - problem.chi  # -1: pinned
     Mk = space.M[tris]
     num = np.sqrt(np.sum(diff * (Mk @ diff[..., None])[..., 0], axis=(1, 2)))
     chi_norm = np.sqrt(np.sum(problem.chi * (Mk @ problem.chi[..., None])[..., 0], axis=(1, 2)))
-    return np.where(num < 1e-12 * np.maximum(chi_norm, 1.0), 0.0, num / np.maximum(dual, 1e-300))
+    return np.where(num <= 1e-12 * chi_norm, 0.0, num / np.maximum(dual, 1e-300))

@@ -31,8 +31,9 @@ def _canonical_triangles(vertices, triangles):
     tris = np.array(triangles, dtype=int).reshape(-1, 3)
     xa, xb, xc = np.asarray(vertices, dtype=float)[tris].transpose(1, 0, 2)
     area2 = (xb[:, 0] - xa[:, 0]) * (xc[:, 1] - xa[:, 1]) - (xb[:, 1] - xa[:, 1]) * (xc[:, 0] - xa[:, 0])
-    size = np.maximum(1.0, np.abs(np.stack([xa, xb, xc], axis=1)).max(axis=(1, 2)))
-    bad = np.flatnonzero(np.abs(area2) < 1e-14 * size**2)
+    # relative to the longest edge, so the check is invariant under scaling
+    longest_sq = np.sum(np.stack([xb - xa, xc - xb, xa - xc]) ** 2, axis=2).max(axis=0)
+    bad = np.flatnonzero(np.abs(area2) <= 1e-14 * longest_sq)
     if len(bad):
         k = int(bad[0])
         raise MeshError(f"triangle {k} {tuple(int(a) for a in tris[k])} is degenerate")

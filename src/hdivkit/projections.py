@@ -34,9 +34,6 @@ class ScalarPWField:
     def norm(self):
         return float(np.linalg.norm(self.coeffs))
 
-    def norm_element(self, k):
-        return float(np.linalg.norm(self.coeffs[k]))
-
     def eval_element(self, k, pts):
         space = rtn_space(self.mesh, self.p)
         return space.elements[k].scalar_values(self.coeffs[k], pts)
@@ -146,7 +143,7 @@ def project_scalar(f, p, mesh, *, policy=None, quad_degree=None, warnings=None):
     return out
 
 
-def project_face(g, p, mesh, e, *, npts=None):
+def project_face(g, p, mesh, e):
     """L2 projection of an edge scalar onto the orthonormal edge polynomials.
 
     ``g`` maps physical points (n, 2) on the edge to values (n,).  Returns
@@ -155,7 +152,7 @@ def project_face(g, p, mesh, e, *, npts=None):
     a, b = mesh.edges[e]
     pa, pb = mesh.vertices[a], mesh.vertices[b]
     L = mesh.edge_length(e)
-    t, w = gauss01(npts if npts is not None else max(p + 6, 8))
+    t, w = gauss01(max(p + 6, 8))
     pts = pa[None, :] + t[:, None] * (pb - pa)[None, :]
     q = edge_dof_values(p, t, L)
     vals = np.asarray(g(pts), float)

@@ -9,7 +9,6 @@ invariant battery and reports per-check results.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import os
 import time
@@ -51,7 +50,6 @@ class StudyConfig:
     labels: str | None = None  # rule for generated meshes; a mesh file keeps its own by default
     refinements: int = 4
     degrees: list = dfield(default_factory=lambda: [0, 1, 2])
-    q: int = 1
     variant: str = "def31"
     quad_degree: int | None = None
     tol: float = 1e-9

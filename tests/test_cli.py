@@ -1,8 +1,71 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
-from hdivkit.cli import main
+from hdivkit.cli import build_parser, main
+
+# the flags each subcommand's cmd_* function reads, and no others
+SUBCOMMAND_FLAGS = {
+    "mesh": {"--mesh", "--labels", "--out"},
+    "project": {"--mesh", "--labels", "--p", "--field", "--variant", "--quad-degree"},
+    "best-approx": {"--mesh", "--labels", "--p", "--field", "--quad-degree"},
+    "solve-mixed": {"--mesh", "--labels", "--p", "--problem"},
+    "solve-ls": {"--mesh", "--labels", "--p", "--q", "--problem"},
+    "study": {
+        "--mesh", "--labels", "--p", "--field", "--refinements", "--variant",
+        "--quad-degree", "--tol", "--out", "--config",
+    },
+    "verify": {"--seed", "--variant"},
+}
+# the flags every subcommand took before, each with a well-formed value, so
+# a dropped flag is refused for its name and not for its value
+FLAG_VALUES = {
+    "--mesh": "structured:2", "--labels": "all-dirichlet", "--p": "1", "--q": "1",
+    "--field": "cubic", "--refinements": "2", "--variant": "def31", "--quad-degree": "8",
+    "--tol": "1e-9", "--seed": "0", "--out": ".",
+}
+
+
+def _subparsers():
+    (action,) = [a for a in build_parser()._actions if a.choices and a.dest == "command"]
+    return action.choices
+
+
+def test_each_subcommand_takes_only_the_flags_it_reads():
+    parsers = _subparsers()
+    assert set(parsers) == set(SUBCOMMAND_FLAGS)
+    for name, sub in parsers.items():
+        options = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        assert options == SUBCOMMAND_FLAGS[name], name
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(c, f) for c in SUBCOMMAND_FLAGS for f in sorted(set(FLAG_VALUES) - SUBCOMMAND_FLAGS[c])],
+)
+def test_dropped_flag_is_an_argparse_error(capsys, command, flag):
+    argv = [command] + (["inspect"] if command == "mesh" else []) + [flag, FLAG_VALUES[flag]]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"## CLI\n.*?```bash\n(.*?)```", readme, re.S).group(1)
+    commands = [
+        shlex.split(line.split("#")[0])
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.strip()
+    ]
+    assert len(commands) >= 7
+    for argv in commands:
+        assert argv[0] == "hdivkit"
+        build_parser().parse_args(argv[1:])
 
 
 def test_mesh_gen_and_inspect(tmp_path, capsys):
@@ -129,7 +192,8 @@ def test_bad_study_config_is_one_line_error(tmp_path, capsys, text):
 )
 @pytest.mark.parametrize("mesh", ["structured:2", "lshape:1"])
 def test_labels_file_on_generated_mesh_is_one_line_error(capsys, command, mesh):
-    argv = command + ["--mesh", mesh, "--labels", "file", "--refinements", "1"]
+    argv = command + ["--mesh", mesh, "--labels", "file"]
+    argv += ["--refinements", "1"] if command == ["study"] else []
     _assert_one_line_error(argv, capsys)
 
 

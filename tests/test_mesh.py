@@ -96,6 +96,18 @@ def test_degenerate_triangle_rejected():
         )
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1e9])
+def test_degeneracy_check_is_scale_free(scale):
+    # twice the area is compared with the squared longest edge, so a valid
+    # mesh builds at any size
+    m = build_structured(4)
+    labels = [(tuple(m.edges[e]), lab) for e, lab in m.boundary_labels.items()]
+    small = Mesh(scale * m.vertices, m.triangles, labels)
+    assert small.num_triangles == m.num_triangles
+    with pytest.raises(MeshError, match="degenerate"):
+        Mesh(scale * np.array([[0, 0], [1, 0], [2, 0], [0, 1]]), [[0, 1, 2], [0, 2, 3]], [])
+
+
 def test_hanging_node_rejected():
     # one triangle left of the diagonal, two on the right sharing the
     # diagonal's midpoint: the midpoint hangs on the unsplit diagonal

@@ -273,6 +273,49 @@ def test_stability_ratios_scale_invariant(scale):
     assert np.all(np.abs(got - want) <= 1e-10 * want)
 
 
+@pytest.mark.parametrize("c", [1e-12, 1e-8, 1e8])
+def test_stability_ratios_amplitude_invariant(c):
+    # v -> c v scales s_a - chi_a and the surrogate's functional alike, so the
+    # ratios must not move, nor drop to the exact-zero cutoff for small c
+    m = build_structured(4, labels="left-neumann")
+    v = fields.catalog("cubic")
+    w = fields.AnalyticField("cubic", lambda x: c * v.eval(x), lambda x: c * v.eval_div(x), poly_degree=3)
+    want = np.array(projector_report(v, 1, m)["stability_ratios"])
+    got = np.array(projector_report(w, 1, m)["stability_ratios"])
+    assert np.all(want > 0)
+    assert np.all(np.abs(got - want) <= 1e-10 * want)
+
+
+class _DiscretePlusSmooth:
+    """d + eps * f for a conforming discrete d and an analytic f."""
+
+    def __init__(self, d, f, eps):
+        self.d, self.f, self.eps = d, f, eps
+
+    def eval(self, pts, elem=None):
+        return self.d.eval(pts, elem=elem) + self.eps * self.f.eval(pts)
+
+    def eval_div(self, pts, elem=None):
+        return self.d.eval_div(pts, elem=elem) + self.eps * self.f.eval_div(pts)
+
+
+def test_stability_ratios_free_of_cancellation_near_discrete_data():
+    # the projector reproduces d, so s_a - chi_a is eps times that of f and
+    # the ratios do not depend on eps, while ||chi_a|| / ||s_a - chi_a||
+    # grows like 1/eps; a functional formed as (g, w) + (chi_a, grad w)
+    # loses that factor in roundoff (8e-7 drift at eps = 1e-5)
+    m = build_structured(4)
+    d = random_conforming_field(m, 1, seed=3)
+    f = fields.catalog("sine_divfree")
+    ref, tiny = (
+        np.array(projector_report(_DiscretePlusSmooth(d, f, eps), 1, m)["stability_ratios"])
+        for eps in (0.1, 1e-5)
+    )
+    live = ref > 0
+    assert live.sum() == 21 and np.all(tiny[~live] == 0)
+    assert np.max(np.abs(tiny - ref)[live] / ref[live]) <= 2.5e-7
+
+
 def test_report_at_p3_emits_no_runtime_warning(sine_field):
     # the surrogate runs at degree p + 2 = 5 on the shared Lagrange numbering
     # without LagrangeSpace's warning for degrees above 4
