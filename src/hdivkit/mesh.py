@@ -191,18 +191,31 @@ class Mesh:
     def triangle_coords(self, k):
         return self.vertices[self.triangles[k]]
 
+    # the edge queries take one edge index or an index array; an array adds a
+    # leading edge axis to the result
+
     def edge_vector(self, e):
-        a, b = self.edges[e]
+        """Lower -> higher tangent (not normalized); (2,) or (n, 2)."""
+        a, b = self.edges[e].T
         return self.vertices[b] - self.vertices[a]
 
     def edge_length(self, e):
-        return float(np.linalg.norm(self.edge_vector(e)))
+        t = self.edge_vector(e)[..., None, :]
+        # t.t as the BLAS dot np.linalg.norm takes for one vector, so an edge
+        # has one length in scalar and array calls
+        sq = (t @ np.swapaxes(t, -1, -2)).reshape(np.shape(e))
+        return np.sqrt(sq) if sq.ndim else float(np.sqrt(sq))
 
     def edge_normal(self, e):
         """Global unit normal: lower->higher tangent rotated by -90 degrees."""
-        t = self.edge_vector(e)
-        t = t / np.linalg.norm(t)
-        return np.array([t[1], -t[0]])
+        t = self.edge_vector(e) / np.asarray(self.edge_length(e))[..., None]
+        return np.stack([t[..., 1], -t[..., 0]], axis=-1)
+
+    def edge_points(self, e, t):
+        """Points at parameters ``t`` (nq,) on [0, 1] along the edge, from the
+        lower to the higher vertex; (nq, 2) or (n, nq, 2)."""
+        a = self.vertices[self.edges[e, 0]][..., None, :]
+        return a + np.asarray(t, float)[:, None] * self.edge_vector(e)[..., None, :]
 
     def is_boundary_edge(self, e):
         return self.edge_tris[e, 1] == -1
@@ -392,14 +405,6 @@ class VertexPatch:
     gamma_d_edges: list  # Dirichlet boundary edges containing the vertex
     active_edges: list  # edges whose dofs are free in the patch space
     boundary_edges: list = field(default_factory=list)  # edges of the patch boundary
-
-    def hat_grad(self, mesh: Mesh, k: int) -> np.ndarray:
-        """Gradient of the hat function on triangle k (constant vector)."""
-        xs = mesh.triangle_coords(k)
-        B = np.column_stack([xs[1] - xs[0], xs[2] - xs[0]])
-        Binv_T = np.linalg.inv(B).T
-        ghat = {0: (-1.0, -1.0), 1: (1.0, 0.0), 2: (0.0, 1.0)}[self.local_index[k]]
-        return Binv_T @ np.asarray(ghat)
 
 
 def vertex_patches(mesh: Mesh):

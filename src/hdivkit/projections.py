@@ -69,8 +69,6 @@ class BrokenRTNField:
             raise ValueError("broken fields need an element index for evaluation")
         return self.space.elements[elem].eval_div_coeffs(self.coeffs[elem], pts)
 
-    eval_element = eval
-
     def element_coeffs(self, tris):
         """Element coefficient rows of a triangle or an array of triangles."""
         return self.coeffs[tris]
@@ -149,13 +147,10 @@ def project_face(g, p, mesh, e):
     ``g`` maps physical points (n, 2) on the edge to values (n,).  Returns
     the p + 1 coefficients in the lower -> higher parametrization.
     """
-    a, b = mesh.edges[e]
-    pa, pb = mesh.vertices[a], mesh.vertices[b]
     L = mesh.edge_length(e)
     t, w = gauss01(max(p + 6, 8))
-    pts = pa[None, :] + t[:, None] * (pb - pa)[None, :]
     q = edge_dof_values(p, t, L)
-    vals = np.asarray(g(pts), float)
+    vals = np.asarray(g(mesh.edge_points(e, t)), float)
     return (q * (w * L * vals)).sum(axis=1)
 
 

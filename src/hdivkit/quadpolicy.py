@@ -29,8 +29,9 @@ _POINT_BYTES = 8 * 8
 @dataclass
 class QuadGroup:
     """Elements ``tris`` integrated on one point layout: a shared reference
-    rule (``ref`` of shape (nq, 2)) or corner wedges of equal size (``ref`` of
-    shape (n, nq, 2)); ``pts`` (n, nq, 2) and ``w`` (n, nq) are physical."""
+    rule (``ref`` of shape (nq, 2)) or points of their own, such as corner
+    wedges or edge traces (``ref`` of shape (n, nq, 2)); ``pts`` (n, nq, 2)
+    and ``w`` (n, nq) are physical."""
 
     tris: np.ndarray
     ref: np.ndarray
@@ -38,13 +39,21 @@ class QuadGroup:
     w: np.ndarray
     _tables: dict = dfield(default_factory=dict, repr=False)
 
+    @classmethod
+    def at(cls, mesh, tris, pts, w):
+        """Physical points ``pts`` (n, nq, 2) with weights ``w`` (n, nq) on
+        the elements ``tris`` of ``mesh``, mapped back to their reference
+        points."""
+        ref = (pts - mesh.X0[tris, None]) @ np.swapaxes(mesh.Binv[tris], 1, 2)
+        return cls(tris, ref, pts, w)
+
     @property
     def shared(self):
         return self.ref.ndim == 2
 
     def prim(self, p):
         """Reference RTN_p primal values (nprim, [n,] nq, 2), the element
-        axis only for wedges."""
+        axis only for points of their own."""
         if ("prim", p) not in self._tables:
             vals = rtn_reference(p).eval(self.ref.reshape(-1, 2))
             self._tables["prim", p] = vals.reshape((-1,) + self.ref.shape)
@@ -198,12 +207,13 @@ class QuadPolicy:
         gives them: one group per shared reference rule, one for the corner
         wedges, each cut into chunks of at most ``STACK_BYTES`` of per-point
         data.  Built once per mesh."""
-        key = ("groups", id(mesh))
-        if key not in self._cache:
-            self._cache[key] = list(self._grouped(mesh, check=False))
+        # an entry holds its mesh: a cached id must not match a later mesh
+        held = self._cache.get(("groups", id(mesh)))
+        if held is None or held[0] is not mesh:
+            held = self._cache[("groups", id(mesh))] = (mesh, list(self._grouped(mesh, check=False)))
         if tris is None:
-            return self._cache[key]
-        sub = [g.subset(np.isin(g.tris, tris)) for g in self._cache[key]]
+            return held[1]
+        sub = [g.subset(np.isin(g.tris, tris)) for g in held[1]]
         return [g for g in sub if len(g.tris)]
 
     def check_groups(self, mesh):
@@ -230,24 +240,24 @@ class QuadPolicy:
         for sl in chunks(len(ks), _POINT_BYTES * nq * rtn_dim(self.p)):
             k = ks[sl]
             pts, w = map(np.stack, zip(*(self._wedge(xs[j], corner[j], extra) for j in k)))
-            ref = (pts - mesh.X0[k, None]) @ np.swapaxes(mesh.Binv[k], 1, 2)
-            yield QuadGroup(k, ref, pts, w)
+            yield QuadGroup.at(mesh, k, pts, w)
 
     def samples(self, field, mesh, tris=None):
         """(group, field values, divergence values) for the elements (all, or
         ``tris``); the whole mesh is evaluated once per policy and field."""
         held = self._cache.get(("samples", id(mesh)))
-        if held is None or held[0] is not field:
+        if held is None or held[0] is not mesh or held[1] is not field:
             if tris is not None:
                 return [(g, g.eval(field), g.eval(field, div=True)) for g in self.groups(mesh, tris)]
             held = self._cache[("samples", id(mesh))] = (
+                mesh,
                 field,
                 [(g, g.eval(field), g.eval(field, div=True)) for g in self.groups(mesh)],
             )
         if tris is None:
-            return held[1]
+            return held[2]
         out = []
-        for g, v, dv in held[1]:
+        for g, v, dv in held[2]:
             keep = np.isin(g.tris, tris)
             if keep.any():
                 out.append((g.subset(keep), v[keep], dv[keep]))

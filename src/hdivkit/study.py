@@ -311,28 +311,26 @@ def verify(cfg: StudyConfig | None = None):
         out.append(CheckResult(name, bool(value <= tol), float(value), tol, note))
 
     # mesh invariants
-    from .elements import barycentric
-    from .mesh import build_structured, vertex_patches
+    from .elements import _BARY_GRAD, barycentric
+    from .local_solve import patch_layout
+    from .mesh import build_structured
 
     for n in (2, 4):
         m = build_structured(n)
-        patches = vertex_patches(m)
         lam = barycentric(rng.random((100, 2)) * 0.49 + 0.01)  # inside the reference triangle
-        hat_defect = grad_defect = 0.0
-        for k, tri in enumerate(m.triangles):
-            hats = sum(lam[patches[v].local_index[k]] for v in tri)
-            grads = sum(patches[v].hat_grad(m, k) for v in tri)
-            hat_defect = max(hat_defect, np.abs(hats - 1).max())
-            grad_defect = max(grad_defect, np.abs(grads).max())
-        check(f"partition of unity n={n}", hat_defect, 1e-14)
-        check(f"hat gradient sum n={n}", grad_defect, 1e-12)
-        signs_ok = 0.0
-        for e in m.interior_edges():
-            k0, k1 = m.edge_tris[e]
-            s0 = m.tri_edge_sign[k0][list(m.tri_edges[k0]).index(e)]
-            s1 = m.tri_edge_sign[k1][list(m.tri_edges[k1]).index(e)]
-            signs_ok = max(signs_ok, float(s0 + s1 != 0))
-        check(f"orientation consistency n={n}", signs_ok, 0.5)
+        # the hats (and their gradients) of the patches holding each triangle,
+        # summed over the layout the projector assembles from
+        hats, grads = np.zeros((m.num_triangles, lam.shape[1])), np.zeros((m.num_triangles, 2))
+        for g in patch_layout(m, 1).groups:
+            np.add.at(hats, g.tris, lam[g.local])
+            np.add.at(grads, g.tris, np.einsum("ktj,ktjd->ktd", _BARY_GRAD[g.local], m.Binv[g.tris]))
+        check(f"partition of unity n={n}", np.abs(hats - 1).max(), 1e-14)
+        check(f"hat gradient sum n={n}", np.abs(grads).max(), 1e-12)
+        # the signs an interior edge has in its two triangles cancel
+        ie = m.interior_edges()
+        on = m.edge_tris[ie]
+        signs = np.sum(m.tri_edge_sign[on] * (m.tri_edges[on] == ie[:, None, None]), axis=(1, 2))
+        check(f"orientation consistency n={n}", float(np.any(signs != 0)), 0.5)
     # quadrature exactness
     from .quadrature import check_exactness, quad_rule
 

@@ -176,6 +176,15 @@ def hat_values(patch, mesh, k, pts):
     return 1.0 - lam[0] - lam[1] if la == 0 else lam[la - 1]
 
 
+def hat_grad(patch, mesh, k):
+    """Gradient of the hat function of the patch vertex on triangle k
+    (constant vector)."""
+    xs = mesh.triangle_coords(k)
+    B = np.column_stack([xs[1] - xs[0], xs[2] - xs[0]])
+    ghat = {0: (-1.0, -1.0), 1: (1.0, 0.0), 2: (0.0, 1.0)}[patch.local_index[k]]
+    return np.linalg.inv(B).T @ np.asarray(ghat)
+
+
 # -- per-element error and fit loops -------------------------------------------------
 
 
@@ -498,7 +507,7 @@ def patch_problem_oracle(patch, theta, v, p, mesh, policy):
         hat = hat_values(patch, mesh, k, pts)
         gk = el.scalar_moments(hat * v.eval_div(pts, elem=k), tri)
         tpts = el.map_to_phys(exact_rule.points)
-        tvals = theta.eval(tpts, elem=k) @ patch.hat_grad(mesh, k)
+        tvals = theta.eval(tpts, elem=k) @ hat_grad(patch, mesh, k)
         g[k] = gk + el.scalar_moments(tvals, exact_rule)
     M, rhs, B, grhs, _ = _assemble_patch(mesh, patch, p, chi, g)
     return {"chi": chi, "g": g, "M": M, "rhs": rhs, "B": B, "grhs": grhs}
@@ -1004,3 +1013,72 @@ def label_boundary_oracle(vertices, triangles, rule):
         for key, count in raw.items()
         if count == 1
     ]
+
+
+# -- edge traces and projector report neighborhoods ----------------------------------------
+
+
+def trace_residuals_oracle(field):
+    """(jump, Neumann) residuals of a conforming field by a loop over edges:
+    the largest edge L2 norm of the normal-trace jump on interior edges and
+    of the normal trace on Neumann edges, each side evaluated through its
+    element view at 8 Gauss points of the lower -> higher parametrization."""
+    mesh = field.mesh
+    t, w = gauss01(8)
+    out = []
+    for edges in (mesh.interior_edges(), mesh.edges_with_label("neumann")):
+        worst = 0.0
+        for e in edges:
+            a, b = mesh.edges[e]
+            tvec = mesh.vertices[b] - mesh.vertices[a]
+            L = float(np.linalg.norm(tvec))
+            pts = mesh.vertices[a][None, :] + t[:, None] * tvec[None, :]
+            n = np.array([tvec[1], -tvec[0]]) / L
+            vn = [field.eval(pts, elem=int(k)) @ n for k in mesh.edge_tris[e] if k != -1]
+            diff = vn[0] - vn[1] if len(vn) == 2 else vn[0]
+            worst = max(worst, float(np.sqrt(np.sum(w * L * diff**2))))
+        out.append(worst)
+    return tuple(out)
+
+
+def projector_report_oracle(v, p, mesh, *, variant="def31"):
+    """``projector_report``'s records with each element's neighborhood
+    collected from the vertex patches of its three vertices, one element at
+    a time."""
+    from hdivkit.best_approx import _local_fits
+    from hdivkit.mesh import vertex_patches
+    from hdivkit.projector import project_hdiv
+
+    sigma = project_hdiv(v, p, mesh, variant=variant, measure_stability=True)
+    policy = QuadPolicy(p, field=v)
+    patches = vertex_patches(mesh)
+    loc = _local_fits(v, p, mesh, policy)
+    E_loc, osc2 = loc["E_loc"], loc["div_part"] ** 2
+    hscale = mesh.h / (p + 1)
+    err2, derr2, pk2, vnorm2 = np.zeros((4, mesh.num_triangles))
+    for g, vvals, dvvals in policy.samples(v, mesh):
+        svals = g.eval(sigma)
+        err2[g.tris] = g.norm_sq(vvals - svals)
+        derr2[g.tris] = hscale[g.tris] ** 2 * g.norm_sq(dvvals - g.eval(sigma, div=True))
+        pk2[g.tris] = g.norm_sq(svals)
+        vnorm2[g.tris] = g.norm_sq(vvals)
+    records = []
+    for k in range(mesh.num_triangles):
+        neighborhood = sorted({int(kk) for a in mesh.triangles[k] for kk in patches[a].tris})
+        rhs2 = float(np.sum(E_loc[neighborhood] ** 2))
+        lhs2 = err2[k] + derr2[k]
+        stab_rhs2 = float(np.sum(vnorm2[neighborhood] + osc2[neighborhood]))
+        records.append(
+            {
+                "element": k,
+                "err_l2": np.sqrt(err2[k]),
+                "err_div_weighted": np.sqrt(derr2[k]),
+                "lhs_sq": lhs2,
+                "neighborhood_locbest_sq": rhs2,
+                "C_approx": lhs2 / rhs2 if rhs2 > 0 else (0.0 if lhs2 < 1e-24 else np.inf),
+                "stab_lhs_sq": pk2[k],
+                "stab_rhs_sq": stab_rhs2,
+                "C_stab": pk2[k] / stab_rhs2 if stab_rhs2 > 0 else 0.0,
+            }
+        )
+    return records

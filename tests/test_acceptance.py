@@ -288,7 +288,7 @@ def test_criterion_6_patch_orthogonality():
                 pts = el.map_to_phys(rule.points)
                 w = rule.weights * el.detB
                 hat = oracles.hat_values(patch, m, k, pts)
-                grad = patch.hat_grad(m, k)
+                grad = oracles.hat_grad(patch, m, k)
                 dv = v.eval_div(pts)
                 th = theta.eval(pts, elem=k)
                 total += float(np.sum(w * hat * dv)) + float(np.sum(w * (th @ grad)))

@@ -6,6 +6,8 @@ per-element paths: a dual basis by quadrature and a dense solve on every
 element, and error and fit loops one element at a time.
 """
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -172,3 +174,20 @@ def test_conforming_blocks_keep_the_neumann_pattern(mesh):
     M, B, fidx = space.conforming_blocks()
     assert len(fidx) < space.ndof
     assert abs(M - M.T).max() == 0
+
+
+def test_policy_caches_stay_with_their_mesh():
+    # a freed mesh's id can go to the next mesh built; the cached groups and
+    # samples must serve only the mesh they were built for
+    v = fields.catalog("sine_divfree")
+    policy = QuadPolicy(1, field=v)
+    for i in range(50):
+        m = build_structured(2 + i % 3)
+        covered = np.concatenate([g.tris for g in policy.groups(m)])
+        assert np.array_equal(np.sort(covered), np.arange(m.num_triangles))
+        fresh = QuadPolicy(1, field=v).samples(v, m)
+        for (g, vals, dvals), (h, want, dwant) in zip(policy.samples(v, m), fresh, strict=True):
+            assert np.array_equal(g.tris, h.tris)
+            assert np.array_equal(vals, want) and np.array_equal(dvals, dwant)
+        del m, fresh, g, h
+        gc.collect()

@@ -42,7 +42,7 @@ def test_euler_lagrange_hat_gradients(unit_square_2, cubic_field):
         w = rule.weights * el.detB
         diff = el.eval_coeffs(theta, pts) - cubic_field.eval(pts)
         for v in m.triangles[k]:
-            grad = patches[v].hat_grad(m, k)
+            grad = oracles.hat_grad(patches[v], m, k)
             resid = float(np.sum(w * (diff @ grad)))
             scale = max(np.sqrt(np.sum(w * np.einsum("qd,qd->q", diff, diff))), 1e-30)
             assert abs(resid) <= 1e-10 * max(scale, 1.0)

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from oracles import hat_values, label_boundary_oracle, mesh_topology_oracle
+from oracles import hat_grad, hat_values, label_boundary_oracle, mesh_topology_oracle
 
 from hdivkit.mesh import (
     Mesh,
@@ -212,7 +212,7 @@ def test_partition_of_unity():
         inside = (lam[0] > 1e-9) & (lam[1] > 1e-9) & (lam[0] + lam[1] < 1 - 1e-9)
         for v in m.triangles[k]:
             hat_sum[inside] += hat_values(patches[v], m, k, pts[inside])
-            grad_sum[inside] += patches[v].hat_grad(m, k)
+            grad_sum[inside] += hat_grad(patches[v], m, k)
     assert np.abs(hat_sum - 1).max() <= 1e-14
     assert np.abs(grad_sum).max() <= 1e-12
 
@@ -290,3 +290,22 @@ def test_edge_of_three_triangles_rejected():
         Mesh(verts, tris, [])
     with pytest.raises(ValueError, match="belongs to 3 triangles"):
         mesh_topology_oracle(verts, tris)
+
+
+@pytest.mark.parametrize("m", [build_structured(5), build_lshape(2)], ids=["structured5", "lshape2"])
+def test_edge_queries_take_an_index_or_an_array(m):
+    e = np.arange(m.num_edges)
+    t = np.array([0.0, 0.25, 1.0])
+    vec, L, n, pts = m.edge_vector(e), m.edge_length(e), m.edge_normal(e), m.edge_points(e, t)
+    assert (vec.shape, L.shape, n.shape, pts.shape) == ((len(e), 2), (len(e),), (len(e), 2), (len(e), 3, 2))
+    for i in e:
+        assert np.array_equal(m.edge_vector(i), vec[i])
+        assert isinstance(m.edge_length(i), float) and m.edge_length(i) == L[i]
+        assert m.edge_length(i) == float(np.linalg.norm(m.edge_vector(i)))
+        assert np.array_equal(m.edge_normal(i), n[i])
+        assert np.array_equal(m.edge_points(i, t), pts[i])
+    # lower -> higher vertex, normal the tangent turned by -90 degrees
+    assert np.array_equal(pts[:, 0], m.vertices[m.edges[:, 0]])
+    assert np.allclose(pts[:, 2], m.vertices[m.edges[:, 1]], rtol=0, atol=1e-15)
+    assert np.allclose(np.einsum("ed,ed->e", n, vec), 0.0, atol=1e-15)
+    assert np.allclose(vec[:, 0] * n[:, 1] - vec[:, 1] * n[:, 0], -L, rtol=1e-14, atol=0)

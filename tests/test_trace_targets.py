@@ -41,3 +41,12 @@ def test_projector_report_records_surrogate_spans():
     names = [row[0] for row in tracer.spans]
     assert names.count("local_solve.patch_stability_ratio") >= 1
     assert tracer.per_layer()["local_solve.patch_stability_ratio.self_s"]["value"] > 0
+
+
+def test_space_elements_count_the_triangles():
+    # the tracer's elements.elements_built adds len(space.elements) per space
+    from hdivkit.elements import rtn_space
+    from hdivkit.mesh import build_lshape
+
+    m = build_lshape(1)
+    assert len(rtn_space(m, 2).elements) == m.num_triangles
