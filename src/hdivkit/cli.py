@@ -12,6 +12,7 @@ from . import fields as fields_mod
 from . import mesh as mesh_mod
 from .best_approx import error_report
 from .model_problems import (
+    ModelProblemError,
     flux_error,
     manufactured_bubble,
     manufactured_sine,
@@ -23,6 +24,18 @@ from .projector import project_hdiv
 from .study import ConfigError, StudyConfig, build_mesh, run_study, verify, verify_exit_code
 
 
+def _degrees(arg):
+    """``--p``: one degree or a comma list of nonnegative integers."""
+    if not all(x.strip().isdigit() for x in arg.split(",")):
+        raise argparse.ArgumentTypeError(f"expected nonnegative integer degrees, got {arg!r}")
+    return [int(x) for x in arg.split(",")]
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, like every other CLI error
+        self.exit(2, f"hdivkit: error: {message}\n")
+
+
 # every argument once; each subcommand below names the ones its cmd_* reads
 _FLAGS = {
     "action": dict(choices=["gen", "refine", "inspect"]),
@@ -30,7 +43,7 @@ _FLAGS = {
     "--labels": dict(default=None, help="all-dirichlet | all-neumann | left-neumann | file "
                      "(default: all-dirichlet for generated meshes, the file's own labels "
                      "for a mesh file)"),
-    "--p": dict(default="1", help="polynomial degree or comma list"),
+    "--p": dict(type=_degrees, default="1", help="polynomial degree or comma list"),
     "--q": dict(type=int, default=1),
     "--field": dict(default="sine_divfree", help="name[:k=v,...]"),
     "--refinements": dict(type=int, default=4),
@@ -42,10 +55,6 @@ _FLAGS = {
     "--problem": dict(default="sine", choices=["sine", "bubble"]),
     "--config": dict(default=None, help="JSON config mirroring the flags"),
 }
-
-
-def _degrees(arg):
-    return [int(x) for x in str(arg).split(",")]
 
 
 def _get_mesh(args):
@@ -83,7 +92,7 @@ def cmd_mesh(args):
 def cmd_project(args):
     m = _get_mesh(args)
     out = {}
-    for p in _degrees(args.p):
+    for p in args.p:
         field = fields_mod.parse_field_spec(args.field, mesh=m)
         sig = project_hdiv(
             field, p, m, variant=args.variant, quad_degree=args.quad_degree
@@ -102,7 +111,7 @@ def cmd_project(args):
 def cmd_best_approx(args):
     m = _get_mesh(args)
     out = {}
-    for p in _degrees(args.p):
+    for p in args.p:
         field = fields_mod.parse_field_spec(args.field, mesh=m)
         rep = error_report(field, p, m, quad_degree=args.quad_degree)
         out[f"p{p}"] = {
@@ -110,6 +119,7 @@ def cmd_best_approx(args):
             "E_glob": rep.Eglob,
             "sum_Eloc": float(np.sqrt(rep.sum_Eloc_sq)),
             "ratio_glob_over_loc": rep.ratio_glob_over_loc,
+            **{key: rep.metadata[key] for key in ("system_size", "nnz_lu")},
         }
     print(json.dumps(out, indent=1))
     return 0
@@ -127,12 +137,12 @@ def cmd_solve_mixed(args):
     m = _get_mesh(args)
     prob = _problem(args.problem, m)
     out = {}
-    for p in _degrees(args.p):
+    for p in args.p:
         res = solve_mixed(prob, p)
         out[f"p{p}"] = {
             "flux_error": flux_error(prob, res["sigma"]),
             "div_constraint_defect": res["div_constraint_defect"],
-            "kkt_residual": res["kkt_residual"],
+            **{key: res[key] for key in ("kkt_residual", "system_size", "nnz_lu")},
         }
     print(json.dumps(out, indent=1))
     return 0
@@ -142,12 +152,12 @@ def cmd_solve_ls(args):
     m = _get_mesh(args)
     prob = _problem(args.problem, m)
     out = {}
-    for p in _degrees(args.p):
+    for p in args.p:
         res = solve_ls_mixed(prob, p, args.q)
         out[f"p{p}_q{args.q}"] = {
             "flux_error": flux_error(prob, res["sigma"]),
             "h1_error": potential_h1_error(prob, res["space"], res["u"]),
-            "kkt_residual": res["kkt_residual"],
+            **{key: res[key] for key in ("kkt_residual", "system_size", "nnz_lu")},
         }
     print(json.dumps(out, indent=1))
     return 0
@@ -162,7 +172,7 @@ def cmd_study(args):
             mesh=args.mesh,
             labels=args.labels,
             refinements=args.refinements,
-            degrees=_degrees(args.p),
+            degrees=args.p,
             variant=args.variant,
             quad_degree=args.quad_degree,
             tol=args.tol,
@@ -192,7 +202,7 @@ def cmd_verify(args):
 
 def build_parser():
     """The ``hdivkit`` argument parser."""
-    ap = argparse.ArgumentParser(prog="hdivkit", description=__doc__)
+    ap = _Parser(prog="hdivkit", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
     for name, func, help_, flags in (
         ("mesh", cmd_mesh, "generate / refine / inspect meshes",
@@ -222,7 +232,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (fields_mod.FieldError, mesh_mod.MeshError, ConfigError) as exc:
+    except (fields_mod.FieldError, mesh_mod.MeshError, ConfigError, ModelProblemError) as exc:
         print(f"hdivkit: error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,9 +8,11 @@ it, with a known constraint kernel handled by a symmetric bordering
 row/column after projecting the constraint data onto the compatible
 subspace.  A lone dense system goes through LAPACK Bunch-Kaufman
 (``dense_solve``: ``sytrf`` and two ``sytrs``, the second one a step of
-iterative refinement).  Sparse systems go through SuperLU, also refined
-once.  ``assemble_csr`` is the single place where element blocks are
-summed into a global sparse matrix.
+iterative refinement).  The mesh-wide saddle problem is hybridized down
+to an SPD edge system (``hybrid_saddle_solve``); every sparse system is SPD
+and goes through SuperLU in its symmetric mode, refined once.
+``assemble_csr`` is the single place where element blocks are summed into a
+global sparse matrix.
 """
 
 from __future__ import annotations
@@ -62,32 +64,34 @@ def chunks(n, item_bytes):
 
 
 def solve_stacked(A, b):
-    """Solve stacked systems A[k] x[k] = b[k]: one LU-factorizing
-    ``np.linalg.solve`` per chunk of ``STACK_BYTES`` and ``dense_solve``'s
-    relative-residual check on every system."""
+    """Solve stacked systems A[k] x[k] = b[k], b (n, d) or a block (n, d, r):
+    one LU-factorizing ``np.linalg.solve`` per chunk of ``STACK_BYTES`` and
+    ``dense_solve``'s relative-residual check on every system."""
     A = np.asarray(A, float)
     b = np.asarray(b, float)
-    x = np.empty_like(b)
+    rhs = b[..., None] if b.ndim == 2 else b
+    x = np.empty_like(rhs)
     res = np.zeros(len(b))
     for sl in chunks(len(A), A[0].nbytes if len(A) else 1):
         try:
-            x[sl] = np.linalg.solve(A[sl], b[sl, :, None])[..., 0]
+            x[sl] = np.linalg.solve(A[sl], rhs[sl])
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"stacked solve failed: {exc}") from exc
-        r = b[sl] - (A[sl] @ x[sl, :, None])[..., 0]
+        r = rhs[sl] - A[sl] @ x[sl]
         size = np.maximum(A[sl].max(axis=(1, 2)), -A[sl].min(axis=(1, 2)))
-        scale = np.maximum(np.linalg.norm(b[sl], axis=1), size * np.linalg.norm(x[sl], axis=1))
-        res[sl] = np.linalg.norm(r, axis=1) / np.maximum(scale, 1e-300)
+        scale = np.maximum(np.linalg.norm(rhs[sl], axis=(1, 2)), size * np.linalg.norm(x[sl], axis=(1, 2)))
+        res[sl] = np.linalg.norm(r, axis=(1, 2)) / np.maximum(scale, 1e-300)
     if res.size and not res.max() <= 1e-8:
         worst = int(np.argmax(np.where(np.isnan(res), np.inf, res)))
         raise SingularSystemError(f"dense solve residual {res[worst]:.2e} (system {worst})")
-    return x
+    return x[..., 0] if b.ndim == 2 else x
 
 
 def saddle_solve_stacked(M, B, rhs, g, kernel=None):
     """Minimize 1/2 x^T M[k] x - rhs[k]^T x subject to B[k] x = g[k] for every k.
 
-    ``M`` (n, d, d), ``B`` (n, m, d); returns (x (n, d), multipliers (n, m)).
+    ``M`` (n, d, d), ``B`` (n, m, d); returns (x (n, d), multipliers (n, m)),
+    each with a trailing axis r for a block of data rhs (n, d, r), g (n, m, r).
     With ``kernel`` (n, m), a left null vector of each B[k], g[k] is first
     projected onto the compatible subspace and the KKT matrix
     [[M, B^T, 0], [B, 0, kernel], [0, kernel^T, 0]] pins the multiplier
@@ -100,13 +104,13 @@ def saddle_solve_stacked(M, B, rhs, g, kernel=None):
         kernel = np.asarray(kernel, float)
         g = g - kernel * (np.sum(kernel * g, axis=1) / np.sum(kernel * kernel, axis=1))[:, None]
     size = d + m + (kernel is not None)
-    sol = np.empty((n, size))
+    sol = np.empty((n, size) + rhs.shape[2:])
     for sl in chunks(n, 8 * size * size):
         K = np.zeros((len(M[sl]), size, size))
         K[:, :d, :d] = M[sl]
         K[:, d : d + m, :d] = B[sl]
         K[:, :d, d : d + m] = np.swapaxes(B[sl], 1, 2)
-        b = np.zeros((len(K), size))
+        b = np.zeros((len(K), size) + rhs.shape[2:])
         b[:, :d], b[:, d : d + m] = rhs[sl], g[sl]
         if kernel is not None:
             K[:, d : d + m, -1] = K[:, -1, d : d + m] = kernel[sl]
@@ -130,13 +134,20 @@ def assemble_csr(rows, cols, blocks, shape):
 
 
 class SparseFactor:
-    """SuperLU handle for a sparse matrix; deterministic for a fixed pattern."""
+    """SuperLU in symmetric mode (minimum degree on A^T + A, diagonal pivots)
+    for a symmetric positive definite matrix, which it must be: asymmetry
+    raises ValueError.  Deterministic for a fixed pattern."""
 
     def __init__(self, A):
         A = sp.csc_matrix(A)
+        defect = np.abs((A - A.T).data).max(initial=0.0)
+        if defect > 1e-10 * max(1.0, np.abs(A.data).max(initial=0.0)):
+            raise ValueError(f"matrix is not symmetric (defect {defect:.2e})")
         self.A = A
         try:
-            self.lu = spla.splu(A)
+            self.lu = spla.splu(
+                A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+            )
         except RuntimeError as exc:
             raise SingularSystemError(f"sparse factorization failed: {exc}") from exc
 
@@ -145,3 +156,55 @@ class SparseFactor:
         b = np.asarray(b, float)
         x = self.lu.solve(b)
         return x + self.lu.solve(b - self.A @ x)
+
+
+def hybrid_saddle_solve(space, rhs, g):
+    """Minimize 1/2 s^T M s - rhs^T s subject to B s = g over the conforming
+    space, from element moments ``rhs`` (nt, ndof) and data ``g`` (nt, sdim).
+
+    One multiplier per dof of each interior and Neumann edge enforces the
+    normal continuity (+1 on the ``edge_tris[e, 0]`` side); stacked element
+    KKT solves against [F_k | E_k^T] leave the SPD system sum_k E_k
+    (K_k^-1)_ss E_k^T.  Without a Dirichlet edge, g is made compatible, one
+    lowest-order multiplier is grounded and u is made orthogonal to the
+    constants.  Returns (s (ndof,), u (nt, sdim), info: ``kkt_residual`` and
+    ``div_defect`` of the conforming system, ``system_size``, ``nnz_lu``).
+    """
+    mesh, dofs, ne = space.mesh, space.dof_map, 3 * (space.p + 1)
+    nt, nd = dofs.shape
+    g = np.array(g, float)
+    on = np.repeat(mesh.edge_tris[:, 1] >= 0, space.p + 1)  # edge dofs with a multiplier
+    on[space.neumann_edge_dofs()] = True
+    grounded = bool(on.all())
+    n = int(on.sum()) - grounded
+    lam = np.where(on, np.cumsum(on) - 1 - grounded, -1)[dofs[:, :ne]]  # -1: none
+    own = mesh.edge_tris[mesh.tri_edges, 0] == np.arange(nt)[:, None]
+    sgn = np.repeat(np.where(own, 1.0, -1.0), space.p + 1, axis=1)
+    k0 = np.sqrt(mesh.area)  # the constant multiplier mode of a pure Neumann problem
+    if grounded:
+        g[:, 0] -= k0 * (k0 @ g[:, 0]) / (k0 @ k0)
+    F = np.concatenate([rhs[:, :, None], np.eye(nd, ne) * sgn[:, None, :]], axis=2)
+    G = np.concatenate([g[:, :, None], np.zeros((nt, space.sdim, ne))], axis=2)
+    X, U = saddle_solve_stacked(space.M, space.Bdiv, F, G)
+    EX = sgn[:, :, None] * X[:, :ne]  # E_k applied to every solution column
+    S = (EX[:, :, 1:] + np.swapaxes(EX[:, :, 1:], 1, 2)) / 2  # E_k (K_k^-1)_ss E_k^T
+    factor = SparseFactor(assemble_csr(lam, lam, S, (n, n)))
+    mu = np.append(factor.solve(np.bincount(lam[lam >= 0], EX[:, :, 0][lam >= 0], n)), 0.0)[lam]
+    sk = X[:, :, 0] - np.einsum("kdj,kj->kd", X[:, :, 1:], mu)
+    u = U[:, :, 0] - np.einsum("kdj,kj->kd", U[:, :, 1:], mu)
+    if grounded:
+        u[:, 0] -= k0 * (k0 @ u[:, 0]) / (k0 @ k0)
+    free, flat = np.ones(space.ndof), dofs.ravel()
+    free[space.neumann_edge_dofs()] = 0.0
+    # the two sides of an edge agree to roundoff: take their mean
+    s = free * np.bincount(flat, sk.ravel(), space.ndof) / np.bincount(flat, minlength=space.ndof)
+    res = np.einsum("kij,kj->ki", space.M, s[dofs]) + np.einsum("kmi,km->ki", space.Bdiv, u) - rhs
+    div = np.einsum("kmi,ki->km", space.Bdiv, s[dofs]) - g
+    b = np.concatenate([free * np.bincount(flat, rhs.ravel(), space.ndof), g.ravel()])
+    r = np.concatenate([free * np.bincount(flat, res.ravel(), space.ndof), div.ravel()])
+    return s, u, {
+        "kkt_residual": float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300)),
+        "div_defect": float(np.abs(div).max()),
+        "system_size": n,
+        "nnz_lu": factor.lu.L.nnz + factor.lu.U.nnz,
+    }

@@ -5,7 +5,8 @@ on the whole boundary).  The mixed method pairs conforming RTN_p fluxes with
 the broken P_p multiplier; the least-squares method couples the flux with a
 continuous P_q potential through the first-order system functional
   l^2 ||div p - f||^2 + ||p + grad u||^2 ,
-whose bilinear form is coercive with constant 1/8 in the scaled norm.
+whose bilinear form is coercive with constant 1/8 in the scaled norm.  The
+mixed system is solved hybridized; the other sparse systems are SPD as posed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .elements import (
     scalar_basis,
 )
 from .fields import AnalyticField
-from .linsolve import SparseFactor, assemble_csr, solve_stacked
+from .linsolve import SparseFactor, assemble_csr, hybrid_saddle_solve, solve_stacked
 from .projections import ScalarPWField
 from .projector import ConformingRTNField
 from .quadpolicy import QuadPolicy
@@ -125,37 +126,37 @@ def manufactured_bubble(mesh) -> PoissonProblem:
     )
 
 
+def _data_moments(prob, space, policy):
+    """Element moments (f, phi_m)_K of the source term; (nt, sdim)."""
+    fmom = np.zeros((prob.mesh.num_triangles, space.sdim))
+    for g in policy.groups(prob.mesh):
+        fmom[g.tris] = space.scalar_moments(g, g.call(prob.f))
+    return fmom
+
+
 def _flux_system(prob, p, policy):
     """Shared conforming-mass / divergence blocks and data moments."""
     space = rtn_space(prob.mesh, p)
     M, B, _ = space.conforming_blocks()  # all-Dirichlet: every dof is kept
-    fmom = np.zeros((prob.mesh.num_triangles, space.sdim))
-    for g in policy.groups(prob.mesh):
-        fmom[g.tris] = space.scalar_moments(g, g.call(prob.f))
-    return space, M, B, fmom.ravel()
+    return space, M, B, _data_moments(prob, space, policy).ravel()
 
 
 def solve_mixed(prob: PoissonProblem, p: int):
     """Dual mixed method: (sigma_M, v) - (u_M, div v) = 0, (div sigma_M, q) = (f, q).
 
     The second block makes div sigma_M equal the broken projection of f in
-    coefficients.
+    coefficients.  Solved by ``linsolve.hybrid_saddle_solve``: u_M is minus
+    its divergence multiplier.
     """
     policy = QuadPolicy(p, field=prob.sigma, degree=None)
-    space, M, B, fmom = _flux_system(prob, p, policy)
-    nt, sdim = prob.mesh.num_triangles, space.sdim
-    A = sp.bmat([[M, -B.T], [-B, None]], format="csc")
-    b = np.concatenate([np.zeros(space.ndof), -fmom])
-    sol = SparseFactor(A).solve(b)
-    sigma = ConformingRTNField(prob.mesh, p, sol[: space.ndof])
-    u = ScalarPWField(prob.mesh, p, sol[space.ndof :].reshape(nt, sdim))
-    res = np.linalg.norm(A @ sol - b) / max(np.linalg.norm(b), 1e-300)
-    div_defect = float(np.abs((B @ sigma.dofs) - fmom).max())
+    space = rtn_space(prob.mesh, p)
+    fmom = _data_moments(prob, space, policy)
+    dofs, mult, info = hybrid_saddle_solve(space, np.zeros(space.dof_map.shape), fmom)
     return {
-        "sigma": sigma,
-        "u": u,
-        "kkt_residual": res,
-        "div_constraint_defect": div_defect,
+        "sigma": ConformingRTNField(prob.mesh, p, dofs),
+        "u": ScalarPWField(prob.mesh, p, -mult),
+        "div_constraint_defect": info.pop("div_defect"),
+        **info,
     }
 
 
@@ -249,7 +250,8 @@ def solve_ls_mixed(prob: PoissonProblem, p: int, q: int):
         format="csc",
     )
     b = np.concatenate([l2 * (B.T @ fmom), np.zeros(len(fr))])
-    sol = SparseFactor(A).solve(b)
+    factor = SparseFactor(A)
+    sol = factor.solve(b)
     sigma = ConformingRTNField(mesh, p, sol[: space.ndof])
     u = np.zeros(ls.n_nodes)
     u[fr] = sol[space.ndof :]
@@ -259,6 +261,8 @@ def solve_ls_mixed(prob: PoissonProblem, p: int, q: int):
         "u": u,
         "space": ls,
         "kkt_residual": res,
+        "system_size": A.shape[0],
+        "nnz_lu": factor.lu.L.nnz + factor.lu.U.nnz,
         "blocks": {"M": M, "B": B, "D": D, "G": G, "S": S, "fmom": fmom, "l2": l2},
     }
 

@@ -170,8 +170,10 @@ class QuadPolicy:
         None (use the default Gauss count) or an explicit (t, w) pair on
         [0, 1]; ``check_tri_rule`` backs the degree-doubling self-check.
         """
-        if key is not None and key in self._cache:
-            return self._cache[key]
+        # an entry holds its element's geometry: on another mesh a key names another element
+        held = self._cache.get(key) if key is not None else None
+        if held is not None and np.array_equal(held[0], el.coords) and held[1] == el.edge_dirs:
+            return held[2]
         corner = int(self._corners(el.coords[None], np.array([el.h]))[0])
         if corner >= 0:
             gamma = self.singularity.gamma
@@ -196,7 +198,7 @@ class QuadPolicy:
             edges = [gauss01(n1)] * 3
             out = (tri, edges, chk)
         if key is not None:
-            self._cache[key] = out
+            self._cache[key] = (el.coords.copy(), list(el.edge_dirs), out)
         return out
 
     def n1d(self):

@@ -4,7 +4,8 @@ per-element dual bases by quadrature and a dense solve, per-element error
 and fit loops, normal-equation least squares, null-space constrained
 minimization, per-site COO assembly loops, patch equilibration data taken
 by quadrature on every (patch, element) pair, the dense Bunch-Kaufman KKT
-solve, the element-by-element and patch-by-patch projector loop with its
+solve, the unhybridized global saddle solve, the element-by-element and
+patch-by-patch projector loop with its
 per-patch stability surrogate on dict-numbered Lagrange nodes, and the mesh
 topology loops."""
 
@@ -284,21 +285,47 @@ def optimality_check(v, p, mesh, sigma, *, n_directions=10, seed=0, quad_degree=
 
 def _divfree_projection(w, mesh, p):
     """Mass-orthogonal projection of a conforming field onto div-free members."""
-    from hdivkit.linsolve import SparseFactor
     from hdivkit.projector import ConformingRTNField
 
     space = rtn_space(mesh, p)
+    rhs = np.einsum("kij,kj->ki", space.M, w.dofs[space.dof_map])
+    sigma, _, _ = conforming_saddle_oracle(space, rhs, np.zeros((mesh.num_triangles, space.sdim)))
+    return ConformingRTNField(mesh, p, sigma)
+
+
+def conforming_saddle_oracle(space, rhs, g):
+    """The unhybridized global saddle solve: minimize 1/2 s^T M s - rhs^T s
+    subject to B s = g over the conforming space, as one sparse saddle
+    matrix [[M, B^T], [B, 0]] from ``conforming_blocks``, factorized by plain
+    SuperLU (partial pivoting, default ordering) with one refinement step.
+    Without a Dirichlet edge, g is projected onto the compatible data and
+    a bordering row/column pins the constant multiplier mode.  ``rhs``
+    (nt, ndof) holds unassembled element moments, ``g`` (nt, sdim).
+    Returns (s (ndof,), u (nt, sdim), relative KKT residual)."""
+    import scipy.sparse.linalg as spla
+
+    nt = len(g)
     M, B, fidx = space.conforming_blocks()
-    rhs = np.zeros(space.ndof)
-    for k, el in enumerate(space.elements):
-        dofmap = space.element_dof_map(k)
-        rhs[dofmap] += el.M @ w.dofs[dofmap]
-    A = sp.bmat([[M, B.T], [B, None]], format="csc")
-    b = np.concatenate([rhs[fidx], np.zeros(B.shape[0])])
-    sol = SparseFactor(A).solve(b)
-    out = ConformingRTNField(mesh, p)
-    out.dofs[fidx] = sol[: len(fidx)]
-    return out
+    rhs = np.bincount(space.dof_map.ravel(), np.ravel(rhs), space.ndof)[fidx]
+    g = np.ravel(g)
+    if space.mesh.edges_with_label("dirichlet"):
+        A = sp.bmat([[M, B.T], [B, None]], format="csc")
+        b = np.concatenate([rhs, g])
+    else:
+        kernel = np.zeros((nt, space.sdim))
+        kernel[:, 0] = np.sqrt(space.mesh.area)
+        kernel = kernel.ravel()
+        g = g - kernel * (kernel @ g) / (kernel @ kernel)
+        kcol = sp.csr_matrix(kernel[:, None])
+        A = sp.bmat([[M, B.T, None], [B, None, kcol], [None, kcol.T, None]], format="csc")
+        b = np.concatenate([rhs, g, [0.0]])
+    lu = spla.splu(A)
+    x = lu.solve(b)
+    x = x + lu.solve(b - A @ x)
+    sigma = np.zeros(space.ndof)
+    sigma[fidx] = x[: len(fidx)]
+    res = np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-300)
+    return sigma, x[len(fidx) : len(fidx) + len(g)].reshape(nt, -1), res
 
 
 # -- sparse assembly, one hand-written COO loop per block -----------------------------

@@ -119,9 +119,21 @@ def test_solve_commands(capsys):
     assert main(["solve-mixed", "--mesh", "structured:2", "--p", "0"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["p0"]["div_constraint_defect"] < 1e-10
+    assert out["p0"]["system_size"] == 8  # one multiplier per interior edge at p = 0
+    assert out["p0"]["nnz_lu"] > 0
     assert main(["solve-ls", "--mesh", "structured:2", "--p", "0", "--q", "1"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["p0_q1"]["kkt_residual"] < 1e-10
+    assert out["p0_q1"]["system_size"] == 16 + 1  # every RT0 dof and one free P1 node
+    assert out["p0_q1"]["nnz_lu"] > 0
+
+
+def test_best_approx_reports_the_factorized_system(capsys):
+    assert main(["best-approx", "--mesh", "structured:2", "--labels", "all-neumann",
+                 "--field", "random_rtn:p=1", "--p", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["p1"]["system_size"] == 2 * 16 - 1  # every edge carries multipliers, one grounded
+    assert out["p1"]["nnz_lu"] > 0
 
 
 def test_study_command(tmp_path, capsys):
@@ -209,3 +221,33 @@ def test_mesh_file_not_json_is_one_line_error(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text("{not json")
     _assert_one_line_error(["mesh", "inspect", "--mesh", str(path)], capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-mixed", "--mesh", "structured:2", "--labels", "left-neumann"],
+        ["solve-ls", "--mesh", "structured:2", "--p", "0", "--q", "0"],
+    ],
+    ids=["neumann-model-problem", "lagrange-degree-0"],
+)
+def test_model_problem_error_is_one_line_error(capsys, argv):
+    _assert_one_line_error(argv, capsys)
+
+
+@pytest.mark.parametrize("command", ["project", "best-approx", "solve-mixed", "solve-ls", "study"])
+@pytest.mark.parametrize("degrees", ["-1", "1,x", "1.5", "0,-2", ""])
+def test_bad_degree_is_one_line_error(capsys, command, degrees):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--p", degrees])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("hdivkit: error: argument --p: ")
+
+
+def test_degree_list_parses_to_integers():
+    args = build_parser().parse_args(["project", "--p", "0,2,3"])
+    assert args.p == [0, 2, 3]
+    assert build_parser().parse_args(["project"]).p == [1]

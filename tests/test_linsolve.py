@@ -122,6 +122,17 @@ def test_sparse_determinism():
     assert np.array_equal(x1, x2)
 
 
+def test_sparse_factor_refuses_a_nonsymmetric_matrix():
+    A = sp.diags([2.0 * np.ones(5), -np.ones(4)], [0, 1], format="csc")  # SPD part + skew
+    with pytest.raises(ValueError, match="not symmetric"):
+        SparseFactor(A)
+    # a roundoff-sized defect passes, as in dense_solve
+    B = (A + A.T).tolil()
+    B[0, 1] += 1e-13
+    x = SparseFactor(B.tocsc()).solve(np.ones(5))
+    assert np.abs(B.toarray() @ x - 1).max() < 1e-12
+
+
 def test_global_mixed_sparse_vs_dense(unit_square_2):
     # assemble the p = 0 mixed saddle system both ways
     from hdivkit.model_problems import manufactured_sine, solve_mixed

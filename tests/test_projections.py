@@ -162,3 +162,17 @@ def test_best_approximation_property(ref_triangle_mesh):
         q = ScalarPWField(m, p, proj.coeffs + 0.1 * rng.standard_normal((1, sdim)))
         other = float(np.sum(rule.weights * (fv - q.eval_element(0, rule.points)) ** 2))
         assert other >= best - 1e-13
+
+
+def test_one_policy_over_two_meshes_gives_each_mesh_its_own_rules():
+    # element rules are cached under ("tri", k), which names element k on
+    # whichever mesh is passed: lshape:2 must not get lshape:1's corner rules
+    from hdivkit.mesh import build_lshape
+    from hdivkit.quadpolicy import QuadPolicy
+
+    v = fields.catalog("lshape_singular", {"alpha": 2.0 / 3.0})
+    coarse, fine = build_lshape(1), build_lshape(2)
+    shared = QuadPolicy(1, field=v)
+    for mesh in (coarse, fine, coarse):
+        got = canonical_interp(v, 1, mesh, policy=shared).coeffs
+        assert np.array_equal(got, canonical_interp(v, 1, mesh, policy=QuadPolicy(1, field=v)).coeffs)
