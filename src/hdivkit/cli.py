@@ -102,6 +102,7 @@ def cmd_project(args):
             "commute_residual": info.commute_residual,
             "commute_abs": info.commute_abs,
             "jump_residual": sig.jump_residual(),
+            "patch_system_size": info.patch_system_size,
             "warnings": info.warnings,
         }
     print(json.dumps(out, indent=1))

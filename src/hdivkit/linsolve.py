@@ -4,13 +4,13 @@ Small dense systems come in stacks (one per element or vertex patch):
 ``solve_stacked`` factorizes each chunk of the stack with one
 ``np.linalg.solve`` and checks every system's relative residual;
 ``saddle_solve_stacked`` builds the KKT stacks [[M, B^T], [B, 0]] on top of
-it, with a known constraint kernel handled by a symmetric bordering
-row/column after projecting the constraint data onto the compatible
-subspace.  A lone dense system goes through LAPACK Bunch-Kaufman
-(``dense_solve``: ``sytrf`` and two ``sytrs``, the second one a step of
-iterative refinement).  The mesh-wide saddle problem is hybridized down
-to an SPD edge system (``hybrid_saddle_solve``); every sparse system is SPD
-and goes through SuperLU in its symmetric mode, refined once.
+it.  A lone dense system goes through LAPACK Bunch-Kaufman (``dense_solve``:
+``sytrf`` and two ``sytrs``, the second one a step of iterative
+refinement).  Saddle problems over several elements are hybridized: the
+element eliminations (``eliminate``) leave an SPD system in edge
+multipliers, mesh-wide in ``hybrid_saddle_solve`` and per vertex patch in
+``local_solve``; every sparse system is SPD and goes through SuperLU in its
+symmetric mode, refined once.
 ``assemble_csr`` is the single place where element blocks are summed into a
 global sparse matrix.
 """
@@ -87,35 +87,41 @@ def solve_stacked(A, b):
     return x[..., 0] if b.ndim == 2 else x
 
 
-def saddle_solve_stacked(M, B, rhs, g, kernel=None):
+def saddle_solve_stacked(M, B, rhs, g):
     """Minimize 1/2 x^T M[k] x - rhs[k]^T x subject to B[k] x = g[k] for every k.
 
     ``M`` (n, d, d), ``B`` (n, m, d); returns (x (n, d), multipliers (n, m)),
     each with a trailing axis r for a block of data rhs (n, d, r), g (n, m, r).
-    With ``kernel`` (n, m), a left null vector of each B[k], g[k] is first
-    projected onto the compatible subspace and the KKT matrix
-    [[M, B^T, 0], [B, 0, kernel], [0, kernel^T, 0]] pins the multiplier
-    along it.  The KKT stack is built and solved a chunk at a time.
+    The KKT stack is built and solved a chunk at a time.
     """
     M, B = np.asarray(M, float), np.asarray(B, float)
     rhs, g = np.asarray(rhs, float), np.asarray(g, float)
     n, m, d = B.shape
-    if kernel is not None:
-        kernel = np.asarray(kernel, float)
-        g = g - kernel * (np.sum(kernel * g, axis=1) / np.sum(kernel * kernel, axis=1))[:, None]
-    size = d + m + (kernel is not None)
+    size = d + m
     sol = np.empty((n, size) + rhs.shape[2:])
     for sl in chunks(n, 8 * size * size):
         K = np.zeros((len(M[sl]), size, size))
         K[:, :d, :d] = M[sl]
-        K[:, d : d + m, :d] = B[sl]
-        K[:, :d, d : d + m] = np.swapaxes(B[sl], 1, 2)
-        b = np.zeros((len(K), size) + rhs.shape[2:])
-        b[:, :d], b[:, d : d + m] = rhs[sl], g[sl]
-        if kernel is not None:
-            K[:, d : d + m, -1] = K[:, -1, d : d + m] = kernel[sl]
-        sol[sl] = solve_stacked(K, b)
-    return sol[:, :d], sol[:, d : d + m]
+        K[:, d:, :d] = B[sl]
+        K[:, :d, d:] = np.swapaxes(B[sl], 1, 2)
+        sol[sl] = solve_stacked(K, np.concatenate([rhs[sl], g[sl]], axis=1))
+    return sol[:, :d], sol[:, d:]
+
+
+def eliminate(space, rhs, g, tris=None):
+    """The element half of a hybridization on ``tris`` (default: all): stacked
+    solves of K_k = [[M_k, Bdiv_k^T], [Bdiv_k, 0]] against the data columns
+    rhs (n, ndof, r), g (n, sdim, r), then against [E_k^T; 0], the unit
+    columns of the 3(p+1) edge dofs signed +1 on the ``edge_tris[e, 0]`` side.
+    Returns (signs (n, 3(p+1)), flux parts X, multiplier parts U), with
+    r + 3(p+1) columns: edge multipliers mu give X[..., :r] - X[..., r:] mu."""
+    mesh, ne = space.mesh, 3 * (space.p + 1)
+    tris = slice(None) if tris is None else tris  # a slice takes no copy of M
+    own = mesh.edge_tris[mesh.tri_edges[tris], 0] == np.arange(mesh.num_triangles)[tris, None]
+    sgn = np.repeat(np.where(own, 1.0, -1.0), space.p + 1, axis=1)
+    F = np.concatenate([rhs, np.eye(rhs.shape[1], ne) * sgn[:, None, :]], axis=2)
+    G = np.concatenate([g, np.zeros(g.shape[:2] + (ne,))], axis=2)
+    return (sgn, *saddle_solve_stacked(space.M[tris], space.Bdiv[tris], F, G))
 
 
 def assemble_csr(rows, cols, blocks, shape):
@@ -171,21 +177,16 @@ def hybrid_saddle_solve(space, rhs, g):
     ``div_defect`` of the conforming system, ``system_size``, ``nnz_lu``).
     """
     mesh, dofs, ne = space.mesh, space.dof_map, 3 * (space.p + 1)
-    nt, nd = dofs.shape
     g = np.array(g, float)
     on = np.repeat(mesh.edge_tris[:, 1] >= 0, space.p + 1)  # edge dofs with a multiplier
     on[space.neumann_edge_dofs()] = True
     grounded = bool(on.all())
     n = int(on.sum()) - grounded
     lam = np.where(on, np.cumsum(on) - 1 - grounded, -1)[dofs[:, :ne]]  # -1: none
-    own = mesh.edge_tris[mesh.tri_edges, 0] == np.arange(nt)[:, None]
-    sgn = np.repeat(np.where(own, 1.0, -1.0), space.p + 1, axis=1)
     k0 = np.sqrt(mesh.area)  # the constant multiplier mode of a pure Neumann problem
     if grounded:
         g[:, 0] -= k0 * (k0 @ g[:, 0]) / (k0 @ k0)
-    F = np.concatenate([rhs[:, :, None], np.eye(nd, ne) * sgn[:, None, :]], axis=2)
-    G = np.concatenate([g[:, :, None], np.zeros((nt, space.sdim, ne))], axis=2)
-    X, U = saddle_solve_stacked(space.M, space.Bdiv, F, G)
+    sgn, X, U = eliminate(space, rhs[:, :, None], g[:, :, None])
     EX = sgn[:, :, None] * X[:, :ne]  # E_k applied to every solution column
     S = (EX[:, :, 1:] + np.swapaxes(EX[:, :, 1:], 1, 2)) / 2  # E_k (K_k^-1)_ss E_k^T
     factor = SparseFactor(assemble_csr(lam, lam, S, (n, n)))

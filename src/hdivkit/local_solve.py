@@ -7,9 +7,13 @@ one degree lower on both space and constraint).
 
 Patch step: minimize ||v_a - chi_a|| over the patch space (zero normal trace
 on the patch boundary except on Dirichlet edges at Dirichlet vertices)
-subject to a prescribed elementwise divergence.  For interior and Neumann
-vertices the multiplier has a constant kernel; the data is projected onto the
-compatible subspace and the kernel mode pinned by a symmetric bordering row.
+subject to a prescribed elementwise divergence, in hybrid form: edge
+multipliers enforce the normal continuity and the pinned normal traces, each
+element is eliminated once for its three patches (``linsolve.eliminate``),
+and each patch solves one small system in its multipliers.  For interior
+and Neumann vertices one lowest-order multiplier is grounded and the
+constant-divergence coefficient, which projects the data onto the
+compatible subspace, takes its place.
 
 Stability surrogate: the dual norm of each patch's data over
 patch-continuous P_{p+2} functions, against which the patch correction is
@@ -18,7 +22,7 @@ measured (``patch_stability_ratio``).
 All three steps are stacked dense solves: the element fits over the
 quadrature groups of a ``QuadPolicy``, the patch problems and their
 surrogates over the signature groups of the ``PatchLayout`` (patches with
-equal dof count, triangle count and kernel give KKT systems of one size).
+equal dof count, triangle count and kernel give systems of one size).
 The surrogate numbers its nodes by the mesh's continuous P_{p+2} numbering
 (``elements.lagrange_nodes``) and builds its element blocks from reference
 tables, so no step loops over elements or patches in Python.
@@ -40,7 +44,7 @@ from .elements import (
     lagrange_nodes,
     rtn_space,
 )
-from .linsolve import chunks, saddle_solve_stacked, solve_stacked
+from .linsolve import chunks, eliminate, saddle_solve_stacked, solve_stacked
 from .mesh import DIRICHLET, VertexPatch
 from .projections import BrokenRTNField, hat_interpolants
 from .quadpolicy import QuadPolicy
@@ -120,6 +124,9 @@ class PatchGroup:
     local dof j of triangle t (-1 where pinned to zero); ``dofs[r]`` holds
     the global dof of each patch dof: the dofs of the active edges in
     ascending edge order, then the interior dofs of each triangle.
+    ``mult[r, t, j]`` numbers the nt ndof - nd edge multipliers: one per dof
+    of each interior edge at the vertex (both sides), then of each pinned
+    slot (opposite edge, Neumann edges); -1 on free Dirichlet edges.
     """
 
     verts: np.ndarray  # (n,)
@@ -127,18 +134,18 @@ class PatchGroup:
     local: np.ndarray  # (n, nt)
     elem_map: np.ndarray  # (n, nt, ndof)
     dofs: np.ndarray  # (n, nd)
+    mult: np.ndarray  # (n, nt, 3(p+1))
     kernel: bool  # interior and Neumann vertices: constant multiplier kernel
 
     def rows(self, sl):
-        return PatchGroup(
-            self.verts[sl], self.tris[sl], self.local[sl], self.elem_map[sl], self.dofs[sl], self.kernel
-        )
+        return PatchGroup(self.verts[sl], self.tris[sl], self.local[sl], self.elem_map[sl], self.dofs[sl],
+                          self.mult[sl], self.kernel)
 
 
 @dataclass
 class PatchLayout:
     """Every vertex patch of a mesh at degree p, in signature groups cut
-    into chunks whose KKT systems fill at most ``STACK_BYTES``."""
+    into chunks whose hybrid systems fill at most ``STACK_BYTES``."""
 
     groups: list
     where: np.ndarray  # (nv, 2): group index and row of each vertex
@@ -185,7 +192,19 @@ def _build_patch_layout(mesh, p):
     edge_map = np.where(rank[:, :, None] >= 0, rank[:, :, None] * (p + 1) + np.arange(p + 1), -1)
     t_idx = np.arange(3 * nt) - start[c_vert]
     int_map = (n_act[c_vert] * (p + 1) + t_idx * n_int)[:, None] + np.arange(n_int)
-    elem_map = np.hstack([edge_map.reshape(3 * nt, -1), int_map])
+    # patch-local maps are small: int32 halves what every cached layout holds
+    elem_map = np.hstack([edge_map.reshape(3 * nt, -1), int_map]).astype(np.int32)
+    # multipliers: interior edges at the vertex by edge, pinned slots by
+    # corner and slot, within one key range per vertex; none on free edges
+    slot_e = mesh.tri_edges[c_tri]
+    shared = (rank >= 0) & (mesh.edge_tris[slot_e, 1] >= 0)
+    span = ne + 9 * nt
+    key = np.where(shared, slot_e, ne + 3 * np.arange(3 * nt)[:, None] + np.arange(3)) + c_vert[:, None] * span
+    key[(rank >= 0) & ~shared] = -1
+    uniq = np.unique(key[key >= 0])
+    lam = np.where(key >= 0, np.searchsorted(uniq, key) - np.searchsorted(uniq, c_vert * span)[:, None], -1)
+    mult = np.where(lam[:, :, None] >= 0, lam[:, :, None] * (p + 1) + np.arange(p + 1), -1).reshape(3 * nt, -1)
+    mult = mult.astype(np.int32)
     nd = n_act * (p + 1) + count * n_int
     sig = np.stack([nd, count, kernel], axis=1)
     groups, where = [], np.empty((nv, 2), dtype=int)
@@ -198,9 +217,10 @@ def _build_patch_layout(mesh, p):
             (edges[:, :, None] * (p + 1) + np.arange(p + 1)).reshape(len(vs), -1),
             (space.ndof_edge + tris[:, :, None] * n_int + np.arange(n_int)).reshape(len(vs), -1),
         ])
-        group = PatchGroup(vs, tris, c_loc[c], elem_map[c], dofs, bool(s[2]))
-        size = s[0] + s[1] * space.sdim + s[2]
-        for sl in chunks(len(vs), 8 * size**2):
+        group = PatchGroup(vs, tris, c_loc[c], elem_map[c], dofs, mult[c], bool(s[2]))
+        ndof, nl = space.ref.dim, s[1] * space.ref.dim - s[0]
+        # the temporaries of build_patch_problem come to about twice this
+        for sl in chunks(len(vs), 16 * (s[1] * ndof * (ndof + 4) + nl**2)):
             where[vs[sl], 0] = len(groups)
             where[vs[sl], 1] = np.arange(len(vs[sl]))
             groups.append(group.rows(sl))
@@ -222,20 +242,21 @@ def sum_patch_fields(parts, ndof):
 
 @dataclass
 class PatchGroupProblem:
-    """The degree-p equilibration problems of a ``PatchGroup``, stacked:
-    ``chi`` (n, nt, ndof) and ``g`` (n, nt, sdim) per triangle, ``M``
-    (n, nd, nd), ``B`` (n, nt sdim, nd), ``rhs``, ``grhs``, ``kernel`` (or
-    None) and ``compat_defect`` with one row per patch."""
+    """The degree-p equilibration problems of a ``PatchGroup`` in hybrid
+    form, stacked: ``chi`` (n, nt, ndof), ``g`` (n, nt, sdim), the systems
+    ``S`` (n, nl, nl), ``b`` (n, nl), the element fluxes ``x0`` (n, nt, ndof)
+    and per unit of each column's unknown ``xe`` (n, nt, ndof, 1 + 3(p+1)),
+    ``cols`` those unknowns, and ``compat_defect`` with one row per patch."""
 
     group: PatchGroup
     p: int
     chi: np.ndarray
     g: np.ndarray
-    M: np.ndarray
-    B: np.ndarray
-    rhs: np.ndarray
-    grhs: np.ndarray
-    kernel: np.ndarray | None
+    S: np.ndarray
+    b: np.ndarray
+    x0: np.ndarray
+    xe: np.ndarray
+    cols: np.ndarray
     compat_defect: np.ndarray
 
 
@@ -254,6 +275,8 @@ class PatchData:
     chi: np.ndarray  # (n, 3, ndof)
     g: np.ndarray  # (n, 3, sdim)
     mass_scale: np.ndarray  # (n, 3): magnitudes of the two terms of (g, 1)_K, see patch_data
+    sign: np.ndarray | None = None  # (n, 3(p+1)): the edge signs of ``linsolve.eliminate``
+    x: np.ndarray | None = None  # (n, ndof, 4 + 3(p+1)): element eliminations, see patch_data
 
 
 def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None, tris=None) -> PatchData:
@@ -266,7 +289,9 @@ def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None, tris=None) -> 
     (lambda_i |div v|, 1)_K, and |G_i[0]| |T_k^{-1} theta| / sqrt(2), the
     Cauchy-Schwarz bound of (grad lambda_i . theta, 1)_K, whose value is
     roundoff when theta's components along G_i[0] vanish.  Their
-    cancellation over a patch is measured on this scale.
+    cancellation over a patch is measured on this scale.  ``x`` serves the
+    three patches of each triangle: the minimal corrections of div chi_i to
+    g_i, the flux of divergence sqrt|K| phi_0, and the edge unit columns.
     """
     space = rtn_space(mesh, p)
     tris = np.arange(mesh.num_triangles) if tris is None else np.unique(tris)
@@ -279,7 +304,16 @@ def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None, tris=None) -> 
     div, div_scale = _hat_div_moments(v, space, policy, tris)
     # (f, 1)_K = sqrt|K| f_0 = sqrt(det B_k / 2) f_0 in the orthonormal basis
     grad_scale = np.sqrt(0.5) * np.outer(np.linalg.norm(ref, axis=1), np.linalg.norm(G[:, 0], axis=1))
-    return PatchData(tris, chi, div + grad, div_scale + grad_scale)
+    g = div + grad
+    data = np.zeros((len(tris), space.sdim, 4))
+    data[:, :, :3] = np.swapaxes(g - np.einsum("kmd,kid->kim", space.Bdiv[tris], chi), 1, 2)
+    data[:, 0, 3] = np.sqrt(mesh.area[tris])
+    ndof, ne, size = space.ref.dim, 3 * (p + 1), space.ref.dim + space.sdim
+    sign, x = np.empty((len(tris), ne)), np.empty((len(tris), ndof, 4 + ne))
+    # the solve's temporaries come to about four times its matrices and columns
+    for sl in chunks(len(tris), 32 * size * (size + 4 + ne)):
+        sign[sl], x[sl], _ = eliminate(space, np.zeros((len(data[sl]), ndof, 4)), data[sl], tris[sl])
+    return PatchData(tris, chi, g, div_scale + grad_scale, sign, x)
 
 
 def _hat_div_moments(v, space, policy, tris):
@@ -334,18 +368,19 @@ def _sum_into(shape, idx, vals):
 
 
 def build_patch_problem(patch, theta: BrokenRTNField, v, p, mesh, *, policy=None, data=None):
-    """Assemble the equilibration problems of a ``PatchGroup`` as stacked
-    arrays (a ``PatchGroupProblem``); a ``VertexPatch`` gives the problem of
-    its group of one.
+    """Assemble the equilibration problems of a ``PatchGroup`` in hybrid form
+    as stacked arrays (a ``PatchGroupProblem``); a ``VertexPatch`` gives the
+    problem of its group of one.
 
     def31: data = Pi_p(psi_a div v + grad psi_a . theta), target = the
     degree-p interpolant of psi_a theta.  def52: theta has degree p-1, the
     gradient term is already a degree-p polynomial and the target psi_a theta
     lies in broken RTN_p exactly; the same dof extraction realizes both.
-    ``data`` holds the element tables of ``patch_data``; without it they are
-    built for the patches' triangles.  Element blocks are summed in triangle
-    order.  Raises CompatibilityError for the lowest vertex whose patch data
-    has a nonzero mass against the constant multiplier kernel.
+    ``data`` holds the element tables and eliminations of ``patch_data``;
+    without it they are built for the patches' triangles.  The blocks E_k
+    (K_k^-1)_ss E_k^T are summed in triangle order.  Raises
+    CompatibilityError for the lowest vertex whose patch data has a nonzero
+    mass against the constant multiplier kernel.
     """
     group = patch_layout(mesh, p).group_of(patch.vertex) if isinstance(patch, VertexPatch) else patch
     space = rtn_space(mesh, p)
@@ -354,29 +389,36 @@ def build_patch_problem(patch, theta: BrokenRTNField, v, p, mesh, *, policy=None
     defect = _mass_defects(group, data, mesh)
     check_compatibility(group.verts, defect)
     r = np.searchsorted(data.tris, group.tris)
-    chi, g = data.chi[r, group.local], data.g[r, group.local]
-    (n, nt), nd, sdim = group.tris.shape, group.dofs.shape[1], space.sdim
-    m = group.elem_map
-    row = np.arange(n)[:, None, None]
-    Mk = space.M[group.tris]
-    pair = (m[..., :, None] >= 0) & (m[..., None, :] >= 0)
-    M = _sum_into((n, nd, nd), np.where(pair, ((row * nd + m)[..., None]) * nd + m[..., None, :], -1), Mk)
-    rhs = _sum_into((n, nd), np.where(m >= 0, row * nd + m, -1), (Mk @ chi[..., None])[..., 0])
-    brow = (row * nt + np.arange(nt)[:, None]) * sdim
-    bidx = (brow[..., None] + np.arange(sdim)[:, None]) * nd + m[:, :, None, :]
-    B = _sum_into((n, nt * sdim, nd), np.where(m[:, :, None, :] >= 0, bidx, -1), space.Bdiv[group.tris])
-    kernel = None
-    if group.kernel:
-        kernel = np.zeros((n, nt, sdim))
-        kernel[:, :, 0] = np.sqrt(mesh.area[group.tris])
-        kernel = kernel.reshape(n, -1)
-    return PatchGroupProblem(group, p, chi, g, M, B, rhs, g.reshape(n, -1), kernel, defect)
+    chi, g, X = data.chi[r, group.local], data.g[r, group.local], data.x[r]
+    (n, nt), nd, ne = group.tris.shape, group.dofs.shape[1], 3 * (p + 1)
+    x0 = chi + np.take_along_axis(X[..., :3], group.local[..., None, None], axis=3)[..., 0]
+    # columns: the constant-divergence coefficient (in place of the grounded
+    # multiplier 0 at kernel patches: it takes the data's incompatible part,
+    # roundoff included, which grounding alone leaves on one edge), then the
+    # edge multipliers
+    L, nl = group.mult, nt * space.ref.dim - nd
+    mu = np.full((n, nt, 1), 0 if group.kernel else -1)
+    cols = np.concatenate([mu, np.where(group.kernel & (L == 0), -1, L)], axis=2)
+    rows = np.where(L >= 0, np.arange(n)[:, None, None] * nl + L, -1)
+    idx = np.where(cols[..., None, :] >= 0, rows[..., :, None] * nl + cols[..., None, :], -1)
+    sgn = data.sign[r]
+    S = _sum_into((n, nl, nl), idx, sgn[..., :, None] * X[..., :ne, 3:])
+    b = _sum_into((n, nl), rows, sgn * x0[..., :ne])
+    return PatchGroupProblem(group, p, chi, g, S, b, x0, X[..., 3:], cols, defect)
 
 
 def patch_equilibrate(problem: PatchGroupProblem):
-    """Solve the constrained patch minimizations of a stacked problem;
-    returns the active coefficients (n, nd) and the multipliers."""
-    return saddle_solve_stacked(problem.M, problem.B, problem.rhs, problem.grhs, problem.kernel)
+    """Solve the hybrid patch problems of a stacked problem, then recover the
+    element fluxes; the two sides of an interior edge agree to roundoff and
+    are averaged.  Returns the patch coefficients (n, nd) and the unknowns
+    of the multiplier systems (n, nl)."""
+    group = problem.group
+    n, nd = group.dofs.shape
+    lam = solve_stacked(problem.S, problem.b)
+    row = np.arange(n)[:, None, None]
+    x = problem.x0 - (problem.xe @ np.append(lam, np.zeros((n, 1)), axis=1)[row, problem.cols][..., None])[..., 0]
+    at = np.where(group.elem_map >= 0, row * nd + group.elem_map, -1)
+    return _sum_into((n, nd), at, x) / _sum_into((n, nd), at, np.ones_like(x)), lam
 
 
 # -- dual-norm surrogate for the patch stability constant ---------------------------
@@ -394,10 +436,17 @@ def patch_stability_ratio(problem: PatchGroupProblem, s, mesh):
     patch boundary wherever w is free, but free of the cancellation of two
     terms of size ||chi_a||.  The nodes are those of the mesh-wide numbering
     ``lagrange_nodes``, renumbered per row; the element tables are
-    reference tables scaled by the affine maps.  Recorded, never asserted:
-    the bound it witnesses is a cited stability result.
+    reference tables scaled by the affine maps, in chunks of rows whose
+    systems fill at most ``STACK_BYTES``.  Recorded, never asserted: the
+    bound it witnesses is a cited stability result.
     """
     group, p = problem.group, problem.p
+    width = group.tris.shape[1] * polys.tri_dim(p + 2)  # bounds a row's node count
+    return np.concatenate([_stability_ratios(group.rows(sl), p, problem.chi[sl], s[sl], mesh)
+                           for sl in chunks(len(s), 8 * width**2)])
+
+
+def _stability_ratios(group, p, chi, s, mesh):
     # p + 2 keeps the surrogate space nontrivial even on one-triangle corner
     # patches with two clamped edges
     q = p + 2
@@ -424,7 +473,7 @@ def patch_stability_ratio(problem: PatchGroupProblem, s, mesh):
         at = np.any(clamped[..., :, None] & on_edge, axis=-2)
         fixed[np.broadcast_to(row, at.shape)[at], loc[at]] = True
     # s_a - chi_a per triangle; -1 in elem_map is a pinned dof
-    diff = np.append(s, np.zeros((n, 1)), axis=1)[row, group.elem_map] - problem.chi
+    diff = np.append(s, np.zeros((n, 1)), axis=1)[row, group.elem_map] - chi
     # element tables: (grad w, grad w)_K, -(s_a - chi_a, grad w)_K, (1, w)_K,
     # by reference rules exact in their degree (at most q + p)
     rule = quad_rule(q + p)
@@ -448,5 +497,5 @@ def patch_stability_ratio(problem: PatchGroupProblem, s, mesh):
     # numerator: ||s_a - chi_a|| over the patch
     Mk = space.M[tris]
     num = np.sqrt(np.sum(diff * (Mk @ diff[..., None])[..., 0], axis=(1, 2)))
-    chi_norm = np.sqrt(np.sum(problem.chi * (Mk @ problem.chi[..., None])[..., 0], axis=(1, 2)))
+    chi_norm = np.sqrt(np.sum(chi * (Mk @ chi[..., None])[..., 0], axis=(1, 2)))
     return np.where(num <= 1e-12 * chi_norm, 0.0, num / np.maximum(dual, 1e-300))

@@ -160,6 +160,7 @@ class ProjectorInfo:
     compat_defects: list = dfield(default_factory=list)
     stability_ratios: list = dfield(default_factory=list)
     warnings: list = dfield(default_factory=list)
+    patch_system_size: int = 0  # unknowns of the largest patch multiplier system solved
 
 
 def project_hdiv(
@@ -198,8 +199,9 @@ def project_hdiv(
     parts, ratios = [], []
     for group in layout.groups:
         problem = build_patch_problem(group, theta, v, p, mesh, policy=policy, data=data)
-        s, _ = patch_equilibrate(problem)
+        s, lam = patch_equilibrate(problem)
         parts.append((group, s))
+        info.patch_system_size = max(info.patch_system_size, lam.shape[1])
         if measure_stability:
             ratios += zip(group.verts, patch_stability_ratio(problem, s, mesh))
     sigma.dofs = sum_patch_fields(parts, space.ndof)

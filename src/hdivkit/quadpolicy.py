@@ -153,11 +153,12 @@ class QuadPolicy:
         deg[ratio < 3.0] = max(self.base_degree, 40)
         return deg
 
+    def _wedge_size(self, extra=(0, 0)):
+        """Angular and radial point counts of the corner wedge rules."""
+        return max(20, self.base_degree // 2 + 10) + extra[0], max(12, self.base_degree // 2 + 4) + extra[1]
+
     def _wedge(self, coords, corner, extra=(0, 0)):
-        gamma = self.singularity.gamma
-        n_th = max(20, self.base_degree // 2 + 10) + extra[0]
-        n_r = max(12, self.base_degree // 2 + 4) + extra[1]
-        wr = corner_rule(coords, corner, gamma, n_th, n_r)
+        wr = corner_rule(coords, corner, self.singularity.gamma, *self._wedge_size(extra))
         return wr.points, wr.weights
 
     # -- rules ------------------------------------------------------------------------
@@ -238,7 +239,7 @@ class QuadPolicy:
         ks = np.flatnonzero(corner >= 0)
         extra = (8, 6) if check else (0, 0)
         # wedge tables carry an element axis: a chunk holds them at degree p
-        nq = len(self._wedge(xs[ks[0]], corner[ks[0]], extra)[1]) if len(ks) else 1
+        nq = np.prod(self._wedge_size(extra))
         for sl in chunks(len(ks), _POINT_BYTES * nq * rtn_dim(self.p)):
             k = ks[sl]
             pts, w = map(np.stack, zip(*(self._wedge(xs[j], corner[j], extra) for j in k)))

@@ -127,6 +127,9 @@ def gauss01(n: int):
     return (x + 1) / 2, w / 2
 
 
+_leggauss = lru_cache(maxsize=None)(leggauss)  # n-point rule on [-1, 1], read-only
+
+
 def edge_npts(degree: int) -> int:
     """Gauss point count whose 1D exactness covers ``degree``."""
     return max(1, (degree + 2) // 2)
@@ -172,7 +175,7 @@ def corner_rule(coords, vertex_local: int, gamma: float, n_theta: int, n_r: int)
         th2 -= 2 * np.pi
     elif th1 - th2 > np.pi:
         th2 += 2 * np.pi
-    tg, wg = leggauss(n_theta)
+    tg, wg = _leggauss(n_theta)
     theta = (th1 + th2) / 2 + (th2 - th1) / 2 * tg
     wtheta = wg * abs(th2 - th1) / 2
     # distance from the corner to the opposite edge along each ray
@@ -185,17 +188,11 @@ def corner_rule(coords, vertex_local: int, gamma: float, n_theta: int, n_r: int)
     dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
     R = (d - m @ c) / (dirs @ m)
     tr, wr = jacobi01(n_r, gamma + 1.0)
-    pts = np.empty((n_theta * n_r, 2))
-    wts = np.empty(n_theta * n_r)
-    k = 0
-    for j in range(n_theta):
-        for i in range(n_r):
-            r = R[j] * tr[i]
-            pts[k] = c + r * dirs[j]
-            # weight absorbs the r^gamma factor: W = w_theta * w_r * R^2 * t^(-gamma)
-            wts[k] = wtheta[j] * wr[i] * R[j] ** 2 * tr[i] ** (-gamma)
-            k += 1
-    return WedgeRule(pts, wts)
+    # ray-major products; the weight absorbs the r^gamma factor:
+    # W = w_theta * w_r * R^2 * t^(-gamma)
+    pts = c + np.outer(R, tr)[:, :, None] * dirs[:, None, :]
+    wts = np.outer(wtheta, wr) * (R**2)[:, None] * tr ** (-gamma)
+    return WedgeRule(pts.reshape(-1, 2), wts.ravel())
 
 
 def check_exactness(rule: TriangleRule, degree: int | None = None, rtol: float = 1e-13):

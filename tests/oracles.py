@@ -6,8 +6,8 @@ minimization, per-site COO assembly loops, patch equilibration data taken
 by quadrature on every (patch, element) pair, the dense Bunch-Kaufman KKT
 solve, the unhybridized global saddle solve, the element-by-element and
 patch-by-patch projector loop with its
-per-patch stability surrogate on dict-numbered Lagrange nodes, and the mesh
-topology loops."""
+per-patch stability surrogate on dict-numbered Lagrange nodes, the mesh
+topology loops and the point-by-point corner wedge rule."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,7 +20,7 @@ from hdivkit import polys
 from hdivkit.elements import barycentric, edge_dof_values, hat_operators, rtn_space, scalar_basis
 from hdivkit.linsolve import dense_solve
 from hdivkit.quadpolicy import QuadPolicy
-from hdivkit.quadrature import TriangleRule, gauss01, quad_rule
+from hdivkit.quadrature import TriangleRule, gauss01, jacobi01, quad_rule
 
 # -- exact integrals on the reference triangle ---------------------------------------
 
@@ -542,7 +542,8 @@ def patch_problem_oracle(patch, theta, v, p, mesh, policy):
 
 def projector_oracle(v, p, mesh, quad_degree=None):
     """End-to-end projection error computed through the brute-force patch
-    path at doubled quadrature degree."""
+    path at doubled quadrature degree: the library's patch data, assembled
+    and solved patch by patch by ``patch_oracle``."""
     from hdivkit.local_solve import build_patch_problem, theta_field
     from hdivkit.mesh import vertex_patches
     from hdivkit.projector import ConformingRTNField
@@ -555,10 +556,8 @@ def projector_oracle(v, p, mesh, quad_degree=None):
     sigma = ConformingRTNField(mesh, p)
     for patch in vertex_patches(mesh):
         prob = build_patch_problem(patch, theta, v, p, mesh, policy=policy)
-        grhs, kern = prob.grhs[0], None if prob.kernel is None else prob.kernel[0]
-        if kern is not None:
-            grhs = grhs - kern * (kern @ grhs) / (kern @ kern)
-        sigma.dofs[prob.group.dofs[0]] += nullspace_constrained_min(prob.M[0], prob.rhs[0], prob.B[0], grhs)
+        s, ps = patch_oracle(mesh, patch, p, theta.coeffs, prob.chi[0], prob.g[0])
+        sigma.dofs[ps.dofs] += s
     err2 = 0.0
     rule = quad_rule(qd)
     for k in range(mesh.num_triangles):
@@ -1109,3 +1108,42 @@ def projector_report_oracle(v, p, mesh, *, variant="def31"):
             }
         )
     return records
+
+
+def corner_rule_oracle(coords, vertex_local, gamma, n_theta, n_r):
+    """``quadrature.corner_rule`` point by point: a fresh angular Gauss rule
+    and one ray and one radial node at a time; (points, weights)."""
+    from numpy.polynomial.legendre import leggauss
+
+    coords = np.asarray(coords, float)
+    c = coords[vertex_local]
+    q1 = coords[(vertex_local + 1) % 3]
+    q2 = coords[(vertex_local + 2) % 3]
+    th1 = np.arctan2(*(q1 - c)[::-1])
+    th2 = np.arctan2(*(q2 - c)[::-1])
+    if th2 - th1 > np.pi:
+        th2 -= 2 * np.pi
+    elif th1 - th2 > np.pi:
+        th2 += 2 * np.pi
+    tg, wg = leggauss(n_theta)
+    theta = (th1 + th2) / 2 + (th2 - th1) / 2 * tg
+    wtheta = wg * abs(th2 - th1) / 2
+    edge = q2 - q1
+    m = np.array([edge[1], -edge[0]])
+    m /= np.linalg.norm(m)
+    d = m @ q1
+    if m @ c > d:
+        m, d = -m, -d
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
+    R = (d - m @ c) / (dirs @ m)
+    tr, wr = jacobi01(n_r, gamma + 1.0)
+    pts = np.empty((n_theta * n_r, 2))
+    wts = np.empty(n_theta * n_r)
+    k = 0
+    for j in range(n_theta):
+        for i in range(n_r):
+            r = R[j] * tr[i]
+            pts[k] = c + r * dirs[j]
+            wts[k] = wtheta[j] * wr[i] * R[j] ** 2 * tr[i] ** (-gamma)
+            k += 1
+    return pts, wts

@@ -218,6 +218,22 @@ def test_sigma_sums_patches_in_vertex_order():
     assert np.array_equal(sum_patch_fields(parts, len(want)), want)
 
 
+def _check_multipliers(m, p, patch, mult, elem_map, nl):
+    """Multipliers 0..nl-1: one per dof of each interior edge at the vertex,
+    on both of its slots, one per dof of every other pinned slot, none on the
+    free Dirichlet edges at the vertex."""
+    ne = 3 * (p + 1)
+    edges = np.repeat(m.tri_edges[patch.tris], p + 1, axis=1)
+    active = elem_map[:, :ne] >= 0
+    interior = m.edge_tris[edges, 1] >= 0
+    assert np.array_equal(mult < 0, active & ~interior)
+    assert sorted(set(mult[mult >= 0].tolist())) == list(range(nl))
+    for lam in range(nl):
+        t, j = np.nonzero(mult == lam)
+        assert len(t) == (2 if active[t[0], j[0]] else 1)
+        assert len(set(edges[t, j].tolist())) == 1 and len(set((j % (p + 1)).tolist())) == 1
+
+
 @pytest.mark.parametrize("p", [0, 1, 3])
 @pytest.mark.parametrize("labels", LABELS)
 def test_patch_layout_matches_patch_loop(labels, p):
@@ -228,8 +244,8 @@ def test_patch_layout_matches_patch_loop(labels, p):
         seen = []
         for group in layout.groups:
             n, nt = group.tris.shape
-            size = group.dofs.shape[1] + nt * space.sdim + group.kernel
-            assert n == 1 or n * 8 * size**2 <= STACK_BYTES
+            ndof, nl = space.ref.dim, nt * space.ref.dim - group.dofs.shape[1]
+            assert n == 1 or n * 8 * (nt * ndof * (ndof + 4) + nl**2) <= STACK_BYTES
             assert np.all(np.diff(group.verts) > 0)
             for r, a in enumerate(group.verts):
                 patch = vertex_patches(m)[a]
@@ -240,6 +256,7 @@ def test_patch_layout_matches_patch_loop(labels, p):
                 assert np.array_equal(group.dofs[r], want.dofs)
                 for t, k in enumerate(patch.tris):
                     assert np.array_equal(group.elem_map[r, t], want.elem_maps[int(k)])
+                _check_multipliers(m, p, patch, group.mult[r], group.elem_map[r], nl)
                 one = layout.group_of(a)
                 assert one.verts.tolist() == [a] and np.array_equal(one.dofs[0], want.dofs)
             seen += group.verts.tolist()
@@ -247,7 +264,8 @@ def test_patch_layout_matches_patch_loop(labels, p):
 
 
 def test_single_patch_problem_matches_loop_assembly():
-    # a VertexPatch gives the one-row problem of its group
+    # a VertexPatch gives the one-row problem of its group; its hybrid
+    # solution equals a dense KKT solve of the loop assembly
     m = jitter(build_lshape(2, labels="left-neumann"), 2)
     v = random_conforming_field(m, 3, seed=1).as_field()
     p = 2
@@ -257,13 +275,11 @@ def test_single_patch_problem_matches_loop_assembly():
         prob = build_patch_problem(patch, theta, v, p, m)
         want = oracles.build_patch_problem_oracle(patch, p, m, data)
         assert prob.group.verts.tolist() == [patch.vertex] and prob.p == p
-        for key in ("M", "B", "rhs", "grhs", "chi", "g"):
-            got, ref = getattr(prob, key)[0], getattr(want, key)
-            if key in ("chi", "g"):  # per triangle, in ascending triangle order
-                ref = np.array([ref[int(k)] for k in patch.tris])
+        for key in ("chi", "g"):  # per triangle, in ascending triangle order
+            got, ref = getattr(prob, key)[0], np.array([getattr(want, key)[int(k)] for k in patch.tris])
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), key
-        assert (prob.kernel is None) == (want.kernel is None)
+        assert abs(prob.compat_defect[0] - want.compat_defect) <= 1e-13
         s, _ = patch_equilibrate(prob)
         s_ref, _ = oracles.saddle_solve_dense(want.M, want.B, want.rhs, want.grhs, kernel=want.kernel)
         assert _rel(s[0], s_ref) <= 1e-13

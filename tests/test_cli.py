@@ -107,6 +107,8 @@ def test_project_command(capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["p0"]["commute_residual"] < 1e-10
     assert out["p1"]["commute_residual"] < 1e-10
+    # two multipliers per triangle and degree at the six-triangle interior vertex
+    assert [out[f"p{p}"]["patch_system_size"] for p in (0, 1)] == [12, 24]
 
 
 def test_best_approx_command(capsys):

@@ -158,24 +158,19 @@ def test_global_mixed_sparse_vs_dense(unit_square_2):
     )
 
 
-def _kkt_stack(n, d, m, rng, kernel=False):
+def _kkt_stack(n, d, m, rng):
     Q = rng.standard_normal((n, d, d))
     M = Q @ np.swapaxes(Q, 1, 2) + d * np.eye(d)
     B = rng.standard_normal((n, m, d))
-    k = None
-    if kernel:
-        k = rng.standard_normal((n, m))
-        B = B - k[:, :, None] * (np.einsum("km,kmd->kd", k, B) / np.sum(k * k, axis=1)[:, None])[:, None]
-    return M, B, rng.standard_normal((n, d)), rng.standard_normal((n, m)), k
+    return M, B, rng.standard_normal((n, d)), rng.standard_normal((n, m))
 
 
-@pytest.mark.parametrize("kernel", [False, True])
-def test_saddle_stack_matches_dense_solves(kernel):
+def test_saddle_stack_matches_dense_solves():
     rng = np.random.default_rng(1)
-    M, B, b, g, k = _kkt_stack(7, 9, 4, rng, kernel)
-    x, lam = saddle_solve_stacked(M, B, b, g, kernel=k)
+    M, B, b, g = _kkt_stack(7, 9, 4, rng)
+    x, lam = saddle_solve_stacked(M, B, b, g)
     for i in range(len(M)):
-        want, want_lam = saddle_solve_dense(M[i], B[i], b[i], g[i], kernel=None if k is None else k[i])
+        want, want_lam = saddle_solve_dense(M[i], B[i], b[i], g[i])
         assert np.abs(x[i] - want).max() < 1e-12 * max(1.0, np.abs(want).max())
         assert np.abs(lam[i] - want_lam).max() < 1e-11 * max(1.0, np.abs(want_lam).max())
 
@@ -185,12 +180,12 @@ def test_stacks_are_solved_in_chunks(monkeypatch):
     import hdivkit.linsolve as linsolve
 
     rng = np.random.default_rng(2)
-    M, B, b, g, k = _kkt_stack(11, 6, 3, rng, kernel=True)
-    whole = saddle_solve_stacked(M, B, b, g, kernel=k)
-    assert len(linsolve.chunks(11, 8 * 10 * 10)) == 1
+    M, B, b, g = _kkt_stack(11, 6, 3, rng)
+    whole = saddle_solve_stacked(M, B, b, g)
+    assert len(linsolve.chunks(11, 8 * 9 * 9)) == 1
     monkeypatch.setattr(linsolve, "STACK_BYTES", 1)
-    assert len(linsolve.chunks(11, 8 * 10 * 10)) == 11
-    pieces = saddle_solve_stacked(M, B, b, g, kernel=k)
+    assert len(linsolve.chunks(11, 8 * 9 * 9)) == 11
+    pieces = saddle_solve_stacked(M, B, b, g)
     assert all(np.array_equal(a, c) for a, c in zip(whole, pieces))
     A = M + 0.1 * np.eye(6)
     assert np.array_equal(solve_stacked(A, b), np.linalg.solve(A, b[:, :, None])[..., 0])

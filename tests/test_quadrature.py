@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from hdivkit.quadrature import (
     UnsupportedDegreeError,
     check_exactness,
@@ -76,3 +77,16 @@ def test_corner_rule_radial_integrands():
     )[0]
     got2 = np.sum(wr.weights * r**gamma * wr.points[:, 0] * wr.points[:, 1])
     assert abs(got2 - exact2) / abs(exact2) < 1e-12
+
+
+@pytest.mark.parametrize("corner", [0, 1, 2])
+@pytest.mark.parametrize("gamma", [-1 / 3, 0.5])
+def test_corner_rule_matches_point_loop(corner, gamma):
+    # points to the bit, weights to roundoff, on a general triangle and on
+    # one whose wedge straddles the branch cut of arctan2
+    for coords in ([[0.1, -0.2], [0.7, 0.05], [0.3, 0.6]], [[0.0, 0.0], [-1.0, 0.1], [-1.0, -0.1]]):
+        for n_th, n_r in ((20, 12), (33, 21)):
+            got = corner_rule(np.array(coords), corner, gamma, n_th, n_r)
+            pts, wts = oracles.corner_rule_oracle(coords, corner, gamma, n_th, n_r)
+            assert np.array_equal(got.points, pts)
+            assert np.abs(got.weights - wts).max() <= 1e-15 * np.abs(wts).max()
