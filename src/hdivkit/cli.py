@@ -21,6 +21,7 @@ from .model_problems import (
     solve_mixed,
 )
 from .projector import project_hdiv
+from .quadrature import UnsupportedDegreeError
 from .study import ConfigError, StudyConfig, build_mesh, run_study, verify, verify_exit_code
 
 
@@ -29,6 +30,13 @@ def _degrees(arg):
     if not all(x.strip().isdigit() for x in arg.split(",")):
         raise argparse.ArgumentTypeError(f"expected nonnegative integer degrees, got {arg!r}")
     return [int(x) for x in arg.split(",")]
+
+
+def _degree(arg):
+    """``--quad-degree``: one nonnegative integer."""
+    if not arg.strip().isdigit():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer degree, got {arg!r}")
+    return int(arg)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -48,7 +56,7 @@ _FLAGS = {
     "--field": dict(default="sine_divfree", help="name[:k=v,...]"),
     "--refinements": dict(type=int, default=4),
     "--variant": dict(default="def31", choices=["def31", "def52"]),
-    "--quad-degree": dict(type=int, default=None),
+    "--quad-degree": dict(type=_degree, default=None),
     "--tol": dict(type=float, default=1e-9),
     "--seed": dict(type=int, default=0),
     "--out": dict(default="."),
@@ -90,6 +98,8 @@ def cmd_mesh(args):
 
 
 def cmd_project(args):
+    if args.variant == "def52" and 0 in args.p:
+        raise ConfigError("variant def52 needs p >= 1")
     m = _get_mesh(args)
     out = {}
     for p in args.p:
@@ -233,7 +243,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (fields_mod.FieldError, mesh_mod.MeshError, ConfigError, ModelProblemError) as exc:
+    except (fields_mod.FieldError, mesh_mod.MeshError, ConfigError, ModelProblemError,
+            UnsupportedDegreeError) as exc:
         print(f"hdivkit: error: {exc}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,11 @@ Because the edge data is global, coefficient vectors of fields on neighboring
 elements agree on the shared edge dofs exactly when the normal trace is
 continuous; no sign flips are needed during assembly.
 
+One representation serves every element: ``ElementTables`` stacks C_k,
+M_k and Bdiv_k over the triangles, built from one reference element, and
+evaluates, samples and takes moments on the points of a
+``quadpolicy.QuadGroup``.  ``ElementRTN`` is a data view of one row.
+
 The continuous P_q numbering of a mesh (``lagrange_nodes``) and the stacked
 P_q stiffness and P_q/RTN_p coupling blocks serve both the least-squares
 solver and the patch stability surrogate.
@@ -31,7 +36,7 @@ import numpy as np
 from . import polys
 from .linsolve import assemble_csr
 from .mesh import affine_geometry
-from .quadrature import TriangleRule, gauss01, quad_rule
+from .quadrature import gauss01, quad_rule
 
 
 def rtn_dim(p: int) -> int:
@@ -144,8 +149,9 @@ def rtn_reference(p: int) -> RTNBasis:
 # -- edge dof polynomials -------------------------------------------------------------
 
 
-def edge_dof_values(p: int, t, length: float) -> np.ndarray:
-    """L2(edge)-orthonormal Legendre values q_i(t), i = 0..p; shape (p+1, nt).
+def edge_dof_values(p: int, t, length) -> np.ndarray:
+    """L2(edge)-orthonormal Legendre values q_i(t), i = 0..p; shape (p+1, nt),
+    or (n, p+1, nt) for an array of n edge lengths.
 
     Legendre's three-term recurrence in u = 2t - 1, the recurrence of the
     scalar basis's Q_i at y = 0.
@@ -156,7 +162,7 @@ def edge_dof_values(p: int, t, length: float) -> np.ndarray:
         P[1] = u
     for i in range(1, p):
         P[i + 1] = ((2 * i + 1) * u * P[i] - i * P[i - 1]) / (i + 1)
-    return np.sqrt((2 * np.arange(p + 1) + 1) / length)[:, None] * P
+    return np.sqrt((2 * np.arange(p + 1) + 1) / np.asarray(length, float)[..., None])[..., None] * P
 
 
 # -- reference dual basis ----------------------------------------------------------
@@ -228,8 +234,10 @@ class ElementTables:
       C_k    = C_ref T_k^{-1}                              (n, nprim, ndof)
       M_k    = C_k^T (S_00 G_xx + S_01 (G_xy + G_xy^T) + S_11 G_yy) C_k / det B_k
       Bdiv_k = div_rows C_k / sqrt(det B_k)                (n, sdim, ndof)
-    No quadrature and no solve per element.  ``elements`` gives lazy
-    single-element views (``ElementRTN``) of these arrays.
+    No quadrature and no solve per element.  Fields are evaluated, and
+    their moments taken, at the points of a ``quadpolicy.QuadGroup``
+    (``values``, ``moments`` and the scalar forms); ``elements`` gives lazy
+    single-element data views (``ElementRTN``) of these arrays.
     """
 
     def __init__(self, triangles, xs, geometry, p: int):
@@ -340,25 +348,21 @@ class _ElementViews(Sequence):
 
 
 class ElementRTN:
-    """RTN_p basis on one physical triangle, dual to the global dofs.
+    """RTN_p data of one physical triangle, dual to the global dofs: its
+    geometry, ``edge_dirs`` (the directed local vertex pair of each edge
+    slot, lower -> higher vertex index) and the tables ``C``, ``M`` and
+    ``Bdiv``.
 
     A view of row k of ``ElementTables``; a standalone triangle owns a
-    one-row table.  ``edge_dirs`` gives the directed local vertex pair of
-    each edge slot (meshes use the lower -> higher global ordering;
-    standalone triangles default to local index order, which matches on
-    the reference element).
+    one-row table, its vertices ranked in local index order.  Dof layout:
+    edge slot j (opposite vertex j) holds dofs j(p+1)..j(p+1)+p, then come
+    the interior x-moments and the interior y-moments.  Evaluation, dofs
+    and moments run on the stacked tables, not per element.
     """
 
-    def __init__(self, coords, p: int, edge_dirs=None):
+    def __init__(self, coords, p: int):
         coords = np.asarray(coords, float).reshape(1, 3, 2)
-        order = np.arange(3)
-        if edge_dirs is not None:  # a vertex ranking that orders every edge as given
-            order = np.zeros(3, int)
-            for la, lb in edge_dirs:
-                order[lb] += 1
-            if len(set(order)) < 3:
-                raise ValueError(f"edge directions {edge_dirs} come from no vertex ordering")
-        self._bind(ElementTables(order[None], coords, affine_geometry(coords), p), 0)
+        self._bind(ElementTables(np.arange(3)[None], coords, affine_geometry(coords), p), 0)
 
     @classmethod
     def _view(cls, tables, k):
@@ -375,148 +379,9 @@ class ElementRTN:
         self.h = float(tables.h[k])
         tri = tables.triangles[k]
         self.edge_dirs = [(la, lb) if tri[la] < tri[lb] else (lb, la) for la, lb in _CANONICAL_DIRS]
-        self.edge_len = []
-        self.edge_normal = []
-        for la, lb in self.edge_dirs:
-            vec = self.coords[lb] - self.coords[la]
-            L = np.linalg.norm(vec)
-            self.edge_len.append(float(L))
-            self.edge_normal.append(np.array([vec[1], -vec[0]]) / L)
         self.ref = tables.ref
         self.ndof, self.sdim, self.idim = tables.ref.dim, tables.sdim, tables.idim
         self.C, self.M, self.Bdiv = tables.C[k], tables.M[k], tables.Bdiv[k]
-
-    # dof layout: edge slot j gets dofs j*(p+1)..j*(p+1)+p, then interior
-    # x-moments, then interior y-moments.
-
-    def n_edge_dofs(self):
-        return 3 * (self.p + 1)
-
-    def map_to_phys(self, refpts):
-        refpts = np.atleast_2d(refpts)
-        return refpts @ self.B.T + self.X0
-
-    def map_to_ref(self, physpts):
-        physpts = np.atleast_2d(physpts)
-        return (physpts - self.X0) @ self.Binv.T
-
-    def piola_values(self, refvals):
-        """Contravariant Piola transform of reference values (n, npts, 2)."""
-        return np.einsum("dc,knc->knd", self.B, refvals) / self.detB
-
-    def _edge_ref_points(self, slot, t):
-        la, lb = self.edge_dirs[slot]
-        a, b = _REF_VERTS[la], _REF_VERTS[lb]
-        return a[None, :] + np.outer(t, b - a)
-
-    # -- evaluation -----------------------------------------------------------------
-
-    def basis_values_ref(self, refpts):
-        """Physical values of the dual basis at reference points: (ndof, npts, 2)."""
-        prim = self.ref.eval(refpts)
-        vals = self.piola_values(prim)
-        return np.einsum("jk,jnd->knd", self.C, vals)
-
-    def eval_coeffs(self, coeffs, physpts):
-        """Field values sum_k c_k Phi_k at physical points; (npts, 2)."""
-        refpts = self.map_to_ref(physpts)
-        prim = self.ref.eval(refpts)
-        combo = self.C @ np.asarray(coeffs, float)
-        ref = np.einsum("j,jnd->nd", combo, prim)
-        return (ref @ self.B.T) / self.detB
-
-    def eval_div_coeffs(self, coeffs, physpts):
-        """Divergence values of the coefficient field at physical points."""
-        refpts = self.map_to_ref(physpts)
-        phi = scalar_basis(self.p).eval(refpts) / np.sqrt(self.detB)
-        return (self.Bdiv @ np.asarray(coeffs, float)) @ phi
-
-    def ref_poly_of(self, coeffs):
-        """Reference component polynomials of the coefficient field (before Piola)."""
-        combo = self.C @ np.asarray(coeffs, float)
-        return combo @ self.ref.prim_x, combo @ self.ref.prim_y
-
-    def scalar_values(self, scoeffs, physpts):
-        """Values of a scalar field given in the orthonormal P_p(K) basis."""
-        refpts = self.map_to_ref(physpts)
-        phi = scalar_basis(self.p).eval(refpts) / np.sqrt(self.detB)
-        return np.asarray(scoeffs, float) @ phi
-
-    # -- dofs of general fields --------------------------------------------------------
-
-    def dofs_of_field(self, eval_fn, *, edge_rules=None, tri_rule=None, n1d=None):
-        """Dof vector of an arbitrary field given by ``eval_fn(physpts) -> (n, 2)``.
-
-        ``edge_rules`` may give per-slot (t, w) 1D rules (used for singular
-        integrands); otherwise an ``n1d``-point Gauss rule is used on every
-        edge.  ``tri_rule`` supplies the interior points/weights: either a
-        TriangleRule (reference coords) or a (physpts, physweights) pair.
-        """
-        p = self.p
-        dof = np.empty(self.ndof)
-        for slot in range(3):
-            if edge_rules is not None and edge_rules[slot] is not None:
-                t, wt = edge_rules[slot]
-            else:
-                t, wt = gauss01(n1d)
-            pts = self.map_to_phys(self._edge_ref_points(slot, t))
-            vn = eval_fn(pts) @ self.edge_normal[slot]
-            q = edge_dof_values(p, t, self.edge_len[slot])
-            dof[slot * (p + 1) : (slot + 1) * (p + 1)] = (
-                q * (wt * self.edge_len[slot] * vn)
-            ).sum(axis=1)
-        if self.idim:
-            pts, w = self._interior_rule(tri_rule)
-            vals = eval_fn(pts)
-            phi = scalar_basis(p - 1).eval(self.map_to_ref(pts)) / np.sqrt(self.detB)
-            base = 3 * (p + 1)
-            dof[base : base + self.idim] = (phi * (w * vals[:, 0])).sum(axis=1)
-            dof[base + self.idim :] = (phi * (w * vals[:, 1])).sum(axis=1)
-        return dof
-
-    def _interior_rule(self, tri_rule):
-        if isinstance(tri_rule, TriangleRule):
-            return self.map_to_phys(tri_rule.points), tri_rule.weights * self.detB
-        pts, w = tri_rule
-        return np.atleast_2d(pts), np.asarray(w, float)
-
-    # -- moments --------------------------------------------------------------------
-
-    def rtn_moments(self, values, rule):
-        """(f, Phi_k)_K for field values at the rule's points; rule as above."""
-        if isinstance(rule, TriangleRule):
-            vals = self.basis_values_ref(rule.points)
-            w = rule.weights * self.detB
-        else:
-            pts, w = rule
-            vals = self.basis_values_ref(self.map_to_ref(pts))
-        return np.einsum("kqd,qd->k", vals, np.asarray(w, float)[:, None] * values)
-
-    def scalar_moments(self, values, rule):
-        """(f, phi_m)_K against the orthonormal scalar P_p basis."""
-        if isinstance(rule, TriangleRule):
-            phi = scalar_basis(self.p).eval(rule.points) / np.sqrt(self.detB)
-            w = rule.weights * self.detB
-        else:
-            pts, w = rule
-            phi = scalar_basis(self.p).eval(self.map_to_ref(pts)) / np.sqrt(self.detB)
-        return phi @ (np.asarray(w, float) * np.asarray(values, float))
-
-    def norm_sq(self, values, rule):
-        """Quadrature of |values|^2 over the element."""
-        if isinstance(rule, TriangleRule):
-            w = rule.weights * self.detB
-        else:
-            _, w = rule
-        values = np.asarray(values, float)
-        if values.ndim == 1:
-            return float(np.sum(np.asarray(w, float) * values**2))
-        return float(np.sum(np.asarray(w, float) * np.einsum("qd,qd->q", values, values)))
-
-    def quad_points(self, rule):
-        if isinstance(rule, TriangleRule):
-            return self.map_to_phys(rule.points)
-        return np.atleast_2d(rule[0])
 
 
 # -- public spec operations -----------------------------------------------------------
@@ -593,13 +458,13 @@ def hat_operators(q: int, p: int):
     return H, G
 
 
-def element_matrices(coords, p: int, edge_dirs=None):
+def element_matrices(coords, p: int):
     """Mass, divergence-coupling and scalar mass matrices on a triangle.
 
     The scalar basis is L2(K)-orthonormal, so W_K is the identity (the |K|
     scale is absorbed into the basis) and B_K[m, k] = (div Phi_k, phi_m)_K.
     """
-    el = ElementRTN(coords, p, edge_dirs)
+    el = ElementRTN(coords, p)
     return {"M": el.M, "B": el.Bdiv, "W": np.eye(el.sdim), "element": el}
 
 

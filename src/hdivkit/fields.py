@@ -1,11 +1,15 @@
 """Catalog of analytic vector fields and seeded discrete samples.
 
 Every field object exposes ``eval(pts, elem=None)`` and ``eval_div(pts,
-elem=None)``; analytic fields ignore the element index, broken discrete
-fields require it.  ``poly_degree`` (when set) lets consumers pick exact
-quadrature; ``singularity`` flags a corner point where the field behaves
-like r^gamma times a smooth function, which switches the quadrature helpers
-to radially weighted rules.
+elem=None)``; analytic fields ignore the element index, discrete fields
+require it and evaluate element ``elem`` from its row of their stacked
+element tables.  Batched consumers (``quadpolicy.QuadGroup.eval``) call
+analytic fields once for all points, read discrete fields' tables through
+``element_coeffs`` and use the ``elem=`` form only for other evaluators.
+``poly_degree`` (when set) lets consumers pick exact quadrature;
+``singularity`` flags a corner point where the field behaves like r^gamma
+times a smooth function, which switches the quadrature helpers to radially
+weighted rules.
 """
 
 from __future__ import annotations
@@ -117,6 +121,8 @@ def catalog(name: str, params: dict | None = None, mesh=None):
 
         p = int(params.get("p", 1))
         seed = int(params.get("seed", 0))
+        if p < 0 or seed < 0:
+            raise FieldError(f"random_rtn needs p >= 0 and seed >= 0, got p={p}, seed={seed}")
         return random_conforming_field(mesh, p, seed=seed).as_field()
     raise FieldError(f"unknown field {name!r}")
 
@@ -143,26 +149,24 @@ def parse_field_spec(spec: str, mesh=None):
 
 def divergence_theorem_defect(field, coords):
     """Relative defect of div-theorem on one triangle (quadrature self-check)."""
-    from .elements import ElementRTN
     from .quadrature import gauss01, quad_rule
 
-    el = ElementRTN(coords, 0)
+    xs = np.asarray(coords, float).reshape(3, 2)
+    B = np.column_stack([xs[1] - xs[0], xs[2] - xs[0]])
+    detB = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
     rule = quad_rule(20)
-    pts = el.map_to_phys(rule.points)
-    vol = float(np.sum(rule.weights * el.detB * field.eval_div(pts)))
+    vol = float(np.sum(rule.weights * abs(detB) * field.eval_div(rule.points @ B.T + xs[0])))
     flux = 0.0
     abs_flux = 0.0
-    centroid = el.coords.mean(axis=0)
     t, w = gauss01(12)
-    for slot in range(3):
-        epts = el.map_to_phys(el._edge_ref_points(slot, t))
-        mid = epts.mean(axis=0)
-        n = el.edge_normal[slot]
-        if np.dot(n, mid - centroid) < 0:
-            n = -n
-        vn = field.eval(epts) @ n
-        flux += el.edge_len[slot] * float(np.sum(w * vn))
-        abs_flux += el.edge_len[slot] * float(np.sum(w * np.abs(vn)))
+    for a, b in ((1, 2), (2, 0), (0, 1)):
+        vec = xs[b] - xs[a]
+        L = float(np.linalg.norm(vec))
+        # the tangent rotated by -90 degrees points out of a counterclockwise triangle
+        n = np.sign(detB) * np.array([vec[1], -vec[0]]) / L
+        vn = field.eval(xs[a] + np.outer(t, vec)) @ n
+        flux += L * float(np.sum(w * vn))
+        abs_flux += L * float(np.sum(w * np.abs(vn)))
     scale = max(abs(vol), abs_flux, 1e-30)
     return abs(vol - flux) / scale
 

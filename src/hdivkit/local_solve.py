@@ -45,7 +45,7 @@ from .elements import (
     rtn_space,
 )
 from .linsolve import chunks, eliminate, saddle_solve_stacked, solve_stacked
-from .mesh import DIRICHLET, VertexPatch
+from .mesh import DIRICHLET
 from .projections import BrokenRTNField, hat_interpolants
 from .quadpolicy import QuadPolicy
 from .quadrature import quad_rule
@@ -65,43 +65,37 @@ def constrained_fit(space, group, vals, dvals):
     return saddle_solve_stacked(space.M[tris], space.Bdiv[tris], b, g)[0]
 
 
-def elem_constrained_min(
-    v, p, mesh, k, *, degree_mode="standard", policy=None, quad_degree=None
-):
-    """Divergence-constrained local L2 fit on one element: the one-element
-    slice of ``theta_field``.
-
-    Returns the coefficient vector of the minimizer in RTN_p(K) (reduced
-    mode: RTN_{p-1}(K)).
-    """
-    if degree_mode == "standard":
-        q = p
-    elif degree_mode == "reduced":
+def fit_degree(p, variant):
+    """Degree of the element fit of a projector ``variant``: ``def31`` fits
+    in RTN_p, ``def52`` in RTN_{p-1} (requires p >= 1)."""
+    if variant == "def31":
+        return p
+    if variant == "def52":
         if p < 1:
-            raise ValueError("reduced mode needs p >= 1")
-        q = p - 1
-    else:
-        raise ValueError(f"unknown degree_mode {degree_mode!r}")
-    if policy is None:
-        policy = QuadPolicy(q, field=v, degree=quad_degree)
-    ((group, vals, dvals),) = policy.samples(v, mesh, [k])
-    return constrained_fit(rtn_space(mesh, q), group, vals, dvals)[0]
+            raise ValueError("variant def52 needs p >= 1")
+        return p - 1
+    raise ValueError(f"unknown variant {variant!r}")
+
+
+def elem_constrained_min(v, p, mesh, k, *, variant="def31", policy=None, quad_degree=None):
+    """Divergence-constrained local L2 fit on one element: the one-element
+    slice of ``theta_field``, i.e. the minimizer of
+    ``best_approx.local_best_constrained`` at the variant's fit degree.
+
+    Returns its coefficient vector in RTN_p(K) (``def52``: RTN_{p-1}(K)).
+    """
+    from .best_approx import local_best_constrained
+
+    q = fit_degree(p, variant)
+    return local_best_constrained(v, q, mesh, k, policy=policy, quad_degree=quad_degree)["coeffs"]
 
 
 def theta_field(v, p, mesh, *, variant="def31", policy=None, quad_degree=None):
     """Elementwise constrained minimizer over the whole mesh, stacked over
-    the policy's quadrature groups.
-
-    ``def31`` fits in RTN_p, ``def52`` in RTN_{p-1} (requires p >= 1).
+    the policy's quadrature groups, at the degree ``fit_degree`` gives the
+    variant.
     """
-    if variant == "def31":
-        q = p
-    elif variant == "def52":
-        if p < 1:
-            raise ValueError("variant def52 needs p >= 1")
-        q = p - 1
-    else:
-        raise ValueError(f"unknown variant {variant!r}")
+    q = fit_degree(p, variant)
     if policy is None:
         policy = QuadPolicy(q, field=v, degree=quad_degree)
     space = rtn_space(mesh, q)
@@ -367,10 +361,10 @@ def _sum_into(shape, idx, vals):
     return np.bincount(idx[keep], vals[keep], int(np.prod(shape))).reshape(shape)
 
 
-def build_patch_problem(patch, theta: BrokenRTNField, v, p, mesh, *, policy=None, data=None):
+def build_patch_problem(group: PatchGroup, theta: BrokenRTNField, v, p, mesh, *, policy=None, data=None):
     """Assemble the equilibration problems of a ``PatchGroup`` in hybrid form
-    as stacked arrays (a ``PatchGroupProblem``); a ``VertexPatch`` gives the
-    problem of its group of one.
+    as stacked arrays (a ``PatchGroupProblem``); ``PatchLayout.group_of``
+    gives the group of one vertex patch.
 
     def31: data = Pi_p(psi_a div v + grad psi_a . theta), target = the
     degree-p interpolant of psi_a theta.  def52: theta has degree p-1, the
@@ -382,7 +376,6 @@ def build_patch_problem(patch, theta: BrokenRTNField, v, p, mesh, *, policy=None
     CompatibilityError for the lowest vertex whose patch data has a nonzero
     mass against the constant multiplier kernel.
     """
-    group = patch_layout(mesh, p).group_of(patch.vertex) if isinstance(patch, VertexPatch) else patch
     space = rtn_space(mesh, p)
     if data is None:
         data = patch_data(theta, v, p, mesh, policy=policy, tris=group.tris.ravel())

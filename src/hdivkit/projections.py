@@ -8,7 +8,7 @@ import numpy as np
 
 from . import polys
 from .elements import edge_dof_values, hat_operators, rtn_space
-from .quadpolicy import QuadPolicy
+from .quadpolicy import QuadGroup, QuadPolicy
 from .quadrature import gauss01
 
 
@@ -35,8 +35,8 @@ class ScalarPWField:
         return float(np.linalg.norm(self.coeffs))
 
     def eval_element(self, k, pts):
-        space = rtn_space(self.mesh, self.p)
-        return space.elements[k].scalar_values(self.coeffs[k], pts)
+        group = QuadGroup.points_on(self.mesh, k, pts)
+        return rtn_space(self.mesh, self.p).scalar_values(group, self.coeffs[[k]])[0]
 
     def __sub__(self, other):
         if other.p != self.p or other.mesh is not self.mesh:
@@ -62,12 +62,12 @@ class BrokenRTNField:
     def eval(self, pts, elem=None):
         if elem is None:
             raise ValueError("broken fields need an element index for evaluation")
-        return self.space.elements[elem].eval_coeffs(self.coeffs[elem], pts)
+        return self.space.values(QuadGroup.points_on(self.mesh, elem, pts), self.coeffs[[elem]])[0]
 
     def eval_div(self, pts, elem=None):
         if elem is None:
             raise ValueError("broken fields need an element index for evaluation")
-        return self.space.elements[elem].eval_div_coeffs(self.coeffs[elem], pts)
+        return self.space.div_values(QuadGroup.points_on(self.mesh, elem, pts), self.coeffs[[elem]])[0]
 
     def element_coeffs(self, tris):
         """Element coefficient rows of a triangle or an array of triangles."""
@@ -156,19 +156,23 @@ def project_face(g, p, mesh, e):
 
 def canonical_interp(v, p, mesh, *, policy=None, quad_degree=None) -> BrokenRTNField:
     """Elementwise canonical RTN interpolant: matches edge normal moments of
-    degree p and interior moments against vector P_{p-1}."""
-    space = rtn_space(mesh, p)
+    degree p and interior moments against vector P_{p-1}.  The edge moments
+    are contracted over the policy's edge rules, the interior ones over its
+    quadrature groups, one component at a time."""
     if policy is None:
         policy = QuadPolicy(p, field=v, degree=quad_degree)
     out = BrokenRTNField(mesh, p)
-    for k, el in enumerate(space.elements):
-        tri, edges, _ = policy.element_rules(el, key=("tri", k))
-        out.coeffs[k] = el.dofs_of_field(
-            lambda pts: v.eval(pts, elem=k),
-            edge_rules=edges,
-            tri_rule=tri,
-            n1d=policy.n1d(),
-        )
+    for tris, slots, t, w in policy.edge_rules(mesh):
+        e = mesh.tri_edges[tris, slots]
+        L = mesh.edge_length(e)
+        g = QuadGroup.at(mesh, tris, mesh.edge_points(e, t), np.outer(L, w))
+        vn = np.einsum("kqd,kd->kq", g.eval(v), mesh.edge_normal(e))
+        slot_dofs = slots[:, None] * (p + 1) + np.arange(p + 1)
+        out.coeffs[tris[:, None], slot_dofs] = np.einsum("kiq,kq->ki", edge_dof_values(p, t, L), g.w * vn)
+    for g in policy.groups(mesh) if p >= 1 else ():
+        # the orthonormal P_{p-1}(K) basis is the reference one over sqrt(det B_k)
+        vals = g.eval(v) * (g.w / np.sqrt(mesh.detB[g.tris])[:, None])[:, :, None]
+        out.coeffs[g.tris, 3 * (p + 1) :] = np.hstack([g.contract(g.phi(p - 1), vals[:, :, c]) for c in (0, 1)])
     return out
 
 

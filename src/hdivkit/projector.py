@@ -20,6 +20,7 @@ from .fields import FieldError
 from .local_solve import (
     build_patch_problem,
     check_compatibility,
+    fit_degree,
     patch_data,
     patch_equilibrate,
     patch_defects,
@@ -61,12 +62,12 @@ class ConformingRTNField:
     def eval(self, pts, elem=None):
         if elem is None:
             raise ValueError("conforming fields are evaluated elementwise")
-        return self.space.elements[elem].eval_coeffs(self.element_coeffs(elem), pts)
+        return self.space.values(QuadGroup.points_on(self.mesh, elem, pts), self.element_coeffs([elem]))[0]
 
     def eval_div(self, pts, elem=None):
         if elem is None:
             raise ValueError("conforming fields are evaluated elementwise")
-        return self.space.elements[elem].eval_div_coeffs(self.element_coeffs(elem), pts)
+        return self.space.div_values(QuadGroup.points_on(self.mesh, elem, pts), self.element_coeffs([elem]))[0]
 
     def as_field(self):
         return self
@@ -179,14 +180,10 @@ def project_hdiv(
     which trades accuracy for a degree-robust constant.  The result carries
     a ProjectorInfo under ``.info['projector']``.
     """
-    if variant not in ("def31", "def52"):
-        raise ValueError(f"unknown variant {variant!r}")
+    q = fit_degree(p, variant)
     check_field_compatibility(v, mesh)
     policy = QuadPolicy(p, field=v, degree=quad_degree)
-    if variant == "def31":
-        theta_policy = policy
-    else:
-        theta_policy = QuadPolicy(p - 1, field=v, degree=quad_degree)
+    theta_policy = policy if q == p else QuadPolicy(q, field=v, degree=quad_degree)
     theta = theta_field(v, p, mesh, variant=variant, policy=theta_policy)
     info = ProjectorInfo(variant=variant, p=p)
     sigma = ConformingRTNField(mesh, p)

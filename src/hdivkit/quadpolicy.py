@@ -47,6 +47,14 @@ class QuadGroup:
         ref = (pts - mesh.X0[tris, None]) @ np.swapaxes(mesh.Binv[tris], 1, 2)
         return cls(tris, ref, pts, w)
 
+    @classmethod
+    def points_on(cls, mesh, k, pts):
+        """Element ``k`` of ``mesh`` at physical points ``pts`` (npts, 2): a
+        one-row group with unit weights, to evaluate a field there from its
+        element tables."""
+        pts = np.atleast_2d(np.asarray(pts, float))
+        return cls.at(mesh, np.array([int(k)]), pts[None], np.ones((1, len(pts))))
+
     @property
     def shared(self):
         return self.ref.ndim == 2
@@ -164,12 +172,14 @@ class QuadPolicy:
     # -- rules ------------------------------------------------------------------------
 
     def element_rules(self, el, key=None):
-        """(tri_rule, edge_rules, check_tri_rule) for one element.
+        """(tri_rule, edge_rules, check_tri_rule) for one element view.
 
         ``tri_rule`` is a TriangleRule (reference coords) or a physical
-        (points, weights) pair; ``edge_rules`` is a list of 3 entries, each
-        None (use the default Gauss count) or an explicit (t, w) pair on
-        [0, 1]; ``check_tri_rule`` backs the degree-doubling self-check.
+        (points, weights) pair; ``edge_rules`` holds one (t, w) pair on
+        [0, 1] per edge slot; ``check_tri_rule`` backs the degree-doubling
+        self-check.  The per-element reference of ``groups``,
+        ``check_groups`` and ``edge_rules``, which give the same rules to
+        whole meshes.
         """
         # an entry holds its element's geometry: on another mesh a key names another element
         held = self._cache.get(key) if key is not None else None
@@ -202,9 +212,6 @@ class QuadPolicy:
             self._cache[key] = (el.coords.copy(), list(el.edge_dirs), out)
         return out
 
-    def n1d(self):
-        return edge_npts(self.base_degree + self.p)
-
     def groups(self, mesh, tris=None):
         """The elements (all, or ``tris``) grouped by the rule ``element_rules``
         gives them: one group per shared reference rule, one for the corner
@@ -218,6 +225,30 @@ class QuadPolicy:
             return held[1]
         sub = [g.subset(np.isin(g.tris, tris)) for g in held[1]]
         return [g for g in sub if len(g.tris)]
+
+    def edge_rules(self, mesh):
+        """The edge rules of ``element_rules`` for every (triangle, slot) pair
+        of ``mesh``, grouped by rule: (tris, slots, t, w) per rule, the pairs
+        in chunks of at most ``STACK_BYTES`` of per-point data.  Slot j lies
+        opposite local vertex j; t runs from its lower to its higher vertex."""
+        xs = mesh.vertices[mesh.triangles]
+        corner = self._corners(xs, mesh.h)
+        # Gauss rules by the degree they cover; -1 (-2): the Gauss-Jacobi
+        # rule with its singular end at t = 0 (t = 1)
+        key = np.repeat(self._degrees(xs, mesh.h)[:, None] + self.p, 3, axis=1)
+        ks = np.flatnonzero(corner >= 0)
+        touch = np.arange(3) != corner[ks, None]
+        high = mesh.edges[mesh.tri_edges[ks], 1] == mesh.triangles[ks, corner[ks], None]
+        key[ks] = np.where(touch, np.where(high, -2, -1), max(self.base_degree, 30))
+        for code in np.unique(key):
+            if code >= 0:
+                t, w = gauss01(edge_npts(int(code)))
+            else:
+                t, w = jacobi01(max(12, self.p + 8), self.singularity.gamma)
+                t = 1.0 - t if code == -2 else t
+            tris, slots = np.nonzero(key == code)
+            for sl in chunks(len(tris), _POINT_BYTES * len(t)):
+                yield tris[sl], slots[sl], t, w
 
     def check_groups(self, mesh):
         """The chunks of ``groups`` on the rules of the degree-doubling

@@ -62,6 +62,8 @@ class StudyConfig:
             raise ConfigError("refinement count must be >= 1")
         if self.variant not in ("def31", "def52"):
             raise ConfigError(f"unknown variant {self.variant!r}")
+        if self.quad_degree is not None and self.quad_degree < 0:
+            raise ConfigError(f"quadrature degree must be >= 0, got {self.quad_degree}")
 
     @classmethod
     def from_json(cls, path):
@@ -336,22 +338,22 @@ def verify(cfg: StudyConfig | None = None):
 
     worst = max(check_exactness(quad_rule(d)) for d in range(0, 21))
     check("quadrature exactness degrees 0..20", worst, 1e-13)
-    # unisolvence
-    from .elements import ElementRTN
+    # unisolvence: the interpolant of each basis function of a triangle is its unit vector
+    from .elements import rtn_dim
+    from .projections import BrokenRTNField, canonical_interp, project_scalar
 
-    coords = np.array([[0.1, 0.05], [1.02, 0.11], [0.3, 0.95]])
+    def one_triangle(coords):
+        labels = [((0, 1), "dirichlet"), ((1, 2), "dirichlet"), ((0, 2), "dirichlet")]
+        return mesh_mod.Mesh(coords, [[0, 1, 2]], labels)
+
+    tri = one_triangle([[0.1, 0.05], [1.02, 0.11], [0.3, 0.95]])
     worst = 0.0
     for p in range(0, 4):
-        el = ElementRTN(coords, p)
-        D = el.dofs_of_field(
-            lambda pts: el.eval_coeffs(np.eye(el.ndof)[0], pts),
-            tri_rule=quad_rule(2 * p + 2),
-            n1d=p + 3,
-        )
-        worst = max(worst, np.abs(D - np.eye(el.ndof)[0]).max())
+        for unit in np.eye(rtn_dim(p)):
+            interp = canonical_interp(BrokenRTNField(tri, p, unit[None]), p, tri)
+            worst = max(worst, np.abs(interp.coeffs[0] - unit).max())
     check("element duality p=0..3", worst, 1e-10)
     # projections, commuting, projector checks on catalog fields
-    from .projections import canonical_interp, project_scalar
 
     m = build_structured(2)
     worst_comm = 0.0
@@ -401,11 +403,7 @@ def verify(cfg: StudyConfig | None = None):
             worst_ord = max(worst_ord, -slack / max(rep.Eglob**2, 1e-30))
     check("equivalence ordering", worst_ord, 1e-9)
     # constrained-unconstrained sweep on the reference triangle
-    mref = mesh_mod.Mesh(
-        [[0, 0], [1, 0], [0, 1]],
-        [[0, 1, 2]],
-        [((0, 1), "dirichlet"), ((1, 2), "dirichlet"), ((0, 2), "dirichlet")],
-    )
+    mref = one_triangle([[0, 0], [1, 0], [0, 1]])
     expf = fields_mod.AnalyticField(
         "exp",
         lambda pts: np.stack([np.exp(pts[:, 0]), np.exp(pts[:, 1])], axis=1),

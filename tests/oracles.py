@@ -1,5 +1,7 @@
 """Brute-force reference implementations, kept independent of the library's
 solve paths: exact monomial integrals, rational Gram-Schmidt reference bases,
+the per-element evaluation, dof and moment methods (``ElementOracle``) and
+the element-by-element canonical interpolant,
 per-element dual bases by quadrature and a dense solve, per-element error
 and fit loops, normal-equation least squares, null-space constrained
 minimization, per-site COO assembly loops, patch equilibration data taken
@@ -17,7 +19,15 @@ import scipy.sparse as sp
 from scipy.linalg import null_space
 
 from hdivkit import polys
-from hdivkit.elements import barycentric, edge_dof_values, hat_operators, rtn_space, scalar_basis
+from hdivkit.elements import (
+    _REF_VERTS,
+    ElementRTN,
+    barycentric,
+    edge_dof_values,
+    hat_operators,
+    rtn_space,
+    scalar_basis,
+)
 from hdivkit.linsolve import dense_solve
 from hdivkit.quadpolicy import QuadPolicy
 from hdivkit.quadrature import TriangleRule, gauss01, jacobi01, quad_rule
@@ -129,6 +139,203 @@ def rtn_primal_oracle(p):
     return R @ raw[:, 0], R @ raw[:, 1]
 
 
+# -- one element at a time ----------------------------------------------------------------
+
+
+class ElementOracle(ElementRTN):
+    """One RTN_p element with its own evaluation, dof and moment methods, on
+    the data of an ``ElementRTN`` view: the per-element reference for the
+    library's stacked paths (``ElementTables.values`` / ``div_values`` /
+    ``scalar_values`` / ``moments``, ``canonical_interp``).  ``ElementOracle(coords,
+    p)`` builds a standalone triangle, ``ElementOracle.of(view)`` wraps a view.
+
+    Rules are a TriangleRule (reference coords) or a physical (points,
+    weights) pair.
+    """
+
+    def __init__(self, coords, p: int):
+        super().__init__(coords, p)
+        self._edges()
+
+    @classmethod
+    def of(cls, el):
+        out = cls.__new__(cls)
+        out.__dict__.update(vars(el))
+        out._edges()
+        return out
+
+    def _edges(self):
+        self.edge_len = []
+        self.edge_normal = []
+        for la, lb in self.edge_dirs:
+            vec = self.coords[lb] - self.coords[la]
+            L = np.linalg.norm(vec)
+            self.edge_len.append(float(L))
+            self.edge_normal.append(np.array([vec[1], -vec[0]]) / L)
+
+    def n_edge_dofs(self):
+        return 3 * (self.p + 1)
+
+    def map_to_phys(self, refpts):
+        refpts = np.atleast_2d(refpts)
+        return refpts @ self.B.T + self.X0
+
+    def map_to_ref(self, physpts):
+        physpts = np.atleast_2d(physpts)
+        return (physpts - self.X0) @ self.Binv.T
+
+    def piola_values(self, refvals):
+        """Contravariant Piola transform of reference values (n, npts, 2)."""
+        return np.einsum("dc,knc->knd", self.B, refvals) / self.detB
+
+    def _edge_ref_points(self, slot, t):
+        la, lb = self.edge_dirs[slot]
+        a, b = _REF_VERTS[la], _REF_VERTS[lb]
+        return a[None, :] + np.outer(t, b - a)
+
+    # -- evaluation -----------------------------------------------------------------
+
+    def basis_values_ref(self, refpts):
+        """Physical values of the dual basis at reference points: (ndof, npts, 2)."""
+        prim = self.ref.eval(refpts)
+        vals = self.piola_values(prim)
+        return np.einsum("jk,jnd->knd", self.C, vals)
+
+    def eval_coeffs(self, coeffs, physpts):
+        """Field values sum_k c_k Phi_k at physical points; (npts, 2)."""
+        refpts = self.map_to_ref(physpts)
+        prim = self.ref.eval(refpts)
+        combo = self.C @ np.asarray(coeffs, float)
+        ref = np.einsum("j,jnd->nd", combo, prim)
+        return (ref @ self.B.T) / self.detB
+
+    def eval_div_coeffs(self, coeffs, physpts):
+        """Divergence values of the coefficient field at physical points."""
+        refpts = self.map_to_ref(physpts)
+        phi = scalar_basis(self.p).eval(refpts) / np.sqrt(self.detB)
+        return (self.Bdiv @ np.asarray(coeffs, float)) @ phi
+
+    def ref_poly_of(self, coeffs):
+        """Reference component polynomials of the coefficient field (before Piola)."""
+        combo = self.C @ np.asarray(coeffs, float)
+        return combo @ self.ref.prim_x, combo @ self.ref.prim_y
+
+    def scalar_values(self, scoeffs, physpts):
+        """Values of a scalar field given in the orthonormal P_p(K) basis."""
+        refpts = self.map_to_ref(physpts)
+        phi = scalar_basis(self.p).eval(refpts) / np.sqrt(self.detB)
+        return np.asarray(scoeffs, float) @ phi
+
+    # -- dofs of general fields --------------------------------------------------------
+
+    def dofs_of_field(self, eval_fn, *, edge_rules=None, tri_rule=None, n1d=None):
+        """Dof vector of an arbitrary field given by ``eval_fn(physpts) -> (n, 2)``.
+
+        ``edge_rules`` may give per-slot (t, w) 1D rules (used for singular
+        integrands); otherwise an ``n1d``-point Gauss rule is used on every
+        edge.  ``tri_rule`` supplies the interior points/weights.
+        """
+        p = self.p
+        dof = np.empty(self.ndof)
+        for slot in range(3):
+            if edge_rules is not None and edge_rules[slot] is not None:
+                t, wt = edge_rules[slot]
+            else:
+                t, wt = gauss01(n1d)
+            pts = self.map_to_phys(self._edge_ref_points(slot, t))
+            vn = eval_fn(pts) @ self.edge_normal[slot]
+            q = edge_dof_values(p, t, self.edge_len[slot])
+            dof[slot * (p + 1) : (slot + 1) * (p + 1)] = (
+                q * (wt * self.edge_len[slot] * vn)
+            ).sum(axis=1)
+        if self.idim:
+            pts, w = self._interior_rule(tri_rule)
+            vals = eval_fn(pts)
+            phi = scalar_basis(p - 1).eval(self.map_to_ref(pts)) / np.sqrt(self.detB)
+            base = 3 * (p + 1)
+            dof[base : base + self.idim] = (phi * (w * vals[:, 0])).sum(axis=1)
+            dof[base + self.idim :] = (phi * (w * vals[:, 1])).sum(axis=1)
+        return dof
+
+    def _interior_rule(self, tri_rule):
+        if isinstance(tri_rule, TriangleRule):
+            return self.map_to_phys(tri_rule.points), tri_rule.weights * self.detB
+        pts, w = tri_rule
+        return np.atleast_2d(pts), np.asarray(w, float)
+
+    # -- moments --------------------------------------------------------------------
+
+    def rtn_moments(self, values, rule):
+        """(f, Phi_k)_K for field values at the rule's points."""
+        if isinstance(rule, TriangleRule):
+            vals = self.basis_values_ref(rule.points)
+            w = rule.weights * self.detB
+        else:
+            pts, w = rule
+            vals = self.basis_values_ref(self.map_to_ref(pts))
+        return np.einsum("kqd,qd->k", vals, np.asarray(w, float)[:, None] * values)
+
+    def scalar_moments(self, values, rule):
+        """(f, phi_m)_K against the orthonormal scalar P_p basis."""
+        if isinstance(rule, TriangleRule):
+            phi = scalar_basis(self.p).eval(rule.points) / np.sqrt(self.detB)
+            w = rule.weights * self.detB
+        else:
+            pts, w = rule
+            phi = scalar_basis(self.p).eval(self.map_to_ref(pts)) / np.sqrt(self.detB)
+        return phi @ (np.asarray(w, float) * np.asarray(values, float))
+
+    def norm_sq(self, values, rule):
+        """Quadrature of |values|^2 over the element."""
+        if isinstance(rule, TriangleRule):
+            w = rule.weights * self.detB
+        else:
+            _, w = rule
+        values = np.asarray(values, float)
+        if values.ndim == 1:
+            return float(np.sum(np.asarray(w, float) * values**2))
+        return float(np.sum(np.asarray(w, float) * np.einsum("qd,qd->q", values, values)))
+
+    def quad_points(self, rule):
+        if isinstance(rule, TriangleRule):
+            return self.map_to_phys(rule.points)
+        return np.atleast_2d(rule[0])
+
+
+def element(space, k):
+    """Oracle of element k of an RTN space (or element tables)."""
+    return ElementOracle.of(space.elements[k])
+
+
+def elements(space):
+    """Oracles of every element of an RTN space, in order."""
+    return [ElementOracle.of(el) for el in space.elements]
+
+
+def reference_element(p):
+    """Oracle of the reference-element RTN_p basis (``rtn_basis``)."""
+    return ElementOracle(_REF_VERTS, p)
+
+
+def canonical_interp_oracle(v, p, mesh, *, policy=None, quad_degree=None):
+    """Canonical RTN_p interpolant element by element: each element's rules
+    from ``QuadPolicy.element_rules`` and ``ElementOracle.dofs_of_field``."""
+    from hdivkit.projections import BrokenRTNField
+
+    space = rtn_space(mesh, p)
+    if policy is None:
+        policy = QuadPolicy(p, field=v, degree=quad_degree)
+    out = BrokenRTNField(mesh, p)
+    for k, el in enumerate(elements(space)):
+        tri, edges, _ = policy.element_rules(el, key=("tri", k))
+        out.coeffs[k] = el.dofs_of_field(
+            lambda pts: v.eval(pts, elem=k),
+            edge_rules=edges,
+            tri_rule=tri,
+        )
+    return out
+
+
 # -- per-element dual basis by quadrature and a dense solve ----------------------------
 
 
@@ -136,6 +343,7 @@ def dofs_of_refvals(el, ref_evaluator, n1d, tri_rule):
     """Dof vectors on element ``el`` of Piola-mapped reference functions
     (``ref_evaluator(pts)`` returns reference values (n, npts, 2)), by edge
     and interior quadrature; shape (ndof, n)."""
+    el = ElementOracle.of(el)
     p = el.p
     rows = []
     t, wt = gauss01(n1d)
@@ -192,7 +400,7 @@ def hat_grad(patch, mesh, k):
 def local_best_oracle(v, p, mesh, k, policy):
     """Unconstrained local best on element k: per-element quadrature on the
     policy's rule and a dense solve of the element mass matrix."""
-    el = rtn_space(mesh, p).elements[k]
+    el = element(rtn_space(mesh, p), k)
     tri, _, _ = policy.element_rules(el, key=("tri", k))
     pts = el.quad_points(tri)
     vvals, dvvals = v.eval(pts, elem=k), v.eval_div(pts, elem=k)
@@ -209,7 +417,7 @@ def element_norm_sq_oracle(a, b, p, mesh, policy, div=False):
     space = rtn_space(mesh, p)
     out = np.empty(mesh.num_triangles)
     for k in range(mesh.num_triangles):
-        el = space.elements[k]
+        el = element(space, k)
         tri, _, _ = policy.element_rules(el, key=("tri", k))
         pts = el.quad_points(tri)
         fa = (a.eval_div if div else a.eval)(pts, elem=k)
@@ -225,7 +433,7 @@ def global_best_oracle(v, p, mesh, policy):
     M, B, fidx = space.conforming_blocks()
     rhs = np.zeros(space.ndof)
     g = np.zeros((mesh.num_triangles, space.sdim))
-    for k, el in enumerate(space.elements):
+    for k, el in enumerate(elements(space)):
         tri, _, _ = policy.element_rules(el, key=("tri", k))
         pts = el.quad_points(tri)
         rhs[space.element_dof_map(k)] += el.rtn_moments(v.eval(pts, elem=k), tri)
@@ -243,7 +451,7 @@ def global_best_oracle(v, p, mesh, policy):
 def potential_h1_error_oracle(prob, ls, u_h, rule):
     """||grad(u - u_h)|| by quadrature one element at a time."""
     total = 0.0
-    for k, el in enumerate(rtn_space(prob.mesh, 0).elements):
+    for k, el in enumerate(elements(rtn_space(prob.mesh, 0))):
         pts = el.map_to_phys(rule.points)
         diff = prob.grad_u(pts) - ls.eval_grad_element(u_h, k, rule.points)
         total += el.norm_sq(diff, (pts, rule.weights * el.detB))
@@ -271,7 +479,7 @@ def optimality_check(v, p, mesh, sigma, *, n_directions=10, seed=0, quad_degree=
         inner = 0.0
         wnorm2 = 0.0
         for k in range(mesh.num_triangles):
-            el = space.elements[k]
+            el = element(space, k)
             tri, _, _ = policy.element_rules(el, key=("tri", k))
             pts = el.quad_points(tri)
             diff = v.eval(pts, elem=k) - sigma.eval(pts, elem=k)
@@ -335,7 +543,7 @@ def conforming_blocks_oracle(space):
     """Conforming mass M and divergence B over the non-Neumann dofs, assembled
     element by element into explicit COO triplets.  Returns (M, B, free)."""
     n = space.ndof
-    sdim = space.elements[0].sdim
+    sdim = space.sdim
     nt = len(space.elements)
     free = np.ones(n, dtype=bool)
     free[space.neumann_edge_dofs()] = False
@@ -345,7 +553,7 @@ def conforming_blocks_oracle(space):
     rowsM, colsM, valsM = [], [], []
     rowsB, colsB, valsB = [], [], []
     for k in range(nt):
-        el = space.elements[k]
+        el = element(space, k)
         dofmap = space.element_dof_map(k)
         act = free[dofmap]
         gm = pos[dofmap[act]]
@@ -391,7 +599,7 @@ def ls_coupling_oracle(ls, space, p, q):
     rowsG, colsG, valsG = [], [], []
     rowsS, colsS, valsS = [], [], []
     for k in range(len(space.elements)):
-        el = space.elements[k]
+        el = element(space, k)
         ids = ls._elem_nodes[k]
         gm = space.element_dof_map(k)
         grad = np.einsum("dc,nqc->nqd", el.Binv.T, np.stack([gxr, gyr], axis=2))
@@ -439,7 +647,7 @@ def element_kkt_oracle(mesh, k, p, v_eval, div_eval, quad_degree=30):
     """Divergence-constrained element fit assembled from plain quadrature and
     solved by the null-space method."""
     space = rtn_space(mesh, p)
-    el = space.elements[k]
+    el = element(space, k)
     rule = quad_rule(quad_degree)
     pts = el.map_to_phys(rule.points)
     w = rule.weights * el.detB
@@ -456,14 +664,14 @@ def _assemble_patch(mesh, patch, p, chi, g):
     space = rtn_space(mesh, p)
     ps = patch_space_oracle(patch, space)
     nd = ps.ndof
-    sdim = space.elements[0].sdim
+    sdim = space.sdim
     M = np.zeros((nd, nd))
     b = np.zeros(nd)
     B = np.zeros((len(patch.tris) * sdim, nd))
     grhs = np.zeros(len(patch.tris) * sdim)
     for t_idx, k in enumerate(patch.tris):
         k = int(k)
-        el = space.elements[k]
+        el = element(space, k)
         m = ps.elem_maps[k]
         act = m >= 0
         ia = m[act]
@@ -486,7 +694,7 @@ def patch_oracle(mesh, patch, p, theta_coeffs, chi, g):
     M, b, B, grhs, ps = _assemble_patch(mesh, patch, p, dict(zip(tris, chi)), dict(zip(tris, g)))
     if patch.kind in ("interior", "neumann"):
         space = rtn_space(mesh, p)
-        sdim = space.elements[0].sdim
+        sdim = space.sdim
         kern = np.zeros(len(patch.tris) * sdim)
         for t_idx, k in enumerate(patch.tris):
             kern[t_idx * sdim] = np.sqrt(space.elements[int(k)].area)
@@ -507,7 +715,7 @@ def interp_product_with_hat_oracle(theta, patch, mesh, p_target):
     n1d = (deg + 3) // 2
     for k in patch.tris:
         k = int(k)
-        el = space.elements[k]
+        el = element(space, k)
 
         def ev(pts, k=k):
             vals = theta.eval(pts, elem=k)
@@ -528,7 +736,7 @@ def patch_problem_oracle(patch, theta, v, p, mesh, policy):
     g = {}
     for k in patch.tris:
         k = int(k)
-        el = space.elements[k]
+        el = element(space, k)
         tri, _, _ = policy.element_rules(el, key=("tri", k))
         pts = el.quad_points(tri)
         hat = hat_values(patch, mesh, k, pts)
@@ -544,7 +752,7 @@ def projector_oracle(v, p, mesh, quad_degree=None):
     """End-to-end projection error computed through the brute-force patch
     path at doubled quadrature degree: the library's patch data, assembled
     and solved patch by patch by ``patch_oracle``."""
-    from hdivkit.local_solve import build_patch_problem, theta_field
+    from hdivkit.local_solve import build_patch_problem, patch_layout, theta_field
     from hdivkit.mesh import vertex_patches
     from hdivkit.projector import ConformingRTNField
     from hdivkit.quadpolicy import QuadPolicy
@@ -555,13 +763,14 @@ def projector_oracle(v, p, mesh, quad_degree=None):
     space = rtn_space(mesh, p)
     sigma = ConformingRTNField(mesh, p)
     for patch in vertex_patches(mesh):
-        prob = build_patch_problem(patch, theta, v, p, mesh, policy=policy)
+        group = patch_layout(mesh, p).group_of(patch.vertex)
+        prob = build_patch_problem(group, theta, v, p, mesh, policy=policy)
         s, ps = patch_oracle(mesh, patch, p, theta.coeffs, prob.chi[0], prob.g[0])
         sigma.dofs[ps.dofs] += s
     err2 = 0.0
     rule = quad_rule(qd)
     for k in range(mesh.num_triangles):
-        el = space.elements[k]
+        el = element(space, k)
         pts = el.map_to_phys(rule.points)
         diff = v.eval(pts, elem=k) - sigma.eval(pts, elem=k)
         err2 += el.norm_sq(diff, rule)
@@ -632,7 +841,7 @@ def saddle_solve_dense(M, B, rhs, g, kernel=None):
 def elem_constrained_min_oracle(v, q, mesh, k, policy):
     """Divergence-constrained fit in RTN_q on element k: the policy's rule for
     the element, per-element moments and one dense KKT solve."""
-    el = rtn_space(mesh, q).elements[k]
+    el = element(rtn_space(mesh, q), k)
     tri, _, _ = policy.element_rules(el, key=("tri", k))
     pts = el.quad_points(tri)
     b = el.rtn_moments(v.eval(pts, elem=k), tri)
@@ -643,7 +852,7 @@ def elem_constrained_min_oracle(v, q, mesh, k, policy):
 def local_best_constrained_oracle(v, p, mesh, k, policy):
     """E_loc of the divergence-constrained fit on element k, by per-element
     quadrature on the policy's rule."""
-    el = rtn_space(mesh, p).elements[k]
+    el = element(rtn_space(mesh, p), k)
     theta = elem_constrained_min_oracle(v, p, mesh, k, policy)
     tri, _, _ = policy.element_rules(el, key=("tri", k))
     pts = el.quad_points(tri)
@@ -665,7 +874,7 @@ def project_scalar_oracle(f, p, mesh, policy, warnings):
     from hdivkit.projections import ScalarPWField
 
     out = ScalarPWField(mesh, p)
-    for k, el in enumerate(rtn_space(mesh, p).elements):
+    for k, el in enumerate(elements(rtn_space(mesh, p))):
         tri, _, chk = policy.element_rules(el, key=("tri", k))
         out.coeffs[k] = el.scalar_moments(_scalar_eval(f, k, el.quad_points(tri)), tri)
         if chk is not None and policy.self_check:
@@ -684,7 +893,7 @@ def hat_div_moments_oracle(v, space, policy, tris):
     mag = np.empty((len(tris), 3))
     for r, k in enumerate(tris):
         k = int(k)
-        el = space.elements[k]
+        el = element(space, k)
         rule, _, _ = policy.element_rules(el, key=("tri", k))
         if isinstance(rule, TriangleRule):
             pts, w, ref = el.map_to_phys(rule.points), rule.weights * el.detB, rule.points
@@ -857,7 +1066,7 @@ def patch_stability_ratio_oracle(problem: PatchProblem, s, mesh):
     mass1 = np.zeros(nn)
     for k in patch.tris:
         k = int(k)
-        el = space.elements[k]
+        el = element(space, k)
         ids = np.array(elem_nodes[k])
         grad = np.einsum("dc,nqc->nqd", el.Binv.T, grad_ref)
         w = rule.weights * el.detB
@@ -898,7 +1107,7 @@ def patch_stability_ratio_oracle(problem: PatchProblem, s, mesh):
     chi_norm2 = 0.0
     for k in patch.tris:
         k = int(k)
-        el = space.elements[k]
+        el = element(space, k)
         m = problem.pspace.elem_maps[k]
         c = np.zeros(len(m))
         act = m >= 0

@@ -264,7 +264,7 @@ def test_patch_layout_matches_patch_loop(labels, p):
 
 
 def test_single_patch_problem_matches_loop_assembly():
-    # a VertexPatch gives the one-row problem of its group; its hybrid
+    # the group of one vertex patch gives its one-row problem; its hybrid
     # solution equals a dense KKT solve of the loop assembly
     m = jitter(build_lshape(2, labels="left-neumann"), 2)
     v = random_conforming_field(m, 3, seed=1).as_field()
@@ -272,7 +272,7 @@ def test_single_patch_problem_matches_loop_assembly():
     theta = theta_field(v, p, m)
     data = oracles.patch_data_oracle(theta, v, p, m, QuadPolicy(p, field=v))
     for patch in vertex_patches(m):
-        prob = build_patch_problem(patch, theta, v, p, m)
+        prob = build_patch_problem(patch_layout(m, p).group_of(patch.vertex), theta, v, p, m)
         want = oracles.build_patch_problem_oracle(patch, p, m, data)
         assert prob.group.verts.tolist() == [patch.vertex] and prob.p == p
         for key in ("chi", "g"):  # per triangle, in ascending triangle order
@@ -285,16 +285,17 @@ def test_single_patch_problem_matches_loop_assembly():
         assert _rel(s[0], s_ref) <= 1e-13
 
 
-@pytest.mark.parametrize("mode", ["standard", "reduced"])
-def test_element_fit_is_a_slice_of_the_stacked_fit(mode):
+@pytest.mark.parametrize("variant", ["def31", "def52"])
+def test_element_fit_is_a_slice_of_the_stacked_fit(variant):
     m = jitter(build_structured(3, labels="left-neumann"), 1)
     v = stream_field()
     p = 2
-    q = p if mode == "standard" else p - 1
-    theta = theta_field(v, p, m, variant="def31" if mode == "standard" else "def52")
+    q = p if variant == "def31" else p - 1
+    theta = theta_field(v, p, m, variant=variant)
     policy = QuadPolicy(q, field=v)
     for k in range(m.num_triangles):
-        one = elem_constrained_min(v, p, m, k, degree_mode=mode)
+        one = elem_constrained_min(v, p, m, k, variant=variant)
+        assert np.array_equal(one, local_best_constrained(v, q, m, k)["coeffs"])
         assert _rel(one, theta.coeffs[k]) <= 1e-14
         assert _rel(one, oracles.elem_constrained_min_oracle(v, q, m, k, policy)) <= 1e-13
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import x2_field, x3_field
-from oracles import optimality_check
+from oracles import element, optimality_check
 from hdivkit import fields
 from hdivkit.best_approx import (
     error_report,
@@ -37,7 +37,7 @@ def test_l2_part_vs_normal_equation_oracle(ref_triangle_mesh):
     loc = local_best(v, 0, ref_triangle_mesh, 0)
     # dense normal equations at high quadrature order
     space = rtn_space(ref_triangle_mesh, 0)
-    el = space.elements[0]
+    el = element(space, 0)
     rule = quad_rule(30)
     pts = el.map_to_phys(rule.points)
     w = rule.weights * el.detB

@@ -192,8 +192,8 @@ def test_bad_field_spec_is_one_line_error(capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ['{"threads": 2}', '{"refinements": 0}', "[1]", "{not json"],
-    ids=["unknown-key", "bad-value", "not-object", "not-json"],
+    ['{"threads": 2}', '{"refinements": 0}', '{"quad_degree": -3}', "[1]", "{not json"],
+    ids=["unknown-key", "bad-value", "negative-quad-degree", "not-object", "not-json"],
 )
 def test_bad_study_config_is_one_line_error(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
@@ -247,6 +247,33 @@ def test_bad_degree_is_one_line_error(capsys, command, degrees):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("hdivkit: error: argument --p: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["project", "--quad-degree", "-3"],
+        ["best-approx", "--quad-degree", "-3"],
+        ["study", "--quad-degree", "-3", "--refinements", "1"],
+        ["project", "--quad-degree", "200"],
+        ["project", "--variant", "def52", "--p", "0"],
+        ["project", "--field", "random_rtn:p=-1"],
+        ["best-approx", "--field", "random_rtn:p=1,seed=-1"],
+    ],
+    ids=["project-quad", "best-approx-quad", "study-quad", "quad-too-high", "def52-p0",
+         "random-negative-p", "random-negative-seed"],
+)
+def test_bad_value_is_one_line_error(capsys, argv):
+    # argparse exits with 2 itself; the rest is main's one-line error
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("hdivkit: error: ")
 
 
 def test_degree_list_parses_to_integers():

@@ -6,7 +6,9 @@ per-element paths: a dual basis by quadrature and a dense solve on every
 element, and error and fit loops one element at a time.
 """
 
+import ast
 import gc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +76,24 @@ def test_stacked_tables_and_views_match_quadrature_dual(mesh, p):
     assert space.elements[3] is space.elements[3]  # views are memoized
 
 
+def test_only_the_element_module_uses_element_views():
+    # every runtime path runs on the stacked tables: no other module builds
+    # an ElementRTN, reads space.elements or asks for per-element rules
+    src = Path(__file__).resolve().parents[1] / "src" / "hdivkit"
+    found = []
+    for path in sorted(src.glob("*.py")):
+        if path.name == "elements.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = getattr(node.func, "attr", getattr(node.func, "id", None))
+                if func in ("ElementRTN", "element_rules"):
+                    found.append((path.name, node.lineno, func))
+            elif isinstance(node, ast.Attribute) and node.attr == "elements":
+                found.append((path.name, node.lineno, "elements"))
+    assert found == []
+
+
 def test_views_are_built_lazily():
     space = rtn_space(build_structured(4), 1)
     assert len(space.elements) == 32
@@ -129,7 +149,7 @@ def test_discrete_fields_evaluate_through_their_tables(mesh):
         for field in (sig, broken):
             vals, div = g.eval(field), g.eval(field, div=True)
             for i, k in enumerate(g.tris):
-                el = rtn_space(mesh, p).elements[k]
+                el = oracles.element(rtn_space(mesh, p), k)
                 c = broken.coeffs[k]
                 assert _rel(vals[i], el.eval_coeffs(c, g.pts[i])) <= 1e-12
                 assert _rel(div[i], el.eval_div_coeffs(c, g.pts[i])) <= 1e-11
@@ -148,7 +168,7 @@ def test_solver_blocks_match_element_loops(p):
     Mo, Bo, _ = oracles.conforming_blocks_oracle(space)
     assert (M != Mo).nnz == 0 and (B != Bo).nnz == 0
     want = []
-    for k, el in enumerate(space.elements):
+    for k, el in enumerate(oracles.elements(space)):
         tri, _, _ = policy.element_rules(el, key=("tri", k))
         want.append(el.scalar_moments(prob.f(el.quad_points(tri)), tri))
     assert _rel(fmom, np.concatenate(want)) <= 1e-12

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from oracles import dofs_of_refvals, rtn_primal_oracle, scalar_orthonormal_oracle
+from oracles import dofs_of_refvals, element, rtn_primal_oracle, scalar_orthonormal_oracle
+from test_element_layer import jitter
 
 from hdivkit import polys
 from hdivkit.elements import (
@@ -14,6 +15,11 @@ from hdivkit.elements import (
     rtn_space,
     scalar_basis,
 )
+from hdivkit.fields import AnalyticField
+from hdivkit.mesh import Mesh, build_lshape
+from hdivkit.projections import BrokenRTNField, ScalarPWField, canonical_interp
+from hdivkit.projector import ConformingRTNField, random_conforming_field
+from hdivkit.quadpolicy import QuadGroup
 from hdivkit.quadrature import gauss01, quad_rule
 
 RNG = np.random.default_rng(42)
@@ -46,45 +52,53 @@ def test_unisolvence_reference(p):
     assert np.abs(D - np.eye(el.ndof)).max() < 1e-10
 
 
+def one_triangle(coords):
+    """The mesh of one counterclockwise triangle, vertices in the given order
+    (its element is ``ElementRTN(coords, p)``)."""
+    labels = [((0, 1), "dirichlet"), ((1, 2), "dirichlet"), ((0, 2), "dirichlet")]
+    return Mesh(coords, [[0, 1, 2]], labels)
+
+
+REF = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+def unit_fields(mesh, p):
+    """The basis functions of the one element of ``mesh`` as broken fields."""
+    return [BrokenRTNField(mesh, p, unit[None]) for unit in np.eye(rtn_dim(p))]
+
+
+def rule_group(mesh, rule):
+    """A reference rule on the one element of ``mesh`` as a quadrature group."""
+    pts = rule.points @ mesh.B[0].T + mesh.X0[0]
+    return QuadGroup.at(mesh, np.array([0]), pts[None], rule.weights[None] * mesh.detB[0])
+
+
 @pytest.mark.parametrize("p", range(5))
 def test_unisolvence_physical(p):
-    coords = random_triangle(RNG)
-    el = ElementRTN(coords, p)
-    for k in range(el.ndof):
-        c = np.zeros(el.ndof)
-        c[k] = 1.0
-        dof = el.dofs_of_field(
-            lambda pts: el.eval_coeffs(c, pts),
-            tri_rule=quad_rule(2 * p + 2),
-            n1d=p + 3,
-        )
-        assert np.abs(dof - np.eye(el.ndof)[k]).max() < 1e-10
+    m = one_triangle(random_triangle(RNG))
+    for k, field in enumerate(unit_fields(m, p)):
+        dof = canonical_interp(field, p, m).coeffs[0]
+        assert np.abs(dof - np.eye(rtn_dim(p))[k]).max() < 1e-10
 
 
 def test_divergence_lies_in_Pp():
     # project div of every basis member onto P_p and compare pointwise
+    m = one_triangle(REF)
     for p in range(4):
-        el = rtn_basis(p)
-        rule = quad_rule(2 * p + 6)
-        pts = rule.points
-        for k in range(el.ndof):
-            c = np.zeros(el.ndof)
-            c[k] = 1.0
-            dv = el.eval_div_coeffs(c, pts)
-            coef = el.scalar_moments(dv, rule)
-            back = el.scalar_values(coef, pts)
+        space = rtn_space(m, p)
+        group = rule_group(m, quad_rule(2 * p + 6))
+        for field in unit_fields(m, p):
+            dv = field.eval_div(group.pts[0], elem=0)
+            back = space.scalar_values(group, space.scalar_moments(group, dv[None]))[0]
             assert np.abs(dv - back).max() < 1e-12
 
 
 def test_constant_field_reproduced():
-    el = rtn_basis(0)
-    dofs = el.dofs_of_field(
-        lambda pts: np.tile([1.0, 0.0], (len(pts), 1)),
-        tri_rule=quad_rule(2),
-        n1d=3,
-    )
+    m = one_triangle(REF)
+    const = AnalyticField("const", lambda pts: np.tile([1.0, 0.0], (len(pts), 1)), lambda pts: np.zeros(len(pts)))
+    out = canonical_interp(const, 0, m)
     pts = RNG.random((20, 2)) * 0.4 + 0.1
-    vals = el.eval_coeffs(dofs, pts)
+    vals = out.eval(pts, elem=0)
     assert np.abs(vals - [1.0, 0.0]).max() < 1e-13
 
 
@@ -92,18 +106,15 @@ def test_p0_dual_member_unit_mean_flux():
     # the dof polynomials are orthonormal in arclength, so on unit-length
     # edges the lowest dual member has unit mean normal flux; other edges
     # carry exactly zero flux
-    el = rtn_basis(0)
+    m = one_triangle(REF)
     t, w = gauss01(4)
-    for slot_dual in range(3):
-        c = np.zeros(3)
-        c[slot_dual] = 1.0
-        for slot in range(3):
-            refpts = el._edge_ref_points(slot, t)
-            vn = el.eval_coeffs(c, el.map_to_phys(refpts)) @ el.edge_normal[slot]
-            flux = el.edge_len[slot] * float(np.sum(w * vn))
+    for slot_dual, field in enumerate(unit_fields(m, 0)):
+        for slot, e in enumerate(m.tri_edges[0]):
+            vn = field.eval(m.edge_points(e, t), elem=0) @ m.edge_normal(e)
+            flux = m.edge_length(e) * float(np.sum(w * vn))
             if slot == slot_dual:
-                if abs(el.edge_len[slot] - 1.0) < 1e-14:
-                    assert abs(flux / el.edge_len[slot] - 1.0) < 1e-13
+                if abs(m.edge_length(e) - 1.0) < 1e-14:
+                    assert abs(flux / m.edge_length(e) - 1.0) < 1e-13
             else:
                 assert abs(flux) < 1e-13
 
@@ -119,15 +130,14 @@ def test_piola_scaling_divergence():
     # reference pullback convention
     coords = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
     p = 1
-    el_ref = rtn_basis(p)
     el = ElementRTN(coords, p)
     c = RNG.standard_normal(el.ndof)
-    wx, wy = el.ref_poly_of(c)
-    dx, _ = polys.poly_dx(wx, p + 1)
-    dy, _ = polys.poly_dy(wy, p + 1)
+    combo = el.C @ c  # the reference component polynomials of the field
+    dx, _ = polys.poly_dx(combo @ el.ref.prim_x, p + 1)
+    dy, _ = polys.poly_dy(combo @ el.ref.prim_y, p + 1)
     refpts = quad_rule(4).points
     ref_div = (dx + dy) @ polys.eval_monomials(p, refpts)
-    phys_div = el.eval_div_coeffs(c, el.map_to_phys(refpts))
+    phys_div = BrokenRTNField(one_triangle(coords), p, c[None]).eval_div(2.0 * refpts, elem=0)
     assert np.abs(phys_div - ref_div / 4.0).max() < 1e-12
 
 
@@ -157,8 +167,7 @@ def test_piola_flux_invariance_random_maps():
             vals_ref = refvals_fn(refpts)
             flux_ref = rlen * np.sum(w * (vals_ref @ rn))
             # physical flux of the Piola image across the mapped edge
-            phys_pts = el.map_to_phys(refpts)
-            vals_phys = el.piola_values(vals_ref[None, :, :])[0]
+            vals_phys = piola_map(coords, vals_ref)
             pvec = coords[lb] - coords[la]
             plen = np.linalg.norm(pvec)
             pn = np.array([pvec[1], -pvec[0]]) / plen
@@ -180,13 +189,12 @@ def test_element_matrices_spd_and_rank():
 
 def test_div_x_against_constant():
     # phi = x on the reference triangle: (div phi, 1) = 2 |K| = 1
-    el = rtn_basis(0)
-    dofs = el.dofs_of_field(
-        lambda pts: pts.copy(), tri_rule=quad_rule(2), n1d=3
-    )
+    m = one_triangle(REF)
+    ident = AnalyticField("x", lambda pts: pts.copy(), lambda pts: np.full(len(pts), 2.0))
+    out = canonical_interp(ident, 0, m)
     rule = quad_rule(2)
-    dv = el.eval_div_coeffs(dofs, rule.points)
-    val = float(np.sum(rule.weights * el.detB * dv))
+    dv = out.eval_div(rule.points, elem=0)
+    val = float(np.sum(rule.weights * m.detB[0] * dv))
     assert abs(val - 1.0) < 1e-13
 
 
@@ -195,20 +203,44 @@ def test_piola_divergence_compatibility():
     # differences of the mapped field
     p = 2
     for _ in range(3):
-        coords = random_triangle(RNG)
-        el = ElementRTN(coords, p)
-        c = RNG.standard_normal(el.ndof)
-        pts = el.map_to_phys(quad_rule(3).points)
-        eps = 1e-6 * el.h
+        m = one_triangle(random_triangle(RNG))
+        field = BrokenRTNField(m, p, RNG.standard_normal((1, rtn_dim(p))))
+        pts = rule_group(m, quad_rule(3)).pts[0]
+        eps = 1e-6 * m.h[0]
         fd = (
-            el.eval_coeffs(c, pts + [eps, 0])[:, 0]
-            - el.eval_coeffs(c, pts - [eps, 0])[:, 0]
-            + el.eval_coeffs(c, pts + [0, eps])[:, 1]
-            - el.eval_coeffs(c, pts - [0, eps])[:, 1]
+            field.eval(pts + [eps, 0], elem=0)[:, 0]
+            - field.eval(pts - [eps, 0], elem=0)[:, 0]
+            + field.eval(pts + [0, eps], elem=0)[:, 1]
+            - field.eval(pts - [0, eps], elem=0)[:, 1]
         ) / (2 * eps)
-        dv = el.eval_div_coeffs(c, pts)
+        dv = field.eval_div(pts, elem=0)
         scale = max(np.abs(dv).max(), 1.0)
         assert np.abs(fd - dv).max() < 1e-7 * scale
+
+
+def _rel(got, want):
+    return np.linalg.norm(np.asarray(got) - want) / max(np.linalg.norm(want), 1e-300)
+
+
+@pytest.mark.parametrize("p", range(7))
+def test_element_evaluation_matches_oracle(p):
+    # eval / eval_div / eval_element through one-row quadrature groups of the
+    # stacked tables against the per-element methods, at random points of
+    # elements with both edge directions
+    m = jitter(build_lshape(2), 3)
+    sig = random_conforming_field(m, p, seed=p)
+    broken = sig.to_broken()
+    scalar = ScalarPWField(m, p, RNG.standard_normal((m.num_triangles, polys.tri_dim(p))))
+    space = rtn_space(m, p)
+    for k in range(0, m.num_triangles, 5):
+        el = element(space, k)
+        pts = el.map_to_phys(RNG.dirichlet(np.ones(3), 12)[:, 1:])
+        c = broken.coeffs[k]
+        for field in (sig, broken):
+            assert _rel(field.eval(pts, elem=k), el.eval_coeffs(c, pts)) <= 1e-14
+            assert _rel(field.eval_div(pts, elem=k), el.eval_div_coeffs(c, pts)) <= 1e-14
+        assert _rel(scalar.eval_element(k, pts), el.scalar_values(scalar.coeffs[k], pts)) <= 1e-14
+        assert field.eval(pts[0], elem=k).shape == (1, 2)
 
 
 def test_orientation_error():
@@ -264,14 +296,13 @@ def test_shared_edge_dofs_conforming(unit_square_2):
     # a global dof vector evaluated from both sides of an interior edge has
     # matching normal traces with no sign bookkeeping
     m = unit_square_2
-    space = rtn_space(m, 2)
-    dofs = RNG.standard_normal(space.ndof)
+    field = ConformingRTNField(m, 2, RNG.standard_normal(rtn_space(m, 2).ndof))
     t = np.linspace(0.1, 0.9, 7)
     for e in m.interior_edges():
         a, b = m.edges[e]
         pts = m.vertices[a][None, :] + t[:, None] * m.edge_vector(e)[None, :]
         n = m.edge_normal(e)
         k0, k1 = m.edge_tris[e]
-        v0 = space.elements[k0].eval_coeffs(dofs[space.element_dof_map(k0)], pts) @ n
-        v1 = space.elements[k1].eval_coeffs(dofs[space.element_dof_map(k1)], pts) @ n
+        v0 = field.eval(pts, elem=k0) @ n
+        v1 = field.eval(pts, elem=k1) @ n
         assert np.abs(v0 - v1).max() < 1e-12 * max(1.0, np.abs(v0).max())

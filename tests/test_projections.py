@@ -14,7 +14,11 @@ from hdivkit.projections import (
     project_scalar,
     random_broken_field,
 )
+from hdivkit.mesh import build_lshape, build_structured
+from hdivkit.projector import random_conforming_field
+from hdivkit.quadpolicy import QuadPolicy
 from hdivkit.quadrature import gauss01, quad_rule
+from test_element_layer import jitter
 
 
 def test_project_scalar_reproduces_polynomials(ref_triangle_mesh):
@@ -96,16 +100,11 @@ def test_canonical_interp_x2_edge_fluxes(ref_triangle_mesh):
     # v = (x^2, 0) at order 0: fluxes (0, 1/3, 0) on {y=0}, hypotenuse, {x=0}
     m = ref_triangle_mesh
     out = canonical_interp(x2_field(), 0, m)
-    space = rtn_space(m, 0)
-    el = space.elements[0]
     t, w = gauss01(6)
     got = {}
-    for slot in range(3):
-        refpts = el._edge_ref_points(slot, t)
-        vn = el.eval_coeffs(out.coeffs[0], el.map_to_phys(refpts)) @ el.edge_normal[slot]
-        got[frozenset(map(tuple, el.coords[list(el.edge_dirs[slot])]))] = el.edge_len[
-            slot
-        ] * float(np.sum(w * vn))
+    for e in range(m.num_edges):
+        vn = out.eval(m.edge_points(e, t), elem=0) @ m.edge_normal(e)
+        got[frozenset(map(tuple, m.vertices[m.edges[e]]))] = m.edge_length(e) * float(np.sum(w * vn))
     bottom = frozenset({(0.0, 0.0), (1.0, 0.0)})
     hyp = frozenset({(1.0, 0.0), (0.0, 1.0)})
     left = frozenset({(0.0, 0.0), (0.0, 1.0)})
@@ -165,8 +164,8 @@ def test_best_approximation_property(ref_triangle_mesh):
 
 
 def test_one_policy_over_two_meshes_gives_each_mesh_its_own_rules():
-    # element rules are cached under ("tri", k), which names element k on
-    # whichever mesh is passed: lshape:2 must not get lshape:1's corner rules
+    # the policy caches its quadrature groups per mesh: lshape:2 must not get
+    # lshape:1's corner rules
     from hdivkit.mesh import build_lshape
     from hdivkit.quadpolicy import QuadPolicy
 
@@ -176,3 +175,54 @@ def test_one_policy_over_two_meshes_gives_each_mesh_its_own_rules():
     for mesh in (coarse, fine, coarse):
         got = canonical_interp(v, 1, mesh, policy=shared).coeffs
         assert np.array_equal(got, canonical_interp(v, 1, mesh, policy=QuadPolicy(1, field=v)).coeffs)
+
+
+INTERP_MESHES = {
+    "jittered-structured3": lambda: jitter(build_structured(3), 3),
+    "lshape1": lambda: build_lshape(1),
+    "lshape2": lambda: build_lshape(2),
+}
+
+
+@pytest.mark.parametrize("field", ["sine_divfree", "cubic", "lshape_singular"])
+@pytest.mark.parametrize("mesh", INTERP_MESHES)
+def test_canonical_interp_matches_element_loop(mesh, field):
+    # the batched interpolant against the element-by-element oracle; the
+    # singular field brings in the corner wedges and the Gauss-Jacobi edges
+    m = INTERP_MESHES[mesh]()
+    v = fields.catalog(field)
+    for p in range(7):
+        got = canonical_interp(v, p, m).coeffs
+        want = oracles.canonical_interp_oracle(v, p, m).coeffs
+        assert np.abs(got - want).max() <= 1e-13 * max(np.abs(want).max(), 1.0), p
+
+
+@pytest.mark.parametrize("p", range(9))
+def test_canonical_interp_reproduces_members_like_the_element_loop(p):
+    # both paths reproduce a discrete member up to the evaluation floor,
+    # which grows with p; the batched one no worse than twice the loop's
+    m = jitter(build_structured(3), 3)
+    for vh in (random_conforming_field(m, p, seed=p), random_broken_field(m, p, seed=p)):
+        want = vh.to_broken().coeffs if hasattr(vh, "to_broken") else vh.coeffs
+        scale = np.abs(want).max()
+        err = np.abs(canonical_interp(vh, p, m).coeffs - want).max() / scale
+        err_loop = np.abs(oracles.canonical_interp_oracle(vh, p, m).coeffs - want).max() / scale
+        assert err <= 2 * max(err_loop, 1e-15)
+
+
+@pytest.mark.parametrize("p", [0, 2, 6])
+@pytest.mark.parametrize(
+    "mesh,field",
+    [("lshape2", "lshape_singular"), ("jittered-structured3", "sine_divfree"), ("lshape1", "cubic")],
+)
+def test_edge_rules_are_the_element_rules(mesh, field, p):
+    # every (triangle, slot) pair gets the 1D rule element_rules gives it, to the bit
+    m = INTERP_MESHES[mesh]()
+    policy = QuadPolicy(p, field=fields.catalog(field))
+    seen = np.zeros((m.num_triangles, 3), dtype=int)
+    for tris, slots, t, w in policy.edge_rules(m):
+        for k, j in zip(tris, slots):
+            want_t, want_w = policy.element_rules(rtn_space(m, p).elements[k])[1][j]
+            assert np.array_equal(t, want_t) and np.array_equal(w, want_w)
+            seen[k, j] += 1
+    assert np.all(seen == 1)

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from hdivkit import fields
 from hdivkit.fields import FieldError
-from hdivkit.local_solve import CompatibilityError, build_patch_problem, theta_field
+from hdivkit.local_solve import CompatibilityError, build_patch_problem, patch_layout, theta_field
 from hdivkit.mesh import Mesh, build_lshape, build_structured, refine_uniform, vertex_patches
 from hdivkit.projector import (
     check_field_compatibility,
@@ -14,6 +14,7 @@ from hdivkit.projector import (
     projector_report,
     random_conforming_field,
 )
+from hdivkit.projections import BrokenRTNField
 from hdivkit.quadpolicy import QuadPolicy
 from hdivkit.elements import rtn_space
 
@@ -62,7 +63,7 @@ def test_end_to_end_oracle(unit_square_2, cubic_field):
     space = rtn_space(m, p)
     err2 = 0.0
     for k in range(m.num_triangles):
-        el = space.elements[k]
+        el = oracles.element(space, k)
         tri, _, _ = policy.element_rules(el, key=("tri", k))
         pts = el.quad_points(tri)
         diff = cubic_field.eval(pts, elem=k) - sig.eval(pts, elem=k)
@@ -105,9 +106,8 @@ class _Bumped:
         self.space = space
         self.k0 = k0
         rng = np.random.default_rng(seed)
-        el = space.elements[k0]
-        self.coeffs = np.zeros(el.ndof)
-        self.coeffs[el.n_edge_dofs():] = rng.standard_normal(el.idim * 2)
+        self.bump = BrokenRTNField(space.mesh, space.p)
+        self.bump.coeffs[k0, 3 * (space.p + 1) :] = rng.standard_normal(2 * space.idim)
         self.poly_degree = None
         self.singularity = None
         self.is_discrete = False
@@ -116,13 +116,13 @@ class _Bumped:
     def eval(self, pts, elem=None):
         out = self.base.eval(pts, elem=elem)
         if elem == self.k0:
-            out = out + self.space.elements[elem].eval_coeffs(self.coeffs, pts)
+            out = out + self.bump.eval(pts, elem=elem)
         return out
 
     def eval_div(self, pts, elem=None):
         out = self.base.eval_div(pts, elem=elem)
         if elem == self.k0:
-            out = out + self.space.elements[elem].eval_div_coeffs(self.coeffs, pts)
+            out = out + self.bump.eval_div(pts, elem=elem)
         return out
 
 
@@ -229,7 +229,7 @@ def test_perturbed_theta_breaks_patch_compatibility(p):
     assert {pa.kind for pa in patches} == {"interior", "neumann"}
     for patch in patches:
         with pytest.raises(CompatibilityError):
-            build_patch_problem(patch, theta, vh, p, m)
+            build_patch_problem(patch_layout(m, p).group_of(patch.vertex), theta, vh, p, m)
 
 
 def test_report_zero_for_members(unit_square_2):
