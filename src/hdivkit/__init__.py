@@ -13,7 +13,7 @@ from .best_approx import (
     local_best,
     local_best_constrained,
 )
-from .elements import ElementRTN, RTNSpace, element_matrices, piola_map, rtn_basis, rtn_space
+from .elements import ElementRTN, RTNSpace, piola_map, rtn_space
 from .fields import AnalyticField, catalog, parse_field_spec
 from .local_solve import build_patch_problem, elem_constrained_min, patch_equilibrate
 from .mesh import (
@@ -63,7 +63,6 @@ __all__ = [
     "canonical_interp",
     "catalog",
     "elem_constrained_min",
-    "element_matrices",
     "error_report",
     "fit_rate",
     "global_best",
@@ -81,7 +80,6 @@ __all__ = [
     "quad_rule",
     "random_conforming_field",
     "refine_uniform",
-    "rtn_basis",
     "rtn_space",
     "run_study",
     "save_mesh",

@@ -32,10 +32,10 @@ def _degrees(arg):
     return [int(x) for x in arg.split(",")]
 
 
-def _degree(arg):
-    """``--quad-degree``: one nonnegative integer."""
+def _nonnegative(arg):
+    """``--quad-degree``, ``--seed``: one nonnegative integer."""
     if not arg.strip().isdigit():
-        raise argparse.ArgumentTypeError(f"expected a nonnegative integer degree, got {arg!r}")
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {arg!r}")
     return int(arg)
 
 
@@ -56,9 +56,9 @@ _FLAGS = {
     "--field": dict(default="sine_divfree", help="name[:k=v,...]"),
     "--refinements": dict(type=int, default=4),
     "--variant": dict(default="def31", choices=["def31", "def52"]),
-    "--quad-degree": dict(type=_degree, default=None),
+    "--quad-degree": dict(type=_nonnegative, default=None),
     "--tol": dict(type=float, default=1e-9),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=_nonnegative, default=0),
     "--out": dict(default="."),
     "--problem": dict(default="sine", choices=["sine", "bubble"]),
     "--config": dict(default=None, help="JSON config mirroring the flags"),

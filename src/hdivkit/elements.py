@@ -16,10 +16,11 @@ Because the edge data is global, coefficient vectors of fields on neighboring
 elements agree on the shared edge dofs exactly when the normal trace is
 continuous; no sign flips are needed during assembly.
 
-One representation serves every element: ``ElementTables`` stacks C_k,
-M_k and Bdiv_k over the triangles, built from one reference element, and
+Element tables are built one way: ``rtn_space(mesh, p)`` stacks C_k, M_k
+and Bdiv_k over the mesh's triangles from one reference element, and
 evaluates, samples and takes moments on the points of a
-``quadpolicy.QuadGroup``.  ``ElementRTN`` is a data view of one row.
+``quadpolicy.QuadGroup``; a lone triangle is a one-triangle mesh.
+``ElementRTN`` is a data view of one row.
 
 The continuous P_q numbering of a mesh (``lagrange_nodes``) and the stacked
 P_q stiffness and P_q/RTN_p coupling blocks serve both the least-squares
@@ -35,7 +36,6 @@ import numpy as np
 
 from . import polys
 from .linsolve import assemble_csr
-from .mesh import affine_geometry
 from .quadrature import gauss01, quad_rule
 
 
@@ -207,30 +207,33 @@ def reference_dual(p: int) -> np.ndarray:
 # -- stacked element tables -------------------------------------------------------------
 
 
-def _dof_scaling(triangles, xs, B, detB, p):
-    """T_k in factored form over all elements: element k's physical dofs are
-    T_k times the canonically directed reference dofs of the Piola pull-back.
-    Edge slot j scales by sqrt(L_ref / L_e), times (-1)^(i+1) on its i-th dof
-    when the direction (lower -> higher index in ``triangles``) runs against
-    the local index order; the interior block is kron(B_k, I) / sqrt(det B_k).
-    Returns (edge scale (n, 3(p+1)), B_k / sqrt(det B_k), its inverse)."""
+def _dof_scaling(mesh, p):
+    """T_k in factored form over the elements of ``mesh``: element k's
+    physical dofs are T_k times the canonically directed reference dofs of
+    the Piola pull-back.  Edge slot j scales by sqrt(L_ref / L_e), times
+    (-1)^(i+1) on its i-th dof when the direction (lower -> higher vertex
+    index) runs against the local index order; the interior block is
+    kron(B_k, I) / sqrt(det B_k).  Returns (edge scale (n, 3(p+1)),
+    B_k / sqrt(det B_k), its inverse)."""
     lo, hi = np.array(_CANONICAL_DIRS).T
+    tri = mesh.triangles
+    xs = mesh.vertices[tri]
     length = np.linalg.norm(xs[:, hi] - xs[:, lo], axis=2)  # (n, 3)
     ref_len = np.linalg.norm(_REF_VERTS[hi] - _REF_VERTS[lo], axis=1)
-    reversed_ = triangles[:, lo] > triangles[:, hi]
     flip = (-1.0) ** (np.arange(p + 1) + 1)
-    sign = np.where(reversed_[:, :, None], flip, 1.0)  # (n, 3, p+1)
+    sign = np.where((tri[:, lo] > tri[:, hi])[:, :, None], flip, 1.0)  # (n, 3, p+1)
     edge = (sign * np.sqrt(ref_len / length)[:, :, None]).reshape(len(xs), -1)
-    root = np.sqrt(detB)[:, None, None]
-    return edge, B / root, np.linalg.inv(B) * root
+    root = np.sqrt(mesh.detB)[:, None, None]
+    return edge, mesh.B / root, np.linalg.inv(mesh.B) * root
 
 
-class ElementTables:
-    """RTN_p element data stacked over triangles, from one reference element.
+class RTNSpace:
+    """RTN_p element tables stacked over the triangles of a mesh, built from
+    one reference element, plus the global dof layout.
 
-    ``triangles`` (n, 3) orders each triangle's vertices (edge directions run
-    lower -> higher entry); ``geometry`` is ``mesh.affine_geometry`` of their
-    coordinates.  With S_k = B_k^T B_k and the reference primal Gram blocks:
+    Each triangle's vertex order (``mesh.triangles``) directs its edges
+    lower -> higher entry.  With S_k = B_k^T B_k and the reference primal
+    Gram blocks:
       C_k    = C_ref T_k^{-1}                              (n, nprim, ndof)
       M_k    = C_k^T (S_00 G_xx + S_01 (G_xy + G_xy^T) + S_11 G_yy) C_k / det B_k
       Bdiv_k = div_rows C_k / sqrt(det B_k)                (n, sdim, ndof)
@@ -238,36 +241,47 @@ class ElementTables:
     their moments taken, at the points of a ``quadpolicy.QuadGroup``
     (``values``, ``moments`` and the scalar forms); ``elements`` gives lazy
     single-element data views (``ElementRTN``) of these arrays.
+
+    Global dofs: edge e owns slots e*(p+1)..e*(p+1)+p; element k owns
+    ne*(p+1) + k*p*(p+1) + local interior slots.  Fields with continuous
+    normal trace share edge dofs verbatim.
     """
 
-    def __init__(self, triangles, xs, geometry, p: int):
+    def __init__(self, mesh, p: int):
+        self.mesh = mesh
         self.p = p
-        self.coords = xs
-        self.X0, self.B, self.detB, self.Binv, self.h = geometry
+        self.B, self.detB = mesh.B, mesh.detB
         if np.any(self.detB <= 0):
             raise ElementGeometryError(
                 f"triangle must be counterclockwise and nondegenerate (det={self.detB.min():g})"
             )
-        self.triangles = np.asarray(triangles)
         self.ref = rtn_reference(p)
         self.sdim = polys.tri_dim(p)
         self.idim = polys.tri_dim(p - 1) if p >= 1 else 0
-        self._edge, self._T, self._Tinv = _dof_scaling(self.triangles, xs, self.B, self.detB, p)
-        ne, C_ref = 3 * (p + 1), reference_dual(p)
-        C = np.empty((len(xs),) + C_ref.shape)
+        self._edge, self._T, self._Tinv = _dof_scaling(mesh, p)
+        n, ne, C_ref = mesh.num_triangles, 3 * (p + 1), reference_dual(p)
+        C = np.empty((n,) + C_ref.shape)
         C[:, :, :ne] = C_ref[:, :ne] / self._edge[:, None, :]
         interior = np.einsum("rci,kcd->krdi", C_ref[:, ne:].reshape(len(C_ref), 2, -1), self._Tinv)
-        C[:, :, ne:] = interior.reshape(len(xs), len(C_ref), -1)
+        C[:, :, ne:] = interior.reshape(n, len(C_ref), -1)
         self.C = C
         S = np.swapaxes(self.B, 1, 2) @ self.B
         ref = self.ref
         gram = np.stack([ref.gram_xx, ref.gram_xy + ref.gram_xy.T, ref.gram_yy])
         coef = np.stack([S[:, 0, 0], S[:, 0, 1], S[:, 1, 1]], axis=1) / self.detB[:, None]
-        Mtil = (coef @ gram.reshape(3, -1)).reshape(len(xs), *gram.shape[1:])
+        Mtil = (coef @ gram.reshape(3, -1)).reshape(n, *gram.shape[1:])
         M = np.swapaxes(C, 1, 2) @ Mtil @ C
         self.M = (M + np.swapaxes(M, 1, 2)) / 2
         self.Bdiv = (ref.div_rows @ C) / np.sqrt(self.detB)[:, None, None]
         self.elements = _ElementViews(self)
+        self.ndof_edge = (p + 1) * mesh.num_edges
+        self.n_int = p * (p + 1)
+        self.ndof = self.ndof_edge + self.n_int * mesh.num_triangles
+        edge_dofs = mesh.tri_edges[:, :, None] * (p + 1) + np.arange(p + 1)
+        interior = self.ndof_edge + np.arange(mesh.num_triangles * self.n_int)
+        self.dof_map = np.hstack(
+            [edge_dofs.reshape(len(edge_dofs), -1), interior.reshape(len(edge_dofs), -1)]
+        )
 
     def __len__(self):
         return len(self.detB)
@@ -326,13 +340,48 @@ class ElementTables:
         """||f - Pi_p f||_K^2 of scalar values on the group's elements; (n,)."""
         return group.norm_sq(vals - self.scalar_values(group, self.scalar_moments(group, vals)))
 
+    def element_dof_map(self, k):
+        """Global dof index of each local dof on element k."""
+        return self.dof_map[k]
+
+    def neumann_edge_dofs(self):
+        """Global dof indices pinned to zero by the no-flux boundary condition."""
+        e = np.array(self.mesh.edges_with_label("neumann"), dtype=int)
+        return (e[:, None] * (self.p + 1) + np.arange(self.p + 1)).ravel()
+
+    def conforming_blocks(self):
+        """Conforming mass M and divergence B over the dofs off Neumann edges.
+
+        Returns (M, B, free): ``free`` holds the global indices of the kept
+        dofs, in the column order of M and B; B has one row per element
+        scalar moment (element k owns rows k*sdim..(k+1)*sdim-1).
+        """
+        free = np.ones(self.ndof, dtype=bool)
+        free[self.neumann_edge_dofs()] = False
+        fidx = np.flatnonzero(free)
+        pos = -np.ones(self.ndof, dtype=int)
+        pos[fidx] = np.arange(len(fidx))
+        dofs = pos[self.dof_map]  # -1 on Neumann dofs: dropped by the assembly
+        nt, nf = len(self), len(fidx)
+        M = assemble_csr(dofs, dofs, self.M, (nf, nf))
+        rows = np.arange(nt * self.sdim).reshape(nt, self.sdim)
+        B = assemble_csr(rows, dofs, self.Bdiv, (nt * self.sdim, nf))
+        return M, B, fidx
+
+
+def rtn_space(mesh, p: int) -> RTNSpace:
+    key = ("rtn_space", p)
+    if key not in mesh._cache:
+        mesh._cache[key] = RTNSpace(mesh, p)
+    return mesh._cache[key]
+
 
 class _ElementViews(Sequence):
-    """Memoized single-element views of stacked tables, built on access."""
+    """Memoized single-element views of an ``RTNSpace``, built on access."""
 
-    def __init__(self, tables):
-        self._tables = tables
-        self._views = [None] * len(tables)
+    def __init__(self, space):
+        self._space = space
+        self._views = [None] * len(space)
 
     def __len__(self):
         return len(self._views)
@@ -340,58 +389,35 @@ class _ElementViews(Sequence):
     def __getitem__(self, k):
         view = self._views[k]
         if view is None:
-            view = self._views[k] = ElementRTN._view(self._tables, k % len(self))
+            view = self._views[k] = ElementRTN(self._space, k % len(self))
         return view
 
 
-# -- single element -----------------------------------------------------------------
-
-
 class ElementRTN:
-    """RTN_p data of one physical triangle, dual to the global dofs: its
-    geometry, ``edge_dirs`` (the directed local vertex pair of each edge
+    """RTN_p data of element k of an ``RTNSpace``, dual to the global dofs:
+    its geometry, ``edge_dirs`` (the directed local vertex pair of each edge
     slot, lower -> higher vertex index) and the tables ``C``, ``M`` and
-    ``Bdiv``.
-
-    A view of row k of ``ElementTables``; a standalone triangle owns a
-    one-row table, its vertices ranked in local index order.  Dof layout:
-    edge slot j (opposite vertex j) holds dofs j(p+1)..j(p+1)+p, then come
-    the interior x-moments and the interior y-moments.  Evaluation, dofs
-    and moments run on the stacked tables, not per element.
+    ``Bdiv``, views of row k.  Dof layout: edge slot j (opposite vertex j)
+    holds dofs j(p+1)..j(p+1)+p, then come the interior x-moments and the
+    interior y-moments.  Evaluation, dofs and moments run on the stacked
+    tables, not per element.
     """
 
-    def __init__(self, coords, p: int):
-        coords = np.asarray(coords, float).reshape(1, 3, 2)
-        self._bind(ElementTables(np.arange(3)[None], coords, affine_geometry(coords), p), 0)
-
-    @classmethod
-    def _view(cls, tables, k):
-        el = cls.__new__(cls)
-        el._bind(tables, k)
-        return el
-
-    def _bind(self, tables, k):
-        self.p = tables.p
-        self.coords = tables.coords[k]
-        self.X0, self.B, self.Binv = tables.X0[k], tables.B[k], tables.Binv[k]
-        self.detB = float(tables.detB[k])
+    def __init__(self, space, k):
+        mesh, tri = space.mesh, space.mesh.triangles[k]
+        self.p = space.p
+        self.coords = mesh.vertices[tri]
+        self.X0, self.B, self.Binv = mesh.X0[k], mesh.B[k], mesh.Binv[k]
+        self.detB = float(mesh.detB[k])
         self.area = self.detB / 2
-        self.h = float(tables.h[k])
-        tri = tables.triangles[k]
+        self.h = float(mesh.h[k])
         self.edge_dirs = [(la, lb) if tri[la] < tri[lb] else (lb, la) for la, lb in _CANONICAL_DIRS]
-        self.ref = tables.ref
-        self.ndof, self.sdim, self.idim = tables.ref.dim, tables.sdim, tables.idim
-        self.C, self.M, self.Bdiv = tables.C[k], tables.M[k], tables.Bdiv[k]
+        self.ref = space.ref
+        self.ndof, self.sdim, self.idim = space.ref.dim, space.sdim, space.idim
+        self.C, self.M, self.Bdiv = space.C[k], space.M[k], space.Bdiv[k]
 
 
 # -- public spec operations -----------------------------------------------------------
-
-
-def rtn_basis(p: int) -> ElementRTN:
-    """Reference-element RTN_p basis dual to the edge/interior dofs."""
-    if p < 0:
-        raise ValueError("polynomial degree must be >= 0")
-    return ElementRTN(_REF_VERTS, p)
 
 
 def piola_map(coords, ref_values):
@@ -456,76 +482,6 @@ def hat_operators(q: int, p: int):
     H.flags.writeable = False
     G.flags.writeable = False
     return H, G
-
-
-def element_matrices(coords, p: int):
-    """Mass, divergence-coupling and scalar mass matrices on a triangle.
-
-    The scalar basis is L2(K)-orthonormal, so W_K is the identity (the |K|
-    scale is absorbed into the basis) and B_K[m, k] = (div Phi_k, phi_m)_K.
-    """
-    el = ElementRTN(coords, p)
-    return {"M": el.M, "B": el.Bdiv, "W": np.eye(el.sdim), "element": el}
-
-
-# -- mesh-wide space -----------------------------------------------------------------
-
-
-class RTNSpace(ElementTables):
-    """Stacked RTN_p element tables over a mesh plus the global dof layout.
-
-    Global dofs: edge e owns slots e*(p+1)..e*(p+1)+p; element k owns
-    ne*(p+1) + k*p*(p+1) + local interior slots.  Fields with continuous
-    normal trace share edge dofs verbatim.
-    """
-
-    def __init__(self, mesh, p: int):
-        geometry = (mesh.X0, mesh.B, mesh.detB, mesh.Binv, mesh.h)
-        super().__init__(mesh.triangles, mesh.vertices[mesh.triangles], geometry, p)
-        self.mesh = mesh
-        self.ndof_edge = (p + 1) * mesh.num_edges
-        self.n_int = p * (p + 1)
-        self.ndof = self.ndof_edge + self.n_int * mesh.num_triangles
-        edge_dofs = mesh.tri_edges[:, :, None] * (p + 1) + np.arange(p + 1)
-        interior = self.ndof_edge + np.arange(mesh.num_triangles * self.n_int)
-        self.dof_map = np.hstack(
-            [edge_dofs.reshape(len(edge_dofs), -1), interior.reshape(len(edge_dofs), -1)]
-        )
-
-    def element_dof_map(self, k):
-        """Global dof index of each local dof on element k."""
-        return self.dof_map[k]
-
-    def neumann_edge_dofs(self):
-        """Global dof indices pinned to zero by the no-flux boundary condition."""
-        e = np.array(self.mesh.edges_with_label("neumann"), dtype=int)
-        return (e[:, None] * (self.p + 1) + np.arange(self.p + 1)).ravel()
-
-    def conforming_blocks(self):
-        """Conforming mass M and divergence B over the dofs off Neumann edges.
-
-        Returns (M, B, free): ``free`` holds the global indices of the kept
-        dofs, in the column order of M and B; B has one row per element
-        scalar moment (element k owns rows k*sdim..(k+1)*sdim-1).
-        """
-        free = np.ones(self.ndof, dtype=bool)
-        free[self.neumann_edge_dofs()] = False
-        fidx = np.flatnonzero(free)
-        pos = -np.ones(self.ndof, dtype=int)
-        pos[fidx] = np.arange(len(fidx))
-        dofs = pos[self.dof_map]  # -1 on Neumann dofs: dropped by the assembly
-        nt, nf = len(self), len(fidx)
-        M = assemble_csr(dofs, dofs, self.M, (nf, nf))
-        rows = np.arange(nt * self.sdim).reshape(nt, self.sdim)
-        B = assemble_csr(rows, dofs, self.Bdiv, (nt * self.sdim, nf))
-        return M, B, fidx
-
-
-def rtn_space(mesh, p: int) -> RTNSpace:
-    key = ("rtn_space", p)
-    if key not in mesh._cache:
-        mesh._cache[key] = RTNSpace(mesh, p)
-    return mesh._cache[key]
 
 
 # -- continuous Lagrange P_q ----------------------------------------------------------

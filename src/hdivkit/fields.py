@@ -101,30 +101,41 @@ def _lshape_singular(alpha: float):
     )
 
 
+# the parameters each catalog field takes
+_PARAMS = {
+    "sine_divfree": (), "cubic": (), "lshape_singular": ("alpha",), "random_rtn": ("p", "seed"),
+}
+
+
 def catalog(name: str, params: dict | None = None, mesh=None):
     """Built-in test fields by name.
 
     ``random_rtn`` needs the mesh (and returns a conforming discrete member
     wrapped for elementwise evaluation); the other entries are analytic.
+    A parameter the field does not take is an error.
     """
-    params = dict(params or {})
+    params = params or {}
+    if name not in _PARAMS:
+        raise FieldError(f"unknown field {name!r}")
+    unknown = sorted(set(params) - set(_PARAMS[name]))
+    if unknown:
+        takes = ", ".join(_PARAMS[name]) or "no parameters"
+        raise FieldError(f"field {name!r} takes {takes}, not {', '.join(unknown)}")
     if name == "sine_divfree":
         return _sine_divfree()
     if name == "cubic":
         return _cubic()
     if name == "lshape_singular":
         return _lshape_singular(float(params.get("alpha", 2.0 / 3.0)))
-    if name == "random_rtn":
-        if mesh is None:
-            raise FieldError("random_rtn needs a mesh")
-        from .projector import random_conforming_field
+    # random_rtn
+    if mesh is None:
+        raise FieldError("random_rtn needs a mesh")
+    from .projector import random_conforming_field
 
-        p = int(params.get("p", 1))
-        seed = int(params.get("seed", 0))
-        if p < 0 or seed < 0:
-            raise FieldError(f"random_rtn needs p >= 0 and seed >= 0, got p={p}, seed={seed}")
-        return random_conforming_field(mesh, p, seed=seed).as_field()
-    raise FieldError(f"unknown field {name!r}")
+    p, seed = params.get("p", 1), params.get("seed", 0)
+    if not all(isinstance(x, (int, np.integer)) and x >= 0 for x in (p, seed)):
+        raise FieldError(f"random_rtn needs integers p >= 0 and seed >= 0, got p={p}, seed={seed}")
+    return random_conforming_field(mesh, int(p), seed=int(seed)).as_field()
 
 
 def parse_field_spec(spec: str, mesh=None):

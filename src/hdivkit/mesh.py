@@ -309,6 +309,14 @@ def _label_boundary(vertices, triangles, rule):
     return labels
 
 
+def one_triangle(coords) -> Mesh:
+    """The mesh of one triangle, Dirichlet on every side: how a lone
+    triangle gets its element tables (``elements.rtn_space``).  Vertices
+    given counterclockwise keep their order."""
+    labels = [((0, 1), "dirichlet"), ((1, 2), "dirichlet"), ((0, 2), "dirichlet")]
+    return Mesh(coords, [[0, 1, 2]], labels)
+
+
 def build_structured(n: int, domain=((0.0, 0.0), (1.0, 1.0)), labels="all-dirichlet"):
     """Uniform n x n grid on an axis-aligned rectangle, cells split along the
     (i, j) -> (i+1, j+1) diagonal."""

@@ -34,9 +34,14 @@ class ScalarPWField:
     def norm(self):
         return float(np.linalg.norm(self.coeffs))
 
+    def values(self, group):
+        """Values at a quadrature group's points; (n, nq).  Needs only det B_k,
+        not the RTN tables."""
+        phi = group.phi(self.p)
+        return group.combine(self.coeffs[group.tris], phi) / np.sqrt(self.mesh.detB[group.tris])[:, None]
+
     def eval_element(self, k, pts):
-        group = QuadGroup.points_on(self.mesh, k, pts)
-        return rtn_space(self.mesh, self.p).scalar_values(group, self.coeffs[[k]])[0]
+        return self.values(QuadGroup.points_on(self.mesh, k, pts))[0]
 
     def __sub__(self, other):
         if other.p != self.p or other.mesh is not self.mesh:
@@ -90,10 +95,10 @@ def random_broken_field(mesh, p, seed=0, scale=1.0) -> BrokenRTNField:
 
 def _scalar_values(f, mesh, group):
     """Values of a scalar field at a quadrature group's points: a ScalarPWField
-    from its element tables, an object with ``eval_element(k, pts)`` element by
+    from its coefficients, an object with ``eval_element(k, pts)`` element by
     element, a plain evaluator in one call; (n, nq)."""
     if isinstance(f, ScalarPWField):
-        return rtn_space(mesh, f.p).scalar_values(group, f.coeffs[group.tris])
+        return f.values(group)
     if hasattr(f, "eval_element"):
         return np.stack([f.eval_element(int(k), x) for x, k in zip(group.pts, group.tris)])
     return group.call(f)

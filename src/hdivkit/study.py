@@ -64,6 +64,8 @@ class StudyConfig:
             raise ConfigError(f"unknown variant {self.variant!r}")
         if self.quad_degree is not None and self.quad_degree < 0:
             raise ConfigError(f"quadrature degree must be >= 0, got {self.quad_degree}")
+        if not (isinstance(self.seed, int) and self.seed >= 0):
+            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
 
     @classmethod
     def from_json(cls, path):
@@ -144,6 +146,16 @@ def mesh_sequence(cfg: StudyConfig):
     return seq
 
 
+def study_field(cfg: StudyConfig, mesh):
+    """The study's field on ``mesh``: the spec ``cfg.field`` with
+    ``cfg.field_params`` appended to its parameters."""
+    spec = cfg.field
+    if cfg.field_params:
+        extra = ",".join(f"{k}={v}" for k, v in cfg.field_params.items())
+        spec += ("," if ":" in spec else ":") + extra
+    return fields_mod.parse_field_spec(spec, mesh=mesh)
+
+
 def _fmt(x):
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
@@ -155,15 +167,10 @@ def run_study(cfg: StudyConfig):
     cfg.validate()
     t0 = time.time()
     meshes = mesh_sequence(cfg)
+    study_fields = [study_field(cfg, m) for m in meshes]
     rows = []
     warnings = []
-    for level, m in enumerate(meshes):
-        field = fields_mod.parse_field_spec(
-            cfg.field
-            if not cfg.field_params
-            else cfg.field + ":" + ",".join(f"{k}={v}" for k, v in cfg.field_params.items()),
-            mesh=m,
-        )
+    for level, (m, field) in enumerate(zip(meshes, study_fields)):
         for p in cfg.degrees:
             if cfg.variant == "def52" and p < 1:
                 continue
@@ -213,8 +220,7 @@ def run_study(cfg: StudyConfig):
             )
     fits = {}
     checks = []
-    field0 = fields_mod.parse_field_spec(cfg.field, mesh=meshes[0])
-    s = getattr(field0, "s", np.inf)
+    s = getattr(study_fields[0], "s", np.inf)
     for p in cfg.degrees:
         if cfg.variant == "def52" and p < 1:
             continue
@@ -306,6 +312,7 @@ class CheckResult:
 def verify(cfg: StudyConfig | None = None):
     """Cross-module invariant suite at small sizes; returns CheckResults."""
     cfg = cfg or StudyConfig()
+    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     out = []
 
@@ -342,11 +349,7 @@ def verify(cfg: StudyConfig | None = None):
     from .elements import rtn_dim
     from .projections import BrokenRTNField, canonical_interp, project_scalar
 
-    def one_triangle(coords):
-        labels = [((0, 1), "dirichlet"), ((1, 2), "dirichlet"), ((0, 2), "dirichlet")]
-        return mesh_mod.Mesh(coords, [[0, 1, 2]], labels)
-
-    tri = one_triangle([[0.1, 0.05], [1.02, 0.11], [0.3, 0.95]])
+    tri = mesh_mod.one_triangle([[0.1, 0.05], [1.02, 0.11], [0.3, 0.95]])
     worst = 0.0
     for p in range(0, 4):
         for unit in np.eye(rtn_dim(p)):
@@ -403,7 +406,7 @@ def verify(cfg: StudyConfig | None = None):
             worst_ord = max(worst_ord, -slack / max(rep.Eglob**2, 1e-30))
     check("equivalence ordering", worst_ord, 1e-9)
     # constrained-unconstrained sweep on the reference triangle
-    mref = one_triangle([[0, 0], [1, 0], [0, 1]])
+    mref = mesh_mod.one_triangle([[0, 0], [1, 0], [0, 1]])
     expf = fields_mod.AnalyticField(
         "exp",
         lambda pts: np.stack([np.exp(pts[:, 0]), np.exp(pts[:, 1])], axis=1),

@@ -29,6 +29,7 @@ from hdivkit.elements import (
     scalar_basis,
 )
 from hdivkit.linsolve import dense_solve
+from hdivkit.mesh import one_triangle
 from hdivkit.quadpolicy import QuadPolicy
 from hdivkit.quadrature import TriangleRule, gauss01, jacobi01, quad_rule
 
@@ -145,16 +146,17 @@ def rtn_primal_oracle(p):
 class ElementOracle(ElementRTN):
     """One RTN_p element with its own evaluation, dof and moment methods, on
     the data of an ``ElementRTN`` view: the per-element reference for the
-    library's stacked paths (``ElementTables.values`` / ``div_values`` /
+    library's stacked paths (``RTNSpace.values`` / ``div_values`` /
     ``scalar_values`` / ``moments``, ``canonical_interp``).  ``ElementOracle(coords,
-    p)`` builds a standalone triangle, ``ElementOracle.of(view)`` wraps a view.
+    p)`` builds a standalone triangle as the element of its one-triangle mesh,
+    ``ElementOracle.of(view)`` wraps a view.
 
     Rules are a TriangleRule (reference coords) or a physical (points,
     weights) pair.
     """
 
     def __init__(self, coords, p: int):
-        super().__init__(coords, p)
+        super().__init__(rtn_space(one_triangle(coords), p), 0)
         self._edges()
 
     @classmethod
@@ -313,7 +315,7 @@ def elements(space):
 
 
 def reference_element(p):
-    """Oracle of the reference-element RTN_p basis (``rtn_basis``)."""
+    """Oracle of the reference-element RTN_p basis."""
     return ElementOracle(_REF_VERTS, p)
 
 

@@ -192,8 +192,10 @@ def test_bad_field_spec_is_one_line_error(capsys):
 
 @pytest.mark.parametrize(
     "text",
-    ['{"threads": 2}', '{"refinements": 0}', '{"quad_degree": -3}', "[1]", "{not json"],
-    ids=["unknown-key", "bad-value", "negative-quad-degree", "not-object", "not-json"],
+    ['{"threads": 2}', '{"refinements": 0}', '{"quad_degree": -3}', "[1]", "{not json",
+     '{"seed": -1}', '{"field_params": {"alpa": 0.5}, "field": "lshape_singular"}'],
+    ids=["unknown-key", "bad-value", "negative-quad-degree", "not-object", "not-json",
+         "negative-seed", "unknown-field-param"],
 )
 def test_bad_study_config_is_one_line_error(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
@@ -259,9 +261,17 @@ def test_bad_degree_is_one_line_error(capsys, command, degrees):
         ["project", "--variant", "def52", "--p", "0"],
         ["project", "--field", "random_rtn:p=-1"],
         ["best-approx", "--field", "random_rtn:p=1,seed=-1"],
+        ["project", "--field", "lshape_singular:alpa=0.5"],
+        ["best-approx", "--field", "sine_divfree:alpha=0.5"],
+        ["project", "--field", "random_rtn:p=1.5"],
+        ["best-approx", "--field", "random_rtn:p=1,seed=2.7"],
+        ["verify", "--seed", "-1"],
+        ["verify", "--seed", "x"],
     ],
     ids=["project-quad", "best-approx-quad", "study-quad", "quad-too-high", "def52-p0",
-         "random-negative-p", "random-negative-seed"],
+         "random-negative-p", "random-negative-seed", "unknown-param", "param-of-no-param-field",
+         "random-fractional-p", "random-fractional-seed", "verify-negative-seed",
+         "verify-bad-seed"],
 )
 def test_bad_value_is_one_line_error(capsys, argv):
     # argparse exits with 2 itself; the rest is main's one-line error

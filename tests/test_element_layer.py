@@ -76,20 +76,35 @@ def test_stacked_tables_and_views_match_quadrature_dual(mesh, p):
     assert space.elements[3] is space.elements[3]  # views are memoized
 
 
+def _scoped_nodes(tree):
+    """(top-level def or class enclosing it, node) for every node of a module."""
+    stack = [(None, tree)]
+    while stack:
+        scope, node = stack.pop()
+        yield scope, node
+        for child in ast.iter_child_nodes(node):
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            stack.append((child.name if scope is None and named else scope, child))
+
+
 def test_only_the_element_module_uses_element_views():
     # every runtime path runs on the stacked tables: no other module builds
-    # an ElementRTN, reads space.elements or asks for per-element rules
+    # an ElementRTN, reads space.elements or asks for per-element rules; and
+    # element tables are built one way, RTNSpace only inside rtn_space and
+    # ElementRTN only inside _ElementViews, in the library and the tests
     src = Path(__file__).resolve().parents[1] / "src" / "hdivkit"
+    builders = {"RTNSpace": "rtn_space", "ElementRTN": "_ElementViews"}
     found = []
-    for path in sorted(src.glob("*.py")):
-        if path.name == "elements.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text())):
+    for path in sorted(src.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")):
+        other_module = path.parent == src and path.name != "elements.py"
+        for scope, node in _scoped_nodes(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 func = getattr(node.func, "attr", getattr(node.func, "id", None))
-                if func in ("ElementRTN", "element_rules"):
+                if func in builders and (path.name, scope) != ("elements.py", builders[func]):
                     found.append((path.name, node.lineno, func))
-            elif isinstance(node, ast.Attribute) and node.attr == "elements":
+                elif other_module and func == "element_rules":
+                    found.append((path.name, node.lineno, func))
+            elif other_module and isinstance(node, ast.Attribute) and node.attr == "elements":
                 found.append((path.name, node.lineno, "elements"))
     assert found == []
 

@@ -6,23 +6,22 @@ from test_element_layer import jitter
 from hdivkit import polys
 from hdivkit.elements import (
     ElementGeometryError,
-    ElementRTN,
-    element_matrices,
     piola_map,
-    rtn_basis,
+    reference_dual,
     rtn_dim,
     rtn_reference,
     rtn_space,
     scalar_basis,
 )
 from hdivkit.fields import AnalyticField
-from hdivkit.mesh import Mesh, build_lshape
+from hdivkit.mesh import build_lshape, one_triangle
 from hdivkit.projections import BrokenRTNField, ScalarPWField, canonical_interp
 from hdivkit.projector import ConformingRTNField, random_conforming_field
 from hdivkit.quadpolicy import QuadGroup
 from hdivkit.quadrature import gauss01, quad_rule
 
 RNG = np.random.default_rng(42)
+REF = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 
 
 def random_triangle(rng, scale=1.0):
@@ -45,21 +44,11 @@ def test_dimensions():
 
 @pytest.mark.parametrize("p", range(8))
 def test_unisolvence_reference(p):
-    el = rtn_basis(p)
+    el = rtn_space(one_triangle(REF), p).elements[0]
     # dofs of the dual basis must give the identity
     rule = quad_rule(max(2 * p, 1))
     D = dofs_of_refvals(el, el.ref.eval, p + 2, rule) @ el.C
     assert np.abs(D - np.eye(el.ndof)).max() < 1e-10
-
-
-def one_triangle(coords):
-    """The mesh of one counterclockwise triangle, vertices in the given order
-    (its element is ``ElementRTN(coords, p)``)."""
-    labels = [((0, 1), "dirichlet"), ((1, 2), "dirichlet"), ((0, 2), "dirichlet")]
-    return Mesh(coords, [[0, 1, 2]], labels)
-
-
-REF = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
 
 
 def unit_fields(mesh, p):
@@ -130,14 +119,15 @@ def test_piola_scaling_divergence():
     # reference pullback convention
     coords = np.array([[0.0, 0.0], [2.0, 0.0], [0.0, 2.0]])
     p = 1
-    el = ElementRTN(coords, p)
+    m = one_triangle(coords)
+    el = rtn_space(m, p).elements[0]
     c = RNG.standard_normal(el.ndof)
     combo = el.C @ c  # the reference component polynomials of the field
     dx, _ = polys.poly_dx(combo @ el.ref.prim_x, p + 1)
     dy, _ = polys.poly_dy(combo @ el.ref.prim_y, p + 1)
     refpts = quad_rule(4).points
     ref_div = (dx + dy) @ polys.eval_monomials(p, refpts)
-    phys_div = BrokenRTNField(one_triangle(coords), p, c[None]).eval_div(2.0 * refpts, elem=0)
+    phys_div = BrokenRTNField(m, p, c[None]).eval_div(2.0 * refpts, elem=0)
     assert np.abs(phys_div - ref_div / 4.0).max() < 1e-12
 
 
@@ -145,14 +135,14 @@ def test_piola_flux_invariance_random_maps():
     # normal flux across a mapped edge equals the reference flux up to the
     # orientation sign, measured by edge quadrature on both sides
     p = 2
-    ref = rtn_basis(p)
+    C_ref = reference_dual(p)
     t, w = gauss01(10)
     for _ in range(5):
         coords = random_triangle(RNG)
-        el = ElementRTN(coords, p)
-        cref = RNG.standard_normal(ref.ndof)
+        el = rtn_space(one_triangle(coords), p).elements[0]
+        cref = RNG.standard_normal(rtn_dim(p))
         refvals_fn = lambda pts: np.einsum(
-            "j,jnd->nd", ref.C @ cref, ref.ref.eval(pts)
+            "j,jnd->nd", C_ref @ cref, rtn_reference(p).eval(pts)
         )
         for slot in range(3):
             la, lb = el.edge_dirs[slot]
@@ -177,11 +167,9 @@ def test_piola_flux_invariance_random_maps():
 
 def test_element_matrices_spd_and_rank():
     for p in range(4):
-        coords = random_triangle(RNG)
-        mats = element_matrices(coords, p)
-        M, B, W = mats["M"], mats["B"], mats["W"]
+        el = rtn_space(one_triangle(random_triangle(RNG)), p).elements[0]
+        M, B = el.M, el.Bdiv
         assert np.linalg.eigvalsh(M).min() > 0
-        assert np.abs(W - np.eye(len(W))).max() == 0
         # rank of the divergence coupling equals dim P_p
         s = np.linalg.svd(B, compute_uv=False)
         assert np.sum(s > 1e-10 * s[0]) == polys.tri_dim(p)
@@ -244,8 +232,6 @@ def test_element_evaluation_matches_oracle(p):
 
 
 def test_orientation_error():
-    with pytest.raises(ElementGeometryError):
-        ElementRTN([[0, 0], [0, 1], [1, 0]], 1)  # clockwise
     with pytest.raises(ElementGeometryError):
         piola_map([[0, 0], [0, 1], [1, 0]], np.zeros((3, 2)))
 

@@ -78,6 +78,41 @@ def test_random_rtn_needs_mesh():
         catalog("random_rtn", {"p": 1})
 
 
+@pytest.mark.parametrize(
+    "name,params",
+    [
+        ("sine_divfree", {"alpha": 0.5}),
+        ("cubic", {"p": 1}),
+        ("lshape_singular", {"alpa": 0.5}),
+        ("lshape_singular", {"alpha": 0.5, "seed": 1}),
+        ("random_rtn", {"p": 1, "alpha": 0.5}),
+    ],
+    ids=["sine", "cubic", "lshape-typo", "lshape-extra", "random-alpha"],
+)
+def test_unknown_field_parameter_is_an_error(unit_square_2, name, params):
+    with pytest.raises(FieldError, match="takes"):
+        catalog(name, params, mesh=unit_square_2)
+
+
+@pytest.mark.parametrize(
+    "params", [{"p": 1.5}, {"seed": 2.7}, {"p": 1.5, "seed": 2.7}, {"p": 2.0}, {"seed": "1"}]
+)
+def test_random_rtn_needs_integer_p_and_seed(unit_square_2, params):
+    with pytest.raises(FieldError, match="integers"):
+        catalog("random_rtn", params, mesh=unit_square_2)
+
+
+def test_random_rtn_takes_numpy_integers(unit_square_2):
+    v = catalog("random_rtn", {"p": np.int64(1), "seed": np.int64(4)}, mesh=unit_square_2)
+    w = catalog("random_rtn", {"p": 1, "seed": 4}, mesh=unit_square_2)
+    assert np.array_equal(v.dofs, w.dofs)
+
+
+def test_parse_field_spec_unknown_key():
+    with pytest.raises(FieldError, match="alpa"):
+        parse_field_spec("lshape_singular:alpa=0.5")
+
+
 def test_parse_field_spec():
     v = parse_field_spec("lshape_singular:alpha=0.5")
     assert v.params["alpha"] == 0.5

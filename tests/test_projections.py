@@ -9,6 +9,7 @@ from hdivkit import fields
 from hdivkit.elements import rtn_space
 from hdivkit.projections import (
     ScalarPWField,
+    _scalar_values,
     canonical_interp,
     project_face,
     project_scalar,
@@ -16,7 +17,7 @@ from hdivkit.projections import (
 )
 from hdivkit.mesh import build_lshape, build_structured
 from hdivkit.projector import random_conforming_field
-from hdivkit.quadpolicy import QuadPolicy
+from hdivkit.quadpolicy import QuadGroup, QuadPolicy
 from hdivkit.quadrature import gauss01, quad_rule
 from test_element_layer import jitter
 
@@ -167,7 +168,7 @@ def test_one_policy_over_two_meshes_gives_each_mesh_its_own_rules():
     # the policy caches its quadrature groups per mesh: lshape:2 must not get
     # lshape:1's corner rules
     from hdivkit.mesh import build_lshape
-    from hdivkit.quadpolicy import QuadPolicy
+    from hdivkit.quadpolicy import QuadGroup, QuadPolicy
 
     v = fields.catalog("lshape_singular", {"alpha": 2.0 / 3.0})
     coarse, fine = build_lshape(1), build_lshape(2)
@@ -226,3 +227,19 @@ def test_edge_rules_are_the_element_rules(mesh, field, p):
             assert np.array_equal(t, want_t) and np.array_equal(w, want_w)
             seen[k, j] += 1
     assert np.all(seen == 1)
+
+
+def test_scalar_evaluation_builds_no_rtn_tables():
+    # scalar values need only det B_k; they equal the values through the RTN
+    # tables bit for bit
+    m, p = build_structured(4), 3
+    rng = np.random.default_rng(5)
+    f = ScalarPWField(m, p, rng.standard_normal((m.num_triangles, (p + 1) * (p + 2) // 2)))
+    k = 9
+    pts = rng.dirichlet(np.ones(3), 6) @ m.vertices[m.triangles[k]]
+    group = QuadPolicy(p).groups(m)[0]
+    vals, at_k = _scalar_values(f, m, group), f.eval_element(k, pts)
+    assert ("rtn_space", p) not in m._cache
+    space = rtn_space(m, p)
+    assert np.array_equal(vals, space.scalar_values(group, f.coeffs[group.tris]))
+    assert np.array_equal(at_k, space.scalar_values(QuadGroup.points_on(m, k, pts), f.coeffs[[k]])[0])

@@ -9,6 +9,7 @@ from hdivkit.study import (
     build_mesh,
     fit_rate,
     run_study,
+    study_field,
     verify,
     verify_exit_code,
 )
@@ -84,11 +85,36 @@ def test_run_study_discrete_member_zero_sentinel(tmp_path):
     assert row["E_glob"] < 1e-9
 
 
+def test_field_params_and_field_spec_give_the_same_study(tmp_path):
+    # the predicted h-rate min(s, p + 1) reads alpha from either spelling
+    base = dict(mesh="lshape:1", refinements=3, degrees=[0], run_projector=False)
+    a = run_study(StudyConfig(field="lshape_singular", field_params={"alpha": 0.5},
+                              out_dir=str(tmp_path / "a"), **base))
+    b = run_study(StudyConfig(field="lshape_singular:alpha=0.5", out_dir=str(tmp_path / "b"), **base))
+    assert a["checks"] == b["checks"]
+    assert open(a["csv_path"], "rb").read() == open(b["csv_path"], "rb").read()
+    rate = next(c for c in a["checks"] if c["name"] == "h-rate p=0")
+    assert rate["expected"] == 0.5
+
+
+def test_field_params_extend_a_spec_with_parameters(tmp_path):
+    cfg = StudyConfig(field="random_rtn:p=1", field_params={"seed": 2})
+    assert np.array_equal(
+        study_field(cfg, build_mesh("structured:2")).dofs,
+        study_field(StudyConfig(field="random_rtn:p=1,seed=2"), build_mesh("structured:2")).dofs,
+    )
+
+
 def test_invalid_config():
     with pytest.raises(ValueError):
         StudyConfig(refinements=0).validate()
     with pytest.raises(ValueError):
         StudyConfig(variant="nope").validate()
+    for seed in (-1, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            StudyConfig(seed=seed).validate()
+    with pytest.raises(ValueError, match="seed"):
+        verify(StudyConfig(seed=-1))
 
 
 def test_build_mesh_specs(tmp_path):
