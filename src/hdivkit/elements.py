@@ -228,19 +228,19 @@ def _dof_scaling(mesh, p):
 
 
 class RTNSpace:
-    """RTN_p element tables stacked over the triangles of a mesh, built from
-    one reference element, plus the global dof layout.
+    """RTN_p element tables over the triangles of a mesh, built from one
+    reference element, plus the global dof layout.
 
     Each triangle's vertex order (``mesh.triangles``) directs its edges
-    lower -> higher entry.  With S_k = B_k^T B_k and the reference primal
-    Gram blocks:
-      C_k    = C_ref T_k^{-1}                              (n, nprim, ndof)
-      M_k    = C_k^T (S_00 G_xx + S_01 (G_xy + G_xy^T) + S_11 G_yy) C_k / det B_k
-      Bdiv_k = div_rows C_k / sqrt(det B_k)                (n, sdim, ndof)
-    No quadrature and no solve per element.  Fields are evaluated, and
-    their moments taken, at the points of a ``quadpolicy.QuadGroup``
-    (``values``, ``moments`` and the scalar forms); ``elements`` gives lazy
-    single-element data views (``ElementRTN``) of these arrays.
+    lower -> higher entry.  Stored per element: the dof scaling T_k of
+    ``_dof_scaling``, ``dof_map`` and, with S_k = B_k^T B_k, the mass matrix
+      M_k = T_k^{-T} (sum_i c_ki H_i) T_k^{-1},  c_k = (S_00, S_01, S_11) / det B_k,
+    H_i = C_ref^T G_i C_ref for the reference Gram blocks G_xx, G_xy + G_xy^T, G_yy.
+    C_k = C_ref T_k^{-1} and Bdiv_k = D_ref T_k^{-1} / sqrt(det B_k) (D_ref =
+    div_rows C_ref) are applied, not stored: the reference matrices act on
+    ``to_ref`` rows or, transposed, through ``rows_to_elem``.  Fields are
+    evaluated, and their moments taken, at the points of a
+    ``quadpolicy.QuadGroup``; ``elements`` gives lazy single-element views.
 
     Global dofs: edge e owns slots e*(p+1)..e*(p+1)+p; element k owns
     ne*(p+1) + k*p*(p+1) + local interior slots.  Fields with continuous
@@ -258,21 +258,22 @@ class RTNSpace:
         self.ref = rtn_reference(p)
         self.sdim = polys.tri_dim(p)
         self.idim = polys.tri_dim(p - 1) if p >= 1 else 0
-        self._edge, self._T, self._Tinv = _dof_scaling(mesh, p)
-        n, ne, C_ref = mesh.num_triangles, 3 * (p + 1), reference_dual(p)
-        C = np.empty((n,) + C_ref.shape)
-        C[:, :, :ne] = C_ref[:, :ne] / self._edge[:, None, :]
-        interior = np.einsum("rci,kcd->krdi", C_ref[:, ne:].reshape(len(C_ref), 2, -1), self._Tinv)
-        C[:, :, ne:] = interior.reshape(n, len(C_ref), -1)
-        self.C = C
+        # T_k and T_k^{-1} as factor rows for ``_scale``: the edge diagonal,
+        # then the 2x2 interior block row-major; ``_transpose`` reorders a
+        # row into that of the transposed map
+        edge, T, Tinv = _dof_scaling(mesh, p)
+        n, ne = mesh.num_triangles, 3 * (p + 1)
+        self._phys = np.hstack([edge, T.reshape(n, 4)])
+        self._ref = np.hstack([1.0 / edge, Tinv.reshape(n, 4)])
+        self._transpose = np.r_[np.arange(ne), ne + np.array([0, 2, 1, 3])]
+        ref, C = self.ref, reference_dual(p)
+        self.C_ref, self.D_ref = C, ref.div_rows @ C
         S = np.swapaxes(self.B, 1, 2) @ self.B
-        ref = self.ref
-        gram = np.stack([ref.gram_xx, ref.gram_xy + ref.gram_xy.T, ref.gram_yy])
         coef = np.stack([S[:, 0, 0], S[:, 0, 1], S[:, 1, 1]], axis=1) / self.detB[:, None]
-        Mtil = (coef @ gram.reshape(3, -1)).reshape(n, *gram.shape[1:])
-        M = np.swapaxes(C, 1, 2) @ Mtil @ C
+        H = np.stack([C.T @ G @ C for G in (ref.gram_xx, ref.gram_xy + ref.gram_xy.T, ref.gram_yy)])
+        Mref = (coef @ H.reshape(3, -1)).reshape(len(coef), *H.shape[1:])
+        M = self.rows_to_elem(np.swapaxes(self.rows_to_elem(Mref), 1, 2))
         self.M = (M + np.swapaxes(M, 1, 2)) / 2
-        self.Bdiv = (ref.div_rows @ C) / np.sqrt(self.detB)[:, None, None]
         self.elements = _ElementViews(self)
         self.ndof_edge = (p + 1) * mesh.num_edges
         self.n_int = p * (p + 1)
@@ -286,38 +287,56 @@ class RTNSpace:
     def __len__(self):
         return len(self.detB)
 
-    def _scale(self, coeffs, tris, to_phys):
-        tris = slice(None) if tris is None else np.asarray(tris, int)
-        c = np.asarray(coeffs, float)
-        ne = 3 * (self.p + 1)
-        out = np.empty_like(c)
-        out[:, :ne] = c[:, :ne] * self._edge[tris] if to_phys else c[:, :ne] / self._edge[tris]
-        comp = c[:, ne:].reshape(len(c), 2, -1)
-        A = (self._T if to_phys else self._Tinv)[tris]
-        out[:, ne:] = np.einsum("kcd,kdi->kci", A, comp).reshape(len(c), -1)
-        return out
+    def _scale(self, c, F):
+        """Rows c (..., ndof) times the block-diagonal maps of the factor rows
+        F (..., 3(p+1) + 4), one per element, whose leading axes c matches or
+        broadcasts against: diag(edge) on the edge dofs, kron(A, I) on the
+        interior ones.  Elementwise, so a row's result does not depend on the
+        other rows."""
+        c = np.asarray(c, float)
+        ne, idim = 3 * (self.p + 1), self.idim
+        F = F.reshape(F.shape[:-1] + (1,) * (c.ndim - F.ndim) + F.shape[-1:])
+        edge = c[..., :ne] * F[..., :ne]
+        A = F[..., ne:].reshape(F.shape[:-1] + (2, 2, 1))  # A[..., :, d, :] is column d
+        comp = c[..., ne:].reshape(c.shape[:-1] + (2, idim))
+        inner = A[..., 0, :] * comp[..., :1, :]
+        inner += A[..., 1, :] * comp[..., 1:, :]
+        return np.concatenate([edge, inner.reshape(edge.shape[:-1] + (2 * idim,))], axis=-1)
 
-    def to_ref(self, coeffs, tris=None):
+    def to_ref(self, coeffs, tris=slice(None)):
         """Reference dofs T_k^{-1} c_k of element coefficient rows (n, ndof);
-        ``tris`` names the element of each row (default: every element)."""
-        return self._scale(coeffs, tris, False)
+        ``tris`` names the element of each row (any index shape; default:
+        every element)."""
+        return self._scale(coeffs, self._ref[tris])
 
-    def to_phys(self, coeffs, tris=None):
+    def to_phys(self, coeffs, tris=slice(None)):
         """Physical dofs T_k c_k of reference dof rows; inverse of ``to_ref``."""
-        return self._scale(coeffs, tris, True)
+        return self._scale(coeffs, self._phys[tris])
+
+    def rows_to_elem(self, rows, tris=slice(None)):
+        """Rows X T_k^{-1}: a table X (..., ndof) against the reference dual
+        basis (C_ref, D_ref) as the table against element k's basis."""
+        return self._scale(rows, self._ref[tris][..., self._transpose])
+
+    def div_blocks(self, tris=slice(None)):
+        """Bdiv_k of the elements ``tris`` (default: all); (n, sdim, ndof)."""
+        F = self._ref[tris][..., self._transpose] / np.sqrt(self.detB[tris])[:, None]
+        return self._scale(self.D_ref[None], F)
 
     # -- batched quadrature: ``group`` is a ``quadpolicy.QuadGroup`` -------------------
 
     def values(self, group, coeffs):
         """Values of the coefficient rows (one per group element) at the
         group's points; (n, nq, 2)."""
-        prim = group.prim(self.p)
         tris = group.tris
-        ref = group.combine((self.C[tris] @ coeffs[:, :, None])[:, :, 0], prim)
+        ref = group.combine(self.to_ref(coeffs, tris) @ self.C_ref.T, group.prim(self.p))
         return ref @ np.swapaxes(self.B[tris], 1, 2) / self.detB[tris, None, None]
 
     def div_values(self, group, coeffs):
-        return self.scalar_values(group, (self.Bdiv[group.tris] @ coeffs[:, :, None])[:, :, 0])
+        # through the formed tables, as ``ElementRTN.Bdiv @ c``: D_ref applied
+        # to ``to_ref`` rows rounds differently, which a divergence that
+        # cancels (p = 0) magnifies past 1e-14
+        return self.scalar_values(group, (self.div_blocks(group.tris) @ coeffs[:, :, None])[:, :, 0])
 
     def scalar_values(self, group, scoeffs):
         """Values of scalar rows in the orthonormal P_p(K) bases; (n, nq)."""
@@ -326,15 +345,13 @@ class RTNSpace:
 
     def moments(self, group, vals):
         """(f, Phi_j)_K of field values (n, nq, 2) at the group's points; (n, ndof)."""
-        prim = group.prim(self.p)
         tris = group.tris
         F = vals @ self.B[tris] * (group.w / self.detB[tris, None])[:, :, None]  # B_k^T f
-        return (group.contract(prim, F)[:, None, :] @ self.C[tris])[:, 0]
+        return self.rows_to_elem(group.contract(group.prim(self.p), F) @ self.C_ref, tris)
 
     def scalar_moments(self, group, vals):
         """(f, phi_m)_K against the orthonormal P_p(K) bases; (n, sdim)."""
-        phi = group.phi(self.p)
-        return group.contract(phi, vals * group.w) / np.sqrt(self.detB[group.tris])[:, None]
+        return scalar_moments(self.mesh, self.p, group, vals)
 
     def oscillation_sq(self, group, vals):
         """||f - Pi_p f||_K^2 of scalar values on the group's elements; (n,)."""
@@ -365,8 +382,15 @@ class RTNSpace:
         nt, nf = len(self), len(fidx)
         M = assemble_csr(dofs, dofs, self.M, (nf, nf))
         rows = np.arange(nt * self.sdim).reshape(nt, self.sdim)
-        B = assemble_csr(rows, dofs, self.Bdiv, (nt * self.sdim, nf))
+        B = assemble_csr(rows, dofs, self.div_blocks(), (nt * self.sdim, nf))
         return M, B, fidx
+
+
+def scalar_moments(mesh, p, group, vals):
+    """(f, phi_m)_K against the orthonormal P_p(K) bases of ``mesh`` from
+    values at a quadrature group's points; (n, sdim).  Needs only det B_k."""
+    phi = group.phi(p)
+    return group.contract(phi, vals * group.w) / np.sqrt(mesh.detB[group.tris])[:, None]
 
 
 def rtn_space(mesh, p: int) -> RTNSpace:
@@ -397,10 +421,11 @@ class ElementRTN:
     """RTN_p data of element k of an ``RTNSpace``, dual to the global dofs:
     its geometry, ``edge_dirs`` (the directed local vertex pair of each edge
     slot, lower -> higher vertex index) and the tables ``C``, ``M`` and
-    ``Bdiv``, views of row k.  Dof layout: edge slot j (opposite vertex j)
+    ``Bdiv`` of row k.  Dof layout: edge slot j (opposite vertex j)
     holds dofs j(p+1)..j(p+1)+p, then come the interior x-moments and the
-    interior y-moments.  Evaluation, dofs and moments run on the stacked
-    tables, not per element.
+    interior y-moments.  ``C`` and ``Bdiv`` are formed from the reference
+    matrices when the view is built.  Evaluation, dofs and moments run on the
+    stacked tables, not per element.
     """
 
     def __init__(self, space, k):
@@ -414,7 +439,8 @@ class ElementRTN:
         self.edge_dirs = [(la, lb) if tri[la] < tri[lb] else (lb, la) for la, lb in _CANONICAL_DIRS]
         self.ref = space.ref
         self.ndof, self.sdim, self.idim = space.ref.dim, space.sdim, space.idim
-        self.C, self.M, self.Bdiv = space.C[k], space.M[k], space.Bdiv[k]
+        self.C = space.rows_to_elem(space.C_ref[None], [k])[0]
+        self.M, self.Bdiv = space.M[k], space.div_blocks([k])[0]
 
 
 # -- public spec operations -----------------------------------------------------------
@@ -547,11 +573,13 @@ def _stiffness_blocks(mesh, rule, gref, tris=slice(None)):
     return (K.reshape(*K.shape[:-2], 4) @ A.reshape(4, -1)).reshape(*K.shape[:-2], *A.shape[2:])
 
 
-def _coupling_blocks(q, space, tris=slice(None)):
-    """(grad phi_n, Phi_j)_K of the P_q nodal and RTN_p bases on the elements
-    ``tris``; the Piola map cancels the gradient's B_k^{-T}, so the blocks
-    are one reference table times C_k.  Shape tris.shape + (nloc, ndof)."""
-    rule = quad_rule(q + space.p)
+@lru_cache(maxsize=None)
+def _coupling_reference(q, p):
+    """(grad phi_n, Phi_j) of the P_q nodal basis and the reference dual
+    RTN_p basis; (nloc, ndof).  The Piola map cancels the gradient's
+    B_k^{-T}, so element k's table is this one through ``rows_to_elem``."""
+    rule = quad_rule(q + p)
     g = np.stack(lagrange_grads_ref(q, rule.points), axis=2)  # (nloc, nq, 2)
-    ref = np.einsum("q,nqd,iqd->ni", rule.weights, g, space.ref.eval(rule.points))
-    return ref @ space.C[tris]
+    out = np.einsum("q,nqd,iqd->ni", rule.weights, g, rtn_reference(p).eval(rule.points)) @ reference_dual(p)
+    out.flags.writeable = False
+    return out

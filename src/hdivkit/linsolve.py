@@ -108,9 +108,10 @@ def saddle_solve_stacked(M, B, rhs, g):
     return sol[:, :d], sol[:, d:]
 
 
-def eliminate(space, rhs, g, tris=None):
-    """The element half of a hybridization on ``tris`` (default: all): stacked
-    solves of K_k = [[M_k, Bdiv_k^T], [Bdiv_k, 0]] against the data columns
+def eliminate(space, Bdiv, rhs, g, tris=None):
+    """The element half of a hybridization on ``tris`` (default: all), whose
+    divergence tables ``Bdiv`` the caller forms (``RTNSpace.div_blocks``):
+    stacked solves of K_k = [[M_k, Bdiv_k^T], [Bdiv_k, 0]] against the data columns
     rhs (n, ndof, r), g (n, sdim, r), then against [E_k^T; 0], the unit
     columns of the 3(p+1) edge dofs signed +1 on the ``edge_tris[e, 0]`` side.
     Returns (signs (n, 3(p+1)), flux parts X, multiplier parts U), with
@@ -121,7 +122,7 @@ def eliminate(space, rhs, g, tris=None):
     sgn = np.repeat(np.where(own, 1.0, -1.0), space.p + 1, axis=1)
     F = np.concatenate([rhs, np.eye(rhs.shape[1], ne) * sgn[:, None, :]], axis=2)
     G = np.concatenate([g, np.zeros(g.shape[:2] + (ne,))], axis=2)
-    return (sgn, *saddle_solve_stacked(space.M[tris], space.Bdiv[tris], F, G))
+    return (sgn, *saddle_solve_stacked(space.M[tris], Bdiv, F, G))
 
 
 def assemble_csr(rows, cols, blocks, shape):
@@ -186,7 +187,8 @@ def hybrid_saddle_solve(space, rhs, g):
     k0 = np.sqrt(mesh.area)  # the constant multiplier mode of a pure Neumann problem
     if grounded:
         g[:, 0] -= k0 * (k0 @ g[:, 0]) / (k0 @ k0)
-    sgn, X, U = eliminate(space, rhs[:, :, None], g[:, :, None])
+    Bdiv = space.div_blocks()
+    sgn, X, U = eliminate(space, Bdiv, rhs[:, :, None], g[:, :, None])
     EX = sgn[:, :, None] * X[:, :ne]  # E_k applied to every solution column
     S = (EX[:, :, 1:] + np.swapaxes(EX[:, :, 1:], 1, 2)) / 2  # E_k (K_k^-1)_ss E_k^T
     factor = SparseFactor(assemble_csr(lam, lam, S, (n, n)))
@@ -199,8 +201,8 @@ def hybrid_saddle_solve(space, rhs, g):
     free[space.neumann_edge_dofs()] = 0.0
     # the two sides of an edge agree to roundoff: take their mean
     s = free * np.bincount(flat, sk.ravel(), space.ndof) / np.bincount(flat, minlength=space.ndof)
-    res = np.einsum("kij,kj->ki", space.M, s[dofs]) + np.einsum("kmi,km->ki", space.Bdiv, u) - rhs
-    div = np.einsum("kmi,ki->km", space.Bdiv, s[dofs]) - g
+    res = np.einsum("kij,kj->ki", space.M, s[dofs]) + np.einsum("kmi,km->ki", Bdiv, u) - rhs
+    div = np.einsum("kmi,ki->km", Bdiv, s[dofs]) - g
     b = np.concatenate([free * np.bincount(flat, rhs.ravel(), space.ndof), g.ravel()])
     r = np.concatenate([free * np.bincount(flat, res.ravel(), space.ndof), div.ravel()])
     return s, u, {

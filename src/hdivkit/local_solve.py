@@ -36,7 +36,7 @@ import numpy as np
 
 from . import polys
 from .elements import (
-    _coupling_blocks,
+    _coupling_reference,
     _stiffness_blocks,
     hat_operators,
     lagrange_bary,
@@ -62,7 +62,7 @@ def constrained_fit(space, group, vals, dvals):
     to solver precision.  (n, ndof)."""
     tris = group.tris
     b, g = space.moments(group, vals), space.scalar_moments(group, dvals)
-    return saddle_solve_stacked(space.M[tris], space.Bdiv[tris], b, g)[0]
+    return saddle_solve_stacked(space.M[tris], space.div_blocks(tris), b, g)[0]
 
 
 def fit_degree(p, variant):
@@ -300,13 +300,14 @@ def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None, tris=None) -> 
     grad_scale = np.sqrt(0.5) * np.outer(np.linalg.norm(ref, axis=1), np.linalg.norm(G[:, 0], axis=1))
     g = div + grad
     data = np.zeros((len(tris), space.sdim, 4))
-    data[:, :, :3] = np.swapaxes(g - np.einsum("kmd,kid->kim", space.Bdiv[tris], chi), 1, 2)
+    Bdiv = space.div_blocks(tris)
+    data[:, :, :3] = np.swapaxes(g - np.einsum("kmd,kid->kim", Bdiv, chi), 1, 2)
     data[:, 0, 3] = np.sqrt(mesh.area[tris])
     ndof, ne, size = space.ref.dim, 3 * (p + 1), space.ref.dim + space.sdim
     sign, x = np.empty((len(tris), ne)), np.empty((len(tris), ndof, 4 + ne))
     # the solve's temporaries come to about four times its matrices and columns
     for sl in chunks(len(tris), 32 * size * (size + 4 + ne)):
-        sign[sl], x[sl], _ = eliminate(space, np.zeros((len(data[sl]), ndof, 4)), data[sl], tris[sl])
+        sign[sl], x[sl], _ = eliminate(space, Bdiv[sl], np.zeros((len(data[sl]), ndof, 4)), data[sl], tris[sl])
     return PatchData(tris, chi, g, div_scale + grad_scale, sign, x)
 
 
@@ -473,7 +474,7 @@ def _stability_ratios(group, p, chi, s, mesh):
     vals = polys.lagrange_nodal(q).T @ polys.eval_monomials(q, rule.points) * rule.weights
     detB = mesh.detB[tris][..., None]
     stiff = _stiffness_blocks(mesh, rule, np.stack(lagrange_grads_ref(q, rule.points), axis=2), tris)
-    ell = -(_coupling_blocks(q, space, tris) @ diff[..., None])[..., 0]
+    ell = -space.to_ref(diff, tris) @ _coupling_reference(q, p).T
     flat = row * nn + loc
     S = _sum_into((n, nn, nn), flat[..., :, None] * nn + loc[..., None, :], stiff)
     ell = _sum_into((n, nn), flat, ell)

@@ -19,7 +19,7 @@ import scipy.sparse as sp
 
 from . import polys
 from .elements import (
-    _coupling_blocks,
+    _coupling_reference,
     _stiffness_blocks,
     lagrange_bary,
     lagrange_grads_ref,
@@ -237,9 +237,8 @@ def solve_ls_mixed(prob: PoissonProblem, p: int, q: int):
     # D = B^T B is (div, div) on conforming dofs thanks to the orthonormal
     # scalar basis; G couples fluxes with potential gradients
     D = (B.T @ B).tocsr()
-    G = assemble_csr(
-        ls._elem_nodes, space.dof_map, _coupling_blocks(ls.q, space), (ls.n_nodes, space.ndof)
-    )
+    blocks = space.rows_to_elem(_coupling_reference(q, p)[None])
+    G = assemble_csr(ls._elem_nodes, space.dof_map, blocks, (ls.n_nodes, space.ndof))
     S = _lagrange_stiffness(ls, quad_rule(2 * q))
     fr = ls.free_index
     A = sp.bmat(

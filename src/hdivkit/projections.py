@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 
 from . import polys
-from .elements import edge_dof_values, hat_operators, rtn_space
+from .elements import edge_dof_values, hat_operators, rtn_space, scalar_moments
 from .quadpolicy import QuadGroup, QuadPolicy
 from .quadrature import gauss01
 
@@ -79,7 +79,8 @@ class BrokenRTNField:
         return self.coeffs[tris]
 
     def div(self) -> ScalarPWField:
-        return ScalarPWField(self.mesh, self.p, (self.space.Bdiv @ self.coeffs[:, :, None])[:, :, 0])
+        sp = self.space
+        return ScalarPWField(self.mesh, self.p, sp.to_ref(self.coeffs) @ sp.D_ref.T / np.sqrt(sp.detB)[:, None])
 
     def norm(self):
         return float(np.sqrt(np.sum(self.coeffs * (self.space.M @ self.coeffs[:, :, None])[:, :, 0])))
@@ -104,14 +105,14 @@ def _scalar_values(f, mesh, group):
     return group.call(f)
 
 
-def quadrature_self_check(coeffs, values_on, space, policy, warnings):
-    """Degree-doubling self-check of scalar moments ``coeffs`` (nt, sdim): the
-    same moments on the policy's check groups, from ``values_on(group)``;
+def quadrature_self_check(coeffs, values_on, mesh, p, policy, warnings):
+    """Degree-doubling self-check of scalar P_p moments ``coeffs`` (nt, sdim):
+    the same moments on the policy's check groups, from ``values_on(group)``;
     every element whose moments move by more than 1e-9 relative gets a
     warning, in element order."""
     err = np.zeros(len(coeffs))
-    for g in policy.check_groups(space.mesh):
-        ref = space.scalar_moments(g, values_on(g))
+    for g in policy.check_groups(mesh):
+        ref = scalar_moments(mesh, p, g, values_on(g))
         scale = np.maximum(np.linalg.norm(ref, axis=1), 1e-300)
         err[g.tris] = np.linalg.norm(coeffs[g.tris] - ref, axis=1) / scale
     warnings += [
@@ -125,11 +126,10 @@ def project_scalar(f, p, mesh, *, policy=None, quad_degree=None, warnings=None):
 
     ``f`` is a plain evaluator pts -> values, an object with
     ``eval_element(k, pts)``, or a ScalarPWField.  The returned coefficients
-    are the moments against the orthonormal element bases; with the
-    policy's self-check, elements whose moments move on the doubled rule are
-    listed in ``warnings``.
+    are the moments against the orthonormal element bases, which need only
+    det B_k, not the RTN tables; with the policy's self-check, elements
+    whose moments move on the doubled rule are listed in ``warnings``.
     """
-    space = rtn_space(mesh, p)
     if policy is None:
         pd = f.p if isinstance(f, ScalarPWField) else getattr(f, "poly_degree", None)
         policy = QuadPolicy(p, field=None, degree=quad_degree)
@@ -139,10 +139,10 @@ def project_scalar(f, p, mesh, *, policy=None, quad_degree=None, warnings=None):
         policy.singularity = getattr(f, "singularity", None)
     out = ScalarPWField(mesh, p)
     for g in policy.groups(mesh):
-        out.coeffs[g.tris] = space.scalar_moments(g, _scalar_values(f, mesh, g))
+        out.coeffs[g.tris] = scalar_moments(mesh, p, g, _scalar_values(f, mesh, g))
     if policy.self_check:
         values_on = partial(_scalar_values, f, mesh)
-        quadrature_self_check(out.coeffs, values_on, space, policy, [] if warnings is None else warnings)
+        quadrature_self_check(out.coeffs, values_on, mesh, p, policy, [] if warnings is None else warnings)
     return out
 
 

@@ -211,7 +211,7 @@ def project_hdiv(
     for g, _, dvals in policy.samples(v, mesh):
         pi_div[g.tris] = space.scalar_moments(g, dvals)
     if policy.self_check:
-        quadrature_self_check(pi_div, lambda g: g.eval(v, div=True), space, policy, info.warnings)
+        quadrature_self_check(pi_div, lambda g: g.eval(v, div=True), mesh, p, policy, info.warnings)
     num = np.linalg.norm(sigma.div().coeffs - pi_div)
     den = np.linalg.norm(pi_div)
     floor = theta.norm() * (p + 1) / mesh.h_max

@@ -58,14 +58,30 @@ class StudyConfig:
     run_projector: bool = True
 
     def validate(self):
-        if self.refinements < 1:
-            raise ConfigError("refinement count must be >= 1")
-        if self.variant not in ("def31", "def52"):
-            raise ConfigError(f"unknown variant {self.variant!r}")
-        if self.quad_degree is not None and self.quad_degree < 0:
-            raise ConfigError(f"quadrature degree must be >= 0, got {self.quad_degree}")
-        if not (isinstance(self.seed, int) and self.seed >= 0):
-            raise ConfigError(f"seed must be an integer >= 0, got {self.seed!r}")
+        """Raise ConfigError for a field of the wrong type or out of range."""
+
+        def integer(x, low=0):
+            return isinstance(x, int) and not isinstance(x, bool) and x >= low
+
+        rules = {
+            "field": (isinstance(self.field, str), "a string"),
+            "field_params": (isinstance(self.field_params, dict), "an object"),
+            "mesh": (isinstance(self.mesh, str), "a string"),
+            "labels": (self.labels is None or isinstance(self.labels, str), "a string"),
+            "refinements": (integer(self.refinements, 1), "an integer >= 1"),
+            "degrees": (isinstance(self.degrees, (list, tuple)) and len(self.degrees) > 0 and
+                        all(map(integer, self.degrees)), "a nonempty list of integers >= 0"),
+            "variant": (self.variant in ("def31", "def52"), "def31 or def52"),
+            "quad_degree": (self.quad_degree is None or integer(self.quad_degree), "an integer >= 0"),
+            "tol": (not isinstance(self.tol, bool) and isinstance(self.tol, (int, float)) and self.tol >= 0,
+                    "a number >= 0"),
+            "seed": (integer(self.seed), "an integer >= 0"),
+            "out_dir": (isinstance(self.out_dir, str), "a string"),
+            "run_projector": (isinstance(self.run_projector, bool), "true or false"),
+        }
+        for name, (ok, need) in rules.items():
+            if not ok:
+                raise ConfigError(f"{name} must be {need}, got {getattr(self, name)!r}")
 
     @classmethod
     def from_json(cls, path):

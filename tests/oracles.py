@@ -1,7 +1,8 @@
 """Brute-force reference implementations, kept independent of the library's
 solve paths: exact monomial integrals, rational Gram-Schmidt reference bases,
 the per-element evaluation, dof and moment methods (``ElementOracle``) and
-the element-by-element canonical interpolant,
+the element-by-element canonical interpolant, the stored element-table
+stacks C_k, M_k and Bdiv_k of the closed formulas,
 per-element dual bases by quadrature and a dense solve, per-element error
 and fit loops, normal-equation least squares, null-space constrained
 minimization, per-site COO assembly loops, patch equilibration data taken
@@ -22,9 +23,12 @@ from hdivkit import polys
 from hdivkit.elements import (
     _REF_VERTS,
     ElementRTN,
+    _dof_scaling,
     barycentric,
     edge_dof_values,
     hat_operators,
+    reference_dual,
+    rtn_reference,
     rtn_space,
     scalar_basis,
 )
@@ -376,6 +380,27 @@ def element_tables_oracle(el, extra=0):
     ) / el.detB
     M = C.T @ Mtil @ C
     return C, (M + M.T) / 2, (ref.div_rows @ C) / np.sqrt(el.detB)
+
+
+def stacked_tables_oracle(mesh, p):
+    """(C, M, Bdiv) stacked over the elements of ``mesh`` by the closed
+    formulas, each table stored whole:
+      C_k    = C_ref T_k^{-1}                                 (n, nprim, ndof)
+      M_k    = C_k^T (S_00 G_xx + S_01 (G_xy + G_xy^T) + S_11 G_yy) C_k / det B_k
+      Bdiv_k = div_rows C_k / sqrt(det B_k)                   (n, sdim, ndof)
+    with S_k = B_k^T B_k and the dof scaling T_k of ``elements._dof_scaling``."""
+    edge, _, Tinv = _dof_scaling(mesh, p)
+    n, ne, C_ref, ref = mesh.num_triangles, 3 * (p + 1), reference_dual(p), rtn_reference(p)
+    C = np.empty((n,) + C_ref.shape)
+    C[:, :, :ne] = C_ref[:, :ne] / edge[:, None, :]
+    interior = np.einsum("rci,kcd->krdi", C_ref[:, ne:].reshape(len(C_ref), 2, -1), Tinv)
+    C[:, :, ne:] = interior.reshape(n, len(C_ref), -1)
+    S = np.swapaxes(mesh.B, 1, 2) @ mesh.B
+    gram = np.stack([ref.gram_xx, ref.gram_xy + ref.gram_xy.T, ref.gram_yy])
+    coef = np.stack([S[:, 0, 0], S[:, 0, 1], S[:, 1, 1]], axis=1) / mesh.detB[:, None]
+    Mtil = (coef @ gram.reshape(3, -1)).reshape(n, *gram.shape[1:])
+    M = np.swapaxes(C, 1, 2) @ Mtil @ C
+    return C, (M + np.swapaxes(M, 1, 2)) / 2, (ref.div_rows @ C) / np.sqrt(mesh.detB)[:, None, None]
 
 
 def hat_values(patch, mesh, k, pts):
@@ -1174,7 +1199,8 @@ def project_hdiv_oracle(v, p, mesh, *, variant="def31", measure_stability=False,
         dofs[prob.pspace.dofs] += s
     div_of_v = _DivOf(v)
     pi_div = project_scalar_oracle(div_of_v, p, mesh, policy, out["warnings"]).coeffs
-    div_sigma = (space.Bdiv @ dofs[space.dof_map][:, :, None])[:, :, 0]
+    Bdiv = stacked_tables_oracle(mesh, p)[2]
+    div_sigma = (Bdiv @ dofs[space.dof_map][:, :, None])[:, :, 0]
     out["dofs"] = dofs
     out["commute_abs"] = np.linalg.norm(div_sigma - pi_div)
     out["commute_scale"] = max(np.linalg.norm(pi_div), theta.norm() * (p + 1) / mesh.h_max, 1e-300)

@@ -1,6 +1,8 @@
 import json
 import re
+import runpy
 import shlex
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,6 +78,14 @@ def test_mesh_gen_and_inspect(tmp_path, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["triangles"] == 8
     assert out["dirichlet_edges"] == 8
+
+
+def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["hdivkit", "mesh", "inspect", "--mesh", "structured:2"])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_module("hdivkit", run_name="__main__")
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out)["triangles"] == 8
 
 
 @pytest.mark.parametrize(
@@ -193,9 +203,11 @@ def test_bad_field_spec_is_one_line_error(capsys):
 @pytest.mark.parametrize(
     "text",
     ['{"threads": 2}', '{"refinements": 0}', '{"quad_degree": -3}', "[1]", "{not json",
-     '{"seed": -1}', '{"field_params": {"alpa": 0.5}, "field": "lshape_singular"}'],
+     '{"seed": -1}', '{"field_params": {"alpa": 0.5}, "field": "lshape_singular"}',
+     '{"degrees": [-1]}', '{"refinements": "2"}', '{"tol": "x"}', '{"mesh": 3}', '{"degrees": []}'],
     ids=["unknown-key", "bad-value", "negative-quad-degree", "not-object", "not-json",
-         "negative-seed", "unknown-field-param"],
+         "negative-seed", "unknown-field-param", "negative-degree", "string-refinements",
+         "string-tol", "integer-mesh", "no-degrees"],
 )
 def test_bad_study_config_is_one_line_error(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"

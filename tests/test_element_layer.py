@@ -1,9 +1,11 @@
 """The element layer from one reference element against per-element oracles.
 
-``RTNSpace`` stacks C_k = C_ref T_k^{-1}, M_k and Bdiv_k over the mesh and
-``QuadPolicy.groups`` batches the quadrature; ``tests/oracles.py`` keeps the
-per-element paths: a dual basis by quadrature and a dense solve on every
-element, and error and fit loops one element at a time.
+``RTNSpace`` stores M_k and the dof scaling T_k and applies C_ref and
+D_ref = div_rows C_ref through T_k^{-1}; ``QuadPolicy.groups`` batches the
+quadrature.  ``tests/oracles.py`` keeps the stored stacks C_k, M_k and
+Bdiv_k of the closed formulas and the per-element paths: a dual basis by
+quadrature and a dense solve on every element, and error and fit loops one
+element at a time.
 """
 
 import ast
@@ -16,7 +18,8 @@ import pytest
 import oracles
 from hdivkit import fields
 from hdivkit.best_approx import error_report, global_best, local_best
-from hdivkit.elements import rtn_space
+from hdivkit.elements import _coupling_reference, lagrange_grads_ref, rtn_space
+from hdivkit.linsolve import assemble_csr
 from hdivkit.mesh import Mesh, build_lshape, build_structured
 from hdivkit.model_problems import (
     LagrangeSpace,
@@ -27,6 +30,7 @@ from hdivkit.model_problems import (
     potential_h1_error,
     solve_mixed,
 )
+from hdivkit.projections import BrokenRTNField
 from hdivkit.projector import random_conforming_field
 from hdivkit.quadpolicy import QuadPolicy
 from hdivkit.quadrature import quad_rule
@@ -68,12 +72,67 @@ def test_stacked_tables_and_views_match_quadrature_dual(mesh, p):
     for k, el in enumerate(space.elements):
         want = oracles.element_tables_oracle(el)
         spread = [_rel(a, b) for a, b in zip(oracles.element_tables_oracle(el, extra=3), want)]
-        for got, w, s in zip((space.C[k], space.M[k], space.Bdiv[k]), want, spread):
+        for got, w, s in zip((el.C, el.M, el.Bdiv), want, spread):
             assert _rel(got, w) <= max(1e-13, s)
-        assert el.C is not None and np.array_equal(el.M, space.M[k])
-        assert np.array_equal(el.Bdiv, space.Bdiv[k]) and np.array_equal(el.C, space.C[k])
+        assert np.array_equal(el.M, space.M[k])
         assert np.array_equal(space.dof_map[k], space.element_dof_map(k))
     assert space.elements[3] is space.elements[3]  # views are memoized
+
+
+def _rel_rows(got, want):
+    """Largest relative difference of one element's rows (leading axis)."""
+    d = np.reshape(got, (len(want), -1)) - np.reshape(want, (len(want), -1))
+    w = np.linalg.norm(np.reshape(want, (len(want), -1)), axis=1)
+    return float(np.max(np.linalg.norm(d, axis=1) / np.maximum(w, 1e-300)))
+
+
+@pytest.mark.parametrize("p", range(7))
+def test_applied_tables_match_the_stored_stacks(mesh, p):
+    # the space stores M_k and T_k and applies C_ref and D_ref; the oracle
+    # keeps C_k, M_k and Bdiv_k stored whole by the closed formulas
+    space = rtn_space(mesh, p)
+    C, M, Bdiv = oracles.stacked_tables_oracle(mesh, p)
+    assert _rel_rows(space.M, M) <= 1e-13
+    assert _rel_rows([el.C for el in space.elements], C) <= 1e-13
+    assert _rel_rows([el.Bdiv for el in space.elements], Bdiv) <= 1e-13
+    rng = np.random.default_rng(p)
+    c = rng.standard_normal((mesh.num_triangles, space.ref.dim))
+    assert _rel_rows(BrokenRTNField(mesh, p, c).div().coeffs, (Bdiv @ c[:, :, None])[:, :, 0]) <= 1e-13
+    for g in QuadPolicy(p, field=fields.catalog("sine_divfree")).groups(mesh):
+        t, prim = g.tris, g.prim(p)
+        Bt = np.swapaxes(mesh.B[t], 1, 2) / mesh.detB[t, None, None]
+        want = g.combine((C[t] @ c[t, :, None])[:, :, 0], prim) @ Bt
+        assert _rel_rows(space.values(g, c[t]), want) <= 1e-13
+        want = space.scalar_values(g, (Bdiv[t] @ c[t, :, None])[:, :, 0])
+        assert _rel_rows(space.div_values(g, c[t]), want) <= 1e-13
+        vals = rng.standard_normal(g.pts.shape)
+        F = vals @ mesh.B[t] * (g.w / mesh.detB[t, None])[:, :, None]
+        want = (g.contract(prim, F)[:, None, :] @ C[t])[:, 0]
+        assert _rel_rows(space.moments(g, vals), want) <= 1e-13
+    for q in (1, 2, p + 2):
+        rule = quad_rule(q + p)
+        grads = np.stack(lagrange_grads_ref(q, rule.points), axis=2)
+        ref = np.einsum("q,nqd,iqd->ni", rule.weights, grads, space.ref.eval(rule.points))
+        assert _rel_rows(space.rows_to_elem(_coupling_reference(q, p)[None]), ref @ C) <= 1e-13
+    Mc, Bc, free = space.conforming_blocks()
+    pos = -np.ones(space.ndof, dtype=int)
+    pos[free] = np.arange(len(free))
+    dofs, rows = pos[space.dof_map], np.arange(Bdiv[:, :, 0].size).reshape(Bdiv.shape[:2])
+    wants = (assemble_csr(dofs, dofs, M, Mc.shape), assemble_csr(rows, dofs, Bdiv, Bc.shape))
+    for got, want in zip((Mc, Bc), wants):
+        assert abs(got - want).max() <= 1e-13 * abs(want).max()
+
+
+def test_space_stores_no_table_beyond_the_mass_matrix():
+    # besides M, what an RTN space keeps per element is its dof scaling, its
+    # geometry and its dof map: no array of C_k or Bdiv_k size
+    m, p = build_structured(4), 6
+    space = rtn_space(m, p)
+    arrays = {k: v for k, v in vars(space).items() if isinstance(v, np.ndarray) and k != "M"}
+    assert "dof_map" in arrays and "_ref" in arrays
+    assert not hasattr(space, "C") and not hasattr(space, "Bdiv")
+    big = [k for k, v in arrays.items() if v.size > 3 * space.ref.dim * m.num_triangles]
+    assert big == []
 
 
 def _scoped_nodes(tree):

@@ -167,7 +167,7 @@ def test_divergence_exactness(unit_square_2, cubic_field):
             kern[:, 0] = np.sqrt(m.area[patch.tris])
             want = want - kern * np.sum(kern * want) / np.sum(kern * kern)
         for t_idx, k in enumerate(patch.tris):
-            got = space.Bdiv[k] @ sc[t_idx]
+            got = space.elements[k].Bdiv @ sc[t_idx]
             assert np.abs(got - want[t_idx]).max() < 1e-11 * scale
 
 

@@ -243,3 +243,20 @@ def test_scalar_evaluation_builds_no_rtn_tables():
     space = rtn_space(m, p)
     assert np.array_equal(vals, space.scalar_values(group, f.coeffs[group.tris]))
     assert np.array_equal(at_k, space.scalar_values(QuadGroup.points_on(m, k, pts), f.coeffs[[k]])[0])
+
+
+def test_project_scalar_builds_no_rtn_tables():
+    # scalar moments need only det B_k: a fresh mesh keeps no RTN space, and
+    # the coefficients equal the moments through the RTN tables bit for bit
+    def f(pts):
+        return np.sin(3 * pts[:, 0]) * np.exp(pts[:, 1])
+
+    p, m, other = 4, build_structured(4), build_structured(4)
+    warnings = []
+    got = project_scalar(f, p, m, warnings=warnings)
+    assert ("rtn_space", p) not in m._cache
+    space = rtn_space(other, p)
+    want = np.empty_like(got.coeffs)
+    for g in QuadPolicy(p).groups(other):
+        want[g.tris] = space.scalar_moments(g, g.call(f))
+    assert np.array_equal(got.coeffs, want) and warnings == []
