@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .elements import rtn_space
-from .linsolve import hybrid_saddle_solve, solve_stacked
+from .linsolve import element_solve, hybrid_saddle_solve
 from .local_solve import constrained_fit
 from .projector import ConformingRTNField, check_field_compatibility
 from .quadpolicy import QuadPolicy
@@ -24,9 +24,9 @@ from .quadpolicy import QuadPolicy
 
 def _local_fits(v, p, mesh, policy, tris=None, constrained=False):
     """Local best approximations on the elements ``tris`` (default: all),
-    batched over the policy's quadrature groups: stacked solves of the
-    element mass matrices, or of the element KKT systems with the
-    divergence constraint.  Arrays in the order of ``tris``."""
+    batched over the policy's quadrature groups: element mass solves, or
+    element KKT solves with the divergence constraint, by
+    ``linsolve.element_solve``.  Arrays in the order of ``tris``."""
     space = rtn_space(mesh, p)
     tris = np.arange(mesh.num_triangles) if tris is None else np.asarray(tris, int)
     pos = np.empty(mesh.num_triangles, int)
@@ -38,7 +38,8 @@ def _local_fits(v, p, mesh, policy, tris=None, constrained=False):
         if constrained:
             c = constrained_fit(space, g, vvals, dvvals)
         else:
-            c = solve_stacked(space.M[g.tris], space.moments(g, vvals))
+            f = space.moments(g, vvals)[:, :, None]
+            c = element_solve(space, f, np.empty((len(f), 0, 1)), g.tris)[0][:, :, 0]
         r = pos[g.tris]
         coeffs[r] = c
         l2[r] = np.sqrt(g.norm_sq(vvals - space.values(g, c)))

@@ -29,13 +29,14 @@ solver and the patch stability surrogate.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import polys
-from .linsolve import assemble_csr
+from .linsolve import SingularSystemError, assemble_csr
 from .quadrature import gauss01, quad_rule
 
 
@@ -204,6 +205,19 @@ def reference_dual(p: int) -> np.ndarray:
     return C
 
 
+@lru_cache(maxsize=None)
+def reference_mass(p: int) -> np.ndarray:
+    """H_i = C_ref^T G_i C_ref for the reference Gram blocks G_xx, G_xy + G_xy^T,
+    G_yy: A(c) = sum_i c_i H_i is the mass matrix of the affine class c."""
+    ref, C = rtn_reference(p), reference_dual(p)
+    H = np.stack([C.T @ G @ C for G in (ref.gram_xx, ref.gram_xy + ref.gram_xy.T, ref.gram_yy)])
+    H.flags.writeable = False
+    return H
+
+
+ClassTables = namedtuple("ClassTables", "cls coef kkt mass")
+
+
 # -- stacked element tables -------------------------------------------------------------
 
 
@@ -234,13 +248,19 @@ class RTNSpace:
     Each triangle's vertex order (``mesh.triangles``) directs its edges
     lower -> higher entry.  Stored per element: the dof scaling T_k of
     ``_dof_scaling``, ``dof_map`` and, with S_k = B_k^T B_k, the mass matrix
-      M_k = T_k^{-T} (sum_i c_ki H_i) T_k^{-1},  c_k = (S_00, S_01, S_11) / det B_k,
-    H_i = C_ref^T G_i C_ref for the reference Gram blocks G_xx, G_xy + G_xy^T, G_yy.
+      M_k = T_k^{-T} A(c_k) T_k^{-1},  A(c) = sum_i c_i H_i,
+      c_k = (S_00, S_01, S_11) / det B_k,
+    H_i of ``reference_mass``.
     C_k = C_ref T_k^{-1} and Bdiv_k = D_ref T_k^{-1} / sqrt(det B_k) (D_ref =
     div_rows C_ref) are applied, not stored: the reference matrices act on
     ``to_ref`` rows or, transposed, through ``rows_to_elem``.  Fields are
     evaluated, and their moments taken, at the points of a
     ``quadpolicy.QuadGroup``; ``elements`` gives lazy single-element views.
+
+    Elements with bitwise-equal c_k (an affine class) share A(c) and
+    K(c) = [[A(c), D_ref^T], [D_ref, 0]]: ``class_tables`` holds their
+    inverses, built on first use and cached; ``linsolve.element_solve``
+    applies them, mapping data in and solutions out through T_k.
 
     Global dofs: edge e owns slots e*(p+1)..e*(p+1)+p; element k owns
     ne*(p+1) + k*p*(p+1) + local interior slots.  Fields with continuous
@@ -269,10 +289,8 @@ class RTNSpace:
         ref, C = self.ref, reference_dual(p)
         self.C_ref, self.D_ref = C, ref.div_rows @ C
         S = np.swapaxes(self.B, 1, 2) @ self.B
-        coef = np.stack([S[:, 0, 0], S[:, 0, 1], S[:, 1, 1]], axis=1) / self.detB[:, None]
-        H = np.stack([C.T @ G @ C for G in (ref.gram_xx, ref.gram_xy + ref.gram_xy.T, ref.gram_yy)])
-        Mref = (coef @ H.reshape(3, -1)).reshape(len(coef), *H.shape[1:])
-        M = self.rows_to_elem(np.swapaxes(self.rows_to_elem(Mref), 1, 2))
+        self.coef = np.stack([S[:, 0, 0], S[:, 0, 1], S[:, 1, 1]], axis=1) / self.detB[:, None]
+        M = self.rows_to_elem(np.swapaxes(self.rows_to_elem(self.mass_ref(self.coef)), 1, 2))
         self.M = (M + np.swapaxes(M, 1, 2)) / 2
         self.elements = _ElementViews(self)
         self.ndof_edge = (p + 1) * mesh.num_edges
@@ -286,6 +304,45 @@ class RTNSpace:
 
     def __len__(self):
         return len(self.detB)
+
+    def mass_ref(self, coef):
+        """A(c) = sum_i c_i H_i for rows c (n, 3); (n, ndof, ndof)."""
+        H = reference_mass(self.p)
+        return (coef @ H.reshape(3, -1)).reshape(len(coef), *H.shape[1:])
+
+    @cached_property
+    def class_tables(self):
+        """``ClassTables``: the class of each element and the c of each class
+        (exact: ``np.unique`` of the bytes of the c_k rows), then (inverse,
+        max |entry|) of each class's K(c) and A(c), stacked.  With N an
+        orthonormal basis of ker D_ref, R = D_ref^+, Q = N (N^T A N)^{-1} N^T
+        and V = R - Q A R: K(c)^{-1} = [[Q, V], [V^T, Y]] with Y = -R^T A V,
+        and A(c)^{-1} = Q - V Y^{-1} V^T."""
+        _, first, cls = np.unique(self.coef.view("V24")[:, 0], return_index=True, return_inverse=True)
+        coef = self.coef[first]
+        U, sv, W = np.linalg.svd(self.D_ref)
+        A, N, R = self.mass_ref(coef), W[len(sv):].T, W[: len(sv)].T / sv @ U.T
+        try:
+            Q = N @ np.linalg.inv(np.swapaxes(A @ N, 1, 2) @ N) @ N.T
+            V = R - Q @ (A @ R)
+            Y = -(R.T @ (A @ V))
+            VYinv = V @ np.linalg.inv(Y)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"class tables: {exc}") from exc
+        Vt = np.swapaxes(V, 1, 2)
+        Kinv = np.concatenate([np.concatenate([Q, V], axis=2), np.concatenate([Vt, Y], axis=2)], axis=1)
+        big = np.abs(A).max(axis=(1, 2))
+        return ClassTables(cls.reshape(-1), coef, (Kinv, np.maximum(big, np.abs(self.D_ref).max())),
+                           (Q - VYinv @ Vt, big))
+
+    def class_product(self, cls, y):
+        """K(c) y, or A(c) y when y has ndof rows, for vectors y (n, size, r)
+        of elements of classes ``cls``."""
+        d, D = self.ref.dim, self.D_ref
+        Ax = self.mass_ref(self.class_tables.coef[cls]) @ y[:, :d]
+        if y.shape[1] == d:
+            return Ax
+        return np.concatenate([Ax + D.T @ y[:, d:], D @ y[:, :d]], axis=1)
 
     def _scale(self, c, F):
         """Rows c (..., ndof) times the block-diagonal maps of the factor rows
@@ -318,6 +375,20 @@ class RTNSpace:
         basis (C_ref, D_ref) as the table against element k's basis."""
         return self._scale(rows, self._ref[tris][..., self._transpose])
 
+    def rows_to_ref(self, rows, tris=slice(None)):
+        """Rows X T_k (on data rows: T_k^T f); inverse of ``rows_to_elem``."""
+        return self._scale(rows, self._phys[tris][..., self._transpose])
+
+    def edge_scale(self, tris=slice(None)):
+        """T_k's diagonal on the 3(p+1) edge dofs; (n, 3(p+1))."""
+        return self._phys[tris, : 3 * (self.p + 1)]
+
+    def div(self, coeffs, tris=slice(None)):
+        """Bdiv_k c_k = D_ref T_k^{-1} c_k / sqrt(det B_k) of coefficient rows
+        (n, ..., ndof), one element per leading index; (n, ..., sdim)."""
+        root = np.sqrt(self.detB[tris]).reshape((-1,) + (1,) * (np.ndim(coeffs) - 1))
+        return self.to_ref(coeffs, tris) @ self.D_ref.T / root
+
     def div_blocks(self, tris=slice(None)):
         """Bdiv_k of the elements ``tris`` (default: all); (n, sdim, ndof)."""
         F = self._ref[tris][..., self._transpose] / np.sqrt(self.detB[tris])[:, None]
@@ -333,10 +404,8 @@ class RTNSpace:
         return ref @ np.swapaxes(self.B[tris], 1, 2) / self.detB[tris, None, None]
 
     def div_values(self, group, coeffs):
-        # through the formed tables, as ``ElementRTN.Bdiv @ c``: D_ref applied
-        # to ``to_ref`` rows rounds differently, which a divergence that
-        # cancels (p = 0) magnifies past 1e-14
-        return self.scalar_values(group, (self.div_blocks(group.tris) @ coeffs[:, :, None])[:, :, 0])
+        """Divergence values of the coefficient rows at the group's points; (n, nq)."""
+        return self.scalar_values(group, self.div(coeffs, group.tris))
 
     def scalar_values(self, group, scoeffs):
         """Values of scalar rows in the orthonormal P_p(K) bases; (n, nq)."""

@@ -1,16 +1,19 @@
 """Dense and sparse solves and the one sparse assembly.
 
-Small dense systems come in stacks (one per element or vertex patch):
+Small dense systems come in stacks (one per patch or surrogate):
 ``solve_stacked`` factorizes each chunk of the stack with one
-``np.linalg.solve`` and checks every system's relative residual;
-``saddle_solve_stacked`` builds the KKT stacks [[M, B^T], [B, 0]] on top of
-it.  A lone dense system goes through LAPACK Bunch-Kaufman (``dense_solve``:
-``sytrf`` and two ``sytrs``, the second one a step of iterative
-refinement).  Saddle problems over several elements are hybridized: the
-element eliminations (``eliminate``) leave an SPD system in edge
-multipliers, mesh-wide in ``hybrid_saddle_solve`` and per vertex patch in
-``local_solve``; every sparse system is SPD and goes through SuperLU in its
-symmetric mode, refined once.
+``np.linalg.solve`` and checks every system's relative residual.  Element
+systems are solved once per affine class (``element_solve``): the mass and
+KKT systems of an element are T_k-conjugates of reference systems that
+depend only on c_k, whose inverses the ``RTNSpace`` keeps per class; each
+call maps its data in, applies the class inverses and checks the residuals
+in the reference frame.  A lone dense system goes through LAPACK
+Bunch-Kaufman (``dense_solve``: ``sytrf`` and two ``sytrs``, the second
+one a step of iterative refinement).  Saddle problems over several elements
+are hybridized: the element eliminations (``eliminate``) leave an SPD
+system in edge multipliers, mesh-wide in ``hybrid_saddle_solve`` and per
+vertex patch in ``local_solve``; every sparse system is SPD and goes
+through SuperLU in its symmetric mode, refined once.
 ``assemble_csr`` is the single place where element blocks are summed into a
 global sparse matrix.
 """
@@ -63,6 +66,17 @@ def chunks(n, item_bytes):
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
+def _check_residuals(r, b, x, size, name):
+    """Relative residuals |r_k| / max(|b_k|, size_k |x_k|) of stacked
+    systems (norms over the trailing axes); raises SingularSystemError for
+    the worst (NaN first), ``name(k)``, above 1e-8."""
+    scale = np.maximum(np.linalg.norm(b, axis=(1, 2)), size * np.linalg.norm(x, axis=(1, 2)))
+    res = np.linalg.norm(r, axis=(1, 2)) / np.maximum(scale, 1e-300)
+    if res.size and not res.max() <= 1e-8:
+        worst = int(np.argmax(np.where(np.isnan(res), np.inf, res)))
+        raise SingularSystemError(f"dense solve residual {res[worst]:.2e} ({name(worst)})")
+
+
 def solve_stacked(A, b):
     """Solve stacked systems A[k] x[k] = b[k], b (n, d) or a block (n, d, r):
     one LU-factorizing ``np.linalg.solve`` per chunk of ``STACK_BYTES`` and
@@ -71,58 +85,66 @@ def solve_stacked(A, b):
     b = np.asarray(b, float)
     rhs = b[..., None] if b.ndim == 2 else b
     x = np.empty_like(rhs)
-    res = np.zeros(len(b))
     for sl in chunks(len(A), A[0].nbytes if len(A) else 1):
         try:
             x[sl] = np.linalg.solve(A[sl], rhs[sl])
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"stacked solve failed: {exc}") from exc
-        r = rhs[sl] - A[sl] @ x[sl]
         size = np.maximum(A[sl].max(axis=(1, 2)), -A[sl].min(axis=(1, 2)))
-        scale = np.maximum(np.linalg.norm(rhs[sl], axis=(1, 2)), size * np.linalg.norm(x[sl], axis=(1, 2)))
-        res[sl] = np.linalg.norm(r, axis=(1, 2)) / np.maximum(scale, 1e-300)
-    if res.size and not res.max() <= 1e-8:
-        worst = int(np.argmax(np.where(np.isnan(res), np.inf, res)))
-        raise SingularSystemError(f"dense solve residual {res[worst]:.2e} (system {worst})")
+        _check_residuals(rhs[sl] - A[sl] @ x[sl], rhs[sl], x[sl], size, lambda i: f"system {sl.start + i}")
     return x[..., 0] if b.ndim == 2 else x
 
 
-def saddle_solve_stacked(M, B, rhs, g):
-    """Minimize 1/2 x^T M[k] x - rhs[k]^T x subject to B[k] x = g[k] for every k.
+def element_solve(space, f, g, tris):
+    """(x, u) of the element systems of ``tris`` (index array) against data
+    f (n, ndof, r), g (n, m, r): m = sdim, [[M_k, Bdiv_k^T], [Bdiv_k, 0]]
+    [x; u] = [f; g]; m = 0, M_k x = f.  In the reference frame, x = T_k x^
+    and u = sqrt(det B_k) u^ solve K(c_k) (or A(c_k)) against
+    [T_k^T f; sqrt(det B_k) g]: the space's class tables are applied by
+    gathered matmuls, a chunk of ``STACK_BYTES`` at a time, and every
+    system's residual is checked there as in ``solve_stacked``."""
+    tables = space.class_tables
+    inv, big = tables.kkt if g.shape[1] else tables.mass
+    d, r = f.shape[1:]
+    size, cls = d + g.shape[1], tables.cls[tris]
+    root = np.sqrt(space.detB[tris])[:, None, None]
+    x, u = np.empty(f.shape), np.empty(g.shape)
+    for sl in chunks(len(tris), 8 * size * (size + 4 * r)):
+        fr = np.swapaxes(space.rows_to_ref(np.swapaxes(f[sl], 1, 2), tris[sl]), 1, 2)
+        b = np.concatenate([fr, root[sl] * g[sl]], axis=1)
+        y = inv[cls[sl]] @ b
+        _check_residuals(b - space.class_product(cls[sl], y), b, y, big[cls[sl]],
+                         lambda i: f"system of element {tris[sl][i]}, class {cls[sl][i]}")
+        x[sl] = np.swapaxes(space.to_phys(np.swapaxes(y[:, :d], 1, 2), tris[sl]), 1, 2)
+        u[sl] = root[sl] * y[:, d:]
+    return x, u
 
-    ``M`` (n, d, d), ``B`` (n, m, d); returns (x (n, d), multipliers (n, m)),
-    each with a trailing axis r for a block of data rhs (n, d, r), g (n, m, r).
-    The KKT stack is built and solved a chunk at a time.
-    """
-    M, B = np.asarray(M, float), np.asarray(B, float)
-    rhs, g = np.asarray(rhs, float), np.asarray(g, float)
-    n, m, d = B.shape
-    size = d + m
-    sol = np.empty((n, size) + rhs.shape[2:])
-    for sl in chunks(n, 8 * size * size):
-        K = np.zeros((len(M[sl]), size, size))
-        K[:, :d, :d] = M[sl]
-        K[:, d:, :d] = B[sl]
-        K[:, :d, d:] = np.swapaxes(B[sl], 1, 2)
-        sol[sl] = solve_stacked(K, np.concatenate([rhs[sl], g[sl]], axis=1))
-    return sol[:, :d], sol[:, d:]
 
-
-def eliminate(space, Bdiv, rhs, g, tris=None):
-    """The element half of a hybridization on ``tris`` (default: all), whose
-    divergence tables ``Bdiv`` the caller forms (``RTNSpace.div_blocks``):
-    stacked solves of K_k = [[M_k, Bdiv_k^T], [Bdiv_k, 0]] against the data columns
-    rhs (n, ndof, r), g (n, sdim, r), then against [E_k^T; 0], the unit
-    columns of the 3(p+1) edge dofs signed +1 on the ``edge_tris[e, 0]`` side.
+def eliminate(space, rhs, g, tris=None):
+    """The element half of a hybridization on ``tris`` (default: all): the
+    element KKT systems against the data rhs (n, ndof, r), g (n, sdim, r)
+    (``element_solve``) and against [E_k^T; 0], the unit columns of the
+    3(p+1) edge dofs signed +1 on the ``edge_tris[e, 0]`` side.  Mapped in,
+    those are unit columns times sgn_k T_k's edge diagonal, so their
+    solutions are the class table's edge columns, scaled: no solve.
     Returns (signs (n, 3(p+1)), flux parts X, multiplier parts U), with
     r + 3(p+1) columns: edge multipliers mu give X[..., :r] - X[..., r:] mu."""
-    mesh, ne = space.mesh, 3 * (space.p + 1)
-    tris = slice(None) if tris is None else tris  # a slice takes no copy of M
-    own = mesh.edge_tris[mesh.tri_edges[tris], 0] == np.arange(mesh.num_triangles)[tris, None]
-    sgn = np.repeat(np.where(own, 1.0, -1.0), space.p + 1, axis=1)
-    F = np.concatenate([rhs, np.eye(rhs.shape[1], ne) * sgn[:, None, :]], axis=2)
-    G = np.concatenate([g, np.zeros(g.shape[:2] + (ne,))], axis=2)
-    return (sgn, *saddle_solve_stacked(space.M[tris], Bdiv, F, G))
+    mesh, p, d = space.mesh, space.p, space.ref.dim
+    ne, r = 3 * (p + 1), rhs.shape[2]
+    tris = np.arange(mesh.num_triangles) if tris is None else np.asarray(tris)
+    own = mesh.edge_tris[mesh.tri_edges[tris], 0] == tris[:, None]
+    sgn = np.repeat(np.where(own, 1.0, -1.0), p + 1, axis=1)
+    X = np.empty((len(tris), d, r + ne))
+    U = np.empty((len(tris), space.sdim, r + ne))
+    X[:, :, :r], U[:, :, :r] = element_solve(space, rhs, g, tris)
+    inv, cls = space.class_tables.kkt[0], space.class_tables.cls[tris]
+    w = (sgn * space.edge_scale(tris))[:, None, :]
+    root = np.sqrt(space.detB[tris])[:, None, None]
+    for sl in chunks(len(tris), 16 * (d + space.sdim) * ne):
+        E = inv[cls[sl], :, :ne] * w[sl]
+        X[sl, :, r:] = np.swapaxes(space.to_phys(np.swapaxes(E[:, :d], 1, 2), tris[sl]), 1, 2)
+        U[sl, :, r:] = root[sl] * E[:, d:]
+    return sgn, X, U
 
 
 def assemble_csr(rows, cols, blocks, shape):
@@ -170,9 +192,9 @@ def hybrid_saddle_solve(space, rhs, g):
     space, from element moments ``rhs`` (nt, ndof) and data ``g`` (nt, sdim).
 
     One multiplier per dof of each interior and Neumann edge enforces the
-    normal continuity (+1 on the ``edge_tris[e, 0]`` side); stacked element
-    KKT solves against [F_k | E_k^T] leave the SPD system sum_k E_k
-    (K_k^-1)_ss E_k^T.  Without a Dirichlet edge, g is made compatible, one
+    normal continuity (+1 on the ``edge_tris[e, 0]`` side); the element
+    eliminations against [F_k | E_k^T] (``eliminate``) leave the SPD system
+    sum_k E_k (K_k^-1)_ss E_k^T.  Without a Dirichlet edge, g is made compatible, one
     lowest-order multiplier is grounded and u is made orthogonal to the
     constants.  Returns (s (ndof,), u (nt, sdim), info: ``kkt_residual`` and
     ``div_defect`` of the conforming system, ``system_size``, ``nnz_lu``).
@@ -187,8 +209,7 @@ def hybrid_saddle_solve(space, rhs, g):
     k0 = np.sqrt(mesh.area)  # the constant multiplier mode of a pure Neumann problem
     if grounded:
         g[:, 0] -= k0 * (k0 @ g[:, 0]) / (k0 @ k0)
-    Bdiv = space.div_blocks()
-    sgn, X, U = eliminate(space, Bdiv, rhs[:, :, None], g[:, :, None])
+    sgn, X, U = eliminate(space, rhs[:, :, None], g[:, :, None])
     EX = sgn[:, :, None] * X[:, :ne]  # E_k applied to every solution column
     S = (EX[:, :, 1:] + np.swapaxes(EX[:, :, 1:], 1, 2)) / 2  # E_k (K_k^-1)_ss E_k^T
     factor = SparseFactor(assemble_csr(lam, lam, S, (n, n)))
@@ -201,8 +222,10 @@ def hybrid_saddle_solve(space, rhs, g):
     free[space.neumann_edge_dofs()] = 0.0
     # the two sides of an edge agree to roundoff: take their mean
     s = free * np.bincount(flat, sk.ravel(), space.ndof) / np.bincount(flat, minlength=space.ndof)
-    res = np.einsum("kij,kj->ki", space.M, s[dofs]) + np.einsum("kmi,km->ki", Bdiv, u) - rhs
-    div = np.einsum("kmi,ki->km", Bdiv, s[dofs]) - g
+    # Bdiv_k^T u_k, as the row u_k^T D_ref T_k^{-1} / sqrt(det B_k)
+    Bu = space.rows_to_elem(u @ space.D_ref / np.sqrt(space.detB)[:, None])
+    res = np.einsum("kij,kj->ki", space.M, s[dofs]) + Bu - rhs
+    div = space.div(s[dofs]) - g
     b = np.concatenate([free * np.bincount(flat, rhs.ravel(), space.ndof), g.ravel()])
     r = np.concatenate([free * np.bincount(flat, res.ravel(), space.ndof), div.ravel()])
     return s, u, {

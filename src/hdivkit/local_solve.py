@@ -20,7 +20,8 @@ patch-continuous P_{p+2} functions, against which the patch correction is
 measured (``patch_stability_ratio``).
 
 All three steps are stacked dense solves: the element fits over the
-quadrature groups of a ``QuadPolicy``, the patch problems and their
+quadrature groups of a ``QuadPolicy`` (per affine class, by
+``linsolve.element_solve``), the patch problems and their
 surrogates over the signature groups of the ``PatchLayout`` (patches with
 equal dof count, triangle count and kernel give systems of one size).
 The surrogate numbers its nodes by the mesh's continuous P_{p+2} numbering
@@ -44,7 +45,7 @@ from .elements import (
     lagrange_nodes,
     rtn_space,
 )
-from .linsolve import chunks, eliminate, saddle_solve_stacked, solve_stacked
+from .linsolve import chunks, element_solve, eliminate, solve_stacked
 from .mesh import DIRICHLET
 from .projections import BrokenRTNField, hat_interpolants
 from .quadpolicy import QuadPolicy
@@ -57,12 +58,11 @@ class CompatibilityError(RuntimeError):
 
 def constrained_fit(space, group, vals, dvals):
     """Divergence-constrained L2 fits in ``space`` on the elements of a
-    quadrature group, from field and divergence values at its points: one
-    stacked KKT solve; the divergence coefficients equal the projected data
-    to solver precision.  (n, ndof)."""
-    tris = group.tris
+    quadrature group, from field and divergence values at its points: the
+    element KKT systems by ``linsolve.element_solve``; the divergence
+    coefficients equal the projected data to solver precision.  (n, ndof)."""
     b, g = space.moments(group, vals), space.scalar_moments(group, dvals)
-    return saddle_solve_stacked(space.M[tris], space.div_blocks(tris), b, g)[0]
+    return element_solve(space, b[:, :, None], g[:, :, None], group.tris)[0][:, :, 0]
 
 
 def fit_degree(p, variant):
@@ -300,14 +300,9 @@ def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None, tris=None) -> 
     grad_scale = np.sqrt(0.5) * np.outer(np.linalg.norm(ref, axis=1), np.linalg.norm(G[:, 0], axis=1))
     g = div + grad
     data = np.zeros((len(tris), space.sdim, 4))
-    Bdiv = space.div_blocks(tris)
-    data[:, :, :3] = np.swapaxes(g - np.einsum("kmd,kid->kim", Bdiv, chi), 1, 2)
+    data[:, :, :3] = np.swapaxes(g - space.div(chi, tris), 1, 2)
     data[:, 0, 3] = np.sqrt(mesh.area[tris])
-    ndof, ne, size = space.ref.dim, 3 * (p + 1), space.ref.dim + space.sdim
-    sign, x = np.empty((len(tris), ne)), np.empty((len(tris), ndof, 4 + ne))
-    # the solve's temporaries come to about four times its matrices and columns
-    for sl in chunks(len(tris), 32 * size * (size + 4 + ne)):
-        sign[sl], x[sl], _ = eliminate(space, Bdiv[sl], np.zeros((len(data[sl]), ndof, 4)), data[sl], tris[sl])
+    sign, x, _ = eliminate(space, np.zeros((len(tris), space.ref.dim, 4)), data, tris)
     return PatchData(tris, chi, g, div_scale + grad_scale, sign, x)
 
 
@@ -482,9 +477,11 @@ def _stability_ratios(group, p, chi, s, mesh):
     fr, fi = np.nonzero(fixed)
     S[fr, fi, fi] = 1.0
     ell[fixed] = 0.0
-    if group.kernel:
+    if group.kernel:  # bordered by the mean-zero constraint
         mean = _sum_into((n, nn), flat, detB * vals.sum(axis=1))
-        y = saddle_solve_stacked(S, mean[:, None, :], ell, np.zeros((n, 1)))[0]
+        K = np.zeros((n, nn + 1, nn + 1))
+        K[:, :nn, :nn], K[:, nn, :nn], K[:, :nn, nn] = S, mean, mean
+        y = solve_stacked(K, np.append(ell, np.zeros((n, 1)), axis=1))[:, :nn]
     else:
         y = solve_stacked(S, ell)
     dual = np.sqrt(np.maximum(np.sum(ell * y, axis=1), 0.0))

@@ -5,7 +5,9 @@ the element-by-element canonical interpolant, the stored element-table
 stacks C_k, M_k and Bdiv_k of the closed formulas,
 per-element dual bases by quadrature and a dense solve, per-element error
 and fit loops, normal-equation least squares, null-space constrained
-minimization, per-site COO assembly loops, patch equilibration data taken
+minimization, per-site COO assembly loops, the per-element stacked
+element solves on the stored M_k and formed Bdiv_k, patch equilibration
+data taken
 by quadrature on every (patch, element) pair, the dense Bunch-Kaufman KKT
 solve, the unhybridized global saddle solve, the element-by-element and
 patch-by-patch projector loop with its
@@ -32,7 +34,7 @@ from hdivkit.elements import (
     rtn_space,
     scalar_basis,
 )
-from hdivkit.linsolve import dense_solve
+from hdivkit.linsolve import chunks, dense_solve, solve_stacked
 from hdivkit.mesh import one_triangle
 from hdivkit.quadpolicy import QuadPolicy
 from hdivkit.quadrature import TriangleRule, gauss01, jacobi01, quad_rule
@@ -561,6 +563,61 @@ def conforming_saddle_oracle(space, rhs, g):
     sigma[fidx] = x[: len(fidx)]
     res = np.linalg.norm(A @ x - b) / max(np.linalg.norm(b), 1e-300)
     return sigma, x[len(fidx) : len(fidx) + len(g)].reshape(nt, -1), res
+
+
+# -- stacked element solves on the stored tables ---------------------------------------
+
+
+def saddle_solve_stacked(M, B, rhs, g):
+    """Minimize 1/2 x^T M[k] x - rhs[k]^T x subject to B[k] x = g[k] for every k.
+
+    ``M`` (n, d, d), ``B`` (n, m, d); returns (x (n, d), multipliers (n, m)),
+    each with a trailing axis r for a block of data rhs (n, d, r), g (n, m, r).
+    The KKT stack is built and solved a chunk at a time.
+    """
+    M, B = np.asarray(M, float), np.asarray(B, float)
+    rhs, g = np.asarray(rhs, float), np.asarray(g, float)
+    n, m, d = B.shape
+    size = d + m
+    sol = np.empty((n, size) + rhs.shape[2:])
+    for sl in chunks(n, 8 * size * size):
+        K = np.zeros((len(M[sl]), size, size))
+        K[:, :d, :d] = M[sl]
+        K[:, d:, :d] = B[sl]
+        K[:, :d, d:] = np.swapaxes(B[sl], 1, 2)
+        sol[sl] = solve_stacked(K, np.concatenate([rhs[sl], g[sl]], axis=1))
+    return sol[:, :d], sol[:, d:]
+
+
+def element_solve_oracle(space, f, g, tris):
+    """``linsolve.element_solve`` on the physical systems, one factorization
+    per element: ``saddle_solve_stacked`` over M_k and the formed Bdiv_k
+    (``div_blocks``), or ``solve_stacked`` over M_k when g has no rows."""
+    if g.shape[1]:
+        return saddle_solve_stacked(space.M[tris], space.div_blocks(tris), f, g)
+    return solve_stacked(space.M[tris], f), np.empty(g.shape)
+
+
+def eliminate_oracle(space, rhs, g, tris=None):
+    """``linsolve.eliminate`` with the signed edge unit columns [E_k^T; 0]
+    pushed through the per-element stacked KKT solves with the data."""
+    mesh, ne = space.mesh, 3 * (space.p + 1)
+    tris = np.arange(mesh.num_triangles) if tris is None else np.asarray(tris)
+    own = mesh.edge_tris[mesh.tri_edges[tris], 0] == tris[:, None]
+    sgn = np.repeat(np.where(own, 1.0, -1.0), space.p + 1, axis=1)
+    F = np.concatenate([rhs, np.eye(rhs.shape[1], ne) * sgn[:, None, :]], axis=2)
+    G = np.concatenate([g, np.zeros(g.shape[:2] + (ne,))], axis=2)
+    return (sgn, *element_solve_oracle(space, F, G, tris))
+
+
+def use_stacked_element_solves(monkeypatch):
+    """Route every element solve of the library through the oracles above."""
+    from hdivkit import best_approx, linsolve, local_solve
+
+    for mod in (linsolve, local_solve, best_approx):
+        monkeypatch.setattr(mod, "element_solve", element_solve_oracle)
+    for mod in (linsolve, local_solve):
+        monkeypatch.setattr(mod, "eliminate", eliminate_oracle)
 
 
 # -- sparse assembly, one hand-written COO loop per block -----------------------------

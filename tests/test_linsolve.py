@@ -7,10 +7,9 @@ from hdivkit.linsolve import (
     SingularSystemError,
     SparseFactor,
     dense_solve,
-    saddle_solve_stacked,
     solve_stacked,
 )
-from oracles import saddle_matrix, saddle_solve_dense
+from oracles import saddle_matrix, saddle_solve_dense, saddle_solve_stacked
 
 RNG = np.random.default_rng(0)
 
