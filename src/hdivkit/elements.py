@@ -29,14 +29,13 @@ solver and the patch stability surrogate.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import polys
-from .linsolve import SingularSystemError, assemble_csr
+from .linsolve import SingularSystemError, assemble_csr, check_residuals, chunks
 from .quadrature import gauss01, quad_rule
 
 
@@ -215,9 +214,6 @@ def reference_mass(p: int) -> np.ndarray:
     return H
 
 
-ClassTables = namedtuple("ClassTables", "cls coef kkt mass")
-
-
 # -- stacked element tables -------------------------------------------------------------
 
 
@@ -257,10 +253,12 @@ class RTNSpace:
     evaluated, and their moments taken, at the points of a
     ``quadpolicy.QuadGroup``; ``elements`` gives lazy single-element views.
 
-    Elements with bitwise-equal c_k (an affine class) share A(c) and
-    K(c) = [[A(c), D_ref^T], [D_ref, 0]]: ``class_tables`` holds their
-    inverses, built on first use and cached; ``linsolve.element_solve``
-    applies them, mapping data in and solutions out through T_k.
+    Elements with bitwise-equal c_k (an affine class, ``classes``) share
+    A(c) and K(c) = [[A(c), D_ref^T], [D_ref, 0]].  Per class, not per
+    element, each built in chunks on first use and cached with the space:
+    ``kkt_table`` holds K(c)^{-1} and ``mass_table`` A(c)^{-1}.
+    ``linsolve.element_solve`` applies them, mapping data in and solutions
+    out through T_k.
 
     Global dofs: edge e owns slots e*(p+1)..e*(p+1)+p; element k owns
     ne*(p+1) + k*p*(p+1) + local interior slots.  Fields with continuous
@@ -311,35 +309,75 @@ class RTNSpace:
         return (coef @ H.reshape(3, -1)).reshape(len(coef), *H.shape[1:])
 
     @cached_property
-    def class_tables(self):
-        """``ClassTables``: the class of each element and the c of each class
-        (exact: ``np.unique`` of the bytes of the c_k rows), then (inverse,
-        max |entry|) of each class's K(c) and A(c), stacked.  With N an
-        orthonormal basis of ker D_ref, R = D_ref^+, Q = N (N^T A N)^{-1} N^T
-        and V = R - Q A R: K(c)^{-1} = [[Q, V], [V^T, Y]] with Y = -R^T A V,
-        and A(c)^{-1} = Q - V Y^{-1} V^T."""
+    def classes(self):
+        """(class of each element, c of each class): exact, ``np.unique`` of
+        the bytes of the c_k rows."""
         _, first, cls = np.unique(self.coef.view("V24")[:, 0], return_index=True, return_inverse=True)
-        coef = self.coef[first]
+        return cls.reshape(-1), self.coef[first]
+
+    @cached_property
+    def kkt_table(self):
+        """(K(c)^{-1}, max |K(c)|) of each class by the null-space method:
+        with N an orthonormal basis of ker D_ref, R = D_ref^+,
+        Q = N (N^T A N)^{-1} N^T and V = R - Q A R,
+        K(c)^{-1} = [[Q, V], [V^T, -(A R)^T V]].  The 3(p+1) edge columns,
+        which ``linsolve.eliminate`` applies without a solve, are checked
+        here; every other column is checked by the call that applies it."""
+        d, size = self.ref.dim, self.ref.dim + self.sdim
         U, sv, W = np.linalg.svd(self.D_ref)
-        A, N, R = self.mass_ref(coef), W[len(sv):].T, W[: len(sv)].T / sv @ U.T
-        try:
+        N, R = W[len(sv):].T, W[: len(sv)].T / sv @ U.T
+
+        def inverse(sl, A, out):
             Q = N @ np.linalg.inv(np.swapaxes(A @ N, 1, 2) @ N) @ N.T
-            V = R - Q @ (A @ R)
-            Y = -(R.T @ (A @ V))
-            VYinv = V @ np.linalg.inv(Y)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"class tables: {exc}") from exc
-        Vt = np.swapaxes(V, 1, 2)
-        Kinv = np.concatenate([np.concatenate([Q, V], axis=2), np.concatenate([Vt, Y], axis=2)], axis=1)
-        big = np.abs(A).max(axis=(1, 2))
-        return ClassTables(cls.reshape(-1), coef, (Kinv, np.maximum(big, np.abs(self.D_ref).max())),
-                           (Q - VYinv @ Vt, big))
+            AR = A @ R
+            V = R - Q @ AR
+            out[:, :d, :d], out[:, :d, d:] = Q, V
+            out[:, d:, :d], out[:, d:, d:] = np.swapaxes(V, 1, 2), -(np.swapaxes(AR, 1, 2) @ V)
+
+        return self._class_table(inverse, size, np.abs(self.D_ref).max(), 3 * (self.p + 1))
+
+    @cached_property
+    def mass_table(self):
+        """(A(c)^{-1}, max |A(c)|) of each class as Q - V Y^{-1} V^T from the
+        blocks [[Q, V], [V^T, Y]] of ``kkt_table`` (built if it is not): an
+        inverse of the sdim x sdim block Y, not of A(c).  Its columns are
+        checked by the mass solves that apply them."""
+        d, Kinv = self.ref.dim, self.kkt_table[0]
+
+        def inverse(sl, A, out):
+            V = Kinv[sl, :d, d:]
+            out[:] = Kinv[sl, :d, :d] - V @ np.linalg.inv(Kinv[sl, d:, d:]) @ np.swapaxes(V, 1, 2)
+
+        return self._class_table(inverse, d, 0.0, 0)
+
+    def _class_table(self, inverse, size, floor, checked):
+        """The inverses of each class's A(c) (size ndof) or K(c), stacked,
+        and the max |entry| of the matrix (at least ``floor``), built a chunk
+        of ``STACK_BYTES`` at a time: ``inverse(sl, A, out)`` writes those of
+        the classes ``sl``, whose A(c) are A, to ``out``.  The first
+        ``checked`` columns of each class are checked, as ``solve_stacked``
+        checks a block of unit right-hand sides: above 1e-8,
+        SingularSystemError names the class and one of its elements."""
+        cls, coef = self.classes
+        inv, big, eye = np.empty((len(coef), size, size)), np.empty(len(coef)), np.eye(size)[:, :checked]
+        for sl in chunks(len(coef), 32 * size * size):
+            A = self.mass_ref(coef[sl])
+            try:
+                inverse(sl, A, inv[sl])
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystemError(f"class table: {exc}") from exc
+            big[sl] = np.maximum(np.abs(A).max(axis=(1, 2)), floor)
+            if checked:
+                idx, cols = np.arange(sl.start, sl.stop), inv[sl, :, :checked]
+                check_residuals(eye - self.class_product(idx, cols), eye[None], cols, big[sl],
+                                lambda i: f"class {idx[i]}, element {np.argmax(cls == idx[i])}")
+        return inv, big
 
     def class_product(self, cls, y):
         """K(c) y, or A(c) y when y has ndof rows, for vectors y (n, size, r)
         of elements of classes ``cls``."""
         d, D = self.ref.dim, self.D_ref
-        Ax = self.mass_ref(self.class_tables.coef[cls]) @ y[:, :d]
+        Ax = self.mass_ref(self.classes[1][cls]) @ y[:, :d]
         if y.shape[1] == d:
             return Ax
         return np.concatenate([Ax + D.T @ y[:, d:], D @ y[:, :d]], axis=1)

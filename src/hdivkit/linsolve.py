@@ -7,10 +7,11 @@ systems are solved once per affine class (``element_solve``): the mass and
 KKT systems of an element are T_k-conjugates of reference systems that
 depend only on c_k, whose inverses the ``RTNSpace`` keeps per class; each
 call maps its data in, applies the class inverses and checks the residuals
-in the reference frame.  A lone dense system goes through LAPACK
-Bunch-Kaufman (``dense_solve``: ``sytrf`` and two ``sytrs``, the second
-one a step of iterative refinement).  Saddle problems over several elements
-are hybridized: the element eliminations (``eliminate``) leave an SPD
+in the reference frame, and the columns that no call checks (the
+hybridization's edge columns) are checked once, when the table is built.
+A lone dense system goes through LAPACK Bunch-Kaufman (``dense_solve``:
+``sytrf`` and two ``sytrs``, the second one a step of iterative
+refinement).  Saddle problems over several elements are hybridized: the element eliminations (``eliminate``) leave an SPD
 system in edge multipliers, mesh-wide in ``hybrid_saddle_solve`` and per
 vertex patch in ``local_solve``; every sparse system is SPD and goes
 through SuperLU in its symmetric mode, refined once.
@@ -66,12 +67,15 @@ def chunks(n, item_bytes):
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
-def _check_residuals(r, b, x, size, name):
+def check_residuals(r, b, x, size, name):
     """Relative residuals |r_k| / max(|b_k|, size_k |x_k|) of stacked
     systems (norms over the trailing axes); raises SingularSystemError for
     the worst (NaN first), ``name(k)``, above 1e-8."""
-    scale = np.maximum(np.linalg.norm(b, axis=(1, 2)), size * np.linalg.norm(x, axis=(1, 2)))
-    res = np.linalg.norm(r, axis=(1, 2)) / np.maximum(scale, 1e-300)
+    def norm(a):
+        return np.sqrt(np.einsum("kij,kij->k", a, a))
+
+    scale = np.maximum(norm(b), size * norm(x))
+    res = norm(r) / np.maximum(scale, 1e-300)
     if res.size and not res.max() <= 1e-8:
         worst = int(np.argmax(np.where(np.isnan(res), np.inf, res)))
         raise SingularSystemError(f"dense solve residual {res[worst]:.2e} ({name(worst)})")
@@ -91,7 +95,7 @@ def solve_stacked(A, b):
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"stacked solve failed: {exc}") from exc
         size = np.maximum(A[sl].max(axis=(1, 2)), -A[sl].min(axis=(1, 2)))
-        _check_residuals(rhs[sl] - A[sl] @ x[sl], rhs[sl], x[sl], size, lambda i: f"system {sl.start + i}")
+        check_residuals(rhs[sl] - A[sl] @ x[sl], rhs[sl], x[sl], size, lambda i: f"system {sl.start + i}")
     return x[..., 0] if b.ndim == 2 else x
 
 
@@ -100,21 +104,21 @@ def element_solve(space, f, g, tris):
     f (n, ndof, r), g (n, m, r): m = sdim, [[M_k, Bdiv_k^T], [Bdiv_k, 0]]
     [x; u] = [f; g]; m = 0, M_k x = f.  In the reference frame, x = T_k x^
     and u = sqrt(det B_k) u^ solve K(c_k) (or A(c_k)) against
-    [T_k^T f; sqrt(det B_k) g]: the space's class tables are applied by
-    gathered matmuls, a chunk of ``STACK_BYTES`` at a time, and every
-    system's residual is checked there as in ``solve_stacked``."""
-    tables = space.class_tables
-    inv, big = tables.kkt if g.shape[1] else tables.mass
+    [T_k^T f; sqrt(det B_k) g]: the space's ``kkt_table`` (or
+    ``mass_table``) is applied by gathered matmuls, a chunk of
+    ``STACK_BYTES`` at a time, and every system's residual is checked there
+    as in ``solve_stacked``."""
+    inv, big = space.kkt_table if g.shape[1] else space.mass_table
     d, r = f.shape[1:]
-    size, cls = d + g.shape[1], tables.cls[tris]
+    size, cls = d + g.shape[1], space.classes[0][tris]
     root = np.sqrt(space.detB[tris])[:, None, None]
     x, u = np.empty(f.shape), np.empty(g.shape)
     for sl in chunks(len(tris), 8 * size * (size + 4 * r)):
         fr = np.swapaxes(space.rows_to_ref(np.swapaxes(f[sl], 1, 2), tris[sl]), 1, 2)
         b = np.concatenate([fr, root[sl] * g[sl]], axis=1)
         y = inv[cls[sl]] @ b
-        _check_residuals(b - space.class_product(cls[sl], y), b, y, big[cls[sl]],
-                         lambda i: f"system of element {tris[sl][i]}, class {cls[sl][i]}")
+        check_residuals(b - space.class_product(cls[sl], y), b, y, big[cls[sl]],
+                        lambda i: f"system of element {tris[sl][i]}, class {cls[sl][i]}")
         x[sl] = np.swapaxes(space.to_phys(np.swapaxes(y[:, :d], 1, 2), tris[sl]), 1, 2)
         u[sl] = root[sl] * y[:, d:]
     return x, u
@@ -126,7 +130,8 @@ def eliminate(space, rhs, g, tris=None):
     (``element_solve``) and against [E_k^T; 0], the unit columns of the
     3(p+1) edge dofs signed +1 on the ``edge_tris[e, 0]`` side.  Mapped in,
     those are unit columns times sgn_k T_k's edge diagonal, so their
-    solutions are the class table's edge columns, scaled: no solve.
+    solutions are the ``kkt_table``'s edge columns, scaled: no solve (those
+    columns were checked when the table was built).
     Returns (signs (n, 3(p+1)), flux parts X, multiplier parts U), with
     r + 3(p+1) columns: edge multipliers mu give X[..., :r] - X[..., r:] mu."""
     mesh, p, d = space.mesh, space.p, space.ref.dim
@@ -137,7 +142,7 @@ def eliminate(space, rhs, g, tris=None):
     X = np.empty((len(tris), d, r + ne))
     U = np.empty((len(tris), space.sdim, r + ne))
     X[:, :, :r], U[:, :, :r] = element_solve(space, rhs, g, tris)
-    inv, cls = space.class_tables.kkt[0], space.class_tables.cls[tris]
+    inv, cls = space.kkt_table[0], space.classes[0][tris]
     w = (sgn * space.edge_scale(tris))[:, None, :]
     root = np.sqrt(space.detB[tris])[:, None, None]
     for sl in chunks(len(tris), 16 * (d + space.sdim) * ne):

@@ -21,7 +21,7 @@ import pytest
 import oracles
 from hdivkit import fields, linsolve
 from hdivkit.best_approx import error_report
-from hdivkit.elements import rtn_space
+from hdivkit.elements import RTNSpace, rtn_space
 from hdivkit.linsolve import SingularSystemError, element_solve, eliminate
 from hdivkit.local_solve import theta_field
 from hdivkit.mesh import Mesh, build_lshape, build_structured
@@ -105,7 +105,7 @@ def test_repeated_classes_give_equal_bits(monkeypatch):
     space = rtn_space(mesh, 3)
     rhs, g = _data(space, 2)
     first = eliminate(space, rhs, g)
-    assert len(space.class_tables.coef) == 2 < mesh.num_triangles
+    assert len(space.classes[1]) == 2 < mesh.num_triangles
     for a, b in zip(first, eliminate(space, rhs, g)):
         assert np.array_equal(a, b)
     monkeypatch.setattr(linsolve, "STACK_BYTES", 1)  # one element per chunk
@@ -130,7 +130,7 @@ def test_mesh_without_repeats_runs_the_class_path(p):
     space = rtn_space(mesh, p)
     rhs, g = _data(space, 1, seed=p)
     got = eliminate(space, rhs, g)
-    assert len(space.class_tables.kkt[0]) == mesh.num_triangles  # a class per element
+    assert len(space.kkt_table[0]) == mesh.num_triangles  # a class per element
     want = oracles.eliminate_oracle(space, rhs, g)
     for a, b in zip(got, want):
         assert _rel(a, b) <= TOL
@@ -139,18 +139,42 @@ def test_mesh_without_repeats_runs_the_class_path(p):
     assert _rel(x, oracles.element_solve_oracle(space, rhs, none, tris)[0]) <= TOL
 
 
-@pytest.mark.parametrize("table", ["kkt", "mass"])
+@pytest.mark.parametrize("table", ["kkt_table", "mass_table"])
 def test_poisoned_class_table_names_the_system(monkeypatch, table):
     mesh = build_structured(2)
     space = rtn_space(mesh, 1)
-    inv, big = getattr(space.class_tables, table)
+    inv, big = getattr(space, table)
     bad = inv.copy()
     bad[1, 0, 0] = np.nan
-    monkeypatch.setattr(space, "class_tables", space.class_tables._replace(**{table: (bad, big)}))
+    monkeypatch.setattr(space, table, (bad, big))
     rhs, g = _data(space, 1)
-    if table == "mass":
+    if table == "mass_table":
         g = np.empty((len(space), 0, 1))
     with pytest.raises(SingularSystemError, match=r"residual nan \(system of element \d+, class 1\)") as err:
         element_solve(space, rhs, g, np.arange(len(space)))
     k = int(re.search(r"element (\d+)", str(err.value)).group(1))
-    assert space.class_tables.cls[k] == 1
+    assert space.classes[0][k] == 1
+
+
+@pytest.mark.parametrize("defect", [np.nan, 1e-5])
+def test_edge_columns_are_checked_when_built(monkeypatch, defect):
+    """An edge column of class 1's K(c)^{-1} goes wrong while the table is
+    built.  The eliminations against zero data, whose solutions come from
+    the edge columns alone (no residual of theirs is checked per call),
+    raise before any use."""
+    build = RTNSpace._class_table
+
+    def poisoned(self, inverse, size, floor, checked):
+        def bad(sl, A, out):
+            inverse(sl, A, out)
+            out[1 - sl.start, 3, 0] += defect  # class 1, edge column 0
+
+        return build(self, bad, size, floor, checked)
+
+    monkeypatch.setattr(RTNSpace, "_class_table", poisoned)
+    space = rtn_space(build_structured(2), 1)
+    rhs, g = np.zeros((len(space), space.ref.dim, 1)), np.zeros((len(space), space.sdim, 1))
+    with pytest.raises(SingularSystemError, match=r"residual \S+ \(class 1, element \d+\)") as err:
+        eliminate(space, rhs, g)
+    k = int(re.search(r"element (\d+)", str(err.value)).group(1))
+    assert space.classes[0][k] == 1
