@@ -16,7 +16,7 @@ Because the edge data is global, coefficient vectors of fields on neighboring
 elements agree on the shared edge dofs exactly when the normal trace is
 continuous; no sign flips are needed during assembly.
 
-Element tables are built one way: ``rtn_space(mesh, p)`` stacks C_k, M_k
+Element tables are built one way: ``rtn_space(mesh, p)`` applies C_k, M_k
 and Bdiv_k over the mesh's triangles from one reference element, and
 evaluates, samples and takes moments on the points of a
 ``quadpolicy.QuadGroup``; a lone triangle is a one-triangle mesh.
@@ -242,16 +242,15 @@ class RTNSpace:
     reference element, plus the global dof layout.
 
     Each triangle's vertex order (``mesh.triangles``) directs its edges
-    lower -> higher entry.  Stored per element: the dof scaling T_k of
-    ``_dof_scaling``, ``dof_map`` and, with S_k = B_k^T B_k, the mass matrix
-      M_k = T_k^{-T} A(c_k) T_k^{-1},  A(c) = sum_i c_i H_i,
-      c_k = (S_00, S_01, S_11) / det B_k,
-    H_i of ``reference_mass``.
-    C_k = C_ref T_k^{-1} and Bdiv_k = D_ref T_k^{-1} / sqrt(det B_k) (D_ref =
-    div_rows C_ref) are applied, not stored: the reference matrices act on
-    ``to_ref`` rows or, transposed, through ``rows_to_elem``.  Fields are
-    evaluated, and their moments taken, at the points of a
-    ``quadpolicy.QuadGroup``; ``elements`` gives lazy single-element views.
+    lower -> higher entry.  Stored per element, O(ndof) numbers each: T_k of
+    ``_dof_scaling``, ``dof_map`` and c_k = (S_00, S_01, S_11) / det B_k with
+    S_k = B_k^T B_k.  Applied, not stored, are the tables
+      M_k = T_k^{-T} A(c_k) T_k^{-1},  A(c) = sum_i c_i H_i (``reference_mass``),
+      C_k = C_ref T_k^{-1},  Bdiv_k = D_ref T_k^{-1} / sqrt(det B_k)
+    (D_ref = div_rows C_ref): ``mass``, C_ref and D_ref act on ``to_ref``
+    rows or, transposed, through ``rows_to_elem``.  Fields are evaluated,
+    and their moments taken, at the points of a ``quadpolicy.QuadGroup``;
+    ``elements`` gives lazy single-element views.
 
     Elements with bitwise-equal c_k (an affine class, ``classes``) share
     A(c) and K(c) = [[A(c), D_ref^T], [D_ref, 0]].  Per class, not per
@@ -288,8 +287,6 @@ class RTNSpace:
         self.C_ref, self.D_ref = C, ref.div_rows @ C
         S = np.swapaxes(self.B, 1, 2) @ self.B
         self.coef = np.stack([S[:, 0, 0], S[:, 0, 1], S[:, 1, 1]], axis=1) / self.detB[:, None]
-        M = self.rows_to_elem(np.swapaxes(self.rows_to_elem(self.mass_ref(self.coef)), 1, 2))
-        self.M = (M + np.swapaxes(M, 1, 2)) / 2
         self.elements = _ElementViews(self)
         self.ndof_edge = (p + 1) * mesh.num_edges
         self.n_int = p * (p + 1)
@@ -307,6 +304,13 @@ class RTNSpace:
         """A(c) = sum_i c_i H_i for rows c (n, 3); (n, ndof, ndof)."""
         H = reference_mass(self.p)
         return (coef @ H.reshape(3, -1)).reshape(len(coef), *H.shape[1:])
+
+    def mass(self, y, tris=slice(None)):
+        """A(c_k) y of reference dof rows y (..., ndof) of the elements ``tris`` (as in
+        ``to_ref``): with y = to_ref(x), M_k x = rows_to_elem(mass(y)), x^T M_k x = sum(y * mass(y))."""
+        coef, d = self.coef[tris].reshape(-1, 3), self.ref.dim
+        Hy = y.reshape(-1, d) @ reference_mass(self.p).transpose(2, 0, 1).reshape(d, -1)  # rows [H_i y]
+        return np.einsum("ki,kjid->kjd", coef, Hy.reshape(len(coef), -1, 3, d)).reshape(y.shape)
 
     @cached_property
     def classes(self):
@@ -487,10 +491,18 @@ class RTNSpace:
         pos[fidx] = np.arange(len(fidx))
         dofs = pos[self.dof_map]  # -1 on Neumann dofs: dropped by the assembly
         nt, nf = len(self), len(fidx)
-        M = assemble_csr(dofs, dofs, self.M, (nf, nf))
+        M = assemble_csr(dofs, dofs, _mass_blocks(self), (nf, nf))
         rows = np.arange(nt * self.sdim).reshape(nt, self.sdim)
         B = assemble_csr(rows, dofs, self.div_blocks(), (nt * self.sdim, nf))
         return M, B, fidx
+
+
+def _mass_blocks(space, tris=slice(None)):
+    """M_k of the elements ``tris``, formed for one call; (n, ndof, ndof)."""
+    coef = space.coef[tris]  # two rows or more: numpy sends one row to gemv, whose bits differ
+    M = space.rows_to_elem(space.mass_ref(np.vstack([coef, coef[:1]]))[: len(coef)], tris)
+    M = space.rows_to_elem(np.swapaxes(M, 1, 2), tris)
+    return (M + np.swapaxes(M, 1, 2)) / 2
 
 
 def scalar_moments(mesh, p, group, vals):
@@ -530,9 +542,9 @@ class ElementRTN:
     slot, lower -> higher vertex index) and the tables ``C``, ``M`` and
     ``Bdiv`` of row k.  Dof layout: edge slot j (opposite vertex j)
     holds dofs j(p+1)..j(p+1)+p, then come the interior x-moments and the
-    interior y-moments.  ``C`` and ``Bdiv`` are formed from the reference
-    matrices when the view is built.  Evaluation, dofs and moments run on the
-    stacked tables, not per element.
+    interior y-moments.  ``C``, ``M`` and ``Bdiv`` are formed from the
+    reference matrices when the view is built.  Evaluation, dofs and
+    moments run on the stacked tables, not per element.
     """
 
     def __init__(self, space, k):
@@ -547,7 +559,7 @@ class ElementRTN:
         self.ref = space.ref
         self.ndof, self.sdim, self.idim = space.ref.dim, space.sdim, space.idim
         self.C = space.rows_to_elem(space.C_ref[None], [k])[0]
-        self.M, self.Bdiv = space.M[k], space.div_blocks([k])[0]
+        self.M, self.Bdiv = _mass_blocks(space, [k])[0], space.div_blocks([k])[0]
 
 
 # -- public spec operations -----------------------------------------------------------

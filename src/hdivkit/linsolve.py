@@ -227,9 +227,8 @@ def hybrid_saddle_solve(space, rhs, g):
     free[space.neumann_edge_dofs()] = 0.0
     # the two sides of an edge agree to roundoff: take their mean
     s = free * np.bincount(flat, sk.ravel(), space.ndof) / np.bincount(flat, minlength=space.ndof)
-    # Bdiv_k^T u_k, as the row u_k^T D_ref T_k^{-1} / sqrt(det B_k)
-    Bu = space.rows_to_elem(u @ space.D_ref / np.sqrt(space.detB)[:, None])
-    res = np.einsum("kij,kj->ki", space.M, s[dofs]) + Bu - rhs
+    ref = space.mass(space.to_ref(s[dofs])) + u @ space.D_ref / np.sqrt(space.detB)[:, None]
+    res = space.rows_to_elem(ref) - rhs  # M_k s_k + Bdiv_k^T u_k - rhs_k
     div = space.div(s[dofs]) - g
     b = np.concatenate([free * np.bincount(flat, rhs.ravel(), space.ndof), g.ravel()])
     r = np.concatenate([free * np.bincount(flat, res.ravel(), space.ndof), div.ravel()])

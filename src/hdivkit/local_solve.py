@@ -461,15 +461,16 @@ def _stability_ratios(group, p, chi, s, mesh):
         on_edge = lagrange_bary(q).T == 0  # (3, nloc)
         at = np.any(clamped[..., :, None] & on_edge, axis=-2)
         fixed[np.broadcast_to(row, at.shape)[at], loc[at]] = True
-    # s_a - chi_a per triangle; -1 in elem_map is a pinned dof
+    # s_a - chi_a per triangle (-1 in elem_map is a pinned dof), and chi_a
     diff = np.append(s, np.zeros((n, 1)), axis=1)[row, group.elem_map] - chi
+    ref = space.to_ref(np.stack([diff, chi], axis=2), tris)
     # element tables: (grad w, grad w)_K, -(s_a - chi_a, grad w)_K, (1, w)_K,
     # by reference rules exact in their degree (at most q + p)
     rule = quad_rule(q + p)
     vals = polys.lagrange_nodal(q).T @ polys.eval_monomials(q, rule.points) * rule.weights
     detB = mesh.detB[tris][..., None]
     stiff = _stiffness_blocks(mesh, rule, np.stack(lagrange_grads_ref(q, rule.points), axis=2), tris)
-    ell = -space.to_ref(diff, tris) @ _coupling_reference(q, p).T
+    ell = -ref[:, :, 0] @ _coupling_reference(q, p).T
     flat = row * nn + loc
     S = _sum_into((n, nn, nn), flat[..., :, None] * nn + loc[..., None, :], stiff)
     ell = _sum_into((n, nn), flat, ell)
@@ -485,8 +486,6 @@ def _stability_ratios(group, p, chi, s, mesh):
     else:
         y = solve_stacked(S, ell)
     dual = np.sqrt(np.maximum(np.sum(ell * y, axis=1), 0.0))
-    # numerator: ||s_a - chi_a|| over the patch
-    Mk = space.M[tris]
-    num = np.sqrt(np.sum(diff * (Mk @ diff[..., None])[..., 0], axis=(1, 2)))
-    chi_norm = np.sqrt(np.sum(chi * (Mk @ chi[..., None])[..., 0], axis=(1, 2)))
+    # numerator: ||s_a - chi_a|| over the patch, beside ||chi_a||
+    num, chi_norm = np.sqrt(np.sum(ref * space.mass(ref, tris), axis=(1, 3))).T
     return np.where(num <= 1e-12 * chi_norm, 0.0, num / np.maximum(dual, 1e-300))

@@ -79,11 +79,11 @@ class BrokenRTNField:
         return self.coeffs[tris]
 
     def div(self) -> ScalarPWField:
-        sp = self.space
-        return ScalarPWField(self.mesh, self.p, sp.to_ref(self.coeffs) @ sp.D_ref.T / np.sqrt(sp.detB)[:, None])
+        return ScalarPWField(self.mesh, self.p, self.space.div(self.coeffs))
 
     def norm(self):
-        return float(np.sqrt(np.sum(self.coeffs * (self.space.M @ self.coeffs[:, :, None])[:, :, 0])))
+        y = self.space.to_ref(self.coeffs)
+        return float(np.sqrt(np.sum(y * self.space.mass(y))))
 
 
 def random_broken_field(mesh, p, seed=0, scale=1.0) -> BrokenRTNField:

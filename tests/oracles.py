@@ -14,6 +14,7 @@ patch-by-patch projector loop with its
 per-patch stability surrogate on dict-numbered Lagrange nodes, the mesh
 topology loops and the point-by-point corner wedge rule."""
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -405,6 +406,18 @@ def stacked_tables_oracle(mesh, p):
     return C, (M + np.swapaxes(M, 1, 2)) / 2, (ref.div_rows @ C) / np.sqrt(mesh.detB)[:, None, None]
 
 
+_STACKED_MASS = weakref.WeakKeyDictionary()
+
+
+def stacked_mass(mesh, p):
+    """The M_k stack of ``stacked_tables_oracle``, kept per (mesh, p) while
+    the mesh lives."""
+    per_mesh = _STACKED_MASS.setdefault(mesh, {})
+    if p not in per_mesh:
+        per_mesh[p] = stacked_tables_oracle(mesh, p)[1]
+    return per_mesh[p]
+
+
 def hat_values(patch, mesh, k, pts):
     """Hat function of the patch vertex at physical points inside triangle k."""
     xs = mesh.triangle_coords(k)
@@ -525,7 +538,7 @@ def _divfree_projection(w, mesh, p):
     from hdivkit.projector import ConformingRTNField
 
     space = rtn_space(mesh, p)
-    rhs = np.einsum("kij,kj->ki", space.M, w.dofs[space.dof_map])
+    rhs = np.einsum("kij,kj->ki", stacked_mass(mesh, p), w.dofs[space.dof_map])
     sigma, _, _ = conforming_saddle_oracle(space, rhs, np.zeros((mesh.num_triangles, space.sdim)))
     return ConformingRTNField(mesh, p, sigma)
 
@@ -591,11 +604,13 @@ def saddle_solve_stacked(M, B, rhs, g):
 
 def element_solve_oracle(space, f, g, tris):
     """``linsolve.element_solve`` on the physical systems, one factorization
-    per element: ``saddle_solve_stacked`` over M_k and the formed Bdiv_k
-    (``div_blocks``), or ``solve_stacked`` over M_k when g has no rows."""
+    per element: ``saddle_solve_stacked`` over M_k (``stacked_mass``) and the
+    formed Bdiv_k (``div_blocks``), or ``solve_stacked`` over M_k when g has
+    no rows."""
+    M = stacked_mass(space.mesh, space.p)[tris]
     if g.shape[1]:
-        return saddle_solve_stacked(space.M[tris], space.div_blocks(tris), f, g)
-    return solve_stacked(space.M[tris], f), np.empty(g.shape)
+        return saddle_solve_stacked(M, space.div_blocks(tris), f, g)
+    return solve_stacked(M, f), np.empty(g.shape)
 
 
 def eliminate_oracle(space, rhs, g, tris=None):
@@ -1234,7 +1249,7 @@ def project_hdiv_oracle(v, p, mesh, *, variant="def31", measure_stability=False,
     if theta_hook is not None:
         theta_hook(theta)
     data = patch_data_oracle(theta, v, p, mesh, policy)
-    space = rtn_space(mesh, p)
+    space, M = rtn_space(mesh, p), stacked_mass(mesh, p)
     dofs = np.zeros(space.ndof)
     out = {"theta": theta, "compat_defects": [], "stability_ratios": [], "warnings": [],
            "stability_amplification": []}
@@ -1249,7 +1264,7 @@ def project_hdiv_oracle(v, p, mesh, *, variant="def31", measure_stability=False,
                 m = prob.pspace.elem_maps[int(k)]
                 c = np.zeros(len(m))
                 c[m >= 0] = s[m[m >= 0]]
-                chi, Mk = prob.chi[int(k)], space.M[int(k)]
+                chi, Mk = prob.chi[int(k)], M[int(k)]
                 chi_sq += chi @ Mk @ chi
                 diff_sq += (c - chi) @ Mk @ (c - chi)
             out["stability_amplification"].append(np.sqrt(chi_sq / max(diff_sq, 1e-300)))

@@ -51,7 +51,7 @@ def _results(v, p, mesh, mixed_mesh=None):
     space = rtn_space(mesh, p)
     dofs = sig.dofs[space.dof_map]
     out = {
-        "norm": np.sqrt(np.einsum("ki,kij,kj->", dofs, space.M, dofs)),
+        "norm": np.sqrt(np.einsum("ki,kij,kj->", dofs, oracles.stacked_mass(mesh, p), dofs)),
         "theta": theta_field(v, p, mesh).coeffs,
         "projector theta": sig.info["theta"].coeffs,
         "sigma": sig.dofs,

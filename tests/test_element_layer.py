@@ -1,7 +1,7 @@
 """The element layer from one reference element against per-element oracles.
 
-``RTNSpace`` stores M_k and the dof scaling T_k and applies C_ref and
-D_ref = div_rows C_ref through T_k^{-1}; ``QuadPolicy.groups`` batches the
+``RTNSpace`` stores the dof scaling T_k and c_k and applies A(c_k), C_ref
+and D_ref = div_rows C_ref through T_k^{-1}; ``QuadPolicy.groups`` batches the
 quadrature.  ``tests/oracles.py`` keeps the stored stacks C_k, M_k and
 Bdiv_k of the closed formulas and the per-element paths: a dual basis by
 quadrature and a dense solve on every element, and error and fit loops one
@@ -18,7 +18,7 @@ import pytest
 import oracles
 from hdivkit import fields
 from hdivkit.best_approx import error_report, global_best, local_best
-from hdivkit.elements import _coupling_reference, lagrange_grads_ref, rtn_space
+from hdivkit.elements import _coupling_reference, _mass_blocks, lagrange_grads_ref, rtn_space
 from hdivkit.linsolve import assemble_csr
 from hdivkit.mesh import Mesh, build_lshape, build_structured
 from hdivkit.model_problems import (
@@ -69,12 +69,13 @@ def test_stacked_tables_and_views_match_quadrature_dual(mesh, p):
     # there the bound is that spread
     space = rtn_space(mesh, p)
     assert len(space.elements) == mesh.num_triangles
+    blocks = _mass_blocks(space)  # the M_k that ``conforming_blocks`` assembles
     for k, el in enumerate(space.elements):
         want = oracles.element_tables_oracle(el)
         spread = [_rel(a, b) for a, b in zip(oracles.element_tables_oracle(el, extra=3), want)]
         for got, w, s in zip((el.C, el.M, el.Bdiv), want, spread):
             assert _rel(got, w) <= max(1e-13, s)
-        assert np.array_equal(el.M, space.M[k])
+        assert np.array_equal(el.M, blocks[k])
         assert np.array_equal(space.dof_map[k], space.element_dof_map(k))
     assert space.elements[3] is space.elements[3]  # views are memoized
 
@@ -88,15 +89,28 @@ def _rel_rows(got, want):
 
 @pytest.mark.parametrize("p", range(7))
 def test_applied_tables_match_the_stored_stacks(mesh, p):
-    # the space stores M_k and T_k and applies C_ref and D_ref; the oracle
-    # keeps C_k, M_k and Bdiv_k stored whole by the closed formulas
+    # the space stores T_k and c_k and applies A(c_k), C_ref and D_ref; the
+    # oracle keeps C_k, M_k and Bdiv_k stored whole by the closed formulas
     space = rtn_space(mesh, p)
     C, M, Bdiv = oracles.stacked_tables_oracle(mesh, p)
-    assert _rel_rows(space.M, M) <= 1e-13
+    assert _rel_rows([el.M for el in space.elements], M) <= 1e-13
     assert _rel_rows([el.C for el in space.elements], C) <= 1e-13
     assert _rel_rows([el.Bdiv for el in space.elements], Bdiv) <= 1e-13
     rng = np.random.default_rng(p)
     c = rng.standard_normal((mesh.num_triangles, space.ref.dim))
+    # M_k x = rows_to_elem(A(c_k) y) and x^T M_k x = y^T A(c_k) y, y = T_k^{-1} x,
+    # on rows of every element and on stacked rows named by a 2-d index
+    y = space.to_ref(c)
+    assert _rel_rows(space.rows_to_elem(space.mass(y)), (M @ c[:, :, None])[:, :, 0]) <= 1e-13
+    form = np.einsum("ki,kij,kj->k", c, M, c)
+    assert np.max(np.abs(np.sum(y * space.mass(y), axis=1) - form) / form) <= 1e-13
+    tris = rng.integers(0, mesh.num_triangles, (5, 3))
+    x = rng.standard_normal(tris.shape + (2, space.ref.dim))
+    y = space.to_ref(x, tris)
+    want = (M[tris][:, :, None] @ x[..., None])[..., 0]
+    assert _rel_rows(space.rows_to_elem(space.mass(y, tris), tris).reshape(15, -1), want.reshape(15, -1)) <= 1e-13
+    form = np.sum(x * want, axis=-1)
+    assert np.max(np.abs(np.sum(y * space.mass(y, tris), axis=-1) - form) / form) <= 1e-13
     assert _rel_rows(BrokenRTNField(mesh, p, c).div().coeffs, (Bdiv @ c[:, :, None])[:, :, 0]) <= 1e-13
     for g in QuadPolicy(p, field=fields.catalog("sine_divfree")).groups(mesh):
         t, prim = g.tris, g.prim(p)
@@ -121,18 +135,32 @@ def test_applied_tables_match_the_stored_stacks(mesh, p):
     wants = (assemble_csr(dofs, dofs, M, Mc.shape), assemble_csr(rows, dofs, Bdiv, Bc.shape))
     for got, want in zip((Mc, Bc), wants):
         assert abs(got - want).max() <= 1e-13 * abs(want).max()
+    # the sparse M has the bits of the blocks the space used to store
+    stored = space.rows_to_elem(np.swapaxes(space.rows_to_elem(space.mass_ref(space.coef)), 1, 2))
+    assert (Mc != assemble_csr(dofs, dofs, (stored + np.swapaxes(stored, 1, 2)) / 2, Mc.shape)).nnz == 0
 
 
-def test_space_stores_no_table_beyond_the_mass_matrix():
-    # besides M, what an RTN space keeps per element is its dof scaling, its
-    # geometry and its dof map: no array of C_k or Bdiv_k size
+def _arrays(value):
+    """The ndarrays of an attribute value: itself, or those of a tuple."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _arrays(v)
+
+
+def test_space_stores_order_ndof_per_element():
+    # with its class tables built, an RTN space keeps per element its dof
+    # scaling, c_k, geometry and dof map, O(ndof) numbers each: no M_k, C_k
+    # or Bdiv_k, of which one stack alone would be ndof = 63 times the bound
     m, p = build_structured(4), 6
     space = rtn_space(m, p)
-    arrays = {k: v for k, v in vars(space).items() if isinstance(v, np.ndarray) and k != "M"}
-    assert "dof_map" in arrays and "_ref" in arrays
-    assert not hasattr(space, "C") and not hasattr(space, "Bdiv")
-    big = [k for k, v in arrays.items() if v.size > 3 * space.ref.dim * m.num_triangles]
-    assert big == []
+    space.kkt_table, space.mass_table
+    n, d = m.num_triangles, space.ref.dim
+    assert not any(hasattr(space, name) for name in ("M", "C", "Bdiv"))
+    per_element = {k: a for k, v in vars(space).items() for a in _arrays(v) if a.shape[:1] == (n,)}
+    assert {"dof_map", "_phys", "_ref", "coef", "classes"} <= set(per_element)
+    assert sum(a.nbytes for a in per_element.values()) <= 4 * n * d * 8
 
 
 def _scoped_nodes(tree):
@@ -227,7 +255,7 @@ def test_discrete_fields_evaluate_through_their_tables(mesh):
                 c = broken.coeffs[k]
                 assert _rel(vals[i], el.eval_coeffs(c, g.pts[i])) <= 1e-12
                 assert _rel(div[i], el.eval_div_coeffs(c, g.pts[i])) <= 1e-11
-    M = np.sum([c @ el.M @ c for c, el in zip(broken.coeffs, rtn_space(mesh, p).elements)])
+    M = np.einsum("ki,kij,kj->", broken.coeffs, oracles.stacked_mass(mesh, p), broken.coeffs)
     assert abs(broken.norm() ** 2 - M) <= 1e-12 * M
     want = [el.Bdiv @ c for c, el in zip(broken.coeffs, rtn_space(mesh, p).elements)]
     assert _rel(broken.div().coeffs, np.array(want)) <= 1e-13
