@@ -15,7 +15,7 @@ from .best_approx import (
 )
 from .elements import ElementRTN, RTNSpace, piola_map, rtn_space
 from .fields import AnalyticField, catalog, parse_field_spec
-from .local_solve import build_patch_problem, elem_constrained_min, patch_equilibrate
+from .local_solve import build_patch_problem, patch_equilibrate
 from .mesh import (
     Mesh,
     MeshError,
@@ -62,7 +62,6 @@ __all__ = [
     "build_structured",
     "canonical_interp",
     "catalog",
-    "elem_constrained_min",
     "error_report",
     "fit_rate",
     "global_best",

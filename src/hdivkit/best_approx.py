@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .elements import rtn_space
+from .elements import oscillation_sq, rtn_space, scalar_moments
 from .linsolve import element_solve, hybrid_saddle_solve
 from .local_solve import constrained_fit
 from .projector import ConformingRTNField, check_field_compatibility
@@ -43,7 +43,7 @@ def _local_fits(v, p, mesh, policy, tris=None, constrained=False):
         r = pos[g.tris]
         coeffs[r] = c
         l2[r] = np.sqrt(g.norm_sq(vvals - space.values(g, c)))
-        div[r] = mesh.h[g.tris] / (p + 1) * np.sqrt(space.oscillation_sq(g, dvvals))
+        div[r] = mesh.h[g.tris] / (p + 1) * np.sqrt(oscillation_sq(mesh, p, g, dvvals))
     return {"l2_part": l2, "div_part": div, "E_loc": np.sqrt(l2**2 + div**2), "coeffs": coeffs}
 
 
@@ -89,7 +89,7 @@ def global_best(v, p, mesh, *, policy=None, quad_degree=None):
     g = np.zeros((mesh.num_triangles, space.sdim))
     for grp, vvals, dvvals in policy.samples(v, mesh):
         rhs[grp.tris] = space.moments(grp, vvals)
-        g[grp.tris] = space.scalar_moments(grp, dvvals)
+        g[grp.tris] = scalar_moments(mesh, p, grp, dvvals)
     dofs, _, info = hybrid_saddle_solve(space, rhs, g)
     sigma = ConformingRTNField(mesh, p, dofs)
     l2_sq = 0.0
@@ -97,7 +97,7 @@ def global_best(v, p, mesh, *, policy=None, quad_degree=None):
     for grp, vvals, dvvals in policy.samples(v, mesh):
         l2_sq += grp.norm_sq(vvals - grp.eval(sigma)).sum()
         hscale = mesh.h[grp.tris] / (p + 1)
-        div_sq += np.sum(hscale**2 * space.oscillation_sq(grp, dvvals))
+        div_sq += np.sum(hscale**2 * oscillation_sq(mesh, p, grp, dvvals))
     return {
         "Eglob_l2": np.sqrt(l2_sq),
         "Eglob_div": np.sqrt(div_sq),

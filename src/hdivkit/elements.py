@@ -301,9 +301,12 @@ class RTNSpace:
         return len(self.detB)
 
     def mass_ref(self, coef):
-        """A(c) = sum_i c_i H_i for rows c (n, 3); (n, ndof, ndof)."""
-        H = reference_mass(self.p)
-        return (coef @ H.reshape(3, -1)).reshape(len(coef), *H.shape[1:])
+        """A(c) = sum_i c_i H_i for rows c (n, 3); (n, ndof, ndof).  A row's
+        bits do not depend on the other rows: a single row is padded to two,
+        as numpy sends one row to gemv, which rounds differently from gemm."""
+        H, n = reference_mass(self.p), len(coef)
+        rows = np.vstack([coef, coef]) if n == 1 else coef
+        return (rows @ H.reshape(3, -1))[:n].reshape(n, *H.shape[1:])
 
     def mass(self, y, tris=slice(None)):
         """A(c_k) y of reference dof rows y (..., ndof) of the elements ``tris`` (as in
@@ -447,26 +450,13 @@ class RTNSpace:
 
     def div_values(self, group, coeffs):
         """Divergence values of the coefficient rows at the group's points; (n, nq)."""
-        return self.scalar_values(group, self.div(coeffs, group.tris))
-
-    def scalar_values(self, group, scoeffs):
-        """Values of scalar rows in the orthonormal P_p(K) bases; (n, nq)."""
-        phi = group.phi(self.p)
-        return group.combine(scoeffs, phi) / np.sqrt(self.detB[group.tris])[:, None]
+        return scalar_values(self.mesh, self.p, group, self.div(coeffs, group.tris))
 
     def moments(self, group, vals):
         """(f, Phi_j)_K of field values (n, nq, 2) at the group's points; (n, ndof)."""
         tris = group.tris
         F = vals @ self.B[tris] * (group.w / self.detB[tris, None])[:, :, None]  # B_k^T f
         return self.rows_to_elem(group.contract(group.prim(self.p), F) @ self.C_ref, tris)
-
-    def scalar_moments(self, group, vals):
-        """(f, phi_m)_K against the orthonormal P_p(K) bases; (n, sdim)."""
-        return scalar_moments(self.mesh, self.p, group, vals)
-
-    def oscillation_sq(self, group, vals):
-        """||f - Pi_p f||_K^2 of scalar values on the group's elements; (n,)."""
-        return group.norm_sq(vals - self.scalar_values(group, self.scalar_moments(group, vals)))
 
     def element_dof_map(self, k):
         """Global dof index of each local dof on element k."""
@@ -499,17 +489,28 @@ class RTNSpace:
 
 def _mass_blocks(space, tris=slice(None)):
     """M_k of the elements ``tris``, formed for one call; (n, ndof, ndof)."""
-    coef = space.coef[tris]  # two rows or more: numpy sends one row to gemv, whose bits differ
-    M = space.rows_to_elem(space.mass_ref(np.vstack([coef, coef[:1]]))[: len(coef)], tris)
+    M = space.rows_to_elem(space.mass_ref(space.coef[tris]), tris)
     M = space.rows_to_elem(np.swapaxes(M, 1, 2), tris)
     return (M + np.swapaxes(M, 1, 2)) / 2
 
 
 def scalar_moments(mesh, p, group, vals):
     """(f, phi_m)_K against the orthonormal P_p(K) bases of ``mesh`` from
-    values at a quadrature group's points; (n, sdim).  Needs only det B_k."""
+    values at a quadrature group's points; (n, sdim).  Needs only det B_k,
+    as do ``scalar_values`` and ``oscillation_sq``."""
     phi = group.phi(p)
     return group.contract(phi, vals * group.w) / np.sqrt(mesh.detB[group.tris])[:, None]
+
+
+def scalar_values(mesh, p, group, coeffs):
+    """Values of scalar rows (n, sdim) in the orthonormal P_p(K) bases of
+    ``mesh`` at a quadrature group's points; (n, nq)."""
+    return group.combine(coeffs, group.phi(p)) / np.sqrt(mesh.detB[group.tris])[:, None]
+
+
+def oscillation_sq(mesh, p, group, vals):
+    """||f - Pi_p f||_K^2 of scalar values at a quadrature group's points; (n,)."""
+    return group.norm_sq(vals - scalar_values(mesh, p, group, scalar_moments(mesh, p, group, vals)))
 
 
 def rtn_space(mesh, p: int) -> RTNSpace:

@@ -135,7 +135,7 @@ def catalog(name: str, params: dict | None = None, mesh=None):
     p, seed = params.get("p", 1), params.get("seed", 0)
     if not all(isinstance(x, (int, np.integer)) and x >= 0 for x in (p, seed)):
         raise FieldError(f"random_rtn needs integers p >= 0 and seed >= 0, got p={p}, seed={seed}")
-    return random_conforming_field(mesh, int(p), seed=int(seed)).as_field()
+    return random_conforming_field(mesh, int(p), seed=int(seed))
 
 
 def parse_field_spec(spec: str, mesh=None):

@@ -44,6 +44,7 @@ from .elements import (
     lagrange_grads_ref,
     lagrange_nodes,
     rtn_space,
+    scalar_moments,
 )
 from .linsolve import chunks, element_solve, eliminate, solve_stacked
 from .mesh import DIRICHLET
@@ -61,7 +62,7 @@ def constrained_fit(space, group, vals, dvals):
     quadrature group, from field and divergence values at its points: the
     element KKT systems by ``linsolve.element_solve``; the divergence
     coefficients equal the projected data to solver precision.  (n, ndof)."""
-    b, g = space.moments(group, vals), space.scalar_moments(group, dvals)
+    b, g = space.moments(group, vals), scalar_moments(space.mesh, space.p, group, dvals)
     return element_solve(space, b[:, :, None], g[:, :, None], group.tris)[0][:, :, 0]
 
 
@@ -75,19 +76,6 @@ def fit_degree(p, variant):
             raise ValueError("variant def52 needs p >= 1")
         return p - 1
     raise ValueError(f"unknown variant {variant!r}")
-
-
-def elem_constrained_min(v, p, mesh, k, *, variant="def31", policy=None, quad_degree=None):
-    """Divergence-constrained local L2 fit on one element: the one-element
-    slice of ``theta_field``, i.e. the minimizer of
-    ``best_approx.local_best_constrained`` at the variant's fit degree.
-
-    Returns its coefficient vector in RTN_p(K) (``def52``: RTN_{p-1}(K)).
-    """
-    from .best_approx import local_best_constrained
-
-    q = fit_degree(p, variant)
-    return local_best_constrained(v, q, mesh, k, policy=policy, quad_degree=quad_degree)["coeffs"]
 
 
 def theta_field(v, p, mesh, *, variant="def31", policy=None, quad_degree=None):
@@ -293,7 +281,7 @@ def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None, tris=None) -> 
         policy = QuadPolicy(p, field=v, degree=None)
     chi = hat_interpolants(theta, p, tris)
     _, G = hat_operators(theta.p, p)
-    ref = theta.space.to_ref(theta.coeffs[tris], tris)
+    ref = theta.space.to_ref(theta.element_coeffs(tris), tris)
     grad = np.einsum("imb,kb->kim", G, ref) / np.sqrt(space.detB[tris])[:, None, None]
     div, div_scale = _hat_div_moments(v, space, policy, tris)
     # (f, 1)_K = sqrt|K| f_0 = sqrt(det B_k / 2) f_0 in the orthonormal basis
@@ -315,7 +303,7 @@ def _hat_div_moments(v, space, policy, tris):
         lam = g.barycentric()
         r = np.searchsorted(tris, g.tris)
         for i in range(3):
-            out[r, i] = space.scalar_moments(g, lam[i] * dv)
+            out[r, i] = scalar_moments(space.mesh, space.p, g, lam[i] * dv)
         mag[r] = np.einsum("ikq,kq->ki", lam, g.w * np.abs(dv))
     return out, mag
 

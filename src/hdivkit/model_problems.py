@@ -24,8 +24,10 @@ from .elements import (
     lagrange_bary,
     lagrange_grads_ref,
     lagrange_nodes,
+    oscillation_sq,
     rtn_space,
     scalar_basis,
+    scalar_moments,
 )
 from .fields import AnalyticField
 from .linsolve import SparseFactor, assemble_csr, hybrid_saddle_solve, solve_stacked
@@ -126,11 +128,11 @@ def manufactured_bubble(mesh) -> PoissonProblem:
     )
 
 
-def _data_moments(prob, space, policy):
-    """Element moments (f, phi_m)_K of the source term; (nt, sdim)."""
-    fmom = np.zeros((prob.mesh.num_triangles, space.sdim))
+def _data_moments(prob, policy):
+    """Element moments (f, phi_m)_K of the source term, P_p for p = policy.p; (nt, sdim)."""
+    fmom = np.zeros((prob.mesh.num_triangles, polys.tri_dim(policy.p)))
     for g in policy.groups(prob.mesh):
-        fmom[g.tris] = space.scalar_moments(g, g.call(prob.f))
+        fmom[g.tris] = scalar_moments(prob.mesh, policy.p, g, g.call(prob.f))
     return fmom
 
 
@@ -138,7 +140,7 @@ def _flux_system(prob, p, policy):
     """Shared conforming-mass / divergence blocks and data moments."""
     space = rtn_space(prob.mesh, p)
     M, B, _ = space.conforming_blocks()  # all-Dirichlet: every dof is kept
-    return space, M, B, _data_moments(prob, space, policy).ravel()
+    return space, M, B, _data_moments(prob, policy).ravel()
 
 
 def solve_mixed(prob: PoissonProblem, p: int):
@@ -150,7 +152,7 @@ def solve_mixed(prob: PoissonProblem, p: int):
     """
     policy = QuadPolicy(p, field=prob.sigma, degree=None)
     space = rtn_space(prob.mesh, p)
-    fmom = _data_moments(prob, space, policy)
+    fmom = _data_moments(prob, policy)
     dofs, mult, info = hybrid_saddle_solve(space, np.zeros(space.dof_map.shape), fmom)
     return {
         "sigma": ConformingRTNField(prob.mesh, p, dofs),
@@ -271,21 +273,14 @@ def solve_ls_mixed(prob: PoissonProblem, p: int, q: int):
 
 def flux_error(prob: PoissonProblem, sigma_h: ConformingRTNField, *, quad_degree=None):
     """||sigma - sigma_h|| over the mesh, batched over the quadrature groups."""
-    policy = QuadPolicy(sigma_h.p, field=prob.sigma, degree=quad_degree)
-    return np.sqrt(
-        sum(g.norm_sq(g.eval(prob.sigma) - g.eval(sigma_h)).sum() for g in policy.groups(prob.mesh))
-    )
+    return _flux_error(prob, sigma_h, quad_degree, div=False)
 
 
-def flux_div_error(prob: PoissonProblem, sigma_h: ConformingRTNField, *, quad_degree=None):
-    """||div(sigma - sigma_h)|| over the mesh."""
+def _flux_error(prob, sigma_h, quad_degree, div):
+    """``flux_error``, or with ``div`` ||div(sigma - sigma_h)||."""
     policy = QuadPolicy(sigma_h.p, field=prob.sigma, degree=quad_degree)
-    return np.sqrt(
-        sum(
-            g.norm_sq(g.eval(prob.sigma, div=True) - g.eval(sigma_h, div=True)).sum()
-            for g in policy.groups(prob.mesh)
-        )
-    )
+    groups = policy.groups(prob.mesh)
+    return np.sqrt(sum(g.norm_sq(g.eval(prob.sigma, div=div) - g.eval(sigma_h, div=div)).sum() for g in groups))
 
 
 def potential_h1_error(prob: PoissonProblem, ls: LagrangeSpace, u_h, *, quad_degree=None):
@@ -401,7 +396,7 @@ def apriori_checks(prob_builder, p: int, q: int, meshes, *, quad_degree=None):
         denom = glob["Eglob_l2"] + h1_glob
         R = (err_ls + err_h1) / max(denom, 1e-300)
         # divergence bound: l^2 ||div(s - s_LS)||^2 <= l^2 osc^2 + H1 err^2 + flux-best^2
-        div_err = flux_div_error(prob, lsres["sigma"], quad_degree=quad_degree)
+        div_err = _flux_error(prob, lsres["sigma"], quad_degree, div=True)
         osc = _div_oscillation(prob, p, quad_degree=quad_degree)
         l2 = prob.l_omega**2
         slack = (l2 * osc**2 + err_h1**2 + glob["Eglob_l2"] ** 2) - l2 * div_err**2
@@ -428,13 +423,8 @@ def apriori_checks(prob_builder, p: int, q: int, meshes, *, quad_degree=None):
 def _div_oscillation(prob, p, *, quad_degree=None):
     """||div sigma - Pi_p div sigma|| (unweighted) over the mesh."""
     policy = QuadPolicy(p, field=prob.sigma, degree=quad_degree)
-    space = rtn_space(prob.mesh, p)
-    return np.sqrt(
-        sum(
-            space.oscillation_sq(g, g.eval(prob.sigma, div=True)).sum()
-            for g in policy.groups(prob.mesh)
-        )
-    )
+    osc = (oscillation_sq(prob.mesh, p, g, g.eval(prob.sigma, div=True)).sum() for g in policy.groups(prob.mesh))
+    return np.sqrt(sum(osc))
 
 
 def galerkin_orthogonality(prob, res):

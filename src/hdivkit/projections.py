@@ -7,7 +7,7 @@ from functools import partial
 import numpy as np
 
 from . import polys
-from .elements import edge_dof_values, hat_operators, rtn_space, scalar_moments
+from .elements import edge_dof_values, hat_operators, rtn_space, scalar_moments, scalar_values
 from .quadpolicy import QuadGroup, QuadPolicy
 from .quadrature import gauss01
 
@@ -35,10 +35,8 @@ class ScalarPWField:
         return float(np.linalg.norm(self.coeffs))
 
     def values(self, group):
-        """Values at a quadrature group's points; (n, nq).  Needs only det B_k,
-        not the RTN tables."""
-        phi = group.phi(self.p)
-        return group.combine(self.coeffs[group.tris], phi) / np.sqrt(self.mesh.detB[group.tris])[:, None]
+        """Values at a quadrature group's points; (n, nq)."""
+        return scalar_values(self.mesh, self.p, group, self.coeffs[group.tris])
 
     def eval_element(self, k, pts):
         return self.values(QuadGroup.points_on(self.mesh, k, pts))[0]
@@ -50,39 +48,48 @@ class ScalarPWField:
 
 
 class BrokenRTNField:
-    """Elementwise RTN_p field; normal traces may jump across edges."""
+    """Elementwise RTN_p field; normal traces may jump across edges.
+
+    Evaluation, divergence and norm read the element rows through
+    ``element_coeffs``, so a field that stores its rows another way
+    (``projector.ConformingRTNField``, through ``dof_map``) reuses them.
+    """
 
     def __init__(self, mesh, p, coeffs=None):
         self.mesh = mesh
         self.p = p
         self.space = rtn_space(mesh, p)
-        if coeffs is None:
-            coeffs = np.zeros((mesh.num_triangles, self.space.ref.dim))
-        self.coeffs = np.asarray(coeffs, float)
         self.poly_degree = p + 1
         self.is_discrete = True
         self.singularity = None
         self.divergence_free = False
+        self._store(coeffs)
 
-    def eval(self, pts, elem=None):
-        if elem is None:
-            raise ValueError("broken fields need an element index for evaluation")
-        return self.space.values(QuadGroup.points_on(self.mesh, elem, pts), self.coeffs[[elem]])[0]
-
-    def eval_div(self, pts, elem=None):
-        if elem is None:
-            raise ValueError("broken fields need an element index for evaluation")
-        return self.space.div_values(QuadGroup.points_on(self.mesh, elem, pts), self.coeffs[[elem]])[0]
+    def _store(self, coeffs):
+        if coeffs is None:
+            coeffs = np.zeros((self.mesh.num_triangles, self.space.ref.dim))
+        self.coeffs = np.asarray(coeffs, float)
 
     def element_coeffs(self, tris):
         """Element coefficient rows of a triangle or an array of triangles."""
         return self.coeffs[tris]
 
+    def eval(self, pts, elem=None):
+        return self.space.values(self._points(pts, elem), self.element_coeffs([elem]))[0]
+
+    def eval_div(self, pts, elem=None):
+        return self.space.div_values(self._points(pts, elem), self.element_coeffs([elem]))[0]
+
+    def _points(self, pts, elem):
+        if elem is None:
+            raise ValueError("RTN fields are evaluated elementwise: pass elem")
+        return QuadGroup.points_on(self.mesh, elem, pts)
+
     def div(self) -> ScalarPWField:
-        return ScalarPWField(self.mesh, self.p, self.space.div(self.coeffs))
+        return ScalarPWField(self.mesh, self.p, self.space.div(self.element_coeffs(slice(None))))
 
     def norm(self):
-        y = self.space.to_ref(self.coeffs)
+        y = self.space.to_ref(self.element_coeffs(slice(None)))
         return float(np.sqrt(np.sum(y * self.space.mass(y))))
 
 
@@ -192,7 +199,7 @@ def hat_interpolants(theta: BrokenRTNField, p_target, tris=None) -> np.ndarray:
     mesh = theta.mesh
     tris = np.arange(mesh.num_triangles) if tris is None else np.asarray(tris, int)
     H, _ = hat_operators(theta.p, p_target)
-    ref = theta.space.to_ref(theta.coeffs[tris], tris)
+    ref = theta.space.to_ref(theta.element_coeffs(tris), tris)
     chi = np.einsum("iab,kb->kia", H, ref).reshape(-1, H.shape[1])
     chi = rtn_space(mesh, p_target).to_phys(chi, np.repeat(tris, 3))
     return chi.reshape(len(tris), 3, -1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 import scipy.sparse as sp
 
-from .elements import rtn_space
+from .elements import rtn_space, scalar_moments
 from .fields import FieldError
 from .local_solve import (
     build_patch_problem,
@@ -29,54 +29,32 @@ from .local_solve import (
     sum_patch_fields,
     theta_field,
 )
-from .projections import BrokenRTNField, ScalarPWField, quadrature_self_check
+from .projections import BrokenRTNField, quadrature_self_check
 from .quadpolicy import QuadGroup, QuadPolicy
 from .quadrature import gauss01, quad_rule
 
 
-class ConformingRTNField:
-    """Global RTN_p field with continuous normal trace, zero on Neumann edges.
+class ConformingRTNField(BrokenRTNField):
+    """Global RTN_p field with continuous normal trace, zero on Neumann edges:
+    a broken field whose element rows are read from ``dofs`` through
+    ``dof_map``.
 
     The dof vector stacks (p+1) dofs per edge (Neumann edge rows stay zero)
     followed by the per-element interior dofs.
     """
 
     def __init__(self, mesh, p, dofs=None):
-        self.mesh = mesh
-        self.p = p
-        self.space = rtn_space(mesh, p)
-        self.dofs = np.zeros(self.space.ndof) if dofs is None else np.asarray(dofs, float)
-        self.poly_degree = p + 1
-        self.is_discrete = True
-        self.singularity = None
-        self.divergence_free = False
+        super().__init__(mesh, p, dofs)
         self.info = {}
 
+    def _store(self, dofs):
+        self.dofs = np.zeros(self.space.ndof) if dofs is None else np.asarray(dofs, float)
+
     def element_coeffs(self, tris):
-        """Element coefficient rows of a triangle or an array of triangles."""
         return self.dofs[self.space.dof_map[tris]]
 
     def to_broken(self) -> BrokenRTNField:
-        return BrokenRTNField(self.mesh, self.p, self.dofs[self.space.dof_map])
-
-    def eval(self, pts, elem=None):
-        if elem is None:
-            raise ValueError("conforming fields are evaluated elementwise")
-        return self.space.values(QuadGroup.points_on(self.mesh, elem, pts), self.element_coeffs([elem]))[0]
-
-    def eval_div(self, pts, elem=None):
-        if elem is None:
-            raise ValueError("conforming fields are evaluated elementwise")
-        return self.space.div_values(QuadGroup.points_on(self.mesh, elem, pts), self.element_coeffs([elem]))[0]
-
-    def as_field(self):
-        return self
-
-    def div(self) -> ScalarPWField:
-        return self.to_broken().div()
-
-    def norm(self):
-        return self.to_broken().norm()
+        return BrokenRTNField(self.mesh, self.p, self.element_coeffs(slice(None)))
 
     def _normal_traces(self, edges, side):
         """Normal traces v.n at 8 Gauss points of each edge, read from the
@@ -180,9 +158,15 @@ def project_hdiv(
     which trades accuracy for a degree-robust constant.  The result carries
     a ProjectorInfo under ``.info['projector']``.
     """
+    policy = QuadPolicy(p, field=v, degree=quad_degree)
+    return _project_hdiv(v, p, mesh, policy, variant, quad_degree, measure_stability)
+
+
+def _project_hdiv(v, p, mesh, policy, variant, quad_degree, measure_stability):
+    """``project_hdiv`` on the rules of ``policy``, whose groups and samples
+    of v stay cached for the caller."""
     q = fit_degree(p, variant)
     check_field_compatibility(v, mesh)
-    policy = QuadPolicy(p, field=v, degree=quad_degree)
     theta_policy = policy if q == p else QuadPolicy(q, field=v, degree=quad_degree)
     theta = theta_field(v, p, mesh, variant=variant, policy=theta_policy)
     info = ProjectorInfo(variant=variant, p=p)
@@ -209,7 +193,7 @@ def project_hdiv(
     # ||v|| (p+1) / h_max
     pi_div = np.empty((mesh.num_triangles, space.sdim))
     for g, _, dvals in policy.samples(v, mesh):
-        pi_div[g.tris] = space.scalar_moments(g, dvals)
+        pi_div[g.tris] = scalar_moments(mesh, p, g, dvals)
     if policy.self_check:
         quadrature_self_check(pi_div, lambda g: g.eval(v, div=True), mesh, p, policy, info.warnings)
     num = np.linalg.norm(sigma.div().coeffs - pi_div)
@@ -232,10 +216,8 @@ def projector_report(v, p, mesh, *, variant="def31", quad_degree=None):
     """
     from .best_approx import _local_fits
 
-    sigma = project_hdiv(
-        v, p, mesh, variant=variant, quad_degree=quad_degree, measure_stability=True
-    )
     policy = QuadPolicy(p, field=v, degree=quad_degree)
+    sigma = _project_hdiv(v, p, mesh, policy, variant, quad_degree, measure_stability=True)
     loc = _local_fits(v, p, mesh, policy)
     hscale = mesh.h / (p + 1)
     nt = mesh.num_triangles

@@ -125,7 +125,6 @@ class QuadGroup:
 class QuadPolicy:
     def __init__(self, p, field=None, degree=None, self_check=True):
         self.p = p
-        self.field = field
         poly_deg = getattr(field, "poly_degree", None) if field is not None else None
         if poly_deg is not None:
             self.base_degree = poly_deg + p + 3

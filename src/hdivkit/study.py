@@ -401,7 +401,7 @@ def verify(cfg: StudyConfig | None = None):
         m = build_structured(n)
         for p in (0, 1, 2):
             vh = random_conforming_field(m, p, seed=cfg.seed + p)
-            sig = project_hdiv(vh.as_field(), p, m)
+            sig = project_hdiv(vh, p, m)
             worst_proj = max(
                 worst_proj,
                 np.linalg.norm(sig.dofs - vh.dofs) / np.linalg.norm(vh.dofs),

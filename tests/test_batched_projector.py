@@ -25,7 +25,6 @@ from hdivkit.linsolve import STACK_BYTES
 from hdivkit.local_solve import (
     CompatibilityError,
     build_patch_problem,
-    elem_constrained_min,
     patch_equilibrate,
     patch_layout,
     sum_patch_fields,
@@ -91,7 +90,7 @@ def test_projector_matches_loop_oracle(meshes, mesh_name, labels, p, variant, fi
     # the discrete field has degree p + 1 (a genuine fit) and zero Neumann
     # dofs; the stream field runs the analytic path with the self-check
     m = meshes[mesh_name, labels]
-    v = random_conforming_field(m, p + 1, seed=p).as_field() if field == "discrete" else stream_field()
+    v = random_conforming_field(m, p + 1, seed=p) if field == "discrete" else stream_field()
     stability = p <= 2  # the per-patch oracle surrogate loops over P_{p+2} nodes in Python
     sig = project_hdiv(v, p, m, variant=variant, measure_stability=stability)
     info = sig.info["projector"]
@@ -143,7 +142,7 @@ def test_stability_ratios_match_loop_oracle_at_a_bowtie_vertex(p):
     m = Mesh([(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1)], [(0, 1, 2), (1, 3, 2), (0, 4, 5)], labels)
     layout = patch_layout(m, p)
     assert layout.groups[layout.where[0, 0]].verts.tolist() == [0, 1, 2]
-    v = random_conforming_field(m, p + 1, seed=p).as_field()
+    v = random_conforming_field(m, p + 1, seed=p)
     got = np.array(project_hdiv(v, p, m, measure_stability=True).info["projector"].stability_ratios)
     want = oracles.project_hdiv_oracle(v, p, m, measure_stability=True)
     ref, amp = np.array(want["stability_ratios"]), np.array(want["stability_amplification"])
@@ -172,7 +171,7 @@ def test_perturbed_theta_names_the_loops_vertex(monkeypatch, p, k):
     import hdivkit.projector as projector
 
     m = build_structured(3, labels="all-neumann")
-    v = random_conforming_field(m, p + 1, seed=4).as_field()
+    v = random_conforming_field(m, p + 1, seed=4)
     dtheta = 1e-3 * np.random.default_rng(k).standard_normal(rtn_space(m, p).ref.dim)
 
     def perturb(theta):
@@ -267,7 +266,7 @@ def test_single_patch_problem_matches_loop_assembly():
     # the group of one vertex patch gives its one-row problem; its hybrid
     # solution equals a dense KKT solve of the loop assembly
     m = jitter(build_lshape(2, labels="left-neumann"), 2)
-    v = random_conforming_field(m, 3, seed=1).as_field()
+    v = random_conforming_field(m, 3, seed=1)
     p = 2
     theta = theta_field(v, p, m)
     data = oracles.patch_data_oracle(theta, v, p, m, QuadPolicy(p, field=v))
@@ -294,8 +293,7 @@ def test_element_fit_is_a_slice_of_the_stacked_fit(variant):
     theta = theta_field(v, p, m, variant=variant)
     policy = QuadPolicy(q, field=v)
     for k in range(m.num_triangles):
-        one = elem_constrained_min(v, p, m, k, variant=variant)
-        assert np.array_equal(one, local_best_constrained(v, q, m, k)["coeffs"])
+        one = local_best_constrained(v, q, m, k)["coeffs"]
         assert _rel(one, theta.coeffs[k]) <= 1e-14
         assert _rel(one, oracles.elem_constrained_min_oracle(v, q, m, k, policy)) <= 1e-13
 

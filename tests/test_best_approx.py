@@ -83,7 +83,7 @@ def test_p_robust_sweep(ref_triangle_mesh, exp_field):
 
 def test_global_zero_for_conforming_members(unit_square_2):
     vh = random_conforming_field(unit_square_2, 1, seed=12)
-    out = global_best(vh.as_field(), 1, unit_square_2)
+    out = global_best(vh, 1, unit_square_2)
     assert out["Eglob"] < 1e-10 * np.linalg.norm(vh.dofs)
 
 
@@ -118,7 +118,7 @@ def test_all_neumann_infeasible_field_rejected(exp_field):
 def test_all_neumann_kernel_path():
     m = build_structured(2, labels="all-neumann")
     vh = random_conforming_field(m, 1, seed=6)
-    out = global_best(vh.as_field(), 1, m)
+    out = global_best(vh, 1, m)
     assert out["Eglob"] < 1e-10 * np.linalg.norm(vh.dofs)
 
 

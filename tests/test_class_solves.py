@@ -74,7 +74,7 @@ def _assert_agree(got, want):
 @pytest.mark.parametrize("p,mesh_name,labels", CASES)
 def test_class_solves_match_stacked_oracle(monkeypatch, p, mesh_name, labels, field):
     mesh = MESHES[mesh_name](labels)
-    v = random_conforming_field(mesh, p + 1, seed=p).as_field() if field == "discrete" else stream_field()
+    v = random_conforming_field(mesh, p + 1, seed=p) if field == "discrete" else stream_field()
     mixed_mesh = MESHES[mesh_name]("all-dirichlet")
     got = _results(v, p, mesh, mixed_mesh)
     with monkeypatch.context() as mp:
@@ -113,6 +113,28 @@ def test_repeated_classes_give_equal_bits(monkeypatch):
         assert np.array_equal(a, b)
     v = stream_field()
     assert np.array_equal(project_hdiv(v, 3, mesh).dofs, project_hdiv(v, 3, mesh).dofs)
+
+
+@pytest.mark.parametrize("p", range(7))
+def test_mass_ref_rows_do_not_depend_on_the_other_rows(p):
+    # numpy sends a one-row product to gemv, which rounds differently from
+    # gemm: a row alone must get the bits it gets among the others
+    for build in MESHES.values():
+        space = rtn_space(build("left-neumann"), p)
+        full = space.mass_ref(space.coef)
+        for k in range(len(space)):
+            assert np.array_equal(space.mass_ref(space.coef[[k]])[0], full[k]), k
+
+
+@pytest.mark.parametrize("p", range(7))
+def test_class_tables_do_not_depend_on_the_chunks(monkeypatch, p):
+    def table():  # on a new mesh, which holds no space yet; a class per element
+        return rtn_space(_jitter_every_vertex(build_structured(3, labels="left-neumann"), 7), p).kkt_table
+
+    want = table()
+    monkeypatch.setattr(linsolve, "STACK_BYTES", 1)  # one class per chunk
+    for a, b in zip(table(), want):
+        assert np.array_equal(a, b)
 
 
 def _jitter_every_vertex(m, seed):

@@ -74,7 +74,7 @@ def test_residuals_of_empty_edge_sets():
 @pytest.mark.parametrize("p", [0, 1, 2, 3])
 def test_projector_report_matches_neighborhood_loop(name, p):
     m = MESHES[name]()
-    v = random_conforming_field(m, p + 1, seed=p).as_field()
+    v = random_conforming_field(m, p + 1, seed=p)
     got = projector_report(v, p, m)["records"]
     want = oracles.projector_report_oracle(v, p, m)
     assert len(got) == len(want) == m.num_triangles

@@ -18,7 +18,7 @@ import pytest
 import oracles
 from hdivkit import fields
 from hdivkit.best_approx import error_report, global_best, local_best
-from hdivkit.elements import _coupling_reference, _mass_blocks, lagrange_grads_ref, rtn_space
+from hdivkit.elements import _coupling_reference, _mass_blocks, lagrange_grads_ref, rtn_space, scalar_values
 from hdivkit.linsolve import assemble_csr
 from hdivkit.mesh import Mesh, build_lshape, build_structured
 from hdivkit.model_problems import (
@@ -117,7 +117,7 @@ def test_applied_tables_match_the_stored_stacks(mesh, p):
         Bt = np.swapaxes(mesh.B[t], 1, 2) / mesh.detB[t, None, None]
         want = g.combine((C[t] @ c[t, :, None])[:, :, 0], prim) @ Bt
         assert _rel_rows(space.values(g, c[t]), want) <= 1e-13
-        want = space.scalar_values(g, (Bdiv[t] @ c[t, :, None])[:, :, 0])
+        want = scalar_values(mesh, p, g, (Bdiv[t] @ c[t, :, None])[:, :, 0])
         assert _rel_rows(space.div_values(g, c[t]), want) <= 1e-13
         vals = rng.standard_normal(g.pts.shape)
         F = vals @ mesh.B[t] * (g.w / mesh.detB[t, None])[:, :, None]

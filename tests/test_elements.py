@@ -12,12 +12,14 @@ from hdivkit.elements import (
     rtn_reference,
     rtn_space,
     scalar_basis,
+    scalar_moments,
+    scalar_values,
 )
 from hdivkit.fields import AnalyticField
 from hdivkit.mesh import build_lshape, one_triangle
 from hdivkit.projections import BrokenRTNField, ScalarPWField, canonical_interp
 from hdivkit.projector import ConformingRTNField, random_conforming_field
-from hdivkit.quadpolicy import QuadGroup
+from hdivkit.quadpolicy import QuadGroup, QuadPolicy
 from hdivkit.quadrature import gauss01, quad_rule
 
 RNG = np.random.default_rng(42)
@@ -74,11 +76,10 @@ def test_divergence_lies_in_Pp():
     # project div of every basis member onto P_p and compare pointwise
     m = one_triangle(REF)
     for p in range(4):
-        space = rtn_space(m, p)
         group = rule_group(m, quad_rule(2 * p + 6))
         for field in unit_fields(m, p):
             dv = field.eval_div(group.pts[0], elem=0)
-            back = space.scalar_values(group, space.scalar_moments(group, dv[None]))[0]
+            back = scalar_values(m, p, group, scalar_moments(m, p, group, dv[None]))[0]
             assert np.abs(dv - back).max() < 1e-12
 
 
@@ -214,7 +215,8 @@ def _rel(got, want):
 def test_element_evaluation_matches_oracle(p):
     # eval / eval_div / eval_element through one-row quadrature groups of the
     # stacked tables against the per-element methods, at random points of
-    # elements with both edge directions
+    # elements with both edge directions; a conforming field reads the rows
+    # of its broken copy, so the two agree bit for bit
     m = jitter(build_lshape(2), 3)
     sig = random_conforming_field(m, p, seed=p)
     broken = sig.to_broken()
@@ -233,8 +235,15 @@ def test_element_evaluation_matches_oracle(p):
         for field in (sig, broken):
             assert _rel(field.eval(pts, elem=k), el.eval_coeffs(c, pts)) <= 1e-14
             assert np.all(np.abs(field.eval_div(pts, elem=k) - el.eval_div_coeffs(c, pts)) <= 1e-14 * div_scale)
+        assert np.array_equal(sig.eval(pts, elem=k), broken.eval(pts, elem=k))
+        assert np.array_equal(sig.eval_div(pts, elem=k), broken.eval_div(pts, elem=k))
         assert _rel(scalar.eval_element(k, pts), el.scalar_values(scalar.coeffs[k], pts)) <= 1e-14
         assert field.eval(pts[0], elem=k).shape == (1, 2)
+    for g in QuadPolicy(p, field=sig).groups(m):
+        assert np.array_equal(g.eval(sig), g.eval(broken))
+        assert np.array_equal(g.eval(sig, div=True), g.eval(broken, div=True))
+    assert np.array_equal(sig.div().coeffs, broken.div().coeffs)
+    assert sig.norm() == broken.norm()
 
 
 def test_orientation_error():

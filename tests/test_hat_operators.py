@@ -112,7 +112,7 @@ def test_patch_problem_matches_quadrature_oracle(meshes, mesh_name, variant, p):
     # v of degree p + 2 makes theta a genuine fit (not v itself); its
     # Neumann-edge dofs vanish, as the left-neumann labels require
     m = meshes[mesh_name]
-    v = random_conforming_field(m, p + 1, seed=p).as_field()
+    v = random_conforming_field(m, p + 1, seed=p)
     theta = theta_field(v, p, m, variant=variant)
     policy = QuadPolicy(p, field=v)
     for patch in vertex_patches(m):
@@ -122,7 +122,7 @@ def test_patch_problem_matches_quadrature_oracle(meshes, mesh_name, variant, p):
 @pytest.mark.parametrize("variant,p", [("def31", 2), ("def52", 3)])
 def test_interp_product_with_hat_matches_quadrature_oracle(meshes, variant, p):
     m = meshes["jittered3"]
-    v = random_conforming_field(m, p + 1, seed=p).as_field()
+    v = random_conforming_field(m, p + 1, seed=p)
     theta = theta_field(v, p, m, variant=variant)
     for patch in vertex_patches(m):
         got = interp_product_with_hat(theta, patch, m, p)

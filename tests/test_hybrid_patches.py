@@ -52,7 +52,7 @@ def _scaled(m, c):
 def test_patches_match_the_oracle(labels, scale, p):
     # all-Neumann: every patch is a kernel patch
     m = _scaled(jitter(build_structured(2, labels=labels), 3), scale)
-    _check_patches(m, p, random_conforming_field(m, p + 1, seed=p).as_field())
+    _check_patches(m, p, random_conforming_field(m, p + 1, seed=p))
 
 
 @pytest.mark.parametrize("p", [0, 1])
@@ -60,7 +60,7 @@ def test_one_triangle_neumann_corner(p):
     # the corner vertex of lshape:4 has one triangle and only pinned edges;
     # at p = 0 its patch has no free dof at all
     m = build_lshape(4, labels="all-neumann")
-    v = random_conforming_field(m, p + 1, seed=5).as_field()
+    v = random_conforming_field(m, p + 1, seed=5)
     groups = _check_patches(m, p, v)
     corner = [g for g in groups if g.tris.shape[1] == 1]
     assert corner and all(g.kernel for g in corner)
@@ -77,7 +77,7 @@ def test_bowtie_vertex(p):
     m = Mesh([(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1)], [(0, 1, 2), (1, 3, 2), (0, 4, 5)], labels)
     layout = patch_layout(m, p)
     assert layout.groups[layout.where[0, 0]].verts.tolist() == [0, 1, 2]
-    v = random_conforming_field(m, p + 1, seed=p).as_field()
+    v = random_conforming_field(m, p + 1, seed=p)
     _check_patches(m, p, v)
     want = oracles.project_hdiv_oracle(v, p, m)
     got = project_hdiv(v, p, m).dofs
@@ -88,5 +88,5 @@ def test_patch_system_size_is_the_largest_multiplier_system():
     # two multipliers per triangle and degree at an interior vertex:
     # 2 * 6 * 7 = 84 at p = 6 on structured:4
     m = build_structured(4)
-    info = project_hdiv(random_conforming_field(m, 6, seed=1).as_field(), 6, m).info["projector"]
+    info = project_hdiv(random_conforming_field(m, 6, seed=1), 6, m).info["projector"]
     assert info.patch_system_size == 84

@@ -5,7 +5,7 @@ import pytest
 
 from hdivkit import fields
 from hdivkit.best_approx import error_report, global_best
-from hdivkit.elements import rtn_space
+from hdivkit.elements import rtn_space, scalar_moments
 from hdivkit.linsolve import hybrid_saddle_solve
 from hdivkit.mesh import build_lshape, build_structured
 from hdivkit.model_problems import _data_moments, manufactured_sine, solve_mixed
@@ -53,7 +53,7 @@ def _oracle_best(v, p, mesh, policy):
     g = np.zeros((mesh.num_triangles, space.sdim))
     for grp, vvals, dvvals in policy.samples(v, mesh):
         rhs[grp.tris] = space.moments(grp, vvals)
-        g[grp.tris] = space.scalar_moments(grp, dvvals)
+        g[grp.tris] = scalar_moments(mesh, p, grp, dvvals)
     dofs, _, res = conforming_saddle_oracle(space, rhs, g)
     sigma = ConformingRTNField(mesh, p, dofs)
     l2_sq = sum(grp.norm_sq(vv - grp.eval(sigma)).sum() for grp, vv, _ in policy.samples(v, mesh))
@@ -107,7 +107,7 @@ def test_solve_mixed_matches_saddle_oracle(meshes, name, p):
     prob = manufactured_sine(mesh)
     res = solve_mixed(prob, p)
     space = rtn_space(mesh, p)
-    fmom = _data_moments(prob, space, QuadPolicy(p, field=prob.sigma))
+    fmom = _data_moments(prob, QuadPolicy(p, field=prob.sigma))
     so, uo, kkt = conforming_saddle_oracle(space, np.zeros(space.dof_map.shape), fmom)
     assert _rel(res["sigma"].dofs, so) <= TOL
     assert _rel(res["u"].coeffs, -uo) <= TOL  # u is minus the divergence multiplier

@@ -4,10 +4,10 @@ import pytest
 import oracles
 from conftest import x2_field
 from hdivkit import fields
+from hdivkit.best_approx import local_best_constrained
 from hdivkit.elements import rtn_space
 from hdivkit.local_solve import (
     build_patch_problem,
-    elem_constrained_min,
     patch_equilibrate,
     patch_layout,
     patch_stability_ratio,
@@ -29,7 +29,7 @@ def test_discrete_member_is_fixed_point(unit_square_2):
     for p in range(3):
         vb = random_broken_field(m, p, seed=p + 1)
         for k in range(m.num_triangles):
-            theta = elem_constrained_min(vb, p, m, k)
+            theta = local_best_constrained(vb, p, m, k)["coeffs"]
             assert np.abs(theta - vb.coeffs[k]).max() < 1e-11
 
 
@@ -42,7 +42,7 @@ def test_euler_lagrange_hat_gradients(unit_square_2, cubic_field):
     space = rtn_space(m, p)
     rule = quad_rule(2 * p + 16)
     for k in range(m.num_triangles):
-        theta = elem_constrained_min(cubic_field, p, m, k)
+        theta = local_best_constrained(cubic_field, p, m, k)["coeffs"]
         el = oracles.element(space, k)
         pts = el.map_to_phys(rule.points)
         w = rule.weights * el.detB
@@ -56,14 +56,14 @@ def test_euler_lagrange_hat_gradients(unit_square_2, cubic_field):
 
 def test_reduced_mode_needs_p1(ref_triangle_mesh, cubic_field):
     with pytest.raises(ValueError):
-        elem_constrained_min(cubic_field, 0, ref_triangle_mesh, 0, variant="def52")
+        theta_field(cubic_field, 0, ref_triangle_mesh, variant="def52")
 
 
 def test_element_kkt_vs_oracle(ref_triangle_mesh):
     # v = (x^2, 0) at p = 0 against the null-space oracle built from plain
     # high-order quadrature
     v = x2_field()
-    theta = elem_constrained_min(v, 0, ref_triangle_mesh, 0)
+    theta = local_best_constrained(v, 0, ref_triangle_mesh, 0)["coeffs"]
     ref = oracles.element_kkt_oracle(
         ref_triangle_mesh, 0, 0, v.eval, v.eval_div
     )
@@ -82,8 +82,7 @@ def test_patch_target_feasible_and_optimal(unit_square_2):
     # so the minimizer must coincide with it
     m = unit_square_2
     p = 1
-    vh = random_conforming_field(m, p, seed=9)
-    v = vh.as_field()
+    v = random_conforming_field(m, p, seed=9)
     theta = theta_field(v, p, m)
     for patch in vertex_patches(m):
         prob = _problem(patch, theta, v, p, m)

@@ -6,7 +6,7 @@ import pytest
 import oracles
 from conftest import x2_field
 from hdivkit import fields
-from hdivkit.elements import rtn_space
+from hdivkit.elements import rtn_space, scalar_moments, scalar_values
 from hdivkit.projections import (
     ScalarPWField,
     _scalar_values,
@@ -230,8 +230,7 @@ def test_edge_rules_are_the_element_rules(mesh, field, p):
 
 
 def test_scalar_evaluation_builds_no_rtn_tables():
-    # scalar values need only det B_k; they equal the values through the RTN
-    # tables bit for bit
+    # scalar values need only det B_k; they match the per-element oracle
     m, p = build_structured(4), 3
     rng = np.random.default_rng(5)
     f = ScalarPWField(m, p, rng.standard_normal((m.num_triangles, (p + 1) * (p + 2) // 2)))
@@ -240,14 +239,14 @@ def test_scalar_evaluation_builds_no_rtn_tables():
     group = QuadPolicy(p).groups(m)[0]
     vals, at_k = _scalar_values(f, m, group), f.eval_element(k, pts)
     assert ("rtn_space", p) not in m._cache
-    space = rtn_space(m, p)
-    assert np.array_equal(vals, space.scalar_values(group, f.coeffs[group.tris]))
-    assert np.array_equal(at_k, space.scalar_values(QuadGroup.points_on(m, k, pts), f.coeffs[[k]])[0])
+    assert np.array_equal(vals, scalar_values(m, p, group, f.coeffs[group.tris]))
+    el = oracles.element(rtn_space(m, p), k)
+    assert np.linalg.norm(at_k - el.scalar_values(f.coeffs[k], pts)) <= 1e-14 * np.linalg.norm(at_k)
 
 
 def test_project_scalar_builds_no_rtn_tables():
     # scalar moments need only det B_k: a fresh mesh keeps no RTN space, and
-    # the coefficients equal the moments through the RTN tables bit for bit
+    # the coefficients equal the moments over the policy's groups bit for bit
     def f(pts):
         return np.sin(3 * pts[:, 0]) * np.exp(pts[:, 1])
 
@@ -255,8 +254,7 @@ def test_project_scalar_builds_no_rtn_tables():
     warnings = []
     got = project_scalar(f, p, m, warnings=warnings)
     assert ("rtn_space", p) not in m._cache
-    space = rtn_space(other, p)
     want = np.empty_like(got.coeffs)
     for g in QuadPolicy(p).groups(other):
-        want[g.tris] = space.scalar_moments(g, g.call(f))
+        want[g.tris] = scalar_moments(other, p, g, g.call(f))
     assert np.array_equal(got.coeffs, want) and warnings == []

@@ -24,7 +24,7 @@ from hdivkit.elements import rtn_space
 def test_projection_property(labels, p):
     m = build_structured(2, labels=labels)
     vh = random_conforming_field(m, p, seed=p + 17)
-    sig = project_hdiv(vh.as_field(), p, m)
+    sig = project_hdiv(vh, p, m)
     err = np.linalg.norm(sig.dofs - vh.dofs) / np.linalg.norm(vh.dofs)
     assert err < 1e-10
 
@@ -171,7 +171,7 @@ def test_all_neumann_projector_runs():
     m = build_structured(2, labels="all-neumann")
     p = 1
     vh = random_conforming_field(m, p, seed=2)
-    sig = project_hdiv(vh.as_field(), p, m)
+    sig = project_hdiv(vh, p, m)
     err = np.linalg.norm(sig.dofs - vh.dofs) / np.linalg.norm(vh.dofs)
     assert err < 1e-10
 
@@ -190,7 +190,7 @@ def test_all_neumann_p0_reproduces_members(mesh):
     # cancelling terms; the gate must measure it against those terms
     m = mesh()
     vh = random_conforming_field(m, 0, seed=3)
-    sig = project_hdiv(vh.as_field(), 0, m)
+    sig = project_hdiv(vh, 0, m)
     assert np.linalg.norm(sig.dofs - vh.dofs) / np.linalg.norm(vh.dofs) <= 1e-10
 
 
@@ -221,7 +221,7 @@ def test_all_neumann_divfree_field_projects(p):
 @pytest.mark.parametrize("p", [0, 1])
 def test_perturbed_theta_breaks_patch_compatibility(p):
     m = build_structured(2, labels="all-neumann")
-    vh = random_conforming_field(m, p, seed=4).as_field()
+    vh = random_conforming_field(m, p, seed=4)
     theta = theta_field(vh, p, m)
     k = 3
     theta.coeffs[k] += 1e-3 * np.random.default_rng(p).standard_normal(theta.coeffs.shape[1])
@@ -236,8 +236,43 @@ def test_report_zero_for_members(unit_square_2):
     m = unit_square_2
     p = 1
     vh = random_conforming_field(m, p, seed=5)
-    rep = projector_report(vh.as_field(), p, m)
+    rep = projector_report(vh, p, m)
     assert max(r["lhs_sq"] for r in rep["records"]) < 1e-20 * np.linalg.norm(vh.dofs) ** 2
+
+
+def _counting_field(name):
+    """A fresh catalog field and the number of points its v and div are called at."""
+    field, count = fields.catalog(name), {"v": 0, "div": 0}
+
+    def counted(key, fn):
+        def call(pts):
+            count[key] += len(pts)
+            return fn(pts)
+
+        return call
+
+    field.v, field.div = counted("v", field.v), counted("div", field.div)
+    return field, count
+
+
+@pytest.mark.parametrize(
+    "name,mesh,p,variant",
+    [
+        ("sine_divfree", lambda: build_structured(4, labels="left-neumann"), 1, "def31"),
+        ("lshape_singular", lambda: build_lshape(2), 2, "def52"),
+    ],
+)
+def test_report_samples_the_field_as_the_projection_does(name, mesh, p, variant):
+    # the report measures on the projection's own quadrature: one sampling of
+    # v and div v serves both, so it evaluates the field at exactly the points
+    # project_hdiv does alone
+    m = mesh()
+    alone, alone_count = _counting_field(name)
+    project_hdiv(alone, p, m, variant=variant, measure_stability=True)
+    report, report_count = _counting_field(name)
+    projector_report(report, p, m, variant=variant)
+    assert alone_count["v"] > 0 and alone_count["div"] > 0
+    assert report_count == alone_count
 
 
 def test_report_divfree_stability(unit_square_2, sine_field):
