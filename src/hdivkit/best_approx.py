@@ -22,55 +22,57 @@ from .projector import ConformingRTNField, check_field_compatibility
 from .quadpolicy import QuadPolicy
 
 
-def _local_fits(v, p, mesh, policy, tris=None, constrained=False):
-    """Local best approximations on the elements ``tris`` (default: all),
-    batched over the policy's quadrature groups: element mass solves, or
-    element KKT solves with the divergence constraint, by
-    ``linsolve.element_solve``.  Arrays in the order of ``tris``."""
+def _local_fits(v, p, mesh, policy, constrained=False):
+    """Local best approximations on every element, batched over the
+    policy's quadrature groups: element mass solves, or element KKT solves
+    with the divergence constraint, by ``linsolve.element_solve``.  Arrays
+    in element order."""
     space = rtn_space(mesh, p)
-    tris = np.arange(mesh.num_triangles) if tris is None else np.asarray(tris, int)
-    pos = np.empty(mesh.num_triangles, int)
-    pos[tris] = np.arange(len(tris))
-    l2 = np.empty(len(tris))
-    div = np.empty(len(tris))
-    coeffs = np.empty((len(tris), space.ref.dim))
-    for g, vvals, dvvals in policy.samples(v, mesh, tris):
+    l2, div = np.empty((2, mesh.num_triangles))
+    coeffs = np.empty((mesh.num_triangles, space.ref.dim))
+    for g, vvals, dvvals in policy.samples(v, mesh):
         if constrained:
             c = constrained_fit(space, g, vvals, dvvals)
         else:
             f = space.moments(g, vvals)[:, :, None]
             c = element_solve(space, f, np.empty((len(f), 0, 1)), g.tris)[0][:, :, 0]
-        r = pos[g.tris]
-        coeffs[r] = c
-        l2[r] = np.sqrt(g.norm_sq(vvals - space.values(g, c)))
-        div[r] = mesh.h[g.tris] / (p + 1) * np.sqrt(oscillation_sq(mesh, p, g, dvvals))
+        coeffs[g.tris] = c
+        l2[g.tris] = np.sqrt(g.norm_sq(vvals - space.values(g, c)))
+        div[g.tris] = mesh.h[g.tris] / (p + 1) * np.sqrt(oscillation_sq(mesh, p, g, dvvals))
     return {"l2_part": l2, "div_part": div, "E_loc": np.sqrt(l2**2 + div**2), "coeffs": coeffs}
 
 
+def _element_row(fit, mesh, k):
+    """Row k of the whole-mesh ``fit``, the coefficients as an array."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 <= k < mesh.num_triangles:
+        raise ValueError(f"element k={k!r} is not an integer in 0..{mesh.num_triangles - 1} "
+                         f"({mesh.num_triangles} triangles)")
+    return {key: val[k] if key == "coeffs" else float(val[k]) for key, val in fit.items()}
+
+
 def local_best(v, p, mesh, k, *, policy=None, quad_degree=None):
-    """Unconstrained local best approximation on element k.
+    """Unconstrained local best approximation on element k: the whole mesh
+    is fitted on the policy's samples and row k returned, so it equals row k
+    of ``error_report`` bit for bit.
 
     Returns dict with ``l2_part`` (distance to RTN_p(K)), ``div_part`` (the
-    weighted divergence oscillation) and ``E_loc`` (their square sum root).
+    weighted divergence oscillation), ``E_loc`` (their square sum root) and
+    ``coeffs``.  Raises ValueError unless k is an element index.
     """
     if policy is None:
         policy = QuadPolicy(p, field=v, degree=quad_degree)
-    fit = _local_fits(v, p, mesh, policy, [k])
-    return {key: val[0] if key == "coeffs" else float(val[0]) for key, val in fit.items()}
+    return _element_row(_local_fits(v, p, mesh, policy), mesh, k)
 
 
 def local_best_constrained(v, p, mesh, k, *, policy=None, quad_degree=None):
-    """Divergence-constrained local best approximation on element k: the
-    one-element slice of the stacked constrained fits."""
+    """Divergence-constrained local best approximation on element k: row k
+    of the whole-mesh constrained fits, with ``E_loc_c`` in place of
+    ``E_loc``."""
     if policy is None:
         policy = QuadPolicy(p, field=v, degree=quad_degree)
-    fit = _local_fits(v, p, mesh, policy, [k], constrained=True)
-    return {
-        "l2_part": float(fit["l2_part"][0]),
-        "div_part": float(fit["div_part"][0]),
-        "E_loc_c": float(fit["E_loc"][0]),
-        "coeffs": fit["coeffs"][0],
-    }
+    row = _element_row(_local_fits(v, p, mesh, policy, constrained=True), mesh, k)
+    row["E_loc_c"] = row.pop("E_loc")
+    return row
 
 
 def global_best(v, p, mesh, *, policy=None, quad_degree=None):
@@ -169,6 +171,7 @@ def error_report(
     rep.metadata.update({key: glob[key] for key in ("kkt_residual", "system_size", "nnz_lu")})
     rep.metadata["minimizer"] = glob["minimizer"]
     rep.metadata["quad_degree"] = policy.base_degree
+    rep.metadata["v_norm"] = np.sqrt(sum(g.norm_sq(vvals).sum() for g, vvals, _ in policy.samples(v, mesh)))
     if include_constrained:
         rep.Eloc_constrained = _local_fits(v, p, mesh, policy, constrained=True)["E_loc"]
     if include_pm1 and p >= 1:

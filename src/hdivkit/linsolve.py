@@ -124,9 +124,9 @@ def element_solve(space, f, g, tris):
     return x, u
 
 
-def eliminate(space, rhs, g, tris=None):
-    """The element half of a hybridization on ``tris`` (default: all): the
-    element KKT systems against the data rhs (n, ndof, r), g (n, sdim, r)
+def eliminate(space, rhs, g):
+    """The element half of a hybridization on every element: the element
+    KKT systems against the data rhs (n, ndof, r), g (n, sdim, r)
     (``element_solve``) and against [E_k^T; 0], the unit columns of the
     3(p+1) edge dofs signed +1 on the ``edge_tris[e, 0]`` side.  Mapped in,
     those are unit columns times sgn_k T_k's edge diagonal, so their
@@ -136,18 +136,18 @@ def eliminate(space, rhs, g, tris=None):
     r + 3(p+1) columns: edge multipliers mu give X[..., :r] - X[..., r:] mu."""
     mesh, p, d = space.mesh, space.p, space.ref.dim
     ne, r = 3 * (p + 1), rhs.shape[2]
-    tris = np.arange(mesh.num_triangles) if tris is None else np.asarray(tris)
-    own = mesh.edge_tris[mesh.tri_edges[tris], 0] == tris[:, None]
+    tris = np.arange(mesh.num_triangles)
+    own = mesh.edge_tris[mesh.tri_edges, 0] == tris[:, None]
     sgn = np.repeat(np.where(own, 1.0, -1.0), p + 1, axis=1)
     X = np.empty((len(tris), d, r + ne))
     U = np.empty((len(tris), space.sdim, r + ne))
     X[:, :, :r], U[:, :, :r] = element_solve(space, rhs, g, tris)
-    inv, cls = space.kkt_table[0], space.classes[0][tris]
-    w = (sgn * space.edge_scale(tris))[:, None, :]
-    root = np.sqrt(space.detB[tris])[:, None, None]
+    inv, cls = space.kkt_table[0], space.classes[0]
+    w = (sgn * space.edge_scale())[:, None, :]
+    root = np.sqrt(space.detB)[:, None, None]
     for sl in chunks(len(tris), 16 * (d + space.sdim) * ne):
         E = inv[cls[sl], :, :ne] * w[sl]
-        X[sl, :, r:] = np.swapaxes(space.to_phys(np.swapaxes(E[:, :d], 1, 2), tris[sl]), 1, 2)
+        X[sl, :, r:] = np.swapaxes(space.to_phys(np.swapaxes(E[:, :d], 1, 2), sl), 1, 2)
         U[sl, :, r:] = root[sl] * E[:, d:]
     return sgn, X, U
 

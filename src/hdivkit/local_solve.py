@@ -246,14 +246,13 @@ class PatchGroupProblem:
 class PatchData:
     """Equilibration data of every (triangle, local vertex i) pair.
 
-    On triangle ``tris[r]`` with hat function lambda_i:
-    ``chi[r, i]`` = dofs of I_p(lambda_i theta) and
-    ``g[r, i]`` = Pi_p(lambda_i div v + grad lambda_i . theta), in the
+    On triangle k with hat function lambda_i:
+    ``chi[k, i]`` = dofs of I_p(lambda_i theta) and
+    ``g[k, i]`` = Pi_p(lambda_i div v + grad lambda_i . theta), in the
     orthonormal scalar basis.  Vertex patch a takes, on each of its
     triangles, the row of its local vertex.
     """
 
-    tris: np.ndarray  # ascending triangle indices
     chi: np.ndarray  # (n, 3, ndof)
     g: np.ndarray  # (n, 3, sdim)
     mass_scale: np.ndarray  # (n, 3): magnitudes of the two terms of (g, 1)_K, see patch_data
@@ -261,8 +260,8 @@ class PatchData:
     x: np.ndarray | None = None  # (n, ndof, 4 + 3(p+1)): element eliminations, see patch_data
 
 
-def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None, tris=None) -> PatchData:
-    """Patch equilibration data on ``tris`` (default: every triangle).
+def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None) -> PatchData:
+    """Patch equilibration data on every triangle.
 
     The target and the gradient term come from the exact reference operators
     of ``hat_operators`` conjugated by the dof scaling; the divergence term
@@ -276,35 +275,34 @@ def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None, tris=None) -> 
     g_i, the flux of divergence sqrt|K| phi_0, and the edge unit columns.
     """
     space = rtn_space(mesh, p)
-    tris = np.arange(mesh.num_triangles) if tris is None else np.unique(tris)
     if policy is None:
         policy = QuadPolicy(p, field=v, degree=None)
-    chi = hat_interpolants(theta, p, tris)
+    chi = hat_interpolants(theta, p)
     _, G = hat_operators(theta.p, p)
-    ref = theta.space.to_ref(theta.element_coeffs(tris), tris)
-    grad = np.einsum("imb,kb->kim", G, ref) / np.sqrt(space.detB[tris])[:, None, None]
-    div, div_scale = _hat_div_moments(v, space, policy, tris)
+    ref = theta.space.to_ref(theta.coeffs)
+    grad = np.einsum("imb,kb->kim", G, ref) / np.sqrt(space.detB)[:, None, None]
+    div, div_scale = _hat_div_moments(v, space, policy)
     # (f, 1)_K = sqrt|K| f_0 = sqrt(det B_k / 2) f_0 in the orthonormal basis
     grad_scale = np.sqrt(0.5) * np.outer(np.linalg.norm(ref, axis=1), np.linalg.norm(G[:, 0], axis=1))
     g = div + grad
-    data = np.zeros((len(tris), space.sdim, 4))
-    data[:, :, :3] = np.swapaxes(g - space.div(chi, tris), 1, 2)
-    data[:, 0, 3] = np.sqrt(mesh.area[tris])
-    sign, x, _ = eliminate(space, np.zeros((len(tris), space.ref.dim, 4)), data, tris)
-    return PatchData(tris, chi, g, div_scale + grad_scale, sign, x)
+    n = mesh.num_triangles
+    data = np.zeros((n, space.sdim, 4))
+    data[:, :, :3] = np.swapaxes(g - space.div(chi), 1, 2)
+    data[:, 0, 3] = np.sqrt(mesh.area)
+    sign, x, _ = eliminate(space, np.zeros((n, space.ref.dim, 4)), data)
+    return PatchData(chi, g, div_scale + grad_scale, sign, x)
 
 
-def _hat_div_moments(v, space, policy, tris):
+def _hat_div_moments(v, space, policy):
     """(lambda_i div v, phi_m)_K over the policy's quadrature groups,
-    (n, 3, sdim), and (lambda_i |div v|, 1)_K, (n, 3), for ascending ``tris``."""
-    out = np.empty((len(tris), 3, space.sdim))
-    mag = np.empty((len(tris), 3))
-    for g, _, dv in policy.samples(v, space.mesh, tris):
+    (n, 3, sdim), and (lambda_i |div v|, 1)_K, (n, 3), for every triangle."""
+    out = np.empty((space.mesh.num_triangles, 3, space.sdim))
+    mag = np.empty((space.mesh.num_triangles, 3))
+    for g, _, dv in policy.samples(v, space.mesh):
         lam = g.barycentric()
-        r = np.searchsorted(tris, g.tris)
         for i in range(3):
-            out[r, i] = scalar_moments(space.mesh, space.p, g, lam[i] * dv)
-        mag[r] = np.einsum("ikq,kq->ki", lam, g.w * np.abs(dv))
+            out[g.tris, i] = scalar_moments(space.mesh, space.p, g, lam[i] * dv)
+        mag[g.tris] = np.einsum("ikq,kq->ki", lam, g.w * np.abs(dv))
     return out, mag
 
 
@@ -313,9 +311,8 @@ def _mass_defects(group, data, mesh):
     cancelling terms, per row of ``group`` (zero without a kernel)."""
     if not group.kernel:
         return np.zeros(len(group.verts))
-    r = np.searchsorted(data.tris, group.tris)
-    mass = np.sum(np.sqrt(mesh.area[group.tris]) * data.g[r, group.local, 0], axis=1)
-    scale = np.sum(data.mass_scale[r, group.local], axis=1)
+    mass = np.sum(np.sqrt(mesh.area[group.tris]) * data.g[group.tris, group.local, 0], axis=1)
+    scale = np.sum(data.mass_scale[group.tris, group.local], axis=1)
     return np.abs(mass) / np.maximum(scale, 1e-300)
 
 
@@ -355,18 +352,17 @@ def build_patch_problem(group: PatchGroup, theta: BrokenRTNField, v, p, mesh, *,
     gradient term is already a degree-p polynomial and the target psi_a theta
     lies in broken RTN_p exactly; the same dof extraction realizes both.
     ``data`` holds the element tables and eliminations of ``patch_data``;
-    without it they are built for the patches' triangles.  The blocks E_k
+    without it they are built for the whole mesh.  The blocks E_k
     (K_k^-1)_ss E_k^T are summed in triangle order.  Raises
     CompatibilityError for the lowest vertex whose patch data has a nonzero
     mass against the constant multiplier kernel.
     """
     space = rtn_space(mesh, p)
     if data is None:
-        data = patch_data(theta, v, p, mesh, policy=policy, tris=group.tris.ravel())
+        data = patch_data(theta, v, p, mesh, policy=policy)
     defect = _mass_defects(group, data, mesh)
     check_compatibility(group.verts, defect)
-    r = np.searchsorted(data.tris, group.tris)
-    chi, g, X = data.chi[r, group.local], data.g[r, group.local], data.x[r]
+    chi, g, X = data.chi[group.tris, group.local], data.g[group.tris, group.local], data.x[group.tris]
     (n, nt), nd, ne = group.tris.shape, group.dofs.shape[1], 3 * (p + 1)
     x0 = chi + np.take_along_axis(X[..., :3], group.local[..., None, None], axis=3)[..., 0]
     # columns: the constant-divergence coefficient (in place of the grounded
@@ -378,7 +374,7 @@ def build_patch_problem(group: PatchGroup, theta: BrokenRTNField, v, p, mesh, *,
     cols = np.concatenate([mu, np.where(group.kernel & (L == 0), -1, L)], axis=2)
     rows = np.where(L >= 0, np.arange(n)[:, None, None] * nl + L, -1)
     idx = np.where(cols[..., None, :] >= 0, rows[..., :, None] * nl + cols[..., None, :], -1)
-    sgn = data.sign[r]
+    sgn = data.sign[group.tris]
     S = _sum_into((n, nl, nl), idx, sgn[..., :, None] * X[..., :ne, 3:])
     b = _sum_into((n, nl), rows, sgn * x0[..., :ne])
     return PatchGroupProblem(group, p, chi, g, S, b, x0, X[..., 3:], cols, defect)

@@ -167,8 +167,8 @@ def _project_hdiv(v, p, mesh, policy, variant, quad_degree, measure_stability):
     of v stay cached for the caller."""
     q = fit_degree(p, variant)
     check_field_compatibility(v, mesh)
-    theta_policy = policy if q == p else QuadPolicy(q, field=v, degree=quad_degree)
-    theta = theta_field(v, p, mesh, variant=variant, policy=theta_policy)
+    # def52 fits on a degree p - 1 policy of its own, dropped with its samples here
+    theta = theta_field(v, p, mesh, variant=variant, policy=policy if q == p else None, quad_degree=quad_degree)
     info = ProjectorInfo(variant=variant, p=p)
     sigma = ConformingRTNField(mesh, p)
     space = sigma.space

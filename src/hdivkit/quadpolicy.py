@@ -116,11 +116,6 @@ class QuadGroup:
         vals = np.asarray(fn(self.pts.reshape(-1, 2)), float)
         return vals.reshape(self.pts.shape[:2] + vals.shape[1:])
 
-    def subset(self, keep):
-        tab = self._tables if self.shared else {}
-        ref = self.ref if self.shared else self.ref[keep]
-        return QuadGroup(self.tris[keep], ref, self.pts[keep], self.w[keep], tab)
-
 
 class QuadPolicy:
     def __init__(self, p, field=None, degree=None, self_check=True):
@@ -211,19 +206,16 @@ class QuadPolicy:
             self._cache[key] = (el.coords.copy(), list(el.edge_dirs), out)
         return out
 
-    def groups(self, mesh, tris=None):
-        """The elements (all, or ``tris``) grouped by the rule ``element_rules``
-        gives them: one group per shared reference rule, one for the corner
-        wedges, each cut into chunks of at most ``STACK_BYTES`` of per-point
-        data.  Built once per mesh."""
+    def groups(self, mesh):
+        """The elements of ``mesh`` grouped by the rule ``element_rules`` gives
+        them: one group per shared reference rule, one for the corner wedges,
+        each cut into chunks of at most ``STACK_BYTES`` of per-point data.
+        Built once per mesh."""
         # an entry holds its mesh: a cached id must not match a later mesh
         held = self._cache.get(("groups", id(mesh)))
         if held is None or held[0] is not mesh:
             held = self._cache[("groups", id(mesh))] = (mesh, list(self._grouped(mesh, check=False)))
-        if tris is None:
-            return held[1]
-        sub = [g.subset(np.isin(g.tris, tris)) for g in held[1]]
-        return [g for g in sub if len(g.tris)]
+        return held[1]
 
     def edge_rules(self, mesh):
         """The edge rules of ``element_rules`` for every (triangle, slot) pair
@@ -275,23 +267,11 @@ class QuadPolicy:
             pts, w = map(np.stack, zip(*(self._wedge(xs[j], corner[j], extra) for j in k)))
             yield QuadGroup.at(mesh, k, pts, w)
 
-    def samples(self, field, mesh, tris=None):
-        """(group, field values, divergence values) for the elements (all, or
-        ``tris``); the whole mesh is evaluated once per policy and field."""
+    def samples(self, field, mesh):
+        """(group, field values, divergence values) of every group of
+        ``groups``: the whole mesh is evaluated once per policy and field."""
         held = self._cache.get(("samples", id(mesh)))
         if held is None or held[0] is not mesh or held[1] is not field:
-            if tris is not None:
-                return [(g, g.eval(field), g.eval(field, div=True)) for g in self.groups(mesh, tris)]
-            held = self._cache[("samples", id(mesh))] = (
-                mesh,
-                field,
-                [(g, g.eval(field), g.eval(field, div=True)) for g in self.groups(mesh)],
-            )
-        if tris is None:
-            return held[2]
-        out = []
-        for g, v, dv in held[2]:
-            keep = np.isin(g.tris, tris)
-            if keep.any():
-                out.append((g.subset(keep), v[keep], dv[keep]))
-        return out
+            samples = [(g, g.eval(field), g.eval(field, div=True)) for g in self.groups(mesh)]
+            held = self._cache[("samples", id(mesh))] = (mesh, field, samples)
+        return held[2]

@@ -195,7 +195,7 @@ def run_study(cfg: StudyConfig):
                 field_name=cfg.field, mesh_id=f"{cfg.mesh}+{level}",
             )
             notes = ""
-            vnorm = _field_norm(field, m, p, cfg.quad_degree)
+            vnorm = rep.metadata["v_norm"]
             exact_zero = rep.Eglob < 1e-9 * max(vnorm, 1e-30) and np.sqrt(
                 rep.sum_Eloc_sq
             ) < 1e-9 * max(vnorm, 1e-30)
@@ -304,13 +304,6 @@ def run_study(cfg: StudyConfig):
     summary["rows"] = rows
     summary["csv_path"] = csv_path
     return summary
-
-
-def _field_norm(field, m, p, quad_degree):
-    from .quadpolicy import QuadPolicy
-
-    policy = QuadPolicy(p, field=field, degree=quad_degree)
-    return np.sqrt(sum(g.norm_sq(g.eval(field)).sum() for g in policy.groups(m)))
 
 
 # -- verification battery ---------------------------------------------------------------

@@ -1019,7 +1019,7 @@ def patch_data_oracle(theta, v, p, mesh, policy):
     grad = np.einsum("imb,kb->kim", G, ref) / np.sqrt(space.detB)[:, None, None]
     div, div_scale = hat_div_moments_oracle(v, space, policy, tris)
     grad_scale = np.sqrt(0.5) * np.outer(np.linalg.norm(ref, axis=1), np.linalg.norm(G[:, 0], axis=1))
-    return PatchData(tris, hat_interpolants(theta, p, tris), div + grad, div_scale + grad_scale)
+    return PatchData(hat_interpolants(theta, p, tris), div + grad, div_scale + grad_scale)
 
 
 @dataclass
@@ -1084,11 +1084,11 @@ def build_patch_problem_oracle(patch, p, mesh, data):
     pspace = patch_space_oracle(patch, space)
     chi, g = {}, {}
     mass_scale = 0.0
-    for r, k in zip(np.searchsorted(data.tris, patch.tris), patch.tris):
+    for k in patch.tris:
         k = int(k)
         i = patch.local_index[k]
-        chi[k], g[k] = data.chi[r, i], data.g[r, i]
-        mass_scale += data.mass_scale[r, i]
+        chi[k], g[k] = data.chi[k, i], data.g[k, i]
+        mass_scale += data.mass_scale[k, i]
     M, rhs, B, grhs, _ = _assemble_patch(mesh, patch, p, chi, g)
     kernel = None
     defect = 0.0

@@ -12,7 +12,7 @@ from hdivkit.best_approx import (
 )
 from hdivkit.elements import rtn_space
 from hdivkit.fields import FieldError
-from hdivkit.mesh import build_structured
+from hdivkit.mesh import build_lshape, build_structured
 from hdivkit.projections import random_broken_field
 from hdivkit.projector import random_conforming_field
 from hdivkit.quadrature import quad_rule
@@ -128,3 +128,25 @@ def test_report_pm1_and_constrained(unit_square_2, sine_field):
     )
     assert np.all(rep.Eloc_constrained >= rep.Eloc_l2 - 1e-12)
     assert np.all(rep.Eloc_pm1 >= rep.Eloc - 1e-12)  # coarser space is worse
+
+
+@pytest.mark.parametrize(
+    "name,mesh,p",
+    [("sine_divfree", lambda: build_structured(2), 1), ("lshape_singular", lambda: build_lshape(1), 2)],
+    ids=["structured2", "lshape1"],
+)
+def test_local_best_is_row_k_of_the_report_bitwise(name, mesh, p):
+    # one element's fit is row k of the whole-mesh fits on the same samples
+    m, v = mesh(), fields.catalog(name)
+    rep = error_report(v, p, m, include_constrained=True)
+    for k in range(m.num_triangles):
+        lb, lc = local_best(v, p, m, k), local_best_constrained(v, p, m, k)
+        assert (lb["l2_part"], lb["div_part"], lb["E_loc"]) == (rep.Eloc_l2[k], rep.Eloc_div[k], rep.Eloc[k])
+        assert lc["E_loc_c"] == rep.Eloc_constrained[k]
+
+
+@pytest.mark.parametrize("k", [-1, 8, 1.0, "0", True])
+@pytest.mark.parametrize("fit", [local_best, local_best_constrained])
+def test_local_best_rejects_a_bad_element_index(fit, k):
+    with pytest.raises(ValueError, match=rf"k={k!r}.*8 triangles"):
+        fit(fields.catalog("sine_divfree"), 1, build_structured(2), k)

@@ -5,6 +5,7 @@ import pytest
 
 import oracles
 from hdivkit import fields
+from hdivkit.best_approx import error_report
 from hdivkit.fields import FieldError
 from hdivkit.local_solve import CompatibilityError, build_patch_problem, patch_layout, theta_field
 from hdivkit.mesh import Mesh, build_lshape, build_structured, refine_uniform, vertex_patches
@@ -273,6 +274,44 @@ def test_report_samples_the_field_as_the_projection_does(name, mesh, p, variant)
     projector_report(report, p, m, variant=variant)
     assert alone_count["v"] > 0 and alone_count["div"] > 0
     assert report_count == alone_count
+
+
+def _points(groups):
+    return sum(g.w.size for g in groups)
+
+
+@pytest.mark.parametrize(
+    "name,mesh,p",
+    [("sine_divfree", lambda: build_structured(4), 1), ("lshape_singular", lambda: build_lshape(1), 2)],
+    ids=["structured4", "lshape1"],
+)
+@pytest.mark.parametrize(
+    "run,kw",
+    [
+        (error_report, {}),
+        (error_report, {"include_constrained": True}),
+        (project_hdiv, {"variant": "def31"}),
+        (project_hdiv, {"variant": "def52"}),
+        (projector_report, {"variant": "def31"}),
+        (projector_report, {"variant": "def52"}),
+    ],
+    ids=["error_report", "error_report-constrained", "project-def31", "project-def52", "report-def31", "report-def52"],
+)
+def test_each_policy_samples_the_field_once(name, mesh, p, run, kw):
+    # v is evaluated once at each point of each policy's groups (def52 adds
+    # the fit's degree p - 1 policy); div v there too, plus once per point
+    # of the projection's degree-doubling self-check
+    m = mesh()
+    v, count = _counting_field(name)
+    run(v, p, m, **kw)
+    policy = QuadPolicy(p, field=v)
+    if name == "lshape_singular":
+        assert any(not g.shared for g in policy.groups(m))  # corner wedges in play
+    want = _points(policy.groups(m))
+    if kw.get("variant") == "def52":
+        want += _points(QuadPolicy(p - 1, field=v).groups(m))
+    check = _points(policy.check_groups(m)) if "variant" in kw and policy.self_check else 0
+    assert count == {"v": want, "div": want + check}
 
 
 def test_report_divfree_stability(unit_square_2, sine_field):
