@@ -15,29 +15,29 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .elements import oscillation_sq, rtn_space, scalar_moments
+from .elements import oscillation_sq, rtn_space
 from .linsolve import element_solve, hybrid_saddle_solve
-from .local_solve import constrained_fit
+from .local_solve import constrained_fit, element_moments
 from .projector import ConformingRTNField, check_field_compatibility
 from .quadpolicy import QuadPolicy
 
 
 def _local_fits(v, p, mesh, policy, constrained=False):
-    """Local best approximations on every element, batched over the
-    policy's quadrature groups: element mass solves, or element KKT solves
-    with the divergence constraint, by ``linsolve.element_solve``.  Arrays
-    in element order."""
+    """Local best approximations on every element: element mass solves, or
+    element KKT solves with the divergence constraint (``constrained_fit``),
+    of the whole mesh in one ``linsolve.element_solve`` call, and their
+    errors over the policy's quadrature groups.  Arrays in element order."""
     space = rtn_space(mesh, p)
     l2, div = np.empty((2, mesh.num_triangles))
-    coeffs = np.empty((mesh.num_triangles, space.ref.dim))
+    if constrained:
+        coeffs = constrained_fit(space, v, policy)
+    else:
+        f = np.empty((mesh.num_triangles, space.ref.dim, 1))
+        for g, vvals, _ in policy.samples(v, mesh):
+            f[g.tris, :, 0] = space.moments(g, vvals)
+        coeffs = element_solve(space, f, np.empty((len(f), 0, 1)), np.arange(len(f)))[0][:, :, 0]
     for g, vvals, dvvals in policy.samples(v, mesh):
-        if constrained:
-            c = constrained_fit(space, g, vvals, dvvals)
-        else:
-            f = space.moments(g, vvals)[:, :, None]
-            c = element_solve(space, f, np.empty((len(f), 0, 1)), g.tris)[0][:, :, 0]
-        coeffs[g.tris] = c
-        l2[g.tris] = np.sqrt(g.norm_sq(vvals - space.values(g, c)))
+        l2[g.tris] = np.sqrt(g.norm_sq(vvals - space.values(g, coeffs[g.tris])))
         div[g.tris] = mesh.h[g.tris] / (p + 1) * np.sqrt(oscillation_sq(mesh, p, g, dvvals))
     return {"l2_part": l2, "div_part": div, "E_loc": np.sqrt(l2**2 + div**2), "coeffs": coeffs}
 
@@ -87,12 +87,7 @@ def global_best(v, p, mesh, *, policy=None, quad_degree=None):
     space = rtn_space(mesh, p)
     if policy is None:
         policy = QuadPolicy(p, field=v, degree=quad_degree)
-    rhs = np.zeros(space.dof_map.shape)
-    g = np.zeros((mesh.num_triangles, space.sdim))
-    for grp, vvals, dvvals in policy.samples(v, mesh):
-        rhs[grp.tris] = space.moments(grp, vvals)
-        g[grp.tris] = scalar_moments(mesh, p, grp, dvvals)
-    dofs, _, info = hybrid_saddle_solve(space, rhs, g)
+    dofs, _, info = hybrid_saddle_solve(space, *element_moments(space, v, policy))
     sigma = ConformingRTNField(mesh, p, dofs)
     l2_sq = 0.0
     div_sq = 0.0

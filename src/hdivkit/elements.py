@@ -382,9 +382,12 @@ class RTNSpace:
 
     def class_product(self, cls, y):
         """K(c) y, or A(c) y when y has ndof rows, for vectors y (n, size, r)
-        of elements of classes ``cls``."""
+        of elements of classes ``cls``.  A(c) is formed once per class
+        present (``mass_ref`` rows do not depend on the other rows): one
+        skinny gemm over every element is slow under threaded BLAS."""
         d, D = self.ref.dim, self.D_ref
-        Ax = self.mass_ref(self.classes[1][cls]) @ y[:, :d]
+        present, which = np.unique(cls, return_inverse=True)
+        Ax = self.mass_ref(self.classes[1][present])[which.reshape(-1)] @ y[:, :d]
         if y.shape[1] == d:
             return Ax
         return np.concatenate([Ax + D.T @ y[:, d:], D @ y[:, :d]], axis=1)

@@ -1,8 +1,9 @@
 """Dense and sparse solves and the one sparse assembly.
 
-Small dense systems come in stacks (one per patch or surrogate):
-``solve_stacked`` factorizes each chunk of the stack with one
-``np.linalg.solve`` and checks every system's relative residual.  Element
+Small dense systems come in stacks (one per patch or surrogate), cut into
+chunks by the one sizing rule of ``chunks``: ``solve_stacked`` factorizes
+a chunk with one ``np.linalg.solve`` and checks every system's relative
+residual.  Element
 systems are solved once per affine class (``element_solve``): the mass and
 KKT systems of an element are T_k-conjugates of reference systems that
 depend only on c_k, whose inverses the ``RTNSpace`` keeps per class; each
@@ -27,9 +28,15 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
 
 
-# bytes of one stacked chunk: KKT systems and quadrature groups alike are
-# processed in pieces of at most this size, which bounds their temporaries
-STACK_BYTES = 1 << 19
+# Budgets of one chunk of a stack (see ``chunks``).  STACK_BYTES bounds the
+# stacks whose bytes per item grow with p: patch problems of one signature,
+# corner-wedge groups, element solves and class tables.  4 MB holds a whole
+# stack of a mesh of a few dozen triangles at p <= 6 in one chunk and keeps
+# the temporaries of a pass over a big mesh to a few MB.  POINT_BYTES bounds
+# the stacks of points of a shared rule (quadrature groups, edge rules) and
+# the stability surrogate, whose passes gain nothing from larger chunks.
+STACK_BYTES = 1 << 22
+POINT_BYTES = 1 << 19
 
 
 class SingularSystemError(RuntimeError):
@@ -60,10 +67,25 @@ def dense_solve(A, b):
     return x
 
 
-def chunks(n, item_bytes):
+def chunks(n, item_bytes, points=False):
     """Slices of ``range(n)`` whose items, ``item_bytes`` each, fill at most
-    ``STACK_BYTES`` (at least one item per slice)."""
-    step = max(1, STACK_BYTES // max(int(item_bytes), 1))
+    ``STACK_BYTES`` (``POINT_BYTES`` for ``points``), at least one item per
+    slice.  The sizing rule: ``item_bytes`` counts the arrays that one pass
+    over a slice allocates per item, its gathered inputs, temporaries and
+    outputs together, so a budget bounds what a pass holds at a time:
+    - a patch problem (``local_solve._build_patch_layout``): its element
+      columns, nt ndof (4 + 3(p+1)) numbers, five arrays of its multiplier
+      blocks, nt 3(p+1) (3(p+1) + 1) numbers each, and its system, nl^2;
+    - a corner wedge (``QuadPolicy._grouped``): its per-point data and its
+      prim and phi tables at degree p, which carry an element axis;
+    - an element system of size ``size`` (``element_solve``): its gathered
+      class inverse, size^2 numbers, and four data blocks of size x r;
+      the edge columns of an elimination (``eliminate``): two blocks of
+      size x 3(p+1); a class table (``RTNSpace._class_table``): four
+      blocks of size^2.
+    A point stack counts the per-point data of an element (or edge) on its
+    rule, and the stability surrogate 8 width^2 bytes per patch."""
+    step = max(1, (POINT_BYTES if points else STACK_BYTES) // max(int(item_bytes), 1))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
 
@@ -83,19 +105,18 @@ def check_residuals(r, b, x, size, name):
 
 def solve_stacked(A, b):
     """Solve stacked systems A[k] x[k] = b[k], b (n, d) or a block (n, d, r):
-    one LU-factorizing ``np.linalg.solve`` per chunk of ``STACK_BYTES`` and
-    ``dense_solve``'s relative-residual check on every system."""
+    one LU-factorizing ``np.linalg.solve`` over the stack, which its caller
+    has sized by ``chunks``, and ``dense_solve``'s relative-residual check
+    on every system."""
     A = np.asarray(A, float)
     b = np.asarray(b, float)
     rhs = b[..., None] if b.ndim == 2 else b
-    x = np.empty_like(rhs)
-    for sl in chunks(len(A), A[0].nbytes if len(A) else 1):
-        try:
-            x[sl] = np.linalg.solve(A[sl], rhs[sl])
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"stacked solve failed: {exc}") from exc
-        size = np.maximum(A[sl].max(axis=(1, 2)), -A[sl].min(axis=(1, 2)))
-        check_residuals(rhs[sl] - A[sl] @ x[sl], rhs[sl], x[sl], size, lambda i: f"system {sl.start + i}")
+    try:
+        x = np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"stacked solve failed: {exc}") from exc
+    size = np.maximum(A.max(axis=(1, 2)), -A.min(axis=(1, 2)))
+    check_residuals(rhs - A @ x, rhs, x, size, lambda i: f"system {i}")
     return x[..., 0] if b.ndim == 2 else x
 
 
@@ -106,8 +127,9 @@ def element_solve(space, f, g, tris):
     and u = sqrt(det B_k) u^ solve K(c_k) (or A(c_k)) against
     [T_k^T f; sqrt(det B_k) g]: the space's ``kkt_table`` (or
     ``mass_table``) is applied by gathered matmuls, a chunk of
-    ``STACK_BYTES`` at a time, and every system's residual is checked there
-    as in ``solve_stacked``."""
+    ``STACK_BYTES`` at a time (the whole call on a mesh of a few dozen
+    triangles), and every system's residual is checked there as in
+    ``solve_stacked``."""
     inv, big = space.kkt_table if g.shape[1] else space.mass_table
     d, r = f.shape[1:]
     size, cls = d + g.shape[1], space.classes[0][tris]

@@ -57,13 +57,25 @@ class CompatibilityError(RuntimeError):
     pass
 
 
-def constrained_fit(space, group, vals, dvals):
-    """Divergence-constrained L2 fits in ``space`` on the elements of a
-    quadrature group, from field and divergence values at its points: the
-    element KKT systems by ``linsolve.element_solve``; the divergence
-    coefficients equal the projected data to solver precision.  (n, ndof)."""
-    b, g = space.moments(group, vals), scalar_moments(space.mesh, space.p, group, dvals)
-    return element_solve(space, b[:, :, None], g[:, :, None], group.tris)[0][:, :, 0]
+def element_moments(space, v, policy):
+    """Moments of v against the RTN basis of ``space`` (nt, ndof) and of
+    div v against the scalar P_p bases (nt, sdim) on every element, over
+    the policy's quadrature groups."""
+    mesh = space.mesh
+    b, g = np.empty((mesh.num_triangles, space.ref.dim)), np.empty((mesh.num_triangles, space.sdim))
+    for group, vals, dvals in policy.samples(v, mesh):
+        b[group.tris] = space.moments(group, vals)
+        g[group.tris] = scalar_moments(mesh, space.p, group, dvals)
+    return b, g
+
+
+def constrained_fit(space, v, policy):
+    """Divergence-constrained L2 fits of v in ``space`` on every element,
+    from the policy's samples: the element KKT systems of the whole mesh in
+    one ``linsolve.element_solve`` call; the divergence coefficients equal
+    the projected data to solver precision.  (nt, ndof)."""
+    b, g = element_moments(space, v, policy)
+    return element_solve(space, b[:, :, None], g[:, :, None], np.arange(len(b)))[0][:, :, 0]
 
 
 def fit_degree(p, variant):
@@ -79,18 +91,13 @@ def fit_degree(p, variant):
 
 
 def theta_field(v, p, mesh, *, variant="def31", policy=None, quad_degree=None):
-    """Elementwise constrained minimizer over the whole mesh, stacked over
-    the policy's quadrature groups, at the degree ``fit_degree`` gives the
-    variant.
+    """Elementwise constrained minimizer over the whole mesh
+    (``constrained_fit``), at the degree ``fit_degree`` gives the variant.
     """
     q = fit_degree(p, variant)
     if policy is None:
         policy = QuadPolicy(q, field=v, degree=quad_degree)
-    space = rtn_space(mesh, q)
-    out = BrokenRTNField(mesh, q)
-    for group, vals, dvals in policy.samples(v, mesh):
-        out.coeffs[group.tris] = constrained_fit(space, group, vals, dvals)
-    return out
+    return BrokenRTNField(mesh, q, constrained_fit(rtn_space(mesh, q), v, policy))
 
 
 # -- patch layout ------------------------------------------------------------------
@@ -127,7 +134,8 @@ class PatchGroup:
 @dataclass
 class PatchLayout:
     """Every vertex patch of a mesh at degree p, in signature groups cut
-    into chunks whose hybrid systems fill at most ``STACK_BYTES``."""
+    into chunks whose problems allocate at most ``STACK_BYTES`` (sized as
+    ``linsolve.chunks`` sets out)."""
 
     groups: list
     where: np.ndarray  # (nv, 2): group index and row of each vertex
@@ -200,9 +208,10 @@ def _build_patch_layout(mesh, p):
             (space.ndof_edge + tris[:, :, None] * n_int + np.arange(n_int)).reshape(len(vs), -1),
         ])
         group = PatchGroup(vs, tris, c_loc[c], elem_map[c], dofs, mult[c], bool(s[2]))
-        ndof, nl = space.ref.dim, s[1] * space.ref.dim - s[0]
-        # the temporaries of build_patch_problem come to about twice this
-        for sl in chunks(len(vs), 16 * (s[1] * ndof * (ndof + 4) + nl**2)):
+        # a pass allocates per patch its element columns, five arrays of its
+        # multiplier blocks and its system (``linsolve.chunks``)
+        nl, m = s[1] * space.ref.dim - s[0], 3 * (p + 1)
+        for sl in chunks(len(vs), 8 * (s[1] * (space.ref.dim * (4 + m) + 5 * m * (m + 1)) + nl**2)):
             where[vs[sl], 0] = len(groups)
             where[vs[sl], 1] = np.arange(len(vs[sl]))
             groups.append(group.rows(sl))
@@ -298,7 +307,7 @@ def _hat_div_moments(v, space, policy):
     (n, 3, sdim), and (lambda_i |div v|, 1)_K, (n, 3), for every triangle."""
     out = np.empty((space.mesh.num_triangles, 3, space.sdim))
     mag = np.empty((space.mesh.num_triangles, 3))
-    for g, _, dv in policy.samples(v, space.mesh):
+    for g, dv in zip(policy.groups(space.mesh), policy.values(v, space.mesh, div=True)):
         lam = g.barycentric()
         for i in range(3):
             out[g.tris, i] = scalar_moments(space.mesh, space.p, g, lam[i] * dv)
@@ -410,13 +419,13 @@ def patch_stability_ratio(problem: PatchGroupProblem, s, mesh):
     terms of size ||chi_a||.  The nodes are those of the mesh-wide numbering
     ``lagrange_nodes``, renumbered per row; the element tables are
     reference tables scaled by the affine maps, in chunks of rows whose
-    systems fill at most ``STACK_BYTES``.  Recorded, never asserted: the
+    systems fill at most ``POINT_BYTES``.  Recorded, never asserted: the
     bound it witnesses is a cited stability result.
     """
     group, p = problem.group, problem.p
     width = group.tris.shape[1] * polys.tri_dim(p + 2)  # bounds a row's node count
     return np.concatenate([_stability_ratios(group.rows(sl), p, problem.chi[sl], s[sl], mesh)
-                           for sl in chunks(len(s), 8 * width**2)])
+                           for sl in chunks(len(s), 8 * width**2, points=True)])
 
 
 def _stability_ratios(group, p, chi, s, mesh):

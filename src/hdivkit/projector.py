@@ -192,7 +192,7 @@ def _project_hdiv(v, p, mesh, policy, variant, quad_degree, measure_stability):
     # denominator falls back to the dimensionally matching scale
     # ||v|| (p+1) / h_max
     pi_div = np.empty((mesh.num_triangles, space.sdim))
-    for g, _, dvals in policy.samples(v, mesh):
+    for g, dvals in zip(policy.groups(mesh), policy.values(v, mesh, div=True)):
         pi_div[g.tris] = scalar_moments(mesh, p, g, dvals)
     if policy.self_check:
         quadrature_self_check(pi_div, lambda g: g.eval(v, div=True), mesh, p, policy, info.warnings)

@@ -15,10 +15,11 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
+from . import polys
 from .elements import rtn_dim, rtn_reference, scalar_basis
 from .fields import AnalyticField
 from .linsolve import chunks
-from .quadrature import corner_rule, edge_npts, gauss01, jacobi01, quad_rule
+from .quadrature import corner_rule, corner_rules, edge_npts, gauss01, jacobi01, quad_rule
 
 
 # bytes a stage holds per quadrature point of an element: points, weights,
@@ -159,10 +160,6 @@ class QuadPolicy:
         """Angular and radial point counts of the corner wedge rules."""
         return max(20, self.base_degree // 2 + 10) + extra[0], max(12, self.base_degree // 2 + 4) + extra[1]
 
-    def _wedge(self, coords, corner, extra=(0, 0)):
-        wr = corner_rule(coords, corner, self.singularity.gamma, *self._wedge_size(extra))
-        return wr.points, wr.weights
-
     # -- rules ------------------------------------------------------------------------
 
     def element_rules(self, el, key=None):
@@ -182,8 +179,8 @@ class QuadPolicy:
         corner = int(self._corners(el.coords[None], np.array([el.h]))[0])
         if corner >= 0:
             gamma = self.singularity.gamma
-            tri = self._wedge(el.coords, corner)
-            chk = self._wedge(el.coords, corner, (8, 6))
+            rules = [corner_rule(el.coords, corner, gamma, *self._wedge_size(e)) for e in ((0, 0), (8, 6))]
+            tri, chk = ((r.points, r.weights) for r in rules)
             edges = []
             for slot in range(3):
                 la, lb = el.edge_dirs[slot]
@@ -208,9 +205,10 @@ class QuadPolicy:
 
     def groups(self, mesh):
         """The elements of ``mesh`` grouped by the rule ``element_rules`` gives
-        them: one group per shared reference rule, one for the corner wedges,
-        each cut into chunks of at most ``STACK_BYTES`` of per-point data.
-        Built once per mesh."""
+        them: one group per shared reference rule, cut into chunks of at most
+        ``POINT_BYTES`` of per-point data, and one for the corner wedges, cut
+        into chunks of at most ``STACK_BYTES`` (``linsolve.chunks``).  Built
+        once per mesh."""
         # an entry holds its mesh: a cached id must not match a later mesh
         held = self._cache.get(("groups", id(mesh)))
         if held is None or held[0] is not mesh:
@@ -220,7 +218,7 @@ class QuadPolicy:
     def edge_rules(self, mesh):
         """The edge rules of ``element_rules`` for every (triangle, slot) pair
         of ``mesh``, grouped by rule: (tris, slots, t, w) per rule, the pairs
-        in chunks of at most ``STACK_BYTES`` of per-point data.  Slot j lies
+        in chunks of at most ``POINT_BYTES`` of per-point data.  Slot j lies
         opposite local vertex j; t runs from its lower to its higher vertex."""
         xs = mesh.vertices[mesh.triangles]
         corner = self._corners(xs, mesh.h)
@@ -238,7 +236,7 @@ class QuadPolicy:
                 t, w = jacobi01(max(12, self.p + 8), self.singularity.gamma)
                 t = 1.0 - t if code == -2 else t
             tris, slots = np.nonzero(key == code)
-            for sl in chunks(len(tris), _POINT_BYTES * len(t)):
+            for sl in chunks(len(tris), _POINT_BYTES * len(t), points=True):
                 yield tris[sl], slots[sl], t, w
 
     def check_groups(self, mesh):
@@ -254,24 +252,31 @@ class QuadPolicy:
             ks = np.flatnonzero((corner < 0) & (deg == d))
             rule = quad_rule((2 if check else 1) * (int(d) + self.p))
             tables = {}  # shared by the chunks of one reference rule
-            for sl in chunks(len(ks), _POINT_BYTES * len(rule.weights)):
+            for sl in chunks(len(ks), _POINT_BYTES * len(rule.weights), points=True):
                 k = ks[sl]
                 pts = rule.points @ np.swapaxes(mesh.B[k], 1, 2) + mesh.X0[k, None]
                 yield QuadGroup(k, rule.points, pts, rule.weights * mesh.detB[k, None], tables)
         ks = np.flatnonzero(corner >= 0)
         extra = (8, 6) if check else (0, 0)
-        # wedge tables carry an element axis: a chunk holds them at degree p
-        nq = np.prod(self._wedge_size(extra))
-        for sl in chunks(len(ks), _POINT_BYTES * nq * rtn_dim(self.p)):
+        # wedge tables carry an element axis: a wedge holds its per-point
+        # data and its prim and phi tables at degree p
+        size = self._wedge_size(extra)
+        item = np.prod(size) * (_POINT_BYTES + 8 * (2 * rtn_dim(self.p) + polys.tri_dim(self.p)))
+        for sl in chunks(len(ks), item):
             k = ks[sl]
-            pts, w = map(np.stack, zip(*(self._wedge(xs[j], corner[j], extra) for j in k)))
-            yield QuadGroup.at(mesh, k, pts, w)
+            yield QuadGroup.at(mesh, k, *corner_rules(xs[k], corner[k], self.singularity.gamma, *size))
+
+    def values(self, field, mesh, div=False):
+        """``field`` (or its divergence) at the points of every group of
+        ``groups``, in group order: the whole mesh is evaluated once per
+        policy, field and kind, on first use."""
+        key = ("div" if div else "values", id(mesh))
+        held = self._cache.get(key)
+        if held is None or held[0] is not mesh or held[1] is not field:
+            held = self._cache[key] = (mesh, field, [g.eval(field, div=div) for g in self.groups(mesh)])
+        return held[2]
 
     def samples(self, field, mesh):
         """(group, field values, divergence values) of every group of
-        ``groups``: the whole mesh is evaluated once per policy and field."""
-        held = self._cache.get(("samples", id(mesh)))
-        if held is None or held[0] is not mesh or held[1] is not field:
-            samples = [(g, g.eval(field), g.eval(field, div=True)) for g in self.groups(mesh)]
-            held = self._cache[("samples", id(mesh))] = (mesh, field, samples)
-        return held[2]
+        ``groups``, from ``values``."""
+        return list(zip(self.groups(mesh), self.values(field, mesh), self.values(field, mesh, div=True)))

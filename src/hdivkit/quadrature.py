@@ -162,37 +162,48 @@ def corner_rule(coords, vertex_local: int, gamma: float, n_theta: int, n_r: int)
     vertex) essentially exactly: the radial direction uses Gauss-Jacobi with
     weight t^(gamma+1) (so radial polynomials of f / r^gamma are integrated
     exactly), the angular direction plain Gauss.  Returns physical points and
-    weights such that sum w_q f(x_q) ~ int_K f dA.
+    weights such that sum w_q f(x_q) ~ int_K f dA.  ``corner_rules`` on one
+    triangle.
     """
-    coords = np.asarray(coords, float)
-    c = coords[vertex_local]
-    q1 = coords[(vertex_local + 1) % 3]
-    q2 = coords[(vertex_local + 2) % 3]
-    th1 = np.arctan2(*(q1 - c)[::-1])
-    th2 = np.arctan2(*(q2 - c)[::-1])
+    pts, wts = corner_rules(np.asarray(coords, float)[None], np.array([vertex_local]), gamma, n_theta, n_r)
+    return WedgeRule(pts[0], wts[0])
+
+
+def _dot(a, b):
+    """Row dot products of a, b (n, 2), by the kernel of a 1-D ``a @ b``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def corner_rules(coords, vertex_local, gamma: float, n_theta: int, n_r: int):
+    """The rules of ``corner_rule`` on triangles ``coords`` (n, 3, 2) about
+    their vertices ``vertex_local`` (n,), in one pass: points (n, nq, 2) and
+    weights (n, nq); a row does not depend on the other rows."""
+    rows = np.arange(len(coords))
+    c = coords[rows, vertex_local]
+    q1 = coords[rows, (vertex_local + 1) % 3]
+    q2 = coords[rows, (vertex_local + 2) % 3]
+    th1 = np.arctan2(q1[:, 1] - c[:, 1], q1[:, 0] - c[:, 0])
+    th2 = np.arctan2(q2[:, 1] - c[:, 1], q2[:, 0] - c[:, 0])
     # unwrap so the wedge is traversed the short way (opening < pi)
-    if th2 - th1 > np.pi:
-        th2 -= 2 * np.pi
-    elif th1 - th2 > np.pi:
-        th2 += 2 * np.pi
+    th2 = np.where(th2 - th1 > np.pi, th2 - 2 * np.pi, np.where(th1 - th2 > np.pi, th2 + 2 * np.pi, th2))
     tg, wg = _leggauss(n_theta)
-    theta = (th1 + th2) / 2 + (th2 - th1) / 2 * tg
-    wtheta = wg * abs(th2 - th1) / 2
+    theta = ((th1 + th2) / 2)[:, None] + ((th2 - th1) / 2)[:, None] * tg
+    wtheta = wg * np.abs(th2 - th1)[:, None] / 2
     # distance from the corner to the opposite edge along each ray
     edge = q2 - q1
-    m = np.array([edge[1], -edge[0]])
-    m /= np.linalg.norm(m)
-    d = m @ q1
-    if m @ c > d:
-        m, d = -m, -d
-    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=1)
-    R = (d - m @ c) / (dirs @ m)
+    m = np.stack([edge[:, 1], -edge[:, 0]], axis=1)
+    m /= np.sqrt(_dot(m, m))[:, None]
+    d = _dot(m, q1)
+    flip = _dot(m, c) > d
+    m, d = np.where(flip[:, None], -m, m), np.where(flip, -d, d)
+    dirs = np.stack([np.cos(theta), np.sin(theta)], axis=2)
+    R = (d - _dot(m, c))[:, None] / (dirs @ m[:, :, None])[..., 0]
     tr, wr = jacobi01(n_r, gamma + 1.0)
     # ray-major products; the weight absorbs the r^gamma factor:
     # W = w_theta * w_r * R^2 * t^(-gamma)
-    pts = c + np.outer(R, tr)[:, :, None] * dirs[:, None, :]
-    wts = np.outer(wtheta, wr) * (R**2)[:, None] * tr ** (-gamma)
-    return WedgeRule(pts.reshape(-1, 2), wts.ravel())
+    pts = c[:, None, None] + (R[:, :, None] * tr)[..., None] * dirs[:, :, None, :]
+    wts = wtheta[:, :, None] * wr * (R**2)[:, :, None] * tr ** (-gamma)
+    return pts.reshape(len(c), -1, 2), wts.reshape(len(c), -1)
 
 
 def check_exactness(rule: TriangleRule, degree: int | None = None, rtol: float = 1e-13):

@@ -21,7 +21,8 @@ from hdivkit import fields
 from hdivkit.best_approx import error_report, local_best_constrained
 from hdivkit.elements import rtn_space
 from hdivkit.fields import FieldError
-from hdivkit.linsolve import STACK_BYTES
+from hdivkit import linsolve
+from hdivkit.linsolve import STACK_BYTES, chunks, element_solve
 from hdivkit.local_solve import (
     CompatibilityError,
     build_patch_problem,
@@ -240,11 +241,15 @@ def test_patch_layout_matches_patch_loop(labels, p):
         space = rtn_space(m, p)
         layout = patch_layout(m, p)
         assert layout is patch_layout(m, p)
-        seen = []
+        seen, rows = [], {}
         for group in layout.groups:
             n, nt = group.tris.shape
-            ndof, nl = space.ref.dim, nt * space.ref.dim - group.dofs.shape[1]
-            assert n == 1 or n * 8 * (nt * ndof * (ndof + 4) + nl**2) <= STACK_BYTES
+            ndof, nl, ne = space.ref.dim, nt * space.ref.dim - group.dofs.shape[1], 3 * (p + 1)
+            # the sizing rule of ``linsolve.chunks``: the element columns, five
+            # arrays of the multiplier blocks and the system of each patch
+            item = 8 * (nt * (ndof * (4 + ne) + 5 * ne * (ne + 1)) + nl**2)
+            assert n == 1 or n * item <= STACK_BYTES
+            rows.setdefault((group.dofs.shape[1], nt, group.kernel), []).append((n, max(1, STACK_BYTES // item)))
             assert np.all(np.diff(group.verts) > 0)
             for r, a in enumerate(group.verts):
                 patch = vertex_patches(m)[a]
@@ -260,6 +265,66 @@ def test_patch_layout_matches_patch_loop(labels, p):
                 assert one.verts.tolist() == [a] and np.array_equal(one.dofs[0], want.dofs)
             seen += group.verts.tolist()
         assert sorted(seen) == list(range(m.num_vertices))
+        for cut in rows.values():  # a signature is cut only where a chunk is full
+            assert all(n == full for n, full in cut[:-1])
+
+
+def test_benchmark_meshes_run_whole_stacks(monkeypatch):
+    # on meshes of the benchmark's size at p <= 6 each patch signature, the
+    # corner wedges of a policy and each element_solve call are one stack
+    for m, p in ((build_structured(4), 6), (build_lshape(4), 3)):
+        groups = patch_layout(m, p).groups
+        assert len(groups) == len({(g.dofs.shape[1], g.tris.shape[1], g.kernel) for g in groups})
+    groups = QuadPolicy(6, field=fields.catalog("lshape_singular")).groups(build_lshape(2))
+    wedges = [g for g in groups if not g.shared]
+    assert len(wedges) == 1 and len(wedges[0].tris) == 5
+    space = rtn_space(build_structured(4), 6)
+    cuts = []
+
+    def spy(*args, **kw):
+        cuts.append(chunks(*args, **kw))
+        return cuts[-1]
+
+    monkeypatch.setattr(linsolve, "chunks", spy)
+    rng, tris = np.random.default_rng(0), np.arange(len(space))
+    for r in (1, 4):
+        element_solve(space, rng.standard_normal((len(tris), space.ref.dim, r)),
+                      rng.standard_normal((len(tris), space.sdim, r)), tris)
+    assert [len(c) for c in cuts] == [1, 1]
+
+
+@pytest.mark.parametrize("p", [5, 6])
+def test_stacks_of_patches_match_one_patch_per_chunk(monkeypatch, p):
+    # one system per chunk is the reference: the stacked projection of
+    # several patches per signature gives it to the bit
+    v = stream_field()
+    whole = build_structured(4)
+    want = project_hdiv(v, p, whole).dofs
+    monkeypatch.setattr(linsolve, "STACK_BYTES", 1)
+    single = build_structured(4)
+    got = project_hdiv(v, p, single).dofs
+    assert len(patch_layout(whole, p).groups) < len(patch_layout(single, p).groups) == single.num_vertices
+    assert np.array_equal(got, want)
+
+
+def test_stacks_of_corner_wedges_match_one_wedge_per_chunk(monkeypatch):
+    # the wedge group of the singular corner, the patches and the element
+    # solves in whole stacks against one item per chunk: sigma, theta and
+    # E_glob to roundoff
+    v, p = fields.catalog("lshape_singular"), 5
+
+    def run():
+        m = build_lshape(2)
+        sigma = project_hdiv(v, p, m)
+        wedges = [g for g in QuadPolicy(p, field=v).groups(m) if not g.shared]
+        return len(wedges), sigma.dofs, sigma.info["theta"].coeffs, error_report(v, p, m).Eglob
+
+    n, *want = run()
+    monkeypatch.setattr(linsolve, "STACK_BYTES", 1)
+    n_single, *got = run()
+    assert n == 1 < n_single == 5
+    for a, b in zip(got, want):
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
 
 
 def test_single_patch_problem_matches_loop_assembly():

@@ -266,14 +266,16 @@ def _counting_field(name):
 def test_report_samples_the_field_as_the_projection_does(name, mesh, p, variant):
     # the report measures on the projection's own quadrature: one sampling of
     # v and div v serves both, so it evaluates the field at exactly the points
-    # project_hdiv does alone
+    # project_hdiv does alone, and v once more on the degree-p policy where
+    # def52's projection reads only div v there
     m = mesh()
     alone, alone_count = _counting_field(name)
     project_hdiv(alone, p, m, variant=variant, measure_stability=True)
     report, report_count = _counting_field(name)
     projector_report(report, p, m, variant=variant)
     assert alone_count["v"] > 0 and alone_count["div"] > 0
-    assert report_count == alone_count
+    extra = _points(QuadPolicy(p, field=report).groups(m)) if variant == "def52" else 0
+    assert report_count == {"v": alone_count["v"] + extra, "div": alone_count["div"]}
 
 
 def _points(groups):
@@ -298,9 +300,10 @@ def _points(groups):
     ids=["error_report", "error_report-constrained", "project-def31", "project-def52", "report-def31", "report-def52"],
 )
 def test_each_policy_samples_the_field_once(name, mesh, p, run, kw):
-    # v is evaluated once at each point of each policy's groups (def52 adds
-    # the fit's degree p - 1 policy); div v there too, plus once per point
-    # of the projection's degree-doubling self-check
+    # v and div v are each evaluated once at each point of each policy's
+    # groups that reads them, plus div v once per point of the projection's
+    # degree-doubling self-check.  def52 adds the fit's degree p - 1 policy;
+    # its projection alone reads only div v on the degree-p policy
     m = mesh()
     v, count = _counting_field(name)
     run(v, p, m, **kw)
@@ -308,10 +311,10 @@ def test_each_policy_samples_the_field_once(name, mesh, p, run, kw):
     if name == "lshape_singular":
         assert any(not g.shared for g in policy.groups(m))  # corner wedges in play
     want = _points(policy.groups(m))
-    if kw.get("variant") == "def52":
-        want += _points(QuadPolicy(p - 1, field=v).groups(m))
+    fit = _points(QuadPolicy(p - 1, field=v).groups(m)) if kw.get("variant") == "def52" else 0
     check = _points(policy.check_groups(m)) if "variant" in kw and policy.self_check else 0
-    assert count == {"v": want, "div": want + check}
+    v_want = fit if run is project_hdiv and fit else want + fit
+    assert count == {"v": v_want, "div": want + fit + check}
 
 
 def test_report_divfree_stability(unit_square_2, sine_field):

@@ -6,6 +6,7 @@ from hdivkit.quadrature import (
     UnsupportedDegreeError,
     check_exactness,
     corner_rule,
+    corner_rules,
     gauss01,
     jacobi01,
     quad_rule,
@@ -90,3 +91,19 @@ def test_corner_rule_matches_point_loop(corner, gamma):
             pts, wts = oracles.corner_rule_oracle(coords, corner, gamma, n_th, n_r)
             assert np.array_equal(got.points, pts)
             assert np.abs(got.weights - wts).max() <= 1e-15 * np.abs(wts).max()
+
+
+@pytest.mark.parametrize("gamma", [-1 / 3, 0.5])
+def test_corner_rules_match_one_triangle_at_a_time(gamma):
+    # a stack of wedges, every corner index and a wedge across the branch
+    # cut of arctan2 among them, in one call: each row is the rule of its
+    # triangle alone
+    rng = np.random.default_rng(3)
+    coords = np.concatenate([rng.uniform(-1, 1, (6, 3, 2)), [[[0.0, 0.0], [-1.0, 0.1], [-1.0, -0.1]]]])
+    corners = np.array([0, 1, 2, 0, 1, 2, 0])
+    pts, wts = corner_rules(coords, corners, gamma, 23, 17)
+    assert pts.shape == (7, 23 * 17, 2) and wts.shape == (7, 23 * 17)
+    for k in range(len(coords)):
+        one = corner_rule(coords[k], corners[k], gamma, 23, 17)
+        assert np.abs(pts[k] - one.points).max() <= 1e-15 * np.abs(one.points).max()
+        assert np.abs(wts[k] - one.weights).max() <= 1e-15 * np.abs(one.weights).max()
