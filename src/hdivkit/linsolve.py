@@ -1,9 +1,12 @@
 """Dense and sparse solves and the one sparse assembly.
 
 Small dense systems come in stacks (one per patch or surrogate), cut into
-chunks by the one sizing rule of ``chunks``: ``solve_stacked`` factorizes
-a chunk with one ``np.linalg.solve`` and checks every system's relative
-residual.  Element
+chunks by the one sizing rule of ``chunks``.  ``solve_stacked`` takes a
+chunk's class matrices and the class of each right-hand side: it factors
+each class once per block of at most ceil(n / classes) right-hand sides,
+in one ``np.linalg.solve`` over the blocks, and checks every system's
+relative residual against its class matrix.  Without repeats each block is
+one system, as in a plain stacked solve.  Element
 systems are solved once per affine class (``element_solve``): the mass and
 KKT systems of an element are T_k-conjugates of reference systems that
 depend only on c_k, whose inverses the ``RTNSpace`` keeps per class; each
@@ -12,7 +15,8 @@ in the reference frame, and the columns that no call checks (the
 hybridization's edge columns) are checked once, when the table is built.
 A lone dense system goes through LAPACK Bunch-Kaufman (``dense_solve``:
 ``sytrf`` and two ``sytrs``, the second one a step of iterative
-refinement).  Saddle problems over several elements are hybridized: the element eliminations (``eliminate``) leave an SPD
+refinement).  Saddle problems over several elements are hybridized: the
+element eliminations (``eliminate``) leave an SPD
 system in edge multipliers, mesh-wide in ``hybrid_saddle_solve`` and per
 vertex patch in ``local_solve``; every sparse system is SPD and goes
 through SuperLU in its symmetric mode, refined once.
@@ -91,33 +95,58 @@ def chunks(n, item_bytes, points=False):
 
 def check_residuals(r, b, x, size, name):
     """Relative residuals |r_k| / max(|b_k|, size_k |x_k|) of stacked
-    systems (norms over the trailing axes); raises SingularSystemError for
-    the worst (NaN first), ``name(k)``, above 1e-8."""
+    systems (norms over the two trailing axes, k the flat index over the
+    leading ones); raises SingularSystemError for the worst (NaN first),
+    ``name(k)``, above 1e-8."""
     def norm(a):
-        return np.sqrt(np.einsum("kij,kij->k", a, a))
+        return np.sqrt(np.einsum("...ij,...ij->...", a, a))
 
     scale = np.maximum(norm(b), size * norm(x))
     res = norm(r) / np.maximum(scale, 1e-300)
     if res.size and not res.max() <= 1e-8:
         worst = int(np.argmax(np.where(np.isnan(res), np.inf, res)))
-        raise SingularSystemError(f"dense solve residual {res[worst]:.2e} ({name(worst)})")
+        raise SingularSystemError(f"dense solve residual {res.flat[worst]:.2e} ({name(worst)})")
 
 
-def solve_stacked(A, b):
-    """Solve stacked systems A[k] x[k] = b[k], b (n, d) or a block (n, d, r):
-    one LU-factorizing ``np.linalg.solve`` over the stack, which its caller
-    has sized by ``chunks``, and ``dense_solve``'s relative-residual check
-    on every system."""
+def solve_stacked(A, b, cls=None):
+    """Solve A[cls[i]] x_i = b_i for class matrices A (m, d, d) and
+    right-hand sides b (n, d) or blocks (n, d, r); without ``cls`` each
+    right-hand side has its own matrix (m = n).  Each class's members, in
+    order, are cut into blocks of at most ceil(n / m) right-hand sides, and
+    one LU-factorizing ``np.linalg.solve`` solves the stack of blocks
+    against their class matrices: without repeats that is one system per
+    block, with repeats one factorization per block.  The caller sizes the
+    stack by ``chunks``.  ``dense_solve``'s relative-residual check runs on
+    every system, against its class matrix."""
     A = np.asarray(A, float)
     b = np.asarray(b, float)
     rhs = b[..., None] if b.ndim == 2 else b
+    (n, d, r), m = rhs.shape, len(A)
+    cls = np.arange(n) if cls is None else np.asarray(cls)
+    order = np.argsort(cls, kind="stable")
+    c = cls[order]
+    width = -(-n // m)  # right-hand sides per block
+    col = (np.arange(n) - np.searchsorted(c, c)) % width  # place in its block
+    new = col == 0
+    block = np.cumsum(new) - 1
+    B = np.zeros((block[-1] + 1, d, width, r))
+    B[block, :, col] = rhs[order]
+    B = B.reshape(len(B), d, -1)
+    Ab = A[c[new]]
     try:
-        x = np.linalg.solve(A, rhs)
+        X = np.linalg.solve(Ab, B)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"stacked solve failed: {exc}") from exc
-    size = np.maximum(A.max(axis=(1, 2)), -A.min(axis=(1, 2)))
-    check_residuals(rhs - A @ x, rhs, x, size, lambda i: f"system {i}")
-    return x[..., 0] if b.ndim == 2 else x
+
+    def systems(Y):  # (blocks, width, d, r): the systems of each block, padded
+        return np.swapaxes(Y.reshape(len(Y), d, width, r), 1, 2)
+
+    size = np.maximum(Ab.max(axis=(1, 2)), -Ab.min(axis=(1, 2)))[:, None]
+    check_residuals(systems(B - Ab @ X), systems(B), systems(X), size,
+                    lambda i: f"system {order[np.flatnonzero(block * width + col == i)[0]]}")
+    out = np.empty_like(rhs)
+    out[order] = systems(X)[block, col]
+    return out[..., 0] if b.ndim == 2 else out
 
 
 def element_solve(space, f, g, tris):

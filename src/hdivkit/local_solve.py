@@ -27,11 +27,25 @@ equal dof count, triangle count and kernel give systems of one size).
 The surrogate numbers its nodes by the mesh's continuous P_{p+2} numbering
 (``elements.lagrange_nodes``) and builds its element blocks from reference
 tables, so no step loops over elements or patches in Python.
+
+A patch's systems depend only on the mesh and p; theta and v enter only
+their right-hand sides.  Every patch is keyed on the exact bits of what
+decides them: its elements' affine classes, edge signs, T_k edge factors
+and multiplier numbering for the multiplier system (``PatchGroup.cls``,
+with the layout); its elements' maps, node numbering and clamped nodes for
+the surrogate (``PatchSurrogate.kcls``, built with the surrogate's node
+numbering on first use).  Each call assembles and factors one system per class
+present, and ``linsolve.solve_stacked`` solves every patch against its
+class's system; the right-hand sides, the recoveries and the surrogate's
+numerators stay per patch.  Only integers are kept: on a mesh without
+repeats a stored inverse or factor per patch would cost more than it saves.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -116,6 +130,8 @@ class PatchGroup:
     ``mult[r, t, j]`` numbers the nt ndof - nd edge multipliers: one per dof
     of each interior edge at the vertex (both sides), then of each pinned
     slot (opposite edge, Neumann edges); -1 on free Dirichlet edges.
+    Rows of one multiplier class (``cls``, ids shared across the groups of
+    a ``PatchLayout``) have bitwise-equal multiplier systems.
     """
 
     verts: np.ndarray  # (n,)
@@ -124,11 +140,70 @@ class PatchGroup:
     elem_map: np.ndarray  # (n, nt, ndof)
     dofs: np.ndarray  # (n, nd)
     mult: np.ndarray  # (n, nt, 3(p+1))
+    cls: np.ndarray  # (n,)
     kernel: bool  # interior and Neumann vertices: constant multiplier kernel
 
     def rows(self, sl):
         return PatchGroup(self.verts[sl], self.tris[sl], self.local[sl], self.elem_map[sl], self.dofs[sl],
-                          self.mult[sl], self.kernel)
+                          self.mult[sl], self.cls[sl], self.kernel)
+
+    @cached_property
+    def problem_maps(self):
+        """Index maps of the group's multiplier systems, integers built on
+        first use: ``cols`` (n, nt, 1 + 3(p+1)), the unknown of each column
+        of an element elimination (-1: none); ``slots`` (n, nt, 3(p+1)), the
+        equation of each edge dof, one row's system after another
+        (``_slots``); ``rep``, the first row of each multiplier class
+        present, and ``cls``, the class of each row among them; ``count``
+        (n, nd), the number of element dofs on each patch dof."""
+        (n, nt, ndof), nd, L = self.elem_map.shape, self.dofs.shape[1], self.mult
+        # columns: the constant-divergence coefficient (in place of the
+        # grounded multiplier 0 at kernel patches: it takes the data's
+        # incompatible part, roundoff included, which grounding alone leaves
+        # on one edge), then the edge multipliers
+        mu = np.full((n, nt, 1), 0 if self.kernel else -1, dtype=L.dtype)
+        cols = np.concatenate([mu, np.where(self.kernel & (L == 0), -1, L)], axis=2)
+        rep, cls = np.unique(self.cls, return_index=True, return_inverse=True)[1:]
+        count = _sum_into((n, nd), _slots(self.elem_map, nd), np.ones(self.elem_map.shape))
+        # every index is below the size of a group's stack (``chunks``)
+        return cols, _slots(L, nt * ndof - nd).astype(np.int32), rep, cls.reshape(-1), count.astype(np.int8)
+
+
+@dataclass
+class PatchSurrogate:
+    """The stability surrogate's view of the rows of a ``PatchGroup``: the
+    P_{p+2} nodes of each row numbered in ascending global order
+    (``nodes[r, t, m]`` for local node m of triangle t), the clamped ones
+    (``clamped[r]``) and the surrogate class of each row (``kcls``, ids
+    shared across a layout): rows of one class have bitwise-equal
+    surrogate systems."""
+
+    nodes: np.ndarray  # (n, nt, tri_dim(p+2))
+    clamped: np.ndarray  # (n, most nodes of a row in the signature), bool
+    kcls: np.ndarray  # (n,)
+
+    def rows(self, sl):
+        return PatchSurrogate(self.nodes[sl], self.clamped[sl], self.kcls[sl])
+
+    @cached_property
+    def parts(self):
+        """(rows, their surrogate) of the chunks of rows whose systems fill
+        at most ``POINT_BYTES``: 8 width^2 bytes a row, where a row has at
+        most width = nt tri_dim(p + 2) nodes."""
+        parts = chunks(len(self.kcls), 8 * (self.nodes.shape[1] * self.nodes.shape[2]) ** 2, points=True)
+        return [(sl, self.rows(sl) if len(parts) > 1 else self) for sl in parts]
+
+    @cached_property
+    def maps(self):
+        """``nn``, the node count the systems are padded to; ``fixed``
+        (n, nn), the nodes with an identity row (padding past a row's own
+        node count, and the clamped nodes); ``rep``, the first row of each
+        class present, and ``cls``, the class of each row among them."""
+        count = self.nodes.reshape(len(self.kcls), -1).max(axis=1) + 1
+        nn = int(count.max())
+        fixed = (np.arange(nn) >= count[:, None]) | self.clamped[:, :nn]
+        rep, cls = np.unique(self.kcls, return_index=True, return_inverse=True)[1:]
+        return nn, fixed, rep, cls.reshape(-1)
 
 
 @dataclass
@@ -197,7 +272,12 @@ def _build_patch_layout(mesh, p):
     mult = mult.astype(np.int32)
     nd = n_act * (p + 1) + count * n_int
     sig = np.stack([nd, count, kernel], axis=1)
-    groups, where = [], np.empty((nv, 2), dtype=int)
+    # what decides a patch's multiplier system: its elements' affine
+    # classes, edge signs (``linsolve.eliminate``) and T_k edge factors, and
+    # its multiplier numbering
+    own = mesh.edge_tris[mesh.tri_edges, 0] == np.arange(nt)[:, None]
+    tri_cls = _class_ids(space.classes[0], own, space.edge_scale())
+    groups, where, n_cls = [], np.empty((nv, 2), dtype=int), 0
     for s in np.unique(sig, axis=0):
         vs = np.flatnonzero((sig == s).all(axis=1))
         c = start[vs][:, None] + np.arange(s[1])
@@ -207,7 +287,9 @@ def _build_patch_layout(mesh, p):
             (edges[:, :, None] * (p + 1) + np.arange(p + 1)).reshape(len(vs), -1),
             (space.ndof_edge + tris[:, :, None] * n_int + np.arange(n_int)).reshape(len(vs), -1),
         ])
-        group = PatchGroup(vs, tris, c_loc[c], elem_map[c], dofs, mult[c], bool(s[2]))
+        cls = n_cls + _class_ids(tri_cls[tris], mult[c])
+        n_cls = cls.max() + 1
+        group = PatchGroup(vs, tris, c_loc[c], elem_map[c], dofs, mult[c], cls, bool(s[2]))
         # a pass allocates per patch its element columns, five arrays of its
         # multiplier blocks and its system (``linsolve.chunks``)
         nl, m = s[1] * space.ref.dim - s[0], 3 * (p + 1)
@@ -216,6 +298,64 @@ def _build_patch_layout(mesh, p):
             where[vs[sl], 1] = np.arange(len(vs[sl]))
             groups.append(group.rows(sl))
     return PatchLayout(groups, where)
+
+
+def _class_ids(*parts):
+    """Class of each row of ``parts`` (arrays with one leading row axis):
+    rows whose bytes are equal in every part share a class."""
+    raw = np.hstack([np.ascontiguousarray(a).reshape(len(a), -1).view(np.uint8) for a in parts])
+    return np.unique(raw.view(f"V{raw.shape[1]}")[:, 0], return_inverse=True)[1].reshape(-1)
+
+
+def patch_surrogates(mesh, p):
+    """The ``PatchSurrogate`` of each group of ``patch_layout(mesh, p)``,
+    built on first use (the surrogate runs only in ``projector_report``)
+    and cached."""
+    key = ("patch_surrogates", p)
+    if key not in mesh._cache:
+        mesh._cache[key] = _build_patch_surrogates(mesh, p)
+    return mesh._cache[key]
+
+
+def _build_patch_surrogates(mesh, p):
+    groups = patch_layout(mesh, p).groups
+    dirichlet = np.zeros(mesh.num_edges, dtype=bool)
+    dirichlet[np.array(mesh.edges_with_label(DIRICHLET), dtype=int)] = True
+    out, n_cls = [], 0
+    # the chunks of one signature are consecutive; its classes span them.
+    # What decides a surrogate system: its elements' maps, the node
+    # numbering and the clamped nodes
+    for _, chunk in itertools.groupby(groups, lambda g: (g.dofs.shape[1], g.tris.shape[1], g.kernel)):
+        chunk = list(chunk)
+        tris, local = (np.concatenate([getattr(g, key) for g in chunk]) for key in ("tris", "local"))
+        nodes, clamped = _surrogate_nodes(mesh, p, tris, local, dirichlet, chunk[0].kernel)
+        kcls = n_cls + _class_ids(mesh.Binv[tris], mesh.detB[tris], nodes, clamped)
+        n_cls = kcls.max() + 1
+        whole = PatchSurrogate(nodes, clamped, kcls)
+        ends = np.cumsum([len(g.verts) for g in chunk])
+        out += [whole.rows(slice(e - len(g.verts), e)) for g, e in zip(chunk, ends)]
+    return out
+
+
+def _surrogate_nodes(mesh, p, tris, local, dirichlet, kernel):
+    """The P_{p+2} nodes of patches ``tris`` (n, nt) with the patch vertex
+    at ``local``: each row's global nodes (``lagrange_nodes``) renumbered
+    in ascending order, (n, nt, nloc), and the clamped ones at Dirichlet
+    vertices, those on the Dirichlet edges there, (n, most nodes of a row)."""
+    q, n = p + 2, len(tris)
+    row = np.arange(n)[:, None, None]
+    nodes = lagrange_nodes(mesh, q)
+    stride = nodes.max() + 1
+    uniq, loc = np.unique(row * stride + nodes[tris], return_inverse=True)
+    start = np.searchsorted(uniq, np.arange(n + 1) * stride)
+    loc = loc.reshape(tris.shape + (-1,)) - start[:-1, None, None]
+    clamped = np.zeros((n, int(np.diff(start).max())), dtype=bool)
+    if not kernel:
+        # edge z of a triangle lies opposite its local vertex z
+        on = dirichlet[mesh.tri_edges[tris]] & (np.arange(3) != local[..., None])
+        at = np.any(on[..., :, None] & (lagrange_bary(q).T == 0), axis=-2)
+        clamped[np.broadcast_to(row, at.shape)[at], loc[at]] = True
+    return loc.astype(np.int32), clamped
 
 
 def sum_patch_fields(parts, ndof):
@@ -235,15 +375,18 @@ def sum_patch_fields(parts, ndof):
 class PatchGroupProblem:
     """The degree-p equilibration problems of a ``PatchGroup`` in hybrid
     form, stacked: ``chi`` (n, nt, ndof), ``g`` (n, nt, sdim), the systems
-    ``S`` (n, nl, nl), ``b`` (n, nl), the element fluxes ``x0`` (n, nt, ndof)
-    and per unit of each column's unknown ``xe`` (n, nt, ndof, 1 + 3(p+1)),
-    ``cols`` those unknowns, and ``compat_defect`` with one row per patch."""
+    ``S`` (one per multiplier class present, (nc, nl, nl)) with the class
+    of each row ``cls`` (n,), ``b`` (n, nl), the element fluxes ``x0``
+    (n, nt, ndof) and per unit of each column's unknown ``xe``
+    (n, nt, ndof, 1 + 3(p+1)), ``cols`` those unknowns, and
+    ``compat_defect`` with one row per patch."""
 
     group: PatchGroup
     p: int
     chi: np.ndarray
     g: np.ndarray
     S: np.ndarray
+    cls: np.ndarray
     b: np.ndarray
     x0: np.ndarray
     xe: np.ndarray
@@ -344,6 +487,13 @@ def check_compatibility(verts, defects):
         )
 
 
+def _slots(L, nl):
+    """The equation of each numbered dof of rows L (n, ...), numbers below
+    nl, when row r's system of nl equations follows row r - 1's; -1 where L
+    is."""
+    return np.where(L >= 0, np.arange(len(L)).reshape((-1,) + (1,) * (L.ndim - 1)) * nl + L, -1)
+
+
 def _sum_into(shape, idx, vals):
     """``vals`` summed into zeros(shape) at flat indices ``idx`` in input
     order; negative indices are dropped."""
@@ -362,7 +512,8 @@ def build_patch_problem(group: PatchGroup, theta: BrokenRTNField, v, p, mesh, *,
     lies in broken RTN_p exactly; the same dof extraction realizes both.
     ``data`` holds the element tables and eliminations of ``patch_data``;
     without it they are built for the whole mesh.  The blocks E_k
-    (K_k^-1)_ss E_k^T are summed in triangle order.  Raises
+    (K_k^-1)_ss E_k^T are summed in triangle order, into one system per
+    multiplier class: for the first row of each class present.  Raises
     CompatibilityError for the lowest vertex whose patch data has a nonzero
     mass against the constant multiplier kernel.
     """
@@ -371,22 +522,17 @@ def build_patch_problem(group: PatchGroup, theta: BrokenRTNField, v, p, mesh, *,
         data = patch_data(theta, v, p, mesh, policy=policy)
     defect = _mass_defects(group, data, mesh)
     check_compatibility(group.verts, defect)
-    chi, g, X = data.chi[group.tris, group.local], data.g[group.tris, group.local], data.x[group.tris]
+    chi, g = data.chi[group.tris, group.local], data.g[group.tris, group.local]
     (n, nt), nd, ne = group.tris.shape, group.dofs.shape[1], 3 * (p + 1)
-    x0 = chi + np.take_along_axis(X[..., :3], group.local[..., None, None], axis=3)[..., 0]
-    # columns: the constant-divergence coefficient (in place of the grounded
-    # multiplier 0 at kernel patches: it takes the data's incompatible part,
-    # roundoff included, which grounding alone leaves on one edge), then the
-    # edge multipliers
-    L, nl = group.mult, nt * space.ref.dim - nd
-    mu = np.full((n, nt, 1), 0 if group.kernel else -1)
-    cols = np.concatenate([mu, np.where(group.kernel & (L == 0), -1, L)], axis=2)
-    rows = np.where(L >= 0, np.arange(n)[:, None, None] * nl + L, -1)
-    idx = np.where(cols[..., None, :] >= 0, rows[..., :, None] * nl + cols[..., None, :], -1)
+    x0, xe = chi + data.x[group.tris, :, group.local], data.x[group.tris, :, 3:]
+    cols, slots, rep, cls, _ = group.problem_maps
+    nl = nt * space.ref.dim - nd
+    entry = _slots(group.mult[rep], nl)[..., None] * nl + cols[rep, :, None, :]
+    idx = np.where(cols[rep, :, None, :] >= 0, entry, -1)
     sgn = data.sign[group.tris]
-    S = _sum_into((n, nl, nl), idx, sgn[..., :, None] * X[..., :ne, 3:])
-    b = _sum_into((n, nl), rows, sgn * x0[..., :ne])
-    return PatchGroupProblem(group, p, chi, g, S, b, x0, X[..., 3:], cols, defect)
+    S = _sum_into((len(rep), nl, nl), idx, sgn[rep, :, :, None] * xe[rep, :, :ne])
+    b = _sum_into((n, nl), slots, sgn * x0[..., :ne])
+    return PatchGroupProblem(group, p, chi, g, S, cls, b, x0, xe, cols, defect)
 
 
 def patch_equilibrate(problem: PatchGroupProblem):
@@ -396,11 +542,11 @@ def patch_equilibrate(problem: PatchGroupProblem):
     of the multiplier systems (n, nl)."""
     group = problem.group
     n, nd = group.dofs.shape
-    lam = solve_stacked(problem.S, problem.b)
+    lam = solve_stacked(problem.S, problem.b, problem.cls)
     row = np.arange(n)[:, None, None]
     x = problem.x0 - (problem.xe @ np.append(lam, np.zeros((n, 1)), axis=1)[row, problem.cols][..., None])[..., 0]
-    at = np.where(group.elem_map >= 0, row * nd + group.elem_map, -1)
-    return _sum_into((n, nd), at, x) / _sum_into((n, nd), at, np.ones_like(x)), lam
+    *_, count = group.problem_maps
+    return _sum_into((n, nd), _slots(group.elem_map, nd), x) / count, lam
 
 
 # -- dual-norm surrogate for the patch stability constant ---------------------------
@@ -417,18 +563,33 @@ def patch_stability_ratio(problem: PatchGroupProblem, s, mesh):
     equal, since div s_a = g up to the kernel constant and s_a.n = 0 on the
     patch boundary wherever w is free, but free of the cancellation of two
     terms of size ||chi_a||.  The nodes are those of the mesh-wide numbering
-    ``lagrange_nodes``, renumbered per row; the element tables are
-    reference tables scaled by the affine maps, in chunks of rows whose
-    systems fill at most ``POINT_BYTES``.  Recorded, never asserted: the
-    bound it witnesses is a cited stability result.
+    ``lagrange_nodes``, renumbered per row (``patch_surrogates``); the
+    element tables are reference tables scaled by the affine maps.  The
+    rows go in chunks whose systems fill at most ``POINT_BYTES``, and each
+    chunk assembles one system per surrogate class present.  Recorded, never asserted: the bound it
+    witnesses is a cited stability result.
     """
     group, p = problem.group, problem.p
-    width = group.tris.shape[1] * polys.tri_dim(p + 2)  # bounds a row's node count
-    return np.concatenate([_stability_ratios(group.rows(sl), p, problem.chi[sl], s[sl], mesh)
-                           for sl in chunks(len(s), 8 * width**2, points=True)])
+    where = patch_layout(mesh, p).where[group.verts]
+    surrogate = patch_surrogates(mesh, p)[where[0, 0]]
+    if len(where) < len(surrogate.kcls):  # some rows of a layout group (``group_of``)
+        surrogate = surrogate.rows(where[:, 1])
+    return np.concatenate([_stability_ratios(group.rows(sl), part, p, problem.chi[sl], s[sl], mesh)
+                           for sl, part in surrogate.parts])
 
 
-def _stability_ratios(group, p, chi, s, mesh):
+@lru_cache(maxsize=None)
+def _surrogate_reference(p):
+    """The surrogate's reference tables at degree p: a rule exact for the
+    products of its element tables (degree 2p + 2), the P_{p+2} nodal
+    gradients at its points and the integrals (1, phi_n)."""
+    q = p + 2
+    rule = quad_rule(q + p)
+    vals = polys.lagrange_nodal(q).T @ polys.eval_monomials(q, rule.points) * rule.weights
+    return rule, np.stack(lagrange_grads_ref(q, rule.points), axis=2), vals.sum(axis=1)
+
+
+def _stability_ratios(group, surrogate, p, chi, s, mesh):
     # p + 2 keeps the surrogate space nontrivial even on one-triangle corner
     # patches with two clamped edges
     q = p + 2
@@ -436,48 +597,31 @@ def _stability_ratios(group, p, chi, s, mesh):
     tris = group.tris
     n = len(tris)
     row = np.arange(n)[:, None, None]
-    # patch-local numbering: the global nodes of each row, in ascending order
-    nodes = lagrange_nodes(mesh, q)
-    stride = nodes.max() + 1
-    uniq, loc = np.unique(row * stride + nodes[tris], return_inverse=True)
-    start = np.searchsorted(uniq, np.arange(n + 1) * stride)
-    loc = loc.reshape(tris.shape + (-1,)) - start[:-1, None, None]
-    nn = int(np.diff(start).max())
-    # fixed nodes get an identity row: padding past a row's own node count
-    # and, at Dirichlet vertices, the nodes on the Dirichlet edges there
-    fixed = np.arange(nn) >= np.diff(start)[:, None]
-    if not group.kernel:
-        dirichlet = np.zeros(mesh.num_edges, dtype=bool)
-        dirichlet[np.array(mesh.edges_with_label(DIRICHLET), dtype=int)] = True
-        # edge z of a triangle lies opposite its local vertex z
-        clamped = dirichlet[mesh.tri_edges[tris]] & (np.arange(3) != group.local[..., None])
-        on_edge = lagrange_bary(q).T == 0  # (3, nloc)
-        at = np.any(clamped[..., :, None] & on_edge, axis=-2)
-        fixed[np.broadcast_to(row, at.shape)[at], loc[at]] = True
+    nn, fixed, rep, cls = surrogate.maps
+    loc = surrogate.nodes
     # s_a - chi_a per triangle (-1 in elem_map is a pinned dof), and chi_a
     diff = np.append(s, np.zeros((n, 1)), axis=1)[row, group.elem_map] - chi
     ref = space.to_ref(np.stack([diff, chi], axis=2), tris)
-    # element tables: (grad w, grad w)_K, -(s_a - chi_a, grad w)_K, (1, w)_K,
-    # by reference rules exact in their degree (at most q + p)
-    rule = quad_rule(q + p)
-    vals = polys.lagrange_nodal(q).T @ polys.eval_monomials(q, rule.points) * rule.weights
-    detB = mesh.detB[tris][..., None]
-    stiff = _stiffness_blocks(mesh, rule, np.stack(lagrange_grads_ref(q, rule.points), axis=2), tris)
-    ell = -ref[:, :, 0] @ _coupling_reference(q, p).T
-    flat = row * nn + loc
-    S = _sum_into((n, nn, nn), flat[..., :, None] * nn + loc[..., None, :], stiff)
-    ell = _sum_into((n, nn), flat, ell)
-    S[fixed[:, :, None] | fixed[:, None, :]] = 0.0
-    fr, fi = np.nonzero(fixed)
-    S[fr, fi, fi] = 1.0
+    ell = _sum_into((n, nn), row * nn + loc, -ref[:, :, 0] @ _coupling_reference(q, p).T)
     ell[fixed] = 0.0
+    # the systems of the first row of each surrogate class present: element
+    # tables (grad w, grad w)_K and (1, w)_K by reference rules exact in
+    # their degree (at most q + p)
+    rule, gref, mean_ref = _surrogate_reference(p)
+    rep_flat = np.arange(len(rep))[:, None, None] * nn + loc[rep]
+    S = _sum_into((len(rep), nn, nn), rep_flat[..., :, None] * nn + loc[rep][..., None, :],
+                  _stiffness_blocks(mesh, rule, gref, tris[rep]))
+    fix = fixed[rep]
+    S[fix[:, :, None] | fix[:, None, :]] = 0.0
+    fr, fi = np.nonzero(fix)
+    S[fr, fi, fi] = 1.0
     if group.kernel:  # bordered by the mean-zero constraint
-        mean = _sum_into((n, nn), flat, detB * vals.sum(axis=1))
-        K = np.zeros((n, nn + 1, nn + 1))
+        mean = _sum_into((len(rep), nn), rep_flat, mesh.detB[tris[rep]][..., None] * mean_ref)
+        K = np.zeros((len(rep), nn + 1, nn + 1))
         K[:, :nn, :nn], K[:, nn, :nn], K[:, :nn, nn] = S, mean, mean
-        y = solve_stacked(K, np.append(ell, np.zeros((n, 1)), axis=1))[:, :nn]
+        y = solve_stacked(K, np.append(ell, np.zeros((n, 1)), axis=1), cls)[:, :nn]
     else:
-        y = solve_stacked(S, ell)
+        y = solve_stacked(S, ell, cls)
     dual = np.sqrt(np.maximum(np.sum(ell * y, axis=1), 0.0))
     # numerator: ||s_a - chi_a|| over the patch, beside ||chi_a||
     num, chi_norm = np.sqrt(np.sum(ref * space.mass(ref, tris), axis=(1, 3))).T

@@ -146,11 +146,43 @@ class Mesh:
                 f"Euler characteristic V-E+T = {nv - ne + nt} != 1 "
                 "(mesh must triangulate a simply connected domain)"
             )
-        for e in range(ne):
-            if self.edge_tris[e, 1] == -1 and e not in self.boundary_labels:
-                raise MeshError(
-                    f"boundary edge {tuple(self.edges[e])} is missing a label"
-                )
+        labeled = np.zeros(ne, dtype=bool)
+        labeled[list(self.boundary_labels)] = True
+        missing = np.flatnonzero((self.edge_tris[:, 1] == -1) & ~labeled)
+        if len(missing):
+            raise MeshError(f"boundary edge {tuple(int(a) for a in self.edges[missing[0]])} is missing a label")
+        self._check_folds()
+
+    def _check_folds(self):
+        """Reject a triangulation whose triangles overlap.  Locally: the
+        vertices opposite an interior edge must lie strictly on opposite
+        sides of its line, so its two (counterclockwise) triangles run
+        through it in opposite directions (``tri_edge_sign``); strictly, to
+        the scale-relative tolerance of the degeneracy check.  Globally: the
+        triangles around an interior vertex must turn around it once.  With
+        no folded edge they turn a whole number of times, so this rejects a
+        branched cover (a fan winding twice, 4 pi of angles); the boundary's
+        shoelace area cannot, as it then equals the total area identically."""
+        e = self.interior_edges()
+        t = self.edge_tris[e]
+        sign = np.sum(np.where(self.tri_edges[t] == e[:, None, None], self.tri_edge_sign[t], 0), axis=2)
+        bad = np.flatnonzero(sign[:, 0] == sign[:, 1])
+        if len(bad):
+            k0, k1 = (int(k) for k in t[bad[0]])
+            raise MeshError(
+                f"mesh is folded at edge {tuple(int(v) for v in self.edges[e[bad[0]]])}: its triangles {k0} "
+                f"{tuple(int(v) for v in self.triangles[k0])} and {k1} {tuple(int(v) for v in self.triangles[k1])} "
+                "lie on the same side of it"
+            )
+        corner = self.vertices[self.triangles]
+        u, w = np.roll(corner, -1, axis=1) - corner, np.roll(corner, 1, axis=1) - corner
+        angle = np.arctan2(u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0], np.sum(u * w, axis=2))
+        turns = np.bincount(self.triangles.ravel(), angle.ravel(), len(self.vertices)) / (2 * np.pi)
+        turns[self.edges[self.boundary_edges()].ravel()] = 1.0
+        bad = np.flatnonzero(turns > 1.5)
+        if len(bad):
+            raise MeshError(f"mesh overlaps itself: its triangles wind {turns[bad[0]]:.0f} times "
+                            f"around interior vertex {int(bad[0])}")
 
     def _check_hanging_nodes(self):
         # a vertex strictly inside a single-triangle edge means a hanging node

@@ -11,8 +11,9 @@ data taken
 by quadrature on every (patch, element) pair, the dense Bunch-Kaufman KKT
 solve, the unhybridized global saddle solve, the element-by-element and
 patch-by-patch projector loop with its
-per-patch stability surrogate on dict-numbered Lagrange nodes, the mesh
-topology loops and the point-by-point corner wedge rule."""
+per-patch stability surrogate on dict-numbered Lagrange nodes, the stacked
+patch layer with one multiplier and one surrogate system per patch, the
+mesh topology loops and the point-by-point corner wedge rule."""
 
 import weakref
 from dataclasses import dataclass
@@ -1456,3 +1457,124 @@ def corner_rule_oracle(coords, vertex_local, gamma, n_theta, n_r):
             wts[k] = wtheta[j] * wr[i] * R[j] ** 2 * tr[i] ** (-gamma)
             k += 1
     return pts, wts
+
+
+# -- the stacked patch layer, one system per patch ------------------------------------
+
+
+def build_patch_problem_stacked_oracle(group, p, mesh, data):
+    """``local_solve.build_patch_problem`` with the multiplier system of
+    every row assembled, one class per row: the stacked assembly before
+    patch classes."""
+    from hdivkit.local_solve import PatchGroupProblem, _mass_defects, _sum_into, check_compatibility
+
+    space = rtn_space(mesh, p)
+    defect = _mass_defects(group, data, mesh)
+    check_compatibility(group.verts, defect)
+    chi, g, X = data.chi[group.tris, group.local], data.g[group.tris, group.local], data.x[group.tris]
+    (n, nt), nd, ne = group.tris.shape, group.dofs.shape[1], 3 * (p + 1)
+    x0 = chi + np.take_along_axis(X[..., :3], group.local[..., None, None], axis=3)[..., 0]
+    # columns: the constant-divergence coefficient (in place of the grounded
+    # multiplier 0 at kernel patches: it takes the data's incompatible part,
+    # roundoff included, which grounding alone leaves on one edge), then the
+    # edge multipliers
+    L, nl = group.mult, nt * space.ref.dim - nd
+    mu = np.full((n, nt, 1), 0 if group.kernel else -1)
+    cols = np.concatenate([mu, np.where(group.kernel & (L == 0), -1, L)], axis=2)
+    rows = np.where(L >= 0, np.arange(n)[:, None, None] * nl + L, -1)
+    idx = np.where(cols[..., None, :] >= 0, rows[..., :, None] * nl + cols[..., None, :], -1)
+    sgn = data.sign[group.tris]
+    S = _sum_into((n, nl, nl), idx, sgn[..., :, None] * X[..., :ne, 3:])
+    b = _sum_into((n, nl), rows, sgn * x0[..., :ne])
+    return PatchGroupProblem(group, p, chi, g, S, np.arange(n), b, x0, X[..., 3:], cols, defect)
+
+
+def patch_stability_ratio_stacked_oracle(problem, s, mesh):
+    """``local_solve.patch_stability_ratio`` with the surrogate numbered and
+    assembled, and its system solved, for every row: the stacked surrogate
+    before patch classes, in its chunks."""
+    group, p = problem.group, problem.p
+    width = group.tris.shape[1] * polys.tri_dim(p + 2)
+    return np.concatenate([_stability_ratios_stacked(group.rows(sl), p, problem.chi[sl], s[sl], mesh)
+                           for sl in chunks(len(s), 8 * width**2, points=True)])
+
+
+def _stability_ratios_stacked(group, p, chi, s, mesh):
+    from hdivkit.elements import (_coupling_reference, _stiffness_blocks, lagrange_bary, lagrange_grads_ref,
+                                  lagrange_nodes)
+    from hdivkit.local_solve import _sum_into
+    from hdivkit.mesh import DIRICHLET
+
+    # p + 2 keeps the surrogate space nontrivial even on one-triangle corner
+    # patches with two clamped edges
+    q = p + 2
+    space = rtn_space(mesh, p)
+    tris = group.tris
+    n = len(tris)
+    row = np.arange(n)[:, None, None]
+    # patch-local numbering: the global nodes of each row, in ascending order
+    nodes = lagrange_nodes(mesh, q)
+    stride = nodes.max() + 1
+    uniq, loc = np.unique(row * stride + nodes[tris], return_inverse=True)
+    start = np.searchsorted(uniq, np.arange(n + 1) * stride)
+    loc = loc.reshape(tris.shape + (-1,)) - start[:-1, None, None]
+    nn = int(np.diff(start).max())
+    # fixed nodes get an identity row: padding past a row's own node count
+    # and, at Dirichlet vertices, the nodes on the Dirichlet edges there
+    fixed = np.arange(nn) >= np.diff(start)[:, None]
+    if not group.kernel:
+        dirichlet = np.zeros(mesh.num_edges, dtype=bool)
+        dirichlet[np.array(mesh.edges_with_label(DIRICHLET), dtype=int)] = True
+        # edge z of a triangle lies opposite its local vertex z
+        clamped = dirichlet[mesh.tri_edges[tris]] & (np.arange(3) != group.local[..., None])
+        on_edge = lagrange_bary(q).T == 0  # (3, nloc)
+        at = np.any(clamped[..., :, None] & on_edge, axis=-2)
+        fixed[np.broadcast_to(row, at.shape)[at], loc[at]] = True
+    # s_a - chi_a per triangle (-1 in elem_map is a pinned dof), and chi_a
+    diff = np.append(s, np.zeros((n, 1)), axis=1)[row, group.elem_map] - chi
+    ref = space.to_ref(np.stack([diff, chi], axis=2), tris)
+    # element tables: (grad w, grad w)_K, -(s_a - chi_a, grad w)_K, (1, w)_K,
+    # by reference rules exact in their degree (at most q + p)
+    rule = quad_rule(q + p)
+    vals = polys.lagrange_nodal(q).T @ polys.eval_monomials(q, rule.points) * rule.weights
+    detB = mesh.detB[tris][..., None]
+    stiff = _stiffness_blocks(mesh, rule, np.stack(lagrange_grads_ref(q, rule.points), axis=2), tris)
+    ell = -ref[:, :, 0] @ _coupling_reference(q, p).T
+    flat = row * nn + loc
+    S = _sum_into((n, nn, nn), flat[..., :, None] * nn + loc[..., None, :], stiff)
+    ell = _sum_into((n, nn), flat, ell)
+    S[fixed[:, :, None] | fixed[:, None, :]] = 0.0
+    fr, fi = np.nonzero(fixed)
+    S[fr, fi, fi] = 1.0
+    ell[fixed] = 0.0
+    if group.kernel:  # bordered by the mean-zero constraint
+        mean = _sum_into((n, nn), flat, detB * vals.sum(axis=1))
+        K = np.zeros((n, nn + 1, nn + 1))
+        K[:, :nn, :nn], K[:, nn, :nn], K[:, :nn, nn] = S, mean, mean
+        y = solve_stacked(K, np.append(ell, np.zeros((n, 1)), axis=1))[:, :nn]
+    else:
+        y = solve_stacked(S, ell)
+    dual = np.sqrt(np.maximum(np.sum(ell * y, axis=1), 0.0))
+    # numerator: ||s_a - chi_a|| over the patch, beside ||chi_a||
+    num, chi_norm = np.sqrt(np.sum(ref * space.mass(ref, tris), axis=(1, 3))).T
+    return np.where(num <= 1e-12 * chi_norm, 0.0, num / np.maximum(dual, 1e-300))
+
+
+def patch_layer_stacked_oracle(v, p, mesh, *, variant="def31"):
+    """The dofs of ``project_hdiv`` and its stability ratios (vertex order)
+    through the stacked patch layer: library theta and patch data, then
+    ``build_patch_problem_stacked_oracle``, the library's hybrid solve and
+    recovery, and ``patch_stability_ratio_stacked_oracle``."""
+    from hdivkit.local_solve import fit_degree, patch_data, patch_equilibrate, patch_layout, sum_patch_fields
+    from hdivkit.local_solve import theta_field
+
+    policy = QuadPolicy(p, field=v)
+    theta = theta_field(v, p, mesh, variant=variant, policy=policy if fit_degree(p, variant) == p else None)
+    data = patch_data(theta, v, p, mesh, policy=policy)
+    parts, ratios = [], []
+    for group in patch_layout(mesh, p).groups:
+        problem = build_patch_problem_stacked_oracle(group, p, mesh, data)
+        s, _ = patch_equilibrate(problem)
+        parts.append((group, s))
+        ratios += zip(group.verts, patch_stability_ratio_stacked_oracle(problem, s, mesh))
+    return sum_patch_fields(parts, rtn_space(mesh, p).ndof), np.array([r for _, r in sorted(ratios)])

@@ -10,11 +10,12 @@ from hdivkit.best_approx import (
     local_best,
     local_best_constrained,
 )
-from hdivkit.elements import rtn_space
+from hdivkit.elements import oscillation_sq, rtn_space
 from hdivkit.fields import FieldError
 from hdivkit.mesh import build_lshape, build_structured
 from hdivkit.projections import random_broken_field
 from hdivkit.projector import random_conforming_field
+from hdivkit.quadpolicy import QuadPolicy
 from hdivkit.quadrature import quad_rule
 
 
@@ -150,3 +151,23 @@ def test_local_best_is_row_k_of_the_report_bitwise(name, mesh, p):
 def test_local_best_rejects_a_bad_element_index(fit, k):
     with pytest.raises(ValueError, match=rf"k={k!r}.*8 triangles"):
         fit(fields.catalog("sine_divfree"), 1, build_structured(2), k)
+
+
+@pytest.mark.parametrize("p", [0, 2])
+def test_error_report_reads_the_global_divergence_part_off_the_local_fits(monkeypatch, p):
+    # div sigma is fixed elementwise by the constraint, so E_glob's
+    # divergence part is sqrt(sum Eloc_div^2); error_report takes it from the
+    # local fits (one oscillation pass per group) and solves as global_best
+    import hdivkit.best_approx as ba
+
+    m = build_lshape(2)
+    v = fields.catalog("lshape_singular", {"alpha": 2 / 3})
+    glob = global_best(v, p, m)
+    passes = []
+    monkeypatch.setattr(ba, "oscillation_sq", lambda *a: passes.append(1) or oscillation_sq(*a))
+    rep = error_report(v, p, m)
+    assert len(passes) == len(QuadPolicy(p, field=v).groups(m))
+    assert rep.Eglob_div == np.sqrt(np.sum(rep.Eloc_div**2))
+    assert abs(rep.Eglob_div - glob["Eglob_div"]) <= 1e-14 * glob["Eglob_div"]
+    assert rep.Eglob_l2 == glob["Eglob_l2"]
+    assert abs(rep.Eglob - glob["Eglob"]) <= 1e-14 * glob["Eglob"]

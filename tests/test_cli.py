@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from hdivkit.cli import build_parser, main
+from hdivkit.mesh import build_structured
 
 # the flags each subcommand's cmd_* function reads, and no others
 SUBCOMMAND_FLAGS = {
@@ -237,6 +238,17 @@ def test_mesh_file_not_json_is_one_line_error(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text("{not json")
     _assert_one_line_error(["mesh", "inspect", "--mesh", str(path)], capsys)
+
+
+def test_folded_mesh_file_is_one_line_error(tmp_path, capsys):
+    # structured:1 with vertex 2 moved across the diagonal (0, 3)
+    data = build_structured(1).to_dict()
+    data["vertices"][2] = [1.5, 0.5]
+    path = tmp_path / "folded.json"
+    path.write_text(json.dumps(data))
+    _assert_one_line_error(["project", "--mesh", str(path)], capsys)
+    code = main(["mesh", "inspect", "--mesh", str(path)])
+    assert code == 2 and "folded at edge" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

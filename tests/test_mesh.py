@@ -309,3 +309,75 @@ def test_edge_queries_take_an_index_or_an_array(m):
     assert np.allclose(pts[:, 2], m.vertices[m.edges[:, 1]], rtol=0, atol=1e-15)
     assert np.allclose(np.einsum("ed,ed->e", n, vec), 0.0, atol=1e-15)
     assert np.allclose(vec[:, 0] * n[:, 1] - vec[:, 1] * n[:, 0], -L, rtol=1e-14, atol=0)
+
+
+def _fan(center, ring):
+    """Triangles (center, ring[i], ring[i+1]) around a closed ring, Dirichlet
+    on the ring's edges."""
+    verts = [center] + list(ring)
+    n = len(ring)
+    tris = [(0, 1 + i, 1 + (i + 1) % n) for i in range(n)]
+    return verts, tris, [((1 + i, 1 + (i + 1) % n), "dirichlet") for i in range(n)]
+
+
+def test_folded_mesh_rejected():
+    # the center of a four-triangle fan moved out past the edge (1, 2) of
+    # its square: the triangles on the edge from the center to the corner
+    # (1, 0) then lie on the same side of it
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    assert Mesh(*_fan((0.5, 0.5), square)).num_triangles == 4
+    with pytest.raises(MeshError, match=r"folded at edge \(0, 2\): its triangles 0 \(0, 1, 2\) and 1 \(0, 3, 2\)"):
+        Mesh(*_fan((1.5, 0.5), square))
+
+
+def test_fan_winding_twice_rejected():
+    # seven triangles of 4 pi / 7 each around one vertex: no edge folds, but
+    # the fan covers its disc twice
+    n = 7
+    ring = [(np.cos(4 * np.pi * i / n), np.sin(4 * np.pi * i / n)) for i in range(n)]
+    with pytest.raises(MeshError, match="wind 2 times around interior vertex 0"):
+        Mesh(*_fan((0.0, 0.0), ring))
+
+
+def test_jittered_structured32_folds_on_seed_16():
+    from test_element_layer import jitter
+
+    with pytest.raises(MeshError, match=r"folded at edge \(381, 414\).*\(381, 414, 415\)"):
+        jitter(build_structured(32), 16)
+    assert jitter(build_structured(32), 17).num_triangles == 2048
+
+
+def _jittered_meshes():
+    """Every jittered mesh the suite builds, by helper and seed."""
+    from test_class_solves import _jitter_every_vertex
+    from test_element_layer import jitter
+    from test_hat_operators import jittered_mesh
+
+    # the labels do not move a vertex
+    out = [jitter(build_structured(n), seed) for n, seed in [(2, 3), (3, 1), (3, 3), (3, 5), (4, 3)]]
+    out += [jitter(build_lshape(2), seed) for seed in (2, 3, 4, 6)]
+    out += [_jitter_every_vertex(build_structured(3), 7)]
+    return out + [jittered_mesh(3, seed) for seed in (2, 5)]
+
+
+def test_the_suites_jittered_meshes_do_not_fold():
+    # each helper moves interior vertices by up to 0.3 of the shortest edge
+    # (every vertex by 0.1 in one helper); at these seeds no triangle inverts
+    assert len(_jittered_meshes()) == 12
+
+
+VALID = {
+    "structured4": lambda: build_structured(4),
+    "lshape2": lambda: build_lshape(2, labels="left-neumann"),
+    "refined-lshape1": lambda: refine_uniform(build_lshape(1)),
+    "jittered-structured2": lambda: _jittered_meshes()[0],
+}
+
+
+@pytest.mark.parametrize("make", VALID.values(), ids=VALID.keys())
+def test_fold_checks_leave_valid_geometry_bitwise(monkeypatch, make):
+    m = make()
+    monkeypatch.setattr(Mesh, "_check_folds", lambda self: None)
+    unchecked = make()
+    for key in ("vertices", "triangles", "edges", "edge_tris", "tri_edges", "X0", "B", "detB", "Binv", "h", "rho"):
+        assert np.array_equal(getattr(m, key), getattr(unchecked, key)), key
