@@ -2,11 +2,13 @@
 
 Small dense systems come in stacks (one per patch or surrogate), cut into
 chunks by the one sizing rule of ``chunks``.  ``solve_stacked`` takes a
-chunk's class matrices and the class of each right-hand side: it factors
-each class once per block of at most ceil(n / classes) right-hand sides,
+chunk's class matrices and the place of each right-hand side in its
+class's blocks (``class_blocks``): it factors each class once per block,
 in one ``np.linalg.solve`` over the blocks, and checks every system's
-relative residual against its class matrix.  Without repeats each block is
-one system, as in a plain stacked solve.  Element
+relative residual against its class matrix.  A right-hand side's bits
+depend only on its class matrix and its place, so places fixed over a whole
+stack give the same bits however the stack is chunked.  Without repeats
+each block is one system, as in a plain stacked solve.  Element
 systems are solved once per affine class (``element_solve``): the mass and
 KKT systems of an element are T_k-conjugates of reference systems that
 depend only on c_k, whose inverses the ``RTNSpace`` keeps per class; each
@@ -26,6 +28,8 @@ global sparse matrix.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -41,6 +45,11 @@ from scipy.linalg import get_lapack_funcs
 # the stability surrogate, whose passes gain nothing from larger chunks.
 STACK_BYTES = 1 << 22
 POINT_BYTES = 1 << 19
+# Right-hand sides per block of ``solve_stacked``: a factorization (2/3 d^3)
+# costs less than the triangular solves of d / 3 right-hand sides (2 d^2
+# each), so blocks of 32 keep most of the gain of sharing it up to d = 96
+# and bound the padding of a class cut by chunks.
+BLOCK_RHS = 32
 
 
 class SingularSystemError(RuntimeError):
@@ -108,31 +117,72 @@ def check_residuals(r, b, x, size, name):
         raise SingularSystemError(f"dense solve residual {res.flat[worst]:.2e} ({name(worst)})")
 
 
-def solve_stacked(A, b, cls=None):
-    """Solve A[cls[i]] x_i = b_i for class matrices A (m, d, d) and
-    right-hand sides b (n, d) or blocks (n, d, r); without ``cls`` each
-    right-hand side has its own matrix (m = n).  Each class's members, in
-    order, are cut into blocks of at most ceil(n / m) right-hand sides, and
-    one LU-factorizing ``np.linalg.solve`` solves the stack of blocks
-    against their class matrices: without repeats that is one system per
-    block, with repeats one factorization per block.  The caller sizes the
-    stack by ``chunks``.  ``dense_solve``'s relative-residual check runs on
-    every system, against its class matrix."""
+class Blocks(NamedTuple):
+    """Where ``solve_stacked`` puts n right-hand sides: right-hand side i
+    is column ``col[i]`` of block ``block[i]``, every block ``width``
+    columns wide, and block j is solved against class matrix ``cls[j]``."""
+
+    block: np.ndarray  # (n,)
+    col: np.ndarray  # (n,)
+    cls: np.ndarray  # (blocks,)
+    width: int
+
+
+def class_slots(cls):
+    """The place of each right-hand side of a class map in its class's
+    blocks: its rank among its class's members, in order, and the block
+    width, ceil(n / classes) up to ``BLOCK_RHS`` (1 without repeats)."""
+    cls = np.asarray(cls)
+    order = np.argsort(cls, kind="stable")
+    c = cls[order]
+    rank = np.empty(len(c), dtype=np.int32)
+    rank[order] = np.arange(len(c)) - np.searchsorted(c, c)
+    classes = 1 + np.count_nonzero(c[1:] != c[:-1])
+    return rank, min(-(-len(c) // classes), BLOCK_RHS)
+
+
+def class_blocks(cls, slot, width):
+    """The ``Blocks`` of right-hand sides of classes ``cls``: right-hand
+    side i is column slot[i] % width of its class's block slot[i] // width
+    (places from ``class_slots``), blocks in class order."""
+    cls = np.asarray(cls, dtype=np.int64)
+    blk = slot // width
+    key = cls * (int(blk.max()) + 1) + blk
+    order = np.argsort(key, kind="stable")
+    k = key[order]
+    new = np.ones(len(k), dtype=bool)
+    new[1:] = k[1:] != k[:-1]
+    block = np.empty(len(k), dtype=np.intp)
+    block[order] = np.cumsum(new) - 1
+    return Blocks(block, slot % width, cls[order[new]], width)
+
+
+def solve_stacked(A, b, blocks=None):
+    """Solve A[c_i] x_i = b_i for class matrices A (m, d, d) and right-hand
+    sides b (n, d) or blocks (n, d, r), where c_i is the class of the block
+    of right-hand side i (a ``Blocks``); without ``blocks`` each
+    right-hand side has its own matrix.  Every block is padded with zero
+    columns to the full width, and one LU-factorizing ``np.linalg.solve``
+    solves the stack of blocks against their class matrices: one
+    factorization per block.  A column's bits depend on its class matrix,
+    its column and the width, not on the other right-hand sides of the
+    call, so callers that place a whole stack's right-hand sides once
+    (``class_slots``) get the same bits from every cut of it into chunks.
+    The caller sizes the stack by ``chunks``.  ``dense_solve``'s
+    relative-residual check runs on every system, against its class
+    matrix."""
     A = np.asarray(A, float)
     b = np.asarray(b, float)
     rhs = b[..., None] if b.ndim == 2 else b
-    (n, d, r), m = rhs.shape, len(A)
-    cls = np.arange(n) if cls is None else np.asarray(cls)
-    order = np.argsort(cls, kind="stable")
-    c = cls[order]
-    width = -(-n // m)  # right-hand sides per block
-    col = (np.arange(n) - np.searchsorted(c, c)) % width  # place in its block
-    new = col == 0
-    block = np.cumsum(new) - 1
-    B = np.zeros((block[-1] + 1, d, width, r))
-    B[block, :, col] = rhs[order]
+    n, d, r = rhs.shape
+    if blocks is None:
+        blocks = Blocks(np.arange(n), np.zeros(n, dtype=np.intp), np.arange(n), 1)
+    block, col, c, width = blocks
+    B = np.zeros((len(c), d, width, r))
+    B[block, :, col] = rhs
     B = B.reshape(len(B), d, -1)
-    Ab = A[c[new]]
+    # one block per class, in order: A itself
+    Ab = A if len(c) == len(A) and (c == np.arange(len(c))).all() else A[c]
     try:
         X = np.linalg.solve(Ab, B)
     except np.linalg.LinAlgError as exc:
@@ -143,9 +193,8 @@ def solve_stacked(A, b, cls=None):
 
     size = np.maximum(Ab.max(axis=(1, 2)), -Ab.min(axis=(1, 2)))[:, None]
     check_residuals(systems(B - Ab @ X), systems(B), systems(X), size,
-                    lambda i: f"system {order[np.flatnonzero(block * width + col == i)[0]]}")
-    out = np.empty_like(rhs)
-    out[order] = systems(X)[block, col]
+                    lambda i: f"system {np.flatnonzero(block * width + col == i)[0]}")
+    out = systems(X)[block, col]
     return out[..., 0] if b.ndim == 2 else out
 
 

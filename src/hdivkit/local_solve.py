@@ -32,19 +32,21 @@ A patch's systems depend only on the mesh and p; theta and v enter only
 their right-hand sides.  Every patch is keyed on the exact bits of what
 decides them: its elements' affine classes, edge signs, T_k edge factors
 and multiplier numbering for the multiplier system (``PatchGroup.cls``,
-with the layout); its elements' maps, node numbering and clamped nodes for
-the surrogate (``PatchSurrogate.kcls``, built with the surrogate's node
-numbering on first use).  Each call assembles and factors one system per class
-present, and ``linsolve.solve_stacked`` solves every patch against its
-class's system; the right-hand sides, the recoveries and the surrogate's
-numerators stay per patch.  Only integers are kept: on a mesh without
-repeats a stored inverse or factor per patch would cost more than it saves.
+per signature, with the layout); its elements' maps, node numbering and
+clamped nodes for the surrogate (``PatchGroup.surrogate``, per layout
+group, built with the surrogate's node numbering on first use).  Each call
+assembles and factors one system per class present, and
+``linsolve.solve_stacked`` solves every patch against its class's system;
+the right-hand sides, the recoveries and the surrogate's numerators stay
+per patch.  A patch's place in its class's blocks is fixed over the whole
+signature, so sigma has the same bits however the layout is chunked.  Only
+integers are kept: on a mesh without repeats a stored inverse or factor per
+patch would cost more than it saves.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -60,7 +62,7 @@ from .elements import (
     rtn_space,
     scalar_moments,
 )
-from .linsolve import chunks, element_solve, eliminate, solve_stacked
+from .linsolve import Blocks, chunks, class_blocks, class_slots, element_solve, eliminate, solve_stacked
 from .mesh import DIRICHLET
 from .projections import BrokenRTNField, hat_interpolants
 from .quadpolicy import QuadPolicy
@@ -130,8 +132,11 @@ class PatchGroup:
     ``mult[r, t, j]`` numbers the nt ndof - nd edge multipliers: one per dof
     of each interior edge at the vertex (both sides), then of each pinned
     slot (opposite edge, Neumann edges); -1 on free Dirichlet edges.
-    Rows of one multiplier class (``cls``, ids shared across the groups of
-    a ``PatchLayout``) have bitwise-equal multiplier systems.
+    Rows of one multiplier class (``cls``, numbered over the signature in
+    order of first appearance) have bitwise-equal multiplier systems;
+    ``slot`` and ``width`` place each row in its class's blocks of
+    ``linsolve.solve_stacked`` (``linsolve.class_slots`` over the
+    signature).
     """
 
     verts: np.ndarray  # (n,)
@@ -141,11 +146,14 @@ class PatchGroup:
     dofs: np.ndarray  # (n, nd)
     mult: np.ndarray  # (n, nt, 3(p+1))
     cls: np.ndarray  # (n,)
+    slot: np.ndarray  # (n,)
     kernel: bool  # interior and Neumann vertices: constant multiplier kernel
+    width: int
+    _surrogate: list | None = field(default=None, repr=False, compare=False)
 
     def rows(self, sl):
         return PatchGroup(self.verts[sl], self.tris[sl], self.local[sl], self.elem_map[sl], self.dofs[sl],
-                          self.mult[sl], self.cls[sl], self.kernel)
+                          self.mult[sl], self.cls[sl], self.slot[sl], self.kernel, self.width)
 
     @cached_property
     def problem_maps(self):
@@ -154,8 +162,9 @@ class PatchGroup:
         of an element elimination (-1: none); ``slots`` (n, nt, 3(p+1)), the
         equation of each edge dof, one row's system after another
         (``_slots``); ``rep``, the first row of each multiplier class
-        present, and ``cls``, the class of each row among them; ``count``
-        (n, nd), the number of element dofs on each patch dof."""
+        present, and ``blocks``, the ``linsolve.Blocks`` of the rows against
+        their systems; ``count`` (n, nd), the number of element dofs on
+        each patch dof."""
         (n, nt, ndof), nd, L = self.elem_map.shape, self.dofs.shape[1], self.mult
         # columns: the constant-divergence coefficient (in place of the
         # grounded multiplier 0 at kernel patches: it takes the data's
@@ -166,44 +175,36 @@ class PatchGroup:
         rep, cls = np.unique(self.cls, return_index=True, return_inverse=True)[1:]
         count = _sum_into((n, nd), _slots(self.elem_map, nd), np.ones(self.elem_map.shape))
         # every index is below the size of a group's stack (``chunks``)
-        return cols, _slots(L, nt * ndof - nd).astype(np.int32), rep, cls.reshape(-1), count.astype(np.int8)
+        blocks = class_blocks(cls.reshape(-1), self.slot, self.width)
+        return cols, _slots(L, nt * ndof - nd).astype(np.int32), rep, blocks, count.astype(np.int8)
 
-
-@dataclass
-class PatchSurrogate:
-    """The stability surrogate's view of the rows of a ``PatchGroup``: the
-    P_{p+2} nodes of each row numbered in ascending global order
-    (``nodes[r, t, m]`` for local node m of triangle t), the clamped ones
-    (``clamped[r]``) and the surrogate class of each row (``kcls``, ids
-    shared across a layout): rows of one class have bitwise-equal
-    surrogate systems."""
-
-    nodes: np.ndarray  # (n, nt, tri_dim(p+2))
-    clamped: np.ndarray  # (n, most nodes of a row in the signature), bool
-    kcls: np.ndarray  # (n,)
-
-    def rows(self, sl):
-        return PatchSurrogate(self.nodes[sl], self.clamped[sl], self.kcls[sl])
-
-    @cached_property
-    def parts(self):
-        """(rows, their surrogate) of the chunks of rows whose systems fill
-        at most ``POINT_BYTES``: 8 width^2 bytes a row, where a row has at
-        most width = nt tri_dim(p + 2) nodes."""
-        parts = chunks(len(self.kcls), 8 * (self.nodes.shape[1] * self.nodes.shape[2]) ** 2, points=True)
-        return [(sl, self.rows(sl) if len(parts) > 1 else self) for sl in parts]
-
-    @cached_property
-    def maps(self):
-        """``nn``, the node count the systems are padded to; ``fixed``
-        (n, nn), the nodes with an identity row (padding past a row's own
-        node count, and the clamped nodes); ``rep``, the first row of each
-        class present, and ``cls``, the class of each row among them."""
-        count = self.nodes.reshape(len(self.kcls), -1).max(axis=1) + 1
-        nn = int(count.max())
-        fixed = (np.arange(nn) >= count[:, None]) | self.clamped[:, :nn]
-        rep, cls = np.unique(self.kcls, return_index=True, return_inverse=True)[1:]
-        return nn, fixed, rep, cls.reshape(-1)
+    def surrogate(self, mesh):
+        """The stability surrogate's integers, built on first use (the
+        surrogate runs only in ``projector_report``) and kept with the
+        group: for each chunk of rows whose systems fill at most
+        ``POINT_BYTES`` (8 width^2 bytes a row, a row having at most
+        width = nt tri_dim(p + 2) nodes), (rows, ``nodes``, ``fixed``,
+        ``rep``, ``blocks``).  ``nodes[r, t, m]`` numbers local node m of
+        triangle t by row r's P_{p+2} nodes in ascending global order;
+        ``fixed`` (n, nn) marks the nodes with an identity row (padding past
+        a row's own node count, and the clamped nodes); ``rep`` is the first
+        row of each surrogate class present and ``blocks`` the
+        ``linsolve.Blocks`` of the rows against their systems.  What decides
+        a surrogate system, and so its class over the group: its elements'
+        maps, the node numbering and the clamped nodes."""
+        if self._surrogate is None:
+            p = self.mult.shape[2] // 3 - 1
+            nodes, clamped = _surrogate_nodes(mesh, p, self.tris, self.local, self.kernel)
+            kcls = _class_ids(mesh.Binv[self.tris], mesh.detB[self.tris], nodes, clamped)
+            slot, width = class_slots(kcls)
+            count = nodes.reshape(len(nodes), -1).max(axis=1) + 1
+            self._surrogate = []
+            for sl in chunks(len(nodes), 8 * (nodes.shape[1] * nodes.shape[2]) ** 2, points=True):
+                nn = int(count[sl].max())
+                fixed = (np.arange(nn) >= count[sl, None]) | clamped[sl, :nn]
+                rep, cls = np.unique(kcls[sl], return_index=True, return_inverse=True)[1:]
+                self._surrogate.append((sl, nodes[sl], fixed, rep, class_blocks(cls.reshape(-1), slot[sl], width)))
+        return self._surrogate
 
 
 @dataclass
@@ -277,7 +278,7 @@ def _build_patch_layout(mesh, p):
     # its multiplier numbering
     own = mesh.edge_tris[mesh.tri_edges, 0] == np.arange(nt)[:, None]
     tri_cls = _class_ids(space.classes[0], own, space.edge_scale())
-    groups, where, n_cls = [], np.empty((nv, 2), dtype=int), 0
+    groups, where = [], np.empty((nv, 2), dtype=int)
     for s in np.unique(sig, axis=0):
         vs = np.flatnonzero((sig == s).all(axis=1))
         c = start[vs][:, None] + np.arange(s[1])
@@ -287,9 +288,9 @@ def _build_patch_layout(mesh, p):
             (edges[:, :, None] * (p + 1) + np.arange(p + 1)).reshape(len(vs), -1),
             (space.ndof_edge + tris[:, :, None] * n_int + np.arange(n_int)).reshape(len(vs), -1),
         ])
-        cls = n_cls + _class_ids(tri_cls[tris], mult[c])
-        n_cls = cls.max() + 1
-        group = PatchGroup(vs, tris, c_loc[c], elem_map[c], dofs, mult[c], cls, bool(s[2]))
+        cls = _class_ids(tri_cls[tris], mult[c])
+        slot, width = class_slots(cls)
+        group = PatchGroup(vs, tris, c_loc[c], elem_map[c], dofs, mult[c], cls, slot, bool(s[2]), width)
         # a pass allocates per patch its element columns, five arrays of its
         # multiplier blocks and its system (``linsolve.chunks``)
         nl, m = s[1] * space.ref.dim - s[0], 3 * (p + 1)
@@ -301,43 +302,17 @@ def _build_patch_layout(mesh, p):
 
 
 def _class_ids(*parts):
-    """Class of each row of ``parts`` (arrays with one leading row axis):
-    rows whose bytes are equal in every part share a class."""
+    """Class of each row of ``parts`` (arrays with one leading row axis),
+    numbered in order of first appearance: rows whose bytes are equal in
+    every part share a class."""
     raw = np.hstack([np.ascontiguousarray(a).reshape(len(a), -1).view(np.uint8) for a in parts])
-    return np.unique(raw.view(f"V{raw.shape[1]}")[:, 0], return_inverse=True)[1].reshape(-1)
+    _, first, inv = np.unique(raw.view(f"V{raw.shape[1]}")[:, 0], return_index=True, return_inverse=True)
+    rank = np.empty(len(first), dtype=np.int32)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return rank[inv.reshape(-1)]
 
 
-def patch_surrogates(mesh, p):
-    """The ``PatchSurrogate`` of each group of ``patch_layout(mesh, p)``,
-    built on first use (the surrogate runs only in ``projector_report``)
-    and cached."""
-    key = ("patch_surrogates", p)
-    if key not in mesh._cache:
-        mesh._cache[key] = _build_patch_surrogates(mesh, p)
-    return mesh._cache[key]
-
-
-def _build_patch_surrogates(mesh, p):
-    groups = patch_layout(mesh, p).groups
-    dirichlet = np.zeros(mesh.num_edges, dtype=bool)
-    dirichlet[np.array(mesh.edges_with_label(DIRICHLET), dtype=int)] = True
-    out, n_cls = [], 0
-    # the chunks of one signature are consecutive; its classes span them.
-    # What decides a surrogate system: its elements' maps, the node
-    # numbering and the clamped nodes
-    for _, chunk in itertools.groupby(groups, lambda g: (g.dofs.shape[1], g.tris.shape[1], g.kernel)):
-        chunk = list(chunk)
-        tris, local = (np.concatenate([getattr(g, key) for g in chunk]) for key in ("tris", "local"))
-        nodes, clamped = _surrogate_nodes(mesh, p, tris, local, dirichlet, chunk[0].kernel)
-        kcls = n_cls + _class_ids(mesh.Binv[tris], mesh.detB[tris], nodes, clamped)
-        n_cls = kcls.max() + 1
-        whole = PatchSurrogate(nodes, clamped, kcls)
-        ends = np.cumsum([len(g.verts) for g in chunk])
-        out += [whole.rows(slice(e - len(g.verts), e)) for g, e in zip(chunk, ends)]
-    return out
-
-
-def _surrogate_nodes(mesh, p, tris, local, dirichlet, kernel):
+def _surrogate_nodes(mesh, p, tris, local, kernel):
     """The P_{p+2} nodes of patches ``tris`` (n, nt) with the patch vertex
     at ``local``: each row's global nodes (``lagrange_nodes``) renumbered
     in ascending order, (n, nt, nloc), and the clamped ones at Dirichlet
@@ -351,6 +326,8 @@ def _surrogate_nodes(mesh, p, tris, local, dirichlet, kernel):
     loc = loc.reshape(tris.shape + (-1,)) - start[:-1, None, None]
     clamped = np.zeros((n, int(np.diff(start).max())), dtype=bool)
     if not kernel:
+        dirichlet = np.zeros(mesh.num_edges, dtype=bool)
+        dirichlet[np.array(mesh.edges_with_label(DIRICHLET), dtype=int)] = True
         # edge z of a triangle lies opposite its local vertex z
         on = dirichlet[mesh.tri_edges[tris]] & (np.arange(3) != local[..., None])
         at = np.any(on[..., :, None] & (lagrange_bary(q).T == 0), axis=-2)
@@ -375,8 +352,9 @@ def sum_patch_fields(parts, ndof):
 class PatchGroupProblem:
     """The degree-p equilibration problems of a ``PatchGroup`` in hybrid
     form, stacked: ``chi`` (n, nt, ndof), ``g`` (n, nt, sdim), the systems
-    ``S`` (one per multiplier class present, (nc, nl, nl)) with the class
-    of each row ``cls`` (n,), ``b`` (n, nl), the element fluxes ``x0``
+    ``S`` (one per multiplier class present, (nc, nl, nl)) with the
+    ``linsolve.Blocks`` of the rows against them, ``blocks`` (``None``: one
+    system per row), ``b`` (n, nl), the element fluxes ``x0``
     (n, nt, ndof) and per unit of each column's unknown ``xe``
     (n, nt, ndof, 1 + 3(p+1)), ``cols`` those unknowns, and
     ``compat_defect`` with one row per patch."""
@@ -386,7 +364,7 @@ class PatchGroupProblem:
     chi: np.ndarray
     g: np.ndarray
     S: np.ndarray
-    cls: np.ndarray
+    blocks: Blocks | None
     b: np.ndarray
     x0: np.ndarray
     xe: np.ndarray
@@ -525,14 +503,14 @@ def build_patch_problem(group: PatchGroup, theta: BrokenRTNField, v, p, mesh, *,
     chi, g = data.chi[group.tris, group.local], data.g[group.tris, group.local]
     (n, nt), nd, ne = group.tris.shape, group.dofs.shape[1], 3 * (p + 1)
     x0, xe = chi + data.x[group.tris, :, group.local], data.x[group.tris, :, 3:]
-    cols, slots, rep, cls, _ = group.problem_maps
+    cols, slots, rep, blocks, _ = group.problem_maps
     nl = nt * space.ref.dim - nd
     entry = _slots(group.mult[rep], nl)[..., None] * nl + cols[rep, :, None, :]
     idx = np.where(cols[rep, :, None, :] >= 0, entry, -1)
     sgn = data.sign[group.tris]
-    S = _sum_into((len(rep), nl, nl), idx, sgn[rep, :, :, None] * xe[rep, :, :ne])
+    S = _sum_into((len(rep), nl, nl), idx, sgn[rep, :, :, None] * data.x[group.tris[rep], :ne, 3:])
     b = _sum_into((n, nl), slots, sgn * x0[..., :ne])
-    return PatchGroupProblem(group, p, chi, g, S, cls, b, x0, xe, cols, defect)
+    return PatchGroupProblem(group, p, chi, g, S, blocks, b, x0, xe, cols, defect)
 
 
 def patch_equilibrate(problem: PatchGroupProblem):
@@ -542,7 +520,7 @@ def patch_equilibrate(problem: PatchGroupProblem):
     of the multiplier systems (n, nl)."""
     group = problem.group
     n, nd = group.dofs.shape
-    lam = solve_stacked(problem.S, problem.b, problem.cls)
+    lam = solve_stacked(problem.S, problem.b, problem.blocks)
     row = np.arange(n)[:, None, None]
     x = problem.x0 - (problem.xe @ np.append(lam, np.zeros((n, 1)), axis=1)[row, problem.cols][..., None])[..., 0]
     *_, count = group.problem_maps
@@ -563,19 +541,15 @@ def patch_stability_ratio(problem: PatchGroupProblem, s, mesh):
     equal, since div s_a = g up to the kernel constant and s_a.n = 0 on the
     patch boundary wherever w is free, but free of the cancellation of two
     terms of size ||chi_a||.  The nodes are those of the mesh-wide numbering
-    ``lagrange_nodes``, renumbered per row (``patch_surrogates``); the
+    ``lagrange_nodes``, renumbered per row (``PatchGroup.surrogate``); the
     element tables are reference tables scaled by the affine maps.  The
     rows go in chunks whose systems fill at most ``POINT_BYTES``, and each
-    chunk assembles one system per surrogate class present.  Recorded, never asserted: the bound it
-    witnesses is a cited stability result.
+    chunk assembles one system per surrogate class present.  Recorded,
+    never asserted: the bound it witnesses is a cited stability result.
     """
     group, p = problem.group, problem.p
-    where = patch_layout(mesh, p).where[group.verts]
-    surrogate = patch_surrogates(mesh, p)[where[0, 0]]
-    if len(where) < len(surrogate.kcls):  # some rows of a layout group (``group_of``)
-        surrogate = surrogate.rows(where[:, 1])
     return np.concatenate([_stability_ratios(group.rows(sl), part, p, problem.chi[sl], s[sl], mesh)
-                           for sl, part in surrogate.parts])
+                           for sl, *part in group.surrogate(mesh)])
 
 
 @lru_cache(maxsize=None)
@@ -589,7 +563,7 @@ def _surrogate_reference(p):
     return rule, np.stack(lagrange_grads_ref(q, rule.points), axis=2), vals.sum(axis=1)
 
 
-def _stability_ratios(group, surrogate, p, chi, s, mesh):
+def _stability_ratios(group, part, p, chi, s, mesh):
     # p + 2 keeps the surrogate space nontrivial even on one-triangle corner
     # patches with two clamped edges
     q = p + 2
@@ -597,8 +571,8 @@ def _stability_ratios(group, surrogate, p, chi, s, mesh):
     tris = group.tris
     n = len(tris)
     row = np.arange(n)[:, None, None]
-    nn, fixed, rep, cls = surrogate.maps
-    loc = surrogate.nodes
+    loc, fixed, rep, blocks = part
+    nn = fixed.shape[1]
     # s_a - chi_a per triangle (-1 in elem_map is a pinned dof), and chi_a
     diff = np.append(s, np.zeros((n, 1)), axis=1)[row, group.elem_map] - chi
     ref = space.to_ref(np.stack([diff, chi], axis=2), tris)
@@ -619,9 +593,9 @@ def _stability_ratios(group, surrogate, p, chi, s, mesh):
         mean = _sum_into((len(rep), nn), rep_flat, mesh.detB[tris[rep]][..., None] * mean_ref)
         K = np.zeros((len(rep), nn + 1, nn + 1))
         K[:, :nn, :nn], K[:, nn, :nn], K[:, :nn, nn] = S, mean, mean
-        y = solve_stacked(K, np.append(ell, np.zeros((n, 1)), axis=1), cls)[:, :nn]
+        y = solve_stacked(K, np.append(ell, np.zeros((n, 1)), axis=1), blocks)[:, :nn]
     else:
-        y = solve_stacked(S, ell, cls)
+        y = solve_stacked(S, ell, blocks)
     dual = np.sqrt(np.maximum(np.sum(ell * y, axis=1), 0.0))
     # numerator: ||s_a - chi_a|| over the patch, beside ||chi_a||
     num, chi_norm = np.sqrt(np.sum(ref * space.mass(ref, tris), axis=(1, 3))).T

@@ -163,14 +163,13 @@ class Mesh:
         no folded edge they turn a whole number of times, so this rejects a
         branched cover (a fan winding twice, 4 pi of angles); the boundary's
         shoelace area cannot, as it then equals the total area identically."""
-        e = self.interior_edges()
-        t = self.edge_tris[e]
-        sign = np.sum(np.where(self.tri_edges[t] == e[:, None, None], self.tri_edge_sign[t], 0), axis=2)
-        bad = np.flatnonzero(sign[:, 0] == sign[:, 1])
+        # the signs of an interior edge in its two triangles cancel
+        flow = np.bincount(self.tri_edges.ravel(), self.tri_edge_sign.ravel(), len(self.edges))
+        bad = np.flatnonzero((self.edge_tris[:, 1] >= 0) & (flow != 0))
         if len(bad):
-            k0, k1 = (int(k) for k in t[bad[0]])
+            k0, k1 = (int(k) for k in self.edge_tris[bad[0]])
             raise MeshError(
-                f"mesh is folded at edge {tuple(int(v) for v in self.edges[e[bad[0]]])}: its triangles {k0} "
+                f"mesh is folded at edge {tuple(int(v) for v in self.edges[bad[0]])}: its triangles {k0} "
                 f"{tuple(int(v) for v in self.triangles[k0])} and {k1} {tuple(int(v) for v in self.triangles[k1])} "
                 "lie on the same side of it"
             )

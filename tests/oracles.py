@@ -1486,7 +1486,7 @@ def build_patch_problem_stacked_oracle(group, p, mesh, data):
     sgn = data.sign[group.tris]
     S = _sum_into((n, nl, nl), idx, sgn[..., :, None] * X[..., :ne, 3:])
     b = _sum_into((n, nl), rows, sgn * x0[..., :ne])
-    return PatchGroupProblem(group, p, chi, g, S, np.arange(n), b, x0, X[..., 3:], cols, defect)
+    return PatchGroupProblem(group, p, chi, g, S, None, b, x0, X[..., 3:], cols, defect)
 
 
 def patch_stability_ratio_stacked_oracle(problem, s, mesh):

@@ -294,15 +294,21 @@ def test_benchmark_meshes_run_whole_stacks(monkeypatch):
 
 
 @pytest.mark.parametrize("p", [5, 6])
-@pytest.mark.parametrize("jittered", [False, True])
-def test_stacks_of_patches_match_one_patch_per_chunk(monkeypatch, p, jittered):
-    # one system per chunk is the reference.  Without repeated patch
-    # systems (jittered) the stacked projection of several patches per
-    # signature gives it to the bit; with repeats a class's patches are the
-    # columns of one factorization, which rounds differently
-    def mesh():
-        return jitter(build_structured(4), 3) if jittered else build_structured(4)
+def test_stacks_of_patches_match_one_patch_per_chunk(monkeypatch, p):
+    # one system per chunk is the reference: the stacked projection of
+    # several patches per signature gives it to the bit (here the patches
+    # of a class share factorizations, each in its place of its class's
+    # blocks)
+    _check_one_patch_per_chunk(monkeypatch, p, lambda: build_structured(4))
 
+
+@pytest.mark.parametrize("p", [5, 6])
+def test_jittered_stacks_of_patches_match_one_patch_per_chunk(monkeypatch, p):
+    # without repeated patch systems: one system per block
+    _check_one_patch_per_chunk(monkeypatch, p, lambda: jitter(build_structured(4), 3))
+
+
+def _check_one_patch_per_chunk(monkeypatch, p, mesh):
     v = stream_field()
     whole = mesh()
     want = project_hdiv(v, p, whole).dofs
@@ -310,10 +316,7 @@ def test_stacks_of_patches_match_one_patch_per_chunk(monkeypatch, p, jittered):
     single = mesh()
     got = project_hdiv(v, p, single).dofs
     assert len(patch_layout(whole, p).groups) < len(patch_layout(single, p).groups) == single.num_vertices
-    if jittered:
-        assert np.array_equal(got, want)
-    else:
-        assert _rel(got, want) <= 1e-14
+    assert np.array_equal(got, want)
 
 
 def test_stacks_of_corner_wedges_match_one_wedge_per_chunk(monkeypatch):

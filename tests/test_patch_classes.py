@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import oracles
-from hdivkit.linsolve import SingularSystemError, solve_stacked
-from hdivkit.local_solve import patch_data, patch_layout, patch_surrogates, theta_field
+from hdivkit import local_solve
+from hdivkit.linsolve import SingularSystemError, class_blocks, class_slots, solve_stacked
+from hdivkit.local_solve import (build_patch_problem, patch_data, patch_layout, patch_stability_ratio,
+                                 theta_field)
 from hdivkit.mesh import build_lshape, build_structured
 from hdivkit.projector import project_hdiv, random_conforming_field
 from test_element_layer import jitter
@@ -47,33 +49,51 @@ def test_class_path_matches_stacked_oracle(meshes, mesh_name, labels, p, variant
     assert np.all(np.abs(got - ratios) <= 1e-13 * ratios)
     # the patches of a structured or L-shape mesh fall into 14 multiplier
     # classes; jittered, only two corner patches of lshape:2 stay alike
-    n_cls = len(np.unique(np.concatenate([g.cls for g in patch_layout(m, p).groups])))
+    n_cls = len({(g.dofs.shape[1], g.tris.shape[1], g.kernel, c) for g in patch_layout(m, p).groups
+                 for c in g.cls.tolist()})
     assert n_cls >= m.num_vertices - 1 if mesh_name.startswith("jittered") else n_cls == 14
 
 
 @pytest.mark.parametrize("p", [1, 3])
 def test_class_counts_are_the_distinct_oracle_systems(monkeypatch, p):
     # structured:32 has 1089 patches, but only 14 distinct multiplier
-    # systems and 9 distinct surrogate systems
+    # systems and 9 distinct surrogate systems.  In every chunk the class
+    # path assembles one system per distinct oracle system, and each row's
+    # class system is its oracle system to the bit
     m = build_structured(32)
     v = random_conforming_field(m, p + 1, seed=p)
-    data = patch_data(theta_field(v, p, m), v, p, m)
-    systems = {"S": set(), "K": set()}
+    theta = theta_field(v, p, m)
+    data = patch_data(theta, v, p, m)
+    calls = []
 
-    def record(A, b, cls=None):
-        systems["K"].update((a.shape, a.tobytes()) for a in np.asarray(A))
-        return solve_stacked(A, b, cls)
+    def record(A, b, blocks=None):
+        calls.append((np.asarray(A), _classes(blocks, len(b))))
+        return solve_stacked(A, b, blocks)
 
     monkeypatch.setattr(oracles, "solve_stacked", record)
-    layout = patch_layout(m, p)
-    for group in layout.groups:
-        problem = oracles.build_patch_problem_stacked_oracle(group, p, m, data)
-        systems["S"].update((a.shape, a.tobytes()) for a in problem.S)
+    monkeypatch.setattr(local_solve, "solve_stacked", record)
+    paths = ((oracles.build_patch_problem_stacked_oracle, oracles.patch_stability_ratio_stacked_oracle),
+             (lambda g, p, m, d: build_patch_problem(g, theta, v, p, m, data=d), patch_stability_ratio))
+    distinct = {"S": set(), "K": set()}
+    for group in patch_layout(m, p).groups:
         s = np.zeros((len(group.verts), group.dofs.shape[1]))
-        oracles.patch_stability_ratio_stacked_oracle(problem, s, m)
-    counts = [len(np.unique(np.concatenate([g.cls for g in layout.groups]))),
-              len(np.unique(np.concatenate([g.kcls for g in patch_surrogates(m, p)])))]
-    assert counts == [len(systems["S"]), len(systems["K"])] == [14, 9]
+        (oracle, ours) = [], []
+        for (build, ratios), out in zip(paths, (oracle, ours)):
+            problem = build(group, p, m, data)
+            calls.clear()
+            ratios(problem, s, m)
+            out += [("S", problem.S, _classes(problem.blocks, len(s)))] + [("K", *call) for call in calls]
+        assert len(oracle) == len(ours)
+        for (kind, A, _), (_, C, cls) in zip(oracle, ours):
+            assert len(C) == len({a.tobytes() for a in A})
+            assert all(a.tobytes() == C[c].tobytes() for a, c in zip(A, cls))
+            distinct[kind].update((c.shape, c.tobytes()) for c in C)
+    assert [len(distinct["S"]), len(distinct["K"])] == [14, 9]
+
+
+def _classes(blocks, n):
+    """The class of each right-hand side of ``blocks``."""
+    return np.arange(n) if blocks is None else blocks.cls[blocks.block]
 
 
 def test_solve_stacked_solves_each_system_against_its_class():
@@ -81,15 +101,23 @@ def test_solve_stacked_solves_each_system_against_its_class():
     A = rng.standard_normal((3, 5, 5)) + 5 * np.eye(5)
     cls = np.array([2, 0, 2, 2, 1, 2, 0, 2])
     b = rng.standard_normal((len(cls), 5, 2))
-    x = solve_stacked(A, b, cls)
+    slot, width = class_slots(cls)
+    assert width == 3
+    x = solve_stacked(A, b, class_blocks(cls, slot, width))
     want = np.linalg.solve(A[cls], b)
     assert np.abs(x - want).max() <= 1e-14 * np.abs(want).max()
     # every system is checked against its class matrix, and named
     bad = b.copy()
     bad[6, 0, 1] = np.nan
     with pytest.raises(SingularSystemError, match=r"\(system 6\)"):
-        solve_stacked(A, bad, cls)
+        solve_stacked(A, bad, class_blocks(cls, slot, width))
+    # with the places fixed, a right-hand side's bits do not depend on the
+    # others solved with it
+    for i in range(len(cls)):
+        one = solve_stacked(A, b[i:i + 1], class_blocks(cls[i:i + 1], slot[i:i + 1], width))
+        assert np.array_equal(one[0], x[i])
     # one class per right-hand side: the plain stacked solve, to the bit
     assert np.array_equal(solve_stacked(A[cls], b), np.linalg.solve(A[cls], b))
     want = np.linalg.solve(A[cls], b[..., :1])[..., 0]
-    assert np.array_equal(solve_stacked(A[cls], b[..., 0], np.arange(len(cls))), want)
+    own = np.arange(len(cls))
+    assert np.array_equal(solve_stacked(A[cls], b[..., 0], class_blocks(own, *class_slots(own))), want)
