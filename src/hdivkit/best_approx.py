@@ -155,14 +155,18 @@ def error_report(
     p,
     mesh,
     *,
+    policy=None,
     quad_degree=None,
     include_constrained=False,
     include_pm1=False,
     field_name="",
     mesh_id="",
 ) -> ErrorReport:
-    """Full local/global error evaluation with one shared quadrature policy."""
-    policy = QuadPolicy(p, field=v, degree=quad_degree)
+    """Full local/global error evaluation with one shared quadrature policy:
+    ``policy``, or a fresh ``QuadPolicy(p, v, quad_degree)``.  A caller that
+    passes one policy to several reports samples v once."""
+    if policy is None:
+        policy = QuadPolicy(p, field=v, degree=quad_degree)
     rep = ErrorReport(p=p, field_name=field_name or getattr(v, "name", ""), mesh_id=mesh_id)
     loc = _local_fits(v, p, mesh, policy)
     rep.Eloc_l2, rep.Eloc_div, rep.Eloc = loc["l2_part"], loc["div_part"], loc["E_loc"]

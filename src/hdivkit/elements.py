@@ -36,7 +36,7 @@ import numpy as np
 
 from . import polys
 from .linsolve import SingularSystemError, assemble_csr, check_residuals, chunks
-from .quadrature import gauss01, quad_rule
+from .quadrature import gauss01, quad_rule, xy
 
 
 def rtn_dim(p: int) -> int:
@@ -458,7 +458,9 @@ class RTNSpace:
     def moments(self, group, vals):
         """(f, Phi_j)_K of field values (n, nq, 2) at the group's points; (n, ndof)."""
         tris = group.tris
-        F = vals @ self.B[tris] * (group.w / self.detB[tris, None])[:, :, None]  # B_k^T f
+        F, w = vals @ self.B[tris], group.w / self.detB[tris, None]  # B_k^T f
+        for comp in xy(F):
+            comp *= w
         return self.rows_to_elem(group.contract(group.prim(self.p), F) @ self.C_ref, tris)
 
     def element_dof_map(self, k):

@@ -18,6 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .quadrature import xy
+
 DIRICHLET = "dirichlet"
 NEUMANN = "neumann"
 _LABELS = (DIRICHLET, NEUMANN)
@@ -215,9 +217,13 @@ class Mesh:
     def num_triangles(self):
         return len(self.triangles)
 
-    def map_to_phys(self, refpts):
-        """Reference points (nq, 2) mapped into every triangle; (nt, nq, 2)."""
-        return np.asarray(refpts, float) @ np.swapaxes(self.B, 1, 2) + self.X0[:, None]
+    def map_to_phys(self, refpts, tris=slice(None)):
+        """Reference points (nq, 2) mapped into the triangles ``tris``
+        (default: every triangle); (n, nq, 2)."""
+        pts = np.asarray(refpts, float) @ np.swapaxes(self.B[tris], 1, 2)
+        for comp, x0 in zip(xy(pts), xy(self.X0[tris])):
+            comp += x0[:, None]
+        return pts
 
     def triangle_coords(self, k):
         return self.vertices[self.triangles[k]]
@@ -245,8 +251,11 @@ class Mesh:
     def edge_points(self, e, t):
         """Points at parameters ``t`` (nq,) on [0, 1] along the edge, from the
         lower to the higher vertex; (nq, 2) or (n, nq, 2)."""
-        a = self.vertices[self.edges[e, 0]][..., None, :]
-        return a + np.asarray(t, float)[:, None] * self.edge_vector(e)[..., None, :]
+        a, t = self.vertices[self.edges[e, 0]], np.asarray(t, float)
+        pts = np.empty(a.shape[:-1] + t.shape + (2,))
+        for out, ac, tc in zip(xy(pts), xy(a), xy(self.edge_vector(e))):
+            np.add(ac[..., None], t * tc[..., None], out=out)
+        return pts
 
     def is_boundary_edge(self, e):
         return self.edge_tris[e, 1] == -1

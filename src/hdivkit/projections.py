@@ -9,7 +9,7 @@ import numpy as np
 from . import polys
 from .elements import edge_dof_values, hat_operators, rtn_space, scalar_moments, scalar_values
 from .quadpolicy import QuadGroup, QuadPolicy
-from .quadrature import gauss01
+from .quadrature import gauss01, xy
 
 
 class ScalarPWField:
@@ -183,8 +183,13 @@ def canonical_interp(v, p, mesh, *, policy=None, quad_degree=None) -> BrokenRTNF
         out.coeffs[tris[:, None], slot_dofs] = np.einsum("kiq,kq->ki", edge_dof_values(p, t, L), g.w * vn)
     for g in policy.groups(mesh) if p >= 1 else ():
         # the orthonormal P_{p-1}(K) basis is the reference one over sqrt(det B_k)
-        vals = g.eval(v) * (g.w / np.sqrt(mesh.detB[g.tris])[:, None])[:, :, None]
-        out.coeffs[g.tris, 3 * (p + 1) :] = np.hstack([g.contract(g.phi(p - 1), vals[:, :, c]) for c in (0, 1)])
+        vals, w = g.eval(v), g.w / np.sqrt(mesh.detB[g.tris])[:, None]
+        # contract takes each component as a strided view of one array: a
+        # contiguous copy would reach another BLAS kernel and other bits
+        weighted = np.empty(vals.shape)
+        for dst, comp in zip(xy(weighted), xy(vals)):
+            np.multiply(comp, w, out=dst)
+        out.coeffs[g.tris, 3 * (p + 1) :] = np.hstack([g.contract(g.phi(p - 1), comp) for comp in xy(weighted)])
     return out
 
 

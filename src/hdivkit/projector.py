@@ -207,16 +207,19 @@ def _project_hdiv(v, p, mesh, policy, variant, quad_degree, measure_stability):
     return sigma
 
 
-def projector_report(v, p, mesh, *, variant="def31", quad_degree=None):
+def projector_report(v, p, mesh, *, variant="def31", policy=None, quad_degree=None):
     """Per-element approximation and stability records for the projector.
 
     For each element: the weighted error of the projection, the sum of
     local-best errors over the vertex-patch neighborhood, their ratio (the
     measured equivalence constant), and the global stability quotients.
+    Projection and measurements share ``policy``, or a fresh
+    ``QuadPolicy(p, v, quad_degree)``.
     """
     from .best_approx import _local_fits
 
-    policy = QuadPolicy(p, field=v, degree=quad_degree)
+    if policy is None:
+        policy = QuadPolicy(p, field=v, degree=quad_degree)
     sigma = _project_hdiv(v, p, mesh, policy, variant, quad_degree, measure_stability=True)
     loc = _local_fits(v, p, mesh, policy)
     hscale = mesh.h / (p + 1)

@@ -1,7 +1,7 @@
 """Per-element quadrature selection for a given field and polynomial degree.
 
 Polynomial (discrete) fields get exact-degree rules.  Analytic fields use a
-configurable high-order rule (default degree 2p + 10) with an optional
+configurable high-order rule (default degree 2p + 14) with an optional
 one-step degree-doubling self-check whose failures are recorded as warnings,
 never raised.  Fields that declare a corner singularity r^gamma get radially
 weighted product rules on elements having the corner as a vertex, Gauss-Jacobi
@@ -19,7 +19,7 @@ from . import polys
 from .elements import rtn_dim, rtn_reference, scalar_basis
 from .fields import AnalyticField
 from .linsolve import chunks
-from .quadrature import corner_rule, corner_rules, edge_npts, gauss01, jacobi01, quad_rule
+from .quadrature import corner_rule, corner_rules, edge_npts, gauss01, jacobi01, quad_rule, xy
 
 
 # bytes a stage holds per quadrature point of an element: points, weights,
@@ -45,8 +45,10 @@ class QuadGroup:
         """Physical points ``pts`` (n, nq, 2) with weights ``w`` (n, nq) on
         the elements ``tris`` of ``mesh``, mapped back to their reference
         points."""
-        ref = (pts - mesh.X0[tris, None]) @ np.swapaxes(mesh.Binv[tris], 1, 2)
-        return cls(tris, ref, pts, w)
+        rel = np.empty(pts.shape)
+        for out, comp, x0 in zip(xy(rel), xy(pts), xy(mesh.X0[tris])):
+            np.subtract(comp, x0[:, None], out=out)
+        return cls(tris, rel @ np.swapaxes(mesh.Binv[tris], 1, 2), pts, w)
 
     @classmethod
     def points_on(cls, mesh, k, pts):
@@ -97,8 +99,10 @@ class QuadGroup:
 
     def norm_sq(self, vals):
         """Quadrature of |vals|^2 on each element; (n,)."""
-        sq = vals**2 if vals.ndim == 2 else np.sum(vals**2, axis=2)
-        return np.sum(self.w * sq, axis=1)
+        if vals.ndim == 2:
+            return np.sum(self.w * vals**2, axis=1)
+        x, y = xy(vals)
+        return np.sum(self.w * (x * x + y * y), axis=1)
 
     def eval(self, field, div=False):
         """``field`` (or its divergence) at the points: one call for analytic
@@ -254,7 +258,7 @@ class QuadPolicy:
             tables = {}  # shared by the chunks of one reference rule
             for sl in chunks(len(ks), _POINT_BYTES * len(rule.weights), points=True):
                 k = ks[sl]
-                pts = rule.points @ np.swapaxes(mesh.B[k], 1, 2) + mesh.X0[k, None]
+                pts = mesh.map_to_phys(rule.points, k)
                 yield QuadGroup(k, rule.points, pts, rule.weights * mesh.detB[k, None], tables)
         ks = np.flatnonzero(corner >= 0)
         extra = (8, 6) if check else (0, 0)

@@ -35,6 +35,20 @@ class TriangleRule:
         return len(self.weights)
 
 
+def xy(v):
+    """The x and y components of 2-vectors ``v`` (..., 2), as views.
+
+    Point-layer arithmetic on stacks of points or vectors runs through them:
+    a reduction over the length-2 component axis, or an operand broadcast
+    along it (a per-element shift or a per-point weight), makes numpy run
+    its inner loop once per point.  The same elementwise arithmetic on each
+    component runs it over all the points at once and gives the same bits.
+    The 2x2 maps themselves stay stacked matmuls: an optimized BLAS may form
+    each entry with a fused multiply-add, whose bits elementwise arithmetic
+    does not reproduce."""
+    return v[..., 0], v[..., 1]
+
+
 def _rule(points, weights, degree):
     return TriangleRule(np.asarray(points, float), np.asarray(weights, float), degree)
 
@@ -201,7 +215,10 @@ def corner_rules(coords, vertex_local, gamma: float, n_theta: int, n_r: int):
     tr, wr = jacobi01(n_r, gamma + 1.0)
     # ray-major products; the weight absorbs the r^gamma factor:
     # W = w_theta * w_r * R^2 * t^(-gamma)
-    pts = c[:, None, None] + (R[:, :, None] * tr)[..., None] * dirs[:, :, None, :]
+    r = R[:, :, None] * tr
+    pts = np.empty(r.shape + (2,))
+    for out, cc, dc in zip(xy(pts), xy(c), xy(dirs)):
+        np.add(cc[:, None, None], r * dc[:, :, None], out=out)
     wts = wtheta[:, :, None] * wr * (R**2)[:, :, None] * tr ** (-gamma)
     return pts.reshape(len(c), -1, 2), wts.reshape(len(c), -1)
 

@@ -20,6 +20,7 @@ from . import fields as fields_mod
 from . import mesh as mesh_mod
 from .best_approx import error_report, local_best, local_best_constrained
 from .projector import project_hdiv, projector_report, random_conforming_field
+from .quadpolicy import QuadPolicy
 
 CSV_COLUMNS = [
     "level",
@@ -190,8 +191,10 @@ def run_study(cfg: StudyConfig):
         for p in cfg.degrees:
             if cfg.variant == "def52" and p < 1:
                 continue
+            # one sampling of the field per row, shared by both reports
+            policy = QuadPolicy(p, field=field, degree=cfg.quad_degree)
             rep = error_report(
-                v=field, p=p, mesh=m, quad_degree=cfg.quad_degree,
+                v=field, p=p, mesh=m, policy=policy, quad_degree=cfg.quad_degree,
                 field_name=cfg.field, mesh_id=f"{cfg.mesh}+{level}",
             )
             notes = ""
@@ -209,7 +212,7 @@ def run_study(cfg: StudyConfig):
             proj_err = commute = stab = float("nan")
             if cfg.run_projector:
                 prep = projector_report(
-                    field, p, m, variant=cfg.variant, quad_degree=cfg.quad_degree
+                    field, p, m, variant=cfg.variant, policy=policy, quad_degree=cfg.quad_degree
                 )
                 commute = prep["commute_residual"]
                 stab = max(prep["stability_ratios"]) if prep["stability_ratios"] else 0.0

@@ -13,7 +13,8 @@ solve, the unhybridized global saddle solve, the element-by-element and
 patch-by-patch projector loop with its
 per-patch stability surrogate on dict-numbered Lagrange nodes, the stacked
 patch layer with one multiplier and one surrogate system per patch, the
-mesh topology loops and the point-by-point corner wedge rule."""
+mesh topology loops, the point-by-point corner wedge rule and the point-layer
+kernels in their stacked forms (length-2 reductions and broadcasts)."""
 
 import weakref
 from dataclasses import dataclass
@@ -1578,3 +1579,92 @@ def patch_layer_stacked_oracle(v, p, mesh, *, variant="def31"):
         parts.append((group, s))
         ratios += zip(group.verts, patch_stability_ratio_stacked_oracle(problem, s, mesh))
     return sum_patch_fields(parts, rtn_space(mesh, p).ndof), np.array([r for _, r in sorted(ratios)])
+
+
+# -- the point layer in its stacked forms ---------------------------------------------
+# Each kernel as written before the point layer went through ``quadrature.xy``:
+# reductions over the length-2 component axis and operands broadcast along it.
+# The component forms must match these to the bit.
+
+
+def norm_sq_stacked_oracle(group, vals):
+    """``QuadGroup.norm_sq``: quadrature of |vals|^2 on each element; (n,)."""
+    sq = vals**2 if vals.ndim == 2 else np.sum(vals**2, axis=2)
+    return np.sum(group.w * sq, axis=1)
+
+
+def map_to_phys_stacked_oracle(mesh, refpts):
+    """``Mesh.map_to_phys``: reference points (nq, 2) in every triangle."""
+    return np.asarray(refpts, float) @ np.swapaxes(mesh.B, 1, 2) + mesh.X0[:, None]
+
+
+def edge_points_stacked_oracle(mesh, e, t):
+    """``Mesh.edge_points``: points at parameters t along edge(s) e."""
+    a = mesh.vertices[mesh.edges[e, 0]][..., None, :]
+    return a + np.asarray(t, float)[:, None] * mesh.edge_vector(e)[..., None, :]
+
+
+def group_points_stacked_oracle(mesh, group):
+    """Physical points of a ``QuadPolicy`` group on a shared reference rule."""
+    return group.ref @ np.swapaxes(mesh.B[group.tris], 1, 2) + mesh.X0[group.tris, None]
+
+
+def group_ref_stacked_oracle(mesh, tris, pts):
+    """``QuadGroup.at``: physical points (n, nq, 2) of the elements ``tris``
+    mapped back to reference points."""
+    return (pts - mesh.X0[tris, None]) @ np.swapaxes(mesh.Binv[tris], 1, 2)
+
+
+def moments_stacked_oracle(space, group, vals):
+    """``RTNSpace.moments``: (f, Phi_j)_K of values (n, nq, 2); (n, ndof)."""
+    tris = group.tris
+    F = vals @ space.B[tris] * (group.w / space.detB[tris, None])[:, :, None]
+    return space.rows_to_elem(group.contract(group.prim(space.p), F) @ space.C_ref, tris)
+
+
+def flux_error_stacked_oracle(prob, sigma_h, div=False):
+    """``model_problems.flux_error`` (``div``: of the divergences) on the
+    norms of ``norm_sq_stacked_oracle``."""
+    groups = QuadPolicy(sigma_h.p, field=prob.sigma).groups(prob.mesh)
+    return np.sqrt(
+        sum(norm_sq_stacked_oracle(g, g.eval(prob.sigma, div=div) - g.eval(sigma_h, div=div)).sum() for g in groups)
+    )
+
+
+def potential_h1_error_stacked_oracle(prob, ls, u_h):
+    """``model_problems.potential_h1_error``, every element at once."""
+    mesh = prob.mesh
+    rule = quad_rule(2 * ls.q + 10)
+    pts = map_to_phys_stacked_oracle(mesh, rule.points)
+    gx, gy = ls.basis_grads_ref(rule.points)
+    vals = np.asarray(u_h, float)[ls._elem_nodes]
+    grad = np.stack([vals @ gx, vals @ gy], axis=2) @ mesh.Binv
+    diff = prob.grad_u(pts.reshape(-1, 2)).reshape(pts.shape) - grad
+    w = rule.weights * mesh.detB[:, None]
+    return np.sqrt(np.sum(w * np.sum(diff**2, axis=2)))
+
+
+def h1_best_local_sum_stacked_oracle(prob, q):
+    """``model_problems.h1_best_local_sum``, every element at once."""
+    from hdivkit.elements import _stiffness_blocks
+    from hdivkit.model_problems import _grad_moments
+
+    mesh = prob.mesh
+    rule = quad_rule(2 * q + 10)
+    gref = np.stack(scalar_basis(q).eval_grad(rule.points), axis=2)[1:]
+    pts = map_to_phys_stacked_oracle(mesh, rule.points)
+    gu = prob.grad_u(pts.reshape(-1, 2)).reshape(pts.shape)
+    c = solve_stacked(_stiffness_blocks(mesh, rule, gref), _grad_moments(mesh, gref, rule, gu))
+    fit = np.einsum("kn,nqc->kqc", c, gref) @ mesh.Binv
+    w = rule.weights * mesh.detB[:, None]
+    return np.sqrt(np.sum(w * np.sum((gu - fit) ** 2, axis=2)))
+
+
+def interior_interp_stacked_oracle(v, p, mesh):
+    """The interior dofs of ``projections.canonical_interp`` (p >= 1):
+    moments of v against vector P_{p-1}(K); (nt, 2 dim P_{p-1})."""
+    out = np.zeros((mesh.num_triangles, 2 * polys.tri_dim(p - 1)))
+    for g in QuadPolicy(p, field=v).groups(mesh):
+        vals = g.eval(v) * (g.w / np.sqrt(mesh.detB[g.tris])[:, None])[:, :, None]
+        out[g.tris] = np.hstack([g.contract(g.phi(p - 1), vals[:, :, c]) for c in (0, 1)])
+    return out

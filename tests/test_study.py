@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -66,6 +67,23 @@ def test_run_study_csv_schema_and_reproducibility(tmp_path):
     # summary JSON exists and carries fits + checks
     summary = json.load(open(str(tmp_path / "a" / "summary.json")))
     assert "fits" in summary and "checks" in summary
+
+
+def test_run_study_samples_the_field_once_per_row(tmp_path, monkeypatch):
+    # error_report and projector_report share the row's quadrature policy:
+    # v is sampled once on its groups, 8 triangles x 81 points at p = 1,
+    # not once per report (1296)
+    import hdivkit.study as study
+
+    counted = []
+
+    def counting_field(cfg, mesh):
+        field = study_field(cfg, mesh)
+        return dataclasses.replace(field, v=lambda pts: counted.append(len(pts)) or field.v(pts))
+
+    monkeypatch.setattr(study, "study_field", counting_field)
+    run_study(StudyConfig(mesh="structured:2", refinements=1, degrees=[1], out_dir=str(tmp_path)))
+    assert sum(counted) == 648
 
 
 def test_run_study_discrete_member_zero_sentinel(tmp_path):
