@@ -388,6 +388,7 @@ class PatchData:
     mass_scale: np.ndarray  # (n, 3): magnitudes of the two terms of (g, 1)_K, see patch_data
     sign: np.ndarray | None = None  # (n, 3(p+1)): the edge signs of ``linsolve.eliminate``
     x: np.ndarray | None = None  # (n, ndof, 4 + 3(p+1)): element eliminations, see patch_data
+    defect: np.ndarray | None = None  # (num_vertices,): ``_mass_defects`` of every vertex patch
 
 
 def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None) -> PatchData:
@@ -403,6 +404,7 @@ def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None) -> PatchData:
     cancellation over a patch is measured on this scale.  ``x`` serves the
     three patches of each triangle: the minimal corrections of div chi_i to
     g_i, the flux of divergence sqrt|K| phi_0, and the edge unit columns.
+    ``defect`` is gated by ``check_compatibility``, once for every patch.
     """
     space = rtn_space(mesh, p)
     if policy is None:
@@ -420,7 +422,11 @@ def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None) -> PatchData:
     data[:, :, :3] = np.swapaxes(g - space.div(chi), 1, 2)
     data[:, 0, 3] = np.sqrt(mesh.area)
     sign, x, _ = eliminate(space, np.zeros((n, space.ref.dim, 4)), data)
-    return PatchData(chi, g, div_scale + grad_scale, sign, x)
+    out = PatchData(chi, g, div_scale + grad_scale, sign, x, np.zeros(mesh.num_vertices))
+    for group in patch_layout(mesh, p).groups:
+        out.defect[group.verts] = _mass_defects(group, out, mesh)
+    check_compatibility(np.arange(mesh.num_vertices), out.defect)
+    return out
 
 
 def _hat_div_moments(v, space, policy):
@@ -444,14 +450,6 @@ def _mass_defects(group, data, mesh):
     mass = np.sum(np.sqrt(mesh.area[group.tris]) * data.g[group.tris, group.local, 0], axis=1)
     scale = np.sum(data.mass_scale[group.tris, group.local], axis=1)
     return np.abs(mass) / np.maximum(scale, 1e-300)
-
-
-def patch_defects(layout, data, mesh):
-    """``_mass_defects`` of every vertex patch, in vertex order."""
-    out = np.zeros(len(layout.where))
-    for group in layout.groups:
-        out[group.verts] = _mass_defects(group, data, mesh)
-    return out
 
 
 def check_compatibility(verts, defects):
@@ -489,17 +487,14 @@ def build_patch_problem(group: PatchGroup, theta: BrokenRTNField, v, p, mesh, *,
     gradient term is already a degree-p polynomial and the target psi_a theta
     lies in broken RTN_p exactly; the same dof extraction realizes both.
     ``data`` holds the element tables and eliminations of ``patch_data``;
-    without it they are built for the whole mesh.  The blocks E_k
+    without it they are built for the whole mesh, and ``patch_data`` gates
+    the compatibility of every patch (CompatibilityError).  The blocks E_k
     (K_k^-1)_ss E_k^T are summed in triangle order, into one system per
-    multiplier class: for the first row of each class present.  Raises
-    CompatibilityError for the lowest vertex whose patch data has a nonzero
-    mass against the constant multiplier kernel.
+    multiplier class: for the first row of each class present.
     """
     space = rtn_space(mesh, p)
     if data is None:
         data = patch_data(theta, v, p, mesh, policy=policy)
-    defect = _mass_defects(group, data, mesh)
-    check_compatibility(group.verts, defect)
     chi, g = data.chi[group.tris, group.local], data.g[group.tris, group.local]
     (n, nt), nd, ne = group.tris.shape, group.dofs.shape[1], 3 * (p + 1)
     x0, xe = chi + data.x[group.tris, :, group.local], data.x[group.tris, :, 3:]
@@ -510,7 +505,7 @@ def build_patch_problem(group: PatchGroup, theta: BrokenRTNField, v, p, mesh, *,
     sgn = data.sign[group.tris]
     S = _sum_into((len(rep), nl, nl), idx, sgn[rep, :, :, None] * data.x[group.tris[rep], :ne, 3:])
     b = _sum_into((n, nl), slots, sgn * x0[..., :ne])
-    return PatchGroupProblem(group, p, chi, g, S, blocks, b, x0, xe, cols, defect)
+    return PatchGroupProblem(group, p, chi, g, S, blocks, b, x0, xe, cols, data.defect[group.verts])
 
 
 def patch_equilibrate(problem: PatchGroupProblem):

@@ -230,7 +230,8 @@ def _lagrange_stiffness(ls: LagrangeSpace, rule):
 
 def solve_ls_mixed(prob: PoissonProblem, p: int, q: int):
     """Least-squares mixed method: minimize the first-order system functional
-    over conforming RTN_p fluxes and zero-trace P_q potentials."""
+    over conforming RTN_p fluxes and zero-trace P_q potentials.  ``system``
+    is the factorized (A, b) over the fluxes, then the free potential nodes."""
     mesh = prob.mesh
     policy = QuadPolicy(p, field=prob.sigma, degree=None)
     space, M, B, fmom = _flux_system(prob, p, policy)
@@ -264,7 +265,7 @@ def solve_ls_mixed(prob: PoissonProblem, p: int, q: int):
         "kkt_residual": res,
         "system_size": A.shape[0],
         "nnz_lu": factor.lu.L.nnz + factor.lu.U.nnz,
-        "blocks": {"M": M, "B": B, "D": D, "G": G, "S": S, "fmom": fmom, "l2": l2},
+        "system": (A, b),
     }
 
 
@@ -334,38 +335,24 @@ def h1_best_local_sum(prob: PoissonProblem, q: int, *, quad_degree=None):
     return np.sqrt(np.sum(rule.weights * mesh.detB[:, None] * (x * x + y * y)))
 
 
-def ls_functional_value(res, pair_flux, pair_pot):
-    """A(p, v; p, v) from the assembled blocks (diagonal of the bilinear form)."""
-    blocks = res["blocks"]
-    M, D, G, S, l2 = blocks["M"], blocks["D"], blocks["G"], blocks["S"], blocks["l2"]
-    p_, v_ = pair_flux, pair_pot
-    return (
-        float(v_ @ (S @ v_))
-        + 2 * float(v_ @ (G @ p_))
-        + float(p_ @ (M @ p_))
-        + l2 * float(p_ @ (D @ p_))
-    )
+def _random_pairs(res):
+    """Twenty seeded random discrete pairs (p, v), each one vector over the
+    unknowns of the least-squares system: fluxes, then free potential nodes."""
+    rng = np.random.default_rng(0)
+    return [rng.standard_normal(len(res["system"][1])) for _ in range(20)]
 
 
 def coercivity_witness(res):
     """Minimum slack of A(p,v;p,v) >= (1/8)(||p||^2 + l^2 ||div p||^2 + ||grad v||^2)
-    over random discrete pairs (normalized)."""
-    blocks = res["blocks"]
-    M, D, G, S, l2 = blocks["M"], blocks["D"], blocks["G"], blocks["S"], blocks["l2"]
-    nf = M.shape[0]
-    ls = res["space"]
-    rng = np.random.default_rng(0)
+    over random discrete pairs x = (p, v) (normalized), read from the assembled
+    system A, whose diagonal blocks M + l^2 D and S hold the scaled norm."""
+    A, _ = res["system"]
+    nf = len(res["sigma"].dofs)
+    flux, pot = A[:nf, :nf], A[nf:, nf:]
     worst = np.inf
-    for _ in range(20):
-        p_ = rng.standard_normal(nf)
-        v_ = np.zeros(ls.n_nodes)
-        v_[ls.free_index] = rng.standard_normal(len(ls.free_index))
-        lhs = ls_functional_value(res, p_, v_)
-        rhs = (
-            float(p_ @ (M @ p_))
-            + l2 * float(p_ @ (D @ p_))
-            + float(v_ @ (S @ v_))
-        )
+    for x in _random_pairs(res):
+        lhs = float(x @ (A @ x))
+        rhs = float(x[:nf] @ (flux @ x[:nf])) + float(x[nf:] @ (pot @ x[nf:]))
         worst = min(worst, (lhs - rhs / 8.0) / max(rhs, 1e-300))
     return worst
 
@@ -427,40 +414,16 @@ def _div_oscillation(prob, p, *, quad_degree=None):
     return np.sqrt(sum(osc))
 
 
-def galerkin_orthogonality(prob, res):
+def galerkin_orthogonality(res):
     """Residual of the least-squares orthogonality on random discrete pairs.
 
     The exact pair satisfies A(s, u; p, v) = l^2 (f, div p); the discrete
-    residual against discrete test pairs measures solver fidelity.
+    residual y^T (A x - b) against discrete test pairs y measures solver fidelity.
     """
-    blocks = res["blocks"]
-    M, D, G, S, fmom, l2 = (
-        blocks["M"],
-        blocks["D"],
-        blocks["G"],
-        blocks["S"],
-        blocks["fmom"],
-        blocks["l2"],
-    )
-    B = blocks["B"]
-    ls = res["space"]
-    sig = res["sigma"].dofs
-    u = res["u"]
-    rng = np.random.default_rng(0)
+    A, b = res["system"]
+    Ax = A @ np.concatenate([res["sigma"].dofs, res["u"][res["space"].free_index]])
     worst = 0.0
-    for _ in range(20):
-        p_ = rng.standard_normal(M.shape[0])
-        v_ = np.zeros(ls.n_nodes)
-        v_[ls.free_index] = rng.standard_normal(len(ls.free_index))
-        # A(sig, u; p_, v_) - l^2 (f, div p_)
-        lhs = (
-            float(v_ @ (S @ u))
-            + float(v_ @ (G @ sig))
-            + float(u @ (G @ p_))
-            + float(sig @ (M @ p_))
-            + l2 * float(sig @ (D @ p_))
-        )
-        rhs = l2 * float(fmom @ (B @ p_))
-        scale = max(abs(lhs), abs(rhs), 1e-300)
-        worst = max(worst, abs(lhs - rhs) / scale)
+    for y in _random_pairs(res):
+        lhs, rhs = float(y @ Ax), float(y @ b)
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
     return worst

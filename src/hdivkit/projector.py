@@ -19,11 +19,9 @@ from .elements import rtn_space, scalar_moments
 from .fields import FieldError
 from .local_solve import (
     build_patch_problem,
-    check_compatibility,
     fit_degree,
     patch_data,
     patch_equilibrate,
-    patch_defects,
     patch_layout,
     patch_stability_ratio,
     sum_patch_fields,
@@ -149,17 +147,17 @@ def project_hdiv(
     *,
     variant="def31",
     quad_degree=None,
-    measure_stability=False,
 ) -> ConformingRTNField:
     """Stable local commuting projection of v onto conforming RTN_p.
 
     variant 'def31' uses the degree-p elementwise fit and interpolated patch
     targets; 'def52' (p >= 1) runs the elementwise fit one degree lower,
     which trades accuracy for a degree-robust constant.  The result carries
-    a ProjectorInfo under ``.info['projector']``.
+    a ProjectorInfo under ``.info['projector']``; ``projector_report``
+    also fills its stability ratios.
     """
     policy = QuadPolicy(p, field=v, degree=quad_degree)
-    return _project_hdiv(v, p, mesh, policy, variant, quad_degree, measure_stability)
+    return _project_hdiv(v, p, mesh, policy, variant, quad_degree, measure_stability=False)
 
 
 def _project_hdiv(v, p, mesh, policy, variant, quad_degree, measure_stability):
@@ -172,13 +170,10 @@ def _project_hdiv(v, p, mesh, policy, variant, quad_degree, measure_stability):
     info = ProjectorInfo(variant=variant, p=p)
     sigma = ConformingRTNField(mesh, p)
     space = sigma.space
-    layout = patch_layout(mesh, p)
     data = patch_data(theta, v, p, mesh, policy=policy)
-    defects = patch_defects(layout, data, mesh)
-    check_compatibility(np.arange(mesh.num_vertices), defects)
-    info.compat_defects = defects.tolist()
+    info.compat_defects = data.defect.tolist()
     parts, ratios = [], []
-    for group in layout.groups:
+    for group in patch_layout(mesh, p).groups:
         problem = build_patch_problem(group, theta, v, p, mesh, policy=policy, data=data)
         s, lam = patch_equilibrate(problem)
         parts.append((group, s))

@@ -223,7 +223,7 @@ def corner_rules(coords, vertex_local, gamma: float, n_theta: int, n_r: int):
     return pts.reshape(len(c), -1, 2), wts.reshape(len(c), -1)
 
 
-def check_exactness(rule: TriangleRule, degree: int | None = None, rtol: float = 1e-13):
+def check_exactness(rule: TriangleRule, degree: int | None = None):
     """Max relative defect of the rule on all monomials up to its degree."""
     from . import polys
 

@@ -5,7 +5,8 @@ the element-by-element canonical interpolant, the stored element-table
 stacks C_k, M_k and Bdiv_k of the closed formulas,
 per-element dual bases by quadrature and a dense solve, per-element error
 and fit loops, normal-equation least squares, null-space constrained
-minimization, per-site COO assembly loops, the per-element stacked
+minimization, per-site COO assembly loops, the least-squares form, its
+coercivity witness and orthogonality residual block by block, the per-element stacked
 element solves on the stored M_k and formed Bdiv_k, patch equilibration
 data taken
 by quadrature on every (patch, element) pair, the dense Bunch-Kaufman KKT
@@ -728,6 +729,82 @@ def ls_coupling_oracle(ls, space, p, q):
     return G, S
 
 
+# -- the least-squares form block by block ----------------------------------------------
+
+
+def ls_blocks_oracle(prob, p, q):
+    """The blocks of the least-squares form for ``solve_ls_mixed(prob, p, q)``,
+    rebuilt from ``_flux_system`` and ``assemble_csr``: M, B, D = B^T B,
+    G and S over all Lagrange nodes, the data moments ``fmom``, ``l2`` and
+    the Lagrange space ``ls``."""
+    from hdivkit.elements import _coupling_reference, _stiffness_blocks
+    from hdivkit.linsolve import assemble_csr
+    from hdivkit.model_problems import LagrangeSpace, _flux_system
+
+    space, M, B, fmom = _flux_system(prob, p, QuadPolicy(p, field=prob.sigma, degree=None))
+    ls = LagrangeSpace(prob.mesh, q)
+    nodes, rule = ls._elem_nodes, quad_rule(2 * q)
+    coupling = space.rows_to_elem(_coupling_reference(q, p)[None])
+    stiffness = _stiffness_blocks(ls.mesh, rule, np.stack(ls.basis_grads_ref(rule.points), axis=2))
+    return {
+        "M": M,
+        "B": B,
+        "D": (B.T @ B).tocsr(),
+        "G": assemble_csr(nodes, space.dof_map, coupling, (ls.n_nodes, space.ndof)),
+        "S": assemble_csr(nodes, nodes, stiffness, (ls.n_nodes, ls.n_nodes)),
+        "fmom": fmom,
+        "l2": prob.l_omega**2,
+        "ls": ls,
+    }
+
+
+def ls_form_oracle(blocks, p_, v_, q_, w_):
+    """A(p, v; q, w) = (p + grad v, q + grad w) + l^2 (div p, div q) term by
+    term, for flux dofs p, q and potentials v, w on all Lagrange nodes."""
+    M, D, G, S, l2 = (blocks[k] for k in ("M", "D", "G", "S", "l2"))
+    return (
+        float(w_ @ (S @ v_))
+        + float(w_ @ (G @ p_))
+        + float(v_ @ (G @ q_))
+        + float(p_ @ (M @ q_))
+        + l2 * float(p_ @ (D @ q_))
+    )
+
+
+def _ls_random_pairs(blocks):
+    """The twenty seeded random pairs (p, v) of the witness and the
+    orthogonality check, drawn flux first, then the free potential nodes."""
+    ls, rng = blocks["ls"], np.random.default_rng(0)
+    for _ in range(20):
+        p_ = rng.standard_normal(blocks["M"].shape[0])
+        v_ = np.zeros(ls.n_nodes)
+        v_[ls.free_index] = rng.standard_normal(len(ls.free_index))
+        yield p_, v_
+
+
+def coercivity_witness_oracle(blocks):
+    """``model_problems.coercivity_witness`` from the blocks: the minimum
+    slack of A(p,v;p,v) >= (1/8)(||p||^2 + l^2 ||div p||^2 + ||grad v||^2)."""
+    M, D, S, l2 = (blocks[k] for k in ("M", "D", "S", "l2"))
+    worst = np.inf
+    for p_, v_ in _ls_random_pairs(blocks):
+        lhs = ls_form_oracle(blocks, p_, v_, p_, v_)
+        rhs = float(p_ @ (M @ p_)) + l2 * float(p_ @ (D @ p_)) + float(v_ @ (S @ v_))
+        worst = min(worst, (lhs - rhs / 8.0) / max(rhs, 1e-300))
+    return worst
+
+
+def galerkin_orthogonality_oracle(blocks, sig, u):
+    """``model_problems.galerkin_orthogonality`` from the blocks: the worst
+    relative gap A(sig, u; p, v) - l^2 (f, div p) over the random pairs."""
+    worst = 0.0
+    for p_, v_ in _ls_random_pairs(blocks):
+        lhs = ls_form_oracle(blocks, sig, u, p_, v_)
+        rhs = blocks["l2"] * float(blocks["fmom"] @ (blocks["B"] @ p_))
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+    return worst
+
+
 # -- dense constrained least squares via the null-space method --------------------------
 
 
@@ -1386,7 +1463,7 @@ def projector_report_oracle(v, p, mesh, *, variant="def31"):
     from hdivkit.mesh import vertex_patches
     from hdivkit.projector import project_hdiv
 
-    sigma = project_hdiv(v, p, mesh, variant=variant, measure_stability=True)
+    sigma = project_hdiv(v, p, mesh, variant=variant)
     policy = QuadPolicy(p, field=v)
     patches = vertex_patches(mesh)
     loc = _local_fits(v, p, mesh, policy)

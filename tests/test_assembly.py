@@ -33,15 +33,17 @@ def test_conforming_blocks_bit_identical(labels, p):
 
 @pytest.mark.parametrize("p,q", [(0, 1), (1, 2)])
 def test_ls_blocks_bit_identical(unit_square_4, p, q):
+    # G and S enter the assembled system on the free Lagrange nodes
     res = solve_ls_mixed(manufactured_sine(unit_square_4), p, q)
     ls, space = res["space"], rtn_space(unit_square_4, p)
+    (A, _), nf, fr = res["system"], space.ndof, ls.free_index
     nodes, shape = ls._elem_nodes, (ls.n_nodes, ls.n_nodes)
     blocks = space.rows_to_elem(_coupling_reference(q, p)[None])
     G = coo_oracle(nodes, space.dof_map, blocks, (ls.n_nodes, space.ndof))
-    assert _same(res["blocks"]["G"], G)
+    assert _same(A[nf:, :nf], G[fr])
     rule = quad_rule(2 * q)
     S = _stiffness_blocks(ls.mesh, rule, np.stack(ls.basis_grads_ref(rule.points), axis=2))
-    assert _same(res["blocks"]["S"], coo_oracle(nodes, nodes, S, shape))
+    assert _same(A[nf:, nf:], coo_oracle(nodes, nodes, S, shape)[fr][:, fr])
     Go, So = ls_coupling_oracle(ls, space, p, q)
-    for got, want in ((res["blocks"]["G"], Go), (res["blocks"]["S"], So)):
+    for got, want in ((A[nf:, :nf], Go[fr]), (A[nf:, nf:], So[fr][:, fr])):
         assert np.abs((got - want).toarray()).max() <= 1e-13 * np.abs(want.toarray()).max()

@@ -21,11 +21,12 @@ from hdivkit import fields
 from hdivkit.best_approx import error_report, local_best_constrained
 from hdivkit.elements import rtn_space
 from hdivkit.fields import FieldError
-from hdivkit import linsolve
+from hdivkit import linsolve, local_solve
 from hdivkit.linsolve import STACK_BYTES, chunks, element_solve
 from hdivkit.local_solve import (
     CompatibilityError,
     build_patch_problem,
+    patch_data,
     patch_equilibrate,
     patch_layout,
     sum_patch_fields,
@@ -33,7 +34,7 @@ from hdivkit.local_solve import (
 )
 from hdivkit.mesh import Mesh, build_lshape, build_structured, refine_uniform, vertex_patches
 from hdivkit.projections import ScalarPWField, project_scalar
-from hdivkit.projector import check_field_compatibility, project_hdiv, random_conforming_field
+from hdivkit.projector import check_field_compatibility, project_hdiv, projector_report, random_conforming_field
 from hdivkit.quadpolicy import QuadPolicy
 from hdivkit.quadrature import gauss01
 from test_element_layer import jitter
@@ -93,7 +94,7 @@ def test_projector_matches_loop_oracle(meshes, mesh_name, labels, p, variant, fi
     m = meshes[mesh_name, labels]
     v = random_conforming_field(m, p + 1, seed=p) if field == "discrete" else stream_field()
     stability = p <= 2  # the per-patch oracle surrogate loops over P_{p+2} nodes in Python
-    sig = project_hdiv(v, p, m, variant=variant, measure_stability=stability)
+    sig = projector_report(v, p, m, variant=variant)["sigma"] if stability else project_hdiv(v, p, m, variant=variant)
     info = sig.info["projector"]
     want = oracles.project_hdiv_oracle(v, p, m, variant=variant, measure_stability=stability)
     tol = 1e-13
@@ -120,7 +121,7 @@ def test_projector_matches_loop_oracle_on_corner_wedges(p, variant):
     # lshape_singular takes radially weighted wedge rules at the corner
     m = build_lshape(2)
     v = fields.catalog("lshape_singular", {"alpha": 2 / 3})
-    sig = project_hdiv(v, p, m, variant=variant, measure_stability=True)
+    sig = projector_report(v, p, m, variant=variant)["sigma"]
     info = sig.info["projector"]
     want = oracles.project_hdiv_oracle(v, p, m, variant=variant, measure_stability=True)
     assert _rel(sig.info["theta"].coeffs, want["theta"].coeffs) <= 1e-13
@@ -144,7 +145,7 @@ def test_stability_ratios_match_loop_oracle_at_a_bowtie_vertex(p):
     layout = patch_layout(m, p)
     assert layout.groups[layout.where[0, 0]].verts.tolist() == [0, 1, 2]
     v = random_conforming_field(m, p + 1, seed=p)
-    got = np.array(project_hdiv(v, p, m, measure_stability=True).info["projector"].stability_ratios)
+    got = np.array(projector_report(v, p, m)["sigma"].info["projector"].stability_ratios)
     want = oracles.project_hdiv_oracle(v, p, m, measure_stability=True)
     ref, amp = np.array(want["stability_ratios"]), np.array(want["stability_amplification"])
     assert np.all(np.abs(got - ref) <= 1e-13 * amp * ref)
@@ -337,6 +338,29 @@ def test_stacks_of_corner_wedges_match_one_wedge_per_chunk(monkeypatch):
     assert n == 1 < n_single == 5
     for a, b in zip(got, want):
         assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+
+
+def test_patch_data_measures_every_patch_defect_once(monkeypatch):
+    # patch_data measures and gates the mass defect of every patch once, with
+    # the bits of the per-group measure; the patch problems read it
+    m = build_structured(4, labels="left-neumann")
+    p = 2
+    v = random_conforming_field(m, p + 1, seed=2)
+    theta = theta_field(v, p, m)
+    data = patch_data(theta, v, p, m)
+    groups = patch_layout(m, p).groups
+    assert np.any(data.defect > 0)
+    for group in groups:
+        assert np.array_equal(data.defect[group.verts], local_solve._mass_defects(group, data, m))
+    calls = []
+    measure = local_solve._mass_defects
+    monkeypatch.setattr(local_solve, "_mass_defects", lambda *args: calls.append(1) or measure(*args))
+    for group in groups:
+        problem = build_patch_problem(group, theta, v, p, m, data=data)
+        assert np.array_equal(problem.compat_defect, data.defect[group.verts])
+    assert not calls
+    project_hdiv(v, p, m)
+    assert len(calls) == len(groups)
 
 
 def test_single_patch_problem_matches_loop_assembly():

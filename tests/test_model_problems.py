@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import oracles
 from hdivkit.best_approx import global_best
-from hdivkit.mesh import build_structured
+from hdivkit.mesh import build_lshape, build_structured
 from hdivkit.model_problems import (
     LagrangeSpace,
     ModelProblemError,
@@ -84,7 +85,34 @@ def test_coercivity_witness(unit_square_4):
 def test_galerkin_orthogonality(unit_square_4):
     prob = manufactured_sine(unit_square_4)
     res = solve_ls_mixed(prob, 1, 2)
-    assert galerkin_orthogonality(prob, res) < 1e-9
+    assert galerkin_orthogonality(res) < 1e-9
+
+
+@pytest.mark.parametrize("mesh", ["structured:4", "lshape:2"])
+@pytest.mark.parametrize("p,q", [(0, 1), (1, 2), (2, 3)])
+def test_ls_checks_read_the_assembled_form(mesh, p, q):
+    # the assembled system against the block-wise form of the oracle: its
+    # values on random pairs, the coercivity witness and the orthogonality
+    kind, n = mesh.split(":")
+    prob = manufactured_sine({"structured": build_structured, "lshape": build_lshape}[kind](int(n)))
+    res = solve_ls_mixed(prob, p, q)
+    blocks = oracles.ls_blocks_oracle(prob, p, q)
+    (A, _), nf, fr = res["system"], len(res["sigma"].dofs), res["space"].free_index
+
+    def pair(x):
+        v = np.zeros(res["space"].n_nodes)
+        v[fr] = x[nf:]
+        return x[:nf], v
+
+    X = np.random.default_rng(1).standard_normal((4, A.shape[0]))
+    for x in X:
+        for y in X:
+            want = oracles.ls_form_oracle(blocks, *pair(x), *pair(y))
+            scale = np.sqrt(float(x @ (A @ x)) * float(y @ (A @ y)))  # Cauchy-Schwarz
+            assert abs(float(y @ (A @ x)) - want) <= 1e-13 * scale
+    assert abs(coercivity_witness(res) - oracles.coercivity_witness_oracle(blocks)) <= 1e-12
+    assert galerkin_orthogonality(res) < 1e-9
+    assert oracles.galerkin_orthogonality_oracle(blocks, res["sigma"].dofs, res["u"]) < 1e-9
 
 
 def test_apriori_checks_sine(unit_square_4):

@@ -18,7 +18,7 @@ from hdivkit.linsolve import SingularSystemError, class_blocks, class_slots, sol
 from hdivkit.local_solve import (build_patch_problem, patch_data, patch_layout, patch_stability_ratio,
                                  theta_field)
 from hdivkit.mesh import build_lshape, build_structured
-from hdivkit.projector import project_hdiv, random_conforming_field
+from hdivkit.projector import projector_report, random_conforming_field
 from test_element_layer import jitter
 
 LABELS = ("all-dirichlet", "left-neumann", "all-neumann")
@@ -42,7 +42,7 @@ def meshes():
 def test_class_path_matches_stacked_oracle(meshes, mesh_name, labels, p, variant):
     m = meshes[mesh_name, labels]
     v = random_conforming_field(m, p + 1, seed=p)
-    sig = project_hdiv(v, p, m, variant=variant, measure_stability=True)
+    sig = projector_report(v, p, m, variant=variant)["sigma"]
     dofs, ratios = oracles.patch_layer_stacked_oracle(v, p, m, variant=variant)
     assert np.linalg.norm(sig.dofs - dofs) <= 1e-13 * np.linalg.norm(dofs)
     got = np.array(sig.info["projector"].stability_ratios)

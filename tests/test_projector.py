@@ -270,7 +270,7 @@ def test_report_samples_the_field_as_the_projection_does(name, mesh, p, variant)
     # def52's projection reads only div v there
     m = mesh()
     alone, alone_count = _counting_field(name)
-    project_hdiv(alone, p, m, variant=variant, measure_stability=True)
+    project_hdiv(alone, p, m, variant=variant)
     report, report_count = _counting_field(name)
     projector_report(report, p, m, variant=variant)
     assert alone_count["v"] > 0 and alone_count["div"] > 0
