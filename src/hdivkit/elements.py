@@ -467,6 +467,13 @@ class RTNSpace:
         """Global dof index of each local dof on element k."""
         return self.dof_map[k]
 
+    def gather(self, rows):
+        """Conforming dofs from element rows (nt, ndof): the mean of the two
+        sides of each edge, zero on Neumann edges."""
+        free, flat = np.ones(self.ndof), self.dof_map.ravel()
+        free[self.neumann_edge_dofs()] = 0.0
+        return free * np.bincount(flat, rows.ravel(), self.ndof) / np.bincount(flat, minlength=self.ndof)
+
     def neumann_edge_dofs(self):
         """Global dof indices pinned to zero by the no-flux boundary condition."""
         e = np.array(self.mesh.edges_with_label("neumann"), dtype=int)

@@ -323,10 +323,10 @@ def hybrid_saddle_solve(space, rhs, g):
     u = U[:, :, 0] - np.einsum("kdj,kj->kd", U[:, :, 1:], mu)
     if grounded:
         u[:, 0] -= k0 * (k0 @ u[:, 0]) / (k0 @ k0)
+    # the two sides of an edge agree to roundoff: take their mean
+    s = space.gather(sk)
     free, flat = np.ones(space.ndof), dofs.ravel()
     free[space.neumann_edge_dofs()] = 0.0
-    # the two sides of an edge agree to roundoff: take their mean
-    s = free * np.bincount(flat, sk.ravel(), space.ndof) / np.bincount(flat, minlength=space.ndof)
     ref = space.mass(space.to_ref(s[dofs])) + u @ space.D_ref / np.sqrt(space.detB)[:, None]
     res = space.rows_to_elem(ref) - rhs  # M_k s_k + Bdiv_k^T u_k - rhs_k
     div = space.div(s[dofs]) - g

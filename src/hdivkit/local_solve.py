@@ -23,7 +23,7 @@ All three steps are stacked dense solves: the element fits over the
 quadrature groups of a ``QuadPolicy`` (per affine class, by
 ``linsolve.element_solve``), the patch problems and their
 surrogates over the signature groups of the ``PatchLayout`` (patches with
-equal dof count, triangle count and kernel give systems of one size).
+equal multiplier count, triangle count and kernel give systems of one size).
 The surrogate numbers its nodes by the mesh's continuous P_{p+2} numbering
 (``elements.lagrange_nodes``) and builds its element blocks from reference
 tables, so no step loops over elements or patches in Python.
@@ -121,17 +121,14 @@ def theta_field(v, p, mesh, *, variant="def31", policy=None, quad_degree=None):
 
 @dataclass
 class PatchGroup:
-    """Vertex patches of one signature (patch dofs, triangle count, kernel)
-    as arrays; row r is the patch of vertex ``verts[r]``.
+    """Vertex patches of one signature (multiplier count ``nl``, triangle
+    count, kernel) as arrays; row r is the patch of vertex ``verts[r]``.
 
     ``tris[r]`` lists its triangles (ascending) and ``local[r]`` the local
-    index of the vertex in each; ``elem_map[r, t, j]`` is the patch dof of
-    local dof j of triangle t (-1 where pinned to zero); ``dofs[r]`` holds
-    the global dof of each patch dof: the dofs of the active edges in
-    ascending edge order, then the interior dofs of each triangle.
-    ``mult[r, t, j]`` numbers the nt ndof - nd edge multipliers: one per dof
-    of each interior edge at the vertex (both sides), then of each pinned
-    slot (opposite edge, Neumann edges); -1 on free Dirichlet edges.
+    index of the vertex in each.  ``mult[r, t, j]`` numbers the nl edge
+    multipliers: one per dof of each interior edge at the vertex (both
+    sides), then of each pinned slot (opposite edge, Neumann edges); -1 on
+    free Dirichlet edges.
     Rows of one multiplier class (``cls``, numbered over the signature in
     order of first appearance) have bitwise-equal multiplier systems;
     ``slot`` and ``width`` place each row in its class's blocks of
@@ -142,18 +139,17 @@ class PatchGroup:
     verts: np.ndarray  # (n,)
     tris: np.ndarray  # (n, nt)
     local: np.ndarray  # (n, nt)
-    elem_map: np.ndarray  # (n, nt, ndof)
-    dofs: np.ndarray  # (n, nd)
     mult: np.ndarray  # (n, nt, 3(p+1))
     cls: np.ndarray  # (n,)
     slot: np.ndarray  # (n,)
     kernel: bool  # interior and Neumann vertices: constant multiplier kernel
+    nl: int
     width: int
     _surrogate: list | None = field(default=None, repr=False, compare=False)
 
     def rows(self, sl):
-        return PatchGroup(self.verts[sl], self.tris[sl], self.local[sl], self.elem_map[sl], self.dofs[sl],
-                          self.mult[sl], self.cls[sl], self.slot[sl], self.kernel, self.width)
+        return PatchGroup(self.verts[sl], self.tris[sl], self.local[sl], self.mult[sl], self.cls[sl],
+                          self.slot[sl], self.kernel, self.nl, self.width)
 
     @cached_property
     def problem_maps(self):
@@ -163,9 +159,8 @@ class PatchGroup:
         equation of each edge dof, one row's system after another
         (``_slots``); ``rep``, the first row of each multiplier class
         present, and ``blocks``, the ``linsolve.Blocks`` of the rows against
-        their systems; ``count`` (n, nd), the number of element dofs on
-        each patch dof."""
-        (n, nt, ndof), nd, L = self.elem_map.shape, self.dofs.shape[1], self.mult
+        their systems."""
+        n, nt, L = len(self.verts), self.tris.shape[1], self.mult
         # columns: the constant-divergence coefficient (in place of the
         # grounded multiplier 0 at kernel patches: it takes the data's
         # incompatible part, roundoff included, which grounding alone leaves
@@ -173,10 +168,9 @@ class PatchGroup:
         mu = np.full((n, nt, 1), 0 if self.kernel else -1, dtype=L.dtype)
         cols = np.concatenate([mu, np.where(self.kernel & (L == 0), -1, L)], axis=2)
         rep, cls = np.unique(self.cls, return_index=True, return_inverse=True)[1:]
-        count = _sum_into((n, nd), _slots(self.elem_map, nd), np.ones(self.elem_map.shape))
         # every index is below the size of a group's stack (``chunks``)
         blocks = class_blocks(cls.reshape(-1), self.slot, self.width)
-        return cols, _slots(L, nt * ndof - nd).astype(np.int32), rep, blocks, count.astype(np.int8)
+        return cols, _slots(L, self.nl).astype(np.int32), rep, blocks
 
     def surrogate(self, mesh):
         """The stability surrogate's integers, built on first use (the
@@ -233,46 +227,31 @@ def patch_layout(mesh, p) -> PatchLayout:
 def _build_patch_layout(mesh, p):
     space = rtn_space(mesh, p)
     nt, nv, ne = mesh.num_triangles, mesh.num_vertices, mesh.num_edges
-    n_int = space.n_int
     # triangle corners by vertex, then triangle
     corner = np.argsort(mesh.triangles.ravel(), kind="stable")
     c_vert, c_tri, c_loc = mesh.triangles.ravel()[corner], corner // 3, corner % 3
     count = np.bincount(c_vert, minlength=nv)
     start = np.cumsum(count) - count
-    # active edges: interior ones at the vertex and, at Dirichlet vertices,
-    # the Dirichlet edges (a vertex on a Dirichlet edge is a Dirichlet vertex)
     dirichlet = np.zeros(ne, dtype=bool)
     dirichlet[np.array(mesh.edges_with_label(DIRICHLET), dtype=int)] = True
     kernel = np.bincount(mesh.edges[dirichlet].ravel(), minlength=nv) == 0
-    active = (mesh.edge_tris[:, 1] != -1) | dirichlet
-    a_vert, a_edge = mesh.edges[active].ravel(), np.repeat(np.flatnonzero(active), 2)
-    order = np.lexsort((a_edge, a_vert))
-    a_vert, a_edge = a_vert[order], a_edge[order]
-    n_act = np.bincount(a_vert, minlength=nv)
-    a_start = np.cumsum(n_act) - n_act
-    # patch dof of every local dof of every corner
-    keys = np.append(a_vert * ne + a_edge, nv * ne)  # ascending, with a sentinel
-    want = c_vert[:, None] * ne + mesh.tri_edges[c_tri]
-    pos = np.searchsorted(keys, want)
-    rank = np.where(keys[pos] == want, pos - a_start[c_vert][:, None], -1)
-    edge_map = np.where(rank[:, :, None] >= 0, rank[:, :, None] * (p + 1) + np.arange(p + 1), -1)
-    t_idx = np.arange(3 * nt) - start[c_vert]
-    int_map = (n_act[c_vert] * (p + 1) + t_idx * n_int)[:, None] + np.arange(n_int)
-    # patch-local maps are small: int32 halves what every cached layout holds
-    elem_map = np.hstack([edge_map.reshape(3 * nt, -1), int_map]).astype(np.int32)
     # multipliers: interior edges at the vertex by edge, pinned slots by
-    # corner and slot, within one key range per vertex; none on free edges
+    # corner and slot, within one key range per vertex; none on the free
+    # edges, which are the Dirichlet edges at the vertex (edge z of a
+    # triangle lies opposite its local vertex z)
     slot_e = mesh.tri_edges[c_tri]
-    shared = (rank >= 0) & (mesh.edge_tris[slot_e, 1] >= 0)
+    at = np.arange(3) != c_loc[:, None]
     span = ne + 9 * nt
+    shared = at & (mesh.edge_tris[slot_e, 1] >= 0)
     key = np.where(shared, slot_e, ne + 3 * np.arange(3 * nt)[:, None] + np.arange(3)) + c_vert[:, None] * span
-    key[(rank >= 0) & ~shared] = -1
+    key[at & dirichlet[slot_e]] = -1
     uniq = np.unique(key[key >= 0])
-    lam = np.where(key >= 0, np.searchsorted(uniq, key) - np.searchsorted(uniq, c_vert * span)[:, None], -1)
+    first = np.searchsorted(uniq, np.arange(nv + 1) * span)
+    lam = np.where(key >= 0, np.searchsorted(uniq, key) - first[c_vert][:, None], -1)
+    # patch-local numbers are small: int32 halves what every cached layout holds
     mult = np.where(lam[:, :, None] >= 0, lam[:, :, None] * (p + 1) + np.arange(p + 1), -1).reshape(3 * nt, -1)
     mult = mult.astype(np.int32)
-    nd = n_act * (p + 1) + count * n_int
-    sig = np.stack([nd, count, kernel], axis=1)
+    sig = np.stack([np.diff(first) * (p + 1), count, kernel], axis=1)
     # what decides a patch's multiplier system: its elements' affine
     # classes, edge signs (``linsolve.eliminate``) and T_k edge factors, and
     # its multiplier numbering
@@ -283,17 +262,12 @@ def _build_patch_layout(mesh, p):
         vs = np.flatnonzero((sig == s).all(axis=1))
         c = start[vs][:, None] + np.arange(s[1])
         tris = c_tri[c]
-        edges = a_edge[a_start[vs][:, None] + np.arange(n_act[vs[0]])]
-        dofs = np.hstack([
-            (edges[:, :, None] * (p + 1) + np.arange(p + 1)).reshape(len(vs), -1),
-            (space.ndof_edge + tris[:, :, None] * n_int + np.arange(n_int)).reshape(len(vs), -1),
-        ])
         cls = _class_ids(tri_cls[tris], mult[c])
         slot, width = class_slots(cls)
-        group = PatchGroup(vs, tris, c_loc[c], elem_map[c], dofs, mult[c], cls, slot, bool(s[2]), width)
+        group = PatchGroup(vs, tris, c_loc[c], mult[c], cls, slot, bool(s[2]), int(s[0]), width)
         # a pass allocates per patch its element columns, five arrays of its
         # multiplier blocks and its system (``linsolve.chunks``)
-        nl, m = s[1] * space.ref.dim - s[0], 3 * (p + 1)
+        nl, m = s[0], 3 * (p + 1)
         for sl in chunks(len(vs), 8 * (s[1] * (space.ref.dim * (4 + m) + 5 * m * (m + 1)) + nl**2)):
             where[vs[sl], 0] = len(groups)
             where[vs[sl], 1] = np.arange(len(vs[sl]))
@@ -333,16 +307,6 @@ def _surrogate_nodes(mesh, p, tris, local, kernel):
         at = np.any(on[..., :, None] & (lagrange_bary(q).T == 0), axis=-2)
         clamped[np.broadcast_to(row, at.shape)[at], loc[at]] = True
     return loc.astype(np.int32), clamped
-
-
-def sum_patch_fields(parts, ndof):
-    """Zero extensions of patch solutions, summed into one global dof vector
-    in ascending vertex order; ``parts`` holds (PatchGroup, solutions (n, nd))."""
-    verts = np.concatenate([np.repeat(g.verts, g.dofs.shape[1]) for g, _ in parts])
-    dofs = np.concatenate([g.dofs.ravel() for g, _ in parts])
-    vals = np.concatenate([np.ravel(s) for _, s in parts])
-    order = np.argsort(verts, kind="stable")
-    return np.bincount(dofs[order], vals[order], ndof)
 
 
 # -- patch problems ----------------------------------------------------------------
@@ -492,14 +456,12 @@ def build_patch_problem(group: PatchGroup, theta: BrokenRTNField, v, p, mesh, *,
     (K_k^-1)_ss E_k^T are summed in triangle order, into one system per
     multiplier class: for the first row of each class present.
     """
-    space = rtn_space(mesh, p)
     if data is None:
         data = patch_data(theta, v, p, mesh, policy=policy)
     chi, g = data.chi[group.tris, group.local], data.g[group.tris, group.local]
-    (n, nt), nd, ne = group.tris.shape, group.dofs.shape[1], 3 * (p + 1)
+    n, nl, ne = len(group.verts), group.nl, 3 * (p + 1)
     x0, xe = chi + data.x[group.tris, :, group.local], data.x[group.tris, :, 3:]
-    cols, slots, rep, blocks, _ = group.problem_maps
-    nl = nt * space.ref.dim - nd
+    cols, slots, rep, blocks = group.problem_maps
     entry = _slots(group.mult[rep], nl)[..., None] * nl + cols[rep, :, None, :]
     idx = np.where(cols[rep, :, None, :] >= 0, entry, -1)
     sgn = data.sign[group.tris]
@@ -510,24 +472,24 @@ def build_patch_problem(group: PatchGroup, theta: BrokenRTNField, v, p, mesh, *,
 
 def patch_equilibrate(problem: PatchGroupProblem):
     """Solve the hybrid patch problems of a stacked problem, then recover the
-    element fluxes; the two sides of an interior edge agree to roundoff and
-    are averaged.  Returns the patch coefficients (n, nd) and the unknowns
-    of the multiplier systems (n, nl)."""
-    group = problem.group
-    n, nd = group.dofs.shape
+    element fluxes.  Returns each patch's fluxes on its triangles
+    (n, nt, ndof), whose two sides of an interior edge agree and whose
+    pinned slots vanish to roundoff, and the unknowns of the multiplier
+    systems (n, nl)."""
+    n = len(problem.group.verts)
     lam = solve_stacked(problem.S, problem.b, problem.blocks)
     row = np.arange(n)[:, None, None]
     x = problem.x0 - (problem.xe @ np.append(lam, np.zeros((n, 1)), axis=1)[row, problem.cols][..., None])[..., 0]
-    *_, count = group.problem_maps
-    return _sum_into((n, nd), _slots(group.elem_map, nd), x) / count, lam
+    return x, lam
 
 
 # -- dual-norm surrogate for the patch stability constant ---------------------------
 
 
-def patch_stability_ratio(problem: PatchGroupProblem, s, mesh):
+def patch_stability_ratio(problem: PatchGroupProblem, x, mesh):
     """Measured ratios ||s_a - chi_a|| over a discrete dual-norm surrogate,
-    one per row of a stacked problem with solutions ``s`` (n, nd).
+    one per row of a stacked problem with fluxes ``x`` (n, nt, ndof) of
+    ``patch_equilibrate``.
 
     The surrogate maximizes (g, w) + (chi, grad w) over patch-continuous
     P_{p+2} functions with unit gradient norm, mean-zero for interior and
@@ -543,7 +505,7 @@ def patch_stability_ratio(problem: PatchGroupProblem, s, mesh):
     never asserted: the bound it witnesses is a cited stability result.
     """
     group, p = problem.group, problem.p
-    return np.concatenate([_stability_ratios(group.rows(sl), part, p, problem.chi[sl], s[sl], mesh)
+    return np.concatenate([_stability_ratios(group.rows(sl), part, p, problem.chi[sl], x[sl], mesh)
                            for sl, *part in group.surrogate(mesh)])
 
 
@@ -558,7 +520,7 @@ def _surrogate_reference(p):
     return rule, np.stack(lagrange_grads_ref(q, rule.points), axis=2), vals.sum(axis=1)
 
 
-def _stability_ratios(group, part, p, chi, s, mesh):
+def _stability_ratios(group, part, p, chi, x, mesh):
     # p + 2 keeps the surrogate space nontrivial even on one-triangle corner
     # patches with two clamped edges
     q = p + 2
@@ -568,9 +530,8 @@ def _stability_ratios(group, part, p, chi, s, mesh):
     row = np.arange(n)[:, None, None]
     loc, fixed, rep, blocks = part
     nn = fixed.shape[1]
-    # s_a - chi_a per triangle (-1 in elem_map is a pinned dof), and chi_a
-    diff = np.append(s, np.zeros((n, 1)), axis=1)[row, group.elem_map] - chi
-    ref = space.to_ref(np.stack([diff, chi], axis=2), tris)
+    # s_a - chi_a per triangle, and chi_a
+    ref = space.to_ref(np.stack([x - chi, chi], axis=2), tris)
     ell = _sum_into((n, nn), row * nn + loc, -ref[:, :, 0] @ _coupling_reference(q, p).T)
     ell[fixed] = 0.0
     # the systems of the first row of each surrogate class present: element

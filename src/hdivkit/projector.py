@@ -1,11 +1,13 @@
 """The commuting patch projector onto conforming RTN_p, and its report.
 
 The projector runs in three steps: a divergence-constrained L2 fit on every
-element, one constrained minimization per vertex patch, and a deterministic
-sum of the zero-extended patch fields in ascending vertex order.  Summing the
-patch divergence constraints telescopes (hat functions partition unity), so
-the divergence of the result equals the broken L2 projection of div v to
-solver precision whenever the same quadrature rules feed both sides.
+element, one constrained minimization per vertex patch, and the sum of the
+patch fields: each triangle sums the fluxes of its three patches, and the
+two sides of each edge are averaged (``RTNSpace.gather``), as in the global
+solve.  Summing the patch divergence constraints telescopes (hat functions
+partition unity), so the divergence of the result equals the broken L2
+projection of div v to solver precision whenever the same quadrature rules
+feed both sides.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .local_solve import (
     patch_equilibrate,
     patch_layout,
     patch_stability_ratio,
-    sum_patch_fields,
     theta_field,
 )
 from .projections import BrokenRTNField, quadrature_self_check
@@ -172,15 +173,21 @@ def _project_hdiv(v, p, mesh, policy, variant, quad_degree, measure_stability):
     space = sigma.space
     data = patch_data(theta, v, p, mesh, policy=policy)
     info.compat_defects = data.defect.tolist()
-    parts, ratios = [], []
+    # the fluxes of patch a on each of its triangles, at the local index of a:
+    # every (triangle, local vertex) pair belongs to one patch
+    rows, ratios = np.zeros((mesh.num_triangles, 3, space.ref.dim)), []
     for group in patch_layout(mesh, p).groups:
         problem = build_patch_problem(group, theta, v, p, mesh, policy=policy, data=data)
-        s, lam = patch_equilibrate(problem)
-        parts.append((group, s))
+        x, lam = patch_equilibrate(problem)
+        rows[group.tris, group.local] = x
         info.patch_system_size = max(info.patch_system_size, lam.shape[1])
         if measure_stability:
-            ratios += zip(group.verts, patch_stability_ratio(problem, s, mesh))
-    sigma.dofs = sum_patch_fields(parts, space.ndof)
+            ratios += zip(group.verts, patch_stability_ratio(problem, x, mesh))
+    # a patch pins its flux on the edge opposite its vertex, edge z of a
+    # triangle lying opposite its local vertex z
+    for z in range(3):
+        rows[:, z, z * (p + 1):(z + 1) * (p + 1)] = 0.0
+    sigma.dofs = space.gather(rows.sum(axis=1))
     info.stability_ratios = [ratio for _, ratio in sorted(ratios)]
     # commuting residual against the broken projection of div v, from the
     # same samples of div v; for divergence-free data the relative

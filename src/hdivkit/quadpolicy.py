@@ -123,17 +123,17 @@ class QuadGroup:
 
 
 class QuadPolicy:
-    def __init__(self, p, field=None, degree=None, self_check=True):
+    def __init__(self, p, field=None, degree=None):
         self.p = p
         poly_deg = getattr(field, "poly_degree", None) if field is not None else None
+        # polynomial fields are integrated exactly: nothing to self-check
+        self.self_check = poly_deg is None
         if poly_deg is not None:
             self.base_degree = poly_deg + p + 3
-            self.self_check = False
         else:
             # 2p + 14 keeps the discrete divergence-theorem defect of trig
             # data below 1e-12 even on h ~ 1 elements
             self.base_degree = int(degree) if degree is not None else 2 * p + 14
-            self.self_check = bool(self_check)
         self.singularity = getattr(field, "singularity", None) if field is not None else None
         self._cache = {}
 

@@ -244,7 +244,8 @@ def run_study(cfg: StudyConfig):
         if cfg.variant == "def52" and p < 1:
             continue
         sub = [r for r in rows if r["p"] == p and r["notes"] != "exact-zero"]
-        if len(sub) >= 3:
+        # a discrete field draws an independent member on every level: no rate to fit
+        if len(sub) >= 3 and not getattr(study_fields[0], "is_discrete", False):
             hs = [r["h_max"] for r in sub][-3:]
             es = [r["E_glob"] for r in sub][-3:]
             if min(es) > 0:
@@ -438,12 +439,9 @@ def verify(cfg: StudyConfig | None = None):
     res = apriori_checks(manufactured_sine, 1, 1, [build_structured(4)])
     check("mixed flux equals constrained best", res[0]["mixed_vs_globalbest"], 1e-8)
     check("least-squares worst-case ratio", res[0]["ls_ratio"], 17.0)
-    check("divergence bound slack", max(0.0, -res[0]["div_bound_slack"]), 1e-9)
-    check(
-        "coercivity witness nonnegative",
-        max(0.0, -res[0]["coercivity_witness"]),
-        1e-9,
-    )
+    # the margins, negated: each passes at or below 1e-9 and prints its size
+    check("divergence bound slack", -res[0]["div_bound_slack"], 1e-9)
+    check("coercivity witness nonnegative", -res[0]["coercivity_witness"], 1e-9)
     return out
 
 

@@ -936,7 +936,8 @@ def projector_oracle(v, p, mesh, quad_degree=None):
     from hdivkit.quadpolicy import QuadPolicy
 
     qd = quad_degree or (2 * (2 * p + 14))
-    policy = QuadPolicy(p, field=v, degree=qd, self_check=False)
+    policy = QuadPolicy(p, field=v, degree=qd)
+    policy.self_check = False
     theta = theta_field(v, p, mesh, policy=policy)
     space = rtn_space(mesh, p)
     sigma = ConformingRTNField(mesh, p)
@@ -1151,6 +1152,37 @@ def patch_space_oracle(patch, space):
         patch=patch, p=p, tris=patch.tris, ndof=n_edge + len(patch.tris) * n_int, elem_maps=maps,
         dofs=np.concatenate(dofs).astype(int),
     )
+
+
+def elem_maps(pspace):
+    """The patch dof of each local dof of the patch triangles, in
+    ``pspace.tris`` order (-1 = pinned to zero); (nt, ndof)."""
+    return np.array([pspace.elem_maps[int(k)] for k in pspace.tris])
+
+
+def elem_rows(pspace, s):
+    """A patch-dof solution ``s`` on the element rows of its triangles
+    (``pspace.tris`` order), zero on the pinned slots; (nt, ndof)."""
+    m = elem_maps(pspace)
+    return np.where(m >= 0, np.append(s, 0.0)[m], 0.0)
+
+
+def sum_patch_fields(parts, mesh, p):
+    """sigma as the projector summed it in the patch dof numbering: each
+    patch's fluxes ``x`` (n, nt, ndof) averaged into its patch dofs (the two
+    sides of an interior edge, pinned slots dropped), zero-extended and
+    summed into the global dofs in ascending vertex order; ``parts`` holds
+    (PatchGroup, x)."""
+    from hdivkit.mesh import vertex_patches
+
+    space = rtn_space(mesh, p)
+    dofs = np.zeros(space.ndof)
+    for a, xa in sorted(((int(a), xa) for g, x in parts for a, xa in zip(g.verts, x)), key=lambda r: r[0]):
+        ps = patch_space_oracle(vertex_patches(mesh)[a], space)
+        m = elem_maps(ps)
+        keep = m >= 0
+        dofs[ps.dofs] += np.bincount(m[keep], xa[keep], ps.ndof) / np.bincount(m[keep], minlength=ps.ndof)
+    return dofs
 
 
 def build_patch_problem_oracle(patch, p, mesh, data):
@@ -1546,17 +1578,16 @@ def build_patch_problem_stacked_oracle(group, p, mesh, data):
     patch classes."""
     from hdivkit.local_solve import PatchGroupProblem, _mass_defects, _sum_into, check_compatibility
 
-    space = rtn_space(mesh, p)
     defect = _mass_defects(group, data, mesh)
     check_compatibility(group.verts, defect)
     chi, g, X = data.chi[group.tris, group.local], data.g[group.tris, group.local], data.x[group.tris]
-    (n, nt), nd, ne = group.tris.shape, group.dofs.shape[1], 3 * (p + 1)
+    (n, nt), ne = group.tris.shape, 3 * (p + 1)
     x0 = chi + np.take_along_axis(X[..., :3], group.local[..., None, None], axis=3)[..., 0]
     # columns: the constant-divergence coefficient (in place of the grounded
     # multiplier 0 at kernel patches: it takes the data's incompatible part,
     # roundoff included, which grounding alone leaves on one edge), then the
     # edge multipliers
-    L, nl = group.mult, nt * space.ref.dim - nd
+    L, nl = group.mult, group.nl
     mu = np.full((n, nt, 1), 0 if group.kernel else -1)
     cols = np.concatenate([mu, np.where(group.kernel & (L == 0), -1, L)], axis=2)
     rows = np.where(L >= 0, np.arange(n)[:, None, None] * nl + L, -1)
@@ -1567,17 +1598,17 @@ def build_patch_problem_stacked_oracle(group, p, mesh, data):
     return PatchGroupProblem(group, p, chi, g, S, None, b, x0, X[..., 3:], cols, defect)
 
 
-def patch_stability_ratio_stacked_oracle(problem, s, mesh):
+def patch_stability_ratio_stacked_oracle(problem, x, mesh):
     """``local_solve.patch_stability_ratio`` with the surrogate numbered and
     assembled, and its system solved, for every row: the stacked surrogate
     before patch classes, in its chunks."""
     group, p = problem.group, problem.p
     width = group.tris.shape[1] * polys.tri_dim(p + 2)
-    return np.concatenate([_stability_ratios_stacked(group.rows(sl), p, problem.chi[sl], s[sl], mesh)
-                           for sl in chunks(len(s), 8 * width**2, points=True)])
+    return np.concatenate([_stability_ratios_stacked(group.rows(sl), p, problem.chi[sl], x[sl], mesh)
+                           for sl in chunks(len(x), 8 * width**2, points=True)])
 
 
-def _stability_ratios_stacked(group, p, chi, s, mesh):
+def _stability_ratios_stacked(group, p, chi, x, mesh):
     from hdivkit.elements import (_coupling_reference, _stiffness_blocks, lagrange_bary, lagrange_grads_ref,
                                   lagrange_nodes)
     from hdivkit.local_solve import _sum_into
@@ -1608,9 +1639,8 @@ def _stability_ratios_stacked(group, p, chi, s, mesh):
         on_edge = lagrange_bary(q).T == 0  # (3, nloc)
         at = np.any(clamped[..., :, None] & on_edge, axis=-2)
         fixed[np.broadcast_to(row, at.shape)[at], loc[at]] = True
-    # s_a - chi_a per triangle (-1 in elem_map is a pinned dof), and chi_a
-    diff = np.append(s, np.zeros((n, 1)), axis=1)[row, group.elem_map] - chi
-    ref = space.to_ref(np.stack([diff, chi], axis=2), tris)
+    # s_a - chi_a per triangle, and chi_a
+    ref = space.to_ref(np.stack([x - chi, chi], axis=2), tris)
     # element tables: (grad w, grad w)_K, -(s_a - chi_a, grad w)_K, (1, w)_K,
     # by reference rules exact in their degree (at most q + p)
     rule = quad_rule(q + p)
@@ -1643,8 +1673,7 @@ def patch_layer_stacked_oracle(v, p, mesh, *, variant="def31"):
     through the stacked patch layer: library theta and patch data, then
     ``build_patch_problem_stacked_oracle``, the library's hybrid solve and
     recovery, and ``patch_stability_ratio_stacked_oracle``."""
-    from hdivkit.local_solve import fit_degree, patch_data, patch_equilibrate, patch_layout, sum_patch_fields
-    from hdivkit.local_solve import theta_field
+    from hdivkit.local_solve import fit_degree, patch_data, patch_equilibrate, patch_layout, theta_field
 
     policy = QuadPolicy(p, field=v)
     theta = theta_field(v, p, mesh, variant=variant, policy=policy if fit_degree(p, variant) == p else None)
@@ -1652,10 +1681,10 @@ def patch_layer_stacked_oracle(v, p, mesh, *, variant="def31"):
     parts, ratios = [], []
     for group in patch_layout(mesh, p).groups:
         problem = build_patch_problem_stacked_oracle(group, p, mesh, data)
-        s, _ = patch_equilibrate(problem)
-        parts.append((group, s))
-        ratios += zip(group.verts, patch_stability_ratio_stacked_oracle(problem, s, mesh))
-    return sum_patch_fields(parts, rtn_space(mesh, p).ndof), np.array([r for _, r in sorted(ratios)])
+        x, _ = patch_equilibrate(problem)
+        parts.append((group, x))
+        ratios += zip(group.verts, patch_stability_ratio_stacked_oracle(problem, x, mesh))
+    return sum_patch_fields(parts, mesh, p), np.array([r for _, r in sorted(ratios)])
 
 
 # -- the point layer in its stacked forms ---------------------------------------------

@@ -392,9 +392,10 @@ def test_criterion_10_oracles(ref_triangle_mesh, unit_square_2):
     th = theta_field(cubic, 0, unit_square_2)
     patch = [p for p in vertex_patches(unit_square_2) if p.kind == "interior"][0]
     prob = build_patch_problem(patch_layout(unit_square_2, 0).group_of(patch.vertex), th, cubic, 0, unit_square_2)
-    s, _ = patch_equilibrate(prob)
-    sref, _ = oracles.patch_oracle(unit_square_2, patch, 0, th.coeffs, prob.chi[0], prob.g[0])
-    e2 = np.abs(s[0] - sref).max() / max(1.0, np.abs(sref).max())
+    x, _ = patch_equilibrate(prob)
+    s, ps = oracles.patch_oracle(unit_square_2, patch, 0, th.coeffs, prob.chi[0], prob.g[0])
+    sref = oracles.elem_rows(ps, s)
+    e2 = np.abs(x[0] - sref).max() / max(1.0, np.abs(sref).max())
     ok &= e2 < 1e-10
     details.append(f"patch KKT {e2:.1e}")
     # face projection vs dense 1D least squares

@@ -29,7 +29,6 @@ from hdivkit.local_solve import (
     patch_data,
     patch_equilibrate,
     patch_layout,
-    sum_patch_fields,
     theta_field,
 )
 from hdivkit.mesh import Mesh, build_lshape, build_structured, refine_uniform, vertex_patches
@@ -192,31 +191,48 @@ def test_perturbed_theta_names_the_loops_vertex(monkeypatch, p, k):
     assert _vertex(str(got.value)) == _vertex(str(want.value)) == min(m.triangles[k])
 
 
-def test_sigma_sums_patches_in_vertex_order():
-    # the stacked path equals its own group solutions zero-extended and
-    # summed one vertex at a time in ascending order, to the bit
+def test_sigma_gathers_the_patch_fluxes():
+    # the stacked path equals its own group fluxes placed on their
+    # triangles one patch at a time, zero on the slot opposite the patch
+    # vertex, summed per triangle and gathered, to the bit
     m = build_lshape(2, labels="left-neumann")
     v = stream_field()
     p = 2
     sig = project_hdiv(v, p, m)
     theta = sig.info["theta"]
-    layout = patch_layout(m, p)
-    per_vertex = {}
-    for group in layout.groups:
-        s, _ = patch_equilibrate(build_patch_problem(group, theta, v, p, m))
-        per_vertex.update({int(a): (dofs, sa) for a, dofs, sa in zip(group.verts, group.dofs, s)})
-    want = np.zeros(rtn_space(m, p).ndof)
-    for a in sorted(per_vertex):
-        dofs, sa = per_vertex[a]
-        want[dofs] += sa
-    assert np.array_equal(sig.dofs, want)
-    rng = np.random.default_rng(0)
-    parts = [(g, rng.standard_normal(g.dofs.shape)) for g in layout.groups]
-    rows = [(int(a), dofs, sa) for g, s in parts for a, dofs, sa in zip(g.verts, g.dofs, s)]
-    want = np.zeros_like(want)
-    for _, dofs, sa in sorted(rows, key=lambda row: row[0]):
-        want[dofs] += sa
-    assert np.array_equal(sum_patch_fields(parts, len(want)), want)
+    space = rtn_space(m, p)
+    rows = np.zeros((m.num_triangles, 3, space.ref.dim))
+    for group in patch_layout(m, p).groups:
+        x, _ = patch_equilibrate(build_patch_problem(group, theta, v, p, m))
+        for tris, local, xa in zip(group.tris, group.local, x):
+            for k, z, xk in zip(tris, local, xa):
+                rows[k, z] = np.where(np.arange(len(xk)) // (p + 1) == z, 0.0, xk)
+    assert np.array_equal(sig.dofs, space.gather(rows[:, 0] + rows[:, 1] + rows[:, 2]))
+
+
+SUM_MESHES = {
+    "structured4": lambda labels: build_structured(4, labels=labels),
+    "lshape2": lambda labels: build_lshape(2, labels=labels),
+    "jittered-structured4": lambda labels: jitter(build_structured(4, labels=labels), 4),
+}
+
+
+@pytest.mark.parametrize("p,variant", [(p, "def31") for p in (0, 1, 2, 3, 6)] + [(p, "def52") for p in (1, 2, 3, 6)])
+@pytest.mark.parametrize("labels", LABELS)
+@pytest.mark.parametrize("mesh_name", sorted(SUM_MESHES))
+def test_sigma_matches_the_patch_dof_sum(mesh_name, labels, p, variant):
+    # gathering element rows gives the sigma of the patch dof numbering:
+    # each patch's fluxes averaged into its patch dofs, zero-extended and
+    # summed in ascending vertex order (``oracles.sum_patch_fields``)
+    m = SUM_MESHES[mesh_name](labels)
+    v = random_conforming_field(m, p + 1, seed=p)
+    sig = project_hdiv(v, p, m, variant=variant)
+    theta = sig.info["theta"]
+    data = patch_data(theta, v, p, m)
+    parts = [(g, patch_equilibrate(build_patch_problem(g, theta, v, p, m, data=data))[0])
+             for g in patch_layout(m, p).groups]
+    want = oracles.sum_patch_fields(parts, m, p)
+    assert np.abs(sig.dofs - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def _check_multipliers(m, p, patch, mult, elem_map, nl):
@@ -245,12 +261,12 @@ def test_patch_layout_matches_patch_loop(labels, p):
         seen, rows = [], {}
         for group in layout.groups:
             n, nt = group.tris.shape
-            ndof, nl, ne = space.ref.dim, nt * space.ref.dim - group.dofs.shape[1], 3 * (p + 1)
+            ndof, nl, ne = space.ref.dim, group.nl, 3 * (p + 1)
             # the sizing rule of ``linsolve.chunks``: the element columns, five
             # arrays of the multiplier blocks and the system of each patch
             item = 8 * (nt * (ndof * (4 + ne) + 5 * ne * (ne + 1)) + nl**2)
             assert n == 1 or n * item <= STACK_BYTES
-            rows.setdefault((group.dofs.shape[1], nt, group.kernel), []).append((n, max(1, STACK_BYTES // item)))
+            rows.setdefault((nl, nt, group.kernel), []).append((n, max(1, STACK_BYTES // item)))
             assert np.all(np.diff(group.verts) > 0)
             for r, a in enumerate(group.verts):
                 patch = vertex_patches(m)[a]
@@ -258,12 +274,10 @@ def test_patch_layout_matches_patch_loop(labels, p):
                 assert group.kernel == (patch.kind in ("interior", "neumann"))
                 assert np.array_equal(group.tris[r], patch.tris)
                 assert [patch.local_index[int(k)] for k in patch.tris] == list(group.local[r])
-                assert np.array_equal(group.dofs[r], want.dofs)
-                for t, k in enumerate(patch.tris):
-                    assert np.array_equal(group.elem_map[r, t], want.elem_maps[int(k)])
-                _check_multipliers(m, p, patch, group.mult[r], group.elem_map[r], nl)
+                assert nl == nt * ndof - want.ndof
+                _check_multipliers(m, p, patch, group.mult[r], oracles.elem_maps(want), nl)
                 one = layout.group_of(a)
-                assert one.verts.tolist() == [a] and np.array_equal(one.dofs[0], want.dofs)
+                assert one.verts.tolist() == [a] and np.array_equal(one.mult[0], group.mult[r])
             seen += group.verts.tolist()
         assert sorted(seen) == list(range(m.num_vertices))
         for cut in rows.values():  # a signature is cut only where a chunk is full
@@ -275,7 +289,7 @@ def test_benchmark_meshes_run_whole_stacks(monkeypatch):
     # corner wedges of a policy and each element_solve call are one stack
     for m, p in ((build_structured(4), 6), (build_lshape(4), 3)):
         groups = patch_layout(m, p).groups
-        assert len(groups) == len({(g.dofs.shape[1], g.tris.shape[1], g.kernel) for g in groups})
+        assert len(groups) == len({(g.nl, g.tris.shape[1], g.kernel) for g in groups})
     groups = QuadPolicy(6, field=fields.catalog("lshape_singular")).groups(build_lshape(2))
     wedges = [g for g in groups if not g.shared]
     assert len(wedges) == 1 and len(wedges[0].tris) == 5
@@ -380,9 +394,9 @@ def test_single_patch_problem_matches_loop_assembly():
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), key
         assert abs(prob.compat_defect[0] - want.compat_defect) <= 1e-13
-        s, _ = patch_equilibrate(prob)
+        x, _ = patch_equilibrate(prob)
         s_ref, _ = oracles.saddle_solve_dense(want.M, want.B, want.rhs, want.grhs, kernel=want.kernel)
-        assert _rel(s[0], s_ref) <= 1e-13
+        assert _rel(x[0], oracles.elem_rows(want.pspace, s_ref)) <= 1e-13
 
 
 @pytest.mark.parametrize("variant", ["def31", "def52"])

@@ -307,3 +307,24 @@ def test_shared_edge_dofs_conforming(unit_square_2):
         v0 = field.eval(pts, elem=k0) @ n
         v1 = field.eval(pts, elem=k1) @ n
         assert np.abs(v0 - v1).max() < 1e-12 * max(1.0, np.abs(v0).max())
+
+
+@pytest.mark.parametrize("labels", ["all-dirichlet", "left-neumann", "all-neumann"])
+def test_gather_is_the_mean_of_the_two_sides(labels):
+    # element rows read from conforming dofs with zero Neumann dofs gather
+    # back to those dofs to the bit; rows whose sides differ gather to the
+    # mean of the two sides, zero on Neumann edges
+    m = jitter(build_lshape(2, labels=labels), 2)
+    space = rtn_space(m, 2)
+    dofs = random_conforming_field(m, 2, seed=3).dofs
+    assert np.array_equal(space.gather(dofs[space.dof_map]), dofs)
+    rows = RNG.standard_normal(space.dof_map.shape)
+    got = space.gather(rows)
+    want, count = np.zeros(space.ndof), np.zeros(space.ndof)
+    for k, row in enumerate(rows):
+        want[space.dof_map[k]] += row
+        count[space.dof_map[k]] += 1
+    want /= count
+    want[space.neumann_edge_dofs()] = 0.0
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    assert not np.any(got[space.neumann_edge_dofs()])

@@ -101,7 +101,8 @@ def _assert_matches_oracle(patch, theta, v, p, m, policy, tol):
         assert np.abs(got - want).max() <= tol * np.abs(want).max(), (key, patch.vertex)
     # the solved patch field against the null-space solve of the loop
     # assembly on the same data
-    want, _ = oracles.patch_oracle(m, patch, p, theta.coeffs, prob.chi[0], prob.g[0])
+    s, ps = oracles.patch_oracle(m, patch, p, theta.coeffs, prob.chi[0], prob.g[0])
+    want = oracles.elem_rows(ps, s)
     got = patch_equilibrate(prob)[0][0]
     assert np.abs(got - want).max() <= tol * np.abs(want).max(), ("s", patch.vertex)
 

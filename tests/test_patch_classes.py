@@ -49,7 +49,7 @@ def test_class_path_matches_stacked_oracle(meshes, mesh_name, labels, p, variant
     assert np.all(np.abs(got - ratios) <= 1e-13 * ratios)
     # the patches of a structured or L-shape mesh fall into 14 multiplier
     # classes; jittered, only two corner patches of lshape:2 stay alike
-    n_cls = len({(g.dofs.shape[1], g.tris.shape[1], g.kernel, c) for g in patch_layout(m, p).groups
+    n_cls = len({(g.nl, g.tris.shape[1], g.kernel, c) for g in patch_layout(m, p).groups
                  for c in g.cls.tolist()})
     assert n_cls >= m.num_vertices - 1 if mesh_name.startswith("jittered") else n_cls == 14
 
@@ -76,13 +76,13 @@ def test_class_counts_are_the_distinct_oracle_systems(monkeypatch, p):
              (lambda g, p, m, d: build_patch_problem(g, theta, v, p, m, data=d), patch_stability_ratio))
     distinct = {"S": set(), "K": set()}
     for group in patch_layout(m, p).groups:
-        s = np.zeros((len(group.verts), group.dofs.shape[1]))
+        x = np.zeros(data.chi[group.tris, group.local].shape)
         (oracle, ours) = [], []
         for (build, ratios), out in zip(paths, (oracle, ours)):
             problem = build(group, p, m, data)
             calls.clear()
-            ratios(problem, s, m)
-            out += [("S", problem.S, _classes(problem.blocks, len(s)))] + [("K", *call) for call in calls]
+            ratios(problem, x, m)
+            out += [("S", problem.S, _classes(problem.blocks, len(x)))] + [("K", *call) for call in calls]
         assert len(oracle) == len(ours)
         for (kind, A, _), (_, C, cls) in zip(oracle, ours):
             assert len(C) == len({a.tobytes() for a in A})

@@ -103,6 +103,17 @@ def test_run_study_discrete_member_zero_sentinel(tmp_path):
     assert row["E_glob"] < 1e-9
 
 
+def test_discrete_field_study_fits_no_h_rate(tmp_path):
+    # random_rtn draws an independent member on every level, so there is no
+    # h-rate to fit; the equivalence-ratio and ordering checks still run
+    s = run_study(StudyConfig(field="random_rtn:p=2", labels="all-neumann", refinements=3, degrees=[1, 2, 3],
+                              out_dir=str(tmp_path)))
+    names = [c["name"] for c in s["checks"]]
+    assert s["ok"] and not s["fits"]
+    assert not any(n.startswith("h-rate") for n in names)
+    assert "equivalence ratio stability p=1" in names and "ordering level=2 p=1" in names
+
+
 def test_field_params_and_field_spec_give_the_same_study(tmp_path):
     # the predicted h-rate min(s, p + 1) reads alpha from either spelling
     base = dict(mesh="lshape:1", refinements=3, degrees=[0], run_projector=False)
@@ -148,8 +159,24 @@ def test_build_mesh_specs(tmp_path):
     assert m2.num_triangles == m.num_triangles
 
 
-def test_verify_battery_passes():
-    results = verify()
-    failed = [r for r in results if not r.passed]
+@pytest.fixture(scope="module")
+def battery():
+    return verify()
+
+
+def test_verify_battery_passes(battery):
+    failed = [r for r in battery if not r.passed]
     assert not failed, failed
-    assert verify_exit_code(results) == 0
+    assert verify_exit_code(battery) == 0
+
+
+def test_verify_records_the_margins_it_checks(battery):
+    # the divergence bound slack and the coercivity witness are recorded
+    # negated, so a pass prints the margin by which it holds
+    from hdivkit.mesh import build_structured
+    from hdivkit.model_problems import apriori_checks, manufactured_sine
+
+    res = apriori_checks(manufactured_sine, 1, 1, [build_structured(4)])[0]
+    got = {r.name: r.value for r in battery}
+    assert got["coercivity witness nonnegative"] == -res["coercivity_witness"] < 0
+    assert got["divergence bound slack"] == -res["div_bound_slack"] < 0
