@@ -36,7 +36,7 @@ import numpy as np
 
 from . import polys
 from .linsolve import SingularSystemError, assemble_csr, check_residuals, chunks
-from .quadrature import gauss01, quad_rule, xy
+from .quadrature import check_degree, gauss01, quad_rule, xy
 
 
 def rtn_dim(p: int) -> int:
@@ -58,6 +58,10 @@ class ScalarBasis:
     """L2-orthonormal basis of P_degree on the reference triangle."""
 
     def __init__(self, degree: int):
+        # products of the basis need a rule of twice its degree: refuse an
+        # unsupported one before the O(degree^4) recurrences of
+        # ``polys.scalar_orthonormal``
+        check_degree(2 * degree)
         self.degree = degree
         self.dim = polys.tri_dim(degree)
         self.rows = polys.scalar_orthonormal(degree)
@@ -94,6 +98,7 @@ class RTNBasis:
     def __init__(self, p: int):
         if p < 0:
             raise ValueError("polynomial degree must be >= 0")
+        check_degree(2 * p + 2)  # the Gram rule below, checked before the scalar basis is built
         self.degree = p
         self.dim = rtn_dim(p)
         comp_deg = p + 1

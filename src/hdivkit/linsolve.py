@@ -4,11 +4,13 @@ Small dense systems come in stacks (one per patch or surrogate), cut into
 chunks by the one sizing rule of ``chunks``.  ``solve_stacked`` takes a
 chunk's class matrices and the place of each right-hand side in its
 class's blocks (``class_blocks``): it factors each class once per block,
-in one ``np.linalg.solve`` over the blocks, and checks every system's
-relative residual against its class matrix.  A right-hand side's bits
-depend only on its class matrix and its place, so places fixed over a whole
-stack give the same bits however the stack is chunked.  Without repeats
-each block is one system, as in a plain stacked solve.  Element
+in one ``np.linalg.solve`` over the blocks, or applies the inverses a
+caller keeps with the matrices (``class_inverses``) by one gemm per block,
+and checks every system's relative residual against its class matrix.  A
+right-hand side's bits depend only on its class matrix and its place, so
+places fixed over a whole stack give the same bits however the stack is
+chunked.  Without repeats each block is one system, as in a plain stacked
+solve.  Element
 systems are solved once per affine class (``element_solve``): the mass and
 KKT systems of an element are T_k-conjugates of reference systems that
 depend only on c_k, whose inverses the ``RTNSpace`` keeps per class; each
@@ -157,20 +159,37 @@ def class_blocks(cls, slot, width):
     return Blocks(block, slot % width, cls[order[new]], width)
 
 
-def solve_stacked(A, b, blocks=None):
+def class_inverses(A, name):
+    """The inverses of class matrices A (m, d, d), stacked, for
+    ``solve_stacked``'s ``inv``; each one's bits depend on its matrix alone.
+    SingularSystemError names ``name(c)`` for the first class whose matrix
+    LAPACK finds singular."""
+    try:
+        return np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        for c, a in enumerate(A):  # find the class; a stacked inverse does not say
+            try:
+                np.linalg.inv(a)
+            except np.linalg.LinAlgError as exc:
+                raise SingularSystemError(f"class inverse failed: {exc} ({name(c)})") from exc
+        raise
+
+
+def solve_stacked(A, b, blocks=None, inv=None, name=lambda i: f"system {i}"):
     """Solve A[c_i] x_i = b_i for class matrices A (m, d, d) and right-hand
     sides b (n, d) or blocks (n, d, r), where c_i is the class of the block
     of right-hand side i (a ``Blocks``); without ``blocks`` each
     right-hand side has its own matrix.  Every block is padded with zero
-    columns to the full width, and one LU-factorizing ``np.linalg.solve``
-    solves the stack of blocks against their class matrices: one
-    factorization per block.  A column's bits depend on its class matrix,
-    its column and the width, not on the other right-hand sides of the
-    call, so callers that place a whole stack's right-hand sides once
-    (``class_slots``) get the same bits from every cut of it into chunks.
-    The caller sizes the stack by ``chunks``.  ``dense_solve``'s
-    relative-residual check runs on every system, against its class
-    matrix."""
+    columns to the full width and solved against its class matrix: by one
+    LU-factorizing ``np.linalg.solve`` over the stack of blocks, one
+    factorization per block, or, given the kept inverses ``inv`` of A
+    (``class_inverses``), by one gemm per block.  A column's bits depend on
+    its class matrix (and inverse), its column and the width, not on the
+    other right-hand sides of the call, so callers that place a whole
+    stack's right-hand sides once (``class_slots``) get the same bits from
+    every cut of it into chunks.  The caller sizes the stack by ``chunks``.
+    ``dense_solve``'s relative-residual check runs on every system, against
+    its class matrix, and names system i by ``name(i)``."""
     A = np.asarray(A, float)
     b = np.asarray(b, float)
     rhs = b[..., None] if b.ndim == 2 else b
@@ -182,19 +201,22 @@ def solve_stacked(A, b, blocks=None):
     B[block, :, col] = rhs
     B = B.reshape(len(B), d, -1)
     # one block per class, in order: A itself
-    Ab = A if len(c) == len(A) and (c == np.arange(len(c))).all() else A[c]
-    try:
-        X = np.linalg.solve(Ab, B)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"stacked solve failed: {exc}") from exc
+    whole = len(c) == len(A) and (c == np.arange(len(c))).all()
+    Ab = A if whole else A[c]
+    if inv is not None:
+        X = (inv if whole else inv[c]) @ B
+    else:
+        try:
+            X = np.linalg.solve(Ab, B)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"stacked solve failed: {exc}") from exc
 
-    def systems(Y):  # (blocks, width, d, r): the systems of each block, padded
-        return np.swapaxes(Y.reshape(len(Y), d, width, r), 1, 2)
+    def systems(Y):  # (n, d, r): the systems of the right-hand sides
+        return np.swapaxes(Y.reshape(len(Y), d, width, r), 1, 2)[block, col]
 
-    size = np.maximum(Ab.max(axis=(1, 2)), -Ab.min(axis=(1, 2)))[:, None]
-    check_residuals(systems(B - Ab @ X), systems(B), systems(X), size,
-                    lambda i: f"system {np.flatnonzero(block * width + col == i)[0]}")
-    out = systems(X)[block, col]
+    size = np.maximum(A.max(axis=(1, 2)), -A.min(axis=(1, 2)))[c][block]
+    out = systems(X)
+    check_residuals(systems(B - Ab @ X), rhs, out, size, name)
     return out[..., 0] if b.ndim == 2 else out
 
 

@@ -33,15 +33,19 @@ their right-hand sides.  Every patch is keyed on the exact bits of what
 decides them: its elements' affine classes, edge signs, T_k edge factors
 and multiplier numbering for the multiplier system (``PatchGroup.cls``,
 per signature, with the layout); its elements' maps, node numbering and
-clamped nodes for the surrogate (``PatchGroup.surrogate``, per layout
-group, built with the surrogate's node numbering on first use).  Each call
-assembles and factors one system per class present, and
+fixed nodes for the surrogate (``PatchTables.surrogate``, per signature,
+built with the surrogate's node numbering on first use).
 ``linsolve.solve_stacked`` solves every patch against its class's system;
 the right-hand sides, the recoveries and the surrogate's numerators stay
 per patch.  A patch's place in its class's blocks is fixed over the whole
-signature, so sigma has the same bits however the layout is chunked.  Only
-integers are kept: on a mesh without repeats a stored inverse or factor per
-patch would cost more than it saves.
+signature, so sigma and the stability ratios have the same bits however
+the layout is chunked.  Where patches repeat (at most one distinct system
+of a kind per two patches of the layout) the layout keeps each distinct
+system and its inverse (``PatchTables``), assembled and inverted by the
+first call that needs them and applied by every call, so a call's results
+do not depend on the calls before it.  Elsewhere, as on a mesh without
+repeats, where a kept system per patch would cost more memory than it
+saves time, each call assembles and factors one system per class present.
 """
 
 from __future__ import annotations
@@ -62,7 +66,8 @@ from .elements import (
     rtn_space,
     scalar_moments,
 )
-from .linsolve import Blocks, chunks, class_blocks, class_slots, element_solve, eliminate, solve_stacked
+from .linsolve import (Blocks, chunks, class_blocks, class_inverses, class_slots, element_solve, eliminate,
+                       solve_stacked)
 from .mesh import DIRICHLET
 from .projections import BrokenRTNField, hat_interpolants
 from .quadpolicy import QuadPolicy
@@ -133,7 +138,8 @@ class PatchGroup:
     order of first appearance) have bitwise-equal multiplier systems;
     ``slot`` and ``width`` place each row in its class's blocks of
     ``linsolve.solve_stacked`` (``linsolve.class_slots`` over the
-    signature).
+    signature).  ``tables`` holds what the layout keeps of its systems, and
+    ``sig`` is the signature's index there.
     """
 
     verts: np.ndarray  # (n,)
@@ -145,32 +151,27 @@ class PatchGroup:
     kernel: bool  # interior and Neumann vertices: constant multiplier kernel
     nl: int
     width: int
+    tables: PatchTables = field(repr=False, compare=False)
+    sig: int
     _surrogate: list | None = field(default=None, repr=False, compare=False)
 
     def rows(self, sl):
         return PatchGroup(self.verts[sl], self.tris[sl], self.local[sl], self.mult[sl], self.cls[sl],
-                          self.slot[sl], self.kernel, self.nl, self.width)
+                          self.slot[sl], self.kernel, self.nl, self.width, self.tables, self.sig)
 
     @cached_property
     def problem_maps(self):
         """Index maps of the group's multiplier systems, integers built on
         first use: ``cols`` (n, nt, 1 + 3(p+1)), the unknown of each column
-        of an element elimination (-1: none); ``slots`` (n, nt, 3(p+1)), the
-        equation of each edge dof, one row's system after another
+        of an element elimination (``_columns``); ``slots`` (n, nt, 3(p+1)),
+        the equation of each edge dof, one row's system after another
         (``_slots``); ``rep``, the first row of each multiplier class
         present, and ``blocks``, the ``linsolve.Blocks`` of the rows against
         their systems."""
-        n, nt, L = len(self.verts), self.tris.shape[1], self.mult
-        # columns: the constant-divergence coefficient (in place of the
-        # grounded multiplier 0 at kernel patches: it takes the data's
-        # incompatible part, roundoff included, which grounding alone leaves
-        # on one edge), then the edge multipliers
-        mu = np.full((n, nt, 1), 0 if self.kernel else -1, dtype=L.dtype)
-        cols = np.concatenate([mu, np.where(self.kernel & (L == 0), -1, L)], axis=2)
         rep, cls = np.unique(self.cls, return_index=True, return_inverse=True)[1:]
         # every index is below the size of a group's stack (``chunks``)
         blocks = class_blocks(cls.reshape(-1), self.slot, self.width)
-        return cols, _slots(L, self.nl).astype(np.int32), rep, blocks
+        return _columns(self.mult, self.kernel), _slots(self.mult, self.nl).astype(np.int32), rep, blocks
 
     def surrogate(self, mesh):
         """The stability surrogate's integers, built on first use (the
@@ -178,37 +179,108 @@ class PatchGroup:
         group: for each chunk of rows whose systems fill at most
         ``POINT_BYTES`` (8 width^2 bytes a row, a row having at most
         width = nt tri_dim(p + 2) nodes), (rows, ``nodes``, ``fixed``,
-        ``rep``, ``blocks``).  ``nodes[r, t, m]`` numbers local node m of
-        triangle t by row r's P_{p+2} nodes in ascending global order;
-        ``fixed`` (n, nn) marks the nodes with an identity row (padding past
-        a row's own node count, and the clamped nodes); ``rep`` is the first
-        row of each surrogate class present and ``blocks`` the
-        ``linsolve.Blocks`` of the rows against their systems.  What decides
-        a surrogate system, and so its class over the group: its elements'
-        maps, the node numbering and the clamped nodes."""
+        ``rep``, ``present``, ``blocks``).  ``nodes`` and ``fixed`` are the
+        chunk's rows of the signature's numbering
+        (``PatchTables.surrogate``); ``rep`` is the first row of each
+        surrogate class present, ``present`` its class over the signature,
+        and ``blocks`` the ``linsolve.Blocks`` of the rows against the
+        systems of ``rep``, placed over the signature."""
         if self._surrogate is None:
-            p = self.mult.shape[2] // 3 - 1
-            nodes, clamped = _surrogate_nodes(mesh, p, self.tris, self.local, self.kernel)
-            kcls = _class_ids(mesh.Binv[self.tris], mesh.detB[self.tris], nodes, clamped)
-            slot, width = class_slots(kcls)
-            count = nodes.reshape(len(nodes), -1).max(axis=1) + 1
+            nodes, fixed, kcls, slot, width = self.tables.surrogate(mesh, self.sig)
+            # a group's rows are a run of its signature's rows
+            at = int(np.searchsorted(self.tables.signatures[self.sig].verts, self.verts[0]))
             self._surrogate = []
-            for sl in chunks(len(nodes), 8 * (nodes.shape[1] * nodes.shape[2]) ** 2, points=True):
-                nn = int(count[sl].max())
-                fixed = (np.arange(nn) >= count[sl, None]) | clamped[sl, :nn]
-                rep, cls = np.unique(kcls[sl], return_index=True, return_inverse=True)[1:]
-                self._surrogate.append((sl, nodes[sl], fixed, rep, class_blocks(cls.reshape(-1), slot[sl], width)))
+            for sl in chunks(len(self.verts), 8 * (nodes.shape[1] * nodes.shape[2]) ** 2, points=True):
+                rows = slice(at + sl.start, at + sl.stop)
+                present, rep, cls = np.unique(kcls[rows], return_index=True, return_inverse=True)
+                blocks = class_blocks(cls.reshape(-1), slot[rows], width)
+                self._surrogate.append((sl, nodes[rows], fixed[rows], rep, present, blocks))
         return self._surrogate
+
+
+class PatchTables:
+    """The patch systems a ``PatchLayout`` keeps, shared by all its groups.
+
+    ``signatures`` holds each signature's ``PatchGroup`` of all its rows,
+    which the layout's groups are runs of.  Two kinds of systems depend
+    only on the mesh and p: the multiplier systems, one per class
+    ``PatchGroup.cls``, and the stability surrogate's, one per surrogate
+    class (``surrogate``).  A kept kind holds, per signature, each class's
+    system and its inverse (``linsolve.class_inverses``) in ``systems``,
+    keyed by (kind, signature): assembled from each class's first row by
+    the first call that needs them, then applied by every call.
+
+    A kind is kept only where patches repeat: when its distinct systems over
+    the whole layout number at most one per two patches (``keep``, which
+    does not depend on the chunks).  On a repeating mesh the tables are O(1)
+    in mesh size: 14 multiplier and 9 surrogate systems on structured:8 as
+    on structured:32, 2.5 MB in all at p = 6.  On a mesh without repeats
+    they would hold a system and its inverse per patch for the life of the
+    mesh: about 110 MB of multiplier and 760 MB of surrogate systems on a
+    jittered structured:32 at p = 6, counted from the system sizes.  There
+    each call assembles and factors one system per class present in its
+    chunk.
+    """
+
+    def __init__(self, p):
+        self.p = p
+        self.signatures = []
+        self.keep = {}
+        self.systems = {}
+        self._classes = {}
+        self._numbering = None
+
+    def decide(self, kind, classes):
+        """Keep ``kind`` when its classes, ``classes`` per signature, number
+        at most half the patches."""
+        self._classes[kind] = classes
+        patches = sum(len(g.verts) for g in self.signatures)
+        self.keep[kind] = sum(int(c.max()) + 1 for c in classes) <= patches / 2
+
+    def kept(self, kind, sig, assemble):
+        """The kept (systems, inverses) of signature ``sig``'s ``kind``
+        classes, in class order, built on first use from ``assemble(rep)``,
+        the systems of the signature's rows ``rep``; None when ``kind`` is
+        not kept."""
+        if not self.keep[kind]:
+            return None
+        if (kind, sig) not in self.systems:
+            rep = np.unique(self._classes[kind][sig], return_index=True)[1]
+            verts, A = self.signatures[sig].verts, assemble(rep)
+            inv = class_inverses(A, lambda c: f"{kind} class {c}, patch of vertex {verts[rep[c]]}")
+            self.systems[kind, sig] = A, inv
+        return self.systems[kind, sig]
+
+    def surrogate(self, mesh, sig):
+        """Signature ``sig``'s surrogate numbering: ``nodes`` (n, nt, nloc),
+        which number local node m of triangle t by row r's P_{p+2} nodes in
+        ascending global order; ``fixed`` (n, nn), the nodes with an
+        identity row (padding past a row's own node count, and the clamped
+        nodes), nn the most nodes of a row; each row's surrogate class; and
+        the places of ``linsolve.class_slots``.  What decides a surrogate
+        system: its elements' maps, the node numbering and the fixed nodes.
+        Built for every signature on first use, which decides whether
+        surrogate systems are kept."""
+        if self._numbering is None:
+            self._numbering = []
+            for g in self.signatures:
+                nodes, fixed = _surrogate_nodes(mesh, self.p, g.tris, g.local, g.kernel)
+                kcls = _class_ids(mesh.Binv[g.tris], mesh.detB[g.tris], nodes, fixed)
+                self._numbering.append((nodes, fixed, kcls, *class_slots(kcls)))
+            self.decide("surrogate", [n[2] for n in self._numbering])
+        return self._numbering[sig]
 
 
 @dataclass
 class PatchLayout:
     """Every vertex patch of a mesh at degree p, in signature groups cut
     into chunks whose problems allocate at most ``STACK_BYTES`` (sized as
-    ``linsolve.chunks`` sets out)."""
+    ``linsolve.chunks`` sets out), and the systems the layout keeps
+    (``PatchTables``)."""
 
     groups: list
     where: np.ndarray  # (nv, 2): group index and row of each vertex
+    tables: PatchTables
 
     def group_of(self, vertex):
         """The group of one row holding the patch of ``vertex``."""
@@ -247,24 +319,28 @@ def _build_patch_layout(mesh, p):
     key[at & dirichlet[slot_e]] = -1
     uniq = np.unique(key[key >= 0])
     first = np.searchsorted(uniq, np.arange(nv + 1) * span)
-    lam = np.where(key >= 0, np.searchsorted(uniq, key) - first[c_vert][:, None], -1)
-    # patch-local numbers are small: int32 halves what every cached layout holds
+    # patch-local numbers are small: int32 halves what every cached layout
+    # holds and the class keys
+    lam = np.where(key >= 0, np.searchsorted(uniq, key) - first[c_vert][:, None], -1).astype(np.int32)
     mult = np.where(lam[:, :, None] >= 0, lam[:, :, None] * (p + 1) + np.arange(p + 1), -1).reshape(3 * nt, -1)
     mult = mult.astype(np.int32)
     sig = np.stack([np.diff(first) * (p + 1), count, kernel], axis=1)
     # what decides a patch's multiplier system: its elements' affine
     # classes, edge signs (``linsolve.eliminate``) and T_k edge factors, and
-    # its multiplier numbering
+    # its multiplier numbering, a fixed function of its per-slot numbers lam
     own = mesh.edge_tris[mesh.tri_edges, 0] == np.arange(nt)[:, None]
     tri_cls = _class_ids(space.classes[0], own, space.edge_scale())
+    tables = PatchTables(p)
     groups, where = [], np.empty((nv, 2), dtype=int)
     for s in np.unique(sig, axis=0):
         vs = np.flatnonzero((sig == s).all(axis=1))
         c = start[vs][:, None] + np.arange(s[1])
         tris = c_tri[c]
-        cls = _class_ids(tri_cls[tris], mult[c])
+        cls = _class_ids(tri_cls[tris], lam[c])
         slot, width = class_slots(cls)
-        group = PatchGroup(vs, tris, c_loc[c], mult[c], cls, slot, bool(s[2]), int(s[0]), width)
+        group = PatchGroup(vs, tris, c_loc[c], mult[c], cls, slot, bool(s[2]), int(s[0]), width, tables,
+                           len(tables.signatures))
+        tables.signatures.append(group)
         # a pass allocates per patch its element columns, five arrays of its
         # multiplier blocks and its system (``linsolve.chunks``)
         nl, m = s[0], 3 * (p + 1)
@@ -272,7 +348,8 @@ def _build_patch_layout(mesh, p):
             where[vs[sl], 0] = len(groups)
             where[vs[sl], 1] = np.arange(len(vs[sl]))
             groups.append(group.rows(sl))
-    return PatchLayout(groups, where)
+    tables.decide("multiplier", [g.cls for g in tables.signatures])
+    return PatchLayout(groups, where, tables)
 
 
 def _class_ids(*parts):
@@ -289,8 +366,9 @@ def _class_ids(*parts):
 def _surrogate_nodes(mesh, p, tris, local, kernel):
     """The P_{p+2} nodes of patches ``tris`` (n, nt) with the patch vertex
     at ``local``: each row's global nodes (``lagrange_nodes``) renumbered
-    in ascending order, (n, nt, nloc), and the clamped ones at Dirichlet
-    vertices, those on the Dirichlet edges there, (n, most nodes of a row)."""
+    in ascending order, (n, nt, nloc), and the fixed ones, (n, most nodes of
+    a row): padding past a row's own node count, and at Dirichlet vertices
+    the clamped nodes, those on the Dirichlet edges there."""
     q, n = p + 2, len(tris)
     row = np.arange(n)[:, None, None]
     nodes = lagrange_nodes(mesh, q)
@@ -298,15 +376,15 @@ def _surrogate_nodes(mesh, p, tris, local, kernel):
     uniq, loc = np.unique(row * stride + nodes[tris], return_inverse=True)
     start = np.searchsorted(uniq, np.arange(n + 1) * stride)
     loc = loc.reshape(tris.shape + (-1,)) - start[:-1, None, None]
-    clamped = np.zeros((n, int(np.diff(start).max())), dtype=bool)
+    fixed = np.arange(int(np.diff(start).max())) >= np.diff(start)[:, None]
     if not kernel:
         dirichlet = np.zeros(mesh.num_edges, dtype=bool)
         dirichlet[np.array(mesh.edges_with_label(DIRICHLET), dtype=int)] = True
         # edge z of a triangle lies opposite its local vertex z
         on = dirichlet[mesh.tri_edges[tris]] & (np.arange(3) != local[..., None])
         at = np.any(on[..., :, None] & (lagrange_bary(q).T == 0), axis=-2)
-        clamped[np.broadcast_to(row, at.shape)[at], loc[at]] = True
-    return loc.astype(np.int32), clamped
+        fixed[np.broadcast_to(row, at.shape)[at], loc[at]] = True
+    return loc.astype(np.int32), fixed
 
 
 # -- patch problems ----------------------------------------------------------------
@@ -316,7 +394,8 @@ def _surrogate_nodes(mesh, p, tris, local, kernel):
 class PatchGroupProblem:
     """The degree-p equilibration problems of a ``PatchGroup`` in hybrid
     form, stacked: ``chi`` (n, nt, ndof), ``g`` (n, nt, sdim), the systems
-    ``S`` (one per multiplier class present, (nc, nl, nl)) with the
+    ``S`` (one per multiplier class present, (nc, nl, nl), or the kept
+    systems of the signature with their inverses ``inv``) with the
     ``linsolve.Blocks`` of the rows against them, ``blocks`` (``None``: one
     system per row), ``b`` (n, nl), the element fluxes ``x0``
     (n, nt, ndof) and per unit of each column's unknown ``xe``
@@ -334,6 +413,7 @@ class PatchGroupProblem:
     xe: np.ndarray
     cols: np.ndarray
     compat_defect: np.ndarray
+    inv: np.ndarray | None = None
 
 
 @dataclass
@@ -427,6 +507,17 @@ def check_compatibility(verts, defects):
         )
 
 
+def _columns(L, kernel):
+    """The unknown of each column of an element elimination, for rows of
+    multiplier numbering L (n, nt, 3(p+1)): (n, nt, 1 + 3(p+1)), -1 for
+    none.  The columns: the constant-divergence coefficient (in place of the
+    grounded multiplier 0 at kernel patches: it takes the data's
+    incompatible part, roundoff included, which grounding alone leaves on
+    one edge), then the edge multipliers."""
+    mu = np.full(L.shape[:2] + (1,), 0 if kernel else -1, dtype=L.dtype)
+    return np.concatenate([mu, np.where(kernel & (L == 0), -1, L)], axis=2)
+
+
 def _slots(L, nl):
     """The equation of each numbered dof of rows L (n, ...), numbers below
     nl, when row r's system of nl equations follows row r - 1's; -1 where L
@@ -452,22 +543,36 @@ def build_patch_problem(group: PatchGroup, theta: BrokenRTNField, v, p, mesh, *,
     lies in broken RTN_p exactly; the same dof extraction realizes both.
     ``data`` holds the element tables and eliminations of ``patch_data``;
     without it they are built for the whole mesh, and ``patch_data`` gates
-    the compatibility of every patch (CompatibilityError).  The blocks E_k
-    (K_k^-1)_ss E_k^T are summed in triangle order, into one system per
-    multiplier class: for the first row of each class present.
+    the compatibility of every patch (CompatibilityError).  One multiplier
+    system per class (``_multiplier_systems``): the signature's kept systems
+    and inverses (``PatchTables.kept``), or, where none are kept, the
+    systems of the first row of each class present.
     """
     if data is None:
         data = patch_data(theta, v, p, mesh, policy=policy)
     chi, g = data.chi[group.tris, group.local], data.g[group.tris, group.local]
-    n, nl, ne = len(group.verts), group.nl, 3 * (p + 1)
+    n, ne = len(group.verts), 3 * (p + 1)
     x0, xe = chi + data.x[group.tris, :, group.local], data.x[group.tris, :, 3:]
     cols, slots, rep, blocks = group.problem_maps
-    entry = _slots(group.mult[rep], nl)[..., None] * nl + cols[rep, :, None, :]
-    idx = np.where(cols[rep, :, None, :] >= 0, entry, -1)
-    sgn = data.sign[group.tris]
-    S = _sum_into((len(rep), nl, nl), idx, sgn[rep, :, :, None] * data.x[group.tris[rep], :ne, 3:])
-    b = _sum_into((n, nl), slots, sgn * x0[..., :ne])
-    return PatchGroupProblem(group, p, chi, g, S, blocks, b, x0, xe, cols, data.defect[group.verts])
+    whole = group.tables.signatures[group.sig]
+    kept = group.tables.kept("multiplier", group.sig, lambda r: _multiplier_systems(whole, r, data, p))
+    if kept is None:
+        S, inv = _multiplier_systems(group, rep, data, p), None
+    else:
+        (S, inv), blocks = kept, blocks._replace(cls=group.cls[rep][blocks.cls])
+    b = _sum_into((n, group.nl), slots, data.sign[group.tris] * x0[..., :ne])
+    return PatchGroupProblem(group, p, chi, g, S, blocks, b, x0, xe, cols, data.defect[group.verts], inv)
+
+
+def _multiplier_systems(group, rows, data, p):
+    """The multiplier systems of ``rows`` of ``group`` (len(rows), nl, nl):
+    the blocks E_k (K_k^-1)_ss E_k^T of the eliminations in ``data``, summed
+    in triangle order.  They depend only on the mesh and p: the eliminations'
+    edge columns do not depend on the data."""
+    L, nl, ne = group.mult[rows], group.nl, 3 * (p + 1)
+    cols, tris = _columns(L, group.kernel), group.tris[rows]
+    idx = np.where(cols[:, :, None, :] >= 0, _slots(L, nl)[..., None] * nl + cols[:, :, None, :], -1)
+    return _sum_into((len(L), nl, nl), idx, data.sign[tris][..., None] * data.x[tris, :ne, 3:])
 
 
 def patch_equilibrate(problem: PatchGroupProblem):
@@ -476,8 +581,9 @@ def patch_equilibrate(problem: PatchGroupProblem):
     (n, nt, ndof), whose two sides of an interior edge agree and whose
     pinned slots vanish to roundoff, and the unknowns of the multiplier
     systems (n, nl)."""
-    n = len(problem.group.verts)
-    lam = solve_stacked(problem.S, problem.b, problem.blocks)
+    verts = problem.group.verts
+    n = len(verts)
+    lam = solve_stacked(problem.S, problem.b, problem.blocks, problem.inv, lambda i: f"patch of vertex {verts[i]}")
     row = np.arange(n)[:, None, None]
     x = problem.x0 - (problem.xe @ np.append(lam, np.zeros((n, 1)), axis=1)[row, problem.cols][..., None])[..., 0]
     return x, lam
@@ -501,8 +607,10 @@ def patch_stability_ratio(problem: PatchGroupProblem, x, mesh):
     ``lagrange_nodes``, renumbered per row (``PatchGroup.surrogate``); the
     element tables are reference tables scaled by the affine maps.  The
     rows go in chunks whose systems fill at most ``POINT_BYTES``, and each
-    chunk assembles one system per surrogate class present.  Recorded,
-    never asserted: the bound it witnesses is a cited stability result.
+    chunk solves against the signature's kept surrogate systems
+    (``PatchTables.kept``) or, where none are kept, assembles one system per
+    surrogate class present.  Recorded, never asserted: the bound it
+    witnesses is a cited stability result.
     """
     group, p = problem.group, problem.p
     return np.concatenate([_stability_ratios(group.rows(sl), part, p, problem.chi[sl], x[sl], mesh)
@@ -520,6 +628,28 @@ def _surrogate_reference(p):
     return rule, np.stack(lagrange_grads_ref(q, rule.points), axis=2), vals.sum(axis=1)
 
 
+def _surrogate_systems(mesh, p, tris, loc, fixed, kernel):
+    """The surrogate systems of patches ``tris`` (m, nt) with node numbers
+    ``loc`` and ``fixed`` nodes (``PatchTables.surrogate``): the element
+    tables (grad w, grad w)_K, by a reference rule exact in their degree
+    (at most (p + 2) + p), summed with identity rows on the fixed nodes,
+    and for kernel patches bordered by the mean-zero constraint (1, w);
+    (m, nn, nn) or (m, nn + 1, nn + 1)."""
+    rule, gref, mean_ref = _surrogate_reference(p)
+    m, nn = fixed.shape
+    flat = np.arange(m)[:, None, None] * nn + loc
+    S = _sum_into((m, nn, nn), flat[..., :, None] * nn + loc[..., None, :], _stiffness_blocks(mesh, rule, gref, tris))
+    S[fixed[:, :, None] | fixed[:, None, :]] = 0.0
+    fr, fi = np.nonzero(fixed)
+    S[fr, fi, fi] = 1.0
+    if not kernel:
+        return S
+    mean = _sum_into((m, nn), flat, mesh.detB[tris][..., None] * mean_ref)
+    K = np.zeros((m, nn + 1, nn + 1))
+    K[:, :nn, :nn], K[:, nn, :nn], K[:, :nn, nn] = S, mean, mean
+    return K
+
+
 def _stability_ratios(group, part, p, chi, x, mesh):
     # p + 2 keeps the surrogate space nontrivial even on one-triangle corner
     # patches with two clamped edges
@@ -528,30 +658,22 @@ def _stability_ratios(group, part, p, chi, x, mesh):
     tris = group.tris
     n = len(tris)
     row = np.arange(n)[:, None, None]
-    loc, fixed, rep, blocks = part
+    loc, fixed, rep, present, blocks = part
     nn = fixed.shape[1]
     # s_a - chi_a per triangle, and chi_a
     ref = space.to_ref(np.stack([x - chi, chi], axis=2), tris)
     ell = _sum_into((n, nn), row * nn + loc, -ref[:, :, 0] @ _coupling_reference(q, p).T)
     ell[fixed] = 0.0
-    # the systems of the first row of each surrogate class present: element
-    # tables (grad w, grad w)_K and (1, w)_K by reference rules exact in
-    # their degree (at most q + p)
-    rule, gref, mean_ref = _surrogate_reference(p)
-    rep_flat = np.arange(len(rep))[:, None, None] * nn + loc[rep]
-    S = _sum_into((len(rep), nn, nn), rep_flat[..., :, None] * nn + loc[rep][..., None, :],
-                  _stiffness_blocks(mesh, rule, gref, tris[rep]))
-    fix = fixed[rep]
-    S[fix[:, :, None] | fix[:, None, :]] = 0.0
-    fr, fi = np.nonzero(fix)
-    S[fr, fi, fi] = 1.0
-    if group.kernel:  # bordered by the mean-zero constraint
-        mean = _sum_into((len(rep), nn), rep_flat, mesh.detB[tris[rep]][..., None] * mean_ref)
-        K = np.zeros((len(rep), nn + 1, nn + 1))
-        K[:, :nn, :nn], K[:, nn, :nn], K[:, :nn, nn] = S, mean, mean
-        y = solve_stacked(K, np.append(ell, np.zeros((n, 1)), axis=1), blocks)[:, :nn]
+    whole = group.tables.signatures[group.sig]
+    nodes, whole_fixed = group.tables.surrogate(mesh, group.sig)[:2]
+    kept = group.tables.kept("surrogate", group.sig, lambda r: _surrogate_systems(
+        mesh, p, whole.tris[r], nodes[r], whole_fixed[r], whole.kernel))
+    if kept is None:
+        K, inv = _surrogate_systems(mesh, p, tris[rep], loc[rep], fixed[rep], group.kernel), None
     else:
-        y = solve_stacked(S, ell, blocks)
+        (K, inv), blocks = kept, blocks._replace(cls=present[blocks.cls])
+    rhs = np.append(ell, np.zeros((n, 1)), axis=1) if group.kernel else ell
+    y = solve_stacked(K, rhs, blocks, inv, lambda i: f"surrogate of vertex {group.verts[i]}")[:, :nn]
     dual = np.sqrt(np.maximum(np.sum(ell * y, axis=1), 0.0))
     # numerator: ||s_a - chi_a|| over the patch, beside ||chi_a||
     num, chi_norm = np.sqrt(np.sum(ref * space.mass(ref, tris), axis=(1, 3))).T

@@ -109,13 +109,19 @@ def _conical_rule(n: int) -> TriangleRule:
     return _rule(pts, wts, 2 * n - 1)
 
 
-@lru_cache(maxsize=None)
-def quad_rule(degree: int) -> TriangleRule:
-    """Rule on the reference triangle exact for total degree >= ``degree``."""
+def check_degree(degree: int):
+    """Raise UnsupportedDegreeError unless ``quad_rule(degree)`` has a rule:
+    tables that need one check first, before any work of their own."""
     if degree < 0:
         raise UnsupportedDegreeError("quadrature degree must be nonnegative")
     if degree > MAX_DEGREE:
         raise UnsupportedDegreeError(f"quadrature degree {degree} > {MAX_DEGREE}")
+
+
+@lru_cache(maxsize=None)
+def quad_rule(degree: int) -> TriangleRule:
+    """Rule on the reference triangle exact for total degree >= ``degree``."""
+    check_degree(degree)
     if degree <= 1:
         pts, wts = _SYM[1]
         return _rule(pts, wts, 1)

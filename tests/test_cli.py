@@ -282,6 +282,7 @@ def test_bad_degree_is_one_line_error(capsys, command, degrees):
         ["best-approx", "--quad-degree", "-3"],
         ["study", "--quad-degree", "-3", "--refinements", "1"],
         ["project", "--quad-degree", "200"],
+        ["project", "--mesh", "structured:1", "--p", "60"],
         ["project", "--variant", "def52", "--p", "0"],
         ["project", "--field", "random_rtn:p=-1"],
         ["best-approx", "--field", "random_rtn:p=1,seed=-1"],
@@ -292,7 +293,7 @@ def test_bad_degree_is_one_line_error(capsys, command, degrees):
         ["verify", "--seed", "-1"],
         ["verify", "--seed", "x"],
     ],
-    ids=["project-quad", "best-approx-quad", "study-quad", "quad-too-high", "def52-p0",
+    ids=["project-quad", "best-approx-quad", "study-quad", "quad-too-high", "rtn-degree-too-high", "def52-p0",
          "random-negative-p", "random-negative-seed", "unknown-param", "param-of-no-param-field",
          "random-fractional-p", "random-fractional-seed", "verify-negative-seed",
          "verify-bad-seed"],

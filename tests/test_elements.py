@@ -20,7 +20,7 @@ from hdivkit.mesh import build_lshape, one_triangle
 from hdivkit.projections import BrokenRTNField, ScalarPWField, canonical_interp
 from hdivkit.projector import ConformingRTNField, random_conforming_field
 from hdivkit.quadpolicy import QuadGroup, QuadPolicy
-from hdivkit.quadrature import gauss01, quad_rule
+from hdivkit.quadrature import UnsupportedDegreeError, gauss01, quad_rule
 
 RNG = np.random.default_rng(42)
 REF = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
@@ -277,6 +277,19 @@ def test_scalar_basis_matches_rational_oracle(p):
     Q[~blocks] = 0.0
     assert np.abs(Q @ Q.T - np.eye(len(Q))).max() <= 1e-12
     assert np.abs(new - Q @ old).max() <= 1e-12 * np.abs(old).max()
+
+
+def test_unsupported_degree_is_refused_before_any_table(monkeypatch):
+    # p = 60 is the first RTN degree refused (its Gram rule has degree 122,
+    # above MAX_DEGREE); the O(p^4) scalar recurrences never start
+    def built(deg):
+        raise AssertionError(f"scalar_orthonormal({deg}) built")
+
+    monkeypatch.setattr(polys, "scalar_orthonormal", built)
+    with pytest.raises(UnsupportedDegreeError, match="quadrature degree 122 > 120"):
+        rtn_reference(60)
+    with pytest.raises(UnsupportedDegreeError, match="quadrature degree 122 > 120"):
+        scalar_basis(61)
 
 
 @pytest.mark.parametrize("p", range(5))

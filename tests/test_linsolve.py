@@ -6,6 +6,8 @@ from scipy.linalg import get_lapack_funcs
 from hdivkit.linsolve import (
     SingularSystemError,
     SparseFactor,
+    class_blocks,
+    class_slots,
     dense_solve,
     solve_stacked,
 )
@@ -198,3 +200,11 @@ def test_stacked_residual_check_names_the_worst_system():
         solve_stacked(A, b)
     with pytest.raises(SingularSystemError):
         solve_stacked(np.zeros((2, 3, 3)), np.ones((2, 3)))
+    # a NaN class matrix fills its block's padding columns too; the check
+    # names the right-hand side of the call, here at column 1 of its block
+    A = np.stack([np.eye(3)] * 2)
+    A[1, 0, 0] = np.nan
+    cls = np.array([0, 1, 0, 1])
+    slot, width = class_slots(cls)
+    with pytest.raises(SingularSystemError, match=r"\(system 1\)"):
+        solve_stacked(A, np.ones((2, 3)), class_blocks(cls[2:], slot[2:], width))
