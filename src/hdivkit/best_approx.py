@@ -15,9 +15,9 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .elements import oscillation_sq, rtn_space
+from .elements import oscillation_sq, rtn_space, scalar_values
 from .linsolve import element_solve, hybrid_saddle_solve
-from .local_solve import constrained_fit, element_moments
+from .local_solve import constrained_fit
 from .projector import ConformingRTNField, check_field_compatibility
 from .quadpolicy import QuadPolicy
 
@@ -25,20 +25,24 @@ from .quadpolicy import QuadPolicy
 def _local_fits(v, p, mesh, policy, constrained=False):
     """Local best approximations on every element: element mass solves, or
     element KKT solves with the divergence constraint (``constrained_fit``),
-    of the whole mesh in one ``linsolve.element_solve`` call, and their
-    errors over the policy's quadrature groups.  Arrays in element order."""
+    of the whole mesh in one ``linsolve.element_solve`` call, from the
+    moments the policy keeps, and their errors over its quadrature groups.
+    Arrays in element order."""
     space = rtn_space(mesh, p)
-    l2, div = np.empty((2, mesh.num_triangles))
     if constrained:
         coeffs = constrained_fit(space, v, policy)
     else:
-        f = np.empty((mesh.num_triangles, space.ref.dim, 1))
-        for g, vvals, _ in policy.samples(v, mesh):
-            f[g.tris, :, 0] = space.moments(g, vvals)
+        f = policy.moments(space, v)[:, :, None]
         coeffs = element_solve(space, f, np.empty((len(f), 0, 1)), np.arange(len(f)))[0][:, :, 0]
-    for g, vvals, dvvals in policy.samples(v, mesh):
+    l2, div = np.zeros((2, mesh.num_triangles))
+    for g, vvals in zip(policy.groups(mesh), policy.values(v, mesh)):
         l2[g.tris] = np.sqrt(g.norm_sq(vvals - space.values(g, coeffs[g.tris])))
-        div[g.tris] = mesh.h[g.tris] / (p + 1) * np.sqrt(oscillation_sq(mesh, p, g, dvvals))
+    if not policy.divergence_free:
+        # the oscillation ||div v - Pi_p div v||_K, Pi_p div v from the kept moments
+        pi_div = policy.div_moments(v, mesh, p)
+        for g, dvvals in zip(policy.groups(mesh), policy.values(v, mesh, div=True)):
+            osc = g.norm_sq(dvvals - scalar_values(mesh, p, g, pi_div[g.tris]))
+            div[g.tris] = mesh.h[g.tris] / (p + 1) * np.sqrt(osc)
     return {"l2_part": l2, "div_part": div, "E_loc": np.sqrt(l2**2 + div**2), "coeffs": coeffs}
 
 
@@ -76,14 +80,15 @@ def local_best_constrained(v, p, mesh, k, *, policy=None, quad_degree=None):
 
 
 def _global_fit(v, p, mesh, policy):
-    """The global minimizer on the policy's samples
-    (``linsolve.hybrid_saddle_solve``), its squared L2 error and the
-    solve's ``info``."""
+    """The global minimizer on the moments of v and div v the policy keeps
+    (``linsolve.hybrid_saddle_solve``), its squared L2 error on its samples
+    and the solve's ``info``."""
     check_field_compatibility(v, mesh)
     space = rtn_space(mesh, p)
-    dofs, _, info = hybrid_saddle_solve(space, *element_moments(space, v, policy))
+    dofs, _, info = hybrid_saddle_solve(space, policy.moments(space, v), policy.div_moments(v, mesh, p))
     sigma = ConformingRTNField(mesh, p, dofs)
-    l2_sq = sum(grp.norm_sq(vvals - grp.eval(sigma)).sum() for grp, vvals, _ in policy.samples(v, mesh))
+    samples = zip(policy.groups(mesh), policy.values(v, mesh))
+    l2_sq = sum(grp.norm_sq(vvals - grp.eval(sigma)).sum() for grp, vvals in samples)
     return sigma, l2_sq, info
 
 
@@ -178,7 +183,8 @@ def error_report(
     rep.metadata.update({key: info[key] for key in ("kkt_residual", "system_size", "nnz_lu")})
     rep.metadata["minimizer"] = sigma
     rep.metadata["quad_degree"] = policy.base_degree
-    rep.metadata["v_norm"] = np.sqrt(sum(g.norm_sq(vvals).sum() for g, vvals, _ in policy.samples(v, mesh)))
+    samples = zip(policy.groups(mesh), policy.values(v, mesh))
+    rep.metadata["v_norm"] = np.sqrt(sum(g.norm_sq(vvals).sum() for g, vvals in samples))
     if include_constrained:
         rep.Eloc_constrained = _local_fits(v, p, mesh, policy, constrained=True)["E_loc"]
     if include_pm1 and p >= 1:

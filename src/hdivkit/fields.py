@@ -9,7 +9,11 @@ analytic fields once for all points, read discrete fields' tables through
 ``poly_degree`` (when set) lets consumers pick exact quadrature;
 ``singularity`` flags a corner point where the field behaves like r^gamma
 times a smooth function, which switches the quadrature helpers to radially
-weighted rules.
+weighted rules; ``divergence_free`` declares div v = 0 everywhere, which the
+library takes on trust: it never calls such a field's ``div``, takes every
+divergence quantity (samples, P_p moments, oscillation) as exact zeros and
+runs no quadrature self-check on it.  Discrete fields are never declared
+divergence-free.
 """
 
 from __future__ import annotations
@@ -32,6 +36,16 @@ class Singularity:
 
 @dataclass
 class AnalyticField:
+    """A vector field given by callables ``v`` (pts (n, 2) -> (n, 2)) and
+    ``div`` (pts -> (n,)).
+
+    ``divergence_free=True`` is a contract: div v = 0 everywhere.  The
+    library then never calls ``div``, its divergence data are exact zeros
+    and it gets no quadrature self-check; a field with a nonzero divergence
+    must not declare it.  ``poly_degree`` and ``singularity`` select
+    quadrature (see the module docstring).
+    """
+
     name: str
     v: callable
     div: callable
@@ -156,56 +170,3 @@ def parse_field_spec(spec: str, mesh=None):
             raise FieldError(f"bad field parameter {item!r} in {spec!r}: expected key=number")
         params[k] = value
     return catalog(name, params, mesh=mesh)
-
-
-def divergence_theorem_defect(field, coords):
-    """Relative defect of div-theorem on one triangle (quadrature self-check)."""
-    from .quadrature import gauss01, quad_rule
-
-    xs = np.asarray(coords, float).reshape(3, 2)
-    B = np.column_stack([xs[1] - xs[0], xs[2] - xs[0]])
-    detB = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
-    rule = quad_rule(20)
-    vol = float(np.sum(rule.weights * abs(detB) * field.eval_div(rule.points @ B.T + xs[0])))
-    flux = 0.0
-    abs_flux = 0.0
-    t, w = gauss01(12)
-    for a, b in ((1, 2), (2, 0), (0, 1)):
-        vec = xs[b] - xs[a]
-        L = float(np.linalg.norm(vec))
-        # the tangent rotated by -90 degrees points out of a counterclockwise triangle
-        n = np.sign(detB) * np.array([vec[1], -vec[0]]) / L
-        vn = field.eval(xs[a] + np.outer(t, vec)) @ n
-        flux += L * float(np.sum(w * vn))
-        abs_flux += L * float(np.sum(w * np.abs(vn)))
-    scale = max(abs(vol), abs_flux, 1e-30)
-    return abs(vol - flux) / scale
-
-
-def bump_field(center, radius):
-    """Smooth vector bump supported in the disc of given center/radius.
-
-    Used for locality experiments: the first component is the classical
-    mollifier profile, the second is zero.
-    """
-    cx, cy = center
-
-    def profile(pts):
-        rho2 = ((pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2) / radius**2
-        out = np.zeros(len(pts))
-        inside = rho2 < 1.0
-        out[inside] = np.exp(1.0 - 1.0 / (1.0 - rho2[inside]))
-        return out
-
-    def v(pts):
-        return np.stack([profile(pts), np.zeros(len(pts))], axis=1)
-
-    def dv(pts):
-        rho2 = ((pts[:, 0] - cx) ** 2 + (pts[:, 1] - cy) ** 2) / radius**2
-        out = np.zeros(len(pts))
-        inside = rho2 < 1.0
-        f = np.exp(1.0 - 1.0 / (1.0 - rho2[inside]))
-        out[inside] = -f * 2 * (pts[inside, 0] - cx) / radius**2 / (1 - rho2[inside]) ** 2
-        return out
-
-    return AnalyticField(name="bump", v=v, div=dv)

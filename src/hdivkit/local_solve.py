@@ -78,24 +78,13 @@ class CompatibilityError(RuntimeError):
     pass
 
 
-def element_moments(space, v, policy):
-    """Moments of v against the RTN basis of ``space`` (nt, ndof) and of
-    div v against the scalar P_p bases (nt, sdim) on every element, over
-    the policy's quadrature groups."""
-    mesh = space.mesh
-    b, g = np.empty((mesh.num_triangles, space.ref.dim)), np.empty((mesh.num_triangles, space.sdim))
-    for group, vals, dvals in policy.samples(v, mesh):
-        b[group.tris] = space.moments(group, vals)
-        g[group.tris] = scalar_moments(mesh, space.p, group, dvals)
-    return b, g
-
-
 def constrained_fit(space, v, policy):
     """Divergence-constrained L2 fits of v in ``space`` on every element,
-    from the policy's samples: the element KKT systems of the whole mesh in
-    one ``linsolve.element_solve`` call; the divergence coefficients equal
-    the projected data to solver precision.  (nt, ndof)."""
-    b, g = element_moments(space, v, policy)
+    from the moments of v and div v the policy keeps: the element KKT
+    systems of the whole mesh in one ``linsolve.element_solve`` call; the
+    divergence coefficients equal the projected data to solver precision.
+    (nt, ndof)."""
+    b, g = policy.moments(space, v), policy.div_moments(v, space.mesh, space.p)
     return element_solve(space, b[:, :, None], g[:, :, None], np.arange(len(b)))[0][:, :, 0]
 
 
@@ -475,9 +464,12 @@ def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None) -> PatchData:
 
 def _hat_div_moments(v, space, policy):
     """(lambda_i div v, phi_m)_K over the policy's quadrature groups,
-    (n, 3, sdim), and (lambda_i |div v|, 1)_K, (n, 3), for every triangle."""
-    out = np.empty((space.mesh.num_triangles, 3, space.sdim))
-    mag = np.empty((space.mesh.num_triangles, 3))
+    (n, 3, sdim), and (lambda_i |div v|, 1)_K, (n, 3), for every triangle;
+    zeros for a divergence-free field."""
+    out = np.zeros((space.mesh.num_triangles, 3, space.sdim))
+    mag = np.zeros((space.mesh.num_triangles, 3))
+    if policy.divergence_free:
+        return out, mag
     for g, dv in zip(policy.groups(space.mesh), policy.values(v, space.mesh, div=True)):
         lam = g.barycentric()
         for i in range(3):

@@ -264,7 +264,7 @@ def solve_ls_mixed(prob: PoissonProblem, p: int, q: int):
         "space": ls,
         "kkt_residual": res,
         "system_size": A.shape[0],
-        "nnz_lu": factor.lu.L.nnz + factor.lu.U.nnz,
+        "nnz_lu": factor.lu.nnz,  # stored entries, as hybrid_saddle_solve reports
         "system": (A, b),
     }
 

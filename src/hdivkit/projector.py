@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 import scipy.sparse as sp
 
-from .elements import rtn_space, scalar_moments
+from .elements import rtn_space
 from .fields import FieldError
 from .local_solve import (
     build_patch_problem,
@@ -97,7 +97,8 @@ def check_field_compatibility(v, mesh):
 
     With Neumann edges present the field must have (numerically) vanishing
     normal trace there; with an all-Neumann boundary its divergence must have
-    zero mean.  Discrete conforming samples satisfy both by construction.
+    zero mean, which a divergence-free field has by declaration.  Discrete
+    conforming samples satisfy both by construction.
     """
     if getattr(v, "is_discrete", False):
         return
@@ -114,7 +115,7 @@ def check_field_compatibility(v, mesh):
             f"field has nonzero normal trace on Neumann edges (|v.n| up to {worst:.2e}); "
             "it lies outside the constrained space for these boundary labels"
         )
-    if not mesh.edges_with_label("dirichlet"):
+    if not mesh.edges_with_label("dirichlet") and not getattr(v, "divergence_free", False):
         rule = quad_rule(12)
         pts = mesh.map_to_phys(rule.points)
         dv = np.asarray(v.eval_div(pts.reshape(-1, 2)), float).reshape(len(pts), -1)
@@ -189,13 +190,11 @@ def _project_hdiv(v, p, mesh, policy, variant, quad_degree, measure_stability):
         rows[:, z, z * (p + 1):(z + 1) * (p + 1)] = 0.0
     sigma.dofs = space.gather(rows.sum(axis=1))
     info.stability_ratios = [ratio for _, ratio in sorted(ratios)]
-    # commuting residual against the broken projection of div v, from the
-    # same samples of div v; for divergence-free data the relative
-    # denominator falls back to the dimensionally matching scale
-    # ||v|| (p+1) / h_max
-    pi_div = np.empty((mesh.num_triangles, space.sdim))
-    for g, dvals in zip(policy.groups(mesh), policy.values(v, mesh, div=True)):
-        pi_div[g.tris] = scalar_moments(mesh, p, g, dvals)
+    # commuting residual against the broken projection of div v, the
+    # moments the policy keeps (def31's fit read them too); for
+    # divergence-free data the relative denominator falls back to the
+    # dimensionally matching scale ||v|| (p+1) / h_max
+    pi_div = policy.div_moments(v, mesh, p)
     if policy.self_check:
         quadrature_self_check(pi_div, lambda g: g.eval(v, div=True), mesh, p, policy, info.warnings)
     num = np.linalg.norm(sigma.div().coeffs - pi_div)

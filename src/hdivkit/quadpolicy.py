@@ -1,12 +1,24 @@
 """Per-element quadrature selection for a given field and polynomial degree.
 
 Polynomial (discrete) fields get exact-degree rules.  Analytic fields use a
-configurable high-order rule (default degree 2p + 14) with an optional
-one-step degree-doubling self-check whose failures are recorded as warnings,
-never raised.  Fields that declare a corner singularity r^gamma get radially
-weighted product rules on elements having the corner as a vertex, Gauss-Jacobi
-edge rules on edges leaving the corner, and escalated degrees on nearby
-elements, which keeps moment errors near roundoff even for singular data.
+configurable high-order rule (default degree 2p + 14).  A one-step
+self-check recomputes P_p moments (of div v in the projector, of f in
+``project_scalar``) on rules of twice the degree and records failures as
+warnings, never raised.  Polynomial fields, integrated exactly, and
+divergence-free fields, whose divergence moments are zero on every rule,
+get no self-check.  Fields that declare a corner singularity r^gamma get
+radially weighted product rules on elements having the corner as a vertex,
+Gauss-Jacobi edge rules on edges leaving the corner, and escalated degrees on
+nearby elements, which keeps moment errors near roundoff even for singular
+data.
+
+A policy keeps what it forms from its field for as long as it lives (one
+call, or one study row): the samples of v and div v at its points
+(``values``), the RTN_p moments of v (``moments``) and the P_p moments of
+div v (``div_moments``), so every consumer in that call reads them; the
+moment tables are read-only.  For a
+field that declares ``divergence_free`` the divergence samples and moments
+are exact zeros and its ``div`` is never called.
 """
 
 from __future__ import annotations
@@ -16,7 +28,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import polys
-from .elements import rtn_dim, rtn_reference, scalar_basis
+from .elements import rtn_dim, rtn_reference, scalar_basis, scalar_moments
 from .fields import AnalyticField
 from .linsolve import chunks
 from .quadrature import corner_rule, corner_rules, edge_npts, gauss01, jacobi01, quad_rule, xy
@@ -126,8 +138,10 @@ class QuadPolicy:
     def __init__(self, p, field=None, degree=None):
         self.p = p
         poly_deg = getattr(field, "poly_degree", None) if field is not None else None
+        # div v = 0 makes every divergence quantity zero, on every rule
+        self.divergence_free = bool(getattr(field, "divergence_free", False))
         # polynomial fields are integrated exactly: nothing to self-check
-        self.self_check = poly_deg is None
+        self.self_check = poly_deg is None and not self.divergence_free
         if poly_deg is not None:
             self.base_degree = poly_deg + p + 3
         else:
@@ -213,11 +227,7 @@ class QuadPolicy:
         ``POINT_BYTES`` of per-point data, and one for the corner wedges, cut
         into chunks of at most ``STACK_BYTES`` (``linsolve.chunks``).  Built
         once per mesh."""
-        # an entry holds its mesh: a cached id must not match a later mesh
-        held = self._cache.get(("groups", id(mesh)))
-        if held is None or held[0] is not mesh:
-            held = self._cache[("groups", id(mesh))] = (mesh, list(self._grouped(mesh, check=False)))
-        return held[1]
+        return self._held(("groups", id(mesh)), mesh, None, lambda: list(self._grouped(mesh, check=False)))
 
     def edge_rules(self, mesh):
         """The edge rules of ``element_rules`` for every (triangle, slot) pair
@@ -270,17 +280,54 @@ class QuadPolicy:
             k = ks[sl]
             yield QuadGroup.at(mesh, k, *corner_rules(xs[k], corner[k], self.singularity.gamma, *size))
 
+    def _held(self, key, mesh, field, build):
+        """``build()`` for ``mesh`` and ``field``, kept under ``key`` until
+        another mesh or field asks for it."""
+        # an entry holds its mesh and field: a cached id must not match later ones
+        held = self._cache.get(key)
+        if held is None or held[0] is not mesh or held[1] is not field:
+            held = self._cache[key] = (mesh, field, build())
+        return held[2]
+
     def values(self, field, mesh, div=False):
         """``field`` (or its divergence) at the points of every group of
         ``groups``, in group order: the whole mesh is evaluated once per
-        policy, field and kind, on first use."""
+        policy, field and kind, on first use.  The divergence of a
+        divergence-free field is zero and not evaluated."""
         key = ("div" if div else "values", id(mesh))
-        held = self._cache.get(key)
-        if held is None or held[0] is not mesh or held[1] is not field:
-            held = self._cache[key] = (mesh, field, [g.eval(field, div=div) for g in self.groups(mesh)])
-        return held[2]
+        if div and self.divergence_free:
+            return self._held(key, mesh, field, lambda: [np.zeros(g.w.shape) for g in self.groups(mesh)])
+        return self._held(key, mesh, field, lambda: [g.eval(field, div=div) for g in self.groups(mesh)])
 
     def samples(self, field, mesh):
         """(group, field values, divergence values) of every group of
         ``groups``, from ``values``."""
         return list(zip(self.groups(mesh), self.values(field, mesh), self.values(field, mesh, div=True)))
+
+    def moments(self, space, field):
+        """Moments of ``field`` against the RTN basis of ``space``
+        (``RTNSpace.moments``) on every element, (nt, ndof), from its
+        ``values``; formed once per policy, field and space."""
+        def build():
+            b = np.empty((space.mesh.num_triangles, space.ref.dim))
+            for g, vals in zip(self.groups(space.mesh), self.values(field, space.mesh)):
+                b[g.tris] = space.moments(g, vals)
+            b.flags.writeable = False
+            return b
+
+        return self._held(("moments", id(space.mesh), space.p), space.mesh, field, build)
+
+    def div_moments(self, field, mesh, p):
+        """Moments of div ``field`` against the orthonormal P_p bases
+        (``elements.scalar_moments``) on every element, (nt, sdim), from its
+        divergence ``values``; zero for a divergence-free field.  Formed once
+        per policy, field and degree."""
+        def build():
+            out = np.zeros((mesh.num_triangles, polys.tri_dim(p)))
+            if not self.divergence_free:
+                for g, dvals in zip(self.groups(mesh), self.values(field, mesh, div=True)):
+                    out[g.tris] = scalar_moments(mesh, p, g, dvals)
+            out.flags.writeable = False
+            return out
+
+        return self._held(("div_moments", id(mesh), p), mesh, field, build)

@@ -10,9 +10,10 @@ from hdivkit.best_approx import (
     local_best,
     local_best_constrained,
 )
-from hdivkit.elements import oscillation_sq, rtn_space
+from hdivkit.elements import RTNSpace, oscillation_sq, rtn_space, scalar_moments
 from hdivkit.fields import FieldError
 from hdivkit.mesh import build_lshape, build_structured
+from hdivkit.model_problems import manufactured_sine
 from hdivkit.projections import random_broken_field
 from hdivkit.projector import random_conforming_field
 from hdivkit.quadpolicy import QuadPolicy
@@ -153,21 +154,55 @@ def test_local_best_rejects_a_bad_element_index(fit, k):
         fit(fields.catalog("sine_divfree"), 1, build_structured(2), k)
 
 
+def _field_on(name, mesh):
+    """A catalog field, or ``sine_flux``: the flux of ``manufactured_sine``
+    on ``mesh``, a field with a divergence."""
+    return manufactured_sine(mesh).sigma if name == "sine_flux" else fields.catalog(name, {"alpha": 2 / 3})
+
+
+@pytest.mark.parametrize("name", ["lshape_singular", "sine_flux"])
 @pytest.mark.parametrize("p", [0, 2])
-def test_error_report_reads_the_global_divergence_part_off_the_local_fits(monkeypatch, p):
+def test_error_report_reads_the_global_divergence_part_off_the_local_fits(monkeypatch, name, p):
     # div sigma is fixed elementwise by the constraint, so E_glob's
     # divergence part is sqrt(sum Eloc_div^2); error_report takes it from the
-    # local fits (one oscillation pass per group) and solves as global_best
+    # local fits, whose oscillation reads the P_p moments of div v the policy
+    # keeps (one contraction per group, none for a divergence-free field,
+    # and no oscillation_sq pass), and solves as global_best
     import hdivkit.best_approx as ba
+    import hdivkit.quadpolicy as qp
 
     m = build_lshape(2)
-    v = fields.catalog("lshape_singular", {"alpha": 2 / 3})
+    v = _field_on(name, m)
     glob = global_best(v, p, m)
-    passes = []
+    passes, contractions = [], []
     monkeypatch.setattr(ba, "oscillation_sq", lambda *a: passes.append(1) or oscillation_sq(*a))
+    monkeypatch.setattr(qp, "scalar_moments", lambda *a: contractions.append(1) or scalar_moments(*a))
     rep = error_report(v, p, m)
-    assert len(passes) == len(QuadPolicy(p, field=v).groups(m))
+    assert not passes
+    assert len(contractions) == (0 if v.divergence_free else len(QuadPolicy(p, field=v).groups(m)))
+    assert (rep.Eglob_div == 0.0) == v.divergence_free
     assert rep.Eglob_div == np.sqrt(np.sum(rep.Eloc_div**2))
     assert abs(rep.Eglob_div - glob["Eglob_div"]) <= 1e-14 * glob["Eglob_div"]
     assert rep.Eglob_l2 == glob["Eglob_l2"]
     assert abs(rep.Eglob - glob["Eglob"]) <= 1e-14 * glob["Eglob"]
+
+
+@pytest.mark.parametrize(
+    "mesh", [lambda: build_structured(4), lambda: build_lshape(2)], ids=["structured4", "lshape2"]
+)
+@pytest.mark.parametrize("p", [0, 2])
+def test_error_report_forms_the_element_moments_once_per_group(monkeypatch, mesh, p):
+    # the unconstrained fits, the global solve and the constrained fits read
+    # the RTN moments of v and the P_p moments of div v the policy keeps:
+    # each is contracted once per group of the policy
+    import hdivkit.quadpolicy as qp
+
+    m = mesh()
+    v = manufactured_sine(m).sigma
+    rtn, div = [], []
+    moments = RTNSpace.moments
+    monkeypatch.setattr(RTNSpace, "moments", lambda self, *a: rtn.append(1) or moments(self, *a))
+    monkeypatch.setattr(qp, "scalar_moments", lambda *a: div.append(1) or scalar_moments(*a))
+    error_report(v, p, m, include_constrained=True)
+    groups = len(QuadPolicy(p, field=v).groups(m))
+    assert len(rtn) == groups and len(div) == groups

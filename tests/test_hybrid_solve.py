@@ -6,9 +6,9 @@ import pytest
 from hdivkit import fields
 from hdivkit.best_approx import error_report, global_best
 from hdivkit.elements import rtn_space, scalar_moments
-from hdivkit.linsolve import hybrid_saddle_solve
+from hdivkit.linsolve import SparseFactor, hybrid_saddle_solve
 from hdivkit.mesh import build_lshape, build_structured
-from hdivkit.model_problems import _data_moments, manufactured_sine, solve_mixed
+from hdivkit.model_problems import _data_moments, manufactured_sine, solve_ls_mixed, solve_mixed
 from hdivkit.projector import ConformingRTNField
 from hdivkit.quadpolicy import QuadPolicy
 from oracles import conforming_saddle_oracle
@@ -127,6 +127,36 @@ def test_system_size_counts_the_edge_multipliers(meshes, name, labels, p):
     if labels == "all-dirichlet":
         res = solve_mixed(manufactured_sine(mesh), p)
         assert res["system_size"] == expected and res["nnz_lu"] > 0
+
+
+@pytest.mark.parametrize(
+    "solve,mesh,p",
+    [
+        (solve_mixed, lambda: build_structured(8), 1),
+        (lambda prob, p: solve_ls_mixed(prob, p, 2), lambda: build_lshape(4), 2),
+    ],
+    ids=["mixed-structured8", "ls-lshape4"],
+)
+def test_nnz_lu_is_the_count_superlu_stores(monkeypatch, solve, mesh, p):
+    # nnz_lu reads SuperLU's own count of its stored entries, which takes
+    # the explicit zeros of its supernodes, and builds no copy of L and U;
+    # on these systems it exceeds the nonzeros of L and U as built
+    import hdivkit.linsolve
+    import hdivkit.model_problems
+
+    factors = []
+
+    class Captured(SparseFactor):
+        def __init__(self, A):
+            super().__init__(A)
+            factors.append(self)
+
+    for module in (hdivkit.linsolve, hdivkit.model_problems):
+        monkeypatch.setattr(module, "SparseFactor", Captured)
+    res = solve(manufactured_sine(mesh()), p)
+    (factor,) = factors
+    assert res["nnz_lu"] == factor.lu.nnz
+    assert factor.lu.nnz > factor.lu.L.nnz + factor.lu.U.nnz
 
 
 def test_single_element_has_no_multiplier(ref_triangle_mesh):

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ from hdivkit.best_approx import error_report
 from hdivkit.fields import FieldError
 from hdivkit.local_solve import CompatibilityError, build_patch_problem, patch_layout, theta_field
 from hdivkit.mesh import Mesh, build_lshape, build_structured, refine_uniform, vertex_patches
+from hdivkit.model_problems import manufactured_sine
 from hdivkit.projector import (
     check_field_compatibility,
     project_hdiv,
@@ -241,9 +244,12 @@ def test_report_zero_for_members(unit_square_2):
     assert max(r["lhs_sq"] for r in rep["records"]) < 1e-20 * np.linalg.norm(vh.dofs) ** 2
 
 
-def _counting_field(name):
-    """A fresh catalog field and the number of points its v and div are called at."""
-    field, count = fields.catalog(name), {"v": 0, "div": 0}
+def _counting_field(name, mesh):
+    """A fresh field and the number of points its v and div are called at: a
+    catalog field, or ``sine_flux``, the flux of ``manufactured_sine`` on
+    ``mesh``, which has a divergence and no poly_degree."""
+    field = manufactured_sine(mesh).sigma if name == "sine_flux" else fields.catalog(name)
+    count = {"v": 0, "div": 0}
 
     def counted(key, fn):
         def call(pts):
@@ -261,19 +267,22 @@ def _counting_field(name):
     [
         ("sine_divfree", lambda: build_structured(4, labels="left-neumann"), 1, "def31"),
         ("lshape_singular", lambda: build_lshape(2), 2, "def52"),
+        ("sine_flux", lambda: build_structured(4), 1, "def31"),
+        ("sine_flux", lambda: build_lshape(2), 2, "def52"),
     ],
 )
 def test_report_samples_the_field_as_the_projection_does(name, mesh, p, variant):
     # the report measures on the projection's own quadrature: one sampling of
     # v and div v serves both, so it evaluates the field at exactly the points
     # project_hdiv does alone, and v once more on the degree-p policy where
-    # def52's projection reads only div v there
+    # def52's projection reads only div v there.  The div of a
+    # divergence-free field is never called
     m = mesh()
-    alone, alone_count = _counting_field(name)
+    alone, alone_count = _counting_field(name, m)
     project_hdiv(alone, p, m, variant=variant)
-    report, report_count = _counting_field(name)
+    report, report_count = _counting_field(name, m)
     projector_report(report, p, m, variant=variant)
-    assert alone_count["v"] > 0 and alone_count["div"] > 0
+    assert alone_count["v"] > 0 and (alone_count["div"] == 0) == alone.divergence_free
     extra = _points(QuadPolicy(p, field=report).groups(m)) if variant == "def52" else 0
     assert report_count == {"v": alone_count["v"] + extra, "div": alone_count["div"]}
 
@@ -284,8 +293,13 @@ def _points(groups):
 
 @pytest.mark.parametrize(
     "name,mesh,p",
-    [("sine_divfree", lambda: build_structured(4), 1), ("lshape_singular", lambda: build_lshape(1), 2)],
-    ids=["structured4", "lshape1"],
+    [
+        ("sine_divfree", lambda: build_structured(4), 1),
+        ("lshape_singular", lambda: build_lshape(1), 2),
+        ("sine_flux", lambda: build_structured(4), 1),
+        ("sine_flux", lambda: build_lshape(1), 2),
+    ],
+    ids=["structured4", "lshape1", "structured4-flux", "lshape1-flux"],
 )
 @pytest.mark.parametrize(
     "run,kw",
@@ -303,9 +317,10 @@ def test_each_policy_samples_the_field_once(name, mesh, p, run, kw):
     # v and div v are each evaluated once at each point of each policy's
     # groups that reads them, plus div v once per point of the projection's
     # degree-doubling self-check.  def52 adds the fit's degree p - 1 policy;
-    # its projection alone reads only div v on the degree-p policy
+    # its projection alone reads only div v on the degree-p policy.  A
+    # divergence-free field's div is never called, and v as often as ever
     m = mesh()
-    v, count = _counting_field(name)
+    v, count = _counting_field(name, m)
     run(v, p, m, **kw)
     policy = QuadPolicy(p, field=v)
     if name == "lshape_singular":
@@ -314,7 +329,60 @@ def test_each_policy_samples_the_field_once(name, mesh, p, run, kw):
     fit = _points(QuadPolicy(p - 1, field=v).groups(m)) if kw.get("variant") == "def52" else 0
     check = _points(policy.check_groups(m)) if "variant" in kw and policy.self_check else 0
     v_want = fit if run is project_hdiv and fit else want + fit
-    assert count == {"v": v_want, "div": want + fit + check}
+    assert count == {"v": v_want, "div": 0 if v.divergence_free else want + fit + check}
+
+
+def _raising_div(pts):
+    raise AssertionError("the div of a divergence-free field was called")
+
+
+def _declared_and_zero(name):
+    """The catalog field declaring divergence_free with a div that raises,
+    and the same field with its zero div, not declaring it."""
+    field = fields.catalog(name)
+    return dataclasses.replace(field, div=_raising_div), dataclasses.replace(field, divergence_free=False)
+
+
+_DIVFREE_MESHES = [
+    ("sine_divfree", lambda: build_structured(4, labels="left-neumann")),
+    ("lshape_singular", lambda: build_lshape(2)),
+]
+
+
+@pytest.mark.parametrize("name,mesh", _DIVFREE_MESHES, ids=["structured4-left-neumann", "lshape2"])
+@pytest.mark.parametrize(
+    "variant,p", [("def31", p) for p in range(4)] + [("def52", p) for p in range(1, 4)]
+)
+def test_divergence_free_report_keeps_the_bits_without_div(name, mesh, variant, p):
+    # a divergence-free field's divergence data are exact zeros and it gets
+    # no self-check, whose moments would be zero on both rules: the
+    # projection and its report keep every bit of the same field sampled
+    # for its zero divergence (pickles keep every bit of floats and arrays)
+    m = mesh()
+    if name == "lshape_singular":
+        assert any(not g.shared for g in QuadPolicy(p, field=fields.catalog(name)).groups(m))
+    declared, zero = _declared_and_zero(name)
+    out = []
+    for v in (declared, zero):
+        rep = projector_report(v, p, m, variant=variant)
+        info = rep["sigma"].info["projector"]
+        out.append(pickle.dumps((rep["sigma"].dofs, rep["commute_residual"], rep["stability_ratios"],
+                                 rep["records"], info.compat_defects, info.warnings)))
+    assert out[0] == out[1]
+
+
+@pytest.mark.parametrize("name,mesh", _DIVFREE_MESHES, ids=["structured4-left-neumann", "lshape2"])
+@pytest.mark.parametrize("p", range(4))
+def test_divergence_free_error_report_keeps_the_bits_without_div(name, mesh, p):
+    m = mesh()
+    declared, zero = _declared_and_zero(name)
+    out = []
+    for v in (declared, zero):
+        rep = error_report(v, p, m, include_constrained=True, include_pm1=True)
+        out.append(pickle.dumps((rep.Eloc_l2, rep.Eloc_div, rep.Eloc, rep.Eglob_l2, rep.Eglob_div, rep.Eglob,
+                                 rep.Eloc_constrained, rep.Eloc_pm1, rep.metadata["kkt_residual"],
+                                 rep.metadata["v_norm"], rep.metadata["minimizer"].dofs)))
+    assert out[0] == out[1]
 
 
 def test_report_divfree_stability(unit_square_2, sine_field):
