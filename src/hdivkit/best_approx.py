@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .elements import oscillation_sq, rtn_space, scalar_values
+from .elements import rtn_space, scalar_values
 from .linsolve import element_solve, hybrid_saddle_solve
 from .local_solve import constrained_fit
 from .projector import ConformingRTNField, check_field_compatibility
@@ -104,9 +104,12 @@ def global_best(v, p, mesh, *, policy=None, quad_degree=None):
         policy = QuadPolicy(p, field=v, degree=quad_degree)
     sigma, l2_sq, info = _global_fit(v, p, mesh, policy)
     div_sq = 0.0
-    for grp, _, dvvals in policy.samples(v, mesh):
-        hscale = mesh.h[grp.tris] / (p + 1)
-        div_sq += np.sum(hscale**2 * oscillation_sq(mesh, p, grp, dvvals))
+    if not policy.divergence_free:
+        # the oscillation from the moments the solve read, as in ``_local_fits``
+        pi_div = policy.div_moments(v, mesh, p)
+        for grp, dvvals in zip(policy.groups(mesh), policy.values(v, mesh, div=True)):
+            osc = grp.norm_sq(dvvals - scalar_values(mesh, p, grp, pi_div[grp.tris]))
+            div_sq += np.sum((mesh.h[grp.tris] / (p + 1)) ** 2 * osc)
     return {
         "Eglob_l2": np.sqrt(l2_sq),
         "Eglob_div": np.sqrt(div_sq),

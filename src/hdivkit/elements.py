@@ -35,7 +35,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import polys
-from .linsolve import SingularSystemError, assemble_csr, check_residuals, chunks
+from .linsolve import SingularSystemError, assemble_csr, check_residuals, chunks, multiplier_system
 from .quadrature import check_degree, gauss01, quad_rule, xy
 
 
@@ -262,7 +262,9 @@ class RTNSpace:
     element, each built in chunks on first use and cached with the space:
     ``kkt_table`` holds K(c)^{-1} and ``mass_table`` A(c)^{-1}.
     ``linsolve.element_solve`` applies them, mapping data in and solutions
-    out through T_k.
+    out through T_k.  Mesh-wide, the space keeps, also from first use, the
+    hybridization's edge-multiplier system (``multipliers``), the only one
+    of its global matrices that depends on nothing but the mesh and p.
 
     Global dofs: edge e owns slots e*(p+1)..e*(p+1)+p; element k owns
     ne*(p+1) + k*p*(p+1) + local interior slots.  Fields with continuous
@@ -384,6 +386,13 @@ class RTNSpace:
                 check_residuals(eye - self.class_product(idx, cols), eye[None], cols, big[sl],
                                 lambda i: f"class {idx[i]}, element {np.argmax(cls == idx[i])}")
         return inv, big
+
+    @cached_property
+    def multipliers(self):
+        """The edge-multiplier numbering and SPD system of the mesh-wide
+        hybridization (``linsolve.multiplier_system``), built on first use:
+        ``linsolve.hybrid_saddle_solve`` factors it on every call."""
+        return multiplier_system(self)
 
     def class_product(self, cls, y):
         """K(c) y, or A(c) y when y has ndof rows, for vectors y (n, size, r)

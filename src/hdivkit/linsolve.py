@@ -22,8 +22,11 @@ A lone dense system goes through LAPACK Bunch-Kaufman (``dense_solve``:
 refinement).  Saddle problems over several elements are hybridized: the
 element eliminations (``eliminate``) leave an SPD
 system in edge multipliers, mesh-wide in ``hybrid_saddle_solve`` and per
-vertex patch in ``local_solve``; every sparse system is SPD and goes
-through SuperLU in its symmetric mode, refined once.
+vertex patch in ``local_solve``.  The mesh-wide one depends only on the
+mesh and p: the space keeps it, assembled (``multiplier_system``), and a
+call forms only its data column.  Every sparse system is SPD and goes
+through SuperLU in its symmetric mode, refined once; factors are not kept,
+each call factors its matrix afresh (``SparseFactor``).
 ``assemble_csr`` is the single place where element blocks are summed into a
 global sparse matrix.
 """
@@ -263,7 +266,8 @@ def eliminate(space, rhs, g):
     sgn = np.repeat(np.where(own, 1.0, -1.0), p + 1, axis=1)
     X = np.empty((len(tris), d, r + ne))
     U = np.empty((len(tris), space.sdim, r + ne))
-    X[:, :, :r], U[:, :, :r] = element_solve(space, rhs, g, tris)
+    if r:
+        X[:, :, :r], U[:, :, :r] = element_solve(space, rhs, g, tris)
     inv, cls = space.kkt_table[0], space.classes[0]
     w = (sgn * space.edge_scale())[:, None, :]
     root = np.sqrt(space.detB)[:, None, None]
@@ -314,36 +318,64 @@ class SparseFactor:
         return x + self.lu.solve(b - self.A @ x)
 
 
-def hybrid_saddle_solve(space, rhs, g):
-    """Minimize 1/2 s^T M s - rhs^T s subject to B s = g over the conforming
-    space, from element moments ``rhs`` (nt, ndof) and data ``g`` (nt, sdim).
+class Multipliers(NamedTuple):
+    """The edge-multiplier system of a mesh-wide hybridization
+    (``multiplier_system``), kept with its ``RTNSpace``."""
 
-    One multiplier per dof of each interior and Neumann edge enforces the
-    normal continuity (+1 on the ``edge_tris[e, 0]`` side); the element
-    eliminations against [F_k | E_k^T] (``eliminate``) leave the SPD system
-    sum_k E_k (K_k^-1)_ss E_k^T.  Without a Dirichlet edge, g is made compatible, one
-    lowest-order multiplier is grounded and u is made orthogonal to the
-    constants.  Returns (s (ndof,), u (nt, sdim), info: ``kkt_residual`` and
-    ``div_defect`` of the conforming system, ``system_size``, ``nnz_lu``).
-    ``nnz_lu`` counts the entries SuperLU stores for L and U (``lu.nnz``),
-    the explicit zeros of its supernodes included; reading it copies no
-    factor.
-    """
-    mesh, dofs, ne = space.mesh, space.dof_map, 3 * (space.p + 1)
-    g = np.array(g, float)
+    lam: np.ndarray  # (nt, 3(p+1)): multiplier of each element edge dof, -1 for none
+    grounded: bool  # no Dirichlet edge: one lowest-order multiplier is grounded
+    A: sp.csc_matrix  # sum_k E_k (K_k^-1)_ss E_k^T over the multipliers, read-only
+
+
+def multiplier_system(space):
+    """The ``Multipliers`` of ``space``: one multiplier per dof of each
+    interior and Neumann edge (+1 on the ``edge_tris[e, 0]`` side), the last
+    one grounded when no edge is Dirichlet, and the SPD matrix
+    sum_k E_k (K_k^-1)_ss E_k^T, symmetrized, from the edge columns of
+    ``eliminate``.  Those depend only on the mesh and p, so
+    ``RTNSpace.multipliers`` builds this once, on first use; its arrays are
+    read-only."""
+    mesh, ne, nt = space.mesh, 3 * (space.p + 1), len(space)
     on = np.repeat(mesh.edge_tris[:, 1] >= 0, space.p + 1)  # edge dofs with a multiplier
     on[space.neumann_edge_dofs()] = True
     grounded = bool(on.all())
     n = int(on.sum()) - grounded
-    lam = np.where(on, np.cumsum(on) - 1 - grounded, -1)[dofs[:, :ne]]  # -1: none
+    lam = np.where(on, np.cumsum(on) - 1 - grounded, -1)[space.dof_map[:, :ne]]
+    sgn, X, _ = eliminate(space, np.empty((nt, space.ref.dim, 0)), np.empty((nt, space.sdim, 0)))
+    EX = sgn[:, :, None] * X[:, :ne]  # E_k applied to every edge column
+    A = sp.csc_matrix(assemble_csr(lam, lam, (EX + np.swapaxes(EX, 1, 2)) / 2, (n, n)))
+    for a in (lam, A.data, A.indices, A.indptr):
+        a.flags.writeable = False
+    return Multipliers(lam, grounded, A)
+
+
+def hybrid_saddle_solve(space, rhs, g):
+    """Minimize 1/2 s^T M s - rhs^T s subject to B s = g over the conforming
+    space, from element moments ``rhs`` (nt, ndof) and data ``g`` (nt, sdim).
+
+    Edge multipliers enforce the normal continuity; the element eliminations
+    against [F_k | E_k^T] (``eliminate``) leave the SPD system
+    sum_k E_k (K_k^-1)_ss E_k^T in them, which the space keeps
+    (``RTNSpace.multipliers``, ``multiplier_system``): a call forms only its
+    data column E_k F_k and factors the kept matrix afresh.  Without a
+    Dirichlet edge, g is made compatible, one lowest-order multiplier is
+    grounded and u is made orthogonal to the constants.  Returns
+    (s (ndof,), u (nt, sdim), info: ``kkt_residual`` and ``div_defect`` of
+    the conforming system, ``system_size``, ``nnz_lu``).  ``nnz_lu`` counts
+    the entries SuperLU stores for L and U (``lu.nnz``), the explicit zeros
+    of its supernodes included; reading it copies no factor.
+    """
+    mesh, dofs, ne = space.mesh, space.dof_map, 3 * (space.p + 1)
+    lam, grounded, A = space.multipliers
+    n = A.shape[0]
+    g = np.array(g, float)
     k0 = np.sqrt(mesh.area)  # the constant multiplier mode of a pure Neumann problem
     if grounded:
         g[:, 0] -= k0 * (k0 @ g[:, 0]) / (k0 @ k0)
     sgn, X, U = eliminate(space, rhs[:, :, None], g[:, :, None])
-    EX = sgn[:, :, None] * X[:, :ne]  # E_k applied to every solution column
-    S = (EX[:, :, 1:] + np.swapaxes(EX[:, :, 1:], 1, 2)) / 2  # E_k (K_k^-1)_ss E_k^T
-    factor = SparseFactor(assemble_csr(lam, lam, S, (n, n)))
-    mu = np.append(factor.solve(np.bincount(lam[lam >= 0], EX[:, :, 0][lam >= 0], n)), 0.0)[lam]
+    f = sgn * X[:, :ne, 0]  # E_k applied to the data column
+    factor = SparseFactor(A)
+    mu = np.append(factor.solve(np.bincount(lam[lam >= 0], f[lam >= 0], n)), 0.0)[lam]
     sk = X[:, :, 0] - np.einsum("kdj,kj->kd", X[:, :, 1:], mu)
     u = U[:, :, 0] - np.einsum("kdj,kj->kd", U[:, :, 1:], mu)
     if grounded:

@@ -7,6 +7,11 @@ continuous P_q potential through the first-order system functional
   l^2 ||div p - f||^2 + ||p + grad u||^2 ,
 whose bilinear form is coercive with constant 1/8 in the scaled norm.  The
 mixed system is solved hybridized; the other sparse systems are SPD as posed.
+Both global matrices depend only on the mesh, the degrees and l^2, and the
+mesh keeps them assembled: the hybrid multiplier matrix with its
+``RTNSpace``, the least-squares matrix per (p, q) for the exact bits of l^2
+(``_ls_system``).  A call forms only its right-hand side and factors the
+kept matrix afresh.
 """
 
 from __future__ import annotations
@@ -185,7 +190,6 @@ class LagrangeSpace:
             + mesh.num_edges * self.n_edge
             + mesh.num_triangles * self.n_int
         )
-        self.nodal = polys.lagrange_nodal(q)
         self.bary = lagrange_bary(q)
         self._elem_nodes = lagrange_nodes(mesh, q)
         # the local nodes on an element's boundary edges (edge z lies opposite vertex z)
@@ -196,31 +200,11 @@ class LagrangeSpace:
         self.free = np.ones(self.n_nodes, dtype=bool)
         self.free[self.boundary_nodes] = False
         self.free_index = np.flatnonzero(self.free)
-        self.pos = -np.ones(self.n_nodes, dtype=int)
-        self.pos[self.free_index] = np.arange(len(self.free_index))
-
-    def node_coords(self):
-        mesh = self.mesh
-        coords = np.zeros((self.n_nodes, 2))
-        xs = mesh.vertices[mesh.triangles]
-        coords[self._elem_nodes] = np.einsum("mi,kid->kmd", self.bary / self.q, xs)
-        return coords
-
-    def basis_values(self, refpts):
-        return self.nodal.T @ polys.eval_monomials(self.q, refpts)
+        for a in (self.boundary_nodes, self.free, self.free_index):  # a kept space is shared
+            a.flags.writeable = False
 
     def basis_grads_ref(self, refpts):
         return lagrange_grads_ref(self.q, refpts)
-
-    def eval_element(self, nodal_values, k, refpts):
-        ids = self._elem_nodes[k]
-        return nodal_values[ids] @ self.basis_values(refpts)
-
-    def eval_grad_element(self, nodal_values, k, refpts):
-        gx, gy = self.basis_grads_ref(refpts)
-        el_vals = nodal_values[self._elem_nodes[k]]
-        gref = np.stack([el_vals @ gx, el_vals @ gy], axis=1)
-        return gref @ self.mesh.Binv[k]
 
 
 def _lagrange_stiffness(ls: LagrangeSpace, rule):
@@ -228,15 +212,20 @@ def _lagrange_stiffness(ls: LagrangeSpace, rule):
     return assemble_csr(ls._elem_nodes, ls._elem_nodes, blocks, (ls.n_nodes, ls.n_nodes))
 
 
-def solve_ls_mixed(prob: PoissonProblem, p: int, q: int):
-    """Least-squares mixed method: minimize the first-order system functional
-    over conforming RTN_p fluxes and zero-trace P_q potentials.  ``system``
-    is the factorized (A, b) over the fluxes, then the free potential nodes."""
-    mesh = prob.mesh
-    policy = QuadPolicy(p, field=prob.sigma, degree=None)
+def _ls_system(prob, p, q, policy):
+    """(A, B, ls, fmom): the least-squares matrix over the fluxes, then the
+    free potential nodes, the divergence B, the zero-trace P_q space and the
+    data moments.  A, B and ls depend only on the mesh, p, q and l^2: the
+    mesh keeps them per (p, q) for the exact bits of l^2, and builds them
+    again, in place of the old ones, when another l^2 asks.  Their sparse
+    arrays are read-only."""
+    mesh, l2 = prob.mesh, prob.l_omega**2
+    key, bits = ("ls_system", p, q), np.float64(l2).tobytes()
+    held = mesh._cache.get(key)
+    if held is not None and held[0] == bits:
+        return (*held[1:], _data_moments(prob, policy).ravel())
     space, M, B, fmom = _flux_system(prob, p, policy)
     ls = LagrangeSpace(mesh, q)
-    l2 = prob.l_omega**2
     # D = B^T B is (div, div) on conforming dofs thanks to the orthonormal
     # scalar basis; G couples fluxes with potential gradients
     D = (B.T @ B).tocsr()
@@ -251,12 +240,29 @@ def solve_ls_mixed(prob: PoissonProblem, p: int, q: int):
         ],
         format="csc",
     )
-    b = np.concatenate([l2 * (B.T @ fmom), np.zeros(len(fr))])
+    for a in (A.data, A.indices, A.indptr, B.data, B.indices, B.indptr):
+        a.flags.writeable = False
+    mesh._cache[key] = (bits, A, B, ls)
+    return A, B, ls, fmom
+
+
+def solve_ls_mixed(prob: PoissonProblem, p: int, q: int):
+    """Least-squares mixed method: minimize the first-order system functional
+    over conforming RTN_p fluxes and zero-trace P_q potentials.  The matrix
+    is assembled once per mesh, p, q and l^2 and kept (``_ls_system``); a
+    call forms its data moments and right-hand side, and factors the kept
+    matrix afresh.  ``system`` is (A, b) over the fluxes, then the free
+    potential nodes: the kept, read-only A and this call's b."""
+    policy = QuadPolicy(p, field=prob.sigma, degree=None)
+    A, B, ls, fmom = _ls_system(prob, p, q, policy)
+    fr = ls.free_index
+    b = np.concatenate([prob.l_omega**2 * (B.T @ fmom), np.zeros(len(fr))])
     factor = SparseFactor(A)
     sol = factor.solve(b)
-    sigma = ConformingRTNField(mesh, p, sol[: space.ndof])
+    nf = B.shape[1]
+    sigma = ConformingRTNField(prob.mesh, p, sol[:nf])
     u = np.zeros(ls.n_nodes)
-    u[fr] = sol[space.ndof :]
+    u[fr] = sol[nf:]
     res = np.linalg.norm(A @ sol - b) / max(np.linalg.norm(b), 1e-300)
     return {
         "sigma": sigma,
@@ -412,18 +418,3 @@ def _div_oscillation(prob, p, *, quad_degree=None):
     policy = QuadPolicy(p, field=prob.sigma, degree=quad_degree)
     osc = (oscillation_sq(prob.mesh, p, g, g.eval(prob.sigma, div=True)).sum() for g in policy.groups(prob.mesh))
     return np.sqrt(sum(osc))
-
-
-def galerkin_orthogonality(res):
-    """Residual of the least-squares orthogonality on random discrete pairs.
-
-    The exact pair satisfies A(s, u; p, v) = l^2 (f, div p); the discrete
-    residual y^T (A x - b) against discrete test pairs y measures solver fidelity.
-    """
-    A, b = res["system"]
-    Ax = A @ np.concatenate([res["sigma"].dofs, res["u"][res["space"].free_index]])
-    worst = 0.0
-    for y in _random_pairs(res):
-        lhs, rhs = float(y @ Ax), float(y @ b)
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
-    return worst

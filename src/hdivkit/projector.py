@@ -226,7 +226,10 @@ def projector_report(v, p, mesh, *, variant="def31", policy=None, quad_degree=No
     hscale = mesh.h / (p + 1)
     nt = mesh.num_triangles
     err2, derr2, pk2, vnorm2 = np.zeros((4, nt))
-    for g, vvals, dvvals in policy.samples(v, mesh):
+    groups = policy.groups(mesh)
+    # a divergence-free field holds no divergence samples: its error is -div sigma
+    divs = [0.0] * len(groups) if policy.divergence_free else policy.values(v, mesh, div=True)
+    for g, vvals, dvvals in zip(groups, policy.values(v, mesh), divs):
         svals = g.eval(sigma)
         err2[g.tris] = g.norm_sq(vvals - svals)
         derr2[g.tris] = hscale[g.tris] ** 2 * g.norm_sq(dvvals - g.eval(sigma, div=True))

@@ -10,7 +10,7 @@ from hdivkit.best_approx import (
     local_best,
     local_best_constrained,
 )
-from hdivkit.elements import RTNSpace, oscillation_sq, rtn_space, scalar_moments
+from hdivkit.elements import RTNSpace, rtn_space, scalar_moments
 from hdivkit.fields import FieldError
 from hdivkit.mesh import build_lshape, build_structured
 from hdivkit.model_problems import manufactured_sine
@@ -165,21 +165,23 @@ def _field_on(name, mesh):
 def test_error_report_reads_the_global_divergence_part_off_the_local_fits(monkeypatch, name, p):
     # div sigma is fixed elementwise by the constraint, so E_glob's
     # divergence part is sqrt(sum Eloc_div^2); error_report takes it from the
-    # local fits, whose oscillation reads the P_p moments of div v the policy
-    # keeps (one contraction per group, none for a divergence-free field,
-    # and no oscillation_sq pass), and solves as global_best
+    # local fits and solves as global_best.  Both read the oscillation off
+    # the P_p moments of div v the policy keeps (one contraction per group,
+    # none for a divergence-free field, and no oscillation_sq pass)
     import hdivkit.best_approx as ba
     import hdivkit.quadpolicy as qp
 
     m = build_lshape(2)
     v = _field_on(name, m)
-    glob = global_best(v, p, m)
-    passes, contractions = [], []
-    monkeypatch.setattr(ba, "oscillation_sq", lambda *a: passes.append(1) or oscillation_sq(*a))
+    contractions = []
     monkeypatch.setattr(qp, "scalar_moments", lambda *a: contractions.append(1) or scalar_moments(*a))
+    want = 0 if v.divergence_free else len(QuadPolicy(p, field=v).groups(m))
+    glob = global_best(v, p, m)
+    assert len(contractions) == want
+    contractions.clear()
     rep = error_report(v, p, m)
-    assert not passes
-    assert len(contractions) == (0 if v.divergence_free else len(QuadPolicy(p, field=v).groups(m)))
+    assert not hasattr(ba, "oscillation_sq")
+    assert len(contractions) == want
     assert (rep.Eglob_div == 0.0) == v.divergence_free
     assert rep.Eglob_div == np.sqrt(np.sum(rep.Eloc_div**2))
     assert abs(rep.Eglob_div - glob["Eglob_div"]) <= 1e-14 * glob["Eglob_div"]

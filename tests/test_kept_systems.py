@@ -1,0 +1,106 @@
+"""The global systems a mesh keeps: the hybridization's multiplier matrix
+(``RTNSpace.multipliers``) and the least-squares matrix (kept per p, q and
+the bits of l^2).  A repeated call reuses them and factors them afresh, so
+it gives the bits of the first call and of a call on a fresh mesh; the kept
+arrays are read-only."""
+
+import numpy as np
+import pytest
+
+import hdivkit.linsolve
+import hdivkit.model_problems
+from hdivkit.best_approx import error_report, global_best
+from hdivkit.elements import rtn_space
+from hdivkit.mesh import build_lshape, build_structured
+from hdivkit.model_problems import manufactured_sine, solve_ls_mixed, solve_mixed
+from test_batched_projector import stream_field
+from test_hybrid_solve import gradient_field
+
+MESHES = {"structured4": lambda labels: build_structured(4, labels=labels),
+          "lshape2": lambda labels: build_lshape(2, labels=labels)}
+
+
+def _mixed(prob, p):
+    res = solve_mixed(prob, p)
+    return [res["sigma"].dofs, res["u"].coeffs, res["kkt_residual"], res["system_size"], res["nnz_lu"]]
+
+
+def _ls(prob, p):
+    res = solve_ls_mixed(prob, p, p + 1)
+    A, b = res["system"]
+    return [res["sigma"].dofs, res["u"], res["kkt_residual"], res["nnz_lu"], A.data, A.indices, A.indptr, b]
+
+
+def _best(v, p, mesh):
+    rep, glob = error_report(v, p, mesh), global_best(v, p, mesh)
+    return [rep.Eloc, rep.Eglob_l2, rep.Eglob_div, rep.metadata["minimizer"].dofs, rep.metadata["nnz_lu"],
+            glob["minimizer"].dofs, glob["Eglob"], glob["Eglob_div"], glob["kkt_residual"], glob["system_size"]]
+
+
+def _same(a, b):
+    return all(np.asarray(x).tobytes() == np.asarray(y).tobytes() for x, y in zip(a, b, strict=True))
+
+
+@pytest.mark.parametrize("name", sorted(MESHES))
+@pytest.mark.parametrize("labels", ["all-dirichlet", "left-neumann", "all-neumann"])
+@pytest.mark.parametrize("p", [0, 2])
+def test_repeated_calls_give_the_bits_of_a_fresh_mesh(name, labels, p):
+    mesh = MESHES[name](labels)
+    runs = [lambda m, v=v: _best(v, p, m) for v in (gradient_field(), stream_field())]
+    if labels == "all-dirichlet":  # the model problems are all-Dirichlet
+        runs += [lambda m: _mixed(manufactured_sine(m), p), lambda m: _ls(manufactured_sine(m), p)]
+    for run in runs:
+        first = run(mesh)
+        assert _same(run(mesh), first)
+        assert _same(run(MESHES[name](labels)), first)
+
+
+def test_single_element_keeps_an_empty_system(ref_triangle_mesh):
+    first = _best(gradient_field(), 1, ref_triangle_mesh)
+    assert first[-1] == 0 and rtn_space(ref_triangle_mesh, 1).multipliers.A.shape == (0, 0)
+    assert _same(_best(gradient_field(), 1, ref_triangle_mesh), first)
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_second_call_assembles_nothing(monkeypatch, p):
+    # the kept matrices are the whole assembly: a repeated call forms only
+    # its data and factors
+    calls = []
+    for module in (hdivkit.linsolve, hdivkit.model_problems):
+        real = module.assemble_csr
+        monkeypatch.setattr(module, "assemble_csr", lambda *a, real=real: calls.append(1) or real(*a))
+    prob = manufactured_sine(build_lshape(2))
+    for solve in (lambda: solve_mixed(prob, p), lambda: global_best(prob.sigma, p, prob.mesh),
+                  lambda: solve_ls_mixed(prob, p, p + 1)):
+        solve()
+        calls.clear()
+        solve()
+        assert not calls
+
+
+def test_kept_arrays_are_read_only():
+    prob = manufactured_sine(build_structured(4))
+    res = solve_ls_mixed(prob, 1, 2)
+    first = _ls(prob, 1)
+    A = res["system"][0]
+    for a in (A.data, A.indices, A.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        res["space"].free_index[0] = 0
+    assert _same(_ls(prob, 1), first)
+    solve_mixed(prob, 1)
+    kept = rtn_space(prob.mesh, 1).multipliers
+    for a in (kept.lam, kept.A.data, kept.A.indices, kept.A.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 1
+
+
+def test_another_l2_rebuilds_the_least_squares_system():
+    prob = manufactured_sine(build_lshape(2))
+    first = _ls(prob, 1)
+    for l_omega in (0.37, np.nextafter(prob.mesh.diameter(), 0.0)):  # exact bits: a last-place change counts
+        other = manufactured_sine(build_lshape(2))
+        prob.l_omega = other.l_omega = l_omega
+        assert _same(_ls(prob, 1), _ls(other, 1))
+        assert not _same(_ls(prob, 1), first)
