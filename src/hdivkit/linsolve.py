@@ -5,13 +5,15 @@ chunks by the one sizing rule of ``chunks``.  ``solve_stacked`` takes a
 chunk's class matrices and the place of each right-hand side in its
 class's blocks (``class_blocks``): it factors each class once per block,
 in one ``np.linalg.solve`` over the blocks, or applies the inverses a
-caller keeps with the matrices (``class_inverses``) by one gemm per block,
-and checks every system's relative residual against its class matrix.  A
-right-hand side's bits depend only on its class matrix and its place, so
-places fixed over a whole stack give the same bits however the stack is
-chunked.  Without repeats each block is one system, as in a plain stacked
-solve.  Element
-systems are solved once per affine class (``element_solve``): the mass and
+caller keeps (``class_inverses``) by one gemm per block, and checks every
+system's relative residual against its class matrix.  A caller that
+keeps only the inverses checks the residuals itself (``check_residuals``):
+the vertex patches do so per patch, from the patch's own element columns
+(``local_solve.patch_equilibrate``).  A right-hand side's bits depend
+only on its class matrix and its place, so places fixed over a whole stack
+give the same bits however the stack is chunked.  Without repeats each
+block is one system, as in a plain stacked solve.  Element systems are
+solved once per affine class (``element_solve``): the mass and
 KKT systems of an element are T_k-conjugates of reference systems that
 depend only on c_k, whose inverses the ``RTNSpace`` keeps per class; each
 call maps its data in, applies the class inverses and checks the residuals
@@ -26,7 +28,9 @@ vertex patch in ``local_solve``.  The mesh-wide one depends only on the
 mesh and p: the space keeps it, assembled (``multiplier_system``), and a
 call forms only its data column.  Every sparse system is SPD and goes
 through SuperLU in its symmetric mode, refined once; factors are not kept,
-each call factors its matrix afresh (``SparseFactor``).
+each call factors its matrix afresh (``SparseFactor``).  A kept matrix's
+symmetry is checked once, where it is built (``check_symmetric``); a
+fresh matrix, each time it is factored.
 ``assemble_csr`` is the single place where element blocks are summed into a
 global sparse matrix.
 """
@@ -105,6 +109,12 @@ def chunks(n, item_bytes, points=False):
     rule, and the stability surrogate 8 width^2 bytes per patch."""
     step = max(1, (POINT_BYTES if points else STACK_BYTES) // max(int(item_bytes), 1))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def max_abs(A):
+    """max|A_c| of each matrix of a stack A (m, d, d), with no temporary of
+    its size."""
+    return np.maximum(A.max(axis=(1, 2)), -A.min(axis=(1, 2)))
 
 
 def check_residuals(r, b, x, size, name):
@@ -192,8 +202,9 @@ def solve_stacked(A, b, blocks=None, inv=None, name=lambda i: f"system {i}"):
     stack's right-hand sides once (``class_slots``) get the same bits from
     every cut of it into chunks.  The caller sizes the stack by ``chunks``.
     ``dense_solve``'s relative-residual check runs on every system, against
-    its class matrix, and names system i by ``name(i)``."""
-    A = np.asarray(A, float)
+    its class matrix, and names system i by ``name(i)``; with ``name``
+    None the caller checks the residuals (``check_residuals``) and A may be
+    None beside ``inv``."""
     b = np.asarray(b, float)
     rhs = b[..., None] if b.ndim == 2 else b
     n, d, r = rhs.shape
@@ -203,9 +214,11 @@ def solve_stacked(A, b, blocks=None, inv=None, name=lambda i: f"system {i}"):
     B = np.zeros((len(c), d, width, r))
     B[block, :, col] = rhs
     B = B.reshape(len(B), d, -1)
-    # one block per class, in order: A itself
-    whole = len(c) == len(A) and (c == np.arange(len(c))).all()
-    Ab = A if whole else A[c]
+    # one block per class, in order: the class matrices themselves
+    whole = len(c) == len(A if inv is None else inv) and (c == np.arange(len(c))).all()
+    if A is not None:
+        A = np.asarray(A, float)
+        Ab = A if whole else A[c]
     if inv is not None:
         X = (inv if whole else inv[c]) @ B
     else:
@@ -217,9 +230,10 @@ def solve_stacked(A, b, blocks=None, inv=None, name=lambda i: f"system {i}"):
     def systems(Y):  # (n, d, r): the systems of the right-hand sides
         return np.swapaxes(Y.reshape(len(Y), d, width, r), 1, 2)[block, col]
 
-    size = np.maximum(A.max(axis=(1, 2)), -A.min(axis=(1, 2)))[c][block]
     out = systems(X)
-    check_residuals(systems(B - Ab @ X), rhs, out, size, name)
+    if name is not None:
+        size = max_abs(A)[c][block]
+        check_residuals(systems(B - Ab @ X), rhs, out, size, name)
     return out[..., 0] if b.ndim == 2 else out
 
 
@@ -293,16 +307,25 @@ def assemble_csr(rows, cols, blocks, shape):
     return sp.coo_matrix((blocks.ravel()[keep], (r[keep], c[keep])), shape=shape).tocsr()
 
 
+def check_symmetric(A):
+    """Raise ValueError unless the sparse matrix A is symmetric to 1e-10 of
+    its largest entry (at least 1)."""
+    defect = np.abs((A - A.T).data).max(initial=0.0)
+    if defect > 1e-10 * max(1.0, np.abs(A.data).max(initial=0.0)):
+        raise ValueError(f"matrix is not symmetric (defect {defect:.2e})")
+
+
 class SparseFactor:
     """SuperLU in symmetric mode (minimum degree on A^T + A, diagonal pivots)
     for a symmetric positive definite matrix, which it must be: asymmetry
-    raises ValueError.  Deterministic for a fixed pattern."""
+    raises ValueError (``check_symmetric``).  A kept matrix is checked once,
+    where it is built, and factored with ``checked``.  Deterministic for a
+    fixed pattern."""
 
-    def __init__(self, A):
+    def __init__(self, A, checked=False):
         A = sp.csc_matrix(A)
-        defect = np.abs((A - A.T).data).max(initial=0.0)
-        if defect > 1e-10 * max(1.0, np.abs(A.data).max(initial=0.0)):
-            raise ValueError(f"matrix is not symmetric (defect {defect:.2e})")
+        if not checked:
+            check_symmetric(A)
         self.A = A
         try:
             self.lu = spla.splu(
@@ -344,6 +367,7 @@ def multiplier_system(space):
     sgn, X, _ = eliminate(space, np.empty((nt, space.ref.dim, 0)), np.empty((nt, space.sdim, 0)))
     EX = sgn[:, :, None] * X[:, :ne]  # E_k applied to every edge column
     A = sp.csc_matrix(assemble_csr(lam, lam, (EX + np.swapaxes(EX, 1, 2)) / 2, (n, n)))
+    check_symmetric(A)
     for a in (lam, A.data, A.indices, A.indptr):
         a.flags.writeable = False
     return Multipliers(lam, grounded, A)
@@ -374,7 +398,7 @@ def hybrid_saddle_solve(space, rhs, g):
         g[:, 0] -= k0 * (k0 @ g[:, 0]) / (k0 @ k0)
     sgn, X, U = eliminate(space, rhs[:, :, None], g[:, :, None])
     f = sgn * X[:, :ne, 0]  # E_k applied to the data column
-    factor = SparseFactor(A)
+    factor = SparseFactor(A, checked=True)
     mu = np.append(factor.solve(np.bincount(lam[lam >= 0], f[lam >= 0], n)), 0.0)[lam]
     sk = X[:, :, 0] - np.einsum("kdj,kj->kd", X[:, :, 1:], mu)
     u = U[:, :, 0] - np.einsum("kdj,kj->kd", U[:, :, 1:], mu)

@@ -39,13 +39,23 @@ built with the surrogate's node numbering on first use).
 the right-hand sides, the recoveries and the surrogate's numerators stay
 per patch.  A patch's place in its class's blocks is fixed over the whole
 signature, so sigma and the stability ratios have the same bits however
-the layout is chunked.  Where patches repeat (at most one distinct system
-of a kind per two patches of the layout) the layout keeps each distinct
-system and its inverse (``PatchTables``), assembled and inverted by the
-first call that needs them and applied by every call, so a call's results
-do not depend on the calls before it.  Elsewhere, as on a mesh without
-repeats, where a kept system per patch would cost more memory than it
-saves time, each call assembles and factors one system per class present.
+the layout is chunked.
+
+Where a kind's systems repeat, the layout keeps each distinct one
+(``PatchTables``), assembled and inverted by the first call that needs it
+and applied by every call, so a call's results do not depend on the calls
+before it.  The multiplier kind keeps only the inverses and each class's
+max|S|: every patch's multiplier residual b - S lam is checked from its own
+element columns (``patch_equilibrate``), on this path and on the per-call
+one alike, which also catches a patch filed under the wrong class.  The
+surrogate kind keeps its systems beside their inverses and checks against
+them.  A kind is kept where it has at most one class per two patches; the
+multiplier kind also where it has fewer classes than patches and its
+inverses fit ``KEEP_BYTES``, as on every layout of up to a few dozen
+triangles at p <= 6.  The rule does not depend on the chunks.  Elsewhere,
+as on a mesh without repeats, where a kept system per patch would cost
+more memory than it saves time, each call assembles and factors one system
+per class present.
 """
 
 from __future__ import annotations
@@ -66,8 +76,8 @@ from .elements import (
     rtn_space,
     scalar_moments,
 )
-from .linsolve import (Blocks, chunks, class_blocks, class_inverses, class_slots, element_solve, eliminate,
-                       solve_stacked)
+from .linsolve import (Blocks, check_residuals, chunks, class_blocks, class_inverses, class_slots, element_solve,
+                       eliminate, max_abs, solve_stacked)
 from .mesh import DIRICHLET
 from .projections import BrokenRTNField, hat_interpolants
 from .quadpolicy import QuadPolicy
@@ -76,6 +86,15 @@ from .quadrature import quad_rule
 
 class CompatibilityError(RuntimeError):
     pass
+
+
+# The bytes of multiplier inverses a layout with fewer multiplier classes
+# than patches may keep, though it has more than one class per two patches
+# (``PatchTables.decide``).  Fixed, and not a chunk budget, so the decision
+# and sigma's bits do not depend on the chunking.  1 MB holds those of
+# every layout of up to a few dozen triangles at p <= 6 (0.4 MB for an
+# all-Neumann lshape:2 at p = 6).
+KEEP_BYTES = 1 << 20
 
 
 def constrained_fit(space, v, policy):
@@ -122,7 +141,9 @@ class PatchGroup:
     index of the vertex in each.  ``mult[r, t, j]`` numbers the nl edge
     multipliers: one per dof of each interior edge at the vertex (both
     sides), then of each pinned slot (opposite edge, Neumann edges); -1 on
-    free Dirichlet edges.
+    free Dirichlet edges.  ``sign[r, t, j]`` is the sign of edge dof j of
+    triangle t in ``linsolve.eliminate`` (+1 on the ``edge_tris[e, 0]``
+    side).
     Rows of one multiplier class (``cls``, numbered over the signature in
     order of first appearance) have bitwise-equal multiplier systems;
     ``slot`` and ``width`` place each row in its class's blocks of
@@ -135,6 +156,7 @@ class PatchGroup:
     tris: np.ndarray  # (n, nt)
     local: np.ndarray  # (n, nt)
     mult: np.ndarray  # (n, nt, 3(p+1))
+    sign: np.ndarray  # (n, nt, 3(p+1)), int8
     cls: np.ndarray  # (n,)
     slot: np.ndarray  # (n,)
     kernel: bool  # interior and Neumann vertices: constant multiplier kernel
@@ -145,7 +167,7 @@ class PatchGroup:
     _surrogate: list | None = field(default=None, repr=False, compare=False)
 
     def rows(self, sl):
-        return PatchGroup(self.verts[sl], self.tris[sl], self.local[sl], self.mult[sl], self.cls[sl],
+        return PatchGroup(self.verts[sl], self.tris[sl], self.local[sl], self.mult[sl], self.sign[sl], self.cls[sl],
                           self.slot[sl], self.kernel, self.nl, self.width, self.tables, self.sig)
 
     @cached_property
@@ -194,21 +216,28 @@ class PatchTables:
     which the layout's groups are runs of.  Two kinds of systems depend
     only on the mesh and p: the multiplier systems, one per class
     ``PatchGroup.cls``, and the stability surrogate's, one per surrogate
-    class (``surrogate``).  A kept kind holds, per signature, each class's
-    system and its inverse (``linsolve.class_inverses``) in ``systems``,
-    keyed by (kind, signature): assembled from each class's first row by
-    the first call that needs them, then applied by every call.
+    class (``surrogate``).  A kept kind holds, per signature, in
+    ``systems`` keyed by (kind, signature), each class's (system, inverse
+    (``linsolve.class_inverses``), max|system|), assembled from each
+    class's first row by the first call that needs them, then applied by
+    every call.  The multiplier kind keeps no system (None in its place):
+    ``patch_equilibrate`` checks each patch's residual from its element
+    columns, against the kept max|S| of its class.
 
-    A kind is kept only where patches repeat: when its distinct systems over
-    the whole layout number at most one per two patches (``keep``, which
-    does not depend on the chunks).  On a repeating mesh the tables are O(1)
-    in mesh size: 14 multiplier and 9 surrogate systems on structured:8 as
-    on structured:32, 2.5 MB in all at p = 6.  On a mesh without repeats
-    they would hold a system and its inverse per patch for the life of the
-    mesh: about 110 MB of multiplier and 760 MB of surrogate systems on a
-    jittered structured:32 at p = 6, counted from the system sizes.  There
-    each call assembles and factors one system per class present in its
-    chunk.
+    Which kinds are kept (``keep``, by ``decide``; it does not depend on
+    the chunks): a kind whose distinct systems over the whole layout number
+    at most one per two patches, and the multiplier kind also where they
+    number fewer than the patches and their inverses fit ``KEEP_BYTES``.
+    On a repeating mesh the tables are O(1) in mesh size: 14 multiplier
+    and 9 surrogate classes on structured:8 as on structured:32, about 2
+    MB in all at p = 6.  The small layouts of up to a few dozen triangles
+    keep their multiplier inverses (lshape:1 has 7 classes for 8 patches),
+    0.4 MB at most at p = 6.  On a mesh without repeats the tables would
+    hold an inverse per patch for the life of the mesh: about 55 MB of
+    multiplier inverses and 760 MB of surrogate systems and inverses on a
+    jittered structured:32 at p = 6, counted from the system sizes, which
+    the rule refuses.  There each call assembles and factors one system
+    per class present in its chunk.
     """
 
     def __init__(self, p):
@@ -219,25 +248,32 @@ class PatchTables:
         self._classes = {}
         self._numbering = None
 
-    def decide(self, kind, classes):
+    def decide(self, kind, classes, dims=None):
         """Keep ``kind`` when its classes, ``classes`` per signature, number
-        at most half the patches."""
+        at most half the patches; given ``dims``, the size of each
+        signature's systems, also when they number fewer than the patches
+        and their inverses fit ``KEEP_BYTES``."""
         self._classes[kind] = classes
         patches = sum(len(g.verts) for g in self.signatures)
-        self.keep[kind] = sum(int(c.max()) + 1 for c in classes) <= patches / 2
+        count = [int(c.max()) + 1 for c in classes]
+        fits = dims is not None and sum(count) < patches and sum(
+            8 * c * d * d for c, d in zip(count, dims)) <= KEEP_BYTES
+        self.keep[kind] = sum(count) <= patches / 2 or fits
 
     def kept(self, kind, sig, assemble):
-        """The kept (systems, inverses) of signature ``sig``'s ``kind``
-        classes, in class order, built on first use from ``assemble(rep)``,
-        the systems of the signature's rows ``rep``; None when ``kind`` is
-        not kept."""
+        """The kept (systems, inverses, max|system|) of signature ``sig``'s
+        ``kind`` classes, in class order, built on first use from
+        ``assemble(rep)``, the systems of the signature's rows ``rep``; the
+        multiplier kind keeps no systems (None); None when ``kind`` is not
+        kept."""
         if not self.keep[kind]:
             return None
         if (kind, sig) not in self.systems:
             rep = np.unique(self._classes[kind][sig], return_index=True)[1]
             verts, A = self.signatures[sig].verts, assemble(rep)
             inv = class_inverses(A, lambda c: f"{kind} class {c}, patch of vertex {verts[rep[c]]}")
-            self.systems[kind, sig] = A, inv
+            size = max_abs(A)
+            self.systems[kind, sig] = (None if kind == "multiplier" else A), inv, size
         return self.systems[kind, sig]
 
     def surrogate(self, mesh, sig):
@@ -313,12 +349,13 @@ def _build_patch_layout(mesh, p):
     lam = np.where(key >= 0, np.searchsorted(uniq, key) - first[c_vert][:, None], -1).astype(np.int32)
     mult = np.where(lam[:, :, None] >= 0, lam[:, :, None] * (p + 1) + np.arange(p + 1), -1).reshape(3 * nt, -1)
     mult = mult.astype(np.int32)
-    sig = np.stack([np.diff(first) * (p + 1), count, kernel], axis=1)
     # what decides a patch's multiplier system: its elements' affine
     # classes, edge signs (``linsolve.eliminate``) and T_k edge factors, and
     # its multiplier numbering, a fixed function of its per-slot numbers lam
     own = mesh.edge_tris[mesh.tri_edges, 0] == np.arange(nt)[:, None]
     tri_cls = _class_ids(space.classes[0], own, space.edge_scale())
+    sign = np.repeat(np.where(own, 1, -1).astype(np.int8), p + 1, axis=1)
+    sig = np.stack([np.diff(first) * (p + 1), count, kernel], axis=1)
     tables = PatchTables(p)
     groups, where = [], np.empty((nv, 2), dtype=int)
     for s in np.unique(sig, axis=0):
@@ -327,8 +364,8 @@ def _build_patch_layout(mesh, p):
         tris = c_tri[c]
         cls = _class_ids(tri_cls[tris], lam[c])
         slot, width = class_slots(cls)
-        group = PatchGroup(vs, tris, c_loc[c], mult[c], cls, slot, bool(s[2]), int(s[0]), width, tables,
-                           len(tables.signatures))
+        group = PatchGroup(vs, tris, c_loc[c], mult[c], sign[tris], cls, slot, bool(s[2]), int(s[0]), width,
+                           tables, len(tables.signatures))
         tables.signatures.append(group)
         # a pass allocates per patch its element columns, five arrays of its
         # multiplier blocks and its system (``linsolve.chunks``)
@@ -337,7 +374,7 @@ def _build_patch_layout(mesh, p):
             where[vs[sl], 0] = len(groups)
             where[vs[sl], 1] = np.arange(len(vs[sl]))
             groups.append(group.rows(sl))
-    tables.decide("multiplier", [g.cls for g in tables.signatures])
+    tables.decide("multiplier", [g.cls for g in tables.signatures], [g.nl for g in tables.signatures])
     return PatchLayout(groups, where, tables)
 
 
@@ -383,11 +420,11 @@ def _surrogate_nodes(mesh, p, tris, local, kernel):
 class PatchGroupProblem:
     """The degree-p equilibration problems of a ``PatchGroup`` in hybrid
     form, stacked: ``chi`` (n, nt, ndof), ``g`` (n, nt, sdim), the systems
-    ``S`` (one per multiplier class present, (nc, nl, nl), or the kept
-    systems of the signature with their inverses ``inv``) with the
-    ``linsolve.Blocks`` of the rows against them, ``blocks`` (``None``: one
-    system per row), ``b`` (n, nl), the element fluxes ``x0``
-    (n, nt, ndof) and per unit of each column's unknown ``xe``
+    ``S`` (one per multiplier class present, (nc, nl, nl); None beside the
+    signature's kept inverses ``inv`` and their classes' max|S| ``size``)
+    with the ``linsolve.Blocks`` of the rows against them, ``blocks``
+    (``None``: one system per row), ``b`` (n, nl), the element fluxes
+    ``x0`` (n, nt, ndof) and per unit of each column's unknown ``xe``
     (n, nt, ndof, 1 + 3(p+1)), ``cols`` those unknowns, and
     ``compat_defect`` with one row per patch."""
 
@@ -403,6 +440,7 @@ class PatchGroupProblem:
     cols: np.ndarray
     compat_defect: np.ndarray
     inv: np.ndarray | None = None
+    size: np.ndarray | None = None
 
 
 @dataclass
@@ -519,9 +557,9 @@ def _slots(L, nl):
 
 def _sum_into(shape, idx, vals):
     """``vals`` summed into zeros(shape) at flat indices ``idx`` in input
-    order; negative indices are dropped."""
-    keep = idx >= 0
-    return np.bincount(idx[keep], vals[keep], int(np.prod(shape))).reshape(shape)
+    order; negative indices are dropped (summed into a bin in front, cut
+    off)."""
+    return np.bincount(np.maximum(idx.ravel(), -1) + 1, vals.ravel(), int(np.prod(shape)) + 1)[1:].reshape(shape)
 
 
 def build_patch_problem(group: PatchGroup, theta: BrokenRTNField, v, p, mesh, *, policy=None, data=None):
@@ -536,9 +574,9 @@ def build_patch_problem(group: PatchGroup, theta: BrokenRTNField, v, p, mesh, *,
     ``data`` holds the element tables and eliminations of ``patch_data``;
     without it they are built for the whole mesh, and ``patch_data`` gates
     the compatibility of every patch (CompatibilityError).  One multiplier
-    system per class (``_multiplier_systems``): the signature's kept systems
-    and inverses (``PatchTables.kept``), or, where none are kept, the
-    systems of the first row of each class present.
+    system per class (``_multiplier_systems``): the signature's kept
+    inverses (``PatchTables.kept``), or, where none are kept, the systems
+    of the first row of each class present.
     """
     if data is None:
         data = patch_data(theta, v, p, mesh, policy=policy)
@@ -549,11 +587,11 @@ def build_patch_problem(group: PatchGroup, theta: BrokenRTNField, v, p, mesh, *,
     whole = group.tables.signatures[group.sig]
     kept = group.tables.kept("multiplier", group.sig, lambda r: _multiplier_systems(whole, r, data, p))
     if kept is None:
-        S, inv = _multiplier_systems(group, rep, data, p), None
+        S, inv, size = _multiplier_systems(group, rep, data, p), None, None
     else:
-        (S, inv), blocks = kept, blocks._replace(cls=group.cls[rep][blocks.cls])
-    b = _sum_into((n, group.nl), slots, data.sign[group.tris] * x0[..., :ne])
-    return PatchGroupProblem(group, p, chi, g, S, blocks, b, x0, xe, cols, data.defect[group.verts], inv)
+        (S, inv, size), blocks = kept, blocks._replace(cls=group.cls[rep][blocks.cls])
+    b = _sum_into((n, group.nl), slots, group.sign * x0[..., :ne])
+    return PatchGroupProblem(group, p, chi, g, S, blocks, b, x0, xe, cols, data.defect[group.verts], inv, size)
 
 
 def _multiplier_systems(group, rows, data, p):
@@ -564,7 +602,8 @@ def _multiplier_systems(group, rows, data, p):
     L, nl, ne = group.mult[rows], group.nl, 3 * (p + 1)
     cols, tris = _columns(L, group.kernel), group.tris[rows]
     idx = np.where(cols[:, :, None, :] >= 0, _slots(L, nl)[..., None] * nl + cols[:, :, None, :], -1)
-    return _sum_into((len(L), nl, nl), idx, data.sign[tris][..., None] * data.x[tris, :ne, 3:])
+    # a float sign: numpy broadcasts a mixed int8 product by a slower loop
+    return _sum_into((len(L), nl, nl), idx, group.sign[rows, ..., None].astype(float) * data.x[tris, :ne, 3:])
 
 
 def patch_equilibrate(problem: PatchGroupProblem):
@@ -572,13 +611,29 @@ def patch_equilibrate(problem: PatchGroupProblem):
     element fluxes.  Returns each patch's fluxes on its triangles
     (n, nt, ndof), whose two sides of an interior edge agree and whose
     pinned slots vanish to roundoff, and the unknowns of the multiplier
-    systems (n, nl)."""
-    verts = problem.group.verts
-    n = len(verts)
-    lam = solve_stacked(problem.S, problem.b, problem.blocks, problem.inv, lambda i: f"patch of vertex {verts[i]}")
+    systems (n, nl).
+
+    Every patch's multiplier residual b - S lam is checked as
+    ``linsolve.solve_stacked`` checks its systems (relative to
+    max(|b|, max|S| |lam|), at most 1e-8), with S lam formed from the
+    patch's own element columns: z = xe lam, whose edge rows summed with
+    their signs are S lam, and x = x0 - z.  Forming it from x instead
+    would put the roundoff of the x0 terms into b.  The check runs per
+    patch, against its class's max|S|, so it also catches a corrupted
+    kept inverse or a patch filed under the wrong class, and names the
+    patch's vertex."""
+    group, ne = problem.group, 3 * (problem.p + 1)
+    n = len(group.verts)
+    lam = solve_stacked(problem.S, problem.b, problem.blocks, problem.inv, name=None)
     row = np.arange(n)[:, None, None]
-    x = problem.x0 - (problem.xe @ np.append(lam, np.zeros((n, 1)), axis=1)[row, problem.cols][..., None])[..., 0]
-    return x, lam
+    z = (problem.xe @ np.append(lam, np.zeros((n, 1)), axis=1)[row, problem.cols][..., None])[..., 0]
+    S_lam = _sum_into((n, group.nl), group.problem_maps[1], group.sign * z[..., :ne])
+    size = max_abs(problem.S) if problem.size is None else problem.size
+    if problem.blocks is not None:
+        size = size[problem.blocks.cls[problem.blocks.block]]
+    check_residuals((problem.b - S_lam)[..., None], problem.b[..., None], lam[..., None], size,
+                    lambda i: f"patch of vertex {group.verts[i]}")
+    return problem.x0 - z, lam
 
 
 # -- dual-norm surrogate for the patch stability constant ---------------------------
@@ -663,7 +718,7 @@ def _stability_ratios(group, part, p, chi, x, mesh):
     if kept is None:
         K, inv = _surrogate_systems(mesh, p, tris[rep], loc[rep], fixed[rep], group.kernel), None
     else:
-        (K, inv), blocks = kept, blocks._replace(cls=present[blocks.cls])
+        (K, inv, _), blocks = kept, blocks._replace(cls=present[blocks.cls])
     rhs = np.append(ell, np.zeros((n, 1)), axis=1) if group.kernel else ell
     y = solve_stacked(K, rhs, blocks, inv, lambda i: f"surrogate of vertex {group.verts[i]}")[:, :nn]
     dual = np.sqrt(np.maximum(np.sum(ell * y, axis=1), 0.0))

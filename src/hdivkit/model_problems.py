@@ -35,7 +35,7 @@ from .elements import (
     scalar_moments,
 )
 from .fields import AnalyticField
-from .linsolve import SparseFactor, assemble_csr, hybrid_saddle_solve, solve_stacked
+from .linsolve import SparseFactor, assemble_csr, check_symmetric, hybrid_saddle_solve, solve_stacked
 from .projections import ScalarPWField
 from .projector import ConformingRTNField
 from .quadpolicy import QuadPolicy
@@ -218,7 +218,7 @@ def _ls_system(prob, p, q, policy):
     data moments.  A, B and ls depend only on the mesh, p, q and l^2: the
     mesh keeps them per (p, q) for the exact bits of l^2, and builds them
     again, in place of the old ones, when another l^2 asks.  Their sparse
-    arrays are read-only."""
+    arrays are read-only, and A's symmetry is checked here, once."""
     mesh, l2 = prob.mesh, prob.l_omega**2
     key, bits = ("ls_system", p, q), np.float64(l2).tobytes()
     held = mesh._cache.get(key)
@@ -240,6 +240,7 @@ def _ls_system(prob, p, q, policy):
         ],
         format="csc",
     )
+    check_symmetric(A)
     for a in (A.data, A.indices, A.indptr, B.data, B.indices, B.indptr):
         a.flags.writeable = False
     mesh._cache[key] = (bits, A, B, ls)
@@ -257,7 +258,7 @@ def solve_ls_mixed(prob: PoissonProblem, p: int, q: int):
     A, B, ls, fmom = _ls_system(prob, p, q, policy)
     fr = ls.free_index
     b = np.concatenate([prob.l_omega**2 * (B.T @ fmom), np.zeros(len(fr))])
-    factor = SparseFactor(A)
+    factor = SparseFactor(A, checked=True)
     sol = factor.solve(b)
     nf = B.shape[1]
     sigma = ConformingRTNField(prob.mesh, p, sol[:nf])

@@ -16,9 +16,9 @@ A policy keeps what it forms from its field for as long as it lives (one
 call, or one study row): the samples of v and div v at its points
 (``values``), the RTN_p moments of v (``moments``) and the P_p moments of
 div v (``div_moments``), so every consumer in that call reads them; the
-moment tables are read-only.  For a
-field that declares ``divergence_free`` the divergence samples and moments
-are exact zeros and its ``div`` is never called.
+moment tables are read-only.  For a field that declares
+``divergence_free`` the divergence moments are exact zeros, no consumer
+asks for its divergence samples, and its ``div`` is never called.
 """
 
 from __future__ import annotations
@@ -292,17 +292,10 @@ class QuadPolicy:
     def values(self, field, mesh, div=False):
         """``field`` (or its divergence) at the points of every group of
         ``groups``, in group order: the whole mesh is evaluated once per
-        policy, field and kind, on first use.  The divergence of a
-        divergence-free field is zero and not evaluated."""
+        policy, field and kind, on first use.  Callers skip the divergence
+        of a divergence-free field."""
         key = ("div" if div else "values", id(mesh))
-        if div and self.divergence_free:
-            return self._held(key, mesh, field, lambda: [np.zeros(g.w.shape) for g in self.groups(mesh)])
         return self._held(key, mesh, field, lambda: [g.eval(field, div=div) for g in self.groups(mesh)])
-
-    def samples(self, field, mesh):
-        """(group, field values, divergence values) of every group of
-        ``groups``, from ``values``."""
-        return list(zip(self.groups(mesh), self.values(field, mesh), self.values(field, mesh, div=True)))
 
     def moments(self, space, field):
         """Moments of ``field`` against the RTN basis of ``space``

@@ -443,6 +443,15 @@ def hat_grad(patch, mesh, k):
 # -- per-element error and fit loops -------------------------------------------------
 
 
+def samples(policy, field, mesh):
+    """(group, field values, divergence values) of every group of
+    ``policy.groups``, from ``policy.values``; zeros for the divergence of a
+    divergence-free field, which the policy does not evaluate."""
+    groups = policy.groups(mesh)
+    divs = [np.zeros(g.w.shape) for g in groups] if policy.divergence_free else policy.values(field, mesh, div=True)
+    return list(zip(groups, policy.values(field, mesh), divs))
+
+
 def local_best_oracle(v, p, mesh, k, policy):
     """Unconstrained local best on element k: per-element quadrature on the
     policy's rule and a dense solve of the element mass matrix."""
@@ -1515,7 +1524,7 @@ def projector_report_oracle(v, p, mesh, *, variant="def31"):
     E_loc, osc2 = loc["E_loc"], loc["div_part"] ** 2
     hscale = mesh.h / (p + 1)
     err2, derr2, pk2, vnorm2 = np.zeros((4, mesh.num_triangles))
-    for g, vvals, dvvals in policy.samples(v, mesh):
+    for g, vvals, dvvals in samples(policy, v, mesh):
         svals = g.eval(sigma)
         err2[g.tris] = g.norm_sq(vvals - svals)
         derr2[g.tris] = hscale[g.tris] ** 2 * g.norm_sq(dvvals - g.eval(sigma, div=True))

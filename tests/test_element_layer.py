@@ -307,8 +307,8 @@ def test_policy_caches_stay_with_their_mesh():
         m = build_structured(2 + i % 3)
         covered = np.concatenate([g.tris for g in policy.groups(m)])
         assert np.array_equal(np.sort(covered), np.arange(m.num_triangles))
-        fresh = QuadPolicy(1, field=v).samples(v, m)
-        for (g, vals, dvals), (h, want, dwant) in zip(policy.samples(v, m), fresh, strict=True):
+        fresh = oracles.samples(QuadPolicy(1, field=v), v, m)
+        for (g, vals, dvals), (h, want, dwant) in zip(oracles.samples(policy, v, m), fresh, strict=True):
             assert np.array_equal(g.tris, h.tris)
             assert np.array_equal(vals, want) and np.array_equal(dvals, dwant)
         del m, fresh, g, h

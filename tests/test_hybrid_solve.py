@@ -11,7 +11,7 @@ from hdivkit.mesh import build_lshape, build_structured
 from hdivkit.model_problems import _data_moments, manufactured_sine, solve_ls_mixed, solve_mixed
 from hdivkit.projector import ConformingRTNField
 from hdivkit.quadpolicy import QuadPolicy
-from oracles import conforming_saddle_oracle
+from oracles import conforming_saddle_oracle, samples
 
 TOL = 1e-12
 LABELS = ("all-dirichlet", "left-neumann", "all-neumann")
@@ -51,12 +51,12 @@ def _oracle_best(v, p, mesh, policy):
     space = rtn_space(mesh, p)
     rhs = np.zeros(space.dof_map.shape)
     g = np.zeros((mesh.num_triangles, space.sdim))
-    for grp, vvals, dvvals in policy.samples(v, mesh):
+    for grp, vvals, dvvals in samples(policy, v, mesh):
         rhs[grp.tris] = space.moments(grp, vvals)
         g[grp.tris] = scalar_moments(mesh, p, grp, dvvals)
     dofs, _, res = conforming_saddle_oracle(space, rhs, g)
     sigma = ConformingRTNField(mesh, p, dofs)
-    l2_sq = sum(grp.norm_sq(vv - grp.eval(sigma)).sum() for grp, vv, _ in policy.samples(v, mesh))
+    l2_sq = sum(grp.norm_sq(vv - grp.eval(sigma)).sum() for grp, vv, _ in samples(policy, v, mesh))
     return dofs, np.sqrt(l2_sq), res
 
 
@@ -147,8 +147,8 @@ def test_nnz_lu_is_the_count_superlu_stores(monkeypatch, solve, mesh, p):
     factors = []
 
     class Captured(SparseFactor):
-        def __init__(self, A):
-            super().__init__(A)
+        def __init__(self, A, **kw):
+            super().__init__(A, **kw)
             factors.append(self)
 
     for module in (hdivkit.linsolve, hdivkit.model_problems):

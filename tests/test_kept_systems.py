@@ -12,7 +12,7 @@ import hdivkit.model_problems
 from hdivkit.best_approx import error_report, global_best
 from hdivkit.elements import rtn_space
 from hdivkit.mesh import build_lshape, build_structured
-from hdivkit.model_problems import manufactured_sine, solve_ls_mixed, solve_mixed
+from hdivkit.model_problems import h1_best_global, manufactured_sine, solve_ls_mixed, solve_mixed
 from test_batched_projector import stream_field
 from test_hybrid_solve import gradient_field
 
@@ -76,6 +76,25 @@ def test_second_call_assembles_nothing(monkeypatch, p):
         calls.clear()
         solve()
         assert not calls
+
+
+def test_kept_matrices_are_checked_for_symmetry_once(monkeypatch):
+    # a kept matrix is checked where it is built, not at every
+    # factorization; a fresh matrix (h1_best_global) at every one
+    checks = []
+    real = hdivkit.linsolve.check_symmetric
+    for module in (hdivkit.linsolve, hdivkit.model_problems):
+        monkeypatch.setattr(module, "check_symmetric", lambda A: checks.append(1) or real(A))
+    prob = manufactured_sine(build_lshape(2))
+    runs = [lambda: solve_mixed(prob, 1), lambda: global_best(prob.sigma, 1, prob.mesh), lambda: solve_mixed(prob, 1),
+            lambda: solve_ls_mixed(prob, 1, 2), lambda: solve_ls_mixed(prob, 1, 2),
+            lambda: h1_best_global(prob, 2), lambda: h1_best_global(prob, 2)]
+    counts = []
+    for run in runs:
+        checks.clear()
+        run()
+        counts.append(len(checks))
+    assert counts == [1, 0, 0, 1, 0, 1, 1]
 
 
 def test_kept_arrays_are_read_only():

@@ -3,12 +3,19 @@
 ``build_patch_problem`` assembles the multiplier system S, and the
 stability surrogate its (bordered) stiffness K, once per class of patches
 whose systems agree to the bit, and where classes repeat the layout keeps
-them with their inverses (``PatchTables``); ``solve_stacked`` solves every
-patch against its class matrix.  ``oracles.patch_layer_stacked_oracle``
-keeps one S and one K per patch.  The two agree to 1e-13 relative in sigma
-and in every stability ratio, on meshes where classes repeat and on
-jittered ones where each patch is its own class.
+them (``PatchTables``): the inverses and max|S| of the multiplier classes,
+the systems and inverses of the surrogate's; ``solve_stacked`` solves
+every patch against its class.  ``patch_equilibrate`` checks every
+patch's multiplier residual from its own element columns.
+``oracles.patch_layer_stacked_oracle`` keeps one S and one K per patch.
+The two agree to 1e-13 relative in sigma and in every stability ratio, on
+meshes where classes repeat and on jittered ones where each patch is its
+own class.
 """
+
+import dataclasses
+import re
+
 
 import numpy as np
 import pytest
@@ -19,7 +26,7 @@ from hdivkit.elements import rtn_space
 from hdivkit.linsolve import SingularSystemError, class_blocks, class_inverses, class_slots, solve_stacked
 from hdivkit.local_solve import build_patch_problem, patch_data, patch_equilibrate, patch_layout, theta_field
 from hdivkit.mesh import build_lshape, build_structured
-from hdivkit.projector import projector_report, random_conforming_field
+from hdivkit.projector import project_hdiv, projector_report, random_conforming_field
 from test_element_layer import jitter
 
 LABELS = ("all-dirichlet", "left-neumann", "all-neumann")
@@ -58,9 +65,11 @@ def test_class_path_matches_stacked_oracle(meshes, mesh_name, labels, p, variant
 @pytest.mark.parametrize("p", [1, 3])
 def test_kept_tables_are_the_distinct_oracle_systems(monkeypatch, p):
     # structured:32 has 1089 patches, but only 14 distinct multiplier
-    # systems and 9 distinct surrogate systems: the layout keeps exactly
-    # those, each its oracle systems to the bit, and a second report
-    # assembles and inverts nothing
+    # systems and 9 distinct surrogate systems: the layout keeps one entry
+    # per class, the inverse of its oracle system (S S^-1 = I to 1e-10)
+    # and max|S| to the bit for the multiplier kind, the oracle system to
+    # the bit for the surrogate, and a second report assembles and inverts
+    # nothing
     m = build_structured(32)
     v = random_conforming_field(m, p + 1, seed=p)
     projector_report(v, p, m)
@@ -75,7 +84,7 @@ def test_kept_tables_are_the_distinct_oracle_systems(monkeypatch, p):
         return solve_stacked(A, b, *args, **kw)
 
     monkeypatch.setattr(oracles, "solve_stacked", record)
-    distinct = {"multiplier": set(), "surrogate": set()}
+    distinct = {"multiplier": {}, "surrogate": {}}  # per (signature, class): its oracle systems' bytes
     for group in patch_layout(m, p).groups:
         problem = oracles.build_patch_problem_stacked_oracle(group, p, m, data)
         calls.clear()
@@ -84,14 +93,24 @@ def test_kept_tables_are_the_distinct_oracle_systems(monkeypatch, p):
         at = np.searchsorted(tables.signatures[group.sig].verts, group.verts)
         for kind, systems, cls in (("multiplier", problem.S, group.cls),
                                    ("surrogate", np.concatenate(calls), kcls[at])):
-            kept = tables.systems[kind, group.sig][0]
-            assert all(a.tobytes() == kept[c].tobytes() for a, c in zip(systems, cls))
-            distinct[kind].update(a.tobytes() for a in systems)
+            kept, inv, size = tables.systems[kind, group.sig]
+            for a, c in zip(systems, cls):
+                distinct[kind].setdefault((group.sig, c), set()).add(a.tobytes())
+                # S S^-1 - I is what the residual of a solve sees
+                assert np.abs(a @ inv[c] - np.eye(len(a))).max() <= 1e-10
+                assert size[c].tobytes() == np.abs(a).max().tobytes()
+                if kind == "multiplier":
+                    assert kept is None
+                else:
+                    assert a.tobytes() == kept[c].tobytes()
     for kind in distinct:
-        kept = {a.tobytes() for (k, _), (A, _) in tables.systems.items() if k == kind for a in A}
-        assert kept == distinct[kind]
+        # one system per class, and distinct classes have distinct systems
+        assert all(len(systems) == 1 for systems in distinct[kind].values())
+        assert sorted(distinct[kind]) == sorted((sig, c) for (k, sig), (_, inv, _) in tables.systems.items()
+                                                if k == kind for c in range(len(inv)))
+        assert len({a for systems in distinct[kind].values() for a in systems}) == len(distinct[kind])
     assert [len(distinct["multiplier"]), len(distinct["surrogate"])] == [14, 9]
-    assert sum(len(A) for A, _ in tables.systems.values()) == 23
+    assert sum(len(inv) for _, inv, _ in tables.systems.values()) == 23
     built = []
     for name in ("_multiplier_systems", "_surrogate_systems", "class_inverses"):
         real = getattr(local_solve, name)
@@ -128,20 +147,50 @@ def test_warm_calls_match_first_calls(mesh_name, labels):
 
 
 @pytest.mark.parametrize("mesh,keep", [
-    (lambda: build_lshape(1), {"multiplier": False, "surrogate": False}),  # 7 and 7 classes, 8 patches
+    (lambda: build_lshape(1), {"multiplier": True, "surrogate": False}),  # 7 and 7 classes, 8 patches
     (lambda: jitter(build_structured(8), 1), {"multiplier": False, "surrogate": False}),  # 81 of 81
-    (lambda: build_structured(4), {"multiplier": False, "surrogate": True}),  # 14 and 9 of 25
-    (lambda: build_lshape(2), {"multiplier": False, "surrogate": True}),  # 14 and 10 of 21
+    (lambda: build_structured(4), {"multiplier": True, "surrogate": True}),  # 14 and 9 of 25
+    (lambda: build_lshape(2), {"multiplier": True, "surrogate": True}),  # 14 and 10 of 21
 ], ids=["lshape1", "jittered-structured8", "structured4", "lshape2"])
 def test_tables_are_kept_only_where_patches_repeat(mesh, keep):
     # a kind is kept when its distinct systems number at most half the
-    # patches; a kind not kept stores no system
+    # patches, the multiplier kind also when they number fewer than the
+    # patches and their inverses fit KEEP_BYTES; a kind not kept stores
+    # nothing, and the multiplier kind keeps no system
     m = mesh()
     for p in (0, 2):
         projector_report(random_conforming_field(m, p + 1, seed=p), p, m)
         tables = patch_layout(m, p).tables
         assert tables.keep == keep
         assert {kind for kind, _ in tables.systems} == {kind for kind in keep if keep[kind]}
+        assert all((A is None) == (kind == "multiplier") for (kind, _), (A, _, _) in tables.systems.items())
+
+
+def _inverse_bytes(layout):
+    return sum(8 * (int(g.cls.max()) + 1) * g.nl**2 for g in layout.tables.signatures)
+
+
+@pytest.mark.parametrize("labels", LABELS)
+@pytest.mark.parametrize("p", [4, 5, 6])
+def test_small_layouts_keep_their_multiplier_inverses(labels, p):
+    # the high-degree layouts have more than one class per two patches
+    # but fewer classes than patches, and inverses within the budget; a
+    # jittered mesh, one class per patch, keeps nothing
+    for mesh in (build_lshape(1, labels=labels), build_structured(4, labels=labels),
+                 build_lshape(2, labels=labels)):
+        layout = patch_layout(mesh, p)
+        classes = sum(int(g.cls.max()) + 1 for g in layout.tables.signatures)
+        assert mesh.num_vertices / 2 < classes < mesh.num_vertices
+        assert layout.tables.keep["multiplier"] and _inverse_bytes(layout) <= local_solve.KEEP_BYTES
+    assert not patch_layout(jitter(build_structured(8, labels=labels), 1), p).tables.keep["multiplier"]
+
+
+def test_a_big_repeating_layout_stays_kept():
+    # structured:32 at p = 6 keeps its 14 multiplier classes by the half
+    # rule, whatever their bytes
+    layout = patch_layout(build_structured(32), 6)
+    assert layout.tables.keep["multiplier"]
+    assert sum(int(g.cls.max()) + 1 for g in layout.tables.signatures) == 14
 
 
 @pytest.mark.parametrize("p", [0, 2])
@@ -159,9 +208,38 @@ def test_kept_tables_do_not_depend_on_the_chunks(monkeypatch, p):
     n_single, single, *got = run()
     assert n < n_single == 81
     assert tables.keys() == single.keys()
-    for key, (A, inv) in tables.items():
-        assert np.array_equal(A, single[key][0]) and np.array_equal(inv, single[key][1])
+    for key, kept in tables.items():
+        assert all(a is b is None or np.array_equal(a, b) for a, b in zip(kept, single[key], strict=True))
     assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("mesh,n", [(build_lshape, 1), (build_lshape, 2), (build_structured, 4)],
+                         ids=["lshape1", "lshape2", "structured4"])
+def test_high_degree_keeping_does_not_depend_on_the_chunks_or_the_calls(monkeypatch, mesh, n):
+    # the keep decision, the kept inverses and sigma's bits at p = 4..6
+    # are those of one patch per chunk, and a warm call, after a call on
+    # other data, gives the bits of the first call
+    def run():
+        m = mesh(n, labels="left-neumann")
+        out = []
+        for p in (4, 5, 6):
+            v = random_conforming_field(m, p + 1, seed=p)
+            first = project_hdiv(v, p, m).dofs
+            project_hdiv(random_conforming_field(m, p + 1, seed=p + 10), p, m)
+            assert np.array_equal(project_hdiv(v, p, m).dofs, first)
+            tables = patch_layout(m, p).tables
+            out.append((len(patch_layout(m, p).groups), tables.keep, tables.systems, first))
+        return out
+
+    whole = run()
+    monkeypatch.setattr(linsolve, "STACK_BYTES", 1)
+    for (n_whole, keep, kept, want), (n_single, keep_single, kept_single, got) in zip(whole, run(), strict=True):
+        assert n_whole < n_single
+        assert keep == keep_single and keep["multiplier"]
+        assert kept.keys() == kept_single.keys()
+        for key, parts in kept.items():
+            assert all(a is b is None or np.array_equal(a, b) for a, b in zip(parts, kept_single[key], strict=True))
+        assert np.array_equal(got, want)
 
 
 def test_nan_in_a_kept_class_names_the_patch_vertex():
@@ -178,6 +256,63 @@ def test_nan_in_a_kept_class_names_the_patch_vertex():
     problem.b[5, 2] = np.nan
     with pytest.raises(SingularSystemError, match=rf"\(patch of vertex {group.verts[5]}\)"):
         patch_equilibrate(problem)
+
+
+def _wrong_class_row(group):
+    """A row of ``group`` and another class of the group, one of whose
+    rows comes first."""
+    for i in range(len(group.cls)):
+        seen = set(group.cls[:i].tolist()) - {int(group.cls[i])}
+        if seen:
+            return i, min(seen)
+    raise AssertionError("the group has one class")
+
+
+def _swapped_patch_group(group):
+    # row i filed under class c, at a free place among c's rows
+    i, c = _wrong_class_row(group)
+    cls, slot = group.cls.copy(), group.slot.copy()
+    cls[i], slot[i] = c, slot[group.cls == c].max() + 1
+    return dataclasses.replace(group, cls=cls, slot=slot), i
+
+
+@pytest.mark.parametrize("kept", [True, False])
+def test_a_patch_under_the_wrong_class_names_its_vertex(kept):
+    # the residual is formed from each patch's own element columns, not
+    # from its class's system: a row filed under another class of its
+    # signature fails the check, on the kept and on the per-call path
+    m = build_structured(8)
+    p = 1
+    v = random_conforming_field(m, p + 1, seed=1)
+    theta = theta_field(v, p, m)
+    data = patch_data(theta, v, p, m)
+    layout = patch_layout(m, p)
+    layout.tables.keep["multiplier"] = kept
+    group = max(layout.groups, key=lambda g: len(g.verts))
+    patch_equilibrate(build_patch_problem(group, theta, v, p, m, data=data))
+    swapped, i = _swapped_patch_group(group)
+    problem = build_patch_problem(swapped, theta, v, p, m, data=data)
+    assert (problem.inv is not None) == kept
+    with pytest.raises(SingularSystemError, match=rf"\(patch of vertex {group.verts[i]}\)"):
+        patch_equilibrate(problem)
+
+
+def test_a_corrupted_kept_inverse_names_a_patch_of_its_class():
+    m = build_structured(8)
+    p = 1
+    v = random_conforming_field(m, p + 1, seed=1)
+    theta = theta_field(v, p, m)
+    data = patch_data(theta, v, p, m)
+    group = max(patch_layout(m, p).groups, key=lambda g: len(g.verts))
+    problem = build_patch_problem(group, theta, v, p, m, data=data)
+    c = int(group.cls[7])
+    problem.inv = problem.inv.copy()  # the layout's inverses stay intact
+    problem.inv[c] *= 1 + 1e-6
+    with pytest.raises(SingularSystemError) as err:
+        patch_equilibrate(problem)
+    vertex = int(re.search(r"\(patch of vertex (\d+)\)", str(err.value)).group(1))
+    assert vertex in group.verts[group.cls == c]
+    patch_equilibrate(build_patch_problem(group, theta, v, p, m, data=data))
 
 
 def test_singular_class_names_the_class():
