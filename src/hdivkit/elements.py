@@ -36,6 +36,7 @@ import numpy as np
 
 from . import polys
 from .linsolve import SingularSystemError, assemble_csr, check_residuals, chunks, multiplier_system
+from .mesh import kept
 from .quadrature import check_degree, gauss01, quad_rule, xy
 
 
@@ -262,9 +263,9 @@ class RTNSpace:
     element, each built in chunks on first use and cached with the space:
     ``kkt_table`` holds K(c)^{-1} and ``mass_table`` A(c)^{-1}.
     ``linsolve.element_solve`` applies them, mapping data in and solutions
-    out through T_k.  Mesh-wide, the space keeps, also from first use, the
-    hybridization's edge-multiplier system (``multipliers``), the only one
-    of its global matrices that depends on nothing but the mesh and p.
+    out through T_k.  The hybridization's edge-multiplier system
+    (``multipliers``), the only global matrix that depends on nothing but
+    the mesh and p, is kept on the mesh from first use.
 
     Global dofs: edge e owns slots e*(p+1)..e*(p+1)+p; element k owns
     ne*(p+1) + k*p*(p+1) + local interior slots.  Fields with continuous
@@ -387,12 +388,13 @@ class RTNSpace:
                                 lambda i: f"class {idx[i]}, element {np.argmax(cls == idx[i])}")
         return inv, big
 
-    @cached_property
+    @property
     def multipliers(self):
         """The edge-multiplier numbering and SPD system of the mesh-wide
-        hybridization (``linsolve.multiplier_system``), built on first use:
-        ``linsolve.hybrid_saddle_solve`` factors it on every call."""
-        return multiplier_system(self)
+        hybridization (``linsolve.multiplier_system``), kept on the mesh per
+        p from first use, read-only: ``linsolve.hybrid_saddle_solve``
+        factors it on every call."""
+        return kept(self.mesh._cache, ("multipliers", self.p), lambda: multiplier_system(self))
 
     def class_product(self, cls, y):
         """K(c) y, or A(c) y when y has ndof rows, for vectors y (n, size, r)
@@ -477,21 +479,22 @@ class RTNSpace:
             comp *= w
         return self.rows_to_elem(group.contract(group.prim(self.p), F) @ self.C_ref, tris)
 
-    def element_dof_map(self, k):
-        """Global dof index of each local dof on element k."""
-        return self.dof_map[k]
-
     def gather(self, rows):
         """Conforming dofs from element rows (nt, ndof): the mean of the two
         sides of each edge, zero on Neumann edges."""
-        free, flat = np.ones(self.ndof), self.dof_map.ravel()
-        free[self.neumann_edge_dofs()] = 0.0
-        return free * np.bincount(flat, rows.ravel(), self.ndof) / np.bincount(flat, minlength=self.ndof)
+        flat = self.dof_map.ravel()
+        return self.free_dofs() * np.bincount(flat, rows.ravel(), self.ndof) / np.bincount(flat, minlength=self.ndof)
 
     def neumann_edge_dofs(self):
         """Global dof indices pinned to zero by the no-flux boundary condition."""
         e = np.array(self.mesh.edges_with_label("neumann"), dtype=int)
         return (e[:, None] * (self.p + 1) + np.arange(self.p + 1)).ravel()
+
+    def free_dofs(self):
+        """Mask of the global dofs off Neumann edges, (ndof,)."""
+        free = np.ones(self.ndof, dtype=bool)
+        free[self.neumann_edge_dofs()] = False
+        return free
 
     def conforming_blocks(self):
         """Conforming mass M and divergence B over the dofs off Neumann edges.
@@ -500,9 +503,7 @@ class RTNSpace:
         dofs, in the column order of M and B; B has one row per element
         scalar moment (element k owns rows k*sdim..(k+1)*sdim-1).
         """
-        free = np.ones(self.ndof, dtype=bool)
-        free[self.neumann_edge_dofs()] = False
-        fidx = np.flatnonzero(free)
+        fidx = np.flatnonzero(self.free_dofs())
         pos = -np.ones(self.ndof, dtype=int)
         pos[fidx] = np.arange(len(fidx))
         dofs = pos[self.dof_map]  # -1 on Neumann dofs: dropped by the assembly
@@ -540,10 +541,7 @@ def oscillation_sq(mesh, p, group, vals):
 
 
 def rtn_space(mesh, p: int) -> RTNSpace:
-    key = ("rtn_space", p)
-    if key not in mesh._cache:
-        mesh._cache[key] = RTNSpace(mesh, p)
-    return mesh._cache[key]
+    return kept(mesh._cache, ("rtn_space", p), lambda: RTNSpace(mesh, p))
 
 
 class _ElementViews(Sequence):
@@ -677,11 +675,8 @@ def lagrange_nodes(mesh, q: int) -> np.ndarray:
     """The continuous P_q numbering of ``mesh``: global node of each local
     node on every element, (nt, nloc).  Vertices come first, then q - 1
     nodes per edge in lower -> higher vertex order, then the interior nodes
-    of each triangle.  Built once per (mesh, q) and cached."""
-    key = ("lagrange_nodes", q)
-    if key not in mesh._cache:
-        mesh._cache[key] = _build_lagrange_nodes(mesh, q)
-    return mesh._cache[key]
+    of each triangle.  Built once per (mesh, q) and kept, read-only."""
+    return kept(mesh._cache, ("lagrange_nodes", q), lambda: _build_lagrange_nodes(mesh, q))
 
 
 def _build_lagrange_nodes(mesh, q):
@@ -703,7 +698,6 @@ def _build_lagrange_nodes(mesh, q):
         else:
             out[:, m] = interior + i_int
             i_int += 1
-    out.flags.writeable = False
     return out
 
 

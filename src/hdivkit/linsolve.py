@@ -25,7 +25,7 @@ refinement).  Saddle problems over several elements are hybridized: the
 element eliminations (``eliminate``) leave an SPD
 system in edge multipliers, mesh-wide in ``hybrid_saddle_solve`` and per
 vertex patch in ``local_solve``.  The mesh-wide one depends only on the
-mesh and p: the space keeps it, assembled (``multiplier_system``), and a
+mesh and p: the mesh keeps it, assembled (``multiplier_system``), and a
 call forms only its data column.  Every sparse system is SPD and goes
 through SuperLU in its symmetric mode, refined once; factors are not kept,
 each call factors its matrix afresh (``SparseFactor``).  A kept matrix's
@@ -343,7 +343,7 @@ class SparseFactor:
 
 class Multipliers(NamedTuple):
     """The edge-multiplier system of a mesh-wide hybridization
-    (``multiplier_system``), kept with its ``RTNSpace``."""
+    (``multiplier_system``), kept on the mesh per p (``RTNSpace.multipliers``)."""
 
     lam: np.ndarray  # (nt, 3(p+1)): multiplier of each element edge dof, -1 for none
     grounded: bool  # no Dirichlet edge: one lowest-order multiplier is grounded
@@ -356,8 +356,7 @@ def multiplier_system(space):
     one grounded when no edge is Dirichlet, and the SPD matrix
     sum_k E_k (K_k^-1)_ss E_k^T, symmetrized, from the edge columns of
     ``eliminate``.  Those depend only on the mesh and p, so
-    ``RTNSpace.multipliers`` builds this once, on first use; its arrays are
-    read-only."""
+    ``RTNSpace.multipliers`` keeps this from first use, read-only."""
     mesh, ne, nt = space.mesh, 3 * (space.p + 1), len(space)
     on = np.repeat(mesh.edge_tris[:, 1] >= 0, space.p + 1)  # edge dofs with a multiplier
     on[space.neumann_edge_dofs()] = True
@@ -368,8 +367,6 @@ def multiplier_system(space):
     EX = sgn[:, :, None] * X[:, :ne]  # E_k applied to every edge column
     A = sp.csc_matrix(assemble_csr(lam, lam, (EX + np.swapaxes(EX, 1, 2)) / 2, (n, n)))
     check_symmetric(A)
-    for a in (lam, A.data, A.indices, A.indptr):
-        a.flags.writeable = False
     return Multipliers(lam, grounded, A)
 
 
@@ -406,8 +403,7 @@ def hybrid_saddle_solve(space, rhs, g):
         u[:, 0] -= k0 * (k0 @ u[:, 0]) / (k0 @ k0)
     # the two sides of an edge agree to roundoff: take their mean
     s = space.gather(sk)
-    free, flat = np.ones(space.ndof), dofs.ravel()
-    free[space.neumann_edge_dofs()] = 0.0
+    free, flat = space.free_dofs(), dofs.ravel()
     ref = space.mass(space.to_ref(s[dofs])) + u @ space.D_ref / np.sqrt(space.detB)[:, None]
     res = space.rows_to_elem(ref) - rhs  # M_k s_k + Bdiv_k^T u_k - rhs_k
     div = space.div(s[dofs]) - g

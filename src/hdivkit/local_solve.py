@@ -78,7 +78,7 @@ from .elements import (
 )
 from .linsolve import (Blocks, check_residuals, chunks, class_blocks, class_inverses, class_slots, element_solve,
                        eliminate, max_abs, solve_stacked)
-from .mesh import DIRICHLET
+from .mesh import DIRICHLET, kept
 from .projections import BrokenRTNField, hat_interpolants
 from .quadpolicy import QuadPolicy
 from .quadrature import quad_rule
@@ -164,7 +164,7 @@ class PatchGroup:
     width: int
     tables: PatchTables = field(repr=False, compare=False)
     sig: int
-    _surrogate: list | None = field(default=None, repr=False, compare=False)
+    _kept: dict = field(default_factory=dict, repr=False, compare=False)
 
     def rows(self, sl):
         return PatchGroup(self.verts[sl], self.tris[sl], self.local[sl], self.mult[sl], self.sign[sl], self.cls[sl],
@@ -196,17 +196,19 @@ class PatchGroup:
         surrogate class present, ``present`` its class over the signature,
         and ``blocks`` the ``linsolve.Blocks`` of the rows against the
         systems of ``rep``, placed over the signature."""
-        if self._surrogate is None:
+        def build():
             nodes, fixed, kcls, slot, width = self.tables.surrogate(mesh, self.sig)
             # a group's rows are a run of its signature's rows
             at = int(np.searchsorted(self.tables.signatures[self.sig].verts, self.verts[0]))
-            self._surrogate = []
+            out = []
             for sl in chunks(len(self.verts), 8 * (nodes.shape[1] * nodes.shape[2]) ** 2, points=True):
                 rows = slice(at + sl.start, at + sl.stop)
                 present, rep, cls = np.unique(kcls[rows], return_index=True, return_inverse=True)
                 blocks = class_blocks(cls.reshape(-1), slot[rows], width)
-                self._surrogate.append((sl, nodes[rows], fixed[rows], rep, present, blocks))
-        return self._surrogate
+                out.append((sl, nodes[rows], fixed[rows], rep, present, blocks))
+            return out
+
+        return kept(self._kept, "surrogate", build)
 
 
 class PatchTables:
@@ -217,12 +219,12 @@ class PatchTables:
     only on the mesh and p: the multiplier systems, one per class
     ``PatchGroup.cls``, and the stability surrogate's, one per surrogate
     class (``surrogate``).  A kept kind holds, per signature, in
-    ``systems`` keyed by (kind, signature), each class's (system, inverse
-    (``linsolve.class_inverses``), max|system|), assembled from each
-    class's first row by the first call that needs them, then applied by
-    every call.  The multiplier kind keeps no system (None in its place):
-    ``patch_equilibrate`` checks each patch's residual from its element
-    columns, against the kept max|S| of its class.
+    ``systems`` keyed by (kind, signature) (``mesh.kept``), each class's
+    (system, inverse (``linsolve.class_inverses``), max|system|), read-only,
+    assembled from each class's first row by the first call that needs
+    them, then applied by every call.  The multiplier kind keeps no system
+    (None in its place): ``patch_equilibrate`` checks each patch's residual
+    from its element columns, against the kept max|S| of its class.
 
     Which kinds are kept (``keep``, by ``decide``; it does not depend on
     the chunks): a kind whose distinct systems over the whole layout number
@@ -246,7 +248,7 @@ class PatchTables:
         self.keep = {}
         self.systems = {}
         self._classes = {}
-        self._numbering = None
+        self._numbering = {}
 
     def decide(self, kind, classes, dims=None):
         """Keep ``kind`` when its classes, ``classes`` per signature, number
@@ -260,21 +262,19 @@ class PatchTables:
             8 * c * d * d for c, d in zip(count, dims)) <= KEEP_BYTES
         self.keep[kind] = sum(count) <= patches / 2 or fits
 
-    def kept(self, kind, sig, assemble):
+    def class_systems(self, kind, sig, assemble):
         """The kept (systems, inverses, max|system|) of signature ``sig``'s
         ``kind`` classes, in class order, built on first use from
         ``assemble(rep)``, the systems of the signature's rows ``rep``; the
         multiplier kind keeps no systems (None); None when ``kind`` is not
         kept."""
-        if not self.keep[kind]:
-            return None
-        if (kind, sig) not in self.systems:
+        def build():
             rep = np.unique(self._classes[kind][sig], return_index=True)[1]
             verts, A = self.signatures[sig].verts, assemble(rep)
             inv = class_inverses(A, lambda c: f"{kind} class {c}, patch of vertex {verts[rep[c]]}")
-            size = max_abs(A)
-            self.systems[kind, sig] = (None if kind == "multiplier" else A), inv, size
-        return self.systems[kind, sig]
+            return (None if kind == "multiplier" else A), inv, max_abs(A)
+
+        return kept(self.systems, (kind, sig), build) if self.keep[kind] else None
 
     def surrogate(self, mesh, sig):
         """Signature ``sig``'s surrogate numbering: ``nodes`` (n, nt, nloc),
@@ -286,14 +286,16 @@ class PatchTables:
         system: its elements' maps, the node numbering and the fixed nodes.
         Built for every signature on first use, which decides whether
         surrogate systems are kept."""
-        if self._numbering is None:
-            self._numbering = []
+        def build():
+            out = []
             for g in self.signatures:
                 nodes, fixed = _surrogate_nodes(mesh, self.p, g.tris, g.local, g.kernel)
                 kcls = _class_ids(mesh.Binv[g.tris], mesh.detB[g.tris], nodes, fixed)
-                self._numbering.append((nodes, fixed, kcls, *class_slots(kcls)))
-            self.decide("surrogate", [n[2] for n in self._numbering])
-        return self._numbering[sig]
+                out.append((nodes, fixed, kcls, *class_slots(kcls)))
+            self.decide("surrogate", [n[2] for n in out])
+            return out
+
+        return kept(self._numbering, "surrogate", build)[sig]
 
 
 @dataclass
@@ -304,21 +306,12 @@ class PatchLayout:
     (``PatchTables``)."""
 
     groups: list
-    where: np.ndarray  # (nv, 2): group index and row of each vertex
     tables: PatchTables
-
-    def group_of(self, vertex):
-        """The group of one row holding the patch of ``vertex``."""
-        gi, r = self.where[vertex]
-        return self.groups[gi].rows(slice(r, r + 1))
 
 
 def patch_layout(mesh, p) -> PatchLayout:
-    """The patch layout of ``mesh`` at degree p, built once and cached."""
-    key = ("patch_layout", p)
-    if key not in mesh._cache:
-        mesh._cache[key] = _build_patch_layout(mesh, p)
-    return mesh._cache[key]
+    """The patch layout of ``mesh`` at degree p, built once and kept."""
+    return kept(mesh._cache, ("patch_layout", p), lambda: _build_patch_layout(mesh, p))
 
 
 def _build_patch_layout(mesh, p):
@@ -329,8 +322,7 @@ def _build_patch_layout(mesh, p):
     c_vert, c_tri, c_loc = mesh.triangles.ravel()[corner], corner // 3, corner % 3
     count = np.bincount(c_vert, minlength=nv)
     start = np.cumsum(count) - count
-    dirichlet = np.zeros(ne, dtype=bool)
-    dirichlet[np.array(mesh.edges_with_label(DIRICHLET), dtype=int)] = True
+    dirichlet = _dirichlet_edges(mesh)
     kernel = np.bincount(mesh.edges[dirichlet].ravel(), minlength=nv) == 0
     # multipliers: interior edges at the vertex by edge, pinned slots by
     # corner and slot, within one key range per vertex; none on the free
@@ -357,7 +349,7 @@ def _build_patch_layout(mesh, p):
     sign = np.repeat(np.where(own, 1, -1).astype(np.int8), p + 1, axis=1)
     sig = np.stack([np.diff(first) * (p + 1), count, kernel], axis=1)
     tables = PatchTables(p)
-    groups, where = [], np.empty((nv, 2), dtype=int)
+    groups = []
     for s in np.unique(sig, axis=0):
         vs = np.flatnonzero((sig == s).all(axis=1))
         c = start[vs][:, None] + np.arange(s[1])
@@ -371,11 +363,14 @@ def _build_patch_layout(mesh, p):
         # multiplier blocks and its system (``linsolve.chunks``)
         nl, m = s[0], 3 * (p + 1)
         for sl in chunks(len(vs), 8 * (s[1] * (space.ref.dim * (4 + m) + 5 * m * (m + 1)) + nl**2)):
-            where[vs[sl], 0] = len(groups)
-            where[vs[sl], 1] = np.arange(len(vs[sl]))
             groups.append(group.rows(sl))
     tables.decide("multiplier", [g.cls for g in tables.signatures], [g.nl for g in tables.signatures])
-    return PatchLayout(groups, where, tables)
+    return PatchLayout(groups, tables)
+
+
+def _dirichlet_edges(mesh):
+    """Mask of the Dirichlet edges of ``mesh``, (ne,)."""
+    return np.isin(np.arange(mesh.num_edges), mesh.edges_with_label(DIRICHLET))
 
 
 def _class_ids(*parts):
@@ -404,10 +399,8 @@ def _surrogate_nodes(mesh, p, tris, local, kernel):
     loc = loc.reshape(tris.shape + (-1,)) - start[:-1, None, None]
     fixed = np.arange(int(np.diff(start).max())) >= np.diff(start)[:, None]
     if not kernel:
-        dirichlet = np.zeros(mesh.num_edges, dtype=bool)
-        dirichlet[np.array(mesh.edges_with_label(DIRICHLET), dtype=int)] = True
         # edge z of a triangle lies opposite its local vertex z
-        on = dirichlet[mesh.tri_edges[tris]] & (np.arange(3) != local[..., None])
+        on = _dirichlet_edges(mesh)[mesh.tri_edges[tris]] & (np.arange(3) != local[..., None])
         at = np.any(on[..., :, None] & (lagrange_bary(q).T == 0), axis=-2)
         fixed[np.broadcast_to(row, at.shape)[at], loc[at]] = True
     return loc.astype(np.int32), fixed
@@ -457,7 +450,6 @@ class PatchData:
     chi: np.ndarray  # (n, 3, ndof)
     g: np.ndarray  # (n, 3, sdim)
     mass_scale: np.ndarray  # (n, 3): magnitudes of the two terms of (g, 1)_K, see patch_data
-    sign: np.ndarray | None = None  # (n, 3(p+1)): the edge signs of ``linsolve.eliminate``
     x: np.ndarray | None = None  # (n, ndof, 4 + 3(p+1)): element eliminations, see patch_data
     defect: np.ndarray | None = None  # (num_vertices,): ``_mass_defects`` of every vertex patch
 
@@ -492,8 +484,8 @@ def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None) -> PatchData:
     data = np.zeros((n, space.sdim, 4))
     data[:, :, :3] = np.swapaxes(g - space.div(chi), 1, 2)
     data[:, 0, 3] = np.sqrt(mesh.area)
-    sign, x, _ = eliminate(space, np.zeros((n, space.ref.dim, 4)), data)
-    out = PatchData(chi, g, div_scale + grad_scale, sign, x, np.zeros(mesh.num_vertices))
+    x = eliminate(space, np.zeros((n, space.ref.dim, 4)), data)[1]
+    out = PatchData(chi, g, div_scale + grad_scale, x, np.zeros(mesh.num_vertices))
     for group in patch_layout(mesh, p).groups:
         out.defect[group.verts] = _mass_defects(group, out, mesh)
     check_compatibility(np.arange(mesh.num_vertices), out.defect)
@@ -564,8 +556,7 @@ def _sum_into(shape, idx, vals):
 
 def build_patch_problem(group: PatchGroup, theta: BrokenRTNField, v, p, mesh, *, policy=None, data=None):
     """Assemble the equilibration problems of a ``PatchGroup`` in hybrid form
-    as stacked arrays (a ``PatchGroupProblem``); ``PatchLayout.group_of``
-    gives the group of one vertex patch.
+    as stacked arrays (a ``PatchGroupProblem``).
 
     def31: data = Pi_p(psi_a div v + grad psi_a . theta), target = the
     degree-p interpolant of psi_a theta.  def52: theta has degree p-1, the
@@ -575,8 +566,8 @@ def build_patch_problem(group: PatchGroup, theta: BrokenRTNField, v, p, mesh, *,
     without it they are built for the whole mesh, and ``patch_data`` gates
     the compatibility of every patch (CompatibilityError).  One multiplier
     system per class (``_multiplier_systems``): the signature's kept
-    inverses (``PatchTables.kept``), or, where none are kept, the systems
-    of the first row of each class present.
+    inverses (``PatchTables.class_systems``), or, where none are kept, the
+    systems of the first row of each class present.
     """
     if data is None:
         data = patch_data(theta, v, p, mesh, policy=policy)
@@ -585,11 +576,11 @@ def build_patch_problem(group: PatchGroup, theta: BrokenRTNField, v, p, mesh, *,
     x0, xe = chi + data.x[group.tris, :, group.local], data.x[group.tris, :, 3:]
     cols, slots, rep, blocks = group.problem_maps
     whole = group.tables.signatures[group.sig]
-    kept = group.tables.kept("multiplier", group.sig, lambda r: _multiplier_systems(whole, r, data, p))
-    if kept is None:
+    table = group.tables.class_systems("multiplier", group.sig, lambda r: _multiplier_systems(whole, r, data, p))
+    if table is None:
         S, inv, size = _multiplier_systems(group, rep, data, p), None, None
     else:
-        (S, inv, size), blocks = kept, blocks._replace(cls=group.cls[rep][blocks.cls])
+        (S, inv, size), blocks = table, blocks._replace(cls=group.cls[rep][blocks.cls])
     b = _sum_into((n, group.nl), slots, group.sign * x0[..., :ne])
     return PatchGroupProblem(group, p, chi, g, S, blocks, b, x0, xe, cols, data.defect[group.verts], inv, size)
 
@@ -655,9 +646,9 @@ def patch_stability_ratio(problem: PatchGroupProblem, x, mesh):
     element tables are reference tables scaled by the affine maps.  The
     rows go in chunks whose systems fill at most ``POINT_BYTES``, and each
     chunk solves against the signature's kept surrogate systems
-    (``PatchTables.kept``) or, where none are kept, assembles one system per
-    surrogate class present.  Recorded, never asserted: the bound it
-    witnesses is a cited stability result.
+    (``PatchTables.class_systems``) or, where none are kept, assembles one
+    system per surrogate class present.  Recorded, never asserted: the
+    bound it witnesses is a cited stability result.
     """
     group, p = problem.group, problem.p
     return np.concatenate([_stability_ratios(group.rows(sl), part, p, problem.chi[sl], x[sl], mesh)
@@ -713,12 +704,12 @@ def _stability_ratios(group, part, p, chi, x, mesh):
     ell[fixed] = 0.0
     whole = group.tables.signatures[group.sig]
     nodes, whole_fixed = group.tables.surrogate(mesh, group.sig)[:2]
-    kept = group.tables.kept("surrogate", group.sig, lambda r: _surrogate_systems(
+    table = group.tables.class_systems("surrogate", group.sig, lambda r: _surrogate_systems(
         mesh, p, whole.tris[r], nodes[r], whole_fixed[r], whole.kernel))
-    if kept is None:
+    if table is None:
         K, inv = _surrogate_systems(mesh, p, tris[rep], loc[rep], fixed[rep], group.kernel), None
     else:
-        (K, inv, _), blocks = kept, blocks._replace(cls=present[blocks.cls])
+        (K, inv, _), blocks = table, blocks._replace(cls=present[blocks.cls])
     rhs = np.append(ell, np.zeros((n, 1)), axis=1) if group.kernel else ell
     y = solve_stacked(K, rhs, blocks, inv, lambda i: f"surrogate of vertex {group.verts[i]}")[:, :nn]
     dual = np.sqrt(np.maximum(np.sum(ell * y, axis=1), 0.0))

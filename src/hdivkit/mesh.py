@@ -1,4 +1,5 @@
-"""Conforming 2D simplicial meshes: construction, refinement, IO, vertex patches.
+"""Conforming 2D simplicial meshes: construction, refinement, IO, vertex
+patches, and ``kept``, the one way hdivkit keeps what it builds.
 
 Conventions baked in here and relied on everywhere else:
   * triangles are stored counterclockwise, rotated so the smallest vertex
@@ -17,6 +18,7 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .quadrature import xy
 
@@ -27,6 +29,46 @@ _LABELS = (DIRICHLET, NEUMANN)
 
 class MeshError(ValueError):
     pass
+
+
+def kept(cache, key, build, held=(), tag=None):
+    """``cache[key]``, built by ``build()`` on first use and again, in place
+    of the old entry, when asked with other ``held`` objects (compared by
+    identity) or another ``tag`` (compared by value).  The entry's arrays,
+    those in its tuples, lists and sparse matrices included, are made
+    read-only; objects keep their own arrays.
+
+    What hdivkit keeps, by owner and key, and what rebuilds it:
+      * a mesh (``Mesh._cache``), for its life: ``rtn_space``,
+        ``patch_layout`` and ``RTNSpace.multipliers`` per p,
+        ``lagrange_nodes`` per q, ``vertex_patches``, and the least-squares
+        (A, B, ``LagrangeSpace``) per (p, q), rebuilt for another l^2 (tag);
+      * a patch layout (``PatchTables``), for the mesh's life: the class
+        systems per (kind, signature), the surrogate numbering, and per
+        layout group its surrogate chunks;
+      * a ``QuadPolicy``, for its life (one call or one study row): per
+        mesh its groups and the samples of v and div v, per (mesh, p) the
+        moments of v and div v, rebuilt for another mesh or field (held);
+        one element's rules per key, rebuilt for another geometry (tag);
+        per quadrature group its reference tables per degree.
+    Not kept here: the process-wide reference tables (``lru_cache`` in
+    ``polys``, ``quadrature``, ``elements`` and ``local_solve``) and the
+    class tables an ``RTNSpace`` keeps as cached properties."""
+    entry = cache.get(key)
+    if entry is None or entry[1] != tag or any(a is not b for a, b in zip(entry[0], held)):
+        entry = cache[key] = (held, tag, build())
+        _read_only(entry[2])
+    return entry[2]
+
+
+def _read_only(entry):
+    if isinstance(entry, np.ndarray):
+        entry.flags.writeable = False
+    elif isinstance(entry, (tuple, list)):
+        for a in entry:
+            _read_only(a)
+    elif sp.issparse(entry):
+        _read_only([entry.data, entry.indices, entry.indptr])
 
 
 def _canonical_triangles(vertices, triangles):
@@ -71,6 +113,9 @@ class Mesh:
         self.vertices = np.array(vertices, dtype=float)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (n, 2) array")
+        bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
+        if len(bad):
+            raise MeshError(f"vertex {int(bad[0])} has a non-finite coordinate {tuple(self.vertices[bad[0]].tolist())}")
         self.triangles = _canonical_triangles(self.vertices, triangles)
         order = np.lexsort(
             (self.triangles[:, 2], self.triangles[:, 1], self.triangles[:, 0])
@@ -224,9 +269,6 @@ class Mesh:
         for comp, x0 in zip(xy(pts), xy(self.X0[tris])):
             comp += x0[:, None]
         return pts
-
-    def triangle_coords(self, k):
-        return self.vertices[self.triangles[k]]
 
     # the edge queries take one edge index or an index array; an array adds a
     # leading edge axis to the result
@@ -460,11 +502,10 @@ def vertex_patches(mesh: Mesh):
 
     A vertex touching any Dirichlet boundary edge is Dirichlet (the Dirichlet
     boundary is treated as a closed set, so this covers interface vertices).
-    Built once per mesh and cached on it; callers must not modify the list.
+    Built once per mesh and kept on it (``kept``); callers must not modify
+    the list.
     """
-    if "vertex_patches" not in mesh._cache:
-        mesh._cache["vertex_patches"] = _build_vertex_patches(mesh)
-    return mesh._cache["vertex_patches"]
+    return kept(mesh._cache, "vertex_patches", lambda: _build_vertex_patches(mesh))
 
 
 def _build_vertex_patches(mesh: Mesh):

@@ -8,10 +8,9 @@ continuous P_q potential through the first-order system functional
 whose bilinear form is coercive with constant 1/8 in the scaled norm.  The
 mixed system is solved hybridized; the other sparse systems are SPD as posed.
 Both global matrices depend only on the mesh, the degrees and l^2, and the
-mesh keeps them assembled: the hybrid multiplier matrix with its
-``RTNSpace``, the least-squares matrix per (p, q) for the exact bits of l^2
-(``_ls_system``).  A call forms only its right-hand side and factors the
-kept matrix afresh.
+mesh keeps them assembled (``mesh.kept``): the hybrid multiplier matrix per
+p, the least-squares matrix per (p, q) for the exact bits of l^2.  A call
+forms only its right-hand side and factors the kept matrix afresh.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from .elements import (
 )
 from .fields import AnalyticField
 from .linsolve import SparseFactor, assemble_csr, check_symmetric, hybrid_saddle_solve, solve_stacked
+from .mesh import kept
 from .projections import ScalarPWField
 from .projector import ConformingRTNField
 from .quadpolicy import QuadPolicy
@@ -141,13 +141,6 @@ def _data_moments(prob, policy):
     return fmom
 
 
-def _flux_system(prob, p, policy):
-    """Shared conforming-mass / divergence blocks and data moments."""
-    space = rtn_space(prob.mesh, p)
-    M, B, _ = space.conforming_blocks()  # all-Dirichlet: every dof is kept
-    return space, M, B, _data_moments(prob, policy).ravel()
-
-
 def solve_mixed(prob: PoissonProblem, p: int):
     """Dual mixed method: (sigma_M, v) - (u_M, div v) = 0, (div sigma_M, q) = (f, q).
 
@@ -212,39 +205,35 @@ def _lagrange_stiffness(ls: LagrangeSpace, rule):
     return assemble_csr(ls._elem_nodes, ls._elem_nodes, blocks, (ls.n_nodes, ls.n_nodes))
 
 
-def _ls_system(prob, p, q, policy):
-    """(A, B, ls, fmom): the least-squares matrix over the fluxes, then the
-    free potential nodes, the divergence B, the zero-trace P_q space and the
-    data moments.  A, B and ls depend only on the mesh, p, q and l^2: the
-    mesh keeps them per (p, q) for the exact bits of l^2, and builds them
-    again, in place of the old ones, when another l^2 asks.  Their sparse
-    arrays are read-only, and A's symmetry is checked here, once."""
+def _ls_system(prob, p, q):
+    """(A, B, ls): the least-squares matrix over the fluxes, then the free
+    potential nodes, the divergence B and the zero-trace P_q space, kept
+    on the mesh per (p, q) for the exact bits of l^2 (``mesh.kept``).  A's
+    symmetry is checked here, once."""
     mesh, l2 = prob.mesh, prob.l_omega**2
-    key, bits = ("ls_system", p, q), np.float64(l2).tobytes()
-    held = mesh._cache.get(key)
-    if held is not None and held[0] == bits:
-        return (*held[1:], _data_moments(prob, policy).ravel())
-    space, M, B, fmom = _flux_system(prob, p, policy)
-    ls = LagrangeSpace(mesh, q)
-    # D = B^T B is (div, div) on conforming dofs thanks to the orthonormal
-    # scalar basis; G couples fluxes with potential gradients
-    D = (B.T @ B).tocsr()
-    blocks = space.rows_to_elem(_coupling_reference(q, p)[None])
-    G = assemble_csr(ls._elem_nodes, space.dof_map, blocks, (ls.n_nodes, space.ndof))
-    S = _lagrange_stiffness(ls, quad_rule(2 * q))
-    fr = ls.free_index
-    A = sp.bmat(
-        [
-            [l2 * D + M, G[fr].T],
-            [G[fr], S[fr][:, fr]],
-        ],
-        format="csc",
-    )
-    check_symmetric(A)
-    for a in (A.data, A.indices, A.indptr, B.data, B.indices, B.indptr):
-        a.flags.writeable = False
-    mesh._cache[key] = (bits, A, B, ls)
-    return A, B, ls, fmom
+
+    def build():
+        space = rtn_space(mesh, p)
+        M, B, _ = space.conforming_blocks()  # all-Dirichlet: every dof is kept
+        ls = LagrangeSpace(mesh, q)
+        # D = B^T B is (div, div) on conforming dofs thanks to the orthonormal
+        # scalar basis; G couples fluxes with potential gradients
+        D = (B.T @ B).tocsr()
+        blocks = space.rows_to_elem(_coupling_reference(q, p)[None])
+        G = assemble_csr(ls._elem_nodes, space.dof_map, blocks, (ls.n_nodes, space.ndof))
+        S = _lagrange_stiffness(ls, quad_rule(2 * q))
+        fr = ls.free_index
+        A = sp.bmat(
+            [
+                [l2 * D + M, G[fr].T],
+                [G[fr], S[fr][:, fr]],
+            ],
+            format="csc",
+        )
+        check_symmetric(A)
+        return A, B, ls
+
+    return kept(mesh._cache, ("ls_system", p, q), build, tag=np.float64(l2).tobytes())
 
 
 def solve_ls_mixed(prob: PoissonProblem, p: int, q: int):
@@ -255,7 +244,8 @@ def solve_ls_mixed(prob: PoissonProblem, p: int, q: int):
     matrix afresh.  ``system`` is (A, b) over the fluxes, then the free
     potential nodes: the kept, read-only A and this call's b."""
     policy = QuadPolicy(p, field=prob.sigma, degree=None)
-    A, B, ls, fmom = _ls_system(prob, p, q, policy)
+    A, B, ls = _ls_system(prob, p, q)
+    fmom = _data_moments(prob, policy).ravel()
     fr = ls.free_index
     b = np.concatenate([prob.l_omega**2 * (B.T @ fmom), np.zeros(len(fr))])
     factor = SparseFactor(A, checked=True)

@@ -93,14 +93,6 @@ class BrokenRTNField:
         return float(np.sqrt(np.sum(y * self.space.mass(y))))
 
 
-def random_broken_field(mesh, p, seed=0, scale=1.0) -> BrokenRTNField:
-    """Seeded broken RTN_p sample; normal traces jump across edges."""
-    out = BrokenRTNField(mesh, p)
-    rng = np.random.default_rng(seed)
-    out.coeffs = scale * rng.standard_normal(out.coeffs.shape)
-    return out
-
-
 def _scalar_values(f, mesh, group):
     """Values of a scalar field at a quadrature group's points: a ScalarPWField
     from its coefficients, an object with ``eval_element(k, pts)`` element by

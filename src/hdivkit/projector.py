@@ -52,9 +52,6 @@ class ConformingRTNField(BrokenRTNField):
     def element_coeffs(self, tris):
         return self.dofs[self.space.dof_map[tris]]
 
-    def to_broken(self) -> BrokenRTNField:
-        return BrokenRTNField(self.mesh, self.p, self.element_coeffs(slice(None)))
-
     def _normal_traces(self, edges, side):
         """Normal traces v.n at 8 Gauss points of each edge, read from the
         triangle ``mesh.edge_tris[edges, side]``: (group of the points, values
@@ -73,14 +70,6 @@ class ConformingRTNField(BrokenRTNField):
         group, v0 = self._normal_traces(edges, 0)
         _, v1 = self._normal_traces(edges, 1)
         return float(np.sqrt(np.max(group.norm_sq(v0 - v1))))
-
-    def neumann_trace_residual(self):
-        """Largest Neumann-edge L2 norm of the normal trace."""
-        edges = self.mesh.edges_with_label("neumann")
-        if not edges:
-            return 0.0
-        group, v0 = self._normal_traces(np.array(edges), 0)  # a boundary edge's triangle is its first
-        return float(np.sqrt(np.max(group.norm_sq(v0))))
 
 
 def random_conforming_field(mesh, p, seed=0, scale=1.0) -> ConformingRTNField:

@@ -12,13 +12,10 @@ Gauss-Jacobi edge rules on edges leaving the corner, and escalated degrees on
 nearby elements, which keeps moment errors near roundoff even for singular
 data.
 
-A policy keeps what it forms from its field for as long as it lives (one
-call, or one study row): the samples of v and div v at its points
-(``values``), the RTN_p moments of v (``moments``) and the P_p moments of
-div v (``div_moments``), so every consumer in that call reads them; the
-moment tables are read-only.  For a field that declares
-``divergence_free`` the divergence moments are exact zeros, no consumer
-asks for its divergence samples, and its ``div`` is never called.
+A policy keeps, read-only, the samples of v and div v (``values``) and
+their moments (``moments``, ``div_moments``) for its life, one call or one
+study row (``mesh.kept``).  A divergence-free field's divergence moments
+are exact zeros, and its ``div`` is never called.
 """
 
 from __future__ import annotations
@@ -29,8 +26,9 @@ import numpy as np
 
 from . import polys
 from .elements import rtn_dim, rtn_reference, scalar_basis, scalar_moments
-from .fields import AnalyticField
+from .fields import AnalyticField, FieldError
 from .linsolve import chunks
+from .mesh import kept
 from .quadrature import corner_rule, corner_rules, edge_npts, gauss01, jacobi01, quad_rule, xy
 
 
@@ -77,17 +75,13 @@ class QuadGroup:
     def prim(self, p):
         """Reference RTN_p primal values (nprim, [n,] nq, 2), the element
         axis only for points of their own."""
-        if ("prim", p) not in self._tables:
-            vals = rtn_reference(p).eval(self.ref.reshape(-1, 2))
-            self._tables["prim", p] = vals.reshape((-1,) + self.ref.shape)
-        return self._tables["prim", p]
+        build = lambda: rtn_reference(p).eval(self.ref.reshape(-1, 2)).reshape((-1,) + self.ref.shape)
+        return kept(self._tables, ("prim", p), build)
 
     def phi(self, p):
         """Orthonormal P_p values (sdim, [n,] nq)."""
-        if ("phi", p) not in self._tables:
-            vals = scalar_basis(p).eval(self.ref.reshape(-1, 2))
-            self._tables["phi", p] = vals.reshape((-1,) + self.ref.shape[:-1])
-        return self._tables["phi", p]
+        build = lambda: scalar_basis(p).eval(self.ref.reshape(-1, 2)).reshape((-1,) + self.ref.shape[:-1])
+        return kept(self._tables, ("phi", p), build)
 
     def barycentric(self):
         """Hat functions of the three local vertices at the points (3, n, nq)."""
@@ -190,10 +184,12 @@ class QuadPolicy:
         ``check_groups`` and ``edge_rules``, which give the same rules to
         whole meshes.
         """
+        if key is None:
+            return self._element_rules(el)
         # an entry holds its element's geometry: on another mesh a key names another element
-        held = self._cache.get(key) if key is not None else None
-        if held is not None and np.array_equal(held[0], el.coords) and held[1] == el.edge_dirs:
-            return held[2]
+        return kept(self._cache, key, lambda: self._element_rules(el), tag=(el.coords.tobytes(), tuple(el.edge_dirs)))
+
+    def _element_rules(self, el):
         corner = int(self._corners(el.coords[None], np.array([el.h]))[0])
         if corner >= 0:
             gamma = self.singularity.gamma
@@ -209,17 +205,10 @@ class QuadPolicy:
                     edges.append((t, w))
                 else:
                     edges.append(gauss01(edge_npts(max(self.base_degree, 30))))
-            out = (tri, edges, chk)
-        else:
-            deg = int(self._degrees(el.coords[None], np.array([el.h]))[0])
-            tri = quad_rule(deg + self.p)
-            chk = quad_rule(2 * (deg + self.p)) if self.self_check else None
-            n1 = edge_npts(deg + self.p)
-            edges = [gauss01(n1)] * 3
-            out = (tri, edges, chk)
-        if key is not None:
-            self._cache[key] = (el.coords.copy(), list(el.edge_dirs), out)
-        return out
+            return tri, edges, chk
+        deg = int(self._degrees(el.coords[None], np.array([el.h]))[0])
+        chk = quad_rule(2 * (deg + self.p)) if self.self_check else None
+        return quad_rule(deg + self.p), [gauss01(edge_npts(deg + self.p))] * 3, chk
 
     def groups(self, mesh):
         """The elements of ``mesh`` grouped by the rule ``element_rules`` gives
@@ -227,7 +216,7 @@ class QuadPolicy:
         ``POINT_BYTES`` of per-point data, and one for the corner wedges, cut
         into chunks of at most ``STACK_BYTES`` (``linsolve.chunks``).  Built
         once per mesh."""
-        return self._held(("groups", id(mesh)), mesh, None, lambda: list(self._grouped(mesh, check=False)))
+        return kept(self._cache, ("groups", id(mesh)), lambda: list(self._grouped(mesh, check=False)), (mesh,))
 
     def edge_rules(self, mesh):
         """The edge rules of ``element_rules`` for every (triangle, slot) pair
@@ -280,22 +269,21 @@ class QuadPolicy:
             k = ks[sl]
             yield QuadGroup.at(mesh, k, *corner_rules(xs[k], corner[k], self.singularity.gamma, *size))
 
-    def _held(self, key, mesh, field, build):
-        """``build()`` for ``mesh`` and ``field``, kept under ``key`` until
-        another mesh or field asks for it."""
-        # an entry holds its mesh and field: a cached id must not match later ones
-        held = self._cache.get(key)
-        if held is None or held[0] is not mesh or held[1] is not field:
-            held = self._cache[key] = (mesh, field, build())
-        return held[2]
-
     def values(self, field, mesh, div=False):
         """``field`` (or its divergence) at the points of every group of
         ``groups``, in group order: the whole mesh is evaluated once per
         policy, field and kind, on first use.  Callers skip the divergence
-        of a divergence-free field."""
-        key = ("div" if div else "values", id(mesh))
-        return self._held(key, mesh, field, lambda: [g.eval(field, div=div) for g in self.groups(mesh)])
+        of a divergence-free field.  A sample that is not finite is a
+        FieldError that names its element."""
+        def build():
+            out = [g.eval(field, div=div) for g in self.groups(mesh)]
+            bad = np.concatenate([g.tris[~np.isfinite(vals.reshape(len(vals), -1)).all(axis=1)]
+                                  for g, vals in zip(self.groups(mesh), out)])
+            if len(bad):
+                raise FieldError(f"{'div v' if div else 'v'} is not finite at a point of element {bad.min()}")
+            return out
+
+        return kept(self._cache, ("div" if div else "values", id(mesh)), build, (mesh, field))
 
     def moments(self, space, field):
         """Moments of ``field`` against the RTN basis of ``space``
@@ -305,10 +293,9 @@ class QuadPolicy:
             b = np.empty((space.mesh.num_triangles, space.ref.dim))
             for g, vals in zip(self.groups(space.mesh), self.values(field, space.mesh)):
                 b[g.tris] = space.moments(g, vals)
-            b.flags.writeable = False
             return b
 
-        return self._held(("moments", id(space.mesh), space.p), space.mesh, field, build)
+        return kept(self._cache, ("moments", id(space.mesh), space.p), build, (space.mesh, field))
 
     def div_moments(self, field, mesh, p):
         """Moments of div ``field`` against the orthonormal P_p bases
@@ -320,7 +307,6 @@ class QuadPolicy:
             if not self.divergence_free:
                 for g, dvals in zip(self.groups(mesh), self.values(field, mesh, div=True)):
                     out[g.tris] = scalar_moments(mesh, p, g, dvals)
-            out.flags.writeable = False
             return out
 
-        return self._held(("div_moments", id(mesh), p), mesh, field, build)
+        return kept(self._cache, ("div_moments", id(mesh), p), build, (mesh, field))

@@ -424,7 +424,7 @@ def stacked_mass(mesh, p):
 
 def hat_values(patch, mesh, k, pts):
     """Hat function of the patch vertex at physical points inside triangle k."""
-    xs = mesh.triangle_coords(k)
+    xs = triangle_coords(mesh, k)
     B = np.column_stack([xs[1] - xs[0], xs[2] - xs[0]])
     lam = np.linalg.solve(B, (np.atleast_2d(pts) - xs[0]).T)
     la = patch.local_index[k]
@@ -434,7 +434,7 @@ def hat_values(patch, mesh, k, pts):
 def hat_grad(patch, mesh, k):
     """Gradient of the hat function of the patch vertex on triangle k
     (constant vector)."""
-    xs = mesh.triangle_coords(k)
+    xs = triangle_coords(mesh, k)
     B = np.column_stack([xs[1] - xs[0], xs[2] - xs[0]])
     ghat = {0: (-1.0, -1.0), 1: (1.0, 0.0), 2: (0.0, 1.0)}[patch.local_index[k]]
     return np.linalg.inv(B).T @ np.asarray(ghat)
@@ -491,7 +491,7 @@ def global_best_oracle(v, p, mesh, policy):
     for k, el in enumerate(elements(space)):
         tri, _, _ = policy.element_rules(el, key=("tri", k))
         pts = el.quad_points(tri)
-        rhs[space.element_dof_map(k)] += el.rtn_moments(v.eval(pts, elem=k), tri)
+        rhs[space.dof_map[k]] += el.rtn_moments(v.eval(pts, elem=k), tri)
         g[k] = el.scalar_moments(v.eval_div(pts, elem=k), tri)
     nf = len(fidx)
     A = np.block([[M.toarray(), B.T.toarray()], [B.toarray(), np.zeros((B.shape[0],) * 2)]])
@@ -678,7 +678,7 @@ def conforming_blocks_oracle(space):
     rowsB, colsB, valsB = [], [], []
     for k in range(nt):
         el = element(space, k)
-        dofmap = space.element_dof_map(k)
+        dofmap = space.dof_map[k]
         act = free[dofmap]
         gm = pos[dofmap[act]]
         rowsM.append(np.repeat(gm, len(gm)))
@@ -725,7 +725,7 @@ def ls_coupling_oracle(ls, space, p, q):
     for k in range(len(space.elements)):
         el = element(space, k)
         ids = ls._elem_nodes[k]
-        gm = space.element_dof_map(k)
+        gm = space.dof_map[k]
         grad = np.einsum("dc,nqc->nqd", el.Binv.T, np.stack([gxr, gyr], axis=2))
         w = rule.weights * el.detB
         bv = el.basis_values_ref(rule.points)
@@ -756,14 +756,14 @@ def ls_coupling_oracle(ls, space, p, q):
 
 def ls_blocks_oracle(prob, p, q):
     """The blocks of the least-squares form for ``solve_ls_mixed(prob, p, q)``,
-    rebuilt from ``_flux_system`` and ``assemble_csr``: M, B, D = B^T B,
+    rebuilt from ``flux_system`` and ``assemble_csr``: M, B, D = B^T B,
     G and S over all Lagrange nodes, the data moments ``fmom``, ``l2`` and
     the Lagrange space ``ls``."""
     from hdivkit.elements import _coupling_reference, _stiffness_blocks
     from hdivkit.linsolve import assemble_csr
-    from hdivkit.model_problems import LagrangeSpace, _flux_system
+    from hdivkit.model_problems import LagrangeSpace
 
-    space, M, B, fmom = _flux_system(prob, p, QuadPolicy(p, field=prob.sigma, degree=None))
+    space, M, B, fmom = flux_system(prob, p, QuadPolicy(p, field=prob.sigma, degree=None))
     ls = LagrangeSpace(prob.mesh, q)
     nodes, rule = ls._elem_nodes, quad_rule(2 * q)
     coupling = space.rows_to_elem(_coupling_reference(q, p)[None])
@@ -964,7 +964,7 @@ def projector_oracle(v, p, mesh, quad_degree=None):
     space = rtn_space(mesh, p)
     sigma = ConformingRTNField(mesh, p)
     for patch in vertex_patches(mesh):
-        group = patch_layout(mesh, p).group_of(patch.vertex)
+        group = group_of(patch_layout(mesh, p), patch.vertex)
         prob = build_patch_problem(group, theta, v, p, mesh, policy=policy)
         s, ps = patch_oracle(mesh, patch, p, theta.coeffs, prob.chi[0], prob.g[0])
         sigma.dofs[ps.dofs] += s
@@ -1252,7 +1252,7 @@ def _patch_lagrange(mesh, patch, q):
     for k in patch.tris:
         k = int(k)
         tri = mesh.triangles[k]
-        xs = mesh.triangle_coords(k)
+        xs = triangle_coords(mesh, k)
         ids = []
         for i in range(q + 1):
             for j in range(q + 1 - i):
@@ -1614,7 +1614,8 @@ def build_patch_problem_stacked_oracle(group, p, mesh, data):
     cols = np.concatenate([mu, np.where(group.kernel & (L == 0), -1, L)], axis=2)
     rows = np.where(L >= 0, np.arange(n)[:, None, None] * nl + L, -1)
     idx = np.where(cols[..., None, :] >= 0, rows[..., :, None] * nl + cols[..., None, :], -1)
-    sgn = data.sign[group.tris]
+    own = mesh.edge_tris[mesh.tri_edges, 0] == np.arange(mesh.num_triangles)[:, None]
+    sgn = np.repeat(np.where(own, 1.0, -1.0), p + 1, axis=1)[group.tris]  # the signs of ``eliminate``
     S = _sum_into((n, nl, nl), idx, sgn[..., :, None] * X[..., :ne, 3:])
     b = _sum_into((n, nl), rows, sgn * x0[..., :ne])
     return PatchGroupProblem(group, p, chi, g, S, None, b, x0, X[..., 3:], cols, defect)
@@ -1796,3 +1797,62 @@ def interior_interp_stacked_oracle(v, p, mesh):
         vals = g.eval(v) * (g.w / np.sqrt(mesh.detB[g.tris])[:, None])[:, :, None]
         out[g.tris] = np.hstack([g.contract(g.phi(p - 1), vals[:, :, c]) for c in (0, 1)])
     return out
+
+
+# -- helpers with no caller in the library ------------------------------------------------
+
+
+def triangle_coords(mesh, k):
+    """The vertex coordinates of triangle k, (3, 2)."""
+    return mesh.vertices[mesh.triangles[k]]
+
+
+def random_broken_field(mesh, p, seed=0, scale=1.0):
+    """Seeded broken RTN_p sample; normal traces jump across edges."""
+    from hdivkit.projections import BrokenRTNField
+
+    out = BrokenRTNField(mesh, p)
+    out.coeffs = scale * np.random.default_rng(seed).standard_normal(out.coeffs.shape)
+    return out
+
+
+def to_broken(field):
+    """A conforming field as the broken field of its element rows."""
+    from hdivkit.projections import BrokenRTNField
+
+    return BrokenRTNField(field.mesh, field.p, field.element_coeffs(slice(None)))
+
+
+def neumann_trace_residual(field):
+    """Largest Neumann-edge L2 norm of the normal trace of a conforming
+    field, on the points of its ``jump_residual``."""
+    edges = field.mesh.edges_with_label("neumann")
+    if not edges:
+        return 0.0
+    group, v0 = field._normal_traces(np.array(edges), 0)  # a boundary edge's triangle is its first
+    return float(np.sqrt(np.max(group.norm_sq(v0))))
+
+
+def patch_place(layout, vertex):
+    """(group index, row) of the patch of ``vertex`` in a ``PatchLayout``."""
+    for gi, group in enumerate(layout.groups):
+        rows = np.flatnonzero(group.verts == vertex)
+        if len(rows):
+            return gi, int(rows[0])
+    raise KeyError(vertex)
+
+
+def group_of(layout, vertex):
+    """The one-row ``PatchGroup`` holding the patch of ``vertex``."""
+    gi, r = patch_place(layout, vertex)
+    return layout.groups[gi].rows(slice(r, r + 1))
+
+
+def flux_system(prob, p, policy):
+    """The conforming mass and divergence blocks of ``prob``'s mesh and its
+    data moments: (space, M, B, fmom)."""
+    from hdivkit.model_problems import _data_moments
+
+    space = rtn_space(prob.mesh, p)
+    M, B, _ = space.conforming_blocks()  # all-Dirichlet: every dof is kept
+    return space, M, B, _data_moments(prob, policy).ravel()

@@ -391,7 +391,8 @@ def test_criterion_10_oracles(ref_triangle_mesh, unit_square_2):
     cubic = fields.catalog("cubic")
     th = theta_field(cubic, 0, unit_square_2)
     patch = [p for p in vertex_patches(unit_square_2) if p.kind == "interior"][0]
-    prob = build_patch_problem(patch_layout(unit_square_2, 0).group_of(patch.vertex), th, cubic, 0, unit_square_2)
+    group = oracles.group_of(patch_layout(unit_square_2, 0), patch.vertex)
+    prob = build_patch_problem(group, th, cubic, 0, unit_square_2)
     x, _ = patch_equilibrate(prob)
     s, ps = oracles.patch_oracle(unit_square_2, patch, 0, th.coeffs, prob.chi[0], prob.g[0])
     sref = oracles.elem_rows(ps, s)

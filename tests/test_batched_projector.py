@@ -142,7 +142,7 @@ def test_stability_ratios_match_loop_oracle_at_a_bowtie_vertex(p):
     labels = [(e, "dirichlet") for e in edges] + [((0, 5), "neumann")]
     m = Mesh([(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1)], [(0, 1, 2), (1, 3, 2), (0, 4, 5)], labels)
     layout = patch_layout(m, p)
-    assert layout.groups[layout.where[0, 0]].verts.tolist() == [0, 1, 2]
+    assert layout.groups[oracles.patch_place(layout, 0)[0]].verts.tolist() == [0, 1, 2]
     v = random_conforming_field(m, p + 1, seed=p)
     got = np.array(projector_report(v, p, m)["sigma"].info["projector"].stability_ratios)
     want = oracles.project_hdiv_oracle(v, p, m, measure_stability=True)
@@ -276,7 +276,7 @@ def test_patch_layout_matches_patch_loop(labels, p):
                 assert [patch.local_index[int(k)] for k in patch.tris] == list(group.local[r])
                 assert nl == nt * ndof - want.ndof
                 _check_multipliers(m, p, patch, group.mult[r], oracles.elem_maps(want), nl)
-                one = layout.group_of(a)
+                one = oracles.group_of(layout, a)
                 assert one.verts.tolist() == [a] and np.array_equal(one.mult[0], group.mult[r])
             seen += group.verts.tolist()
         assert sorted(seen) == list(range(m.num_vertices))
@@ -386,7 +386,7 @@ def test_single_patch_problem_matches_loop_assembly():
     theta = theta_field(v, p, m)
     data = oracles.patch_data_oracle(theta, v, p, m, QuadPolicy(p, field=v))
     for patch in vertex_patches(m):
-        prob = build_patch_problem(patch_layout(m, p).group_of(patch.vertex), theta, v, p, m)
+        prob = build_patch_problem(oracles.group_of(patch_layout(m, p), patch.vertex), theta, v, p, m)
         want = oracles.build_patch_problem_oracle(patch, p, m, data)
         assert prob.group.verts.tolist() == [patch.vertex] and prob.p == p
         for key in ("chi", "g"):  # per triangle, in ascending triangle order

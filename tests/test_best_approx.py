@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import x2_field, x3_field
-from oracles import element, optimality_check
+from oracles import element, optimality_check, random_broken_field
 from hdivkit import fields
 from hdivkit.best_approx import (
     error_report,
@@ -14,7 +14,6 @@ from hdivkit.elements import RTNSpace, rtn_space, scalar_moments
 from hdivkit.fields import FieldError
 from hdivkit.mesh import build_lshape, build_structured
 from hdivkit.model_problems import manufactured_sine
-from hdivkit.projections import random_broken_field
 from hdivkit.projector import random_conforming_field
 from hdivkit.quadpolicy import QuadPolicy
 from hdivkit.quadrature import quad_rule

@@ -251,6 +251,18 @@ def test_folded_mesh_file_is_one_line_error(tmp_path, capsys):
     assert code == 2 and "folded at edge" in capsys.readouterr().err
 
 
+def test_non_finite_mesh_file_is_one_line_error(tmp_path, capsys):
+    # JSON's NaN literal reaches the mesh as a float
+    data = build_structured(2).to_dict()
+    data["vertices"][4] = [float("nan"), 0.5]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(data))
+    assert "NaN" in path.read_text()
+    _assert_one_line_error(["project", "--mesh", str(path)], capsys)
+    code = main(["mesh", "inspect", "--mesh", str(path)])
+    assert code == 2 and "vertex 4 has a non-finite coordinate" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

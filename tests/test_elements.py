@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from oracles import dofs_of_refvals, element, rtn_primal_oracle, scalar_orthonormal_oracle
+from oracles import dofs_of_refvals, element, rtn_primal_oracle, scalar_orthonormal_oracle, to_broken
 from test_element_layer import jitter
 
 from hdivkit import polys
@@ -219,7 +219,7 @@ def test_element_evaluation_matches_oracle(p):
     # of its broken copy, so the two agree bit for bit
     m = jitter(build_lshape(2), 3)
     sig = random_conforming_field(m, p, seed=p)
-    broken = sig.to_broken()
+    broken = to_broken(sig)
     scalar = ScalarPWField(m, p, RNG.standard_normal((m.num_triangles, polys.tri_dim(p))))
     space = rtn_space(m, p)
     for k in range(0, m.num_triangles, 5):

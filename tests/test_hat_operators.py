@@ -93,7 +93,7 @@ def meshes():
 
 
 def _assert_matches_oracle(patch, theta, v, p, m, policy, tol):
-    prob = build_patch_problem(patch_layout(m, p).group_of(patch.vertex), theta, v, p, m, policy=policy)
+    prob = build_patch_problem(oracles.group_of(patch_layout(m, p), patch.vertex), theta, v, p, m, policy=policy)
     ref = oracles.patch_problem_oracle(patch, theta, v, p, m, policy)
     for key in ("chi", "g"):
         got = getattr(prob, key)[0]  # rows in ascending triangle order

@@ -80,7 +80,7 @@ def test_bowtie_vertex(p):
     labels = [(e, "dirichlet") for e in edges] + [((0, 5), "neumann")]
     m = Mesh([(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1)], [(0, 1, 2), (1, 3, 2), (0, 4, 5)], labels)
     layout = patch_layout(m, p)
-    assert layout.groups[layout.where[0, 0]].verts.tolist() == [0, 1, 2]
+    assert layout.groups[oracles.patch_place(layout, 0)[0]].verts.tolist() == [0, 1, 2]
     v = random_conforming_field(m, p + 1, seed=p)
     _check_patches(m, p, v)
     want = oracles.project_hdiv_oracle(v, p, m)

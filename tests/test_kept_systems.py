@@ -6,13 +6,18 @@ arrays are read-only."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import hdivkit.linsolve
 import hdivkit.model_problems
+from hdivkit import fields
 from hdivkit.best_approx import error_report, global_best
-from hdivkit.elements import rtn_space
+from hdivkit.elements import lagrange_nodes, rtn_space
+from hdivkit.local_solve import patch_layout
 from hdivkit.mesh import build_lshape, build_structured
 from hdivkit.model_problems import h1_best_global, manufactured_sine, solve_ls_mixed, solve_mixed
+from hdivkit.projector import projector_report
+from hdivkit.quadpolicy import QuadPolicy
 from test_batched_projector import stream_field
 from test_hybrid_solve import gradient_field
 
@@ -113,6 +118,42 @@ def test_kept_arrays_are_read_only():
     for a in (kept.lam, kept.A.data, kept.A.indices, kept.A.indptr):
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1
+
+
+def _arrays(entry):
+    """The arrays of a kept entry: those in its tuples, lists and sparse
+    matrices."""
+    if isinstance(entry, np.ndarray):
+        return [entry]
+    if isinstance(entry, (tuple, list)):
+        return [a for part in entry for a in _arrays(part)]
+    return _arrays([entry.data, entry.indices, entry.indptr]) if sp.issparse(entry) else []
+
+
+def test_entries_kept_through_the_helper_are_read_only():
+    # after a projector_report, a solve_mixed and a solve_ls_mixed: the
+    # continuous P_q numbering, the patch class inverses, the policy's
+    # samples and moments, the multiplier system and the least-squares A
+    # and B; reading them builds nothing
+    prob, p = manufactured_sine(build_structured(4)), 1
+    mesh, v = prob.mesh, fields.catalog("cubic")
+    policy = QuadPolicy(p, field=v)
+    projector_report(v, p, mesh, policy=policy)
+    solve_mixed(prob, p)
+    solve_ls_mixed(prob, p, p + 1)
+    held = len(mesh._cache), len(policy._cache)
+    tables = patch_layout(mesh, p).tables
+    assert {kind for kind, _ in tables.systems} == {"multiplier", "surrogate"}
+    entries = [lagrange_nodes(mesh, p + 1), lagrange_nodes(mesh, p + 2), [e[-1] for e in tables.systems.values()],
+               policy.values(v, mesh), policy.values(v, mesh, div=True), policy.moments(rtn_space(mesh, p), v),
+               policy.div_moments(v, mesh, p), rtn_space(mesh, p).multipliers,
+               hdivkit.model_problems._ls_system(prob, p, p + 1)[:2]]
+    assert (len(mesh._cache), len(policy._cache)) == held
+    for entry in entries:
+        arrays = _arrays(entry)
+        assert arrays and not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            arrays[0].flat[0] = 0
 
 
 def test_another_l2_rebuilds_the_least_squares_system():

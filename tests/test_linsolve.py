@@ -11,7 +11,7 @@ from hdivkit.linsolve import (
     dense_solve,
     solve_stacked,
 )
-from oracles import saddle_matrix, saddle_solve_dense, saddle_solve_stacked
+from oracles import flux_system, saddle_matrix, saddle_solve_dense, saddle_solve_stacked
 
 RNG = np.random.default_rng(0)
 
@@ -142,10 +142,9 @@ def test_global_mixed_sparse_vs_dense(unit_square_2):
     res = solve_mixed(prob, 0)
     # dense re-solve of the same blocks
     from hdivkit.quadpolicy import QuadPolicy
-    from hdivkit.model_problems import _flux_system
 
     policy = QuadPolicy(0, field=prob.sigma)
-    space, M, B, fmom = _flux_system(prob, 0, policy)
+    space, M, B, fmom = flux_system(prob, 0, policy)
     n = space.ndof
     m = B.shape[0]
     A = np.zeros((n + m, n + m))

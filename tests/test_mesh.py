@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 import pytest
-from oracles import hat_grad, hat_values, label_boundary_oracle, mesh_topology_oracle
+from oracles import hat_grad, hat_values, label_boundary_oracle, mesh_topology_oracle, triangle_coords
 
 from hdivkit.mesh import (
     Mesh,
@@ -60,14 +60,14 @@ def test_refine_nesting():
     r = refine_uniform(m)
 
     def contains(parent, xs_child):
-        xs = m.triangle_coords(parent)
+        xs = triangle_coords(m, parent)
         B = np.column_stack([xs[1] - xs[0], xs[2] - xs[0]])
         lam = np.linalg.solve(B, (xs_child - xs[0]).T)
         return lam.min() > -1e-14 and (lam.sum(axis=0)).max() < 1 + 1e-14
 
     # triangle ordering is canonicalized, so search for the parent
     for k in range(r.num_triangles):
-        xs_child = r.triangle_coords(k)
+        xs_child = triangle_coords(r, k)
         assert any(contains(parent, xs_child) for parent in range(m.num_triangles))
 
 
@@ -106,6 +106,18 @@ def test_degeneracy_check_is_scale_free(scale):
     assert small.num_triangles == m.num_triangles
     with pytest.raises(MeshError, match="degenerate"):
         Mesh(scale * np.array([[0, 0], [1, 0], [2, 0], [0, 1]]), [[0, 1, 2], [0, 2, 3]], [])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_vertex_rejected(bad):
+    # checked before any geometry: no RuntimeWarning, and neither a fold
+    # nor a degenerate triangle is blamed
+    m = build_structured(2)
+    labels = [(tuple(m.edges[e]), lab) for e, lab in m.boundary_labels.items()]
+    vertices = m.vertices.copy()
+    vertices[4, 1] = bad
+    with pytest.raises(MeshError, match=r"^vertex 4 has a non-finite coordinate"):
+        Mesh(vertices, m.triangles, labels)
 
 
 def test_hanging_node_rejected():
@@ -206,7 +218,7 @@ def test_partition_of_unity():
     hat_sum = np.zeros(len(pts))
     grad_sum = np.zeros((len(pts), 2))
     for k in range(m.num_triangles):
-        xs = m.triangle_coords(k)
+        xs = triangle_coords(m, k)
         B = np.column_stack([xs[1] - xs[0], xs[2] - xs[0]])
         lam = np.linalg.solve(B, (pts - xs[0]).T)
         inside = (lam[0] > 1e-9) & (lam[1] > 1e-9) & (lam[0] + lam[1] < 1 - 1e-9)

@@ -93,7 +93,7 @@ def test_kept_tables_are_the_distinct_oracle_systems(monkeypatch, p):
         at = np.searchsorted(tables.signatures[group.sig].verts, group.verts)
         for kind, systems, cls in (("multiplier", problem.S, group.cls),
                                    ("surrogate", np.concatenate(calls), kcls[at])):
-            kept, inv, size = tables.systems[kind, group.sig]
+            kept, inv, size = _kept_systems(tables)[kind, group.sig]
             for a, c in zip(systems, cls):
                 distinct[kind].setdefault((group.sig, c), set()).add(a.tobytes())
                 # S S^-1 - I is what the residual of a solve sees
@@ -106,11 +106,11 @@ def test_kept_tables_are_the_distinct_oracle_systems(monkeypatch, p):
     for kind in distinct:
         # one system per class, and distinct classes have distinct systems
         assert all(len(systems) == 1 for systems in distinct[kind].values())
-        assert sorted(distinct[kind]) == sorted((sig, c) for (k, sig), (_, inv, _) in tables.systems.items()
+        assert sorted(distinct[kind]) == sorted((sig, c) for (k, sig), (_, inv, _) in _kept_systems(tables).items()
                                                 if k == kind for c in range(len(inv)))
         assert len({a for systems in distinct[kind].values() for a in systems}) == len(distinct[kind])
     assert [len(distinct["multiplier"]), len(distinct["surrogate"])] == [14, 9]
-    assert sum(len(inv) for _, inv, _ in tables.systems.values()) == 23
+    assert sum(len(inv) for _, inv, _ in _kept_systems(tables).values()) == 23
     built = []
     for name in ("_multiplier_systems", "_surrogate_systems", "class_inverses"):
         real = getattr(local_solve, name)
@@ -162,8 +162,14 @@ def test_tables_are_kept_only_where_patches_repeat(mesh, keep):
         projector_report(random_conforming_field(m, p + 1, seed=p), p, m)
         tables = patch_layout(m, p).tables
         assert tables.keep == keep
-        assert {kind for kind, _ in tables.systems} == {kind for kind in keep if keep[kind]}
-        assert all((A is None) == (kind == "multiplier") for (kind, _), (A, _, _) in tables.systems.items())
+        assert {kind for kind, _ in _kept_systems(tables)} == {kind for kind in keep if keep[kind]}
+        assert all((A is None) == (kind == "multiplier") for (kind, _), (A, _, _) in _kept_systems(tables).items())
+
+
+def _kept_systems(tables):
+    """The class systems ``tables`` keeps, by (kind, signature): the values
+    of its ``mesh.kept`` entries."""
+    return {key: entry[-1] for key, entry in tables.systems.items()}
 
 
 def _inverse_bytes(layout):
@@ -201,7 +207,7 @@ def test_kept_tables_do_not_depend_on_the_chunks(monkeypatch, p):
         m = build_structured(8, labels="left-neumann")
         rep = projector_report(random_conforming_field(m, p + 1, seed=p), p, m)
         layout = patch_layout(m, p)
-        return len(layout.groups), layout.tables.systems, rep["sigma"].dofs, rep["stability_ratios"]
+        return len(layout.groups), _kept_systems(layout.tables), rep["sigma"].dofs, rep["stability_ratios"]
 
     n, tables, *want = run()
     monkeypatch.setattr(linsolve, "STACK_BYTES", 1)
@@ -228,7 +234,7 @@ def test_high_degree_keeping_does_not_depend_on_the_chunks_or_the_calls(monkeypa
             project_hdiv(random_conforming_field(m, p + 1, seed=p + 10), p, m)
             assert np.array_equal(project_hdiv(v, p, m).dofs, first)
             tables = patch_layout(m, p).tables
-            out.append((len(patch_layout(m, p).groups), tables.keep, tables.systems, first))
+            out.append((len(patch_layout(m, p).groups), tables.keep, _kept_systems(tables), first))
         return out
 
     whole = run()

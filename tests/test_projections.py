@@ -13,10 +13,9 @@ from hdivkit.projections import (
     canonical_interp,
     project_face,
     project_scalar,
-    random_broken_field,
 )
 from hdivkit.mesh import build_lshape, build_structured
-from hdivkit.projector import random_conforming_field
+from hdivkit.projector import ConformingRTNField, random_conforming_field
 from hdivkit.quadpolicy import QuadGroup, QuadPolicy
 from hdivkit.quadrature import gauss01, quad_rule
 from test_element_layer import jitter
@@ -92,7 +91,7 @@ def test_project_face_cubic_trace_vs_oracle(ref_triangle_mesh):
 
 def test_canonical_interp_reproduces_broken(unit_square_2):
     for p in range(3):
-        vb = random_broken_field(unit_square_2, p, seed=p)
+        vb = oracles.random_broken_field(unit_square_2, p, seed=p)
         out = canonical_interp(vb, p, unit_square_2)
         assert np.abs(out.coeffs - vb.coeffs).max() < 1e-12
 
@@ -118,7 +117,7 @@ def test_canonical_interp_x2_edge_fluxes(ref_triangle_mesh):
 def test_commuting_identity_polynomial(p, unit_square_2):
     # a broken polynomial field of degree p+3 components: interpolate at
     # order p, then div I v must equal the broken projection of div v
-    vb = random_broken_field(unit_square_2, p + 2, seed=p + 10)
+    vb = oracles.random_broken_field(unit_square_2, p + 2, seed=p + 10)
     iv = canonical_interp(vb, p, unit_square_2)
     div_iv = iv.div()
     pi_div = project_scalar(vb.div(), p, unit_square_2)
@@ -203,8 +202,8 @@ def test_canonical_interp_reproduces_members_like_the_element_loop(p):
     # both paths reproduce a discrete member up to the evaluation floor,
     # which grows with p; the batched one no worse than twice the loop's
     m = jitter(build_structured(3), 3)
-    for vh in (random_conforming_field(m, p, seed=p), random_broken_field(m, p, seed=p)):
-        want = vh.to_broken().coeffs if hasattr(vh, "to_broken") else vh.coeffs
+    for vh in (random_conforming_field(m, p, seed=p), oracles.random_broken_field(m, p, seed=p)):
+        want = oracles.to_broken(vh).coeffs if isinstance(vh, ConformingRTNField) else vh.coeffs
         scale = np.abs(want).max()
         err = np.abs(canonical_interp(vh, p, m).coeffs - want).max() / scale
         err_loop = np.abs(oracles.canonical_interp_oracle(vh, p, m).coeffs - want).max() / scale

@@ -150,7 +150,7 @@ def test_locality(unit_square_2):
     )
     allowed = np.zeros(space.ndof, dtype=bool)
     for k in neighborhood:
-        allowed[space.element_dof_map(k)] = True
+        allowed[space.dof_map[k]] = True
     assert diff.max() > 1e-8  # the perturbation is visible
     assert diff[~allowed].max() < 1e-12 * max(1.0, diff.max())
 
@@ -160,6 +160,34 @@ def test_incompatible_field_rejected(exp_field):
     # v = (e^x, e^y) has unit normal trace on the left edge
     with pytest.raises(FieldError):
         project_hdiv(exp_field, 1, m)
+
+
+def _not_finite_in(fn, mesh, k):
+    """``fn`` with NaN values inside the incircle of triangle k."""
+    xs = mesh.vertices[mesh.triangles[k]]
+    sides = np.linalg.norm(np.roll(xs, -1, axis=0) - xs, axis=1)
+    center = np.roll(sides, -1) @ xs / sides.sum()  # the incenter: each vertex weighted by its opposite side
+    radius = mesh.rho[k] / 2
+
+    def out(pts):
+        vals = np.array(fn(pts), float)
+        vals[np.linalg.norm(pts - center, axis=1) < radius] = np.nan
+        return vals
+
+    return out
+
+
+@pytest.mark.parametrize("run", [project_hdiv, error_report, projector_report])
+@pytest.mark.parametrize("name,kind", [("cubic", "v"), ("cubic", "div v"), ("sine_divfree", "v")])
+def test_non_finite_field_samples_are_a_field_error(run, name, kind):
+    # a NaN sample is blamed on the field and its element, not on a solve;
+    # a divergence-free field's div is never called, so only v can fail
+    m = build_structured(4)
+    v = fields.catalog(name)
+    bad = _not_finite_in(v.v if kind == "v" else v.div, m, 5)
+    v = dataclasses.replace(v, **{"v" if kind == "v" else "div": bad})
+    with pytest.raises(FieldError, match=f"^{kind} is not finite at a point of element 5$"):
+        run(v, 1, m)
 
 
 def test_all_neumann_needs_zero_mean():
@@ -233,7 +261,7 @@ def test_perturbed_theta_breaks_patch_compatibility(p):
     assert {pa.kind for pa in patches} == {"interior", "neumann"}
     for patch in patches:
         with pytest.raises(CompatibilityError):
-            build_patch_problem(patch_layout(m, p).group_of(patch.vertex), theta, vh, p, m)
+            build_patch_problem(oracles.group_of(patch_layout(m, p), patch.vertex), theta, vh, p, m)
 
 
 def test_report_zero_for_members(unit_square_2):
