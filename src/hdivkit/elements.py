@@ -30,7 +30,7 @@ solver and the patch stability surrogate.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -260,8 +260,9 @@ class RTNSpace:
 
     Elements with bitwise-equal c_k (an affine class, ``classes``) share
     A(c) and K(c) = [[A(c), D_ref^T], [D_ref, 0]].  Per class, not per
-    element, each built in chunks on first use and cached with the space:
-    ``kkt_table`` holds K(c)^{-1} and ``mass_table`` A(c)^{-1}.
+    element, each built in chunks on first use and kept on the mesh,
+    read-only (``mesh.kept``): ``kkt_table`` holds K(c)^{-1} and
+    ``mass_table`` A(c)^{-1}.
     ``linsolve.element_solve`` applies them, mapping data in and solutions
     out through T_k.  The hybridization's edge-multiplier system
     (``multipliers``), the only global matrix that depends on nothing but
@@ -293,6 +294,8 @@ class RTNSpace:
         self._transpose = np.r_[np.arange(ne), ne + np.array([0, 2, 1, 3])]
         ref, C = self.ref, reference_dual(p)
         self.C_ref, self.D_ref = C, ref.div_rows @ C
+        U, sv, W = np.linalg.svd(self.D_ref)  # ker D_ref and D_ref^+, for ``kkt_table``
+        self._N, self._R = W[len(sv):].T, W[: len(sv)].T / sv @ U.T
         S = np.swapaxes(self.B, 1, 2) @ self.B
         self.coef = np.stack([S[:, 0, 0], S[:, 0, 1], S[:, 1, 1]], axis=1) / self.detB[:, None]
         self.elements = _ElementViews(self)
@@ -323,14 +326,17 @@ class RTNSpace:
         Hy = y.reshape(-1, d) @ reference_mass(self.p).transpose(2, 0, 1).reshape(d, -1)  # rows [H_i y]
         return np.einsum("ki,kjid->kjd", coef, Hy.reshape(len(coef), -1, 3, d)).reshape(y.shape)
 
-    @cached_property
+    @property
     def classes(self):
         """(class of each element, c of each class): exact, ``np.unique`` of
-        the bytes of the c_k rows."""
-        _, first, cls = np.unique(self.coef.view("V24")[:, 0], return_index=True, return_inverse=True)
-        return cls.reshape(-1), self.coef[first]
+        the bytes of the c_k rows; kept on the mesh, read-only."""
+        def build():
+            _, first, cls = np.unique(self.coef.view("V24")[:, 0], return_index=True, return_inverse=True)
+            return cls.reshape(-1), self.coef[first]
 
-    @cached_property
+        return kept(self.mesh._cache, "element_classes", build)
+
+    @property
     def kkt_table(self):
         """(K(c)^{-1}, max |K(c)|) of each class by the null-space method:
         with N an orthonormal basis of ker D_ref, R = D_ref^+,
@@ -338,9 +344,7 @@ class RTNSpace:
         K(c)^{-1} = [[Q, V], [V^T, -(A R)^T V]].  The 3(p+1) edge columns,
         which ``linsolve.eliminate`` applies without a solve, are checked
         here; every other column is checked by the call that applies it."""
-        d, size = self.ref.dim, self.ref.dim + self.sdim
-        U, sv, W = np.linalg.svd(self.D_ref)
-        N, R = W[len(sv):].T, W[: len(sv)].T / sv @ U.T
+        d, size, N, R = self.ref.dim, self.ref.dim + self.sdim, self._N, self._R
 
         def inverse(sl, A, out):
             Q = N @ np.linalg.inv(np.swapaxes(A @ N, 1, 2) @ N) @ N.T
@@ -349,9 +353,10 @@ class RTNSpace:
             out[:, :d, :d], out[:, :d, d:] = Q, V
             out[:, d:, :d], out[:, d:, d:] = np.swapaxes(V, 1, 2), -(np.swapaxes(AR, 1, 2) @ V)
 
-        return self._class_table(inverse, size, np.abs(self.D_ref).max(), 3 * (self.p + 1))
+        return kept(self.mesh._cache, ("kkt_table", self.p),
+                    lambda: self._class_table(inverse, size, np.abs(self.D_ref).max(), 3 * (self.p + 1)))
 
-    @cached_property
+    @property
     def mass_table(self):
         """(A(c)^{-1}, max |A(c)|) of each class as Q - V Y^{-1} V^T from the
         blocks [[Q, V], [V^T, Y]] of ``kkt_table`` (built if it is not): an
@@ -363,7 +368,7 @@ class RTNSpace:
             V = Kinv[sl, :d, d:]
             out[:] = Kinv[sl, :d, :d] - V @ np.linalg.inv(Kinv[sl, d:, d:]) @ np.swapaxes(V, 1, 2)
 
-        return self._class_table(inverse, d, 0.0, 0)
+        return kept(self.mesh._cache, ("mass_table", self.p), lambda: self._class_table(inverse, d, 0.0, 0))
 
     def _class_table(self, inverse, size, floor, checked):
         """The inverses of each class's A(c) (size ndof) or K(c), stacked,

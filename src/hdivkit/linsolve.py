@@ -2,35 +2,32 @@
 
 Small dense systems come in stacks (one per patch or surrogate), cut into
 chunks by the one sizing rule of ``chunks``.  ``solve_stacked`` takes a
-chunk's class matrices and the place of each right-hand side in its
-class's blocks (``class_blocks``): it factors each class once per block,
-in one ``np.linalg.solve`` over the blocks, or applies the inverses a
-caller keeps (``class_inverses``) by one gemm per block, and checks every
-system's relative residual against its class matrix.  A caller that
-keeps only the inverses checks the residuals itself (``check_residuals``):
-the vertex patches do so per patch, from the patch's own element columns
-(``local_solve.patch_equilibrate``).  A right-hand side's bits depend
-only on its class matrix and its place, so places fixed over a whole stack
-give the same bits however the stack is chunked.  Without repeats each
-block is one system, as in a plain stacked solve.  Element systems are
-solved once per affine class (``element_solve``): the mass and
-KKT systems of an element are T_k-conjugates of reference systems that
-depend only on c_k, whose inverses the ``RTNSpace`` keeps per class; each
-call maps its data in, applies the class inverses and checks the residuals
-in the reference frame, and the columns that no call checks (the
-hybridization's edge columns) are checked once, when the table is built.
-A lone dense system goes through LAPACK Bunch-Kaufman (``dense_solve``:
-``sytrf`` and two ``sytrs``, the second one a step of iterative
-refinement).  Saddle problems over several elements are hybridized: the
-element eliminations (``eliminate``) leave an SPD
-system in edge multipliers, mesh-wide in ``hybrid_saddle_solve`` and per
-vertex patch in ``local_solve``.  The mesh-wide one depends only on the
-mesh and p: the mesh keeps it, assembled (``multiplier_system``), and a
-call forms only its data column.  Every sparse system is SPD and goes
-through SuperLU in its symmetric mode, refined once; factors are not kept,
-each call factors its matrix afresh (``SparseFactor``).  A kept matrix's
-symmetry is checked once, where it is built (``check_symmetric``); a
-fresh matrix, each time it is factored.
+chunk's class matrices and each right-hand side's class, and solves each
+system by itself: by an LU factorization in one ``np.linalg.solve``, or by
+the inverses a caller keeps (``class_inverses``), one gemm per system.  It
+checks every system's relative residual against its class matrix, or
+leaves that to a caller that keeps only the inverses (``check_residuals``:
+the vertex patches check each patch from its own element columns,
+``local_solve.patch_equilibrate``).  A system's bits depend only on its
+class matrix and its right-hand side, however the stack is chunked.
+Element systems are solved once per affine class (``element_solve``), in
+the same way: the mass and KKT systems of an element are T_k-conjugates of
+reference systems that depend only on c_k, whose inverses the ``RTNSpace``
+keeps per class; each call maps its data in, applies the class inverses
+and checks the residuals in the reference frame, and the columns that no
+call checks (the hybridization's edge columns) are checked once, when the
+table is built.  A lone dense system goes through LAPACK Bunch-Kaufman
+(``dense_solve``: ``sytrf`` and two ``sytrs``, the second one a step of
+iterative refinement).  Saddle problems over several elements are
+hybridized: the element eliminations (``eliminate``) leave an SPD system
+in edge multipliers, mesh-wide in ``hybrid_saddle_solve`` and per vertex
+patch in ``local_solve``.  The mesh-wide one depends only on the mesh and
+p: the mesh keeps it, assembled (``multiplier_system``), and a call forms
+only its data column.  Every sparse system is SPD and goes through SuperLU
+in its symmetric mode, refined once; factors are not kept, each call
+factors its matrix afresh (``SparseFactor``).  A kept matrix's symmetry is
+checked once, where it is built (``check_symmetric``); a fresh matrix,
+each time it is factored.
 ``assemble_csr`` is the single place where element blocks are summed into a
 global sparse matrix.
 """
@@ -54,11 +51,6 @@ from scipy.linalg import get_lapack_funcs
 # the stability surrogate, whose passes gain nothing from larger chunks.
 STACK_BYTES = 1 << 22
 POINT_BYTES = 1 << 19
-# Right-hand sides per block of ``solve_stacked``: a factorization (2/3 d^3)
-# costs less than the triangular solves of d / 3 right-hand sides (2 d^2
-# each), so blocks of 32 keep most of the gain of sharing it up to d = 96
-# and bound the padding of a class cut by chunks.
-BLOCK_RHS = 32
 
 
 class SingularSystemError(RuntimeError):
@@ -106,7 +98,8 @@ def chunks(n, item_bytes, points=False):
       size x 3(p+1); a class table (``RTNSpace._class_table``): four
       blocks of size^2.
     A point stack counts the per-point data of an element (or edge) on its
-    rule, and the stability surrogate 8 width^2 bytes per patch."""
+    rule, and the stability surrogate 8 nn^2 bytes per patch, nn its node
+    count."""
     step = max(1, (POINT_BYTES if points else STACK_BYTES) // max(int(item_bytes), 1))
     return [slice(i, min(i + step, n)) for i in range(0, n, step)]
 
@@ -132,46 +125,6 @@ def check_residuals(r, b, x, size, name):
         raise SingularSystemError(f"dense solve residual {res.flat[worst]:.2e} ({name(worst)})")
 
 
-class Blocks(NamedTuple):
-    """Where ``solve_stacked`` puts n right-hand sides: right-hand side i
-    is column ``col[i]`` of block ``block[i]``, every block ``width``
-    columns wide, and block j is solved against class matrix ``cls[j]``."""
-
-    block: np.ndarray  # (n,)
-    col: np.ndarray  # (n,)
-    cls: np.ndarray  # (blocks,)
-    width: int
-
-
-def class_slots(cls):
-    """The place of each right-hand side of a class map in its class's
-    blocks: its rank among its class's members, in order, and the block
-    width, ceil(n / classes) up to ``BLOCK_RHS`` (1 without repeats)."""
-    cls = np.asarray(cls)
-    order = np.argsort(cls, kind="stable")
-    c = cls[order]
-    rank = np.empty(len(c), dtype=np.int32)
-    rank[order] = np.arange(len(c)) - np.searchsorted(c, c)
-    classes = 1 + np.count_nonzero(c[1:] != c[:-1])
-    return rank, min(-(-len(c) // classes), BLOCK_RHS)
-
-
-def class_blocks(cls, slot, width):
-    """The ``Blocks`` of right-hand sides of classes ``cls``: right-hand
-    side i is column slot[i] % width of its class's block slot[i] // width
-    (places from ``class_slots``), blocks in class order."""
-    cls = np.asarray(cls, dtype=np.int64)
-    blk = slot // width
-    key = cls * (int(blk.max()) + 1) + blk
-    order = np.argsort(key, kind="stable")
-    k = key[order]
-    new = np.ones(len(k), dtype=bool)
-    new[1:] = k[1:] != k[:-1]
-    block = np.empty(len(k), dtype=np.intp)
-    block[order] = np.cumsum(new) - 1
-    return Blocks(block, slot % width, cls[order[new]], width)
-
-
 def class_inverses(A, name):
     """The inverses of class matrices A (m, d, d), stacked, for
     ``solve_stacked``'s ``inv``; each one's bits depend on its matrix alone.
@@ -188,53 +141,36 @@ def class_inverses(A, name):
         raise
 
 
-def solve_stacked(A, b, blocks=None, inv=None, name=lambda i: f"system {i}"):
-    """Solve A[c_i] x_i = b_i for class matrices A (m, d, d) and right-hand
-    sides b (n, d) or blocks (n, d, r), where c_i is the class of the block
-    of right-hand side i (a ``Blocks``); without ``blocks`` each
-    right-hand side has its own matrix.  Every block is padded with zero
-    columns to the full width and solved against its class matrix: by one
-    LU-factorizing ``np.linalg.solve`` over the stack of blocks, one
-    factorization per block, or, given the kept inverses ``inv`` of A
-    (``class_inverses``), by one gemm per block.  A column's bits depend on
-    its class matrix (and inverse), its column and the width, not on the
-    other right-hand sides of the call, so callers that place a whole
-    stack's right-hand sides once (``class_slots``) get the same bits from
-    every cut of it into chunks.  The caller sizes the stack by ``chunks``.
-    ``dense_solve``'s relative-residual check runs on every system, against
-    its class matrix, and names system i by ``name(i)``; with ``name``
-    None the caller checks the residuals (``check_residuals``) and A may be
-    None beside ``inv``."""
+def solve_stacked(A, b, cls=None, inv=None, name=lambda i: f"system {i}"):
+    """Solve A[cls_i] x_i = b_i for class matrices A (m, d, d) and
+    right-hand sides b (n, d) or blocks (n, d, r), each system by itself:
+    by ``np.linalg.solve`` over the stack A[cls], one LU factorization per
+    system, or, given the kept inverses ``inv`` of A
+    (``class_inverses``), by inv[cls] @ b, one gemm per system, the way
+    ``element_solve`` applies its class tables.  Without ``cls`` system i
+    has matrix A[i].  A system's bits depend only on its class matrix (and
+    inverse) and its right-hand side, not on the other systems of the call,
+    so any cut of a stack into chunks gives the same bits.  The caller
+    sizes the stack by ``chunks``.  ``dense_solve``'s relative-residual
+    check runs on every system, against its class matrix, and names system
+    i by ``name(i)``; with ``name`` None the caller checks the residuals
+    (``check_residuals``) and A may be None beside ``inv``."""
     b = np.asarray(b, float)
     rhs = b[..., None] if b.ndim == 2 else b
-    n, d, r = rhs.shape
-    if blocks is None:
-        blocks = Blocks(np.arange(n), np.zeros(n, dtype=np.intp), np.arange(n), 1)
-    block, col, c, width = blocks
-    B = np.zeros((len(c), d, width, r))
-    B[block, :, col] = rhs
-    B = B.reshape(len(B), d, -1)
-    # one block per class, in order: the class matrices themselves
-    whole = len(c) == len(A if inv is None else inv) and (c == np.arange(len(c))).all()
     if A is not None:
         A = np.asarray(A, float)
-        Ab = A if whole else A[c]
+        Ab = A if cls is None else A[cls]
     if inv is not None:
-        X = (inv if whole else inv[c]) @ B
+        x = (inv if cls is None else inv[cls]) @ rhs
     else:
         try:
-            X = np.linalg.solve(Ab, B)
+            x = np.linalg.solve(Ab, rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"stacked solve failed: {exc}") from exc
-
-    def systems(Y):  # (n, d, r): the systems of the right-hand sides
-        return np.swapaxes(Y.reshape(len(Y), d, width, r), 1, 2)[block, col]
-
-    out = systems(X)
     if name is not None:
-        size = max_abs(A)[c][block]
-        check_residuals(systems(B - Ab @ X), rhs, out, size, name)
-    return out[..., 0] if b.ndim == 2 else out
+        size = max_abs(A) if cls is None else max_abs(A)[cls]
+        check_residuals(rhs - Ab @ x, rhs, x, size, name)
+    return x[..., 0] if b.ndim == 2 else x
 
 
 def element_solve(space, f, g, tris):

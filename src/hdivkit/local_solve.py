@@ -35,11 +35,12 @@ and multiplier numbering for the multiplier system (``PatchGroup.cls``,
 per signature, with the layout); its elements' maps, node numbering and
 fixed nodes for the surrogate (``PatchTables.surrogate``, per signature,
 built with the surrogate's node numbering on first use).
-``linsolve.solve_stacked`` solves every patch against its class's system;
-the right-hand sides, the recoveries and the surrogate's numerators stay
-per patch.  A patch's place in its class's blocks is fixed over the whole
-signature, so sigma and the stability ratios have the same bits however
-the layout is chunked.
+``linsolve.solve_stacked`` solves every patch's system by itself, against
+its class's system, as ``linsolve.element_solve`` solves an element's; the
+right-hand sides, the recoveries and the surrogate's numerators stay per
+patch.  A patch's bits depend only on its class's system and its own data,
+so sigma and the stability ratios have the same bits however the layout is
+chunked.
 
 Where a kind's systems repeat, the layout keeps each distinct one
 (``PatchTables``), assembled and inverted by the first call that needs it
@@ -61,7 +62,7 @@ per class present.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -76,8 +77,7 @@ from .elements import (
     rtn_space,
     scalar_moments,
 )
-from .linsolve import (Blocks, check_residuals, chunks, class_blocks, class_inverses, class_slots, element_solve,
-                       eliminate, max_abs, solve_stacked)
+from .linsolve import check_residuals, chunks, class_inverses, element_solve, eliminate, max_abs, solve_stacked
 from .mesh import DIRICHLET, kept
 from .projections import BrokenRTNField, hat_interpolants
 from .quadpolicy import QuadPolicy
@@ -145,10 +145,9 @@ class PatchGroup:
     triangle t in ``linsolve.eliminate`` (+1 on the ``edge_tris[e, 0]``
     side).
     Rows of one multiplier class (``cls``, numbered over the signature in
-    order of first appearance) have bitwise-equal multiplier systems;
-    ``slot`` and ``width`` place each row in its class's blocks of
-    ``linsolve.solve_stacked`` (``linsolve.class_slots`` over the
-    signature).  ``tables`` holds what the layout keeps of its systems, and
+    order of first appearance) have bitwise-equal multiplier systems, and
+    ``linsolve.solve_stacked`` solves each row by itself against its
+    class's.  ``tables`` holds what the layout keeps of its systems, and
     ``sig`` is the signature's index there.
     """
 
@@ -158,54 +157,47 @@ class PatchGroup:
     mult: np.ndarray  # (n, nt, 3(p+1))
     sign: np.ndarray  # (n, nt, 3(p+1)), int8
     cls: np.ndarray  # (n,)
-    slot: np.ndarray  # (n,)
     kernel: bool  # interior and Neumann vertices: constant multiplier kernel
     nl: int
-    width: int
     tables: PatchTables = field(repr=False, compare=False)
     sig: int
-    _kept: dict = field(default_factory=dict, repr=False, compare=False)
+    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def rows(self, sl):
         return PatchGroup(self.verts[sl], self.tris[sl], self.local[sl], self.mult[sl], self.sign[sl], self.cls[sl],
-                          self.slot[sl], self.kernel, self.nl, self.width, self.tables, self.sig)
+                          self.kernel, self.nl, self.tables, self.sig)
 
-    @cached_property
+    @property
     def problem_maps(self):
-        """Index maps of the group's multiplier systems, integers built on
-        first use: ``cols`` (n, nt, 1 + 3(p+1)), the unknown of each column
-        of an element elimination (``_columns``); ``slots`` (n, nt, 3(p+1)),
-        the equation of each edge dof, one row's system after another
-        (``_slots``); ``rep``, the first row of each multiplier class
-        present, and ``blocks``, the ``linsolve.Blocks`` of the rows against
-        their systems."""
-        rep, cls = np.unique(self.cls, return_index=True, return_inverse=True)[1:]
-        # every index is below the size of a group's stack (``chunks``)
-        blocks = class_blocks(cls.reshape(-1), self.slot, self.width)
-        return _columns(self.mult, self.kernel), _slots(self.mult, self.nl).astype(np.int32), rep, blocks
+        """Index maps of the group's multiplier systems, integers kept from
+        first use (``mesh.kept``): ``cols`` (n, nt, 1 + 3(p+1)), the unknown
+        of each column of an element elimination (``_columns``); ``slots``
+        (n, nt, 3(p+1)), the equation of each edge dof, one row's system
+        after another (``_slots``); ``rep``, the first row of each multiplier
+        class present, and ``present``, each row's class among them."""
+        def build():
+            rep, present = np.unique(self.cls, return_index=True, return_inverse=True)[1:]
+            # every index is below the size of a group's stack (``chunks``)
+            return _columns(self.mult, self.kernel), _slots(self.mult, self.nl).astype(np.int32), rep, present
+
+        return kept(self._kept, "problem_maps", build)
 
     def surrogate(self, mesh):
         """The stability surrogate's integers, built on first use (the
         surrogate runs only in ``projector_report``) and kept with the
         group: for each chunk of rows whose systems fill at most
-        ``POINT_BYTES`` (8 width^2 bytes a row, a row having at most
-        width = nt tri_dim(p + 2) nodes), (rows, ``nodes``, ``fixed``,
-        ``rep``, ``present``, ``blocks``).  ``nodes`` and ``fixed`` are the
-        chunk's rows of the signature's numbering
-        (``PatchTables.surrogate``); ``rep`` is the first row of each
-        surrogate class present, ``present`` its class over the signature,
-        and ``blocks`` the ``linsolve.Blocks`` of the rows against the
-        systems of ``rep``, placed over the signature."""
+        ``POINT_BYTES`` (8 nn^2 bytes a row, a row having at most
+        nn = nt tri_dim(p + 2) nodes), (rows, ``nodes``, ``fixed``,
+        ``kcls``): the chunk's rows of the signature's numbering and
+        surrogate classes (``PatchTables.surrogate``)."""
         def build():
-            nodes, fixed, kcls, slot, width = self.tables.surrogate(mesh, self.sig)
+            nodes, fixed, kcls = self.tables.surrogate(mesh, self.sig)
             # a group's rows are a run of its signature's rows
             at = int(np.searchsorted(self.tables.signatures[self.sig].verts, self.verts[0]))
             out = []
             for sl in chunks(len(self.verts), 8 * (nodes.shape[1] * nodes.shape[2]) ** 2, points=True):
                 rows = slice(at + sl.start, at + sl.stop)
-                present, rep, cls = np.unique(kcls[rows], return_index=True, return_inverse=True)
-                blocks = class_blocks(cls.reshape(-1), slot[rows], width)
-                out.append((sl, nodes[rows], fixed[rows], rep, present, blocks))
+                out.append((sl, nodes[rows], fixed[rows], kcls[rows]))
             return out
 
         return kept(self._kept, "surrogate", build)
@@ -281,17 +273,16 @@ class PatchTables:
         which number local node m of triangle t by row r's P_{p+2} nodes in
         ascending global order; ``fixed`` (n, nn), the nodes with an
         identity row (padding past a row's own node count, and the clamped
-        nodes), nn the most nodes of a row; each row's surrogate class; and
-        the places of ``linsolve.class_slots``.  What decides a surrogate
-        system: its elements' maps, the node numbering and the fixed nodes.
-        Built for every signature on first use, which decides whether
-        surrogate systems are kept."""
+        nodes), nn the most nodes of a row; and each row's surrogate class.
+        What decides a surrogate system: its elements' maps, the node
+        numbering and the fixed nodes.  Built for every signature on first
+        use, which decides whether surrogate systems are kept."""
         def build():
             out = []
             for g in self.signatures:
                 nodes, fixed = _surrogate_nodes(mesh, self.p, g.tris, g.local, g.kernel)
                 kcls = _class_ids(mesh.Binv[g.tris], mesh.detB[g.tris], nodes, fixed)
-                out.append((nodes, fixed, kcls, *class_slots(kcls)))
+                out.append((nodes, fixed, kcls))
             self.decide("surrogate", [n[2] for n in out])
             return out
 
@@ -355,9 +346,8 @@ def _build_patch_layout(mesh, p):
         c = start[vs][:, None] + np.arange(s[1])
         tris = c_tri[c]
         cls = _class_ids(tri_cls[tris], lam[c])
-        slot, width = class_slots(cls)
-        group = PatchGroup(vs, tris, c_loc[c], mult[c], sign[tris], cls, slot, bool(s[2]), int(s[0]), width,
-                           tables, len(tables.signatures))
+        group = PatchGroup(vs, tris, c_loc[c], mult[c], sign[tris], cls, bool(s[2]), int(s[0]), tables,
+                           len(tables.signatures))
         tables.signatures.append(group)
         # a pass allocates per patch its element columns, five arrays of its
         # multiplier blocks and its system (``linsolve.chunks``)
@@ -411,22 +401,21 @@ def _surrogate_nodes(mesh, p, tris, local, kernel):
 
 @dataclass
 class PatchGroupProblem:
-    """The degree-p equilibration problems of a ``PatchGroup`` in hybrid
-    form, stacked: ``chi`` (n, nt, ndof), ``g`` (n, nt, sdim), the systems
-    ``S`` (one per multiplier class present, (nc, nl, nl); None beside the
-    signature's kept inverses ``inv`` and their classes' max|S| ``size``)
-    with the ``linsolve.Blocks`` of the rows against them, ``blocks``
-    (``None``: one system per row), ``b`` (n, nl), the element fluxes
-    ``x0`` (n, nt, ndof) and per unit of each column's unknown ``xe``
-    (n, nt, ndof, 1 + 3(p+1)), ``cols`` those unknowns, and
-    ``compat_defect`` with one row per patch."""
+    """The degree-p equilibration problems of a ``PatchGroup`` in hybrid form,
+    stacked: ``chi`` (n, nt, ndof), ``g`` (n, nt, sdim), the systems ``S``
+    (one per multiplier class present, (nc, nl, nl); None beside the
+    signature's kept inverses ``inv`` and their classes' max|S| ``size``) with
+    each row's system among them, ``cls`` (n,) (``None``: one system per row),
+    ``b`` (n, nl), the element fluxes ``x0`` (n, nt, ndof) and per unit of
+    each column's unknown ``xe`` (n, nt, ndof, 1 + 3(p+1)), ``cols`` those
+    unknowns, and ``compat_defect`` with one row per patch."""
 
     group: PatchGroup
     p: int
     chi: np.ndarray
     g: np.ndarray
     S: np.ndarray
-    blocks: Blocks | None
+    cls: np.ndarray | None
     b: np.ndarray
     x0: np.ndarray
     xe: np.ndarray
@@ -574,15 +563,15 @@ def build_patch_problem(group: PatchGroup, theta: BrokenRTNField, v, p, mesh, *,
     chi, g = data.chi[group.tris, group.local], data.g[group.tris, group.local]
     n, ne = len(group.verts), 3 * (p + 1)
     x0, xe = chi + data.x[group.tris, :, group.local], data.x[group.tris, :, 3:]
-    cols, slots, rep, blocks = group.problem_maps
+    cols, slots, rep, cls = group.problem_maps
     whole = group.tables.signatures[group.sig]
     table = group.tables.class_systems("multiplier", group.sig, lambda r: _multiplier_systems(whole, r, data, p))
     if table is None:
         S, inv, size = _multiplier_systems(group, rep, data, p), None, None
     else:
-        (S, inv, size), blocks = table, blocks._replace(cls=group.cls[rep][blocks.cls])
+        (S, inv, size), cls = table, group.cls
     b = _sum_into((n, group.nl), slots, group.sign * x0[..., :ne])
-    return PatchGroupProblem(group, p, chi, g, S, blocks, b, x0, xe, cols, data.defect[group.verts], inv, size)
+    return PatchGroupProblem(group, p, chi, g, S, cls, b, x0, xe, cols, data.defect[group.verts], inv, size)
 
 
 def _multiplier_systems(group, rows, data, p):
@@ -615,13 +604,13 @@ def patch_equilibrate(problem: PatchGroupProblem):
     patch's vertex."""
     group, ne = problem.group, 3 * (problem.p + 1)
     n = len(group.verts)
-    lam = solve_stacked(problem.S, problem.b, problem.blocks, problem.inv, name=None)
+    lam = solve_stacked(problem.S, problem.b, problem.cls, problem.inv, name=None)
     row = np.arange(n)[:, None, None]
     z = (problem.xe @ np.append(lam, np.zeros((n, 1)), axis=1)[row, problem.cols][..., None])[..., 0]
     S_lam = _sum_into((n, group.nl), group.problem_maps[1], group.sign * z[..., :ne])
     size = max_abs(problem.S) if problem.size is None else problem.size
-    if problem.blocks is not None:
-        size = size[problem.blocks.cls[problem.blocks.block]]
+    if problem.cls is not None:
+        size = size[problem.cls]
     check_residuals((problem.b - S_lam)[..., None], problem.b[..., None], lam[..., None], size,
                     lambda i: f"patch of vertex {group.verts[i]}")
     return problem.x0 - z, lam
@@ -696,22 +685,23 @@ def _stability_ratios(group, part, p, chi, x, mesh):
     tris = group.tris
     n = len(tris)
     row = np.arange(n)[:, None, None]
-    loc, fixed, rep, present, blocks = part
+    loc, fixed, kcls = part
     nn = fixed.shape[1]
     # s_a - chi_a per triangle, and chi_a
     ref = space.to_ref(np.stack([x - chi, chi], axis=2), tris)
     ell = _sum_into((n, nn), row * nn + loc, -ref[:, :, 0] @ _coupling_reference(q, p).T)
     ell[fixed] = 0.0
     whole = group.tables.signatures[group.sig]
-    nodes, whole_fixed = group.tables.surrogate(mesh, group.sig)[:2]
+    nodes, whole_fixed, _ = group.tables.surrogate(mesh, group.sig)
     table = group.tables.class_systems("surrogate", group.sig, lambda r: _surrogate_systems(
         mesh, p, whole.tris[r], nodes[r], whole_fixed[r], whole.kernel))
-    if table is None:
+    if table is None:  # one system per class present
+        rep, cls = np.unique(kcls, return_index=True, return_inverse=True)[1:]
         K, inv = _surrogate_systems(mesh, p, tris[rep], loc[rep], fixed[rep], group.kernel), None
     else:
-        (K, inv, _), blocks = table, blocks._replace(cls=present[blocks.cls])
+        (K, inv, _), cls = table, kcls
     rhs = np.append(ell, np.zeros((n, 1)), axis=1) if group.kernel else ell
-    y = solve_stacked(K, rhs, blocks, inv, lambda i: f"surrogate of vertex {group.verts[i]}")[:, :nn]
+    y = solve_stacked(K, rhs, cls, inv, lambda i: f"surrogate of vertex {group.verts[i]}")[:, :nn]
     dual = np.sqrt(np.maximum(np.sum(ell * y, axis=1), 0.0))
     # numerator: ||s_a - chi_a|| over the patch, beside ||chi_a||
     num, chi_norm = np.sqrt(np.sum(ref * space.mass(ref, tris), axis=(1, 3))).T

@@ -40,20 +40,20 @@ def kept(cache, key, build, held=(), tag=None):
 
     What hdivkit keeps, by owner and key, and what rebuilds it:
       * a mesh (``Mesh._cache``), for its life: ``rtn_space``,
-        ``patch_layout`` and ``RTNSpace.multipliers`` per p,
-        ``lagrange_nodes`` per q, ``vertex_patches``, and the least-squares
-        (A, B, ``LagrangeSpace``) per (p, q), rebuilt for another l^2 (tag);
+        ``patch_layout``, ``RTNSpace.multipliers``, ``.kkt_table`` and
+        ``.mass_table`` per p, ``RTNSpace.classes``, ``lagrange_nodes`` per
+        q, ``vertex_patches``, and the least-squares (A, B,
+        ``LagrangeSpace``) per (p, q), rebuilt for another l^2 (tag);
       * a patch layout (``PatchTables``), for the mesh's life: the class
         systems per (kind, signature), the surrogate numbering, and per
-        layout group its surrogate chunks;
+        layout group its index maps and surrogate chunks;
       * a ``QuadPolicy``, for its life (one call or one study row): per
         mesh its groups and the samples of v and div v, per (mesh, p) the
         moments of v and div v, rebuilt for another mesh or field (held);
         one element's rules per key, rebuilt for another geometry (tag);
         per quadrature group its reference tables per degree.
     Not kept here: the process-wide reference tables (``lru_cache`` in
-    ``polys``, ``quadrature``, ``elements`` and ``local_solve``) and the
-    class tables an ``RTNSpace`` keeps as cached properties."""
+    ``polys``, ``quadrature``, ``elements`` and ``local_solve``)."""
     entry = cache.get(key)
     if entry is None or entry[1] != tag or any(a is not b for a, b in zip(entry[0], held)):
         entry = cache[key] = (held, tag, build())
@@ -399,17 +399,13 @@ def one_triangle(coords) -> Mesh:
     return Mesh(coords, [[0, 1, 2]], labels)
 
 
-def build_structured(n: int, domain=((0.0, 0.0), (1.0, 1.0)), labels="all-dirichlet"):
-    """Uniform n x n grid on an axis-aligned rectangle, cells split along the
+def build_structured(n: int, labels="all-dirichlet"):
+    """Uniform n x n grid on the unit square, cells split along the
     (i, j) -> (i+1, j+1) diagonal."""
     if n < 1:
         raise MeshError("n must be >= 1")
-    (x0, y0), (x1, y1) = domain
-    if not (x1 > x0 and y1 > y0):
-        raise MeshError("domain must have positive extent")
-    xs = np.linspace(x0, x1, n + 1)
-    ys = np.linspace(y0, y1, n + 1)
-    vertices = [(x, y) for y in ys for x in xs]
+    xs = np.linspace(0.0, 1.0, n + 1)
+    vertices = [(x, y) for y in xs for x in xs]
     vid = lambda i, j: j * (n + 1) + i
     triangles = []
     for j in range(n):

@@ -38,7 +38,7 @@ from .linsolve import SparseFactor, assemble_csr, check_symmetric, hybrid_saddle
 from .mesh import kept
 from .projections import ScalarPWField
 from .projector import ConformingRTNField
-from .quadpolicy import QuadPolicy
+from .quadpolicy import QuadPolicy, check_finite
 from .quadrature import quad_rule, xy
 
 
@@ -136,8 +136,9 @@ def manufactured_bubble(mesh) -> PoissonProblem:
 def _data_moments(prob, policy):
     """Element moments (f, phi_m)_K of the source term, P_p for p = policy.p; (nt, sdim)."""
     fmom = np.zeros((prob.mesh.num_triangles, polys.tri_dim(policy.p)))
-    for g in policy.groups(prob.mesh):
-        fmom[g.tris] = scalar_moments(prob.mesh, policy.p, g, g.call(prob.f))
+    groups = policy.groups(prob.mesh)
+    for g, f in zip(groups, check_finite(groups, [g.call(prob.f) for g in groups], "f")):
+        fmom[g.tris] = scalar_moments(prob.mesh, policy.p, g, f)
     return fmom
 
 
@@ -275,10 +276,11 @@ def flux_error(prob: PoissonProblem, sigma_h: ConformingRTNField, *, quad_degree
 
 
 def _flux_error(prob, sigma_h, quad_degree, div):
-    """``flux_error``, or with ``div`` ||div(sigma - sigma_h)||."""
+    """``flux_error``, or with ``div`` ||div(sigma - sigma_h)||; the exact flux's samples are checked."""
     policy = QuadPolicy(sigma_h.p, field=prob.sigma, degree=quad_degree)
     groups = policy.groups(prob.mesh)
-    return np.sqrt(sum(g.norm_sq(g.eval(prob.sigma, div=div) - g.eval(sigma_h, div=div)).sum() for g in groups))
+    exact = check_finite(groups, [g.eval(prob.sigma, div=div) for g in groups], "div sigma" if div else "sigma")
+    return np.sqrt(sum(g.norm_sq(e - g.eval(sigma_h, div=div)).sum() for g, e in zip(groups, exact)))
 
 
 def potential_h1_error(prob: PoissonProblem, ls: LagrangeSpace, u_h, *, quad_degree=None):
@@ -405,7 +407,7 @@ def apriori_checks(prob_builder, p: int, q: int, meshes, *, quad_degree=None):
 
 
 def _div_oscillation(prob, p, *, quad_degree=None):
-    """||div sigma - Pi_p div sigma|| (unweighted) over the mesh."""
-    policy = QuadPolicy(p, field=prob.sigma, degree=quad_degree)
-    osc = (oscillation_sq(prob.mesh, p, g, g.eval(prob.sigma, div=True)).sum() for g in policy.groups(prob.mesh))
-    return np.sqrt(sum(osc))
+    """||div sigma - Pi_p div sigma|| (unweighted) over the mesh, from checked samples."""
+    groups = QuadPolicy(p, field=prob.sigma, degree=quad_degree).groups(prob.mesh)
+    samples = check_finite(groups, [g.eval(prob.sigma, div=True) for g in groups], "div sigma")
+    return np.sqrt(sum(oscillation_sq(prob.mesh, p, g, dv).sum() for g, dv in zip(groups, samples)))

@@ -128,6 +128,17 @@ class QuadGroup:
         return vals.reshape(self.pts.shape[:2] + vals.shape[1:])
 
 
+def check_finite(groups, samples, name):
+    """``samples``, one array per group of ``groups``, checked: a sample
+    that is not finite is a FieldError that names ``name`` and the lowest
+    element with one."""
+    bad = np.concatenate([g.tris[~np.isfinite(vals.reshape(len(vals), -1)).all(axis=1)]
+                          for g, vals in zip(groups, samples)])
+    if len(bad):
+        raise FieldError(f"{name} is not finite at a point of element {bad.min()}")
+    return samples
+
+
 class QuadPolicy:
     def __init__(self, p, field=None, degree=None):
         self.p = p
@@ -276,12 +287,8 @@ class QuadPolicy:
         of a divergence-free field.  A sample that is not finite is a
         FieldError that names its element."""
         def build():
-            out = [g.eval(field, div=div) for g in self.groups(mesh)]
-            bad = np.concatenate([g.tris[~np.isfinite(vals.reshape(len(vals), -1)).all(axis=1)]
-                                  for g, vals in zip(self.groups(mesh), out)])
-            if len(bad):
-                raise FieldError(f"{'div v' if div else 'v'} is not finite at a point of element {bad.min()}")
-            return out
+            groups = self.groups(mesh)
+            return check_finite(groups, [g.eval(field, div=div) for g in groups], "div v" if div else "v")
 
         return kept(self._cache, ("div" if div else "values", id(mesh)), build, (mesh, field))
 

@@ -193,10 +193,7 @@ def run_study(cfg: StudyConfig):
                 continue
             # one sampling of the field per row, shared by both reports
             policy = QuadPolicy(p, field=field, degree=cfg.quad_degree)
-            rep = error_report(
-                v=field, p=p, mesh=m, policy=policy, quad_degree=cfg.quad_degree,
-                field_name=cfg.field, mesh_id=f"{cfg.mesh}+{level}",
-            )
+            rep = error_report(v=field, p=p, mesh=m, policy=policy, quad_degree=cfg.quad_degree)
             notes = ""
             vnorm = rep.metadata["v_norm"]
             exact_zero = rep.Eglob < 1e-9 * max(vnorm, 1e-30) and np.sqrt(

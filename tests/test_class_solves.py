@@ -168,7 +168,7 @@ def test_poisoned_class_table_names_the_system(monkeypatch, table):
     inv, big = getattr(space, table)
     bad = inv.copy()
     bad[1, 0, 0] = np.nan
-    monkeypatch.setattr(space, table, (bad, big))
+    monkeypatch.setattr(RTNSpace, table, property(lambda self: (bad, big)))
     rhs, g = _data(space, 1)
     if table == "mass_table":
         g = np.empty((len(space), 0, 1))

@@ -149,14 +149,16 @@ def _arrays(value):
 
 def test_space_stores_order_ndof_per_element():
     # with its class tables built, an RTN space keeps per element its dof
-    # scaling, c_k, geometry and dof map, O(ndof) numbers each: no M_k, C_k
-    # or Bdiv_k, of which one stack alone would be ndof = 63 times the bound
+    # scaling, c_k, geometry and dof map, and the mesh keeps its classes,
+    # O(ndof) numbers each: no M_k, C_k or Bdiv_k, of which one stack alone
+    # would be ndof = 63 times the bound
     m, p = build_structured(4), 6
     space = rtn_space(m, p)
     space.kkt_table, space.mass_table
     n, d = m.num_triangles, space.ref.dim
     assert not any(hasattr(space, name) for name in ("M", "C", "Bdiv"))
-    per_element = {k: a for k, v in vars(space).items() for a in _arrays(v) if a.shape[:1] == (n,)}
+    kept = {"classes": space.classes, "kkt_table": space.kkt_table, "mass_table": space.mass_table}
+    per_element = {k: a for k, v in [*vars(space).items(), *kept.items()] for a in _arrays(v) if a.shape[:1] == (n,)}
     assert {"dof_map", "_phys", "_ref", "coef", "classes"} <= set(per_element)
     assert sum(a.nbytes for a in per_element.values()) <= 4 * n * d * 8
 

@@ -132,9 +132,10 @@ def _arrays(entry):
 
 def test_entries_kept_through_the_helper_are_read_only():
     # after a projector_report, a solve_mixed and a solve_ls_mixed: the
-    # continuous P_q numbering, the patch class inverses, the policy's
-    # samples and moments, the multiplier system and the least-squares A
-    # and B; reading them builds nothing
+    # continuous P_q numbering, the patch class inverses and each patch
+    # group's index maps, the policy's samples and moments, the element
+    # classes and class tables, the multiplier system and the
+    # least-squares A and B; reading them builds nothing
     prob, p = manufactured_sine(build_structured(4)), 1
     mesh, v = prob.mesh, fields.catalog("cubic")
     policy = QuadPolicy(p, field=v)
@@ -142,11 +143,13 @@ def test_entries_kept_through_the_helper_are_read_only():
     solve_mixed(prob, p)
     solve_ls_mixed(prob, p, p + 1)
     held = len(mesh._cache), len(policy._cache)
-    tables = patch_layout(mesh, p).tables
+    layout, space = patch_layout(mesh, p), rtn_space(mesh, p)
+    tables = layout.tables
     assert {kind for kind, _ in tables.systems} == {"multiplier", "surrogate"}
     entries = [lagrange_nodes(mesh, p + 1), lagrange_nodes(mesh, p + 2), [e[-1] for e in tables.systems.values()],
-               policy.values(v, mesh), policy.values(v, mesh, div=True), policy.moments(rtn_space(mesh, p), v),
-               policy.div_moments(v, mesh, p), rtn_space(mesh, p).multipliers,
+               *(g.problem_maps for g in layout.groups),
+               policy.values(v, mesh), policy.values(v, mesh, div=True), policy.moments(space, v),
+               policy.div_moments(v, mesh, p), space.classes, space.kkt_table, space.mass_table, space.multipliers,
                hdivkit.model_problems._ls_system(prob, p, p + 1)[:2]]
     assert (len(mesh._cache), len(policy._cache)) == held
     for entry in entries:

@@ -6,8 +6,6 @@ from scipy.linalg import get_lapack_funcs
 from hdivkit.linsolve import (
     SingularSystemError,
     SparseFactor,
-    class_blocks,
-    class_slots,
     dense_solve,
     solve_stacked,
 )
@@ -199,11 +197,12 @@ def test_stacked_residual_check_names_the_worst_system():
         solve_stacked(A, b)
     with pytest.raises(SingularSystemError):
         solve_stacked(np.zeros((2, 3, 3)), np.ones((2, 3)))
-    # a NaN class matrix fills its block's padding columns too; the check
-    # names the right-hand side of the call, here at column 1 of its block
+    # a NaN class matrix fails the systems of its class alone, on both
+    # paths; the check names the first of them by its place in the call
     A = np.stack([np.eye(3)] * 2)
     A[1, 0, 0] = np.nan
-    cls = np.array([0, 1, 0, 1])
-    slot, width = class_slots(cls)
-    with pytest.raises(SingularSystemError, match=r"\(system 1\)"):
-        solve_stacked(A, np.ones((2, 3)), class_blocks(cls[2:], slot[2:], width))
+    cls = np.array([0, 0, 1, 0, 1])
+    for inv in (None, np.stack([np.eye(3), np.full((3, 3), np.nan)])):
+        with pytest.raises(SingularSystemError, match=r"\(system 2\)"):
+            solve_stacked(A, np.ones((5, 3)), cls, inv)
+    assert np.array_equal(solve_stacked(A, np.ones((3, 3)), cls[[0, 1, 3]]), np.ones((3, 3)))

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import oracles
 from hdivkit import polys
+from hdivkit.fields import FieldError
 from hdivkit.best_approx import global_best
 from hdivkit.mesh import build_lshape, build_structured
 from hdivkit.model_problems import (
@@ -10,6 +13,8 @@ from hdivkit.model_problems import (
     ModelProblemError,
     PoissonProblem,
     apriori_checks,
+    _div_oscillation,
+    _flux_error,
     _random_pairs,
     coercivity_witness,
     flux_error,
@@ -21,6 +26,7 @@ from hdivkit.model_problems import (
     solve_ls_mixed,
     solve_mixed,
 )
+from test_projector import _not_finite_in
 
 
 def galerkin_orthogonality(res):
@@ -211,3 +217,22 @@ def test_mixed_convergence_rates():
             m = __import__("hdivkit.mesh", fromlist=["refine_uniform"]).refine_uniform(m)
         slope = np.polyfit(np.log(hs[-3:]), np.log(errs[-3:]), 1)[0]
         assert abs(slope - (p + 1)) <= 0.1
+
+
+def test_non_finite_source_or_exact_flux_is_a_field_error():
+    # a NaN sample of f or of the exact flux is blamed on it and on its
+    # lowest element, not on a solve, and no call returns NaN
+    m = build_structured(4)
+    prob = manufactured_sine(m)
+    bad_f = dataclasses.replace(prob, f=_not_finite_in(prob.f, m, 5))
+    for run in (lambda q: solve_mixed(q, 1), lambda q: solve_ls_mixed(q, 1, 2)):
+        with pytest.raises(FieldError, match="^f is not finite at a point of element 5$"):
+            run(bad_f)
+    sigma_h = solve_mixed(prob, 1)["sigma"]
+    calls = [("sigma", "v", lambda q: flux_error(q, sigma_h)),
+             ("div sigma", "div", lambda q: _flux_error(q, sigma_h, None, div=True)),
+             ("div sigma", "div", lambda q: _div_oscillation(q, 1))]
+    for kind, attr, run in calls:
+        flux = dataclasses.replace(prob.sigma, **{attr: _not_finite_in(getattr(prob.sigma, attr), m, 5)})
+        with pytest.raises(FieldError, match=f"^{kind} is not finite at a point of element 5$"):
+            run(dataclasses.replace(prob, sigma=flux))

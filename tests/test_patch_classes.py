@@ -23,7 +23,7 @@ import pytest
 import oracles
 from hdivkit import linsolve, local_solve
 from hdivkit.elements import rtn_space
-from hdivkit.linsolve import SingularSystemError, class_blocks, class_inverses, class_slots, solve_stacked
+from hdivkit.linsolve import SingularSystemError, class_inverses, solve_stacked
 from hdivkit.local_solve import build_patch_problem, patch_data, patch_equilibrate, patch_layout, theta_field
 from hdivkit.mesh import build_lshape, build_structured
 from hdivkit.projector import project_hdiv, projector_report, random_conforming_field
@@ -275,11 +275,11 @@ def _wrong_class_row(group):
 
 
 def _swapped_patch_group(group):
-    # row i filed under class c, at a free place among c's rows
+    # row i filed under class c
     i, c = _wrong_class_row(group)
-    cls, slot = group.cls.copy(), group.slot.copy()
-    cls[i], slot[i] = c, slot[group.cls == c].max() + 1
-    return dataclasses.replace(group, cls=cls, slot=slot), i
+    cls = group.cls.copy()
+    cls[i] = c
+    return dataclasses.replace(group, cls=cls), i
 
 
 @pytest.mark.parametrize("kept", [True, False])
@@ -339,28 +339,32 @@ def test_multiplier_classes_match_the_full_numbering_key(meshes, p):
             assert np.array_equal(g.cls, local_solve._class_ids(tri_cls[g.tris], g.mult))
 
 
-def test_solve_stacked_solves_each_system_against_its_class():
+@pytest.mark.parametrize("kept", [False, True], ids=["lu", "kept-inverse"])
+def test_solve_stacked_solves_each_system_against_its_class(kept):
     rng = np.random.default_rng(4)
     A = rng.standard_normal((3, 5, 5)) + 5 * np.eye(5)
+    inv = class_inverses(A, str) if kept else None
     cls = np.array([2, 0, 2, 2, 1, 2, 0, 2])
     b = rng.standard_normal((len(cls), 5, 2))
-    slot, width = class_slots(cls)
-    assert width == 3
-    x = solve_stacked(A, b, class_blocks(cls, slot, width))
+    x = solve_stacked(A, b, cls, inv)
     want = np.linalg.solve(A[cls], b)
     assert np.abs(x - want).max() <= 1e-14 * np.abs(want).max()
     # every system is checked against its class matrix, and named
     bad = b.copy()
     bad[6, 0, 1] = np.nan
     with pytest.raises(SingularSystemError, match=r"\(system 6\)"):
-        solve_stacked(A, bad, class_blocks(cls, slot, width))
-    # with the places fixed, a right-hand side's bits do not depend on the
-    # others solved with it
-    for i in range(len(cls)):
-        one = solve_stacked(A, b[i:i + 1], class_blocks(cls[i:i + 1], slot[i:i + 1], width))
-        assert np.array_equal(one[0], x[i])
+        solve_stacked(A, bad, cls, inv)
+    # each row is, to the bit, its lone solve against its own class matrix
+    # (or inverse), with one right-hand side column or two, so its bits do
+    # not depend on the others solved with it
+    x1 = solve_stacked(A, b[..., 0], cls, inv)
+    for i, c in enumerate(cls):
+        assert np.array_equal(solve_stacked(A, b[i:i + 1], cls[i:i + 1], inv)[0], x[i])
+        for got, rhs in ((x[i], b[i]), (x1[i], b[i, :, :1])):
+            lone = inv[c] @ rhs if kept else np.linalg.solve(A[c], rhs)
+            assert np.array_equal(got, lone if got.ndim == 2 else lone[:, 0])
     # one class per right-hand side: the plain stacked solve, to the bit
-    assert np.array_equal(solve_stacked(A[cls], b), np.linalg.solve(A[cls], b))
-    want = np.linalg.solve(A[cls], b[..., :1])[..., 0]
-    own = np.arange(len(cls))
-    assert np.array_equal(solve_stacked(A[cls], b[..., 0], class_blocks(own, *class_slots(own))), want)
+    if not kept:
+        assert np.array_equal(solve_stacked(A[cls], b), np.linalg.solve(A[cls], b))
+        assert np.array_equal(solve_stacked(A[cls], b[..., 0]), np.linalg.solve(A[cls], b[..., :1])[..., 0])
+
