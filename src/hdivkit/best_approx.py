@@ -19,31 +19,40 @@ from .elements import rtn_space, scalar_values
 from .linsolve import element_solve, hybrid_saddle_solve
 from .local_solve import constrained_fit
 from .projector import ConformingRTNField, check_field_compatibility
-from .quadpolicy import QuadPolicy
+from .quadpolicy import QuadPolicy, resolve
 
 
-def _local_fits(v, p, mesh, policy, constrained=False):
-    """Local best approximations on every element: element mass solves, or
-    element KKT solves with the divergence constraint (``constrained_fit``),
-    of the whole mesh in one ``linsolve.element_solve`` call, from the
-    moments the policy keeps, and their errors over its quadrature groups.
-    Arrays in element order."""
-    space = rtn_space(mesh, p)
+def _local_fits(policy, constrained=False):
+    """Local best approximations of the policy's field on every element:
+    element mass solves, or element KKT solves with the divergence
+    constraint (``constrained_fit``), of the whole mesh in one
+    ``linsolve.element_solve`` call, from the moments the policy keeps, and
+    their errors over its quadrature groups.  Arrays in element order."""
+    space = rtn_space(policy.mesh, policy.p)
     if constrained:
-        coeffs = constrained_fit(space, v, policy)
+        coeffs = constrained_fit(policy)
     else:
-        f = policy.moments(space, v)[:, :, None]
+        f = policy.moments()[:, :, None]
         coeffs = element_solve(space, f, np.empty((len(f), 0, 1)), np.arange(len(f)))[0][:, :, 0]
-    l2, div = np.zeros((2, mesh.num_triangles))
-    for g, vvals in zip(policy.groups(mesh), policy.values(v, mesh)):
+    l2 = np.zeros(policy.mesh.num_triangles)
+    for g, vvals in zip(policy.groups(), policy.values()):
         l2[g.tris] = np.sqrt(g.norm_sq(vvals - space.values(g, coeffs[g.tris])))
+    div = _div_parts(policy)
+    return {"l2_part": l2, "div_part": div, "E_loc": np.sqrt(l2**2 + div**2), "coeffs": coeffs}
+
+
+def _div_parts(policy):
+    """The weighted divergence oscillation (h_K / (p+1)) ||div v - Pi_p
+    div v||_K of every element, Pi_p div v from the kept moments; zeros for
+    a divergence-free field."""
+    mesh, p = policy.mesh, policy.p
+    div = np.zeros(mesh.num_triangles)
     if not policy.divergence_free:
-        # the oscillation ||div v - Pi_p div v||_K, Pi_p div v from the kept moments
-        pi_div = policy.div_moments(v, mesh, p)
-        for g, dvvals in zip(policy.groups(mesh), policy.values(v, mesh, div=True)):
+        pi_div = policy.div_moments()
+        for g, dvvals in zip(policy.groups(), policy.values(div=True)):
             osc = g.norm_sq(dvvals - scalar_values(mesh, p, g, pi_div[g.tris]))
             div[g.tris] = mesh.h[g.tris] / (p + 1) * np.sqrt(osc)
-    return {"l2_part": l2, "div_part": div, "E_loc": np.sqrt(l2**2 + div**2), "coeffs": coeffs}
+    return div
 
 
 def _element_row(fit, mesh, k):
@@ -63,31 +72,27 @@ def local_best(v, p, mesh, k, *, policy=None, quad_degree=None):
     weighted divergence oscillation), ``E_loc`` (their square sum root) and
     ``coeffs``.  Raises ValueError unless k is an element index.
     """
-    if policy is None:
-        policy = QuadPolicy(p, field=v, degree=quad_degree)
-    return _element_row(_local_fits(v, p, mesh, policy), mesh, k)
+    return _element_row(_local_fits(resolve(policy, p, mesh, v, quad_degree)), mesh, k)
 
 
 def local_best_constrained(v, p, mesh, k, *, policy=None, quad_degree=None):
     """Divergence-constrained local best approximation on element k: row k
     of the whole-mesh constrained fits, with ``E_loc_c`` in place of
     ``E_loc``."""
-    if policy is None:
-        policy = QuadPolicy(p, field=v, degree=quad_degree)
-    row = _element_row(_local_fits(v, p, mesh, policy, constrained=True), mesh, k)
+    row = _element_row(_local_fits(resolve(policy, p, mesh, v, quad_degree), constrained=True), mesh, k)
     row["E_loc_c"] = row.pop("E_loc")
     return row
 
 
-def _global_fit(v, p, mesh, policy):
+def _global_fit(policy):
     """The global minimizer on the moments of v and div v the policy keeps
     (``linsolve.hybrid_saddle_solve``), its squared L2 error on its samples
     and the solve's ``info``."""
-    check_field_compatibility(v, mesh)
-    space = rtn_space(mesh, p)
-    dofs, _, info = hybrid_saddle_solve(space, policy.moments(space, v), policy.div_moments(v, mesh, p))
-    sigma = ConformingRTNField(mesh, p, dofs)
-    samples = zip(policy.groups(mesh), policy.values(v, mesh))
+    check_field_compatibility(policy.field, policy.mesh)
+    space = rtn_space(policy.mesh, policy.p)
+    dofs, _, info = hybrid_saddle_solve(space, policy.moments(), policy.div_moments())
+    sigma = ConformingRTNField(policy.mesh, policy.p, dofs)
+    samples = zip(policy.groups(), policy.values())
     l2_sq = sum(grp.norm_sq(vvals - grp.eval(sigma)).sum() for grp, vvals in samples)
     return sigma, l2_sq, info
 
@@ -100,16 +105,10 @@ def global_best(v, p, mesh, *, policy=None, quad_degree=None):
     and the solve's ``info`` entries (KKT residual of the conforming system,
     divergence defect, size and L+U fill of the factorized system).
     """
-    if policy is None:
-        policy = QuadPolicy(p, field=v, degree=quad_degree)
-    sigma, l2_sq, info = _global_fit(v, p, mesh, policy)
-    div_sq = 0.0
-    if not policy.divergence_free:
-        # the oscillation from the moments the solve read, as in ``_local_fits``
-        pi_div = policy.div_moments(v, mesh, p)
-        for grp, dvvals in zip(policy.groups(mesh), policy.values(v, mesh, div=True)):
-            osc = grp.norm_sq(dvvals - scalar_values(mesh, p, grp, pi_div[grp.tris]))
-            div_sq += np.sum((mesh.h[grp.tris] / (p + 1)) ** 2 * osc)
+    policy = resolve(policy, p, mesh, v, quad_degree)
+    sigma, l2_sq, info = _global_fit(policy)
+    # the divergence constraint fixes div sigma elementwise: the local parts
+    div_sq = np.sum(_div_parts(policy) ** 2)
     return {
         "Eglob_l2": np.sqrt(l2_sq),
         "Eglob_div": np.sqrt(div_sq),
@@ -167,27 +166,26 @@ def error_report(
     include_pm1=False,
 ) -> ErrorReport:
     """Full local/global error evaluation with one shared quadrature policy:
-    ``policy``, or a fresh ``QuadPolicy(p, v, quad_degree)``.  A caller that
-    passes one policy to several reports samples v once."""
-    if policy is None:
-        policy = QuadPolicy(p, field=v, degree=quad_degree)
+    ``policy``, which must be built for (p, mesh, v), or a fresh one
+    (``quadpolicy.resolve``).  A caller that passes one policy to several
+    reports samples v once."""
+    policy = resolve(policy, p, mesh, v, quad_degree)
     rep = ErrorReport(p=p)
-    loc = _local_fits(v, p, mesh, policy)
+    loc = _local_fits(policy)
     rep.Eloc_l2, rep.Eloc_div, rep.Eloc = loc["l2_part"], loc["div_part"], loc["E_loc"]
     # the divergence constraint fixes div sigma elementwise, so the global
     # divergence part is the local one
-    sigma, l2_sq, info = _global_fit(v, p, mesh, policy)
+    sigma, l2_sq, info = _global_fit(policy)
     div_sq = np.sum(rep.Eloc_div**2)
     rep.Eglob_l2, rep.Eglob_div, rep.Eglob = np.sqrt(l2_sq), np.sqrt(div_sq), np.sqrt(l2_sq + div_sq)
     rep.metadata.update({key: info[key] for key in ("kkt_residual", "system_size", "nnz_lu")})
     rep.metadata["minimizer"] = sigma
     rep.metadata["quad_degree"] = policy.base_degree
-    samples = zip(policy.groups(mesh), policy.values(v, mesh))
+    samples = zip(policy.groups(), policy.values())
     rep.metadata["v_norm"] = np.sqrt(sum(g.norm_sq(vvals).sum() for g, vvals in samples))
     if include_constrained:
-        rep.Eloc_constrained = _local_fits(v, p, mesh, policy, constrained=True)["E_loc"]
+        rep.Eloc_constrained = _local_fits(policy, constrained=True)["E_loc"]
     if include_pm1 and p >= 1:
         # degree p-1 errors keep their own h/(p) divergence weight
-        pol = QuadPolicy(p - 1, field=v, degree=quad_degree)
-        rep.Eloc_pm1 = _local_fits(v, p - 1, mesh, pol)["E_loc"]
+        rep.Eloc_pm1 = _local_fits(QuadPolicy(p - 1, mesh, v, quad_degree))["E_loc"]
     return rep

@@ -11,6 +11,8 @@ import numpy as np
 from . import fields as fields_mod
 from . import mesh as mesh_mod
 from .best_approx import error_report
+from .linsolve import SingularSystemError
+from .local_solve import CompatibilityError
 from .model_problems import (
     ModelProblemError,
     flux_error,
@@ -244,7 +246,7 @@ def main(argv=None):
     try:
         return args.func(args)
     except (fields_mod.FieldError, mesh_mod.MeshError, ConfigError, ModelProblemError,
-            UnsupportedDegreeError) as exc:
+            UnsupportedDegreeError, CompatibilityError, SingularSystemError) as exc:
         print(f"hdivkit: error: {exc}", file=sys.stderr)
         return 2
 

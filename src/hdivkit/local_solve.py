@@ -80,7 +80,7 @@ from .elements import (
 from .linsolve import check_residuals, chunks, class_inverses, element_solve, eliminate, max_abs, solve_stacked
 from .mesh import DIRICHLET, kept
 from .projections import BrokenRTNField, hat_interpolants
-from .quadpolicy import QuadPolicy
+from .quadpolicy import resolve
 from .quadrature import quad_rule
 
 
@@ -97,13 +97,13 @@ class CompatibilityError(RuntimeError):
 KEEP_BYTES = 1 << 20
 
 
-def constrained_fit(space, v, policy):
-    """Divergence-constrained L2 fits of v in ``space`` on every element,
-    from the moments of v and div v the policy keeps: the element KKT
-    systems of the whole mesh in one ``linsolve.element_solve`` call; the
-    divergence coefficients equal the projected data to solver precision.
-    (nt, ndof)."""
-    b, g = policy.moments(space, v), policy.div_moments(v, space.mesh, space.p)
+def constrained_fit(policy):
+    """Divergence-constrained L2 fits of the policy's field in RTN_p on every
+    element, from the moments of v and div v the policy keeps: the element
+    KKT systems of the whole mesh in one ``linsolve.element_solve`` call;
+    the divergence coefficients equal the projected data to solver
+    precision.  (nt, ndof)."""
+    space, b, g = rtn_space(policy.mesh, policy.p), policy.moments(), policy.div_moments()
     return element_solve(space, b[:, :, None], g[:, :, None], np.arange(len(b)))[0][:, :, 0]
 
 
@@ -124,9 +124,7 @@ def theta_field(v, p, mesh, *, variant="def31", policy=None, quad_degree=None):
     (``constrained_fit``), at the degree ``fit_degree`` gives the variant.
     """
     q = fit_degree(p, variant)
-    if policy is None:
-        policy = QuadPolicy(q, field=v, degree=quad_degree)
-    return BrokenRTNField(mesh, q, constrained_fit(rtn_space(mesh, q), v, policy))
+    return BrokenRTNField(mesh, q, constrained_fit(resolve(policy, q, mesh, v, quad_degree)))
 
 
 # -- patch layout ------------------------------------------------------------------
@@ -459,13 +457,12 @@ def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None) -> PatchData:
     ``defect`` is gated by ``check_compatibility``, once for every patch.
     """
     space = rtn_space(mesh, p)
-    if policy is None:
-        policy = QuadPolicy(p, field=v, degree=None)
+    policy = resolve(policy, p, mesh, v)
     chi = hat_interpolants(theta, p)
     _, G = hat_operators(theta.p, p)
     ref = theta.space.to_ref(theta.coeffs)
     grad = np.einsum("imb,kb->kim", G, ref) / np.sqrt(space.detB)[:, None, None]
-    div, div_scale = _hat_div_moments(v, space, policy)
+    div, div_scale = _hat_div_moments(space, policy)
     # (f, 1)_K = sqrt|K| f_0 = sqrt(det B_k / 2) f_0 in the orthonormal basis
     grad_scale = np.sqrt(0.5) * np.outer(np.linalg.norm(ref, axis=1), np.linalg.norm(G[:, 0], axis=1))
     g = div + grad
@@ -481,7 +478,7 @@ def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None) -> PatchData:
     return out
 
 
-def _hat_div_moments(v, space, policy):
+def _hat_div_moments(space, policy):
     """(lambda_i div v, phi_m)_K over the policy's quadrature groups,
     (n, 3, sdim), and (lambda_i |div v|, 1)_K, (n, 3), for every triangle;
     zeros for a divergence-free field."""
@@ -489,7 +486,7 @@ def _hat_div_moments(v, space, policy):
     mag = np.zeros((space.mesh.num_triangles, 3))
     if policy.divergence_free:
         return out, mag
-    for g, dv in zip(policy.groups(space.mesh), policy.values(v, space.mesh, div=True)):
+    for g, dv in zip(policy.groups(), policy.values(div=True)):
         lam = g.barycentric()
         for i in range(3):
             out[g.tris, i] = scalar_moments(space.mesh, space.p, g, lam[i] * dv)

@@ -31,12 +31,11 @@ class MeshError(ValueError):
     pass
 
 
-def kept(cache, key, build, held=(), tag=None):
+def kept(cache, key, build, tag=None):
     """``cache[key]``, built by ``build()`` on first use and again, in place
-    of the old entry, when asked with other ``held`` objects (compared by
-    identity) or another ``tag`` (compared by value).  The entry's arrays,
-    those in its tuples, lists and sparse matrices included, are made
-    read-only; objects keep their own arrays.
+    of the old entry, when asked with another ``tag`` (compared by value).
+    The entry's arrays, those in its tuples, lists and sparse matrices
+    included, are made read-only; objects keep their own arrays.
 
     What hdivkit keeps, by owner and key, and what rebuilds it:
       * a mesh (``Mesh._cache``), for its life: ``rtn_space``,
@@ -47,18 +46,18 @@ def kept(cache, key, build, held=(), tag=None):
       * a patch layout (``PatchTables``), for the mesh's life: the class
         systems per (kind, signature), the surrogate numbering, and per
         layout group its index maps and surrogate chunks;
-      * a ``QuadPolicy``, for its life (one call or one study row): per
-        mesh its groups and the samples of v and div v, per (mesh, p) the
-        moments of v and div v, rebuilt for another mesh or field (held);
-        one element's rules per key, rebuilt for another geometry (tag);
-        per quadrature group its reference tables per degree.
+      * a ``QuadPolicy``, bound to one mesh and field, for its life (one
+        call or one study row): its groups, the samples of v and div v and
+        their moments; one element's rules per key, rebuilt for another
+        geometry (tag); per quadrature group its reference tables per
+        degree.
     Not kept here: the process-wide reference tables (``lru_cache`` in
     ``polys``, ``quadrature``, ``elements`` and ``local_solve``)."""
     entry = cache.get(key)
-    if entry is None or entry[1] != tag or any(a is not b for a, b in zip(entry[0], held)):
-        entry = cache[key] = (held, tag, build())
-        _read_only(entry[2])
-    return entry[2]
+    if entry is None or entry[0] != tag:
+        entry = cache[key] = (tag, build())
+        _read_only(entry[1])
+    return entry[1]
 
 
 def _read_only(entry):

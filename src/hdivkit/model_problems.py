@@ -133,12 +133,12 @@ def manufactured_bubble(mesh) -> PoissonProblem:
     )
 
 
-def _data_moments(prob, policy):
-    """Element moments (f, phi_m)_K of the source term, P_p for p = policy.p; (nt, sdim)."""
-    fmom = np.zeros((prob.mesh.num_triangles, polys.tri_dim(policy.p)))
-    groups = policy.groups(prob.mesh)
+def _data_moments(prob, p):
+    """Element moments (f, phi_m)_K of the source term in P_p; (nt, sdim)."""
+    fmom = np.zeros((prob.mesh.num_triangles, polys.tri_dim(p)))
+    groups = QuadPolicy(p, prob.mesh, prob.sigma).groups()
     for g, f in zip(groups, check_finite(groups, [g.call(prob.f) for g in groups], "f")):
-        fmom[g.tris] = scalar_moments(prob.mesh, policy.p, g, f)
+        fmom[g.tris] = scalar_moments(prob.mesh, p, g, f)
     return fmom
 
 
@@ -149,9 +149,8 @@ def solve_mixed(prob: PoissonProblem, p: int):
     coefficients.  Solved by ``linsolve.hybrid_saddle_solve``: u_M is minus
     its divergence multiplier.
     """
-    policy = QuadPolicy(p, field=prob.sigma, degree=None)
     space = rtn_space(prob.mesh, p)
-    fmom = _data_moments(prob, policy)
+    fmom = _data_moments(prob, p)
     dofs, mult, info = hybrid_saddle_solve(space, np.zeros(space.dof_map.shape), fmom)
     return {
         "sigma": ConformingRTNField(prob.mesh, p, dofs),
@@ -244,9 +243,8 @@ def solve_ls_mixed(prob: PoissonProblem, p: int, q: int):
     call forms its data moments and right-hand side, and factors the kept
     matrix afresh.  ``system`` is (A, b) over the fluxes, then the free
     potential nodes: the kept, read-only A and this call's b."""
-    policy = QuadPolicy(p, field=prob.sigma, degree=None)
     A, B, ls = _ls_system(prob, p, q)
-    fmom = _data_moments(prob, policy).ravel()
+    fmom = _data_moments(prob, p).ravel()
     fr = ls.free_index
     b = np.concatenate([prob.l_omega**2 * (B.T @ fmom), np.zeros(len(fr))])
     factor = SparseFactor(A, checked=True)
@@ -277,8 +275,7 @@ def flux_error(prob: PoissonProblem, sigma_h: ConformingRTNField, *, quad_degree
 
 def _flux_error(prob, sigma_h, quad_degree, div):
     """``flux_error``, or with ``div`` ||div(sigma - sigma_h)||; the exact flux's samples are checked."""
-    policy = QuadPolicy(sigma_h.p, field=prob.sigma, degree=quad_degree)
-    groups = policy.groups(prob.mesh)
+    groups = QuadPolicy(sigma_h.p, prob.mesh, prob.sigma, quad_degree).groups()
     exact = check_finite(groups, [g.eval(prob.sigma, div=div) for g in groups], "div sigma" if div else "sigma")
     return np.sqrt(sum(g.norm_sq(e - g.eval(sigma_h, div=div)).sum() for g, e in zip(groups, exact)))
 
@@ -408,6 +405,6 @@ def apriori_checks(prob_builder, p: int, q: int, meshes, *, quad_degree=None):
 
 def _div_oscillation(prob, p, *, quad_degree=None):
     """||div sigma - Pi_p div sigma|| (unweighted) over the mesh, from checked samples."""
-    groups = QuadPolicy(p, field=prob.sigma, degree=quad_degree).groups(prob.mesh)
+    groups = QuadPolicy(p, prob.mesh, prob.sigma, quad_degree).groups()
     samples = check_finite(groups, [g.eval(prob.sigma, div=True) for g in groups], "div sigma")
     return np.sqrt(sum(oscillation_sq(prob.mesh, p, g, dv).sum() for g, dv in zip(groups, samples)))

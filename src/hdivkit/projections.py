@@ -8,7 +8,7 @@ import numpy as np
 
 from . import polys
 from .elements import edge_dof_values, hat_operators, rtn_space, scalar_moments, scalar_values
-from .quadpolicy import QuadGroup, QuadPolicy
+from .quadpolicy import QuadGroup, QuadPolicy, resolve
 from .quadrature import gauss01, xy
 
 
@@ -27,9 +27,6 @@ class ScalarPWField:
         if coeffs is None:
             coeffs = np.zeros((mesh.num_triangles, self.sdim))
         self.coeffs = np.asarray(coeffs, float)
-
-    def copy(self):
-        return ScalarPWField(self.mesh, self.p, self.coeffs.copy())
 
     def norm(self):
         return float(np.linalg.norm(self.coeffs))
@@ -104,14 +101,14 @@ def _scalar_values(f, mesh, group):
     return group.call(f)
 
 
-def quadrature_self_check(coeffs, values_on, mesh, p, policy, warnings):
+def quadrature_self_check(coeffs, values_on, p, policy, warnings):
     """Degree-doubling self-check of scalar P_p moments ``coeffs`` (nt, sdim):
     the same moments on the policy's check groups, from ``values_on(group)``;
     every element whose moments move by more than 1e-9 relative gets a
     warning, in element order."""
     err = np.zeros(len(coeffs))
-    for g in policy.check_groups(mesh):
-        ref = scalar_moments(mesh, p, g, values_on(g))
+    for g in policy.check_groups():
+        ref = scalar_moments(policy.mesh, p, g, values_on(g))
         scale = np.maximum(np.linalg.norm(ref, axis=1), 1e-300)
         err[g.tris] = np.linalg.norm(coeffs[g.tris] - ref, axis=1) / scale
     warnings += [
@@ -127,21 +124,23 @@ def project_scalar(f, p, mesh, *, policy=None, quad_degree=None, warnings=None):
     ``eval_element(k, pts)``, or a ScalarPWField.  The returned coefficients
     are the moments against the orthonormal element bases, which need only
     det B_k, not the RTN tables; with the policy's self-check, elements
-    whose moments move on the doubled rule are listed in ``warnings``.
+    whose moments move on the doubled rule are listed in ``warnings``.  A
+    ``policy`` must be built for ``mesh``; its field need not be ``f``.
     """
     if policy is None:
         pd = f.p if isinstance(f, ScalarPWField) else getattr(f, "poly_degree", None)
-        policy = QuadPolicy(p, field=None, degree=quad_degree)
+        policy = QuadPolicy(p, mesh, degree=quad_degree)
         if pd is not None:
             policy.base_degree = pd + p + 1
             policy.self_check = False
         policy.singularity = getattr(f, "singularity", None)
+    policy = resolve(policy, policy.p, mesh, policy.field)  # f need not be its field
     out = ScalarPWField(mesh, p)
-    for g in policy.groups(mesh):
+    for g in policy.groups():
         out.coeffs[g.tris] = scalar_moments(mesh, p, g, _scalar_values(f, mesh, g))
     if policy.self_check:
         values_on = partial(_scalar_values, f, mesh)
-        quadrature_self_check(out.coeffs, values_on, mesh, p, policy, [] if warnings is None else warnings)
+        quadrature_self_check(out.coeffs, values_on, p, policy, [] if warnings is None else warnings)
     return out
 
 
@@ -163,17 +162,16 @@ def canonical_interp(v, p, mesh, *, policy=None, quad_degree=None) -> BrokenRTNF
     degree p and interior moments against vector P_{p-1}.  The edge moments
     are contracted over the policy's edge rules, the interior ones over its
     quadrature groups, one component at a time."""
-    if policy is None:
-        policy = QuadPolicy(p, field=v, degree=quad_degree)
+    policy = resolve(policy, p, mesh, v, quad_degree)
     out = BrokenRTNField(mesh, p)
-    for tris, slots, t, w in policy.edge_rules(mesh):
+    for tris, slots, t, w in policy.edge_rules():
         e = mesh.tri_edges[tris, slots]
         L = mesh.edge_length(e)
         g = QuadGroup.at(mesh, tris, mesh.edge_points(e, t), np.outer(L, w))
         vn = np.einsum("kqd,kd->kq", g.eval(v), mesh.edge_normal(e))
         slot_dofs = slots[:, None] * (p + 1) + np.arange(p + 1)
         out.coeffs[tris[:, None], slot_dofs] = np.einsum("kiq,kq->ki", edge_dof_values(p, t, L), g.w * vn)
-    for g in policy.groups(mesh) if p >= 1 else ():
+    for g in policy.groups() if p >= 1 else ():
         # the orthonormal P_{p-1}(K) basis is the reference one over sqrt(det B_k)
         vals, w = g.eval(v), g.w / np.sqrt(mesh.detB[g.tris])[:, None]
         # contract takes each component as a strided view of one array: a

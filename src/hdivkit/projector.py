@@ -29,7 +29,7 @@ from .local_solve import (
     theta_field,
 )
 from .projections import BrokenRTNField, quadrature_self_check
-from .quadpolicy import QuadGroup, QuadPolicy
+from .quadpolicy import QuadGroup, QuadPolicy, resolve
 from .quadrature import gauss01, quad_rule
 
 
@@ -72,11 +72,11 @@ class ConformingRTNField(BrokenRTNField):
         return float(np.sqrt(np.max(group.norm_sq(v0 - v1))))
 
 
-def random_conforming_field(mesh, p, seed=0, scale=1.0) -> ConformingRTNField:
+def random_conforming_field(mesh, p, seed=0) -> ConformingRTNField:
     """Seeded random member of conforming RTN_p with zero Neumann-edge dofs."""
     space = rtn_space(mesh, p)
     rng = np.random.default_rng(seed)
-    dofs = scale * rng.standard_normal(space.ndof)
+    dofs = rng.standard_normal(space.ndof)
     dofs[space.neumann_edge_dofs()] = 0.0
     return ConformingRTNField(mesh, p, dofs)
 
@@ -147,13 +147,13 @@ def project_hdiv(
     a ProjectorInfo under ``.info['projector']``; ``projector_report``
     also fills its stability ratios.
     """
-    policy = QuadPolicy(p, field=v, degree=quad_degree)
-    return _project_hdiv(v, p, mesh, policy, variant, quad_degree, measure_stability=False)
+    return _project_hdiv(QuadPolicy(p, mesh, v, quad_degree), variant, quad_degree, measure_stability=False)
 
 
-def _project_hdiv(v, p, mesh, policy, variant, quad_degree, measure_stability):
+def _project_hdiv(policy, variant, quad_degree, measure_stability):
     """``project_hdiv`` on the rules of ``policy``, whose groups and samples
     of v stay cached for the caller."""
+    v, p, mesh = policy.field, policy.p, policy.mesh
     q = fit_degree(p, variant)
     check_field_compatibility(v, mesh)
     # def52 fits on a degree p - 1 policy of its own, dropped with its samples here
@@ -183,9 +183,9 @@ def _project_hdiv(v, p, mesh, policy, variant, quad_degree, measure_stability):
     # moments the policy keeps (def31's fit read them too); for
     # divergence-free data the relative denominator falls back to the
     # dimensionally matching scale ||v|| (p+1) / h_max
-    pi_div = policy.div_moments(v, mesh, p)
+    pi_div = policy.div_moments()
     if policy.self_check:
-        quadrature_self_check(pi_div, lambda g: g.eval(v, div=True), mesh, p, policy, info.warnings)
+        quadrature_self_check(pi_div, lambda g: g.eval(v, div=True), p, policy, info.warnings)
     num = np.linalg.norm(sigma.div().coeffs - pi_div)
     den = np.linalg.norm(pi_div)
     floor = theta.norm() * (p + 1) / mesh.h_max
@@ -203,22 +203,21 @@ def projector_report(v, p, mesh, *, variant="def31", policy=None, quad_degree=No
     For each element: the weighted error of the projection, the sum of
     local-best errors over the vertex-patch neighborhood, their ratio (the
     measured equivalence constant), and the global stability quotients.
-    Projection and measurements share ``policy``, or a fresh
-    ``QuadPolicy(p, v, quad_degree)``.
+    Projection and measurements share ``policy``, which must be built for
+    (p, mesh, v), or a fresh one (``quadpolicy.resolve``).
     """
     from .best_approx import _local_fits
 
-    if policy is None:
-        policy = QuadPolicy(p, field=v, degree=quad_degree)
-    sigma = _project_hdiv(v, p, mesh, policy, variant, quad_degree, measure_stability=True)
-    loc = _local_fits(v, p, mesh, policy)
+    policy = resolve(policy, p, mesh, v, quad_degree)
+    sigma = _project_hdiv(policy, variant, quad_degree, measure_stability=True)
+    loc = _local_fits(policy)
     hscale = mesh.h / (p + 1)
     nt = mesh.num_triangles
     err2, derr2, pk2, vnorm2 = np.zeros((4, nt))
-    groups = policy.groups(mesh)
+    groups = policy.groups()
     # a divergence-free field holds no divergence samples: its error is -div sigma
-    divs = [0.0] * len(groups) if policy.divergence_free else policy.values(v, mesh, div=True)
-    for g, vvals, dvvals in zip(groups, policy.values(v, mesh), divs):
+    divs = [0.0] * len(groups) if policy.divergence_free else policy.values(div=True)
+    for g, vvals, dvvals in zip(groups, policy.values(), divs):
         svals = g.eval(sigma)
         err2[g.tris] = g.norm_sq(vvals - svals)
         derr2[g.tris] = hscale[g.tris] ** 2 * g.norm_sq(dvvals - g.eval(sigma, div=True))

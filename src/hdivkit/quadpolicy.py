@@ -12,7 +12,9 @@ Gauss-Jacobi edge rules on edges leaving the corner, and escalated degrees on
 nearby elements, which keeps moment errors near roundoff even for singular
 data.
 
-A policy keeps, read-only, the samples of v and div v (``values``) and
+A policy integrates one field (or none) on one mesh at one degree, all
+three fixed when it is built; ``resolve`` refuses it for any other.  It
+keeps, read-only, its groups, the samples of v and div v (``values``) and
 their moments (``moments``, ``div_moments``) for its life, one call or one
 study row (``mesh.kept``).  A divergence-free field's divergence moments
 are exact zeros, and its ``div`` is never called.
@@ -25,7 +27,7 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from . import polys
-from .elements import rtn_dim, rtn_reference, scalar_basis, scalar_moments
+from .elements import rtn_dim, rtn_reference, rtn_space, scalar_basis, scalar_moments
 from .fields import AnalyticField, FieldError
 from .linsolve import chunks
 from .mesh import kept
@@ -140,9 +142,11 @@ def check_finite(groups, samples, name):
 
 
 class QuadPolicy:
-    def __init__(self, p, field=None, degree=None):
-        self.p = p
-        poly_deg = getattr(field, "poly_degree", None) if field is not None else None
+    """The rules of degree ``p`` for ``field`` (or None) on ``mesh``."""
+
+    def __init__(self, p, mesh, field=None, degree=None):
+        self.p, self.mesh, self.field = p, mesh, field
+        poly_deg = getattr(field, "poly_degree", None)
         # div v = 0 makes every divergence quantity zero, on every rule
         self.divergence_free = bool(getattr(field, "divergence_free", False))
         # polynomial fields are integrated exactly: nothing to self-check
@@ -153,7 +157,7 @@ class QuadPolicy:
             # 2p + 14 keeps the discrete divergence-theorem defect of trig
             # data below 1e-12 even on h ~ 1 elements
             self.base_degree = int(degree) if degree is not None else 2 * p + 14
-        self.singularity = getattr(field, "singularity", None) if field is not None else None
+        self.singularity = getattr(field, "singularity", None)
         self._cache = {}
 
     # -- classification -------------------------------------------------------------
@@ -193,7 +197,7 @@ class QuadPolicy:
         [0, 1] per edge slot; ``check_tri_rule`` backs the degree-doubling
         self-check.  The per-element reference of ``groups``,
         ``check_groups`` and ``edge_rules``, which give the same rules to
-        whole meshes.
+        the policy's mesh.
         """
         if key is None:
             return self._element_rules(el)
@@ -221,19 +225,20 @@ class QuadPolicy:
         chk = quad_rule(2 * (deg + self.p)) if self.self_check else None
         return quad_rule(deg + self.p), [gauss01(edge_npts(deg + self.p))] * 3, chk
 
-    def groups(self, mesh):
-        """The elements of ``mesh`` grouped by the rule ``element_rules`` gives
+    def groups(self):
+        """The elements of the mesh grouped by the rule ``element_rules`` gives
         them: one group per shared reference rule, cut into chunks of at most
         ``POINT_BYTES`` of per-point data, and one for the corner wedges, cut
         into chunks of at most ``STACK_BYTES`` (``linsolve.chunks``).  Built
-        once per mesh."""
-        return kept(self._cache, ("groups", id(mesh)), lambda: list(self._grouped(mesh, check=False)), (mesh,))
+        once."""
+        return kept(self._cache, "groups", lambda: list(self._grouped(check=False)))
 
-    def edge_rules(self, mesh):
+    def edge_rules(self):
         """The edge rules of ``element_rules`` for every (triangle, slot) pair
-        of ``mesh``, grouped by rule: (tris, slots, t, w) per rule, the pairs
+        of the mesh, grouped by rule: (tris, slots, t, w) per rule, the pairs
         in chunks of at most ``POINT_BYTES`` of per-point data.  Slot j lies
         opposite local vertex j; t runs from its lower to its higher vertex."""
+        mesh = self.mesh
         xs = mesh.vertices[mesh.triangles]
         corner = self._corners(xs, mesh.h)
         # Gauss rules by the degree they cover; -1 (-2): the Gauss-Jacobi
@@ -253,12 +258,13 @@ class QuadPolicy:
             for sl in chunks(len(tris), _POINT_BYTES * len(t), points=True):
                 yield tris[sl], slots[sl], t, w
 
-    def check_groups(self, mesh):
+    def check_groups(self):
         """The chunks of ``groups`` on the rules of the degree-doubling
         self-check, built one at a time and not kept."""
-        return self._grouped(mesh, check=True)
+        return self._grouped(check=True)
 
-    def _grouped(self, mesh, check):
+    def _grouped(self, check):
+        mesh = self.mesh
         xs = mesh.vertices[mesh.triangles]
         corner = self._corners(xs, mesh.h)
         deg = self._degrees(xs, mesh.h)
@@ -280,40 +286,53 @@ class QuadPolicy:
             k = ks[sl]
             yield QuadGroup.at(mesh, k, *corner_rules(xs[k], corner[k], self.singularity.gamma, *size))
 
-    def values(self, field, mesh, div=False):
-        """``field`` (or its divergence) at the points of every group of
+    def values(self, div=False):
+        """The field (or its divergence) at the points of every group of
         ``groups``, in group order: the whole mesh is evaluated once per
-        policy, field and kind, on first use.  Callers skip the divergence
-        of a divergence-free field.  A sample that is not finite is a
-        FieldError that names its element."""
+        kind, on first use.  Callers skip the divergence of a
+        divergence-free field.  A sample that is not finite is a FieldError
+        that names its element."""
         def build():
-            groups = self.groups(mesh)
-            return check_finite(groups, [g.eval(field, div=div) for g in groups], "div v" if div else "v")
+            groups = self.groups()
+            return check_finite(groups, [g.eval(self.field, div=div) for g in groups], "div v" if div else "v")
 
-        return kept(self._cache, ("div" if div else "values", id(mesh)), build, (mesh, field))
+        return kept(self._cache, "div" if div else "values", build)
 
-    def moments(self, space, field):
-        """Moments of ``field`` against the RTN basis of ``space``
+    def moments(self):
+        """Moments of the field against the RTN_p basis of the mesh
         (``RTNSpace.moments``) on every element, (nt, ndof), from its
-        ``values``; formed once per policy, field and space."""
+        ``values``; formed once."""
         def build():
-            b = np.empty((space.mesh.num_triangles, space.ref.dim))
-            for g, vals in zip(self.groups(space.mesh), self.values(field, space.mesh)):
+            space = rtn_space(self.mesh, self.p)
+            b = np.empty((self.mesh.num_triangles, space.ref.dim))
+            for g, vals in zip(self.groups(), self.values()):
                 b[g.tris] = space.moments(g, vals)
             return b
 
-        return kept(self._cache, ("moments", id(space.mesh), space.p), build, (space.mesh, field))
+        return kept(self._cache, "moments", build)
 
-    def div_moments(self, field, mesh, p):
-        """Moments of div ``field`` against the orthonormal P_p bases
-        (``elements.scalar_moments``) on every element, (nt, sdim), from its
-        divergence ``values``; zero for a divergence-free field.  Formed once
-        per policy, field and degree."""
+    def div_moments(self):
+        """Moments of the field's divergence against the orthonormal P_p
+        bases (``elements.scalar_moments``) on every element, (nt, sdim),
+        from its divergence ``values``; zero for a divergence-free field.
+        Formed once."""
         def build():
-            out = np.zeros((mesh.num_triangles, polys.tri_dim(p)))
+            out = np.zeros((self.mesh.num_triangles, polys.tri_dim(self.p)))
             if not self.divergence_free:
-                for g, dvals in zip(self.groups(mesh), self.values(field, mesh, div=True)):
-                    out[g.tris] = scalar_moments(mesh, p, g, dvals)
+                for g, dvals in zip(self.groups(), self.values(div=True)):
+                    out[g.tris] = scalar_moments(self.mesh, self.p, g, dvals)
             return out
 
-        return kept(self._cache, ("div_moments", id(mesh), p), build, (mesh, field))
+        return kept(self._cache, "div_moments", build)
+
+
+def resolve(policy, p, mesh, field, degree=None):
+    """The policy with which a public function integrates ``field`` on
+    ``mesh`` at degree p: ``policy``, refused (ValueError) if it was built
+    for another, or a fresh ``QuadPolicy(p, mesh, field, degree)``."""
+    if policy is None:
+        return QuadPolicy(p, mesh, field, degree)
+    for name, same in (("mesh", policy.mesh is mesh), ("field", policy.field is field), ("degree", policy.p == p)):
+        if not same:
+            raise ValueError(f"the quadrature policy was built for another {name}")
+    return policy

@@ -192,8 +192,8 @@ def run_study(cfg: StudyConfig):
             if cfg.variant == "def52" and p < 1:
                 continue
             # one sampling of the field per row, shared by both reports
-            policy = QuadPolicy(p, field=field, degree=cfg.quad_degree)
-            rep = error_report(v=field, p=p, mesh=m, policy=policy, quad_degree=cfg.quad_degree)
+            policy = QuadPolicy(p, m, field, cfg.quad_degree)
+            rep = error_report(field, p, m, policy=policy)
             notes = ""
             vnorm = rep.metadata["v_norm"]
             exact_zero = rep.Eglob < 1e-9 * max(vnorm, 1e-30) and np.sqrt(
@@ -208,9 +208,7 @@ def run_study(cfg: StudyConfig):
                 ratio_lg = rep.ratio_loc_over_glob
             proj_err = commute = stab = float("nan")
             if cfg.run_projector:
-                prep = projector_report(
-                    field, p, m, variant=cfg.variant, policy=policy, quad_degree=cfg.quad_degree
-                )
+                prep = projector_report(field, p, m, variant=cfg.variant, policy=policy)
                 commute = prep["commute_residual"]
                 stab = max(prep["stability_ratios"]) if prep["stability_ratios"] else 0.0
                 proj_err = float(
@@ -236,6 +234,10 @@ def run_study(cfg: StudyConfig):
             )
     fits = {}
     checks = []
+
+    def check(name, value, expected, tol, passed):
+        checks.append({"name": name, "value": value, "expected": expected, "tol": tol, "passed": bool(passed)})
+
     s = getattr(study_fields[0], "s", np.inf)
     for p in cfg.degrees:
         if cfg.variant == "def52" and p < 1:
@@ -251,39 +253,14 @@ def run_study(cfg: StudyConfig):
                 predicted = min(s, p + 1)
                 tol_slope = 0.15 if s < np.inf else 0.1
                 if np.isfinite(predicted):
-                    checks.append(
-                        {
-                            "name": f"h-rate p={p}",
-                            "value": fit.slope,
-                            "expected": predicted,
-                            "tol": tol_slope,
-                            "passed": bool(abs(fit.slope - predicted) <= tol_slope),
-                        }
-                    )
+                    check(f"h-rate p={p}", fit.slope, predicted, tol_slope, abs(fit.slope - predicted) <= tol_slope)
         ratios = [r["ratio_glob_over_loc"] for r in sub]
         if ratios and all(np.isfinite(ratios)) and min(ratios) > 0:
-            checks.append(
-                {
-                    "name": f"equivalence ratio stability p={p}",
-                    "value": max(ratios) / min(ratios),
-                    "expected": 1.0,
-                    "tol": 2.0,
-                    "passed": bool(max(ratios) / min(ratios) <= 2.0),
-                }
-            )
+            spread = max(ratios) / min(ratios)
+            check(f"equivalence ratio stability p={p}", spread, 1.0, 2.0, spread <= 2.0)
         for r in sub:
-            checks.append(
-                {
-                    "name": f"ordering level={r['level']} p={p}",
-                    "value": r["E_glob"] ** 2 - r["sum_Eloc"] ** 2,
-                    "expected": 0.0,
-                    "tol": cfg.tol * max(r["E_glob"] ** 2, 1e-30),
-                    "passed": bool(
-                        r["E_glob"] ** 2 - r["sum_Eloc"] ** 2
-                        >= -cfg.tol * max(r["E_glob"] ** 2, 1e-30)
-                    ),
-                }
-            )
+            gap, tol = r["E_glob"] ** 2 - r["sum_Eloc"] ** 2, cfg.tol * max(r["E_glob"] ** 2, 1e-30)
+            check(f"ordering level={r['level']} p={p}", gap, 0.0, tol, gap >= -tol)
     ok = all(c["passed"] for c in checks)
     summary = {
         "config": asdict(cfg),

@@ -337,7 +337,7 @@ def canonical_interp_oracle(v, p, mesh, *, policy=None, quad_degree=None):
 
     space = rtn_space(mesh, p)
     if policy is None:
-        policy = QuadPolicy(p, field=v, degree=quad_degree)
+        policy = QuadPolicy(p, mesh, v, quad_degree)
     out = BrokenRTNField(mesh, p)
     for k, el in enumerate(elements(space)):
         tri, edges, _ = policy.element_rules(el, key=("tri", k))
@@ -443,13 +443,13 @@ def hat_grad(patch, mesh, k):
 # -- per-element error and fit loops -------------------------------------------------
 
 
-def samples(policy, field, mesh):
+def samples(policy):
     """(group, field values, divergence values) of every group of
     ``policy.groups``, from ``policy.values``; zeros for the divergence of a
     divergence-free field, which the policy does not evaluate."""
-    groups = policy.groups(mesh)
-    divs = [np.zeros(g.w.shape) for g in groups] if policy.divergence_free else policy.values(field, mesh, div=True)
-    return list(zip(groups, policy.values(field, mesh), divs))
+    groups = policy.groups()
+    divs = [np.zeros(g.w.shape) for g in groups] if policy.divergence_free else policy.values(div=True)
+    return list(zip(groups, policy.values(), divs))
 
 
 def local_best_oracle(v, p, mesh, k, policy):
@@ -532,7 +532,7 @@ def optimality_check(v, p, mesh, sigma, *, n_directions=10, seed=0, quad_degree=
     """
     from hdivkit.projector import random_conforming_field
 
-    policy = QuadPolicy(p, field=v, degree=quad_degree)
+    policy = QuadPolicy(p, mesh, v, quad_degree)
     space = rtn_space(mesh, p)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -763,7 +763,7 @@ def ls_blocks_oracle(prob, p, q):
     from hdivkit.linsolve import assemble_csr
     from hdivkit.model_problems import LagrangeSpace
 
-    space, M, B, fmom = flux_system(prob, p, QuadPolicy(p, field=prob.sigma, degree=None))
+    space, M, B, fmom = flux_system(prob, p)
     ls = LagrangeSpace(prob.mesh, q)
     nodes, rule = ls._elem_nodes, quad_rule(2 * q)
     coupling = space.rows_to_elem(_coupling_reference(q, p)[None])
@@ -958,7 +958,7 @@ def projector_oracle(v, p, mesh, quad_degree=None):
     from hdivkit.quadpolicy import QuadPolicy
 
     qd = quad_degree or (2 * (2 * p + 14))
-    policy = QuadPolicy(p, field=v, degree=qd)
+    policy = QuadPolicy(p, mesh, v, qd)
     policy.self_check = False
     theta = theta_field(v, p, mesh, policy=policy)
     space = rtn_space(mesh, p)
@@ -1372,8 +1372,8 @@ def project_hdiv_oracle(v, p, mesh, *, variant="def31", measure_stability=False,
 
     check_field_compatibility(v, mesh)
     q = p if variant == "def31" else p - 1
-    policy = QuadPolicy(p, field=v)
-    theta_policy = policy if q == p else QuadPolicy(q, field=v)
+    policy = QuadPolicy(p, mesh, v)
+    theta_policy = policy if q == p else QuadPolicy(q, mesh, v)
     for pol in {id(policy): policy, id(theta_policy): theta_policy}.values():
         pol.base_degree += extra
     theta = BrokenRTNField(mesh, q)
@@ -1518,13 +1518,13 @@ def projector_report_oracle(v, p, mesh, *, variant="def31"):
     from hdivkit.projector import project_hdiv
 
     sigma = project_hdiv(v, p, mesh, variant=variant)
-    policy = QuadPolicy(p, field=v)
+    policy = QuadPolicy(p, mesh, v)
     patches = vertex_patches(mesh)
-    loc = _local_fits(v, p, mesh, policy)
+    loc = _local_fits(policy)
     E_loc, osc2 = loc["E_loc"], loc["div_part"] ** 2
     hscale = mesh.h / (p + 1)
     err2, derr2, pk2, vnorm2 = np.zeros((4, mesh.num_triangles))
-    for g, vvals, dvvals in samples(policy, v, mesh):
+    for g, vvals, dvvals in samples(policy):
         svals = g.eval(sigma)
         err2[g.tris] = g.norm_sq(vvals - svals)
         derr2[g.tris] = hscale[g.tris] ** 2 * g.norm_sq(dvvals - g.eval(sigma, div=True))
@@ -1698,7 +1698,7 @@ def patch_layer_stacked_oracle(v, p, mesh, *, variant="def31"):
     recovery, and ``patch_stability_ratio_stacked_oracle``."""
     from hdivkit.local_solve import fit_degree, patch_data, patch_equilibrate, patch_layout, theta_field
 
-    policy = QuadPolicy(p, field=v)
+    policy = QuadPolicy(p, mesh, v)
     theta = theta_field(v, p, mesh, variant=variant, policy=policy if fit_degree(p, variant) == p else None)
     data = patch_data(theta, v, p, mesh, policy=policy)
     parts, ratios = [], []
@@ -1754,7 +1754,7 @@ def moments_stacked_oracle(space, group, vals):
 def flux_error_stacked_oracle(prob, sigma_h, div=False):
     """``model_problems.flux_error`` (``div``: of the divergences) on the
     norms of ``norm_sq_stacked_oracle``."""
-    groups = QuadPolicy(sigma_h.p, field=prob.sigma).groups(prob.mesh)
+    groups = QuadPolicy(sigma_h.p, prob.mesh, prob.sigma).groups()
     return np.sqrt(
         sum(norm_sq_stacked_oracle(g, g.eval(prob.sigma, div=div) - g.eval(sigma_h, div=div)).sum() for g in groups)
     )
@@ -1793,7 +1793,7 @@ def interior_interp_stacked_oracle(v, p, mesh):
     """The interior dofs of ``projections.canonical_interp`` (p >= 1):
     moments of v against vector P_{p-1}(K); (nt, 2 dim P_{p-1})."""
     out = np.zeros((mesh.num_triangles, 2 * polys.tri_dim(p - 1)))
-    for g in QuadPolicy(p, field=v).groups(mesh):
+    for g in QuadPolicy(p, mesh, v).groups():
         vals = g.eval(v) * (g.w / np.sqrt(mesh.detB[g.tris])[:, None])[:, :, None]
         out[g.tris] = np.hstack([g.contract(g.phi(p - 1), vals[:, :, c]) for c in (0, 1)])
     return out
@@ -1848,11 +1848,11 @@ def group_of(layout, vertex):
     return layout.groups[gi].rows(slice(r, r + 1))
 
 
-def flux_system(prob, p, policy):
+def flux_system(prob, p):
     """The conforming mass and divergence blocks of ``prob``'s mesh and its
     data moments: (space, M, B, fmom)."""
     from hdivkit.model_problems import _data_moments
 
     space = rtn_space(prob.mesh, p)
     M, B, _ = space.conforming_blocks()  # all-Dirichlet: every dof is kept
-    return space, M, B, _data_moments(prob, policy).ravel()
+    return space, M, B, _data_moments(prob, p).ravel()

@@ -248,7 +248,7 @@ def test_degree_robust_variant_projector(sine_pm1_sweep):
     quotients = []
     for p, rep in sine_pm1_sweep.items():
         sig = project_hdiv(v, p, m, variant="def52")
-        policy = QuadPolicy(p, field=v)
+        policy = QuadPolicy(p, m, v)
         space = rtn_space(m, p)
         err2 = 0.0
         for k in range(m.num_triangles):
@@ -439,7 +439,7 @@ def test_criterion_10_oracles(ref_triangle_mesh, unit_square_2):
     details.append(f"interp fluxes {e5:.1e}")
     # end-to-end projector on n = 2 vs doubled-quadrature dense path
     sig = project_hdiv(cubic, 0, unit_square_2)
-    policy = QuadPolicy(0, field=cubic)
+    policy = QuadPolicy(0, unit_square_2, cubic)
     err2 = 0.0
     for k in range(unit_square_2.num_triangles):
         el = oracles.element(rtn_space(unit_square_2, 0), k)

@@ -158,9 +158,9 @@ def test_self_check_warnings_match_loop():
         want = oracles.project_hdiv_oracle(v, p, m)
         assert info.warnings and info.warnings == want["warnings"]
         got = []
-        project_scalar(v.div, p, m, policy=QuadPolicy(p, field=v), warnings=got)
+        project_scalar(v.div, p, m, policy=QuadPolicy(p, m, v), warnings=got)
         ref = []
-        oracles.project_scalar_oracle(v.div, p, m, QuadPolicy(p, field=v), ref)
+        oracles.project_scalar_oracle(v.div, p, m, QuadPolicy(p, m, v), ref)
         assert got == ref == info.warnings
 
 
@@ -290,7 +290,7 @@ def test_benchmark_meshes_run_whole_stacks(monkeypatch):
     for m, p in ((build_structured(4), 6), (build_lshape(4), 3)):
         groups = patch_layout(m, p).groups
         assert len(groups) == len({(g.nl, g.tris.shape[1], g.kernel) for g in groups})
-    groups = QuadPolicy(6, field=fields.catalog("lshape_singular")).groups(build_lshape(2))
+    groups = QuadPolicy(6, build_lshape(2), fields.catalog("lshape_singular")).groups()
     wedges = [g for g in groups if not g.shared]
     assert len(wedges) == 1 and len(wedges[0].tris) == 5
     space = rtn_space(build_structured(4), 6)
@@ -343,7 +343,7 @@ def test_stacks_of_corner_wedges_match_one_wedge_per_chunk(monkeypatch):
     def run():
         m = build_lshape(2)
         sigma = project_hdiv(v, p, m)
-        wedges = [g for g in QuadPolicy(p, field=v).groups(m) if not g.shared]
+        wedges = [g for g in QuadPolicy(p, m, v).groups() if not g.shared]
         return len(wedges), sigma.dofs, sigma.info["theta"].coeffs, error_report(v, p, m).Eglob
 
     n, *want = run()
@@ -384,7 +384,7 @@ def test_single_patch_problem_matches_loop_assembly():
     v = random_conforming_field(m, 3, seed=1)
     p = 2
     theta = theta_field(v, p, m)
-    data = oracles.patch_data_oracle(theta, v, p, m, QuadPolicy(p, field=v))
+    data = oracles.patch_data_oracle(theta, v, p, m, QuadPolicy(p, m, v))
     for patch in vertex_patches(m):
         prob = build_patch_problem(oracles.group_of(patch_layout(m, p), patch.vertex), theta, v, p, m)
         want = oracles.build_patch_problem_oracle(patch, p, m, data)
@@ -406,7 +406,7 @@ def test_element_fit_is_a_slice_of_the_stacked_fit(variant):
     p = 2
     q = p if variant == "def31" else p - 1
     theta = theta_field(v, p, m, variant=variant)
-    policy = QuadPolicy(q, field=v)
+    policy = QuadPolicy(q, m, v)
     for k in range(m.num_triangles):
         one = local_best_constrained(v, q, m, k)["coeffs"]
         assert _rel(one, theta.coeffs[k]) <= 1e-14
@@ -418,7 +418,7 @@ def test_constrained_local_errors_match_element_loop(p):
     m = jitter(build_lshape(2, labels="left-neumann"), 2)
     v = stream_field()
     rep = error_report(v, p, m, include_constrained=True)
-    policy = QuadPolicy(p, field=v)
+    policy = QuadPolicy(p, m, v)
     want = np.array([oracles.local_best_constrained_oracle(v, p, m, k, policy) for k in range(m.num_triangles)])
     assert _rel(rep.Eloc_constrained, want) <= 1e-12
     assert np.all(rep.Eloc_constrained >= rep.Eloc * (1 - 1e-12))
@@ -447,7 +447,7 @@ def test_project_scalar_matches_element_loop(p):
         got_w, ref_w = [], []
         got = project_scalar(g, p, m, warnings=got_w)
         pd = pw.p if g is pw else None
-        policy = QuadPolicy(p, field=None)
+        policy = QuadPolicy(p, m)
         if pd is not None:
             policy.base_degree, policy.self_check = pd + p + 1, False
         policy.singularity = getattr(g, "singularity", None)

@@ -327,3 +327,22 @@ def test_degree_list_parses_to_integers():
     args = build_parser().parse_args(["project", "--p", "0,2,3"])
     assert args.p == [0, 2, 3]
     assert build_parser().parse_args(["project"]).p == [1]
+
+
+def test_a_failed_patch_or_solve_is_one_line_error(monkeypatch, capsys):
+    # at p = 11 the degree-11 fit leaves patch data out of balance
+    # (CompatibilityError); a singular system raises SingularSystemError
+    import hdivkit.cli as cli
+    from hdivkit.linsolve import SingularSystemError
+
+    def singular(prob, p):
+        raise SingularSystemError("dense solve residual nan")
+
+    monkeypatch.setattr(cli, "solve_mixed", singular)
+    argvs = [["project", "--mesh", "structured:2", "--field", "random_rtn:p=11", "--p", "11"],
+             ["solve-mixed", "--mesh", "structured:2", "--p", "0"]]
+    for argv, message in zip(argvs, ["divergence data incompatible", "dense solve residual nan"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("hdivkit: error: ") and message in captured.err

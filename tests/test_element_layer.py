@@ -9,7 +9,6 @@ element at a time.
 """
 
 import ast
-import gc
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +16,10 @@ import pytest
 
 import oracles
 from hdivkit import fields
-from hdivkit.best_approx import error_report, global_best, local_best
+from hdivkit.best_approx import error_report, global_best, local_best, local_best_constrained
 from hdivkit.elements import _coupling_reference, _mass_blocks, lagrange_grads_ref, rtn_space, scalar_values
 from hdivkit.linsolve import assemble_csr
+from hdivkit.local_solve import patch_data, theta_field
 from hdivkit.mesh import Mesh, build_lshape, build_structured
 from hdivkit.model_problems import (
     LagrangeSpace,
@@ -29,8 +29,8 @@ from hdivkit.model_problems import (
     potential_h1_error,
     solve_mixed,
 )
-from hdivkit.projections import BrokenRTNField
-from hdivkit.projector import random_conforming_field
+from hdivkit.projections import BrokenRTNField, canonical_interp, project_scalar
+from hdivkit.projector import projector_report, random_conforming_field
 from hdivkit.quadpolicy import QuadPolicy
 from hdivkit.quadrature import quad_rule
 
@@ -110,7 +110,7 @@ def test_applied_tables_match_the_stored_stacks(mesh, p):
     form = np.sum(x * want, axis=-1)
     assert np.max(np.abs(np.sum(y * space.mass(y, tris), axis=-1) - form) / form) <= 1e-13
     assert _rel_rows(BrokenRTNField(mesh, p, c).div().coeffs, (Bdiv @ c[:, :, None])[:, :, 0]) <= 1e-13
-    for g in QuadPolicy(p, field=fields.catalog("sine_divfree")).groups(mesh):
+    for g in QuadPolicy(p, mesh, fields.catalog("sine_divfree")).groups():
         t, prim = g.tris, g.prim(p)
         Bt = np.swapaxes(mesh.B[t], 1, 2) / mesh.detB[t, None, None]
         want = g.combine((C[t] @ c[t, :, None])[:, :, 0], prim) @ Bt
@@ -256,9 +256,9 @@ CASES = [
 def test_batched_fits_and_errors_match_element_loops(name, build, field, p):
     m = build()
     v = fields.catalog(field)
-    policy = QuadPolicy(p, field=v)
+    policy = QuadPolicy(p, m, v)
     if field == "lshape_singular":  # the corner wedges form their own group
-        assert any(not g.shared for g in policy.groups(m))
+        assert any(not g.shared for g in policy.groups())
     rep = error_report(v, p, m)
     for k in range(m.num_triangles):
         want = oracles.local_best_oracle(v, p, m, k, policy)
@@ -282,8 +282,7 @@ def test_discrete_fields_evaluate_through_their_tables(mesh):
     p = 2
     sig = random_conforming_field(mesh, p, seed=2)
     broken = oracles.to_broken(sig)
-    policy = QuadPolicy(p, field=fields.catalog("sine_divfree"))
-    for g in policy.groups(mesh):
+    for g in QuadPolicy(p, mesh, fields.catalog("sine_divfree")).groups():
         for field in (sig, broken):
             vals, div = g.eval(field), g.eval(field, div=True)
             for i, k in enumerate(g.tris):
@@ -301,8 +300,8 @@ def test_discrete_fields_evaluate_through_their_tables(mesh):
 def test_solver_blocks_match_element_loops(p):
     m = jitter(build_structured(3), 5)
     prob = manufactured_sine(m)
-    policy = QuadPolicy(p, field=prob.sigma)
-    space, M, B, fmom = oracles.flux_system(prob, p, policy)
+    policy = QuadPolicy(p, m, prob.sigma)
+    space, M, B, fmom = oracles.flux_system(prob, p)
     Mo, Bo, _ = oracles.conforming_blocks_oracle(space)
     assert (M != Mo).nnz == 0 and (B != Bo).nnz == 0
     want = []
@@ -334,18 +333,37 @@ def test_conforming_blocks_keep_the_neumann_pattern(mesh):
     assert abs(M - M.T).max() == 0
 
 
-def test_policy_caches_stay_with_their_mesh():
-    # a freed mesh's id can go to the next mesh built; the cached groups and
-    # samples must serve only the mesh they were built for
-    v = fields.catalog("sine_divfree")
-    policy = QuadPolicy(1, field=v)
-    for i in range(50):
-        m = build_structured(2 + i % 3)
-        covered = np.concatenate([g.tris for g in policy.groups(m)])
-        assert np.array_equal(np.sort(covered), np.arange(m.num_triangles))
-        fresh = oracles.samples(QuadPolicy(1, field=v), v, m)
-        for (g, vals, dvals), (h, want, dwant) in zip(oracles.samples(policy, v, m), fresh, strict=True):
-            assert np.array_equal(g.tris, h.tris)
-            assert np.array_equal(vals, want) and np.array_equal(dvals, dwant)
-        del m, fresh, g, h
-        gc.collect()
+_POLICY_USERS = {
+    "error_report": lambda v, p, m, policy: error_report(v, p, m, policy=policy),
+    "global_best": lambda v, p, m, policy: global_best(v, p, m, policy=policy),
+    "local_best": lambda v, p, m, policy: local_best(v, p, m, 0, policy=policy),
+    "local_best_constrained": lambda v, p, m, policy: local_best_constrained(v, p, m, 0, policy=policy),
+    "projector_report": lambda v, p, m, policy: projector_report(v, p, m, policy=policy),
+    "theta_field": lambda v, p, m, policy: theta_field(v, p, m, policy=policy),
+    "patch_data": lambda v, p, m, policy: patch_data(theta_field(v, p, m), v, p, m, policy=policy),
+    "canonical_interp": lambda v, p, m, policy: canonical_interp(v, p, m, policy=policy),
+}
+
+
+@pytest.mark.parametrize("other", ["field", "mesh", "degree"])
+@pytest.mark.parametrize("user", _POLICY_USERS)
+def test_a_policy_built_for_another_field_mesh_or_degree_is_refused(user, other):
+    # a policy integrates the one field on the one mesh it was built for:
+    # the cubic's errors on the sine's policy would read the sine's samples,
+    # and an equal mesh built twice is another mesh
+    m, v = build_structured(4), fields.catalog("cubic")
+    policy = {
+        "field": lambda: QuadPolicy(1, m, fields.catalog("sine_divfree")),
+        "mesh": lambda: QuadPolicy(1, build_structured(4), v),
+        "degree": lambda: QuadPolicy(2, m, v),
+    }[other]()
+    with pytest.raises(ValueError, match=f"^the quadrature policy was built for another {other}$"):
+        _POLICY_USERS[user](v, 1, m, policy)
+
+
+def test_project_scalar_checks_only_the_mesh_of_its_policy():
+    # its f is not the policy's field by design: the rules of v serve div v
+    m, v = build_structured(2), fields.catalog("cubic")
+    project_scalar(v.eval_div, 1, m, policy=QuadPolicy(1, m, v))
+    with pytest.raises(ValueError, match="^the quadrature policy was built for another mesh$"):
+        project_scalar(v.eval_div, 1, m, policy=QuadPolicy(1, build_structured(2), v))

@@ -239,7 +239,7 @@ def test_element_evaluation_matches_oracle(p):
         assert np.array_equal(sig.eval_div(pts, elem=k), broken.eval_div(pts, elem=k))
         assert _rel(scalar.eval_element(k, pts), el.scalar_values(scalar.coeffs[k], pts)) <= 1e-14
         assert field.eval(pts[0], elem=k).shape == (1, 2)
-    for g in QuadPolicy(p, field=sig).groups(m):
+    for g in QuadPolicy(p, m, sig).groups():
         assert np.array_equal(g.eval(sig), g.eval(broken))
         assert np.array_equal(g.eval(sig, div=True), g.eval(broken, div=True))
     assert np.array_equal(sig.div().coeffs, broken.div().coeffs)

@@ -115,7 +115,7 @@ def test_patch_problem_matches_quadrature_oracle(meshes, mesh_name, variant, p):
     m = meshes[mesh_name]
     v = random_conforming_field(m, p + 1, seed=p)
     theta = theta_field(v, p, m, variant=variant)
-    policy = QuadPolicy(p, field=v)
+    policy = QuadPolicy(p, m, v)
     for patch in vertex_patches(m):
         _assert_matches_oracle(patch, theta, v, p, m, policy, _tol(p))
 
@@ -143,8 +143,8 @@ def test_patch_problem_matches_oracle_on_corner_rules(variant, p):
     m = build_lshape(1)
     v = fields.catalog("lshape_singular", {"alpha": 2 / 3})
     q = p if variant == "def31" else p - 1
-    theta = theta_field(v, p, m, variant=variant, policy=QuadPolicy(q, field=v))
-    policy = QuadPolicy(p, field=v)
+    theta = theta_field(v, p, m, variant=variant, policy=QuadPolicy(q, m, v))
+    policy = QuadPolicy(p, m, v)
     at_corner = rtn_space(m, p).elements[int(vertex_patches(m)[_origin(m)].tris[0])]
     assert not isinstance(policy.element_rules(at_corner)[0], TriangleRule)
     for patch in vertex_patches(m):

@@ -51,12 +51,12 @@ def _oracle_best(v, p, mesh, policy):
     space = rtn_space(mesh, p)
     rhs = np.zeros(space.dof_map.shape)
     g = np.zeros((mesh.num_triangles, space.sdim))
-    for grp, vvals, dvvals in samples(policy, v, mesh):
+    for grp, vvals, dvvals in samples(policy):
         rhs[grp.tris] = space.moments(grp, vvals)
         g[grp.tris] = scalar_moments(mesh, p, grp, dvvals)
     dofs, _, res = conforming_saddle_oracle(space, rhs, g)
     sigma = ConformingRTNField(mesh, p, dofs)
-    l2_sq = sum(grp.norm_sq(vv - grp.eval(sigma)).sum() for grp, vv, _ in samples(policy, v, mesh))
+    l2_sq = sum(grp.norm_sq(vv - grp.eval(sigma)).sum() for grp, vv, _ in samples(policy))
     return dofs, np.sqrt(l2_sq), res
 
 
@@ -79,7 +79,7 @@ def test_hybrid_matches_saddle_oracle_on_random_data(meshes, name, labels, p):
 def test_global_best_matches_saddle_oracle(meshes, name, labels, p):
     mesh = meshes[name, labels]
     v = gradient_field()
-    policy = QuadPolicy(p, field=v)
+    policy = QuadPolicy(p, mesh, v)
     out = global_best(v, p, mesh, policy=policy)
     dofs, e_l2, res = _oracle_best(v, p, mesh, policy)
     assert _rel(out["minimizer"].dofs, dofs) <= TOL
@@ -91,8 +91,8 @@ def test_global_best_matches_saddle_oracle(meshes, name, labels, p):
 def test_global_best_matches_saddle_oracle_on_corner_groups(p):
     mesh = build_lshape(2)
     v = fields.catalog("lshape_singular", {"alpha": 2.0 / 3.0})
-    policy = QuadPolicy(p, field=v)
-    assert any(not g.shared for g in policy.groups(mesh))  # corner wedges in play
+    policy = QuadPolicy(p, mesh, v)
+    assert any(not g.shared for g in policy.groups())  # corner wedges in play
     out = global_best(v, p, mesh, policy=policy)
     dofs, e_l2, res = _oracle_best(v, p, mesh, policy)
     assert _rel(out["minimizer"].dofs, dofs) <= TOL
@@ -107,7 +107,7 @@ def test_solve_mixed_matches_saddle_oracle(meshes, name, p):
     prob = manufactured_sine(mesh)
     res = solve_mixed(prob, p)
     space = rtn_space(mesh, p)
-    fmom = _data_moments(prob, QuadPolicy(p, field=prob.sigma))
+    fmom = _data_moments(prob, p)
     so, uo, kkt = conforming_saddle_oracle(space, np.zeros(space.dof_map.shape), fmom)
     assert _rel(res["sigma"].dofs, so) <= TOL
     assert _rel(res["u"].coeffs, -uo) <= TOL  # u is minus the divergence multiplier
@@ -168,7 +168,7 @@ def test_single_element_has_no_multiplier(ref_triangle_mesh):
     # solve alone is the answer
     v = gradient_field()
     out = global_best(v, 1, ref_triangle_mesh)
-    dofs, e_l2, _ = _oracle_best(v, 1, ref_triangle_mesh, QuadPolicy(1, field=v))
+    dofs, e_l2, _ = _oracle_best(v, 1, ref_triangle_mesh, QuadPolicy(1, ref_triangle_mesh, v))
     assert out["system_size"] == 0
     assert _rel(out["minimizer"].dofs, dofs) <= TOL
     assert abs(out["Eglob_l2"] - e_l2) <= TOL * e_l2

@@ -138,7 +138,7 @@ def test_entries_kept_through_the_helper_are_read_only():
     # least-squares A and B; reading them builds nothing
     prob, p = manufactured_sine(build_structured(4)), 1
     mesh, v = prob.mesh, fields.catalog("cubic")
-    policy = QuadPolicy(p, field=v)
+    policy = QuadPolicy(p, mesh, v)
     projector_report(v, p, mesh, policy=policy)
     solve_mixed(prob, p)
     solve_ls_mixed(prob, p, p + 1)
@@ -148,8 +148,8 @@ def test_entries_kept_through_the_helper_are_read_only():
     assert {kind for kind, _ in tables.systems} == {"multiplier", "surrogate"}
     entries = [lagrange_nodes(mesh, p + 1), lagrange_nodes(mesh, p + 2), [e[-1] for e in tables.systems.values()],
                *(g.problem_maps for g in layout.groups),
-               policy.values(v, mesh), policy.values(v, mesh, div=True), policy.moments(space, v),
-               policy.div_moments(v, mesh, p), space.classes, space.kkt_table, space.mass_table, space.multipliers,
+               policy.values(), policy.values(div=True), policy.moments(), policy.div_moments(),
+               space.classes, space.kkt_table, space.mass_table, space.multipliers,
                hdivkit.model_problems._ls_system(prob, p, p + 1)[:2]]
     assert (len(mesh._cache), len(policy._cache)) == held
     for entry in entries:

@@ -139,10 +139,7 @@ def test_global_mixed_sparse_vs_dense(unit_square_2):
     prob = manufactured_sine(unit_square_2)
     res = solve_mixed(prob, 0)
     # dense re-solve of the same blocks
-    from hdivkit.quadpolicy import QuadPolicy
-
-    policy = QuadPolicy(0, field=prob.sigma)
-    space, M, B, fmom = flux_system(prob, 0, policy)
+    space, M, B, fmom = flux_system(prob, 0)
     n = space.ndof
     m = B.shape[0]
     A = np.zeros((n + m, n + m))

@@ -42,11 +42,11 @@ def _setup(name):
 @pytest.mark.parametrize("p", DEGREES)
 def test_quadrature_groups_match_stacked_oracles(name, p):
     mesh, v = _setup(name)
-    policy = QuadPolicy(p, field=v)
+    policy = QuadPolicy(p, mesh, v)
     sigma = random_conforming_field(mesh, p, seed=p)
     space = rtn_space(mesh, p)
     wedges = 0
-    for g, vvals, dvals in oracles.samples(policy, v, mesh):
+    for g, vvals, dvals in oracles.samples(policy):
         if g.shared:
             assert np.array_equal(g.pts, oracles.group_points_stacked_oracle(mesh, g))
         else:

@@ -163,18 +163,19 @@ def test_best_approximation_property(ref_triangle_mesh):
         assert other >= best - 1e-13
 
 
-def test_one_policy_over_two_meshes_gives_each_mesh_its_own_rules():
-    # the policy caches its quadrature groups per mesh: lshape:2 must not get
-    # lshape:1's corner rules
+def test_a_policy_of_one_mesh_is_refused_on_another():
+    # a policy keeps the quadrature groups of its own mesh: lshape:2 must not
+    # get lshape:1's corner rules
     from hdivkit.mesh import build_lshape
-    from hdivkit.quadpolicy import QuadGroup, QuadPolicy
+    from hdivkit.quadpolicy import QuadPolicy
 
     v = fields.catalog("lshape_singular", {"alpha": 2.0 / 3.0})
     coarse, fine = build_lshape(1), build_lshape(2)
-    shared = QuadPolicy(1, field=v)
-    for mesh in (coarse, fine, coarse):
-        got = canonical_interp(v, 1, mesh, policy=shared).coeffs
-        assert np.array_equal(got, canonical_interp(v, 1, mesh, policy=QuadPolicy(1, field=v)).coeffs)
+    shared = QuadPolicy(1, coarse, v)
+    got = canonical_interp(v, 1, coarse, policy=shared).coeffs
+    assert np.array_equal(got, canonical_interp(v, 1, coarse).coeffs)
+    with pytest.raises(ValueError, match="another mesh"):
+        canonical_interp(v, 1, fine, policy=shared)
 
 
 INTERP_MESHES = {
@@ -218,9 +219,9 @@ def test_canonical_interp_reproduces_members_like_the_element_loop(p):
 def test_edge_rules_are_the_element_rules(mesh, field, p):
     # every (triangle, slot) pair gets the 1D rule element_rules gives it, to the bit
     m = INTERP_MESHES[mesh]()
-    policy = QuadPolicy(p, field=fields.catalog(field))
+    policy = QuadPolicy(p, m, fields.catalog(field))
     seen = np.zeros((m.num_triangles, 3), dtype=int)
-    for tris, slots, t, w in policy.edge_rules(m):
+    for tris, slots, t, w in policy.edge_rules():
         for k, j in zip(tris, slots):
             want_t, want_w = policy.element_rules(rtn_space(m, p).elements[k])[1][j]
             assert np.array_equal(t, want_t) and np.array_equal(w, want_w)
@@ -235,7 +236,7 @@ def test_scalar_evaluation_builds_no_rtn_tables():
     f = ScalarPWField(m, p, rng.standard_normal((m.num_triangles, (p + 1) * (p + 2) // 2)))
     k = 9
     pts = rng.dirichlet(np.ones(3), 6) @ m.vertices[m.triangles[k]]
-    group = QuadPolicy(p).groups(m)[0]
+    group = QuadPolicy(p, m).groups()[0]
     vals, at_k = _scalar_values(f, m, group), f.eval_element(k, pts)
     assert ("rtn_space", p) not in m._cache
     assert np.array_equal(vals, scalar_values(m, p, group, f.coeffs[group.tris]))
@@ -254,6 +255,6 @@ def test_project_scalar_builds_no_rtn_tables():
     got = project_scalar(f, p, m, warnings=warnings)
     assert ("rtn_space", p) not in m._cache
     want = np.empty_like(got.coeffs)
-    for g in QuadPolicy(p).groups(other):
+    for g in QuadPolicy(p, other).groups():
         want[g.tris] = scalar_moments(other, p, g, g.call(f))
     assert np.array_equal(got.coeffs, want) and warnings == []

@@ -63,7 +63,7 @@ def test_end_to_end_oracle(unit_square_2, cubic_field):
     m = unit_square_2
     p = 0
     sig = project_hdiv(cubic_field, p, m)
-    policy = QuadPolicy(p, field=cubic_field)
+    policy = QuadPolicy(p, m, cubic_field)
     space = rtn_space(m, p)
     err2 = 0.0
     for k in range(m.num_triangles):
@@ -311,7 +311,7 @@ def test_report_samples_the_field_as_the_projection_does(name, mesh, p, variant)
     report, report_count = _counting_field(name, m)
     projector_report(report, p, m, variant=variant)
     assert alone_count["v"] > 0 and (alone_count["div"] == 0) == alone.divergence_free
-    extra = _points(QuadPolicy(p, field=report).groups(m)) if variant == "def52" else 0
+    extra = _points(QuadPolicy(p, m, report).groups()) if variant == "def52" else 0
     assert report_count == {"v": alone_count["v"] + extra, "div": alone_count["div"]}
 
 
@@ -350,12 +350,12 @@ def test_each_policy_samples_the_field_once(name, mesh, p, run, kw):
     m = mesh()
     v, count = _counting_field(name, m)
     run(v, p, m, **kw)
-    policy = QuadPolicy(p, field=v)
+    policy = QuadPolicy(p, m, v)
     if name == "lshape_singular":
-        assert any(not g.shared for g in policy.groups(m))  # corner wedges in play
-    want = _points(policy.groups(m))
-    fit = _points(QuadPolicy(p - 1, field=v).groups(m)) if kw.get("variant") == "def52" else 0
-    check = _points(policy.check_groups(m)) if "variant" in kw and policy.self_check else 0
+        assert any(not g.shared for g in policy.groups())  # corner wedges in play
+    want = _points(policy.groups())
+    fit = _points(QuadPolicy(p - 1, m, v).groups()) if kw.get("variant") == "def52" else 0
+    check = _points(policy.check_groups()) if "variant" in kw and policy.self_check else 0
     v_want = fit if run is project_hdiv and fit else want + fit
     assert count == {"v": v_want, "div": 0 if v.divergence_free else want + fit + check}
 
@@ -388,7 +388,7 @@ def test_divergence_free_report_keeps_the_bits_without_div(name, mesh, variant, 
     # for its zero divergence (pickles keep every bit of floats and arrays)
     m = mesh()
     if name == "lshape_singular":
-        assert any(not g.shared for g in QuadPolicy(p, field=fields.catalog(name)).groups(m))
+        assert any(not g.shared for g in QuadPolicy(p, m, fields.catalog(name)).groups())
     declared, zero = _declared_and_zero(name)
     out = []
     for v in (declared, zero):
