@@ -187,5 +187,5 @@ def error_report(
         rep.Eloc_constrained = _local_fits(policy, constrained=True)["E_loc"]
     if include_pm1 and p >= 1:
         # degree p-1 errors keep their own h/(p) divergence weight
-        rep.Eloc_pm1 = _local_fits(QuadPolicy(p - 1, mesh, v, quad_degree))["E_loc"]
+        rep.Eloc_pm1 = _local_fits(QuadPolicy(p - 1, mesh, v, policy.degree))["E_loc"]
     return rep

@@ -134,7 +134,8 @@ def project_scalar(f, p, mesh, *, policy=None, quad_degree=None, warnings=None):
             policy.base_degree = pd + p + 1
             policy.self_check = False
         policy.singularity = getattr(f, "singularity", None)
-    policy = resolve(policy, policy.p, mesh, policy.field)  # f need not be its field
+    elif policy.mesh is not mesh:  # f need not be its field
+        raise ValueError("the quadrature policy was built for another mesh")
     out = ScalarPWField(mesh, p)
     for g in policy.groups():
         out.coeffs[g.tris] = scalar_moments(mesh, p, g, _scalar_values(f, mesh, g))

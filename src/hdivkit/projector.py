@@ -147,17 +147,17 @@ def project_hdiv(
     a ProjectorInfo under ``.info['projector']``; ``projector_report``
     also fills its stability ratios.
     """
-    return _project_hdiv(QuadPolicy(p, mesh, v, quad_degree), variant, quad_degree, measure_stability=False)
+    return _project_hdiv(QuadPolicy(p, mesh, v, quad_degree), variant, measure_stability=False)
 
 
-def _project_hdiv(policy, variant, quad_degree, measure_stability):
+def _project_hdiv(policy, variant, measure_stability):
     """``project_hdiv`` on the rules of ``policy``, whose groups and samples
     of v stay cached for the caller."""
     v, p, mesh = policy.field, policy.p, policy.mesh
     q = fit_degree(p, variant)
     check_field_compatibility(v, mesh)
-    # def52 fits on a degree p - 1 policy of its own, dropped with its samples here
-    theta = theta_field(v, p, mesh, variant=variant, policy=policy if q == p else None, quad_degree=quad_degree)
+    # def52 fits on a degree p - 1 policy of its own (same quadrature degree), dropped here
+    theta = theta_field(v, p, mesh, variant=variant, policy=policy if q == p else None, quad_degree=policy.degree)
     info = ProjectorInfo(variant=variant, p=p)
     sigma = ConformingRTNField(mesh, p)
     space = sigma.space
@@ -209,7 +209,7 @@ def projector_report(v, p, mesh, *, variant="def31", policy=None, quad_degree=No
     from .best_approx import _local_fits
 
     policy = resolve(policy, p, mesh, v, quad_degree)
-    sigma = _project_hdiv(policy, variant, quad_degree, measure_stability=True)
+    sigma = _project_hdiv(policy, variant, measure_stability=True)
     loc = _local_fits(policy)
     hscale = mesh.h / (p + 1)
     nt = mesh.num_triangles

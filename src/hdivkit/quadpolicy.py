@@ -142,10 +142,10 @@ def check_finite(groups, samples, name):
 
 
 class QuadPolicy:
-    """The rules of degree ``p`` for ``field`` (or None) on ``mesh``."""
+    """The rules of degree ``p`` for ``field`` (or None) on ``mesh``, at quadrature ``degree``."""
 
     def __init__(self, p, mesh, field=None, degree=None):
-        self.p, self.mesh, self.field = p, mesh, field
+        self.p, self.mesh, self.field, self.degree = p, mesh, field, degree
         poly_deg = getattr(field, "poly_degree", None)
         # div v = 0 makes every divergence quantity zero, on every rule
         self.divergence_free = bool(getattr(field, "divergence_free", False))
@@ -328,11 +328,13 @@ class QuadPolicy:
 
 def resolve(policy, p, mesh, field, degree=None):
     """The policy with which a public function integrates ``field`` on
-    ``mesh`` at degree p: ``policy``, refused (ValueError) if it was built
-    for another, or a fresh ``QuadPolicy(p, mesh, field, degree)``."""
+    ``mesh`` at degree p and quadrature degree ``degree`` (None takes any):
+    ``policy``, refused (ValueError) if it was built for any other, or a
+    fresh ``QuadPolicy(p, mesh, field, degree)``."""
     if policy is None:
         return QuadPolicy(p, mesh, field, degree)
-    for name, same in (("mesh", policy.mesh is mesh), ("field", policy.field is field), ("degree", policy.p == p)):
+    for name, same in (("mesh", policy.mesh is mesh), ("field", policy.field is field), ("p", policy.p == p),
+                       ("quadrature degree", degree in (None, policy.degree))):
         if not same:
             raise ValueError(f"the quadrature policy was built for another {name}")
     return policy

@@ -195,10 +195,8 @@ def run_study(cfg: StudyConfig):
             policy = QuadPolicy(p, m, field, cfg.quad_degree)
             rep = error_report(field, p, m, policy=policy)
             notes = ""
-            vnorm = rep.metadata["v_norm"]
-            exact_zero = rep.Eglob < 1e-9 * max(vnorm, 1e-30) and np.sqrt(
-                rep.sum_Eloc_sq
-            ) < 1e-9 * max(vnorm, 1e-30)
+            tiny = 1e-9 * max(rep.metadata["v_norm"], 1e-30)
+            exact_zero = rep.Eglob < tiny and np.sqrt(rep.sum_Eloc_sq) < tiny
             if exact_zero:
                 ratio_gl = 0.0
                 ratio_lg = 0.0
@@ -211,9 +209,7 @@ def run_study(cfg: StudyConfig):
                 prep = projector_report(field, p, m, variant=cfg.variant, policy=policy)
                 commute = prep["commute_residual"]
                 stab = max(prep["stability_ratios"]) if prep["stability_ratios"] else 0.0
-                proj_err = float(
-                    np.sqrt(sum(r["lhs_sq"] for r in prep["records"]))
-                )
+                proj_err = float(np.sqrt(sum(r["lhs_sq"] for r in prep["records"])))
                 warnings.extend(prep["warnings"])
             rows.append(
                 {

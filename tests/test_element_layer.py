@@ -334,18 +334,18 @@ def test_conforming_blocks_keep_the_neumann_pattern(mesh):
 
 
 _POLICY_USERS = {
-    "error_report": lambda v, p, m, policy: error_report(v, p, m, policy=policy),
-    "global_best": lambda v, p, m, policy: global_best(v, p, m, policy=policy),
-    "local_best": lambda v, p, m, policy: local_best(v, p, m, 0, policy=policy),
-    "local_best_constrained": lambda v, p, m, policy: local_best_constrained(v, p, m, 0, policy=policy),
-    "projector_report": lambda v, p, m, policy: projector_report(v, p, m, policy=policy),
-    "theta_field": lambda v, p, m, policy: theta_field(v, p, m, policy=policy),
-    "patch_data": lambda v, p, m, policy: patch_data(theta_field(v, p, m), v, p, m, policy=policy),
-    "canonical_interp": lambda v, p, m, policy: canonical_interp(v, p, m, policy=policy),
+    "error_report": lambda v, p, m, **kw: error_report(v, p, m, **kw),
+    "global_best": lambda v, p, m, **kw: global_best(v, p, m, **kw),
+    "local_best": lambda v, p, m, **kw: local_best(v, p, m, 0, **kw),
+    "local_best_constrained": lambda v, p, m, **kw: local_best_constrained(v, p, m, 0, **kw),
+    "projector_report": lambda v, p, m, **kw: projector_report(v, p, m, **kw),
+    "theta_field": lambda v, p, m, **kw: theta_field(v, p, m, **kw),
+    "patch_data": lambda v, p, m, **kw: patch_data(theta_field(v, p, m), v, p, m, **kw),
+    "canonical_interp": lambda v, p, m, **kw: canonical_interp(v, p, m, **kw),
 }
 
 
-@pytest.mark.parametrize("other", ["field", "mesh", "degree"])
+@pytest.mark.parametrize("other", ["field", "mesh", "p"])
 @pytest.mark.parametrize("user", _POLICY_USERS)
 def test_a_policy_built_for_another_field_mesh_or_degree_is_refused(user, other):
     # a policy integrates the one field on the one mesh it was built for:
@@ -355,10 +355,20 @@ def test_a_policy_built_for_another_field_mesh_or_degree_is_refused(user, other)
     policy = {
         "field": lambda: QuadPolicy(1, m, fields.catalog("sine_divfree")),
         "mesh": lambda: QuadPolicy(1, build_structured(4), v),
-        "degree": lambda: QuadPolicy(2, m, v),
+        "p": lambda: QuadPolicy(2, m, v),
     }[other]()
     with pytest.raises(ValueError, match=f"^the quadrature policy was built for another {other}$"):
-        _POLICY_USERS[user](v, 1, m, policy)
+        _POLICY_USERS[user](v, 1, m, policy=policy)
+
+
+@pytest.mark.parametrize("user", [name for name in _POLICY_USERS if name != "patch_data"])
+def test_a_policy_built_for_another_quadrature_degree_is_refused(user):
+    # a quadrature degree asked for beside a policy must be the policy's own
+    m, v = build_structured(2), fields.catalog("sine_divfree")
+    policy = QuadPolicy(1, m, v, 12)
+    with pytest.raises(ValueError, match="^the quadrature policy was built for another quadrature degree$"):
+        _POLICY_USERS[user](v, 1, m, policy=policy, quad_degree=13)
+    _POLICY_USERS[user](v, 1, m, policy=policy, quad_degree=12)
 
 
 def test_project_scalar_checks_only_the_mesh_of_its_policy():

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from hdivkit.projector import projector_report
 from hdivkit.study import (
     CSV_COLUMNS,
     StudyConfig,
@@ -180,3 +181,17 @@ def test_verify_records_the_margins_it_checks(battery):
     got = {r.name: r.value for r in battery}
     assert got["coercivity witness nonnegative"] == -res["coercivity_witness"] < 0
     assert got["divergence bound slack"] == -res["div_bound_slack"] < 0
+
+
+def test_def52_study_fits_at_the_quadrature_degree_asked_for(tmp_path):
+    # def52 fits on a degree p - 1 policy of its own: it must take the
+    # study's quadrature degree, as ``project --quad-degree`` does
+    cfg = StudyConfig(mesh="structured:2", refinements=1, degrees=[1], variant="def52", quad_degree=4,
+                      out_dir=str(tmp_path))
+    row = run_study(cfg)["rows"][0]
+    m = build_mesh(cfg.mesh)
+    field = study_field(cfg, m)
+    for degree, same in ((4, True), (None, False)):
+        rep = projector_report(field, 1, m, variant="def52", quad_degree=degree)
+        got = (np.sqrt(sum(r["lhs_sq"] for r in rep["records"])), rep["commute_residual"], max(rep["stability_ratios"]))
+        assert (got == (row["proj_err"], row["commute_res"], row["stability_C"])) is same
