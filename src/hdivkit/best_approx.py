@@ -19,7 +19,7 @@ from .elements import rtn_space, scalar_values
 from .linsolve import element_solve, hybrid_saddle_solve
 from .local_solve import constrained_fit
 from .projector import ConformingRTNField, check_field_compatibility
-from .quadpolicy import QuadPolicy, resolve
+from .quadpolicy import QuadPolicy
 
 
 def _local_fits(policy, constrained=False):
@@ -63,7 +63,7 @@ def _element_row(fit, mesh, k):
     return {key: val[k] if key == "coeffs" else float(val[k]) for key, val in fit.items()}
 
 
-def local_best(v, p, mesh, k, *, policy=None, quad_degree=None):
+def local_best(v, p, mesh, k, *, quad_degree=None):
     """Unconstrained local best approximation on element k: the whole mesh
     is fitted on the policy's samples and row k returned, so it equals row k
     of ``error_report`` bit for bit.
@@ -72,32 +72,35 @@ def local_best(v, p, mesh, k, *, policy=None, quad_degree=None):
     weighted divergence oscillation), ``E_loc`` (their square sum root) and
     ``coeffs``.  Raises ValueError unless k is an element index.
     """
-    return _element_row(_local_fits(resolve(policy, p, mesh, v, quad_degree)), mesh, k)
+    return _element_row(_local_fits(QuadPolicy(p, mesh, v, quad_degree)), mesh, k)
 
 
-def local_best_constrained(v, p, mesh, k, *, policy=None, quad_degree=None):
+def local_best_constrained(v, p, mesh, k, *, quad_degree=None):
     """Divergence-constrained local best approximation on element k: row k
     of the whole-mesh constrained fits, with ``E_loc_c`` in place of
     ``E_loc``."""
-    row = _element_row(_local_fits(resolve(policy, p, mesh, v, quad_degree), constrained=True), mesh, k)
+    row = _element_row(_local_fits(QuadPolicy(p, mesh, v, quad_degree), constrained=True), mesh, k)
     row["E_loc_c"] = row.pop("E_loc")
     return row
 
 
-def _global_fit(policy):
+def _global_fit(policy, div_part):
     """The global minimizer on the moments of v and div v the policy keeps
-    (``linsolve.hybrid_saddle_solve``), its squared L2 error on its samples
-    and the solve's ``info``."""
+    (``linsolve.hybrid_saddle_solve``), its errors and the solve's ``info``:
+    the L2 part on the policy's samples, and the divergence part from the
+    local ones ``div_part``, as the divergence constraint fixes div sigma
+    elementwise."""
     check_field_compatibility(policy.field, policy.mesh)
     space = rtn_space(policy.mesh, policy.p)
     dofs, _, info = hybrid_saddle_solve(space, policy.moments(), policy.div_moments())
     sigma = ConformingRTNField(policy.mesh, policy.p, dofs)
     samples = zip(policy.groups(), policy.values())
     l2_sq = sum(grp.norm_sq(vvals - grp.eval(sigma)).sum() for grp, vvals in samples)
-    return sigma, l2_sq, info
+    div_sq = np.sum(div_part**2)
+    return sigma, {"Eglob_l2": np.sqrt(l2_sq), "Eglob_div": np.sqrt(div_sq), "Eglob": np.sqrt(l2_sq + div_sq)}, info
 
 
-def global_best(v, p, mesh, *, policy=None, quad_degree=None):
+def global_best(v, p, mesh, *, quad_degree=None):
     """Global best approximation under the divergence constraint.
 
     Conforming mass against the broken multiplier space, solved by
@@ -105,17 +108,9 @@ def global_best(v, p, mesh, *, policy=None, quad_degree=None):
     and the solve's ``info`` entries (KKT residual of the conforming system,
     divergence defect, size and L+U fill of the factorized system).
     """
-    policy = resolve(policy, p, mesh, v, quad_degree)
-    sigma, l2_sq, info = _global_fit(policy)
-    # the divergence constraint fixes div sigma elementwise: the local parts
-    div_sq = np.sum(_div_parts(policy) ** 2)
-    return {
-        "Eglob_l2": np.sqrt(l2_sq),
-        "Eglob_div": np.sqrt(div_sq),
-        "Eglob": np.sqrt(l2_sq + div_sq),
-        "minimizer": sigma,
-        **info,
-    }
+    policy = QuadPolicy(p, mesh, v, quad_degree)
+    sigma, errors, info = _global_fit(policy, _div_parts(policy))
+    return {**errors, "minimizer": sigma, **info}
 
 
 @dataclass
@@ -155,29 +150,20 @@ class ErrorReport:
         return self.sum_Eloc_sq / self.Eglob**2
 
 
-def error_report(
-    v,
-    p,
-    mesh,
-    *,
-    policy=None,
-    quad_degree=None,
-    include_constrained=False,
-    include_pm1=False,
-) -> ErrorReport:
-    """Full local/global error evaluation with one shared quadrature policy:
-    ``policy``, which must be built for (p, mesh, v), or a fresh one
-    (``quadpolicy.resolve``).  A caller that passes one policy to several
-    reports samples v once."""
-    policy = resolve(policy, p, mesh, v, quad_degree)
+def error_report(v, p, mesh, *, quad_degree=None, include_constrained=False, include_pm1=False) -> ErrorReport:
+    """Full local/global error evaluation on ``QuadPolicy(p, mesh, v, quad_degree)``."""
+    return _error_report(QuadPolicy(p, mesh, v, quad_degree), include_constrained, include_pm1)
+
+
+def _error_report(policy, include_constrained=False, include_pm1=False):
+    """``error_report`` on the samples of ``policy``: a caller that hands
+    one policy to several reports samples v once."""
+    p, mesh = policy.p, policy.mesh
     rep = ErrorReport(p=p)
     loc = _local_fits(policy)
     rep.Eloc_l2, rep.Eloc_div, rep.Eloc = loc["l2_part"], loc["div_part"], loc["E_loc"]
-    # the divergence constraint fixes div sigma elementwise, so the global
-    # divergence part is the local one
-    sigma, l2_sq, info = _global_fit(policy)
-    div_sq = np.sum(rep.Eloc_div**2)
-    rep.Eglob_l2, rep.Eglob_div, rep.Eglob = np.sqrt(l2_sq), np.sqrt(div_sq), np.sqrt(l2_sq + div_sq)
+    sigma, errors, info = _global_fit(policy, rep.Eloc_div)
+    rep.Eglob_l2, rep.Eglob_div, rep.Eglob = errors.values()
     rep.metadata.update({key: info[key] for key in ("kkt_residual", "system_size", "nnz_lu")})
     rep.metadata["minimizer"] = sigma
     rep.metadata["quad_degree"] = policy.base_degree
@@ -187,5 +173,5 @@ def error_report(
         rep.Eloc_constrained = _local_fits(policy, constrained=True)["E_loc"]
     if include_pm1 and p >= 1:
         # degree p-1 errors keep their own h/(p) divergence weight
-        rep.Eloc_pm1 = _local_fits(QuadPolicy(p - 1, mesh, v, policy.degree))["E_loc"]
+        rep.Eloc_pm1 = _local_fits(QuadPolicy(p - 1, mesh, policy.field, policy.degree))["E_loc"]
     return rep

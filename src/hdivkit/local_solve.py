@@ -80,7 +80,7 @@ from .elements import (
 from .linsolve import check_residuals, chunks, class_inverses, element_solve, eliminate, max_abs, solve_stacked
 from .mesh import DIRICHLET, kept
 from .projections import BrokenRTNField, hat_interpolants
-from .quadpolicy import resolve
+from .quadpolicy import QuadPolicy
 from .quadrature import quad_rule
 
 
@@ -119,12 +119,13 @@ def fit_degree(p, variant):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def theta_field(v, p, mesh, *, variant="def31", policy=None, quad_degree=None):
-    """Elementwise constrained minimizer over the whole mesh
-    (``constrained_fit``), at the degree ``fit_degree`` gives the variant.
-    """
-    q = fit_degree(p, variant)
-    return BrokenRTNField(mesh, q, constrained_fit(resolve(policy, q, mesh, v, quad_degree)))
+def theta_field(policy, variant="def31"):
+    """Elementwise constrained minimizer of the policy's field (``constrained_fit``)
+    at the degree ``fit_degree`` gives the variant; def52 fits on a degree
+    p - 1 policy of its own at the same quadrature degree."""
+    q = fit_degree(policy.p, variant)
+    fit = policy if q == policy.p else QuadPolicy(q, policy.mesh, policy.field, policy.degree)
+    return BrokenRTNField(policy.mesh, q, constrained_fit(fit))
 
 
 # -- patch layout ------------------------------------------------------------------
@@ -441,8 +442,8 @@ class PatchData:
     defect: np.ndarray | None = None  # (num_vertices,): ``_mass_defects`` of every vertex patch
 
 
-def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None) -> PatchData:
-    """Patch equilibration data on every triangle.
+def patch_data(theta: BrokenRTNField, policy) -> PatchData:
+    """Patch equilibration data on every triangle, at the policy's p.
 
     The target and the gradient term come from the exact reference operators
     of ``hat_operators`` conjugated by the dof scaling; the divergence term
@@ -456,8 +457,8 @@ def patch_data(theta: BrokenRTNField, v, p, mesh, *, policy=None) -> PatchData:
     g_i, the flux of divergence sqrt|K| phi_0, and the edge unit columns.
     ``defect`` is gated by ``check_compatibility``, once for every patch.
     """
+    mesh, p = policy.mesh, policy.p
     space = rtn_space(mesh, p)
-    policy = resolve(policy, p, mesh, v)
     chi = hat_interpolants(theta, p)
     _, G = hat_operators(theta.p, p)
     ref = theta.space.to_ref(theta.coeffs)
@@ -540,23 +541,21 @@ def _sum_into(shape, idx, vals):
     return np.bincount(np.maximum(idx.ravel(), -1) + 1, vals.ravel(), int(np.prod(shape)) + 1)[1:].reshape(shape)
 
 
-def build_patch_problem(group: PatchGroup, theta: BrokenRTNField, v, p, mesh, *, policy=None, data=None):
+def build_patch_problem(group: PatchGroup, data: PatchData):
     """Assemble the equilibration problems of a ``PatchGroup`` in hybrid form
-    as stacked arrays (a ``PatchGroupProblem``).
+    as stacked arrays (a ``PatchGroupProblem``), at the layout's degree p.
 
     def31: data = Pi_p(psi_a div v + grad psi_a . theta), target = the
     degree-p interpolant of psi_a theta.  def52: theta has degree p-1, the
     gradient term is already a degree-p polynomial and the target psi_a theta
     lies in broken RTN_p exactly; the same dof extraction realizes both.
-    ``data`` holds the element tables and eliminations of ``patch_data``;
-    without it they are built for the whole mesh, and ``patch_data`` gates
-    the compatibility of every patch (CompatibilityError).  One multiplier
+    ``data`` holds the element tables and eliminations of ``patch_data``,
+    which gated the compatibility of every patch.  One multiplier
     system per class (``_multiplier_systems``): the signature's kept
     inverses (``PatchTables.class_systems``), or, where none are kept, the
     systems of the first row of each class present.
     """
-    if data is None:
-        data = patch_data(theta, v, p, mesh, policy=policy)
+    p = group.tables.p
     chi, g = data.chi[group.tris, group.local], data.g[group.tris, group.local]
     n, ne = len(group.verts), 3 * (p + 1)
     x0, xe = chi + data.x[group.tris, :, group.local], data.x[group.tris, :, 3:]

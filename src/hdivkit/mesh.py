@@ -46,11 +46,11 @@ def kept(cache, key, build, tag=None):
       * a patch layout (``PatchTables``), for the mesh's life: the class
         systems per (kind, signature), the surrogate numbering, and per
         layout group its index maps and surrogate chunks;
-      * a ``QuadPolicy``, bound to one mesh and field, for its life (one
-        call or one study row): its groups, the samples of v and div v and
-        their moments; one element's rules per key, rebuilt for another
-        geometry (tag); per quadrature group its reference tables per
-        degree.
+      * a ``QuadPolicy``, bound to one mesh, field, p and quadrature degree,
+        for its life (one entry point's call or one study row): its
+        groups, the samples of v and div v and their moments; one
+        element's rules per key, rebuilt for another geometry (tag); per
+        quadrature group its reference tables per degree.
     Not kept here: the process-wide reference tables (``lru_cache`` in
     ``polys``, ``quadrature``, ``elements`` and ``local_solve``)."""
     entry = cache.get(key)
@@ -330,9 +330,12 @@ class Mesh:
 
 
 def save_mesh(mesh: Mesh, path):
-    with open(path, "w") as f:
-        json.dump(mesh.to_dict(), f, indent=1)
-        f.write("\n")
+    try:
+        with open(path, "w") as f:
+            json.dump(mesh.to_dict(), f, indent=1)
+            f.write("\n")
+    except OSError as exc:
+        raise MeshError(f"cannot write mesh file {str(path)!r}: {exc.strerror or exc}") from None
 
 
 def load_mesh(path) -> Mesh:

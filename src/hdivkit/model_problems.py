@@ -38,7 +38,7 @@ from .linsolve import SparseFactor, assemble_csr, check_symmetric, hybrid_saddle
 from .mesh import kept
 from .projections import ScalarPWField
 from .projector import ConformingRTNField
-from .quadpolicy import QuadPolicy, check_finite
+from .quadpolicy import QuadGroup, QuadPolicy, check_finite
 from .quadrature import quad_rule, xy
 
 
@@ -282,15 +282,26 @@ def _flux_error(prob, sigma_h, quad_degree, div):
 
 def potential_h1_error(prob: PoissonProblem, ls: LagrangeSpace, u_h, *, quad_degree=None):
     """||grad(u - u_h)|| by quadrature on every element at once."""
-    mesh = prob.mesh
     rule = quad_rule(quad_degree or (2 * ls.q + 10))
-    pts = mesh.map_to_phys(rule.points)
     gx, gy = ls.basis_grads_ref(rule.points)
     vals = np.asarray(u_h, float)[ls._elem_nodes]  # (nt, nloc)
-    grad = np.stack([vals @ gx, vals @ gy], axis=2) @ mesh.Binv
-    diff = prob.grad_u(pts.reshape(-1, 2)).reshape(pts.shape) - grad
-    x, y = xy(diff)
-    return np.sqrt(np.sum(rule.weights * mesh.detB[:, None] * (x * x + y * y)))
+    _, error = _grad_u(prob, rule)
+    return error(np.stack([vals @ gx, vals @ gy], axis=2) @ prob.mesh.Binv)
+
+
+def _grad_u(prob, rule):
+    """grad u at the points of ``rule`` on every element (nt, nq, 2), checked
+    (``quadpolicy.check_finite``), and ``error(grad)``, ||grad u - grad||."""
+    mesh = prob.mesh
+    group = QuadGroup(np.arange(mesh.num_triangles), rule.points, mesh.map_to_phys(rule.points),
+                      rule.weights * mesh.detB[:, None])
+    (gu,) = check_finite([group], [group.call(prob.grad_u)], "grad u")
+
+    def error(grad):
+        x, y = xy(gu - grad)
+        return np.sqrt(np.sum(group.w * (x * x + y * y)))
+
+    return gu, error
 
 
 def _grad_moments(mesh, gref, rule, gu):
@@ -307,11 +318,8 @@ def h1_best_global(prob: PoissonProblem, q: int):
     S = _lagrange_stiffness(ls, quad_rule(2 * q))
     rule = quad_rule(2 * q + 10)
     gref = np.stack(ls.basis_grads_ref(rule.points), axis=2)
-    pts = mesh.map_to_phys(rule.points)
-    gu = prob.grad_u(pts.reshape(-1, 2)).reshape(pts.shape)
-    rhs = np.bincount(
-        ls._elem_nodes.ravel(), _grad_moments(mesh, gref, rule, gu).ravel(), ls.n_nodes
-    )
+    gu = _grad_u(prob, rule)[0]
+    rhs = np.bincount(ls._elem_nodes.ravel(), _grad_moments(mesh, gref, rule, gu).ravel(), ls.n_nodes)
     fr = ls.free_index
     uh = np.zeros(ls.n_nodes)
     uh[fr] = SparseFactor(S[fr][:, fr].tocsc()).solve(rhs[fr])
@@ -323,12 +331,9 @@ def h1_best_local_sum(prob: PoissonProblem, q: int, *, quad_degree=None):
     mesh = prob.mesh
     rule = quad_rule(quad_degree or (2 * q + 10))
     gref = np.stack(scalar_basis(q).eval_grad(rule.points), axis=2)[1:]  # drop the constant
-    pts = mesh.map_to_phys(rule.points)
-    gu = prob.grad_u(pts.reshape(-1, 2)).reshape(pts.shape)
+    gu, error = _grad_u(prob, rule)
     c = solve_stacked(_stiffness_blocks(mesh, rule, gref), _grad_moments(mesh, gref, rule, gu))
-    fit = np.einsum("kn,nqc->kqc", c, gref) @ mesh.Binv  # B_k^{-T} sum_n c_n grad phi_n
-    x, y = xy(gu - fit)
-    return np.sqrt(np.sum(rule.weights * mesh.detB[:, None] * (x * x + y * y)))
+    return error(np.einsum("kn,nqc->kqc", c, gref) @ mesh.Binv)  # B_k^{-T} sum_n c_n grad phi_n
 
 
 def _random_pairs(res):

@@ -8,7 +8,7 @@ import numpy as np
 
 from . import polys
 from .elements import edge_dof_values, hat_operators, rtn_space, scalar_moments, scalar_values
-from .quadpolicy import QuadGroup, QuadPolicy, resolve
+from .quadpolicy import QuadGroup, QuadPolicy
 from .quadrature import gauss01, xy
 
 
@@ -101,14 +101,14 @@ def _scalar_values(f, mesh, group):
     return group.call(f)
 
 
-def quadrature_self_check(coeffs, values_on, p, policy, warnings):
-    """Degree-doubling self-check of scalar P_p moments ``coeffs`` (nt, sdim):
-    the same moments on the policy's check groups, from ``values_on(group)``;
+def quadrature_self_check(coeffs, values_on, policy, warnings):
+    """Degree-doubling self-check of the policy's scalar P_p moments ``coeffs``
+    (nt, sdim): the same on its check groups, from ``values_on(group)``;
     every element whose moments move by more than 1e-9 relative gets a
     warning, in element order."""
     err = np.zeros(len(coeffs))
     for g in policy.check_groups():
-        ref = scalar_moments(policy.mesh, p, g, values_on(g))
+        ref = scalar_moments(policy.mesh, policy.p, g, values_on(g))
         scale = np.maximum(np.linalg.norm(ref, axis=1), 1e-300)
         err[g.tris] = np.linalg.norm(coeffs[g.tris] - ref, axis=1) / scale
     warnings += [
@@ -116,32 +116,33 @@ def quadrature_self_check(coeffs, values_on, p, policy, warnings):
     ]
 
 
-def project_scalar(f, p, mesh, *, policy=None, quad_degree=None, warnings=None):
+def project_scalar(f, p, mesh, *, quad_degree=None, warnings=None):
     """Elementwise L2-orthogonal projection onto broken P_p, contracted over
-    the policy's quadrature groups.
+    the quadrature groups of a fieldless policy fitted to ``quad_degree`` and f.
 
     ``f`` is a plain evaluator pts -> values, an object with
     ``eval_element(k, pts)``, or a ScalarPWField.  The returned coefficients
     are the moments against the orthonormal element bases, which need only
     det B_k, not the RTN tables; with the policy's self-check, elements
-    whose moments move on the doubled rule are listed in ``warnings``.  A
-    ``policy`` must be built for ``mesh``; its field need not be ``f``.
+    whose moments move on the doubled rule are listed in ``warnings``.
     """
-    if policy is None:
-        pd = f.p if isinstance(f, ScalarPWField) else getattr(f, "poly_degree", None)
-        policy = QuadPolicy(p, mesh, degree=quad_degree)
-        if pd is not None:
-            policy.base_degree = pd + p + 1
-            policy.self_check = False
-        policy.singularity = getattr(f, "singularity", None)
-    elif policy.mesh is not mesh:  # f need not be its field
-        raise ValueError("the quadrature policy was built for another mesh")
+    pd = f.p if isinstance(f, ScalarPWField) else getattr(f, "poly_degree", None)
+    policy = QuadPolicy(p, mesh, degree=quad_degree)
+    if pd is not None:
+        policy.base_degree = pd + p + 1
+        policy.self_check = False
+    policy.singularity = getattr(f, "singularity", None)
+    return _project_scalar(f, policy, [] if warnings is None else warnings)
+
+
+def _project_scalar(f, policy, warnings):
+    """``project_scalar`` on the rules of ``policy``, whose field need not be f."""
+    mesh, p = policy.mesh, policy.p
     out = ScalarPWField(mesh, p)
     for g in policy.groups():
         out.coeffs[g.tris] = scalar_moments(mesh, p, g, _scalar_values(f, mesh, g))
     if policy.self_check:
-        values_on = partial(_scalar_values, f, mesh)
-        quadrature_self_check(out.coeffs, values_on, p, policy, [] if warnings is None else warnings)
+        quadrature_self_check(out.coeffs, partial(_scalar_values, f, mesh), policy, warnings)
     return out
 
 
@@ -158,12 +159,17 @@ def project_face(g, p, mesh, e):
     return (q * (w * L * vals)).sum(axis=1)
 
 
-def canonical_interp(v, p, mesh, *, policy=None, quad_degree=None) -> BrokenRTNField:
+def canonical_interp(v, p, mesh, *, quad_degree=None) -> BrokenRTNField:
     """Elementwise canonical RTN interpolant: matches edge normal moments of
     degree p and interior moments against vector P_{p-1}.  The edge moments
-    are contracted over the policy's edge rules, the interior ones over its
-    quadrature groups, one component at a time."""
-    policy = resolve(policy, p, mesh, v, quad_degree)
+    are contracted over the edge rules of ``QuadPolicy(p, mesh, v, quad_degree)``,
+    the interior ones over its quadrature groups, one component at a time."""
+    return _canonical_interp(QuadPolicy(p, mesh, v, quad_degree))
+
+
+def _canonical_interp(policy):
+    """``canonical_interp`` on the rules of ``policy``."""
+    v, p, mesh = policy.field, policy.p, policy.mesh
     out = BrokenRTNField(mesh, p)
     for tris, slots, t, w in policy.edge_rules():
         e = mesh.tri_edges[tris, slots]

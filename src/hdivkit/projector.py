@@ -21,7 +21,6 @@ from .elements import rtn_space
 from .fields import FieldError
 from .local_solve import (
     build_patch_problem,
-    fit_degree,
     patch_data,
     patch_equilibrate,
     patch_layout,
@@ -29,7 +28,7 @@ from .local_solve import (
     theta_field,
 )
 from .projections import BrokenRTNField, quadrature_self_check
-from .quadpolicy import QuadGroup, QuadPolicy, resolve
+from .quadpolicy import QuadGroup, QuadPolicy
 from .quadrature import gauss01, quad_rule
 
 
@@ -154,20 +153,18 @@ def _project_hdiv(policy, variant, measure_stability):
     """``project_hdiv`` on the rules of ``policy``, whose groups and samples
     of v stay cached for the caller."""
     v, p, mesh = policy.field, policy.p, policy.mesh
-    q = fit_degree(p, variant)
     check_field_compatibility(v, mesh)
-    # def52 fits on a degree p - 1 policy of its own (same quadrature degree), dropped here
-    theta = theta_field(v, p, mesh, variant=variant, policy=policy if q == p else None, quad_degree=policy.degree)
+    theta = theta_field(policy, variant)
     info = ProjectorInfo(variant=variant, p=p)
     sigma = ConformingRTNField(mesh, p)
     space = sigma.space
-    data = patch_data(theta, v, p, mesh, policy=policy)
+    data = patch_data(theta, policy)
     info.compat_defects = data.defect.tolist()
     # the fluxes of patch a on each of its triangles, at the local index of a:
     # every (triangle, local vertex) pair belongs to one patch
     rows, ratios = np.zeros((mesh.num_triangles, 3, space.ref.dim)), []
     for group in patch_layout(mesh, p).groups:
-        problem = build_patch_problem(group, theta, v, p, mesh, policy=policy, data=data)
+        problem = build_patch_problem(group, data)
         x, lam = patch_equilibrate(problem)
         rows[group.tris, group.local] = x
         info.patch_system_size = max(info.patch_system_size, lam.shape[1])
@@ -185,7 +182,7 @@ def _project_hdiv(policy, variant, measure_stability):
     # dimensionally matching scale ||v|| (p+1) / h_max
     pi_div = policy.div_moments()
     if policy.self_check:
-        quadrature_self_check(pi_div, lambda g: g.eval(v, div=True), p, policy, info.warnings)
+        quadrature_self_check(pi_div, lambda g: g.eval(v, div=True), policy, info.warnings)
     num = np.linalg.norm(sigma.div().coeffs - pi_div)
     den = np.linalg.norm(pi_div)
     floor = theta.norm() * (p + 1) / mesh.h_max
@@ -197,18 +194,23 @@ def _project_hdiv(policy, variant, measure_stability):
     return sigma
 
 
-def projector_report(v, p, mesh, *, variant="def31", policy=None, quad_degree=None):
+def projector_report(v, p, mesh, *, variant="def31", quad_degree=None):
     """Per-element approximation and stability records for the projector.
 
     For each element: the weighted error of the projection, the sum of
     local-best errors over the vertex-patch neighborhood, their ratio (the
     measured equivalence constant), and the global stability quotients.
-    Projection and measurements share ``policy``, which must be built for
-    (p, mesh, v), or a fresh one (``quadpolicy.resolve``).
+    Projection and measurements share one quadrature policy,
+    ``QuadPolicy(p, mesh, v, quad_degree)``.
     """
+    return _projector_report(QuadPolicy(p, mesh, v, quad_degree), variant)
+
+
+def _projector_report(policy, variant):
+    """``projector_report`` on the samples of ``policy``."""
     from .best_approx import _local_fits
 
-    policy = resolve(policy, p, mesh, v, quad_degree)
+    p, mesh = policy.p, policy.mesh
     sigma = _project_hdiv(policy, variant, measure_stability=True)
     loc = _local_fits(policy)
     hscale = mesh.h / (p + 1)

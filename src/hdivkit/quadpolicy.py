@@ -12,11 +12,12 @@ Gauss-Jacobi edge rules on edges leaving the corner, and escalated degrees on
 nearby elements, which keeps moment errors near roundoff even for singular
 data.
 
-A policy integrates one field (or none) on one mesh at one degree, all
-three fixed when it is built; ``resolve`` refuses it for any other.  It
-keeps, read-only, its groups, the samples of v and div v (``values``) and
-their moments (``moments``, ``div_moments``) for its life, one call or one
-study row (``mesh.kept``).  A divergence-free field's divergence moments
+A policy integrates one field (or none) on one mesh at one degree p and
+one quadrature degree, all fixed when it is built: each public entry point
+builds its own from its arguments and hands it to its stages.  It keeps,
+read-only, its groups, the samples of v and div v (``values``) and their
+moments (``moments``, ``div_moments``) for its life, one call or one study
+row (``mesh.kept``).  A divergence-free field's divergence moments
 are exact zeros, and its ``div`` is never called.
 """
 
@@ -325,16 +326,3 @@ class QuadPolicy:
 
         return kept(self._cache, "div_moments", build)
 
-
-def resolve(policy, p, mesh, field, degree=None):
-    """The policy with which a public function integrates ``field`` on
-    ``mesh`` at degree p and quadrature degree ``degree`` (None takes any):
-    ``policy``, refused (ValueError) if it was built for any other, or a
-    fresh ``QuadPolicy(p, mesh, field, degree)``."""
-    if policy is None:
-        return QuadPolicy(p, mesh, field, degree)
-    for name, same in (("mesh", policy.mesh is mesh), ("field", policy.field is field), ("p", policy.p == p),
-                       ("quadrature degree", degree in (None, policy.degree))):
-        if not same:
-            raise ValueError(f"the quadrature policy was built for another {name}")
-    return policy

@@ -18,8 +18,8 @@ import numpy as np
 
 from . import fields as fields_mod
 from . import mesh as mesh_mod
-from .best_approx import error_report, local_best, local_best_constrained
-from .projector import project_hdiv, projector_report, random_conforming_field
+from .best_approx import _error_report, error_report, local_best, local_best_constrained
+from .projector import _projector_report, project_hdiv, random_conforming_field
 from .quadpolicy import QuadPolicy
 
 CSV_COLUMNS = [
@@ -182,6 +182,10 @@ def _fmt(x):
 def run_study(cfg: StudyConfig):
     """Convergence / equivalence sweep; returns dict and writes CSV + JSON."""
     cfg.validate()
+    try:  # before the work, so that a bad out_dir costs nothing
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write to out_dir {cfg.out_dir!r}: {exc.strerror or exc}") from None
     t0 = time.time()
     meshes = mesh_sequence(cfg)
     study_fields = [study_field(cfg, m) for m in meshes]
@@ -193,7 +197,7 @@ def run_study(cfg: StudyConfig):
                 continue
             # one sampling of the field per row, shared by both reports
             policy = QuadPolicy(p, m, field, cfg.quad_degree)
-            rep = error_report(field, p, m, policy=policy)
+            rep = _error_report(policy)
             notes = ""
             tiny = 1e-9 * max(rep.metadata["v_norm"], 1e-30)
             exact_zero = rep.Eglob < tiny and np.sqrt(rep.sum_Eloc_sq) < tiny
@@ -206,7 +210,7 @@ def run_study(cfg: StudyConfig):
                 ratio_lg = rep.ratio_loc_over_glob
             proj_err = commute = stab = float("nan")
             if cfg.run_projector:
-                prep = projector_report(field, p, m, variant=cfg.variant, policy=policy)
+                prep = _projector_report(policy, cfg.variant)
                 commute = prep["commute_residual"]
                 stab = max(prep["stability_ratios"]) if prep["stability_ratios"] else 0.0
                 proj_err = float(np.sqrt(sum(r["lhs_sq"] for r in prep["records"])))
@@ -266,7 +270,6 @@ def run_study(cfg: StudyConfig):
         "ok": ok,
         "metadata": {"runtime_s": time.time() - t0, "timestamp": time.time()},
     }
-    os.makedirs(cfg.out_dir, exist_ok=True)
     csv_path = os.path.join(cfg.out_dir, "study.csv")
     with open(csv_path, "w", newline="") as f:
         writer = csv.writer(f)

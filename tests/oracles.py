@@ -952,7 +952,7 @@ def projector_oracle(v, p, mesh, quad_degree=None):
     """End-to-end projection error computed through the brute-force patch
     path at doubled quadrature degree: the library's patch data, assembled
     and solved patch by patch by ``patch_oracle``."""
-    from hdivkit.local_solve import build_patch_problem, patch_layout, theta_field
+    from hdivkit.local_solve import build_patch_problem, patch_data, patch_layout, theta_field
     from hdivkit.mesh import vertex_patches
     from hdivkit.projector import ConformingRTNField
     from hdivkit.quadpolicy import QuadPolicy
@@ -960,12 +960,13 @@ def projector_oracle(v, p, mesh, quad_degree=None):
     qd = quad_degree or (2 * (2 * p + 14))
     policy = QuadPolicy(p, mesh, v, qd)
     policy.self_check = False
-    theta = theta_field(v, p, mesh, policy=policy)
+    theta = theta_field(policy)
+    data = patch_data(theta, policy)
     space = rtn_space(mesh, p)
     sigma = ConformingRTNField(mesh, p)
     for patch in vertex_patches(mesh):
         group = group_of(patch_layout(mesh, p), patch.vertex)
-        prob = build_patch_problem(group, theta, v, p, mesh, policy=policy)
+        prob = build_patch_problem(group, data)
         s, ps = patch_oracle(mesh, patch, p, theta.coeffs, prob.chi[0], prob.g[0])
         sigma.dofs[ps.dofs] += s
     err2 = 0.0
@@ -1696,11 +1697,11 @@ def patch_layer_stacked_oracle(v, p, mesh, *, variant="def31"):
     through the stacked patch layer: library theta and patch data, then
     ``build_patch_problem_stacked_oracle``, the library's hybrid solve and
     recovery, and ``patch_stability_ratio_stacked_oracle``."""
-    from hdivkit.local_solve import fit_degree, patch_data, patch_equilibrate, patch_layout, theta_field
+    from hdivkit.local_solve import patch_data, patch_equilibrate, patch_layout, theta_field
 
     policy = QuadPolicy(p, mesh, v)
-    theta = theta_field(v, p, mesh, variant=variant, policy=policy if fit_degree(p, variant) == p else None)
-    data = patch_data(theta, v, p, mesh, policy=policy)
+    theta = theta_field(policy, variant)
+    data = patch_data(theta, policy)
     parts, ratios = [], []
     for group in patch_layout(mesh, p).groups:
         problem = build_patch_problem_stacked_oracle(group, p, mesh, data)

@@ -275,7 +275,7 @@ def test_criterion_6_patch_orthogonality():
     v = fields.catalog("cubic")
     worst = 0.0
     for p in range(3):
-        theta = theta_field(v, p, m)
+        theta = theta_field(QuadPolicy(p, m, v))
         space = rtn_space(m, p)
         rule = quad_rule(2 * p + 12)
         for patch in vertex_patches(m):
@@ -386,13 +386,13 @@ def test_criterion_10_oracles(ref_triangle_mesh, unit_square_2):
     ok &= e1 < 1e-12
     details.append(f"element KKT {e1:.1e}")
     # patch KKT vs oracle
-    from hdivkit.local_solve import build_patch_problem, patch_equilibrate, patch_layout
+    from hdivkit.local_solve import build_patch_problem, patch_data, patch_equilibrate, patch_layout
 
     cubic = fields.catalog("cubic")
-    th = theta_field(cubic, 0, unit_square_2)
+    th = theta_field(QuadPolicy(0, unit_square_2, cubic))
     patch = [p for p in vertex_patches(unit_square_2) if p.kind == "interior"][0]
     group = oracles.group_of(patch_layout(unit_square_2, 0), patch.vertex)
-    prob = build_patch_problem(group, th, cubic, 0, unit_square_2)
+    prob = build_patch_problem(group, patch_data(th, QuadPolicy(0, unit_square_2, cubic)))
     x, _ = patch_equilibrate(prob)
     s, ps = oracles.patch_oracle(unit_square_2, patch, 0, th.coeffs, prob.chi[0], prob.g[0])
     sref = oracles.elem_rows(ps, s)

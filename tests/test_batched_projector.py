@@ -158,7 +158,7 @@ def test_self_check_warnings_match_loop():
         want = oracles.project_hdiv_oracle(v, p, m)
         assert info.warnings and info.warnings == want["warnings"]
         got = []
-        project_scalar(v.div, p, m, policy=QuadPolicy(p, m, v), warnings=got)
+        project_scalar(v.div, p, m, warnings=got)
         ref = []
         oracles.project_scalar_oracle(v.div, p, m, QuadPolicy(p, m, v), ref)
         assert got == ref == info.warnings
@@ -203,7 +203,7 @@ def test_sigma_gathers_the_patch_fluxes():
     space = rtn_space(m, p)
     rows = np.zeros((m.num_triangles, 3, space.ref.dim))
     for group in patch_layout(m, p).groups:
-        x, _ = patch_equilibrate(build_patch_problem(group, theta, v, p, m))
+        x, _ = patch_equilibrate(build_patch_problem(group, patch_data(theta, QuadPolicy(p, m, v))))
         for tris, local, xa in zip(group.tris, group.local, x):
             for k, z, xk in zip(tris, local, xa):
                 rows[k, z] = np.where(np.arange(len(xk)) // (p + 1) == z, 0.0, xk)
@@ -228,8 +228,8 @@ def test_sigma_matches_the_patch_dof_sum(mesh_name, labels, p, variant):
     v = random_conforming_field(m, p + 1, seed=p)
     sig = project_hdiv(v, p, m, variant=variant)
     theta = sig.info["theta"]
-    data = patch_data(theta, v, p, m)
-    parts = [(g, patch_equilibrate(build_patch_problem(g, theta, v, p, m, data=data))[0])
+    data = patch_data(theta, QuadPolicy(p, m, v))
+    parts = [(g, patch_equilibrate(build_patch_problem(g, data))[0])
              for g in patch_layout(m, p).groups]
     want = oracles.sum_patch_fields(parts, m, p)
     assert np.abs(sig.dofs - want).max() <= 1e-15 * np.abs(want).max()
@@ -360,8 +360,9 @@ def test_patch_data_measures_every_patch_defect_once(monkeypatch):
     m = build_structured(4, labels="left-neumann")
     p = 2
     v = random_conforming_field(m, p + 1, seed=2)
-    theta = theta_field(v, p, m)
-    data = patch_data(theta, v, p, m)
+    policy = QuadPolicy(p, m, v)
+    theta = theta_field(policy)
+    data = patch_data(theta, policy)
     groups = patch_layout(m, p).groups
     assert np.any(data.defect > 0)
     for group in groups:
@@ -370,7 +371,7 @@ def test_patch_data_measures_every_patch_defect_once(monkeypatch):
     measure = local_solve._mass_defects
     monkeypatch.setattr(local_solve, "_mass_defects", lambda *args: calls.append(1) or measure(*args))
     for group in groups:
-        problem = build_patch_problem(group, theta, v, p, m, data=data)
+        problem = build_patch_problem(group, data)
         assert np.array_equal(problem.compat_defect, data.defect[group.verts])
     assert not calls
     project_hdiv(v, p, m)
@@ -383,10 +384,11 @@ def test_single_patch_problem_matches_loop_assembly():
     m = jitter(build_lshape(2, labels="left-neumann"), 2)
     v = random_conforming_field(m, 3, seed=1)
     p = 2
-    theta = theta_field(v, p, m)
+    theta = theta_field(QuadPolicy(p, m, v))
     data = oracles.patch_data_oracle(theta, v, p, m, QuadPolicy(p, m, v))
     for patch in vertex_patches(m):
-        prob = build_patch_problem(oracles.group_of(patch_layout(m, p), patch.vertex), theta, v, p, m)
+        group = oracles.group_of(patch_layout(m, p), patch.vertex)
+        prob = build_patch_problem(group, patch_data(theta, QuadPolicy(p, m, v)))
         want = oracles.build_patch_problem_oracle(patch, p, m, data)
         assert prob.group.verts.tolist() == [patch.vertex] and prob.p == p
         for key in ("chi", "g"):  # per triangle, in ascending triangle order
@@ -405,7 +407,7 @@ def test_element_fit_is_a_slice_of_the_stacked_fit(variant):
     v = stream_field()
     p = 2
     q = p if variant == "def31" else p - 1
-    theta = theta_field(v, p, m, variant=variant)
+    theta = theta_field(QuadPolicy(p, m, v), variant)
     policy = QuadPolicy(q, m, v)
     for k in range(m.num_triangles):
         one = local_best_constrained(v, q, m, k)["coeffs"]

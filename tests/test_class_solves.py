@@ -27,6 +27,7 @@ from hdivkit.local_solve import theta_field
 from hdivkit.mesh import Mesh, build_lshape, build_structured
 from hdivkit.model_problems import manufactured_sine, solve_mixed
 from hdivkit.projector import project_hdiv, random_conforming_field
+from hdivkit.quadpolicy import QuadPolicy
 from test_batched_projector import stream_field
 from test_element_layer import jitter
 
@@ -52,7 +53,7 @@ def _results(v, p, mesh, mixed_mesh=None):
     dofs = sig.dofs[space.dof_map]
     out = {
         "norm": np.sqrt(np.einsum("ki,kij,kj->", dofs, oracles.stacked_mass(mesh, p), dofs)),
-        "theta": theta_field(v, p, mesh).coeffs,
+        "theta": theta_field(QuadPolicy(p, mesh, v)).coeffs,
         "projector theta": sig.info["theta"].coeffs,
         "sigma": sig.dofs,
         "E_glob": rep.Eglob,

@@ -346,3 +346,15 @@ def test_a_failed_patch_or_solve_is_one_line_error(monkeypatch, capsys):
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
         assert captured.err.startswith("hdivkit: error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("argv", [["mesh", "gen", "--mesh", "structured:2", "--out", "{missing}/m.json"],
+                                  ["study", "--out", "{file}/out"]],
+                         ids=["mesh-in-a-missing-directory", "study-under-a-regular-file"])
+def test_an_output_that_cannot_be_written_is_one_line_error(tmp_path, capsys, argv):
+    (tmp_path / "file").write_text("")
+    paths = {"missing": tmp_path / "missing", "file": tmp_path / "file"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("hdivkit: error: cannot write ")

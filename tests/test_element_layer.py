@@ -16,10 +16,18 @@ import pytest
 
 import oracles
 from hdivkit import fields
-from hdivkit.best_approx import error_report, global_best, local_best, local_best_constrained
+from hdivkit.best_approx import (
+    _error_report,
+    _div_parts,
+    _global_fit,
+    _local_fits,
+    error_report,
+    global_best,
+    local_best,
+    local_best_constrained,
+)
 from hdivkit.elements import _coupling_reference, _mass_blocks, lagrange_grads_ref, rtn_space, scalar_values
 from hdivkit.linsolve import assemble_csr
-from hdivkit.local_solve import patch_data, theta_field
 from hdivkit.mesh import Mesh, build_lshape, build_structured
 from hdivkit.model_problems import (
     LagrangeSpace,
@@ -29,8 +37,8 @@ from hdivkit.model_problems import (
     potential_h1_error,
     solve_mixed,
 )
-from hdivkit.projections import BrokenRTNField, canonical_interp, project_scalar
-from hdivkit.projector import projector_report, random_conforming_field
+from hdivkit.projections import BrokenRTNField, _canonical_interp, _project_scalar, canonical_interp, project_scalar
+from hdivkit.projector import _projector_report, projector_report, random_conforming_field
 from hdivkit.quadpolicy import QuadPolicy
 from hdivkit.quadrature import quad_rule
 
@@ -333,47 +341,40 @@ def test_conforming_blocks_keep_the_neumann_pattern(mesh):
     assert abs(M - M.T).max() == 0
 
 
-_POLICY_USERS = {
-    "error_report": lambda v, p, m, **kw: error_report(v, p, m, **kw),
-    "global_best": lambda v, p, m, **kw: global_best(v, p, m, **kw),
-    "local_best": lambda v, p, m, **kw: local_best(v, p, m, 0, **kw),
-    "local_best_constrained": lambda v, p, m, **kw: local_best_constrained(v, p, m, 0, **kw),
-    "projector_report": lambda v, p, m, **kw: projector_report(v, p, m, **kw),
-    "theta_field": lambda v, p, m, **kw: theta_field(v, p, m, **kw),
-    "patch_data": lambda v, p, m, **kw: patch_data(theta_field(v, p, m), v, p, m, **kw),
-    "canonical_interp": lambda v, p, m, **kw: canonical_interp(v, p, m, **kw),
+def _errors(rep):
+    return np.append(rep.Eloc, rep.Eglob)
+
+
+def _first_component(v):
+    return lambda pts: v.eval(pts)[:, 0]
+
+
+# each public entry point, and its stage on the policy the entry point
+# builds, as arrays
+_ENTRY_POINTS = {
+    "error_report": (lambda v, p, m, **kw: _errors(error_report(v, p, m, **kw)),
+                     lambda policy: _errors(_error_report(policy))),
+    "projector_report": (lambda v, p, m, **kw: projector_report(v, p, m, **kw)["sigma"].dofs,
+                         lambda policy: _projector_report(policy, "def31")["sigma"].dofs),
+    "global_best": (lambda v, p, m, **kw: global_best(v, p, m, **kw)["minimizer"].dofs,
+                    lambda policy: _global_fit(policy, _div_parts(policy))[0].dofs),
+    "local_best": (lambda v, p, m, **kw: local_best(v, p, m, 3, **kw)["coeffs"],
+                   lambda policy: _local_fits(policy)["coeffs"][3]),
+    "local_best_constrained": (lambda v, p, m, **kw: local_best_constrained(v, p, m, 3, **kw)["coeffs"],
+                               lambda policy: _local_fits(policy, constrained=True)["coeffs"][3]),
+    "canonical_interp": (lambda v, p, m, **kw: canonical_interp(v, p, m, **kw).coeffs,
+                         lambda policy: _canonical_interp(policy).coeffs),
+    "project_scalar": (lambda v, p, m, **kw: project_scalar(_first_component(v), p, m, **kw).coeffs,
+                       lambda policy: _project_scalar(_first_component(policy.field), policy, []).coeffs),
 }
 
 
-@pytest.mark.parametrize("other", ["field", "mesh", "p"])
-@pytest.mark.parametrize("user", _POLICY_USERS)
-def test_a_policy_built_for_another_field_mesh_or_degree_is_refused(user, other):
-    # a policy integrates the one field on the one mesh it was built for:
-    # the cubic's errors on the sine's policy would read the sine's samples,
-    # and an equal mesh built twice is another mesh
-    m, v = build_structured(4), fields.catalog("cubic")
-    policy = {
-        "field": lambda: QuadPolicy(1, m, fields.catalog("sine_divfree")),
-        "mesh": lambda: QuadPolicy(1, build_structured(4), v),
-        "p": lambda: QuadPolicy(2, m, v),
-    }[other]()
-    with pytest.raises(ValueError, match=f"^the quadrature policy was built for another {other}$"):
-        _POLICY_USERS[user](v, 1, m, policy=policy)
-
-
-@pytest.mark.parametrize("user", [name for name in _POLICY_USERS if name != "patch_data"])
-def test_a_policy_built_for_another_quadrature_degree_is_refused(user):
-    # a quadrature degree asked for beside a policy must be the policy's own
+@pytest.mark.parametrize("entry", _ENTRY_POINTS)
+def test_every_entry_point_integrates_at_the_quadrature_degree_asked_for(entry):
+    # an entry point builds its policy from quad_degree: it equals its stage
+    # on that policy bit for bit, and a sine field's result moves with it
+    run, stage = _ENTRY_POINTS[entry]
     m, v = build_structured(2), fields.catalog("sine_divfree")
-    policy = QuadPolicy(1, m, v, 12)
-    with pytest.raises(ValueError, match="^the quadrature policy was built for another quadrature degree$"):
-        _POLICY_USERS[user](v, 1, m, policy=policy, quad_degree=13)
-    _POLICY_USERS[user](v, 1, m, policy=policy, quad_degree=12)
-
-
-def test_project_scalar_checks_only_the_mesh_of_its_policy():
-    # its f is not the policy's field by design: the rules of v serve div v
-    m, v = build_structured(2), fields.catalog("cubic")
-    project_scalar(v.eval_div, 1, m, policy=QuadPolicy(1, m, v))
-    with pytest.raises(ValueError, match="^the quadrature policy was built for another mesh$"):
-        project_scalar(v.eval_div, 1, m, policy=QuadPolicy(1, build_structured(2), v))
+    got = run(v, 1, m, quad_degree=4)
+    assert np.array_equal(got, stage(QuadPolicy(1, m, v, 4)))
+    assert not np.array_equal(got, run(v, 1, m))

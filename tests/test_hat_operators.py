@@ -12,7 +12,7 @@ import pytest
 import oracles
 from hdivkit import fields
 from hdivkit.elements import hat_operators, reference_dual, rtn_space
-from hdivkit.local_solve import build_patch_problem, patch_equilibrate, patch_layout, theta_field
+from hdivkit.local_solve import build_patch_problem, patch_data, patch_equilibrate, patch_layout, theta_field
 from hdivkit.mesh import Mesh, build_lshape, build_structured, vertex_patches
 from hdivkit.projections import interp_product_with_hat
 from hdivkit.projector import random_conforming_field
@@ -93,7 +93,7 @@ def meshes():
 
 
 def _assert_matches_oracle(patch, theta, v, p, m, policy, tol):
-    prob = build_patch_problem(oracles.group_of(patch_layout(m, p), patch.vertex), theta, v, p, m, policy=policy)
+    prob = build_patch_problem(oracles.group_of(patch_layout(m, p), patch.vertex), patch_data(theta, policy))
     ref = oracles.patch_problem_oracle(patch, theta, v, p, m, policy)
     for key in ("chi", "g"):
         got = getattr(prob, key)[0]  # rows in ascending triangle order
@@ -114,8 +114,8 @@ def test_patch_problem_matches_quadrature_oracle(meshes, mesh_name, variant, p):
     # Neumann-edge dofs vanish, as the left-neumann labels require
     m = meshes[mesh_name]
     v = random_conforming_field(m, p + 1, seed=p)
-    theta = theta_field(v, p, m, variant=variant)
     policy = QuadPolicy(p, m, v)
+    theta = theta_field(policy, variant)
     for patch in vertex_patches(m):
         _assert_matches_oracle(patch, theta, v, p, m, policy, _tol(p))
 
@@ -124,7 +124,7 @@ def test_patch_problem_matches_quadrature_oracle(meshes, mesh_name, variant, p):
 def test_interp_product_with_hat_matches_quadrature_oracle(meshes, variant, p):
     m = meshes["jittered3"]
     v = random_conforming_field(m, p + 1, seed=p)
-    theta = theta_field(v, p, m, variant=variant)
+    theta = theta_field(QuadPolicy(p, m, v), variant)
     for patch in vertex_patches(m):
         got = interp_product_with_hat(theta, patch, m, p)
         want = oracles.interp_product_with_hat_oracle(theta, patch, m, p)
@@ -142,9 +142,8 @@ def test_patch_problem_matches_oracle_on_corner_rules(variant, p):
     # the singular field takes wedge rules (physical points) at the corner
     m = build_lshape(1)
     v = fields.catalog("lshape_singular", {"alpha": 2 / 3})
-    q = p if variant == "def31" else p - 1
-    theta = theta_field(v, p, m, variant=variant, policy=QuadPolicy(q, m, v))
     policy = QuadPolicy(p, m, v)
+    theta = theta_field(policy, variant)
     at_corner = rtn_space(m, p).elements[int(vertex_patches(m)[_origin(m)].tris[0])]
     assert not isinstance(policy.element_rules(at_corner)[0], TriangleRule)
     for patch in vertex_patches(m):

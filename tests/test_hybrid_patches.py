@@ -17,6 +17,7 @@ from hdivkit.elements import rtn_space
 from hdivkit.local_solve import build_patch_problem, patch_data, patch_equilibrate, patch_layout, theta_field
 from hdivkit.mesh import Mesh, build_lshape, build_structured, vertex_patches
 from hdivkit.projector import project_hdiv, random_conforming_field
+from hdivkit.quadpolicy import QuadPolicy
 from test_element_layer import jitter
 
 TOL = 1e-13
@@ -25,12 +26,13 @@ TOL = 1e-13
 def _check_patches(m, p, v):
     """Every patch of ``m`` at degree p against the oracle; returns the
     layout's groups."""
-    theta = theta_field(v, p, m)
-    data = patch_data(theta, v, p, m)
+    policy = QuadPolicy(p, m, v)
+    theta = theta_field(policy)
+    data = patch_data(theta, policy)
     patches = vertex_patches(m)
     groups = patch_layout(m, p).groups
     for group in groups:
-        problem = build_patch_problem(group, theta, v, p, m, data=data)
+        problem = build_patch_problem(group, data)
         x, lam = patch_equilibrate(problem)
         assert lam.shape[1] == group.nl
         for a, xa, chi in zip(group.verts, x, problem.chi):

@@ -80,7 +80,7 @@ def test_global_best_matches_saddle_oracle(meshes, name, labels, p):
     mesh = meshes[name, labels]
     v = gradient_field()
     policy = QuadPolicy(p, mesh, v)
-    out = global_best(v, p, mesh, policy=policy)
+    out = global_best(v, p, mesh)
     dofs, e_l2, res = _oracle_best(v, p, mesh, policy)
     assert _rel(out["minimizer"].dofs, dofs) <= TOL
     assert abs(out["Eglob_l2"] - e_l2) <= TOL * e_l2
@@ -93,7 +93,7 @@ def test_global_best_matches_saddle_oracle_on_corner_groups(p):
     v = fields.catalog("lshape_singular", {"alpha": 2.0 / 3.0})
     policy = QuadPolicy(p, mesh, v)
     assert any(not g.shared for g in policy.groups())  # corner wedges in play
-    out = global_best(v, p, mesh, policy=policy)
+    out = global_best(v, p, mesh)
     dofs, e_l2, res = _oracle_best(v, p, mesh, policy)
     assert _rel(out["minimizer"].dofs, dofs) <= TOL
     assert abs(out["Eglob_l2"] - e_l2) <= TOL * e_l2

@@ -16,7 +16,7 @@ from hdivkit.elements import lagrange_nodes, rtn_space
 from hdivkit.local_solve import patch_layout
 from hdivkit.mesh import build_lshape, build_structured
 from hdivkit.model_problems import h1_best_global, manufactured_sine, solve_ls_mixed, solve_mixed
-from hdivkit.projector import projector_report
+from hdivkit.projector import _projector_report
 from hdivkit.quadpolicy import QuadPolicy
 from test_batched_projector import stream_field
 from test_hybrid_solve import gradient_field
@@ -139,7 +139,7 @@ def test_entries_kept_through_the_helper_are_read_only():
     prob, p = manufactured_sine(build_structured(4)), 1
     mesh, v = prob.mesh, fields.catalog("cubic")
     policy = QuadPolicy(p, mesh, v)
-    projector_report(v, p, mesh, policy=policy)
+    _projector_report(policy, "def31")
     solve_mixed(prob, p)
     solve_ls_mixed(prob, p, p + 1)
     held = len(mesh._cache), len(policy._cache)

@@ -8,6 +8,7 @@ from hdivkit.best_approx import local_best_constrained
 from hdivkit.elements import rtn_space
 from hdivkit.local_solve import (
     build_patch_problem,
+    patch_data,
     patch_equilibrate,
     patch_layout,
     patch_stability_ratio,
@@ -15,12 +16,14 @@ from hdivkit.local_solve import (
 )
 from hdivkit.mesh import vertex_patches
 from hdivkit.projector import random_conforming_field
+from hdivkit.quadpolicy import QuadPolicy
 from hdivkit.quadrature import quad_rule
 
 
 def _problem(patch, theta, v, p, m):
     """The one-row problem of a vertex patch."""
-    return build_patch_problem(oracles.group_of(patch_layout(m, p), patch.vertex), theta, v, p, m)
+    group = oracles.group_of(patch_layout(m, p), patch.vertex)
+    return build_patch_problem(group, patch_data(theta, QuadPolicy(p, m, v)))
 
 
 def test_discrete_member_is_fixed_point(unit_square_2):
@@ -55,7 +58,7 @@ def test_euler_lagrange_hat_gradients(unit_square_2, cubic_field):
 
 def test_reduced_mode_needs_p1(ref_triangle_mesh, cubic_field):
     with pytest.raises(ValueError):
-        theta_field(cubic_field, 0, ref_triangle_mesh, variant="def52")
+        theta_field(QuadPolicy(0, ref_triangle_mesh, cubic_field), "def52")
 
 
 def test_element_kkt_vs_oracle(ref_triangle_mesh):
@@ -75,7 +78,7 @@ def test_patch_target_feasible_and_optimal(unit_square_2):
     m = unit_square_2
     p = 1
     v = random_conforming_field(m, p, seed=9)
-    theta = theta_field(v, p, m)
+    theta = theta_field(QuadPolicy(p, m, v))
     for patch in vertex_patches(m):
         prob = _problem(patch, theta, v, p, m)
         x, _ = patch_equilibrate(prob)
@@ -90,7 +93,7 @@ def test_zero_field_gives_zero(unit_square_2):
         poly_degree=0,
     )
     m = unit_square_2
-    theta = theta_field(zero, 1, m)
+    theta = theta_field(QuadPolicy(1, m, zero))
     assert np.abs(theta.coeffs).max() < 1e-14
     for patch in vertex_patches(m):
         prob = _problem(patch, theta, zero, 1, m)
@@ -102,7 +105,7 @@ def test_patch_compatibility_residual(unit_square_4, cubic_field):
     # the divergence data of every interior patch must have zero patch mean
     m = unit_square_4
     p = 1
-    theta = theta_field(cubic_field, p, m)
+    theta = theta_field(QuadPolicy(p, m, cubic_field))
     for patch in vertex_patches(m):
         if patch.kind != "interior":
             continue
@@ -114,7 +117,7 @@ def test_patch_kkt_vs_oracle(unit_square_2, cubic_field):
     # interior vertex at order 0 against the independent null-space solve
     m = unit_square_2
     p = 0
-    theta = theta_field(cubic_field, p, m)
+    theta = theta_field(QuadPolicy(p, m, cubic_field))
     patches = [pa for pa in vertex_patches(m) if pa.kind == "interior"]
     patch = patches[0]
     prob = _problem(patch, theta, cubic_field, p, m)
@@ -133,7 +136,7 @@ def test_zero_extension_conformity(unit_square_2, sine_field):
 
     m = build_structured(2, labels="left-neumann")
     p = 1
-    theta = theta_field(sine_field, p, m)
+    theta = theta_field(QuadPolicy(p, m, sine_field))
     space = rtn_space(m, p)
     for patch in vertex_patches(m)[:6]:
         prob = _problem(patch, theta, sine_field, p, m)
@@ -150,7 +153,7 @@ def test_zero_extension_conformity(unit_square_2, sine_field):
 def test_divergence_exactness(unit_square_2, cubic_field):
     m = unit_square_2
     p = 1
-    theta = theta_field(cubic_field, p, m)
+    theta = theta_field(QuadPolicy(p, m, cubic_field))
     space = rtn_space(m, p)
     for patch in vertex_patches(m):
         prob = _problem(patch, theta, cubic_field, p, m)
@@ -170,7 +173,7 @@ def test_stability_ratios_finite(unit_square_2, sine_field):
     m = unit_square_2
     ratios = []
     for p in range(3):
-        theta = theta_field(sine_field, p, m)
+        theta = theta_field(QuadPolicy(p, m, sine_field))
         for patch in vertex_patches(m):
             prob = _problem(patch, theta, sine_field, p, m)
             x, _ = patch_equilibrate(prob)

@@ -220,7 +220,7 @@ def test_mixed_convergence_rates():
 
 
 def test_non_finite_source_or_exact_flux_is_a_field_error():
-    # a NaN sample of f or of the exact flux is blamed on it and on its
+    # a NaN sample of f, grad u or the exact flux is blamed on it and on its
     # lowest element, not on a solve, and no call returns NaN
     m = build_structured(4)
     prob = manufactured_sine(m)
@@ -228,6 +228,12 @@ def test_non_finite_source_or_exact_flux_is_a_field_error():
     for run in (lambda q: solve_mixed(q, 1), lambda q: solve_ls_mixed(q, 1, 2)):
         with pytest.raises(FieldError, match="^f is not finite at a point of element 5$"):
             run(bad_f)
+    ls, u_h, _ = h1_best_global(prob, 2)
+    bad_grad = dataclasses.replace(prob, grad_u=_not_finite_in(prob.grad_u, m, 5))
+    for run in (lambda q: potential_h1_error(q, ls, u_h), lambda q: h1_best_global(q, 2),
+                lambda q: h1_best_local_sum(q, 2)):
+        with pytest.raises(FieldError, match="^grad u is not finite at a point of element 5$"):
+            run(bad_grad)
     sigma_h = solve_mixed(prob, 1)["sigma"]
     calls = [("sigma", "v", lambda q: flux_error(q, sigma_h)),
              ("div sigma", "div", lambda q: _flux_error(q, sigma_h, None, div=True)),

@@ -27,6 +27,7 @@ from hdivkit.linsolve import SingularSystemError, class_inverses, solve_stacked
 from hdivkit.local_solve import build_patch_problem, patch_data, patch_equilibrate, patch_layout, theta_field
 from hdivkit.mesh import build_lshape, build_structured
 from hdivkit.projector import project_hdiv, projector_report, random_conforming_field
+from hdivkit.quadpolicy import QuadPolicy
 from test_element_layer import jitter
 
 LABELS = ("all-dirichlet", "left-neumann", "all-neumann")
@@ -75,8 +76,9 @@ def test_kept_tables_are_the_distinct_oracle_systems(monkeypatch, p):
     projector_report(v, p, m)
     tables = patch_layout(m, p).tables
     assert tables.keep == {"multiplier": True, "surrogate": True}
-    theta = theta_field(v, p, m)
-    data = patch_data(theta, v, p, m)
+    policy = QuadPolicy(p, m, v)
+    theta = theta_field(policy)
+    data = patch_data(theta, policy)
     calls = []
 
     def record(A, b, *args, **kw):
@@ -254,10 +256,11 @@ def test_nan_in_a_kept_class_names_the_patch_vertex():
     m = build_structured(8)
     p = 1
     v = random_conforming_field(m, p + 1, seed=1)
-    theta = theta_field(v, p, m)
-    data = patch_data(theta, v, p, m)
+    policy = QuadPolicy(p, m, v)
+    theta = theta_field(policy)
+    data = patch_data(theta, policy)
     group = max(patch_layout(m, p).groups, key=lambda g: len(g.verts))
-    problem = build_patch_problem(group, theta, v, p, m, data=data)
+    problem = build_patch_problem(group, data)
     assert problem.inv is not None
     problem.b[5, 2] = np.nan
     with pytest.raises(SingularSystemError, match=rf"\(patch of vertex {group.verts[5]}\)"):
@@ -290,14 +293,15 @@ def test_a_patch_under_the_wrong_class_names_its_vertex(kept):
     m = build_structured(8)
     p = 1
     v = random_conforming_field(m, p + 1, seed=1)
-    theta = theta_field(v, p, m)
-    data = patch_data(theta, v, p, m)
+    policy = QuadPolicy(p, m, v)
+    theta = theta_field(policy)
+    data = patch_data(theta, policy)
     layout = patch_layout(m, p)
     layout.tables.keep["multiplier"] = kept
     group = max(layout.groups, key=lambda g: len(g.verts))
-    patch_equilibrate(build_patch_problem(group, theta, v, p, m, data=data))
+    patch_equilibrate(build_patch_problem(group, data))
     swapped, i = _swapped_patch_group(group)
-    problem = build_patch_problem(swapped, theta, v, p, m, data=data)
+    problem = build_patch_problem(swapped, data)
     assert (problem.inv is not None) == kept
     with pytest.raises(SingularSystemError, match=rf"\(patch of vertex {group.verts[i]}\)"):
         patch_equilibrate(problem)
@@ -307,10 +311,11 @@ def test_a_corrupted_kept_inverse_names_a_patch_of_its_class():
     m = build_structured(8)
     p = 1
     v = random_conforming_field(m, p + 1, seed=1)
-    theta = theta_field(v, p, m)
-    data = patch_data(theta, v, p, m)
+    policy = QuadPolicy(p, m, v)
+    theta = theta_field(policy)
+    data = patch_data(theta, policy)
     group = max(patch_layout(m, p).groups, key=lambda g: len(g.verts))
-    problem = build_patch_problem(group, theta, v, p, m, data=data)
+    problem = build_patch_problem(group, data)
     c = int(group.cls[7])
     problem.inv = problem.inv.copy()  # the layout's inverses stay intact
     problem.inv[c] *= 1 + 1e-6
@@ -318,7 +323,7 @@ def test_a_corrupted_kept_inverse_names_a_patch_of_its_class():
         patch_equilibrate(problem)
     vertex = int(re.search(r"\(patch of vertex (\d+)\)", str(err.value)).group(1))
     assert vertex in group.verts[group.cls == c]
-    patch_equilibrate(build_patch_problem(group, theta, v, p, m, data=data))
+    patch_equilibrate(build_patch_problem(group, data))
 
 
 def test_singular_class_names_the_class():

@@ -163,21 +163,6 @@ def test_best_approximation_property(ref_triangle_mesh):
         assert other >= best - 1e-13
 
 
-def test_a_policy_of_one_mesh_is_refused_on_another():
-    # a policy keeps the quadrature groups of its own mesh: lshape:2 must not
-    # get lshape:1's corner rules
-    from hdivkit.mesh import build_lshape
-    from hdivkit.quadpolicy import QuadPolicy
-
-    v = fields.catalog("lshape_singular", {"alpha": 2.0 / 3.0})
-    coarse, fine = build_lshape(1), build_lshape(2)
-    shared = QuadPolicy(1, coarse, v)
-    got = canonical_interp(v, 1, coarse, policy=shared).coeffs
-    assert np.array_equal(got, canonical_interp(v, 1, coarse).coeffs)
-    with pytest.raises(ValueError, match="another mesh"):
-        canonical_interp(v, 1, fine, policy=shared)
-
-
 INTERP_MESHES = {
     "jittered-structured3": lambda: jitter(build_structured(3), 3),
     "lshape1": lambda: build_lshape(1),

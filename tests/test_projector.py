@@ -9,7 +9,7 @@ import oracles
 from hdivkit import fields
 from hdivkit.best_approx import error_report
 from hdivkit.fields import FieldError
-from hdivkit.local_solve import CompatibilityError, build_patch_problem, patch_layout, theta_field
+from hdivkit.local_solve import CompatibilityError, build_patch_problem, patch_data, patch_layout, theta_field
 from hdivkit.mesh import Mesh, build_lshape, build_structured, refine_uniform, vertex_patches
 from hdivkit.model_problems import manufactured_sine
 from hdivkit.projector import (
@@ -254,14 +254,15 @@ def test_all_neumann_divfree_field_projects(p):
 def test_perturbed_theta_breaks_patch_compatibility(p):
     m = build_structured(2, labels="all-neumann")
     vh = random_conforming_field(m, p, seed=4)
-    theta = theta_field(vh, p, m)
+    theta = theta_field(QuadPolicy(p, m, vh))
     k = 3
     theta.coeffs[k] += 1e-3 * np.random.default_rng(p).standard_normal(theta.coeffs.shape[1])
     patches = [pa for pa in vertex_patches(m) if k in pa.tris]
     assert {pa.kind for pa in patches} == {"interior", "neumann"}
     for patch in patches:
+        group = oracles.group_of(patch_layout(m, p), patch.vertex)
         with pytest.raises(CompatibilityError):
-            build_patch_problem(oracles.group_of(patch_layout(m, p), patch.vertex), theta, vh, p, m)
+            build_patch_problem(group, patch_data(theta, QuadPolicy(p, m, vh)))
 
 
 def test_report_zero_for_members(unit_square_2):
