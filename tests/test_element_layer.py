@@ -28,6 +28,7 @@ from hdivkit.best_approx import (
 )
 from hdivkit.elements import _coupling_reference, _mass_blocks, lagrange_grads_ref, rtn_space, scalar_values
 from hdivkit.linsolve import assemble_csr
+from hdivkit.local_solve import patch_data, theta_field
 from hdivkit.mesh import Mesh, build_lshape, build_structured
 from hdivkit.model_problems import (
     LagrangeSpace,
@@ -378,3 +379,36 @@ def test_every_entry_point_integrates_at_the_quadrature_degree_asked_for(entry):
     got = run(v, 1, m, quad_degree=4)
     assert np.array_equal(got, stage(QuadPolicy(1, m, v, 4)))
     assert not np.array_equal(got, run(v, 1, m))
+
+
+# the entry points and the two projector stages behind projector_report,
+# read off the record it keeps of them; project_scalar integrates its f on a
+# fieldless policy
+_STAGES = dict(
+    _ENTRY_POINTS,
+    project_scalar=(_ENTRY_POINTS["project_scalar"][0],
+                    lambda policy: _project_scalar(_first_component(policy.field),
+                                                   QuadPolicy(policy.p, policy.mesh), []).coeffs),
+    theta_field=(lambda v, p, m, **kw: projector_report(v, p, m, **kw)["sigma"].info["theta"].coeffs,
+                 lambda policy: theta_field(policy).coeffs),
+    patch_data=(lambda v, p, m, **kw: np.array(projector_report(v, p, m, **kw)["sigma"].info["projector"].compat_defects),
+                lambda policy: patch_data(theta_field(policy), policy).defect),
+)
+
+
+@pytest.mark.parametrize("other", ["field", "mesh", "p"])
+@pytest.mark.parametrize("stage", _STAGES)
+def test_a_stage_takes_its_field_mesh_and_degree_from_its_policy(stage, other):
+    # a stage holds no v, mesh or p beside its policy's: on a policy built for
+    # another field, mesh or p it computes what the entry point computes for
+    # them, and not what it computes on the first policy
+    run, at = _STAGES[stage]
+    m, v = build_structured(4), fields.catalog("cubic")
+    args = {
+        "field": (fields.catalog("sine_divfree"), 1, m),
+        "mesh": (v, 1, build_structured(3)),
+        "p": (v, 2, m),
+    }[other]
+    got = at(QuadPolicy(args[1], args[2], args[0]))
+    assert np.array_equal(got, run(*args))
+    assert not np.array_equal(got, at(QuadPolicy(1, m, v)))
