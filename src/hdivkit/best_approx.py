@@ -72,14 +72,14 @@ def local_best(v, p, mesh, k, *, quad_degree=None):
     weighted divergence oscillation), ``E_loc`` (their square sum root) and
     ``coeffs``.  Raises ValueError unless k is an element index.
     """
-    return _element_row(_local_fits(QuadPolicy(p, mesh, v, quad_degree)), mesh, k)
+    return _element_row(_local_fits(QuadPolicy(p, mesh, v, quad_degree, self_check=False)), mesh, k)
 
 
 def local_best_constrained(v, p, mesh, k, *, quad_degree=None):
     """Divergence-constrained local best approximation on element k: row k
     of the whole-mesh constrained fits, with ``E_loc_c`` in place of
     ``E_loc``."""
-    row = _element_row(_local_fits(QuadPolicy(p, mesh, v, quad_degree), constrained=True), mesh, k)
+    row = _element_row(_local_fits(QuadPolicy(p, mesh, v, quad_degree, self_check=False), constrained=True), mesh, k)
     row["E_loc_c"] = row.pop("E_loc")
     return row
 
@@ -108,7 +108,7 @@ def global_best(v, p, mesh, *, quad_degree=None):
     and the solve's ``info`` entries (KKT residual of the conforming system,
     divergence defect, size and L+U fill of the factorized system).
     """
-    policy = QuadPolicy(p, mesh, v, quad_degree)
+    policy = QuadPolicy(p, mesh, v, quad_degree, self_check=False)
     sigma, errors, info = _global_fit(policy, _div_parts(policy))
     return {**errors, "minimizer": sigma, **info}
 
@@ -152,7 +152,7 @@ class ErrorReport:
 
 def error_report(v, p, mesh, *, quad_degree=None, include_constrained=False, include_pm1=False) -> ErrorReport:
     """Full local/global error evaluation on ``QuadPolicy(p, mesh, v, quad_degree)``."""
-    return _error_report(QuadPolicy(p, mesh, v, quad_degree), include_constrained, include_pm1)
+    return _error_report(QuadPolicy(p, mesh, v, quad_degree, self_check=False), include_constrained, include_pm1)
 
 
 def _error_report(policy, include_constrained=False, include_pm1=False):
@@ -173,5 +173,5 @@ def _error_report(policy, include_constrained=False, include_pm1=False):
         rep.Eloc_constrained = _local_fits(policy, constrained=True)["E_loc"]
     if include_pm1 and p >= 1:
         # degree p-1 errors keep their own h/(p) divergence weight
-        rep.Eloc_pm1 = _local_fits(QuadPolicy(p - 1, mesh, policy.field, policy.degree))["E_loc"]
+        rep.Eloc_pm1 = _local_fits(QuadPolicy(p - 1, mesh, policy.field, policy.degree, self_check=False))["E_loc"]
     return rep

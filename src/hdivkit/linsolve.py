@@ -6,8 +6,8 @@ chunk's class matrices and each right-hand side's class, and solves each
 system by itself: by an LU factorization in one ``np.linalg.solve``, or by
 the inverses a caller keeps (``class_inverses``), one gemm per system.  It
 checks every system's relative residual against its class matrix, or
-leaves that to a caller that keeps only the inverses (``check_residuals``:
-the vertex patches check each patch from its own element columns,
+leaves that to a caller that keeps only the inverses (``check_norms``: the
+vertex patches check each patch from its own element columns,
 ``local_solve.patch_equilibrate``).  A system's bits depend only on its
 class matrix and its right-hand side, however the stack is chunked.
 Element systems are solved once per affine class (``element_solve``), in
@@ -43,10 +43,11 @@ from scipy.linalg import get_lapack_funcs
 
 
 # Budgets of one chunk of a stack (see ``chunks``).  STACK_BYTES bounds the
-# stacks whose bytes per item grow with p: patch problems of one signature,
-# corner-wedge groups, element solves and class tables.  4 MB holds a whole
-# stack of a mesh of a few dozen triangles at p <= 6 in one chunk and keeps
-# the temporaries of a pass over a big mesh to a few MB.  POINT_BYTES bounds
+# stacks whose bytes per item grow with p: patch chunks, corner-wedge
+# groups, element solves and class tables.  4 MB holds a whole stack of a
+# mesh of a few dozen triangles at p <= 6, and every patch of the layouts
+# of a few hundred at p <= 3, in one chunk, and keeps the temporaries of a
+# pass over a big mesh to a few MB.  POINT_BYTES bounds
 # the stacks of points of a shared rule (quadrature groups, edge rules) and
 # the stability surrogate, whose passes gain nothing from larger chunks.
 STACK_BYTES = 1 << 22
@@ -82,14 +83,17 @@ def dense_solve(A, b):
 
 
 def chunks(n, item_bytes, points=False):
-    """Slices of ``range(n)`` whose items, ``item_bytes`` each, fill at most
-    ``STACK_BYTES`` (``POINT_BYTES`` for ``points``), at least one item per
-    slice.  The sizing rule: ``item_bytes`` counts the arrays that one pass
-    over a slice allocates per item, its gathered inputs, temporaries and
-    outputs together, so a budget bounds what a pass holds at a time:
-    - a patch problem (``local_solve._build_patch_layout``): its element
-      columns, nt ndof (4 + 3(p+1)) numbers, five arrays of its multiplier
-      blocks, nt 3(p+1) (3(p+1) + 1) numbers each, and its system, nl^2;
+    """Slices of ``range(n)`` whose items, ``item_bytes`` each (one number,
+    or one per item), fill at most ``STACK_BYTES`` (``POINT_BYTES`` for
+    ``points``), at least one item per slice; items of several sizes are
+    packed in order, each slice as full as the next item allows.  The
+    sizing rule: ``item_bytes`` counts the arrays that one pass over a
+    slice allocates per item, its gathered inputs, temporaries and outputs
+    together, so a budget bounds what a pass holds at a time:
+    - a vertex patch of a patch chunk (``local_solve._build_patch_layout``):
+      per (triangle, local vertex) pair its element columns, ndof (4 +
+      3(p+1)) numbers, and five arrays of its multiplier blocks, 3(p+1)
+      (3(p+1) + 1) numbers each; per patch its system, nl^2;
     - a corner wedge (``QuadPolicy._grouped``): its per-point data and its
       prim and phi tables at degree p, which carry an element axis;
     - an element system of size ``size`` (``element_solve``): its gathered
@@ -100,8 +104,16 @@ def chunks(n, item_bytes, points=False):
     A point stack counts the per-point data of an element (or edge) on its
     rule, and the stability surrogate 8 nn^2 bytes per patch, nn its node
     count."""
-    step = max(1, (POINT_BYTES if points else STACK_BYTES) // max(int(item_bytes), 1))
-    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+    budget = POINT_BYTES if points else STACK_BYTES
+    if np.ndim(item_bytes) == 0:
+        step = max(1, budget // max(int(item_bytes), 1))
+        return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+    total, out, start = np.cumsum(item_bytes), [], 0
+    while start < n:
+        stop = int(np.searchsorted(total, budget + (total[start - 1] if start else 0), side="right"))
+        out.append(slice(start, max(stop, start + 1)))
+        start = out[-1].stop
+    return out
 
 
 def max_abs(A):
@@ -113,13 +125,19 @@ def max_abs(A):
 def check_residuals(r, b, x, size, name):
     """Relative residuals |r_k| / max(|b_k|, size_k |x_k|) of stacked
     systems (norms over the two trailing axes, k the flat index over the
-    leading ones); raises SingularSystemError for the worst (NaN first),
-    ``name(k)``, above 1e-8."""
+    leading ones), checked by ``check_norms``."""
     def norm(a):
         return np.sqrt(np.einsum("...ij,...ij->...", a, a))
 
-    scale = np.maximum(norm(b), size * norm(x))
-    res = norm(r) / np.maximum(scale, 1e-300)
+    check_norms(norm(r), norm(b), norm(x), size, name)
+
+
+def check_norms(r, b, x, size, name):
+    """Relative residuals r_k / max(b_k, size_k x_k) from the norms r, b and
+    x of each system's residual, right-hand side and solution; raises
+    SingularSystemError for the worst (NaN first), ``name(k)``, above
+    1e-8."""
+    res = r / np.maximum(np.maximum(b, size * x), 1e-300)
     if res.size and not res.max() <= 1e-8:
         worst = int(np.argmax(np.where(np.isnan(res), np.inf, res)))
         raise SingularSystemError(f"dense solve residual {res.flat[worst]:.2e} ({name(worst)})")

@@ -21,17 +21,22 @@ measured (``patch_stability_ratio``).
 
 All three steps are stacked dense solves: the element fits over the
 quadrature groups of a ``QuadPolicy`` (per affine class, by
-``linsolve.element_solve``), the patch problems and their
-surrogates over the signature groups of the ``PatchLayout`` (patches with
-equal multiplier count, triangle count and kernel give systems of one size).
-The surrogate numbers its nodes by the mesh's continuous P_{p+2} numbering
+``linsolve.element_solve``), the patch problems and their surrogates in one
+pass over each chunk of the ``PatchLayout``.  A chunk holds whole patches,
+across signatures (multiplier count, triangle count and kernel), as flat
+arrays over their (triangle, local vertex) pairs: one gather assembles the
+right-hand sides of every patch, one stacked matmul recovers its fluxes and
+one ``bincount`` forms its residuals; only the class solves go by
+signature, as systems of one size.  A layout of up to a few hundred
+triangles at p <= 3, or a few dozen at p <= 6, is one chunk.  The
+surrogate numbers its nodes by the mesh's continuous P_{p+2} numbering
 (``elements.lagrange_nodes``) and builds its element blocks from reference
 tables, so no step loops over elements or patches in Python.
 
 A patch's systems depend only on the mesh and p; theta and v enter only
 their right-hand sides.  Every patch is keyed on the exact bits of what
 decides them: its elements' affine classes, edge signs, T_k edge factors
-and multiplier numbering for the multiplier system (``PatchGroup.cls``,
+and multiplier numbering for the multiplier system (``PatchSignature.cls``,
 per signature, with the layout); its elements' maps, node numbering and
 fixed nodes for the surrogate (``PatchTables.surrogate``, per signature,
 built with the surrogate's node numbering on first use).
@@ -39,8 +44,9 @@ built with the surrogate's node numbering on first use).
 its class's system, as ``linsolve.element_solve`` solves an element's; the
 right-hand sides, the recoveries and the surrogate's numerators stay per
 patch.  A patch's bits depend only on its class's system and its own data,
-so sigma and the stability ratios have the same bits however the layout is
-chunked.
+so sigma has the same bits however the layout is chunked, and so do the
+stability ratios up to p = 3 (above, a gemm's bits depend on its height,
+and the numerators' mass products are one gemm per surrogate chunk).
 
 Where a kind's systems repeat, the layout keeps each distinct one
 (``PatchTables``), assembled and inverted by the first call that needs it
@@ -61,8 +67,9 @@ per class present.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,7 +84,7 @@ from .elements import (
     rtn_space,
     scalar_moments,
 )
-from .linsolve import check_residuals, chunks, class_inverses, element_solve, eliminate, max_abs, solve_stacked
+from .linsolve import check_norms, chunks, class_inverses, element_solve, eliminate, max_abs, solve_stacked
 from .mesh import DIRICHLET, kept
 from .projections import BrokenRTNField, hat_interpolants
 from .quadpolicy import QuadPolicy
@@ -124,17 +131,17 @@ def theta_field(policy, variant="def31"):
     at the degree ``fit_degree`` gives the variant; def52 fits on a degree
     p - 1 policy of its own at the same quadrature degree."""
     q = fit_degree(policy.p, variant)
-    fit = policy if q == policy.p else QuadPolicy(q, policy.mesh, policy.field, policy.degree)
+    fit = policy if q == policy.p else QuadPolicy(q, policy.mesh, policy.field, policy.degree, self_check=False)
     return BrokenRTNField(policy.mesh, q, constrained_fit(fit))
 
 
 # -- patch layout ------------------------------------------------------------------
 
 
-@dataclass
-class PatchGroup:
-    """Vertex patches of one signature (multiplier count ``nl``, triangle
-    count, kernel) as arrays; row r is the patch of vertex ``verts[r]``.
+class PatchSignature(NamedTuple):
+    """The vertex patches of one signature (multiplier count ``nl``,
+    triangle count, kernel) as arrays; row r is the patch of vertex
+    ``verts[r]``, ascending.
 
     ``tris[r]`` lists its triangles (ascending) and ``local[r]`` the local
     index of the vertex in each.  ``mult[r, t, j]`` numbers the nl edge
@@ -142,12 +149,9 @@ class PatchGroup:
     sides), then of each pinned slot (opposite edge, Neumann edges); -1 on
     free Dirichlet edges.  ``sign[r, t, j]`` is the sign of edge dof j of
     triangle t in ``linsolve.eliminate`` (+1 on the ``edge_tris[e, 0]``
-    side).
-    Rows of one multiplier class (``cls``, numbered over the signature in
-    order of first appearance) have bitwise-equal multiplier systems, and
-    ``linsolve.solve_stacked`` solves each row by itself against its
-    class's.  ``tables`` holds what the layout keeps of its systems, and
-    ``sig`` is the signature's index there.
+    side).  Rows of one multiplier class (``cls``, numbered over the
+    signature in order of first appearance) have bitwise-equal multiplier
+    systems.
     """
 
     verts: np.ndarray  # (n,)
@@ -158,64 +162,22 @@ class PatchGroup:
     cls: np.ndarray  # (n,)
     kernel: bool  # interior and Neumann vertices: constant multiplier kernel
     nl: int
-    tables: PatchTables = field(repr=False, compare=False)
-    sig: int
-    _kept: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def rows(self, sl):
-        return PatchGroup(self.verts[sl], self.tris[sl], self.local[sl], self.mult[sl], self.sign[sl], self.cls[sl],
-                          self.kernel, self.nl, self.tables, self.sig)
-
-    @property
-    def problem_maps(self):
-        """Index maps of the group's multiplier systems, integers kept from
-        first use (``mesh.kept``): ``cols`` (n, nt, 1 + 3(p+1)), the unknown
-        of each column of an element elimination (``_columns``); ``slots``
-        (n, nt, 3(p+1)), the equation of each edge dof, one row's system
-        after another (``_slots``); ``rep``, the first row of each multiplier
-        class present, and ``present``, each row's class among them."""
-        def build():
-            rep, present = np.unique(self.cls, return_index=True, return_inverse=True)[1:]
-            # every index is below the size of a group's stack (``chunks``)
-            return _columns(self.mult, self.kernel), _slots(self.mult, self.nl).astype(np.int32), rep, present
-
-        return kept(self._kept, "problem_maps", build)
-
-    def surrogate(self, mesh):
-        """The stability surrogate's integers, built on first use (the
-        surrogate runs only in ``projector_report``) and kept with the
-        group: for each chunk of rows whose systems fill at most
-        ``POINT_BYTES`` (8 nn^2 bytes a row, a row having at most
-        nn = nt tri_dim(p + 2) nodes), (rows, ``nodes``, ``fixed``,
-        ``kcls``): the chunk's rows of the signature's numbering and
-        surrogate classes (``PatchTables.surrogate``)."""
-        def build():
-            nodes, fixed, kcls = self.tables.surrogate(mesh, self.sig)
-            # a group's rows are a run of its signature's rows
-            at = int(np.searchsorted(self.tables.signatures[self.sig].verts, self.verts[0]))
-            out = []
-            for sl in chunks(len(self.verts), 8 * (nodes.shape[1] * nodes.shape[2]) ** 2, points=True):
-                rows = slice(at + sl.start, at + sl.stop)
-                out.append((sl, nodes[rows], fixed[rows], kcls[rows]))
-            return out
-
-        return kept(self._kept, "surrogate", build)
 
 
 class PatchTables:
-    """The patch systems a ``PatchLayout`` keeps, shared by all its groups.
+    """The patch systems a ``PatchLayout`` keeps, shared by all its chunks.
 
-    ``signatures`` holds each signature's ``PatchGroup`` of all its rows,
-    which the layout's groups are runs of.  Two kinds of systems depend
-    only on the mesh and p: the multiplier systems, one per class
-    ``PatchGroup.cls``, and the stability surrogate's, one per surrogate
-    class (``surrogate``).  A kept kind holds, per signature, in
-    ``systems`` keyed by (kind, signature) (``mesh.kept``), each class's
-    (system, inverse (``linsolve.class_inverses``), max|system|), read-only,
-    assembled from each class's first row by the first call that needs
-    them, then applied by every call.  The multiplier kind keeps no system
-    (None in its place): ``patch_equilibrate`` checks each patch's residual
-    from its element columns, against the kept max|S| of its class.
+    ``signatures`` holds each signature's ``PatchSignature``, whose rows
+    the chunks' runs are.  Two kinds of systems depend only on the mesh and
+    p: the multiplier systems, one per class ``PatchSignature.cls``, and
+    the stability surrogate's, one per surrogate class (``surrogate``).  A
+    kept kind holds, per signature, in ``systems`` keyed by (kind,
+    signature) (``mesh.kept``), each class's (system, inverse
+    (``linsolve.class_inverses``), max|system|), read-only, assembled from
+    each class's first row by the first call that needs them, then applied
+    by every call.  The multiplier kind keeps no system (None in its
+    place): ``patch_equilibrate`` checks each patch's residual from its
+    element columns, against the kept max|S| of its class.
 
     Which kinds are kept (``keep``, by ``decide``; it does not depend on
     the chunks): a kind whose distinct systems over the whole layout number
@@ -230,7 +192,7 @@ class PatchTables:
     multiplier inverses and 760 MB of surrogate systems and inverses on a
     jittered structured:32 at p = 6, counted from the system sizes, which
     the rule refuses.  There each call assembles and factors one system
-    per class present in its chunk.
+    per class present in each run of its chunk.
     """
 
     def __init__(self, p):
@@ -288,14 +250,97 @@ class PatchTables:
         return kept(self._numbering, "surrogate", build)[sig]
 
 
-@dataclass
-class PatchLayout:
-    """Every vertex patch of a mesh at degree p, in signature groups cut
-    into chunks whose problems allocate at most ``STACK_BYTES`` (sized as
-    ``linsolve.chunks`` sets out), and the systems the layout keeps
-    (``PatchTables``)."""
+class PatchRun(NamedTuple):
+    """The patches of one signature in a ``PatchChunk``: rows ``rows`` of
+    signature ``sig``, which are the chunk's patches ``patches``, with
+    their pairs ``pairs`` and equations ``eqs``.  ``cls`` holds their
+    multiplier classes, ``rep`` the first of them (in the run) of each
+    class present and ``present`` each one's class among those."""
 
-    groups: list
+    sig: int
+    rows: slice
+    patches: slice
+    pairs: slice
+    eqs: slice
+    nl: int
+    nt: int
+    kernel: bool
+    cls: np.ndarray
+    rep: np.ndarray
+    present: np.ndarray
+
+    @property
+    def n(self):
+        return self.rows.stop - self.rows.start
+
+
+class PatchChunk(NamedTuple):
+    """Whole vertex patches of a layout, across signatures, as flat arrays
+    over their (triangle, local vertex) pairs, ordered patch-major and then
+    by triangle; patch i is the patch of vertex ``verts[i]``.
+
+    A patch has one equation per multiplier; its unknowns are its
+    multipliers, the constant-divergence coefficient taking the place of a
+    kernel patch's grounded one (``_columns``).  Equations and unknowns
+    share one numbering over the chunk, patch after patch, and ``owner``
+    holds the patch of each.  Pair q is triangle ``tris[q]`` at its local
+    vertex ``local[q]``: ``slots[q, j]`` is the equation of its edge dof j
+    and ``sign[q, j]`` that dof's sign in ``linsolve.eliminate``,
+    ``cols[q, c]`` the unknown of column c of its elimination, -1 for none.
+    ``runs`` holds, in order, each signature's run of patches
+    (``PatchRun``), whose class systems are solved by themselves.
+    """
+
+    verts: np.ndarray  # (n,)
+    tris: np.ndarray  # (P,)
+    local: np.ndarray  # (P,)
+    slots: np.ndarray  # (P, 3(p+1))
+    sign: np.ndarray  # (P, 3(p+1)), int8
+    cols: np.ndarray  # (P, 1 + 3(p+1))
+    owner: np.ndarray  # (E,)
+    runs: list
+    tables: PatchTables
+    cache: dict
+
+    def surrogate(self, mesh):
+        """The stability surrogate's numbering over the chunk, built on
+        first use (the surrogate runs only in ``projector_report``) and kept:
+        the P_{p+2} nodes of each pair (P, nloc), numbered for the chunk
+        with nn numbers a patch, patch after patch, nn the most nodes of a
+        patch of its signature (``PatchTables.surrogate``); which of those
+        numbers are fixed; and per run, its first number, nn, its patches'
+        surrogate classes and the slices of its patches whose systems fill
+        at most ``POINT_BYTES`` (8 nn^2 bytes a patch, nn at most
+        nt tri_dim(p + 2))."""
+        def build():
+            nodes, fixed, runs, at = [], [], [], 0
+            for run in self.runs:
+                loc, fx, kcls = self.tables.surrogate(mesh, run.sig)
+                (n, nt, nloc), nn = loc[run.rows].shape, fx.shape[1]
+                nodes.append((at + np.arange(n)[:, None, None] * nn + loc[run.rows]).reshape(n * nt, nloc))
+                fixed.append(fx[run.rows].ravel())
+                runs.append((at, nn, kcls[run.rows], chunks(n, 8 * (nt * nloc) ** 2, points=True)))
+                at += n * nn
+            return np.concatenate(nodes), np.concatenate(fixed), runs
+
+        return kept(self.cache, "surrogate", build)
+
+
+class PatchLayout(NamedTuple):
+    """Every vertex patch of a mesh at degree p: the (triangle, local
+    vertex) pairs of all patches, signature after signature, then by
+    vertex and triangle, with ``vert`` the patch vertex of each pair;
+    ``kernel`` per vertex; the same patches cut into ``PatchChunk``s of
+    whole patches, across signatures, whose problems allocate at most
+    ``STACK_BYTES`` (sized as ``linsolve.chunks`` sets out); and the
+    systems the layout keeps (``PatchTables``).  Kept on the mesh, its
+    arrays read-only."""
+
+    vert: np.ndarray  # (P,)
+    tris: np.ndarray  # (P,)
+    local: np.ndarray  # (P,)
+    kernel: np.ndarray  # (num_vertices,)
+    chunks: list
     tables: PatchTables
 
 
@@ -338,23 +383,50 @@ def _build_patch_layout(mesh, p):
     tri_cls = _class_ids(space.classes[0], own, space.edge_scale())
     sign = np.repeat(np.where(own, 1, -1).astype(np.int8), p + 1, axis=1)
     sig = np.stack([np.diff(first) * (p + 1), count, kernel], axis=1)
-    tables = PatchTables(p)
-    groups = []
+    tables, items = PatchTables(p), []
     for s in np.unique(sig, axis=0):
         vs = np.flatnonzero((sig == s).all(axis=1))
         c = start[vs][:, None] + np.arange(s[1])
         tris = c_tri[c]
         cls = _class_ids(tri_cls[tris], lam[c])
-        group = PatchGroup(vs, tris, c_loc[c], mult[c], sign[tris], cls, bool(s[2]), int(s[0]), tables,
-                           len(tables.signatures))
-        tables.signatures.append(group)
-        # a pass allocates per patch its element columns, five arrays of its
-        # multiplier blocks and its system (``linsolve.chunks``)
+        tables.signatures.append(PatchSignature(vs, tris, c_loc[c], mult[c], sign[tris], cls, bool(s[2]), int(s[0])))
+        # a pass allocates per pair its element columns and five arrays of
+        # its multiplier blocks, per patch its system (``linsolve.chunks``)
         nl, m = s[0], 3 * (p + 1)
-        for sl in chunks(len(vs), 8 * (s[1] * (space.ref.dim * (4 + m) + 5 * m * (m + 1)) + nl**2)):
-            groups.append(group.rows(sl))
+        items.append(np.full(len(vs), 8 * (s[1] * (space.ref.dim * (4 + m) + 5 * m * (m + 1)) + nl**2)))
     tables.decide("multiplier", [g.cls for g in tables.signatures], [g.nl for g in tables.signatures])
-    return PatchLayout(groups, tables)
+    # whole patches in signature order, cut across signatures
+    bounds = np.cumsum([0] + [len(g.verts) for g in tables.signatures]).tolist()
+    out = []
+    for sl in chunks(bounds[-1], np.concatenate(items)):
+        spans = enumerate(zip(bounds, bounds[1:]))
+        out.append(_chunk(tables, [(s, slice(max(sl.start, a) - a, min(sl.stop, b) - a))
+                                   for s, (a, b) in spans if a < sl.stop and b > sl.start]))
+    whole = tables.signatures
+    vert = np.concatenate([np.repeat(g.verts, g.tris.shape[1]) for g in whole])
+    return PatchLayout(vert, np.concatenate([g.tris.ravel() for g in whole]),
+                       np.concatenate([g.local.ravel() for g in whole]), kernel, out, tables)
+
+
+def _chunk(tables, spec):
+    """The ``PatchChunk`` of the signature rows ``spec``: (signature, rows)
+    pairs, in order."""
+    parts, runs, patch, pair, eq = [], [], 0, 0, 0
+    for s, rows in spec:
+        g = tables.signatures[s]
+        L, nl, cls = g.mult[rows], g.nl, g.cls[rows]
+        n, nt, ne = L.shape
+        rep, present = np.unique(cls, return_index=True, return_inverse=True)[1:]
+        runs.append(PatchRun(s, rows, slice(patch, patch + n), slice(pair, pair + n * nt), slice(eq, eq + n * nl),
+                             nl, nt, g.kernel, cls, rep, present))
+        # a patch's equations and unknowns follow the chunk's earlier ones
+        slots, cols = (np.where(a >= 0, _slots(a, nl) + eq, -1) for a in (L, _columns(L, g.kernel)))
+        parts.append((g.verts[rows], g.tris[rows].ravel(), g.local[rows].ravel(), slots.reshape(-1, ne),
+                      g.sign[rows].reshape(-1, ne), cols.reshape(-1, ne + 1), np.repeat(np.arange(patch, patch + n), nl)))
+        patch, pair, eq = patch + n, pair + n * nt, eq + n * nl
+    verts, tris, local, slots, sign, cols, owner = (np.concatenate(a) for a in zip(*parts))
+    # every index is below the size of a chunk's stack (``chunks``)
+    return PatchChunk(verts, tris, local, slots.astype(np.int32), sign, cols.astype(np.int32), owner, runs, tables, {})
 
 
 def _dirichlet_edges(mesh):
@@ -399,29 +471,26 @@ def _surrogate_nodes(mesh, p, tris, local, kernel):
 
 
 @dataclass
-class PatchGroupProblem:
-    """The degree-p equilibration problems of a ``PatchGroup`` in hybrid form,
-    stacked: ``chi`` (n, nt, ndof), ``g`` (n, nt, sdim), the systems ``S``
-    (one per multiplier class present, (nc, nl, nl); None beside the
-    signature's kept inverses ``inv`` and their classes' max|S| ``size``) with
-    each row's system among them, ``cls`` (n,) (``None``: one system per row),
-    ``b`` (n, nl), the element fluxes ``x0`` (n, nt, ndof) and per unit of
-    each column's unknown ``xe`` (n, nt, ndof, 1 + 3(p+1)), ``cols`` those
-    unknowns, and ``compat_defect`` with one row per patch."""
+class PatchProblem:
+    """The degree-p equilibration problems of a ``PatchChunk`` in hybrid
+    form, over its pairs: ``chi`` (P, ndof), ``g`` (P, sdim), the element
+    fluxes ``x0`` (P, ndof) and per unit of each column's unknown ``xe``
+    (P, ndof, 1 + 3(p+1)); the right-hand sides ``b`` (E,) in the chunk's
+    equation numbering; per run, its multiplier systems ``systems``: (S,
+    one system per class present (nc, nl, nl), or None beside the
+    signature's kept inverses; each patch's class among them; the kept
+    inverses or None; their classes' max|S|, or None beside S); and
+    ``compat_defect`` with one entry per patch."""
 
-    group: PatchGroup
+    chunk: PatchChunk
     p: int
     chi: np.ndarray
     g: np.ndarray
-    S: np.ndarray
-    cls: np.ndarray | None
-    b: np.ndarray
     x0: np.ndarray
     xe: np.ndarray
-    cols: np.ndarray
+    b: np.ndarray
+    systems: list
     compat_defect: np.ndarray
-    inv: np.ndarray | None = None
-    size: np.ndarray | None = None
 
 
 @dataclass
@@ -472,9 +541,8 @@ def patch_data(theta: BrokenRTNField, policy) -> PatchData:
     data[:, :, :3] = np.swapaxes(g - space.div(chi), 1, 2)
     data[:, 0, 3] = np.sqrt(mesh.area)
     x = eliminate(space, np.zeros((n, space.ref.dim, 4)), data)[1]
-    out = PatchData(chi, g, div_scale + grad_scale, x, np.zeros(mesh.num_vertices))
-    for group in patch_layout(mesh, p).groups:
-        out.defect[group.verts] = _mass_defects(group, out, mesh)
+    out = PatchData(chi, g, div_scale + grad_scale, x)
+    out.defect = _mass_defects(patch_layout(mesh, p), out, mesh)
     check_compatibility(np.arange(mesh.num_vertices), out.defect)
     return out
 
@@ -495,14 +563,14 @@ def _hat_div_moments(space, policy):
     return out, mag
 
 
-def _mass_defects(group, data, mesh):
+def _mass_defects(layout, data, mesh):
     """Relative patch mass |(g, 1)_omega| against the size of its
-    cancelling terms, per row of ``group`` (zero without a kernel)."""
-    if not group.kernel:
-        return np.zeros(len(group.verts))
-    mass = np.sum(np.sqrt(mesh.area[group.tris]) * data.g[group.tris, group.local, 0], axis=1)
-    scale = np.sum(data.mass_scale[group.tris, group.local], axis=1)
-    return np.abs(mass) / np.maximum(scale, 1e-300)
+    cancelling terms, per vertex (zero without a kernel), summed over each
+    patch's pairs in triangle order."""
+    tris, local, nv = layout.tris, layout.local, mesh.num_vertices
+    mass = np.bincount(layout.vert, np.sqrt(mesh.area[tris]) * data.g[tris, local, 0], nv)
+    scale = np.bincount(layout.vert, data.mass_scale[tris, local], nv)
+    return np.where(layout.kernel, np.abs(mass) / np.maximum(scale, 1e-300), 0.0)
 
 
 def check_compatibility(verts, defects):
@@ -541,56 +609,60 @@ def _sum_into(shape, idx, vals):
     return np.bincount(np.maximum(idx.ravel(), -1) + 1, vals.ravel(), int(np.prod(shape)) + 1)[1:].reshape(shape)
 
 
-def build_patch_problem(group: PatchGroup, data: PatchData):
-    """Assemble the equilibration problems of a ``PatchGroup`` in hybrid form
-    as stacked arrays (a ``PatchGroupProblem``), at the layout's degree p.
+def build_patch_problem(chunk: PatchChunk, data: PatchData):
+    """Assemble the equilibration problems of a ``PatchChunk`` in hybrid
+    form over its pairs (a ``PatchProblem``), at the layout's degree p.
 
     def31: data = Pi_p(psi_a div v + grad psi_a . theta), target = the
     degree-p interpolant of psi_a theta.  def52: theta has degree p-1, the
     gradient term is already a degree-p polynomial and the target psi_a theta
     lies in broken RTN_p exactly; the same dof extraction realizes both.
     ``data`` holds the element tables and eliminations of ``patch_data``,
-    which gated the compatibility of every patch.  One multiplier
-    system per class (``_multiplier_systems``): the signature's kept
-    inverses (``PatchTables.class_systems``), or, where none are kept, the
-    systems of the first row of each class present.
+    which gated the compatibility of every patch.  The right-hand sides of
+    the whole chunk are one ``bincount``; per run, one multiplier system
+    per class (``_multiplier_systems``): the signature's kept inverses
+    (``PatchTables.class_systems``), or, where none are kept, the systems
+    of the first patch of each class present in the run.
     """
-    p = group.tables.p
-    chi, g = data.chi[group.tris, group.local], data.g[group.tris, group.local]
-    n, ne = len(group.verts), 3 * (p + 1)
-    x0, xe = chi + data.x[group.tris, :, group.local], data.x[group.tris, :, 3:]
-    cols, slots, rep, cls = group.problem_maps
-    whole = group.tables.signatures[group.sig]
-    table = group.tables.class_systems("multiplier", group.sig, lambda r: _multiplier_systems(whole, r, data, p))
-    if table is None:
-        S, inv, size = _multiplier_systems(group, rep, data, p), None, None
-    else:
-        (S, inv, size), cls = table, group.cls
-    b = _sum_into((n, group.nl), slots, group.sign * x0[..., :ne])
-    return PatchGroupProblem(group, p, chi, g, S, cls, b, x0, xe, cols, data.defect[group.verts], inv, size)
+    tables = chunk.tables
+    p = tables.p
+    chi, g = data.chi[chunk.tris, chunk.local], data.g[chunk.tris, chunk.local]
+    x0, xe = chi + data.x[chunk.tris, :, chunk.local], data.x[chunk.tris, :, 3:]
+    b = _sum_into(chunk.owner.shape, chunk.slots, chunk.sign * x0[:, :3 * (p + 1)])
+    systems = []
+    for run in chunk.runs:
+        whole = tables.signatures[run.sig]
+        table = tables.class_systems("multiplier", run.sig, lambda r: _multiplier_systems(whole, r, data, p))
+        if table is None:
+            systems.append((_multiplier_systems(whole, run.rows.start + run.rep, data, p), run.present, None, None))
+        else:
+            systems.append((None, run.cls, *table[1:]))
+    return PatchProblem(chunk, p, chi, g, x0, xe, b, systems, data.defect[chunk.verts])
 
 
-def _multiplier_systems(group, rows, data, p):
-    """The multiplier systems of ``rows`` of ``group`` (len(rows), nl, nl):
-    the blocks E_k (K_k^-1)_ss E_k^T of the eliminations in ``data``, summed
-    in triangle order.  They depend only on the mesh and p: the eliminations'
-    edge columns do not depend on the data."""
-    L, nl, ne = group.mult[rows], group.nl, 3 * (p + 1)
-    cols, tris = _columns(L, group.kernel), group.tris[rows]
+def _multiplier_systems(signature, rows, data, p):
+    """The multiplier systems of ``rows`` of a ``PatchSignature``
+    (len(rows), nl, nl): the blocks E_k (K_k^-1)_ss E_k^T of the
+    eliminations in ``data``, summed in triangle order.  They depend only
+    on the mesh and p: the eliminations' edge columns do not depend on the
+    data."""
+    L, nl, ne = signature.mult[rows], signature.nl, 3 * (p + 1)
+    cols, tris = _columns(L, signature.kernel), signature.tris[rows]
     idx = np.where(cols[:, :, None, :] >= 0, _slots(L, nl)[..., None] * nl + cols[:, :, None, :], -1)
     # a float sign: numpy broadcasts a mixed int8 product by a slower loop
-    return _sum_into((len(L), nl, nl), idx, group.sign[rows, ..., None].astype(float) * data.x[tris, :ne, 3:])
+    return _sum_into((len(L), nl, nl), idx, signature.sign[rows, ..., None].astype(float) * data.x[tris, :ne, 3:])
 
 
-def patch_equilibrate(problem: PatchGroupProblem):
-    """Solve the hybrid patch problems of a stacked problem, then recover the
-    element fluxes.  Returns each patch's fluxes on its triangles
-    (n, nt, ndof), whose two sides of an interior edge agree and whose
-    pinned slots vanish to roundoff, and the unknowns of the multiplier
-    systems (n, nl).
+def patch_equilibrate(problem: PatchProblem):
+    """Solve the hybrid patch problems of a chunk, then recover the element
+    fluxes.  Returns each pair's fluxes (P, ndof), whose two sides of an
+    interior edge agree within a patch and whose pinned slots vanish to
+    roundoff, and the unknowns (E,) of the multiplier systems.
 
-    Every patch's multiplier residual b - S lam is checked as
-    ``linsolve.solve_stacked`` checks its systems (relative to
+    Each run's patches are solved against its class systems
+    (``linsolve.solve_stacked``), each system by itself; the rest is one
+    pass over the chunk.  Every patch's multiplier residual b - S lam is
+    checked as ``solve_stacked`` checks its systems (relative to
     max(|b|, max|S| |lam|), at most 1e-8), with S lam formed from the
     patch's own element columns: z = xe lam, whose edge rows summed with
     their signs are S lam, and x = x0 - z.  Forming it from x instead
@@ -598,26 +670,29 @@ def patch_equilibrate(problem: PatchGroupProblem):
     patch, against its class's max|S|, so it also catches a corrupted
     kept inverse or a patch filed under the wrong class, and names the
     patch's vertex."""
-    group, ne = problem.group, 3 * (problem.p + 1)
-    n = len(group.verts)
-    lam = solve_stacked(problem.S, problem.b, problem.cls, problem.inv, name=None)
-    row = np.arange(n)[:, None, None]
-    z = (problem.xe @ np.append(lam, np.zeros((n, 1)), axis=1)[row, problem.cols][..., None])[..., 0]
-    S_lam = _sum_into((n, group.nl), group.problem_maps[1], group.sign * z[..., :ne])
-    size = max_abs(problem.S) if problem.size is None else problem.size
-    if problem.cls is not None:
-        size = size[problem.cls]
-    check_residuals((problem.b - S_lam)[..., None], problem.b[..., None], lam[..., None], size,
-                    lambda i: f"patch of vertex {group.verts[i]}")
+    chunk, ne = problem.chunk, 3 * (problem.p + 1)
+    n = len(chunk.verts)
+    lam, size = np.empty(len(problem.b)), np.empty(n)
+    for run, (S, cls, inv, top) in zip(chunk.runs, problem.systems):
+        lam[run.eqs] = solve_stacked(S, problem.b[run.eqs].reshape(run.n, run.nl), cls, inv, name=None).ravel()
+        size[run.patches] = (max_abs(S) if top is None else top)[cls]
+    z = (problem.xe @ np.append(lam, 0.0)[chunk.cols][..., None])[..., 0]
+    S_lam = _sum_into(lam.shape, chunk.slots, chunk.sign * z[:, :ne])
+
+    def norm(a):
+        return np.sqrt(np.bincount(chunk.owner, a * a, n))
+
+    check_norms(norm(problem.b - S_lam), norm(problem.b), norm(lam), size,
+                lambda i: f"patch of vertex {chunk.verts[i]}")
     return problem.x0 - z, lam
 
 
 # -- dual-norm surrogate for the patch stability constant ---------------------------
 
 
-def patch_stability_ratio(problem: PatchGroupProblem, x, mesh):
+def patch_stability_ratio(problem: PatchProblem, x, mesh):
     """Measured ratios ||s_a - chi_a|| over a discrete dual-norm surrogate,
-    one per row of a stacked problem with fluxes ``x`` (n, nt, ndof) of
+    one per patch of a chunk with fluxes ``x`` (P, ndof) of
     ``patch_equilibrate``.
 
     The surrogate maximizes (g, w) + (chi, grad w) over patch-continuous
@@ -627,17 +702,55 @@ def patch_stability_ratio(problem: PatchGroupProblem, x, mesh):
     equal, since div s_a = g up to the kernel constant and s_a.n = 0 on the
     patch boundary wherever w is free, but free of the cancellation of two
     terms of size ||chi_a||.  The nodes are those of the mesh-wide numbering
-    ``lagrange_nodes``, renumbered per row (``PatchGroup.surrogate``); the
+    ``lagrange_nodes``, renumbered per patch (``PatchChunk.surrogate``); the
     element tables are reference tables scaled by the affine maps.  The
-    rows go in chunks whose systems fill at most ``POINT_BYTES``, and each
-    chunk solves against the signature's kept surrogate systems
+    reference dofs and the functional are one pass over the chunk's pairs,
+    its products taken per patch as a stack.  Each run's patches then go
+    in chunks whose systems fill at most ``POINT_BYTES``: each chunk solves
+    against the signature's kept surrogate systems
     (``PatchTables.class_systems``) or, where none are kept, assembles one
-    system per surrogate class present.  Recorded, never asserted: the
-    bound it witnesses is a cited stability result.
+    system per surrogate class present, and forms its numerators, whose
+    mass products are one gemm over the chunk's pairs (above p = 3 a gemm's
+    bits depend on its height).  Recorded, never asserted: the bound it
+    witnesses is a cited stability result.
     """
-    group, p = problem.group, problem.p
-    return np.concatenate([_stability_ratios(group.rows(sl), part, p, problem.chi[sl], x[sl], mesh)
-                           for sl, *part in group.surrogate(mesh)])
+    # p + 2 keeps the surrogate space nontrivial even on one-triangle corner
+    # patches with two clamped edges
+    chunk, p, tables = problem.chunk, problem.p, problem.chunk.tables
+    space = rtn_space(mesh, p)
+    nodes, fixed, parts = chunk.surrogate(mesh)
+    # s_a - chi_a per pair, and chi_a
+    ref = space.to_ref(np.stack([x - problem.chi, problem.chi], axis=1), chunk.tris)
+    C = _coupling_reference(p + 2, p).T
+    lin = np.empty((len(ref), C.shape[1]))
+    for run in chunk.runs:
+        lin[run.pairs] = ((-ref[run.pairs, 0]).reshape(run.n, run.nt, -1) @ C).reshape(-1, C.shape[1])
+    ell = _sum_into(fixed.shape, nodes, lin)
+    ell[fixed] = 0.0
+    out = np.empty(len(chunk.verts))
+    for run, (at, nn, kcls, cuts) in zip(chunk.runs, parts):
+        whole = tables.signatures[run.sig]
+        loc, whole_fixed, _ = tables.surrogate(mesh, run.sig)
+        table = tables.class_systems("surrogate", run.sig, lambda r: _surrogate_systems(
+            mesh, p, whole.tris[r], loc[r], whole_fixed[r], whole.kernel))
+        run_ell = ell[at:at + run.n * nn].reshape(run.n, nn)
+        for sl in cuts:
+            e, verts = run_ell[sl], chunk.verts[run.patches][sl]
+            if table is None:  # one system per class present
+                rep, cls = np.unique(kcls[sl], return_index=True, return_inverse=True)[1:]
+                rows = run.rows.start + sl.start + rep
+                K, inv = _surrogate_systems(mesh, p, whole.tris[rows], loc[rows], whole_fixed[rows], run.kernel), None
+            else:
+                (K, inv, _), cls = table, kcls[sl]
+            rhs = np.append(e, np.zeros((len(e), 1)), axis=1) if run.kernel else e
+            y = solve_stacked(K, rhs, cls, inv, lambda i: f"surrogate of vertex {verts[i]}")[:, :nn]
+            dual = np.sqrt(np.maximum(np.sum(e * y, axis=1), 0.0))
+            # numerator: ||s_a - chi_a|| over the patch, beside ||chi_a||
+            pairs = slice(run.pairs.start + sl.start * run.nt, run.pairs.start + sl.stop * run.nt)
+            r, t = ref[pairs].reshape(len(e), run.nt, 2, -1), chunk.tris[pairs].reshape(len(e), run.nt)
+            num, chi_norm = np.sqrt(np.sum(r * space.mass(r, t), axis=(1, 3))).T
+            out[run.patches][sl] = np.where(num <= 1e-12 * chi_norm, 0.0, num / np.maximum(dual, 1e-300))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -671,34 +784,3 @@ def _surrogate_systems(mesh, p, tris, loc, fixed, kernel):
     K = np.zeros((m, nn + 1, nn + 1))
     K[:, :nn, :nn], K[:, nn, :nn], K[:, :nn, nn] = S, mean, mean
     return K
-
-
-def _stability_ratios(group, part, p, chi, x, mesh):
-    # p + 2 keeps the surrogate space nontrivial even on one-triangle corner
-    # patches with two clamped edges
-    q = p + 2
-    space = rtn_space(mesh, p)
-    tris = group.tris
-    n = len(tris)
-    row = np.arange(n)[:, None, None]
-    loc, fixed, kcls = part
-    nn = fixed.shape[1]
-    # s_a - chi_a per triangle, and chi_a
-    ref = space.to_ref(np.stack([x - chi, chi], axis=2), tris)
-    ell = _sum_into((n, nn), row * nn + loc, -ref[:, :, 0] @ _coupling_reference(q, p).T)
-    ell[fixed] = 0.0
-    whole = group.tables.signatures[group.sig]
-    nodes, whole_fixed, _ = group.tables.surrogate(mesh, group.sig)
-    table = group.tables.class_systems("surrogate", group.sig, lambda r: _surrogate_systems(
-        mesh, p, whole.tris[r], nodes[r], whole_fixed[r], whole.kernel))
-    if table is None:  # one system per class present
-        rep, cls = np.unique(kcls, return_index=True, return_inverse=True)[1:]
-        K, inv = _surrogate_systems(mesh, p, tris[rep], loc[rep], fixed[rep], group.kernel), None
-    else:
-        (K, inv, _), cls = table, kcls
-    rhs = np.append(ell, np.zeros((n, 1)), axis=1) if group.kernel else ell
-    y = solve_stacked(K, rhs, cls, inv, lambda i: f"surrogate of vertex {group.verts[i]}")[:, :nn]
-    dual = np.sqrt(np.maximum(np.sum(ell * y, axis=1), 0.0))
-    # numerator: ||s_a - chi_a|| over the patch, beside ||chi_a||
-    num, chi_norm = np.sqrt(np.sum(ref * space.mass(ref, tris), axis=(1, 3))).T
-    return np.where(num <= 1e-12 * chi_norm, 0.0, num / np.maximum(dual, 1e-300))

@@ -39,13 +39,14 @@ def kept(cache, key, build, tag=None):
 
     What hdivkit keeps, by owner and key, and what rebuilds it:
       * a mesh (``Mesh._cache``), for its life: ``rtn_space``,
-        ``patch_layout``, ``RTNSpace.multipliers``, ``.kkt_table`` and
-        ``.mass_table`` per p, ``RTNSpace.classes``, ``lagrange_nodes`` per
-        q, ``vertex_patches``, and the least-squares (A, B,
-        ``LagrangeSpace``) per (p, q), rebuilt for another l^2 (tag);
+        ``patch_layout`` (its pair arrays and chunks), ``RTNSpace.multipliers``,
+        ``.kkt_table`` and ``.mass_table`` per p, ``RTNSpace.classes``,
+        ``lagrange_nodes`` per q, ``vertex_patches``, and the least-squares
+        (A, B, ``LagrangeSpace``) per (p, q), rebuilt for another l^2 (tag);
       * a patch layout (``PatchTables``), for the mesh's life: the class
-        systems per (kind, signature), the surrogate numbering, and per
-        layout group its index maps and surrogate chunks;
+        systems per (kind, signature) and the surrogate numbering per
+        signature; per chunk (``PatchChunk.surrogate``), that numbering
+        over its pairs and the surrogate chunks of its runs;
       * a ``QuadPolicy``, bound to one mesh, field, p and quadrature degree,
         for its life (one entry point's call or one study row): its
         groups, the samples of v and div v and their moments; one
@@ -154,6 +155,9 @@ class Mesh:
         self.tri_edge_sign = np.where(local[:, :, 0] < local[:, :, 1], 1, -1)
 
     def _apply_labels(self, boundary_labels):
+        if isinstance(boundary_labels, str):
+            raise MeshError(f"boundary_labels maps edges (a, b) to labels, not {boundary_labels!r}: label rules "
+                            "such as 'all-dirichlet' belong to build_structured and build_lshape")
         self.boundary_labels = {}
         eidx = {tuple(e): i for i, e in enumerate(self.edges)}
         for item in boundary_labels.items() if isinstance(boundary_labels, dict) else boundary_labels:

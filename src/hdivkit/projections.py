@@ -8,6 +8,7 @@ import numpy as np
 
 from . import polys
 from .elements import edge_dof_values, hat_operators, rtn_space, scalar_moments, scalar_values
+from .fields import AnalyticField
 from .quadpolicy import QuadGroup, QuadPolicy
 from .quadrature import gauss01, xy
 
@@ -127,10 +128,7 @@ def project_scalar(f, p, mesh, *, quad_degree=None, warnings=None):
     whose moments move on the doubled rule are listed in ``warnings``.
     """
     pd = f.p if isinstance(f, ScalarPWField) else getattr(f, "poly_degree", None)
-    policy = QuadPolicy(p, mesh, degree=quad_degree)
-    if pd is not None:
-        policy.base_degree = pd + p + 1
-        policy.self_check = False
+    policy = QuadPolicy(p, mesh, degree=quad_degree if pd is None else pd + p + 1, self_check=pd is None)
     policy.singularity = getattr(f, "singularity", None)
     return _project_scalar(f, policy, [] if warnings is None else warnings)
 
@@ -164,20 +162,25 @@ def canonical_interp(v, p, mesh, *, quad_degree=None) -> BrokenRTNField:
     degree p and interior moments against vector P_{p-1}.  The edge moments
     are contracted over the edge rules of ``QuadPolicy(p, mesh, v, quad_degree)``,
     the interior ones over its quadrature groups, one component at a time."""
-    return _canonical_interp(QuadPolicy(p, mesh, v, quad_degree))
+    return _canonical_interp(QuadPolicy(p, mesh, v, quad_degree, self_check=False))
 
 
 def _canonical_interp(policy):
     """``canonical_interp`` on the rules of ``policy``."""
     v, p, mesh = policy.field, policy.p, policy.mesh
     out = BrokenRTNField(mesh, p)
-    for tris, slots, t, w in policy.edge_rules():
+    # a field evaluated at points, not per element, takes the same values on
+    # both sides of an edge: each edge is sampled once per rule its sides get
+    once = isinstance(v, AnalyticField)
+    for tris, slots, t, w in policy.edge_rules(by_edge=once):
         e = mesh.tri_edges[tris, slots]
-        L = mesh.edge_length(e)
-        g = QuadGroup.at(mesh, tris, mesh.edge_points(e, t), np.outer(L, w))
-        vn = np.einsum("kqd,kd->kq", g.eval(v), mesh.edge_normal(e))
+        first = np.diff(e, prepend=-1) != 0 if once else np.ones(len(e), dtype=bool)
+        L = mesh.edge_length(e[first])
+        g = QuadGroup.at(mesh, tris[first], mesh.edge_points(e[first], t), np.outer(L, w))
+        vn = np.einsum("kqd,kd->kq", g.eval(v), mesh.edge_normal(e[first]))
         slot_dofs = slots[:, None] * (p + 1) + np.arange(p + 1)
-        out.coeffs[tris[:, None], slot_dofs] = np.einsum("kiq,kq->ki", edge_dof_values(p, t, L), g.w * vn)
+        coeffs = np.einsum("kiq,kq->ki", edge_dof_values(p, t, L), g.w * vn)
+        out.coeffs[tris[:, None], slot_dofs] = coeffs[np.cumsum(first) - 1]
     for g in policy.groups() if p >= 1 else ():
         # the orthonormal P_{p-1}(K) basis is the reference one over sqrt(det B_k)
         vals, w = g.eval(v), g.w / np.sqrt(mesh.detB[g.tris])[:, None]

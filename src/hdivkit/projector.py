@@ -163,13 +163,14 @@ def _project_hdiv(policy, variant, measure_stability):
     # the fluxes of patch a on each of its triangles, at the local index of a:
     # every (triangle, local vertex) pair belongs to one patch
     rows, ratios = np.zeros((mesh.num_triangles, 3, space.ref.dim)), []
-    for group in patch_layout(mesh, p).groups:
-        problem = build_patch_problem(group, data)
-        x, lam = patch_equilibrate(problem)
-        rows[group.tris, group.local] = x
-        info.patch_system_size = max(info.patch_system_size, lam.shape[1])
+    layout = patch_layout(mesh, p)
+    for chunk in layout.chunks:
+        problem = build_patch_problem(chunk, data)
+        x, _ = patch_equilibrate(problem)
+        rows[chunk.tris, chunk.local] = x
         if measure_stability:
-            ratios += zip(group.verts, patch_stability_ratio(problem, x, mesh))
+            ratios += zip(chunk.verts, patch_stability_ratio(problem, x, mesh))
+    info.patch_system_size = max(g.nl for g in layout.tables.signatures)
     # a patch pins its flux on the edge opposite its vertex, edge z of a
     # triangle lying opposite its local vertex z
     for z in range(3):

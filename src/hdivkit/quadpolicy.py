@@ -32,7 +32,8 @@ from .elements import rtn_dim, rtn_reference, rtn_space, scalar_basis, scalar_mo
 from .fields import AnalyticField, FieldError
 from .linsolve import chunks
 from .mesh import kept
-from .quadrature import corner_rule, corner_rules, edge_npts, gauss01, jacobi01, quad_rule, xy
+from .quadrature import (MAX_DEGREE, UnsupportedDegreeError, corner_rule, corner_rules, edge_npts, gauss01,
+                         jacobi01, quad_rule, xy)
 
 
 # bytes a stage holds per quadrature point of an element: points, weights,
@@ -143,15 +144,19 @@ def check_finite(groups, samples, name):
 
 
 class QuadPolicy:
-    """The rules of degree ``p`` for ``field`` (or None) on ``mesh``, at quadrature ``degree``."""
+    """The rules of degree ``p`` for ``field`` (or None) on ``mesh``, at
+    quadrature ``degree``; ``self_check``: the caller runs the
+    degree-doubling self-check, which polynomial and divergence-free fields
+    never need.  A rule above ``quadrature.MAX_DEGREE`` is refused when the
+    policy is built, before any work."""
 
-    def __init__(self, p, mesh, field=None, degree=None):
+    def __init__(self, p, mesh, field=None, degree=None, self_check=True):
         self.p, self.mesh, self.field, self.degree = p, mesh, field, degree
         poly_deg = getattr(field, "poly_degree", None)
         # div v = 0 makes every divergence quantity zero, on every rule
         self.divergence_free = bool(getattr(field, "divergence_free", False))
         # polynomial fields are integrated exactly: nothing to self-check
-        self.self_check = poly_deg is None and not self.divergence_free
+        self.self_check = self_check and poly_deg is None and not self.divergence_free
         if poly_deg is not None:
             self.base_degree = poly_deg + p + 3
         else:
@@ -160,6 +165,24 @@ class QuadPolicy:
             self.base_degree = int(degree) if degree is not None else 2 * p + 14
         self.singularity = getattr(field, "singularity", None)
         self._cache = {}
+        self._check_degree()
+
+    def _check_degree(self):
+        """Refuse a policy whose rules exceed ``MAX_DEGREE``: its element
+        rules have degree deg + p, deg escalated near a singular corner
+        (``_degrees``), and its self-check's twice that."""
+        mesh, k = self.mesh, 2 if self.self_check else 1
+        deg = self.base_degree
+        if self.singularity is not None:
+            xs = mesh.vertices[mesh.triangles]
+            deg = int(self._degrees(xs, mesh.h)[self._corners(xs, mesh.h) < 0].max(initial=deg))
+        top = k * (deg + self.p)
+        if top > MAX_DEGREE:
+            most = MAX_DEGREE // k - self.p
+            fits = f"quad_degree may be at most {most}" if deg == self.base_degree and most >= 0 else "none fits"
+            raise UnsupportedDegreeError(
+                f"quad_degree={self.degree} needs rules of degree {top} > {MAX_DEGREE} at p = {self.p}"
+                f"{' with the self-check' if k == 2 else ''}; at this p {fits}")
 
     # -- classification -------------------------------------------------------------
 
@@ -234,11 +257,13 @@ class QuadPolicy:
         once."""
         return kept(self._cache, "groups", lambda: list(self._grouped(check=False)))
 
-    def edge_rules(self):
+    def edge_rules(self, by_edge=False):
         """The edge rules of ``element_rules`` for every (triangle, slot) pair
         of the mesh, grouped by rule: (tris, slots, t, w) per rule, the pairs
         in chunks of at most ``POINT_BYTES`` of per-point data.  Slot j lies
-        opposite local vertex j; t runs from its lower to its higher vertex."""
+        opposite local vertex j; t runs from its lower to its higher vertex.
+        ``by_edge`` orders a rule's pairs by edge, the two sides of an edge
+        next to each other in one chunk."""
         mesh = self.mesh
         xs = mesh.vertices[mesh.triangles]
         corner = self._corners(xs, mesh.h)
@@ -256,7 +281,16 @@ class QuadPolicy:
                 t, w = jacobi01(max(12, self.p + 8), self.singularity.gamma)
                 t = 1.0 - t if code == -2 else t
             tris, slots = np.nonzero(key == code)
-            for sl in chunks(len(tris), _POINT_BYTES * len(t), points=True):
+            if by_edge:
+                order = np.argsort(mesh.tri_edges[tris, slots], kind="stable")
+                tris, slots = tris[order], slots[order]
+                # cut between edges: a chunk of edges holds their one or two pairs
+                at = np.append(np.flatnonzero(np.diff(mesh.tri_edges[tris, slots], prepend=-1)), len(tris))
+                edges = chunks(len(at) - 1, _POINT_BYTES * len(t) * np.diff(at), points=True)
+                cuts = [slice(at[c.start], at[c.stop]) for c in edges]
+            else:
+                cuts = chunks(len(tris), _POINT_BYTES * len(t), points=True)
+            for sl in cuts:
                 yield tris[sl], slots[sl], t, w
 
     def check_groups(self):

@@ -196,7 +196,7 @@ def run_study(cfg: StudyConfig):
             if cfg.variant == "def52" and p < 1:
                 continue
             # one sampling of the field per row, shared by both reports
-            policy = QuadPolicy(p, m, field, cfg.quad_degree)
+            policy = QuadPolicy(p, m, field, cfg.quad_degree, self_check=cfg.run_projector)
             rep = _error_report(policy)
             notes = ""
             tiny = 1e-9 * max(rep.metadata["v_norm"], 1e-30)
@@ -316,9 +316,9 @@ def verify(cfg: StudyConfig | None = None):
         # the hats (and their gradients) of the patches holding each triangle,
         # summed over the layout the projector assembles from
         hats, grads = np.zeros((m.num_triangles, lam.shape[1])), np.zeros((m.num_triangles, 2))
-        for g in patch_layout(m, 1).groups:
-            np.add.at(hats, g.tris, lam[g.local])
-            np.add.at(grads, g.tris, np.einsum("ktj,ktjd->ktd", _BARY_GRAD[g.local], m.Binv[g.tris]))
+        layout = patch_layout(m, 1)
+        np.add.at(hats, layout.tris, lam[layout.local])
+        np.add.at(grads, layout.tris, np.einsum("kj,kjd->kd", _BARY_GRAD[layout.local], m.Binv[layout.tris]))
         check(f"partition of unity n={n}", np.abs(hats - 1).max(), 1e-14)
         check(f"hat gradient sum n={n}", np.abs(grads).max(), 1e-12)
         # the signs an interior edge has in its two triangles cancel

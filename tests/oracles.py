@@ -12,8 +12,9 @@ data taken
 by quadrature on every (patch, element) pair, the dense Bunch-Kaufman KKT
 solve, the unhybridized global saddle solve, the element-by-element and
 patch-by-patch projector loop with its
-per-patch stability surrogate on dict-numbered Lagrange nodes, the stacked
-patch layer with one multiplier and one surrogate system per patch, the
+per-patch stability surrogate on dict-numbered Lagrange nodes, the patch
+layer one signature group at a time, the stacked patch layer with one
+multiplier and one surrogate system per patch, the
 mesh topology loops, the point-by-point corner wedge rule and the point-layer
 kernels in their stacked forms (length-2 reductions and broadcasts)."""
 
@@ -35,6 +36,7 @@ from hdivkit.elements import (
     edge_dof_values,
     hat_operators,
     reference_dual,
+    rtn_dim,
     rtn_reference,
     rtn_space,
     scalar_basis,
@@ -965,9 +967,8 @@ def projector_oracle(v, p, mesh, quad_degree=None):
     space = rtn_space(mesh, p)
     sigma = ConformingRTNField(mesh, p)
     for patch in vertex_patches(mesh):
-        group = group_of(patch_layout(mesh, p), patch.vertex)
-        prob = build_patch_problem(group, data)
-        s, ps = patch_oracle(mesh, patch, p, theta.coeffs, prob.chi[0], prob.g[0])
+        prob = build_patch_problem(chunk_of(patch_layout(mesh, p), patch.vertex), data)
+        s, ps = patch_oracle(mesh, patch, p, theta.coeffs, prob.chi, prob.g)
         sigma.dofs[ps.dofs] += s
     err2 = 0.0
     rule = quad_rule(qd)
@@ -1195,12 +1196,12 @@ def sum_patch_fields(parts, mesh, p):
     patch's fluxes ``x`` (n, nt, ndof) averaged into its patch dofs (the two
     sides of an interior edge, pinned slots dropped), zero-extended and
     summed into the global dofs in ascending vertex order; ``parts`` holds
-    (PatchGroup, x)."""
+    (vertices, x) pairs (``run_fluxes``)."""
     from hdivkit.mesh import vertex_patches
 
     space = rtn_space(mesh, p)
     dofs = np.zeros(space.ndof)
-    for a, xa in sorted(((int(a), xa) for g, x in parts for a, xa in zip(g.verts, x)), key=lambda r: r[0]):
+    for a, xa in sorted(((int(a), xa) for verts, x in parts for a, xa in zip(verts, x)), key=lambda r: r[0]):
         ps = patch_space_oracle(vertex_patches(mesh)[a], space)
         m = elem_maps(ps)
         keep = m >= 0
@@ -1592,16 +1593,210 @@ def corner_rule_oracle(coords, vertex_local, gamma, n_theta, n_r):
     return pts, wts
 
 
+# -- the patch layer one signature group at a time -------------------------------------
+# The library's patch layer before its chunks held whole patches across
+# signatures: each signature cut into groups by ``linsolve.chunks``, and
+# each group assembled, solved, recovered, checked and measured by itself.
+# sigma and the stability ratios of the one-pass layer equal it to the bit.
+
+
+@dataclass
+class PatchGroup:
+    """Rows ``start`` .. ``start + n`` of signature ``sig`` of a layout's
+    ``PatchTables`` (a run of its ``local_solve.PatchSignature``), with the
+    arrays of those rows."""
+
+    verts: np.ndarray
+    tris: np.ndarray
+    local: np.ndarray
+    mult: np.ndarray
+    sign: np.ndarray
+    cls: np.ndarray
+    kernel: bool
+    nl: int
+    tables: object
+    sig: int
+    start: int
+
+    def rows(self, sl):
+        return group_rows(self.tables, self.sig, slice(self.start + sl.start, self.start + sl.stop))
+
+
+def group_rows(tables, sig, rows):
+    """The ``PatchGroup`` of rows ``rows`` of signature ``sig``."""
+    g = tables.signatures[sig]
+    return PatchGroup(g.verts[rows], g.tris[rows], g.local[rows], g.mult[rows], g.sign[rows], g.cls[rows],
+                      g.kernel, g.nl, tables, sig, rows.start)
+
+
+def signature_groups(layout):
+    """The patches of a layout in signature groups: each signature cut by
+    ``linsolve.chunks`` with the element columns, five arrays of the
+    multiplier blocks and the system of each patch as its bytes."""
+    tables, out = layout.tables, []
+    ne = 3 * (tables.p + 1)
+    for sig, g in enumerate(tables.signatures):
+        item = 8 * (g.tris.shape[1] * (rtn_dim(tables.p) * (4 + ne) + 5 * ne * (ne + 1)) + g.nl**2)
+        out += [group_rows(tables, sig, sl) for sl in chunks(len(g.verts), item)]
+    return out
+
+
+@dataclass
+class PatchGroupProblem:
+    """The hybrid problems of a ``PatchGroup``, stacked: ``chi`` (n, nt,
+    ndof), ``g`` (n, nt, sdim), the class systems ``S`` (None beside the
+    kept inverses ``inv`` and their max|S| ``size``), each row's class
+    ``cls`` (None: one system per row), ``b`` (n, nl), the element fluxes
+    ``x0`` (n, nt, ndof) and per unit of each column's unknown ``xe``,
+    ``cols`` those unknowns, and ``compat_defect`` per row."""
+
+    group: PatchGroup
+    p: int
+    chi: np.ndarray
+    g: np.ndarray
+    S: np.ndarray
+    cls: np.ndarray
+    b: np.ndarray
+    x0: np.ndarray
+    xe: np.ndarray
+    cols: np.ndarray
+    compat_defect: np.ndarray
+    inv: np.ndarray = None
+    size: np.ndarray = None
+
+
+def build_patch_problem_group_oracle(group, data):
+    """``local_solve.build_patch_problem`` of one signature group: the
+    signature's kept multiplier inverses, or one system per class present
+    in the group."""
+    from hdivkit.local_solve import _columns, _multiplier_systems, _slots, _sum_into
+
+    tables = group.tables
+    p, n, ne = tables.p, len(group.verts), 3 * (tables.p + 1)
+    chi, g = data.chi[group.tris, group.local], data.g[group.tris, group.local]
+    x0, xe = chi + data.x[group.tris, :, group.local], data.x[group.tris, :, 3:]
+    whole = tables.signatures[group.sig]
+    table = tables.class_systems("multiplier", group.sig, lambda r: _multiplier_systems(whole, r, data, p))
+    if table is None:
+        rep, cls = np.unique(group.cls, return_index=True, return_inverse=True)[1:]
+        S, inv, size = _multiplier_systems(whole, group.start + rep, data, p), None, None
+    else:
+        (S, inv, size), cls = table, group.cls
+    b = _sum_into((n, group.nl), _slots(group.mult, group.nl), group.sign * x0[..., :ne])
+    return PatchGroupProblem(group, p, chi, g, S, cls, b, x0, xe, _columns(group.mult, group.kernel),
+                             data.defect[group.verts], inv, size)
+
+
+def patch_equilibrate_group_oracle(problem):
+    """``local_solve.patch_equilibrate`` of a ``PatchGroupProblem``: the
+    fluxes (n, nt, ndof) and the multipliers (n, nl), every row's residual
+    checked against its class's max|S|."""
+    from hdivkit.linsolve import check_residuals, max_abs
+    from hdivkit.local_solve import _slots, _sum_into
+
+    group, ne = problem.group, 3 * (problem.p + 1)
+    n = len(group.verts)
+    lam = solve_stacked(problem.S, problem.b, problem.cls, problem.inv, name=None)
+    row = np.arange(n)[:, None, None]
+    z = (problem.xe @ np.append(lam, np.zeros((n, 1)), axis=1)[row, problem.cols][..., None])[..., 0]
+    S_lam = _sum_into((n, group.nl), _slots(group.mult, group.nl), group.sign * z[..., :ne])
+    size = max_abs(problem.S) if problem.size is None else problem.size
+    if problem.cls is not None:
+        size = size[problem.cls]
+    check_residuals((problem.b - S_lam)[..., None], problem.b[..., None], lam[..., None], size,
+                    lambda i: f"patch of vertex {group.verts[i]}")
+    return problem.x0 - z, lam
+
+
+def patch_stability_ratio_group_oracle(problem, x, mesh):
+    """``local_solve.patch_stability_ratio`` of a ``PatchGroupProblem``, its
+    rows in chunks of ``POINT_BYTES``, each chunk measured by itself."""
+    group = problem.group
+    nodes, fixed, kcls = group.tables.surrogate(mesh, group.sig)
+    at = slice(group.start, group.start + len(group.verts))
+    nodes, fixed, kcls = nodes[at], fixed[at], kcls[at]
+    return np.concatenate([
+        _stability_ratios_group(group.rows(sl), (nodes[sl], fixed[sl], kcls[sl]), problem.p, problem.chi[sl], x[sl],
+                                mesh)
+        for sl in chunks(len(group.verts), 8 * (nodes.shape[1] * nodes.shape[2]) ** 2, points=True)])
+
+
+def _stability_ratios_group(group, part, p, chi, x, mesh):
+    from hdivkit.elements import _coupling_reference
+    from hdivkit.local_solve import _sum_into, _surrogate_systems
+
+    q = p + 2
+    space = rtn_space(mesh, p)
+    tris = group.tris
+    n = len(tris)
+    row = np.arange(n)[:, None, None]
+    loc, fixed, kcls = part
+    nn = fixed.shape[1]
+    ref = space.to_ref(np.stack([x - chi, chi], axis=2), tris)
+    ell = _sum_into((n, nn), row * nn + loc, -ref[:, :, 0] @ _coupling_reference(q, p).T)
+    ell[fixed] = 0.0
+    whole = group.tables.signatures[group.sig]
+    nodes, whole_fixed, _ = group.tables.surrogate(mesh, group.sig)
+    table = group.tables.class_systems("surrogate", group.sig, lambda r: _surrogate_systems(
+        mesh, p, whole.tris[r], nodes[r], whole_fixed[r], whole.kernel))
+    if table is None:
+        rep, cls = np.unique(kcls, return_index=True, return_inverse=True)[1:]
+        K, inv = _surrogate_systems(mesh, p, tris[rep], loc[rep], fixed[rep], group.kernel), None
+    else:
+        (K, inv, _), cls = table, kcls
+    rhs = np.append(ell, np.zeros((n, 1)), axis=1) if group.kernel else ell
+    y = solve_stacked(K, rhs, cls, inv, lambda i: f"surrogate of vertex {group.verts[i]}")[:, :nn]
+    dual = np.sqrt(np.maximum(np.sum(ell * y, axis=1), 0.0))
+    num, chi_norm = np.sqrt(np.sum(ref * space.mass(ref, tris), axis=(1, 3))).T
+    return np.where(num <= 1e-12 * chi_norm, 0.0, num / np.maximum(dual, 1e-300))
+
+
+def patch_layer_group_oracle(v, p, mesh, *, variant="def31"):
+    """sigma's dofs and the stability ratios (vertex order) of
+    ``projector_report``, the library's theta and patch data taken through
+    the signature groups."""
+    from hdivkit.local_solve import patch_data, patch_layout, theta_field
+
+    policy = QuadPolicy(p, mesh, v)
+    data = patch_data(theta_field(policy, variant), policy)
+    space = rtn_space(mesh, p)
+    rows, ratios = np.zeros((mesh.num_triangles, 3, space.ref.dim)), []
+    for group in signature_groups(patch_layout(mesh, p)):
+        problem = build_patch_problem_group_oracle(group, data)
+        x, _ = patch_equilibrate_group_oracle(problem)
+        rows[group.tris, group.local] = x
+        ratios += zip(group.verts, patch_stability_ratio_group_oracle(problem, x, mesh))
+    for z in range(3):
+        rows[:, z, z * (p + 1):(z + 1) * (p + 1)] = 0.0
+    return space.gather(rows.sum(axis=1)), np.array([r for _, r in sorted(ratios)])
+
+
+def run_fluxes(chunk, x):
+    """A chunk's pair fluxes ``x`` (P, ndof) per run: (vertices, fluxes
+    (n, nt, ndof)) pairs."""
+    return [(chunk.verts[r.patches], x[r.pairs].reshape(r.n, r.nt, -1)) for r in chunk.runs]
+
+
 # -- the stacked patch layer, one system per patch ------------------------------------
+
+
+def _group_mass_defects(group, data, mesh):
+    """Relative patch mass |(g, 1)_omega| against the size of its
+    cancelling terms, per row of ``group`` (zero without a kernel)."""
+    if not group.kernel:
+        return np.zeros(len(group.verts))
+    mass = np.sum(np.sqrt(mesh.area[group.tris]) * data.g[group.tris, group.local, 0], axis=1)
+    scale = np.sum(data.mass_scale[group.tris, group.local], axis=1)
+    return np.abs(mass) / np.maximum(scale, 1e-300)
 
 
 def build_patch_problem_stacked_oracle(group, p, mesh, data):
     """``local_solve.build_patch_problem`` with the multiplier system of
     every row assembled, one class per row: the stacked assembly before
     patch classes."""
-    from hdivkit.local_solve import PatchGroupProblem, _mass_defects, _sum_into, check_compatibility
+    from hdivkit.local_solve import _sum_into, check_compatibility
 
-    defect = _mass_defects(group, data, mesh)
+    defect = _group_mass_defects(group, data, mesh)
     check_compatibility(group.verts, defect)
     chi, g, X = data.chi[group.tris, group.local], data.g[group.tris, group.local], data.x[group.tris]
     (n, nt), ne = group.tris.shape, 3 * (p + 1)
@@ -1695,18 +1890,18 @@ def _stability_ratios_stacked(group, p, chi, x, mesh):
 def patch_layer_stacked_oracle(v, p, mesh, *, variant="def31"):
     """The dofs of ``project_hdiv`` and its stability ratios (vertex order)
     through the stacked patch layer: library theta and patch data, then
-    ``build_patch_problem_stacked_oracle``, the library's hybrid solve and
+    ``build_patch_problem_stacked_oracle``, the group hybrid solve and
     recovery, and ``patch_stability_ratio_stacked_oracle``."""
-    from hdivkit.local_solve import patch_data, patch_equilibrate, patch_layout, theta_field
+    from hdivkit.local_solve import patch_data, patch_layout, theta_field
 
     policy = QuadPolicy(p, mesh, v)
     theta = theta_field(policy, variant)
     data = patch_data(theta, policy)
     parts, ratios = [], []
-    for group in patch_layout(mesh, p).groups:
+    for group in signature_groups(patch_layout(mesh, p)):
         problem = build_patch_problem_stacked_oracle(group, p, mesh, data)
-        x, _ = patch_equilibrate(problem)
-        parts.append((group, x))
+        x, _ = patch_equilibrate_group_oracle(problem)
+        parts.append((group.verts, x))
         ratios += zip(group.verts, patch_stability_ratio_stacked_oracle(problem, x, mesh))
     return sum_patch_fields(parts, mesh, p), np.array([r for _, r in sorted(ratios)])
 
@@ -1835,18 +2030,20 @@ def neumann_trace_residual(field):
 
 
 def patch_place(layout, vertex):
-    """(group index, row) of the patch of ``vertex`` in a ``PatchLayout``."""
-    for gi, group in enumerate(layout.groups):
-        rows = np.flatnonzero(group.verts == vertex)
+    """(signature, row) of the patch of ``vertex`` in a ``PatchLayout``."""
+    for sig, g in enumerate(layout.tables.signatures):
+        rows = np.flatnonzero(g.verts == vertex)
         if len(rows):
-            return gi, int(rows[0])
+            return sig, int(rows[0])
     raise KeyError(vertex)
 
 
-def group_of(layout, vertex):
-    """The one-row ``PatchGroup`` holding the patch of ``vertex``."""
-    gi, r = patch_place(layout, vertex)
-    return layout.groups[gi].rows(slice(r, r + 1))
+def chunk_of(layout, vertex):
+    """The one-patch ``PatchChunk`` of the patch of ``vertex``."""
+    from hdivkit.local_solve import _chunk
+
+    sig, r = patch_place(layout, vertex)
+    return _chunk(layout.tables, [(sig, slice(r, r + 1))])
 
 
 def flux_system(prob, p):

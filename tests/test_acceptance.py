@@ -391,12 +391,12 @@ def test_criterion_10_oracles(ref_triangle_mesh, unit_square_2):
     cubic = fields.catalog("cubic")
     th = theta_field(QuadPolicy(0, unit_square_2, cubic))
     patch = [p for p in vertex_patches(unit_square_2) if p.kind == "interior"][0]
-    group = oracles.group_of(patch_layout(unit_square_2, 0), patch.vertex)
-    prob = build_patch_problem(group, patch_data(th, QuadPolicy(0, unit_square_2, cubic)))
+    chunk = oracles.chunk_of(patch_layout(unit_square_2, 0), patch.vertex)
+    prob = build_patch_problem(chunk, patch_data(th, QuadPolicy(0, unit_square_2, cubic)))
     x, _ = patch_equilibrate(prob)
-    s, ps = oracles.patch_oracle(unit_square_2, patch, 0, th.coeffs, prob.chi[0], prob.g[0])
+    s, ps = oracles.patch_oracle(unit_square_2, patch, 0, th.coeffs, prob.chi, prob.g)
     sref = oracles.elem_rows(ps, s)
-    e2 = np.abs(x[0] - sref).max() / max(1.0, np.abs(sref).max())
+    e2 = np.abs(x - sref).max() / max(1.0, np.abs(sref).max())
     ok &= e2 < 1e-10
     details.append(f"patch KKT {e2:.1e}")
     # face projection vs dense 1D least squares

@@ -135,14 +135,14 @@ def test_projector_matches_loop_oracle_on_corner_wedges(p, variant):
 
 @pytest.mark.parametrize("p", [0, 2])
 def test_stability_ratios_match_loop_oracle_at_a_bowtie_vertex(p):
-    # vertex 0 joins two triangles at a point; its patch shares a layout
-    # group with the two-triangle fans of vertices 1 and 2 but has more
-    # surrogate nodes, so the group's rows have different node counts
+    # vertex 0 joins two triangles at a point; its patch shares a
+    # signature with the two-triangle fans of vertices 1 and 2 but has more
+    # surrogate nodes, so the signature's rows have different node counts
     edges = [(0, 1), (1, 3), (3, 2), (2, 0), (0, 4), (4, 5)]
     labels = [(e, "dirichlet") for e in edges] + [((0, 5), "neumann")]
     m = Mesh([(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1)], [(0, 1, 2), (1, 3, 2), (0, 4, 5)], labels)
     layout = patch_layout(m, p)
-    assert layout.groups[oracles.patch_place(layout, 0)[0]].verts.tolist() == [0, 1, 2]
+    assert layout.tables.signatures[oracles.patch_place(layout, 0)[0]].verts.tolist() == [0, 1, 2]
     v = random_conforming_field(m, p + 1, seed=p)
     got = np.array(projector_report(v, p, m)["sigma"].info["projector"].stability_ratios)
     want = oracles.project_hdiv_oracle(v, p, m, measure_stability=True)
@@ -192,8 +192,8 @@ def test_perturbed_theta_names_the_loops_vertex(monkeypatch, p, k):
 
 
 def test_sigma_gathers_the_patch_fluxes():
-    # the stacked path equals its own group fluxes placed on their
-    # triangles one patch at a time, zero on the slot opposite the patch
+    # the stacked path equals its own chunk fluxes placed on their
+    # triangles one pair at a time, zero on the slot opposite the patch
     # vertex, summed per triangle and gathered, to the bit
     m = build_lshape(2, labels="left-neumann")
     v = stream_field()
@@ -202,11 +202,10 @@ def test_sigma_gathers_the_patch_fluxes():
     theta = sig.info["theta"]
     space = rtn_space(m, p)
     rows = np.zeros((m.num_triangles, 3, space.ref.dim))
-    for group in patch_layout(m, p).groups:
-        x, _ = patch_equilibrate(build_patch_problem(group, patch_data(theta, QuadPolicy(p, m, v))))
-        for tris, local, xa in zip(group.tris, group.local, x):
-            for k, z, xk in zip(tris, local, xa):
-                rows[k, z] = np.where(np.arange(len(xk)) // (p + 1) == z, 0.0, xk)
+    for chunk in patch_layout(m, p).chunks:
+        x, _ = patch_equilibrate(build_patch_problem(chunk, patch_data(theta, QuadPolicy(p, m, v))))
+        for k, z, xk in zip(chunk.tris, chunk.local, x):
+            rows[k, z] = np.where(np.arange(len(xk)) // (p + 1) == z, 0.0, xk)
     assert np.array_equal(sig.dofs, space.gather(rows[:, 0] + rows[:, 1] + rows[:, 2]))
 
 
@@ -229,8 +228,8 @@ def test_sigma_matches_the_patch_dof_sum(mesh_name, labels, p, variant):
     sig = project_hdiv(v, p, m, variant=variant)
     theta = sig.info["theta"]
     data = patch_data(theta, QuadPolicy(p, m, v))
-    parts = [(g, patch_equilibrate(build_patch_problem(g, data))[0])
-             for g in patch_layout(m, p).groups]
+    parts = [part for chunk in patch_layout(m, p).chunks
+             for part in oracles.run_fluxes(chunk, patch_equilibrate(build_patch_problem(chunk, data))[0])]
     want = oracles.sum_patch_fields(parts, m, p)
     assert np.abs(sig.dofs - want).max() <= 1e-15 * np.abs(want).max()
 
@@ -253,43 +252,90 @@ def _check_multipliers(m, p, patch, mult, elem_map, nl):
 
 @pytest.mark.parametrize("p", [0, 1, 3])
 @pytest.mark.parametrize("labels", LABELS)
-def test_patch_layout_matches_patch_loop(labels, p):
+@pytest.mark.parametrize("budget", [STACK_BYTES, 30000], ids=["whole", "cut"])
+def test_patch_layout_matches_patch_loop(monkeypatch, budget, labels, p):
+    # a smaller budget cuts chunks across signatures
+    monkeypatch.setattr(linsolve, "STACK_BYTES", budget)
     for m in (jitter(build_lshape(2, labels=labels), 2), refine_uniform(build_structured(2, labels=labels))):
         space = rtn_space(m, p)
         layout = patch_layout(m, p)
         assert layout is patch_layout(m, p)
-        seen, rows = [], {}
-        for group in layout.groups:
-            n, nt = group.tris.shape
-            ndof, nl, ne = space.ref.dim, group.nl, 3 * (p + 1)
-            # the sizing rule of ``linsolve.chunks``: the element columns, five
-            # arrays of the multiplier blocks and the system of each patch
-            item = 8 * (nt * (ndof * (4 + ne) + 5 * ne * (ne + 1)) + nl**2)
-            assert n == 1 or n * item <= STACK_BYTES
-            rows.setdefault((nl, nt, group.kernel), []).append((n, max(1, STACK_BYTES // item)))
-            assert np.all(np.diff(group.verts) > 0)
-            for r, a in enumerate(group.verts):
-                patch = vertex_patches(m)[a]
-                want = oracles.patch_space_oracle(patch, space)
-                assert group.kernel == (patch.kind in ("interior", "neumann"))
-                assert np.array_equal(group.tris[r], patch.tris)
-                assert [patch.local_index[int(k)] for k in patch.tris] == list(group.local[r])
-                assert nl == nt * ndof - want.ndof
-                _check_multipliers(m, p, patch, group.mult[r], oracles.elem_maps(want), nl)
-                one = oracles.group_of(layout, a)
-                assert one.verts.tolist() == [a] and np.array_equal(one.mult[0], group.mult[r])
-            seen += group.verts.tolist()
+        ndof, ne = space.ref.dim, 3 * (p + 1)
+        sizes, seen = [], []
+        for chunk in layout.chunks:
+            # the sizing rule of ``linsolve.chunks``: per pair the element
+            # columns and five arrays of the multiplier blocks, per patch
+            # its system
+            item = [8 * (run.nt * (ndof * (4 + ne) + 5 * ne * (ne + 1)) + run.nl**2)
+                    for run in chunk.runs for _ in range(run.n)]
+            assert len(item) == 1 or sum(item) <= budget
+            sizes.append((sum(item), item[0]))
+            assert [run.patches.start for run in chunk.runs] == list(np.cumsum([0] + [r.n for r in chunk.runs])[:-1])
+            assert chunk.owner.tolist() == [i for i, run in enumerate(r for r in chunk.runs for _ in range(r.n))
+                                            for _ in range(run.nl)]
+            for run in chunk.runs:
+                g = layout.tables.signatures[run.sig]
+                assert (run.nl, run.nt, run.kernel) == (g.nl, g.tris.shape[1], g.kernel)
+                assert np.array_equal(chunk.verts[run.patches], g.verts[run.rows])
+                assert np.all(np.diff(chunk.verts[run.patches]) > 0)
+                for r, a in enumerate(chunk.verts[run.patches]):
+                    patch = vertex_patches(m)[a]
+                    want = oracles.patch_space_oracle(patch, space)
+                    pairs = slice(run.pairs.start + r * run.nt, run.pairs.start + (r + 1) * run.nt)
+                    eq = run.eqs.start + r * run.nl
+                    assert run.kernel == (patch.kind in ("interior", "neumann"))
+                    assert np.array_equal(chunk.tris[pairs], patch.tris)
+                    assert [patch.local_index[int(k)] for k in patch.tris] == list(chunk.local[pairs])
+                    assert run.nl == run.nt * ndof - want.ndof
+                    slots = chunk.slots[pairs]
+                    assert np.all((slots < 0) | ((slots >= eq) & (slots < eq + run.nl)))
+                    mult = np.where(slots >= 0, slots - eq, -1)
+                    _check_multipliers(m, p, patch, mult, oracles.elem_maps(want), run.nl)
+                    assert np.array_equal(mult, g.mult[run.rows.start + r])
+                    # the constant-divergence coefficient in place of a
+                    # kernel patch's grounded multiplier 0
+                    cols = chunk.cols[pairs]
+                    assert np.array_equal(cols[:, 1:], np.where(run.kernel & (mult == 0), -1, slots))
+                    assert np.all(cols[:, 0] == (eq if run.kernel else -1))
+                    one = oracles.chunk_of(layout, a)
+                    assert one.verts.tolist() == [a] and np.array_equal(one.slots, mult)
+            seen += chunk.verts.tolist()
         assert sorted(seen) == list(range(m.num_vertices))
-        for cut in rows.values():  # a signature is cut only where a chunk is full
-            assert all(n == full for n, full in cut[:-1])
+        # the layout's pairs are its chunks' pairs, in order
+        assert np.array_equal(layout.tris, np.concatenate([c.tris for c in layout.chunks]))
+        assert np.array_equal(layout.local, np.concatenate([c.local for c in layout.chunks]))
+        assert np.array_equal(layout.vert, np.concatenate([np.repeat(c.verts[r.patches], r.nt)
+                                                           for c in layout.chunks for r in c.runs]))
+        for (full, _), (_, first) in zip(sizes, sizes[1:]):  # a chunk is cut only where it is full
+            assert full + first > budget
+        assert (len(layout.chunks) > 1) == (budget < STACK_BYTES)
+
+
+AD, LN, AN = LABELS
+BENCHMARK_LAYOUTS = [
+    # the (mesh, labels, p, variant) of every ``project_hdiv`` and
+    # ``projector_report`` template of the benchmark's ``project`` and
+    # ``high-p`` workloads
+    (("structured", 8, LN), 1, "def31"), (("structured", 8, AN), 0, "def31"), (("structured", 8, AN), 2, "def52"),
+    (("structured", 8, AD), 1, "def31"), (("structured", 16, AD), 0, "def31"), (("lshape", 4, AD), 0, "def31"),
+    (("lshape", 4, AD), 1, "def52"), (("lshape", 4, AD), 3, "def31"), (("lshape", 4, LN), 1, "def31"),
+    (("lshape", 4, LN), 2, "def31"), (("lshape", 4, AN), 0, "def31"), (("lshape", 4, AN), 2, "def52"),
+    (("structured", 4, AD), 4, "def31"), (("structured", 4, AD), 5, "def31"), (("structured", 4, AD), 6, "def31"),
+    (("structured", 4, LN), 6, "def52"), (("lshape", 1, AD), 5, "def52"), (("lshape", 1, AD), 6, "def31"),
+    (("lshape", 1, AN), 4, "def52"), (("lshape", 2, AD), 4, "def31"), (("lshape", 2, AD), 5, "def31"),
+    (("lshape", 2, AD), 6, "def31"), (("lshape", 2, AD), 6, "def52"), (("lshape", 2, AN), 5, "def31"),
+]
+
+
+def _mesh(kind, n, labels):
+    return (build_structured if kind == "structured" else build_lshape)(n, labels=labels)
 
 
 def test_benchmark_meshes_run_whole_stacks(monkeypatch):
-    # on meshes of the benchmark's size at p <= 6 each patch signature, the
+    # on meshes of the benchmark's size at p <= 6 each patch layout, the
     # corner wedges of a policy and each element_solve call are one stack
-    for m, p in ((build_structured(4), 6), (build_lshape(4), 3)):
-        groups = patch_layout(m, p).groups
-        assert len(groups) == len({(g.nl, g.tris.shape[1], g.kernel) for g in groups})
+    for spec, p, _ in BENCHMARK_LAYOUTS:
+        assert len(patch_layout(_mesh(*spec), p).chunks) == 1, (spec, p)
     groups = QuadPolicy(6, build_lshape(2), fields.catalog("lshape_singular")).groups()
     wedges = [g for g in groups if not g.shared]
     assert len(wedges) == 1 and len(wedges[0].tris) == 5
@@ -306,6 +352,54 @@ def test_benchmark_meshes_run_whole_stacks(monkeypatch):
         element_solve(space, rng.standard_normal((len(tris), space.ref.dim, r)),
                       rng.standard_normal((len(tris), space.sdim, r)), tris)
     assert [len(c) for c in cuts] == [1, 1]
+
+
+def _check_signature_groups(m, p, variant):
+    """sigma and the stability ratios of ``projector_report`` on ``m`` equal,
+    to the bit, those of the per-signature path."""
+    # rtn_space(m, 7) would cost seconds: the stream field above p = 3
+    v = random_conforming_field(m, p + 1, seed=p) if p <= 3 else stream_field()
+    rep = projector_report(v, p, m, variant=variant)
+    dofs, ratios = oracles.patch_layer_group_oracle(v, p, m, variant=variant)
+    assert np.array_equal(rep["sigma"].dofs, dofs)
+    assert np.array_equal(rep["stability_ratios"], ratios) and np.any(ratios > 0)
+
+
+@pytest.mark.parametrize("spec,p,variant", BENCHMARK_LAYOUTS,
+                         ids=[f"{k[0]}{k[1]}-{k[2]}-{p}-{v}" for k, p, v in BENCHMARK_LAYOUTS])
+def test_one_pass_matches_the_signature_groups_on_benchmark_layouts(spec, p, variant):
+    # one chunk holds every patch of these layouts
+    _check_signature_groups(_mesh(*spec), p, variant)
+
+
+@pytest.mark.parametrize("p", [0, 2])
+@pytest.mark.parametrize("labels", LABELS)
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+def test_one_pass_matches_the_signature_groups_without_kept_systems(mesh_name, labels, p):
+    # jittered: each call assembles the surrogate systems, and on
+    # structured:3 the multiplier systems, of the classes present
+    m = MESHES[mesh_name](labels)
+    _check_signature_groups(m, p, "def31")
+    assert patch_layout(m, p).tables.keep == {"multiplier": mesh_name.endswith("lshape2"), "surrogate": False}
+
+
+@pytest.mark.parametrize("budget", [1, 30000])
+@pytest.mark.parametrize("labels", LABELS)
+def test_one_pass_matches_the_signature_groups_in_small_chunks(monkeypatch, budget, labels):
+    # one patch per chunk, and chunks cut across signatures: the bits of
+    # the whole-layout chunk
+    p = 1
+    whole = projector_report(random_conforming_field(build_structured(8, labels=labels), p + 1, seed=p), p,
+                             build_structured(8, labels=labels))
+    monkeypatch.setattr(linsolve, "STACK_BYTES", budget)
+    m = build_structured(8, labels=labels)
+    layout = patch_layout(m, p)
+    assert len(layout.chunks) == m.num_vertices if budget == 1 else 1 < len(layout.chunks) < m.num_vertices
+    assert budget == 1 or any(len(chunk.runs) > 1 for chunk in layout.chunks)
+    _check_signature_groups(m, p, "def31")
+    got = projector_report(random_conforming_field(m, p + 1, seed=p), p, m)
+    assert np.array_equal(got["sigma"].dofs, whole["sigma"].dofs)
+    assert np.array_equal(got["stability_ratios"], whole["stability_ratios"])
 
 
 @pytest.mark.parametrize("p", [5, 6])
@@ -330,7 +424,7 @@ def _check_one_patch_per_chunk(monkeypatch, p, mesh):
     monkeypatch.setattr(linsolve, "STACK_BYTES", 1)
     single = mesh()
     got = project_hdiv(v, p, single).dofs
-    assert len(patch_layout(whole, p).groups) < len(patch_layout(single, p).groups) == single.num_vertices
+    assert len(patch_layout(whole, p).chunks) < len(patch_layout(single, p).chunks) == single.num_vertices
     assert np.array_equal(got, want)
 
 
@@ -355,50 +449,51 @@ def test_stacks_of_corner_wedges_match_one_wedge_per_chunk(monkeypatch):
 
 
 def test_patch_data_measures_every_patch_defect_once(monkeypatch):
-    # patch_data measures and gates the mass defect of every patch once, with
-    # the bits of the per-group measure; the patch problems read it
+    # patch_data measures and gates the mass defect of every patch in one
+    # pass over the layout, with the bits of the per-signature measure; the
+    # patch problems read it
     m = build_structured(4, labels="left-neumann")
     p = 2
     v = random_conforming_field(m, p + 1, seed=2)
     policy = QuadPolicy(p, m, v)
     theta = theta_field(policy)
     data = patch_data(theta, policy)
-    groups = patch_layout(m, p).groups
+    layout = patch_layout(m, p)
     assert np.any(data.defect > 0)
-    for group in groups:
-        assert np.array_equal(data.defect[group.verts], local_solve._mass_defects(group, data, m))
+    for group in oracles.signature_groups(layout):
+        assert np.array_equal(data.defect[group.verts], oracles._group_mass_defects(group, data, m))
     calls = []
     measure = local_solve._mass_defects
     monkeypatch.setattr(local_solve, "_mass_defects", lambda *args: calls.append(1) or measure(*args))
-    for group in groups:
-        problem = build_patch_problem(group, data)
-        assert np.array_equal(problem.compat_defect, data.defect[group.verts])
+    for chunk in layout.chunks:
+        problem = build_patch_problem(chunk, data)
+        assert np.array_equal(problem.compat_defect, data.defect[chunk.verts])
     assert not calls
     project_hdiv(v, p, m)
-    assert len(calls) == len(groups)
+    assert len(calls) == 1
 
 
 def test_single_patch_problem_matches_loop_assembly():
-    # the group of one vertex patch gives its one-row problem; its hybrid
-    # solution equals a dense KKT solve of the loop assembly
+    # the chunk of one vertex patch gives its problem; its hybrid solution
+    # equals a dense KKT solve of the loop assembly
     m = jitter(build_lshape(2, labels="left-neumann"), 2)
     v = random_conforming_field(m, 3, seed=1)
     p = 2
     theta = theta_field(QuadPolicy(p, m, v))
     data = oracles.patch_data_oracle(theta, v, p, m, QuadPolicy(p, m, v))
     for patch in vertex_patches(m):
-        group = oracles.group_of(patch_layout(m, p), patch.vertex)
-        prob = build_patch_problem(group, patch_data(theta, QuadPolicy(p, m, v)))
+        chunk = oracles.chunk_of(patch_layout(m, p), patch.vertex)
+        prob = build_patch_problem(chunk, patch_data(theta, QuadPolicy(p, m, v)))
         want = oracles.build_patch_problem_oracle(patch, p, m, data)
-        assert prob.group.verts.tolist() == [patch.vertex] and prob.p == p
-        for key in ("chi", "g"):  # per triangle, in ascending triangle order
-            got, ref = getattr(prob, key)[0], np.array([getattr(want, key)[int(k)] for k in patch.tris])
+        assert prob.chunk.verts.tolist() == [patch.vertex] and prob.p == p
+        for key in ("chi", "g"):  # per pair, in ascending triangle order
+            got, ref = getattr(prob, key), np.array([getattr(want, key)[int(k)] for k in patch.tris])
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), key
         assert abs(prob.compat_defect[0] - want.compat_defect) <= 1e-13
         x, _ = patch_equilibrate(prob)
         s_ref, _ = oracles.saddle_solve_dense(want.M, want.B, want.rhs, want.grhs, kernel=want.kernel)
-        assert _rel(x[0], oracles.elem_rows(want.pspace, s_ref)) <= 1e-13
+        assert _rel(x, oracles.elem_rows(want.pspace, s_ref)) <= 1e-13
 
 
 @pytest.mark.parametrize("variant", ["def31", "def52"])

@@ -323,6 +323,16 @@ def test_bad_value_is_one_line_error(capsys, argv):
     assert len(lines) == 1 and lines[0].startswith("hdivkit: error: ")
 
 
+def test_quadrature_degree_too_high_names_quad_degree(capsys):
+    # refused before any work, with the flag's value and the largest one
+    # this p accepts, not the degree of a rule built from it
+    assert main(["project", "--mesh", "structured:2", "--quad-degree", "500"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("hdivkit: error: quad_degree=500 needs rules of degree 501 > 120 at p = 1; "
+                            "at this p quad_degree may be at most 119\n")
+
+
 def test_degree_list_parses_to_integers():
     args = build_parser().parse_args(["project", "--p", "0,2,3"])
     assert args.p == [0, 2, 3]

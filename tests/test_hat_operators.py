@@ -93,17 +93,17 @@ def meshes():
 
 
 def _assert_matches_oracle(patch, theta, v, p, m, policy, tol):
-    prob = build_patch_problem(oracles.group_of(patch_layout(m, p), patch.vertex), patch_data(theta, policy))
+    prob = build_patch_problem(oracles.chunk_of(patch_layout(m, p), patch.vertex), patch_data(theta, policy))
     ref = oracles.patch_problem_oracle(patch, theta, v, p, m, policy)
     for key in ("chi", "g"):
-        got = getattr(prob, key)[0]  # rows in ascending triangle order
+        got = getattr(prob, key)  # pairs in ascending triangle order
         want = np.array([ref[key][int(k)] for k in patch.tris])
         assert np.abs(got - want).max() <= tol * np.abs(want).max(), (key, patch.vertex)
     # the solved patch field against the null-space solve of the loop
     # assembly on the same data
-    s, ps = oracles.patch_oracle(m, patch, p, theta.coeffs, prob.chi[0], prob.g[0])
+    s, ps = oracles.patch_oracle(m, patch, p, theta.coeffs, prob.chi, prob.g)
     want = oracles.elem_rows(ps, s)
-    got = patch_equilibrate(prob)[0][0]
+    got = patch_equilibrate(prob)[0]
     assert np.abs(got - want).max() <= tol * np.abs(want).max(), ("s", patch.vertex)
 
 

@@ -25,26 +25,28 @@ TOL = 1e-13
 
 def _check_patches(m, p, v):
     """Every patch of ``m`` at degree p against the oracle; returns the
-    layout's groups."""
+    layout's signatures."""
     policy = QuadPolicy(p, m, v)
     theta = theta_field(policy)
     data = patch_data(theta, policy)
     patches = vertex_patches(m)
-    groups = patch_layout(m, p).groups
-    for group in groups:
-        problem = build_patch_problem(group, data)
+    layout = patch_layout(m, p)
+    for chunk in layout.chunks:
+        problem = build_patch_problem(chunk, data)
         x, lam = patch_equilibrate(problem)
-        assert lam.shape[1] == group.nl
-        for a, xa, chi in zip(group.verts, x, problem.chi):
-            want = oracles.build_patch_problem_oracle(patches[a], p, m, data)
-            assert group.nl == group.tris.shape[1] * rtn_space(m, p).ref.dim - want.pspace.ndof
-            s, _ = oracles.saddle_solve_dense(want.M, want.B, want.rhs, want.grhs, kernel=want.kernel)
-            ref, act = oracles.elem_rows(want.pspace, s), oracles.elem_maps(want.pspace) >= 0
-            assert xa.shape == ref.shape
-            assert np.linalg.norm(xa[act] - ref[act]) <= TOL * np.linalg.norm(ref), (int(a), patches[a].kind)
-            # the pinned slots vanish to the roundoff of the target
-            assert np.linalg.norm(xa[~act]) <= TOL * np.linalg.norm(chi), (int(a), patches[a].kind)
-    return groups
+        assert lam.shape == chunk.owner.shape
+        for run, (verts, xs) in zip(chunk.runs, oracles.run_fluxes(chunk, x)):
+            assert np.array_equal(np.bincount(chunk.owner[run.eqs] - run.patches.start), np.full(run.n, run.nl))
+            for a, xa, chi in zip(verts, xs, problem.chi[run.pairs].reshape(run.n, run.nt, -1)):
+                want = oracles.build_patch_problem_oracle(patches[a], p, m, data)
+                assert run.nl == run.nt * rtn_space(m, p).ref.dim - want.pspace.ndof
+                s, _ = oracles.saddle_solve_dense(want.M, want.B, want.rhs, want.grhs, kernel=want.kernel)
+                ref, act = oracles.elem_rows(want.pspace, s), oracles.elem_maps(want.pspace) >= 0
+                assert xa.shape == ref.shape
+                assert np.linalg.norm(xa[act] - ref[act]) <= TOL * np.linalg.norm(ref), (int(a), patches[a].kind)
+                # the pinned slots vanish to the roundoff of the target
+                assert np.linalg.norm(xa[~act]) <= TOL * np.linalg.norm(chi), (int(a), patches[a].kind)
+    return layout.tables.signatures
 
 
 def _scaled(m, c):
@@ -67,8 +69,8 @@ def test_one_triangle_neumann_corner(p):
     # at p = 0 its patch has no free dof at all
     m = build_lshape(4, labels="all-neumann")
     v = random_conforming_field(m, p + 1, seed=5)
-    groups = _check_patches(m, p, v)
-    corner = [g for g in groups if g.tris.shape[1] == 1]
+    signatures = _check_patches(m, p, v)
+    corner = [g for g in signatures if g.tris.shape[1] == 1]
     assert corner and all(g.kernel for g in corner)
     assert all(g.nl == rtn_space(m, p).ref.dim for g in corner) == (p == 0)
     assert project_hdiv(v, p, m).info["projector"].commute_residual <= 1e-10
@@ -76,13 +78,13 @@ def test_one_triangle_neumann_corner(p):
 
 @pytest.mark.parametrize("p", range(4))
 def test_bowtie_vertex(p):
-    # vertex 0 joins two triangles at a point and shares a layout group with
+    # vertex 0 joins two triangles at a point and shares a signature with
     # the two-triangle fans of vertices 1 and 2
     edges = [(0, 1), (1, 3), (3, 2), (2, 0), (0, 4), (4, 5)]
     labels = [(e, "dirichlet") for e in edges] + [((0, 5), "neumann")]
     m = Mesh([(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1)], [(0, 1, 2), (1, 3, 2), (0, 4, 5)], labels)
     layout = patch_layout(m, p)
-    assert layout.groups[oracles.patch_place(layout, 0)[0]].verts.tolist() == [0, 1, 2]
+    assert layout.tables.signatures[oracles.patch_place(layout, 0)[0]].verts.tolist() == [0, 1, 2]
     v = random_conforming_field(m, p + 1, seed=p)
     _check_patches(m, p, v)
     want = oracles.project_hdiv_oracle(v, p, m)

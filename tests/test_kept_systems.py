@@ -132,8 +132,8 @@ def _arrays(entry):
 
 def test_entries_kept_through_the_helper_are_read_only():
     # after a projector_report, a solve_mixed and a solve_ls_mixed: the
-    # continuous P_q numbering, the patch class inverses and each patch
-    # group's index maps, the policy's samples and moments, the element
+    # continuous P_q numbering, the patch class inverses, the patch layout
+    # with its chunks and their surrogate numbering, the policy's samples and moments, the element
     # classes and class tables, the multiplier system and the
     # least-squares A and B; reading them builds nothing
     prob, p = manufactured_sine(build_structured(4)), 1
@@ -147,7 +147,7 @@ def test_entries_kept_through_the_helper_are_read_only():
     tables = layout.tables
     assert {kind for kind, _ in tables.systems} == {"multiplier", "surrogate"}
     entries = [lagrange_nodes(mesh, p + 1), lagrange_nodes(mesh, p + 2), [e[-1] for e in tables.systems.values()],
-               *(g.problem_maps for g in layout.groups),
+               layout, [chunk.surrogate(mesh) for chunk in layout.chunks],
                policy.values(), policy.values(div=True), policy.moments(), policy.div_moments(),
                space.classes, space.kkt_table, space.mass_table, space.multipliers,
                hdivkit.model_problems._ls_system(prob, p, p + 1)[:2]]

@@ -21,9 +21,9 @@ from hdivkit.quadrature import quad_rule
 
 
 def _problem(patch, theta, v, p, m):
-    """The one-row problem of a vertex patch."""
-    group = oracles.group_of(patch_layout(m, p), patch.vertex)
-    return build_patch_problem(group, patch_data(theta, QuadPolicy(p, m, v)))
+    """The problem of a vertex patch, alone in its chunk."""
+    chunk = oracles.chunk_of(patch_layout(m, p), patch.vertex)
+    return build_patch_problem(chunk, patch_data(theta, QuadPolicy(p, m, v)))
 
 
 def test_discrete_member_is_fixed_point(unit_square_2):
@@ -82,7 +82,7 @@ def test_patch_target_feasible_and_optimal(unit_square_2):
     for patch in vertex_patches(m):
         prob = _problem(patch, theta, v, p, m)
         x, _ = patch_equilibrate(prob)
-        assert np.abs(x[0] - prob.chi[0]).max() < 1e-10
+        assert np.abs(x - prob.chi).max() < 1e-10
 
 
 def test_zero_field_gives_zero(unit_square_2):
@@ -122,9 +122,9 @@ def test_patch_kkt_vs_oracle(unit_square_2, cubic_field):
     patch = patches[0]
     prob = _problem(patch, theta, cubic_field, p, m)
     x, _ = patch_equilibrate(prob)
-    s, ps = oracles.patch_oracle(m, patch, p, theta.coeffs, prob.chi[0], prob.g[0])
+    s, ps = oracles.patch_oracle(m, patch, p, theta.coeffs, prob.chi, prob.g)
     ref = oracles.elem_rows(ps, s)
-    assert np.abs(x[0] - ref).max() < 1e-10 * max(1.0, np.abs(ref).max())
+    assert np.abs(x - ref).max() < 1e-10 * max(1.0, np.abs(ref).max())
 
 
 def test_zero_extension_conformity(unit_square_2, sine_field):
@@ -142,7 +142,7 @@ def test_zero_extension_conformity(unit_square_2, sine_field):
         prob = _problem(patch, theta, sine_field, p, m)
         x, _ = patch_equilibrate(prob)
         rows = np.zeros((m.num_triangles, space.ref.dim))
-        rows[prob.group.tris[0]] = x[0]
+        rows[prob.chunk.tris] = x
         one = ConformingRTNField(m, p, space.gather(rows))
         scale = max(1.0, np.abs(x).max())
         assert np.abs(rows - one.element_coeffs(slice(None))).max() < 1e-12 * scale
@@ -159,13 +159,13 @@ def test_divergence_exactness(unit_square_2, cubic_field):
         prob = _problem(patch, theta, cubic_field, p, m)
         x, _ = patch_equilibrate(prob)
         scale = max(np.abs(prob.g).max(), 1.0)
-        want = prob.g[0]
+        want = prob.g
         if patch.kind in ("interior", "neumann"):  # data projected onto the compatible subspace
             kern = np.zeros_like(want)
             kern[:, 0] = np.sqrt(m.area[patch.tris])
             want = want - kern * np.sum(kern * want) / np.sum(kern * kern)
         for t_idx, k in enumerate(patch.tris):
-            got = space.elements[k].Bdiv @ x[0, t_idx]
+            got = space.elements[k].Bdiv @ x[t_idx]
             assert np.abs(got - want[t_idx]).max() < 1e-11 * scale
 
 

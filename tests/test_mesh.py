@@ -158,6 +158,17 @@ def test_interior_edge_labeled_rejected():
         mesh_from_dict(data)
 
 
+@pytest.mark.parametrize("rule", ["all-dirichlet", "left-neumann"])
+def test_label_rule_passed_to_mesh_is_one_line_error(rule):
+    # a rule is a builder's argument; Mesh takes the labels of its edges
+    m = build_structured(1)
+    with pytest.raises(MeshError) as err:
+        Mesh(m.vertices, m.triangles, rule)
+    message = str(err.value)
+    assert "\n" not in message and repr(rule) in message
+    assert "maps edges (a, b) to labels" in message and "build_structured and build_lshape" in message
+
+
 def test_patch_center_vertex_cardinality():
     # hand count on the 8-triangle mesh with the lower-left -> upper-right
     # diagonal: the center vertex belongs to both triangles of the first and

@@ -13,7 +13,6 @@ meshes where classes repeat and on jittered ones where each patch is its
 own class.
 """
 
-import dataclasses
 import re
 
 
@@ -58,7 +57,7 @@ def test_class_path_matches_stacked_oracle(meshes, mesh_name, labels, p, variant
     assert np.all(np.abs(got - ratios) <= 1e-13 * ratios)
     # the patches of a structured or L-shape mesh fall into 14 multiplier
     # classes; jittered, only two corner patches of lshape:2 stay alike
-    n_cls = len({(g.nl, g.tris.shape[1], g.kernel, c) for g in patch_layout(m, p).groups
+    n_cls = len({(g.nl, g.tris.shape[1], g.kernel, c) for g in patch_layout(m, p).tables.signatures
                  for c in g.cls.tolist()})
     assert n_cls >= m.num_vertices - 1 if mesh_name.startswith("jittered") else n_cls == 14
 
@@ -87,7 +86,7 @@ def test_kept_tables_are_the_distinct_oracle_systems(monkeypatch, p):
 
     monkeypatch.setattr(oracles, "solve_stacked", record)
     distinct = {"multiplier": {}, "surrogate": {}}  # per (signature, class): its oracle systems' bytes
-    for group in patch_layout(m, p).groups:
+    for group in oracles.signature_groups(patch_layout(m, p)):
         problem = oracles.build_patch_problem_stacked_oracle(group, p, m, data)
         calls.clear()
         oracles.patch_stability_ratio_stacked_oracle(problem, np.zeros(problem.x0.shape), m)
@@ -209,7 +208,7 @@ def test_kept_tables_do_not_depend_on_the_chunks(monkeypatch, p):
         m = build_structured(8, labels="left-neumann")
         rep = projector_report(random_conforming_field(m, p + 1, seed=p), p, m)
         layout = patch_layout(m, p)
-        return len(layout.groups), _kept_systems(layout.tables), rep["sigma"].dofs, rep["stability_ratios"]
+        return len(layout.chunks), _kept_systems(layout.tables), rep["sigma"].dofs, rep["stability_ratios"]
 
     n, tables, *want = run()
     monkeypatch.setattr(linsolve, "STACK_BYTES", 1)
@@ -236,7 +235,7 @@ def test_high_degree_keeping_does_not_depend_on_the_chunks_or_the_calls(monkeypa
             project_hdiv(random_conforming_field(m, p + 1, seed=p + 10), p, m)
             assert np.array_equal(project_hdiv(v, p, m).dofs, first)
             tables = patch_layout(m, p).tables
-            out.append((len(patch_layout(m, p).groups), tables.keep, _kept_systems(tables), first))
+            out.append((len(patch_layout(m, p).chunks), tables.keep, _kept_systems(tables), first))
         return out
 
     whole = run()
@@ -250,6 +249,11 @@ def test_high_degree_keeping_does_not_depend_on_the_chunks_or_the_calls(monkeypa
         assert np.array_equal(got, want)
 
 
+def _largest_run(chunk):
+    """The index of the run of ``chunk`` with the most patches."""
+    return max(range(len(chunk.runs)), key=lambda r: chunk.runs[r].n)
+
+
 def test_nan_in_a_kept_class_names_the_patch_vertex():
     # the kept inverse is applied without a factorization, and the residual
     # check still names the patch
@@ -259,36 +263,42 @@ def test_nan_in_a_kept_class_names_the_patch_vertex():
     policy = QuadPolicy(p, m, v)
     theta = theta_field(policy)
     data = patch_data(theta, policy)
-    group = max(patch_layout(m, p).groups, key=lambda g: len(g.verts))
-    problem = build_patch_problem(group, data)
-    assert problem.inv is not None
-    problem.b[5, 2] = np.nan
-    with pytest.raises(SingularSystemError, match=rf"\(patch of vertex {group.verts[5]}\)"):
+    (chunk,) = patch_layout(m, p).chunks
+    problem = build_patch_problem(chunk, data)
+    r = _largest_run(chunk)
+    run = chunk.runs[r]
+    assert problem.systems[r][2] is not None
+    problem.b[run.eqs.start + 5 * run.nl + 2] = np.nan
+    with pytest.raises(SingularSystemError, match=rf"\(patch of vertex {chunk.verts[run.patches][5]}\)"):
         patch_equilibrate(problem)
 
 
-def _wrong_class_row(group):
-    """A row of ``group`` and another class of the group, one of whose
-    rows comes first."""
-    for i in range(len(group.cls)):
-        seen = set(group.cls[:i].tolist()) - {int(group.cls[i])}
+def _wrong_class_row(cls):
+    """A row of a run's classes ``cls`` and another class of the run, one
+    of whose rows comes first."""
+    for i in range(len(cls)):
+        seen = set(cls[:i].tolist()) - {int(cls[i])}
         if seen:
             return i, min(seen)
-    raise AssertionError("the group has one class")
+    raise AssertionError("the run has one class")
 
 
-def _swapped_patch_group(group):
-    # row i filed under class c
-    i, c = _wrong_class_row(group)
-    cls = group.cls.copy()
+def _swapped_patch_chunk(chunk, r):
+    # row i of run r filed under class c
+    run = chunk.runs[r]
+    i, c = _wrong_class_row(run.cls)
+    cls = run.cls.copy()
     cls[i] = c
-    return dataclasses.replace(group, cls=cls), i
+    rep, present = np.unique(cls, return_index=True, return_inverse=True)[1:]
+    runs = list(chunk.runs)
+    runs[r] = run._replace(cls=cls, rep=rep, present=present)
+    return chunk._replace(runs=runs), run.patches.start + i
 
 
 @pytest.mark.parametrize("kept", [True, False])
 def test_a_patch_under_the_wrong_class_names_its_vertex(kept):
     # the residual is formed from each patch's own element columns, not
-    # from its class's system: a row filed under another class of its
+    # from its class's system: a patch filed under another class of its
     # signature fails the check, on the kept and on the per-call path
     m = build_structured(8)
     p = 1
@@ -298,12 +308,12 @@ def test_a_patch_under_the_wrong_class_names_its_vertex(kept):
     data = patch_data(theta, policy)
     layout = patch_layout(m, p)
     layout.tables.keep["multiplier"] = kept
-    group = max(layout.groups, key=lambda g: len(g.verts))
-    patch_equilibrate(build_patch_problem(group, data))
-    swapped, i = _swapped_patch_group(group)
+    (chunk,) = layout.chunks
+    patch_equilibrate(build_patch_problem(chunk, data))
+    swapped, i = _swapped_patch_chunk(chunk, _largest_run(chunk))
     problem = build_patch_problem(swapped, data)
-    assert (problem.inv is not None) == kept
-    with pytest.raises(SingularSystemError, match=rf"\(patch of vertex {group.verts[i]}\)"):
+    assert all((inv is not None) == kept for _, _, inv, _ in problem.systems)
+    with pytest.raises(SingularSystemError, match=rf"\(patch of vertex {chunk.verts[i]}\)"):
         patch_equilibrate(problem)
 
 
@@ -314,16 +324,20 @@ def test_a_corrupted_kept_inverse_names_a_patch_of_its_class():
     policy = QuadPolicy(p, m, v)
     theta = theta_field(policy)
     data = patch_data(theta, policy)
-    group = max(patch_layout(m, p).groups, key=lambda g: len(g.verts))
-    problem = build_patch_problem(group, data)
-    c = int(group.cls[7])
-    problem.inv = problem.inv.copy()  # the layout's inverses stay intact
-    problem.inv[c] *= 1 + 1e-6
+    (chunk,) = patch_layout(m, p).chunks
+    problem = build_patch_problem(chunk, data)
+    r = _largest_run(chunk)
+    run = chunk.runs[r]
+    c = int(run.cls[7])
+    S, cls, inv, size = problem.systems[r]
+    inv = inv.copy()  # the layout's inverses stay intact
+    inv[c] *= 1 + 1e-6
+    problem.systems[r] = S, cls, inv, size
     with pytest.raises(SingularSystemError) as err:
         patch_equilibrate(problem)
     vertex = int(re.search(r"\(patch of vertex (\d+)\)", str(err.value)).group(1))
-    assert vertex in group.verts[group.cls == c]
-    patch_equilibrate(build_patch_problem(group, data))
+    assert vertex in chunk.verts[run.patches][run.cls == c]
+    patch_equilibrate(build_patch_problem(chunk, data))
 
 
 def test_singular_class_names_the_class():

@@ -201,17 +201,50 @@ def test_canonical_interp_reproduces_members_like_the_element_loop(p):
     "mesh,field",
     [("lshape2", "lshape_singular"), ("jittered-structured3", "sine_divfree"), ("lshape1", "cubic")],
 )
-def test_edge_rules_are_the_element_rules(mesh, field, p):
-    # every (triangle, slot) pair gets the 1D rule element_rules gives it, to the bit
+@pytest.mark.parametrize("by_edge", [False, True])
+def test_edge_rules_are_the_element_rules(mesh, field, p, by_edge):
+    # every (triangle, slot) pair gets the 1D rule element_rules gives it,
+    # to the bit; by edge, the two sides of an edge on one rule are
+    # neighbours in one chunk
     m = INTERP_MESHES[mesh]()
     policy = QuadPolicy(p, m, fields.catalog(field))
     seen = np.zeros((m.num_triangles, 3), dtype=int)
-    for tris, slots, t, w in policy.edge_rules():
+    for tris, slots, t, w in policy.edge_rules(by_edge):
+        e = m.tri_edges[tris, slots]
+        if by_edge:
+            assert np.all(np.diff(e) >= 0)
         for k, j in zip(tris, slots):
             want_t, want_w = policy.element_rules(rtn_space(m, p).elements[k])[1][j]
             assert np.array_equal(t, want_t) and np.array_equal(w, want_w)
             seen[k, j] += 1
     assert np.all(seen == 1)
+
+
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("mesh,field", [("structured16", "sine_divfree"), ("lshape2", "lshape_singular")])
+def test_canonical_interp_samples_each_edge_once_per_rule(mesh, field, p):
+    # a field evaluated at points gives both sides of an interior edge the
+    # same samples: it is called once at the points of each (edge, rule),
+    # twice where the two sides get different rules, as near a singular
+    # corner; the interior moments add the points of the policy's groups
+    m = build_structured(16) if mesh == "structured16" else build_lshape(2)
+    v = fields.catalog(field)
+    calls = []
+    v.v = (lambda fn: lambda pts: calls.append(len(pts)) or fn(pts))(v.v)
+    canonical_interp(v, p, m)
+    policy, space = QuadPolicy(p, m, v), rtn_space(m, p)
+    rules = {}  # edge -> its sides' rules, per element
+    for k in range(m.num_triangles):
+        for j, (t, _) in enumerate(policy.element_rules(space.elements[k])[1]):
+            rules.setdefault(int(m.tri_edges[k, j]), set()).add(t.tobytes())
+    edge_points = sum(len(t) // 8 for sides in rules.values() for t in sides)
+    interior = sum(g.w.size for g in policy.groups()) if p >= 1 else 0
+    assert sum(calls) == edge_points + interior
+    twice = sum(len(sides) == 2 for sides in rules.values())
+    assert twice == 0 if mesh == "structured16" else twice > 0
+    if mesh == "structured16":  # 800 edges, not the 1536 (triangle, slot) pairs
+        npts = len(policy.element_rules(space.elements[0])[1][0][0])
+        assert edge_points == m.num_edges * npts and m.num_edges == 800 and m.num_triangles * 3 == 1536
 
 
 def test_scalar_evaluation_builds_no_rtn_tables():

@@ -18,8 +18,9 @@ from hdivkit.projector import (
     projector_report,
     random_conforming_field,
 )
-from hdivkit.projections import BrokenRTNField
+from hdivkit.projections import BrokenRTNField, canonical_interp, project_scalar
 from hdivkit.quadpolicy import QuadPolicy
+from hdivkit.quadrature import UnsupportedDegreeError
 from hdivkit.elements import rtn_space
 
 
@@ -260,9 +261,9 @@ def test_perturbed_theta_breaks_patch_compatibility(p):
     patches = [pa for pa in vertex_patches(m) if k in pa.tris]
     assert {pa.kind for pa in patches} == {"interior", "neumann"}
     for patch in patches:
-        group = oracles.group_of(patch_layout(m, p), patch.vertex)
+        chunk = oracles.chunk_of(patch_layout(m, p), patch.vertex)
         with pytest.raises(CompatibilityError):
-            build_patch_problem(group, patch_data(theta, QuadPolicy(p, m, vh)))
+            build_patch_problem(chunk, patch_data(theta, QuadPolicy(p, m, vh)))
 
 
 def test_report_zero_for_members(unit_square_2):
@@ -497,3 +498,26 @@ def test_report_at_p3_emits_no_runtime_warning(sine_field):
         warnings.simplefilter("error", RuntimeWarning)
         rep = projector_report(sine_field, 3, build_structured(2))
     assert len(rep["stability_ratios"]) == 9
+
+
+def test_quadrature_degree_is_checked_before_any_work(monkeypatch):
+    # the self-check's rules, of twice deg + p, are refused when the policy
+    # is built, with the quad_degree asked for and the largest one this p
+    # accepts; the calls that run no self-check accept it
+    import hdivkit.projector as projector
+
+    m = build_structured(2)
+    v = manufactured_sine(m).sigma
+    project_hdiv(v, 1, m, quad_degree=59)
+    assert np.isfinite(error_report(v, 1, m, quad_degree=70).Eglob)
+    assert np.all(np.isfinite(canonical_interp(v, 1, m, quad_degree=70).coeffs))
+    monkeypatch.setattr(projector, "theta_field", lambda *args: pytest.fail("the projection started"))
+    message = ("quad_degree=70 needs rules of degree 142 > 120 at p = 1 with the self-check; "
+               "at this p quad_degree may be at most 59")
+    for run in (project_hdiv, projector_report, lambda v, p, m, **kw: project_scalar(v.div, p, m, **kw)):
+        with pytest.raises(UnsupportedDegreeError) as err:
+            run(v, 1, m, quad_degree=70)
+        assert str(err.value) == message
+    # escalated rules near a singular corner that no quad_degree lowers
+    with pytest.raises(UnsupportedDegreeError, match=r"degree 121 > 120 at p = 81; at this p none fits$"):
+        QuadPolicy(81, build_lshape(1), fields.catalog("lshape_singular"), 10)
