@@ -22,24 +22,27 @@ measured (``patch_stability_ratio``).
 All three steps are stacked dense solves: the element fits over the
 quadrature groups of a ``QuadPolicy`` (per affine class, by
 ``linsolve.element_solve``), the patch problems and their surrogates in one
-pass over each chunk of the ``PatchLayout``.  A chunk holds whole patches,
-across signatures (multiplier count, triangle count and kernel), as flat
-arrays over their (triangle, local vertex) pairs: one gather assembles the
-right-hand sides of every patch, one stacked matmul recovers its fluxes and
-one ``bincount`` forms its residuals; only the class solves go by
-signature, as systems of one size.  A layout of up to a few hundred
-triangles at p <= 3, or a few dozen at p <= 6, is one chunk.  The
-surrogate numbers its nodes by the mesh's continuous P_{p+2} numbering
-(``elements.lagrange_nodes``) and builds its element blocks from reference
-tables, so no step loops over elements or patches in Python.
+pass over each chunk of the ``PatchLayout``.  The layout holds each patch
+once, in flat arrays over the (triangle, local vertex) pairs of all
+patches, signature after signature (multiplier count, triangle count and
+kernel); a signature is a range of its patches, a chunk a range of whole
+patches across signatures, with its runs, slices and numbering of
+equations, unknowns and surrogate nodes fixed when the layout is built.
+In a chunk one gather assembles the right-hand sides of every patch, one
+stacked matmul recovers its fluxes and one ``bincount`` forms its
+residuals; only the class solves go by signature, as systems of one size.
+A layout of up to a few hundred triangles at p <= 3, or a few dozen at
+p <= 6, is one chunk.  The surrogate numbers its nodes by the mesh's
+continuous P_{p+2} numbering (``elements.lagrange_nodes``) and builds its
+element blocks from reference tables, so no step loops over elements or
+patches in Python.
 
 A patch's systems depend only on the mesh and p; theta and v enter only
 their right-hand sides.  Every patch is keyed on the exact bits of what
 decides them: its elements' affine classes, edge signs, T_k edge factors
-and multiplier numbering for the multiplier system (``PatchSignature.cls``,
-per signature, with the layout); its elements' maps, node numbering and
-fixed nodes for the surrogate (``PatchTables.surrogate``, per signature,
-built with the surrogate's node numbering on first use).
+and multiplier numbering for the multiplier system (``PatchLayout.cls``);
+its elements' maps, node numbering and fixed nodes for the surrogate
+(``PatchLayout.surrogate``, built on first use).
 ``linsolve.solve_stacked`` solves every patch's system by itself, against
 its class's system, as ``linsolve.element_solve`` solves an element's; the
 right-hand sides, the recoveries and the surrogate's numerators stay per
@@ -49,20 +52,13 @@ stability ratios up to p = 3 (above, a gemm's bits depend on its height,
 and the numerators' mass products are one gemm per surrogate chunk).
 
 Where a kind's systems repeat, the layout keeps each distinct one
-(``PatchTables``), assembled and inverted by the first call that needs it
-and applied by every call, so a call's results do not depend on the calls
-before it.  The multiplier kind keeps only the inverses and each class's
-max|S|: every patch's multiplier residual b - S lam is checked from its own
-element columns (``patch_equilibrate``), on this path and on the per-call
-one alike, which also catches a patch filed under the wrong class.  The
-surrogate kind keeps its systems beside their inverses and checks against
-them.  A kind is kept where it has at most one class per two patches; the
-multiplier kind also where it has fewer classes than patches and its
-inverses fit ``KEEP_BYTES``, as on every layout of up to a few dozen
-triangles at p <= 6.  The rule does not depend on the chunks.  Elsewhere,
-as on a mesh without repeats, where a kept system per patch would cost
-more memory than it saves time, each call assembles and factors one system
-per class present.
+(``PatchTables``, which sets out the rule), assembled and inverted by the
+first call that needs it and applied by every call, so a call's results do
+not depend on the calls before it.  Every patch's multiplier residual
+b - S lam is checked from its own element columns (``patch_equilibrate``),
+on the kept path and on the per-call one alike, which also catches a patch
+filed under the wrong class.  Elsewhere, as on a mesh without repeats,
+each call assembles and factors one system per class present.
 """
 
 from __future__ import annotations
@@ -138,79 +134,44 @@ def theta_field(policy, variant="def31"):
 # -- patch layout ------------------------------------------------------------------
 
 
-class PatchSignature(NamedTuple):
-    """The vertex patches of one signature (multiplier count ``nl``,
-    triangle count, kernel) as arrays; row r is the patch of vertex
-    ``verts[r]``, ascending.
-
-    ``tris[r]`` lists its triangles (ascending) and ``local[r]`` the local
-    index of the vertex in each.  ``mult[r, t, j]`` numbers the nl edge
-    multipliers: one per dof of each interior edge at the vertex (both
-    sides), then of each pinned slot (opposite edge, Neumann edges); -1 on
-    free Dirichlet edges.  ``sign[r, t, j]`` is the sign of edge dof j of
-    triangle t in ``linsolve.eliminate`` (+1 on the ``edge_tris[e, 0]``
-    side).  Rows of one multiplier class (``cls``, numbered over the
-    signature in order of first appearance) have bitwise-equal multiplier
-    systems.
-    """
-
-    verts: np.ndarray  # (n,)
-    tris: np.ndarray  # (n, nt)
-    local: np.ndarray  # (n, nt)
-    mult: np.ndarray  # (n, nt, 3(p+1))
-    sign: np.ndarray  # (n, nt, 3(p+1)), int8
-    cls: np.ndarray  # (n,)
-    kernel: bool  # interior and Neumann vertices: constant multiplier kernel
-    nl: int
-
-
 class PatchTables:
     """The patch systems a ``PatchLayout`` keeps, shared by all its chunks.
 
-    ``signatures`` holds each signature's ``PatchSignature``, whose rows
-    the chunks' runs are.  Two kinds of systems depend only on the mesh and
-    p: the multiplier systems, one per class ``PatchSignature.cls``, and
-    the stability surrogate's, one per surrogate class (``surrogate``).  A
-    kept kind holds, per signature, in ``systems`` keyed by (kind,
-    signature) (``mesh.kept``), each class's (system, inverse
-    (``linsolve.class_inverses``), max|system|), read-only, assembled from
-    each class's first row by the first call that needs them, then applied
-    by every call.  The multiplier kind keeps no system (None in its
-    place): ``patch_equilibrate`` checks each patch's residual from its
-    element columns, against the kept max|S| of its class.
+    Two kinds of systems depend only on the mesh and p: the multiplier
+    systems, one per class ``PatchLayout.cls``, and the stability
+    surrogate's, one per class of ``PatchLayout.surrogate``.  A kept kind
+    holds in ``systems``, per (kind, signature) (``mesh.kept``), each
+    class's (system, inverse (``linsolve.class_inverses``), max|system|),
+    read-only, assembled from the first patch of each class by the first
+    call that needs them.  The multiplier kind keeps no system (None):
+    ``patch_equilibrate`` checks each patch's residual from its element
+    columns, against its class's kept max|S|.
 
-    Which kinds are kept (``keep``, by ``decide``; it does not depend on
-    the chunks): a kind whose distinct systems over the whole layout number
-    at most one per two patches, and the multiplier kind also where they
-    number fewer than the patches and their inverses fit ``KEEP_BYTES``.
-    On a repeating mesh the tables are O(1) in mesh size: 14 multiplier
-    and 9 surrogate classes on structured:8 as on structured:32, about 2
-    MB in all at p = 6.  The small layouts of up to a few dozen triangles
-    keep their multiplier inverses (lshape:1 has 7 classes for 8 patches),
-    0.4 MB at most at p = 6.  On a mesh without repeats the tables would
-    hold an inverse per patch for the life of the mesh: about 55 MB of
-    multiplier inverses and 760 MB of surrogate systems and inverses on a
-    jittered structured:32 at p = 6, counted from the system sizes, which
-    the rule refuses.  There each call assembles and factors one system
-    per class present in each run of its chunk.
+    ``decide`` sets which kinds are kept (``keep``), whatever the chunks: a
+    kind whose distinct systems number at most one per two patches, and
+    the multiplier kind also where they number fewer than the patches and
+    their inverses fit ``KEEP_BYTES``.  On a repeating mesh the tables are
+    O(1) in mesh size: 14 multiplier and 9 surrogate classes on
+    structured:8 as on structured:32, about 2 MB in all at p = 6.  The
+    layouts of up to a few dozen triangles keep their multiplier inverses
+    (lshape:1 has 7 classes for 8 patches), 0.4 MB at most at p = 6.  On a
+    mesh without repeats, about 55 MB of multiplier inverses and 760 MB of
+    surrogate systems and inverses on a jittered structured:32 at p = 6
+    (counted from the system sizes), the rule keeps nothing, and each call
+    assembles and factors one system per class present in each run.
     """
 
-    def __init__(self, p):
-        self.p = p
-        self.signatures = []
-        self.keep = {}
-        self.systems = {}
-        self._classes = {}
-        self._numbering = {}
+    def __init__(self, verts):
+        # the layout's patch vertices name a class that fails
+        self.verts, self.keep, self.systems, self._rep = verts, {}, {}, {}
 
-    def decide(self, kind, classes, dims=None):
-        """Keep ``kind`` when its classes, ``classes`` per signature, number
-        at most half the patches; given ``dims``, the size of each
-        signature's systems, also when they number fewer than the patches
-        and their inverses fit ``KEEP_BYTES``."""
-        self._classes[kind] = classes
-        patches = sum(len(g.verts) for g in self.signatures)
-        count = [int(c.max()) + 1 for c in classes]
+    def decide(self, kind, rep, dims=None):
+        """Keep ``kind`` when its classes, ``rep`` the first patch of each
+        per signature, number at most half the patches; given ``dims``, the
+        size of each signature's systems, also when they number fewer than
+        the patches and their inverses fit ``KEEP_BYTES``."""
+        self._rep[kind] = rep
+        count, patches = [len(r) for r in rep], len(self.verts)
         fits = dims is not None and sum(count) < patches and sum(
             8 * c * d * d for c, d in zip(count, dims)) <= KEEP_BYTES
         self.keep[kind] = sum(count) <= patches / 2 or fits
@@ -218,50 +179,30 @@ class PatchTables:
     def class_systems(self, kind, sig, assemble):
         """The kept (systems, inverses, max|system|) of signature ``sig``'s
         ``kind`` classes, in class order, built on first use from
-        ``assemble(rep)``, the systems of the signature's rows ``rep``; the
+        ``assemble(rep)``, the systems of the layout's patches ``rep``; the
         multiplier kind keeps no systems (None); None when ``kind`` is not
         kept."""
         def build():
-            rep = np.unique(self._classes[kind][sig], return_index=True)[1]
-            verts, A = self.signatures[sig].verts, assemble(rep)
-            inv = class_inverses(A, lambda c: f"{kind} class {c}, patch of vertex {verts[rep[c]]}")
+            rep = self._rep[kind][sig]
+            A = assemble(rep)
+            inv = class_inverses(A, lambda c: f"{kind} class {c}, patch of vertex {self.verts[rep[c]]}")
             return (None if kind == "multiplier" else A), inv, max_abs(A)
 
         return kept(self.systems, (kind, sig), build) if self.keep[kind] else None
 
-    def surrogate(self, mesh, sig):
-        """Signature ``sig``'s surrogate numbering: ``nodes`` (n, nt, nloc),
-        which number local node m of triangle t by row r's P_{p+2} nodes in
-        ascending global order; ``fixed`` (n, nn), the nodes with an
-        identity row (padding past a row's own node count, and the clamped
-        nodes), nn the most nodes of a row; and each row's surrogate class.
-        What decides a surrogate system: its elements' maps, the node
-        numbering and the fixed nodes.  Built for every signature on first
-        use, which decides whether surrogate systems are kept."""
-        def build():
-            out = []
-            for g in self.signatures:
-                nodes, fixed = _surrogate_nodes(mesh, self.p, g.tris, g.local, g.kernel)
-                kcls = _class_ids(mesh.Binv[g.tris], mesh.detB[g.tris], nodes, fixed)
-                out.append((nodes, fixed, kcls))
-            self.decide("surrogate", [n[2] for n in out])
-            return out
-
-        return kept(self._numbering, "surrogate", build)[sig]
-
 
 class PatchRun(NamedTuple):
-    """The patches of one signature in a ``PatchChunk``: rows ``rows`` of
-    signature ``sig``, which are the chunk's patches ``patches``, with
-    their pairs ``pairs`` and equations ``eqs``.  ``cls`` holds their
-    multiplier classes, ``rep`` the first of them (in the run) of each
-    class present and ``present`` each one's class among those."""
+    """The patches of one signature (``nl`` multipliers, ``nt``
+    triangles, kernel) in a ``PatchRange``: slices ``patches`` and
+    ``pairs`` of the range's, and equations ``eqs`` in its chunk's
+    numbering (None for a signature, a run of the whole layout); their
+    multiplier classes ``cls``, the first patch (of the layout) ``rep`` of
+    each class present and each one's class among those, ``present``."""
 
     sig: int
-    rows: slice
     patches: slice
     pairs: slice
-    eqs: slice
+    eqs: slice | None
     nl: int
     nt: int
     kernel: bool
@@ -271,77 +212,106 @@ class PatchRun(NamedTuple):
 
     @property
     def n(self):
-        return self.rows.stop - self.rows.start
+        return self.patches.stop - self.patches.start
 
 
-class PatchChunk(NamedTuple):
-    """Whole vertex patches of a layout, across signatures, as flat arrays
-    over their (triangle, local vertex) pairs, ordered patch-major and then
-    by triangle; patch i is the patch of vertex ``verts[i]``.
+class PatchRange(NamedTuple):
+    """Whole patches ``patches`` of a ``PatchLayout``, with their pairs
+    ``pairs``, their equations ``eqs`` in their chunk's numbering, and each
+    signature's run of them (``PatchRun``), in order."""
 
-    A patch has one equation per multiplier; its unknowns are its
-    multipliers, the constant-divergence coefficient taking the place of a
-    kernel patch's grounded one (``_columns``).  Equations and unknowns
-    share one numbering over the chunk, patch after patch, and ``owner``
-    holds the patch of each.  Pair q is triangle ``tris[q]`` at its local
-    vertex ``local[q]``: ``slots[q, j]`` is the equation of its edge dof j
-    and ``sign[q, j]`` that dof's sign in ``linsolve.eliminate``,
-    ``cols[q, c]`` the unknown of column c of its elimination, -1 for none.
-    ``runs`` holds, in order, each signature's run of patches
-    (``PatchRun``), whose class systems are solved by themselves.
-    """
-
-    verts: np.ndarray  # (n,)
-    tris: np.ndarray  # (P,)
-    local: np.ndarray  # (P,)
-    slots: np.ndarray  # (P, 3(p+1))
-    sign: np.ndarray  # (P, 3(p+1)), int8
-    cols: np.ndarray  # (P, 1 + 3(p+1))
-    owner: np.ndarray  # (E,)
+    patches: slice
+    pairs: slice
+    eqs: slice
     runs: list
-    tables: PatchTables
-    cache: dict
-
-    def surrogate(self, mesh):
-        """The stability surrogate's numbering over the chunk, built on
-        first use (the surrogate runs only in ``projector_report``) and kept:
-        the P_{p+2} nodes of each pair (P, nloc), numbered for the chunk
-        with nn numbers a patch, patch after patch, nn the most nodes of a
-        patch of its signature (``PatchTables.surrogate``); which of those
-        numbers are fixed; and per run, its first number, nn, its patches'
-        surrogate classes and the slices of its patches whose systems fill
-        at most ``POINT_BYTES`` (8 nn^2 bytes a patch, nn at most
-        nt tri_dim(p + 2))."""
-        def build():
-            nodes, fixed, runs, at = [], [], [], 0
-            for run in self.runs:
-                loc, fx, kcls = self.tables.surrogate(mesh, run.sig)
-                (n, nt, nloc), nn = loc[run.rows].shape, fx.shape[1]
-                nodes.append((at + np.arange(n)[:, None, None] * nn + loc[run.rows]).reshape(n * nt, nloc))
-                fixed.append(fx[run.rows].ravel())
-                runs.append((at, nn, kcls[run.rows], chunks(n, 8 * (nt * nloc) ** 2, points=True)))
-                at += n * nn
-            return np.concatenate(nodes), np.concatenate(fixed), runs
-
-        return kept(self.cache, "surrogate", build)
 
 
 class PatchLayout(NamedTuple):
-    """Every vertex patch of a mesh at degree p: the (triangle, local
-    vertex) pairs of all patches, signature after signature, then by
-    vertex and triangle, with ``vert`` the patch vertex of each pair;
-    ``kernel`` per vertex; the same patches cut into ``PatchChunk``s of
-    whole patches, across signatures, whose problems allocate at most
-    ``STACK_BYTES`` (sized as ``linsolve.chunks`` sets out); and the
-    systems the layout keeps (``PatchTables``).  Kept on the mesh, its
+    """Every vertex patch of a mesh at degree p, held once, as flat arrays:
+    patch i, of vertex ``verts[i]``, signature after signature (multiplier
+    count, triangle count, kernel) and then by vertex, has the (triangle,
+    local vertex) pairs ``pair[i]`` .. ``pair[i + 1]``, by triangle; pair q
+    is triangle ``tris[q]`` at local vertex ``local[q]`` of vertex
+    ``vert[q]``.  A patch has one equation per multiplier: one per dof of
+    each interior edge at the vertex (both sides), then of each pinned slot
+    (opposite edge, Neumann edges), none on the free Dirichlet edges.  Its
+    unknowns are its multipliers, the constant-divergence coefficient in
+    place of a kernel patch's grounded one (``_columns``).  Both share one
+    numbering per chunk, patch i's from ``eq[i]``: ``slots[q, j]`` is the
+    equation of edge dof j of pair q, ``sign[q, j]`` its sign in
+    ``linsolve.eliminate`` (+1 on the ``edge_tris[e, 0]`` side) and
+    ``cols[q, c]`` the unknown of column c of its elimination, -1 for none.
+    Patches of one multiplier class (``cls``, numbered per signature in
+    order of first appearance) have bitwise-equal multiplier systems.
+
+    ``signatures`` are ranges of whole patches, whose rows are (n, nt)
+    views of the pair arrays; ``chunks`` are ranges of whole patches cut
+    across signatures, whose problems allocate at most ``STACK_BYTES``
+    (sized as ``linsolve.chunks`` sets out).  ``kernel`` holds per vertex
+    whether its patch has a constant multiplier kernel, ``tables`` the kept
+    systems and ``cache`` the surrogate's numbering.  Kept on the mesh, its
     arrays read-only."""
 
+    p: int
     vert: np.ndarray  # (P,)
     tris: np.ndarray  # (P,)
     local: np.ndarray  # (P,)
+    slots: np.ndarray  # (P, 3(p+1)), int32
+    sign: np.ndarray  # (P, 3(p+1)), int8
+    cols: np.ndarray  # (P, 1 + 3(p+1)), int32
+    verts: np.ndarray  # (N,)
+    cls: np.ndarray  # (N,), int32
+    pair: np.ndarray  # (N + 1,)
+    eq: np.ndarray  # (N,), int32
     kernel: np.ndarray  # (num_vertices,)
+    signatures: list
     chunks: list
     tables: PatchTables
+    cache: dict
+
+    def patch_range(self, patches):
+        """The ``PatchRange`` of whole patches ``patches``, a slice within one chunk."""
+        a, b, runs = patches.start, patches.stop, []
+        for g in self.signatures:
+            lo, hi = max(a, g.patches.start), min(b, g.patches.stop)
+            if lo < hi:
+                rep, present = np.unique(self.cls[lo:hi], return_index=True, return_inverse=True)[1:]
+                pairs, e = slice(int(self.pair[lo] - self.pair[a]), int(self.pair[hi] - self.pair[a])), int(self.eq[lo])
+                runs.append(g._replace(patches=slice(lo - a, hi - a), pairs=pairs, eqs=slice(e, e + (hi - lo) * g.nl),
+                                       cls=self.cls[lo:hi], rep=lo + rep, present=present))
+        return PatchRange(patches, slice(int(self.pair[a]), int(self.pair[b])),
+                          slice(runs[0].eqs.start, runs[-1].eqs.stop), runs)
+
+    def surrogate(self, mesh):
+        """The stability surrogate's numbering, built on first use (it runs
+        only in ``projector_report``), which decides whether its systems are
+        kept: per pair, its P_{p+2} nodes (P, nloc), numbered in its chunk,
+        nn numbers a patch from its ``first`` (N,), nn the most nodes of a
+        patch of its signature, in the ascending order of the mesh's
+        (``elements.lagrange_nodes``); per signature, the ``fixed`` nodes
+        (n, nn), with an identity row (padding past a patch's own nodes,
+        and the clamped nodes); per patch, its surrogate class (N,).  What
+        decides a surrogate system: its elements' maps, node numbering and
+        fixed nodes."""
+        def build():
+            loc, fixed, cls = [], [], []
+            for g in self.signatures:
+                tris, local = self.tris[g.pairs].reshape(g.n, g.nt), self.local[g.pairs].reshape(g.n, g.nt)
+                nodes, fx = _surrogate_nodes(mesh, self.p, tris, local, g.kernel)
+                loc.append(nodes.reshape(g.n * g.nt, -1))
+                fixed.append(fx)
+                cls.append(_class_ids(mesh.Binv[tris], mesh.detB[tris], nodes, fx))
+            nn = np.concatenate([np.full(len(fx), fx.shape[1]) for fx in fixed])
+            first = np.cumsum(nn) - nn
+            for c in self.chunks:
+                first[c.patches] -= first[c.patches.start]
+            cls = np.concatenate(cls)
+            self.tables.decide("surrogate", [g.patches.start + np.unique(cls[g.patches], return_index=True)[1]
+                                             for g in self.signatures])
+            nodes = np.concatenate(loc) + np.repeat(first, np.diff(self.pair))[:, None]
+            return nodes.astype(np.int32), first, fixed, cls
+
+        return kept(self.cache, "surrogate", build)
 
 
 def patch_layout(mesh, p) -> PatchLayout:
@@ -371,62 +341,49 @@ def _build_patch_layout(mesh, p):
     key[at & dirichlet[slot_e]] = -1
     uniq = np.unique(key[key >= 0])
     first = np.searchsorted(uniq, np.arange(nv + 1) * span)
-    # patch-local numbers are small: int32 halves what every cached layout
-    # holds and the class keys
+    # patch-local numbers are small: int32 halves what the layout holds and
+    # the class keys
     lam = np.where(key >= 0, np.searchsorted(uniq, key) - first[c_vert][:, None], -1).astype(np.int32)
     mult = np.where(lam[:, :, None] >= 0, lam[:, :, None] * (p + 1) + np.arange(p + 1), -1).reshape(3 * nt, -1)
-    mult = mult.astype(np.int32)
     # what decides a patch's multiplier system: its elements' affine
     # classes, edge signs (``linsolve.eliminate``) and T_k edge factors, and
     # its multiplier numbering, a fixed function of its per-slot numbers lam
     own = mesh.edge_tris[mesh.tri_edges, 0] == np.arange(nt)[:, None]
     tri_cls = _class_ids(space.classes[0], own, space.edge_scale())
     sign = np.repeat(np.where(own, 1, -1).astype(np.int8), p + 1, axis=1)
-    sig = np.stack([np.diff(first) * (p + 1), count, kernel], axis=1)
-    tables, items = PatchTables(p), []
-    for s in np.unique(sig, axis=0):
-        vs = np.flatnonzero((sig == s).all(axis=1))
-        c = start[vs][:, None] + np.arange(s[1])
-        tris = c_tri[c]
-        cls = _class_ids(tri_cls[tris], lam[c])
-        tables.signatures.append(PatchSignature(vs, tris, c_loc[c], mult[c], sign[tris], cls, bool(s[2]), int(s[0])))
-        # a pass allocates per pair its element columns and five arrays of
-        # its multiplier blocks, per patch its system (``linsolve.chunks``)
-        nl, m = s[0], 3 * (p + 1)
-        items.append(np.full(len(vs), 8 * (s[1] * (space.ref.dim * (4 + m) + 5 * m * (m + 1)) + nl**2)))
-    tables.decide("multiplier", [g.cls for g in tables.signatures], [g.nl for g in tables.signatures])
-    # whole patches in signature order, cut across signatures
-    bounds = np.cumsum([0] + [len(g.verts) for g in tables.signatures]).tolist()
-    out = []
-    for sl in chunks(bounds[-1], np.concatenate(items)):
-        spans = enumerate(zip(bounds, bounds[1:]))
-        out.append(_chunk(tables, [(s, slice(max(sl.start, a) - a, min(sl.stop, b) - a))
-                                   for s, (a, b) in spans if a < sl.stop and b > sl.start]))
-    whole = tables.signatures
-    vert = np.concatenate([np.repeat(g.verts, g.tris.shape[1]) for g in whole])
-    return PatchLayout(vert, np.concatenate([g.tris.ravel() for g in whole]),
-                       np.concatenate([g.local.ravel() for g in whole]), kernel, out, tables)
-
-
-def _chunk(tables, spec):
-    """The ``PatchChunk`` of the signature rows ``spec``: (signature, rows)
-    pairs, in order."""
-    parts, runs, patch, pair, eq = [], [], 0, 0, 0
-    for s, rows in spec:
-        g = tables.signatures[s]
-        L, nl, cls = g.mult[rows], g.nl, g.cls[rows]
-        n, nt, ne = L.shape
-        rep, present = np.unique(cls, return_index=True, return_inverse=True)[1:]
-        runs.append(PatchRun(s, rows, slice(patch, patch + n), slice(pair, pair + n * nt), slice(eq, eq + n * nl),
-                             nl, nt, g.kernel, cls, rep, present))
-        # a patch's equations and unknowns follow the chunk's earlier ones
-        slots, cols = (np.where(a >= 0, _slots(a, nl) + eq, -1) for a in (L, _columns(L, g.kernel)))
-        parts.append((g.verts[rows], g.tris[rows].ravel(), g.local[rows].ravel(), slots.reshape(-1, ne),
-                      g.sign[rows].reshape(-1, ne), cols.reshape(-1, ne + 1), np.repeat(np.arange(patch, patch + n), nl)))
-        patch, pair, eq = patch + n, pair + n * nt, eq + n * nl
-    verts, tris, local, slots, sign, cols, owner = (np.concatenate(a) for a in zip(*parts))
-    # every index is below the size of a chunk's stack (``chunks``)
-    return PatchChunk(verts, tris, local, slots.astype(np.int32), sign, cols.astype(np.int32), owner, runs, tables, {})
+    # patches signature after signature, then by vertex; pairs patch after
+    # patch, then by triangle
+    keys, which = np.unique(np.stack([np.diff(first) * (p + 1), count, kernel], axis=1), axis=0, return_inverse=True)
+    verts = np.argsort(which.ravel(), kind="stable")
+    nl, size = np.diff(first)[verts] * (p + 1), count[verts]
+    pair = np.append(0, np.cumsum(size))
+    c = np.repeat(start[verts] - pair[:-1], size) + np.arange(pair[-1])
+    tris, L = c_tri[c], mult[c]
+    bounds = np.searchsorted(which.ravel()[verts], np.arange(len(keys) + 1)).tolist()
+    cls = np.concatenate([_class_ids(tri_cls[tris[pair[a]:pair[b]]].reshape(b - a, k[1]),
+                                     lam[c[pair[a]:pair[b]]].reshape(b - a, k[1], 3))
+                          for k, a, b in zip(keys, bounds, bounds[1:])])
+    # a signature's classes are numbered in order of first appearance
+    signatures = [PatchRun(s, slice(a, b), slice(int(pair[a]), int(pair[b])), None, int(k[0]), int(k[1]), bool(k[2]),
+                           cls[a:b], a + np.unique(cls[a:b], return_index=True)[1], cls[a:b])
+                  for s, (k, a, b) in enumerate(zip(keys, bounds, bounds[1:]))]
+    tables = PatchTables(verts)
+    tables.decide("multiplier", [g.rep for g in signatures], [g.nl for g in signatures])
+    # whole patches in signature order, cut across signatures: a pass
+    # allocates per pair its element columns and five arrays of its
+    # multiplier blocks, per patch its system (``linsolve.chunks``)
+    m = 3 * (p + 1)
+    cuts = chunks(len(verts), 8 * (size * (space.ref.dim * (4 + m) + 5 * m * (m + 1)) + nl**2))
+    # a patch's equations and unknowns follow its chunk's earlier ones;
+    # every index is below the size of a chunk's stack
+    eq = np.cumsum(nl) - nl
+    eq -= np.repeat([eq[sl.start] for sl in cuts], [sl.stop - sl.start for sl in cuts])
+    owner = np.repeat(np.arange(len(verts)), size)
+    slots, cols = (np.where(a >= 0, a + eq[owner][:, None], -1).astype(np.int32)
+                   for a in (L, _columns(L, kernel[verts][owner][:, None])))
+    layout = PatchLayout(p, verts[owner], tris, c_loc[c], slots, sign[tris], cols, verts, cls, pair,
+                         eq.astype(np.int32), kernel, signatures, [], tables, {})
+    return layout._replace(chunks=[layout.patch_range(sl) for sl in cuts])
 
 
 def _dirichlet_edges(mesh):
@@ -472,18 +429,18 @@ def _surrogate_nodes(mesh, p, tris, local, kernel):
 
 @dataclass
 class PatchProblem:
-    """The degree-p equilibration problems of a ``PatchChunk`` in hybrid
-    form, over its pairs: ``chi`` (P, ndof), ``g`` (P, sdim), the element
-    fluxes ``x0`` (P, ndof) and per unit of each column's unknown ``xe``
-    (P, ndof, 1 + 3(p+1)); the right-hand sides ``b`` (E,) in the chunk's
-    equation numbering; per run, its multiplier systems ``systems``: (S,
-    one system per class present (nc, nl, nl), or None beside the
-    signature's kept inverses; each patch's class among them; the kept
-    inverses or None; their classes' max|S|, or None beside S); and
-    ``compat_defect`` with one entry per patch."""
+    """The degree-p equilibration problems of a ``PatchRange`` of a layout
+    in hybrid form, over its pairs: ``chi`` (P, ndof), ``g`` (P, sdim), the
+    element fluxes ``x0`` (P, ndof) and per unit of each column's unknown
+    ``xe`` (P, ndof, 1 + 3(p+1)); the right-hand sides ``b`` in the chunk's
+    numbering, up to the range's last equation; per run, its multiplier
+    systems ``systems``: (S, one per class present (nc, nl, nl), or None
+    beside the signature's kept inverses; each patch's class among them;
+    the kept inverses or None; their classes' max|S|, or None beside S);
+    and ``compat_defect`` with one entry per patch."""
 
-    chunk: PatchChunk
-    p: int
+    layout: PatchLayout
+    chunk: PatchRange
     chi: np.ndarray
     g: np.ndarray
     x0: np.ndarray
@@ -586,13 +543,14 @@ def check_compatibility(verts, defects):
 
 def _columns(L, kernel):
     """The unknown of each column of an element elimination, for rows of
-    multiplier numbering L (n, nt, 3(p+1)): (n, nt, 1 + 3(p+1)), -1 for
-    none.  The columns: the constant-divergence coefficient (in place of the
-    grounded multiplier 0 at kernel patches: it takes the data's
-    incompatible part, roundoff included, which grounding alone leaves on
-    one edge), then the edge multipliers."""
-    mu = np.full(L.shape[:2] + (1,), 0 if kernel else -1, dtype=L.dtype)
-    return np.concatenate([mu, np.where(kernel & (L == 0), -1, L)], axis=2)
+    multiplier numbering L (..., 3(p+1)) at kernel patches ``kernel`` (a
+    bool, or an array of them broadcasting against L): (..., 1 + 3(p+1)),
+    -1 for none.  The columns: the constant-divergence coefficient (in
+    place of the grounded multiplier 0 at kernel patches: it takes the
+    data's incompatible part, roundoff included, which grounding alone
+    leaves on one edge), then the edge multipliers."""
+    mu = np.broadcast_to(np.where(kernel, 0, -1), L.shape[:-1] + (1,)).astype(L.dtype)
+    return np.concatenate([mu, np.where(kernel & (L == 0), -1, L).astype(L.dtype)], axis=-1)
 
 
 def _slots(L, nl):
@@ -609,9 +567,10 @@ def _sum_into(shape, idx, vals):
     return np.bincount(np.maximum(idx.ravel(), -1) + 1, vals.ravel(), int(np.prod(shape)) + 1)[1:].reshape(shape)
 
 
-def build_patch_problem(chunk: PatchChunk, data: PatchData):
-    """Assemble the equilibration problems of a ``PatchChunk`` in hybrid
-    form over its pairs (a ``PatchProblem``), at the layout's degree p.
+def build_patch_problem(layout: PatchLayout, chunk: PatchRange, data: PatchData):
+    """Assemble the equilibration problems of a ``PatchRange`` of the
+    layout in hybrid form over its pairs (a ``PatchProblem``), at the
+    layout's degree p.
 
     def31: data = Pi_p(psi_a div v + grad psi_a . theta), target = the
     degree-p interpolant of psi_a theta.  def52: theta has degree p-1, the
@@ -619,49 +578,50 @@ def build_patch_problem(chunk: PatchChunk, data: PatchData):
     lies in broken RTN_p exactly; the same dof extraction realizes both.
     ``data`` holds the element tables and eliminations of ``patch_data``,
     which gated the compatibility of every patch.  The right-hand sides of
-    the whole chunk are one ``bincount``; per run, one multiplier system
+    the whole range are one ``bincount``; per run, one multiplier system
     per class (``_multiplier_systems``): the signature's kept inverses
     (``PatchTables.class_systems``), or, where none are kept, the systems
     of the first patch of each class present in the run.
     """
-    tables = chunk.tables
-    p = tables.p
-    chi, g = data.chi[chunk.tris, chunk.local], data.g[chunk.tris, chunk.local]
-    x0, xe = chi + data.x[chunk.tris, :, chunk.local], data.x[chunk.tris, :, 3:]
-    b = _sum_into(chunk.owner.shape, chunk.slots, chunk.sign * x0[:, :3 * (p + 1)])
+    p, pairs = layout.p, chunk.pairs
+    tris, local = layout.tris[pairs], layout.local[pairs]
+    chi, g = data.chi[tris, local], data.g[tris, local]
+    x0, xe = chi + data.x[tris, :, local], data.x[tris, :, 3:]
+    b = _sum_into((chunk.eqs.stop,), layout.slots[pairs], layout.sign[pairs] * x0[:, :3 * (p + 1)])
     systems = []
     for run in chunk.runs:
-        whole = tables.signatures[run.sig]
-        table = tables.class_systems("multiplier", run.sig, lambda r: _multiplier_systems(whole, r, data, p))
+        table = layout.tables.class_systems("multiplier", run.sig, lambda r: _multiplier_systems(layout, run, r, data))
         if table is None:
-            systems.append((_multiplier_systems(whole, run.rows.start + run.rep, data, p), run.present, None, None))
+            systems.append((_multiplier_systems(layout, run, run.rep, data), run.present, None, None))
         else:
             systems.append((None, run.cls, *table[1:]))
-    return PatchProblem(chunk, p, chi, g, x0, xe, b, systems, data.defect[chunk.verts])
+    return PatchProblem(layout, chunk, chi, g, x0, xe, b, systems, data.defect[layout.verts[chunk.patches]])
 
 
-def _multiplier_systems(signature, rows, data, p):
-    """The multiplier systems of ``rows`` of a ``PatchSignature``
-    (len(rows), nl, nl): the blocks E_k (K_k^-1)_ss E_k^T of the
-    eliminations in ``data``, summed in triangle order.  They depend only
-    on the mesh and p: the eliminations' edge columns do not depend on the
-    data."""
-    L, nl, ne = signature.mult[rows], signature.nl, 3 * (p + 1)
-    cols, tris = _columns(L, signature.kernel), signature.tris[rows]
+def _multiplier_systems(layout, run, patches, data):
+    """The multiplier systems of the layout's patches ``patches`` of the
+    signature of ``run`` (len(patches), nl, nl): the blocks E_k (K_k^-1)_ss
+    E_k^T of the eliminations in ``data``, summed in triangle order.  They
+    depend only on the mesh and p: the eliminations' edge columns do not
+    depend on the data."""
+    pairs, nl, ne = layout.pair[patches, None] + np.arange(run.nt), run.nl, 3 * (layout.p + 1)
+    base = layout.eq[patches][:, None, None]
+    L, cols = (np.where(a >= 0, a - base, -1) for a in (layout.slots[pairs], layout.cols[pairs]))
     idx = np.where(cols[:, :, None, :] >= 0, _slots(L, nl)[..., None] * nl + cols[:, :, None, :], -1)
     # a float sign: numpy broadcasts a mixed int8 product by a slower loop
-    return _sum_into((len(L), nl, nl), idx, signature.sign[rows, ..., None].astype(float) * data.x[tris, :ne, 3:])
+    vals = layout.sign[pairs, ..., None].astype(float) * data.x[layout.tris[pairs], :ne, 3:]
+    return _sum_into((len(L), nl, nl), idx, vals)
 
 
 def patch_equilibrate(problem: PatchProblem):
-    """Solve the hybrid patch problems of a chunk, then recover the element
+    """Solve the hybrid patch problems of a range, then recover the element
     fluxes.  Returns each pair's fluxes (P, ndof), whose two sides of an
     interior edge agree within a patch and whose pinned slots vanish to
     roundoff, and the unknowns (E,) of the multiplier systems.
 
     Each run's patches are solved against its class systems
     (``linsolve.solve_stacked``), each system by itself; the rest is one
-    pass over the chunk.  Every patch's multiplier residual b - S lam is
+    pass over the range.  Every patch's multiplier residual b - S lam is
     checked as ``solve_stacked`` checks its systems (relative to
     max(|b|, max|S| |lam|), at most 1e-8), with S lam formed from the
     patch's own element columns: z = xe lam, whose edge rows summed with
@@ -670,21 +630,22 @@ def patch_equilibrate(problem: PatchProblem):
     patch, against its class's max|S|, so it also catches a corrupted
     kept inverse or a patch filed under the wrong class, and names the
     patch's vertex."""
-    chunk, ne = problem.chunk, 3 * (problem.p + 1)
-    n = len(chunk.verts)
-    lam, size = np.empty(len(problem.b)), np.empty(n)
+    layout, chunk, ne = problem.layout, problem.chunk, 3 * (problem.layout.p + 1)
+    verts = layout.verts[chunk.patches]
+    # one more unknown, zero, for the columns of none
+    lam, size = np.zeros(len(problem.b) + 1), np.empty(len(verts))
     for run, (S, cls, inv, top) in zip(chunk.runs, problem.systems):
         lam[run.eqs] = solve_stacked(S, problem.b[run.eqs].reshape(run.n, run.nl), cls, inv, name=None).ravel()
         size[run.patches] = (max_abs(S) if top is None else top)[cls]
-    z = (problem.xe @ np.append(lam, 0.0)[chunk.cols][..., None])[..., 0]
-    S_lam = _sum_into(lam.shape, chunk.slots, chunk.sign * z[:, :ne])
+    z = (problem.xe @ lam[layout.cols[chunk.pairs]][..., None])[..., 0]
+    lam = lam[:-1]
+    S_lam = _sum_into(lam.shape, layout.slots[chunk.pairs], layout.sign[chunk.pairs] * z[:, :ne])
 
     def norm(a):
-        return np.sqrt(np.bincount(chunk.owner, a * a, n))
+        return np.sqrt(np.add.reduceat(a * a, layout.eq[chunk.patches]))
 
-    check_norms(norm(problem.b - S_lam), norm(problem.b), norm(lam), size,
-                lambda i: f"patch of vertex {chunk.verts[i]}")
-    return problem.x0 - z, lam
+    check_norms(norm(problem.b - S_lam), norm(problem.b), norm(lam), size, lambda i: f"patch of vertex {verts[i]}")
+    return problem.x0 - z, lam[chunk.eqs]
 
 
 # -- dual-norm surrogate for the patch stability constant ---------------------------
@@ -692,7 +653,7 @@ def patch_equilibrate(problem: PatchProblem):
 
 def patch_stability_ratio(problem: PatchProblem, x, mesh):
     """Measured ratios ||s_a - chi_a|| over a discrete dual-norm surrogate,
-    one per patch of a chunk with fluxes ``x`` (P, ndof) of
+    one per patch of a range with fluxes ``x`` (P, ndof) of
     ``patch_equilibrate``.
 
     The surrogate maximizes (g, w) + (chi, grad w) over patch-continuous
@@ -702,9 +663,9 @@ def patch_stability_ratio(problem: PatchProblem, x, mesh):
     equal, since div s_a = g up to the kernel constant and s_a.n = 0 on the
     patch boundary wherever w is free, but free of the cancellation of two
     terms of size ||chi_a||.  The nodes are those of the mesh-wide numbering
-    ``lagrange_nodes``, renumbered per patch (``PatchChunk.surrogate``); the
-    element tables are reference tables scaled by the affine maps.  The
-    reference dofs and the functional are one pass over the chunk's pairs,
+    ``lagrange_nodes``, renumbered per patch (``PatchLayout.surrogate``);
+    the element tables are reference tables scaled by the affine maps.  The
+    reference dofs and the functional are one pass over the range's pairs,
     its products taken per patch as a stack.  Each run's patches then go
     in chunks whose systems fill at most ``POINT_BYTES``: each chunk solves
     against the signature's kept surrogate systems
@@ -716,41 +677,53 @@ def patch_stability_ratio(problem: PatchProblem, x, mesh):
     """
     # p + 2 keeps the surrogate space nontrivial even on one-triangle corner
     # patches with two clamped edges
-    chunk, p, tables = problem.chunk, problem.p, problem.chunk.tables
+    layout, chunk, p = problem.layout, problem.chunk, problem.layout.p
     space = rtn_space(mesh, p)
-    nodes, fixed, parts = chunk.surrogate(mesh)
+    nodes, first, fixed, kcls = layout.surrogate(mesh)
+    tris = layout.tris[chunk.pairs]
     # s_a - chi_a per pair, and chi_a
-    ref = space.to_ref(np.stack([x - problem.chi, problem.chi], axis=1), chunk.tris)
+    ref = space.to_ref(np.stack([x - problem.chi, problem.chi], axis=1), tris)
     C = _coupling_reference(p + 2, p).T
     lin = np.empty((len(ref), C.shape[1]))
     for run in chunk.runs:
         lin[run.pairs] = ((-ref[run.pairs, 0]).reshape(run.n, run.nt, -1) @ C).reshape(-1, C.shape[1])
-    ell = _sum_into(fixed.shape, nodes, lin)
-    ell[fixed] = 0.0
-    out = np.empty(len(chunk.verts))
-    for run, (at, nn, kcls, cuts) in zip(chunk.runs, parts):
-        whole = tables.signatures[run.sig]
-        loc, whole_fixed, _ = tables.surrogate(mesh, run.sig)
-        table = tables.class_systems("surrogate", run.sig, lambda r: _surrogate_systems(
-            mesh, p, whole.tris[r], loc[r], whole_fixed[r], whole.kernel))
-        run_ell = ell[at:at + run.n * nn].reshape(run.n, nn)
-        for sl in cuts:
-            e, verts = run_ell[sl], chunk.verts[run.patches][sl]
+    a, last = chunk.patches.start, chunk.runs[-1]
+    ell = _sum_into((first[chunk.patches.stop - 1] + fixed[last.sig].shape[1],), nodes[chunk.pairs], lin)
+    out = np.empty(chunk.patches.stop - a)
+    for run in chunk.runs:
+        lo = a + run.patches.start  # the run's first patch in the layout
+        fx = fixed[run.sig][lo - layout.signatures[run.sig].patches.start:][:run.n]
+        nn = fx.shape[1]
+        run_ell = ell[first[lo]:first[lo] + run.n * nn].reshape(run.n, nn)
+        run_ell[fx] = 0.0
+        table = layout.tables.class_systems("surrogate", run.sig, lambda r: _patch_surrogates(layout, mesh, run, r))
+        for sl in chunks(run.n, 8 * (run.nt * nodes.shape[1]) ** 2, points=True):  # 8 nn^2 bytes a patch
+            e, patches = run_ell[sl], slice(lo + sl.start, lo + sl.stop)
             if table is None:  # one system per class present
-                rep, cls = np.unique(kcls[sl], return_index=True, return_inverse=True)[1:]
-                rows = run.rows.start + sl.start + rep
-                K, inv = _surrogate_systems(mesh, p, whole.tris[rows], loc[rows], whole_fixed[rows], run.kernel), None
+                rep, cls = np.unique(kcls[patches], return_index=True, return_inverse=True)[1:]
+                K, inv = _patch_surrogates(layout, mesh, run, patches.start + rep), None
             else:
-                (K, inv, _), cls = table, kcls[sl]
+                (K, inv, _), cls = table, kcls[patches]
             rhs = np.append(e, np.zeros((len(e), 1)), axis=1) if run.kernel else e
+            verts = layout.verts[patches]
             y = solve_stacked(K, rhs, cls, inv, lambda i: f"surrogate of vertex {verts[i]}")[:, :nn]
             dual = np.sqrt(np.maximum(np.sum(e * y, axis=1), 0.0))
             # numerator: ||s_a - chi_a|| over the patch, beside ||chi_a||
             pairs = slice(run.pairs.start + sl.start * run.nt, run.pairs.start + sl.stop * run.nt)
-            r, t = ref[pairs].reshape(len(e), run.nt, 2, -1), chunk.tris[pairs].reshape(len(e), run.nt)
+            r, t = ref[pairs].reshape(len(e), run.nt, 2, -1), tris[pairs].reshape(len(e), run.nt)
             num, chi_norm = np.sqrt(np.sum(r * space.mass(r, t), axis=(1, 3))).T
             out[run.patches][sl] = np.where(num <= 1e-12 * chi_norm, 0.0, num / np.maximum(dual, 1e-300))
     return out
+
+
+def _patch_surrogates(layout, mesh, run, patches):
+    """The surrogate systems (``_surrogate_systems``) of the layout's
+    patches ``patches`` of the signature of ``run``, their nodes numbered
+    from each patch's first."""
+    nodes, first, fixed, _ = layout.surrogate(mesh)
+    pairs, rows = layout.pair[patches, None] + np.arange(run.nt), patches - layout.signatures[run.sig].patches.start
+    loc = nodes[pairs] - first[patches, None, None]
+    return _surrogate_systems(mesh, layout.p, layout.tris[pairs], loc, fixed[run.sig][rows], run.kernel)
 
 
 @lru_cache(maxsize=None)
@@ -766,7 +739,7 @@ def _surrogate_reference(p):
 
 def _surrogate_systems(mesh, p, tris, loc, fixed, kernel):
     """The surrogate systems of patches ``tris`` (m, nt) with node numbers
-    ``loc`` and ``fixed`` nodes (``PatchTables.surrogate``): the element
+    ``loc`` and ``fixed`` nodes (``PatchLayout.surrogate``): the element
     tables (grad w, grad w)_K, by a reference rule exact in their degree
     (at most (p + 2) + p), summed with identity rows on the fixed nodes,
     and for kernel patches bordered by the mean-zero constraint (1, w);

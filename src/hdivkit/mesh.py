@@ -39,14 +39,14 @@ def kept(cache, key, build, tag=None):
 
     What hdivkit keeps, by owner and key, and what rebuilds it:
       * a mesh (``Mesh._cache``), for its life: ``rtn_space``,
-        ``patch_layout`` (its pair arrays and chunks), ``RTNSpace.multipliers``,
+        ``patch_layout`` (its flat pair and patch arrays, with its
+        signatures and chunks as ranges of them), ``RTNSpace.multipliers``,
         ``.kkt_table`` and ``.mass_table`` per p, ``RTNSpace.classes``,
         ``lagrange_nodes`` per q, ``vertex_patches``, and the least-squares
         (A, B, ``LagrangeSpace``) per (p, q), rebuilt for another l^2 (tag);
-      * a patch layout (``PatchTables``), for the mesh's life: the class
-        systems per (kind, signature) and the surrogate numbering per
-        signature; per chunk (``PatchChunk.surrogate``), that numbering
-        over its pairs and the surrogate chunks of its runs;
+      * a patch layout, for the mesh's life: the class systems per (kind,
+        signature) (``PatchTables``) and the surrogate's numbering over its
+        pairs, once (``PatchLayout.surrogate``);
       * a ``QuadPolicy``, bound to one mesh, field, p and quadrature degree,
         for its life (one entry point's call or one study row): its
         groups, the samples of v and div v and their moments; one
@@ -161,7 +161,11 @@ class Mesh:
         self.boundary_labels = {}
         eidx = {tuple(e): i for i, e in enumerate(self.edges)}
         for item in boundary_labels.items() if isinstance(boundary_labels, dict) else boundary_labels:
-            (a, b), label = item
+            try:
+                (a, b), label = item
+            except (TypeError, ValueError):
+                raise MeshError(f"boundary_labels maps edges (a, b) -> label, not {item!r} (Mesh.boundary_labels "
+                                "is keyed by edge index)") from None
             key = (min(a, b), max(a, b))
             if key not in eidx:
                 raise MeshError(f"labeled edge {key} does not exist")

@@ -128,8 +128,8 @@ def project_scalar(f, p, mesh, *, quad_degree=None, warnings=None):
     whose moments move on the doubled rule are listed in ``warnings``.
     """
     pd = f.p if isinstance(f, ScalarPWField) else getattr(f, "poly_degree", None)
-    policy = QuadPolicy(p, mesh, degree=quad_degree if pd is None else pd + p + 1, self_check=pd is None)
-    policy.singularity = getattr(f, "singularity", None)
+    policy = QuadPolicy(p, mesh, degree=quad_degree if pd is None else pd + p + 1, self_check=pd is None,
+                        singularity=getattr(f, "singularity", None))
     return _project_scalar(f, policy, [] if warnings is None else warnings)
 
 

@@ -165,12 +165,12 @@ def _project_hdiv(policy, variant, measure_stability):
     rows, ratios = np.zeros((mesh.num_triangles, 3, space.ref.dim)), []
     layout = patch_layout(mesh, p)
     for chunk in layout.chunks:
-        problem = build_patch_problem(chunk, data)
+        problem = build_patch_problem(layout, chunk, data)
         x, _ = patch_equilibrate(problem)
-        rows[chunk.tris, chunk.local] = x
+        rows[layout.tris[chunk.pairs], layout.local[chunk.pairs]] = x
         if measure_stability:
-            ratios += zip(chunk.verts, patch_stability_ratio(problem, x, mesh))
-    info.patch_system_size = max(g.nl for g in layout.tables.signatures)
+            ratios += zip(layout.verts[chunk.patches], patch_stability_ratio(problem, x, mesh))
+    info.patch_system_size = max(g.nl for g in layout.signatures)
     # a patch pins its flux on the edge opposite its vertex, edge z of a
     # triangle lying opposite its local vertex z
     for z in range(3):

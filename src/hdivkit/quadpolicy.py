@@ -147,10 +147,12 @@ class QuadPolicy:
     """The rules of degree ``p`` for ``field`` (or None) on ``mesh``, at
     quadrature ``degree``; ``self_check``: the caller runs the
     degree-doubling self-check, which polynomial and divergence-free fields
-    never need.  A rule above ``quadrature.MAX_DEGREE`` is refused when the
-    policy is built, before any work."""
+    never need; ``singularity``: the corner singularity a fieldless policy's
+    integrand declares (a field's own otherwise).  A rule above
+    ``quadrature.MAX_DEGREE`` is refused when the policy is built, before
+    any work."""
 
-    def __init__(self, p, mesh, field=None, degree=None, self_check=True):
+    def __init__(self, p, mesh, field=None, degree=None, self_check=True, singularity=None):
         self.p, self.mesh, self.field, self.degree = p, mesh, field, degree
         poly_deg = getattr(field, "poly_degree", None)
         # div v = 0 makes every divergence quantity zero, on every rule
@@ -163,7 +165,7 @@ class QuadPolicy:
             # 2p + 14 keeps the discrete divergence-theorem defect of trig
             # data below 1e-12 even on h ~ 1 elements
             self.base_degree = int(degree) if degree is not None else 2 * p + 14
-        self.singularity = getattr(field, "singularity", None)
+        self.singularity = getattr(field, "singularity", singularity)
         self._cache = {}
         self._check_degree()
 

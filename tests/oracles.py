@@ -967,7 +967,8 @@ def projector_oracle(v, p, mesh, quad_degree=None):
     space = rtn_space(mesh, p)
     sigma = ConformingRTNField(mesh, p)
     for patch in vertex_patches(mesh):
-        prob = build_patch_problem(chunk_of(patch_layout(mesh, p), patch.vertex), data)
+        layout = patch_layout(mesh, p)
+        prob = build_patch_problem(layout, chunk_of(layout, patch.vertex), data)
         s, ps = patch_oracle(mesh, patch, p, theta.coeffs, prob.chi, prob.g)
         sigma.dofs[ps.dofs] += s
     err2 = 0.0
@@ -1602,9 +1603,9 @@ def corner_rule_oracle(coords, vertex_local, gamma, n_theta, n_r):
 
 @dataclass
 class PatchGroup:
-    """Rows ``start`` .. ``start + n`` of signature ``sig`` of a layout's
-    ``PatchTables`` (a run of its ``local_solve.PatchSignature``), with the
-    arrays of those rows."""
+    """The patches ``patches`` (a slice of the layout's) of signature
+    ``sig`` of a ``local_solve.PatchLayout``, with their arrays as rows:
+    ``mult`` numbers each patch's multipliers from 0."""
 
     verts: np.ndarray
     tris: np.ndarray
@@ -1614,31 +1615,55 @@ class PatchGroup:
     cls: np.ndarray
     kernel: bool
     nl: int
-    tables: object
+    layout: object
     sig: int
-    start: int
+    patches: slice
 
     def rows(self, sl):
-        return group_rows(self.tables, self.sig, slice(self.start + sl.start, self.start + sl.stop))
+        return group_rows(self.layout, self.sig, slice(self.patches.start + sl.start, self.patches.start + sl.stop))
 
 
-def group_rows(tables, sig, rows):
-    """The ``PatchGroup`` of rows ``rows`` of signature ``sig``."""
-    g = tables.signatures[sig]
-    return PatchGroup(g.verts[rows], g.tris[rows], g.local[rows], g.mult[rows], g.sign[rows], g.cls[rows],
-                      g.kernel, g.nl, tables, sig, rows.start)
+def group_rows(layout, sig, patches):
+    """The ``PatchGroup`` of the layout's patches ``patches`` of signature
+    ``sig``, read from the flat arrays: a signature's pairs are
+    contiguous, nt per patch, and its equations are numbered in their
+    chunk from each patch's ``eq``."""
+    g = layout.signatures[sig]
+    pairs = np.arange(layout.pair[patches.start], layout.pair[patches.stop]).reshape(-1, g.nt)
+    slots = layout.slots[pairs]
+    mult = np.where(slots >= 0, slots - layout.eq[patches, None, None], -1)
+    return PatchGroup(layout.verts[patches], layout.tris[pairs], layout.local[pairs], mult, layout.sign[pairs],
+                      layout.cls[patches], g.kernel, g.nl, layout, sig, patches)
+
+
+def signature_rows(layout):
+    """Each signature of the layout as one ``PatchGroup``."""
+    return [group_rows(layout, g.sig, g.patches) for g in layout.signatures]
 
 
 def signature_groups(layout):
     """The patches of a layout in signature groups: each signature cut by
     ``linsolve.chunks`` with the element columns, five arrays of the
     multiplier blocks and the system of each patch as its bytes."""
-    tables, out = layout.tables, []
-    ne = 3 * (tables.p + 1)
-    for sig, g in enumerate(tables.signatures):
-        item = 8 * (g.tris.shape[1] * (rtn_dim(tables.p) * (4 + ne) + 5 * ne * (ne + 1)) + g.nl**2)
-        out += [group_rows(tables, sig, sl) for sl in chunks(len(g.verts), item)]
+    out, ne = [], 3 * (layout.p + 1)
+    for g in layout.signatures:
+        item = 8 * (g.nt * (rtn_dim(layout.p) * (4 + ne) + 5 * ne * (ne + 1)) + g.nl**2)
+        out += [group_rows(layout, g.sig, slice(g.patches.start + sl.start, g.patches.start + sl.stop))
+                for sl in chunks(g.n, item)]
     return out
+
+
+def surrogate_rows(layout, mesh, patches):
+    """The surrogate numbering of the layout's patches ``patches`` of one
+    signature, read from the flat arrays: each patch's node numbers
+    (n, nt, nloc) from 0, its fixed nodes (n, nn) and its surrogate
+    classes."""
+    nodes, first, fixed, cls = layout.surrogate(mesh)
+    sig = int(np.searchsorted([g.patches.stop for g in layout.signatures], patches.start, side="right"))
+    g = layout.signatures[sig]
+    pairs = np.arange(layout.pair[patches.start], layout.pair[patches.stop]).reshape(-1, g.nt)
+    rows = slice(patches.start - g.patches.start, patches.stop - g.patches.start)
+    return nodes[pairs] - first[patches, None, None], fixed[sig][rows], cls[patches]
 
 
 @dataclass
@@ -1671,15 +1696,15 @@ def build_patch_problem_group_oracle(group, data):
     in the group."""
     from hdivkit.local_solve import _columns, _multiplier_systems, _slots, _sum_into
 
-    tables = group.tables
-    p, n, ne = tables.p, len(group.verts), 3 * (tables.p + 1)
+    layout = group.layout
+    p, n, ne = layout.p, len(group.verts), 3 * (layout.p + 1)
     chi, g = data.chi[group.tris, group.local], data.g[group.tris, group.local]
     x0, xe = chi + data.x[group.tris, :, group.local], data.x[group.tris, :, 3:]
-    whole = tables.signatures[group.sig]
-    table = tables.class_systems("multiplier", group.sig, lambda r: _multiplier_systems(whole, r, data, p))
+    whole = layout.signatures[group.sig]
+    table = layout.tables.class_systems("multiplier", group.sig, lambda r: _multiplier_systems(layout, whole, r, data))
     if table is None:
         rep, cls = np.unique(group.cls, return_index=True, return_inverse=True)[1:]
-        S, inv, size = _multiplier_systems(whole, group.start + rep, data, p), None, None
+        S, inv, size = _multiplier_systems(layout, whole, group.patches.start + rep, data), None, None
     else:
         (S, inv, size), cls = table, group.cls
     b = _sum_into((n, group.nl), _slots(group.mult, group.nl), group.sign * x0[..., :ne])
@@ -1712,9 +1737,7 @@ def patch_stability_ratio_group_oracle(problem, x, mesh):
     """``local_solve.patch_stability_ratio`` of a ``PatchGroupProblem``, its
     rows in chunks of ``POINT_BYTES``, each chunk measured by itself."""
     group = problem.group
-    nodes, fixed, kcls = group.tables.surrogate(mesh, group.sig)
-    at = slice(group.start, group.start + len(group.verts))
-    nodes, fixed, kcls = nodes[at], fixed[at], kcls[at]
+    nodes, fixed, kcls = surrogate_rows(group.layout, mesh, group.patches)
     return np.concatenate([
         _stability_ratios_group(group.rows(sl), (nodes[sl], fixed[sl], kcls[sl]), problem.p, problem.chi[sl], x[sl],
                                 mesh)
@@ -1735,10 +1758,12 @@ def _stability_ratios_group(group, part, p, chi, x, mesh):
     ref = space.to_ref(np.stack([x - chi, chi], axis=2), tris)
     ell = _sum_into((n, nn), row * nn + loc, -ref[:, :, 0] @ _coupling_reference(q, p).T)
     ell[fixed] = 0.0
-    whole = group.tables.signatures[group.sig]
-    nodes, whole_fixed, _ = group.tables.surrogate(mesh, group.sig)
-    table = group.tables.class_systems("surrogate", group.sig, lambda r: _surrogate_systems(
-        mesh, p, whole.tris[r], nodes[r], whole_fixed[r], whole.kernel))
+    layout, whole = group.layout, group.layout.signatures[group.sig]
+    nodes, whole_fixed, _ = surrogate_rows(layout, mesh, whole.patches)
+    whole_tris = layout.tris[whole.pairs].reshape(whole.n, whole.nt)
+    at = whole.patches.start  # the class systems are keyed on the layout's patches
+    table = layout.tables.class_systems("surrogate", group.sig, lambda r: _surrogate_systems(
+        mesh, p, whole_tris[r - at], nodes[r - at], whole_fixed[r - at], whole.kernel))
     if table is None:
         rep, cls = np.unique(kcls, return_index=True, return_inverse=True)[1:]
         K, inv = _surrogate_systems(mesh, p, tris[rep], loc[rep], fixed[rep], group.kernel), None
@@ -1771,10 +1796,11 @@ def patch_layer_group_oracle(v, p, mesh, *, variant="def31"):
     return space.gather(rows.sum(axis=1)), np.array([r for _, r in sorted(ratios)])
 
 
-def run_fluxes(chunk, x):
+def run_fluxes(layout, chunk, x):
     """A chunk's pair fluxes ``x`` (P, ndof) per run: (vertices, fluxes
     (n, nt, ndof)) pairs."""
-    return [(chunk.verts[r.patches], x[r.pairs].reshape(r.n, r.nt, -1)) for r in chunk.runs]
+    verts = layout.verts[chunk.patches]
+    return [(verts[r.patches], x[r.pairs].reshape(r.n, r.nt, -1)) for r in chunk.runs]
 
 
 # -- the stacked patch layer, one system per patch ------------------------------------
@@ -2030,20 +2056,16 @@ def neumann_trace_residual(field):
 
 
 def patch_place(layout, vertex):
-    """(signature, row) of the patch of ``vertex`` in a ``PatchLayout``."""
-    for sig, g in enumerate(layout.tables.signatures):
-        rows = np.flatnonzero(g.verts == vertex)
-        if len(rows):
-            return sig, int(rows[0])
-    raise KeyError(vertex)
+    """(signature, patch) of the patch of ``vertex`` in a ``PatchLayout``,
+    the patch numbered in the layout."""
+    i = int(np.flatnonzero(layout.verts == vertex)[0])
+    return next(g.sig for g in layout.signatures if g.patches.start <= i < g.patches.stop), i
 
 
 def chunk_of(layout, vertex):
-    """The one-patch ``PatchChunk`` of the patch of ``vertex``."""
-    from hdivkit.local_solve import _chunk
-
-    sig, r = patch_place(layout, vertex)
-    return _chunk(layout.tables, [(sig, slice(r, r + 1))])
+    """The one-patch ``PatchRange`` of the patch of ``vertex``."""
+    i = patch_place(layout, vertex)[1]
+    return layout.patch_range(slice(i, i + 1))
 
 
 def flux_system(prob, p):

@@ -391,8 +391,9 @@ def test_criterion_10_oracles(ref_triangle_mesh, unit_square_2):
     cubic = fields.catalog("cubic")
     th = theta_field(QuadPolicy(0, unit_square_2, cubic))
     patch = [p for p in vertex_patches(unit_square_2) if p.kind == "interior"][0]
-    chunk = oracles.chunk_of(patch_layout(unit_square_2, 0), patch.vertex)
-    prob = build_patch_problem(chunk, patch_data(th, QuadPolicy(0, unit_square_2, cubic)))
+    layout = patch_layout(unit_square_2, 0)
+    prob = build_patch_problem(layout, oracles.chunk_of(layout, patch.vertex),
+                               patch_data(th, QuadPolicy(0, unit_square_2, cubic)))
     x, _ = patch_equilibrate(prob)
     s, ps = oracles.patch_oracle(unit_square_2, patch, 0, th.coeffs, prob.chi, prob.g)
     sref = oracles.elem_rows(ps, s)

@@ -142,7 +142,7 @@ def test_stability_ratios_match_loop_oracle_at_a_bowtie_vertex(p):
     labels = [(e, "dirichlet") for e in edges] + [((0, 5), "neumann")]
     m = Mesh([(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1)], [(0, 1, 2), (1, 3, 2), (0, 4, 5)], labels)
     layout = patch_layout(m, p)
-    assert layout.tables.signatures[oracles.patch_place(layout, 0)[0]].verts.tolist() == [0, 1, 2]
+    assert oracles.signature_rows(layout)[oracles.patch_place(layout, 0)[0]].verts.tolist() == [0, 1, 2]
     v = random_conforming_field(m, p + 1, seed=p)
     got = np.array(projector_report(v, p, m)["sigma"].info["projector"].stability_ratios)
     want = oracles.project_hdiv_oracle(v, p, m, measure_stability=True)
@@ -202,9 +202,10 @@ def test_sigma_gathers_the_patch_fluxes():
     theta = sig.info["theta"]
     space = rtn_space(m, p)
     rows = np.zeros((m.num_triangles, 3, space.ref.dim))
-    for chunk in patch_layout(m, p).chunks:
-        x, _ = patch_equilibrate(build_patch_problem(chunk, patch_data(theta, QuadPolicy(p, m, v))))
-        for k, z, xk in zip(chunk.tris, chunk.local, x):
+    layout = patch_layout(m, p)
+    for chunk in layout.chunks:
+        x, _ = patch_equilibrate(build_patch_problem(layout, chunk, patch_data(theta, QuadPolicy(p, m, v))))
+        for k, z, xk in zip(layout.tris[chunk.pairs], layout.local[chunk.pairs], x):
             rows[k, z] = np.where(np.arange(len(xk)) // (p + 1) == z, 0.0, xk)
     assert np.array_equal(sig.dofs, space.gather(rows[:, 0] + rows[:, 1] + rows[:, 2]))
 
@@ -228,8 +229,10 @@ def test_sigma_matches_the_patch_dof_sum(mesh_name, labels, p, variant):
     sig = project_hdiv(v, p, m, variant=variant)
     theta = sig.info["theta"]
     data = patch_data(theta, QuadPolicy(p, m, v))
-    parts = [part for chunk in patch_layout(m, p).chunks
-             for part in oracles.run_fluxes(chunk, patch_equilibrate(build_patch_problem(chunk, data))[0])]
+    layout = patch_layout(m, p)
+    parts = [part for chunk in layout.chunks
+             for part in oracles.run_fluxes(layout, chunk,
+                                            patch_equilibrate(build_patch_problem(layout, chunk, data))[0])]
     want = oracles.sum_patch_fields(parts, m, p)
     assert np.abs(sig.dofs - want).max() <= 1e-15 * np.abs(want).max()
 
@@ -271,40 +274,49 @@ def test_patch_layout_matches_patch_loop(monkeypatch, budget, labels, p):
             assert len(item) == 1 or sum(item) <= budget
             sizes.append((sum(item), item[0]))
             assert [run.patches.start for run in chunk.runs] == list(np.cumsum([0] + [r.n for r in chunk.runs])[:-1])
-            assert chunk.owner.tolist() == [i for i, run in enumerate(r for r in chunk.runs for _ in range(r.n))
-                                            for _ in range(run.nl)]
+            # the chunk numbers its equations from 0, patch after patch
+            nls = [r.nl for r in chunk.runs for _ in range(r.n)]
+            assert layout.eq[chunk.patches].tolist() == list(np.cumsum([0] + nls)[:-1])
+            assert chunk.eqs == slice(0, sum(nls))
+            verts = layout.verts[chunk.patches]
+            tris, local, slots, cols = (a[chunk.pairs] for a in (layout.tris, layout.local, layout.slots, layout.cols))
             for run in chunk.runs:
-                g = layout.tables.signatures[run.sig]
+                g, whole = oracles.signature_rows(layout)[run.sig], layout.signatures[run.sig]
                 assert (run.nl, run.nt, run.kernel) == (g.nl, g.tris.shape[1], g.kernel)
-                assert np.array_equal(chunk.verts[run.patches], g.verts[run.rows])
-                assert np.all(np.diff(chunk.verts[run.patches]) > 0)
-                for r, a in enumerate(chunk.verts[run.patches]):
+                # a run is a range of its signature's patches
+                row = chunk.patches.start + run.patches.start - whole.patches.start
+                assert 0 <= row and row + run.n <= whole.n
+                assert np.array_equal(verts[run.patches], g.verts[row:row + run.n])
+                assert np.all(np.diff(verts[run.patches]) > 0)
+                for r, a in enumerate(verts[run.patches]):
                     patch = vertex_patches(m)[a]
                     want = oracles.patch_space_oracle(patch, space)
                     pairs = slice(run.pairs.start + r * run.nt, run.pairs.start + (r + 1) * run.nt)
                     eq = run.eqs.start + r * run.nl
                     assert run.kernel == (patch.kind in ("interior", "neumann"))
-                    assert np.array_equal(chunk.tris[pairs], patch.tris)
-                    assert [patch.local_index[int(k)] for k in patch.tris] == list(chunk.local[pairs])
+                    assert np.array_equal(tris[pairs], patch.tris)
+                    assert [patch.local_index[int(k)] for k in patch.tris] == list(local[pairs])
                     assert run.nl == run.nt * ndof - want.ndof
-                    slots = chunk.slots[pairs]
-                    assert np.all((slots < 0) | ((slots >= eq) & (slots < eq + run.nl)))
-                    mult = np.where(slots >= 0, slots - eq, -1)
+                    assert np.all((slots[pairs] < 0) | ((slots[pairs] >= eq) & (slots[pairs] < eq + run.nl)))
+                    mult = np.where(slots[pairs] >= 0, slots[pairs] - eq, -1)
                     _check_multipliers(m, p, patch, mult, oracles.elem_maps(want), run.nl)
-                    assert np.array_equal(mult, g.mult[run.rows.start + r])
+                    assert np.array_equal(mult, g.mult[row + r])
                     # the constant-divergence coefficient in place of a
                     # kernel patch's grounded multiplier 0
-                    cols = chunk.cols[pairs]
-                    assert np.array_equal(cols[:, 1:], np.where(run.kernel & (mult == 0), -1, slots))
-                    assert np.all(cols[:, 0] == (eq if run.kernel else -1))
+                    assert np.array_equal(cols[pairs, 1:], np.where(run.kernel & (mult == 0), -1, slots[pairs]))
+                    assert np.all(cols[pairs, 0] == (eq if run.kernel else -1))
+                    # the one-patch range reads the same pairs and equations
                     one = oracles.chunk_of(layout, a)
-                    assert one.verts.tolist() == [a] and np.array_equal(one.slots, mult)
-            seen += chunk.verts.tolist()
+                    assert layout.verts[one.patches].tolist() == [a] and one.eqs == slice(eq, eq + run.nl)
+                    assert np.array_equal(layout.slots[one.pairs], slots[pairs])
+            seen += verts.tolist()
         assert sorted(seen) == list(range(m.num_vertices))
-        # the layout's pairs are its chunks' pairs, in order
-        assert np.array_equal(layout.tris, np.concatenate([c.tris for c in layout.chunks]))
-        assert np.array_equal(layout.local, np.concatenate([c.local for c in layout.chunks]))
-        assert np.array_equal(layout.vert, np.concatenate([np.repeat(c.verts[r.patches], r.nt)
+        # the chunks tile the layout's patches and pairs, in order
+        for part in ("patches", "pairs"):
+            cuts = [getattr(c, part) for c in layout.chunks]
+            assert [c.start for c in cuts] == [0] + [c.stop for c in cuts[:-1]]
+        assert layout.chunks[-1].patches.stop == len(layout.verts) and layout.chunks[-1].pairs.stop == len(layout.tris)
+        assert np.array_equal(layout.vert, np.concatenate([np.repeat(layout.verts[c.patches][r.patches], r.nt)
                                                            for c in layout.chunks for r in c.runs]))
         for (full, _), (_, first) in zip(sizes, sizes[1:]):  # a chunk is cut only where it is full
             assert full + first > budget
@@ -388,11 +400,31 @@ def test_one_pass_matches_the_signature_groups_without_kept_systems(mesh_name, l
 def test_one_pass_matches_the_signature_groups_in_small_chunks(monkeypatch, budget, labels):
     # one patch per chunk, and chunks cut across signatures: the bits of
     # the whole-layout chunk
-    p = 1
-    whole = projector_report(random_conforming_field(build_structured(8, labels=labels), p + 1, seed=p), p,
-                             build_structured(8, labels=labels))
+    _check_small_chunks(monkeypatch, lambda: build_structured(8, labels=labels), 1, budget)
+
+
+@pytest.mark.parametrize("budget", [1, 30000])
+@pytest.mark.parametrize("p", [0, 2])
+@pytest.mark.parametrize("labels", LABELS)
+@pytest.mark.parametrize("mesh_name", sorted(MESHES))
+def test_one_pass_matches_the_signature_groups_in_small_chunks_without_kept_systems(
+        monkeypatch, mesh_name, labels, p, budget):
+    # the per-call class systems, multiplier (jittered structured:3) and
+    # surrogate, of the classes present in each run of small chunks, whose
+    # equations, unknowns and surrogate nodes are numbered in their chunk
+    kept = _check_small_chunks(monkeypatch, lambda: MESHES[mesh_name](labels), p, budget)
+    assert kept == {"multiplier": mesh_name.endswith("lshape2"), "surrogate": False}
+
+
+def _check_small_chunks(monkeypatch, mesh, p, budget):
+    """sigma and the stability ratios of ``projector_report`` on a mesh cut
+    into chunks of ``budget`` bytes equal, to the bit, those of the
+    per-signature path and of the whole-layout chunk; returns which kinds
+    of systems the layout keeps."""
+    whole_mesh = mesh()
+    whole = projector_report(random_conforming_field(whole_mesh, p + 1, seed=p), p, whole_mesh)
     monkeypatch.setattr(linsolve, "STACK_BYTES", budget)
-    m = build_structured(8, labels=labels)
+    m = mesh()
     layout = patch_layout(m, p)
     assert len(layout.chunks) == m.num_vertices if budget == 1 else 1 < len(layout.chunks) < m.num_vertices
     assert budget == 1 or any(len(chunk.runs) > 1 for chunk in layout.chunks)
@@ -400,6 +432,7 @@ def test_one_pass_matches_the_signature_groups_in_small_chunks(monkeypatch, budg
     got = projector_report(random_conforming_field(m, p + 1, seed=p), p, m)
     assert np.array_equal(got["sigma"].dofs, whole["sigma"].dofs)
     assert np.array_equal(got["stability_ratios"], whole["stability_ratios"])
+    return layout.tables.keep
 
 
 @pytest.mark.parametrize("p", [5, 6])
@@ -466,8 +499,8 @@ def test_patch_data_measures_every_patch_defect_once(monkeypatch):
     measure = local_solve._mass_defects
     monkeypatch.setattr(local_solve, "_mass_defects", lambda *args: calls.append(1) or measure(*args))
     for chunk in layout.chunks:
-        problem = build_patch_problem(chunk, data)
-        assert np.array_equal(problem.compat_defect, data.defect[chunk.verts])
+        problem = build_patch_problem(layout, chunk, data)
+        assert np.array_equal(problem.compat_defect, data.defect[layout.verts[chunk.patches]])
     assert not calls
     project_hdiv(v, p, m)
     assert len(calls) == 1
@@ -482,10 +515,11 @@ def test_single_patch_problem_matches_loop_assembly():
     theta = theta_field(QuadPolicy(p, m, v))
     data = oracles.patch_data_oracle(theta, v, p, m, QuadPolicy(p, m, v))
     for patch in vertex_patches(m):
-        chunk = oracles.chunk_of(patch_layout(m, p), patch.vertex)
-        prob = build_patch_problem(chunk, patch_data(theta, QuadPolicy(p, m, v)))
+        layout = patch_layout(m, p)
+        prob = build_patch_problem(layout, oracles.chunk_of(layout, patch.vertex),
+                                   patch_data(theta, QuadPolicy(p, m, v)))
         want = oracles.build_patch_problem_oracle(patch, p, m, data)
-        assert prob.chunk.verts.tolist() == [patch.vertex] and prob.p == p
+        assert layout.verts[prob.chunk.patches].tolist() == [patch.vertex] and prob.layout.p == p
         for key in ("chi", "g"):  # per pair, in ascending triangle order
             got, ref = getattr(prob, key), np.array([getattr(want, key)[int(k)] for k in patch.tris])
             assert got.shape == ref.shape

@@ -93,7 +93,8 @@ def meshes():
 
 
 def _assert_matches_oracle(patch, theta, v, p, m, policy, tol):
-    prob = build_patch_problem(oracles.chunk_of(patch_layout(m, p), patch.vertex), patch_data(theta, policy))
+    layout = patch_layout(m, p)
+    prob = build_patch_problem(layout, oracles.chunk_of(layout, patch.vertex), patch_data(theta, policy))
     ref = oracles.patch_problem_oracle(patch, theta, v, p, m, policy)
     for key in ("chi", "g"):
         got = getattr(prob, key)  # pairs in ascending triangle order

@@ -32,11 +32,13 @@ def _check_patches(m, p, v):
     patches = vertex_patches(m)
     layout = patch_layout(m, p)
     for chunk in layout.chunks:
-        problem = build_patch_problem(chunk, data)
+        problem = build_patch_problem(layout, chunk, data)
         x, lam = patch_equilibrate(problem)
-        assert lam.shape == chunk.owner.shape
-        for run, (verts, xs) in zip(chunk.runs, oracles.run_fluxes(chunk, x)):
-            assert np.array_equal(np.bincount(chunk.owner[run.eqs] - run.patches.start), np.full(run.n, run.nl))
+        assert lam.shape == (chunk.eqs.stop - chunk.eqs.start,)
+        for run, (verts, xs) in zip(chunk.runs, oracles.run_fluxes(layout, chunk, x)):
+            # each patch of the run owns nl equations, patch after patch
+            eq = layout.eq[chunk.patches][run.patches]
+            assert np.array_equal(eq, run.eqs.start + run.nl * np.arange(run.n)) and run.eqs.stop == eq[-1] + run.nl
             for a, xa, chi in zip(verts, xs, problem.chi[run.pairs].reshape(run.n, run.nt, -1)):
                 want = oracles.build_patch_problem_oracle(patches[a], p, m, data)
                 assert run.nl == run.nt * rtn_space(m, p).ref.dim - want.pspace.ndof
@@ -46,7 +48,7 @@ def _check_patches(m, p, v):
                 assert np.linalg.norm(xa[act] - ref[act]) <= TOL * np.linalg.norm(ref), (int(a), patches[a].kind)
                 # the pinned slots vanish to the roundoff of the target
                 assert np.linalg.norm(xa[~act]) <= TOL * np.linalg.norm(chi), (int(a), patches[a].kind)
-    return layout.tables.signatures
+    return oracles.signature_rows(layout)
 
 
 def _scaled(m, c):
@@ -84,7 +86,7 @@ def test_bowtie_vertex(p):
     labels = [(e, "dirichlet") for e in edges] + [((0, 5), "neumann")]
     m = Mesh([(0, 0), (1, 0), (0, 1), (1, 1), (-1, 0), (0, -1)], [(0, 1, 2), (1, 3, 2), (0, 4, 5)], labels)
     layout = patch_layout(m, p)
-    assert layout.tables.signatures[oracles.patch_place(layout, 0)[0]].verts.tolist() == [0, 1, 2]
+    assert oracles.signature_rows(layout)[oracles.patch_place(layout, 0)[0]].verts.tolist() == [0, 1, 2]
     v = random_conforming_field(m, p + 1, seed=p)
     _check_patches(m, p, v)
     want = oracles.project_hdiv_oracle(v, p, m)

@@ -22,8 +22,8 @@ from hdivkit.quadrature import quad_rule
 
 def _problem(patch, theta, v, p, m):
     """The problem of a vertex patch, alone in its chunk."""
-    chunk = oracles.chunk_of(patch_layout(m, p), patch.vertex)
-    return build_patch_problem(chunk, patch_data(theta, QuadPolicy(p, m, v)))
+    layout = patch_layout(m, p)
+    return build_patch_problem(layout, oracles.chunk_of(layout, patch.vertex), patch_data(theta, QuadPolicy(p, m, v)))
 
 
 def test_discrete_member_is_fixed_point(unit_square_2):
@@ -142,7 +142,7 @@ def test_zero_extension_conformity(unit_square_2, sine_field):
         prob = _problem(patch, theta, sine_field, p, m)
         x, _ = patch_equilibrate(prob)
         rows = np.zeros((m.num_triangles, space.ref.dim))
-        rows[prob.chunk.tris] = x
+        rows[prob.layout.tris[prob.chunk.pairs]] = x
         one = ConformingRTNField(m, p, space.gather(rows))
         scale = max(1.0, np.abs(x).max())
         assert np.abs(rows - one.element_coeffs(slice(None))).max() < 1e-12 * scale

@@ -44,6 +44,17 @@ def test_invalid_n():
         build_structured(0)
 
 
+@pytest.mark.parametrize("labels", [lambda m: m.boundary_labels, lambda m: list(m.boundary_labels.items()),
+                                    lambda m: ["dirichlet"]], ids=["own", "own-items", "bare-label"])
+def test_labels_not_keyed_by_edge_endpoints_are_refused(labels):
+    # a mesh's own boundary_labels are keyed by edge index: given back to
+    # Mesh they get the one-line refusal naming the (a, b) -> label form
+    m = build_structured(2)
+    with pytest.raises(MeshError, match=r"^boundary_labels maps edges \(a, b\) -> label, not ") as err:
+        Mesh(m.vertices, m.triangles, labels(m))
+    assert "\n" not in str(err.value)
+
+
 def test_refine_counts_and_similarity():
     m = build_structured(2)
     r = refine_uniform(m)

@@ -57,8 +57,7 @@ def test_class_path_matches_stacked_oracle(meshes, mesh_name, labels, p, variant
     assert np.all(np.abs(got - ratios) <= 1e-13 * ratios)
     # the patches of a structured or L-shape mesh fall into 14 multiplier
     # classes; jittered, only two corner patches of lshape:2 stay alike
-    n_cls = len({(g.nl, g.tris.shape[1], g.kernel, c) for g in patch_layout(m, p).tables.signatures
-                 for c in g.cls.tolist()})
+    n_cls = len({(g.nl, g.nt, g.kernel, c) for g in patch_layout(m, p).signatures for c in g.cls.tolist()})
     assert n_cls >= m.num_vertices - 1 if mesh_name.startswith("jittered") else n_cls == 14
 
 
@@ -73,7 +72,8 @@ def test_kept_tables_are_the_distinct_oracle_systems(monkeypatch, p):
     m = build_structured(32)
     v = random_conforming_field(m, p + 1, seed=p)
     projector_report(v, p, m)
-    tables = patch_layout(m, p).tables
+    layout = patch_layout(m, p)
+    tables = layout.tables
     assert tables.keep == {"multiplier": True, "surrogate": True}
     policy = QuadPolicy(p, m, v)
     theta = theta_field(policy)
@@ -86,14 +86,12 @@ def test_kept_tables_are_the_distinct_oracle_systems(monkeypatch, p):
 
     monkeypatch.setattr(oracles, "solve_stacked", record)
     distinct = {"multiplier": {}, "surrogate": {}}  # per (signature, class): its oracle systems' bytes
-    for group in oracles.signature_groups(patch_layout(m, p)):
+    for group in oracles.signature_groups(layout):
         problem = oracles.build_patch_problem_stacked_oracle(group, p, m, data)
         calls.clear()
         oracles.patch_stability_ratio_stacked_oracle(problem, np.zeros(problem.x0.shape), m)
-        kcls = tables.surrogate(m, group.sig)[2]
-        at = np.searchsorted(tables.signatures[group.sig].verts, group.verts)
-        for kind, systems, cls in (("multiplier", problem.S, group.cls),
-                                   ("surrogate", np.concatenate(calls), kcls[at])):
+        kcls = oracles.surrogate_rows(layout, m, group.patches)[2]
+        for kind, systems, cls in (("multiplier", problem.S, group.cls), ("surrogate", np.concatenate(calls), kcls)):
             kept, inv, size = _kept_systems(tables)[kind, group.sig]
             for a, c in zip(systems, cls):
                 distinct[kind].setdefault((group.sig, c), set()).add(a.tobytes())
@@ -174,7 +172,7 @@ def _kept_systems(tables):
 
 
 def _inverse_bytes(layout):
-    return sum(8 * (int(g.cls.max()) + 1) * g.nl**2 for g in layout.tables.signatures)
+    return sum(8 * (int(g.cls.max()) + 1) * g.nl**2 for g in layout.signatures)
 
 
 @pytest.mark.parametrize("labels", LABELS)
@@ -186,7 +184,7 @@ def test_small_layouts_keep_their_multiplier_inverses(labels, p):
     for mesh in (build_lshape(1, labels=labels), build_structured(4, labels=labels),
                  build_lshape(2, labels=labels)):
         layout = patch_layout(mesh, p)
-        classes = sum(int(g.cls.max()) + 1 for g in layout.tables.signatures)
+        classes = sum(int(g.cls.max()) + 1 for g in layout.signatures)
         assert mesh.num_vertices / 2 < classes < mesh.num_vertices
         assert layout.tables.keep["multiplier"] and _inverse_bytes(layout) <= local_solve.KEEP_BYTES
     assert not patch_layout(jitter(build_structured(8, labels=labels), 1), p).tables.keep["multiplier"]
@@ -197,7 +195,7 @@ def test_a_big_repeating_layout_stays_kept():
     # rule, whatever their bytes
     layout = patch_layout(build_structured(32), 6)
     assert layout.tables.keep["multiplier"]
-    assert sum(int(g.cls.max()) + 1 for g in layout.tables.signatures) == 14
+    assert sum(int(g.cls.max()) + 1 for g in layout.signatures) == 14
 
 
 @pytest.mark.parametrize("p", [0, 2])
@@ -263,13 +261,15 @@ def test_nan_in_a_kept_class_names_the_patch_vertex():
     policy = QuadPolicy(p, m, v)
     theta = theta_field(policy)
     data = patch_data(theta, policy)
-    (chunk,) = patch_layout(m, p).chunks
-    problem = build_patch_problem(chunk, data)
+    layout = patch_layout(m, p)
+    (chunk,) = layout.chunks
+    problem = build_patch_problem(layout, chunk, data)
     r = _largest_run(chunk)
     run = chunk.runs[r]
     assert problem.systems[r][2] is not None
     problem.b[run.eqs.start + 5 * run.nl + 2] = np.nan
-    with pytest.raises(SingularSystemError, match=rf"\(patch of vertex {chunk.verts[run.patches][5]}\)"):
+    vertex = layout.verts[chunk.patches][run.patches][5]
+    with pytest.raises(SingularSystemError, match=rf"\(patch of vertex {vertex}\)"):
         patch_equilibrate(problem)
 
 
@@ -291,7 +291,7 @@ def _swapped_patch_chunk(chunk, r):
     cls[i] = c
     rep, present = np.unique(cls, return_index=True, return_inverse=True)[1:]
     runs = list(chunk.runs)
-    runs[r] = run._replace(cls=cls, rep=rep, present=present)
+    runs[r] = run._replace(cls=cls, rep=chunk.patches.start + run.patches.start + rep, present=present)
     return chunk._replace(runs=runs), run.patches.start + i
 
 
@@ -309,11 +309,11 @@ def test_a_patch_under_the_wrong_class_names_its_vertex(kept):
     layout = patch_layout(m, p)
     layout.tables.keep["multiplier"] = kept
     (chunk,) = layout.chunks
-    patch_equilibrate(build_patch_problem(chunk, data))
+    patch_equilibrate(build_patch_problem(layout, chunk, data))
     swapped, i = _swapped_patch_chunk(chunk, _largest_run(chunk))
-    problem = build_patch_problem(swapped, data)
+    problem = build_patch_problem(layout, swapped, data)
     assert all((inv is not None) == kept for _, _, inv, _ in problem.systems)
-    with pytest.raises(SingularSystemError, match=rf"\(patch of vertex {chunk.verts[i]}\)"):
+    with pytest.raises(SingularSystemError, match=rf"\(patch of vertex {layout.verts[chunk.patches][i]}\)"):
         patch_equilibrate(problem)
 
 
@@ -324,8 +324,9 @@ def test_a_corrupted_kept_inverse_names_a_patch_of_its_class():
     policy = QuadPolicy(p, m, v)
     theta = theta_field(policy)
     data = patch_data(theta, policy)
-    (chunk,) = patch_layout(m, p).chunks
-    problem = build_patch_problem(chunk, data)
+    layout = patch_layout(m, p)
+    (chunk,) = layout.chunks
+    problem = build_patch_problem(layout, chunk, data)
     r = _largest_run(chunk)
     run = chunk.runs[r]
     c = int(run.cls[7])
@@ -336,8 +337,8 @@ def test_a_corrupted_kept_inverse_names_a_patch_of_its_class():
     with pytest.raises(SingularSystemError) as err:
         patch_equilibrate(problem)
     vertex = int(re.search(r"\(patch of vertex (\d+)\)", str(err.value)).group(1))
-    assert vertex in chunk.verts[run.patches][run.cls == c]
-    patch_equilibrate(build_patch_problem(chunk, data))
+    assert vertex in layout.verts[chunk.patches][run.patches][run.cls == c]
+    patch_equilibrate(build_patch_problem(layout, chunk, data))
 
 
 def test_singular_class_names_the_class():
@@ -354,7 +355,7 @@ def test_multiplier_classes_match_the_full_numbering_key(meshes, p):
         space = rtn_space(m, p)
         own = m.edge_tris[m.tri_edges, 0] == np.arange(m.num_triangles)[:, None]
         tri_cls = local_solve._class_ids(space.classes[0], own, space.edge_scale())
-        for g in patch_layout(m, p).tables.signatures:
+        for g in oracles.signature_rows(patch_layout(m, p)):
             assert np.array_equal(g.cls, local_solve._class_ids(tri_cls[g.tris], g.mult))
 
 

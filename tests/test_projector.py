@@ -261,9 +261,9 @@ def test_perturbed_theta_breaks_patch_compatibility(p):
     patches = [pa for pa in vertex_patches(m) if k in pa.tris]
     assert {pa.kind for pa in patches} == {"interior", "neumann"}
     for patch in patches:
-        chunk = oracles.chunk_of(patch_layout(m, p), patch.vertex)
+        layout = patch_layout(m, p)
         with pytest.raises(CompatibilityError):
-            build_patch_problem(chunk, patch_data(theta, QuadPolicy(p, m, vh)))
+            build_patch_problem(layout, oracles.chunk_of(layout, patch.vertex), patch_data(theta, QuadPolicy(p, m, vh)))
 
 
 def test_report_zero_for_members(unit_square_2):
@@ -521,3 +521,21 @@ def test_quadrature_degree_is_checked_before_any_work(monkeypatch):
     # escalated rules near a singular corner that no quad_degree lowers
     with pytest.raises(UnsupportedDegreeError, match=r"degree 121 > 120 at p = 81; at this p none fits$"):
         QuadPolicy(81, build_lshape(1), fields.catalog("lshape_singular"), 10)
+
+
+def test_project_scalar_checks_the_escalated_degree_before_sampling():
+    # a scalar's declared singularity escalates its rules near the corner:
+    # the policy is built with it, so the refusal names quad_degree before
+    # f is sampled
+    samples = []
+
+    def f(pts):
+        samples.append(len(pts))
+        return np.ones(len(pts))
+
+    f.singularity = fields.Singularity((0, 0), -1 / 3)
+    with pytest.raises(UnsupportedDegreeError) as err:
+        project_scalar(f, 21, build_lshape(2), quad_degree=10)
+    assert str(err.value) == ("quad_degree=10 needs rules of degree 122 > 120 at p = 21 with the self-check; "
+                              "at this p none fits")
+    assert not samples
