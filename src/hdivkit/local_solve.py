@@ -21,20 +21,20 @@ measured (``patch_stability_ratio``).
 
 All three steps are stacked dense solves: the element fits over the
 quadrature groups of a ``QuadPolicy`` (per affine class, by
-``linsolve.element_solve``), the patch problems and their surrogates in one
-pass over each chunk of the ``PatchLayout``.  The layout holds each patch
-once, in flat arrays over the (triangle, local vertex) pairs of all
-patches, signature after signature (multiplier count, triangle count and
-kernel); a signature is a range of its patches, a chunk a range of whole
-patches across signatures, with its runs, slices and numbering of
-equations, unknowns and surrogate nodes fixed when the layout is built.
-In a chunk one gather assembles the right-hand sides of every patch, one
+``linsolve.element_solve``), the patch problems in one pass over each chunk
+of the ``PatchLayout`` and their surrogates in one pass over each of its
+signatures.  The layout holds each patch once, in flat arrays over the
+(triangle, local vertex) pairs of all patches, signature after signature
+(multiplier count, triangle count and kernel); a signature is a range of
+its patches, a chunk a range of whole patches across signatures, with its
+runs, slices and numbering of equations and unknowns fixed when the
+layout is built.  In a chunk one gather assembles the right-hand sides of every patch, one
 stacked matmul recovers its fluxes and one ``bincount`` forms its
 residuals; only the class solves go by signature, as systems of one size.
 A layout of up to a few hundred triangles at p <= 3, or a few dozen at
-p <= 6, is one chunk.  The surrogate numbers its nodes by the mesh's
-continuous P_{p+2} numbering (``elements.lagrange_nodes``) and builds its
-element blocks from reference tables, so no step loops over elements or
+p <= 6, is one chunk.  The surrogate numbers each patch's nodes from 0 in
+the order of the mesh's continuous P_{p+2} numbering
+(``elements.lagrange_nodes``) and builds its element blocks from reference tables, so no step loops over elements or
 patches in Python.
 
 A patch's systems depend only on the mesh and p; theta and v enter only
@@ -47,9 +47,8 @@ its elements' maps, node numbering and fixed nodes for the surrogate
 its class's system, as ``linsolve.element_solve`` solves an element's; the
 right-hand sides, the recoveries and the surrogate's numerators stay per
 patch.  A patch's bits depend only on its class's system and its own data,
-so sigma has the same bits however the layout is chunked, and so do the
-stability ratios up to p = 3 (above, a gemm's bits depend on its height,
-and the numerators' mass products are one gemm per surrogate chunk).
+so sigma has the same bits however the layout is chunked; the stability
+ratios, measured by signature, do not see the chunks.
 
 Where a kind's systems repeat, the layout keeps each distinct one
 (``PatchTables``, which sets out the rule), assembled and inverted by the
@@ -135,7 +134,7 @@ def theta_field(policy, variant="def31"):
 
 
 class PatchTables:
-    """The patch systems a ``PatchLayout`` keeps, shared by all its chunks.
+    """The patch systems a ``PatchLayout`` keeps, shared by all its passes.
 
     Two kinds of systems depend only on the mesh and p: the multiplier
     systems, one per class ``PatchLayout.cls``, and the stability
@@ -165,11 +164,12 @@ class PatchTables:
         # the layout's patch vertices name a class that fails
         self.verts, self.keep, self.systems, self._rep = verts, {}, {}, {}
 
-    def decide(self, kind, rep, dims=None):
-        """Keep ``kind`` when its classes, ``rep`` the first patch of each
-        per signature, number at most half the patches; given ``dims``, the
+    def decide(self, kind, signatures, cls, dims=None):
+        """Keep ``kind`` when its classes, ``cls`` per patch of the
+        ``signatures``, number at most half the patches; given ``dims``, the
         size of each signature's systems, also when they number fewer than
         the patches and their inverses fit ``KEEP_BYTES``."""
+        rep = [g.patches.start + np.unique(cls[g.patches], return_index=True)[1] for g in signatures]
         self._rep[kind] = rep
         count, patches = [len(r) for r in rep], len(self.verts)
         fits = dims is not None and sum(count) < patches and sum(
@@ -190,14 +190,26 @@ class PatchTables:
 
         return kept(self.systems, (kind, sig), build) if self.keep[kind] else None
 
+    def select(self, kind, sig, cls, first, assemble):
+        """The ``kind`` systems of the layout's patches ``first`` ..,
+        ``first + len(cls)`` of signature ``sig``, of classes ``cls``:
+        (systems, each patch's class among them, inverses, max|system|).
+        The kept ones (``class_systems``), or, where none are kept, the
+        systems ``assemble(rep)`` of the first patch of each class present,
+        with neither inverses nor max|system| (None)."""
+        table = self.class_systems(kind, sig, assemble)
+        if table is None:
+            rep, present = np.unique(cls, return_index=True, return_inverse=True)[1:]
+            return assemble(first + rep), present, None, None
+        return table[0], cls, *table[1:]
+
 
 class PatchRun(NamedTuple):
     """The patches of one signature (``nl`` multipliers, ``nt``
     triangles, kernel) in a ``PatchRange``: slices ``patches`` and
     ``pairs`` of the range's, and equations ``eqs`` in its chunk's
     numbering (None for a signature, a run of the whole layout); their
-    multiplier classes ``cls``, the first patch (of the layout) ``rep`` of
-    each class present and each one's class among those, ``present``."""
+    multiplier classes ``cls``."""
 
     sig: int
     patches: slice
@@ -207,8 +219,6 @@ class PatchRun(NamedTuple):
     nt: int
     kernel: bool
     cls: np.ndarray
-    rep: np.ndarray
-    present: np.ndarray
 
     @property
     def n(self):
@@ -275,41 +285,34 @@ class PatchLayout(NamedTuple):
         for g in self.signatures:
             lo, hi = max(a, g.patches.start), min(b, g.patches.stop)
             if lo < hi:
-                rep, present = np.unique(self.cls[lo:hi], return_index=True, return_inverse=True)[1:]
                 pairs, e = slice(int(self.pair[lo] - self.pair[a]), int(self.pair[hi] - self.pair[a])), int(self.eq[lo])
                 runs.append(g._replace(patches=slice(lo - a, hi - a), pairs=pairs, eqs=slice(e, e + (hi - lo) * g.nl),
-                                       cls=self.cls[lo:hi], rep=lo + rep, present=present))
+                                       cls=self.cls[lo:hi]))
         return PatchRange(patches, slice(int(self.pair[a]), int(self.pair[b])),
                           slice(runs[0].eqs.start, runs[-1].eqs.stop), runs)
 
     def surrogate(self, mesh):
         """The stability surrogate's numbering, built on first use (it runs
         only in ``projector_report``), which decides whether its systems are
-        kept: per pair, its P_{p+2} nodes (P, nloc), numbered in its chunk,
-        nn numbers a patch from its ``first`` (N,), nn the most nodes of a
-        patch of its signature, in the ascending order of the mesh's
+        kept: per pair, its P_{p+2} nodes (P, nloc), numbered within its
+        patch from 0 in the ascending order of the mesh's
         (``elements.lagrange_nodes``); per signature, the ``fixed`` nodes
-        (n, nn), with an identity row (padding past a patch's own nodes,
-        and the clamped nodes); per patch, its surrogate class (N,).  What
-        decides a surrogate system: its elements' maps, node numbering and
-        fixed nodes."""
+        (n, nn), nn the most nodes of a patch of the signature, with an
+        identity row (padding past a patch's own nodes, and the clamped
+        nodes); per patch, its surrogate class (N,).  What decides a
+        surrogate system: its elements' maps, node numbering and fixed
+        nodes."""
         def build():
-            loc, fixed, cls = [], [], []
+            nodes, fixed, cls = [], [], []
             for g in self.signatures:
                 tris, local = self.tris[g.pairs].reshape(g.n, g.nt), self.local[g.pairs].reshape(g.n, g.nt)
-                nodes, fx = _surrogate_nodes(mesh, self.p, tris, local, g.kernel)
-                loc.append(nodes.reshape(g.n * g.nt, -1))
+                loc, fx = _surrogate_nodes(mesh, self.p, tris, local, g.kernel)
+                nodes.append(loc.reshape(g.n * g.nt, -1))
                 fixed.append(fx)
-                cls.append(_class_ids(mesh.Binv[tris], mesh.detB[tris], nodes, fx))
-            nn = np.concatenate([np.full(len(fx), fx.shape[1]) for fx in fixed])
-            first = np.cumsum(nn) - nn
-            for c in self.chunks:
-                first[c.patches] -= first[c.patches.start]
+                cls.append(_class_ids(mesh.Binv[tris], mesh.detB[tris], loc, fx))
             cls = np.concatenate(cls)
-            self.tables.decide("surrogate", [g.patches.start + np.unique(cls[g.patches], return_index=True)[1]
-                                             for g in self.signatures])
-            nodes = np.concatenate(loc) + np.repeat(first, np.diff(self.pair))[:, None]
-            return nodes.astype(np.int32), first, fixed, cls
+            self.tables.decide("surrogate", self.signatures, cls)
+            return np.concatenate(nodes), fixed, cls
 
         return kept(self.cache, "surrogate", build)
 
@@ -365,10 +368,9 @@ def _build_patch_layout(mesh, p):
                           for k, a, b in zip(keys, bounds, bounds[1:])])
     # a signature's classes are numbered in order of first appearance
     signatures = [PatchRun(s, slice(a, b), slice(int(pair[a]), int(pair[b])), None, int(k[0]), int(k[1]), bool(k[2]),
-                           cls[a:b], a + np.unique(cls[a:b], return_index=True)[1], cls[a:b])
-                  for s, (k, a, b) in enumerate(zip(keys, bounds, bounds[1:]))]
+                           cls[a:b]) for s, (k, a, b) in enumerate(zip(keys, bounds, bounds[1:]))]
     tables = PatchTables(verts)
-    tables.decide("multiplier", [g.rep for g in signatures], [g.nl for g in signatures])
+    tables.decide("multiplier", signatures, cls, [g.nl for g in signatures])
     # whole patches in signature order, cut across signatures: a pass
     # allocates per pair its element columns and five arrays of its
     # multiplier blocks, per patch its system (``linsolve.chunks``)
@@ -588,13 +590,8 @@ def build_patch_problem(layout: PatchLayout, chunk: PatchRange, data: PatchData)
     chi, g = data.chi[tris, local], data.g[tris, local]
     x0, xe = chi + data.x[tris, :, local], data.x[tris, :, 3:]
     b = _sum_into((chunk.eqs.stop,), layout.slots[pairs], layout.sign[pairs] * x0[:, :3 * (p + 1)])
-    systems = []
-    for run in chunk.runs:
-        table = layout.tables.class_systems("multiplier", run.sig, lambda r: _multiplier_systems(layout, run, r, data))
-        if table is None:
-            systems.append((_multiplier_systems(layout, run, run.rep, data), run.present, None, None))
-        else:
-            systems.append((None, run.cls, *table[1:]))
+    systems = [layout.tables.select("multiplier", run.sig, run.cls, chunk.patches.start + run.patches.start,
+                                    lambda r: _multiplier_systems(layout, run, r, data)) for run in chunk.runs]
     return PatchProblem(layout, chunk, chi, g, x0, xe, b, systems, data.defect[layout.verts[chunk.patches]])
 
 
@@ -651,10 +648,10 @@ def patch_equilibrate(problem: PatchProblem):
 # -- dual-norm surrogate for the patch stability constant ---------------------------
 
 
-def patch_stability_ratio(problem: PatchProblem, x, mesh):
+def patch_stability_ratio(layout: PatchLayout, data: PatchData, x, mesh):
     """Measured ratios ||s_a - chi_a|| over a discrete dual-norm surrogate,
-    one per patch of a range with fluxes ``x`` (P, ndof) of
-    ``patch_equilibrate``.
+    one per patch of the layout, from every pair's fluxes ``x`` (P, ndof)
+    of ``patch_equilibrate`` and the targets chi_a of ``data``.
 
     The surrogate maximizes (g, w) + (chi, grad w) over patch-continuous
     P_{p+2} functions with unit gradient norm, mean-zero for interior and
@@ -663,67 +660,55 @@ def patch_stability_ratio(problem: PatchProblem, x, mesh):
     equal, since div s_a = g up to the kernel constant and s_a.n = 0 on the
     patch boundary wherever w is free, but free of the cancellation of two
     terms of size ||chi_a||.  The nodes are those of the mesh-wide numbering
-    ``lagrange_nodes``, renumbered per patch (``PatchLayout.surrogate``);
-    the element tables are reference tables scaled by the affine maps.  The
-    reference dofs and the functional are one pass over the range's pairs,
-    its products taken per patch as a stack.  Each run's patches then go
-    in chunks whose systems fill at most ``POINT_BYTES``: each chunk solves
-    against the signature's kept surrogate systems
-    (``PatchTables.class_systems``) or, where none are kept, assembles one
-    system per surrogate class present, and forms its numerators, whose
-    mass products are one gemm over the chunk's pairs (above p = 3 a gemm's
-    bits depend on its height).  Recorded, never asserted: the bound it
+    ``lagrange_nodes``, numbered per patch (``PatchLayout.surrogate``); the
+    element tables are reference tables scaled by the affine maps.  The
+    reference dofs are mapped once for the layout, the functional formed
+    once per signature, its products taken per patch as a stack.  Each
+    signature's patches then go in pieces whose systems fill at most
+    ``POINT_BYTES``: each piece solves against the signature's kept
+    surrogate systems (``PatchTables.class_systems``) or, where none are
+    kept, assembles one system per surrogate class present, and forms its
+    numerators, whose mass products are one gemm over the piece's pairs.
+    The pieces depend on the signature alone, so the ratios keep their bits
+    however the layout is chunked.  Recorded, never asserted: the bound it
     witnesses is a cited stability result.
     """
     # p + 2 keeps the surrogate space nontrivial even on one-triangle corner
     # patches with two clamped edges
-    layout, chunk, p = problem.layout, problem.chunk, problem.layout.p
-    space = rtn_space(mesh, p)
-    nodes, first, fixed, kcls = layout.surrogate(mesh)
-    tris = layout.tris[chunk.pairs]
+    p, space = layout.p, rtn_space(mesh, layout.p)
+    nodes, fixed, kcls = layout.surrogate(mesh)
+    chi = data.chi[layout.tris, layout.local]
     # s_a - chi_a per pair, and chi_a
-    ref = space.to_ref(np.stack([x - problem.chi, problem.chi], axis=1), tris)
+    ref = space.to_ref(np.stack([x - chi, chi], axis=1), layout.tris)
     C = _coupling_reference(p + 2, p).T
-    lin = np.empty((len(ref), C.shape[1]))
-    for run in chunk.runs:
-        lin[run.pairs] = ((-ref[run.pairs, 0]).reshape(run.n, run.nt, -1) @ C).reshape(-1, C.shape[1])
-    a, last = chunk.patches.start, chunk.runs[-1]
-    ell = _sum_into((first[chunk.patches.stop - 1] + fixed[last.sig].shape[1],), nodes[chunk.pairs], lin)
-    out = np.empty(chunk.patches.stop - a)
-    for run in chunk.runs:
-        lo = a + run.patches.start  # the run's first patch in the layout
-        fx = fixed[run.sig][lo - layout.signatures[run.sig].patches.start:][:run.n]
+    out = np.empty(len(layout.verts))
+    for g, fx in zip(layout.signatures, fixed):
         nn = fx.shape[1]
-        run_ell = ell[first[lo]:first[lo] + run.n * nn].reshape(run.n, nn)
-        run_ell[fx] = 0.0
-        table = layout.tables.class_systems("surrogate", run.sig, lambda r: _patch_surrogates(layout, mesh, run, r))
-        for sl in chunks(run.n, 8 * (run.nt * nodes.shape[1]) ** 2, points=True):  # 8 nn^2 bytes a patch
-            e, patches = run_ell[sl], slice(lo + sl.start, lo + sl.stop)
-            if table is None:  # one system per class present
-                rep, cls = np.unique(kcls[patches], return_index=True, return_inverse=True)[1:]
-                K, inv = _patch_surrogates(layout, mesh, run, patches.start + rep), None
-            else:
-                (K, inv, _), cls = table, kcls[patches]
-            rhs = np.append(e, np.zeros((len(e), 1)), axis=1) if run.kernel else e
-            verts = layout.verts[patches]
-            y = solve_stacked(K, rhs, cls, inv, lambda i: f"surrogate of vertex {verts[i]}")[:, :nn]
+        lin = (-ref[g.pairs, 0]).reshape(g.n, g.nt, -1) @ C
+        ell = _sum_into(fx.shape, _slots(nodes[g.pairs].reshape(g.n, g.nt, -1), nn), lin)
+        ell[fx] = 0.0
+        for sl in chunks(g.n, 8 * (g.nt * nodes.shape[1]) ** 2, points=True):  # 8 nn^2 bytes a patch
+            e, patches = ell[sl], slice(g.patches.start + sl.start, g.patches.start + sl.stop)
+            K, cls, inv, _ = layout.tables.select("surrogate", g.sig, kcls[patches], patches.start,
+                                                  lambda r: _patch_surrogates(layout, mesh, g, r))
+            rhs = np.append(e, np.zeros((len(e), 1)), axis=1) if g.kernel else e
+            y = solve_stacked(K, rhs, cls, inv, lambda i: f"surrogate of vertex {layout.verts[patches][i]}")[:, :nn]
             dual = np.sqrt(np.maximum(np.sum(e * y, axis=1), 0.0))
             # numerator: ||s_a - chi_a|| over the patch, beside ||chi_a||
-            pairs = slice(run.pairs.start + sl.start * run.nt, run.pairs.start + sl.stop * run.nt)
-            r, t = ref[pairs].reshape(len(e), run.nt, 2, -1), tris[pairs].reshape(len(e), run.nt)
+            pairs = slice(int(layout.pair[patches.start]), int(layout.pair[patches.stop]))
+            r, t = ref[pairs].reshape(len(e), g.nt, 2, -1), layout.tris[pairs].reshape(len(e), g.nt)
             num, chi_norm = np.sqrt(np.sum(r * space.mass(r, t), axis=(1, 3))).T
-            out[run.patches][sl] = np.where(num <= 1e-12 * chi_norm, 0.0, num / np.maximum(dual, 1e-300))
+            out[patches] = np.where(num <= 1e-12 * chi_norm, 0.0, num / np.maximum(dual, 1e-300))
     return out
 
 
-def _patch_surrogates(layout, mesh, run, patches):
+def _patch_surrogates(layout, mesh, g, patches):
     """The surrogate systems (``_surrogate_systems``) of the layout's
-    patches ``patches`` of the signature of ``run``, their nodes numbered
-    from each patch's first."""
-    nodes, first, fixed, _ = layout.surrogate(mesh)
-    pairs, rows = layout.pair[patches, None] + np.arange(run.nt), patches - layout.signatures[run.sig].patches.start
-    loc = nodes[pairs] - first[patches, None, None]
-    return _surrogate_systems(mesh, layout.p, layout.tris[pairs], loc, fixed[run.sig][rows], run.kernel)
+    patches ``patches`` of signature ``g``."""
+    nodes, fixed, _ = layout.surrogate(mesh)
+    pairs = layout.pair[patches, None] + np.arange(g.nt)
+    return _surrogate_systems(mesh, layout.p, layout.tris[pairs], nodes[pairs], fixed[g.sig][patches - g.patches.start],
+                              g.kernel)
 
 
 @lru_cache(maxsize=None)

@@ -45,8 +45,8 @@ def kept(cache, key, build, tag=None):
         ``lagrange_nodes`` per q, ``vertex_patches``, and the least-squares
         (A, B, ``LagrangeSpace``) per (p, q), rebuilt for another l^2 (tag);
       * a patch layout, for the mesh's life: the class systems per (kind,
-        signature) (``PatchTables``) and the surrogate's numbering over its
-        pairs, once (``PatchLayout.surrogate``);
+        signature) (``PatchTables``) and the surrogate's numbering, each
+        patch's nodes from 0, once (``PatchLayout.surrogate``);
       * a ``QuadPolicy``, bound to one mesh, field, p and quadrature degree,
         for its life (one entry point's call or one study row): its
         groups, the samples of v and div v and their moments; one

@@ -162,21 +162,20 @@ def _project_hdiv(policy, variant, measure_stability):
     info.compat_defects = data.defect.tolist()
     # the fluxes of patch a on each of its triangles, at the local index of a:
     # every (triangle, local vertex) pair belongs to one patch
-    rows, ratios = np.zeros((mesh.num_triangles, 3, space.ref.dim)), []
+    rows = np.zeros((mesh.num_triangles, 3, space.ref.dim))
     layout = patch_layout(mesh, p)
     for chunk in layout.chunks:
-        problem = build_patch_problem(layout, chunk, data)
-        x, _ = patch_equilibrate(problem)
-        rows[layout.tris[chunk.pairs], layout.local[chunk.pairs]] = x
-        if measure_stability:
-            ratios += zip(layout.verts[chunk.patches], patch_stability_ratio(problem, x, mesh))
+        rows[layout.tris[chunk.pairs], layout.local[chunk.pairs]] = patch_equilibrate(
+            build_patch_problem(layout, chunk, data))[0]
     info.patch_system_size = max(g.nl for g in layout.signatures)
+    if measure_stability:  # of the fluxes before their pinned slots are zeroed
+        ratios = patch_stability_ratio(layout, data, rows[layout.tris, layout.local], mesh)
+        info.stability_ratios = ratios[np.argsort(layout.verts)].tolist()
     # a patch pins its flux on the edge opposite its vertex, edge z of a
     # triangle lying opposite its local vertex z
     for z in range(3):
         rows[:, z, z * (p + 1):(z + 1) * (p + 1)] = 0.0
     sigma.dofs = space.gather(rows.sum(axis=1))
-    info.stability_ratios = [ratio for _, ratio in sorted(ratios)]
     # commuting residual against the broken projection of div v, the
     # moments the policy keeps (def31's fit read them too); for
     # divergence-free data the relative denominator falls back to the
@@ -207,13 +206,15 @@ def projector_report(v, p, mesh, *, variant="def31", quad_degree=None):
     return _projector_report(QuadPolicy(p, mesh, v, quad_degree), variant)
 
 
-def _projector_report(policy, variant):
-    """``projector_report`` on the samples of ``policy``."""
+def _projector_report(policy, variant, loc=None):
+    """``projector_report`` on the samples of ``policy``, with the local
+    fits ``loc`` of ``best_approx._local_fits(policy)`` when the caller has
+    them (a study row shares one fit with its error report)."""
     from .best_approx import _local_fits
 
     p, mesh = policy.p, policy.mesh
     sigma = _project_hdiv(policy, variant, measure_stability=True)
-    loc = _local_fits(policy)
+    loc = _local_fits(policy) if loc is None else loc
     hscale = mesh.h / (p + 1)
     nt = mesh.num_triangles
     err2, derr2, pk2, vnorm2 = np.zeros((4, nt))

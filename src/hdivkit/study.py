@@ -59,7 +59,8 @@ class StudyConfig:
     run_projector: bool = True
 
     def validate(self):
-        """Raise ConfigError for a field of the wrong type or out of range."""
+        """Raise ConfigError for a field of the wrong type or out of range,
+        or for a def52 study with no degree it can run (p >= 1)."""
 
         def integer(x, low=0):
             return isinstance(x, int) and not isinstance(x, bool) and x >= low
@@ -83,6 +84,8 @@ class StudyConfig:
         for name, (ok, need) in rules.items():
             if not ok:
                 raise ConfigError(f"{name} must be {need}, got {getattr(self, name)!r}")
+        if self.variant == "def52" and max(self.degrees) < 1:
+            raise ConfigError(f"variant def52 needs p >= 1, got degrees {self.degrees!r}")
 
     @classmethod
     def from_json(cls, path):
@@ -191,11 +194,10 @@ def run_study(cfg: StudyConfig):
     study_fields = [study_field(cfg, m) for m in meshes]
     rows = []
     warnings = []
+    degrees = [p for p in cfg.degrees if cfg.variant == "def31" or p >= 1]  # def52 needs p >= 1
     for level, (m, field) in enumerate(zip(meshes, study_fields)):
-        for p in cfg.degrees:
-            if cfg.variant == "def52" and p < 1:
-                continue
-            # one sampling of the field per row, shared by both reports
+        for p in degrees:
+            # one sampling and one fit of the field per row, shared by both reports
             policy = QuadPolicy(p, m, field, cfg.quad_degree, self_check=cfg.run_projector)
             rep = _error_report(policy)
             notes = ""
@@ -210,7 +212,7 @@ def run_study(cfg: StudyConfig):
                 ratio_lg = rep.ratio_loc_over_glob
             proj_err = commute = stab = float("nan")
             if cfg.run_projector:
-                prep = _projector_report(policy, cfg.variant)
+                prep = _projector_report(policy, cfg.variant, {"E_loc": rep.Eloc, "div_part": rep.Eloc_div})
                 commute = prep["commute_residual"]
                 stab = max(prep["stability_ratios"]) if prep["stability_ratios"] else 0.0
                 proj_err = float(np.sqrt(sum(r["lhs_sq"] for r in prep["records"])))
@@ -239,9 +241,7 @@ def run_study(cfg: StudyConfig):
         checks.append({"name": name, "value": value, "expected": expected, "tol": tol, "passed": bool(passed)})
 
     s = getattr(study_fields[0], "s", np.inf)
-    for p in cfg.degrees:
-        if cfg.variant == "def52" and p < 1:
-            continue
+    for p in degrees:
         sub = [r for r in rows if r["p"] == p and r["notes"] != "exact-zero"]
         # a discrete field draws an independent member on every level: no rate to fit
         if len(sub) >= 3 and not getattr(study_fields[0], "is_discrete", False):

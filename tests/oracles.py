@@ -1656,14 +1656,13 @@ def signature_groups(layout):
 def surrogate_rows(layout, mesh, patches):
     """The surrogate numbering of the layout's patches ``patches`` of one
     signature, read from the flat arrays: each patch's node numbers
-    (n, nt, nloc) from 0, its fixed nodes (n, nn) and its surrogate
-    classes."""
-    nodes, first, fixed, cls = layout.surrogate(mesh)
+    (n, nt, nloc), its fixed nodes (n, nn) and its surrogate classes."""
+    nodes, fixed, cls = layout.surrogate(mesh)
     sig = int(np.searchsorted([g.patches.stop for g in layout.signatures], patches.start, side="right"))
     g = layout.signatures[sig]
     pairs = np.arange(layout.pair[patches.start], layout.pair[patches.stop]).reshape(-1, g.nt)
     rows = slice(patches.start - g.patches.start, patches.stop - g.patches.start)
-    return nodes[pairs] - first[patches, None, None], fixed[sig][rows], cls[patches]
+    return nodes[pairs], fixed[sig][rows], cls[patches]
 
 
 @dataclass

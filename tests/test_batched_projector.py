@@ -411,7 +411,7 @@ def test_one_pass_matches_the_signature_groups_in_small_chunks_without_kept_syst
         monkeypatch, mesh_name, labels, p, budget):
     # the per-call class systems, multiplier (jittered structured:3) and
     # surrogate, of the classes present in each run of small chunks, whose
-    # equations, unknowns and surrogate nodes are numbered in their chunk
+    # equations and unknowns are numbered in their chunk
     kept = _check_small_chunks(monkeypatch, lambda: MESHES[mesh_name](labels), p, budget)
     assert kept == {"multiplier": mesh_name.endswith("lshape2"), "surrogate": False}
 
@@ -433,6 +433,22 @@ def _check_small_chunks(monkeypatch, mesh, p, budget):
     assert np.array_equal(got["sigma"].dofs, whole["sigma"].dofs)
     assert np.array_equal(got["stability_ratios"], whole["stability_ratios"])
     return layout.tables.keep
+
+
+@pytest.mark.parametrize("p", [4, 5])
+@pytest.mark.parametrize("mesh", [lambda: build_structured(4, labels="left-neumann"),
+                                  lambda: build_lshape(2, labels="all-neumann")], ids=["structured4", "lshape2"])
+def test_stability_ratios_do_not_depend_on_the_chunks(monkeypatch, mesh, p):
+    # the ratios are measured after the solve, signature by signature, so
+    # no cut of the patch chunks moves their bits, not even above p = 3,
+    # where a gemm's bits depend on its height
+    ratios = []
+    for budget in (STACK_BYTES, 1, 30000):
+        monkeypatch.setattr(linsolve, "STACK_BYTES", budget)
+        m = mesh()
+        ratios.append(projector_report(random_conforming_field(m, p + 1, seed=3), p, m)["stability_ratios"])
+        assert (len(patch_layout(m, p).chunks) > 1) == (budget < STACK_BYTES)
+    assert all(np.array_equal(r, ratios[0]) for r in ratios[1:])
 
 
 @pytest.mark.parametrize("p", [5, 6])

@@ -205,15 +205,23 @@ def test_bad_field_spec_is_one_line_error(capsys):
     "text",
     ['{"threads": 2}', '{"refinements": 0}', '{"quad_degree": -3}', "[1]", "{not json",
      '{"seed": -1}', '{"field_params": {"alpa": 0.5}, "field": "lshape_singular"}',
-     '{"degrees": [-1]}', '{"refinements": "2"}', '{"tol": "x"}', '{"mesh": 3}', '{"degrees": []}'],
+     '{"degrees": [-1]}', '{"refinements": "2"}', '{"tol": "x"}', '{"mesh": 3}', '{"degrees": []}',
+     '{"variant": "def52", "degrees": [0]}'],
     ids=["unknown-key", "bad-value", "negative-quad-degree", "not-object", "not-json",
          "negative-seed", "unknown-field-param", "negative-degree", "string-refinements",
-         "string-tol", "integer-mesh", "no-degrees"],
+         "string-tol", "integer-mesh", "no-degrees", "def52-without-p-1"],
 )
 def test_bad_study_config_is_one_line_error(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
     _assert_one_line_error(["study", "--config", str(cfg_path)], capsys)
+
+
+def test_def52_study_without_a_degree_to_run_is_one_line_error(tmp_path, capsys):
+    # as ``project --variant def52 --p 0`` is, and before any work: no
+    # header-only study.csv and no "0/0 checks passed"
+    _assert_one_line_error(["study", "--variant", "def52", "--p", "0", "--out", str(tmp_path)], capsys)
+    assert not (tmp_path / "study.csv").exists()
 
 
 @pytest.mark.parametrize(
@@ -340,16 +348,25 @@ def test_degree_list_parses_to_integers():
 
 
 def test_a_failed_patch_or_solve_is_one_line_error(monkeypatch, capsys):
-    # at p = 11 the degree-11 fit leaves patch data out of balance
-    # (CompatibilityError); a singular system raises SingularSystemError
+    # patch data out of balance raises CompatibilityError, a singular
+    # system SingularSystemError; both are raised here on purpose, since
+    # whether the roundoff floor of a high-degree fit trips the gate
+    # depends on the BLAS kernels and thread count
+    import numpy as np
+
     import hdivkit.cli as cli
     from hdivkit.linsolve import SingularSystemError
+    from hdivkit.local_solve import check_compatibility
+
+    def incompatible(v, p, mesh, **options):
+        check_compatibility(np.array([4]), np.array([2.3e-9]))
 
     def singular(prob, p):
         raise SingularSystemError("dense solve residual nan")
 
+    monkeypatch.setattr(cli, "project_hdiv", incompatible)
     monkeypatch.setattr(cli, "solve_mixed", singular)
-    argvs = [["project", "--mesh", "structured:2", "--field", "random_rtn:p=11", "--p", "11"],
+    argvs = [["project", "--mesh", "structured:2", "--p", "1"],
              ["solve-mixed", "--mesh", "structured:2", "--p", "0"]]
     for argv, message in zip(argvs, ["divergence data incompatible", "dense solve residual nan"]):
         assert main(argv) == 2

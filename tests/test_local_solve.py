@@ -173,11 +173,13 @@ def test_stability_ratios_finite(unit_square_2, sine_field):
     m = unit_square_2
     ratios = []
     for p in range(3):
-        theta = theta_field(QuadPolicy(p, m, sine_field))
+        policy = QuadPolicy(p, m, sine_field)
+        layout, data = patch_layout(m, p), patch_data(theta_field(policy), policy)
+        x = np.empty((len(layout.tris), rtn_space(m, p).ref.dim))
         for patch in vertex_patches(m):
-            prob = _problem(patch, theta, sine_field, p, m)
-            x, _ = patch_equilibrate(prob)
-            (r,) = patch_stability_ratio(prob, x, m)
+            chunk = oracles.chunk_of(layout, patch.vertex)
+            x[chunk.pairs], _ = patch_equilibrate(build_patch_problem(layout, chunk, data))
+        for r in patch_stability_ratio(layout, data, x, m):
             assert np.isfinite(r)
             ratios.append(r)
     assert max(ratios) < 1e3  # loose sanity bound; the value is only recorded

@@ -289,9 +289,8 @@ def _swapped_patch_chunk(chunk, r):
     i, c = _wrong_class_row(run.cls)
     cls = run.cls.copy()
     cls[i] = c
-    rep, present = np.unique(cls, return_index=True, return_inverse=True)[1:]
     runs = list(chunk.runs)
-    runs[r] = run._replace(cls=cls, rep=chunk.patches.start + run.patches.start + rep, present=present)
+    runs[r] = run._replace(cls=cls)
     return chunk._replace(runs=runs), run.patches.start + i
 
 

@@ -87,6 +87,23 @@ def test_run_study_samples_the_field_once_per_row(tmp_path, monkeypatch):
     assert sum(counted) == 648
 
 
+def test_run_study_fits_the_field_once_per_row(tmp_path, monkeypatch):
+    # error_report and projector_report share the row's local fits: one
+    # fit per (policy, constrained), not one per report
+    import hdivkit.best_approx as best_approx
+
+    calls, fit = [], best_approx._local_fits
+
+    def counting_fits(policy, constrained=False):
+        calls.append((policy, constrained))  # holds the policy, so its id stays its own
+        return fit(policy, constrained)
+
+    monkeypatch.setattr(best_approx, "_local_fits", counting_fits)
+    s = run_study(StudyConfig(mesh="structured:2", refinements=2, degrees=[1, 2], out_dir=str(tmp_path)))
+    keys = [(id(policy), constrained) for policy, constrained in calls]
+    assert len(s["rows"]) == 4 and len(set(keys)) == len(keys) == 4
+
+
 def test_run_study_discrete_member_zero_sentinel(tmp_path):
     cfg = StudyConfig(
         field="random_rtn",
