@@ -90,7 +90,7 @@ def _global_fit(policy, div_part):
     the L2 part on the policy's samples, and the divergence part from the
     local ones ``div_part``, as the divergence constraint fixes div sigma
     elementwise."""
-    check_field_compatibility(policy.field, policy.mesh)
+    check_field_compatibility(policy)
     space = rtn_space(policy.mesh, policy.p)
     dofs, _, info = hybrid_saddle_solve(space, policy.moments(), policy.div_moments())
     sigma = ConformingRTNField(policy.mesh, policy.p, dofs)

@@ -28,10 +28,13 @@ from .study import ConfigError, StudyConfig, build_mesh, run_study, verify, veri
 
 
 def _degrees(arg):
-    """``--p``: one degree or a comma list of nonnegative integers."""
+    """``--p``: one degree or a comma list of distinct nonnegative integers."""
     if not all(x.strip().isdigit() for x in arg.split(",")):
         raise argparse.ArgumentTypeError(f"expected nonnegative integer degrees, got {arg!r}")
-    return [int(x) for x in arg.split(",")]
+    degrees = [int(x) for x in arg.split(",")]
+    if len(set(degrees)) < len(degrees):
+        raise argparse.ArgumentTypeError(f"degrees must not repeat, got {arg!r}")
+    return degrees
 
 
 def _nonnegative(arg):

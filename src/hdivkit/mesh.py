@@ -9,7 +9,12 @@ Conventions baked in here and relied on everywhere else:
     the tangent rotated by -90 degrees;
   * ``tri_edges[k, j]`` is the edge opposite local vertex j, and
     ``tri_edge_sign[k, j]`` is +1 when the global normal points out of the
-    triangle.
+    triangle;
+  * the generated meshes number their vertices row by row, bottom to top
+    and left to right, and red refinement numbers each edge's midpoint
+    after the old vertices, in the order in which the sides ab, bc, ca of
+    the triangles first reach the edges: the dof order, and so every
+    output, depends on both.
 """
 
 from __future__ import annotations
@@ -409,22 +414,30 @@ def one_triangle(coords) -> Mesh:
     return Mesh(coords, [[0, 1, 2]], labels)
 
 
+def _grid(m, lo, hi, labels, cut=None):
+    """An m x m grid of cells on [lo, hi]^2, each split along its (i, j) ->
+    (i+1, j+1) diagonal, minus the cells where the (m, m) mask ``cut``
+    (indexed [j, i]) is set; the vertices of the kept cells are numbered
+    row by row."""
+    keep = np.ones((m, m), dtype=bool) if cut is None else ~cut
+    j, i = np.nonzero(keep)  # cells row by row
+    a = j * (m + 1) + i
+    b, c, d = a + 1, a + m + 2, a + m + 1
+    tris = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    used = np.zeros((m + 1) ** 2, dtype=bool)
+    used[tris] = True
+    xs = np.linspace(lo, hi, m + 1)
+    vertices = np.stack(np.meshgrid(xs, xs), axis=2).reshape(-1, 2)[used]
+    triangles = (np.cumsum(used) - 1)[tris]
+    return Mesh(vertices, triangles, _label_boundary(vertices, triangles, labels))
+
+
 def build_structured(n: int, labels="all-dirichlet"):
     """Uniform n x n grid on the unit square, cells split along the
     (i, j) -> (i+1, j+1) diagonal."""
     if n < 1:
         raise MeshError("n must be >= 1")
-    xs = np.linspace(0.0, 1.0, n + 1)
-    vertices = [(x, y) for y in xs for x in xs]
-    vid = lambda i, j: j * (n + 1) + i
-    triangles = []
-    for j in range(n):
-        for i in range(n):
-            a, b = vid(i, j), vid(i + 1, j)
-            c, d = vid(i + 1, j + 1), vid(i, j + 1)
-            triangles.append((a, b, c))
-            triangles.append((a, c, d))
-    return Mesh(vertices, triangles, _label_boundary(vertices, triangles, labels))
+    return _grid(n, 0.0, 1.0, labels)
 
 
 def build_lshape(n: int, labels="all-dirichlet"):
@@ -435,52 +448,27 @@ def build_lshape(n: int, labels="all-dirichlet"):
     """
     if n < 1:
         raise MeshError("n must be >= 1")
-    m = 2 * n
-    xs = np.linspace(-1.0, 1.0, m + 1)
-    vid = {}
-    vertices = []
-    for j in range(m + 1):
-        for i in range(m + 1):
-            x, y = xs[i], xs[j]
-            if x > 1e-12 and y < -1e-12:
-                continue
-            vid[(i, j)] = len(vertices)
-            vertices.append((x, y))
-    triangles = []
-    for j in range(m):
-        for i in range(m):
-            xc = (xs[i] + xs[i + 1]) / 2
-            yc = (xs[j] + xs[j + 1]) / 2
-            if xc > 0 and yc < 0:
-                continue
-            a, b = vid[(i, j)], vid[(i + 1, j)]
-            c, d = vid[(i + 1, j + 1)], vid[(i, j + 1)]
-            triangles.append((a, b, c))
-            triangles.append((a, c, d))
-    return Mesh(vertices, triangles, _label_boundary(vertices, triangles, labels))
+    cut = np.zeros((2 * n, 2 * n), dtype=bool)
+    cut[:n, n:] = True
+    return _grid(2 * n, -1.0, 1.0, labels, cut)
 
 
 def refine_uniform(mesh: Mesh) -> Mesh:
-    """Red refinement: each triangle splits into 4 similar children."""
-    verts = [tuple(v) for v in mesh.vertices]
-    mid = {}
-
-    def midpoint(a, b):
-        key = (min(a, b), max(a, b))
-        if key not in mid:
-            mid[key] = len(verts)
-            verts.append(tuple((mesh.vertices[a] + mesh.vertices[b]) / 2))
-        return mid[key]
-
-    triangles = []
-    for a, b, c in mesh.triangles:
-        mab, mbc, mca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        triangles += [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
-    labels = []
-    for e, lab in mesh.boundary_labels.items():
-        a, b = mesh.edges[e]
-        m = midpoint(a, b)
-        labels += [((a, m), lab), ((m, b), lab)]
+    """Red refinement: each triangle splits into 4 similar children.  The
+    midpoint of each edge is numbered after the vertices, in the order in
+    which the sides ab, bc, ca of the triangles first reach the edges."""
+    slots = mesh.tri_edges[:, [2, 0, 1]]  # edges ab, bc, ca
+    _, first = np.unique(slots, return_index=True)
+    order = np.argsort(first)
+    mid = np.empty(mesh.num_edges, dtype=int)
+    mid[order] = mesh.num_vertices + np.arange(mesh.num_edges)
+    lo, hi = mesh.edges[order].T
+    verts = np.concatenate([mesh.vertices, (mesh.vertices[lo] + mesh.vertices[hi]) / 2])
+    a, b, c = mesh.triangles.T
+    mab, mbc, mca = mid[slots].T
+    triangles = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca], axis=1).reshape(-1, 3)
+    labels = [(half, lab) for e, lab in mesh.boundary_labels.items()
+              for half in ((mesh.edges[e, 0], mid[e]), (mid[e], mesh.edges[e, 1]))]
     return Mesh(verts, triangles, labels)
 
 

@@ -29,7 +29,7 @@ from .local_solve import (
 )
 from .projections import BrokenRTNField, quadrature_self_check
 from .quadpolicy import QuadGroup, QuadPolicy
-from .quadrature import gauss01, quad_rule
+from .quadrature import gauss01
 
 
 class ConformingRTNField(BrokenRTNField):
@@ -80,14 +80,17 @@ def random_conforming_field(mesh, p, seed=0) -> ConformingRTNField:
     return ConformingRTNField(mesh, p, dofs)
 
 
-def check_field_compatibility(v, mesh):
-    """Reject field/label combinations outside the no-flux constraint space.
+def check_field_compatibility(policy):
+    """Reject field/label combinations outside the no-flux constraint space:
+    ``policy``'s field on its mesh.
 
     With Neumann edges present the field must have (numerically) vanishing
     normal trace there; with an all-Neumann boundary its divergence must have
-    zero mean, which a divergence-free field has by declaration.  Discrete
+    zero mean on the policy's samples of div v, the ones the fits and the
+    solves read, which a divergence-free field has by declaration.  Discrete
     conforming samples satisfy both by construction.
     """
+    v, mesh = policy.field, policy.mesh
     if getattr(v, "is_discrete", False):
         return
     neumann = mesh.edges_with_label("neumann")
@@ -103,13 +106,9 @@ def check_field_compatibility(v, mesh):
             f"field has nonzero normal trace on Neumann edges (|v.n| up to {worst:.2e}); "
             "it lies outside the constrained space for these boundary labels"
         )
-    if not mesh.edges_with_label("dirichlet") and not getattr(v, "divergence_free", False):
-        rule = quad_rule(12)
-        pts = mesh.map_to_phys(rule.points)
-        dv = np.asarray(v.eval_div(pts.reshape(-1, 2)), float).reshape(len(pts), -1)
-        w = rule.weights * mesh.detB[:, None]
-        total = float(np.sum(w * dv))
-        mass = float(np.sum(w * np.abs(dv)))
+    if not mesh.edges_with_label("dirichlet") and not policy.divergence_free:
+        samples = zip(policy.groups(), policy.values(div=True))
+        total, mass = np.sum([(np.sum(g.w * dv), np.sum(g.w * np.abs(dv))) for g, dv in samples], axis=0)
         if abs(total) > 1e-8 * max(mass, 1e-300):
             raise FieldError(
                 "divergence has nonzero mean on an all-Neumann boundary; "
@@ -153,7 +152,7 @@ def _project_hdiv(policy, variant, measure_stability):
     """``project_hdiv`` on the rules of ``policy``, whose groups and samples
     of v stay cached for the caller."""
     v, p, mesh = policy.field, policy.p, policy.mesh
-    check_field_compatibility(v, mesh)
+    check_field_compatibility(policy)
     theta = theta_field(policy, variant)
     info = ProjectorInfo(variant=variant, p=p)
     sigma = ConformingRTNField(mesh, p)

@@ -60,7 +60,8 @@ class StudyConfig:
 
     def validate(self):
         """Raise ConfigError for a field of the wrong type or out of range,
-        or for a def52 study with no degree it can run (p >= 1)."""
+        for a degree listed twice, or for a def52 study with no degree it
+        can run (p >= 1)."""
 
         def integer(x, low=0):
             return isinstance(x, int) and not isinstance(x, bool) and x >= low
@@ -84,6 +85,8 @@ class StudyConfig:
         for name, (ok, need) in rules.items():
             if not ok:
                 raise ConfigError(f"{name} must be {need}, got {getattr(self, name)!r}")
+        if len(set(self.degrees)) < len(self.degrees):
+            raise ConfigError(f"degrees must not repeat, got {self.degrees!r}")
         if self.variant == "def52" and max(self.degrees) < 1:
             raise ConfigError(f"variant def52 needs p >= 1, got degrees {self.degrees!r}")
 

@@ -15,8 +15,9 @@ patch-by-patch projector loop with its
 per-patch stability surrogate on dict-numbered Lagrange nodes, the patch
 layer one signature group at a time, the stacked patch layer with one
 multiplier and one surrogate system per patch, the
-mesh topology loops, the point-by-point corner wedge rule and the point-layer
-kernels in their stacked forms (length-2 reductions and broadcasts)."""
+mesh topology loops, the grid generators cell by cell and red refinement
+triangle by triangle on a dict of midpoints, the point-by-point corner wedge
+rule and the point-layer kernels in their stacked forms (length-2 reductions and broadcasts)."""
 
 import weakref
 from dataclasses import dataclass
@@ -42,7 +43,7 @@ from hdivkit.elements import (
     scalar_basis,
 )
 from hdivkit.linsolve import chunks, dense_solve, solve_stacked
-from hdivkit.mesh import one_triangle
+from hdivkit.mesh import Mesh, MeshError, _label_boundary, one_triangle
 from hdivkit.quadpolicy import QuadPolicy
 from hdivkit.quadrature import TriangleRule, gauss01, jacobi01, quad_rule
 
@@ -1373,7 +1374,7 @@ def project_hdiv_oracle(v, p, mesh, *, variant="def31", measure_stability=False,
     from hdivkit.projector import check_field_compatibility
     from hdivkit.projections import BrokenRTNField
 
-    check_field_compatibility(v, mesh)
+    check_field_compatibility(QuadPolicy(p, mesh, v))
     q = p if variant == "def31" else p - 1
     policy = QuadPolicy(p, mesh, v)
     theta_policy = policy if q == p else QuadPolicy(q, mesh, v)
@@ -1484,6 +1485,84 @@ def label_boundary_oracle(vertices, triangles, rule):
         for key, count in raw.items()
         if count == 1
     ]
+
+
+# -- mesh generator and refinement loops ----------------------------------------------------
+
+
+def build_structured_oracle(n: int, labels="all-dirichlet"):
+    """Uniform n x n grid on the unit square, cells split along the
+    (i, j) -> (i+1, j+1) diagonal."""
+    if n < 1:
+        raise MeshError("n must be >= 1")
+    xs = np.linspace(0.0, 1.0, n + 1)
+    vertices = [(x, y) for y in xs for x in xs]
+    vid = lambda i, j: j * (n + 1) + i
+    triangles = []
+    for j in range(n):
+        for i in range(n):
+            a, b = vid(i, j), vid(i + 1, j)
+            c, d = vid(i + 1, j + 1), vid(i, j + 1)
+            triangles.append((a, b, c))
+            triangles.append((a, c, d))
+    return Mesh(vertices, triangles, _label_boundary(vertices, triangles, labels))
+
+
+def build_lshape_oracle(n: int, labels="all-dirichlet"):
+    """L-shaped domain (-1,1)^2 minus the quadrant x>0, y<0; n cells per unit.
+
+    The reentrant corner sits exactly at the origin, which is always a mesh
+    vertex.
+    """
+    if n < 1:
+        raise MeshError("n must be >= 1")
+    m = 2 * n
+    xs = np.linspace(-1.0, 1.0, m + 1)
+    vid = {}
+    vertices = []
+    for j in range(m + 1):
+        for i in range(m + 1):
+            x, y = xs[i], xs[j]
+            if x > 1e-12 and y < -1e-12:
+                continue
+            vid[(i, j)] = len(vertices)
+            vertices.append((x, y))
+    triangles = []
+    for j in range(m):
+        for i in range(m):
+            xc = (xs[i] + xs[i + 1]) / 2
+            yc = (xs[j] + xs[j + 1]) / 2
+            if xc > 0 and yc < 0:
+                continue
+            a, b = vid[(i, j)], vid[(i + 1, j)]
+            c, d = vid[(i + 1, j + 1)], vid[(i, j + 1)]
+            triangles.append((a, b, c))
+            triangles.append((a, c, d))
+    return Mesh(vertices, triangles, _label_boundary(vertices, triangles, labels))
+
+
+def refine_uniform_oracle(mesh: Mesh) -> Mesh:
+    """Red refinement: each triangle splits into 4 similar children."""
+    verts = [tuple(v) for v in mesh.vertices]
+    mid = {}
+
+    def midpoint(a, b):
+        key = (min(a, b), max(a, b))
+        if key not in mid:
+            mid[key] = len(verts)
+            verts.append(tuple((mesh.vertices[a] + mesh.vertices[b]) / 2))
+        return mid[key]
+
+    triangles = []
+    for a, b, c in mesh.triangles:
+        mab, mbc, mca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        triangles += [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
+    labels = []
+    for e, lab in mesh.boundary_labels.items():
+        a, b = mesh.edges[e]
+        m = midpoint(a, b)
+        labels += [((a, m), lab), ((m, b), lab)]
+    return Mesh(verts, triangles, labels)
 
 
 # -- edge traces and projector report neighborhoods ----------------------------------------

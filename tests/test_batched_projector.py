@@ -618,6 +618,6 @@ def test_neumann_trace_check_in_one_field_call(exp_field):
         return exp_field.eval(pts)
 
     with pytest.raises(FieldError, match=re.escape(f"|v.n| up to {worst:.2e}")):
-        check_field_compatibility(fields.AnalyticField("exp", counted, exp_field.div), m)
+        check_field_compatibility(QuadPolicy(1, m, fields.AnalyticField("exp", counted, exp_field.div)))
     assert calls == [8 * len(neumann)]
-    check_field_compatibility(stream_field(), build_lshape(2, labels="all-neumann"))
+    check_field_compatibility(QuadPolicy(1, build_lshape(2, labels="all-neumann"), stream_field()))

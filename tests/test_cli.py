@@ -206,10 +206,10 @@ def test_bad_field_spec_is_one_line_error(capsys):
     ['{"threads": 2}', '{"refinements": 0}', '{"quad_degree": -3}', "[1]", "{not json",
      '{"seed": -1}', '{"field_params": {"alpa": 0.5}, "field": "lshape_singular"}',
      '{"degrees": [-1]}', '{"refinements": "2"}', '{"tol": "x"}', '{"mesh": 3}', '{"degrees": []}',
-     '{"variant": "def52", "degrees": [0]}'],
+     '{"variant": "def52", "degrees": [0]}', '{"degrees": [1, 1]}'],
     ids=["unknown-key", "bad-value", "negative-quad-degree", "not-object", "not-json",
          "negative-seed", "unknown-field-param", "negative-degree", "string-refinements",
-         "string-tol", "integer-mesh", "no-degrees", "def52-without-p-1"],
+         "string-tol", "integer-mesh", "no-degrees", "def52-without-p-1", "repeated-degree"],
 )
 def test_bad_study_config_is_one_line_error(tmp_path, capsys, text):
     cfg_path = tmp_path / "cfg.json"
@@ -284,7 +284,7 @@ def test_model_problem_error_is_one_line_error(capsys, argv):
 
 
 @pytest.mark.parametrize("command", ["project", "best-approx", "solve-mixed", "solve-ls", "study"])
-@pytest.mark.parametrize("degrees", ["-1", "1,x", "1.5", "0,-2", ""])
+@pytest.mark.parametrize("degrees", ["-1", "1,x", "1.5", "0,-2", "", "1,1", "1,2,1"])
 def test_bad_degree_is_one_line_error(capsys, command, degrees):
     with pytest.raises(SystemExit) as exc:
         main([command, "--p", degrees])

@@ -2,7 +2,16 @@ import json
 
 import numpy as np
 import pytest
-from oracles import hat_grad, hat_values, label_boundary_oracle, mesh_topology_oracle, triangle_coords
+from oracles import (
+    build_lshape_oracle,
+    build_structured_oracle,
+    hat_grad,
+    hat_values,
+    label_boundary_oracle,
+    mesh_topology_oracle,
+    refine_uniform_oracle,
+    triangle_coords,
+)
 
 from hdivkit.mesh import (
     Mesh,
@@ -315,6 +324,41 @@ def test_topology_matches_the_edge_loop(tmp_path, make):
 def test_boundary_labels_match_the_pair_loop(rule):
     verts, tris, _ = _shuffled(2)
     assert _label_boundary(verts, tris, rule) == label_boundary_oracle(verts, tris, rule)
+
+
+def _same_mesh(got, want):
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    for key in ("triangles", "edges"):
+        assert np.array_equal(getattr(got, key), getattr(want, key)), key
+    assert list(got.boundary_labels.items()) == list(want.boundary_labels.items())
+
+
+@pytest.mark.parametrize("rule", ["all-dirichlet", "left-neumann", "all-neumann"])
+@pytest.mark.parametrize(
+    "build,oracle", [(build_structured, build_structured_oracle), (build_lshape, build_lshape_oracle)],
+    ids=["structured", "lshape"],
+)
+def test_generators_and_refinement_match_the_loops(build, oracle, rule):
+    # the array generators and red refinement give the loops' meshes bit for
+    # bit: vertices row by row, midpoints in the order the triangles' sides
+    # ab, bc, ca first reach their edges, labels in the same order
+    for n in [*range(1, 9), 16, 32]:
+        m = build(n, labels=rule)
+        _same_mesh(m, oracle(n, labels=rule))
+        for _ in range(3 if n <= 2 else 1 if n <= 8 else 0):
+            fine = refine_uniform(m)
+            _same_mesh(fine, refine_uniform_oracle(m))
+            m = fine
+
+
+def test_refinement_of_a_jittered_mesh_matches_the_loop():
+    from test_element_layer import jitter
+
+    m = jitter(build_structured(3, labels="left-neumann"), 1)
+    for _ in range(3):
+        fine = refine_uniform(m)
+        _same_mesh(fine, refine_uniform_oracle(m))
+        m = fine
 
 
 def test_edge_of_three_triangles_rejected():

@@ -26,6 +26,7 @@ from hdivkit.model_problems import (
     solve_ls_mixed,
     solve_mixed,
 )
+from hdivkit.quadrature import quad_rule
 from test_projector import _not_finite_in
 
 
@@ -217,6 +218,21 @@ def test_mixed_convergence_rates():
             m = __import__("hdivkit.mesh", fromlist=["refine_uniform"]).refine_uniform(m)
         slope = np.polyfit(np.log(hs[-3:]), np.log(errs[-3:]), 1)[0]
         assert abs(slope - (p + 1)) <= 0.1
+
+
+def test_h1_best_global_samples_grad_u_once():
+    # its error reads the samples of grad u its right-hand side took, and
+    # keeps the bits of potential_h1_error on the same rule
+    prob = manufactured_sine(build_structured(8))
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return prob.grad_u(pts)
+
+    ls, u_h, err = h1_best_global(dataclasses.replace(prob, grad_u=counted), 2)
+    assert calls == [prob.mesh.num_triangles * len(quad_rule(2 * 2 + 10).weights)]
+    assert err == potential_h1_error(prob, ls, u_h)
 
 
 def test_non_finite_source_or_exact_flux_is_a_field_error():

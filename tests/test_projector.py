@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from hdivkit import fields
-from hdivkit.best_approx import error_report
+from hdivkit.best_approx import error_report, global_best
 from hdivkit.fields import FieldError
 from hdivkit.local_solve import CompatibilityError, build_patch_problem, patch_data, patch_layout, theta_field
 from hdivkit.mesh import Mesh, build_lshape, build_structured, refine_uniform, vertex_patches
@@ -195,7 +195,19 @@ def test_all_neumann_needs_zero_mean():
     m = build_structured(2, labels="all-neumann")
     v = fields.catalog("cubic")  # v.n != 0 on the boundary
     with pytest.raises(FieldError):
-        check_field_compatibility(v, m)
+        check_field_compatibility(QuadPolicy(1, m, v))
+
+
+@pytest.mark.parametrize("run", [project_hdiv, error_report, global_best])
+def test_divergence_of_nonzero_mean_is_refused_on_all_neumann(run):
+    # the gradient field's divergence, shifted by 1, has mean 1: no field
+    # with zero normal trace has it, so the constraint is infeasible
+    from test_hybrid_solve import gradient_field
+
+    v = gradient_field()
+    v = dataclasses.replace(v, div=lambda pts, div=v.div: div(pts) + 1)
+    with pytest.raises(FieldError, match="^divergence has nonzero mean on an all-Neumann boundary"):
+        run(v, 1, build_structured(4, labels="all-neumann"))
 
 
 def test_all_neumann_projector_runs():
@@ -276,9 +288,16 @@ def test_report_zero_for_members(unit_square_2):
 
 def _counting_field(name, mesh):
     """A fresh field and the number of points its v and div are called at: a
-    catalog field, or ``sine_flux``, the flux of ``manufactured_sine`` on
-    ``mesh``, which has a divergence and no poly_degree."""
-    field = manufactured_sine(mesh).sigma if name == "sine_flux" else fields.catalog(name)
+    catalog field, ``sine_flux``, the flux of ``manufactured_sine`` on
+    ``mesh``, which has a divergence and no poly_degree, or ``gradient``,
+    the gradient field of ``test_hybrid_solve``, whose divergence has zero
+    mean on an all-Neumann square."""
+    if name == "gradient":
+        from test_hybrid_solve import gradient_field
+
+        field = gradient_field()
+    else:
+        field = manufactured_sine(mesh).sigma if name == "sine_flux" else fields.catalog(name)
     count = {"v": 0, "div": 0}
 
     def counted(key, fn):
@@ -328,8 +347,9 @@ def _points(groups):
         ("lshape_singular", lambda: build_lshape(1), 2),
         ("sine_flux", lambda: build_structured(4), 1),
         ("sine_flux", lambda: build_lshape(1), 2),
+        ("gradient", lambda: build_structured(4, labels="all-neumann"), 1),
     ],
-    ids=["structured4", "lshape1", "structured4-flux", "lshape1-flux"],
+    ids=["structured4", "lshape1", "structured4-flux", "lshape1-flux", "structured4-all-neumann"],
 )
 @pytest.mark.parametrize(
     "run,kw",
@@ -346,7 +366,9 @@ def _points(groups):
 def test_each_policy_samples_the_field_once(name, mesh, p, run, kw):
     # v and div v are each evaluated once at each point of each policy's
     # groups that reads them, plus div v once per point of the projection's
-    # degree-doubling self-check.  def52 adds the fit's degree p - 1 policy;
+    # degree-doubling self-check.  The all-Neumann divergence-mean gate
+    # reads the policy's div v; the trace gate reads v at 8 Gauss points of
+    # each Neumann edge.  def52 adds the fit's degree p - 1 policy;
     # its projection alone reads only div v on the degree-p policy.  A
     # divergence-free field's div is never called, and v as often as ever
     m = mesh()
@@ -358,7 +380,7 @@ def test_each_policy_samples_the_field_once(name, mesh, p, run, kw):
     want = _points(policy.groups())
     fit = _points(QuadPolicy(p - 1, m, v).groups()) if kw.get("variant") == "def52" else 0
     check = _points(policy.check_groups()) if "variant" in kw and policy.self_check else 0
-    v_want = fit if run is project_hdiv and fit else want + fit
+    v_want = (fit if run is project_hdiv and fit else want + fit) + 8 * len(m.edges_with_label("neumann"))
     assert count == {"v": v_want, "div": 0 if v.divergence_free else want + fit + check}
 
 

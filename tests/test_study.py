@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from hdivkit.projector import projector_report
 from hdivkit.study import (
     CSV_COLUMNS,
+    ConfigError,
     StudyConfig,
     build_mesh,
     fit_rate,
@@ -162,6 +164,14 @@ def test_invalid_config():
             StudyConfig(seed=seed).validate()
     with pytest.raises(ValueError, match="seed"):
         verify(StudyConfig(seed=-1))
+
+
+def test_repeated_degree_is_refused_before_any_work(tmp_path):
+    # a repeated degree would compute its rows twice and fit the h-rate to
+    # repeated levels
+    with pytest.raises(ConfigError, match=re.escape("degrees must not repeat, got [1, 1]")):
+        run_study(StudyConfig(degrees=[1, 1], refinements=2, out_dir=str(tmp_path / "out")))
+    assert not (tmp_path / "out").exists()
 
 
 def test_build_mesh_specs(tmp_path):
