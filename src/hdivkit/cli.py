@@ -89,8 +89,8 @@ def cmd_mesh(args):
                     "triangles": m.num_triangles,
                     "h_max": m.h_max,
                     "kappa": m.kappa,
-                    "dirichlet_edges": len(m.edges_with_label("dirichlet")),
-                    "neumann_edges": len(m.edges_with_label("neumann")),
+                    "dirichlet_edges": int(np.sum(m.edge_label == mesh_mod.DIRICHLET)),
+                    "neumann_edges": int(np.sum(m.edge_label == mesh_mod.NEUMANN)),
                 },
                 indent=1,
             )

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import polys
 from .linsolve import SingularSystemError, assemble_csr, check_residuals, chunks, multiplier_system
-from .mesh import kept
+from .mesh import NEUMANN, kept
 from .quadrature import check_degree, gauss01, quad_rule, xy
 
 
@@ -492,7 +492,7 @@ class RTNSpace:
 
     def neumann_edge_dofs(self):
         """Global dof indices pinned to zero by the no-flux boundary condition."""
-        e = np.array(self.mesh.edges_with_label("neumann"), dtype=int)
+        e = np.flatnonzero(self.mesh.edge_label == NEUMANN)
         return (e[:, None] * (self.p + 1) + np.arange(self.p + 1)).ravel()
 
     def free_dofs(self):

@@ -41,6 +41,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
 
+from .mesh import NEUMANN
+
 
 # Budgets of one chunk of a stack (see ``chunks``).  STACK_BYTES bounds the
 # stacks whose bytes per item grow with p: patch chunks, corner-wedge
@@ -312,8 +314,8 @@ def multiplier_system(space):
     ``eliminate``.  Those depend only on the mesh and p, so
     ``RTNSpace.multipliers`` keeps this from first use, read-only."""
     mesh, ne, nt = space.mesh, 3 * (space.p + 1), len(space)
-    on = np.repeat(mesh.edge_tris[:, 1] >= 0, space.p + 1)  # edge dofs with a multiplier
-    on[space.neumann_edge_dofs()] = True
+    # the edge dofs with a multiplier
+    on = np.repeat((mesh.edge_tris[:, 1] >= 0) | (mesh.edge_label == NEUMANN), space.p + 1)
     grounded = bool(on.all())
     n = int(on.sum()) - grounded
     lam = np.where(on, np.cumsum(on) - 1 - grounded, -1)[space.dof_map[:, :ne]]

@@ -330,7 +330,7 @@ def _build_patch_layout(mesh, p):
     c_vert, c_tri, c_loc = mesh.triangles.ravel()[corner], corner // 3, corner % 3
     count = np.bincount(c_vert, minlength=nv)
     start = np.cumsum(count) - count
-    dirichlet = _dirichlet_edges(mesh)
+    dirichlet = mesh.edge_label == DIRICHLET
     kernel = np.bincount(mesh.edges[dirichlet].ravel(), minlength=nv) == 0
     # multipliers: interior edges at the vertex by edge, pinned slots by
     # corner and slot, within one key range per vertex; none on the free
@@ -388,11 +388,6 @@ def _build_patch_layout(mesh, p):
     return layout._replace(chunks=[layout.patch_range(sl) for sl in cuts])
 
 
-def _dirichlet_edges(mesh):
-    """Mask of the Dirichlet edges of ``mesh``, (ne,)."""
-    return np.isin(np.arange(mesh.num_edges), mesh.edges_with_label(DIRICHLET))
-
-
 def _class_ids(*parts):
     """Class of each row of ``parts`` (arrays with one leading row axis),
     numbered in order of first appearance: rows whose bytes are equal in
@@ -420,7 +415,7 @@ def _surrogate_nodes(mesh, p, tris, local, kernel):
     fixed = np.arange(int(np.diff(start).max())) >= np.diff(start)[:, None]
     if not kernel:
         # edge z of a triangle lies opposite its local vertex z
-        on = _dirichlet_edges(mesh)[mesh.tri_edges[tris]] & (np.arange(3) != local[..., None])
+        on = (mesh.edge_label == DIRICHLET)[mesh.tri_edges[tris]] & (np.arange(3) != local[..., None])
         at = np.any(on[..., :, None] & (lagrange_bary(q).T == 0), axis=-2)
         fixed[np.broadcast_to(row, at.shape)[at], loc[at]] = True
     return loc.astype(np.int32), fixed

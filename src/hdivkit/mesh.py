@@ -14,13 +14,16 @@ Conventions baked in here and relied on everywhere else:
     and left to right, and red refinement numbers each edge's midpoint
     after the old vertices, in the order in which the sides ab, bc, ca of
     the triangles first reach the edges: the dof order, and so every
-    output, depends on both.
+    output, depends on both;
+  * ``edge_label[e]`` is edge e's boundary label, ``DIRICHLET`` or
+    ``NEUMANN``, and ``""`` on the interior edges: the one form of the
+    boundary conditions, so a module's mask is ``edge_label == DIRICHLET``.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -76,9 +79,32 @@ def _read_only(entry):
         _read_only([entry.data, entry.indices, entry.indptr])
 
 
+def _rows(rows, width, kinds, one, many):
+    """``rows`` as an (n >= 1, width) array of a dtype kind in ``kinds``, or
+    a one-line MeshError naming the first row (``one``) that is not
+    ``width`` such values ("iu" integers, else numbers)."""
+    def fits(a, ndim):
+        try:
+            a = np.array(a)
+        except ValueError:  # ragged
+            return False
+        return a.ndim == ndim and a.shape[-1] == width and a.size > 0 and a.dtype.kind in kinds
+
+    if fits(rows, 2):
+        return np.array(rows)
+    bad = [(i, row) for i, row in enumerate(rows) if not fits(row, 1)] if np.iterable(rows) else []
+    noun = "integers" if kinds == "iu" else "numbers"
+    raise MeshError(f"{one} {bad[0][0]} {bad[0][1]!r} is not {width} {noun}" if bad else
+                    f"{many} must be an (n, {width}) array of {noun}, n >= 1")
+
+
 def _canonical_triangles(vertices, triangles):
-    tris = np.array(triangles, dtype=int).reshape(-1, 3)
-    xa, xb, xc = np.asarray(vertices, dtype=float)[tris].transpose(1, 0, 2)
+    tris = _rows(triangles, 3, "iu", "triangle", "triangles").astype(int)
+    bad = np.flatnonzero(((tris < 0) | (tris >= len(vertices))).any(axis=1))
+    if len(bad):
+        raise MeshError(f"triangle {bad[0]} {tuple(tris[bad[0]].tolist())} has a vertex index outside "
+                        f"[0, {len(vertices)})")
+    xa, xb, xc = vertices[tris].transpose(1, 0, 2)
     area2 = (xb[:, 0] - xa[:, 0]) * (xc[:, 1] - xa[:, 1]) - (xb[:, 1] - xa[:, 1]) * (xc[:, 0] - xa[:, 0])
     # relative to the longest edge, so the check is invariant under scaling
     longest_sq = np.sum(np.stack([xb - xa, xc - xb, xa - xc]) ** 2, axis=2).max(axis=0)
@@ -112,12 +138,11 @@ def affine_geometry(xs):
 
 class Mesh:
     """A validated conforming triangulation with labeled boundary; ``X0``,
-    ``B``, ``detB``, ``Binv`` and ``h`` hold the affine element maps."""
+    ``B``, ``detB``, ``Binv`` and ``h`` hold the affine element maps, and
+    ``edge_label`` the boundary labels, one per edge."""
 
     def __init__(self, vertices, triangles, boundary_labels, *, check_hanging=False):
-        self.vertices = np.array(vertices, dtype=float)
-        if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
-            raise MeshError("vertices must be an (n, 2) array")
+        self.vertices = _rows(vertices, 2, "iuf", "vertex", "vertices").astype(float)
         bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
         if len(bad):
             raise MeshError(f"vertex {int(bad[0])} has a non-finite coordinate {tuple(self.vertices[bad[0]].tolist())}")
@@ -160,28 +185,42 @@ class Mesh:
         self.tri_edge_sign = np.where(local[:, :, 0] < local[:, :, 1], 1, -1)
 
     def _apply_labels(self, boundary_labels):
+        """``edge_label`` from the (a, b) -> label items.  The first item that
+        fails a check is refused, by its first failing one: its edge exists,
+        lies on the boundary, gets a known label and no earlier item's."""
         if isinstance(boundary_labels, str):
             raise MeshError(f"boundary_labels maps edges (a, b) to labels, not {boundary_labels!r}: label rules "
                             "such as 'all-dirichlet' belong to build_structured and build_lshape")
-        self.boundary_labels = {}
-        eidx = {tuple(e): i for i, e in enumerate(self.edges)}
+        nv, items, ends = len(self.vertices), [], []
         for item in boundary_labels.items() if isinstance(boundary_labels, dict) else boundary_labels:
             try:
                 (a, b), label = item
             except (TypeError, ValueError):
-                raise MeshError(f"boundary_labels maps edges (a, b) -> label, not {item!r} (Mesh.boundary_labels "
-                                "is keyed by edge index)") from None
-            key = (min(a, b), max(a, b))
-            if key not in eidx:
-                raise MeshError(f"labeled edge {key} does not exist")
-            e = eidx[key]
-            if self.edge_tris[e, 1] != -1:
-                raise MeshError(f"edge {key} is interior but carries a boundary label")
-            if label not in _LABELS:
-                raise MeshError(f"unknown boundary label {label!r} on edge {key}")
-            if e in self.boundary_labels:
-                raise MeshError(f"edge {key} labeled twice")
-            self.boundary_labels[e] = label
+                raise MeshError(f"boundary_labels maps edges (a, b) -> label, not {item!r} (Mesh.edge_label "
+                                "holds the labels by edge index)") from None
+            items.append(((a, b), label))
+            ends.append([v if isinstance(v, (int, np.integer)) and 0 <= v < nv else -1 for v in (a, b)])
+        ends, edge_keys = np.array(ends, dtype=int).reshape(-1, 2), _pair_keys(self.edges, nv)
+        key = np.where((ends >= 0).all(axis=1), _pair_keys(ends, nv), -1)
+        e = np.minimum(np.searchsorted(edge_keys, key), len(edge_keys) - 1)
+        exists = edge_keys[e] == key
+        # twice: an earlier item has the same existing edge
+        _, first, inv = np.unique(np.where(exists, key, -1 - np.arange(len(key))), return_index=True,
+                                  return_inverse=True)
+        failed = np.stack([~exists, self.edge_tris[e, 1] != -1, [lab not in _LABELS for _, lab in items],
+                           first[inv] != np.arange(len(key))])
+        bad = np.flatnonzero(failed.any(axis=0))
+        if len(bad):
+            (a, b), label = items[bad[0]]
+            try:
+                edge = (min(a, b), max(a, b))
+            except TypeError:  # endpoints of no common order
+                edge = (a, b)
+            raise MeshError((f"labeled edge {edge} does not exist", f"edge {edge} is interior but carries a boundary "
+                             f"label", f"unknown boundary label {label!r} on edge {edge}",
+                             f"edge {edge} labeled twice")[np.argmax(failed[:, bad[0]])])
+        self.edge_label = np.full(len(self.edges), "", dtype="<U9")  # as long as "dirichlet"
+        self.edge_label[e] = [lab for _, lab in items]
 
     def _geometry(self):
         xs = self.vertices[self.triangles]
@@ -205,9 +244,7 @@ class Mesh:
                 f"Euler characteristic V-E+T = {nv - ne + nt} != 1 "
                 "(mesh must triangulate a simply connected domain)"
             )
-        labeled = np.zeros(ne, dtype=bool)
-        labeled[list(self.boundary_labels)] = True
-        missing = np.flatnonzero((self.edge_tris[:, 1] == -1) & ~labeled)
+        missing = np.flatnonzero((self.edge_tris[:, 1] == -1) & (self.edge_label == ""))
         if len(missing):
             raise MeshError(f"boundary edge {tuple(int(a) for a in self.edges[missing[0]])} is missing a label")
         self._check_folds()
@@ -256,9 +293,7 @@ class Mesh:
             inside[[a, b]] = False
             if inside.any():
                 v = int(np.flatnonzero(inside)[0])
-                raise MeshError(
-                    f"hanging node: vertex {v} lies inside edge {tuple(self.edges[e])}"
-                )
+                raise MeshError(f"hanging node: vertex {v} lies inside edge {tuple(self.edges[e].tolist())}")
 
     # -- queries ---------------------------------------------------------------
 
@@ -311,17 +346,11 @@ class Mesh:
             np.add(ac[..., None], t * tc[..., None], out=out)
         return pts
 
-    def is_boundary_edge(self, e):
-        return self.edge_tris[e, 1] == -1
-
     def interior_edges(self):
         return np.flatnonzero(self.edge_tris[:, 1] != -1)
 
     def boundary_edges(self):
         return np.flatnonzero(self.edge_tris[:, 1] == -1)
-
-    def edges_with_label(self, label):
-        return sorted(e for e, lab in self.boundary_labels.items() if lab == label)
 
     def diameter(self):
         lo = self.vertices.min(axis=0)
@@ -331,10 +360,8 @@ class Mesh:
     # -- serialization ----------------------------------------------------------
 
     def to_dict(self):
-        boundary = [
-            {"edge": [int(self.edges[e, 0]), int(self.edges[e, 1])], "label": lab}
-            for e, lab in sorted(self.boundary_labels.items())
-        ]
+        on = self.edge_label != ""
+        boundary = [{"edge": e, "label": lab} for e, lab in zip(self.edges[on].tolist(), self.edge_label[on].tolist())]
         return {
             "vertices": [[float(x), float(y)] for x, y in self.vertices],
             "triangles": [[int(a), int(b), int(c)] for a, b, c in self.triangles],
@@ -369,41 +396,39 @@ def mesh_from_dict(data) -> Mesh:
         boundary = data["boundary"]
     except (KeyError, TypeError) as exc:
         raise MeshError(f"mesh file missing field: {exc}") from exc
-    labels = []
-    for item in boundary:
-        labels.append(((item["edge"][0], item["edge"][1]), item["label"]))
-    return Mesh(vertices, triangles, labels, check_hanging=True)
+    if not isinstance(boundary, list):
+        raise MeshError(f"mesh file field 'boundary' must be a list, not {boundary!r}")
+    return Mesh(vertices, triangles, [_boundary_item(i, item) for i, item in enumerate(boundary)],
+                check_hanging=True)
+
+
+def _boundary_item(i, item):
+    """A mesh file's boundary item {"edge": [a, b], "label": ...} as ((a, b), label)."""
+    edge = item.get("edge") if isinstance(item, dict) else None
+    if isinstance(edge, list) and len(edge) == 2 and all(type(a) is int for a in edge) and "label" in item:
+        return tuple(edge), item["label"]
+    raise MeshError(f'boundary item {i} {item!r} is not an object with a two-integer "edge" and a "label"')
 
 
 # -- generators ------------------------------------------------------------------
 
 
-def _rule_label(rule, mid, lo, hi):
-    if rule == "all-dirichlet":
-        return DIRICHLET
-    if rule == "all-neumann":
-        return NEUMANN
-    if rule == "left-neumann":
-        return NEUMANN if abs(mid[0] - lo[0]) < 1e-12 else DIRICHLET
-    raise MeshError(f"unknown boundary label rule {rule!r}")
-
-
 def _label_boundary(vertices, triangles, rule):
-    """Labels for the 1-incident edges of a raw triangle list."""
+    """Labels of the 1-incident edges of a raw triangle list, in the order the edges
+    first appear: left-neumann is Neumann where the midpoint has the least x."""
+    if rule not in ("all-dirichlet", "all-neumann", "left-neumann"):
+        raise MeshError(f"unknown boundary label rule {rule!r}")
     tris = np.asarray(triangles, dtype=int).reshape(-1, 3)
     verts = np.asarray(vertices, float)
     nv = len(verts)
     keys, first, count = np.unique(
         _pair_keys(tris[:, [[1, 2], [2, 0], [0, 1]]], nv), return_index=True, return_counts=True
     )
-    lo = verts.min(axis=0)
-    hi = verts.max(axis=0)
-    labels = []
-    for i in np.flatnonzero(count == 1)[np.argsort(first[count == 1])]:
-        key = (int(keys[i] // nv), int(keys[i] % nv))
-        mid = (verts[key[0]] + verts[key[1]]) / 2
-        labels.append((key, _rule_label(rule, mid, lo, hi)))
-    return labels
+    keys = keys[count == 1][np.argsort(first[count == 1])]
+    a, b = keys // nv, keys % nv
+    left = np.abs((verts[a, 0] + verts[b, 0]) / 2 - verts[:, 0].min()) < 1e-12
+    neumann = (rule == "all-neumann") | ((rule == "left-neumann") & left)
+    return list(zip(zip(a.tolist(), b.tolist()), np.where(neumann, NEUMANN, DIRICHLET).tolist()))
 
 
 def one_triangle(coords) -> Mesh:
@@ -467,9 +492,9 @@ def refine_uniform(mesh: Mesh) -> Mesh:
     a, b, c = mesh.triangles.T
     mab, mbc, mca = mid[slots].T
     triangles = np.stack([a, mab, mca, mab, b, mbc, mca, mbc, c, mab, mbc, mca], axis=1).reshape(-1, 3)
-    labels = [(half, lab) for e, lab in mesh.boundary_labels.items()
-              for half in ((mesh.edges[e, 0], mid[e]), (mid[e], mesh.edges[e, 1]))]
-    return Mesh(verts, triangles, labels)
+    e = np.flatnonzero(mesh.edge_label != "")
+    halves = np.stack([mesh.edges[e, 0], mid[e], mid[e], mesh.edges[e, 1]], axis=1).reshape(-1, 2)
+    return Mesh(verts, triangles, zip(halves.tolist(), np.repeat(mesh.edge_label[e], 2).tolist()))
 
 
 # -- vertex patches ----------------------------------------------------------------
@@ -488,7 +513,6 @@ class VertexPatch:
     local_index: dict  # triangle -> local index of the patch vertex
     gamma_d_edges: list  # Dirichlet boundary edges containing the vertex
     active_edges: list  # edges whose dofs are free in the patch space
-    boundary_edges: list = field(default_factory=list)  # edges of the patch boundary
 
 
 def vertex_patches(mesh: Mesh):
@@ -504,47 +528,19 @@ def vertex_patches(mesh: Mesh):
 
 def _build_vertex_patches(mesh: Mesh):
     nv = mesh.num_vertices
-    tris_at = [[] for _ in range(nv)]
-    for k, tri in enumerate(mesh.triangles):
-        for v in tri:
-            tris_at[v].append(k)
-    edges_at = [[] for _ in range(nv)]
-    for e, (a, b) in enumerate(mesh.edges):
-        edges_at[a].append(e)
-        edges_at[b].append(e)
     patches = []
-    for v in range(nv):
-        bdry = [e for e in edges_at[v] if mesh.is_boundary_edge(e)]
-        if not bdry:
-            kind = INTERIOR
-        elif any(mesh.boundary_labels[e] == DIRICHLET for e in bdry):
-            kind = DIRICHLET
-        else:
-            kind = NEUMANN
-        gamma_d = [e for e in bdry if mesh.boundary_labels.get(e) == DIRICHLET]
-        interior_at = [e for e in edges_at[v] if not mesh.is_boundary_edge(e)]
-        active = sorted(interior_at + (gamma_d if kind == DIRICHLET else []))
-        tris = np.array(sorted(tris_at[v]), dtype=int)
-        local = {
-            int(k): int(np.flatnonzero(mesh.triangles[k] == v)[0]) for k in tris
-        }
-        patch_edges = set()
-        for k in tris:
-            patch_edges.update(mesh.tri_edges[k])
-        boundary = sorted(
-            e
-            for e in patch_edges
-            if v not in mesh.edges[e] or mesh.is_boundary_edge(e)
-        )
-        patches.append(
-            VertexPatch(
-                vertex=v,
-                kind=kind,
-                tris=tris,
-                local_index=local,
-                gamma_d_edges=sorted(gamma_d),
-                active_edges=active,
-                boundary_edges=boundary,
-            )
-        )
+    for v, (tris, at) in enumerate(zip(_by_vertex(mesh.triangles, nv), _by_vertex(mesh.edges, nv))):
+        bdry = at[mesh.edge_tris[at, 1] == -1]
+        gamma_d = bdry[mesh.edge_label[bdry] == DIRICHLET].tolist()
+        kind = DIRICHLET if gamma_d else NEUMANN if len(bdry) else INTERIOR
+        # the Dirichlet edges at a Dirichlet vertex are free
+        active = sorted(at[mesh.edge_tris[at, 1] != -1].tolist() + gamma_d)
+        local = dict(zip(tris.tolist(), np.argmax(mesh.triangles[tris] == v, axis=1).tolist()))
+        patches.append(VertexPatch(v, kind, tris, local, gamma_d, active))
     return patches
+
+
+def _by_vertex(cells, nv):
+    """The rows of ``cells`` (n, k) at each of the nv vertices, ascending."""
+    order = np.argsort(cells.ravel(), kind="stable")
+    return np.split(order // cells.shape[1], np.cumsum(np.bincount(cells.ravel(), minlength=nv))[:-1])

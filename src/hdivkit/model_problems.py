@@ -35,7 +35,7 @@ from .elements import (
 )
 from .fields import AnalyticField
 from .linsolve import SparseFactor, assemble_csr, check_symmetric, hybrid_saddle_solve, solve_stacked
-from .mesh import kept
+from .mesh import NEUMANN, kept
 from .projections import ScalarPWField
 from .projector import ConformingRTNField
 from .quadpolicy import QuadGroup, QuadPolicy, check_finite
@@ -59,7 +59,7 @@ class PoissonProblem:
     name: str = ""
 
     def __post_init__(self):
-        if self.mesh.edges_with_label("neumann"):
+        if (self.mesh.edge_label == NEUMANN).any():
             raise ModelProblemError(
                 "model problems require an all-Dirichlet boundary"
             )

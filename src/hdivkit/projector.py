@@ -27,6 +27,7 @@ from .local_solve import (
     patch_stability_ratio,
     theta_field,
 )
+from .mesh import DIRICHLET, NEUMANN
 from .projections import BrokenRTNField, quadrature_self_check
 from .quadpolicy import QuadGroup, QuadPolicy
 from .quadrature import gauss01
@@ -93,10 +94,9 @@ def check_field_compatibility(policy):
     v, mesh = policy.field, policy.mesh
     if getattr(v, "is_discrete", False):
         return
-    neumann = mesh.edges_with_label("neumann")
-    if not neumann:
+    e = np.flatnonzero(mesh.edge_label == NEUMANN)
+    if not len(e):
         return
-    e = np.array(neumann)
     pts = mesh.edge_points(e, gauss01(8)[0])  # (n, 8, 2)
     vals = np.asarray(v.eval(pts.reshape(-1, 2)), float).reshape(pts.shape)
     worst = float(np.max(np.abs(np.einsum("eqd,ed->eq", vals, mesh.edge_normal(e)))))
@@ -106,7 +106,7 @@ def check_field_compatibility(policy):
             f"field has nonzero normal trace on Neumann edges (|v.n| up to {worst:.2e}); "
             "it lies outside the constrained space for these boundary labels"
         )
-    if not mesh.edges_with_label("dirichlet") and not policy.divergence_free:
+    if not (mesh.edge_label == DIRICHLET).any() and not policy.divergence_free:
         samples = zip(policy.groups(), policy.values(div=True))
         total, mass = np.sum([(np.sum(g.w * dv), np.sum(g.w * np.abs(dv))) for g, dv in samples], axis=0)
         if abs(total) > 1e-8 * max(mass, 1e-300):

@@ -43,7 +43,7 @@ from hdivkit.elements import (
     scalar_basis,
 )
 from hdivkit.linsolve import chunks, dense_solve, solve_stacked
-from hdivkit.mesh import Mesh, MeshError, _label_boundary, one_triangle
+from hdivkit.mesh import DIRICHLET, NEUMANN, Mesh, MeshError, _label_boundary, one_triangle
 from hdivkit.quadpolicy import QuadPolicy
 from hdivkit.quadrature import TriangleRule, gauss01, jacobi01, quad_rule
 
@@ -583,7 +583,7 @@ def conforming_saddle_oracle(space, rhs, g):
     M, B, fidx = space.conforming_blocks()
     rhs = np.bincount(space.dof_map.ravel(), np.ravel(rhs), space.ndof)[fidx]
     g = np.ravel(g)
-    if space.mesh.edges_with_label("dirichlet"):
+    if (space.mesh.edge_label == "dirichlet").any():
         A = sp.bmat([[M, B.T], [B, None]], format="csc")
         b = np.concatenate([rhs, g])
     else:
@@ -1468,11 +1468,19 @@ def mesh_topology_oracle(vertices, triangles):
     return tris, edges, edge_tris, tri_edges, sign
 
 
+def _rule_label(rule, mid, lo, hi):
+    if rule == "all-dirichlet":
+        return DIRICHLET
+    if rule == "all-neumann":
+        return NEUMANN
+    if rule == "left-neumann":
+        return NEUMANN if abs(mid[0] - lo[0]) < 1e-12 else DIRICHLET
+    raise MeshError(f"unknown boundary label rule {rule!r}")
+
+
 def label_boundary_oracle(vertices, triangles, rule):
     """Labels of the 1-incident edges by a dict of vertex pairs, in the order
     the edges first appear."""
-    from hdivkit.mesh import _rule_label
-
     raw = {}
     for a, b, c in np.asarray(triangles, int):
         for pair in ((b, c), (c, a), (a, b)):
@@ -1485,6 +1493,31 @@ def label_boundary_oracle(vertices, triangles, rule):
         for key, count in raw.items()
         if count == 1
     ]
+
+
+def apply_labels_oracle(mesh, boundary_labels):
+    """The labels of ``mesh``'s edges (ne,) from a list of (a, b) -> label
+    items by a dict of vertex pairs, one item at a time, or the MeshError of
+    the first item that fails a check, else of the first boundary edge left
+    without a label."""
+    eidx = {tuple(e): i for i, e in enumerate(mesh.edges)}
+    labels = {}
+    for (a, b), label in boundary_labels:
+        key = (min(a, b), max(a, b))
+        if key not in eidx:
+            raise MeshError(f"labeled edge {key} does not exist")
+        e = eidx[key]
+        if mesh.edge_tris[e, 1] != -1:
+            raise MeshError(f"edge {key} is interior but carries a boundary label")
+        if label not in (DIRICHLET, NEUMANN):
+            raise MeshError(f"unknown boundary label {label!r} on edge {key}")
+        if e in labels:
+            raise MeshError(f"edge {key} labeled twice")
+        labels[e] = label
+    for e in mesh.boundary_edges():
+        if e not in labels:
+            raise MeshError(f"boundary edge {tuple(int(a) for a in mesh.edges[e])} is missing a label")
+    return [labels.get(e, "") for e in range(mesh.num_edges)]
 
 
 # -- mesh generator and refinement loops ----------------------------------------------------
@@ -1558,8 +1591,9 @@ def refine_uniform_oracle(mesh: Mesh) -> Mesh:
         mab, mbc, mca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
         triangles += [(a, mab, mca), (mab, b, mbc), (mca, mbc, c), (mab, mbc, mca)]
     labels = []
-    for e, lab in mesh.boundary_labels.items():
-        a, b = mesh.edges[e]
+    for (a, b), lab in zip(mesh.edges, mesh.edge_label.tolist()):
+        if not lab:
+            continue
         m = midpoint(a, b)
         labels += [((a, m), lab), ((m, b), lab)]
     return Mesh(verts, triangles, labels)
@@ -1576,7 +1610,7 @@ def trace_residuals_oracle(field):
     mesh = field.mesh
     t, w = gauss01(8)
     out = []
-    for edges in (mesh.interior_edges(), mesh.edges_with_label("neumann")):
+    for edges in (mesh.interior_edges(), np.flatnonzero(mesh.edge_label == "neumann")):
         worst = 0.0
         for e in edges:
             a, b = mesh.edges[e]
@@ -1935,7 +1969,6 @@ def _stability_ratios_stacked(group, p, chi, x, mesh):
     from hdivkit.elements import (_coupling_reference, _stiffness_blocks, lagrange_bary, lagrange_grads_ref,
                                   lagrange_nodes)
     from hdivkit.local_solve import _sum_into
-    from hdivkit.mesh import DIRICHLET
 
     # p + 2 keeps the surrogate space nontrivial even on one-triangle corner
     # patches with two clamped edges
@@ -1955,8 +1988,7 @@ def _stability_ratios_stacked(group, p, chi, x, mesh):
     # and, at Dirichlet vertices, the nodes on the Dirichlet edges there
     fixed = np.arange(nn) >= np.diff(start)[:, None]
     if not group.kernel:
-        dirichlet = np.zeros(mesh.num_edges, dtype=bool)
-        dirichlet[np.array(mesh.edges_with_label(DIRICHLET), dtype=int)] = True
+        dirichlet = mesh.edge_label == DIRICHLET
         # edge z of a triangle lies opposite its local vertex z
         clamped = dirichlet[mesh.tri_edges[tris]] & (np.arange(3) != group.local[..., None])
         on_edge = lagrange_bary(q).T == 0  # (3, nloc)
@@ -2126,10 +2158,10 @@ def to_broken(field):
 def neumann_trace_residual(field):
     """Largest Neumann-edge L2 norm of the normal trace of a conforming
     field, on the points of its ``jump_residual``."""
-    edges = field.mesh.edges_with_label("neumann")
-    if not edges:
+    edges = np.flatnonzero(field.mesh.edge_label == "neumann")
+    if not len(edges):
         return 0.0
-    group, v0 = field._normal_traces(np.array(edges), 0)  # a boundary edge's triangle is its first
+    group, v0 = field._normal_traces(edges, 0)  # a boundary edge's triangle is its first
     return float(np.sqrt(np.max(group.norm_sq(v0))))
 
 

@@ -606,7 +606,7 @@ def test_project_scalar_matches_element_loop(p):
 def test_neumann_trace_check_in_one_field_call(exp_field):
     # same threshold and message as a loop over the Neumann edges
     m = build_structured(3, labels="left-neumann")
-    neumann = m.edges_with_label("neumann")
+    neumann = np.flatnonzero(m.edge_label == "neumann")
     worst = 0.0
     for e in neumann:
         pts = m.vertices[m.edges[e, 0]] + np.outer(gauss01(8)[0], m.edge_vector(e))

@@ -143,7 +143,7 @@ def _jitter_every_vertex(m, seed):
     shortest edge: no two triangles share their c_k."""
     h = np.linalg.norm(m.vertices[m.edges[:, 1]] - m.vertices[m.edges[:, 0]], axis=1).min()
     verts = m.vertices + np.random.default_rng(seed).uniform(-0.1, 0.1, m.vertices.shape) * h
-    labels = [(tuple(m.edges[e]), lab) for e, lab in m.boundary_labels.items()]
+    labels = [(tuple(e), lab) for e, lab in zip(m.edges, m.edge_label) if lab]
     return Mesh(verts, m.triangles, labels)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from hdivkit.cli import build_parser, main
-from hdivkit.mesh import build_structured
+from hdivkit.mesh import build_lshape, build_structured
 
 # the flags each subcommand's cmd_* function reads, and no others
 SUBCOMMAND_FLAGS = {
@@ -193,6 +193,7 @@ def _assert_one_line_error(argv, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("hdivkit: error: ")
+    return lines[0]
 
 
 def test_bad_field_spec_is_one_line_error(capsys):
@@ -257,6 +258,43 @@ def test_folded_mesh_file_is_one_line_error(tmp_path, capsys):
     _assert_one_line_error(["project", "--mesh", str(path)], capsys)
     code = main(["mesh", "inspect", "--mesh", str(path)])
     assert code == 2 and "folded at edge" in capsys.readouterr().err
+
+
+def _set(data, key, i, value, j=None):
+    if j is None:
+        data[key][i] = value
+    else:
+        data[key][i][j] = value
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda d: _set(d, "boundary", 3, {"label": "dirichlet"}),
+         "boundary item 3 {'label': 'dirichlet'} is not an object with a two-integer \"edge\" and a \"label\""),
+        (lambda d: _set(d, "boundary", 3, [0], "edge"), "boundary item 3 {'edge': [0], 'label': 'dirichlet'} is not"),
+        (lambda d: _set(d, "boundary", 3, [0.0, 1.0], "edge"), "boundary item 3 {'edge': [0.0, 1.0], "),
+        (lambda d: d.update(boundary=5), "mesh file field 'boundary' must be a list, not 5"),
+        (lambda d: _set(d, "vertices", 5, [0.0]), "vertex 5 [0.0] is not 2 numbers"),
+        (lambda d: _set(d, "vertices", 5, ["x", 0]), "vertex 5 ['x', 0] is not 2 numbers"),
+        (lambda d: _set(d, "triangles", 7, 10**6, 1), "triangle 7 (4, 1000000, 7) has a vertex index outside [0, 21)"),
+        (lambda d: _set(d, "triangles", 7, -1, 0), "triangle 7 (-1, 8, 7) has a vertex index outside [0, 21)"),
+        (lambda d: _set(d, "triangles", 7, [0, 1]), "triangle 7 [0, 1] is not 3 integers"),
+        (lambda d: _set(d, "triangles", 7, 2.5, 2), "triangle 7 [4, 8, 2.5] is not 3 integers"),
+        (lambda d: d.update(triangles=[]), "triangles must be an (n, 3) array of integers, n >= 1"),
+    ],
+    ids=["no-edge", "short-edge", "float-edge", "boundary-not-list", "ragged-vertex", "string-vertex",
+         "index-too-big", "negative-index", "ragged-triangle", "float-index", "no-triangles"],
+)
+def test_malformed_mesh_file_is_one_line_error(tmp_path, capsys, edit, message):
+    # each names the offending item, where a bare array conversion would
+    # end in a traceback, wrap a negative index or truncate a float one
+    data = build_lshape(2).to_dict()
+    assert (len(data["vertices"]), data["triangles"][7]) == (21, [4, 8, 7])
+    edit(data)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    assert message in _assert_one_line_error(["mesh", "inspect", "--mesh", str(path)], capsys)
 
 
 def test_non_finite_mesh_file_is_one_line_error(tmp_path, capsys):

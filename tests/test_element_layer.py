@@ -51,7 +51,7 @@ def jitter(m, seed):
     inner[m.edges[m.boundary_edges()].ravel()] = False
     h = np.linalg.norm(m.vertices[m.edges[:, 1]] - m.vertices[m.edges[:, 0]], axis=1).min()
     verts[inner] += np.random.default_rng(seed).uniform(-0.3, 0.3, (int(inner.sum()), 2)) * h
-    labels = [(tuple(m.edges[e]), lab) for e, lab in m.boundary_labels.items()]
+    labels = [(tuple(e), lab) for e, lab in zip(m.edges, m.edge_label) if lab]
     return Mesh(verts, m.triangles, labels)
 
 

@@ -28,7 +28,7 @@ def jittered_mesh(n, seed, labels="left-neumann"):
     on_boundary[m.edges[m.boundary_edges()].ravel()] = True
     rng = np.random.default_rng(seed)
     verts[~on_boundary] += rng.uniform(-0.3, 0.3, (int((~on_boundary).sum()), 2)) / n
-    labels = [(tuple(m.edges[e]), lab) for e, lab in m.boundary_labels.items()]
+    labels = [(tuple(e), lab) for e, lab in zip(m.edges, m.edge_label) if lab]
     return Mesh(verts, m.triangles, labels)
 
 

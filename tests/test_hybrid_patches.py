@@ -52,7 +52,7 @@ def _check_patches(m, p, v):
 
 
 def _scaled(m, c):
-    labels = [(tuple(m.edges[e]), lab) for e, lab in m.boundary_labels.items()]
+    labels = [(tuple(e), lab) for e, lab in zip(m.edges, m.edge_label) if lab]
     return Mesh(c * m.vertices, m.triangles, labels)
 
 

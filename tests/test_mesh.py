@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 from oracles import (
+    apply_labels_oracle,
     build_lshape_oracle,
     build_structured_oracle,
     hat_grad,
@@ -53,11 +54,13 @@ def test_invalid_n():
         build_structured(0)
 
 
-@pytest.mark.parametrize("labels", [lambda m: m.boundary_labels, lambda m: list(m.boundary_labels.items()),
-                                    lambda m: ["dirichlet"]], ids=["own", "own-items", "bare-label"])
+@pytest.mark.parametrize("labels", [lambda m: m.edge_label, lambda m: list(enumerate(m.edge_label)),
+                                    lambda m: dict(enumerate(m.edge_label)), lambda m: ["dirichlet"]],
+                         ids=["own", "own-items", "by-index", "bare-label"])
 def test_labels_not_keyed_by_edge_endpoints_are_refused(labels):
-    # a mesh's own boundary_labels are keyed by edge index: given back to
-    # Mesh they get the one-line refusal naming the (a, b) -> label form
+    # a mesh's own edge_label holds the labels by edge index: given back to
+    # Mesh, as it is or keyed by index, they get the one-line refusal naming
+    # the (a, b) -> label form
     m = build_structured(2)
     with pytest.raises(MeshError, match=r"^boundary_labels maps edges \(a, b\) -> label, not ") as err:
         Mesh(m.vertices, m.triangles, labels(m))
@@ -72,7 +75,8 @@ def test_refine_counts_and_similarity():
     assert abs(r.kappa - m.kappa) < 1e-12
     # labels inherited
     assert len(r.boundary_edges()) == 2 * len(m.boundary_edges())
-    assert all(lab == "dirichlet" for lab in r.boundary_labels.values())
+    assert np.array_equal(r.edge_label != "", r.edge_tris[:, 1] == -1)
+    assert set(r.edge_label[r.boundary_edges()]) == {"dirichlet"}
 
 
 def test_refine_nesting():
@@ -107,6 +111,86 @@ def test_missing_label_rejected():
         mesh_from_dict(data)
 
 
+def _labels(m):
+    return [((int(a), int(b)), lab) for (a, b), lab in zip(m.edges, m.edge_label) if lab]
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda ls: ls + [((8, 0), "dirichlet")], "labeled edge (0, 8) does not exist"),
+        (lambda ls: ls + [(("a", "b"), "dirichlet")], "labeled edge ('a', 'b') does not exist"),
+        (lambda ls: ls + [((2.5, 1), "dirichlet")], "labeled edge (1, 2.5) does not exist"),
+        (lambda ls: ls + [((0, 4), "neumann")], "edge (0, 4) is interior but carries a boundary label"),
+        (lambda ls: [((0, 1), "robin")] + ls[1:], "unknown boundary label 'robin' on edge (0, 1)"),
+        (lambda ls: ls + [((1, 0), "neumann")], "edge (0, 1) labeled twice"),
+        (lambda ls: ls[1:], "boundary edge (0, 1) is missing a label"),
+        # an earlier item's later check beats a later item's earlier one,
+        # and an item's first failing check is the one reported
+        (lambda ls: [((0, 1), "robin")] + ls[1:] + [((0, 8), "dirichlet")],
+         "unknown boundary label 'robin' on edge (0, 1)"),
+        (lambda ls: ls + [((4, 0), "robin")], "edge (0, 4) is interior but carries a boundary label"),
+    ],
+    ids=["missing-edge", "string-ends", "float-end", "interior", "unknown", "twice", "missing-label",
+         "earlier-item-wins", "first-check-wins"],
+)
+def test_each_label_refusal_is_reached(edit, message):
+    m = build_structured(2)
+    assert _labels(m)[0] == ((0, 1), "dirichlet")
+    with pytest.raises(MeshError) as err:
+        Mesh(m.vertices, m.triangles, edit(_labels(m)))
+    assert str(err.value) == message
+
+
+def _label_corpus(m, seed):
+    """The labels of ``m`` shuffled, with up to three faults: a reversed,
+    dropped, doubled, relabelled, interior, absent or non-integer pair."""
+    rng = np.random.default_rng(seed)
+    labels = _labels(m)
+    interior = [tuple(int(a) for a in m.edges[e]) for e in m.interior_edges()]
+    for _ in range(rng.integers(4)):
+        i = int(rng.integers(len(labels)))
+        (a, b), lab = labels[i]
+        kind = rng.integers(7)
+        if kind == 0:
+            labels[i] = ((b, a), lab)
+        elif kind == 1:
+            del labels[i]
+        elif kind == 2:
+            labels.insert(int(rng.integers(len(labels) + 1)), ((b, a), str(rng.choice(["dirichlet", "neumann"]))))
+        elif kind == 3:
+            labels[i] = ((a, b), "robin")
+        elif kind == 4:
+            labels[i] = (interior[rng.integers(len(interior))], lab)
+        elif kind == 5:
+            labels[i] = ((a, int(rng.choice([-1, a, m.num_vertices, m.num_vertices + 7]))), lab)
+        else:
+            labels[i] = (("a", "b"), lab)
+    return [labels[j] for j in rng.permutation(len(labels))]
+
+
+_REFUSALS = ("does not exist", "is interior", "unknown boundary label", "labeled twice", "missing a label")
+
+
+def test_label_refusals_match_the_item_loop():
+    # one searchsorted of the items' keys refuses what the loop over the
+    # items refused, with its message, and labels what it labelled
+    m = build_lshape(2, labels="left-neumann")
+    refused = set()
+    for seed in range(400):
+        labels = _label_corpus(m, seed)
+        try:
+            want = apply_labels_oracle(m, labels)
+        except MeshError as exc:
+            with pytest.raises(MeshError) as err:
+                Mesh(m.vertices, m.triangles, labels)
+            assert str(err.value) == str(exc), seed
+            refused.update(k for k in _REFUSALS if k in str(exc))
+        else:
+            assert Mesh(m.vertices, m.triangles, labels).edge_label.tolist() == want, seed
+    assert refused == set(_REFUSALS)
+
+
 def test_degenerate_triangle_rejected():
     with pytest.raises(MeshError, match="degenerate"):
         Mesh(
@@ -121,7 +205,7 @@ def test_degeneracy_check_is_scale_free(scale):
     # twice the area is compared with the squared longest edge, so a valid
     # mesh builds at any size
     m = build_structured(4)
-    labels = [(tuple(m.edges[e]), lab) for e, lab in m.boundary_labels.items()]
+    labels = [(tuple(e), lab) for e, lab in zip(m.edges, m.edge_label) if lab]
     small = Mesh(scale * m.vertices, m.triangles, labels)
     assert small.num_triangles == m.num_triangles
     with pytest.raises(MeshError, match="degenerate"):
@@ -133,7 +217,7 @@ def test_non_finite_vertex_rejected(bad):
     # checked before any geometry: no RuntimeWarning, and neither a fold
     # nor a degenerate triangle is blamed
     m = build_structured(2)
-    labels = [(tuple(m.edges[e]), lab) for e, lab in m.boundary_labels.items()]
+    labels = [(tuple(e), lab) for e, lab in zip(m.edges, m.edge_label) if lab]
     vertices = m.vertices.copy()
     vertices[4, 1] = bad
     with pytest.raises(MeshError, match=r"^vertex 4 has a non-finite coordinate"):
@@ -153,8 +237,9 @@ def test_hanging_node_rejected():
             {"edge": [0, 3], "label": "dirichlet"},
         ],
     }
-    with pytest.raises(MeshError, match="hanging"):
+    with pytest.raises(MeshError) as err:
         mesh_from_dict(hanging)
+    assert str(err.value) == "hanging node: vertex 4 lies inside edge (0, 2)"
     # the properly split version is accepted
     ok = {
         "vertices": [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]],
@@ -287,8 +372,7 @@ def _shuffled(seed):
     verts[perm] = m.vertices
     tris = perm[m.triangles][rng.permutation(m.num_triangles)]
     tris[::2] = tris[::2, ::-1]
-    labels = [((int(perm[a]), int(perm[b])), lab) for (a, b), lab in
-              ((m.edges[e], lab) for e, lab in m.boundary_labels.items())]
+    labels = [((int(perm[a]), int(perm[b])), lab) for (a, b), lab in zip(m.edges, m.edge_label) if lab]
     return verts, tris, labels
 
 
@@ -330,7 +414,7 @@ def _same_mesh(got, want):
     assert got.vertices.tobytes() == want.vertices.tobytes()
     for key in ("triangles", "edges"):
         assert np.array_equal(getattr(got, key), getattr(want, key)), key
-    assert list(got.boundary_labels.items()) == list(want.boundary_labels.items())
+    assert np.array_equal(got.edge_label, want.edge_label)
 
 
 @pytest.mark.parametrize("rule", ["all-dirichlet", "left-neumann", "all-neumann"])
