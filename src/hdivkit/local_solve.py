@@ -433,8 +433,7 @@ class PatchProblem:
     numbering, up to the range's last equation; per run, its multiplier
     systems ``systems``: (S, one per class present (nc, nl, nl), or None
     beside the signature's kept inverses; each patch's class among them;
-    the kept inverses or None; their classes' max|S|, or None beside S);
-    and ``compat_defect`` with one entry per patch."""
+    the kept inverses or None; their classes' max|S|, or None beside S)."""
 
     layout: PatchLayout
     chunk: PatchRange
@@ -444,7 +443,6 @@ class PatchProblem:
     xe: np.ndarray
     b: np.ndarray
     systems: list
-    compat_defect: np.ndarray
 
 
 @dataclass
@@ -587,7 +585,7 @@ def build_patch_problem(layout: PatchLayout, chunk: PatchRange, data: PatchData)
     b = _sum_into((chunk.eqs.stop,), layout.slots[pairs], layout.sign[pairs] * x0[:, :3 * (p + 1)])
     systems = [layout.tables.select("multiplier", run.sig, run.cls, chunk.patches.start + run.patches.start,
                                     lambda r: _multiplier_systems(layout, run, r, data)) for run in chunk.runs]
-    return PatchProblem(layout, chunk, chi, g, x0, xe, b, systems, data.defect[layout.verts[chunk.patches]])
+    return PatchProblem(layout, chunk, chi, g, x0, xe, b, systems)
 
 
 def _multiplier_systems(layout, run, patches, data):

@@ -141,7 +141,7 @@ class Mesh:
     ``B``, ``detB``, ``Binv`` and ``h`` hold the affine element maps, and
     ``edge_label`` the boundary labels, one per edge."""
 
-    def __init__(self, vertices, triangles, boundary_labels, *, check_hanging=False):
+    def __init__(self, vertices, triangles, boundary_labels):
         self.vertices = _rows(vertices, 2, "iuf", "vertex", "vertices").astype(float)
         bad = np.flatnonzero(~np.isfinite(self.vertices).all(axis=1))
         if len(bad):
@@ -154,7 +154,7 @@ class Mesh:
         self._build_edges()
         self._apply_labels(boundary_labels)
         self._geometry()
-        self._validate(check_hanging)
+        self._validate()
         self._cache = {}
 
     # -- construction helpers -------------------------------------------------
@@ -231,19 +231,15 @@ class Mesh:
         self.kappa = float(np.max(self.h / self.rho))
         self.h_max = float(np.max(self.h))
 
-    def _validate(self, check_hanging):
+    def _validate(self):
         nv, ne, nt = len(self.vertices), len(self.edges), len(self.triangles)
-        used = np.zeros(nv, dtype=bool)
-        used[self.triangles.ravel()] = True
-        if not used.all():
-            raise MeshError(f"vertex {int(np.flatnonzero(~used)[0])} is unused")
-        if check_hanging:
-            self._check_hanging_nodes()
+        unused = np.flatnonzero(np.bincount(self.triangles.ravel(), minlength=nv) == 0)
+        if len(unused):
+            raise MeshError(f"vertex {int(unused[0])} is unused")
+        self._check_conformity()
         if nv - ne + nt != 1:
-            raise MeshError(
-                f"Euler characteristic V-E+T = {nv - ne + nt} != 1 "
-                "(mesh must triangulate a simply connected domain)"
-            )
+            raise MeshError(f"Euler characteristic V-E+T = {nv - ne + nt} != 1 (mesh must triangulate a simply "
+                            "connected domain)")
         missing = np.flatnonzero((self.edge_tris[:, 1] == -1) & (self.edge_label == ""))
         if len(missing):
             raise MeshError(f"boundary edge {tuple(int(a) for a in self.edges[missing[0]])} is missing a label")
@@ -279,21 +275,29 @@ class Mesh:
             raise MeshError(f"mesh overlaps itself: its triangles wind {turns[bad[0]]:.0f} times "
                             f"around interior vertex {int(bad[0])}")
 
-    def _check_hanging_nodes(self):
-        # a vertex strictly inside a single-triangle edge means a hanging node
-        for e in np.flatnonzero(self.edge_tris[:, 1] == -1):
-            a, b = self.edges[e]
-            pa, pb = self.vertices[a], self.vertices[b]
-            d = pb - pa
-            L2 = d @ d
-            rel = self.vertices - pa
-            t = (rel @ d) / L2
-            dist2 = np.einsum("ij,ij->i", rel, rel) - t**2 * L2
-            inside = (t > 1e-12) & (t < 1 - 1e-12) & (dist2 < 1e-16 * L2)
-            inside[[a, b]] = False
-            if inside.any():
-                v = int(np.flatnonzero(inside)[0])
-                raise MeshError(f"hanging node: vertex {v} lies inside edge {tuple(self.edges[e].tolist())}")
+    def _check_conformity(self):
+        """Refuse a vertex within 1e-8 L of the closed segment of a boundary
+        edge it does not end (L its length): strictly inside, t in (1e-12,
+        1 - 1e-12), it hangs; at an end it doubles it (a slit).  Name the first
+        such edge and its lowest such vertex, measuring those in its x-range."""
+        edges = self.edges[self.boundary_edges()]
+        z = self.vertices[:, 0] + 1j * self.vertices[:, 1]
+        za, zb = z[edges].T
+        L2, order = np.abs(zb - za) ** 2, np.argsort(z.real, kind="stable")
+        mid, half = (za.real + zb.real) / 2, np.abs(zb.real - za.real) / 2 + 1e-6 * np.sqrt(L2)  # beyond 1e-8 L
+        lo, hi = np.searchsorted(z.real[order], [mid - half, mid + half])
+        i = np.repeat(np.arange(len(edges)), hi - lo)  # (edge, vertex) pairs, by edge
+        v = order[np.arange(len(i)) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)]
+        r, d, L2 = z[v] - za[i], (zb - za)[i], L2[i]
+        t = (r * d.conj()).real / L2
+        # |r - t d|^2, as |r|^2 - t^2 L^2 rounds above 1e-16 L^2 on the segment
+        gap = np.abs(r - np.clip(t, 0, 1) * d) ** 2
+        bad = np.flatnonzero((gap < 1e-16 * L2) & (v != edges[i, 0]) & (v != edges[i, 1]))
+        if len(bad):
+            k = bad[np.lexsort((v[bad], i[bad]))[0]]
+            edge, w = tuple(edges[i[k]].tolist()), int(v[k])
+            raise MeshError(f"hanging node: vertex {w} lies inside edge {edge}" if 1e-12 < t[k] < 1 - 1e-12 else
+                            f"vertex {w} coincides with vertex {edge[int(t[k] > 0.5)]}, an end of boundary edge {edge}")
 
     # -- queries ---------------------------------------------------------------
 
@@ -398,8 +402,7 @@ def mesh_from_dict(data) -> Mesh:
         raise MeshError(f"mesh file missing field: {exc}") from exc
     if not isinstance(boundary, list):
         raise MeshError(f"mesh file field 'boundary' must be a list, not {boundary!r}")
-    return Mesh(vertices, triangles, [_boundary_item(i, item) for i, item in enumerate(boundary)],
-                check_hanging=True)
+    return Mesh(vertices, triangles, [_boundary_item(i, item) for i, item in enumerate(boundary)])
 
 
 def _boundary_item(i, item):

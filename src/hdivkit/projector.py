@@ -99,21 +99,20 @@ def check_field_compatibility(policy):
         return
     pts = mesh.edge_points(e, gauss01(8)[0])  # (n, 8, 2)
     vals = np.asarray(v.eval(pts.reshape(-1, 2)), float).reshape(pts.shape)
+    bad = np.flatnonzero(~np.isfinite(vals).all(axis=(1, 2)))
+    if len(bad):  # a NaN compares False below
+        raise FieldError(f"v is not finite at a point of Neumann edge {tuple(mesh.edges[e[bad[0]]].tolist())}")
     worst = float(np.max(np.abs(np.einsum("eqd,ed->eq", vals, mesh.edge_normal(e)))))
     scale = float(np.max(np.abs(vals)))
     if worst > 1e-8 * max(scale, 1e-300):
-        raise FieldError(
-            f"field has nonzero normal trace on Neumann edges (|v.n| up to {worst:.2e}); "
-            "it lies outside the constrained space for these boundary labels"
-        )
+        raise FieldError(f"field has nonzero normal trace on Neumann edges (|v.n| up to {worst:.2e}); it lies "
+                         "outside the constrained space for these boundary labels")
     if not (mesh.edge_label == DIRICHLET).any() and not policy.divergence_free:
         samples = zip(policy.groups(), policy.values(div=True))
         total, mass = np.sum([(np.sum(g.w * dv), np.sum(g.w * np.abs(dv))) for g, dv in samples], axis=0)
         if abs(total) > 1e-8 * max(mass, 1e-300):
-            raise FieldError(
-                "divergence has nonzero mean on an all-Neumann boundary; "
-                "the divergence constraint is infeasible"
-            )
+            raise FieldError("divergence has nonzero mean on an all-Neumann boundary; the divergence constraint "
+                             "is infeasible")
 
 
 @dataclass

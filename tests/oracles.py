@@ -15,7 +15,8 @@ patch-by-patch projector loop with its
 per-patch stability surrogate on dict-numbered Lagrange nodes, the patch
 layer one signature group at a time, the stacked patch layer with one
 multiplier and one surrogate system per patch, the
-mesh topology loops, the grid generators cell by cell and red refinement
+mesh topology loops, the hanging-node loop over the boundary edges, the
+grid generators cell by cell and red refinement
 triangle by triangle on a dict of midpoints, the point-by-point corner wedge
 rule and the point-layer kernels in their stacked forms (length-2 reductions and broadcasts)."""
 
@@ -1518,6 +1519,28 @@ def apply_labels_oracle(mesh, boundary_labels):
         if e not in labels:
             raise MeshError(f"boundary edge {tuple(int(a) for a in mesh.edges[e])} is missing a label")
     return [labels.get(e, "") for e in range(mesh.num_edges)]
+
+
+def check_hanging_nodes_oracle(mesh):
+    """The hanging-node check as a loop over the boundary edges, ascending,
+    each measuring every vertex: the MeshError of the first edge with a
+    vertex strictly inside it, naming its lowest one.  ``mesh`` needs only
+    ``vertices``, ``edges`` and ``edge_tris``, so the topology of a triangle
+    list that ``Mesh`` refuses serves as well."""
+    # a vertex strictly inside a single-triangle edge means a hanging node
+    for e in np.flatnonzero(mesh.edge_tris[:, 1] == -1):
+        a, b = mesh.edges[e]
+        pa, pb = mesh.vertices[a], mesh.vertices[b]
+        d = pb - pa
+        L2 = d @ d
+        rel = mesh.vertices - pa
+        t = (rel @ d) / L2
+        dist2 = np.einsum("ij,ij->i", rel, rel) - t**2 * L2
+        inside = (t > 1e-12) & (t < 1 - 1e-12) & (dist2 < 1e-16 * L2)
+        inside[[a, b]] = False
+        if inside.any():
+            v = int(np.flatnonzero(inside)[0])
+            raise MeshError(f"hanging node: vertex {v} lies inside edge {tuple(mesh.edges[e].tolist())}")
 
 
 # -- mesh generator and refinement loops ----------------------------------------------------

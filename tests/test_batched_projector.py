@@ -499,8 +499,8 @@ def test_stacks_of_corner_wedges_match_one_wedge_per_chunk(monkeypatch):
 
 def test_patch_data_measures_every_patch_defect_once(monkeypatch):
     # patch_data measures and gates the mass defect of every patch in one
-    # pass over the layout, with the bits of the per-signature measure; the
-    # patch problems read it
+    # pass over the layout, with the bits of the per-signature measure;
+    # building the patch problems measures it no more
     m = build_structured(4, labels="left-neumann")
     p = 2
     v = random_conforming_field(m, p + 1, seed=2)
@@ -515,8 +515,7 @@ def test_patch_data_measures_every_patch_defect_once(monkeypatch):
     measure = local_solve._mass_defects
     monkeypatch.setattr(local_solve, "_mass_defects", lambda *args: calls.append(1) or measure(*args))
     for chunk in layout.chunks:
-        problem = build_patch_problem(layout, chunk, data)
-        assert np.array_equal(problem.compat_defect, data.defect[layout.verts[chunk.patches]])
+        build_patch_problem(layout, chunk, data)
     assert not calls
     project_hdiv(v, p, m)
     assert len(calls) == 1
@@ -530,17 +529,17 @@ def test_single_patch_problem_matches_loop_assembly():
     p = 2
     theta = theta_field(QuadPolicy(p, m, v))
     data = oracles.patch_data_oracle(theta, v, p, m, QuadPolicy(p, m, v))
+    got_data = patch_data(theta, QuadPolicy(p, m, v))
     for patch in vertex_patches(m):
         layout = patch_layout(m, p)
-        prob = build_patch_problem(layout, oracles.chunk_of(layout, patch.vertex),
-                                   patch_data(theta, QuadPolicy(p, m, v)))
+        prob = build_patch_problem(layout, oracles.chunk_of(layout, patch.vertex), got_data)
         want = oracles.build_patch_problem_oracle(patch, p, m, data)
         assert layout.verts[prob.chunk.patches].tolist() == [patch.vertex] and prob.layout.p == p
         for key in ("chi", "g"):  # per pair, in ascending triangle order
             got, ref = getattr(prob, key), np.array([getattr(want, key)[int(k)] for k in patch.tris])
             assert got.shape == ref.shape
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max(), key
-        assert abs(prob.compat_defect[0] - want.compat_defect) <= 1e-13
+        assert abs(got_data.defect[layout.verts[prob.chunk.patches]][0] - want.compat_defect) <= 1e-13
         x, _ = patch_equilibrate(prob)
         s_ref, _ = oracles.saddle_solve_dense(want.M, want.B, want.rhs, want.grhs, kernel=want.kernel)
         assert _rel(x, oracles.elem_rows(want.pspace, s_ref)) <= 1e-13

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from hdivkit.cli import build_parser, main
-from hdivkit.mesh import build_lshape, build_structured
+from hdivkit.mesh import MeshError, build_lshape, build_structured, load_mesh
 
 # the flags each subcommand's cmd_* function reads, and no others
 SUBCOMMAND_FLAGS = {
@@ -258,6 +258,23 @@ def test_folded_mesh_file_is_one_line_error(tmp_path, capsys):
     _assert_one_line_error(["project", "--mesh", str(path)], capsys)
     code = main(["mesh", "inspect", "--mesh", str(path)])
     assert code == 2 and "folded at edge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vertices,triangles,message", [
+    ([[0, 0], [2, 0], [1, 1], [1, 0], [0.5, -1]], [[0, 1, 2], [0, 4, 3]],
+     "hanging node: vertex 3 lies inside edge (0, 1)"),
+    ([[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]], [[0, 1, 2], [4, 2, 3]],
+     "vertex 4 coincides with vertex 0, an end of boundary edge (0, 1)"),
+], ids=["hanging", "slit"])
+def test_non_conforming_mesh_file_is_one_line_error(tmp_path, capsys, vertices, triangles, message):
+    # each of the six sides of the two triangles is a boundary edge
+    boundary = [{"edge": [t[j], t[(j + 1) % 3]], "label": "dirichlet"} for t in triangles for j in range(3)]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"vertices": vertices, "triangles": triangles, "boundary": boundary}))
+    with pytest.raises(MeshError) as err:
+        load_mesh(path)
+    assert str(err.value) == message
+    assert _assert_one_line_error(["mesh", "inspect", "--mesh", str(path)], capsys) == f"hdivkit: error: {message}"
 
 
 def _set(data, key, i, value, j=None):

@@ -106,11 +106,12 @@ def test_patch_compatibility_residual(unit_square_4, cubic_field):
     m = unit_square_4
     p = 1
     theta = theta_field(QuadPolicy(p, m, cubic_field))
+    layout, data = patch_layout(m, p), patch_data(theta, QuadPolicy(p, m, cubic_field))
     for patch in vertex_patches(m):
         if patch.kind != "interior":
             continue
-        prob = _problem(patch, theta, cubic_field, p, m)
-        assert prob.compat_defect[0] <= 1e-10
+        chunk = oracles.chunk_of(layout, patch.vertex)
+        assert data.defect[layout.verts[chunk.patches]][0] <= 1e-10
 
 
 def test_patch_kkt_vs_oracle(unit_square_2, cubic_field):

@@ -1,4 +1,6 @@
 import json
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from oracles import (
     apply_labels_oracle,
     build_lshape_oracle,
     build_structured_oracle,
+    check_hanging_nodes_oracle,
     hat_grad,
     hat_values,
     label_boundary_oracle,
@@ -224,23 +227,31 @@ def test_non_finite_vertex_rejected(bad):
         Mesh(vertices, m.triangles, labels)
 
 
-def test_hanging_node_rejected():
+HANGING = {
     # one triangle left of the diagonal, two on the right sharing the
     # diagonal's midpoint: the midpoint hangs on the unsplit diagonal
-    hanging = {
-        "vertices": [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]],
-        "triangles": [[0, 2, 3], [0, 1, 4], [1, 2, 4]],
-        "boundary": [
-            {"edge": [0, 1], "label": "dirichlet"},
-            {"edge": [1, 2], "label": "dirichlet"},
-            {"edge": [2, 3], "label": "dirichlet"},
-            {"edge": [0, 3], "label": "dirichlet"},
-        ],
-    }
+    "diagonal": ([[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]], [[0, 2, 3], [0, 1, 4], [1, 2, 4]],
+                 "hanging node: vertex 4 lies inside edge (0, 2)"),
+    # a triangle glued below half of the bottom edge (0, 1): Euler's count
+    # still holds, so only the conformity check refuses it
+    "outer": ([[0, 0], [2, 0], [1, 1], [1, 0], [0.5, -1]], [[0, 1, 2], [0, 4, 3]],
+              "hanging node: vertex 3 lies inside edge (0, 1)"),
+}
+
+
+@pytest.mark.parametrize("vertices,triangles,message", HANGING.values(), ids=HANGING.keys())
+def test_hanging_node_rejected(vertices, triangles, message):
+    # by the constructor, whatever built the mesh, and by a mesh file
+    labels = _label_boundary(vertices, triangles, "all-dirichlet")
     with pytest.raises(MeshError) as err:
-        mesh_from_dict(hanging)
-    assert str(err.value) == "hanging node: vertex 4 lies inside edge (0, 2)"
-    # the properly split version is accepted
+        Mesh(vertices, triangles, labels)
+    assert str(err.value) == message
+    data = {"vertices": vertices, "triangles": triangles, "boundary": [{"edge": list(e), "label": lab}
+                                                                      for e, lab in labels]}
+    with pytest.raises(MeshError) as err:
+        mesh_from_dict(data)
+    assert str(err.value) == message
+    # the properly split diagonal is accepted
     ok = {
         "vertices": [[0, 0], [1, 0], [1, 1], [0, 1], [0.5, 0.5]],
         "triangles": [[0, 4, 3], [4, 2, 3], [0, 1, 4], [1, 2, 4]],
@@ -252,6 +263,29 @@ def test_hanging_node_rejected():
         ],
     }
     mesh_from_dict(ok)
+
+
+@pytest.mark.parametrize("shift,message", [
+    (0.0, "vertex 4 coincides with vertex 0, an end of boundary edge (0, 1)"),
+    (1e-10, "vertex 4 coincides with vertex 0, an end of boundary edge (0, 1)"),
+    (-1e-10, "hanging node: vertex 4 lies inside edge (0, 1)"),  # inside (0, 1), at t = 1e-10
+    (1e-6, None),  # a slit that is open
+], ids=["equal", "near", "near-inside", "apart"])
+def test_coincident_boundary_vertex_rejected(shift, message):
+    # vertex 4 doubles vertex 0: the square's diagonal (0, 2) and (4, 2) is a
+    # slit, normal continuity across it is lost
+    vertices, triangles = [[0, 0], [1, 0], [1, 1], [0, 1], [-shift, 0]], [[0, 1, 2], [4, 2, 3]]
+    labels = _label_boundary(vertices, triangles, "all-dirichlet")
+    if message is None:
+        assert Mesh(vertices, triangles, labels).num_vertices == 5
+        return
+    with pytest.raises(MeshError) as err:
+        Mesh(vertices, triangles, labels)
+    assert str(err.value) == message
+    with pytest.raises(MeshError) as err:
+        mesh_from_dict({"vertices": vertices, "triangles": triangles,
+                        "boundary": [{"edge": list(e), "label": lab} for e, lab in labels]})
+    assert str(err.value) == message
 
 
 def test_interior_edge_labeled_rejected():
@@ -526,6 +560,121 @@ def test_the_suites_jittered_meshes_do_not_fold():
     # each helper moves interior vertices by up to 0.3 of the shortest edge
     # (every vertex by 0.1 in one helper); at these seeds no triangle inverts
     assert len(_jittered_meshes()) == 12
+
+
+# off an edge's line, in units of its length: within the check's reach
+# (1e-8) or beyond it
+NEAR, FAR = [0.0, 1e-10, -1e-10, 1e-9, -1e-9], [1e-7, -1e-7, 1e-6, -1e-6, 1e-3]
+
+
+def _conformity_case(m, rng):
+    """(vertices, triangles, labels): ``m`` with vertices added at or near
+    points of its edges, one of four ways.  ``inside``: at the midpoints of
+    one to three interior edges, each splitting one triangle of its edge and
+    leaving the neighbour whole; ``thirds``: the same at both thirds of one
+    edge, numbered in either order; ``both``: at one midpoint, splitting both
+    triangles, which conforms; ``outside``: at the midpoint of a boundary
+    edge, as the corner of a triangle glued on half of it.  New boundary
+    edges are labelled Dirichlet."""
+    verts, tris = list(m.vertices), m.triangles.tolist()
+    kind = str(rng.choice(["inside", "thirds", "both", "outside"]))
+
+    def add(e, t, off):
+        verts.append(m.edge_points(e, [t])[0] + off * m.edge_length(e) * m.edge_normal(e))
+        return len(verts) - 1
+
+    def split(k, e, *new):  # triangle k's side e through the new vertices
+        a, b = (int(v) for v in m.edges[e])
+        c = int(np.setdiff1d(m.triangles[k], m.edges[e])[0])
+        fan = [a, *new, b]
+        tris[k] = [fan[0], fan[1], c]
+        tris.extend([u, w, c] for u, w in zip(fan[1:-1], fan[2:]))
+
+    if kind == "outside":
+        e = int(rng.choice(m.boundary_edges()))
+        k, (a, b) = m.edge_tris[e, 0], m.edges[e]
+        mid = add(e, 0.5, rng.choice(NEAR + FAR))
+        outward = m.edge_normal(e) * m.tri_edge_sign[k, list(m.tri_edges[k]).index(e)]
+        verts.append((m.vertices[a] + m.vertices[b]) / 2 + 0.5 * m.edge_length(e) * outward)
+        tris.append([int(a), mid, len(verts) - 1])
+    else:
+        chosen, used = [], set()  # interior edges with no triangle in common
+        for e in rng.permutation(m.interior_edges()):
+            if not used & set(m.edge_tris[e].tolist()):
+                chosen.append(e)
+                used |= set(m.edge_tris[e].tolist())
+        for e in chosen[: int(rng.integers(1, 4)) if kind == "inside" else 1]:
+            if kind == "both":
+                mid = add(e, 0.5, rng.choice(NEAR + FAR))
+                for k in m.edge_tris[e]:
+                    split(k, e, mid)
+                continue
+            k = m.edge_tris[e, rng.integers(2)]
+            if kind == "inside":
+                split(k, e, add(e, 0.5, rng.choice(NEAR)))
+            else:
+                thirds = [0, 0]
+                for j in rng.permutation(2):  # the two thirds numbered in either order
+                    thirds[j] = add(e, (j + 1) / 3, rng.choice(NEAR))
+                split(k, e, *thirds)
+    base = {tuple(e): lab for e, lab in zip(m.edges.tolist(), m.edge_label) if lab}
+    labels = [(pair, base.get(pair, lab)) for pair, lab in _label_boundary(verts, tris, "all-dirichlet")]
+    return np.array(verts), tris, labels
+
+
+def _refusal(build):
+    try:
+        build()
+    except MeshError as exc:
+        return str(exc)
+
+
+def _hanging_node_exact(verts, edges, edge_tris):
+    """The hanging-node loop's message, or None, in exact arithmetic: its
+    t and squared distance |rel|^2 - t^2 L^2 as fractions, for the vertices
+    that floats put within 1e-6 L of the edge's line."""
+    for a, b in edges[edge_tris[:, 1] == -1].tolist():
+        rel, d = verts - verts[a], verts[b] - verts[a]
+        t = rel @ d / (d @ d)
+        for v in np.flatnonzero(np.sum((rel - t[:, None] * d) ** 2, axis=1) < 1e-12 * (d @ d)):
+            if v in (a, b):
+                continue
+            (rx, ry), (dx, dy) = (Fraction(float(x)) for x in rel[v]), (Fraction(float(x)) for x in d)
+            L2 = dx * dx + dy * dy
+            t = (rx * dx + ry * dy) / L2
+            if Fraction(1e-12) < t < Fraction(1 - 1e-12) and rx * rx + ry * ry - t * t * L2 < Fraction(1e-16) * L2:
+                return f"hanging node: vertex {v} lies inside edge {(a, b)}"
+
+
+def test_conformity_check_matches_the_hanging_node_loop():
+    # every mesh is checked: Mesh refuses a vertex on a boundary edge
+    # exactly when the loop over the boundary edges does in exact
+    # arithmetic, naming the same edge and vertex, and so when the loop
+    # itself does, but where its rounding decides; the meshes the suite
+    # generates, refines and jitters all conform
+    bases = [build_structured(2), build_structured(3, labels="left-neumann"), build_lshape(1),
+             build_lshape(2, labels="all-neumann"), refine_uniform(build_structured(2)),
+             refine_uniform(build_lshape(1, labels="left-neumann"))] + _jittered_meshes()
+    rng = np.random.default_rng(0)
+    refused, misjudged = 0, []
+    for m in bases:
+        check_hanging_nodes_oracle(m)
+        for _ in range(12):
+            verts, tris, labels = _conformity_case(m, rng)
+            _, edges, edge_tris, _, _ = mesh_topology_oracle(verts, tris)
+            exact = _hanging_node_exact(verts, edges, edge_tris)
+            assert _refusal(lambda: Mesh(verts, tris, labels)) == exact
+            loop = _refusal(lambda: check_hanging_nodes_oracle(SimpleNamespace(vertices=verts, edges=edges,
+                                                                               edge_tris=edge_tris)))
+            refused += exact is not None
+            if loop != exact:
+                misjudged.append((exact, loop))
+    assert (refused, len(misjudged)) == (125, 3)
+    # the loop's |rel|^2 - t^2 L^2 cancels to rounding noise above its
+    # 1e-16 L^2 at a vertex on the edge: it missed the lowest of two such
+    # vertices and named the next
+    for exact, loop in misjudged:
+        assert loop.split()[-2:] == exact.split()[-2:] and int(loop.split()[3]) > int(exact.split()[3])
 
 
 VALID = {

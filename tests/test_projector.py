@@ -191,6 +191,20 @@ def test_non_finite_field_samples_are_a_field_error(run, name, kind):
         run(v, 1, m)
 
 
+@pytest.mark.parametrize("run", [project_hdiv, error_report, projector_report])
+def test_non_finite_field_samples_on_a_neumann_edge_are_a_field_error(run):
+    # the compatibility gate samples v on the Neumann edges, where a NaN
+    # would pass its bound on |v.n|: v = (0, 1) is NaN on the left side only
+    def v(pts):
+        out = np.tile([0.0, 1.0], (len(pts), 1))
+        out[pts[:, 0] == 0] = np.nan
+        return out
+
+    field = fields.AnalyticField("up", v, lambda pts: np.zeros(len(pts)), divergence_free=True)
+    with pytest.raises(FieldError, match=r"^v is not finite at a point of Neumann edge \(0, 3\)$"):
+        run(field, 1, build_structured(2, labels="left-neumann"))
+
+
 def test_all_neumann_needs_zero_mean():
     m = build_structured(2, labels="all-neumann")
     v = fields.catalog("cubic")  # v.n != 0 on the boundary
