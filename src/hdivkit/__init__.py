@@ -13,7 +13,7 @@ from .best_approx import (
     local_best,
     local_best_constrained,
 )
-from .elements import ElementRTN, RTNSpace, piola_map, rtn_space
+from .elements import ElementRTN, RTNSpace, rtn_space
 from .fields import AnalyticField, catalog, parse_field_spec
 from .local_solve import build_patch_problem, patch_equilibrate
 from .mesh import (
@@ -35,7 +35,7 @@ from .model_problems import (
     solve_ls_mixed,
     solve_mixed,
 )
-from .projections import BrokenRTNField, ScalarPWField, canonical_interp, project_face, project_scalar
+from .projections import BrokenRTNField, ScalarPWField, canonical_interp, project_scalar
 from .projector import ConformingRTNField, project_hdiv, projector_report, random_conforming_field
 from .quadrature import quad_rule
 from .study import StudyConfig, fit_rate, run_study, verify
@@ -71,8 +71,6 @@ __all__ = [
     "manufactured_sine",
     "parse_field_spec",
     "patch_equilibrate",
-    "piola_map",
-    "project_face",
     "project_hdiv",
     "project_scalar",
     "projector_report",

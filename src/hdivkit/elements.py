@@ -1,4 +1,4 @@
-"""Scalar and Raviart-Thomas-Nedelec bases, Piola mapping, element matrices.
+"""Scalar and Raviart-Thomas-Nedelec bases and their element tables.
 
 The scalar basis on a physical triangle K is the reference orthonormal basis
 pulled through the affine map and rescaled by 1/sqrt(det B), so it is
@@ -37,7 +37,7 @@ import numpy as np
 from . import polys
 from .linsolve import SingularSystemError, assemble_csr, check_residuals, chunks, multiplier_system
 from .mesh import NEUMANN, kept
-from .quadrature import check_degree, gauss01, quad_rule, xy
+from .quadrature import check_degree, check_integer, gauss01, quad_rule, xy
 
 
 def rtn_dim(p: int) -> int:
@@ -97,8 +97,7 @@ class RTNBasis:
     """
 
     def __init__(self, p: int):
-        if p < 0:
-            raise ValueError("polynomial degree must be >= 0")
+        check_integer("p", p)
         check_degree(2 * p + 2)  # the Gram rule below, checked before the scalar basis is built
         self.degree = p
         self.dim = rtn_dim(p)
@@ -593,21 +592,6 @@ class ElementRTN:
 
 
 # -- public spec operations -----------------------------------------------------------
-
-
-def piola_map(coords, ref_values):
-    """Contravariant Piola transform onto the triangle with given vertices.
-
-    ``ref_values`` has shape (npts, 2) (or (n, npts, 2)); returns the mapped
-    physical values w(x) = B w_ref(x_ref) / det B.
-    """
-    coords = np.asarray(coords, float).reshape(3, 2)
-    B = np.column_stack([coords[1] - coords[0], coords[2] - coords[0]])
-    detB = B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0]
-    if detB <= 0:
-        raise ElementGeometryError("Piola map requires positive orientation")
-    vals = np.asarray(ref_values, float)
-    return np.einsum("dc,...c->...d", B, vals) / detB
 
 
 def barycentric(refpts) -> np.ndarray:

@@ -10,7 +10,7 @@ from . import polys
 from .elements import edge_dof_values, hat_operators, rtn_space, scalar_moments, scalar_values
 from .fields import AnalyticField
 from .quadpolicy import QuadGroup, QuadPolicy
-from .quadrature import gauss01, xy
+from .quadrature import xy
 
 
 class ScalarPWField:
@@ -38,11 +38,6 @@ class ScalarPWField:
 
     def eval_element(self, k, pts):
         return self.values(QuadGroup.points_on(self.mesh, k, pts))[0]
-
-    def __sub__(self, other):
-        if other.p != self.p or other.mesh is not self.mesh:
-            raise ValueError("fields live on different spaces")
-        return ScalarPWField(self.mesh, self.p, self.coeffs - other.coeffs)
 
 
 class BrokenRTNField:
@@ -142,19 +137,6 @@ def _project_scalar(f, policy, warnings):
     if policy.self_check:
         quadrature_self_check(out.coeffs, partial(_scalar_values, f, mesh), policy, warnings)
     return out
-
-
-def project_face(g, p, mesh, e):
-    """L2 projection of an edge scalar onto the orthonormal edge polynomials.
-
-    ``g`` maps physical points (n, 2) on the edge to values (n,).  Returns
-    the p + 1 coefficients in the lower -> higher parametrization.
-    """
-    L = mesh.edge_length(e)
-    t, w = gauss01(max(p + 6, 8))
-    q = edge_dof_values(p, t, L)
-    vals = np.asarray(g(mesh.edge_points(e, t)), float)
-    return (q * (w * L * vals)).sum(axis=1)
 
 
 def canonical_interp(v, p, mesh, *, quad_degree=None) -> BrokenRTNField:

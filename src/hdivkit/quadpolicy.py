@@ -32,7 +32,7 @@ from .elements import rtn_dim, rtn_reference, rtn_space, scalar_basis, scalar_mo
 from .fields import AnalyticField, FieldError
 from .linsolve import chunks
 from .mesh import kept
-from .quadrature import (MAX_DEGREE, UnsupportedDegreeError, corner_rule, corner_rules, edge_npts, gauss01,
+from .quadrature import (MAX_DEGREE, UnsupportedDegreeError, check_integer, corner_rules, edge_npts, gauss01,
                          jacobi01, quad_rule, xy)
 
 
@@ -148,11 +148,13 @@ class QuadPolicy:
     quadrature ``degree``; ``self_check``: the caller runs the
     degree-doubling self-check, which polynomial and divergence-free fields
     never need; ``singularity``: the corner singularity a fieldless policy's
-    integrand declares (a field's own otherwise).  A rule above
-    ``quadrature.MAX_DEGREE`` is refused when the policy is built, before
-    any work."""
+    integrand declares (a field's own otherwise).  A degree that is not an
+    integer >= 0, or a rule above ``quadrature.MAX_DEGREE``, is refused when
+    the policy is built, before any work."""
 
     def __init__(self, p, mesh, field=None, degree=None, self_check=True, singularity=None):
+        for name, x in (("p", p), ("quad_degree", 0 if degree is None else degree)):
+            check_integer(name, x)
         self.p, self.mesh, self.field, self.degree = p, mesh, field, degree
         poly_deg = getattr(field, "poly_degree", None)
         # div v = 0 makes every divergence quantity zero, on every rule
@@ -234,8 +236,9 @@ class QuadPolicy:
         corner = int(self._corners(el.coords[None], np.array([el.h]))[0])
         if corner >= 0:
             gamma = self.singularity.gamma
-            rules = [corner_rule(el.coords, corner, gamma, *self._wedge_size(e)) for e in ((0, 0), (8, 6))]
-            tri, chk = ((r.points, r.weights) for r in rules)
+            rules = [corner_rules(el.coords[None], np.array([corner]), gamma, *self._wedge_size(e))
+                     for e in ((0, 0), (8, 6))]
+            tri, chk = ((pts[0], wts[0]) for pts, wts in rules)
             edges = []
             for slot in range(3):
                 la, lb = el.edge_dirs[slot]

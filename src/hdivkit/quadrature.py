@@ -109,11 +109,17 @@ def _conical_rule(n: int) -> TriangleRule:
     return _rule(pts, wts, 2 * n - 1)
 
 
+def check_integer(name, x):
+    """Raise UnsupportedDegreeError, naming ``name``, unless ``x`` is an
+    integer >= 0: a numpy integer is one, a bool is not."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or x < 0:
+        raise UnsupportedDegreeError(f"{name} must be a nonnegative integer, got {x!r}")
+
+
 def check_degree(degree: int):
     """Raise UnsupportedDegreeError unless ``quad_rule(degree)`` has a rule:
     tables that need one check first, before any work of their own."""
-    if degree < 0:
-        raise UnsupportedDegreeError("quadrature degree must be nonnegative")
+    check_integer("quadrature degree", degree)
     if degree > MAX_DEGREE:
         raise UnsupportedDegreeError(f"quadrature degree {degree} > {MAX_DEGREE}")
 
@@ -164,40 +170,17 @@ def jacobi01(n: int, gamma: float):
     return t, w
 
 
-@dataclass(frozen=True)
-class WedgeRule:
-    """Plain (points, weights) rule on a physical triangle, in physical coords."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __len__(self):
-        return len(self.weights)
-
-
-def corner_rule(coords, vertex_local: int, gamma: float, n_theta: int, n_r: int):
-    """Product rule on a physical triangle, radially weighted about one vertex.
-
-    Integrates f = r^gamma * g with g smooth (r measured from the given
-    vertex) essentially exactly: the radial direction uses Gauss-Jacobi with
-    weight t^(gamma+1) (so radial polynomials of f / r^gamma are integrated
-    exactly), the angular direction plain Gauss.  Returns physical points and
-    weights such that sum w_q f(x_q) ~ int_K f dA.  ``corner_rules`` on one
-    triangle.
-    """
-    pts, wts = corner_rules(np.asarray(coords, float)[None], np.array([vertex_local]), gamma, n_theta, n_r)
-    return WedgeRule(pts[0], wts[0])
-
-
 def _dot(a, b):
     """Row dot products of a, b (n, 2), by the kernel of a 1-D ``a @ b``."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def corner_rules(coords, vertex_local, gamma: float, n_theta: int, n_r: int):
-    """The rules of ``corner_rule`` on triangles ``coords`` (n, 3, 2) about
-    their vertices ``vertex_local`` (n,), in one pass: points (n, nq, 2) and
-    weights (n, nq); a row does not depend on the other rows."""
+    """Product rules on triangles ``coords`` (n, 3, 2), radially weighted about
+    their vertices ``vertex_local`` (n,): points (n, nq, 2) and weights (n, nq)
+    with sum w_q f(x_q) ~ int_K f dA, a row independent of the others.  For
+    f = r^gamma * g with g smooth (r from the vertex) a row is essentially
+    exact: Gauss-Jacobi radially, with weight t^(gamma+1), plain Gauss angularly."""
     rows = np.arange(len(coords))
     c = coords[rows, vertex_local]
     q1 = coords[rows, (vertex_local + 1) % 3]

@@ -983,22 +983,6 @@ def projector_oracle(v, p, mesh, quad_degree=None):
     return np.sqrt(err2), sigma
 
 
-def edge_projection_oracle(mesh, e, g_eval, p):
-    """1D least squares against monomials of the arclength parameter with
-    dense normal equations and high-order Gauss quadrature."""
-    a, b = mesh.edges[e]
-    pa = mesh.vertices[a]
-    vec = mesh.edge_vector(e)
-    L = mesh.edge_length(e)
-    t, w = gauss01(40)
-    pts = pa[None, :] + t[:, None] * vec[None, :]
-    V = np.vander(t, p + 1, increasing=True).T  # rows: monomials t^i
-    G = (V * w) @ V.T
-    r = (V * w) @ np.asarray(g_eval(pts), float)
-    c = np.linalg.solve(G, r)
-    return c @ V  # projected values at the Gauss points
-
-
 # -- dense KKT solves one system at a time ----------------------------------------------
 
 
@@ -1692,8 +1676,8 @@ def projector_report_oracle(v, p, mesh, *, variant="def31"):
 
 
 def corner_rule_oracle(coords, vertex_local, gamma, n_theta, n_r):
-    """``quadrature.corner_rule`` point by point: a fresh angular Gauss rule
-    and one ray and one radial node at a time; (points, weights)."""
+    """One row of ``quadrature.corner_rules`` point by point: a fresh angular
+    Gauss rule and one ray and one radial node at a time; (points, weights)."""
     from numpy.polynomial.legendre import leggauss
 
     coords = np.asarray(coords, float)

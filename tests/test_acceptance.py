@@ -400,21 +400,7 @@ def test_criterion_10_oracles(ref_triangle_mesh, unit_square_2):
     e2 = np.abs(x - sref).max() / max(1.0, np.abs(sref).max())
     ok &= e2 < 1e-10
     details.append(f"patch KKT {e2:.1e}")
-    # face projection vs dense 1D least squares
     m = ref_triangle_mesh
-    e = [e for e in range(m.num_edges) if set(m.edges[e]) == {1, 2}][0]
-    n = m.edge_normal(e)
-    g = lambda pts: cubic.eval(pts) @ n
-    from hdivkit.elements import edge_dof_values
-    from hdivkit.projections import project_face
-
-    coeffs = project_face(g, 1, m, e)
-    t, w = gauss01(40)
-    vals = coeffs @ edge_dof_values(1, t, m.edge_length(e))
-    refvals = oracles.edge_projection_oracle(m, e, g, 1)
-    e3 = np.abs(vals - refvals).max()
-    ok &= e3 < 1e-12
-    details.append(f"face projection {e3:.1e}")
     # scalar projection frozen values
     out = project_scalar(lambda pts: 3 * pts[:, 0] ** 2, 0, m, quad_degree=8)
     mean = out.eval_element(0, [[0.2, 0.2]])[0]

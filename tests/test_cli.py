@@ -19,7 +19,7 @@ SUBCOMMAND_FLAGS = {
     "solve-ls": {"--mesh", "--labels", "--p", "--q", "--problem"},
     "study": {
         "--mesh", "--labels", "--p", "--field", "--refinements", "--variant",
-        "--quad-degree", "--tol", "--out", "--config",
+        "--quad-degree", "--out", "--config",
     },
     "verify": {"--seed", "--variant"},
 }

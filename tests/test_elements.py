@@ -5,9 +5,6 @@ from test_element_layer import jitter
 
 from hdivkit import polys
 from hdivkit.elements import (
-    ElementGeometryError,
-    piola_map,
-    reference_dual,
     rtn_dim,
     rtn_reference,
     rtn_space,
@@ -109,12 +106,6 @@ def test_p0_dual_member_unit_mean_flux():
                 assert abs(flux) < 1e-13
 
 
-def test_piola_identity_map():
-    vals = RNG.standard_normal((7, 2))
-    out = piola_map([[0, 0], [1, 0], [0, 1]], vals)
-    assert np.abs(out - vals).max() < 1e-15
-
-
 def test_piola_scaling_divergence():
     # uniform scaling by 2: det B = 4, divergence scales by 1/4 in the
     # reference pullback convention
@@ -130,40 +121,6 @@ def test_piola_scaling_divergence():
     ref_div = (dx + dy) @ polys.eval_monomials(p, refpts)
     phys_div = BrokenRTNField(m, p, c[None]).eval_div(2.0 * refpts, elem=0)
     assert np.abs(phys_div - ref_div / 4.0).max() < 1e-12
-
-
-def test_piola_flux_invariance_random_maps():
-    # normal flux across a mapped edge equals the reference flux up to the
-    # orientation sign, measured by edge quadrature on both sides
-    p = 2
-    C_ref = reference_dual(p)
-    t, w = gauss01(10)
-    for _ in range(5):
-        coords = random_triangle(RNG)
-        el = rtn_space(one_triangle(coords), p).elements[0]
-        cref = RNG.standard_normal(rtn_dim(p))
-        refvals_fn = lambda pts: np.einsum(
-            "j,jnd->nd", C_ref @ cref, rtn_reference(p).eval(pts)
-        )
-        for slot in range(3):
-            la, lb = el.edge_dirs[slot]
-            ra, rb = np.array([[0, 0], [1, 0], [0, 1]], float)[la], np.array(
-                [[0, 0], [1, 0], [0, 1]], float
-            )[lb]
-            refpts = ra[None, :] + t[:, None] * (rb - ra)[None, :]
-            # reference flux with the reference outward data on that segment
-            rvec = rb - ra
-            rlen = np.linalg.norm(rvec)
-            rn = np.array([rvec[1], -rvec[0]]) / rlen
-            vals_ref = refvals_fn(refpts)
-            flux_ref = rlen * np.sum(w * (vals_ref @ rn))
-            # physical flux of the Piola image across the mapped edge
-            vals_phys = piola_map(coords, vals_ref)
-            pvec = coords[lb] - coords[la]
-            plen = np.linalg.norm(pvec)
-            pn = np.array([pvec[1], -pvec[0]]) / plen
-            flux_phys = plen * np.sum(w * (vals_phys @ pn))
-            assert abs(flux_phys - flux_ref) < 1e-12 * max(1.0, abs(flux_ref))
 
 
 def test_element_matrices_spd_and_rank():
@@ -244,11 +201,6 @@ def test_element_evaluation_matches_oracle(p):
         assert np.array_equal(g.eval(sig, div=True), g.eval(broken, div=True))
     assert np.array_equal(sig.div().coeffs, broken.div().coeffs)
     assert sig.norm() == broken.norm()
-
-
-def test_orientation_error():
-    with pytest.raises(ElementGeometryError):
-        piola_map([[0, 0], [0, 1], [1, 0]], np.zeros((3, 2)))
 
 
 @pytest.mark.parametrize("p", range(7))

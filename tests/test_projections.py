@@ -11,7 +11,6 @@ from hdivkit.projections import (
     ScalarPWField,
     _scalar_values,
     canonical_interp,
-    project_face,
     project_scalar,
 )
 from hdivkit.mesh import build_lshape, build_structured
@@ -49,44 +48,6 @@ def test_project_scalar_3x2_mean_and_misfit(ref_triangle_mesh):
     resid = f(rule.points) - out.eval_element(0, rule.points)
     misfit = float(np.sum(rule.weights * resid**2))
     assert abs(misfit - 0.175) < 1e-13
-
-
-def test_project_face_reproduces_and_mean(unit_square_2):
-    m = unit_square_2
-    e = int(m.boundary_edges()[0])
-    L = m.edge_length(e)
-    # g affine along the edge is reproduced pointwise
-    a = m.vertices[m.edges[e][0]]
-    vec = m.edge_vector(e)
-    g = lambda pts: 2.0 + 3.0 * ((pts - a) @ vec) / (vec @ vec)
-    coeffs = project_face(g, 1, m, e)
-    from hdivkit.elements import edge_dof_values
-
-    t = np.linspace(0, 1, 9)
-    vals = coeffs @ edge_dof_values(1, t, L)
-    pts = a[None, :] + t[:, None] * vec[None, :]
-    assert np.abs(vals - g(pts)).max() < 1e-12
-    # mean of g(t) = t at order 0 is 1/2
-    g2 = lambda pts: ((pts - a) @ vec) / (vec @ vec)
-    c0 = project_face(g2, 0, m, e)
-    mean = c0[0] / np.sqrt(L)  # constant dof polynomial is 1/sqrt(L)
-    assert abs(mean - 0.5) < 1e-13
-
-
-def test_project_face_cubic_trace_vs_oracle(ref_triangle_mesh):
-    m = ref_triangle_mesh
-    # hypotenuse edge (vertices 1 and 2)
-    e = [e for e in range(m.num_edges) if set(m.edges[e]) == {1, 2}][0]
-    n = m.edge_normal(e)
-    v = fields.catalog("cubic")
-    g = lambda pts: v.eval(pts) @ n
-    coeffs = project_face(g, 1, m, e)
-    from hdivkit.elements import edge_dof_values
-
-    t, w = gauss01(40)
-    vals = coeffs @ edge_dof_values(1, t, m.edge_length(e))
-    ref = oracles.edge_projection_oracle(m, e, g, 1)
-    assert np.abs(vals - ref).max() < 1e-12
 
 
 def test_canonical_interp_reproduces_broken(unit_square_2):

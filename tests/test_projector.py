@@ -11,7 +11,7 @@ from hdivkit.best_approx import error_report, global_best
 from hdivkit.fields import FieldError
 from hdivkit.local_solve import CompatibilityError, build_patch_problem, patch_data, patch_layout, theta_field
 from hdivkit.mesh import Mesh, build_lshape, build_structured, refine_uniform, vertex_patches
-from hdivkit.model_problems import manufactured_sine
+from hdivkit.model_problems import manufactured_sine, solve_ls_mixed, solve_mixed
 from hdivkit.projector import (
     check_field_compatibility,
     project_hdiv,
@@ -575,3 +575,40 @@ def test_project_scalar_checks_the_escalated_degree_before_sampling():
     assert str(err.value) == ("quad_degree=10 needs rules of degree 122 > 120 at p = 21 with the self-check; "
                               "at this p none fits")
     assert not samples
+
+
+_M2 = build_structured(2)
+_SINE = manufactured_sine(_M2)
+# each public entry point at degree p and quadrature degree qd (None: its default)
+_ENTRY_POINTS = {
+    "error_report": lambda p, qd: error_report(_SINE.sigma, p, _M2, quad_degree=qd),
+    "project_hdiv": lambda p, qd: project_hdiv(_SINE.sigma, p, _M2, quad_degree=qd),
+    "projector_report": lambda p, qd: projector_report(_SINE.sigma, p, _M2, quad_degree=qd),
+    "canonical_interp": lambda p, qd: canonical_interp(_SINE.sigma, p, _M2, quad_degree=qd),
+    "project_scalar": lambda p, qd: project_scalar(_SINE.sigma.div, p, _M2, quad_degree=qd),
+    "global_best": lambda p, qd: global_best(_SINE.sigma, p, _M2, quad_degree=qd),
+    "solve_mixed": lambda p, qd: solve_mixed(_SINE, p),
+    "solve_ls_mixed": lambda p, qd: solve_ls_mixed(_SINE, p, 1),
+}
+
+
+@pytest.mark.parametrize("entry,name,bad", [
+    (entry, name, bad) for entry in _ENTRY_POINTS
+    for name, bad in [("p", 1.5), ("p", -1), ("p", True), ("quad_degree", 3.5), ("quad_degree", -2),
+                      ("quad_degree", False)]
+    if name == "p" or not entry.startswith("solve")  # the solvers take no quad_degree
+])
+def test_a_bad_degree_is_one_line_naming_the_argument(entry, name, bad):
+    # a fractional or negative degree, or a bool, is refused before any
+    # work, not rounded, taken as 1, or left to fail inside the tables
+    p, qd = (bad, None) if name == "p" else (1, bad)
+    with pytest.raises(UnsupportedDegreeError) as err:
+        _ENTRY_POINTS[entry](p, qd)
+    assert str(err.value) == f"{name} must be a nonnegative integer, got {bad!r}"
+
+
+def test_numpy_integer_degrees_are_degrees():
+    v = _SINE.sigma
+    a = error_report(v, np.int64(1), _M2, quad_degree=np.int32(8))
+    b = error_report(v, 1, _M2, quad_degree=8)
+    assert (a.Eglob, a.sum_Eloc_sq) == (b.Eglob, b.sum_Eloc_sq)

@@ -5,7 +5,6 @@ import oracles
 from hdivkit.quadrature import (
     UnsupportedDegreeError,
     check_exactness,
-    corner_rule,
     corner_rules,
     gauss01,
     jacobi01,
@@ -61,22 +60,22 @@ def test_jacobi01_weighted_exactness():
 def test_corner_rule_radial_integrands():
     coords = np.array([[0.0, 0.0], [0.5, 0.0], [0.5, 0.5]])
     gamma = -1 / 3
-    wr = corner_rule(coords, 0, gamma, 20, 12)
-    r = np.linalg.norm(wr.points, axis=1)
+    (pts,), (wts,) = corner_rules(coords[None], np.array([0]), gamma, 20, 12)
+    r = np.linalg.norm(pts, axis=1)
     # r^gamma against 1 and against x*y, exact values via 1D angular quadrature
     from scipy.integrate import quad as squad
 
     exact1 = squad(
         lambda th: (0.5 / np.cos(th)) ** (gamma + 2) / (gamma + 2), 0, np.pi / 4
     )[0]
-    got1 = np.sum(wr.weights * r**gamma)
+    got1 = np.sum(wts * r**gamma)
     assert abs(got1 - exact1) / exact1 < 1e-13
     exact2 = squad(
         lambda th: np.cos(th) * np.sin(th) * (0.5 / np.cos(th)) ** (gamma + 4) / (gamma + 4),
         0,
         np.pi / 4,
     )[0]
-    got2 = np.sum(wr.weights * r**gamma * wr.points[:, 0] * wr.points[:, 1])
+    got2 = np.sum(wts * r**gamma * pts[:, 0] * pts[:, 1])
     assert abs(got2 - exact2) / abs(exact2) < 1e-12
 
 
@@ -87,10 +86,10 @@ def test_corner_rule_matches_point_loop(corner, gamma):
     # one whose wedge straddles the branch cut of arctan2
     for coords in ([[0.1, -0.2], [0.7, 0.05], [0.3, 0.6]], [[0.0, 0.0], [-1.0, 0.1], [-1.0, -0.1]]):
         for n_th, n_r in ((20, 12), (33, 21)):
-            got = corner_rule(np.array(coords), corner, gamma, n_th, n_r)
+            (got_pts,), (got_wts,) = corner_rules(np.array(coords)[None], np.array([corner]), gamma, n_th, n_r)
             pts, wts = oracles.corner_rule_oracle(coords, corner, gamma, n_th, n_r)
-            assert np.array_equal(got.points, pts)
-            assert np.abs(got.weights - wts).max() <= 1e-15 * np.abs(wts).max()
+            assert np.array_equal(got_pts, pts)
+            assert np.abs(got_wts - wts).max() <= 1e-15 * np.abs(wts).max()
 
 
 @pytest.mark.parametrize("gamma", [-1 / 3, 0.5])
@@ -104,6 +103,6 @@ def test_corner_rules_match_one_triangle_at_a_time(gamma):
     pts, wts = corner_rules(coords, corners, gamma, 23, 17)
     assert pts.shape == (7, 23 * 17, 2) and wts.shape == (7, 23 * 17)
     for k in range(len(coords)):
-        one = corner_rule(coords[k], corners[k], gamma, 23, 17)
-        assert np.abs(pts[k] - one.points).max() <= 1e-15 * np.abs(one.points).max()
-        assert np.abs(wts[k] - one.weights).max() <= 1e-15 * np.abs(one.weights).max()
+        (one_pts,), (one_wts,) = corner_rules(coords[k : k + 1], corners[k : k + 1], gamma, 23, 17)
+        assert np.abs(pts[k] - one_pts).max() <= 1e-15 * np.abs(one_pts).max()
+        assert np.abs(wts[k] - one_wts).max() <= 1e-15 * np.abs(one_wts).max()

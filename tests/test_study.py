@@ -160,10 +160,21 @@ def test_invalid_config():
     with pytest.raises(ValueError):
         StudyConfig(variant="nope").validate()
     for seed in (-1, 1.5):
-        with pytest.raises(ValueError, match="seed"):
-            StudyConfig(seed=seed).validate()
-    with pytest.raises(ValueError, match="seed"):
-        verify(StudyConfig(seed=-1))
+        with pytest.raises(ConfigError, match="seed"):
+            verify(seed=seed)
+    with pytest.raises(ConfigError, match="variant"):
+        verify(variant="nope")
+
+
+@pytest.mark.parametrize("key,value", [("seed", 0), ("tol", 1e-3)])
+def test_config_with_a_dropped_setting_is_refused_by_name(tmp_path, key, value):
+    # neither is a study setting: verify takes its seed, and the ordering
+    # check keeps its tolerance
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: value}))
+    with pytest.raises(ConfigError) as exc:
+        StudyConfig.from_json(path)
+    assert len(str(exc.value).splitlines()) == 1 and key in str(exc.value)
 
 
 def test_repeated_degree_is_refused_before_any_work(tmp_path):
