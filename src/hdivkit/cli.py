@@ -44,6 +44,14 @@ def _nonnegative(arg):
     return int(arg)
 
 
+class _Given(argparse.Action):
+    """Store a value and note its flag as given, read by ``study --config``."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = getattr(namespace, "given", ()) + (option_string,)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # one line, like every other CLI error
         self.exit(2, f"hdivkit: error: {message}\n")
@@ -61,11 +69,11 @@ _FLAGS = {
     "--field": dict(default="sine_divfree", help="name[:k=v,...]"),
     "--refinements": dict(type=int, default=4),
     "--variant": dict(default="def31", choices=["def31", "def52"]),
-    "--quad-degree": dict(type=_nonnegative, default=None),
+    "--quad-degree": dict(type=_nonnegative, default=None, help="analytic fields; polynomial ones get exact rules"),
     "--seed": dict(type=_nonnegative, default=0),
     "--out": dict(default="."),
     "--problem": dict(default="sine", choices=["sine", "bubble"]),
-    "--config": dict(default=None, help="JSON config mirroring the flags"),
+    "--config": dict(default=None, help="JSON config mirroring the flags, given with no other flag"),
 }
 
 
@@ -181,6 +189,9 @@ def cmd_solve_ls(args):
 def cmd_study(args):
     if args.config:
         cfg = StudyConfig.from_json(args.config)
+        others = [flag for flag in args.given if flag != "--config"]
+        if others:
+            raise ConfigError(f"--config takes no other study flag, got {others[0]}")
     else:
         cfg = StudyConfig(
             field=args.field,
@@ -236,7 +247,7 @@ def build_parser():
         # no prefix matching: a dropped --q must not turn into --quad-degree
         p = sub.add_parser(name, help=help_, allow_abbrev=False)
         for flag in flags:
-            p.add_argument(flag, **_FLAGS[flag])
+            p.add_argument(flag, action=_Given, **_FLAGS[flag])
         p.set_defaults(func=func)
     return ap
 

@@ -152,9 +152,9 @@ def _canonical_interp(policy):
     v, p, mesh = policy.field, policy.p, policy.mesh
     out = BrokenRTNField(mesh, p)
     # a field evaluated at points, not per element, takes the same values on
-    # both sides of an edge: each edge is sampled once per rule its sides get
+    # both sides of an edge, whose pairs edge_rules keeps together: one sample per (edge, rule)
     once = isinstance(v, AnalyticField)
-    for tris, slots, t, w in policy.edge_rules(by_edge=once):
+    for tris, slots, t, w in policy.edge_rules():
         e = mesh.tri_edges[tris, slots]
         first = np.diff(e, prepend=-1) != 0 if once else np.ones(len(e), dtype=bool)
         L = mesh.edge_length(e[first])

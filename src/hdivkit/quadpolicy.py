@@ -148,9 +148,10 @@ class QuadPolicy:
     quadrature ``degree``; ``self_check``: the caller runs the
     degree-doubling self-check, which polynomial and divergence-free fields
     never need; ``singularity``: the corner singularity a fieldless policy's
-    integrand declares (a field's own otherwise).  A degree that is not an
-    integer >= 0, or a rule above ``quadrature.MAX_DEGREE``, is refused when
-    the policy is built, before any work."""
+    integrand declares (a field's own otherwise).  Each element's rule is
+    decided once, when the policy is built (``_classify``).  A degree that is
+    not an integer >= 0, or a rule above ``quadrature.MAX_DEGREE``, is
+    refused then, before any work."""
 
     def __init__(self, p, mesh, field=None, degree=None, self_check=True, singularity=None):
         for name, x in (("p", p), ("quad_degree", 0 if degree is None else degree)):
@@ -169,17 +170,15 @@ class QuadPolicy:
             self.base_degree = int(degree) if degree is not None else 2 * p + 14
         self.singularity = getattr(field, "singularity", singularity)
         self._cache = {}
+        self._corner, self._deg = self._classify(mesh.vertices[mesh.triangles], mesh.h)
         self._check_degree()
 
     def _check_degree(self):
         """Refuse a policy whose rules exceed ``MAX_DEGREE``: its element
-        rules have degree deg + p, deg escalated near a singular corner
-        (``_degrees``), and its self-check's twice that."""
-        mesh, k = self.mesh, 2 if self.self_check else 1
-        deg = self.base_degree
-        if self.singularity is not None:
-            xs = mesh.vertices[mesh.triangles]
-            deg = int(self._degrees(xs, mesh.h)[self._corners(xs, mesh.h) < 0].max(initial=deg))
+        rules have degree deg + p, deg escalated near a singular corner,
+        and its self-check's twice that (``_tri_rule``)."""
+        k = 2 if self.self_check else 1
+        deg = int(self._deg[self._corner < 0].max(initial=self.base_degree))
         top = k * (deg + self.p)
         if top > MAX_DEGREE:
             most = MAX_DEGREE // k - self.p
@@ -190,30 +189,39 @@ class QuadPolicy:
 
     # -- classification -------------------------------------------------------------
 
-    def _corners(self, xs, h):
-        """Local index of the singular corner among each triangle's vertices
-        (xs (n, 3, 2), h (n,)), or -1."""
+    def _classify(self, xs, h):
+        """Each triangle's (xs (n, 3, 2), h (n,)) singular corner, the local
+        index of its vertex at the singularity or -1, and its rule degree,
+        the base degree escalated near the corner: two (n,) arrays."""
+        corner, deg = np.full(len(xs), -1), np.full(len(xs), self.base_degree)
         if self.singularity is None:
-            return np.full(len(xs), -1)
-        d = np.linalg.norm(xs - np.asarray(self.singularity.center, float), axis=2)
+            return corner, deg
+        c = np.asarray(self.singularity.center, float)
+        d = np.linalg.norm(xs - c, axis=2)
         j = np.argmin(d, axis=1)
         hit = d[np.arange(len(xs)), j] <= 1e-12 * np.maximum(1.0, h)
-        return np.where(hit, j, -1)
-
-    def _degrees(self, xs, h):
-        """Base degree, escalated near the singular corner; (n,)."""
-        deg = np.full(len(xs), self.base_degree)
-        if self.singularity is None:
-            return deg
-        c = np.asarray(self.singularity.center, float)
         ratio = np.linalg.norm(xs.mean(axis=1) - c, axis=1) / h
         deg[ratio < 8.0] = max(self.base_degree, 26)
         deg[ratio < 3.0] = max(self.base_degree, 40)
-        return deg
+        return np.where(hit, j, corner), deg
 
-    def _wedge_size(self, extra=(0, 0)):
-        """Angular and radial point counts of the corner wedge rules."""
-        return max(20, self.base_degree // 2 + 10) + extra[0], max(12, self.base_degree // 2 + 4) + extra[1]
+    def _tri_rule(self, deg, check):
+        """The shared reference rule of an element of degree ``deg``, on the
+        self-check (``check``) of twice its degree."""
+        return quad_rule((2 if check else 1) * (int(deg) + self.p))
+
+    def _wedge_size(self, check):
+        """Angular and radial point counts of the corner wedge rules, more on the self-check."""
+        a, r = (8, 6) if check else (0, 0)
+        return max(20, self.base_degree // 2 + 10) + a, max(12, self.base_degree // 2 + 4) + r
+
+    def _edge_rule(self, code):
+        """The (t, w) edge rule of ``code``: Gauss points covering degree code
+        >= 0; -1 (-2): Gauss-Jacobi with the singular end at t = 0 (t = 1)."""
+        if code >= 0:
+            return gauss01(edge_npts(int(code)))
+        t, w = jacobi01(max(12, self.p + 8), self.singularity.gamma)
+        return (1.0 - t if code == -2 else t), w
 
     # -- rules ------------------------------------------------------------------------
 
@@ -233,26 +241,16 @@ class QuadPolicy:
         return kept(self._cache, key, lambda: self._element_rules(el), tag=(el.coords.tobytes(), tuple(el.edge_dirs)))
 
     def _element_rules(self, el):
-        corner = int(self._corners(el.coords[None], np.array([el.h]))[0])
-        if corner >= 0:
-            gamma = self.singularity.gamma
-            rules = [corner_rules(el.coords[None], np.array([corner]), gamma, *self._wedge_size(e))
-                     for e in ((0, 0), (8, 6))]
-            tri, chk = ((pts[0], wts[0]) for pts, wts in rules)
-            edges = []
-            for slot in range(3):
-                la, lb = el.edge_dirs[slot]
-                if la == corner or lb == corner:
-                    t, w = jacobi01(max(12, self.p + 8), gamma)
-                    if lb == corner:  # singular endpoint at t = 1
-                        t = 1.0 - t
-                    edges.append((t, w))
-                else:
-                    edges.append(gauss01(edge_npts(max(self.base_degree, 30))))
-            return tri, edges, chk
-        deg = int(self._degrees(el.coords[None], np.array([el.h]))[0])
-        chk = quad_rule(2 * (deg + self.p)) if self.self_check else None
-        return quad_rule(deg + self.p), [gauss01(edge_npts(deg + self.p))] * 3, chk
+        (corner,), (deg,) = self._classify(el.coords[None], np.array([el.h]))
+        if corner < 0:
+            chk = self._tri_rule(deg, True) if self.self_check else None
+            return self._tri_rule(deg, False), [self._edge_rule(deg + self.p)] * 3, chk
+        rules = [corner_rules(el.coords[None], np.array([corner]), self.singularity.gamma, *self._wedge_size(check))
+                 for check in (False, True)]
+        tri, chk = ((pts[0], wts[0]) for pts, wts in rules)
+        # a slot leaving the corner: Gauss-Jacobi, the corner at its start (-1) or end (-2)
+        codes = [-2 if lb == corner else -1 if la == corner else max(self.base_degree, 30) for la, lb in el.edge_dirs]
+        return tri, [self._edge_rule(c) for c in codes], chk
 
     def groups(self):
         """The elements of the mesh grouped by the rule ``element_rules`` gives
@@ -262,31 +260,24 @@ class QuadPolicy:
         once."""
         return kept(self._cache, "groups", lambda: list(self._grouped(check=False)))
 
-    def edge_rules(self, by_edge=False):
+    def edge_rules(self):
         """The edge rules of ``element_rules`` for every (triangle, slot) pair
         of the mesh, grouped by rule: (tris, slots, t, w) per rule, the pairs
         in chunks of at most ``POINT_BYTES`` of per-point data.  Slot j lies
         opposite local vertex j; t runs from its lower to its higher vertex.
-        ``by_edge`` orders a rule's pairs by edge, the two sides of an edge
-        next to each other in one chunk."""
-        mesh = self.mesh
-        xs = mesh.vertices[mesh.triangles]
-        corner = self._corners(xs, mesh.h)
-        # Gauss rules by the degree they cover; -1 (-2): the Gauss-Jacobi
-        # rule with its singular end at t = 0 (t = 1)
-        key = np.repeat(self._degrees(xs, mesh.h)[:, None] + self.p, 3, axis=1)
+        An analytic field takes the same values on both sides of an edge:
+        its pairs go by edge, the two sides of an edge next to each other in
+        one chunk."""
+        mesh, corner = self.mesh, self._corner
+        codes = np.repeat(self._deg[:, None] + self.p, 3, axis=1)
         ks = np.flatnonzero(corner >= 0)
         touch = np.arange(3) != corner[ks, None]
         high = mesh.edges[mesh.tri_edges[ks], 1] == mesh.triangles[ks, corner[ks], None]
-        key[ks] = np.where(touch, np.where(high, -2, -1), max(self.base_degree, 30))
-        for code in np.unique(key):
-            if code >= 0:
-                t, w = gauss01(edge_npts(int(code)))
-            else:
-                t, w = jacobi01(max(12, self.p + 8), self.singularity.gamma)
-                t = 1.0 - t if code == -2 else t
-            tris, slots = np.nonzero(key == code)
-            if by_edge:
+        codes[ks] = np.where(touch, np.where(high, -2, -1), max(self.base_degree, 30))
+        for code in np.unique(codes):
+            t, w = self._edge_rule(code)
+            tris, slots = np.nonzero(codes == code)
+            if isinstance(self.field, AnalyticField):
                 order = np.argsort(mesh.tri_edges[tris, slots], kind="stable")
                 tris, slots = tris[order], slots[order]
                 # cut between edges: a chunk of edges holds their one or two pairs
@@ -304,27 +295,24 @@ class QuadPolicy:
         return self._grouped(check=True)
 
     def _grouped(self, check):
-        mesh = self.mesh
-        xs = mesh.vertices[mesh.triangles]
-        corner = self._corners(xs, mesh.h)
-        deg = self._degrees(xs, mesh.h)
+        mesh, corner, deg = self.mesh, self._corner, self._deg
         for d in np.unique(deg[corner < 0]):
             ks = np.flatnonzero((corner < 0) & (deg == d))
-            rule = quad_rule((2 if check else 1) * (int(d) + self.p))
+            rule = self._tri_rule(d, check)
             tables = {}  # shared by the chunks of one reference rule
             for sl in chunks(len(ks), _POINT_BYTES * len(rule.weights), points=True):
                 k = ks[sl]
                 pts = mesh.map_to_phys(rule.points, k)
                 yield QuadGroup(k, rule.points, pts, rule.weights * mesh.detB[k, None], tables)
         ks = np.flatnonzero(corner >= 0)
-        extra = (8, 6) if check else (0, 0)
         # wedge tables carry an element axis: a wedge holds its per-point
         # data and its prim and phi tables at degree p
-        size = self._wedge_size(extra)
+        size = self._wedge_size(check)
         item = np.prod(size) * (_POINT_BYTES + 8 * (2 * rtn_dim(self.p) + polys.tri_dim(self.p)))
         for sl in chunks(len(ks), item):
             k = ks[sl]
-            yield QuadGroup.at(mesh, k, *corner_rules(xs[k], corner[k], self.singularity.gamma, *size))
+            xs = mesh.vertices[mesh.triangles[k]]
+            yield QuadGroup.at(mesh, k, *corner_rules(xs, corner[k], self.singularity.gamma, *size))
 
     def values(self, div=False):
         """The field (or its divergence) at the points of every group of

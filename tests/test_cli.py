@@ -218,6 +218,31 @@ def test_bad_study_config_is_one_line_error(tmp_path, capsys, text):
     _assert_one_line_error(["study", "--config", str(cfg_path)], capsys)
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [(["--config", "CFG", "--p", "2"], "--p"), (["--p", "2", "--config", "CFG"], "--p"),
+     (["--config", "CFG", "--out=o1"], "--out"), (["--config", "CFG", "--out", "."], "--out"),
+     (["--config", "CFG", "--mesh", "structured:2"], "--mesh")],
+    ids=["p", "p-first", "out", "out-default", "mesh-default"],
+)
+def test_study_config_takes_no_other_flag(tmp_path, monkeypatch, capsys, argv, flag):
+    # a flag beside the config would go unread: it is refused by name, even
+    # at its default value, before any work or write
+    monkeypatch.chdir(tmp_path)
+    cfg = {"mesh": "structured:2", "refinements": 1, "degrees": [0], "run_projector": False}
+    (tmp_path / "cfg.json").write_text(json.dumps(cfg))
+    line = _assert_one_line_error(["study"] + [a.replace("CFG", "cfg.json") for a in argv], capsys)
+    assert line.endswith(f"got {flag}")
+    assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_bad_study_config_is_reported_before_other_flags(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"tol": 1e-3}')
+    line = _assert_one_line_error(["study", "--config", str(cfg_path), "--p", "2"], capsys)
+    assert "unknown config key(s)" in line and line.endswith("tol")
+
+
 def test_def52_study_without_a_degree_to_run_is_one_line_error(tmp_path, capsys):
     # as ``project --variant def52 --p 0`` is, and before any work: no
     # header-only study.csv and no "0/0 checks passed"

@@ -160,20 +160,22 @@ def test_canonical_interp_reproduces_members_like_the_element_loop(p):
 @pytest.mark.parametrize("p", [0, 2, 6])
 @pytest.mark.parametrize(
     "mesh,field",
-    [("lshape2", "lshape_singular"), ("jittered-structured3", "sine_divfree"), ("lshape1", "cubic")],
+    [("lshape2", "lshape_singular"), ("jittered-structured3", "sine_divfree"), ("lshape1", "cubic"),
+     ("jittered-structured3", "random_conforming")],
 )
-@pytest.mark.parametrize("by_edge", [False, True])
-def test_edge_rules_are_the_element_rules(mesh, field, p, by_edge):
+def test_edge_rules_are_the_element_rules(mesh, field, p):
     # every (triangle, slot) pair gets the 1D rule element_rules gives it,
-    # to the bit; by edge, the two sides of an edge on one rule are
-    # neighbours in one chunk
+    # to the bit; for an analytic field the pairs go by edge, the two sides
+    # of an edge on one rule neighbours in one chunk, and a discrete one's
+    # go by pair
     m = INTERP_MESHES[mesh]()
-    policy = QuadPolicy(p, m, fields.catalog(field))
+    v = random_conforming_field(m, p, seed=p) if field == "random_conforming" else fields.catalog(field)
+    policy = QuadPolicy(p, m, v)
+    by_edge = isinstance(v, fields.AnalyticField)
+    assert by_edge == (field != "random_conforming")
     seen = np.zeros((m.num_triangles, 3), dtype=int)
-    for tris, slots, t, w in policy.edge_rules(by_edge):
-        e = m.tri_edges[tris, slots]
-        if by_edge:
-            assert np.all(np.diff(e) >= 0)
+    for tris, slots, t, w in policy.edge_rules():
+        assert np.all(np.diff(m.tri_edges[tris, slots] if by_edge else 3 * tris + slots) >= 0)
         for k, j in zip(tris, slots):
             want_t, want_w = policy.element_rules(rtn_space(m, p).elements[k])[1][j]
             assert np.array_equal(t, want_t) and np.array_equal(w, want_w)
