@@ -137,17 +137,21 @@ class ErrorReport:
         return float(np.sum(self.Eloc_l2**2))
 
     @property
+    def exact_zero(self):
+        """E_glob and (sum E_loc^2)^(1/2) both below 1e-9 ||v||: v lies in
+        the space up to roundoff, and the errors' ratios are noise."""
+        tiny = 1e-9 * max(self.metadata["v_norm"], 1e-30)
+        return self.Eglob < tiny and np.sqrt(self.sum_Eloc_sq) < tiny
+
+    @property
     def ratio_glob_over_loc(self):
-        s = self.sum_Eloc_sq
-        if s <= 0:
-            return 0.0 if self.Eglob**2 < 1e-24 else np.inf
-        return self.Eglob**2 / s
+        """E_glob^2 / sum E_loc^2; 0.0 for an exact zero."""
+        return 0.0 if self.exact_zero else self.Eglob**2 / self.sum_Eloc_sq
 
     @property
     def ratio_loc_over_glob(self):
-        if self.Eglob**2 <= 0:
-            return 0.0 if self.sum_Eloc_sq < 1e-24 else np.inf
-        return self.sum_Eloc_sq / self.Eglob**2
+        """sum E_loc^2 / E_glob^2; 0.0 for an exact zero."""
+        return 0.0 if self.exact_zero else self.sum_Eloc_sq / self.Eglob**2
 
 
 def error_report(v, p, mesh, *, quad_degree=None, include_constrained=False, include_pm1=False) -> ErrorReport:

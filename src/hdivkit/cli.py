@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -24,7 +25,7 @@ from .model_problems import (
 )
 from .projector import project_hdiv
 from .quadrature import UnsupportedDegreeError
-from .study import ConfigError, StudyConfig, build_mesh, run_study, verify, verify_exit_code
+from .study import ConfigError, StudyConfig, build_mesh, run_study, verify
 
 
 def _degrees(arg):
@@ -57,37 +58,32 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"hdivkit: error: {message}\n")
 
 
-# every argument once; each subcommand below names the ones its cmd_* reads
+# every argument once; each subcommand below names the ones its cmd_* reads.  A
+# study setting is stored under its StudyConfig field name
 _FLAGS = {
     "action": dict(choices=["gen", "refine", "inspect"]),
     "--mesh": dict(default="structured:2", help="structured:<n> | lshape:<n> | file"),
     "--labels": dict(default=None, help="all-dirichlet | all-neumann | left-neumann | file "
                      "(default: all-dirichlet for generated meshes, the file's own labels "
                      "for a mesh file)"),
-    "--p": dict(type=_degrees, default="1", help="polynomial degree or comma list"),
+    "--p": dict(dest="degrees", type=_degrees, default="1", help="polynomial degree or comma list"),
     "--q": dict(type=int, default=1),
     "--field": dict(default="sine_divfree", help="name[:k=v,...]"),
     "--refinements": dict(type=int, default=4),
     "--variant": dict(default="def31", choices=["def31", "def52"]),
     "--quad-degree": dict(type=_nonnegative, default=None, help="analytic fields; polynomial ones get exact rules"),
     "--seed": dict(type=_nonnegative, default=0),
-    "--out": dict(default="."),
+    "--out": dict(dest="out_dir", default="."),
     "--problem": dict(default="sine", choices=["sine", "bubble"]),
     "--config": dict(default=None, help="JSON config mirroring the flags, given with no other flag"),
 }
 
 
-def _get_mesh(args):
-    return build_mesh(args.mesh, args.labels)
-
-
 def cmd_mesh(args):
-    if args.action == "gen":
-        m = _get_mesh(args)
-    elif args.action == "refine":
-        m = mesh_mod.refine_uniform(_get_mesh(args))
-    else:  # inspect
-        m = _get_mesh(args)
+    m = build_mesh(args.mesh, args.labels)
+    if args.action == "refine":
+        m = mesh_mod.refine_uniform(m)
+    elif args.action == "inspect":
         print(
             json.dumps(
                 {
@@ -103,87 +99,77 @@ def cmd_mesh(args):
             )
         )
         return 0
-    path = args.out if args.out != "." else "mesh.json"
+    path = args.out_dir if args.out_dir != "." else "mesh.json"
     mesh_mod.save_mesh(m, path)
     print(f"wrote {path}")
     return 0
 
 
-def cmd_project(args):
-    if args.variant == "def52" and 0 in args.p:
+def _per_degree(record):
+    """A subcommand that builds the mesh once and prints one JSON object of
+    ``record(args, mesh, p)`` for each degree of ``--p``, keyed ``p<p>``
+    (``p<p>_q<q>`` where the subcommand takes ``--q``)."""
+
+    def run(args):
+        m = build_mesh(args.mesh, args.labels)
+        suffix = f"_q{args.q}" if "q" in args else ""
+        print(json.dumps({f"p{p}{suffix}": record(args, m, p) for p in args.degrees}, indent=1))
+        return 0
+
+    return run
+
+
+_PROBLEMS = {"sine": manufactured_sine, "bubble": manufactured_bubble}
+
+
+@_per_degree
+def cmd_project(args, m, p):
+    if args.variant == "def52" and p == 0:
         raise ConfigError("variant def52 needs p >= 1")
-    m = _get_mesh(args)
-    out = {}
-    for p in args.p:
-        field = fields_mod.parse_field_spec(args.field, mesh=m)
-        sig = project_hdiv(
-            field, p, m, variant=args.variant, quad_degree=args.quad_degree
-        )
-        info = sig.info["projector"]
-        out[f"p{p}"] = {
-            "commute_residual": info.commute_residual,
-            "commute_abs": info.commute_abs,
-            "jump_residual": sig.jump_residual(),
-            "patch_system_size": info.patch_system_size,
-            "warnings": info.warnings,
-        }
-    print(json.dumps(out, indent=1))
-    return 0
+    field = fields_mod.parse_field_spec(args.field, mesh=m)
+    sig = project_hdiv(field, p, m, variant=args.variant, quad_degree=args.quad_degree)
+    info = sig.info["projector"]
+    return {
+        "commute_residual": info.commute_residual,
+        "commute_abs": info.commute_abs,
+        "jump_residual": sig.jump_residual(),
+        "patch_system_size": info.patch_system_size,
+        "warnings": info.warnings,
+    }
 
 
-def cmd_best_approx(args):
-    m = _get_mesh(args)
-    out = {}
-    for p in args.p:
-        field = fields_mod.parse_field_spec(args.field, mesh=m)
-        rep = error_report(field, p, m, quad_degree=args.quad_degree)
-        out[f"p{p}"] = {
-            "E_glob_l2": rep.Eglob_l2,
-            "E_glob": rep.Eglob,
-            "sum_Eloc": float(np.sqrt(rep.sum_Eloc_sq)),
-            "ratio_glob_over_loc": rep.ratio_glob_over_loc,
-            **{key: rep.metadata[key] for key in ("system_size", "nnz_lu")},
-        }
-    print(json.dumps(out, indent=1))
-    return 0
+@_per_degree
+def cmd_best_approx(args, m, p):
+    rep = error_report(fields_mod.parse_field_spec(args.field, mesh=m), p, m, quad_degree=args.quad_degree)
+    return {
+        "E_glob_l2": rep.Eglob_l2,
+        "E_glob": rep.Eglob,
+        "sum_Eloc": float(np.sqrt(rep.sum_Eloc_sq)),
+        "ratio_glob_over_loc": rep.ratio_glob_over_loc,
+        **{key: rep.metadata[key] for key in ("system_size", "nnz_lu")},
+    }
 
 
-def _problem(name, mesh):
-    if name == "sine":
-        return manufactured_sine(mesh)
-    if name == "bubble":
-        return manufactured_bubble(mesh)
-    raise ValueError(f"unknown problem {name!r}")
+@_per_degree
+def cmd_solve_mixed(args, m, p):
+    prob = _PROBLEMS[args.problem](m)
+    res = solve_mixed(prob, p)
+    return {
+        "flux_error": flux_error(prob, res["sigma"]),
+        "div_constraint_defect": res["div_constraint_defect"],
+        **{key: res[key] for key in ("kkt_residual", "system_size", "nnz_lu")},
+    }
 
 
-def cmd_solve_mixed(args):
-    m = _get_mesh(args)
-    prob = _problem(args.problem, m)
-    out = {}
-    for p in args.p:
-        res = solve_mixed(prob, p)
-        out[f"p{p}"] = {
-            "flux_error": flux_error(prob, res["sigma"]),
-            "div_constraint_defect": res["div_constraint_defect"],
-            **{key: res[key] for key in ("kkt_residual", "system_size", "nnz_lu")},
-        }
-    print(json.dumps(out, indent=1))
-    return 0
-
-
-def cmd_solve_ls(args):
-    m = _get_mesh(args)
-    prob = _problem(args.problem, m)
-    out = {}
-    for p in args.p:
-        res = solve_ls_mixed(prob, p, args.q)
-        out[f"p{p}_q{args.q}"] = {
-            "flux_error": flux_error(prob, res["sigma"]),
-            "h1_error": potential_h1_error(prob, res["space"], res["u"]),
-            **{key: res[key] for key in ("kkt_residual", "system_size", "nnz_lu")},
-        }
-    print(json.dumps(out, indent=1))
-    return 0
+@_per_degree
+def cmd_solve_ls(args, m, p):
+    prob = _PROBLEMS[args.problem](m)
+    res = solve_ls_mixed(prob, p, args.q)
+    return {
+        "flux_error": flux_error(prob, res["sigma"]),
+        "h1_error": potential_h1_error(prob, res["space"], res["u"]),
+        **{key: res[key] for key in ("kkt_residual", "system_size", "nnz_lu")},
+    }
 
 
 def cmd_study(args):
@@ -193,16 +179,7 @@ def cmd_study(args):
         if others:
             raise ConfigError(f"--config takes no other study flag, got {others[0]}")
     else:
-        cfg = StudyConfig(
-            field=args.field,
-            mesh=args.mesh,
-            labels=args.labels,
-            refinements=args.refinements,
-            degrees=args.p,
-            variant=args.variant,
-            quad_degree=args.quad_degree,
-            out_dir=args.out,
-        )
+        cfg = StudyConfig(**{key: getattr(args, key) for key in asdict(StudyConfig())})
     summary = run_study(cfg)
     n_pass = sum(1 for c in summary["checks"] if c["passed"])
     print(f"study: {n_pass}/{len(summary['checks'])} checks passed; "
@@ -219,9 +196,8 @@ def cmd_verify(args):
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"[{status}] {r.name}: measured={r.value:.3e} tol={r.tol:.3g}")
-    code = verify_exit_code(results)
     print(f"verify: {sum(r.passed for r in results)}/{len(results)} checks passed")
-    return code
+    return 0 if all(r.passed for r in results) else 1
 
 
 def build_parser():
@@ -248,7 +224,8 @@ def build_parser():
         p = sub.add_parser(name, help=help_, allow_abbrev=False)
         for flag in flags:
             p.add_argument(flag, action=_Given, **_FLAGS[flag])
-        p.set_defaults(func=func)
+        # a study's defaults are StudyConfig()'s, which override the flags' own
+        p.set_defaults(func=func, **(asdict(StudyConfig()) if name == "study" else {}))
     return ap
 
 

@@ -176,15 +176,9 @@ class LagrangeSpace:
             )
         self.mesh = mesh
         self.q = q
-        self.n_edge = q - 1
-        self.n_int = (q - 1) * (q - 2) // 2
-        self.n_nodes = (
-            mesh.num_vertices
-            + mesh.num_edges * self.n_edge
-            + mesh.num_triangles * self.n_int
-        )
         self.bary = lagrange_bary(q)
         self._elem_nodes = lagrange_nodes(mesh, q)
+        self.n_nodes = int(self._elem_nodes.max()) + 1
         # the local nodes on an element's boundary edges (edge z lies opposite vertex z)
         on_boundary = mesh.edge_tris[mesh.tri_edges, 1] == -1
         self.boundary_nodes = np.unique(
@@ -268,21 +262,21 @@ def solve_ls_mixed(prob: PoissonProblem, p: int, q: int):
 # -- error evaluation -------------------------------------------------------------------
 
 
-def flux_error(prob: PoissonProblem, sigma_h: ConformingRTNField, *, quad_degree=None):
+def flux_error(prob: PoissonProblem, sigma_h: ConformingRTNField):
     """||sigma - sigma_h|| over the mesh, batched over the quadrature groups."""
-    return _flux_error(prob, sigma_h, quad_degree, div=False)
+    return _flux_error(prob, sigma_h, div=False)
 
 
-def _flux_error(prob, sigma_h, quad_degree, div):
+def _flux_error(prob, sigma_h, div):
     """``flux_error``, or with ``div`` ||div(sigma - sigma_h)||; the exact flux's samples are checked."""
-    groups = QuadPolicy(sigma_h.p, prob.mesh, prob.sigma, quad_degree, self_check=False).groups()
+    groups = QuadPolicy(sigma_h.p, prob.mesh, prob.sigma, self_check=False).groups()
     exact = check_finite(groups, [g.eval(prob.sigma, div=div) for g in groups], "div sigma" if div else "sigma")
     return np.sqrt(sum(g.norm_sq(e - g.eval(sigma_h, div=div)).sum() for g, e in zip(groups, exact)))
 
 
-def potential_h1_error(prob: PoissonProblem, ls: LagrangeSpace, u_h, *, quad_degree=None):
+def potential_h1_error(prob: PoissonProblem, ls: LagrangeSpace, u_h):
     """||grad(u - u_h)|| by quadrature on every element at once."""
-    rule = quad_rule(quad_degree or (2 * ls.q + 10))
+    rule = quad_rule(2 * ls.q + 10)
     return _grad_u(prob, rule)[1](_lagrange_grad(ls, u_h, rule))
 
 
@@ -330,10 +324,10 @@ def h1_best_global(prob: PoissonProblem, q: int):
     return ls, uh, error(_lagrange_grad(ls, uh, rule))  # potential_h1_error on the samples taken
 
 
-def h1_best_local_sum(prob: PoissonProblem, q: int, *, quad_degree=None):
+def h1_best_local_sum(prob: PoissonProblem, q: int):
     """Root sum of elementwise unconstrained H1-best errors min ||grad(u - w)||_K."""
     mesh = prob.mesh
-    rule = quad_rule(quad_degree or (2 * q + 10))
+    rule = quad_rule(2 * q + 10)
     gref = np.stack(scalar_basis(q).eval_grad(rule.points), axis=2)[1:]  # drop the constant
     gu, error = _grad_u(prob, rule)
     c = solve_stacked(_stiffness_blocks(mesh, rule, gref), _grad_moments(mesh, gref, rule, gu))
@@ -362,7 +356,7 @@ def coercivity_witness(res):
     return worst
 
 
-def apriori_checks(prob_builder, p: int, q: int, meshes, *, quad_degree=None):
+def apriori_checks(prob_builder, p: int, q: int, meshes):
     """Cross-checks tying the solvers to the best-approximation machinery.
 
     Per mesh: (a) the mixed flux error against the constrained global best,
@@ -377,19 +371,19 @@ def apriori_checks(prob_builder, p: int, q: int, meshes, *, quad_degree=None):
         prob = prob_builder(mesh)
         prob.residual_check()
         mixed = solve_mixed(prob, p)
-        err_mixed = flux_error(prob, mixed["sigma"], quad_degree=quad_degree)
-        glob = global_best(prob.sigma, p, mesh, quad_degree=quad_degree)
+        err_mixed = flux_error(prob, mixed["sigma"])
+        glob = global_best(prob.sigma, p, mesh)
         a_defect = abs(err_mixed - glob["Eglob_l2"]) / max(glob["Eglob_l2"], 1e-300)
         lsres = solve_ls_mixed(prob, p, q)
-        err_ls = flux_error(prob, lsres["sigma"], quad_degree=quad_degree)
-        err_h1 = potential_h1_error(prob, lsres["space"], lsres["u"], quad_degree=quad_degree)
+        err_ls = flux_error(prob, lsres["sigma"])
+        err_h1 = potential_h1_error(prob, lsres["space"], lsres["u"])
         _, _, h1_glob = h1_best_global(prob, q)
-        h1_loc = h1_best_local_sum(prob, q, quad_degree=quad_degree)
+        h1_loc = h1_best_local_sum(prob, q)
         denom = glob["Eglob_l2"] + h1_glob
         R = (err_ls + err_h1) / max(denom, 1e-300)
         # divergence bound: l^2 ||div(s - s_LS)||^2 <= l^2 osc^2 + H1 err^2 + flux-best^2
-        div_err = _flux_error(prob, lsres["sigma"], quad_degree, div=True)
-        osc = _div_oscillation(prob, p, quad_degree=quad_degree)
+        div_err = _flux_error(prob, lsres["sigma"], div=True)
+        osc = _div_oscillation(prob, p)
         l2 = prob.l_omega**2
         slack = (l2 * osc**2 + err_h1**2 + glob["Eglob_l2"] ** 2) - l2 * div_err**2
         scale = max(l2 * div_err**2, l2 * osc**2, 1e-300)
@@ -412,8 +406,8 @@ def apriori_checks(prob_builder, p: int, q: int, meshes, *, quad_degree=None):
     return out
 
 
-def _div_oscillation(prob, p, *, quad_degree=None):
+def _div_oscillation(prob, p):
     """||div sigma - Pi_p div sigma|| (unweighted) over the mesh, from checked samples."""
-    groups = QuadPolicy(p, prob.mesh, prob.sigma, quad_degree, self_check=False).groups()
+    groups = QuadPolicy(p, prob.mesh, prob.sigma, self_check=False).groups()
     samples = check_finite(groups, [g.eval(prob.sigma, div=True) for g in groups], "div sigma")
     return np.sqrt(sum(oscillation_sq(prob.mesh, p, g, dv).sum() for g, dv in zip(groups, samples)))

@@ -198,16 +198,6 @@ def run_study(cfg: StudyConfig):
             # one sampling and one fit of the field per row, shared by both reports
             policy = QuadPolicy(p, m, field, cfg.quad_degree, self_check=cfg.run_projector)
             rep = _error_report(policy)
-            notes = ""
-            tiny = 1e-9 * max(rep.metadata["v_norm"], 1e-30)
-            exact_zero = rep.Eglob < tiny and np.sqrt(rep.sum_Eloc_sq) < tiny
-            if exact_zero:
-                ratio_gl = 0.0
-                ratio_lg = 0.0
-                notes = "exact-zero"
-            else:
-                ratio_gl = rep.ratio_glob_over_loc
-                ratio_lg = rep.ratio_loc_over_glob
             proj_err = commute = stab = float("nan")
             if cfg.run_projector:
                 prep = _projector_report(policy, cfg.variant, {"E_loc": rep.Eloc, "div_part": rep.Eloc_div})
@@ -224,12 +214,12 @@ def run_study(cfg: StudyConfig):
                     "E_glob": rep.Eglob,
                     "sum_Eloc_l2": float(np.sqrt(rep.sum_Eloc_l2_sq)),
                     "sum_Eloc": float(np.sqrt(rep.sum_Eloc_sq)),
-                    "ratio_glob_over_loc": ratio_gl,
-                    "ratio_loc_over_glob": ratio_lg,
+                    "ratio_glob_over_loc": rep.ratio_glob_over_loc,
+                    "ratio_loc_over_glob": rep.ratio_loc_over_glob,
                     "proj_err": proj_err,
                     "commute_res": commute,
                     "stability_C": stab,
-                    "notes": notes,
+                    "notes": "exact-zero" if rep.exact_zero else "",
                 }
             )
     fits = {}
@@ -415,7 +405,3 @@ def verify(seed=0, variant="def31"):
     check("divergence bound slack", -res[0]["div_bound_slack"], 1e-9)
     check("coercivity witness nonnegative", -res[0]["coercivity_witness"], 1e-9)
     return out
-
-
-def verify_exit_code(results) -> int:
-    return 0 if all(r.passed for r in results) else 1

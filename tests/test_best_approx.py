@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -216,3 +218,27 @@ def test_error_report_forms_the_element_moments_once_per_group(monkeypatch, mesh
     error_report(v, p, m, include_constrained=True)
     groups = len(QuadPolicy(p, m, v).groups())
     assert len(rtn) == groups and len(div) == groups
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_a_member_at_its_own_degree_is_an_exact_zero(p):
+    # both errors are roundoff (about 1e-14 on a unit-size field), so both
+    # ratios read 0.0, as the study's exact-zero rows do
+    m = build_structured(2)
+    rep = error_report(random_conforming_field(m, p), p, m)
+    assert rep.exact_zero
+    assert rep.ratio_glob_over_loc == 0.0 and rep.ratio_loc_over_glob == 0.0
+
+
+@pytest.mark.parametrize("c", [1e-12, 1e8])
+def test_exact_zero_rule_is_relative_to_the_field(c):
+    # v -> c v scales both errors by c: no scale turns a real error into an
+    # exact zero, and the ratios do not move
+    m = build_structured(2)
+    v = fields.catalog("sine_divfree")
+    w = dataclasses.replace(v, v=lambda x: c * v.eval(x), div=lambda x: c * v.eval_div(x))
+    want, got = error_report(v, 1, m), error_report(w, 1, m)
+    assert not got.exact_zero
+    for ratio in ("ratio_glob_over_loc", "ratio_loc_over_glob"):
+        assert getattr(want, ratio) > 0
+        assert abs(getattr(got, ratio) - getattr(want, ratio)) <= 1e-12 * getattr(want, ratio)

@@ -9,6 +9,7 @@ import pytest
 
 from hdivkit.cli import build_parser, main
 from hdivkit.mesh import MeshError, build_lshape, build_structured, load_mesh
+from hdivkit.study import StudyConfig, run_study
 
 # the flags each subcommand's cmd_* function reads, and no others
 SUBCOMMAND_FLAGS = {
@@ -168,6 +169,25 @@ def test_study_command(tmp_path, capsys):
     assert code == 0
     assert (tmp_path / "study.csv").exists()
     assert (tmp_path / "summary.json").exists()
+
+
+def test_bare_study_runs_the_default_config(tmp_path, capsys):
+    # the study flags take their defaults from StudyConfig, as a config does
+    assert main(["study", "--out", str(tmp_path / "cli")]) == 0
+    run_study(StudyConfig(out_dir=str(tmp_path / "lib")))
+    assert (tmp_path / "cli" / "study.csv").read_bytes() == (tmp_path / "lib" / "study.csv").read_bytes()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_best_approx_reports_an_exact_zero_as_study_does(tmp_path, capsys, p):
+    # a member at its own degree: roundoff errors, ratio 0.0 in both front ends
+    field = f"random_rtn:p={p}"
+    assert main(["best-approx", "--mesh", "structured:2", "--field", field, "--p", str(p)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    cfg = StudyConfig(field=field, refinements=1, degrees=[p], out_dir=str(tmp_path), run_projector=False)
+    (row,) = run_study(cfg)["rows"]
+    assert row["notes"] == "exact-zero"
+    assert out[f"p{p}"]["ratio_glob_over_loc"] == row["ratio_glob_over_loc"] == 0.0
 
 
 def test_study_config_file(tmp_path, capsys):
@@ -423,8 +443,8 @@ def test_quadrature_degree_too_high_names_quad_degree(capsys):
 
 def test_degree_list_parses_to_integers():
     args = build_parser().parse_args(["project", "--p", "0,2,3"])
-    assert args.p == [0, 2, 3]
-    assert build_parser().parse_args(["project"]).p == [1]
+    assert args.degrees == [0, 2, 3]
+    assert build_parser().parse_args(["project"]).degrees == [1]
 
 
 def test_a_failed_patch_or_solve_is_one_line_error(monkeypatch, capsys):

@@ -7,7 +7,7 @@ import oracles
 from hdivkit import polys
 from hdivkit.fields import FieldError
 from hdivkit.best_approx import global_best
-from hdivkit.mesh import build_lshape, build_structured
+from hdivkit.mesh import build_lshape, build_structured, refine_uniform
 from hdivkit.model_problems import (
     LagrangeSpace,
     ModelProblemError,
@@ -200,6 +200,17 @@ def test_lagrange_space_continuity(unit_square_2):
         assert np.abs(v0 - v1).max() < 1e-11
 
 
+@pytest.mark.parametrize("q", [1, 2, 3, 4])
+@pytest.mark.parametrize("mesh", [lambda: build_structured(3), lambda: build_lshape(2),
+                                  lambda: refine_uniform(build_lshape(1))], ids=["structured3", "lshape2", "refined"])
+def test_lagrange_node_count_is_vertices_edges_and_interiors(mesh, q):
+    # the numbering uses every node once: q - 1 per edge, (q-1)(q-2)/2 inside each triangle
+    m = mesh()
+    ls = LagrangeSpace(m, q)
+    assert ls.n_nodes == m.num_vertices + m.num_edges * (q - 1) + m.num_triangles * (q - 1) * (q - 2) // 2
+    assert np.array_equal(np.unique(ls._elem_nodes), np.arange(ls.n_nodes))
+
+
 def test_lagrange_high_degree_warns(unit_square_2):
     with pytest.warns(RuntimeWarning):
         LagrangeSpace(unit_square_2, 5)
@@ -252,7 +263,7 @@ def test_non_finite_source_or_exact_flux_is_a_field_error():
             run(bad_grad)
     sigma_h = solve_mixed(prob, 1)["sigma"]
     calls = [("sigma", "v", lambda q: flux_error(q, sigma_h)),
-             ("div sigma", "div", lambda q: _flux_error(q, sigma_h, None, div=True)),
+             ("div sigma", "div", lambda q: _flux_error(q, sigma_h, div=True)),
              ("div sigma", "div", lambda q: _div_oscillation(q, 1))]
     for kind, attr, run in calls:
         flux = dataclasses.replace(prob.sigma, **{attr: _not_finite_in(getattr(prob.sigma, attr), m, 5)})
