@@ -63,7 +63,7 @@ class _Parser(argparse.ArgumentParser):
 _FLAGS = {
     "action": dict(choices=["gen", "refine", "inspect"]),
     "--mesh": dict(default="structured:2", help="structured:<n> | lshape:<n> | file"),
-    "--labels": dict(default=None, help="all-dirichlet | all-neumann | left-neumann | file "
+    "--labels": dict(default=None, help="all-dirichlet | all-neumann | left-neumann "
                      "(default: all-dirichlet for generated meshes, the file's own labels "
                      "for a mesh file)"),
     "--p": dict(dest="degrees", type=_degrees, default="1", help="polynomial degree or comma list"),

@@ -44,10 +44,6 @@ def rtn_dim(p: int) -> int:
     return (p + 1) * (p + 3)
 
 
-class ElementGeometryError(ValueError):
-    pass
-
-
 class BasisConsistencyError(RuntimeError):
     pass
 
@@ -276,10 +272,6 @@ class RTNSpace:
         self.mesh = mesh
         self.p = p
         self.B, self.detB = mesh.B, mesh.detB
-        if np.any(self.detB <= 0):
-            raise ElementGeometryError(
-                f"triangle must be counterclockwise and nondegenerate (det={self.detB.min():g})"
-            )
         self.ref = rtn_reference(p)
         self.sdim = polys.tri_dim(p)
         self.idim = polys.tri_dim(p - 1) if p >= 1 else 0

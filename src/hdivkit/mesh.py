@@ -3,7 +3,8 @@ patches, and ``kept``, the one way hdivkit keeps what it builds.
 
 Conventions baked in here and relied on everywhere else:
   * triangles are stored counterclockwise, rotated so the smallest vertex
-    index comes first;
+    index comes first; a kept triangle has |2 area| > 1e-14 L^2, far above
+    the rounding of ``detB``, so every ``detB`` is positive;
   * edges are sorted vertex pairs, listed lexicographically; the global
     tangent runs lower index -> higher index and the global unit normal is
     the tangent rotated by -90 degrees;
@@ -460,12 +461,18 @@ def _grid(m, lo, hi, labels, cut=None):
     return Mesh(vertices, triangles, _label_boundary(vertices, triangles, labels))
 
 
+def _cells(n):
+    """The cell count ``n`` of a generated mesh, refused with a MeshError
+    unless it is an integer >= 1: a numpy integer is one, a bool is not."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise MeshError(f"n must be an integer >= 1, got {n!r}")
+    return int(n)
+
+
 def build_structured(n: int, labels="all-dirichlet"):
     """Uniform n x n grid on the unit square, cells split along the
     (i, j) -> (i+1, j+1) diagonal."""
-    if n < 1:
-        raise MeshError("n must be >= 1")
-    return _grid(n, 0.0, 1.0, labels)
+    return _grid(_cells(n), 0.0, 1.0, labels)
 
 
 def build_lshape(n: int, labels="all-dirichlet"):
@@ -474,8 +481,7 @@ def build_lshape(n: int, labels="all-dirichlet"):
     The reentrant corner sits exactly at the origin, which is always a mesh
     vertex.
     """
-    if n < 1:
-        raise MeshError("n must be >= 1")
+    n = _cells(n)
     cut = np.zeros((2 * n, 2 * n), dtype=bool)
     cut[:n, n:] = True
     return _grid(2 * n, -1.0, 1.0, labels, cut)

@@ -184,18 +184,15 @@ class LagrangeSpace:
         self.boundary_nodes = np.unique(
             self._elem_nodes[np.any(on_boundary[:, :, None] & (self.bary.T == 0), axis=1)]
         )
-        self.free = np.ones(self.n_nodes, dtype=bool)
-        self.free[self.boundary_nodes] = False
-        self.free_index = np.flatnonzero(self.free)
-        for a in (self.boundary_nodes, self.free, self.free_index):  # a kept space is shared
+        self.free_index = np.setdiff1d(np.arange(self.n_nodes), self.boundary_nodes)
+        for a in (self.boundary_nodes, self.free_index):  # a kept space is shared
             a.flags.writeable = False
 
-    def basis_grads_ref(self, refpts):
-        return lagrange_grads_ref(self.q, refpts)
 
-
-def _lagrange_stiffness(ls: LagrangeSpace, rule):
-    blocks = _stiffness_blocks(ls.mesh, rule, np.stack(ls.basis_grads_ref(rule.points), axis=2))
+def _lagrange_stiffness(ls: LagrangeSpace):
+    """The P_q stiffness matrix over every node of ``ls``, on the rule of degree 2q."""
+    rule = quad_rule(2 * ls.q)
+    blocks = _stiffness_blocks(ls.mesh, rule, np.stack(lagrange_grads_ref(ls.q, rule.points), axis=2))
     return assemble_csr(ls._elem_nodes, ls._elem_nodes, blocks, (ls.n_nodes, ls.n_nodes))
 
 
@@ -215,7 +212,7 @@ def _ls_system(prob, p, q):
         D = (B.T @ B).tocsr()
         blocks = space.rows_to_elem(_coupling_reference(q, p)[None])
         G = assemble_csr(ls._elem_nodes, space.dof_map, blocks, (ls.n_nodes, space.ndof))
-        S = _lagrange_stiffness(ls, quad_rule(2 * q))
+        S = _lagrange_stiffness(ls)
         fr = ls.free_index
         A = sp.bmat(
             [
@@ -276,21 +273,22 @@ def _flux_error(prob, sigma_h, div):
 
 def potential_h1_error(prob: PoissonProblem, ls: LagrangeSpace, u_h):
     """||grad(u - u_h)|| by quadrature on every element at once."""
-    rule = quad_rule(2 * ls.q + 10)
-    return _grad_u(prob, rule)[1](_lagrange_grad(ls, u_h, rule))
+    rule, _, error = _grad_u(prob, ls.q)
+    return error(_lagrange_grad(ls, u_h, rule))
 
 
 def _lagrange_grad(ls, u_h, rule):
     """grad u_h at the points of ``rule`` on every element (nt, nq, 2)."""
-    gx, gy = ls.basis_grads_ref(rule.points)
+    gx, gy = lagrange_grads_ref(ls.q, rule.points)
     vals = np.asarray(u_h, float)[ls._elem_nodes]  # (nt, nloc)
     return np.stack([vals @ gx, vals @ gy], axis=2) @ ls.mesh.Binv
 
 
-def _grad_u(prob, rule):
-    """grad u at the points of ``rule`` on every element (nt, nq, 2), checked
-    (``quadpolicy.check_finite``), and ``error(grad)``, ||grad u - grad||."""
-    mesh = prob.mesh
+def _grad_u(prob, q):
+    """The H1 error rule of P_q potentials, of degree 2q + 10; grad u at its
+    points on every element (nt, nq, 2), checked (``quadpolicy.check_finite``);
+    and ``error(grad)``, ||grad u - grad||."""
+    mesh, rule = prob.mesh, quad_rule(2 * q + 10)
     group = QuadGroup(np.arange(mesh.num_triangles), rule.points, mesh.map_to_phys(rule.points),
                       rule.weights * mesh.detB[:, None])
     (gu,) = check_finite([group], [group.call(prob.grad_u)], "grad u")
@@ -299,7 +297,7 @@ def _grad_u(prob, rule):
         x, y = xy(gu - grad)
         return np.sqrt(np.sum(group.w * (x * x + y * y)))
 
-    return gu, error
+    return rule, gu, error
 
 
 def _grad_moments(mesh, gref, rule, gu):
@@ -313,10 +311,9 @@ def h1_best_global(prob: PoissonProblem, q: int):
     """Elliptic projection: the H1-best zero-trace P_q approximation of u."""
     mesh = prob.mesh
     ls = LagrangeSpace(mesh, q)
-    S = _lagrange_stiffness(ls, quad_rule(2 * q))
-    rule = quad_rule(2 * q + 10)
-    gref = np.stack(ls.basis_grads_ref(rule.points), axis=2)
-    gu, error = _grad_u(prob, rule)
+    S = _lagrange_stiffness(ls)
+    rule, gu, error = _grad_u(prob, q)
+    gref = np.stack(lagrange_grads_ref(q, rule.points), axis=2)
     rhs = np.bincount(ls._elem_nodes.ravel(), _grad_moments(mesh, gref, rule, gu).ravel(), ls.n_nodes)
     fr = ls.free_index
     uh = np.zeros(ls.n_nodes)
@@ -327,9 +324,8 @@ def h1_best_global(prob: PoissonProblem, q: int):
 def h1_best_local_sum(prob: PoissonProblem, q: int):
     """Root sum of elementwise unconstrained H1-best errors min ||grad(u - w)||_K."""
     mesh = prob.mesh
-    rule = quad_rule(2 * q + 10)
+    rule, gu, error = _grad_u(prob, q)
     gref = np.stack(scalar_basis(q).eval_grad(rule.points), axis=2)[1:]  # drop the constant
-    gu, error = _grad_u(prob, rule)
     c = solve_stacked(_stiffness_blocks(mesh, rule, gref), _grad_moments(mesh, gref, rule, gu))
     return error(np.einsum("kn,nqc->kqc", c, gref) @ mesh.Binv)  # B_k^{-T} sum_n c_n grad phi_n
 

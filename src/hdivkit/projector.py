@@ -86,26 +86,33 @@ def check_field_compatibility(policy):
     ``policy``'s field on its mesh.
 
     With Neumann edges present the field must have (numerically) vanishing
-    normal trace there; with an all-Neumann boundary its divergence must have
-    zero mean on the policy's samples of div v, the ones the fits and the
-    solves read, which a divergence-free field has by declaration.  Discrete
-    conforming samples satisfy both by construction.
+    normal trace there, relative to its size: an analytic field's is sampled
+    and compared with |v| on those edges; a discrete field's is fixed
+    exactly by its edge dofs there, the moments of v.n against an
+    orthonormal basis of P_p on the edge, compared with its largest dof.
+    With an all-Neumann boundary its divergence must have zero mean on the
+    policy's samples of div v, the ones the fits and the solves read, which
+    a divergence-free field has by declaration.
     """
     v, mesh = policy.field, policy.mesh
-    if getattr(v, "is_discrete", False):
-        return
     e = np.flatnonzero(mesh.edge_label == NEUMANN)
     if not len(e):
         return
-    pts = mesh.edge_points(e, gauss01(8)[0])  # (n, 8, 2)
-    vals = np.asarray(v.eval(pts.reshape(-1, 2)), float).reshape(pts.shape)
-    bad = np.flatnonzero(~np.isfinite(vals).all(axis=(1, 2)))
-    if len(bad):  # a NaN compares False below
-        raise FieldError(f"v is not finite at a point of Neumann edge {tuple(mesh.edges[e[bad[0]]].tolist())}")
-    worst = float(np.max(np.abs(np.einsum("eqd,ed->eq", vals, mesh.edge_normal(e)))))
-    scale = float(np.max(np.abs(vals)))
+    if getattr(v, "is_discrete", False):
+        rows = v.element_coeffs(slice(None))
+        slots = rows[:, : 3 * (v.p + 1)].reshape(len(rows), 3, v.p + 1)  # slot z: edge tri_edges[:, z]
+        trace = slots[mesh.edge_label[mesh.tri_edges] == NEUMANN]
+        name, worst, scale = "edge dofs", float(np.abs(trace).max()), float(np.abs(rows).max())
+    else:
+        pts = mesh.edge_points(e, gauss01(8)[0])  # (n, 8, 2)
+        vals = np.asarray(v.eval(pts.reshape(-1, 2)), float).reshape(pts.shape)
+        bad = np.flatnonzero(~np.isfinite(vals).all(axis=(1, 2)))
+        if len(bad):  # a NaN compares False below
+            raise FieldError(f"v is not finite at a point of Neumann edge {tuple(mesh.edges[e[bad[0]]].tolist())}")
+        name, worst = "|v.n|", float(np.max(np.abs(np.einsum("eqd,ed->eq", vals, mesh.edge_normal(e)))))
+        scale = float(np.max(np.abs(vals)))
     if worst > 1e-8 * max(scale, 1e-300):
-        raise FieldError(f"field has nonzero normal trace on Neumann edges (|v.n| up to {worst:.2e}); it lies "
+        raise FieldError(f"field has nonzero normal trace on Neumann edges ({name} up to {worst:.2e}); it lies "
                          "outside the constrained space for these boundary labels")
     if not (mesh.edge_label == DIRICHLET).any() and not policy.divergence_free:
         samples = zip(policy.groups(), policy.values(div=True))

@@ -50,7 +50,6 @@ def _integer(x, low=0):
 @dataclass
 class StudyConfig:
     field: str = "sine_divfree"
-    field_params: dict = dfield(default_factory=dict)
     mesh: str = "structured:2"  # structured:<n> | lshape:<n> | path to a JSON file
     labels: str | None = None  # rule for generated meshes; a mesh file keeps its own by default
     refinements: int = 4
@@ -66,7 +65,6 @@ class StudyConfig:
         can run (p >= 1)."""
         rules = {
             "field": (isinstance(self.field, str), "a string"),
-            "field_params": (isinstance(self.field_params, dict), "an object"),
             "mesh": (isinstance(self.mesh, str), "a string"),
             "labels": (self.labels is None or isinstance(self.labels, str), "a string"),
             "refinements": (_integer(self.refinements, 1), "an integer >= 1"),
@@ -133,11 +131,7 @@ def fit_rate(errors, abscissae, mode="h_slope") -> RateFit:
 
 def build_mesh(spec: str, labels: str | None = None):
     """Generated mesh labelled by a rule (default all-dirichlet), or a mesh
-    file that keeps its own labels unless a rule is given (``labels="file"``
-    keeps them explicitly)."""
-    generated = spec.startswith(("structured:", "lshape:"))
-    if labels == "file" and generated:
-        raise mesh_mod.MeshError(f"labels 'file' need a mesh file; {spec!r} is generated")
+    file that keeps its own labels unless a rule is given."""
     for kind, build in (("structured", mesh_mod.build_structured), ("lshape", mesh_mod.build_lshape)):
         if spec.startswith(kind + ":"):
             try:
@@ -148,7 +142,7 @@ def build_mesh(spec: str, labels: str | None = None):
                 ) from None
             return build(n, labels=labels or "all-dirichlet")
     m = mesh_mod.load_mesh(spec)
-    if labels in (None, "file"):
+    if labels is None:
         return m
     return mesh_mod.Mesh(
         m.vertices, m.triangles, mesh_mod._label_boundary(m.vertices, m.triangles, labels)
@@ -162,16 +156,6 @@ def mesh_sequence(cfg: StudyConfig):
         m = mesh_mod.refine_uniform(m)
         seq.append(m)
     return seq
-
-
-def study_field(cfg: StudyConfig, mesh):
-    """The study's field on ``mesh``: the spec ``cfg.field`` with
-    ``cfg.field_params`` appended to its parameters."""
-    spec = cfg.field
-    if cfg.field_params:
-        extra = ",".join(f"{k}={v}" for k, v in cfg.field_params.items())
-        spec += ("," if ":" in spec else ":") + extra
-    return fields_mod.parse_field_spec(spec, mesh=mesh)
 
 
 def _fmt(x):
@@ -189,7 +173,7 @@ def run_study(cfg: StudyConfig):
         raise ConfigError(f"cannot write to out_dir {cfg.out_dir!r}: {exc.strerror or exc}") from None
     t0 = time.time()
     meshes = mesh_sequence(cfg)
-    study_fields = [study_field(cfg, m) for m in meshes]
+    study_fields = [fields_mod.parse_field_spec(cfg.field, mesh=m) for m in meshes]
     rows = []
     warnings = []
     degrees = [p for p in cfg.degrees if cfg.variant == "def31" or p >= 1]  # def52 needs p >= 1

@@ -37,6 +37,7 @@ from hdivkit.elements import (
     barycentric,
     edge_dof_values,
     hat_operators,
+    lagrange_grads_ref,
     reference_dual,
     rtn_dim,
     rtn_reference,
@@ -510,7 +511,7 @@ def global_best_oracle(v, p, mesh, policy):
 def lagrange_grad_element(ls, nodal_values, k, refpts):
     """Gradient of the P_q function of ``nodal_values`` on element k of the
     ``LagrangeSpace`` ls at reference points; (npts, 2)."""
-    gx, gy = ls.basis_grads_ref(refpts)
+    gx, gy = lagrange_grads_ref(ls.q, refpts)
     el_vals = nodal_values[ls._elem_nodes[k]]
     gref = np.stack([el_vals @ gx, el_vals @ gy], axis=1)
     return gref @ ls.mesh.Binv[k]
@@ -722,8 +723,8 @@ def ls_coupling_oracle(ls, space, p, q):
     least-squares method, assembled element by element into COO triplets."""
     rule = quad_rule(2 * (p + 1) + 2 * q)
     srule = quad_rule(2 * q)
-    gxr, gyr = ls.basis_grads_ref(rule.points)
-    sxr, syr = ls.basis_grads_ref(srule.points)
+    gxr, gyr = lagrange_grads_ref(ls.q, rule.points)
+    sxr, syr = lagrange_grads_ref(ls.q, srule.points)
     rowsG, colsG, valsG = [], [], []
     rowsS, colsS, valsS = [], [], []
     for k in range(len(space.elements)):
@@ -771,7 +772,7 @@ def ls_blocks_oracle(prob, p, q):
     ls = LagrangeSpace(prob.mesh, q)
     nodes, rule = ls._elem_nodes, quad_rule(2 * q)
     coupling = space.rows_to_elem(_coupling_reference(q, p)[None])
-    stiffness = _stiffness_blocks(ls.mesh, rule, np.stack(ls.basis_grads_ref(rule.points), axis=2))
+    stiffness = _stiffness_blocks(ls.mesh, rule, np.stack(lagrange_grads_ref(ls.q, rule.points), axis=2))
     return {
         "M": M,
         "B": B,
@@ -2104,7 +2105,7 @@ def potential_h1_error_stacked_oracle(prob, ls, u_h):
     mesh = prob.mesh
     rule = quad_rule(2 * ls.q + 10)
     pts = map_to_phys_stacked_oracle(mesh, rule.points)
-    gx, gy = ls.basis_grads_ref(rule.points)
+    gx, gy = lagrange_grads_ref(ls.q, rule.points)
     vals = np.asarray(u_h, float)[ls._elem_nodes]
     grad = np.stack([vals @ gx, vals @ gy], axis=2) @ mesh.Binv
     diff = prob.grad_u(pts.reshape(-1, 2)).reshape(pts.shape) - grad

@@ -6,7 +6,7 @@ match per-element quadrature to roundoff."""
 import numpy as np
 import pytest
 
-from hdivkit.elements import _coupling_reference, _stiffness_blocks, rtn_space
+from hdivkit.elements import _coupling_reference, _stiffness_blocks, lagrange_grads_ref, rtn_space
 from hdivkit.mesh import build_structured
 from hdivkit.model_problems import manufactured_sine, solve_ls_mixed
 from hdivkit.quadrature import quad_rule
@@ -42,7 +42,7 @@ def test_ls_blocks_bit_identical(unit_square_4, p, q):
     G = coo_oracle(nodes, space.dof_map, blocks, (ls.n_nodes, space.ndof))
     assert _same(A[nf:, :nf], G[fr])
     rule = quad_rule(2 * q)
-    S = _stiffness_blocks(ls.mesh, rule, np.stack(ls.basis_grads_ref(rule.points), axis=2))
+    S = _stiffness_blocks(ls.mesh, rule, np.stack(lagrange_grads_ref(ls.q, rule.points), axis=2))
     assert _same(A[nf:, nf:], coo_oracle(nodes, nodes, S, shape)[fr][:, fr])
     Go, So = ls_coupling_oracle(ls, space, p, q)
     for got, want in ((A[nf:, :nf], Go[fr]), (A[nf:, nf:], So[fr][:, fr])):

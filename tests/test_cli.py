@@ -76,7 +76,7 @@ def test_mesh_gen_and_inspect(tmp_path, capsys):
     path = tmp_path / "m.json"
     assert main(["mesh", "gen", "--mesh", "structured:2", "--out", str(path)]) == 0
     capsys.readouterr()
-    assert main(["mesh", "inspect", "--mesh", str(path), "--labels", "file"]) == 0
+    assert main(["mesh", "inspect", "--mesh", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["triangles"] == 8
     assert out["dirichlet_edges"] == 8
@@ -92,10 +92,10 @@ def test_python_dash_m_runs_the_cli(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "labels,dirichlet,neumann",
-    [(None, 8, 0), ("file", 8, 0), ("all-neumann", 0, 8), ("left-neumann", 6, 2)],
+    [(None, 8, 0), ("all-neumann", 0, 8), ("left-neumann", 6, 2)],
 )
 def test_label_rule_applies_to_mesh_file(tmp_path, capsys, labels, dirichlet, neumann):
-    # an explicit rule relabels a loaded mesh; no rule or "file" keeps its labels
+    # an explicit rule relabels a loaded mesh; no rule keeps its labels
     path = tmp_path / "m.json"
     assert main(["mesh", "gen", "--mesh", "structured:2", "--out", str(path)]) == 0
     capsys.readouterr()
@@ -109,7 +109,7 @@ def test_mesh_refine(tmp_path, capsys):
     path = tmp_path / "r.json"
     assert main(["mesh", "refine", "--mesh", "structured:2", "--out", str(path)]) == 0
     capsys.readouterr()
-    main(["mesh", "inspect", "--mesh", str(path), "--labels", "file"])
+    main(["mesh", "inspect", "--mesh", str(path)])
     out = json.loads(capsys.readouterr().out)
     assert out["triangles"] == 32
 
@@ -278,6 +278,15 @@ def test_labels_file_on_generated_mesh_is_one_line_error(capsys, command, mesh):
     argv = command + ["--mesh", mesh, "--labels", "file"]
     argv += ["--refinements", "1"] if command == ["study"] else []
     _assert_one_line_error(argv, capsys)
+
+
+def test_labels_file_is_an_unknown_rule_for_a_mesh_file(tmp_path, capsys):
+    # leaving out --labels keeps a mesh file's own labels; "file" is no rule
+    path = tmp_path / "m.json"
+    assert main(["mesh", "gen", "--mesh", "structured:2", "--out", str(path)]) == 0
+    capsys.readouterr()
+    line = _assert_one_line_error(["mesh", "inspect", "--mesh", str(path), "--labels", "file"], capsys)
+    assert "unknown boundary label rule 'file'" in line
 
 
 @pytest.mark.parametrize(

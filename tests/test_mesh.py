@@ -57,6 +57,16 @@ def test_invalid_n():
         build_structured(0)
 
 
+@pytest.mark.parametrize("build", [build_structured, build_lshape])
+@pytest.mark.parametrize("n", [0, 2.5, "3", None, True], ids=["zero", "float", "string", "none", "bool"])
+def test_cell_count_that_is_no_integer_is_refused_in_one_line(build, n):
+    # 2.5 ended in a numpy TypeError, "3" and None in a comparison TypeError,
+    # and True built a one-cell mesh
+    with pytest.raises(MeshError, match=r"^n must be an integer >= 1, got ") as err:
+        build(n)
+    assert "\n" not in str(err.value)
+
+
 @pytest.mark.parametrize("labels", [lambda m: m.edge_label, lambda m: list(enumerate(m.edge_label)),
                                     lambda m: dict(enumerate(m.edge_label)), lambda m: ["dirichlet"]],
                          ids=["own", "own-items", "by-index", "bare-label"])

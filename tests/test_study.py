@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from hdivkit.fields import parse_field_spec
 from hdivkit.projector import projector_report
 from hdivkit.study import (
     CSV_COLUMNS,
@@ -13,7 +14,6 @@ from hdivkit.study import (
     build_mesh,
     fit_rate,
     run_study,
-    study_field,
     verify,
 )
 
@@ -75,15 +75,15 @@ def test_run_study_samples_the_field_once_per_row(tmp_path, monkeypatch):
     # error_report and projector_report share the row's quadrature policy:
     # v is sampled once on its groups, 8 triangles x 81 points at p = 1,
     # not once per report (1296)
-    import hdivkit.study as study
+    import hdivkit.fields as fields
 
     counted = []
 
-    def counting_field(cfg, mesh):
-        field = study_field(cfg, mesh)
+    def counting_field(spec, mesh=None):
+        field = parse_field_spec(spec, mesh=mesh)
         return dataclasses.replace(field, v=lambda pts: counted.append(len(pts)) or field.v(pts))
 
-    monkeypatch.setattr(study, "study_field", counting_field)
+    monkeypatch.setattr(fields, "parse_field_spec", counting_field)
     run_study(StudyConfig(mesh="structured:2", refinements=1, degrees=[1], out_dir=str(tmp_path)))
     assert sum(counted) == 648
 
@@ -107,8 +107,7 @@ def test_run_study_fits_the_field_once_per_row(tmp_path, monkeypatch):
 
 def test_run_study_discrete_member_zero_sentinel(tmp_path):
     cfg = StudyConfig(
-        field="random_rtn",
-        field_params={"p": 1, "seed": 0},
+        field="random_rtn:p=1,seed=0",
         mesh="structured:2",
         refinements=1,
         degrees=[1],
@@ -133,24 +132,12 @@ def test_discrete_field_study_fits_no_h_rate(tmp_path):
     assert "equivalence ratio stability p=1" in names and "ordering level=2 p=1" in names
 
 
-def test_field_params_and_field_spec_give_the_same_study(tmp_path):
-    # the predicted h-rate min(s, p + 1) reads alpha from either spelling
-    base = dict(mesh="lshape:1", refinements=3, degrees=[0], run_projector=False)
-    a = run_study(StudyConfig(field="lshape_singular", field_params={"alpha": 0.5},
-                              out_dir=str(tmp_path / "a"), **base))
-    b = run_study(StudyConfig(field="lshape_singular:alpha=0.5", out_dir=str(tmp_path / "b"), **base))
-    assert a["checks"] == b["checks"]
-    assert open(a["csv_path"], "rb").read() == open(b["csv_path"], "rb").read()
+def test_field_spec_parameters_set_the_predicted_rate(tmp_path):
+    # the predicted h-rate min(s, p + 1) reads alpha from the field spec
+    a = run_study(StudyConfig(field="lshape_singular:alpha=0.5", mesh="lshape:1", refinements=3, degrees=[0],
+                              run_projector=False, out_dir=str(tmp_path)))
     rate = next(c for c in a["checks"] if c["name"] == "h-rate p=0")
     assert rate["expected"] == 0.5
-
-
-def test_field_params_extend_a_spec_with_parameters(tmp_path):
-    cfg = StudyConfig(field="random_rtn:p=1", field_params={"seed": 2})
-    assert np.array_equal(
-        study_field(cfg, build_mesh("structured:2")).dofs,
-        study_field(StudyConfig(field="random_rtn:p=1,seed=2"), build_mesh("structured:2")).dofs,
-    )
 
 
 def test_invalid_config():
@@ -165,10 +152,10 @@ def test_invalid_config():
         verify(variant="nope")
 
 
-@pytest.mark.parametrize("key,value", [("seed", 0), ("tol", 1e-3)])
+@pytest.mark.parametrize("key,value", [("seed", 0), ("tol", 1e-3), ("field_params", {"alpha": 0.5})])
 def test_config_with_a_dropped_setting_is_refused_by_name(tmp_path, key, value):
-    # neither is a study setting: verify takes its seed, and the ordering
-    # check keeps its tolerance
+    # none is a study setting: verify takes its seed, the ordering check
+    # keeps its tolerance, and the field spec carries its parameters
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({key: value}))
     with pytest.raises(ConfigError) as exc:
@@ -226,7 +213,7 @@ def test_def52_study_fits_at_the_quadrature_degree_asked_for(tmp_path):
                       out_dir=str(tmp_path))
     row = run_study(cfg)["rows"][0]
     m = build_mesh(cfg.mesh)
-    field = study_field(cfg, m)
+    field = parse_field_spec(cfg.field, mesh=m)
     for degree, same in ((4, True), (None, False)):
         rep = projector_report(field, 1, m, variant="def52", quad_degree=degree)
         got = (np.sqrt(sum(r["lhs_sq"] for r in rep["records"])), rep["commute_residual"], max(rep["stability_ratios"]))
