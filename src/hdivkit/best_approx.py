@@ -106,7 +106,8 @@ def global_best(v, p, mesh, *, quad_degree=None):
     Conforming mass against the broken multiplier space, solved by
     ``linsolve.hybrid_saddle_solve``.  Returns the error split, the minimizer
     and the solve's ``info`` entries (KKT residual of the conforming system,
-    divergence defect, size and L+U fill of the factorized system).
+    divergence defect, size of the multiplier system and stored entries of
+    its factor, ``nnz_lu``).
     """
     policy = QuadPolicy(p, mesh, v, quad_degree, self_check=False)
     sigma, errors, info = _global_fit(policy, _div_parts(policy))

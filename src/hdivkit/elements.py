@@ -261,7 +261,8 @@ class RTNSpace:
     ``linsolve.element_solve`` applies them, mapping data in and solutions
     out through T_k.  The hybridization's edge-multiplier system
     (``multipliers``), the only global matrix that depends on nothing but
-    the mesh and p, is kept on the mesh from first use.
+    the mesh and p, is kept on the mesh from first use, with its factor
+    where that is small.
 
     Global dofs: edge e owns slots e*(p+1)..e*(p+1)+p; element k owns
     ne*(p+1) + k*p*(p+1) + local interior slots.  Fields with continuous
@@ -387,9 +388,10 @@ class RTNSpace:
     @property
     def multipliers(self):
         """The edge-multiplier numbering and SPD system of the mesh-wide
-        hybridization (``linsolve.multiplier_system``), kept on the mesh per
-        p from first use, read-only: ``linsolve.hybrid_saddle_solve``
-        factors it on every call."""
+        hybridization (``linsolve.multiplier_system``), with its packed
+        Cholesky factor where that fits ``linsolve.KEEP_BYTES``, kept on the
+        mesh per p from first use, read-only: ``linsolve.hybrid_saddle_solve``
+        solves with the kept factor, or factors the matrix on every call."""
         return kept(self.mesh._cache, ("multipliers", self.p), lambda: multiplier_system(self))
 
     def class_product(self, cls, y):

@@ -23,11 +23,14 @@ hybridized: the element eliminations (``eliminate``) leave an SPD system
 in edge multipliers, mesh-wide in ``hybrid_saddle_solve`` and per vertex
 patch in ``local_solve``.  The mesh-wide one depends only on the mesh and
 p: the mesh keeps it, assembled (``multiplier_system``), and a call forms
-only its data column.  Every sparse system is SPD and goes through SuperLU
-in its symmetric mode, refined once; factors are not kept, each call
-factors its matrix afresh (``SparseFactor``).  A kept matrix's symmetry is
-checked once, where it is built (``check_symmetric``); a fresh matrix,
-each time it is factored.
+only its data column.  Where the packed Cholesky factor of that system
+fits ``KEEP_BYTES`` (at most 511 multipliers), the mesh keeps the factor
+too, built once by LAPACK ``pptrf`` (``packed_cholesky``), and each call
+solves with it (``packed_solve``).  Every other sparse system is SPD and
+goes through SuperLU in its symmetric mode, refined once, and each call
+factors its matrix afresh (``SparseFactor``): no SuperLU object is kept.
+A kept matrix's symmetry is checked once, where it is built
+(``check_symmetric``); a fresh matrix, each time it is factored.
 ``assemble_csr`` is the single place where element blocks are summed into a
 global sparse matrix.
 """
@@ -54,6 +57,14 @@ from .mesh import NEUMANN
 # the stability surrogate, whose passes gain nothing from larger chunks.
 STACK_BYTES = 1 << 22
 POINT_BYTES = 1 << 19
+# The one budget of the optional kept data: the bytes a kept item may hold
+# for the life of its mesh, whatever the chunks, so what is kept and the
+# bits of what it gives do not depend on the chunking.  It bounds a patch
+# layout's multiplier inverses (``local_solve.PatchTables.decide``: 0.4 MB
+# at most on the layouts of a few dozen triangles at p <= 6) and the packed
+# Cholesky factor of the mesh-wide multiplier system (``multiplier_system``:
+# 8 n(n+1)/2 bytes, n <= 511).
+KEEP_BYTES = 1 << 20
 
 
 class SingularSystemError(RuntimeError):
@@ -297,6 +308,28 @@ class SparseFactor:
         return x + self.lu.solve(b - self.A @ x)
 
 
+def packed_cholesky(A):
+    """The upper Cholesky factor of the SPD sparse matrix A in LAPACK's
+    packed storage, n(n+1)/2 numbers (``pptrf``); SingularSystemError when
+    A is not positive definite."""
+    n = A.shape[0]
+    ap = A.toarray()[np.tril_indices(n)]  # A symmetric: its lower rows are its upper columns
+    pptrf = get_lapack_funcs("pptrf", (ap,))
+    chol, info = pptrf(n, ap, overwrite_ap=1)
+    if info > 0:
+        raise SingularSystemError(f"Cholesky factorization failed: leading minor {info} is not positive")
+    return chol
+
+
+def packed_solve(chol, A, b):
+    """Solve A x = b from A's ``packed_cholesky`` factor, with the one step
+    of iterative refinement against A that ``SparseFactor.solve`` takes."""
+    pptrs = get_lapack_funcs("pptrs", (chol,))
+    n = A.shape[0]
+    x = pptrs(n, chol, b)[0]
+    return x + pptrs(n, chol, b - A @ x)[0]
+
+
 class Multipliers(NamedTuple):
     """The edge-multiplier system of a mesh-wide hybridization
     (``multiplier_system``), kept on the mesh per p (``RTNSpace.multipliers``)."""
@@ -304,14 +337,16 @@ class Multipliers(NamedTuple):
     lam: np.ndarray  # (nt, 3(p+1)): multiplier of each element edge dof, -1 for none
     grounded: bool  # no Dirichlet edge: one lowest-order multiplier is grounded
     A: sp.csc_matrix  # sum_k E_k (K_k^-1)_ss E_k^T over the multipliers, read-only
+    chol: np.ndarray | None  # A's packed_cholesky where it fits KEEP_BYTES, read-only; else None
 
 
 def multiplier_system(space):
     """The ``Multipliers`` of ``space``: one multiplier per dof of each
     interior and Neumann edge (+1 on the ``edge_tris[e, 0]`` side), the last
-    one grounded when no edge is Dirichlet, and the SPD matrix
+    one grounded when no edge is Dirichlet, the SPD matrix
     sum_k E_k (K_k^-1)_ss E_k^T, symmetrized, from the edge columns of
-    ``eliminate``.  Those depend only on the mesh and p, so
+    ``eliminate``, and its packed Cholesky factor where its 8 n(n+1)/2
+    bytes fit ``KEEP_BYTES``.  Those depend only on the mesh and p, so
     ``RTNSpace.multipliers`` keeps this from first use, read-only."""
     mesh, ne, nt = space.mesh, 3 * (space.p + 1), len(space)
     # the edge dofs with a multiplier
@@ -323,7 +358,7 @@ def multiplier_system(space):
     EX = sgn[:, :, None] * X[:, :ne]  # E_k applied to every edge column
     A = sp.csc_matrix(assemble_csr(lam, lam, (EX + np.swapaxes(EX, 1, 2)) / 2, (n, n)))
     check_symmetric(A)
-    return Multipliers(lam, grounded, A)
+    return Multipliers(lam, grounded, A, packed_cholesky(A) if 4 * n * (n + 1) <= KEEP_BYTES else None)
 
 
 def hybrid_saddle_solve(space, rhs, g):
@@ -334,16 +369,19 @@ def hybrid_saddle_solve(space, rhs, g):
     against [F_k | E_k^T] (``eliminate``) leave the SPD system
     sum_k E_k (K_k^-1)_ss E_k^T in them, which the space keeps
     (``RTNSpace.multipliers``, ``multiplier_system``): a call forms only its
-    data column E_k F_k and factors the kept matrix afresh.  Without a
-    Dirichlet edge, g is made compatible, one lowest-order multiplier is
-    grounded and u is made orthogonal to the constants.  Returns
-    (s (ndof,), u (nt, sdim), info: ``kkt_residual`` and ``div_defect`` of
-    the conforming system, ``system_size``, ``nnz_lu``).  ``nnz_lu`` counts
-    the entries SuperLU stores for L and U (``lu.nnz``), the explicit zeros
-    of its supernodes included; reading it copies no factor.
+    data column E_k F_k and solves with the kept packed Cholesky factor
+    (``packed_solve``), or, where the space keeps none, factors the kept
+    matrix afresh (``SparseFactor``).  Without a Dirichlet edge, g is made
+    compatible, one lowest-order multiplier is grounded and u is made
+    orthogonal to the constants.  Returns (s (ndof,), u (nt, sdim), info:
+    ``kkt_residual`` and ``div_defect`` of the conforming system,
+    ``system_size``, ``nnz_lu``).  ``nnz_lu`` counts the stored entries of
+    the factor the solve used: n(n+1)/2 for the kept one, and for SuperLU
+    the entries it stores for L and U (``lu.nnz``), the explicit zeros of
+    its supernodes included; reading it copies no factor.
     """
     mesh, dofs, ne = space.mesh, space.dof_map, 3 * (space.p + 1)
-    lam, grounded, A = space.multipliers
+    lam, grounded, A, chol = space.multipliers
     n = A.shape[0]
     g = np.array(g, float)
     k0 = np.sqrt(mesh.area)  # the constant multiplier mode of a pure Neumann problem
@@ -351,8 +389,13 @@ def hybrid_saddle_solve(space, rhs, g):
         g[:, 0] -= k0 * (k0 @ g[:, 0]) / (k0 @ k0)
     sgn, X, U = eliminate(space, rhs[:, :, None], g[:, :, None])
     f = sgn * X[:, :ne, 0]  # E_k applied to the data column
-    factor = SparseFactor(A, checked=True)
-    mu = np.append(factor.solve(np.bincount(lam[lam >= 0], f[lam >= 0], n)), 0.0)[lam]
+    data = np.bincount(lam[lam >= 0], f[lam >= 0], n)
+    if chol is None:
+        factor = SparseFactor(A, checked=True)
+        x, nnz = factor.solve(data), factor.lu.nnz
+    else:
+        x, nnz = packed_solve(chol, A, data), len(chol)
+    mu = np.append(x, 0.0)[lam]
     sk = X[:, :, 0] - np.einsum("kdj,kj->kd", X[:, :, 1:], mu)
     u = U[:, :, 0] - np.einsum("kdj,kj->kd", U[:, :, 1:], mu)
     if grounded:
@@ -369,5 +412,5 @@ def hybrid_saddle_solve(space, rhs, g):
         "kkt_residual": float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300)),
         "div_defect": float(np.abs(div).max()),
         "system_size": n,
-        "nnz_lu": factor.lu.nnz,
+        "nnz_lu": nnz,
     }

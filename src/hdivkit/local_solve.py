@@ -79,7 +79,8 @@ from .elements import (
     rtn_space,
     scalar_moments,
 )
-from .linsolve import check_norms, chunks, class_inverses, element_solve, eliminate, max_abs, solve_stacked
+from .linsolve import (KEEP_BYTES, check_norms, chunks, class_inverses, element_solve, eliminate, max_abs,
+                       solve_stacked)
 from .mesh import DIRICHLET, kept
 from .projections import BrokenRTNField, hat_interpolants
 from .quadpolicy import QuadPolicy
@@ -88,15 +89,6 @@ from .quadrature import quad_rule
 
 class CompatibilityError(RuntimeError):
     pass
-
-
-# The bytes of multiplier inverses a layout with fewer multiplier classes
-# than patches may keep, though it has more than one class per two patches
-# (``PatchTables.decide``).  Fixed, and not a chunk budget, so the decision
-# and sigma's bits do not depend on the chunking.  1 MB holds those of
-# every layout of up to a few dozen triangles at p <= 6 (0.4 MB for an
-# all-Neumann lshape:2 at p = 6).
-KEEP_BYTES = 1 << 20
 
 
 def constrained_fit(policy):
@@ -149,15 +141,16 @@ class PatchTables:
     ``decide`` sets which kinds are kept (``keep``), whatever the chunks: a
     kind whose distinct systems number at most one per two patches, and
     the multiplier kind also where they number fewer than the patches and
-    their inverses fit ``KEEP_BYTES``.  On a repeating mesh the tables are
-    O(1) in mesh size: 14 multiplier and 9 surrogate classes on
-    structured:8 as on structured:32, about 2 MB in all at p = 6.  The
-    layouts of up to a few dozen triangles keep their multiplier inverses
-    (lshape:1 has 7 classes for 8 patches), 0.4 MB at most at p = 6.  On a
-    mesh without repeats, about 55 MB of multiplier inverses and 760 MB of
-    surrogate systems and inverses on a jittered structured:32 at p = 6
-    (counted from the system sizes), the rule keeps nothing, and each call
-    assembles and factors one system per class present in each run.
+    their inverses fit ``linsolve.KEEP_BYTES``, the one keep budget.  On a
+    repeating mesh the tables are O(1) in mesh size: 14 multiplier and 9
+    surrogate classes on structured:8 as on structured:32, about 2 MB in
+    all at p = 6.  The layouts of up to a few dozen triangles keep their
+    multiplier inverses (lshape:1 has 7 classes for 8 patches), 0.4 MB at
+    most at p = 6.  On a mesh without repeats, about 55 MB of multiplier
+    inverses and 760 MB of surrogate systems and inverses on a jittered
+    structured:32 at p = 6 (counted from the system sizes), the rule keeps
+    nothing, and each call assembles and factors one system per class
+    present in each run.
     """
 
     def __init__(self, verts):

@@ -49,7 +49,9 @@ def kept(cache, key, build, tag=None):
     What hdivkit keeps, by owner and key, and what rebuilds it:
       * a mesh (``Mesh._cache``), for its life: ``rtn_space``,
         ``patch_layout`` (its flat pair and patch arrays, with its
-        signatures and chunks as ranges of them), ``RTNSpace.multipliers``,
+        signatures and chunks as ranges of them), ``RTNSpace.multipliers``
+        (the matrix, and its packed Cholesky factor where that fits
+        ``linsolve.KEEP_BYTES``; never a SuperLU object),
         ``.kkt_table`` and ``.mass_table`` per p, ``RTNSpace.classes``,
         ``lagrange_nodes`` per q, ``vertex_patches``, and the least-squares
         (A, B, ``LagrangeSpace``) per (p, q), rebuilt for another l^2 (tag);
@@ -280,15 +282,21 @@ class Mesh:
         """Refuse a vertex within 1e-8 L of the closed segment of a boundary
         edge it does not end (L its length): strictly inside, t in (1e-12,
         1 - 1e-12), it hangs; at an end it doubles it (a slit).  Name the first
-        such edge and its lowest such vertex, measuring those in its x-range."""
+        such edge and its lowest such vertex, measuring those in the range of
+        its shorter extent, x or y (a horizontal edge of a grid meets one
+        row of vertices there, where its x-range holds two columns)."""
         edges = self.edges[self.boundary_edges()]
         z = self.vertices[:, 0] + 1j * self.vertices[:, 1]
         za, zb = z[edges].T
-        L2, order = np.abs(zb - za) ** 2, np.argsort(z.real, kind="stable")
-        mid, half = (za.real + zb.real) / 2, np.abs(zb.real - za.real) / 2 + 1e-6 * np.sqrt(L2)  # beyond 1e-8 L
-        lo, hi = np.searchsorted(z.real[order], [mid - half, mid + half])
+        L2 = np.abs(zb - za) ** 2
+        on_y = np.abs(zb.imag - za.imag) < np.abs(zb.real - za.real)  # the axis each edge is searched along
+        a, b = np.where(on_y, za.imag, za.real), np.where(on_y, zb.imag, zb.real)
+        order = np.argsort(self.vertices.T, axis=1, kind="stable")
+        coord = np.take_along_axis(self.vertices.T, order, axis=1)
+        mid, half = (a + b) / 2, np.abs(b - a) / 2 + 1e-6 * np.sqrt(L2)  # beyond 1e-8 L
+        lo, hi = np.where(on_y, *(np.searchsorted(c, [mid - half, mid + half]) for c in coord[::-1]))
         i = np.repeat(np.arange(len(edges)), hi - lo)  # (edge, vertex) pairs, by edge
-        v = order[np.arange(len(i)) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)]
+        v = order[on_y[i].astype(int), np.arange(len(i)) - np.repeat(np.cumsum(hi - lo) - hi, hi - lo)]
         r, d, L2 = z[v] - za[i], (zb - za)[i], L2[i]
         t = (r * d.conj()).real / L2
         # |r - t d|^2, as |r|^2 - t^2 L^2 rounds above 1e-16 L^2 on the segment

@@ -9,8 +9,10 @@ whose bilinear form is coercive with constant 1/8 in the scaled norm.  The
 mixed system is solved hybridized; the other sparse systems are SPD as posed.
 Both global matrices depend only on the mesh, the degrees and l^2, and the
 mesh keeps them assembled (``mesh.kept``): the hybrid multiplier matrix per
-p, the least-squares matrix per (p, q) for the exact bits of l^2.  A call
-forms only its right-hand side and factors the kept matrix afresh.
+p, with its packed Cholesky factor where that fits ``linsolve.KEEP_BYTES``,
+and the least-squares matrix per (p, q) for the exact bits of l^2.  A call
+forms only its right-hand side and solves with the kept factor, or factors
+the kept matrix afresh.
 """
 
 from __future__ import annotations

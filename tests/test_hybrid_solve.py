@@ -132,15 +132,17 @@ def test_system_size_counts_the_edge_multipliers(meshes, name, labels, p):
 @pytest.mark.parametrize(
     "solve,mesh,p",
     [
-        (solve_mixed, lambda: build_structured(8), 1),
+        (solve_mixed, lambda: build_structured(16), 1),
         (lambda prob, p: solve_ls_mixed(prob, p, 2), lambda: build_lshape(4), 2),
     ],
-    ids=["mixed-structured8", "ls-lshape4"],
+    ids=["mixed-structured16", "ls-lshape4"],
 )
 def test_nnz_lu_is_the_count_superlu_stores(monkeypatch, solve, mesh, p):
     # nnz_lu reads SuperLU's own count of its stored entries, which takes
     # the explicit zeros of its supernodes, and builds no copy of L and U;
-    # on these systems it exceeds the nonzeros of L and U as built
+    # on these systems it exceeds the nonzeros of L and U as built.  The
+    # multiplier system of structured:16 at p = 1 has 1472 unknowns, too
+    # many for a kept factor (KEEP_BYTES)
     import hdivkit.linsolve
     import hdivkit.model_problems
 
@@ -154,7 +156,7 @@ def test_nnz_lu_is_the_count_superlu_stores(monkeypatch, solve, mesh, p):
     for module in (hdivkit.linsolve, hdivkit.model_problems):
         monkeypatch.setattr(module, "SparseFactor", Captured)
     prob = manufactured_sine(mesh())
-    for calls in (1, 2):  # the mesh keeps the matrix, not its factor
+    for calls in (1, 2):  # above the budget the mesh keeps the matrix, not its factor
         res = solve(prob, p)
         assert len(factors) == calls
         factor = factors[-1]

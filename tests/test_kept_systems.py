@@ -1,8 +1,9 @@
 """The global systems a mesh keeps: the hybridization's multiplier matrix
-(``RTNSpace.multipliers``) and the least-squares matrix (kept per p, q and
-the bits of l^2).  A repeated call reuses them and factors them afresh, so
-it gives the bits of the first call and of a call on a fresh mesh; the kept
-arrays are read-only."""
+(``RTNSpace.multipliers``), with its packed Cholesky factor where that fits
+``linsolve.KEEP_BYTES``, and the least-squares matrix (kept per p, q and
+the bits of l^2).  A repeated call reuses them, and solves with the kept
+factor or factors the kept matrix afresh, so it gives the bits of the first
+call and of a call on a fresh mesh; the kept arrays are read-only."""
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ import hdivkit.linsolve
 import hdivkit.model_problems
 from hdivkit import fields
 from hdivkit.best_approx import error_report, global_best
-from hdivkit.elements import lagrange_nodes, rtn_space
+from hdivkit.elements import RTNSpace, lagrange_nodes, rtn_space
+from hdivkit.linsolve import KEEP_BYTES, hybrid_saddle_solve, multiplier_system
 from hdivkit.local_solve import patch_layout
 from hdivkit.mesh import build_lshape, build_structured
 from hdivkit.model_problems import h1_best_global, manufactured_sine, solve_ls_mixed, solve_mixed
@@ -48,11 +50,11 @@ def _same(a, b):
 
 @pytest.mark.parametrize("name", sorted(MESHES))
 @pytest.mark.parametrize("labels", ["all-dirichlet", "left-neumann", "all-neumann"])
-@pytest.mark.parametrize("p", [0, 2])
+@pytest.mark.parametrize("p", [0, 2, 6])
 def test_repeated_calls_give_the_bits_of_a_fresh_mesh(name, labels, p):
     mesh = MESHES[name](labels)
     runs = [lambda m, v=v: _best(v, p, m) for v in (gradient_field(), stream_field())]
-    if labels == "all-dirichlet":  # the model problems are all-Dirichlet
+    if labels == "all-dirichlet" and p < 6:  # the model problems are all-Dirichlet; q = 7 nodes are ill-conditioned
         runs += [lambda m: _mixed(manufactured_sine(m), p), lambda m: _ls(manufactured_sine(m), p)]
     for run in runs:
         first = run(mesh)
@@ -115,7 +117,7 @@ def test_kept_arrays_are_read_only():
     assert _same(_ls(prob, 1), first)
     solve_mixed(prob, 1)
     kept = rtn_space(prob.mesh, 1).multipliers
-    for a in (kept.lam, kept.A.data, kept.A.indices, kept.A.indptr):
+    for a in (kept.lam, kept.A.data, kept.A.indices, kept.A.indptr, kept.chol):
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1
 
@@ -167,3 +169,69 @@ def test_another_l2_rebuilds_the_least_squares_system():
         prob.l_omega = other.l_omega = l_omega
         assert _same(_ls(prob, 1), _ls(other, 1))
         assert not _same(_ls(prob, 1), first)
+
+
+# -- the kept packed Cholesky factor of the multiplier system -------------------------
+
+
+def test_kept_factor_is_built_once_per_mesh_and_degree(monkeypatch):
+    builds = []
+    real = hdivkit.linsolve.packed_cholesky
+    monkeypatch.setattr(hdivkit.linsolve, "packed_cholesky", lambda A: builds.append(A.shape[0]) or real(A))
+
+    def superlu(*args, **kw):
+        raise AssertionError("SuperLU factored a system with a kept factor")
+
+    monkeypatch.setattr(hdivkit.linsolve, "SparseFactor", superlu)
+    mesh = build_lshape(2, labels="all-neumann")
+    for p in (0, 1, 0, 1):
+        rep = error_report(gradient_field(), p, mesh)
+        n = rtn_space(mesh, p).multipliers.A.shape[0]
+        assert rep.metadata["nnz_lu"] == n * (n + 1) // 2  # the stored entries of the kept factor
+    # every edge carries p + 1 multipliers, one grounded
+    assert builds == [mesh.num_edges - 1, 2 * mesh.num_edges - 1]
+    for p in (0, 1):
+        kept = rtn_space(mesh, p).multipliers
+        n = kept.A.shape[0]
+        assert kept.chol.shape == (n * (n + 1) // 2,) and kept.chol.nbytes <= KEEP_BYTES
+        assert all(isinstance(part, (np.ndarray, bool, sp.csc_matrix)) for part in kept)  # no SuperLU object
+        with pytest.raises(ValueError, match="read-only"):
+            kept.chol[0] = 1.0
+
+
+def test_the_budget_is_the_bytes_of_the_packed_factor(monkeypatch):
+    space = rtn_space(build_structured(2), 1)
+    n = space.multipliers.A.shape[0]
+    for budget, keeps in ((4 * n * (n + 1), True), (4 * n * (n + 1) - 1, False)):
+        monkeypatch.setattr(hdivkit.linsolve, "KEEP_BYTES", budget)
+        assert (multiplier_system(space).chol is not None) == keeps
+
+
+FACTOR_CASES = [("structured4", labels) for labels in ("all-dirichlet", "left-neumann", "all-neumann")]
+FACTOR_CASES.append(("lshape2", "all-neumann"))
+
+
+@pytest.fixture(scope="module")
+def factor_meshes():
+    return {case: MESHES[case[0]](case[1]) for case in FACTOR_CASES}
+
+
+@pytest.mark.parametrize("case", FACTOR_CASES, ids="-".join)
+@pytest.mark.parametrize("p", range(7))
+def test_kept_factor_solves_as_superlu_does(monkeypatch, factor_meshes, case, p):
+    # the same kept A, solved with its kept packed factor and with a SuperLU
+    # factor of its own
+    mesh = factor_meshes[case]
+    space = rtn_space(mesh, p)
+    rng = np.random.default_rng(p)
+    rhs = rng.standard_normal(space.dof_map.shape)
+    g = rng.standard_normal((mesh.num_triangles, space.sdim))
+    s, u, info = hybrid_saddle_solve(space, rhs, g)
+    assert space.multipliers.chol is not None and info["nnz_lu"] == len(space.multipliers.chol)
+    kept = RTNSpace.multipliers
+    monkeypatch.setattr(RTNSpace, "multipliers", property(lambda sp: kept.fget(sp)._replace(chol=None)))
+    s_lu, u_lu, info_lu = hybrid_saddle_solve(space, rhs, g)
+    for got, want in ((s, s_lu), (u, u_lu)):
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    assert info["kkt_residual"] <= 2 * info_lu["kkt_residual"]
+

@@ -186,7 +186,7 @@ def test_small_layouts_keep_their_multiplier_inverses(labels, p):
         layout = patch_layout(mesh, p)
         classes = sum(int(g.cls.max()) + 1 for g in layout.signatures)
         assert mesh.num_vertices / 2 < classes < mesh.num_vertices
-        assert layout.tables.keep["multiplier"] and _inverse_bytes(layout) <= local_solve.KEEP_BYTES
+        assert layout.tables.keep["multiplier"] and _inverse_bytes(layout) <= linsolve.KEEP_BYTES
     assert not patch_layout(jitter(build_structured(8, labels=labels), 1), p).tables.keep["multiplier"]
 
 
