@@ -244,12 +244,16 @@ class RTNSpace:
 
     Each triangle's vertex order (``mesh.triangles``) directs its edges
     lower -> higher entry.  Stored per element, O(ndof) numbers each: T_k of
-    ``_dof_scaling``, ``dof_map`` and c_k = (S_00, S_01, S_11) / det B_k with
-    S_k = B_k^T B_k.  Applied, not stored, are the tables
+    ``_dof_scaling``, ``dof_map``, the multiplier sign of each edge dof
+    (``edge_sign``) and c_k = (S_00, S_01, S_11) / det B_k with
+    S_k = B_k^T B_k; per dof, read-only, the mask of the dofs off Neumann
+    edges (``free_dofs``) and ``gather``'s weights.  Applied, not stored,
+    are the tables
       M_k = T_k^{-T} A(c_k) T_k^{-1},  A(c) = sum_i c_i H_i (``reference_mass``),
       C_k = C_ref T_k^{-1},  Bdiv_k = D_ref T_k^{-1} / sqrt(det B_k)
     (D_ref = div_rows C_ref): ``mass``, C_ref and D_ref act on ``to_ref``
-    rows or, transposed, through ``rows_to_elem``.  Fields are evaluated,
+    rows or, transposed, through ``rows_to_elem``; T_k is applied
+    elementwise into one output (``_scale``).  Fields are evaluated,
     and their moments taken, at the points of a ``quadpolicy.QuadGroup``;
     ``elements`` gives lazy single-element views.
 
@@ -259,10 +263,13 @@ class RTNSpace:
     read-only (``mesh.kept``): ``kkt_table`` holds K(c)^{-1} and
     ``mass_table`` A(c)^{-1}.
     ``linsolve.element_solve`` applies them, mapping data in and solutions
-    out through T_k.  The hybridization's edge-multiplier system
+    out through T_k, and checks each residual through the reference mass
+    matrices (``kkt_product``).  The hybridization's edge-multiplier system
     (``multipliers``), the only global matrix that depends on nothing but
     the mesh and p, is kept on the mesh from first use, with its factor
-    where that is small.
+    where that is small; so are, where small, the flux parts of the
+    eliminations' data-independent element columns
+    (``linsolve.element_columns``).
 
     Global dofs: edge e owns slots e*(p+1)..e*(p+1)+p; element k owns
     ne*(p+1) + k*p*(p+1) + local interior slots.  Fields with continuous
@@ -299,6 +306,16 @@ class RTNSpace:
         self.dof_map = np.hstack(
             [edge_dofs.reshape(len(edge_dofs), -1), interior.reshape(len(edge_dofs), -1)]
         )
+        # the sign of each edge dof's multiplier: +1 on the edge_tris[e, 0] side
+        own = mesh.edge_tris[mesh.tri_edges, 0] == np.arange(n)[:, None]
+        self.edge_sign = np.repeat(np.where(own, 1.0, -1.0), p + 1, axis=1)
+        # the dofs off Neumann edges, and ``gather``'s weight free / (sides of
+        # each dof, 1 or 2): exact, so the mean keeps its bits
+        self._free = np.ones(self.ndof, dtype=bool)
+        self._free[self.neumann_edge_dofs()] = False
+        self._weight = self._free / np.bincount(self.dof_map.ravel(), minlength=self.ndof)
+        for a in (self.edge_sign, self._free, self._weight):
+            a.flags.writeable = False
 
     def __len__(self):
         return len(self.detB)
@@ -334,8 +351,9 @@ class RTNSpace:
         with N an orthonormal basis of ker D_ref, R = D_ref^+,
         Q = N (N^T A N)^{-1} N^T and V = R - Q A R,
         K(c)^{-1} = [[Q, V], [V^T, -(A R)^T V]].  The 3(p+1) edge columns,
-        which ``linsolve.eliminate`` applies without a solve, are checked
-        here; every other column is checked by the call that applies it."""
+        and the first constraint column, which ``linsolve.element_columns``
+        applies without a solve, are checked here; every other column is
+        checked by the call that applies it."""
         d, size, N, R = self.ref.dim, self.ref.dim + self.sdim, self._N, self._R
 
         def inverse(sl, A, out):
@@ -346,7 +364,7 @@ class RTNSpace:
             out[:, d:, :d], out[:, d:, d:] = np.swapaxes(V, 1, 2), -(np.swapaxes(AR, 1, 2) @ V)
 
         return kept(self.mesh._cache, ("kkt_table", self.p),
-                    lambda: self._class_table(inverse, size, np.abs(self.D_ref).max(), 3 * (self.p + 1)))
+                    lambda: self._class_table(inverse, size, np.abs(self.D_ref).max(), np.r_[:3 * (self.p + 1), d]))
 
     @property
     def mass_table(self):
@@ -360,18 +378,18 @@ class RTNSpace:
             V = Kinv[sl, :d, d:]
             out[:] = Kinv[sl, :d, :d] - V @ np.linalg.inv(Kinv[sl, d:, d:]) @ np.swapaxes(V, 1, 2)
 
-        return kept(self.mesh._cache, ("mass_table", self.p), lambda: self._class_table(inverse, d, 0.0, 0))
+        return kept(self.mesh._cache, ("mass_table", self.p), lambda: self._class_table(inverse, d, 0.0, []))
 
     def _class_table(self, inverse, size, floor, checked):
         """The inverses of each class's A(c) (size ndof) or K(c), stacked,
         and the max |entry| of the matrix (at least ``floor``), built a chunk
         of ``STACK_BYTES`` at a time: ``inverse(sl, A, out)`` writes those of
-        the classes ``sl``, whose A(c) are A, to ``out``.  The first
-        ``checked`` columns of each class are checked, as ``solve_stacked``
-        checks a block of unit right-hand sides: above 1e-8,
-        SingularSystemError names the class and one of its elements."""
+        the classes ``sl``, whose A(c) are A, to ``out``.  The columns
+        ``checked`` of each class are checked, as ``solve_stacked`` checks a
+        block of unit right-hand sides: above 1e-8, SingularSystemError
+        names the class and one of its elements."""
         cls, coef = self.classes
-        inv, big, eye = np.empty((len(coef), size, size)), np.empty(len(coef)), np.eye(size)[:, :checked]
+        inv, big, eye = np.empty((len(coef), size, size)), np.empty(len(coef)), np.eye(size)[:, checked]
         for sl in chunks(len(coef), 32 * size * size):
             A = self.mass_ref(coef[sl])
             try:
@@ -379,9 +397,9 @@ class RTNSpace:
             except np.linalg.LinAlgError as exc:
                 raise SingularSystemError(f"class table: {exc}") from exc
             big[sl] = np.maximum(np.abs(A).max(axis=(1, 2)), floor)
-            if checked:
-                idx, cols = np.arange(sl.start, sl.stop), inv[sl, :, :checked]
-                check_residuals(eye - self.class_product(idx, cols), eye[None], cols, big[sl],
+            if len(checked):
+                idx, cols = np.arange(sl.start, sl.stop), inv[sl][:, :, checked]
+                check_residuals(eye - self.kkt_product(coef[sl], cols), eye[None], cols, big[sl],
                                 lambda i: f"class {idx[i]}, element {np.argmax(cls == idx[i])}")
         return inv, big
 
@@ -394,14 +412,15 @@ class RTNSpace:
         solves with the kept factor, or factors the matrix on every call."""
         return kept(self.mesh._cache, ("multipliers", self.p), lambda: multiplier_system(self))
 
-    def class_product(self, cls, y):
+    def kkt_product(self, coef, y):
         """K(c) y, or A(c) y when y has ndof rows, for vectors y (n, size, r)
-        of elements of classes ``cls``.  A(c) is formed once per class
-        present (``mass_ref`` rows do not depend on the other rows): one
-        skinny gemm over every element is slow under threaded BLAS."""
+        and the rows c (n, 3) of their systems: A(c) y = sum_i c_i H_i y
+        through the three reference matrices stacked (``reference_mass``),
+        no d x d matrix gathered per vector, and one small gemm per vector:
+        one skinny gemm over every vector is slow under threaded BLAS."""
         d, D = self.ref.dim, self.D_ref
-        present, which = np.unique(cls, return_inverse=True)
-        Ax = self.mass_ref(self.classes[1][present])[which.reshape(-1)] @ y[:, :d]
+        Hy = reference_mass(self.p).reshape(3 * d, d) @ y[:, :d]  # [H_i y] of each vector
+        Ax = np.einsum("ki,kidr->kdr", coef, Hy.reshape(len(y), 3, d, -1))
         if y.shape[1] == d:
             return Ax
         return np.concatenate([Ax + D.T @ y[:, d:], D @ y[:, :d]], axis=1)
@@ -410,17 +429,20 @@ class RTNSpace:
         """Rows c (..., ndof) times the block-diagonal maps of the factor rows
         F (..., 3(p+1) + 4), one per element, whose leading axes c matches or
         broadcasts against: diag(edge) on the edge dofs, kron(A, I) on the
-        interior ones.  Elementwise, so a row's result does not depend on the
-        other rows."""
+        interior ones, A row-major in F.  One multiply on the edge dofs and,
+        per interior component j, A_j0 c_x + A_j1 c_y into one output.
+        Elementwise, so a row's result does not depend on the other rows."""
         c = np.asarray(c, float)
         ne, idim = 3 * (self.p + 1), self.idim
         F = F.reshape(F.shape[:-1] + (1,) * (c.ndim - F.ndim) + F.shape[-1:])
-        edge = c[..., :ne] * F[..., :ne]
-        A = F[..., ne:].reshape(F.shape[:-1] + (2, 2, 1))  # A[..., :, d, :] is column d
-        comp = c[..., ne:].reshape(c.shape[:-1] + (2, idim))
-        inner = A[..., 0, :] * comp[..., :1, :]
-        inner += A[..., 1, :] * comp[..., 1:, :]
-        return np.concatenate([edge, inner.reshape(edge.shape[:-1] + (2 * idim,))], axis=-1)
+        out = np.empty(np.broadcast_shapes(c.shape[:-1], F.shape[:-1]) + c.shape[-1:])
+        np.multiply(c[..., :ne], F[..., :ne], out=out[..., :ne])
+        cx, cy = c[..., ne:ne + idim], c[..., ne + idim:]
+        for j in range(2):
+            inner = out[..., ne + j * idim:ne + (j + 1) * idim]
+            np.multiply(F[..., ne + 2 * j, None], cx, out=inner)
+            inner += F[..., ne + 2 * j + 1, None] * cy
+        return out
 
     def to_ref(self, coeffs, tris=slice(None)):
         """Reference dofs T_k^{-1} c_k of element coefficient rows (n, ndof);
@@ -480,8 +502,7 @@ class RTNSpace:
     def gather(self, rows):
         """Conforming dofs from element rows (nt, ndof): the mean of the two
         sides of each edge, zero on Neumann edges."""
-        flat = self.dof_map.ravel()
-        return self.free_dofs() * np.bincount(flat, rows.ravel(), self.ndof) / np.bincount(flat, minlength=self.ndof)
+        return np.bincount(self.dof_map.ravel(), rows.ravel(), self.ndof) * self._weight
 
     def neumann_edge_dofs(self):
         """Global dof indices pinned to zero by the no-flux boundary condition."""
@@ -489,10 +510,9 @@ class RTNSpace:
         return (e[:, None] * (self.p + 1) + np.arange(self.p + 1)).ravel()
 
     def free_dofs(self):
-        """Mask of the global dofs off Neumann edges, (ndof,)."""
-        free = np.ones(self.ndof, dtype=bool)
-        free[self.neumann_edge_dofs()] = False
-        return free
+        """Mask of the global dofs off Neumann edges, (ndof,); kept with the
+        space, read-only."""
+        return self._free
 
     def conforming_blocks(self):
         """Conforming mass M and divergence B over the dofs off Neumann edges.

@@ -15,18 +15,23 @@ the same way: the mass and KKT systems of an element are T_k-conjugates of
 reference systems that depend only on c_k, whose inverses the ``RTNSpace``
 keeps per class; each call maps its data in, applies the class inverses
 and checks the residuals in the reference frame, and the columns that no
-call checks (the hybridization's edge columns) are checked once, when the
-table is built.  A lone dense system goes through LAPACK Bunch-Kaufman
-(``dense_solve``: ``sytrf`` and two ``sytrs``, the second one a step of
-iterative refinement).  Saddle problems over several elements are
-hybridized: the element eliminations (``eliminate``) leave an SPD system
-in edge multipliers, mesh-wide in ``hybrid_saddle_solve`` and per vertex
-patch in ``local_solve``.  The mesh-wide one depends only on the mesh and
-p: the mesh keeps it, assembled (``multiplier_system``), and a call forms
-only its data column.  Where the packed Cholesky factor of that system
-fits ``KEEP_BYTES`` (at most 511 multipliers), the mesh keeps the factor
-too, built once by LAPACK ``pptrf`` (``packed_cholesky``), and each call
-solves with it (``packed_solve``).  Every other sparse system is SPD and
+call checks (the hybridization's data-independent columns) are checked
+once, when the table is built.  A lone dense system goes through LAPACK
+Bunch-Kaufman (``dense_solve``: ``sytrf`` and two ``sytrs``, the second
+one a step of iterative refinement).  Saddle problems over several
+elements are hybridized: the element eliminations (``eliminate``) leave an
+SPD system in edge multipliers, mesh-wide in ``hybrid_saddle_solve`` and
+per vertex patch in ``local_solve``.  Both eliminate every element against
+columns that depend only on the mesh and p, the signed edge unit columns
+and, for the patches, the constant-divergence column; the mesh keeps
+their flux parts where they fit ``KEEP_BYTES`` (``element_columns``), and
+a call solves only its data columns.  The mesh-wide multiplier system
+depends only on the mesh and p too: the mesh keeps it, assembled
+(``multiplier_system``), and a call forms only its data column.  Where the
+packed Cholesky factor of that system fits ``KEEP_BYTES`` (at most 511
+multipliers), the mesh keeps the factor too, built once by LAPACK
+``pptrf`` (``packed_cholesky``), and each call solves with it
+(``packed_solve``).  Every other sparse system is SPD and
 goes through SuperLU in its symmetric mode, refined once, and each call
 factors its matrix afresh (``SparseFactor``): no SuperLU object is kept.
 A kept matrix's symmetry is checked once, where it is built
@@ -44,7 +49,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import get_lapack_funcs
 
-from .mesh import NEUMANN
+from .mesh import NEUMANN, kept
 
 
 # Budgets of one chunk of a stack (see ``chunks``).  STACK_BYTES bounds the
@@ -59,11 +64,16 @@ STACK_BYTES = 1 << 22
 POINT_BYTES = 1 << 19
 # The one budget of the optional kept data: the bytes a kept item may hold
 # for the life of its mesh, whatever the chunks, so what is kept and the
-# bits of what it gives do not depend on the chunking.  It bounds a patch
-# layout's multiplier inverses (``local_solve.PatchTables.decide``: 0.4 MB
-# at most on the layouts of a few dozen triangles at p <= 6) and the packed
-# Cholesky factor of the mesh-wide multiplier system (``multiplier_system``:
-# 8 n(n+1)/2 bytes, n <= 511).
+# bits of what it gives do not depend on the chunking.  Each kind is kept
+# whole where its bytes fit, and built for each call where they do not,
+# by the same code.  It bounds a patch layout's multiplier inverses
+# (``local_solve.PatchTables.decide``: 0.4 MB at most on the layouts of a
+# few dozen triangles at p <= 6), the packed Cholesky factor of the
+# mesh-wide multiplier system (``multiplier_system``: 8 n(n+1)/2 bytes,
+# n <= 511) and the flux parts of the eliminations' data-independent
+# element columns (``element_columns``: 8 nt ndof (1 + 3(p+1)) bytes, 0.35
+# MB for 32 triangles at p = 6; a mesh of a few hundred triangles keeps
+# them up to p = 2 or 3).
 KEEP_BYTES = 1 << 20
 
 
@@ -111,9 +121,9 @@ def chunks(n, item_bytes, points=False):
       prim and phi tables at degree p, which carry an element axis;
     - an element system of size ``size`` (``element_solve``): its gathered
       class inverse, size^2 numbers, and four data blocks of size x r;
-      the edge columns of an elimination (``eliminate``): two blocks of
-      size x 3(p+1); a class table (``RTNSpace._class_table``): four
-      blocks of size^2.
+      the edge columns of an elimination: two blocks of ndof x 3(p+1)
+      (``element_columns``) or of sdim x 3(p+1) (``eliminate``); a class
+      table (``RTNSpace._class_table``): four blocks of size^2.
     A point stack counts the per-point data of an element (or edge) on its
     rule, and the stability surrogate 8 nn^2 bytes per patch, nn its node
     count."""
@@ -206,57 +216,87 @@ def solve_stacked(A, b, cls=None, inv=None, name=lambda i: f"system {i}"):
 
 def element_solve(space, f, g, tris):
     """(x, u) of the element systems of ``tris`` (index array) against data
-    f (n, ndof, r), g (n, m, r): m = sdim, [[M_k, Bdiv_k^T], [Bdiv_k, 0]]
-    [x; u] = [f; g]; m = 0, M_k x = f.  In the reference frame, x = T_k x^
-    and u = sqrt(det B_k) u^ solve K(c_k) (or A(c_k)) against
-    [T_k^T f; sqrt(det B_k) g]: the space's ``kkt_table`` (or
-    ``mass_table``) is applied by gathered matmuls, a chunk of
-    ``STACK_BYTES`` at a time (the whole call on a mesh of a few dozen
-    triangles), and every system's residual is checked there as in
-    ``solve_stacked``."""
+    f (n, ndof, r), or None for no flux data (f = 0), and g (n, m, r):
+    m = sdim, [[M_k, Bdiv_k^T], [Bdiv_k, 0]] [x; u] = [f; g]; m = 0,
+    M_k x = f.  In the reference frame, x = T_k x^ and u = sqrt(det B_k) u^
+    solve K(c_k) (or A(c_k)) against [T_k^T f; sqrt(det B_k) g]: the
+    space's ``kkt_table`` (or ``mass_table``) is applied by gathered
+    matmuls, a chunk of ``STACK_BYTES`` at a time (the whole call on a mesh
+    of a few dozen triangles), and every system's residual is checked there
+    as in ``solve_stacked``, with K(c_k) y formed through the reference
+    mass matrices (``RTNSpace.kkt_product``)."""
     inv, big = space.kkt_table if g.shape[1] else space.mass_table
-    d, r = f.shape[1:]
+    d, r = space.ref.dim, g.shape[2]
     size, cls = d + g.shape[1], space.classes[0][tris]
     root = np.sqrt(space.detB[tris])[:, None, None]
-    x, u = np.empty(f.shape), np.empty(g.shape)
+    x, u = np.empty((len(tris), d, r)), np.empty(g.shape)
     for sl in chunks(len(tris), 8 * size * (size + 4 * r)):
-        fr = np.swapaxes(space.rows_to_ref(np.swapaxes(f[sl], 1, 2), tris[sl]), 1, 2)
-        b = np.concatenate([fr, root[sl] * g[sl]], axis=1)
+        b = np.zeros((len(cls[sl]), size, r))
+        if f is not None:
+            b[:, :d] = np.swapaxes(space.rows_to_ref(np.swapaxes(f[sl], 1, 2), tris[sl]), 1, 2)
+        b[:, d:] = root[sl] * g[sl]
         y = inv[cls[sl]] @ b
-        check_residuals(b - space.class_product(cls[sl], y), b, y, big[cls[sl]],
+        check_residuals(b - space.kkt_product(space.coef[tris[sl]], y), b, y, big[cls[sl]],
                         lambda i: f"system of element {tris[sl][i]}, class {cls[sl][i]}")
         x[sl] = np.swapaxes(space.to_phys(np.swapaxes(y[:, :d], 1, 2), tris[sl]), 1, 2)
         u[sl] = root[sl] * y[:, d:]
     return x, u
 
 
+def element_columns(space, const=False):
+    """The flux parts (nt, ndof, const + 3(p+1)) of the data-independent
+    columns of every element's elimination: with ``const``, first the
+    constant-divergence column, against f = 0, g = sqrt|K| phi_0 (the
+    kernel column of the vertex patches, ``local_solve``); then the edge
+    columns, against [E_k^T; 0], the unit columns of the 3(p+1) edge dofs
+    signed by ``RTNSpace.edge_sign``.  Mapped in, each is a unit column
+    times a number, sqrt(det B_k |K|) or sgn_k T_k's edge diagonal, so its
+    solution is a column of the ``kkt_table``, scaled: no solve (the table
+    checked those columns when it was built).  They depend only on the
+    mesh and p.  Where all of them, 8 nt ndof (1 + 3(p+1)) bytes, fit
+    ``KEEP_BYTES``, the mesh keeps them per p from first use, read-only;
+    elsewhere each call builds the ones it asks for."""
+    nt, d, ne = len(space), space.ref.dim, 3 * (space.p + 1)
+    if 8 * nt * d * (1 + ne) <= KEEP_BYTES:
+        cols = kept(space.mesh._cache, ("element_columns", space.p), lambda: _element_columns(space, True))
+        return cols if const else cols[:, :, 1:]
+    return _element_columns(space, const)
+
+
+def _element_columns(space, const):
+    """``element_columns`` built for one call."""
+    nt, d, ne = len(space), space.ref.dim, 3 * (space.p + 1)
+    inv, cls = space.kkt_table[0], space.classes[0]
+    w = (space.edge_sign * space.edge_scale())[:, None, :]
+    X = np.empty((nt, d, const + ne))
+    for sl in chunks(nt, 16 * d * ne):
+        E = inv[cls[sl], :d, :ne] * w[sl]
+        X[sl, :, const:] = np.swapaxes(space.to_phys(np.swapaxes(E, 1, 2), sl), 1, 2)
+    if const:
+        X[:, :, 0] = space.to_phys(inv[cls, :d, d] * (np.sqrt(space.detB) * np.sqrt(space.mesh.area))[:, None])
+    return X
+
+
 def eliminate(space, rhs, g):
     """The element half of a hybridization on every element: the element
     KKT systems against the data rhs (n, ndof, r), g (n, sdim, r)
-    (``element_solve``) and against [E_k^T; 0], the unit columns of the
-    3(p+1) edge dofs signed +1 on the ``edge_tris[e, 0]`` side.  Mapped in,
-    those are unit columns times sgn_k T_k's edge diagonal, so their
-    solutions are the ``kkt_table``'s edge columns, scaled: no solve (those
-    columns were checked when the table was built).
-    Returns (signs (n, 3(p+1)), flux parts X, multiplier parts U), with
-    r + 3(p+1) columns: edge multipliers mu give X[..., :r] - X[..., r:] mu."""
-    mesh, p, d = space.mesh, space.p, space.ref.dim
-    ne, r = 3 * (p + 1), rhs.shape[2]
-    tris = np.arange(mesh.num_triangles)
-    own = mesh.edge_tris[mesh.tri_edges, 0] == tris[:, None]
-    sgn = np.repeat(np.where(own, 1.0, -1.0), p + 1, axis=1)
-    X = np.empty((len(tris), d, r + ne))
+    (``element_solve``) and against the edge columns of
+    ``element_columns``, whose multiplier parts are the ``kkt_table``'s
+    edge columns, scaled.  Returns (X (n, ndof, r), U (n, sdim, r +
+    3(p+1)), Xe (n, ndof, 3(p+1))): the flux parts of the data columns,
+    the multiplier parts of the data columns and then of the edge columns,
+    and the flux parts of the edge columns (``element_columns``, kept or
+    built for the call).  Edge multipliers mu give the fluxes X - Xe mu."""
+    d, ne, r = space.ref.dim, 3 * (space.p + 1), rhs.shape[2]
+    tris = np.arange(len(space))
     U = np.empty((len(tris), space.sdim, r + ne))
-    if r:
-        X[:, :, :r], U[:, :, :r] = element_solve(space, rhs, g, tris)
+    X, U[:, :, :r] = element_solve(space, rhs, g, tris)
     inv, cls = space.kkt_table[0], space.classes[0]
-    w = (sgn * space.edge_scale())[:, None, :]
+    w = (space.edge_sign * space.edge_scale())[:, None, :]
     root = np.sqrt(space.detB)[:, None, None]
-    for sl in chunks(len(tris), 16 * (d + space.sdim) * ne):
-        E = inv[cls[sl], :, :ne] * w[sl]
-        X[sl, :, r:] = np.swapaxes(space.to_phys(np.swapaxes(E[:, :d], 1, 2), sl), 1, 2)
-        U[sl, :, r:] = root[sl] * E[:, d:]
-    return sgn, X, U
+    for sl in chunks(len(tris), 16 * space.sdim * ne):
+        U[sl, :, r:] = root[sl] * (inv[cls[sl], d:, :ne] * w[sl])
+    return X, U, element_columns(space)
 
 
 def assemble_csr(rows, cols, blocks, shape):
@@ -345,17 +385,16 @@ def multiplier_system(space):
     interior and Neumann edge (+1 on the ``edge_tris[e, 0]`` side), the last
     one grounded when no edge is Dirichlet, the SPD matrix
     sum_k E_k (K_k^-1)_ss E_k^T, symmetrized, from the edge columns of
-    ``eliminate``, and its packed Cholesky factor where its 8 n(n+1)/2
+    ``element_columns``, and its packed Cholesky factor where its 8 n(n+1)/2
     bytes fit ``KEEP_BYTES``.  Those depend only on the mesh and p, so
     ``RTNSpace.multipliers`` keeps this from first use, read-only."""
-    mesh, ne, nt = space.mesh, 3 * (space.p + 1), len(space)
+    mesh, ne = space.mesh, 3 * (space.p + 1)
     # the edge dofs with a multiplier
     on = np.repeat((mesh.edge_tris[:, 1] >= 0) | (mesh.edge_label == NEUMANN), space.p + 1)
     grounded = bool(on.all())
     n = int(on.sum()) - grounded
     lam = np.where(on, np.cumsum(on) - 1 - grounded, -1)[space.dof_map[:, :ne]]
-    sgn, X, _ = eliminate(space, np.empty((nt, space.ref.dim, 0)), np.empty((nt, space.sdim, 0)))
-    EX = sgn[:, :, None] * X[:, :ne]  # E_k applied to every edge column
+    EX = space.edge_sign[:, :, None] * element_columns(space)[:, :ne]  # E_k applied to every edge column
     A = sp.csc_matrix(assemble_csr(lam, lam, (EX + np.swapaxes(EX, 1, 2)) / 2, (n, n)))
     check_symmetric(A)
     return Multipliers(lam, grounded, A, packed_cholesky(A) if 4 * n * (n + 1) <= KEEP_BYTES else None)
@@ -366,7 +405,8 @@ def hybrid_saddle_solve(space, rhs, g):
     space, from element moments ``rhs`` (nt, ndof) and data ``g`` (nt, sdim).
 
     Edge multipliers enforce the normal continuity; the element eliminations
-    against [F_k | E_k^T] (``eliminate``) leave the SPD system
+    against [F_k | E_k^T] (``eliminate``, with the edge columns' flux parts
+    of ``element_columns``) leave the SPD system
     sum_k E_k (K_k^-1)_ss E_k^T in them, which the space keeps
     (``RTNSpace.multipliers``, ``multiplier_system``): a call forms only its
     data column E_k F_k and solves with the kept packed Cholesky factor
@@ -387,8 +427,8 @@ def hybrid_saddle_solve(space, rhs, g):
     k0 = np.sqrt(mesh.area)  # the constant multiplier mode of a pure Neumann problem
     if grounded:
         g[:, 0] -= k0 * (k0 @ g[:, 0]) / (k0 @ k0)
-    sgn, X, U = eliminate(space, rhs[:, :, None], g[:, :, None])
-    f = sgn * X[:, :ne, 0]  # E_k applied to the data column
+    X, U, Xe = eliminate(space, rhs[:, :, None], g[:, :, None])
+    f = space.edge_sign * X[:, :ne, 0]  # E_k applied to the data column
     data = np.bincount(lam[lam >= 0], f[lam >= 0], n)
     if chol is None:
         factor = SparseFactor(A, checked=True)
@@ -396,16 +436,16 @@ def hybrid_saddle_solve(space, rhs, g):
     else:
         x, nnz = packed_solve(chol, A, data), len(chol)
     mu = np.append(x, 0.0)[lam]
-    sk = X[:, :, 0] - np.einsum("kdj,kj->kd", X[:, :, 1:], mu)
+    sk = X[:, :, 0] - np.einsum("kdj,kj->kd", Xe, mu)
     u = U[:, :, 0] - np.einsum("kdj,kj->kd", U[:, :, 1:], mu)
     if grounded:
         u[:, 0] -= k0 * (k0 @ u[:, 0]) / (k0 @ k0)
     # the two sides of an edge agree to roundoff: take their mean
     s = space.gather(sk)
-    free, flat = space.free_dofs(), dofs.ravel()
-    ref = space.mass(space.to_ref(s[dofs])) + u @ space.D_ref / np.sqrt(space.detB)[:, None]
-    res = space.rows_to_elem(ref) - rhs  # M_k s_k + Bdiv_k^T u_k - rhs_k
-    div = space.div(s[dofs]) - g
+    free, flat, root = space.free_dofs(), dofs.ravel(), np.sqrt(space.detB)[:, None]
+    ref = space.to_ref(s[dofs])  # once for the mass and the divergence (``RTNSpace.div``)
+    res = space.rows_to_elem(space.mass(ref) + u @ space.D_ref / root) - rhs  # M_k s_k + Bdiv_k^T u_k - rhs_k
+    div = ref @ space.D_ref.T / root - g
     b = np.concatenate([free * np.bincount(flat, rhs.ravel(), space.ndof), g.ravel()])
     r = np.concatenate([free * np.bincount(flat, res.ravel(), space.ndof), div.ravel()])
     return s, u, {

@@ -9,10 +9,12 @@ Patch step: minimize ||v_a - chi_a|| over the patch space (zero normal trace
 on the patch boundary except on Dirichlet edges at Dirichlet vertices)
 subject to a prescribed elementwise divergence, in hybrid form: edge
 multipliers enforce the normal continuity and the pinned normal traces, each
-element is eliminated once for its three patches (``linsolve.eliminate``),
-and each patch solves one small system in its multipliers.  For interior
-and Neumann vertices one lowest-order multiplier is grounded and the
-constant-divergence coefficient, which projects the data onto the
+element is eliminated once for its three patches, against its three data
+columns by one element solve and against the columns that depend only on
+the mesh and p (``linsolve.element_columns``, kept where they fit the one
+budget), and each patch solves one small system in its multipliers.  For
+interior and Neumann vertices one lowest-order multiplier is grounded and
+the constant-divergence coefficient, which projects the data onto the
 compatible subspace, takes its place.
 
 Stability surrogate: the dual norm of each patch's data over
@@ -79,7 +81,7 @@ from .elements import (
     rtn_space,
     scalar_moments,
 )
-from .linsolve import (KEEP_BYTES, check_norms, chunks, class_inverses, element_solve, eliminate, max_abs,
+from .linsolve import (KEEP_BYTES, check_norms, chunks, class_inverses, element_columns, element_solve, max_abs,
                        solve_stacked)
 from .mesh import DIRICHLET, kept
 from .projections import BrokenRTNField, hat_interpolants
@@ -242,7 +244,7 @@ class PatchLayout(NamedTuple):
     place of a kernel patch's grounded one (``_columns``).  Both share one
     numbering per chunk, patch i's from ``eq[i]``: ``slots[q, j]`` is the
     equation of edge dof j of pair q, ``sign[q, j]`` its sign in
-    ``linsolve.eliminate`` (+1 on the ``edge_tris[e, 0]`` side) and
+    ``RTNSpace.edge_sign`` (+1 on the ``edge_tris[e, 0]`` side) and
     ``cols[q, c]`` the unknown of column c of its elimination, -1 for none.
     Patches of one multiplier class (``cls``, numbered per signature in
     order of first appearance) have bitwise-equal multiplier systems.
@@ -342,7 +344,7 @@ def _build_patch_layout(mesh, p):
     lam = np.where(key >= 0, np.searchsorted(uniq, key) - first[c_vert][:, None], -1).astype(np.int32)
     mult = np.where(lam[:, :, None] >= 0, lam[:, :, None] * (p + 1) + np.arange(p + 1), -1).reshape(3 * nt, -1)
     # what decides a patch's multiplier system: its elements' affine
-    # classes, edge signs (``linsolve.eliminate``) and T_k edge factors, and
+    # classes, edge signs (``RTNSpace.edge_sign``) and T_k edge factors, and
     # its multiplier numbering, a fixed function of its per-slot numbers lam
     own = mesh.edge_tris[mesh.tri_edges, 0] == np.arange(nt)[:, None]
     tri_cls = _class_ids(space.classes[0], own, space.edge_scale())
@@ -452,8 +454,10 @@ class PatchData:
     chi: np.ndarray  # (n, 3, ndof)
     g: np.ndarray  # (n, 3, sdim)
     mass_scale: np.ndarray  # (n, 3): magnitudes of the two terms of (g, 1)_K, see patch_data
-    x: np.ndarray | None = None  # (n, ndof, 4 + 3(p+1)): element eliminations, see patch_data
+    x: np.ndarray | None = None  # (n, ndof, 3): the element eliminations of the data, see patch_data
+    cols: np.ndarray | None = None  # (n, ndof, 1 + 3(p+1)): ``linsolve.element_columns``, see patch_data
     defect: np.ndarray | None = None  # (num_vertices,): ``_mass_defects`` of every vertex patch
+    ref: np.ndarray | None = None  # (n, ndof of theta): theta's reference dofs (``RTNSpace.to_ref``)
 
 
 def patch_data(theta: BrokenRTNField, policy) -> PatchData:
@@ -466,27 +470,28 @@ def patch_data(theta: BrokenRTNField, policy) -> PatchData:
     (lambda_i |div v|, 1)_K, and |G_i[0]| |T_k^{-1} theta| / sqrt(2), the
     Cauchy-Schwarz bound of (grad lambda_i . theta, 1)_K, whose value is
     roundoff when theta's components along G_i[0] vanish.  Their
-    cancellation over a patch is measured on this scale.  ``x`` serves the
-    three patches of each triangle: the minimal corrections of div chi_i to
-    g_i, the flux of divergence sqrt|K| phi_0, and the edge unit columns.
+    cancellation over a patch is measured on this scale.  ``x`` and
+    ``cols`` serve the three patches of each triangle: ``x`` holds the
+    minimal corrections of div chi_i to g_i, one element solve with no flux
+    data; ``cols`` the flux of divergence sqrt|K| phi_0 and the edge unit
+    columns, which depend only on the mesh and p
+    (``linsolve.element_columns``, kept where they fit the budget).
     ``defect`` is gated by ``check_compatibility``, once for every patch.
+    ``ref`` holds theta mapped to the reference frame once, for chi, the
+    gradient term and the caller's norm of theta.
     """
     mesh, p = policy.mesh, policy.p
     space = rtn_space(mesh, p)
-    chi = hat_interpolants(theta, p)
-    _, G = hat_operators(theta.p, p)
     ref = theta.space.to_ref(theta.coeffs)
+    chi = hat_interpolants(theta, p, ref=ref)
+    _, G = hat_operators(theta.p, p)
     grad = np.einsum("imb,kb->kim", G, ref) / np.sqrt(space.detB)[:, None, None]
     div, div_scale = _hat_div_moments(space, policy)
     # (f, 1)_K = sqrt|K| f_0 = sqrt(det B_k / 2) f_0 in the orthonormal basis
     grad_scale = np.sqrt(0.5) * np.outer(np.linalg.norm(ref, axis=1), np.linalg.norm(G[:, 0], axis=1))
     g = div + grad
-    n = mesh.num_triangles
-    data = np.zeros((n, space.sdim, 4))
-    data[:, :, :3] = np.swapaxes(g - space.div(chi), 1, 2)
-    data[:, 0, 3] = np.sqrt(mesh.area)
-    x = eliminate(space, np.zeros((n, space.ref.dim, 4)), data)[1]
-    out = PatchData(chi, g, div_scale + grad_scale, x)
+    x = element_solve(space, None, np.swapaxes(g - space.div(chi), 1, 2), np.arange(mesh.num_triangles))[0]
+    out = PatchData(chi, g, div_scale + grad_scale, x, element_columns(space, const=True), ref=ref)
     out.defect = _mass_defects(patch_layout(mesh, p), out, mesh)
     check_compatibility(np.arange(mesh.num_vertices), out.defect)
     return out
@@ -574,7 +579,7 @@ def build_patch_problem(layout: PatchLayout, chunk: PatchRange, data: PatchData)
     p, pairs = layout.p, chunk.pairs
     tris, local = layout.tris[pairs], layout.local[pairs]
     chi, g = data.chi[tris, local], data.g[tris, local]
-    x0, xe = chi + data.x[tris, :, local], data.x[tris, :, 3:]
+    x0, xe = chi + data.x[tris, :, local], data.cols[tris]
     b = _sum_into((chunk.eqs.stop,), layout.slots[pairs], layout.sign[pairs] * x0[:, :3 * (p + 1)])
     systems = [layout.tables.select("multiplier", run.sig, run.cls, chunk.patches.start + run.patches.start,
                                     lambda r: _multiplier_systems(layout, run, r, data)) for run in chunk.runs]
@@ -592,7 +597,7 @@ def _multiplier_systems(layout, run, patches, data):
     L, cols = (np.where(a >= 0, a - base, -1) for a in (layout.slots[pairs], layout.cols[pairs]))
     idx = np.where(cols[:, :, None, :] >= 0, _slots(L, nl)[..., None] * nl + cols[:, :, None, :], -1)
     # a float sign: numpy broadcasts a mixed int8 product by a slower loop
-    vals = layout.sign[pairs, ..., None].astype(float) * data.x[layout.tris[pairs], :ne, 3:]
+    vals = layout.sign[pairs, ..., None].astype(float) * data.cols[layout.tris[pairs], :ne]
     return _sum_into((len(L), nl, nl), idx, vals)
 
 

@@ -51,7 +51,9 @@ def kept(cache, key, build, tag=None):
         ``patch_layout`` (its flat pair and patch arrays, with its
         signatures and chunks as ranges of them), ``RTNSpace.multipliers``
         (the matrix, and its packed Cholesky factor where that fits
-        ``linsolve.KEEP_BYTES``; never a SuperLU object),
+        ``linsolve.KEEP_BYTES``; never a SuperLU object), the flux parts of
+        the eliminations' element columns per p where they fit the same
+        budget (``linsolve.element_columns``),
         ``.kkt_table`` and ``.mass_table`` per p, ``RTNSpace.classes``,
         ``lagrange_nodes`` per q, ``vertex_patches``, and the least-squares
         (A, B, ``LagrangeSpace``) per (p, q), rebuilt for another l^2 (tag);

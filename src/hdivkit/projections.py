@@ -81,8 +81,10 @@ class BrokenRTNField:
     def div(self) -> ScalarPWField:
         return ScalarPWField(self.mesh, self.p, self.space.div(self.element_coeffs(slice(None))))
 
-    def norm(self):
-        y = self.space.to_ref(self.element_coeffs(slice(None)))
+    def norm(self, ref=None):
+        """The L2 norm, from the reference dofs ``ref`` of every element row
+        where the caller holds them (``RTNSpace.to_ref``)."""
+        y = self.space.to_ref(self.element_coeffs(slice(None))) if ref is None else ref
         return float(np.sqrt(np.sum(y * self.space.mass(y))))
 
 
@@ -175,18 +177,21 @@ def _canonical_interp(policy):
     return out
 
 
-def hat_interpolants(theta: BrokenRTNField, p_target, tris=None) -> np.ndarray:
+def hat_interpolants(theta: BrokenRTNField, p_target, tris=None, ref=None) -> np.ndarray:
     """Degree-``p_target`` dofs of lambda_i * theta for the three local hat
     functions of each triangle in ``tris`` (default: all); shape
     (n, 3, ndof).  Exact reference operators conjugated by the dof scaling:
-    chi = T_k H[i] T_k^{-1} theta_k.  When theta has degree p_target this is
-    the canonical interpolant of the product; when theta has degree
-    p_target - 1 the product lies in broken RTN_{p_target} and is reproduced.
+    chi = T_k H[i] T_k^{-1} theta_k, from theta's reference dofs ``ref``
+    of those triangles where the caller holds them.  When theta has degree
+    p_target this is the canonical interpolant of the product; when theta
+    has degree p_target - 1 the product lies in broken RTN_{p_target} and
+    is reproduced.
     """
     mesh = theta.mesh
     tris = np.arange(mesh.num_triangles) if tris is None else np.asarray(tris, int)
     H, _ = hat_operators(theta.p, p_target)
-    ref = theta.space.to_ref(theta.element_coeffs(tris), tris)
+    if ref is None:
+        ref = theta.space.to_ref(theta.element_coeffs(tris), tris)
     chi = np.einsum("iab,kb->kia", H, ref).reshape(-1, H.shape[1])
     chi = rtn_space(mesh, p_target).to_phys(chi, np.repeat(tris, 3))
     return chi.reshape(len(tris), 3, -1)

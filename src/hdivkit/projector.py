@@ -190,7 +190,7 @@ def _project_hdiv(policy, variant, measure_stability):
         quadrature_self_check(pi_div, lambda g: g.eval(v, div=True), policy, info.warnings)
     num = np.linalg.norm(sigma.div().coeffs - pi_div)
     den = np.linalg.norm(pi_div)
-    floor = theta.norm() * (p + 1) / mesh.h_max
+    floor = theta.norm(data.ref) * (p + 1) / mesh.h_max
     info.commute_abs = num
     info.commute_scale = max(den, floor, 1e-300)
     info.commute_residual = num / info.commute_scale

@@ -427,6 +427,22 @@ def stacked_mass(mesh, p):
     return per_mesh[p]
 
 
+def scale_oracle(space, c, F):
+    """``RTNSpace._scale`` as it was written with reshapes and a concatenate:
+    rows c (..., ndof) times the block-diagonal maps of the factor rows F
+    (..., 3(p+1) + 4), diag(edge) on the edge dofs and kron(A, I) on the
+    interior ones, A row-major in F."""
+    c = np.asarray(c, float)
+    ne, idim = 3 * (space.p + 1), space.idim
+    F = F.reshape(F.shape[:-1] + (1,) * (c.ndim - F.ndim) + F.shape[-1:])
+    edge = c[..., :ne] * F[..., :ne]
+    A = F[..., ne:].reshape(F.shape[:-1] + (2, 2, 1))  # A[..., :, d, :] is column d
+    comp = c[..., ne:].reshape(c.shape[:-1] + (2, idim))
+    inner = A[..., 0, :] * comp[..., :1, :]
+    inner += A[..., 1, :] * comp[..., 1:, :]
+    return np.concatenate([edge, inner.reshape(edge.shape[:-1] + (2 * idim,))], axis=-1)
+
+
 def hat_values(patch, mesh, k, pts):
     """Hat function of the patch vertex at physical points inside triangle k."""
     xs = triangle_coords(mesh, k)
@@ -653,16 +669,56 @@ def eliminate_oracle(space, rhs, g, tris=None):
 
 
 def use_stacked_element_solves(monkeypatch):
-    """Route every element solve of the library through the oracles above."""
+    """Route every element solve of the library through the oracles above,
+    in the shapes of the library's calls: no flux data (None) is zero flux
+    data, ``eliminate`` returns its data columns apart from the flux parts
+    of its edge columns, and the columns of ``element_columns`` are solved
+    as data columns (the constant-divergence one against g = sqrt|K|
+    phi_0)."""
     from hdivkit import best_approx, linsolve, local_solve
 
+    def element_solve(space, f, g, tris):
+        f = np.zeros((len(tris), space.ref.dim, g.shape[2])) if f is None else f
+        return element_solve_oracle(space, f, g, tris)
+
+    def eliminate(space, rhs, g):
+        _, X, U = eliminate_oracle(space, rhs, g)
+        return X[:, :, :rhs.shape[2]], U, X[:, :, rhs.shape[2]:]
+
+    def element_columns(space, const=False):
+        n = len(space)
+        g = np.zeros((n, space.sdim, 1))
+        g[:, 0, 0] = np.sqrt(space.mesh.area)
+        X = eliminate_oracle(space, np.zeros((n, space.ref.dim, 1)), g)[1]
+        return X if const else X[:, :, 1:]
+
     for mod in (linsolve, local_solve, best_approx):
-        monkeypatch.setattr(mod, "element_solve", element_solve_oracle)
+        monkeypatch.setattr(mod, "element_solve", element_solve)
+    monkeypatch.setattr(linsolve, "eliminate", eliminate)
     for mod in (linsolve, local_solve):
-        monkeypatch.setattr(mod, "eliminate", eliminate_oracle)
+        monkeypatch.setattr(mod, "element_columns", element_columns)
     # the space keeps the multiplier system its first solve built: build it
     # through the eliminations above on every solve instead
     monkeypatch.setattr(RTNSpace, "multipliers", property(linsolve.multiplier_system))
+
+
+def wide_patch_data(data):
+    """A ``local_solve.PatchData`` whose ``x`` holds its element columns
+    ``cols`` after the data columns, (n, ndof, 4 + 3(p+1)): the one array
+    of eliminations that the patch oracles below read."""
+    from dataclasses import replace
+
+    return replace(data, x=np.concatenate([data.x, data.cols], axis=2))
+
+
+def use_wide_patch_data(monkeypatch):
+    """Route ``local_solve.patch_data`` through ``wide_patch_data``, for the
+    oracles below that call it themselves; the library's callers keep the
+    name they imported."""
+    from hdivkit import local_solve
+
+    real = local_solve.patch_data
+    monkeypatch.setattr(local_solve, "patch_data", lambda theta, policy: wide_patch_data(real(theta, policy)))
 
 
 # -- sparse assembly, one hand-written COO loop per block -----------------------------

@@ -372,7 +372,9 @@ def _check_signature_groups(m, p, variant):
     # rtn_space(m, 7) would cost seconds: the stream field above p = 3
     v = random_conforming_field(m, p + 1, seed=p) if p <= 3 else stream_field()
     rep = projector_report(v, p, m, variant=variant)
-    dofs, ratios = oracles.patch_layer_group_oracle(v, p, m, variant=variant)
+    with pytest.MonkeyPatch.context() as mp:  # the oracle reads the eliminations as one array
+        oracles.use_wide_patch_data(mp)
+        dofs, ratios = oracles.patch_layer_group_oracle(v, p, m, variant=variant)
     assert np.array_equal(rep["sigma"].dofs, dofs)
     assert np.array_equal(rep["stability_ratios"], ratios) and np.any(ratios > 0)
 

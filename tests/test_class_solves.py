@@ -152,10 +152,11 @@ def test_mesh_without_repeats_runs_the_class_path(p):
     mesh = _jitter_every_vertex(build_structured(3, labels="left-neumann"), 7)
     space = rtn_space(mesh, p)
     rhs, g = _data(space, 1, seed=p)
-    got = eliminate(space, rhs, g)
+    X, U, Xe = eliminate(space, rhs, g)
     assert len(space.kkt_table[0]) == mesh.num_triangles  # a class per element
-    want = oracles.eliminate_oracle(space, rhs, g)
-    for a, b in zip(got, want):
+    sgn, *want = oracles.eliminate_oracle(space, rhs, g)
+    assert np.array_equal(space.edge_sign, sgn)
+    for a, b in zip((np.concatenate([X, Xe], axis=2), U), want, strict=True):
         assert _rel(a, b) <= TOL
     none, tris = np.empty((len(space), 0, 1)), np.arange(len(space))  # mass systems
     x, _ = element_solve(space, rhs, none, tris)

@@ -147,6 +147,32 @@ def test_applied_tables_match_the_stored_stacks(mesh, p):
     assert (Mc != assemble_csr(dofs, dofs, (stored + np.swapaxes(stored, 1, 2)) / 2, Mc.shape)).nnz == 0
 
 
+@pytest.mark.parametrize("p", range(7))
+def test_dof_maps_match_the_scale_oracle(mesh, p):
+    # T_k applied as one multiply and two multiply-adds into one output
+    # gives the bits of the reshape-and-concatenate form, on meshes whose
+    # B_k are not symmetric (a transposed interior block would show), for
+    # every argument shape the library passes: rows (n, ndof), stacks
+    # (n, r, ndof), transposed views of column blocks, rows named by a 2-d
+    # index, and the broadcast (1, sdim, ndof) of ``div_blocks``
+    space = rtn_space(mesh, p)
+    n, d, t = len(space), space.ref.dim, space._transpose
+    assert np.abs(mesh.B[:, 0, 1] - mesh.B[:, 1, 0]).min() > 0
+    rng = np.random.default_rng(p)
+    tris = rng.integers(0, n, (5, 3))
+    args = [(rng.standard_normal((n, d)), slice(None)), (rng.standard_normal((n, 4, d)), slice(None)),
+            (np.swapaxes(rng.standard_normal((n, d, 3)), 1, 2), slice(None)), (rng.standard_normal((5, 3, d)), tris)]
+    maps = [(space.to_ref, space._ref), (space.to_phys, space._phys),
+            (space.rows_to_elem, space._ref[:, t]), (space.rows_to_ref, space._phys[:, t])]
+    for rows, at in args:
+        for apply, F in maps:
+            got, want = apply(rows, at), oracles.scale_oracle(space, rows, F[at])
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    F = space._ref[:, t] / np.sqrt(space.detB)[:, None]
+    assert space.div_blocks().tobytes() == oracles.scale_oracle(space, space.D_ref[None], F).tobytes()
+    assert space.div_blocks(tris[0]).tobytes() == oracles.scale_oracle(space, space.D_ref[None], F[tris[0]]).tobytes()
+
+
 def _arrays(value):
     """The ndarrays of an attribute value: itself, or those of a tuple."""
     if isinstance(value, np.ndarray):

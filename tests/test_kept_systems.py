@@ -1,9 +1,12 @@
 """The global systems a mesh keeps: the hybridization's multiplier matrix
 (``RTNSpace.multipliers``), with its packed Cholesky factor where that fits
 ``linsolve.KEEP_BYTES``, and the least-squares matrix (kept per p, q and
-the bits of l^2).  A repeated call reuses them, and solves with the kept
-factor or factors the kept matrix afresh, so it gives the bits of the first
-call and of a call on a fresh mesh; the kept arrays are read-only."""
+the bits of l^2); and, under the same budget, the flux parts of the
+eliminations' data-independent element columns (``linsolve.element_columns``).
+A repeated call reuses them, and solves with the kept factor or factors the
+kept matrix afresh, so it gives the bits of the first call and of a call on
+a fresh mesh; the kept arrays are read-only, and the kept columns give the
+bits of the columns built per call."""
 
 import numpy as np
 import pytest
@@ -14,13 +17,14 @@ import hdivkit.model_problems
 from hdivkit import fields
 from hdivkit.best_approx import error_report, global_best
 from hdivkit.elements import RTNSpace, lagrange_nodes, rtn_space
-from hdivkit.linsolve import KEEP_BYTES, hybrid_saddle_solve, multiplier_system
+from hdivkit.linsolve import KEEP_BYTES, element_columns, hybrid_saddle_solve, multiplier_system
 from hdivkit.local_solve import patch_layout
 from hdivkit.mesh import build_lshape, build_structured
 from hdivkit.model_problems import h1_best_global, manufactured_sine, solve_ls_mixed, solve_mixed
-from hdivkit.projector import _projector_report
+from hdivkit.projector import _projector_report, project_hdiv, projector_report, random_conforming_field
 from hdivkit.quadpolicy import QuadPolicy
 from test_batched_projector import stream_field
+from test_element_layer import jitter
 from test_hybrid_solve import gradient_field
 
 MESHES = {"structured4": lambda labels: build_structured(4, labels=labels),
@@ -54,12 +58,14 @@ def _same(a, b):
 def test_repeated_calls_give_the_bits_of_a_fresh_mesh(name, labels, p):
     mesh = MESHES[name](labels)
     runs = [lambda m, v=v: _best(v, p, m) for v in (gradient_field(), stream_field())]
+    runs.append(lambda m: [project_hdiv(stream_field(), p, m).dofs])  # the kept constant-divergence column
     if labels == "all-dirichlet" and p < 6:  # the model problems are all-Dirichlet; q = 7 nodes are ill-conditioned
         runs += [lambda m: _mixed(manufactured_sine(m), p), lambda m: _ls(manufactured_sine(m), p)]
     for run in runs:
         first = run(mesh)
         assert _same(run(mesh), first)
         assert _same(run(MESHES[name](labels)), first)
+    assert ("element_columns", p) in mesh._cache  # these meshes keep their element columns
 
 
 def test_single_element_keeps_an_empty_system(ref_triangle_mesh):
@@ -116,8 +122,10 @@ def test_kept_arrays_are_read_only():
         res["space"].free_index[0] = 0
     assert _same(_ls(prob, 1), first)
     solve_mixed(prob, 1)
-    kept = rtn_space(prob.mesh, 1).multipliers
-    for a in (kept.lam, kept.A.data, kept.A.indices, kept.A.indptr, kept.chol):
+    space = rtn_space(prob.mesh, 1)
+    kept = space.multipliers
+    for a in (kept.lam, kept.A.data, kept.A.indices, kept.A.indptr, kept.chol, element_columns(space, const=True),
+              element_columns(space), space.edge_sign, space.free_dofs()):
         with pytest.raises(ValueError, match="read-only"):
             a.flat[0] = 1
 
@@ -152,7 +160,7 @@ def test_entries_kept_through_the_helper_are_read_only():
                layout, layout.surrogate(mesh),
                policy.values(), policy.values(div=True), policy.moments(), policy.div_moments(),
                space.classes, space.kkt_table, space.mass_table, space.multipliers,
-               hdivkit.model_problems._ls_system(prob, p, p + 1)[:2]]
+               element_columns(space, const=True), hdivkit.model_problems._ls_system(prob, p, p + 1)[:2]]
     assert (len(mesh._cache), len(policy._cache)) == held
     for entry in entries:
         arrays = _arrays(entry)
@@ -235,3 +243,70 @@ def test_kept_factor_solves_as_superlu_does(monkeypatch, factor_meshes, case, p)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
     assert info["kkt_residual"] <= 2 * info_lu["kkt_residual"]
 
+
+
+# -- the kept element columns of the eliminations ------------------------------------
+
+COLUMN_MESHES = {"structured4": lambda: build_structured(4),
+                 "lshape2-all-neumann": lambda: build_lshape(2, labels="all-neumann"),
+                 "jittered-lshape2": lambda: jitter(build_lshape(2), 2)}
+
+
+@pytest.fixture(scope="module")
+def column_meshes():
+    return {name: build() for name, build in COLUMN_MESHES.items()}
+
+
+@pytest.mark.parametrize("name", sorted(COLUMN_MESHES))
+@pytest.mark.parametrize("p", range(7))
+def test_kept_columns_give_the_bits_of_the_columns_built_per_call(monkeypatch, column_meshes, name, p):
+    # every entry point that eliminates elements, first with the columns
+    # kept, then with a budget of 0 on the same mesh, which builds them on
+    # every call (the multiplier factor and the patch tables stay kept)
+    mesh = column_meshes[name]
+    v = random_conforming_field(mesh, p + 1, seed=p)
+
+    def run():
+        out = [project_hdiv(v, p, mesh).dofs]
+        if p >= 1:
+            out.append(project_hdiv(v, p, mesh, variant="def52").dofs)
+        rep = projector_report(v, p, mesh)
+        out += [rep["sigma"].dofs, rep["stability_ratios"], rep["max_C_approx"], rep["commute_residual"]]
+        out += _best(v, p, mesh)
+        if name != "lshape2-all-neumann":  # the model problems are all-Dirichlet
+            out += _mixed(manufactured_sine(mesh), p)
+        return out
+
+    want = run()
+    space = rtn_space(mesh, p)
+    cols = element_columns(space, const=True)
+    assert mesh._cache[("element_columns", p)][1] is cols and cols.nbytes <= KEEP_BYTES
+    monkeypatch.setattr(hdivkit.linsolve, "KEEP_BYTES", 0)
+    fresh = element_columns(space, const=True)
+    assert fresh is not cols and fresh.tobytes() == cols.tobytes()
+    assert element_columns(space).tobytes() == np.ascontiguousarray(cols[:, :, 1:]).tobytes()
+    assert _same([multiplier_system(space).A.data], [space.multipliers.A.data])
+    assert _same(run(), want)
+
+
+def test_the_budget_is_the_bytes_of_the_element_columns(monkeypatch):
+    # 8 nt ndof (1 + 3(p+1)) bytes, the constant column counted on every path
+    space = rtn_space(build_structured(2), 2)
+    need = 8 * len(space) * space.ref.dim * (1 + 3 * (space.p + 1))
+    for budget, keeps in ((need, True), (need - 1, False)):
+        monkeypatch.setattr(hdivkit.linsolve, "KEEP_BYTES", budget)
+        space = rtn_space(build_structured(2), 2)
+        element_columns(space)
+        assert (("element_columns", space.p) in space.mesh._cache) == keeps
+
+
+def test_the_hybrid_path_builds_no_constant_column_per_call(monkeypatch):
+    # above the budget a mesh-wide solve builds only the 3(p+1) edge columns
+    built = []
+    real = hdivkit.linsolve._element_columns
+    monkeypatch.setattr(hdivkit.linsolve, "_element_columns", lambda space, const: built.append(const) or real(space, const))
+    monkeypatch.setattr(hdivkit.linsolve, "KEEP_BYTES", 0)
+    mesh = build_structured(2)
+    error_report(gradient_field(), 1, mesh)
+    assert built and not any(built)
+    assert not any(key[0] == "element_columns" for key in mesh._cache if isinstance(key, tuple))

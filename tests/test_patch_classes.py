@@ -47,10 +47,11 @@ def meshes():
 @pytest.mark.parametrize("p,variant", CASES)
 @pytest.mark.parametrize("labels", LABELS)
 @pytest.mark.parametrize("mesh_name", list(MESHES))
-def test_class_path_matches_stacked_oracle(meshes, mesh_name, labels, p, variant):
+def test_class_path_matches_stacked_oracle(monkeypatch, meshes, mesh_name, labels, p, variant):
     m = meshes[mesh_name, labels]
     v = random_conforming_field(m, p + 1, seed=p)
     sig = projector_report(v, p, m, variant=variant)["sigma"]
+    oracles.use_wide_patch_data(monkeypatch)  # the oracle reads the eliminations as one array
     dofs, ratios = oracles.patch_layer_stacked_oracle(v, p, m, variant=variant)
     assert np.linalg.norm(sig.dofs - dofs) <= 1e-13 * np.linalg.norm(dofs)
     got = np.array(sig.info["projector"].stability_ratios)
@@ -77,7 +78,7 @@ def test_kept_tables_are_the_distinct_oracle_systems(monkeypatch, p):
     assert tables.keep == {"multiplier": True, "surrogate": True}
     policy = QuadPolicy(p, m, v)
     theta = theta_field(policy)
-    data = patch_data(theta, policy)
+    data = oracles.wide_patch_data(patch_data(theta, policy))
     calls = []
 
     def record(A, b, *args, **kw):
@@ -221,9 +222,10 @@ def test_kept_tables_do_not_depend_on_the_chunks(monkeypatch, p):
 @pytest.mark.parametrize("mesh,n", [(build_lshape, 1), (build_lshape, 2), (build_structured, 4)],
                          ids=["lshape1", "lshape2", "structured4"])
 def test_high_degree_keeping_does_not_depend_on_the_chunks_or_the_calls(monkeypatch, mesh, n):
-    # the keep decision, the kept inverses and sigma's bits at p = 4..6
-    # are those of one patch per chunk, and a warm call, after a call on
-    # other data, gives the bits of the first call
+    # the keep decision, the kept inverses, the kept element columns and
+    # sigma's bits at p = 4..6 are those of one patch (and one element) per
+    # chunk, and a warm call, after a call on other data, gives the bits of
+    # the first call
     def run():
         m = mesh(n, labels="left-neumann")
         out = []
@@ -233,17 +235,21 @@ def test_high_degree_keeping_does_not_depend_on_the_chunks_or_the_calls(monkeypa
             project_hdiv(random_conforming_field(m, p + 1, seed=p + 10), p, m)
             assert np.array_equal(project_hdiv(v, p, m).dofs, first)
             tables = patch_layout(m, p).tables
-            out.append((len(patch_layout(m, p).chunks), tables.keep, _kept_systems(tables), first))
+            cols = m._cache[("element_columns", p)][1]
+            assert linsolve.element_columns(rtn_space(m, p), const=True) is cols
+            out.append((len(patch_layout(m, p).chunks), tables.keep, _kept_systems(tables), cols, first))
         return out
 
     whole = run()
     monkeypatch.setattr(linsolve, "STACK_BYTES", 1)
-    for (n_whole, keep, kept, want), (n_single, keep_single, kept_single, got) in zip(whole, run(), strict=True):
+    for (n_whole, keep, kept, cols, want), (n_single, keep_single, kept_single, cols_single, got) in zip(
+            whole, run(), strict=True):
         assert n_whole < n_single
         assert keep == keep_single and keep["multiplier"]
         assert kept.keys() == kept_single.keys()
         for key, parts in kept.items():
             assert all(a is b is None or np.array_equal(a, b) for a, b in zip(parts, kept_single[key], strict=True))
+        assert cols.tobytes() == cols_single.tobytes()
         assert np.array_equal(got, want)
 
 
