@@ -30,7 +30,7 @@ solver and the patch stability surrogate.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -244,11 +244,11 @@ class RTNSpace:
 
     Each triangle's vertex order (``mesh.triangles``) directs its edges
     lower -> higher entry.  Stored per element, O(ndof) numbers each: T_k of
-    ``_dof_scaling``, ``dof_map``, the multiplier sign of each edge dof
-    (``edge_sign``) and c_k = (S_00, S_01, S_11) / det B_k with
-    S_k = B_k^T B_k; per dof, read-only, the mask of the dofs off Neumann
-    edges (``free_dofs``) and ``gather``'s weights.  Applied, not stored,
-    are the tables
+    ``_dof_scaling``, ``dof_map``, c_k = (S_00, S_01, S_11) / det B_k with
+    S_k = B_k^T B_k and, built on first use, the multiplier sign of each
+    edge dof (``edge_sign``); per dof, built on first use, read-only, the
+    mask of the dofs off Neumann edges (``free_dofs``) and ``gather``'s
+    weights.  Applied, not stored, are the tables
       M_k = T_k^{-T} A(c_k) T_k^{-1},  A(c) = sum_i c_i H_i (``reference_mass``),
       C_k = C_ref T_k^{-1},  Bdiv_k = D_ref T_k^{-1} / sqrt(det B_k)
     (D_ref = div_rows C_ref): ``mass``, C_ref and D_ref act on ``to_ref``
@@ -306,19 +306,28 @@ class RTNSpace:
         self.dof_map = np.hstack(
             [edge_dofs.reshape(len(edge_dofs), -1), interior.reshape(len(edge_dofs), -1)]
         )
-        # the sign of each edge dof's multiplier: +1 on the edge_tris[e, 0] side
-        own = mesh.edge_tris[mesh.tri_edges, 0] == np.arange(n)[:, None]
-        self.edge_sign = np.repeat(np.where(own, 1.0, -1.0), p + 1, axis=1)
-        # the dofs off Neumann edges, and ``gather``'s weight free / (sides of
-        # each dof, 1 or 2): exact, so the mean keeps its bits
-        self._free = np.ones(self.ndof, dtype=bool)
-        self._free[self.neumann_edge_dofs()] = False
-        self._weight = self._free / np.bincount(self.dof_map.ravel(), minlength=self.ndof)
-        for a in (self.edge_sign, self._free, self._weight):
-            a.flags.writeable = False
 
     def __len__(self):
         return len(self.detB)
+
+    @cached_property
+    def edge_sign(self):
+        """The sign of each edge dof's multiplier, (nt, 3(p+1)): +1 on the
+        ``edge_tris[e, 0]`` side; built on first use, read-only."""
+        own = self.mesh.edge_tris[self.mesh.tri_edges, 0] == np.arange(len(self))[:, None]
+        return _frozen(np.repeat(np.where(own, 1.0, -1.0), self.p + 1, axis=1))
+
+    @cached_property
+    def _free(self):
+        free = np.ones(self.ndof, dtype=bool)
+        free[self.neumann_edge_dofs()] = False
+        return _frozen(free)
+
+    @cached_property
+    def _weight(self):
+        """``gather``'s weight of each dof, free / (sides of the dof, 1 or 2):
+        exact, so the mean keeps its bits."""
+        return _frozen(self._free / np.bincount(self.dof_map.ravel(), minlength=self.ndof))
 
     def mass_ref(self, coef):
         """A(c) = sum_i c_i H_i for rows c (n, 3); (n, ndof, ndof).  A row's
@@ -510,8 +519,8 @@ class RTNSpace:
         return (e[:, None] * (self.p + 1) + np.arange(self.p + 1)).ravel()
 
     def free_dofs(self):
-        """Mask of the global dofs off Neumann edges, (ndof,); kept with the
-        space, read-only."""
+        """Mask of the global dofs off Neumann edges, (ndof,); built on first
+        use and kept with the space, read-only."""
         return self._free
 
     def conforming_blocks(self):
@@ -530,6 +539,12 @@ class RTNSpace:
         rows = np.arange(nt * self.sdim).reshape(nt, self.sdim)
         B = assemble_csr(rows, dofs, self.div_blocks(), (nt * self.sdim, nf))
         return M, B, fidx
+
+
+def _frozen(a):
+    """``a``, made read-only."""
+    a.flags.writeable = False
+    return a
 
 
 def _mass_blocks(space, tris=slice(None)):
