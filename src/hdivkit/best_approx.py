@@ -169,7 +169,7 @@ def _error_report(policy, include_constrained=False, include_pm1=False):
     rep.Eloc_l2, rep.Eloc_div, rep.Eloc = loc["l2_part"], loc["div_part"], loc["E_loc"]
     sigma, errors, info = _global_fit(policy, rep.Eloc_div)
     rep.Eglob_l2, rep.Eglob_div, rep.Eglob = errors.values()
-    rep.metadata.update({key: info[key] for key in ("kkt_residual", "system_size", "nnz_lu")})
+    rep.metadata.update({key: info[key] for key in ("kkt_residual", "compat_defect", "system_size", "nnz_lu")})
     rep.metadata["minimizer"] = sigma
     rep.metadata["quad_degree"] = policy.base_degree
     samples = zip(policy.groups(), policy.values())

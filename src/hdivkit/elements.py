@@ -36,7 +36,7 @@ import numpy as np
 
 from . import polys
 from .linsolve import SingularSystemError, assemble_csr, check_residuals, chunks, multiplier_system
-from .mesh import NEUMANN, kept
+from .mesh import NEUMANN, _read_only, kept
 from .quadrature import check_degree, check_integer, gauss01, quad_rule, xy
 
 
@@ -201,8 +201,7 @@ def reference_dual(p: int) -> np.ndarray:
         C = np.linalg.solve(D, np.eye(len(D)))
     except np.linalg.LinAlgError as exc:
         raise BasisConsistencyError("singular dof matrix") from exc
-    C.flags.writeable = False
-    return C
+    return _read_only(C)
 
 
 @lru_cache(maxsize=None)
@@ -211,8 +210,7 @@ def reference_mass(p: int) -> np.ndarray:
     G_yy: A(c) = sum_i c_i H_i is the mass matrix of the affine class c."""
     ref, C = rtn_reference(p), reference_dual(p)
     H = np.stack([C.T @ G @ C for G in (ref.gram_xx, ref.gram_xy + ref.gram_xy.T, ref.gram_yy)])
-    H.flags.writeable = False
-    return H
+    return _read_only(H)
 
 
 # -- stacked element tables -------------------------------------------------------------
@@ -315,19 +313,19 @@ class RTNSpace:
         """The sign of each edge dof's multiplier, (nt, 3(p+1)): +1 on the
         ``edge_tris[e, 0]`` side; built on first use, read-only."""
         own = self.mesh.edge_tris[self.mesh.tri_edges, 0] == np.arange(len(self))[:, None]
-        return _frozen(np.repeat(np.where(own, 1.0, -1.0), self.p + 1, axis=1))
+        return _read_only(np.repeat(np.where(own, 1.0, -1.0), self.p + 1, axis=1))
 
     @cached_property
     def _free(self):
         free = np.ones(self.ndof, dtype=bool)
         free[self.neumann_edge_dofs()] = False
-        return _frozen(free)
+        return _read_only(free)
 
     @cached_property
     def _weight(self):
         """``gather``'s weight of each dof, free / (sides of the dof, 1 or 2):
         exact, so the mean keeps its bits."""
-        return _frozen(self._free / np.bincount(self.dof_map.ravel(), minlength=self.ndof))
+        return _read_only(self._free / np.bincount(self.dof_map.ravel(), minlength=self.ndof))
 
     def mass_ref(self, coef):
         """A(c) = sum_i c_i H_i for rows c (n, 3); (n, ndof, ndof).  A row's
@@ -541,12 +539,6 @@ class RTNSpace:
         return M, B, fidx
 
 
-def _frozen(a):
-    """``a``, made read-only."""
-    a.flags.writeable = False
-    return a
-
-
 def _mass_blocks(space, tris=slice(None)):
     """M_k of the elements ``tris``, formed for one call; (n, ndof, ndof)."""
     M = space.rows_to_elem(space.mass_ref(space.coef[tris]), tris)
@@ -667,9 +659,7 @@ def hat_operators(q: int, p: int):
     phi = scalar_basis(p).eval(rule.points) * rule.weights
     vals = basis_q(rule.points)  # (ndof_q, nq, 2)
     G = np.stack([phi @ (vals @ _BARY_GRAD[i]).T for i in range(3)])
-    H.flags.writeable = False
-    G.flags.writeable = False
-    return H, G
+    return _read_only((H, G))
 
 
 # -- continuous Lagrange P_q ----------------------------------------------------------
@@ -739,5 +729,4 @@ def _coupling_reference(q, p):
     rule = quad_rule(q + p)
     g = np.stack(lagrange_grads_ref(q, rule.points), axis=2)  # (nloc, nq, 2)
     out = np.einsum("q,nqd,iqd->ni", rule.weights, g, rtn_reference(p).eval(rule.points)) @ reference_dual(p)
-    out.flags.writeable = False
-    return out
+    return _read_only(out)

@@ -23,11 +23,13 @@ elements are hybridized: the element eliminations (``eliminate``) leave an
 SPD system in edge multipliers, mesh-wide in ``hybrid_saddle_solve`` and
 per vertex patch in ``local_solve``.  Both eliminate every element against
 columns that depend only on the mesh and p, the signed edge unit columns
-and, for the patches, the constant-divergence column; the mesh keeps
-their flux parts where they fit ``KEEP_BYTES`` (``element_columns``), and
-a call solves only its data columns.  The mesh-wide multiplier system
-depends only on the mesh and p too: the mesh keeps it, assembled
-(``multiplier_system``), and a call forms only its data column.  Where the
+and, where the multipliers have a constant kernel, the constant-divergence
+column, whose coefficient takes a grounded multiplier's place in both; the
+mesh keeps their flux parts where they fit ``KEEP_BYTES``
+(``element_columns``), and a call solves only its data columns.  The
+mesh-wide multiplier system depends only on the mesh and p too: the mesh
+keeps it, assembled (``multiplier_system``), and a call forms only its
+data columns.  Where the
 packed Cholesky factor of that system fits ``KEEP_BYTES`` (at most 511
 multipliers), the mesh keeps the factor too, built once by LAPACK
 ``pptrf`` (``packed_cholesky``), and each call solves with it
@@ -87,9 +89,7 @@ def dense_solve(A, b):
     b = np.asarray(b, float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    sym_defect = np.abs(A - A.T).max()
-    if sym_defect > 1e-10 * max(1.0, np.abs(A).max()):
-        raise ValueError(f"matrix is not symmetric (defect {sym_defect:.2e})")
+    check_symmetric(A)
     sytrf, sytrs, sytrf_lwork = get_lapack_funcs(("sytrf", "sytrs", "sytrf_lwork"), (A,))
     lwork, _ = sytrf_lwork(A.shape[0], lower=1)
     ldu, ipiv, info = sytrf(A, lower=1, lwork=int(lwork))
@@ -277,26 +277,26 @@ def _element_columns(space, const):
     return X
 
 
-def eliminate(space, rhs, g):
+def eliminate(space, rhs, g, const=False):
     """The element half of a hybridization on every element: the element
     KKT systems against the data rhs (n, ndof, r), g (n, sdim, r)
-    (``element_solve``) and against the edge columns of
-    ``element_columns``, whose multiplier parts are the ``kkt_table``'s
-    edge columns, scaled.  Returns (X (n, ndof, r), U (n, sdim, r +
-    3(p+1)), Xe (n, ndof, 3(p+1))): the flux parts of the data columns,
-    the multiplier parts of the data columns and then of the edge columns,
-    and the flux parts of the edge columns (``element_columns``, kept or
-    built for the call).  Edge multipliers mu give the fluxes X - Xe mu."""
+    (``element_solve``) and against the columns of ``element_columns(space,
+    const)``, whose multiplier parts are the ``kkt_table``'s columns,
+    scaled.  Returns (X (n, ndof, r), U (n, sdim, r + const + 3(p+1)), Xe
+    (n, ndof, const + 3(p+1))): the flux parts of the data columns, the
+    multiplier parts of the data columns and then of the others, and the
+    flux parts of the others (kept or built for the call).  Their unknowns
+    mu (c, then the edge multipliers) give the fluxes X - Xe mu."""
     d, ne, r = space.ref.dim, 3 * (space.p + 1), rhs.shape[2]
-    tris = np.arange(len(space))
-    U = np.empty((len(tris), space.sdim, r + ne))
-    X, U[:, :, :r] = element_solve(space, rhs, g, tris)
+    U = np.empty((len(space), space.sdim, r + const + ne))
+    X, U[:, :, :r] = element_solve(space, rhs, g, np.arange(len(space)))
     inv, cls = space.kkt_table[0], space.classes[0]
     w = (space.edge_sign * space.edge_scale())[:, None, :]
     root = np.sqrt(space.detB)[:, None, None]
-    for sl in chunks(len(tris), 16 * space.sdim * ne):
-        U[sl, :, r:] = root[sl] * (inv[cls[sl], d:, :ne] * w[sl])
-    return X, U, element_columns(space)
+    for sl in chunks(len(space), 16 * space.sdim * ne):
+        U[sl, :, r + const:] = root[sl] * (inv[cls[sl], d:, :ne] * w[sl])
+    U[:, :, r:r + const] = (space.detB * np.sqrt(space.mesh.area))[:, None, None] * inv[cls, d:, d:d + const]
+    return X, U, element_columns(space, const)
 
 
 def assemble_csr(rows, cols, blocks, shape):
@@ -315,10 +315,11 @@ def assemble_csr(rows, cols, blocks, shape):
 
 
 def check_symmetric(A):
-    """Raise ValueError unless the sparse matrix A is symmetric to 1e-10 of
-    its largest entry (at least 1)."""
-    defect = np.abs((A - A.T).data).max(initial=0.0)
-    if defect > 1e-10 * max(1.0, np.abs(A.data).max(initial=0.0)):
+    """Raise ValueError unless the matrix A, sparse or dense, is symmetric to
+    1e-10 of its largest entry (at least 1)."""
+    entries = (lambda M: M.data if sp.issparse(M) else M)
+    defect = np.abs(entries(A - A.T)).max(initial=0.0)
+    if defect > 1e-10 * max(1.0, np.abs(entries(A)).max(initial=0.0)):
         raise ValueError(f"matrix is not symmetric (defect {defect:.2e})")
 
 
@@ -375,15 +376,15 @@ class Multipliers(NamedTuple):
     (``multiplier_system``), kept on the mesh per p (``RTNSpace.multipliers``)."""
 
     lam: np.ndarray  # (nt, 3(p+1)): multiplier of each element edge dof, -1 for none
-    grounded: bool  # no Dirichlet edge: one lowest-order multiplier is grounded
+    grounded: bool  # no Dirichlet edge: the first multiplier is grounded (lam -1), its equation not in A
     A: sp.csc_matrix  # sum_k E_k (K_k^-1)_ss E_k^T over the multipliers, read-only
     chol: np.ndarray | None  # A's packed_cholesky where it fits KEEP_BYTES, read-only; else None
 
 
 def multiplier_system(space):
     """The ``Multipliers`` of ``space``: one multiplier per dof of each
-    interior and Neumann edge (+1 on the ``edge_tris[e, 0]`` side), the last
-    one grounded when no edge is Dirichlet, the SPD matrix
+    interior and Neumann edge (+1 on the ``edge_tris[e, 0]`` side), the
+    first one grounded when no edge is Dirichlet, the SPD matrix
     sum_k E_k (K_k^-1)_ss E_k^T, symmetrized, from the edge columns of
     ``element_columns``, and its packed Cholesky factor where its 8 n(n+1)/2
     bytes fit ``KEEP_BYTES``.  Those depend only on the mesh and p, so
@@ -411,30 +412,39 @@ def hybrid_saddle_solve(space, rhs, g):
     (``RTNSpace.multipliers``, ``multiplier_system``): a call forms only its
     data column E_k F_k and solves with the kept packed Cholesky factor
     (``packed_solve``), or, where the space keeps none, factors the kept
-    matrix afresh (``SparseFactor``).  Without a Dirichlet edge, g is made
-    compatible, one lowest-order multiplier is grounded and u is made
-    orthogonal to the constants.  Returns (s (ndof,), u (nt, sdim), info:
-    ``kkt_residual`` and ``div_defect`` of the conforming system,
-    ``system_size``, ``nnz_lu``).  ``nnz_lu`` counts the stored entries of
+    matrix afresh (``SparseFactor``).  Without a Dirichlet edge it borders
+    the grounded system as the kernel patches do: the coefficient c of the
+    constant-divergence column takes the grounded multiplier's place, and
+    that multiplier's equation fixes it after one solve against each
+    column; c takes g's mean, and u is made orthogonal to the constants.
+    Returns (s (ndof,), u (nt, sdim), info: ``kkt_residual`` and
+    ``div_defect`` of the conforming system with data g - c;
+    ``compat_defect`` = |c| |Omega|^(1/2) / ||b||, b the right-hand side of
+    ``kkt_residual``, 0.0 with a Dirichlet edge; ``system_size``,
+    ``nnz_lu``).  ``nnz_lu`` counts the stored entries of
     the factor the solve used: n(n+1)/2 for the kept one, and for SuperLU
     the entries it stores for L and U (``lu.nnz``), the explicit zeros of
     its supernodes included; reading it copies no factor.
     """
-    mesh, dofs, ne = space.mesh, space.dof_map, 3 * (space.p + 1)
+    dofs, ne = space.dof_map, 3 * (space.p + 1)
     lam, grounded, A, chol = space.multipliers
-    n = A.shape[0]
-    g = np.array(g, float)
-    k0 = np.sqrt(mesh.area)  # the constant multiplier mode of a pure Neumann problem
-    if grounded:
-        g[:, 0] -= k0 * (k0 @ g[:, 0]) / (k0 @ k0)
-    X, U, Xe = eliminate(space, rhs[:, :, None], g[:, :, None])
-    f = space.edge_sign * X[:, :ne, 0]  # E_k applied to the data column
-    data = np.bincount(lam[lam >= 0], f[lam >= 0], n)
+    n, on = A.shape[0], lam >= 0
+    X, U, Xe = eliminate(space, rhs[:, :, None], g[:, :, None], grounded)
     if chol is None:
         factor = SparseFactor(A, checked=True)
-        x, nnz = factor.solve(data), factor.lu.nnz
+        solve, nnz = factor.solve, factor.lu.nnz
     else:
-        x, nnz = packed_solve(chol, A, data), len(chol)
+        solve, nnz = (lambda b: packed_solve(chol, A, b)), len(chol)
+    # E_k applied to the data column and, on a grounded system, to the constant-divergence one
+    f = space.edge_sign[:, :, None] * np.concatenate([X[:, :ne], Xe[:, :ne, :grounded]], axis=2)
+    x, *xc = (solve(np.bincount(lam[on], fj[on], n)) for fj in np.moveaxis(f, 2, 0))
+    c, k0 = 0.0, np.sqrt(space.mesh.area)  # k0: the constant 1 in the orthonormal bases
+    if grounded:  # the grounded multiplier's equation, which A leaves out, fixes c
+        k, i = np.nonzero(~on)
+        y = np.append(np.stack([x, xc[0]], axis=1), np.zeros((1, 2)), axis=0)[lam[k]]
+        eq = space.edge_sign[k, i] @ (np.stack([X[k, i, 0], Xe[k, i, 0]], 1) - np.einsum("qj,qjr->qr", Xe[k, i, 1:], y))
+        c = eq[0] / eq[1]
+        x, lam = np.append(x - c * xc[0], c), np.hstack([np.full((len(lam), 1), n), lam])  # c is unknown n
     mu = np.append(x, 0.0)[lam]
     sk = X[:, :, 0] - np.einsum("kdj,kj->kd", Xe, mu)
     u = U[:, :, 0] - np.einsum("kdj,kj->kd", U[:, :, 1:], mu)
@@ -446,10 +456,12 @@ def hybrid_saddle_solve(space, rhs, g):
     ref = space.to_ref(s[dofs])  # once for the mass and the divergence (``RTNSpace.div``)
     res = space.rows_to_elem(space.mass(ref) + u @ space.D_ref / root) - rhs  # M_k s_k + Bdiv_k^T u_k - rhs_k
     div = ref @ space.D_ref.T / root - g
+    div[:, 0] += c * k0
     b = np.concatenate([free * np.bincount(flat, rhs.ravel(), space.ndof), g.ravel()])
     r = np.concatenate([free * np.bincount(flat, res.ravel(), space.ndof), div.ravel()])
     return s, u, {
         "kkt_residual": float(np.linalg.norm(r) / max(np.linalg.norm(b), 1e-300)),
+        "compat_defect": float(abs(c) * np.linalg.norm(k0) / max(np.linalg.norm(b), 1e-300)),
         "div_defect": float(np.abs(div).max()),
         "system_size": n,
         "nnz_lu": nnz,

@@ -14,8 +14,9 @@ columns by one element solve and against the columns that depend only on
 the mesh and p (``linsolve.element_columns``, kept where they fit the one
 budget), and each patch solves one small system in its multipliers.  For
 interior and Neumann vertices one lowest-order multiplier is grounded and
-the constant-divergence coefficient, which projects the data onto the
-compatible subspace, takes its place.
+the constant-divergence coefficient, which takes the data's incompatible
+part, takes its place: the one treatment of the constant kernel, which
+``linsolve.hybrid_saddle_solve`` shares on a mesh without a Dirichlet edge.
 
 Stability surrogate: the dual norm of each patch's data over
 patch-continuous P_{p+2} functions, against which the patch correction is

@@ -75,6 +75,7 @@ def kept(cache, key, build, tag=None):
 
 
 def _read_only(entry):
+    """``entry``, its arrays made read-only: those in its tuples, lists and sparse matrices included."""
     if isinstance(entry, np.ndarray):
         entry.flags.writeable = False
     elif isinstance(entry, (tuple, list)):
@@ -82,6 +83,7 @@ def _read_only(entry):
             _read_only(a)
     elif sp.issparse(entry):
         _read_only([entry.data, entry.indices, entry.indptr])
+    return entry
 
 
 def _rows(rows, width, kinds, one, many):
@@ -127,18 +129,6 @@ def _pair_keys(pairs, nv):
     the keys sorts the pairs lexicographically."""
     pairs = pairs.reshape(-1, 2)
     return pairs.min(axis=1) * nv + pairs.max(axis=1)
-
-
-def affine_geometry(xs):
-    """Affine maps F_k(x) = X0_k + B_k x of triangles ``xs`` (n, 3, 2) from the
-    reference triangle: (X0, B, det B, B^{-1}, h = longest side)."""
-    xs = np.asarray(xs, float)
-    B = np.stack([xs[:, 1] - xs[:, 0], xs[:, 2] - xs[:, 0]], axis=2)
-    detB = B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
-    Binv = np.stack([B[:, 1, 1], -B[:, 0, 1], -B[:, 1, 0], B[:, 0, 0]], axis=1)
-    Binv = Binv.reshape(-1, 2, 2) / np.where(detB == 0, 1.0, detB)[:, None, None]
-    h = np.linalg.norm(np.roll(xs, -1, axis=1) - xs, axis=2).max(axis=1)
-    return xs[:, 0], B, detB, Binv, h
 
 
 class Mesh:
@@ -228,11 +218,16 @@ class Mesh:
         self.edge_label[e] = [lab for _, lab in items]
 
     def _geometry(self):
+        """The affine maps F_k(x) = X0_k + B_k x from the reference triangle,
+        with det B, B^{-1}, the area, h (the longest side) and rho."""
         xs = self.vertices[self.triangles]
-        self.X0, self.B, self.detB, self.Binv, self.h = affine_geometry(xs)
-        self.area = 0.5 * self.detB
-        perimeter = np.linalg.norm(np.roll(xs, -1, axis=1) - xs, axis=2).sum(axis=1)
-        self.rho = 4 * self.area / perimeter  # inscribed-circle diameter
+        self.X0, B = xs[:, 0], np.stack([xs[:, 1] - xs[:, 0], xs[:, 2] - xs[:, 0]], axis=2)
+        self.B, self.detB = B, B[:, 0, 0] * B[:, 1, 1] - B[:, 0, 1] * B[:, 1, 0]
+        Binv = np.stack([B[:, 1, 1], -B[:, 0, 1], -B[:, 1, 0], B[:, 0, 0]], axis=1)
+        self.Binv = Binv.reshape(-1, 2, 2) / np.where(self.detB == 0, 1.0, self.detB)[:, None, None]
+        sides = np.linalg.norm(np.roll(xs, -1, axis=1) - xs, axis=2)
+        self.h, self.area = sides.max(axis=1), 0.5 * self.detB
+        self.rho = 4 * self.area / sides.sum(axis=1)  # inscribed-circle diameter
         self.kappa = float(np.max(self.h / self.rho))
         self.h_max = float(np.max(self.h))
 
@@ -336,8 +331,8 @@ class Mesh:
     # leading edge axis to the result
 
     def edge_vector(self, e):
-        """Lower -> higher tangent (not normalized); (2,) or (n, 2)."""
-        a, b = self.edges[e].T
+        """Lower -> higher tangent (not normalized); (2,), or e's shape + (2,)."""
+        a, b = self.edges[e, 0], self.edges[e, 1]
         return self.vertices[b] - self.vertices[a]
 
     def edge_length(self, e):

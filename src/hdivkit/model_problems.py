@@ -37,7 +37,7 @@ from .elements import (
 )
 from .fields import AnalyticField
 from .linsolve import SparseFactor, assemble_csr, check_symmetric, hybrid_saddle_solve, solve_stacked
-from .mesh import NEUMANN, kept
+from .mesh import NEUMANN, _read_only, kept
 from .projections import ScalarPWField
 from .projector import ConformingRTNField
 from .quadpolicy import QuadGroup, QuadPolicy, check_finite
@@ -187,8 +187,7 @@ class LagrangeSpace:
             self._elem_nodes[np.any(on_boundary[:, :, None] & (self.bary.T == 0), axis=1)]
         )
         self.free_index = np.setdiff1d(np.arange(self.n_nodes), self.boundary_nodes)
-        for a in (self.boundary_nodes, self.free_index):  # a kept space is shared
-            a.flags.writeable = False
+        _read_only([self.boundary_nodes, self.free_index])  # a kept space is shared
 
 
 def _lagrange_stiffness(ls: LagrangeSpace):

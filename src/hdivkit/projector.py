@@ -90,15 +90,17 @@ def check_field_compatibility(policy):
     and compared with |v| on those edges; a discrete field's is fixed
     exactly by its edge dofs there, the moments of v.n against an
     orthonormal basis of P_p on the edge, compared with its largest dof.
-    With an all-Neumann boundary its divergence must have zero mean on the
-    policy's samples of div v, the ones the fits and the solves read, which
-    a divergence-free field has by declaration.
+    With an all-Neumann boundary its divergence must have zero mean,
+    relative to its terms' magnitudes: an analytic field's on the policy's
+    samples of div v, which a divergence-free field has by declaration; a
+    discrete field's exactly, sum_K (v.n_K, 1)_dK from its edge dofs.
     """
     v, mesh = policy.field, policy.mesh
     e = np.flatnonzero(mesh.edge_label == NEUMANN)
     if not len(e):
         return
-    if getattr(v, "is_discrete", False):
+    discrete = getattr(v, "is_discrete", False)
+    if discrete:
         rows = v.element_coeffs(slice(None))
         slots = rows[:, : 3 * (v.p + 1)].reshape(len(rows), 3, v.p + 1)  # slot z: edge tri_edges[:, z]
         trace = slots[mesh.edge_label[mesh.tri_edges] == NEUMANN]
@@ -115,8 +117,10 @@ def check_field_compatibility(policy):
         raise FieldError(f"field has nonzero normal trace on Neumann edges ({name} up to {worst:.2e}); it lies "
                          "outside the constrained space for these boundary labels")
     if not (mesh.edge_label == DIRICHLET).any() and not policy.divergence_free:
-        samples = zip(policy.groups(), policy.values(div=True))
-        total, mass = np.sum([(np.sum(g.w * dv), np.sum(g.w * np.abs(dv))) for g, dv in samples], axis=0)
+        # (div v, 1)_K = (v.n_K, 1)_dK of a discrete field: its lowest-order edge dofs, moments against |e|^(-1/2)
+        terms = ([slots[:, :, 0] * mesh.tri_edge_sign * np.sqrt(mesh.edge_length(mesh.tri_edges))] if discrete
+                 else [g.w * dv for g, dv in zip(policy.groups(), policy.values(div=True))])  # w > 0: |w dv| = w |dv|
+        total, mass = np.sum([(np.sum(t), np.sum(np.abs(t))) for t in terms], axis=0)
         if abs(total) > 1e-8 * max(mass, 1e-300):
             raise FieldError("divergence has nonzero mean on an all-Neumann boundary; the divergence constraint "
                              "is infeasible")

@@ -672,18 +672,23 @@ def use_stacked_element_solves(monkeypatch):
     """Route every element solve of the library through the oracles above,
     in the shapes of the library's calls: no flux data (None) is zero flux
     data, ``eliminate`` returns its data columns apart from the flux parts
-    of its edge columns, and the columns of ``element_columns`` are solved
-    as data columns (the constant-divergence one against g = sqrt|K|
-    phi_0)."""
+    of its other columns (with ``const``, the constant-divergence one
+    first), and the columns of ``element_columns`` are solved as data
+    columns (the constant-divergence one against g = sqrt|K| phi_0)."""
     from hdivkit import best_approx, linsolve, local_solve
 
     def element_solve(space, f, g, tris):
         f = np.zeros((len(tris), space.ref.dim, g.shape[2])) if f is None else f
         return element_solve_oracle(space, f, g, tris)
 
-    def eliminate(space, rhs, g):
+    def eliminate(space, rhs, g, const=False):
+        r = rhs.shape[2]
+        if const:  # the constant-divergence column, one more data column
+            kcol = np.zeros(g.shape[:2] + (1,))
+            kcol[:, 0, 0] = np.sqrt(space.mesh.area)
+            rhs, g = np.concatenate([rhs, np.zeros(rhs.shape[:2] + (1,))], axis=2), np.concatenate([g, kcol], axis=2)
         _, X, U = eliminate_oracle(space, rhs, g)
-        return X[:, :, :rhs.shape[2]], U, X[:, :, rhs.shape[2]:]
+        return X[:, :, :r], U, X[:, :, r:]
 
     def element_columns(space, const=False):
         n = len(space)

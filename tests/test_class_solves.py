@@ -163,6 +163,23 @@ def test_mesh_without_repeats_runs_the_class_path(p):
     assert _rel(x, oracles.element_solve_oracle(space, rhs, none, tris)[0]) <= TOL
 
 
+@pytest.mark.parametrize("p", [0, 2])
+def test_the_constant_column_is_the_element_solve_against_a_constant_divergence(p):
+    # eliminate's constant-divergence column, read off the class tables, is
+    # the element solve against f = 0, g = sqrt|K| phi_0, and adds nothing
+    # to the other columns
+    mesh = _jitter_every_vertex(build_structured(3, labels="all-neumann"), 7)
+    space = rtn_space(mesh, p)
+    rhs, g = _data(space, 1, seed=p)
+    X, U, Xe = eliminate(space, rhs, g, const=True)
+    kcol = np.zeros((len(space), space.sdim, 1))
+    kcol[:, 0, 0] = np.sqrt(mesh.area)
+    x, u = element_solve(space, None, kcol, np.arange(len(space)))
+    assert _rel(Xe[:, :, :1], x) <= TOL and _rel(U[:, :, 1:2], u) <= TOL
+    X0, U0, Xe0 = eliminate(space, rhs, g)
+    assert np.array_equal(X, X0) and np.array_equal(U[:, :, 2:], U0[:, :, 1:]) and np.array_equal(Xe[:, :, 1:], Xe0)
+
+
 @pytest.mark.parametrize("table", ["kkt_table", "mass_table"])
 def test_poisoned_class_table_names_the_system(monkeypatch, table):
     mesh = build_structured(2)

@@ -73,6 +73,12 @@ def test_hybrid_matches_saddle_oracle_on_random_data(meshes, name, labels, p):
     assert _rel(u, uo) <= TOL
     assert info["kkt_residual"] <= TOL and res <= TOL
     assert s[space.neumann_edge_dofs()].tolist() == [0.0] * len(space.neumann_edge_dofs())
+    # without a Dirichlet edge the solve removes g's mean, the L2 norm of its
+    # constant part relative to that of the KKT right-hand side
+    k0 = np.sqrt(mesh.area)
+    mean = abs(k0 @ g[:, 0]) / np.linalg.norm(k0) if labels == "all-neumann" else 0.0
+    b = np.concatenate([space.free_dofs() * np.bincount(space.dof_map.ravel(), rhs.ravel(), space.ndof), g.ravel()])
+    assert abs(info["compat_defect"] * np.linalg.norm(b) - mean) <= TOL * np.linalg.norm(b)
 
 
 @pytest.mark.parametrize("name,labels,p", CASES)
@@ -85,6 +91,8 @@ def test_global_best_matches_saddle_oracle(meshes, name, labels, p):
     assert _rel(out["minimizer"].dofs, dofs) <= TOL
     assert abs(out["Eglob_l2"] - e_l2) <= TOL * e_l2
     assert out["kkt_residual"] <= TOL and res <= TOL
+    assert out["compat_defect"] <= TOL and (out["compat_defect"] == 0.0) == (labels != "all-neumann")
+    assert error_report(v, p, mesh).metadata["compat_defect"] == out["compat_defect"]
 
 
 @pytest.mark.parametrize("p", range(4))

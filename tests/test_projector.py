@@ -234,14 +234,28 @@ def test_discrete_field_with_a_neumann_flux_is_a_field_error(run, kind):
      (build_lshape, 4, "left-neumann", 1, 1), (build_lshape, 4, "all-neumann", 1, 2),
      (build_lshape, 4, "left-neumann", 2, 2), (build_structured, 4, "left-neumann", 5, 5),
      (build_structured, 4, "left-neumann", 5, 6), (build_lshape, 1, "all-neumann", 3, 4),
-     (build_lshape, 2, "all-neumann", 6, 6)],
+     (build_lshape, 2, "all-neumann", 6, 6), (build_structured, 2, "all-neumann", 12, 12),
+     (build_lshape, 1, "all-neumann", 12, 12)],
 )
 def test_discrete_members_on_neumann_meshes_pass_the_compatibility_check(build, n, labels, degree, p):
     # the benchmark's discrete inputs on meshes with Neumann edges: members
-    # of degree ``degree`` projected or measured at degree p
+    # of degree ``degree`` projected or measured at degree p; at p = 12 the
+    # sampled divergence mean read 2.4e-8 of its terms, above the 1e-8 bound,
+    # where the edge dofs read it exactly
     m = build(n, labels=labels)
     for seed in range(3):
         check_field_compatibility(QuadPolicy(p, m, random_conforming_field(m, degree, seed=seed)))
+
+
+@pytest.mark.parametrize("run", [check_field_compatibility, lambda policy: error_report(policy.field, 1, policy.mesh)])
+def test_broken_field_whose_jumps_carry_a_mean_divergence_is_refused_on_all_neumann(run):
+    # zero Neumann-edge dofs pass the trace check, but the two sides of the
+    # interior edges disagree, and their fluxes sum to a nonzero mean
+    m = build_structured(2, labels="all-neumann")
+    rows = np.random.default_rng(5).standard_normal((m.num_triangles, rtn_space(m, 1).ref.dim))
+    rows[:, :6].reshape(-1, 3, 2)[m.edge_label[m.tri_edges] == "neumann"] = 0.0
+    with pytest.raises(FieldError, match="^divergence has nonzero mean on an all-Neumann boundary"):
+        run(QuadPolicy(1, m, BrokenRTNField(m, 1, rows)))
 
 
 def test_all_neumann_needs_zero_mean():
