@@ -47,16 +47,18 @@ def kept(cache, key, build, tag=None):
     included, are made read-only; objects keep their own arrays.
 
     What hdivkit keeps, by owner and key, and what rebuilds it:
-      * a mesh (``Mesh._cache``), for its life: ``rtn_space``,
-        ``patch_layout`` (its flat pair and patch arrays, with its
-        signatures and chunks as ranges of them), ``RTNSpace.multipliers``
-        (the matrix, and its packed Cholesky factor where that fits
-        ``linsolve.KEEP_BYTES``; never a SuperLU object), the flux parts of
-        the eliminations' element columns per p where they fit the same
-        budget (``linsolve.element_columns``),
+      * a mesh (``Mesh._cache``), for its life: ``rtn_space``, ``patch_layout``
+        (its flat pair and patch arrays, with its signatures and chunks as
+        ranges of them), ``RTNSpace.multipliers`` (the matrix, and its packed
+        Cholesky factor where that fits ``linsolve.KEEP_BYTES``; never a
+        SuperLU object), the flux parts of the eliminations' element columns
+        per p where they fit the same budget (``linsolve.element_columns``),
         ``.kkt_table`` and ``.mass_table`` per p, ``RTNSpace.classes``,
-        ``lagrange_nodes`` per q, ``vertex_patches``, and the least-squares
-        (A, B, ``LagrangeSpace``) per (p, q), rebuilt for another l^2 (tag);
+        ``lagrange_nodes`` per q, ``vertex_patches``, the least-squares (A, B,
+        ``LagrangeSpace``) per (p, q), rebuilt for another l^2 (tag), and the
+        quadrature layouts per (part, p, base degree, singularity)
+        (``QuadPolicy._layout``): the classification with each shared rule's
+        elements, the edge rules' pairs and the corner wedges' points;
       * a patch layout, for the mesh's life: the class systems per (kind,
         signature) (``PatchTables``) and the surrogate's numbering, each
         patch's nodes from 0, once (``PatchLayout.surrogate``);
@@ -64,9 +66,11 @@ def kept(cache, key, build, tag=None):
         for its life (one entry point's call or one study row): its
         groups, the samples of v and div v and their moments; one
         element's rules per key, rebuilt for another geometry (tag); per
-        quadrature group its reference tables per degree.
-    Not kept here: the process-wide reference tables (``lru_cache`` in
-    ``polys``, ``quadrature``, ``elements`` and ``local_solve``)."""
+        quadrature group the reference tables the process does not keep;
+      * the process (``quadpolicy._REFERENCE``): a shared rule's reference
+        tables per (kind, p, rule degree) where they fit ``KEEP_BYTES``.
+    Not kept here: the other process-wide reference tables (``lru_cache``
+    in ``polys``, ``quadrature``, ``elements`` and ``local_solve``)."""
     entry = cache.get(key)
     if entry is None or entry[0] != tag:
         entry = cache[key] = (tag, build())

@@ -12,13 +12,15 @@ Gauss-Jacobi edge rules on edges leaving the corner, and escalated degrees on
 nearby elements, which keeps moment errors near roundoff even for singular
 data.
 
-A policy integrates one field (or none) on one mesh at one degree p and
-one quadrature degree, all fixed when it is built: each public entry point
-builds its own from its arguments and hands it to its stages.  It keeps,
+A policy integrates one field (or none) on one mesh at one degree p and one
+quadrature degree, all fixed when it is built from a call's arguments: each
+public entry point builds its own and hands it to its stages.  It keeps,
 read-only, its groups, the samples of v and div v (``values``) and their
 moments (``moments``, ``div_moments``) for its life, one call or one study
-row (``mesh.kept``).  A divergence-free field's divergence moments
-are exact zeros, and its ``div`` is never called.
+row; its mesh keeps its layout and the process its shared rules' reference
+tables (``QuadGroup``), so a call maps only points (``mesh.kept``).  A
+divergence-free field's divergence moments are exact zeros, and its ``div`` is
+never called.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from . import polys
+from . import linsolve, polys
 from .elements import rtn_dim, rtn_reference, rtn_space, scalar_basis, scalar_moments
 from .fields import AnalyticField, FieldError
 from .linsolve import chunks
@@ -39,6 +41,7 @@ from .quadrature import (MAX_DEGREE, UnsupportedDegreeError, check_integer, corn
 # bytes a stage holds per quadrature point of an element: points, weights,
 # field and divergence values and the products taken with them
 _POINT_BYTES = 8 * 8
+_REFERENCE = {}  # the shared rules' reference tables kept for the process (``QuadGroup.prim``)
 
 
 @dataclass
@@ -46,12 +49,15 @@ class QuadGroup:
     """Elements ``tris`` integrated on one point layout: a shared reference
     rule (``ref`` of shape (nq, 2)) or points of their own, such as corner
     wedges or edge traces (``ref`` of shape (n, nq, 2)); ``pts`` (n, nq, 2)
-    and ``w`` (n, nq) are physical."""
+    and ``w`` (n, nq) are physical.  The ``prim`` and ``phi`` tables of a
+    shared rule of degree ``rule`` are kept for the process per (p, rule)
+    where they fit ``linsolve.KEEP_BYTES``, the others for the group's life."""
 
     tris: np.ndarray
     ref: np.ndarray
     pts: np.ndarray
     w: np.ndarray
+    rule: int | None = None
     _tables: dict = dfield(default_factory=dict, repr=False)
 
     @classmethod
@@ -80,12 +86,17 @@ class QuadGroup:
         """Reference RTN_p primal values (nprim, [n,] nq, 2), the element
         axis only for points of their own."""
         build = lambda: rtn_reference(p).eval(self.ref.reshape(-1, 2)).reshape((-1,) + self.ref.shape)
-        return kept(self._tables, ("prim", p), build)
+        return kept(self._keeper(2 * rtn_dim(p)), ("prim", p, self.rule), build)
 
     def phi(self, p):
         """Orthonormal P_p values (sdim, [n,] nq)."""
         build = lambda: scalar_basis(p).eval(self.ref.reshape(-1, 2)).reshape((-1,) + self.ref.shape[:-1])
-        return kept(self._tables, ("phi", p), build)
+        return kept(self._keeper(polys.tri_dim(p)), ("phi", p, self.rule), build)
+
+    def _keeper(self, width):
+        """Where a table of ``width`` numbers per point is kept (see the class docstring)."""
+        fits = self.rule is not None and 8 * width * len(self.ref) <= linsolve.KEEP_BYTES
+        return _REFERENCE if fits else self._tables
 
     def barycentric(self):
         """Hat functions of the three local vertices at the points (3, n, nq)."""
@@ -168,10 +179,21 @@ class QuadPolicy:
             # 2p + 14 keeps the discrete divergence-theorem defect of trig
             # data below 1e-12 even on h ~ 1 elements
             self.base_degree = int(degree) if degree is not None else 2 * p + 14
-        self.singularity = getattr(field, "singularity", singularity)
+        self.singularity = s = getattr(field, "singularity", singularity)
         self._cache = {}
-        self._corner, self._deg = self._classify(mesh.vertices[mesh.triangles], mesh.h)
+        self._key = (p, self.base_degree, s and (tuple(np.asarray(s.center, float).tolist()), float(s.gamma)))
+        self._corner, self._deg, self._rules, self._wedges = self._layout("classes", self._classes)
         self._check_degree()
+
+    def _layout(self, part, build):
+        """``part`` of the policy's layout, kept by its mesh per all that decides it (``_key``)."""
+        return kept(self.mesh._cache, ("quad_layout", part) + self._key, build)
+
+    def _classes(self):
+        """``_classify`` on the mesh, the elements of each shared rule's degree and the corner's."""
+        corner, deg = self._classify(self.mesh.vertices[self.mesh.triangles], self.mesh.h)
+        rules = [(d, np.flatnonzero((corner < 0) & (deg == d))) for d in np.unique(deg[corner < 0])]
+        return corner, deg, rules, np.flatnonzero(corner >= 0)
 
     def _check_degree(self):
         """Refuse a policy whose rules exceed ``MAX_DEGREE``: its element
@@ -268,26 +290,28 @@ class QuadPolicy:
         An analytic field takes the same values on both sides of an edge:
         its pairs go by edge, the two sides of an edge next to each other in
         one chunk."""
-        mesh, corner = self.mesh, self._corner
+        analytic = isinstance(self.field, AnalyticField)
+        for code, tris, slots, at in self._layout(("edges", analytic), lambda: list(self._edge_pairs(analytic))):
+            t, w = self._edge_rule(code)
+            # cut between edges: a chunk of edges holds their one or two pairs
+            for c in chunks(len(at) - 1, _POINT_BYTES * len(t) * np.diff(at), points=True):
+                yield tris[at[c.start] : at[c.stop]], slots[at[c.start] : at[c.stop]], t, w
+
+    def _edge_pairs(self, analytic):
+        """Per edge rule code its (tris, slots) pairs and where each chunk unit (edge or pair) starts."""
+        mesh, corner, ks = self.mesh, self._corner, self._wedges
         codes = np.repeat(self._deg[:, None] + self.p, 3, axis=1)
-        ks = np.flatnonzero(corner >= 0)
         touch = np.arange(3) != corner[ks, None]
         high = mesh.edges[mesh.tri_edges[ks], 1] == mesh.triangles[ks, corner[ks], None]
         codes[ks] = np.where(touch, np.where(high, -2, -1), max(self.base_degree, 30))
         for code in np.unique(codes):
-            t, w = self._edge_rule(code)
             tris, slots = np.nonzero(codes == code)
-            if isinstance(self.field, AnalyticField):
+            at = np.arange(len(tris) + 1)
+            if analytic:
                 order = np.argsort(mesh.tri_edges[tris, slots], kind="stable")
                 tris, slots = tris[order], slots[order]
-                # cut between edges: a chunk of edges holds their one or two pairs
                 at = np.append(np.flatnonzero(np.diff(mesh.tri_edges[tris, slots], prepend=-1)), len(tris))
-                edges = chunks(len(at) - 1, _POINT_BYTES * len(t) * np.diff(at), points=True)
-                cuts = [slice(at[c.start], at[c.stop]) for c in edges]
-            else:
-                cuts = chunks(len(tris), _POINT_BYTES * len(t), points=True)
-            for sl in cuts:
-                yield tris[sl], slots[sl], t, w
+            yield code, tris, slots, at
 
     def check_groups(self):
         """The chunks of ``groups`` on the rules of the degree-doubling
@@ -295,24 +319,26 @@ class QuadPolicy:
         return self._grouped(check=True)
 
     def _grouped(self, check):
-        mesh, corner, deg = self.mesh, self._corner, self._deg
-        for d in np.unique(deg[corner < 0]):
-            ks = np.flatnonzero((corner < 0) & (deg == d))
+        for d, ks in self._rules:
             rule = self._tri_rule(d, check)
-            tables = {}  # shared by the chunks of one reference rule
+            tables = {}  # the tables kept for no longer than the call, shared by the rule's chunks
             for sl in chunks(len(ks), _POINT_BYTES * len(rule.weights), points=True):
                 k = ks[sl]
-                pts = mesh.map_to_phys(rule.points, k)
-                yield QuadGroup(k, rule.points, pts, rule.weights * mesh.detB[k, None], tables)
-        ks = np.flatnonzero(corner >= 0)
+                pts = self.mesh.map_to_phys(rule.points, k)
+                yield QuadGroup(k, rule.points, pts, rule.weights * self.mesh.detB[k, None], rule.degree, tables)
         # wedge tables carry an element axis: a wedge holds its per-point
         # data and its prim and phi tables at degree p
         size = self._wedge_size(check)
         item = np.prod(size) * (_POINT_BYTES + 8 * (2 * rtn_dim(self.p) + polys.tri_dim(self.p)))
-        for sl in chunks(len(ks), item):
-            k = ks[sl]
-            xs = mesh.vertices[mesh.triangles[k]]
-            yield QuadGroup.at(mesh, k, *corner_rules(xs, corner[k], self.singularity.gamma, *size))
+        for sl in chunks(len(self._wedges), item):
+            ref, pts, w = self._layout(("wedges", check), lambda: self._wedge_points(size))
+            yield QuadGroup(self._wedges[sl], ref[sl], pts[sl], w[sl])
+
+    def _wedge_points(self, size):
+        """The corner wedges' reference and physical points and weights."""
+        ks, xs = self._wedges, self.mesh.vertices[self.mesh.triangles[self._wedges]]
+        g = QuadGroup.at(self.mesh, ks, *corner_rules(xs, self._corner[ks], self.singularity.gamma, *size))
+        return g.ref, g.pts, g.w
 
     def values(self, div=False):
         """The field (or its divergence) at the points of every group of

@@ -6,7 +6,8 @@ eliminations' data-independent element columns (``linsolve.element_columns``).
 A repeated call reuses them, and solves with the kept factor or factors the
 kept matrix afresh, so it gives the bits of the first call and of a call on
 a fresh mesh; the kept arrays are read-only, and the kept columns give the
-bits of the columns built per call."""
+bits of the columns built per call.  The quadrature tables and layouts
+(``test_kept_quadrature.py``) give a fresh mesh's bits in any call order."""
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import scipy.sparse as sp
 
 import hdivkit.linsolve
 import hdivkit.model_problems
+import hdivkit.quadpolicy
 from hdivkit import fields
 from hdivkit.best_approx import error_report, global_best
 from hdivkit.elements import RTNSpace, lagrange_nodes, rtn_space
@@ -21,6 +23,7 @@ from hdivkit.linsolve import KEEP_BYTES, element_columns, hybrid_saddle_solve, m
 from hdivkit.local_solve import patch_layout
 from hdivkit.mesh import build_lshape, build_structured
 from hdivkit.model_problems import h1_best_global, manufactured_sine, solve_ls_mixed, solve_mixed
+from hdivkit.projections import canonical_interp
 from hdivkit.projector import _projector_report, project_hdiv, projector_report, random_conforming_field
 from hdivkit.quadpolicy import QuadPolicy
 from test_batched_projector import stream_field
@@ -66,6 +69,28 @@ def test_repeated_calls_give_the_bits_of_a_fresh_mesh(name, labels, p):
         assert _same(run(mesh), first)
         assert _same(run(MESHES[name](labels)), first)
     assert ("element_columns", p) in mesh._cache  # these meshes keep their element columns
+
+
+def test_calls_in_any_degree_order_give_the_bits_of_a_fresh_mesh(monkeypatch):
+    # the reference tables the process keeps and the quadrature layouts the
+    # mesh keeps, found in another order: p = 6, 5, 4, def52 between, then
+    # 4, 5, 6; each call gives the bits of a fresh mesh, its tables fresh too
+    mesh, v, fresh = build_lshape(2), fields.catalog("lshape_singular"), {}
+
+    def run(m, p, variant):
+        rep = error_report(v, p, m)
+        return [project_hdiv(v, p, m, variant=variant).dofs, rep.Eloc, rep.Eglob_l2, rep.metadata["minimizer"].dofs,
+                canonical_interp(v, p, m).coeffs]
+
+    order = [(6, "def31"), (5, "def31"), (4, "def31"), (6, "def52"), (5, "def52"), (4, "def52"), (4, "def31"),
+             (5, "def31"), (6, "def31")]
+    for p, variant in order:
+        got = run(mesh, p, variant)
+        if (p, variant) not in fresh:
+            with monkeypatch.context() as m:
+                m.setattr(hdivkit.quadpolicy, "_REFERENCE", {})
+                fresh[p, variant] = run(build_lshape(2), p, variant)
+        assert _same(got, fresh[p, variant])
 
 
 def test_single_element_keeps_an_empty_system(ref_triangle_mesh):
